@@ -397,6 +397,30 @@ impl B2BObject for OrderObject {
         }
         Err("undecodable order update".to_string())
     }
+
+    /// Same decisions and reasons as the default (apply, re-encode, then
+    /// [`B2BObject::validate_state`] decoding both sides again), but a delta
+    /// decodes `current` once and is applied and checked in typed form.
+    fn validate_update(&self, proposer: &PartyId, current: &[u8], update: &[u8]) -> Decision {
+        let Some(delta) = OrderUpdate::from_bytes(update) else {
+            // A whole-state `Order` (or junk): the default path.
+            return match self.apply_update(current, update) {
+                Ok(next) => self.validate_state(proposer, current, &next),
+                Err(reason) => Decision::reject(reason),
+            };
+        };
+        let Some(cur) = Order::from_bytes(current) else {
+            return Decision::reject("undecodable order state");
+        };
+        let mut next = cur.clone();
+        if let Err(reason) = delta.apply(&mut next) {
+            return Decision::reject(reason);
+        }
+        match self.check(proposer, &cur, &next) {
+            None => Decision::accept(),
+            Some(reason) => Decision::reject(reason),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -599,6 +623,144 @@ mod tests {
         let mut o = Order::new();
         o.set_quantity("w", 1);
         assert_eq!(obj.apply_update(&base, &o.to_bytes()).unwrap(), o.to_bytes());
+    }
+
+    /// What `validate_update` did before `OrderObject` overrode it: the
+    /// trait's default, spelled out.
+    fn default_validate_update(
+        obj: &OrderObject,
+        who: &PartyId,
+        current: &[u8],
+        update: &[u8],
+    ) -> Decision {
+        match obj.apply_update(current, update) {
+            Ok(next) => obj.validate_state(who, current, &next),
+            Err(reason) => Decision::reject(reason),
+        }
+    }
+
+    /// Runs `script` against the evolving state; every step must get the
+    /// default path's exact decision (verdict *and* reason). Accepted
+    /// steps are applied. Returns the verdicts.
+    fn assert_matches_default(obj: &OrderObject, script: &[(PartyId, Vec<u8>)]) -> Vec<bool> {
+        let mut state = Order::new().to_bytes();
+        script
+            .iter()
+            .map(|(who, update)| {
+                let typed = obj.validate_update(who, &state, update);
+                assert_eq!(
+                    typed,
+                    default_validate_update(obj, who, &state, update),
+                    "{who} applying {}",
+                    String::from_utf8_lossy(update)
+                );
+                if typed.is_accept() {
+                    state = obj.apply_update(&state, update).unwrap();
+                }
+                typed.is_accept()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn typed_validate_update_matches_default_on_figure7_script() {
+        let qty = |item: &str, qty| {
+            OrderUpdate::SetQuantity {
+                item: item.into(),
+                qty,
+            }
+            .to_bytes()
+        };
+        let price = |item: &str, unit_price| {
+            OrderUpdate::SetPrice {
+                item: item.into(),
+                unit_price,
+            }
+            .to_bytes()
+        };
+        // The supplier's Figure 7 cheat, as the whole-state update the
+        // scoped path sends: price widget2 *and* change its quantity.
+        let mut cheat = Order::new();
+        cheat.set_quantity("widget1", 2);
+        cheat.set_price("widget1", 10);
+        cheat.set_quantity("widget2", 99);
+        cheat.set_price("widget2", 7);
+        let script = vec![
+            (customer(), qty("widget1", 2)),
+            (supplier(), price("widget1", 10)),
+            (customer(), qty("widget2", 10)),
+            (supplier(), cheat.to_bytes()),
+            (supplier(), qty("widget2", 99)),
+            (customer(), price("widget2", 7)),
+            (supplier(), price("ghost", 1)),
+            (PartyId::new("mallory"), qty("widget1", 3)),
+            (
+                customer(),
+                OrderUpdate::Approve {
+                    item: "widget1".into(),
+                }
+                .to_bytes(),
+            ),
+            (customer(), b"junk".to_vec()),
+            (supplier(), price("widget2", 7)),
+        ];
+        let verdicts = assert_matches_default(&two_party_object(), &script);
+        assert_eq!(
+            verdicts,
+            [true, true, true, false, false, false, false, false, false, false, true]
+        );
+        // An undecodable current state is rejected with the same reason.
+        let obj = two_party_object();
+        let d = obj.validate_update(&customer(), b"junk", &qty("w", 1));
+        assert_eq!(
+            d,
+            default_validate_update(&obj, &customer(), b"junk", &qty("w", 1))
+        );
+        assert_eq!(d.reason.as_deref(), Some("undecodable order state"));
+    }
+
+    #[test]
+    fn typed_validate_update_matches_default_on_four_party_roles() {
+        let approver = PartyId::new("approver");
+        let dispatcher = PartyId::new("dispatcher");
+        let obj = OrderObject::new(OrderRoles::four_party(
+            customer(),
+            supplier(),
+            approver.clone(),
+            dispatcher.clone(),
+        ));
+        let qty = |qty| {
+            OrderUpdate::SetQuantity {
+                item: "w".into(),
+                qty,
+            }
+            .to_bytes()
+        };
+        let approve = OrderUpdate::Approve { item: "w".into() }.to_bytes();
+        let terms = |t: &str| OrderUpdate::SetDeliveryTerms { terms: t.into() }.to_bytes();
+        let price = OrderUpdate::SetPrice {
+            item: "w".into(),
+            unit_price: 5,
+        }
+        .to_bytes();
+        let script = vec![
+            (customer(), qty(2)),
+            (supplier(), approve.clone()),
+            (approver.clone(), approve.clone()),
+            (approver.clone(), price.clone()),
+            (approver.clone(), qty(3)),
+            (customer(), terms("tomorrow")),
+            (dispatcher.clone(), terms("48h courier")),
+            (dispatcher.clone(), terms("never")),
+            (dispatcher.clone(), qty(9)),
+            (supplier(), price),
+            (customer(), qty(4)),
+        ];
+        let verdicts = assert_matches_default(&obj, &script);
+        assert_eq!(
+            verdicts,
+            [true, false, true, false, false, false, true, false, false, true, true]
+        );
     }
 
     #[test]

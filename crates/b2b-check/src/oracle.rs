@@ -11,7 +11,7 @@ use crate::harness::{party, Fleet};
 use crate::scenario::{DrivenOp, Scenario};
 use b2b_core::messages::{DecideMsg, ProposeMsg, WireMsg};
 use b2b_core::{CoordEventKind, Outcome, RunId, StateId};
-use b2b_crypto::sha256;
+use b2b_crypto::{sha256, CanonicalDecode};
 use b2b_evidence::{EvidenceKind, EvidenceStore, LogAuditor};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -399,7 +399,7 @@ fn decide_defect(
         .iter()
         .find(|r| r.kind == EvidenceKind::StateDecide)?
         .clone();
-    let m3: DecideMsg = match serde_json::from_slice(&rec.payload) {
+    let m3 = match DecideMsg::from_canonical(&rec.payload) {
         Ok(m) => m,
         Err(e) => return Some(format!("undecodable StateDecide evidence: {e}")),
     };

@@ -14,18 +14,19 @@ use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{ConnectRequestMsg, WireMsg};
+use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES};
 use crate::object::B2BObject;
-use crate::replica::{ActiveRun, QueuedRequest, Replica, ReplicaSnapshot};
+use crate::replica::{
+    snapshot_decoder, ActiveRun, QueuedRequest, Replica, ReplicaSnapshot, SNAPSHOT_FORMAT,
+};
 use b2b_crypto::{
-    sha256, Digest32, KeyRing, PartyId, SecureRng, SigVerifyCache, Signature, Signer, TimeMs,
-    TimeStampAuthority,
+    sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
+    SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
 };
 use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore, SnapshotStore};
 use b2b_net::reliable::Inbound;
 use b2b_net::{NetNode, NodeCtx, ReliableMux};
 use b2b_telemetry::{names, SpanIds, Telemetry, TraceContext};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -37,7 +38,7 @@ use std::sync::Arc;
 pub type ObjectFactory = Box<dyn Fn() -> Box<dyn B2BObject> + Send>;
 
 /// Progress of this party's attempt to join an object's group.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConnectStatus {
     /// Request sent; awaiting the sponsor's welcome or rejection.
     Pending,
@@ -129,11 +130,28 @@ pub(crate) fn is_transient_reject(reason: &str) -> bool {
         || reason == "sequence number is not agreed + 1"
 }
 
-#[derive(Serialize, Deserialize)]
-struct PendingConnectSnapshot {
-    request: ConnectRequestMsg,
-    sponsor: PartyId,
-    object: ObjectId,
+/// Decodes the `objects` index blob: [`SNAPSHOT_FORMAT`], then the object
+/// aliases as a sequence of strings.
+fn decode_object_index(bytes: &[u8]) -> Result<Vec<ObjectId>, DecodeError> {
+    let mut dec = snapshot_decoder(bytes)?;
+    let ids = b2b_crypto::canonical::decode_seq(&mut dec, MIN_PARTY_BYTES)?;
+    dec.finish()?;
+    Ok(ids)
+}
+
+/// Decodes the `pending-connects` blob: [`SNAPSHOT_FORMAT`], then a
+/// sequence of `(object, sponsor, signed request)`.
+fn decode_pending_connects(bytes: &[u8]) -> Result<Vec<(ObjectId, PendingConnect)>, DecodeError> {
+    let mut dec = snapshot_decoder(bytes)?;
+    let mut out = Vec::new();
+    for _ in 0..dec.get_count(64)? {
+        let object = ObjectId::decode(&mut dec)?;
+        let sponsor = PartyId::decode(&mut dec)?;
+        let request = ConnectRequestMsg::decode(&mut dec)?;
+        out.push((object, PendingConnect { request, sponsor }));
+    }
+    dec.finish()?;
+    Ok(out)
 }
 
 /// The B2BObjects coordinator for one party.
@@ -642,7 +660,7 @@ impl Coordinator {
 
     /// Sends one wire message to every recipient, serializing it once: the
     /// reliable layer frames the shared bytes per peer, so an m1/m3 fanned
-    /// out to n−1 members costs one JSON encoding instead of n−1.
+    /// out to n−1 members costs one encoding instead of n−1.
     pub(crate) fn send_wire_all(
         &mut self,
         recipients: &[PartyId],
@@ -988,8 +1006,10 @@ impl Coordinator {
                 });
             }
         }
-        let bytes = serde_json::to_vec(&snap).expect("snapshot serialises");
-        if let Err(e) = self.snapshots.put_snapshot(&format!("obj-{object}"), bytes) {
+        if let Err(e) = self
+            .snapshots
+            .put_snapshot(&format!("obj-{object}"), snap.to_bytes())
+        {
             self.detected.push(Misbehaviour::UnexpectedMessage {
                 detail: format!("snapshot write failed: {e}"),
             });
@@ -997,24 +1017,24 @@ impl Coordinator {
     }
 
     pub(crate) fn persist_index(&mut self) {
-        let ids: Vec<String> = self
-            .replicas
-            .keys()
-            .map(|k| k.as_str().to_string())
-            .collect();
-        let bytes = serde_json::to_vec(&ids).expect("index serialises");
-        let _ = self.snapshots.put_snapshot("objects", bytes);
-        let pend: Vec<PendingConnectSnapshot> = self
-            .pending_connects
-            .iter()
-            .map(|(oid, p)| PendingConnectSnapshot {
-                request: p.request.clone(),
-                sponsor: p.sponsor.clone(),
-                object: oid.clone(),
-            })
-            .collect();
-        let bytes = serde_json::to_vec(&pend).expect("pending serialises");
-        let _ = self.snapshots.put_snapshot("pending-connects", bytes);
+        let mut enc = Encoder::new();
+        enc.put_u8(SNAPSHOT_FORMAT);
+        enc.put_u64(self.replicas.len() as u64);
+        for id in self.replicas.keys() {
+            id.encode(&mut enc);
+        }
+        let _ = self.snapshots.put_snapshot("objects", enc.finish());
+        let mut enc = Encoder::new();
+        enc.put_u8(SNAPSHOT_FORMAT);
+        enc.put_u64(self.pending_connects.len() as u64);
+        for (object, p) in &self.pending_connects {
+            object.encode(&mut enc);
+            p.sponsor.encode(&mut enc);
+            p.request.encode(&mut enc);
+        }
+        let _ = self
+            .snapshots
+            .put_snapshot("pending-connects", enc.finish());
     }
 
     /// Arms the proposer-side run deadline, when configured.
@@ -1074,17 +1094,16 @@ impl Coordinator {
         self.mux
             .set_telemetry(self.telemetry.clone(), self.me.clone());
 
-        let ids: Vec<String> = self
+        let ids = self
             .snapshots
             .get_snapshot("objects")
-            .and_then(|b| serde_json::from_slice(&b).ok())
+            .and_then(|b| decode_object_index(&b).ok())
             .unwrap_or_default();
-        for id in ids {
-            let object_id = ObjectId::new(id);
+        for object_id in ids {
             let Some(bytes) = self.snapshots.get_snapshot(&format!("obj-{object_id}")) else {
                 continue;
             };
-            let Ok(snap) = serde_json::from_slice::<ReplicaSnapshot>(&bytes) else {
+            let Ok(snap) = ReplicaSnapshot::from_bytes(&bytes) else {
                 continue;
             };
             let Some(factory) = self.factories.get(&object_id) else {
@@ -1098,26 +1117,20 @@ impl Coordinator {
             self.resume_run(&object_id, ctx);
         }
         // Pending connection attempts (no replica yet at the subject).
-        let pending: Vec<PendingConnectSnapshot> = self
+        let pending = self
             .snapshots
             .get_snapshot("pending-connects")
-            .and_then(|b| serde_json::from_slice(&b).ok())
+            .and_then(|b| decode_pending_connects(&b).ok())
             .unwrap_or_default();
-        for p in pending {
-            if self.replicas.contains_key(&p.object) {
+        for (object, p) in pending {
+            if self.replicas.contains_key(&object) {
                 continue; // welcomed before the crash
             }
             let msg = WireMsg::ConnectRequest(p.request.clone());
             self.send_wire(&p.sponsor.clone(), &msg, ctx);
             self.connect_status
-                .insert(p.object.clone(), ConnectStatus::Pending);
-            self.pending_connects.insert(
-                p.object,
-                PendingConnect {
-                    request: p.request,
-                    sponsor: p.sponsor,
-                },
-            );
+                .insert(object.clone(), ConnectStatus::Pending);
+            self.pending_connects.insert(object, p);
         }
         self.trace(ctx.now(), "recovery", "done", || {
             format!("replicas={}", self.replicas.len())

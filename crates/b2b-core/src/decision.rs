@@ -6,7 +6,9 @@
 //! [`CoordEvent`]s (the paper's `coordCallback`).
 
 use crate::ids::{ObjectId, RunId, StateId};
-use b2b_crypto::{CanonicalEncode, Encoder, PartyId, TimeMs};
+use b2b_crypto::{
+    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder, PartyId, TimeMs,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -21,7 +23,7 @@ pub enum Verdict {
 
 /// A party's decision on the validity of a proposal, with optional
 /// diagnostics.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decision {
     /// Accept or reject.
     pub verdict: Verdict,
@@ -80,6 +82,20 @@ impl CanonicalEncode for Decision {
             Verdict::Reject => 0,
         });
         self.reason.encode(enc);
+    }
+}
+
+impl CanonicalDecode for Decision {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let verdict = if dec.get_bool()? {
+            Verdict::Accept
+        } else {
+            Verdict::Reject
+        };
+        Ok(Decision {
+            verdict,
+            reason: Option::<String>::decode(dec)?,
+        })
     }
 }
 

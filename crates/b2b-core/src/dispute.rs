@@ -16,7 +16,7 @@
 use crate::decision::Verdict;
 use crate::ids::{members_digest, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
-use b2b_crypto::{CanonicalEncode, KeyRing, PartyId};
+use b2b_crypto::{CanonicalDecode, CanonicalEncode, KeyRing, PartyId};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +102,7 @@ impl Arbiter {
             .into_iter()
             .filter(|r| r.kind == EvidenceKind::StateDecide && r.object == object.as_str())
             .filter_map(|r| {
-                serde_json::from_slice::<DecideMsg>(&r.payload)
+                DecideMsg::from_canonical(&r.payload)
                     .ok()
                     .map(|d| (r.seq, d))
             })
@@ -276,7 +276,7 @@ mod tests {
                 f.object.as_str(),
                 f.run.to_hex(),
                 f.keys[0].0.clone(),
-                serde_json::to_vec(&decide).unwrap(),
+                decide.canonical_bytes(),
                 None,
                 None,
                 TimeMs(0),

@@ -10,7 +10,9 @@
 //! §4.5.2: "The membership of the group is uniquely identified by a group
 //! identifier tuple *(seqno, H(random), H(members))*."
 
-use b2b_crypto::{sha256, CanonicalEncode, Digest32, Encoder, PartyId};
+use b2b_crypto::{
+    sha256, CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -51,6 +53,12 @@ impl From<&str> for ObjectId {
 impl CanonicalEncode for ObjectId {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.0);
+    }
+}
+
+impl CanonicalDecode for ObjectId {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        dec.get_str().map(ObjectId::new)
     }
 }
 
@@ -105,6 +113,16 @@ impl CanonicalEncode for StateId {
     }
 }
 
+impl CanonicalDecode for StateId {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(StateId {
+            seq: dec.get_u64()?,
+            rand_hash: dec.get_digest()?,
+            state_hash: dec.get_digest()?,
+        })
+    }
+}
+
 /// The group identifier tuple `(seqno, H(random), H(members))`.
 ///
 /// Regenerated by the sponsor at every membership change; "inconsistent
@@ -153,6 +171,16 @@ impl CanonicalEncode for GroupId {
         enc.put_u64(self.seq);
         enc.put_digest(&self.rand_hash);
         enc.put_digest(&self.members_hash);
+    }
+}
+
+impl CanonicalDecode for GroupId {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(GroupId {
+            seq: dec.get_u64()?,
+            rand_hash: dec.get_digest()?,
+            members_hash: dec.get_digest()?,
+        })
     }
 }
 
@@ -206,6 +234,12 @@ impl fmt::Debug for RunId {
 impl CanonicalEncode for RunId {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_digest(&self.0);
+    }
+}
+
+impl CanonicalDecode for RunId {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        dec.get_digest().map(RunId)
     }
 }
 

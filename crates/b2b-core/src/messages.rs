@@ -10,12 +10,53 @@
 //! `m1` [`ProposeMsg`] → `m2` [`RespondMsg`] → `m3` [`DecideMsg`], i.e.
 //! `3(n−1)` messages for `n` parties. Connection/disconnection (§4.5) wrap
 //! the same propose/respond/decide core with a subject↔sponsor exchange.
+//!
+//! # Wire format
+//!
+//! [`WireMsg::to_bytes`] is `[WIRE_FORMAT][variant tag][message]`, where the
+//! message is its [`CanonicalEncode`] form: every signed part appears as its
+//! canonical bytes *verbatim*, followed by the unsigned fields and the
+//! signature. [`WireMsg::from_bytes`] decodes strictly, so the slice a
+//! signed part was read from is byte-for-byte what the sender signed; `m1`
+//! and `m2` seed their [`CachedCanonical`] memo from that slice and the
+//! receiver verifies the signature over the bytes it actually received.
 
 use crate::decision::Decision;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use b2b_crypto::{CachedCanonical, CanonicalEncode, Digest32, Encoder, PartyId, Signature};
-use serde::{Deserialize, Serialize};
+use b2b_crypto::canonical::{decode_seq, encode_seq};
+use b2b_crypto::{
+    CachedCanonical, CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder,
+    PartyId, Signature,
+};
 use std::sync::Arc;
+
+/// Lower bounds on encoded sizes, for [`Decoder::get_count`]: a sequence
+/// count is rejected unless that many elements could fit in what remains.
+/// A party id is at least its length prefix; a signed response of either
+/// protocol carries at least two 72-byte identifier tuples.
+pub(crate) const MIN_PARTY_BYTES: usize = 8;
+const MIN_RESPOND_BYTES: usize = 144;
+
+/// Generates the codec of a message that is exactly `{signed part, sig}`.
+macro_rules! signed_msg_codec {
+    ($msg:ident { $part:ident: $part_ty:ty }) => {
+        impl CanonicalEncode for $msg {
+            fn encode(&self, enc: &mut Encoder) {
+                self.$part.encode(enc);
+                self.sig.encode(enc);
+            }
+        }
+
+        impl CanonicalDecode for $msg {
+            fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+                Ok($msg {
+                    $part: <$part_ty>::decode(dec)?,
+                    sig: Signature::decode(dec)?,
+                })
+            }
+        }
+    };
+}
 
 // ---------------------------------------------------------------------------
 // State coordination (§4.3)
@@ -30,7 +71,7 @@ use std::sync::Arc;
 /// Both digests sit in the signed part, so a recipient replaying the batch
 /// detects a forged or stale update at its exact index and can attribute it
 /// to the proposal's signer (§4.4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchLink {
     /// `H(u_i)`: hash of the i-th update's bytes.
     pub update_hash: Digest32,
@@ -47,10 +88,19 @@ impl CanonicalEncode for BatchLink {
     }
 }
 
+impl CanonicalDecode for BatchLink {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(BatchLink {
+            update_hash: dec.get_digest()?,
+            state_hash: dec.get_digest()?,
+        })
+    }
+}
+
 /// Whether a proposal overwrites the state, applies an update delta
 /// (§4.3.1), or applies an ordered batch of update deltas in one signed
 /// round.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProposalKind {
     /// The unsigned body is the complete new state.
     Overwrite,
@@ -92,6 +142,22 @@ impl CanonicalEncode for ProposalKind {
     }
 }
 
+impl CanonicalDecode for ProposalKind {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => Ok(ProposalKind::Overwrite),
+            1 => Ok(ProposalKind::Update {
+                update_hash: dec.get_digest()?,
+            }),
+            2 => Ok(ProposalKind::Batch {
+                links: decode_seq(dec, 64)?,
+            }),
+            _ => DecodeError::at("unknown proposal kind", at),
+        }
+    }
+}
+
 /// Serialises an ordered batch of update byte-strings into one unsigned
 /// `m1` body. Length-prefixed (u32 big-endian per update), so update
 /// boundaries survive the wire without relying on the updates' own framing.
@@ -128,7 +194,7 @@ pub fn decode_batch_body(body: &[u8]) -> Option<Vec<Vec<u8>>> {
 /// The signed part of `m1`: identifies proposer and group, and "specifies
 /// the proposed state transition from `t_agreed` to `t_prop`" with the
 /// commitment `H(r_P)` to the run authenticator.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proposal {
     /// The shared object.
     pub object: ObjectId,
@@ -158,6 +224,20 @@ impl CanonicalEncode for Proposal {
     }
 }
 
+impl CanonicalDecode for Proposal {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Proposal {
+            object: ObjectId::decode(dec)?,
+            proposer: PartyId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            prev: StateId::decode(dec)?,
+            proposed: StateId::decode(dec)?,
+            auth_commit: dec.get_digest()?,
+            kind: ProposalKind::decode(dec)?,
+        })
+    }
+}
+
 impl Proposal {
     /// The run label this proposal starts.
     pub fn run_id(&self) -> RunId {
@@ -166,7 +246,7 @@ impl Proposal {
 }
 
 /// `m1`: signed proposal + unsigned body (state or update bytes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProposeMsg {
     /// The signed part.
     pub proposal: Proposal,
@@ -174,9 +254,9 @@ pub struct ProposeMsg {
     pub body: Vec<u8>,
     /// The proposer's signature over the proposal's canonical bytes.
     pub sig: Signature,
-    /// Memo of the proposal's canonical encoding: computed on first use,
-    /// kept across clones, serialized as `null` (a message decoded off the
-    /// wire always re-encodes what was actually received).
+    /// Memo of the proposal's canonical encoding: computed on first use for
+    /// a locally built message, seeded from the received slice for one
+    /// decoded off the wire, kept across clones.
     pub memo: CachedCanonical,
 }
 
@@ -199,10 +279,40 @@ impl ProposeMsg {
     }
 }
 
+impl CanonicalEncode for ProposeMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.proposal.encode(enc);
+        enc.put_bytes(&self.body);
+        self.sig.encode(enc);
+    }
+
+    fn encoded_size_hint(&self) -> usize {
+        let links = match &self.proposal.kind {
+            ProposalKind::Batch { links } => links.len(),
+            _ => 0,
+        };
+        512 + 64 * links + self.body.len()
+    }
+}
+
+impl CanonicalDecode for ProposeMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let start = dec.position();
+        let proposal = Proposal::decode(dec)?;
+        let memo = CachedCanonical::from_received(dec.consumed_since(start));
+        Ok(ProposeMsg {
+            proposal,
+            body: Vec::<u8>::decode(dec)?,
+            sig: Signature::decode(dec)?,
+            memo,
+        })
+    }
+}
+
 /// The signed part of `m2`: "a receipt from `R_i` for the proposal and a
 /// signed decision on its validity. Inclusion of `t_prop`, `t_agreed` and
 /// `gid_i` permits systematic consistency checks."
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Response {
     /// The shared object.
     pub object: ObjectId,
@@ -237,8 +347,23 @@ impl CanonicalEncode for Response {
     }
 }
 
+impl CanonicalDecode for Response {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Response {
+            object: ObjectId::decode(dec)?,
+            responder: PartyId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            prev: StateId::decode(dec)?,
+            proposed: StateId::decode(dec)?,
+            body_ok: dec.get_bool()?,
+            decision: Decision::decode(dec)?,
+        })
+    }
+}
+
 /// `m2`: signed response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RespondMsg {
     /// The signed part.
     pub response: Response,
@@ -262,11 +387,35 @@ impl RespondMsg {
     }
 }
 
+impl CanonicalEncode for RespondMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.response.encode(enc);
+        self.sig.encode(enc);
+    }
+
+    fn encoded_size_hint(&self) -> usize {
+        512
+    }
+}
+
+impl CanonicalDecode for RespondMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let start = dec.position();
+        let response = Response::decode(dec)?;
+        let memo = CachedCanonical::from_received(dec.consumed_since(start));
+        Ok(RespondMsg {
+            response,
+            sig: Signature::decode(dec)?,
+            memo,
+        })
+    }
+}
+
 /// `m3`: "the aggregation of all decisions and of the non-repudiation
 /// evidence in the form of signed proposals and responses. Any party can
 /// compute the group's decision … `m3` requires no signature since only
 /// `P_P` can produce the authenticator `r_P`."
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DecideMsg {
     /// The shared object.
     pub object: ObjectId,
@@ -279,12 +428,39 @@ pub struct DecideMsg {
     pub responses: Vec<RespondMsg>,
 }
 
+/// The canonical form of a [`DecideMsg`] is also the payload of the
+/// `StateDecide` evidence record, which `dispute` and the auditors parse
+/// back with [`CanonicalDecode::from_canonical`].
+impl CanonicalEncode for DecideMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.object.encode(enc);
+        self.run.encode(enc);
+        enc.put_raw(&self.authenticator);
+        encode_seq(&self.responses, enc);
+    }
+
+    fn encoded_size_hint(&self) -> usize {
+        128 + 512 * self.responses.len()
+    }
+}
+
+impl CanonicalDecode for DecideMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DecideMsg {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            authenticator: dec.get_array()?,
+            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Connection protocol (§4.5.3)
 // ---------------------------------------------------------------------------
 
 /// The signed part of the subject's initial connection request.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectRequest {
     /// The object the subject wants to share.
     pub object: ObjectId,
@@ -302,8 +478,18 @@ impl CanonicalEncode for ConnectRequest {
     }
 }
 
+impl CanonicalDecode for ConnectRequest {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ConnectRequest {
+            object: ObjectId::decode(dec)?,
+            subject: PartyId::decode(dec)?,
+            nonce_hash: dec.get_digest()?,
+        })
+    }
+}
+
 /// Subject → sponsor: signed connection request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnectRequestMsg {
     /// The signed part.
     pub request: ConnectRequest,
@@ -311,9 +497,13 @@ pub struct ConnectRequestMsg {
     pub sig: Signature,
 }
 
+signed_msg_codec!(ConnectRequestMsg {
+    request: ConnectRequest
+});
+
 /// The signed part of the sponsor's relay of a connection request to the
 /// current membership.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectProposal {
     /// The object.
     pub object: ObjectId,
@@ -346,6 +536,21 @@ impl CanonicalEncode for ConnectProposal {
     }
 }
 
+impl CanonicalDecode for ConnectProposal {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ConnectProposal {
+            object: ObjectId::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+            request_digest: dec.get_digest()?,
+            subject: PartyId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            new_group: GroupId::decode(dec)?,
+            agreed: StateId::decode(dec)?,
+            auth_commit: dec.get_digest()?,
+        })
+    }
+}
+
 impl ConnectProposal {
     /// The run label of this membership run.
     pub fn run_id(&self) -> RunId {
@@ -355,7 +560,7 @@ impl ConnectProposal {
 
 /// Sponsor → members: the relayed connection proposal (with the subject's
 /// original signed request attached for verification).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnectProposeMsg {
     /// The signed part.
     pub proposal: ConnectProposal,
@@ -365,11 +570,29 @@ pub struct ConnectProposeMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for ConnectProposeMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.proposal.encode(enc);
+        self.request.encode(enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for ConnectProposeMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ConnectProposeMsg {
+            proposal: ConnectProposal::decode(dec)?,
+            request: ConnectRequestMsg::decode(dec)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 /// The signed part of a member's response to a membership proposal
 /// (connection or disconnection): decision plus the member's signed agreed
 /// state tuple, which the welcome uses to let the subject verify the state
 /// it receives (§4.5.3).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemberResponse {
     /// The object.
     pub object: ObjectId,
@@ -397,8 +620,21 @@ impl CanonicalEncode for MemberResponse {
     }
 }
 
+impl CanonicalDecode for MemberResponse {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(MemberResponse {
+            object: ObjectId::decode(dec)?,
+            responder: PartyId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            agreed: StateId::decode(dec)?,
+            decision: Decision::decode(dec)?,
+        })
+    }
+}
+
 /// Member → sponsor: signed membership response.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberRespondMsg {
     /// The signed part.
     pub response: MemberResponse,
@@ -406,10 +642,14 @@ pub struct MemberRespondMsg {
     pub sig: Signature,
 }
 
+signed_msg_codec!(MemberRespondMsg {
+    response: MemberResponse
+});
+
 /// Sponsor → members: aggregated membership decision with the revealed
 /// authenticator (no signature needed — only the sponsor holds the
 /// preimage).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberDecideMsg {
     /// The object.
     pub object: ObjectId,
@@ -424,8 +664,32 @@ pub struct MemberDecideMsg {
     pub connecting: bool,
 }
 
+/// Also the payload of the `ConnectDecide`/`DisconnectDecide` evidence
+/// records.
+impl CanonicalEncode for MemberDecideMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.object.encode(enc);
+        self.run.encode(enc);
+        enc.put_raw(&self.authenticator);
+        encode_seq(&self.responses, enc);
+        enc.put_bool(self.connecting);
+    }
+}
+
+impl CanonicalDecode for MemberDecideMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(MemberDecideMsg {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            authenticator: dec.get_array()?,
+            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
+            connecting: dec.get_bool()?,
+        })
+    }
+}
+
 /// The signed part of the sponsor's welcome to an admitted member.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Welcome {
     /// The object.
     pub object: ObjectId,
@@ -444,15 +708,27 @@ impl CanonicalEncode for Welcome {
         self.object.encode(enc);
         self.run.encode(enc);
         self.group.encode(enc);
-        b2b_crypto::canonical::encode_seq(&self.members, enc);
+        encode_seq(&self.members, enc);
         self.agreed.encode(enc);
+    }
+}
+
+impl CanonicalDecode for Welcome {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Welcome {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            members: decode_seq(dec, MIN_PARTY_BYTES)?,
+            agreed: StateId::decode(dec)?,
+        })
     }
 }
 
 /// Sponsor → subject: admission + the current agreed object state, "which
 /// can be verified against each of the signed agreed state tuples supplied
 /// by members" in the attached decide aggregation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WelcomeMsg {
     /// The signed part.
     pub welcome: Welcome,
@@ -464,12 +740,32 @@ pub struct WelcomeMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for WelcomeMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.welcome.encode(enc);
+        enc.put_bytes(&self.state);
+        self.decide.encode(enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for WelcomeMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(WelcomeMsg {
+            welcome: Welcome::decode(dec)?,
+            state: Vec::<u8>::decode(dec)?,
+            decide: MemberDecideMsg::decode(dec)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 /// The signed part of a sponsor's rejection of a connection request.
 ///
 /// §4.5.3: on veto "the subject learns no more information than in the
 /// case of immediate rejection by the sponsor" — both paths produce exactly
 /// this message.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectReject {
     /// The object.
     pub object: ObjectId,
@@ -487,14 +783,28 @@ impl CanonicalEncode for ConnectReject {
     }
 }
 
+impl CanonicalDecode for ConnectReject {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ConnectReject {
+            object: ObjectId::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+            request_digest: dec.get_digest()?,
+        })
+    }
+}
+
 /// Sponsor → subject: signed rejection.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConnectRejectMsg {
     /// The signed part.
     pub reject: ConnectReject,
     /// The sponsor's signature.
     pub sig: Signature,
 }
+
+signed_msg_codec!(ConnectRejectMsg {
+    reject: ConnectReject
+});
 
 // ---------------------------------------------------------------------------
 // Disconnection protocols (§4.5.4)
@@ -505,7 +815,7 @@ pub struct ConnectRejectMsg {
 /// For voluntary disconnection the proposer *is* the (single) subject; for
 /// eviction the proposer is any member and `subjects` may be a set
 /// (subset eviction, §4.5.4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DisconnectRequest {
     /// The object.
     pub object: ObjectId,
@@ -525,14 +835,26 @@ impl CanonicalEncode for DisconnectRequest {
     fn encode(&self, enc: &mut Encoder) {
         self.object.encode(enc);
         self.proposer.encode(enc);
-        b2b_crypto::canonical::encode_seq(&self.subjects, enc);
+        encode_seq(&self.subjects, enc);
         enc.put_bool(self.eviction);
         enc.put_digest(&self.nonce_hash);
     }
 }
 
+impl CanonicalDecode for DisconnectRequest {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectRequest {
+            object: ObjectId::decode(dec)?,
+            proposer: PartyId::decode(dec)?,
+            subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
+            eviction: dec.get_bool()?,
+            nonce_hash: dec.get_digest()?,
+        })
+    }
+}
+
 /// Proposer → sponsor: signed disconnection request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DisconnectRequestMsg {
     /// The signed part.
     pub request: DisconnectRequest,
@@ -540,8 +862,12 @@ pub struct DisconnectRequestMsg {
     pub sig: Signature,
 }
 
+signed_msg_codec!(DisconnectRequestMsg {
+    request: DisconnectRequest
+});
+
 /// The signed part of the sponsor's relay of a disconnection/eviction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DisconnectProposal {
     /// The object.
     pub object: ObjectId,
@@ -568,12 +894,28 @@ impl CanonicalEncode for DisconnectProposal {
         self.object.encode(enc);
         self.sponsor.encode(enc);
         enc.put_digest(&self.request_digest);
-        b2b_crypto::canonical::encode_seq(&self.subjects, enc);
+        encode_seq(&self.subjects, enc);
         enc.put_bool(self.eviction);
         self.group.encode(enc);
         self.new_group.encode(enc);
         self.agreed.encode(enc);
         enc.put_digest(&self.auth_commit);
+    }
+}
+
+impl CanonicalDecode for DisconnectProposal {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectProposal {
+            object: ObjectId::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+            request_digest: dec.get_digest()?,
+            subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
+            eviction: dec.get_bool()?,
+            group: GroupId::decode(dec)?,
+            new_group: GroupId::decode(dec)?,
+            agreed: StateId::decode(dec)?,
+            auth_commit: dec.get_digest()?,
+        })
     }
 }
 
@@ -585,7 +927,7 @@ impl DisconnectProposal {
 }
 
 /// Sponsor → members: relayed disconnection proposal.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DisconnectProposeMsg {
     /// The signed part.
     pub proposal: DisconnectProposal,
@@ -595,10 +937,28 @@ pub struct DisconnectProposeMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for DisconnectProposeMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.proposal.encode(enc);
+        self.request.encode(enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for DisconnectProposeMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectProposeMsg {
+            proposal: DisconnectProposal::decode(dec)?,
+            request: DisconnectRequestMsg::decode(dec)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 /// The signed part of the sponsor's final acknowledgement to a voluntarily
 /// departing member: "evidence of the group membership and agreed object
 /// state when they disconnected".
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DisconnectAck {
     /// The object.
     pub object: ObjectId,
@@ -625,9 +985,22 @@ impl CanonicalEncode for DisconnectAck {
     }
 }
 
+impl CanonicalDecode for DisconnectAck {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectAck {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+            subject: PartyId::decode(dec)?,
+            group: GroupId::decode(dec)?,
+            agreed: StateId::decode(dec)?,
+        })
+    }
+}
+
 /// Sponsor → departing subject: signed acknowledgement (also carries the
 /// decide aggregation as evidence all members saw the request).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DisconnectAckMsg {
     /// The signed part.
     pub ack: DisconnectAck,
@@ -635,6 +1008,24 @@ pub struct DisconnectAckMsg {
     pub decide: MemberDecideMsg,
     /// The sponsor's signature.
     pub sig: Signature,
+}
+
+impl CanonicalEncode for DisconnectAckMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.ack.encode(enc);
+        self.decide.encode(enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for DisconnectAckMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectAckMsg {
+            ack: DisconnectAck::decode(dec)?,
+            decide: MemberDecideMsg::decode(dec)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
 }
 
 /// The signed part of the sponsor's rejection notice to a voluntary leaver
@@ -646,7 +1037,7 @@ pub struct DisconnectAckMsg {
 /// leaver's replica would hang in its `Leaving` state until the application
 /// intervened; with it, the replica returns to ordinary membership and the
 /// leaver may retry.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DisconnectReject {
     /// The object.
     pub object: ObjectId,
@@ -664,14 +1055,28 @@ impl CanonicalEncode for DisconnectReject {
     }
 }
 
+impl CanonicalDecode for DisconnectReject {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(DisconnectReject {
+            object: ObjectId::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+            request_digest: dec.get_digest()?,
+        })
+    }
+}
+
 /// Sponsor → voluntary leaver: signed rejection of the disconnection run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DisconnectRejectMsg {
     /// The signed part.
     pub reject: DisconnectReject,
     /// The sponsor's signature.
     pub sig: Signature,
 }
+
+signed_msg_codec!(DisconnectRejectMsg {
+    reject: DisconnectReject
+});
 
 // ---------------------------------------------------------------------------
 // TTP-certified termination (§7 extension)
@@ -681,7 +1086,7 @@ pub struct DisconnectRejectMsg {
 /// run (§7: deadlines "require the involvement of a TTP to guarantee that
 /// all honest parties terminate with the same view"). Both the proposer
 /// and any blocked recipient may appeal.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TtpResolveRequest {
     /// The object whose run is blocked.
     pub object: ObjectId,
@@ -699,13 +1104,24 @@ impl CanonicalEncode for TtpResolveRequest {
         self.object.encode(enc);
         self.run.encode(enc);
         self.appellant.encode(enc);
-        b2b_crypto::canonical::encode_seq(&self.members, enc);
+        encode_seq(&self.members, enc);
+    }
+}
+
+impl CanonicalDecode for TtpResolveRequest {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpResolveRequest {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            appellant: PartyId::decode(dec)?,
+            members: decode_seq(dec, MIN_PARTY_BYTES)?,
+        })
     }
 }
 
 /// Appellant → TTP: appeal with the evidence the appellant holds — the
 /// signed proposal plus, for the proposer, the responses collected so far.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TtpResolveMsg {
     /// The signed part.
     pub request: TtpResolveRequest,
@@ -718,10 +1134,30 @@ pub struct TtpResolveMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for TtpResolveMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.request.encode(enc);
+        self.propose.encode(enc);
+        encode_seq(&self.responses, enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for TtpResolveMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpResolveMsg {
+            request: TtpResolveRequest::decode(dec)?,
+            propose: ProposeMsg::decode(dec)?,
+            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 /// The signed part of the TTP's evidence pull from the proposer, issued
 /// when a *recipient* appeals: the proposer may hold the complete response
 /// set that turns an abort into a certified decision.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TtpEvidenceRequest {
     /// The object.
     pub object: ObjectId,
@@ -739,8 +1175,18 @@ impl CanonicalEncode for TtpEvidenceRequest {
     }
 }
 
+impl CanonicalDecode for TtpEvidenceRequest {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpEvidenceRequest {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            ttp: PartyId::decode(dec)?,
+        })
+    }
+}
+
 /// TTP → proposer: signed evidence pull.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TtpEvidenceRequestMsg {
     /// The signed part.
     pub request: TtpEvidenceRequest,
@@ -748,8 +1194,12 @@ pub struct TtpEvidenceRequestMsg {
     pub sig: Signature,
 }
 
+signed_msg_codec!(TtpEvidenceRequestMsg {
+    request: TtpEvidenceRequest
+});
+
 /// The signed part of the proposer's evidence reply.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TtpEvidence {
     /// The object.
     pub object: ObjectId,
@@ -770,8 +1220,19 @@ impl CanonicalEncode for TtpEvidence {
     }
 }
 
+impl CanonicalDecode for TtpEvidence {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpEvidence {
+            object: ObjectId::decode(dec)?,
+            run: RunId::decode(dec)?,
+            proposer: PartyId::decode(dec)?,
+            responses_digest: dec.get_digest()?,
+        })
+    }
+}
+
 /// Proposer → TTP: the responses it holds for the run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TtpEvidenceMsg {
     /// The signed part.
     pub evidence: TtpEvidence,
@@ -781,8 +1242,26 @@ pub struct TtpEvidenceMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for TtpEvidenceMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.evidence.encode(enc);
+        encode_seq(&self.responses, enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for TtpEvidenceMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpEvidenceMsg {
+            evidence: TtpEvidence::decode(dec)?,
+            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 /// What the TTP certifies about a blocked run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TtpVerdict {
     /// The response set was incomplete: the run is certifiably aborted and
     /// every replica keeps (or rolls back to) the agreed state.
@@ -796,7 +1275,7 @@ pub enum TtpVerdict {
 }
 
 /// The signed part of the TTP's resolution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TtpResolution {
     /// The object.
     pub object: ObjectId,
@@ -822,6 +1301,26 @@ impl CanonicalEncode for TtpResolution {
     }
 }
 
+impl CanonicalDecode for TtpResolution {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let object = ObjectId::decode(dec)?;
+        let run = RunId::decode(dec)?;
+        let at = dec.position();
+        let verdict = match dec.get_u8()? {
+            0 => TtpVerdict::CertifiedAbort,
+            1 => TtpVerdict::CertifiedValid,
+            2 => TtpVerdict::CertifiedInvalid,
+            _ => return DecodeError::at("unknown TTP verdict", at),
+        };
+        Ok(TtpResolution {
+            object,
+            run,
+            verdict,
+            responses_digest: dec.get_digest()?,
+        })
+    }
+}
+
 /// Digest binding a resolution to the exact response set it judged.
 pub fn responses_digest(responses: &[RespondMsg]) -> Digest32 {
     let mut enc = Encoder::new();
@@ -834,7 +1333,7 @@ pub fn responses_digest(responses: &[RespondMsg]) -> Digest32 {
 }
 
 /// TTP → every member: certified resolution of a blocked run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TtpResolutionMsg {
     /// The signed part.
     pub resolution: TtpResolution,
@@ -844,12 +1343,30 @@ pub struct TtpResolutionMsg {
     pub sig: Signature,
 }
 
+impl CanonicalEncode for TtpResolutionMsg {
+    fn encode(&self, enc: &mut Encoder) {
+        self.resolution.encode(enc);
+        encode_seq(&self.responses, enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for TtpResolutionMsg {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TtpResolutionMsg {
+            resolution: TtpResolution::decode(dec)?,
+            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Envelope
 // ---------------------------------------------------------------------------
 
 /// Every protocol message that can cross the wire.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum WireMsg {
     /// State coordination m1.
@@ -889,17 +1406,67 @@ pub enum WireMsg {
     TtpResolution(TtpResolutionMsg),
 }
 
+/// First byte of every wire frame: the version of the layout that follows.
+pub const WIRE_FORMAT: u8 = 1;
+
+/// The one table of variant tags: generates [`WireMsg::to_bytes`] and
+/// [`WireMsg::from_bytes`] so a tag can only ever name one variant.
+macro_rules! wire_codec {
+    ($($tag:literal => $variant:ident($msg:ty)),* $(,)?) => {
+        impl WireMsg {
+            /// Serialises for the transport: `[WIRE_FORMAT][tag][message]`.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                match self {
+                    $(WireMsg::$variant(m) => {
+                        let mut enc = Encoder::with_capacity(2 + m.encoded_size_hint());
+                        enc.put_u8(WIRE_FORMAT);
+                        enc.put_u8($tag);
+                        m.encode(&mut enc);
+                        enc.finish()
+                    })*
+                }
+            }
+
+            /// Parses a transport payload; `None` for malformed traffic —
+            /// an unknown format or tag, any field that fails to decode
+            /// strictly, or trailing bytes.
+            pub fn from_bytes(bytes: &[u8]) -> Option<WireMsg> {
+                let mut dec = Decoder::new(bytes);
+                if dec.get_u8().ok()? != WIRE_FORMAT {
+                    return None;
+                }
+                let msg = match dec.get_u8().ok()? {
+                    $($tag => WireMsg::$variant(<$msg>::decode(&mut dec).ok()?),)*
+                    _ => return None,
+                };
+                dec.finish().ok()?;
+                Some(msg)
+            }
+        }
+    };
+}
+
+wire_codec! {
+    0 => Propose(ProposeMsg),
+    1 => Respond(RespondMsg),
+    2 => Decide(DecideMsg),
+    3 => ConnectRequest(ConnectRequestMsg),
+    4 => ConnectPropose(ConnectProposeMsg),
+    5 => MemberRespond(MemberRespondMsg),
+    6 => MemberDecide(MemberDecideMsg),
+    7 => Welcome(WelcomeMsg),
+    8 => ConnectReject(ConnectRejectMsg),
+    9 => DisconnectRequest(DisconnectRequestMsg),
+    10 => DisconnectPropose(DisconnectProposeMsg),
+    11 => DisconnectAck(DisconnectAckMsg),
+    12 => DisconnectReject(DisconnectRejectMsg),
+    13 => TtpResolve(TtpResolveMsg),
+    14 => TtpEvidenceRequest(TtpEvidenceRequestMsg),
+    15 => TtpEvidence(TtpEvidenceMsg),
+    16 => TtpResolution(TtpResolutionMsg),
+}
+
 impl WireMsg {
-    /// Serialises for the transport.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("wire message serialises")
-    }
-
-    /// Parses a transport payload; `None` for malformed traffic.
-    pub fn from_bytes(bytes: &[u8]) -> Option<WireMsg> {
-        serde_json::from_slice(bytes).ok()
-    }
-
     /// A short name for diagnostics and traffic accounting.
     pub fn kind_name(&self) -> &'static str {
         match self {

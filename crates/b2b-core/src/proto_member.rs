@@ -968,7 +968,7 @@ impl Coordinator {
             oid,
             &run.to_hex(),
             me.clone(),
-            serde_json::to_vec(&decide).expect("decide serialises"),
+            decide.canonical_bytes(),
             None,
             now,
         );
@@ -1179,7 +1179,7 @@ impl Coordinator {
             &oid,
             &run.to_hex(),
             sponsor,
-            serde_json::to_vec(&msg).expect("decide serialises"),
+            msg.canonical_bytes(),
             None,
             now,
         );

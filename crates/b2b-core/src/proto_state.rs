@@ -15,7 +15,7 @@ use crate::messages::{
 };
 use crate::replica::{ActiveRun, ProposerRun, RecipientRun, Replica};
 use crate::Coordinator;
-use b2b_crypto::{sha256, CachedCanonical, PartyId};
+use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, PartyId};
 use b2b_evidence::EvidenceKind;
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -442,7 +442,11 @@ impl Coordinator {
         // ---- unsigned-body integrity (Dolev-Yao tampering, §4.4) ----
         let mut body_ok = true;
         let mut pending_state: Option<Vec<u8>> = None;
-        let mut batch_updates: Option<Vec<Vec<u8>>> = None;
+        // For an intact batch (empty otherwise): its updates and the state
+        // *before* each of them, so validation below reuses what the chain
+        // replay computed.
+        let mut batch_updates: Vec<Vec<u8>> = Vec::new();
+        let mut batch_befores: Vec<Vec<u8>> = Vec::new();
         match &m1.proposal.kind {
             ProposalKind::Overwrite => {
                 if sha256(&m1.body) == m1.proposal.proposed.state_hash {
@@ -480,6 +484,9 @@ impl Coordinator {
                 let decoded = crate::messages::decode_batch_body(&m1.body);
                 match decoded {
                     Some(updates) if !updates.is_empty() && updates.len() == links.len() => {
+                        // `befores[i]` is the state update `i` applies to;
+                        // `state` the one reached so far.
+                        let mut befores: Vec<Vec<u8>> = Vec::with_capacity(updates.len());
                         let mut state = rep.agreed_state.clone();
                         let mut failed = false;
                         for (i, (u, link)) in updates.iter().zip(links.iter()).enumerate() {
@@ -511,7 +518,7 @@ impl Coordinator {
                                         failed = true;
                                         break;
                                     }
-                                    state = next;
+                                    befores.push(std::mem::replace(&mut state, next));
                                 }
                                 Err(reason) => {
                                     // Application-level inapplicability: a
@@ -547,7 +554,8 @@ impl Coordinator {
                                 body_ok = false;
                             } else {
                                 pending_state = Some(state);
-                                batch_updates = Some(updates);
+                                batch_updates = updates;
+                                batch_befores = befores;
                             }
                         }
                     }
@@ -589,28 +597,19 @@ impl Coordinator {
                 }
                 (ProposalKind::Batch { .. }, _) => {
                     // Validate each update against the state it would
-                    // actually apply to, so the upcall sees exactly the
+                    // actually apply to — the one the chain replay above
+                    // already computed — so the upcall sees exactly the
                     // sequence a commit would install. The first veto names
                     // its batch index (§4.4 attribution inside the batch).
                     let mut app = Decision::accept();
-                    if let Some(updates) = &batch_updates {
-                        let mut state = rep.agreed_state.clone();
-                        for (i, u) in updates.iter().enumerate() {
-                            let v = rep.object.validate_update(&m1.proposal.proposer, &state, u);
-                            if !v.is_accept() {
-                                app = Decision::reject_update(
-                                    i,
-                                    v.reason.unwrap_or_else(|| "rejected".into()),
-                                );
-                                break;
-                            }
-                            match rep.object.apply_update(&state, u) {
-                                Ok(next) => state = next,
-                                Err(reason) => {
-                                    app = Decision::reject_update(i, reason);
-                                    break;
-                                }
-                            }
+                    for (i, (u, before)) in batch_updates.iter().zip(&batch_befores).enumerate() {
+                        let v = rep.object.validate_update(&m1.proposal.proposer, before, u);
+                        if !v.is_accept() {
+                            app = Decision::reject_update(
+                                i,
+                                v.reason.unwrap_or_else(|| "rejected".into()),
+                            );
+                            break;
                         }
                     }
                     app
@@ -991,7 +990,7 @@ impl Coordinator {
             oid,
             &run_hex,
             me,
-            serde_json::to_vec(&decide).expect("decide serialises"),
+            decide.canonical_bytes(),
             None,
             now,
         );
@@ -1201,7 +1200,7 @@ impl Coordinator {
             &oid,
             &run_hex,
             proposer,
-            serde_json::to_vec(&m3).expect("decide serialises"),
+            m3.canonical_bytes(),
             None,
             now,
         );
@@ -1297,7 +1296,7 @@ impl Coordinator {
         let payload = self
             .replicas
             .get(oid)
-            .map(|r| serde_json::to_vec(&r.agreed).expect("state id serialises"))
+            .map(|r| r.agreed.canonical_bytes())
             .unwrap_or_default();
         self.log_evidence(
             EvidenceKind::Checkpoint,

@@ -10,15 +10,53 @@
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
     ConnectProposeMsg, ConnectRequestMsg, DecideMsg, DisconnectProposeMsg, DisconnectRequestMsg,
-    MemberDecideMsg, MemberRespondMsg, ProposeMsg, RespondMsg, WireMsg,
+    MemberDecideMsg, MemberRespondMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES,
 };
 use crate::object::B2BObject;
-use b2b_crypto::{Digest32, PartyId};
-use serde::{Deserialize, Serialize};
+use b2b_crypto::canonical::{decode_seq, encode_seq};
+use b2b_crypto::{
+    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
+};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+/// First byte of every blob this module (and the coordinator's object
+/// index) puts in the snapshot store: the version of the layout that
+/// follows. A blob with any other first byte is not decoded.
+pub const SNAPSHOT_FORMAT: u8 = 1;
+
+/// Lower bound on the encoded size of a signed message (it holds at least
+/// one digest), for [`Decoder::get_count`].
+const MIN_MSG_BYTES: usize = 32;
+
+/// A decoder positioned after the format byte of a snapshot-store blob; a
+/// blob in another format (first byte not [`SNAPSHOT_FORMAT`]) is an error
+/// and is left for whoever can read it.
+pub(crate) fn snapshot_decoder(bytes: &[u8]) -> Result<Decoder<'_>, DecodeError> {
+    let mut dec = Decoder::new(bytes);
+    if dec.get_u8()? != SNAPSHOT_FORMAT {
+        return DecodeError::at("unknown snapshot format", 0);
+    }
+    Ok(dec)
+}
+
+/// Decodes a response set written as a sequence, re-keying it by
+/// responder; a responder appearing twice is rejected.
+fn decode_responses<M: CanonicalDecode>(
+    dec: &mut Decoder<'_>,
+    responder: impl Fn(&M) -> &PartyId,
+) -> Result<BTreeMap<PartyId, M>, DecodeError> {
+    let at = dec.position();
+    let mut out = BTreeMap::new();
+    for m in decode_seq::<M>(dec, MIN_MSG_BYTES)? {
+        if out.insert(responder(&m).clone(), m).is_some() {
+            return DecodeError::at("duplicate responder in response set", at);
+        }
+    }
+    Ok(out)
+}
+
 /// A state-coordination run at its proposer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProposerRun {
     /// Run label.
     pub run: RunId,
@@ -34,8 +72,35 @@ pub struct ProposerRun {
     pub decided: Option<DecideMsg>,
 }
 
+impl CanonicalEncode for ProposerRun {
+    fn encode(&self, enc: &mut Encoder) {
+        self.run.encode(enc);
+        self.propose.encode(enc);
+        enc.put_raw(&self.authenticator);
+        enc.put_bytes(&self.new_state);
+        enc.put_u64(self.responses.len() as u64);
+        for r in self.responses.values() {
+            r.encode(enc);
+        }
+        self.decided.encode(enc);
+    }
+}
+
+impl CanonicalDecode for ProposerRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(ProposerRun {
+            run: RunId::decode(dec)?,
+            propose: ProposeMsg::decode(dec)?,
+            authenticator: dec.get_array()?,
+            new_state: Vec::<u8>::decode(dec)?,
+            responses: decode_responses(dec, |r: &RespondMsg| &r.response.responder)?,
+            decided: Option::<DecideMsg>::decode(dec)?,
+        })
+    }
+}
+
 /// A state-coordination run at a recipient.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RecipientRun {
     /// Run label.
     pub run: RunId,
@@ -48,8 +113,28 @@ pub struct RecipientRun {
     pub pending_state: Option<Vec<u8>>,
 }
 
+impl CanonicalEncode for RecipientRun {
+    fn encode(&self, enc: &mut Encoder) {
+        self.run.encode(enc);
+        self.propose.encode(enc);
+        self.my_response.encode(enc);
+        self.pending_state.encode(enc);
+    }
+}
+
+impl CanonicalDecode for RecipientRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(RecipientRun {
+            run: RunId::decode(dec)?,
+            propose: ProposeMsg::decode(dec)?,
+            my_response: RespondMsg::decode(dec)?,
+            pending_state: Option::<Vec<u8>>::decode(dec)?,
+        })
+    }
+}
+
 /// What a membership run is changing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum MembershipChange {
     /// Admitting `subject`.
     Connect {
@@ -73,8 +158,57 @@ pub enum MembershipChange {
     },
 }
 
+impl CanonicalEncode for MembershipChange {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            MembershipChange::Connect {
+                subject,
+                request,
+                propose,
+            } => {
+                enc.put_u8(0);
+                subject.encode(enc);
+                request.encode(enc);
+                propose.encode(enc);
+            }
+            MembershipChange::Disconnect {
+                subjects,
+                eviction,
+                request,
+                propose,
+            } => {
+                enc.put_u8(1);
+                encode_seq(subjects, enc);
+                enc.put_bool(*eviction);
+                request.encode(enc);
+                propose.encode(enc);
+            }
+        }
+    }
+}
+
+impl CanonicalDecode for MembershipChange {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => Ok(MembershipChange::Connect {
+                subject: PartyId::decode(dec)?,
+                request: ConnectRequestMsg::decode(dec)?,
+                propose: ConnectProposeMsg::decode(dec)?,
+            }),
+            1 => Ok(MembershipChange::Disconnect {
+                subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
+                eviction: dec.get_bool()?,
+                request: DisconnectRequestMsg::decode(dec)?,
+                propose: DisconnectProposeMsg::decode(dec)?,
+            }),
+            _ => DecodeError::at("unknown membership change", at),
+        }
+    }
+}
+
 /// A membership run at its sponsor.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SponsorRun {
     /// Run label.
     pub run: RunId,
@@ -94,8 +228,39 @@ pub struct SponsorRun {
     pub decided: Option<MemberDecideMsg>,
 }
 
+impl CanonicalEncode for SponsorRun {
+    fn encode(&self, enc: &mut Encoder) {
+        self.run.encode(enc);
+        self.change.encode(enc);
+        enc.put_raw(&self.authenticator);
+        encode_seq(&self.new_members, enc);
+        self.new_group.encode(enc);
+        encode_seq(&self.polled, enc);
+        enc.put_u64(self.responses.len() as u64);
+        for r in self.responses.values() {
+            r.encode(enc);
+        }
+        self.decided.encode(enc);
+    }
+}
+
+impl CanonicalDecode for SponsorRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(SponsorRun {
+            run: RunId::decode(dec)?,
+            change: MembershipChange::decode(dec)?,
+            authenticator: dec.get_array()?,
+            new_members: decode_seq(dec, MIN_PARTY_BYTES)?,
+            new_group: GroupId::decode(dec)?,
+            polled: decode_seq(dec, MIN_PARTY_BYTES)?,
+            responses: decode_responses(dec, |r: &MemberRespondMsg| &r.response.responder)?,
+            decided: Option::<MemberDecideMsg>::decode(dec)?,
+        })
+    }
+}
+
 /// A membership run at a polled member.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemberRun {
     /// Run label.
     pub run: RunId,
@@ -105,8 +270,26 @@ pub struct MemberRun {
     pub my_response: MemberRespondMsg,
 }
 
+impl CanonicalEncode for MemberRun {
+    fn encode(&self, enc: &mut Encoder) {
+        self.run.encode(enc);
+        self.change.encode(enc);
+        self.my_response.encode(enc);
+    }
+}
+
+impl CanonicalDecode for MemberRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(MemberRun {
+            run: RunId::decode(dec)?,
+            change: MembershipChange::decode(dec)?,
+            my_response: MemberRespondMsg::decode(dec)?,
+        })
+    }
+}
+
 /// A voluntary disconnection at its subject, awaiting the sponsor's ack.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LeavingRun {
     /// The request we sent.
     pub request: DisconnectRequestMsg,
@@ -114,8 +297,24 @@ pub struct LeavingRun {
     pub sponsor: PartyId,
 }
 
+impl CanonicalEncode for LeavingRun {
+    fn encode(&self, enc: &mut Encoder) {
+        self.request.encode(enc);
+        self.sponsor.encode(enc);
+    }
+}
+
+impl CanonicalDecode for LeavingRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(LeavingRun {
+            request: DisconnectRequestMsg::decode(dec)?,
+            sponsor: PartyId::decode(dec)?,
+        })
+    }
+}
+
 /// The at-most-one protocol run currently active at this replica.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ActiveRun {
     /// We proposed a state change.
     Proposer(ProposerRun),
@@ -143,15 +342,82 @@ impl ActiveRun {
     }
 }
 
+impl CanonicalEncode for ActiveRun {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            ActiveRun::Proposer(r) => {
+                enc.put_u8(0);
+                r.encode(enc);
+            }
+            ActiveRun::Recipient(r) => {
+                enc.put_u8(1);
+                r.encode(enc);
+            }
+            ActiveRun::Sponsor(r) => {
+                enc.put_u8(2);
+                r.encode(enc);
+            }
+            ActiveRun::Member(r) => {
+                enc.put_u8(3);
+                r.encode(enc);
+            }
+            ActiveRun::Leaving(r) => {
+                enc.put_u8(4);
+                r.encode(enc);
+            }
+        }
+    }
+}
+
+impl CanonicalDecode for ActiveRun {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => ProposerRun::decode(dec).map(ActiveRun::Proposer),
+            1 => RecipientRun::decode(dec).map(ActiveRun::Recipient),
+            2 => SponsorRun::decode(dec).map(ActiveRun::Sponsor),
+            3 => MemberRun::decode(dec).map(ActiveRun::Member),
+            4 => LeavingRun::decode(dec).map(ActiveRun::Leaving),
+            _ => DecodeError::at("unknown active run", at),
+        }
+    }
+}
+
 /// A queued membership request, deferred while another run is active
 /// (§4.5.1: the sponsor blocks new coordination requests pending decision
 /// on any active request).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum QueuedRequest {
     /// A connection request from a prospective member.
     Connect(ConnectRequestMsg),
     /// A disconnection/eviction request.
     Disconnect(DisconnectRequestMsg),
+}
+
+impl CanonicalEncode for QueuedRequest {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            QueuedRequest::Connect(m) => {
+                enc.put_u8(0);
+                m.encode(enc);
+            }
+            QueuedRequest::Disconnect(m) => {
+                enc.put_u8(1);
+                m.encode(enc);
+            }
+        }
+    }
+}
+
+impl CanonicalDecode for QueuedRequest {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => ConnectRequestMsg::decode(dec).map(QueuedRequest::Connect),
+            1 => DisconnectRequestMsg::decode(dec).map(QueuedRequest::Disconnect),
+            _ => DecodeError::at("unknown queued request", at),
+        }
+    }
 }
 
 /// One party's replica of a shared object plus protocol bookkeeping.
@@ -313,8 +579,13 @@ pub struct StoredReply {
 }
 
 /// The durable image of a replica, written to the snapshot store after
-/// every installation and membership change and reloaded on recovery.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// every protocol step and reloaded on recovery.
+///
+/// Stored as [`ReplicaSnapshot::to_bytes`]: [`SNAPSHOT_FORMAT`] followed by
+/// the fields in declaration order in the canonical encoding — digests as
+/// raw 32 bytes, state as raw length-prefixed bytes, the active run with
+/// its messages exactly as they travel on the wire.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplicaSnapshot {
     /// Member list in join order.
     pub members: Vec<PartyId>,
@@ -322,11 +593,8 @@ pub struct ReplicaSnapshot {
     pub group: GroupId,
     /// Agreed state tuple.
     pub agreed: StateId,
-    /// Agreed state bytes, hex-encoded. A byte vector would serialise as
-    /// a JSON integer array — one boxed value per byte — which makes the
-    /// per-install snapshot write O(state) with a constant large enough
-    /// to dominate whole coordination rounds; hex keeps it one string.
-    pub agreed_state: String,
+    /// Agreed state bytes.
+    pub agreed_state: Vec<u8>,
     /// Replay-detection: runs seen, with the agreed seq each was seen at.
     pub seen_runs: Vec<(RunId, u64)>,
     /// Replay-detection: proposal tuples seen.
@@ -355,7 +623,7 @@ impl ReplicaSnapshot {
             members: replica.members.clone(),
             group: replica.group,
             agreed: replica.agreed,
-            agreed_state: hex::encode(&replica.agreed_state),
+            agreed_state: replica.agreed_state.clone(),
             seen_runs: replica.seen_runs.iter().map(|(r, s)| (*r, *s)).collect(),
             seen_tuples: replica.seen_tuples.iter().copied().collect(),
             active: replica.active.clone(),
@@ -369,6 +637,76 @@ impl ReplicaSnapshot {
             reply_slots: replica.reply_slots,
             detached: replica.detached,
         }
+    }
+
+    /// The blob written to the snapshot store.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let hint = 1024
+            + self.agreed_state.len()
+            + 40 * (self.seen_runs.len() + self.seen_tuples.len() + self.completed_replies.len())
+            + if self.active.is_some() { 2048 } else { 0 };
+        let mut enc = Encoder::with_capacity(hint);
+        enc.put_u8(SNAPSHOT_FORMAT);
+        encode_seq(&self.members, &mut enc);
+        self.group.encode(&mut enc);
+        self.agreed.encode(&mut enc);
+        enc.put_bytes(&self.agreed_state);
+        enc.put_u64(self.seen_runs.len() as u64);
+        for (run, seen_at) in &self.seen_runs {
+            run.encode(&mut enc);
+            enc.put_u64(*seen_at);
+        }
+        enc.put_u64(self.seen_tuples.len() as u64);
+        for (seq, rand_hash) in &self.seen_tuples {
+            enc.put_u64(*seq);
+            enc.put_digest(rand_hash);
+        }
+        self.active.encode(&mut enc);
+        encode_seq(&self.queued, &mut enc);
+        enc.put_u64(self.completed_replies.len() as u64);
+        for (run, slot) in &self.completed_replies {
+            run.encode(&mut enc);
+            enc.put_u64(*slot);
+        }
+        enc.put_u64(self.reply_slots);
+        enc.put_bool(self.detached);
+        enc.finish()
+    }
+
+    /// Decodes a blob written by [`ReplicaSnapshot::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<ReplicaSnapshot, DecodeError> {
+        let mut dec = snapshot_decoder(bytes)?;
+        let run_at = |dec: &mut Decoder<'_>| Ok((RunId::decode(dec)?, dec.get_u64()?));
+        let members = decode_seq(&mut dec, MIN_PARTY_BYTES)?;
+        let group = GroupId::decode(&mut dec)?;
+        let agreed = StateId::decode(&mut dec)?;
+        let agreed_state = Vec::<u8>::decode(&mut dec)?;
+        let seen_runs = (0..dec.get_count(40)?)
+            .map(|_| run_at(&mut dec))
+            .collect::<Result<_, _>>()?;
+        let seen_tuples = (0..dec.get_count(40)?)
+            .map(|_| Ok((dec.get_u64()?, dec.get_digest()?)))
+            .collect::<Result<_, _>>()?;
+        let active = Option::<ActiveRun>::decode(&mut dec)?;
+        let queued = decode_seq(&mut dec, MIN_MSG_BYTES)?;
+        let completed_replies = (0..dec.get_count(40)?)
+            .map(|_| run_at(&mut dec))
+            .collect::<Result<_, _>>()?;
+        let snap = ReplicaSnapshot {
+            members,
+            group,
+            agreed,
+            agreed_state,
+            seen_runs,
+            seen_tuples,
+            active,
+            queued,
+            completed_replies,
+            reply_slots: dec.get_u64()?,
+            detached: dec.get_bool()?,
+        };
+        dec.finish()?;
+        Ok(snap)
     }
 
     /// Rebuilds a replica around a freshly constructed application object
@@ -387,7 +725,7 @@ impl ReplicaSnapshot {
         mut object: Box<dyn B2BObject>,
         mut fetch_reply: impl FnMut(u64) -> Option<Vec<u8>>,
     ) -> Replica {
-        let agreed_state = hex::decode(&self.agreed_state).expect("snapshot state is hex");
+        let agreed_state = self.agreed_state;
         object.apply_state(&agreed_state);
         let mut completed_replies = HashMap::new();
         let mut completed_order = VecDeque::new();
@@ -554,8 +892,7 @@ mod tests {
             })
             .collect();
         let snap = ReplicaSnapshot::capture(&r);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ReplicaSnapshot = serde_json::from_str(&json).unwrap();
+        let back = ReplicaSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         let restored = back.restore(
             ObjectId::new("obj"),
             Box::new(SharedCell::new(99u64)),

@@ -453,3 +453,62 @@ fn poisoned_sequence_number_cannot_brick_future_proposals() {
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(1, "counter")), 9);
 }
+
+#[test]
+fn frame_that_does_not_strictly_decode_is_dropped_as_malformed() {
+    // The wire decoder is strict: a validly signed m1 followed by one
+    // stray byte — or an earlier version's JSON frame — is not a message.
+    // It earns a diagnostic and nothing else: no response, no run state.
+    use std::sync::{Arc, Mutex};
+    let recorded: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+    let rec = recorded.clone();
+    let mut cluster = Cluster::new(2, 66);
+    cluster.setup_object("counter", counter_factory);
+    cluster.net.set_intruder(FnIntruder::new(
+        move |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| {
+            if let Some(WireMsg::Propose(_)) = peek(raw) {
+                rec.lock().unwrap().get_or_insert_with(|| raw.to_vec());
+            }
+            InterceptAction::Deliver
+        },
+    ));
+    cluster.propose(0, "counter", enc(5));
+    let m1_frame = recorded.lock().unwrap().clone().expect("recorded m1");
+    let sent_before = cluster.net.node(&party(1)).messages_sent();
+
+    let reframe = |epoch: u64, body: &[u8]| {
+        let mut frame = vec![0u8];
+        frame.extend_from_slice(&epoch.to_be_bytes());
+        frame.extend_from_slice(&0u64.to_be_bytes());
+        frame.extend_from_slice(&[0u8; 17]);
+        frame.extend_from_slice(body);
+        frame
+    };
+    let mut trailing = m1_frame[FRAME_HEADER..].to_vec();
+    trailing.push(0);
+    let json = br#"{"Propose":{"proposal":{"object":"counter"}}}"#;
+    for (epoch, body) in [(0xbad1_u64, &trailing[..]), (0xbad2, &json[..])] {
+        let frame = reframe(epoch, body);
+        cluster.net.invoke(&party(0), move |_c, ctx| {
+            ctx.send(party(1), frame);
+        });
+    }
+    cluster.run();
+    assert_eq!(dec(&cluster.state(1, "counter")), 5);
+    assert!(!cluster
+        .net
+        .node(&party(1))
+        .is_busy(&ObjectId::new("counter")));
+    assert_eq!(cluster.net.node(&party(1)).messages_sent(), sent_before);
+    let malformed = cluster
+        .net
+        .node(&party(1))
+        .detected()
+        .iter()
+        .filter(|m| {
+            matches!(m, Misbehaviour::UnexpectedMessage { detail }
+                if detail.contains("undecodable payload"))
+        })
+        .count();
+    assert_eq!(malformed, 2);
+}

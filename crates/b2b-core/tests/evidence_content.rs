@@ -4,6 +4,7 @@
 mod common;
 
 use b2b_core::{CoordEventKind, ObjectId};
+use b2b_crypto::CanonicalDecode;
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 use common::*;
 
@@ -99,7 +100,7 @@ fn checkpoint_records_reference_installed_tuples() {
         .records_for_run(&run.to_hex())
         .into_iter()
         .filter(|r| r.kind == EvidenceKind::Checkpoint)
-        .filter_map(|r| serde_json::from_slice(&r.payload).ok())
+        .filter_map(|r| b2b_core::StateId::from_canonical(&r.payload).ok())
         .collect();
     assert_eq!(checkpoints, vec![agreed]);
 }

@@ -5,7 +5,7 @@
 mod common;
 
 use b2b_core::{Coordinator, ObjectId};
-use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
+use b2b_crypto::{CanonicalDecode, KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2b_evidence::{EvidenceStore, FileStore};
 use b2b_net::{FaultPlan, SimNet};
 use common::{counter_factory, dec, enc};
@@ -149,7 +149,7 @@ fn evidence_on_disk_supports_arbitration_after_restart() {
     let state: b2b_core::StateId = records
         .iter()
         .filter(|r| r.kind == b2b_evidence::EvidenceKind::Checkpoint)
-        .filter_map(|r| serde_json::from_slice(&r.payload).ok())
+        .filter_map(|r| b2b_core::StateId::from_canonical(&r.payload).ok())
         .next_back()
         .expect("checkpoint exists");
     let arbiter = b2b_core::Arbiter::new(ring);

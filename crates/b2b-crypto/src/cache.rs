@@ -11,9 +11,11 @@
 //!   `(party, digest32, sig)`. A signature verified at m2 receipt need not
 //!   be cryptographically re-verified at m3 aggregation.
 //!
-//! Neither cache may weaken §4.4 detection: the memo is re-derived from the
-//! value on first use (a tampered wire byte decodes into a fresh message
-//! whose memo is empty), failed verifications are never cached, and the
+//! Neither cache may weaken §4.4 detection: the memo of a locally built
+//! message is derived from the value on first use, the memo of a received
+//! message is the very slice it was strictly decoded from (a tampered wire
+//! byte is therefore exactly what gets verified — and rejected), failed
+//! verifications are never cached, and the
 //! verification cache must be flushed whenever the key ring changes
 //! (`Coordinator::update_ring` does this).
 
@@ -26,15 +28,16 @@ use std::sync::{Arc, OnceLock};
 
 /// A lazily-memoized canonical encoding of a signed protocol part.
 ///
-/// Embed one next to the signed value (skipped by serde, ignored by
-/// equality) and route all canonical-bytes uses through
+/// Embed one next to the signed value (ignored by equality) and route all
+/// canonical-bytes uses through
 /// [`CachedCanonical::get_or_encode`]. Clones keep the memo, so a message
 /// cloned into a run record does not re-encode.
 ///
 /// The memo assumes the neighbouring value is not mutated after the first
-/// encoding — protocol messages are immutable once built. Deserialisation
-/// always starts with an empty memo, so bytes arriving off the wire are
-/// encoded (and therefore verified) from what was actually received.
+/// encoding — protocol messages are immutable once built. A message
+/// decoded off the wire starts with its memo seeded from the received
+/// slice ([`CachedCanonical::from_received`]), so what is verified is what
+/// was actually received.
 #[derive(Debug, Default)]
 pub struct CachedCanonical {
     cell: OnceLock<(Arc<[u8]>, Digest32)>,
@@ -44,6 +47,18 @@ impl CachedCanonical {
     /// Creates an empty (not-yet-encoded) memo.
     pub fn new() -> CachedCanonical {
         CachedCanonical::default()
+    }
+
+    /// The memo of a value that was just strictly decoded from `bytes`.
+    ///
+    /// Sound only because [`crate::canonical::Decoder`] is strict: for
+    /// every slice it accepts, re-encoding the decoded value yields the
+    /// same bytes, so this is exactly what [`Self::get_or_encode`] would
+    /// have computed — minus the re-encode.
+    pub fn from_received(bytes: &[u8]) -> CachedCanonical {
+        let cell = OnceLock::new();
+        let _ = cell.set((Arc::from(bytes), sha256(bytes)));
+        CachedCanonical { cell }
     }
 
     /// Returns `true` if the encoding has already been computed.
@@ -82,21 +97,6 @@ impl PartialEq for CachedCanonical {
     }
 }
 impl Eq for CachedCanonical {}
-
-// The memo never travels: it serializes as `null` and deserializes empty,
-// so a message decoded off the wire always re-encodes — and therefore
-// verifies — exactly the bytes that were received (§4.4).
-impl serde::Serialize for CachedCanonical {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl serde::Deserialize for CachedCanonical {
-    fn from_value(_v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(CachedCanonical::new())
-    }
-}
 
 type VerifyKey = (PartyId, Digest32, Signature);
 
@@ -226,6 +226,18 @@ mod tests {
         assert!(clone.is_cached());
         let (again, _) = clone.get_or_encode(&blob);
         assert!(Arc::ptr_eq(&bytes, &again));
+    }
+
+    #[test]
+    fn memo_seeded_from_received_bytes_equals_the_encoded_one() {
+        let blob = Blob(vec![4, 5, 6]);
+        let bytes = blob.canonical_bytes();
+        let seeded = CachedCanonical::from_received(&bytes);
+        assert!(seeded.is_cached());
+        let fresh = CachedCanonical::new();
+        let (a, da) = seeded.get_or_encode(&blob);
+        let (b, db) = fresh.get_or_encode(&blob);
+        assert_eq!((&a[..], da), (&b[..], db));
     }
 
     #[test]

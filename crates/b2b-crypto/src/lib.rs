@@ -41,7 +41,7 @@ pub mod time;
 pub mod timestamp;
 
 pub use cache::{CachedCanonical, SigVerifyCache};
-pub use canonical::{CanonicalEncode, Encoder};
+pub use canonical::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 pub use cert::{Certificate, CertificateAuthority, CertificateError};
 pub use error::CryptoError;
 pub use hash::{sha256, sha256_concat, Digest32};

@@ -108,6 +108,23 @@ impl crate::canonical::CanonicalEncode for Signature {
     }
 }
 
+impl crate::canonical::CanonicalDecode for Signature {
+    fn decode(
+        dec: &mut crate::canonical::Decoder<'_>,
+    ) -> Result<Self, crate::canonical::DecodeError> {
+        let at = dec.position();
+        let scheme = match dec.get_u8()? {
+            1 => SignatureScheme::Ed25519,
+            2 => SignatureScheme::Insecure,
+            _ => return crate::canonical::DecodeError::at("unknown signature scheme", at),
+        };
+        Ok(Signature {
+            scheme,
+            bytes: dec.get_bytes()?.to_vec(),
+        })
+    }
+}
+
 impl fmt::Debug for Signature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -9,7 +9,7 @@
 //! `TS_T(m) = (t, sig_T(H(m) || t))`, which any party can verify against the
 //! authority's public key.
 
-use crate::canonical::{CanonicalEncode, Encoder};
+use crate::canonical::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use crate::error::CryptoError;
 use crate::hash::{sha256, Digest32};
 use crate::keys::PublicKey;
@@ -27,6 +27,24 @@ pub struct TimeStamp {
     pub time: TimeMs,
     /// The authority's signature over `(digest, time)`.
     pub sig: Signature,
+}
+
+impl CanonicalEncode for TimeStamp {
+    fn encode(&self, enc: &mut Encoder) {
+        self.digest.encode(enc);
+        self.time.encode(enc);
+        self.sig.encode(enc);
+    }
+}
+
+impl CanonicalDecode for TimeStamp {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(TimeStamp {
+            digest: Digest32::decode(dec)?,
+            time: TimeMs::decode(dec)?,
+            sig: Signature::decode(dec)?,
+        })
+    }
 }
 
 impl TimeStamp {

@@ -1,6 +1,9 @@
 //! Evidence records: the unit of a party's non-repudiation log.
 
-use b2b_crypto::{PartyId, Signature, TimeMs, TimeStamp};
+use b2b_crypto::{
+    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder, PartyId, Signature, TimeMs,
+    TimeStamp,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -50,6 +53,29 @@ pub enum EvidenceKind {
     /// A TTP-certified abort of a blocked run (§7 termination extension).
     TtpAbort,
 }
+
+/// Every kind, in the order of its on-disk tag: a kind's tag is its index
+/// here, so new kinds are appended and existing ones never move.
+const KINDS: [EvidenceKind; 18] = [
+    EvidenceKind::StatePropose,
+    EvidenceKind::StateRespond,
+    EvidenceKind::StateDecide,
+    EvidenceKind::ConnectRequest,
+    EvidenceKind::ConnectPropose,
+    EvidenceKind::ConnectRespond,
+    EvidenceKind::ConnectDecide,
+    EvidenceKind::ConnectWelcome,
+    EvidenceKind::ConnectReject,
+    EvidenceKind::DisconnectRequest,
+    EvidenceKind::DisconnectPropose,
+    EvidenceKind::DisconnectRespond,
+    EvidenceKind::DisconnectDecide,
+    EvidenceKind::DisconnectAck,
+    EvidenceKind::DisconnectReject,
+    EvidenceKind::Checkpoint,
+    EvidenceKind::Misbehaviour,
+    EvidenceKind::TtpAbort,
+];
 
 impl EvidenceKind {
     /// Short stable name used in exported logs and reports.
@@ -112,6 +138,61 @@ pub struct EvidenceRecord {
     pub logged_at: TimeMs,
 }
 
+/// First byte of a record's binary form: the version of the layout that
+/// follows.
+pub const RECORD_FORMAT: u8 = 1;
+
+/// The record's binary form, which is the body of a WAL frame:
+/// [`RECORD_FORMAT`], then `seq` (u64), the kind's tag (u8), `object`,
+/// `run`, `origin` (length-prefixed strings), `payload` (length-prefixed
+/// bytes), `signature` and `timestamp` (presence byte + value) and
+/// `logged_at` (u64), all in the `b2b_crypto::canonical` encoding.
+impl CanonicalEncode for EvidenceRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(RECORD_FORMAT);
+        enc.put_u64(self.seq);
+        let tag = KINDS
+            .iter()
+            .position(|k| *k == self.kind)
+            .expect("every kind is listed in KINDS");
+        enc.put_u8(tag as u8);
+        enc.put_str(&self.object);
+        enc.put_str(&self.run);
+        self.origin.encode(enc);
+        enc.put_bytes(&self.payload);
+        self.signature.encode(enc);
+        self.timestamp.encode(enc);
+        self.logged_at.encode(enc);
+    }
+
+    fn encoded_size_hint(&self) -> usize {
+        256 + self.object.len() + self.run.len() + self.payload.len()
+    }
+}
+
+impl CanonicalDecode for EvidenceRecord {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        if dec.get_u8()? != RECORD_FORMAT {
+            return DecodeError::at("unknown record format", dec.position() - 1);
+        }
+        let seq = dec.get_u64()?;
+        let Some(&kind) = KINDS.get(usize::from(dec.get_u8()?)) else {
+            return DecodeError::at("unknown evidence kind", dec.position() - 1);
+        };
+        Ok(EvidenceRecord {
+            seq,
+            kind,
+            object: String::decode(dec)?,
+            run: String::decode(dec)?,
+            origin: PartyId::decode(dec)?,
+            payload: Vec::<u8>::decode(dec)?,
+            signature: Option::<Signature>::decode(dec)?,
+            timestamp: Option::<TimeStamp>::decode(dec)?,
+            logged_at: TimeMs::decode(dec)?,
+        })
+    }
+}
+
 impl EvidenceRecord {
     /// Creates a record awaiting a store-assigned sequence number.
     #[allow(clippy::too_many_arguments)]
@@ -145,48 +226,99 @@ mod tests {
 
     #[test]
     fn kind_names_are_unique() {
-        use EvidenceKind::*;
-        let kinds = [
-            StatePropose,
-            StateRespond,
-            StateDecide,
-            ConnectRequest,
-            ConnectPropose,
-            ConnectRespond,
-            ConnectDecide,
-            ConnectWelcome,
-            ConnectReject,
-            DisconnectRequest,
-            DisconnectPropose,
-            DisconnectRespond,
-            DisconnectDecide,
-            DisconnectAck,
-            DisconnectReject,
-            Checkpoint,
-            Misbehaviour,
-            TtpAbort,
-        ];
-        let mut names: Vec<_> = kinds.iter().map(|k| k.name()).collect();
+        let mut names: Vec<_> = KINDS.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), kinds.len());
+        assert_eq!(names.len(), KINDS.len());
+    }
+
+    /// One record per presence combination of signature and time-stamp
+    /// (and per kind along the way).
+    fn samples() -> Vec<EvidenceRecord> {
+        use b2b_crypto::{KeyPair, Signer, TimeStampAuthority};
+        let kp = KeyPair::generate_from_seed(5);
+        let tsa = TimeStampAuthority::new(KeyPair::generate_from_seed(6));
+        let payload = vec![0u8, 1, 2, 0xff, b'{'];
+        let mut out = Vec::new();
+        for (i, kind) in KINDS.iter().enumerate() {
+            let mut rec = EvidenceRecord::new(
+                *kind,
+                "order-1",
+                "ab".repeat(32),
+                PartyId::new("customer"),
+                payload.clone(),
+                (i % 2 == 0).then(|| kp.sign(&payload)),
+                (i % 4 < 2).then(|| tsa.stamp(&payload, TimeMs(40 + i as u64))),
+                TimeMs(42),
+            );
+            rec.seq = i as u64 * 1_000;
+            out.push(rec);
+        }
+        out
     }
 
     #[test]
-    fn record_serde_roundtrip() {
-        let rec = EvidenceRecord::new(
-            EvidenceKind::StatePropose,
-            "order-1",
-            "abcd",
-            PartyId::new("customer"),
-            vec![1, 2, 3],
-            None,
-            None,
-            TimeMs(42),
-        );
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: EvidenceRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(rec, back);
+    fn record_binary_roundtrip() {
+        for rec in samples() {
+            let bytes = rec.canonical_bytes();
+            assert_eq!(bytes[0], RECORD_FORMAT);
+            assert_eq!(EvidenceRecord::from_canonical(&bytes), Ok(rec));
+        }
+    }
+
+    #[test]
+    fn damaged_record_bytes_are_rejected_or_canonical() {
+        for rec in samples().into_iter().take(4) {
+            let bytes = rec.canonical_bytes();
+            for cut in 0..bytes.len() {
+                assert!(EvidenceRecord::from_canonical(&bytes[..cut]).is_err());
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(EvidenceRecord::from_canonical(&longer).is_err());
+            for at in 0..bytes.len() {
+                for flip in [0x01u8, 0x80, 0xff] {
+                    let mut mutated = bytes.clone();
+                    mutated[at] ^= flip;
+                    if let Ok(r) = EvidenceRecord::from_canonical(&mutated) {
+                        assert_eq!(r.canonical_bytes(), mutated, "byte {at} ^ {flip:#x}");
+                    }
+                }
+            }
+            // The format byte and the kind tag are closed sets.
+            for (at, value) in [(0, 0u8), (0, 2), (0, b'{'), (9, 18), (9, 255)] {
+                let mut bad = bytes.clone();
+                bad[at] = value;
+                assert!(EvidenceRecord::from_canonical(&bad).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn random_buffers_are_not_records() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4EC04D);
+        for i in 0..10_000u32 {
+            let len = rng.gen_range(0..=300usize);
+            let mut buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect();
+            if i % 2 == 0 && !buf.is_empty() {
+                buf[0] = RECORD_FORMAT;
+            }
+            if let Ok(r) = EvidenceRecord::from_canonical(&buf) {
+                assert_eq!(r.canonical_bytes(), buf);
+            }
+        }
+    }
+
+    /// Records still serialise to JSON for exported artifacts (the
+    /// `b2b-check` evidence digests) — just never on the storage path.
+    #[test]
+    fn record_json_roundtrip() {
+        for rec in samples().into_iter().take(4) {
+            let json = serde_json::to_string(&rec).unwrap();
+            let back: EvidenceRecord = serde_json::from_str(&json).unwrap();
+            assert_eq!(rec, back);
+        }
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! Format of `evidence.wal`: a sequence of frames, each
 //! `[u32 big-endian body length][u32 big-endian CRC-32 of body][body]`
-//! where the body is the JSON encoding of an [`EvidenceRecord`]. On open,
-//! frames are replayed until the first truncated or CRC-corrupt frame —
-//! a torn tail from a crash mid-append — which is discarded by truncating
-//! the file, matching standard write-ahead-log recovery.
+//! where the body is the binary form of an [`EvidenceRecord`] (see its
+//! `CanonicalEncode` impl; first byte [`crate::record::RECORD_FORMAT`]).
+//! On open, frames are replayed until the first truncated or CRC-corrupt
+//! frame — a torn tail from a crash mid-append — which is discarded by
+//! truncating the file, matching standard write-ahead-log recovery. A frame
+//! whose CRC *matches* but whose body is not a record this version can
+//! decode is not a torn write: it is a log in another format, and `open`
+//! fails with [`StoreError::Codec`] leaving the file untouched rather than
+//! truncating evidence away.
 //!
 //! Snapshots are stored as `snap-<hex(key)>.bin` files in the same
 //! directory, written via a temp file + rename so a crash never leaves a
@@ -13,21 +18,40 @@
 
 use crate::record::EvidenceRecord;
 use crate::store::{EvidenceStore, SnapshotStore, StoreError};
+use b2b_crypto::{CanonicalDecode, CanonicalEncode, Encoder};
 use b2b_telemetry::{names, Telemetry};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+/// The reflected CRC-32 (IEEE) polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// `CRC32_TABLE[b]` is the CRC register after shifting byte `b` through
+/// eight bit-steps, so the per-byte loop is one lookup instead of eight.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE) over `data`, implemented locally to avoid a dependency.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;
     for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xff) as usize];
     }
     !crc
 }
@@ -72,7 +96,9 @@ impl FileStore {
     /// # Errors
     ///
     /// Returns an error if the directory or log file cannot be created or
-    /// read.
+    /// read, and [`StoreError::Codec`] — with the file left exactly as it
+    /// was — if the log holds an intact frame that is not a record in this
+    /// version's format.
     pub fn open(dir: impl AsRef<Path>) -> Result<FileStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -87,7 +113,7 @@ impl FileStore {
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut bytes)?;
 
-        let (records, valid_len) = replay(&bytes);
+        let (records, valid_len) = replay(&bytes)?;
         if valid_len < bytes.len() as u64 {
             // Torn tail: truncate it away so future appends are clean.
             file.set_len(valid_len)?;
@@ -138,8 +164,10 @@ impl FileStore {
 }
 
 /// Replays frames from `bytes`, returning the decoded records and the byte
-/// length of the valid prefix.
-fn replay(bytes: &[u8]) -> (Vec<EvidenceRecord>, u64) {
+/// length of the valid prefix. What follows the prefix is a torn tail: a
+/// frame cut short or failing its CRC. A frame that passes its CRC but
+/// does not decode is an error, never a tail.
+fn replay(bytes: &[u8]) -> Result<(Vec<EvidenceRecord>, u64), StoreError> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     loop {
@@ -158,13 +186,15 @@ fn replay(bytes: &[u8]) -> (Vec<EvidenceRecord>, u64) {
         if crc32(body) != crc {
             break; // corrupt frame: stop at last good prefix
         }
-        match serde_json::from_slice::<EvidenceRecord>(body) {
-            Ok(rec) => records.push(rec),
-            Err(_) => break,
-        }
+        let record = EvidenceRecord::from_canonical(body).map_err(|e| {
+            StoreError::Codec(format!(
+                "intact frame at byte {offset} is not a record in this format: {e}"
+            ))
+        })?;
+        records.push(record);
         offset = body_end;
     }
-    (records, offset as u64)
+    Ok((records, offset as u64))
 }
 
 impl EvidenceStore for FileStore {
@@ -172,11 +202,16 @@ impl EvidenceStore for FileStore {
         let mut inner = self.inner.lock();
         let seq = inner.records.len() as u64;
         record.seq = seq;
-        let body = serde_json::to_vec(&record).map_err(|e| StoreError::Codec(e.to_string()))?;
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&body).to_be_bytes());
-        frame.extend_from_slice(&body);
+        // Header placeholder first, so the body is encoded in place.
+        let mut enc = Encoder::with_capacity(8 + record.encoded_size_hint());
+        enc.put_raw(&[0u8; 8]);
+        record.encode(&mut enc);
+        let mut frame = enc.finish();
+        let body_len = u32::try_from(frame.len() - 8)
+            .map_err(|_| StoreError::Codec("record body exceeds the u32 frame length".into()))?;
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&body_len.to_be_bytes());
+        frame[4..8].copy_from_slice(&crc.to_be_bytes());
         if self.group_commit {
             inner.pending.extend_from_slice(&frame);
         } else {
@@ -272,6 +307,30 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time CRC-32 the table replaced: the reference.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_reference() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC4C32);
+        for _ in 0..1_000 {
+            let len = rng.gen_range(0..=4_096usize);
+            let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect();
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf), "len {len}");
+        }
+    }
+
     #[test]
     fn append_and_reopen_recovers_records() {
         let dir = temp_dir("reopen");
@@ -329,6 +388,68 @@ mod tests {
         let store = FileStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
         assert_eq!(store.get(0).unwrap().run, "a");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Appends one frame with a valid CRC around `body` to the log.
+    fn append_intact_frame(wal: &Path, body: &[u8]) {
+        let mut f = OpenOptions::new().append(true).open(wal).unwrap();
+        f.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+        f.write_all(&crc32(body).to_be_bytes()).unwrap();
+        f.write_all(body).unwrap();
+    }
+
+    /// A frame that passed its CRC was written whole: if it does not
+    /// decode it is a log in another format (an earlier version's JSON
+    /// bodies, say), and truncating there would erase evidence. `open`
+    /// must refuse and leave the file byte-for-byte alone.
+    #[test]
+    fn intact_frame_in_another_format_is_refused_not_truncated() {
+        let json_body = br#"{"seq":1,"kind":"StateRespond","object":"obj"}"#;
+        let mut unknown_format = rec("x", vec![1]).canonical_bytes();
+        unknown_format[0] = crate::record::RECORD_FORMAT + 1;
+        let mut undecodable = rec("x", vec![1]).canonical_bytes();
+        undecodable.truncate(undecodable.len() - 3);
+        for (tag, body) in [
+            ("json", &json_body[..]),
+            ("format", &unknown_format[..]),
+            ("body", &undecodable[..]),
+            ("empty", &[][..]),
+        ] {
+            let dir = temp_dir(&format!("foreign-{tag}"));
+            {
+                let store = FileStore::open(&dir).unwrap();
+                store.append(rec("good", vec![1])).unwrap();
+            }
+            let wal = dir.join("evidence.wal");
+            append_intact_frame(&wal, body);
+            let before = std::fs::read(&wal).unwrap();
+            match FileStore::open(&dir) {
+                Err(StoreError::Codec(_)) => {}
+                other => panic!("{tag}: expected a codec error, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read(&wal).unwrap(),
+                before,
+                "{tag}: file untouched"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        // The same body with a failing CRC is a torn tail, as ever.
+        let dir = temp_dir("foreign-torn");
+        {
+            let store = FileStore::open(&dir).unwrap();
+            store.append(rec("good", vec![1])).unwrap();
+        }
+        let wal = dir.join("evidence.wal");
+        let good_len = std::fs::metadata(&wal).unwrap().len();
+        append_intact_frame(&wal, json_body);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        std::fs::write(&wal, &bytes).unwrap();
+        let store = FileStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(std::fs::metadata(&wal).unwrap().len(), good_len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -395,7 +516,7 @@ mod tests {
         // Simulate a crash: the process dies before the step-boundary
         // flush, so the on-disk log holds only the flushed prefix.
         let on_disk = std::fs::read(dir.join("evidence.wal")).unwrap();
-        let (records, valid) = replay(&on_disk);
+        let (records, valid) = replay(&on_disk).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].run, "flushed");
         assert_eq!(valid, on_disk.len() as u64, "log ends at a frame boundary");

@@ -133,16 +133,23 @@ impl TimerWheel {
     fn advance(&mut self, now: TimeMs) -> Vec<TimerEntry> {
         let target_tick = now.0 / WHEEL_TICK_MS;
         let mut due = Vec::new();
-        while self.cursor_tick <= target_tick {
+        loop {
             let idx = (self.cursor_tick % WHEEL_BUCKETS as u64) as usize;
             let bucket = std::mem::take(&mut self.buckets[idx]);
             for entry in bucket {
                 if entry.deadline.0 <= now.0 {
                     due.push(entry);
                 } else {
-                    // A future revolution's entry sharing this bucket.
+                    // Due later inside the tick `now` falls in.
                     self.buckets[idx].push(entry);
                 }
+            }
+            // The tick `now` falls in has not fully elapsed, so the cursor
+            // stays on it and the next advance visits its bucket again.
+            // Stepping past it would strand the entries kept above for a
+            // whole revolution of the wheel.
+            if self.cursor_tick >= target_tick {
+                break;
             }
             self.cursor_tick += 1;
             if idx == WHEEL_BUCKETS - 1 && !self.overflow.is_empty() {
@@ -1245,6 +1252,29 @@ mod tests {
             [3]
         );
         assert!(wheel.is_empty());
+    }
+
+    /// A deadline later inside the very tick it was armed in fires as
+    /// soon as that deadline passes, not a wheel revolution (1.024 s)
+    /// later.
+    #[test]
+    fn wheel_fires_a_deadline_later_in_the_current_tick() {
+        for k in [0u64, 7, 255, 256, 1_000] {
+            let base = k * WHEEL_TICK_MS;
+            let mut wheel = TimerWheel::new(TimeMs(base + 1));
+            wheel.insert(TimerEntry {
+                deadline: TimeMs(base + 3),
+                gid: GroupId(0),
+                party: PartyId::new("p"),
+                timer_id: 9,
+                epoch: 0,
+            });
+            assert!(wheel.advance(TimeMs(base + 1)).is_empty());
+            let fired = wheel.advance(TimeMs(base + 4));
+            assert_eq!(fired.len(), 1, "k={k}: fired within the next tick");
+            assert_eq!(fired[0].timer_id, 9);
+            assert!(wheel.is_empty());
+        }
     }
 
     struct Recorder {
