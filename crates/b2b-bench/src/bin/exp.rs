@@ -2017,6 +2017,7 @@ fn eserve_int_array(body: &str, key: &str) -> Vec<u64> {
 /// milliseconds into the mode's `serve_latency_ms_*` histogram of the
 /// server's own registry (the 1-2-5 bucket ladder is ms-grained — raw
 /// microseconds would all land in the overflow bucket).
+#[allow(clippy::too_many_arguments)]
 fn eserve_run_mode(
     addr: std::net::SocketAddr,
     telemetry: &Telemetry,

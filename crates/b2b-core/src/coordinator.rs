@@ -17,7 +17,7 @@ use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES};
 use crate::object::B2BObject;
 use crate::replica::{
-    snapshot_decoder, ActiveRun, QueuedRequest, Replica, ReplicaSnapshot, SNAPSHOT_FORMAT,
+    snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
 };
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
@@ -419,23 +419,14 @@ impl Coordinator {
         let object = factory();
         let state = object.get_state();
         let members = vec![self.me.clone()];
-        let replica = Replica {
-            object_id: object_id.clone(),
+        let replica = Replica::new(
+            object_id.clone(),
             object,
-            group: GroupId::genesis(sha256(&self.rng.nonce()), &members),
-            agreed: StateId::genesis(sha256(&self.rng.nonce()), &state),
-            agreed_state: state,
-            members,
-            seen_runs: Default::default(),
-            seen_tuples: Default::default(),
-            active: None,
-            queued: Vec::new(),
-            completed_replies: HashMap::new(),
-            completed_order: Default::default(),
-            dirty_replies: Vec::new(),
-            reply_slots: 0,
-            detached: false,
-        };
+            members.clone(),
+            GroupId::genesis(sha256(&self.rng.nonce()), &members),
+            StateId::genesis(sha256(&self.rng.nonce()), &state),
+            state,
+        );
         self.factories.insert(object_id.clone(), factory);
         self.replicas.insert(object_id.clone(), replica);
         self.persist(&object_id);
@@ -484,6 +475,12 @@ impl Coordinator {
             .get(object)
             .map(|r| r.active.is_some())
             .unwrap_or(false)
+    }
+
+    /// This party's replica of `object` — protocol bookkeeping included —
+    /// for inspection by tests and tools.
+    pub fn replica(&self, object: &ObjectId) -> Option<&Replica> {
+        self.replicas.get(object)
     }
 
     /// Read-only access to the application object of `object`.
@@ -970,49 +967,46 @@ impl Coordinator {
         self.events.push(event);
     }
 
-    /// Persists the replica snapshot for `object`.
-    ///
-    /// Re-replies remembered since the last checkpoint go to their own
-    /// per-slot store entries (`obj-X-reply-N`, blob = run id || wire
-    /// bytes) **before** the core document is written, so a crash between
-    /// the two writes leaves the core referencing only slots that exist.
-    /// Each reply is thus written once, when its run completes, instead of
-    /// the whole retention window being re-serialised on every install.
+    /// Checkpoints `object`: writes the checkpoint documents this step
+    /// made stale, and only those, in the order
+    /// [`Replica::take_stale_docs`] fixes. A document whose write fails
+    /// stays stale and is retried by the next checkpoint.
     pub(crate) fn persist(&mut self, object: &ObjectId) {
-        let (reply_blobs, snap) = {
-            let Some(rep) = self.replicas.get_mut(object) else {
-                return;
-            };
-            let reply_blobs: Vec<(u64, Vec<u8>)> = std::mem::take(&mut rep.dirty_replies)
-                .into_iter()
-                .filter_map(|run| {
-                    // Evicted before this checkpoint: nothing to write.
-                    let stored = rep.completed_replies.get(&run)?;
-                    let mut blob = Vec::with_capacity(32 + stored.wire.len());
-                    blob.extend_from_slice(&run.0 .0);
-                    blob.extend_from_slice(&stored.wire);
-                    Some((stored.slot, blob))
-                })
-                .collect();
-            (reply_blobs, ReplicaSnapshot::capture(rep))
+        let Some(rep) = self.replicas.get_mut(object) else {
+            return;
         };
-        for (slot, blob) in reply_blobs {
-            if let Err(e) = self
-                .snapshots
-                .put_snapshot(&format!("obj-{object}-reply-{slot}"), blob)
-            {
+        for (doc, blob) in rep.take_stale_docs(self.config.completed_replies_cap) {
+            let key = match doc {
+                Doc::Reply { slot, .. } => format!("obj-{object}-reply-{slot}"),
+                Doc::Core => format!("obj-{object}"),
+            };
+            if let Err(e) = self.snapshots.put_snapshot(&key, blob) {
+                rep.mark_stale(doc);
                 self.detected.push(Misbehaviour::UnexpectedMessage {
-                    detail: format!("reply checkpoint write failed: {e}"),
+                    detail: format!("checkpoint write of {key} failed: {e}"),
                 });
             }
         }
-        if let Err(e) = self
-            .snapshots
-            .put_snapshot(&format!("obj-{object}"), snap.to_bytes())
-        {
-            self.detected.push(Misbehaviour::UnexpectedMessage {
-                detail: format!("snapshot write failed: {e}"),
-            });
+        #[cfg(debug_assertions)]
+        self.assert_checkpoint_current(object);
+    }
+
+    /// Debug builds check the dirty tracking on every checkpoint: when
+    /// `persist` did not rewrite the core document, the store must already
+    /// hold it exactly as it would be written now. A mutation that forgets
+    /// to mark the document stale fails here, in whichever test first
+    /// reaches it.
+    #[cfg(debug_assertions)]
+    fn assert_checkpoint_current(&self, object: &ObjectId) {
+        let Some(rep) = self.replicas.get(object) else {
+            return;
+        };
+        if !rep.core_is_stale() {
+            assert_eq!(
+                self.snapshots.get_snapshot(&format!("obj-{object}")),
+                Some(rep.core_doc()),
+                "core document of {object} is stale but was not marked"
+            );
         }
     }
 
@@ -1100,19 +1094,27 @@ impl Coordinator {
             .and_then(|b| decode_object_index(&b).ok())
             .unwrap_or_default();
         for object_id in ids {
-            let Some(bytes) = self.snapshots.get_snapshot(&format!("obj-{object_id}")) else {
-                continue;
-            };
-            let Ok(snap) = ReplicaSnapshot::from_bytes(&bytes) else {
+            let Some(core) = self
+                .snapshots
+                .get_snapshot(&format!("obj-{object_id}"))
+                .and_then(|b| CoreDoc::from_bytes(&b).ok())
+            else {
                 continue;
             };
             let Some(factory) = self.factories.get(&object_id) else {
                 continue;
             };
-            let replica = snap.restore(object_id.clone(), factory(), |slot| {
-                self.snapshots
-                    .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
-            });
+            let replica = Replica::restore(
+                object_id.clone(),
+                factory(),
+                core,
+                self.config.completed_replies_cap,
+                self.config.replay_window,
+                |slot| {
+                    self.snapshots
+                        .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
+                },
+            );
             self.replicas.insert(object_id.clone(), replica);
             self.resume_run(&object_id, ctx);
         }
@@ -1222,10 +1224,10 @@ impl Coordinator {
                 if rep.active.is_some() {
                     return;
                 }
-                if rep.queued.is_empty() {
-                    break;
+                match rep.dequeue_request() {
+                    Some(next) => next,
+                    None => break,
                 }
-                rep.queued.remove(0)
             };
             let started = match next {
                 QueuedRequest::Connect(req) => {
@@ -1432,18 +1434,21 @@ impl Coordinator {
                 let n = p.queue.len().min(self.config.batch_max);
                 p.queue.drain(..n).collect()
             };
-            // Pre-screen each update against the evolving state so one
-            // inapplicable update fails its own ticket instead of aborting
-            // the whole chunk's round.
+            // Apply each update to the evolving state, so one inapplicable
+            // update fails its own ticket instead of aborting the whole
+            // chunk's round; what applies is proposed as applied here.
             let mut updates = Vec::with_capacity(chunk.len());
+            let mut links = Vec::with_capacity(chunk.len());
             let mut ids = Vec::with_capacity(chunk.len());
+            let mut state: Option<Vec<u8>> = None;
             {
                 let rep = self.replicas.get(object).expect("screened above");
-                let mut state = rep.agreed_state.clone();
                 for (tid, u) in chunk {
-                    match rep.object.apply_update(&state, &u) {
-                        Ok(next) => {
-                            state = next;
+                    let before = state.as_deref().unwrap_or(&rep.agreed_state);
+                    match crate::proto_state::apply_link(rep.object.as_ref(), before, &u) {
+                        Ok((next, link)) => {
+                            state = Some(next);
+                            links.push(link);
                             ids.push(tid);
                             updates.push(u);
                         }
@@ -1456,10 +1461,10 @@ impl Coordinator {
                     }
                 }
             }
-            if updates.is_empty() {
+            let Some(state) = state else {
                 continue; // whole chunk screened out; try the next one
-            }
-            match self.propose_update_batch(object, updates, ctx) {
+            };
+            match self.propose_applied(object, updates, links, state, ctx) {
                 Ok(run) => {
                     for tid in ids {
                         self.tickets.insert(tid, TicketState::Run(run));

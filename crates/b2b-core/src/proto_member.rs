@@ -19,7 +19,7 @@ use crate::messages::{
     MemberDecideMsg, MemberRespondMsg, MemberResponse, Welcome, WelcomeMsg, WireMsg,
 };
 use crate::replica::{
-    ActiveRun, LeavingRun, MemberRun, MembershipChange, QueuedRequest, Replica, SponsorRun,
+    ActiveRun, Doc, LeavingRun, MemberRun, MembershipChange, QueuedRequest, Replica, SponsorRun,
 };
 use crate::Coordinator;
 use b2b_crypto::{sha256, CanonicalEncode, PartyId};
@@ -183,23 +183,15 @@ impl Coordinator {
         };
         let mut object = factory();
         object.apply_state(&msg.state);
-        let replica = Replica {
-            object_id: oid.clone(),
+        let mut replica = Replica::new(
+            oid.clone(),
             object,
-            members: msg.welcome.members.clone(),
-            group: msg.welcome.group,
-            agreed: msg.welcome.agreed,
-            agreed_state: msg.state.clone(),
-            seen_runs: std::iter::once((run, msg.welcome.agreed.seq)).collect(),
-            seen_tuples: Default::default(),
-            active: None,
-            queued: Vec::new(),
-            completed_replies: Default::default(),
-            completed_order: Default::default(),
-            dirty_replies: Vec::new(),
-            reply_slots: 0,
-            detached: false,
-        };
+            msg.welcome.members.clone(),
+            msg.welcome.group,
+            msg.welcome.agreed,
+            msg.state.clone(),
+        );
+        replica.note_seen(run, None);
         self.replicas.insert(oid.clone(), replica);
         self.pending_connects.remove(&oid);
         self.connect_status
@@ -330,7 +322,7 @@ impl Coordinator {
         };
         if rep.active.is_some() {
             // §4.5.1: block (defer) new coordination requests.
-            rep.queued.push(QueuedRequest::Connect(msg));
+            rep.queue_request(QueuedRequest::Connect(msg));
             self.persist(&oid);
             return;
         }
@@ -413,10 +405,10 @@ impl Coordinator {
             sig,
         };
         let polled: Vec<PartyId> = rep.members.iter().filter(|m| **m != me).cloned().collect();
-        rep.seen_runs.insert(run, rep.agreed.seq);
 
         if polled.is_empty() {
             // Singleton group: the sponsor's acceptance is the group's.
+            rep.note_seen(run, None);
             let decide = MemberDecideMsg {
                 object: oid.clone(),
                 run,
@@ -430,7 +422,7 @@ impl Coordinator {
         }
 
         let subject_label = subject.clone();
-        rep.active = Some(ActiveRun::Sponsor(SponsorRun {
+        rep.start_run(ActiveRun::Sponsor(SponsorRun {
             run,
             change: MembershipChange::Connect {
                 subject,
@@ -546,11 +538,10 @@ impl Coordinator {
         let me = self.me.clone();
         let now = ctx.now();
         if let Some(rep) = self.replicas.get_mut(oid) {
-            rep.members = new_members.clone();
-            rep.group = new_group;
-            rep.active = None;
+            rep.finish_run();
+            rep.install_membership(new_members.clone(), new_group);
             if leavers.contains(&me) {
-                rep.detached = true;
+                rep.detach();
             }
         }
         self.persist(oid);
@@ -642,7 +633,7 @@ impl Coordinator {
             });
             decision = Decision::reject("illegitimate sponsor");
         }
-        if rep.seen_runs.contains_key(&run) {
+        if rep.has_seen_run(&run) {
             misbehaviours.push(Misbehaviour::ReplayedProposal { run });
             decision = Decision::reject("replayed membership proposal");
             track = false;
@@ -761,13 +752,14 @@ impl Coordinator {
         };
         let sig = self.signer.sign(&response.canonical_bytes());
         let m = MemberRespondMsg { response, sig };
-        rep.seen_runs.insert(run, rep.agreed.seq);
         if track {
-            rep.active = Some(ActiveRun::Member(MemberRun {
+            rep.start_run(ActiveRun::Member(MemberRun {
                 run,
                 change,
                 my_response: m.clone(),
             }));
+        } else {
+            rep.note_seen(run, None);
         }
         self.log_evidence(
             propose_kind,
@@ -845,6 +837,7 @@ impl Coordinator {
             return;
         };
         let mut finalize = false;
+        let mut recorded = false;
         match &mut rep.active {
             Some(ActiveRun::Sponsor(sr)) if sr.run == run => {
                 if !sr.polled.contains(from) {
@@ -871,6 +864,7 @@ impl Coordinator {
                         }
                         None => {
                             sr.responses.insert(from.clone(), msg.clone());
+                            recorded = true;
                             let kind = match sr.change {
                                 MembershipChange::Connect { .. } => EvidenceKind::ConnectRespond,
                                 MembershipChange::Disconnect { .. } => {
@@ -904,6 +898,11 @@ impl Coordinator {
                 );
             }
         }
+        if recorded {
+            if let Some(rep) = self.replicas.get_mut(&oid) {
+                rep.mark_stale(Doc::Core);
+            }
+        }
         if finalize {
             self.finalize_member_run(&oid, run, ctx);
         } else {
@@ -918,7 +917,7 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
-        let Some(ActiveRun::Sponsor(sr)) = rep.active.take() else {
+        let Some(ActiveRun::Sponsor(sr)) = rep.finish_run() else {
             return;
         };
         let responses: Vec<MemberRespondMsg> = sr.responses.values().cloned().collect();
@@ -1187,7 +1186,7 @@ impl Coordinator {
             self.install_membership(&oid, run, new_members, new_group, &leavers, ctx);
         } else {
             if let Some(rep) = self.replicas.get_mut(&oid) {
-                rep.active = None;
+                rep.finish_run();
             }
             self.outcomes.insert(run, Outcome::Invalidated { vetoers });
             self.persist(&oid);
@@ -1233,7 +1232,7 @@ impl Coordinator {
             .cloned()
         else {
             // Sole member: leaving is local.
-            rep.detached = true;
+            rep.detach();
             self.persist(object);
             return Ok(());
         };
@@ -1252,7 +1251,7 @@ impl Coordinator {
         // signed rejection and `on_disconnect_reject` returns this replica
         // to ordinary membership; the application may then retry. A leaver
         // may also simply cease cooperation (§4.5.4).
-        rep.active = Some(ActiveRun::Leaving(LeavingRun {
+        rep.start_run(ActiveRun::Leaving(LeavingRun {
             request: msg.clone(),
             sponsor: sponsor.clone(),
         }));
@@ -1419,7 +1418,7 @@ impl Coordinator {
             return;
         };
         if rep.active.is_some() {
-            rep.queued.push(QueuedRequest::Disconnect(msg));
+            rep.queue_request(QueuedRequest::Disconnect(msg));
             self.persist(&oid);
             return;
         }
@@ -1529,9 +1528,9 @@ impl Coordinator {
             .filter(|m| **m != me && !subjects.contains(m))
             .cloned()
             .collect();
-        rep.seen_runs.insert(run, rep.agreed.seq);
 
         if polled.is_empty() {
+            rep.note_seen(run, None);
             let decide = MemberDecideMsg {
                 object: oid.clone(),
                 run,
@@ -1546,7 +1545,7 @@ impl Coordinator {
             return false;
         }
 
-        rep.active = Some(ActiveRun::Sponsor(SponsorRun {
+        rep.start_run(ActiveRun::Sponsor(SponsorRun {
             run,
             change: MembershipChange::Disconnect {
                 subjects,
@@ -1643,7 +1642,7 @@ impl Coordinator {
             });
             decision = Decision::reject("illegitimate sponsor");
         }
-        if rep.seen_runs.contains_key(&run) {
+        if rep.has_seen_run(&run) {
             misbehaviours.push(Misbehaviour::ReplayedProposal { run });
             decision = Decision::reject("replayed membership proposal");
             track = false;
@@ -1808,12 +1807,10 @@ impl Coordinator {
         }
         let members_after: Vec<PartyId>;
         if let Some(rep) = self.replicas.get_mut(&oid) {
-            rep.active = None;
-            rep.detached = true;
-            let me = self.me.clone();
-            rep.members.retain(|m| m != &me);
-            rep.group = msg.ack.group;
-            members_after = rep.members.clone();
+            rep.finish_run();
+            members_after = rep.recipients(&self.me);
+            rep.install_membership(members_after.clone(), msg.ack.group);
+            rep.detach();
         } else {
             members_after = Vec::new();
         }
@@ -1918,7 +1915,7 @@ impl Coordinator {
         if let Some(rep) = self.replicas.get_mut(&oid) {
             // Back to ordinary membership: the group never agreed to the
             // departure, so we are still a member and may retry.
-            rep.active = None;
+            rep.finish_run();
         }
         self.log_evidence(
             EvidenceKind::DisconnectReject,

@@ -11,11 +11,12 @@ use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{ObjectId, RunId, StateId};
 use crate::messages::{
-    DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
+    BatchLink, DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
 };
-use crate::replica::{ActiveRun, ProposerRun, RecipientRun, Replica};
+use crate::object::B2BObject;
+use crate::replica::{ActiveRun, Doc, ProposerRun, RecipientRun};
 use crate::Coordinator;
-use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, PartyId};
+use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, Digest32, PartyId};
 use b2b_evidence::EvidenceKind;
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -47,11 +48,13 @@ impl Coordinator {
         new_state: Vec<u8>,
         ctx: &mut NodeCtx,
     ) -> Result<RunId, CoordError> {
+        let state_hash = sha256(&new_state);
         self.start_state_run(
             object,
             ProposalKind::Overwrite,
             new_state.clone(),
             new_state,
+            state_hash,
             ctx,
         )
     }
@@ -72,20 +75,7 @@ impl Coordinator {
         update: Vec<u8>,
         ctx: &mut NodeCtx,
     ) -> Result<RunId, CoordError> {
-        let rep = self
-            .replicas
-            .get(object)
-            .ok_or_else(|| CoordError::UnknownObject(object.clone()))?;
-        let new_state = rep
-            .object
-            .apply_update(&rep.agreed_state, &update)
-            .map_err(CoordError::UpdateFailed)?;
-        let kind = ProposalKind::Update {
-            update_hash: sha256(&update),
-        };
-        let run = self.start_state_run(object, kind, update, new_state, ctx)?;
-        self.telemetry.observe_ms(names::BATCH_OCCUPANCY, 1);
-        Ok(run)
+        self.propose_update_batch(object, vec![update], ctx)
     }
 
     /// Proposes applying an ordered batch of updates to `object` in **one**
@@ -97,8 +87,9 @@ impl Coordinator {
     /// update — `H(u_i)` plus the hash of the state after applying updates
     /// `0..=i` — so recipients re-run every §4.2 check per update and a
     /// forged or stale update anywhere in the batch is detected and
-    /// attributed to this proposer at its exact index. A batch of one
-    /// degenerates to [`Coordinator::propose_update`] byte-for-byte.
+    /// attributed to this proposer at its exact index. A batch of one is a
+    /// plain update proposal ([`Coordinator::propose_update`]), byte for
+    /// byte.
     ///
     /// # Errors
     ///
@@ -110,34 +101,53 @@ impl Coordinator {
         updates: Vec<Vec<u8>>,
         ctx: &mut NodeCtx,
     ) -> Result<RunId, CoordError> {
-        if updates.is_empty() {
-            return Err(CoordError::UpdateFailed("empty update batch".into()));
-        }
-        if updates.len() == 1 {
-            return self.propose_update(object, updates.into_iter().next().expect("len 1"), ctx);
-        }
         let rep = self
             .replicas
             .get(object)
             .ok_or_else(|| CoordError::UnknownObject(object.clone()))?;
         let mut links = Vec::with_capacity(updates.len());
-        let mut state = rep.agreed_state.clone();
+        let mut state: Option<Vec<u8>> = None;
         for u in &updates {
-            let next = rep
-                .object
-                .apply_update(&state, u)
-                .map_err(CoordError::UpdateFailed)?;
-            links.push(crate::messages::BatchLink {
-                update_hash: sha256(u),
-                state_hash: sha256(&next),
-            });
-            state = next;
+            let before = state.as_deref().unwrap_or(&rep.agreed_state);
+            let (next, link) =
+                apply_link(rep.object.as_ref(), before, u).map_err(CoordError::UpdateFailed)?;
+            links.push(link);
+            state = Some(next);
         }
+        let Some(state) = state else {
+            return Err(CoordError::UpdateFailed("empty update batch".into()));
+        };
+        self.propose_applied(object, updates, links, state, ctx)
+    }
+
+    /// Starts the round for `updates` that have already been applied in
+    /// order to the agreed state: `links[i]` is update `i`'s signed link
+    /// and `state` the state after the last. One update travels as a plain
+    /// update proposal, several as a batch.
+    pub(crate) fn propose_applied(
+        &mut self,
+        object: &ObjectId,
+        mut updates: Vec<Vec<u8>>,
+        links: Vec<BatchLink>,
+        state: Vec<u8>,
+        ctx: &mut NodeCtx,
+    ) -> Result<RunId, CoordError> {
         let k = updates.len();
-        let body = crate::messages::encode_batch_body(&updates);
-        let run = self.start_state_run(object, ProposalKind::Batch { links }, body, state, ctx)?;
+        debug_assert!(k > 0 && k == links.len());
+        let state_hash = links[k - 1].state_hash;
+        let (kind, body) = if k == 1 {
+            let update_hash = links[0].update_hash;
+            let update = updates.pop().expect("one update");
+            (ProposalKind::Update { update_hash }, update)
+        } else {
+            let body = crate::messages::encode_batch_body(&updates);
+            (ProposalKind::Batch { links }, body)
+        };
+        let run = self.start_state_run(object, kind, body, state, state_hash, ctx)?;
         self.telemetry.observe_ms(names::BATCH_OCCUPANCY, k as u64);
-        self.telemetry.add(names::ROUNDS_COALESCED, (k - 1) as u64);
+        if k > 1 {
+            self.telemetry.add(names::ROUNDS_COALESCED, (k - 1) as u64);
+        }
         Ok(run)
     }
 
@@ -147,6 +157,7 @@ impl Coordinator {
         kind: ProposalKind,
         body: Vec<u8>,
         new_state: Vec<u8>,
+        state_hash: Digest32,
         ctx: &mut NodeCtx,
     ) -> Result<RunId, CoordError> {
         let now = ctx.now();
@@ -181,7 +192,7 @@ impl Coordinator {
             let proposed = StateId {
                 seq,
                 rand_hash: sha256(&rand),
-                state_hash: sha256(&new_state),
+                state_hash,
             };
             let authenticator = self.rng.nonce();
             let proposal = Proposal {
@@ -205,16 +216,14 @@ impl Coordinator {
                 sig,
                 memo,
             };
-            rep.seen_runs.insert(run, rep.agreed.seq);
-            rep.seen_tuples.insert((seq, proposed.rand_hash));
-
             let recipients = rep.recipients(&me);
             if recipients.is_empty() {
                 // Singleton group: trivially unanimous.
-                install_state(&mut rep, proposed, new_state, self.config.replay_window);
+                rep.note_seen(run, Some((seq, proposed.rand_hash)));
+                rep.install_state(proposed, new_state, self.config.replay_window);
                 return Ok((run, m1, None));
             }
-            rep.active = Some(ActiveRun::Proposer(ProposerRun {
+            rep.start_run(ActiveRun::Proposer(ProposerRun {
                 run,
                 propose: m1.clone(),
                 authenticator,
@@ -388,18 +397,14 @@ impl Coordinator {
         // explorer can demonstrate each one is load-bearing; all flags are
         // false outside mutation-testing builds.
         let mutation = self.config.mutation;
-        if !mutation.skip_replay && rep.seen_runs.contains_key(&run) {
+        let tuple = (m1.proposal.proposed.seq, m1.proposal.proposed.rand_hash);
+        if !mutation.skip_replay && rep.has_seen_run(&run) {
             // Not the active run and not completed here ⇒ replay.
             misbehaviours.push(Misbehaviour::ReplayedProposal { run });
             reject(&mut decision, "replayed proposal".into());
             track_run = false;
         }
-        if !mutation.skip_replay
-            && rep
-                .seen_tuples
-                .contains(&(m1.proposal.proposed.seq, m1.proposal.proposed.rand_hash))
-            && !rep.seen_runs.contains_key(&run)
-        {
+        if !mutation.skip_replay && rep.has_seen_tuple(&tuple) && !rep.has_seen_run(&run) {
             misbehaviours.push(Misbehaviour::ReplayedProposal { run });
             reject(&mut decision, "proposal tuple reused".into());
             track_run = false;
@@ -652,17 +657,16 @@ impl Coordinator {
             memo,
         };
 
-        rep.seen_runs.insert(run, rep.agreed.seq);
-        rep.seen_tuples
-            .insert((m1.proposal.proposed.seq, m1.proposal.proposed.rand_hash));
         let armed_recipient_deadline = track_run && self.config.ttp.is_some();
         if track_run {
-            rep.active = Some(ActiveRun::Recipient(RecipientRun {
+            rep.start_run(ActiveRun::Recipient(RecipientRun {
                 run,
                 propose: m1.clone(),
                 my_response: m2.clone(),
                 pending_state,
             }));
+        } else {
+            rep.note_seen(run, Some(tuple));
         }
         self.replicas.insert(oid.clone(), rep);
         if armed_recipient_deadline {
@@ -758,6 +762,7 @@ impl Coordinator {
             return;
         };
         let mut finalize = false;
+        let mut recorded = false;
         match &mut rep.active {
             Some(ActiveRun::Proposer(pr)) if pr.run == run => {
                 // The signed response must echo the actual proposal: a
@@ -804,6 +809,7 @@ impl Coordinator {
                         }
                         None => {
                             pr.responses.insert(from.clone(), m2.clone());
+                            recorded = true;
                             self.telemetry.inc(names::VOTES_VALID);
                             let (got, want) = (pr.responses.len(), rep.members.len() - 1);
                             self.trace(now, "state_run", "vote_collect", || {
@@ -850,6 +856,9 @@ impl Coordinator {
                 );
             }
         }
+        if recorded {
+            rep.mark_stale(Doc::Core);
+        }
         self.replicas.insert(oid.clone(), rep);
         if finalize {
             self.finalize_state_run(&oid, run, ctx);
@@ -866,7 +875,7 @@ impl Coordinator {
         let Some(mut rep) = self.replicas.remove(oid) else {
             return;
         };
-        let Some(ActiveRun::Proposer(pr)) = rep.active.take() else {
+        let Some(ActiveRun::Proposer(pr)) = rep.finish_run() else {
             self.replicas.insert(oid.clone(), rep);
             return;
         };
@@ -881,8 +890,7 @@ impl Coordinator {
             responses,
         };
         let outcome = if accepted {
-            install_state(
-                &mut rep,
+            rep.install_state(
                 pr.propose.proposal.proposed,
                 pr.new_state.clone(),
                 self.config.replay_window,
@@ -1038,17 +1046,16 @@ impl Coordinator {
         let Some(mut rep) = self.replicas.remove(&oid) else {
             return;
         };
-        let Some(ActiveRun::Recipient(rr)) = rep.active.clone() else {
+        let rr = match &rep.active {
+            Some(ActiveRun::Recipient(rr)) if rr.run == run => rr,
             // A decide for a run we rejected while busy (we kept no run
             // state) or never saw: ignore — installing anything on the
             // basis of an unexpected decide would be unsafe.
-            self.replicas.insert(oid, rep);
-            return;
+            _ => {
+                self.replicas.insert(oid, rep);
+                return;
+            }
         };
-        if rr.run != run {
-            self.replicas.insert(oid, rep);
-            return;
-        }
 
         // ---- authenticator: only the proposer can reveal r_P ----
         if sha256(&m3.authenticator) != rr.propose.proposal.auth_commit {
@@ -1157,11 +1164,13 @@ impl Coordinator {
             self.replicas.insert(oid, rep);
             return;
         }
+        let Some(ActiveRun::Recipient(rr)) = rep.finish_run() else {
+            unreachable!("matched above");
+        };
         let outcome = if accepted {
-            match rr.pending_state.clone() {
+            match rr.pending_state {
                 Some(next) => {
-                    install_state(
-                        &mut rep,
+                    rep.install_state(
                         rr.propose.proposal.proposed,
                         next,
                         self.config.replay_window,
@@ -1182,7 +1191,6 @@ impl Coordinator {
         } else {
             Outcome::Invalidated { vetoers }
         };
-        rep.active = None;
         // Keep our signed response on file: if the proposer crashed and
         // re-sends m1 on recovery, we answer with the *same* response
         // instead of minting a conflicting signed rejection (which would
@@ -1190,7 +1198,7 @@ impl Coordinator {
         // false replay evidence against the honest proposer).
         rep.remember_reply(
             run,
-            WireMsg::Respond(rr.my_response.clone()),
+            WireMsg::Respond(rr.my_response),
             self.config.completed_replies_cap,
         );
         self.replicas.insert(oid.clone(), rep);
@@ -1266,10 +1274,9 @@ impl Coordinator {
                     return;
                 }
                 if let Some(rep) = self.replicas.get_mut(oid) {
-                    if let Some(ActiveRun::Proposer(_)) = rep.active.take() {
-                        let agreed = rep.agreed_state.clone();
-                        rep.object.apply_state(&agreed);
-                    }
+                    rep.finish_run();
+                    let agreed = rep.agreed_state.clone();
+                    rep.object.apply_state(&agreed);
                 }
                 let outcome = Outcome::Aborted {
                     reason: "response deadline expired".into(),
@@ -1310,14 +1317,20 @@ impl Coordinator {
     }
 }
 
-/// Installs a newly validated state into a replica, then prunes
-/// replay-detection tuples that fell out of the configured window (§4.2
-/// invariant 4 stays enforced by the exact-increment sequence check).
-fn install_state(rep: &mut Replica, id: StateId, state: Vec<u8>, replay_window: u64) {
-    rep.object.apply_state(&state);
-    rep.agreed = id;
-    rep.agreed_state = state;
-    rep.prune_seen(replay_window);
+/// Applies `update` to `state` on behalf of a proposer: the successor
+/// state and the link a proposal signs for this step (`H(update)` and the
+/// hash of the successor state).
+pub(crate) fn apply_link(
+    object: &dyn B2BObject,
+    state: &[u8],
+    update: &[u8],
+) -> Result<(Vec<u8>, BatchLink), String> {
+    let next = object.apply_update(state, update)?;
+    let link = BatchLink {
+        update_hash: sha256(update),
+        state_hash: sha256(&next),
+    };
+    Ok((next, link))
 }
 
 /// Computes the group decision over a response set.

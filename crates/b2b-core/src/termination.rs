@@ -483,13 +483,13 @@ impl Coordinator {
             TtpVerdict::CertifiedAbort => {
                 let agreed = rep.agreed_state.clone();
                 rep.object.apply_state(&agreed);
-                rep.active = None;
+                rep.finish_run();
                 Outcome::Aborted {
                     reason: "TTP-certified abort".into(),
                 }
             }
             TtpVerdict::CertifiedValid => {
-                let pending = match rep.active.take() {
+                let pending = match rep.finish_run() {
                     Some(ActiveRun::Proposer(pr)) => {
                         Some((pr.propose.proposal.proposed, pr.new_state))
                     }
@@ -501,9 +501,7 @@ impl Coordinator {
                 };
                 match pending {
                     Some((id, state)) => {
-                        rep.object.apply_state(&state);
-                        rep.agreed = id;
-                        rep.agreed_state = state;
+                        rep.install_state(id, state, self.config.replay_window);
                         Outcome::Installed { state: id }
                     }
                     None => Outcome::Aborted {
@@ -514,7 +512,7 @@ impl Coordinator {
             TtpVerdict::CertifiedInvalid => {
                 let agreed = rep.agreed_state.clone();
                 rep.object.apply_state(&agreed);
-                rep.active = None;
+                rep.finish_run();
                 let vetoers = msg
                     .responses
                     .iter()

@@ -2,7 +2,8 @@
 //! protocol uses it: wire frames and replica checkpoints.
 //!
 //! * round trip — `decode(encode(x)) == x` for every [`WireMsg`] variant
-//!   and for [`ReplicaSnapshot`]s in every shape recovery has to restore;
+//!   and for the checkpoint documents ([`CoreDoc`], [`ReplyDoc`]) in
+//!   every shape recovery has to restore;
 //! * totality — truncated, extended, bit-flipped and random input decodes
 //!   to `None`/`Err`, never a panic;
 //! * strictness — whatever mutated frame *is* accepted re-encodes to
@@ -12,10 +13,11 @@
 
 use b2b_core::messages::*;
 use b2b_core::replica::{
-    ActiveRun, LeavingRun, MemberRun, MembershipChange, ProposerRun, QueuedRequest, RecipientRun,
-    ReplicaSnapshot, SponsorRun,
+    ActiveRun, CoreDoc, LeavingRun, MemberRun, MembershipChange, ProposerRun, QueuedRequest,
+    RecipientRun, ReplyDoc, SeenEntry, SponsorRun, SNAPSHOT_FORMAT,
 };
 use b2b_core::{Decision, GroupId, ObjectId, RunId, StateId};
+use b2b_crypto::DecodeError;
 use b2b_crypto::{sha256, CanonicalEncode, KeyPair, PartyId, Signer, TimeMs};
 use b2b_evidence::{EvidenceKind, EvidenceRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -428,8 +430,14 @@ fn random_buffers_never_decode_or_panic() {
                 "accepted random buffer must be canonical"
             );
         }
-        if let Ok(s) = ReplicaSnapshot::from_bytes(&buf) {
-            assert_eq!(s.to_bytes(), buf);
+        // Likewise past the checkpoint documents' format byte.
+        if i % 4 == 1 && !buf.is_empty() {
+            buf[0] = SNAPSHOT_FORMAT;
+        }
+        for doc in CHECKPOINT_CODECS {
+            if let Ok(bytes) = doc(&buf) {
+                assert_eq!(bytes, buf);
+            }
         }
     }
     // A length prefix far beyond the buffer must not size an allocation.
@@ -441,31 +449,44 @@ fn random_buffers_never_decode_or_panic() {
     assert!(WireMsg::from_bytes(&huge).is_none());
 }
 
-fn snapshot(active: Option<ActiveRun>) -> ReplicaSnapshot {
-    // Full replay windows: 64 runs, 64 tuples, 64 retained replies.
-    ReplicaSnapshot {
+/// Decodes a checkpoint document and encodes it again.
+type Recode = fn(&[u8]) -> Result<Vec<u8>, DecodeError>;
+
+/// One [`Recode`] per checkpoint document kind.
+const CHECKPOINT_CODECS: [Recode; 2] = [
+    |b| CoreDoc::from_bytes(b).map(|d| d.to_bytes()),
+    |b| ReplyDoc::from_bytes(b).map(|d| d.to_bytes()),
+];
+
+fn core_doc(active: Option<ActiveRun>) -> CoreDoc {
+    CoreDoc {
         members: vec![PartyId::new("customer"), PartyId::new("supplier")],
         group: group_id(3),
         agreed: state_id(5),
         agreed_state: b"{\"lines\":[{\"item\":\"a\",\"qty\":1}]}".to_vec(),
-        seen_runs: (0..64u64)
-            .map(|i| (RunId(sha256(&i.to_be_bytes())), i))
-            .collect(),
-        seen_tuples: (0..64u64).map(|i| (i, sha256(&[i as u8]))).collect(),
         active,
         queued: vec![
             QueuedRequest::Connect(connect_request()),
             QueuedRequest::Disconnect(disconnect_request()),
         ],
-        completed_replies: (0..64u64)
-            .map(|i| (RunId(sha256(&(1_000 + i).to_be_bytes())), i))
-            .collect(),
+        loose_seen: vec![
+            SeenEntry {
+                run: run(),
+                seen_at: 4,
+                tuple: Some((5, sha256(b"rand"))),
+            },
+            SeenEntry {
+                run: RunId(sha256(b"membership run")),
+                seen_at: 5,
+                tuple: None,
+            },
+        ],
         reply_slots: 1_234,
         detached: false,
     }
 }
 
-fn every_snapshot() -> Vec<ReplicaSnapshot> {
+fn core_docs() -> Vec<CoreDoc> {
     let m1 = propose(ProposalKind::Overwrite, b"next");
     let proposer = ProposerRun {
         run: m1.run_id(),
@@ -519,55 +540,95 @@ fn every_snapshot() -> Vec<ReplicaSnapshot> {
         request: disconnect_request(),
         sponsor: PartyId::new("supplier"),
     };
-    let mut detached = snapshot(None);
-    detached.detached = true;
-    detached.queued.clear();
-    detached.agreed_state.clear();
+    let fresh = CoreDoc {
+        queued: Vec::new(),
+        loose_seen: Vec::new(),
+        reply_slots: 0,
+        ..core_doc(None)
+    };
+    let detached = CoreDoc {
+        agreed_state: Vec::new(),
+        detached: true,
+        ..fresh.clone()
+    };
     vec![
-        snapshot(None),
-        snapshot(Some(ActiveRun::Proposer(proposer))),
-        snapshot(Some(ActiveRun::Recipient(recipient))),
-        snapshot(Some(ActiveRun::Sponsor(sponsor))),
-        snapshot(Some(ActiveRun::Member(member))),
-        snapshot(Some(ActiveRun::Leaving(leaving))),
+        core_doc(None),
+        core_doc(Some(ActiveRun::Proposer(proposer))),
+        core_doc(Some(ActiveRun::Recipient(recipient))),
+        core_doc(Some(ActiveRun::Sponsor(sponsor))),
+        core_doc(Some(ActiveRun::Member(member))),
+        core_doc(Some(ActiveRun::Leaving(leaving))),
+        fresh,
         detached,
     ]
 }
 
+fn reply_docs() -> Vec<ReplyDoc> {
+    let state_run = ReplyDoc {
+        n: 1_233,
+        run: run(),
+        seen_at: Some(4),
+        tuple: Some((5, sha256(b"rand"))),
+        wire: WireMsg::Decide(decide()).to_bytes(),
+    };
+    let membership_run = ReplyDoc {
+        tuple: None,
+        wire: WireMsg::MemberRespond(member_respond("supplier")).to_bytes(),
+        ..state_run.clone()
+    };
+    let past_the_window = ReplyDoc {
+        seen_at: None,
+        ..membership_run.clone()
+    };
+    vec![state_run, membership_run, past_the_window]
+}
+
+/// Every checkpoint document's bytes, with the index of its codec.
+fn every_checkpoint_blob() -> Vec<(usize, Vec<u8>)> {
+    let mut blobs = Vec::new();
+    blobs.extend(core_docs().iter().map(|d| (0, d.to_bytes())));
+    blobs.extend(reply_docs().iter().map(|d| (1, d.to_bytes())));
+    blobs
+}
+
 #[test]
-fn every_snapshot_shape_round_trips() {
-    for snap in every_snapshot() {
-        let bytes = snap.to_bytes();
-        let back = ReplicaSnapshot::from_bytes(&bytes).expect("snapshot decodes");
-        assert_eq!(back, snap);
-        assert_eq!(back.to_bytes(), bytes);
+fn every_checkpoint_document_round_trips() {
+    for doc in core_docs() {
+        assert_eq!(CoreDoc::from_bytes(&doc.to_bytes()), Ok(doc));
+    }
+    for doc in reply_docs() {
+        assert_eq!(ReplyDoc::from_bytes(&doc.to_bytes()), Ok(doc));
+    }
+    for (codec, bytes) in every_checkpoint_blob() {
+        assert_eq!(CHECKPOINT_CODECS[codec](&bytes), Ok(bytes));
     }
 }
 
 #[test]
-fn damaged_snapshots_are_rejected_not_misread() {
-    for snap in every_snapshot() {
-        let bytes = snap.to_bytes();
+fn damaged_checkpoint_documents_are_rejected_not_misread() {
+    for (codec, bytes) in every_checkpoint_blob() {
+        let decode = CHECKPOINT_CODECS[codec];
         for cut in 0..bytes.len() {
-            assert!(ReplicaSnapshot::from_bytes(&bytes[..cut]).is_err());
+            assert!(decode(&bytes[..cut]).is_err());
         }
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(ReplicaSnapshot::from_bytes(&longer).is_err());
-        // Another format's blob (the JSON snapshots of earlier versions
-        // start with `{`) is refused at the first byte.
-        let mut other = bytes.clone();
-        other[0] = b'{';
-        assert!(ReplicaSnapshot::from_bytes(&other).is_err());
+        assert!(decode(&longer).is_err());
+        // A blob in another format is refused at the first byte: the
+        // format-1 whole-replica snapshots of the previous layout, and the
+        // JSON snapshots before those (they start with `{`).
+        for other_format in [1, b'{'] {
+            let mut other = bytes.clone();
+            other[0] = other_format;
+            assert!(decode(&other).is_err());
+        }
         for at in 0..bytes.len() {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= 0xff;
-            if let Ok(s) = ReplicaSnapshot::from_bytes(&mutated) {
-                assert_eq!(
-                    s.to_bytes(),
-                    mutated,
-                    "byte {at}: accepted but not canonical"
-                );
+            for flip in [0x01, 0x80, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= flip;
+                if let Ok(again) = decode(&mutated) {
+                    assert_eq!(again, mutated, "byte {at}: accepted but not canonical");
+                }
             }
         }
     }

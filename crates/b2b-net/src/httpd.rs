@@ -379,17 +379,21 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// Writes head and body as one buffer: with `TCP_NODELAY` every write is
+/// a segment, so two writes would cost two syscalls and two segments per
+/// response.
 fn write_response(stream: &mut TcpStream, response: &HttpResponse, close: bool) -> io::Result<()> {
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         response.status,
         HttpResponse::reason(response.status),
         response.content_type,
         response.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    )
+    .into_bytes();
+    message.extend_from_slice(&response.body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -415,12 +419,14 @@ impl HttpClient {
     /// Issues one request and blocks for the response, returning
     /// `(status, body)`. The connection stays open for the next call.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<(u16, String)> {
-        let head = format!(
+        // One write, as in `write_response`.
+        let mut message = format!(
             "{method} {path} HTTP/1.1\r\nHost: b2b\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
             body.len(),
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
+        )
+        .into_bytes();
+        message.extend_from_slice(body);
+        self.stream.write_all(&message)?;
         self.stream.flush()?;
         self.read_response()
     }

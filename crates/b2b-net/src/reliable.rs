@@ -63,10 +63,55 @@ struct PeerState {
     /// allocation is the same one handed to the transport, so a retransmit
     /// clones a reference count, not the bytes.
     outstanding: BTreeMap<u64, OutFrame>,
-    /// Inbound `(epoch, seq)` pairs already delivered upward. The epoch
-    /// distinguishes a peer's pre-crash sends from its post-recovery sends,
-    /// which restart sequence numbering.
-    delivered: BTreeSet<(u64, u64)>,
+    /// Inbound data frames already delivered upward.
+    delivered: Delivered,
+}
+
+/// Which `(epoch, seq)` data frames of one peer have been delivered. The
+/// epoch distinguishes the peer's pre-crash sends from its post-recovery
+/// sends, which restart sequence numbering.
+///
+/// A sender numbers its frames 0, 1, 2, … per epoch, so what has been
+/// delivered is a contiguous prefix plus — while frames are in flight out
+/// of order — a few numbers beyond it. Keeping the prefix as one
+/// watermark bounds this by the reordering in flight, not by the frames
+/// ever received.
+#[derive(Debug, Default)]
+struct Delivered {
+    /// One window per sender epoch seen (one per incarnation of the peer).
+    epochs: Vec<(u64, SeqWindow)>,
+}
+
+#[derive(Debug, Default)]
+struct SeqWindow {
+    /// Every sequence number below this has been delivered.
+    low: u64,
+    /// Delivered sequence numbers at or above `low` (never `low` itself).
+    above: BTreeSet<u64>,
+}
+
+impl Delivered {
+    /// Records `(epoch, seq)`; `false` if it had been recorded before.
+    fn insert(&mut self, epoch: u64, seq: u64) -> bool {
+        let window = match self.epochs.iter().position(|(e, _)| *e == epoch) {
+            Some(i) => &mut self.epochs[i].1,
+            None => {
+                self.epochs.push((epoch, SeqWindow::default()));
+                &mut self.epochs.last_mut().expect("just pushed").1
+            }
+        };
+        if seq < window.low {
+            return false;
+        }
+        if seq > window.low {
+            return window.above.insert(seq);
+        }
+        window.low += 1;
+        while window.above.remove(&window.low) {
+            window.low += 1;
+        }
+        true
+    }
 }
 
 /// Reliable, once-only (but unordered) delivery over unreliable links, for
@@ -249,7 +294,7 @@ impl ReliableMux {
                     encode_frame(KIND_ACK, epoch, seq, &TraceContext::NONE, &[]),
                 );
                 let peer = self.peers.entry(from.clone()).or_default();
-                if peer.delivered.insert((epoch, seq)) {
+                if peer.delivered.insert(epoch, seq) {
                     Inbound::Deliver(body.to_vec(), trace)
                 } else {
                     self.dedup_drops += 1;
@@ -743,6 +788,83 @@ mod tests {
         net.run_until_quiet(TimeMs(60_000));
         assert_eq!(net.node(&rx).delivered, vec![b"probe".to_vec()]);
         assert!(net.node(&tx).mux.all_acked());
+    }
+
+    #[test]
+    fn dedup_state_stays_constant_over_an_in_order_stream() {
+        let mut d = Delivered::default();
+        for seq in 0..100_000u64 {
+            assert!(d.insert(7, seq));
+        }
+        assert_eq!(d.epochs.len(), 1);
+        assert_eq!(d.epochs[0].1.low, 100_000);
+        assert!(d.epochs[0].1.above.is_empty());
+        // Anything below the watermark is still a duplicate.
+        assert!(!d.insert(7, 0) && !d.insert(7, 99_999));
+        // A new incarnation of the peer restarts numbering.
+        assert!(d.insert(8, 0));
+    }
+
+    #[test]
+    fn reordered_and_duplicated_frames_classify_as_a_plain_set_would() {
+        // A deterministic burst: two epochs, each sequence number sent up
+        // to three times, shuffled within a sliding window.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut burst: Vec<(u64, u64)> = Vec::new();
+        for seq in 0..2_000u64 {
+            for _ in 0..=(next() % 3) {
+                burst.push((1 + seq % 2, seq / 2));
+            }
+        }
+        for i in 0..burst.len() {
+            let j = (i + (next() % 40) as usize).min(burst.len() - 1);
+            burst.swap(i, j);
+        }
+        let mut d = Delivered::default();
+        let mut model = BTreeSet::new();
+        for (epoch, seq) in burst {
+            assert_eq!(d.insert(epoch, seq), model.insert((epoch, seq)));
+        }
+        // Every number was delivered, so both windows closed up.
+        for (_, window) in &d.epochs {
+            assert_eq!(window.low, 1_000);
+            assert!(window.above.is_empty());
+        }
+    }
+
+    #[test]
+    fn duplicates_below_the_watermark_are_still_acked() {
+        let (a, b) = (PartyId::new("a"), PartyId::new("b"));
+        let mut alice = ReliableMux::new(TimeMs(50), 1);
+        let mut bob = ReliableMux::new(TimeMs(50), 2);
+        let mut ctx = NodeCtx::new(TimeMs(0));
+        let mut frames = Vec::new();
+        for i in 0..3u8 {
+            alice.send(b.clone(), vec![i], &mut ctx);
+            frames.push(ctx.take_outgoing().pop().unwrap().1);
+        }
+        let mut bob_ctx = NodeCtx::new(TimeMs(1));
+        for frame in &frames {
+            assert!(matches!(
+                bob.on_message(&a, frame, &mut bob_ctx),
+                Inbound::Deliver(..)
+            ));
+        }
+        bob_ctx.take_outgoing();
+        // A late retransmission of frame 0, now below the watermark.
+        assert_eq!(
+            bob.on_message(&a, &frames[0], &mut bob_ctx),
+            Inbound::Duplicate
+        );
+        let acks = bob_ctx.take_outgoing();
+        assert_eq!(acks.len(), 1, "the duplicate is acked again");
+        assert_eq!(alice.on_message(&b, &acks[0].1, &mut ctx), Inbound::Ack);
     }
 
     #[test]

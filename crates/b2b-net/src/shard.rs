@@ -655,6 +655,13 @@ impl<N: NetNode> GroupHandle<N> {
         f(&self.slot.inner.lock().node)
     }
 
+    /// Changes engine state that has no network effects (draining a
+    /// buffer, say): unlike [`GroupHandle::invoke`], nothing is flushed
+    /// and the shard is not woken.
+    pub fn update<R>(&self, f: impl FnOnce(&mut N) -> R) -> R {
+        f(&mut self.slot.inner.lock().node)
+    }
+
     /// Blocks until `pred` holds or `timeout` elapses; returns whether
     /// the predicate was satisfied. Re-evaluated after every event the
     /// node processes.

@@ -231,20 +231,20 @@ impl OrderServer {
         // are pipelined across groups, so bring-up costs `parties`
         // round-trips, not `orders × parties`.
         let roles = order_roles(&party_ids);
-        for g in 0..opts.orders {
+        for group in &handles {
             let oid = object.clone();
             let roles = roles.clone();
-            handles[g][0].invoke(move |c, _| {
+            group[0].invoke(move |c, _| {
                 c.register_object(oid, Box::new(move || factory(&roles)))
                     .expect("register order object");
             });
         }
         for j in 1..opts.parties {
-            for g in 0..opts.orders {
+            for group in &handles {
                 let oid = object.clone();
                 let roles = roles.clone();
                 let sponsor = party_ids[j - 1].clone();
-                handles[g][j].invoke(move |c, ctx| {
+                group[j].invoke(move |c, ctx| {
                     c.request_connect(oid, Box::new(move || factory(&roles)), sponsor, ctx)
                         .expect("request connect");
                 });
@@ -511,6 +511,13 @@ impl Core {
     }
 
     fn order_action(&self, g: usize, action: &str, req: &HttpRequest) -> HttpResponse {
+        // Nothing here consumes the engines' `coordCallback` event streams
+        // (tickets carry the outcomes), so each mutation discards what the
+        // order's engines buffered since the previous one; left alone they
+        // grow by an event per protocol step for the life of the process.
+        for handle in &self.handles[g] {
+            handle.update(|c| drop(c.take_events()));
+        }
         match action {
             "lines" | "price" | "approve" | "ship" => self.direct_mutation(g, action, req),
             "bulk" => self.bulk_mutation(g, req),

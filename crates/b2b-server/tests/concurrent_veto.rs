@@ -284,3 +284,35 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
     assert!(records > 0);
     server.shutdown();
 }
+
+#[test]
+fn engine_event_buffers_do_not_grow_with_traffic() {
+    // Nothing in the server reads the engines' event streams; every
+    // mutation discards what the order's engines buffered before it, so
+    // after any number of rounds an engine holds one round's events.
+    let server = boot(1);
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+    let order = int_field(&body, "order").expect("order id");
+    for qty in 1..=40 {
+        let (status, body) = client
+            .post(
+                &format!("/orders/{order}/lines"),
+                &format!("{{\"item\":\"widget1\",\"qty\":{qty}}}"),
+            )
+            .expect("lines");
+        assert_eq!(status, 200, "{body}");
+    }
+    assert!(server.wait_converged(Duration::from_secs(30)));
+    for party in 0..2 {
+        let buffered = server
+            .handle(order as usize, party)
+            .update(|c| c.take_events().len());
+        assert!(
+            buffered <= 4,
+            "party {party} still buffers {buffered} events after 40 rounds"
+        );
+    }
+    server.shutdown();
+}
