@@ -11,7 +11,7 @@
 //! to delivery terms … shared between four parties" — is supported through
 //! the optional roles of [`OrderRoles`].
 
-use b2b_core::{B2BObject, Decision};
+use b2b_core::{B2BObject, Decision, FoldStep};
 use b2b_crypto::PartyId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -355,6 +355,56 @@ impl OrderObject {
         }
         None
     }
+
+    /// `update` replayed over `cur` (`None`: the state did not decode) —
+    /// what [`B2BObject::apply_update`] computes, in typed form — and, for
+    /// a `proposer`, the verdict [`B2BObject::validate_update`] gives.
+    fn replay(
+        &self,
+        proposer: Option<&PartyId>,
+        cur: Option<&Order>,
+        update: &[u8],
+    ) -> (Result<Next, String>, Option<Decision>) {
+        let fail = |reason: String| {
+            (
+                Err(reason.clone()),
+                proposer.map(|_| Decision::reject(reason)),
+            )
+        };
+        let decide = |cur: &Order, next: &Order| {
+            proposer.map(|p| match self.check(p, cur, next) {
+                None => Decision::accept(),
+                Some(reason) => Decision::reject(reason),
+            })
+        };
+        if let Some(delta) = OrderUpdate::from_bytes(update) {
+            let Some(cur) = cur else {
+                return fail("undecodable order state".into());
+            };
+            let mut next = cur.clone();
+            if let Err(reason) = delta.apply(&mut next) {
+                return fail(reason);
+            }
+            let verdict = decide(cur, &next);
+            return (Ok(Next::Applied(next)), verdict);
+        }
+        let Some(next) = Order::from_bytes(update) else {
+            return fail("undecodable order update".into());
+        };
+        let verdict = match cur {
+            Some(cur) => decide(cur, &next),
+            None => proposer.map(|_| Decision::reject("undecodable order")),
+        };
+        (Ok(Next::Whole(next)), verdict)
+    }
+}
+
+/// A successor order, replayed in typed form.
+enum Next {
+    /// A delta applied: the successor's bytes are its encoding.
+    Applied(Order),
+    /// A whole-state update: the successor's bytes are the update's own.
+    Whole(Order),
 }
 
 impl B2BObject for OrderObject {
@@ -399,27 +449,42 @@ impl B2BObject for OrderObject {
     }
 
     /// Same decisions and reasons as the default (apply, re-encode, then
-    /// [`B2BObject::validate_state`] decoding both sides again), but a delta
-    /// decodes `current` once and is applied and checked in typed form.
+    /// [`B2BObject::validate_state`] decoding both sides again), but the
+    /// update is applied and checked in typed form.
     fn validate_update(&self, proposer: &PartyId, current: &[u8], update: &[u8]) -> Decision {
-        let Some(delta) = OrderUpdate::from_bytes(update) else {
-            // A whole-state `Order` (or junk): the default path.
-            return match self.apply_update(current, update) {
-                Ok(next) => self.validate_state(proposer, current, &next),
-                Err(reason) => Decision::reject(reason),
-            };
-        };
-        let Some(cur) = Order::from_bytes(current) else {
-            return Decision::reject("undecodable order state");
-        };
-        let mut next = cur.clone();
-        if let Err(reason) = delta.apply(&mut next) {
-            return Decision::reject(reason);
-        }
-        match self.check(proposer, &cur, &next) {
-            None => Decision::accept(),
-            Some(reason) => Decision::reject(reason),
-        }
+        let (_, verdict) = self.replay(Some(proposer), Order::from_bytes(current).as_ref(), update);
+        verdict.expect("a proposer gets a verdict")
+    }
+
+    /// The default fold's steps, replayed in typed form: `current` is
+    /// decoded once, each update applies to (and is checked against) the
+    /// order the steps before it reached, and each successor is encoded
+    /// once — its hash is what the batch link signs.
+    fn fold_updates(
+        &self,
+        proposer: Option<&PartyId>,
+        current: &[u8],
+        updates: &[Vec<u8>],
+    ) -> Vec<FoldStep> {
+        let mut cur = Order::from_bytes(current);
+        updates
+            .iter()
+            .map(|update| {
+                let (next, verdict) = self.replay(proposer, cur.as_ref(), update);
+                let next = next.map(|next| {
+                    let (order, bytes) = match next {
+                        Next::Applied(order) => {
+                            let bytes = order.to_bytes();
+                            (order, bytes)
+                        }
+                        Next::Whole(order) => (order, update.clone()),
+                    };
+                    cur = Some(order);
+                    bytes
+                });
+                FoldStep { next, verdict }
+            })
+            .collect()
     }
 }
 
@@ -584,7 +649,10 @@ mod tests {
 
     #[test]
     fn update_bytes_roundtrip_and_disambiguation() {
-        let u = OrderUpdate::SetPrice { item: "a".into(), unit_price: 7 };
+        let u = OrderUpdate::SetPrice {
+            item: "a".into(),
+            unit_price: 7,
+        };
         assert_eq!(OrderUpdate::from_bytes(&u.to_bytes()).unwrap(), u);
         // A delta never parses as a whole order, and vice versa — the
         // two update encodings stay unambiguous on the wire.
@@ -599,8 +667,14 @@ mod tests {
         // first's result instead of overwriting it.
         let obj = two_party_object();
         let base = Order::new().to_bytes();
-        let add_a = OrderUpdate::SetQuantity { item: "a".into(), qty: 2 };
-        let add_b = OrderUpdate::SetQuantity { item: "b".into(), qty: 3 };
+        let add_a = OrderUpdate::SetQuantity {
+            item: "a".into(),
+            qty: 2,
+        };
+        let add_b = OrderUpdate::SetQuantity {
+            item: "b".into(),
+            qty: 3,
+        };
         let after_a = obj.apply_update(&base, &add_a.to_bytes()).unwrap();
         let after_ab = obj.apply_update(&after_a, &add_b.to_bytes()).unwrap();
         let order = Order::from_bytes(&after_ab).unwrap();
@@ -615,14 +689,20 @@ mod tests {
     fn delta_updates_surface_inapplicability() {
         let obj = two_party_object();
         let base = Order::new().to_bytes();
-        let price = OrderUpdate::SetPrice { item: "ghost".into(), unit_price: 1 };
+        let price = OrderUpdate::SetPrice {
+            item: "ghost".into(),
+            unit_price: 1,
+        };
         let err = obj.apply_update(&base, &price.to_bytes()).unwrap_err();
         assert!(err.contains("no line for item"), "{err}");
         assert!(obj.apply_update(&base, b"junk").is_err());
         // Whole-state updates still pass through untouched.
         let mut o = Order::new();
         o.set_quantity("w", 1);
-        assert_eq!(obj.apply_update(&base, &o.to_bytes()).unwrap(), o.to_bytes());
+        assert_eq!(
+            obj.apply_update(&base, &o.to_bytes()).unwrap(),
+            o.to_bytes()
+        );
     }
 
     /// What `validate_update` did before `OrderObject` overrode it: the
@@ -769,7 +849,10 @@ mod tests {
         // role validation: only the customer adds lines.
         let obj = two_party_object();
         let base = Order::new().to_bytes();
-        let add = OrderUpdate::SetQuantity { item: "w".into(), qty: 1 };
+        let add = OrderUpdate::SetQuantity {
+            item: "w".into(),
+            qty: 1,
+        };
         let d = obj.validate_update(&supplier(), &base, &add.to_bytes());
         assert!(!d.is_accept());
     }

@@ -2071,8 +2071,7 @@ fn eserve_run_mode(
                 // op by definition.
                 let per_order = (ops as usize).div_ceil(owned.len());
                 for (oidx, &g) in owned.iter().enumerate() {
-                    let todo =
-                        (ops as usize).min((oidx + 1) * per_order) - oidx * per_order;
+                    let todo = (ops as usize).min((oidx + 1) * per_order) - oidx * per_order;
                     let mut done = 0usize;
                     while done < todo {
                         if mode == "sync" {
@@ -2389,8 +2388,17 @@ fn eserve_http_service(args: Vec<String>) -> MetricsSnapshot {
     server.shutdown();
 
     write_bench_serve(
-        clients, orders, ops, shards, &rows, &anchor, anchor_per_group, factor, gate_attempts,
-        gate_ok, records,
+        clients,
+        orders,
+        ops,
+        shards,
+        &rows,
+        &anchor,
+        anchor_per_group,
+        factor,
+        gate_attempts,
+        gate_ok,
+        records,
     );
     if !gate_ok {
         eprintln!("E-SERVE FAIL: best mode below 1x the E-SHARD tcp per-group rate");

@@ -39,6 +39,10 @@ pub trait CoordAccess {
     /// messages/timers it produces.
     fn with<R>(&self, f: impl FnOnce(&mut Coordinator, &mut NodeCtx) -> R) -> R;
 
+    /// Reads the coordinator: nothing is dispatched and no event loop is
+    /// woken, so a status poll costs a lock and nothing else.
+    fn read<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> R;
+
     /// Drives the system until `pred` holds or `timeout` elapses; returns
     /// whether the predicate was satisfied.
     fn wait(&self, timeout: Duration, pred: impl FnMut(&Coordinator) -> bool) -> bool;
@@ -47,6 +51,10 @@ pub trait CoordAccess {
 impl CoordAccess for NodeHandle<Coordinator> {
     fn with<R>(&self, f: impl FnOnce(&mut Coordinator, &mut NodeCtx) -> R) -> R {
         self.invoke(f)
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> R {
+        NodeHandle::read(self, f)
     }
 
     fn wait(&self, timeout: Duration, mut pred: impl FnMut(&Coordinator) -> bool) -> bool {
@@ -61,6 +69,10 @@ impl CoordAccess for NodeHandle<Coordinator> {
 impl CoordAccess for GroupHandle<Coordinator> {
     fn with<R>(&self, f: impl FnOnce(&mut Coordinator, &mut NodeCtx) -> R) -> R {
         self.invoke(f)
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> R {
+        GroupHandle::read(self, f)
     }
 
     fn wait(&self, timeout: Duration, mut pred: impl FnMut(&Coordinator) -> bool) -> bool {
@@ -92,6 +104,10 @@ impl SimAccess {
 impl CoordAccess for SimAccess {
     fn with<R>(&self, f: impl FnOnce(&mut Coordinator, &mut NodeCtx) -> R) -> R {
         self.net.borrow_mut().invoke(&self.id, f)
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> R {
+        f(self.net.borrow().node(&self.id))
     }
 
     /// Waiting *is* running the simulation. The timeout is interpreted as
@@ -192,8 +208,7 @@ impl TicketStatus {
     /// Whether the ticket has reached a terminal state (installed,
     /// invalidated or aborted).
     pub fn is_terminal(&self) -> bool {
-        !matches!(self, TicketStatus::Pending { .. })
-            && !matches!(self, TicketStatus::Unknown)
+        !matches!(self, TicketStatus::Pending { .. }) && !matches!(self, TicketStatus::Unknown)
     }
 }
 
@@ -278,10 +293,9 @@ impl<A: CoordAccess> Controller<A> {
         if !done {
             return Err(CoordError::Timeout(RunId(b2b_crypto::sha256(b"connect"))));
         }
-        let object = self.object.clone();
         let status = self
             .access
-            .with(move |c, _| c.connect_status(&object).cloned());
+            .read(|c| c.connect_status(&self.object).cloned());
         match status {
             Some(ConnectStatus::Member) => Ok(()),
             _ => Err(CoordError::ConnectionRejected),
@@ -356,10 +370,9 @@ impl<A: CoordAccess> Controller<A> {
     /// [`CoordError::UnknownObject`] if the object is not coordinated here.
     pub fn enter(&mut self) -> Result<(), CoordError> {
         if self.depth == 0 {
-            let object = self.object.clone();
             let state = self
                 .access
-                .with(move |c, _| c.agreed_state(&object))
+                .read(|c| c.agreed_state(&self.object))
                 .ok_or_else(|| CoordError::UnknownObject(self.object.clone()))?;
             self.working = Some(state);
             self.kind = None;
@@ -526,15 +539,11 @@ impl<A: CoordAccess> Controller<A> {
             .wait(self.timeout, move |c| c.outcome_of_ticket(&id).is_some());
         if !done {
             let run = self
-                .access
-                .with(move |c, _| c.run_of_ticket(&id))
+                .run_of(ticket)
                 .unwrap_or(RunId(b2b_crypto::sha256(b"undispatched")));
             return Err(CoordError::Timeout(run));
         }
-        let outcome = self
-            .access
-            .with(move |c, _| c.outcome_of_ticket(&id))
-            .expect("outcome present after wait");
+        let outcome = self.poll(ticket).expect("outcome present after wait");
         match outcome {
             Outcome::Installed { .. } => Ok(()),
             Outcome::Invalidated { vetoers } => Err(CoordError::Invalidated { vetoers }),
@@ -546,8 +555,7 @@ impl<A: CoordAccess> Controller<A> {
 
     /// Non-blocking outcome poll for a ticket.
     pub fn poll(&self, ticket: CoordTicket) -> Option<Outcome> {
-        let id = ticket.ticket;
-        self.access.with(move |c, _| c.outcome_of_ticket(&id))
+        self.access.read(|c| c.outcome_of_ticket(&ticket.ticket))
     }
 
     /// Non-blocking, **idempotent** status poll for a ticket.
@@ -559,23 +567,7 @@ impl<A: CoordAccess> Controller<A> {
     /// that previously surfaced only in the evidence log or the
     /// once-only event stream.
     pub fn poll_status(&self, ticket: CoordTicket) -> TicketStatus {
-        let id = ticket.ticket;
-        self.access.with(move |c, _| match c.ticket_state(&id) {
-            None => TicketStatus::Unknown,
-            Some(TicketState::Queued) => TicketStatus::Pending { run: None },
-            Some(TicketState::Failed(_)) | Some(TicketState::Run(_)) => {
-                match c.outcome_of_ticket(&id) {
-                    None => TicketStatus::Pending {
-                        run: c.run_of_ticket(&id),
-                    },
-                    Some(Outcome::Installed { state }) => TicketStatus::Installed { state },
-                    Some(Outcome::Invalidated { vetoers }) => {
-                        TicketStatus::Invalidated { vetoers }
-                    }
-                    Some(Outcome::Aborted { reason }) => TicketStatus::Aborted { reason },
-                }
-            }
-        })
+        self.access.read(|c| status_of(c, &ticket.ticket))
     }
 
     /// Blocks until the ticket reaches a terminal status or `timeout`
@@ -586,21 +578,29 @@ impl<A: CoordAccess> Controller<A> {
     /// requeued by the contention-retry path stays non-terminal and
     /// keeps the caller waiting.
     pub fn wait_terminal(&self, ticket: CoordTicket, timeout: Duration) -> TicketStatus {
-        let id = ticket.ticket;
-        self.access.wait(timeout, move |c| match c.ticket_state(&id) {
-            None => true,
-            Some(TicketState::Queued) => false,
-            Some(TicketState::Failed(_)) => true,
-            Some(TicketState::Run(_)) => c.outcome_of_ticket(&id).is_some(),
-        });
-        self.poll_status(ticket)
+        let mut status = self.wait_all_terminal(&[ticket], timeout);
+        status.pop().expect("one status per ticket")
+    }
+
+    /// [`Controller::wait_terminal`] for several tickets of this
+    /// controller's coordinator at once: one wait until every ticket is
+    /// terminal (or unknown) or `timeout` elapses, then one read of all
+    /// their statuses, in `tickets` order.
+    pub fn wait_all_terminal(
+        &self,
+        tickets: &[CoordTicket],
+        timeout: Duration,
+    ) -> Vec<TicketStatus> {
+        self.access
+            .wait(timeout, |c| tickets.iter().all(|t| settled(c, &t.ticket)));
+        self.access
+            .read(|c| tickets.iter().map(|t| status_of(c, &t.ticket)).collect())
     }
 
     /// The protocol run carrying the ticketed update, once dispatched
     /// (`None` while the update still waits in the pending queue).
     pub fn run_of(&self, ticket: CoordTicket) -> Option<RunId> {
-        let id = ticket.ticket;
-        self.access.with(move |c, _| c.run_of_ticket(&id))
+        self.access.read(|c| c.run_of_ticket(&ticket.ticket))
     }
 
     /// Blocks until no coordination run is active on the object (or the
@@ -626,9 +626,8 @@ impl<A: CoordAccess> Controller<A> {
     ///
     /// [`CoordError::UnknownObject`] if the object is not coordinated here.
     pub fn current_state(&self) -> Result<Vec<u8>, CoordError> {
-        let object = self.object.clone();
         self.access
-            .with(move |c, _| c.agreed_state(&object))
+            .read(|c| c.agreed_state(&self.object))
             .ok_or_else(|| CoordError::UnknownObject(self.object.clone()))
     }
 
@@ -644,5 +643,32 @@ impl<A: CoordAccess> Controller<A> {
         } else {
             Ok(())
         }
+    }
+}
+
+/// `ticket`'s [`TicketStatus`] at `c`.
+fn status_of(c: &Coordinator, ticket: &TicketId) -> TicketStatus {
+    match c.ticket_state(ticket) {
+        None => TicketStatus::Unknown,
+        Some(TicketState::Queued) => TicketStatus::Pending { run: None },
+        Some(TicketState::Failed(_)) | Some(TicketState::Run(_)) => {
+            match c.outcome_of_ticket(ticket) {
+                None => TicketStatus::Pending {
+                    run: c.run_of_ticket(ticket),
+                },
+                Some(Outcome::Installed { state }) => TicketStatus::Installed { state },
+                Some(Outcome::Invalidated { vetoers }) => TicketStatus::Invalidated { vetoers },
+                Some(Outcome::Aborted { reason }) => TicketStatus::Aborted { reason },
+            }
+        }
+    }
+}
+
+/// Whether waiting on `ticket` at `c` is over: it is terminal, or unknown.
+fn settled(c: &Coordinator, ticket: &TicketId) -> bool {
+    match c.ticket_state(ticket) {
+        None | Some(TicketState::Failed(_)) => true,
+        Some(TicketState::Queued) => false,
+        Some(TicketState::Run(_)) => c.outcome_of_ticket(ticket).is_some(),
     }
 }

@@ -1437,27 +1437,25 @@ impl Coordinator {
             // Apply each update to the evolving state, so one inapplicable
             // update fails its own ticket instead of aborting the whole
             // chunk's round; what applies is proposed as applied here.
+            let (tids, chunk): (Vec<TicketId>, Vec<Vec<u8>>) = chunk.into_iter().unzip();
+            let rep = self.replicas.get(object).expect("screened above");
+            let (chain, state) =
+                crate::proto_state::chain_links(rep.object.as_ref(), &rep.agreed_state, &chunk);
             let mut updates = Vec::with_capacity(chunk.len());
             let mut links = Vec::with_capacity(chunk.len());
             let mut ids = Vec::with_capacity(chunk.len());
-            let mut state: Option<Vec<u8>> = None;
-            {
-                let rep = self.replicas.get(object).expect("screened above");
-                for (tid, u) in chunk {
-                    let before = state.as_deref().unwrap_or(&rep.agreed_state);
-                    match crate::proto_state::apply_link(rep.object.as_ref(), before, &u) {
-                        Ok((next, link)) => {
-                            state = Some(next);
-                            links.push(link);
-                            ids.push(tid);
-                            updates.push(u);
-                        }
-                        Err(reason) => {
-                            self.tickets.insert(
-                                tid,
-                                TicketState::Failed(format!("update not applicable: {reason}")),
-                            );
-                        }
+            for ((tid, u), link) in tids.into_iter().zip(chunk).zip(chain) {
+                match link {
+                    Ok(link) => {
+                        links.push(link);
+                        ids.push(tid);
+                        updates.push(u);
+                    }
+                    Err(reason) => {
+                        self.tickets.insert(
+                            tid,
+                            TicketState::Failed(format!("update not applicable: {reason}")),
+                        );
                     }
                 }
             }

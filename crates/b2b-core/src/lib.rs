@@ -71,4 +71,4 @@ pub use detect::Misbehaviour;
 pub use dispute::{Arbiter, Claim, Ruling};
 pub use error::CoordError;
 pub use ids::{members_digest, GroupId, ObjectId, RunId, StateId};
-pub use object::{B2BObject, CompositeObject, SharedCell};
+pub use object::{fold_each, B2BObject, CompositeObject, FoldStep, SharedCell};

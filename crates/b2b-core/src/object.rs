@@ -61,6 +61,27 @@ pub trait B2BObject: Send {
         }
     }
 
+    /// Replays `updates` in order from `current`: one [`FoldStep`] per
+    /// update, each applied to the state the steps before it reached (a
+    /// step that fails leaves that state as it was). With a `proposer`,
+    /// every step also carries [`B2BObject::validate_update`]'s decision
+    /// against the state before it.
+    ///
+    /// This is how the coordinator replays a batch, on the proposing and
+    /// on the responding side. An override must return exactly what the
+    /// default [`fold_each`] does — same successor bytes, same verdicts
+    /// and reasons — and may only be cheaper, e.g. by decoding `current`
+    /// once and replaying in typed form. It still has to encode every
+    /// successor: each one's hash is signed in the batch's hash chain.
+    fn fold_updates(
+        &self,
+        proposer: Option<&PartyId>,
+        current: &[u8],
+        updates: &[Vec<u8>],
+    ) -> Vec<FoldStep> {
+        fold_each(self, proposer, current, updates)
+    }
+
     /// Validation of a connection request from `subject` (the
     /// `validateConnect` upcall). Default: accept.
     fn validate_connect(&self, subject: &PartyId) -> Decision {
@@ -79,6 +100,43 @@ pub trait B2BObject: Send {
     fn coord_callback(&mut self, event: &CoordEvent) {
         let _ = event;
     }
+}
+
+/// One step of [`B2BObject::fold_updates`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FoldStep {
+    /// The state after this update, or why it does not apply.
+    pub next: Result<Vec<u8>, String>,
+    /// `validate_update`'s decision against the state before this update;
+    /// `None` when the fold was given no proposer.
+    pub verdict: Option<Decision>,
+}
+
+/// The default [`B2BObject::fold_updates`]: one `apply_update` (and, with
+/// a proposer, one `validate_update`) per update — the reference every
+/// override must equal.
+pub fn fold_each<O: B2BObject + ?Sized>(
+    object: &O,
+    proposer: Option<&PartyId>,
+    current: &[u8],
+    updates: &[Vec<u8>],
+) -> Vec<FoldStep> {
+    let mut steps: Vec<FoldStep> = Vec::with_capacity(updates.len());
+    // The step whose successor is the state reached so far, if any.
+    let mut reached: Option<usize> = None;
+    for update in updates {
+        let state = match reached.map(|i| &steps[i].next) {
+            Some(Ok(state)) => state.as_slice(),
+            _ => current,
+        };
+        let verdict = proposer.map(|p| object.validate_update(p, state, update));
+        let next = object.apply_update(state, update);
+        if next.is_ok() {
+            reached = Some(steps.len());
+        }
+        steps.push(FoldStep { next, verdict });
+    }
+    steps
 }
 
 /// A typed shared object: any serde-serialisable value plus validation

@@ -105,15 +105,11 @@ impl Coordinator {
             .replicas
             .get(object)
             .ok_or_else(|| CoordError::UnknownObject(object.clone()))?;
-        let mut links = Vec::with_capacity(updates.len());
-        let mut state: Option<Vec<u8>> = None;
-        for u in &updates {
-            let before = state.as_deref().unwrap_or(&rep.agreed_state);
-            let (next, link) =
-                apply_link(rep.object.as_ref(), before, u).map_err(CoordError::UpdateFailed)?;
-            links.push(link);
-            state = Some(next);
-        }
+        let (links, state) = chain_links(rep.object.as_ref(), &rep.agreed_state, &updates);
+        let links = links
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(CoordError::UpdateFailed)?;
         let Some(state) = state else {
             return Err(CoordError::UpdateFailed("empty update batch".into()));
         };
@@ -447,128 +443,72 @@ impl Coordinator {
         // ---- unsigned-body integrity (Dolev-Yao tampering, §4.4) ----
         let mut body_ok = true;
         let mut pending_state: Option<Vec<u8>> = None;
-        // For an intact batch (empty otherwise): its updates and the state
-        // *before* each of them, so validation below reuses what the chain
-        // replay computed.
-        let mut batch_updates: Vec<Vec<u8>> = Vec::new();
-        let mut batch_befores: Vec<Vec<u8>> = Vec::new();
-        match &m1.proposal.kind {
+        // The application's first veto of an intact update chain. The
+        // replay asks for it only while nothing has rejected the proposal
+        // yet; it is applied below, after the null-transition check.
+        let mut veto: Option<Decision> = None;
+        let proposed_hash = m1.proposal.proposed.state_hash;
+        let validate = decision.is_accept().then_some(&m1.proposal.proposer);
+        let replay = match &m1.proposal.kind {
             ProposalKind::Overwrite => {
-                if sha256(&m1.body) == m1.proposal.proposed.state_hash {
+                if sha256(&m1.body) == proposed_hash {
                     pending_state = Some(m1.body.clone());
                 } else {
                     body_ok = false;
                 }
+                None
             }
+            // A single update is a batch of one, its link the signed
+            // update hash and proposed state hash.
             ProposalKind::Update { update_hash } => {
-                if sha256(&m1.body) != *update_hash {
+                let link = BatchLink {
+                    update_hash: *update_hash,
+                    state_hash: proposed_hash,
+                };
+                Some(replay_updates(
+                    rep.object.as_ref(),
+                    validate,
+                    &rep.agreed_state,
+                    std::slice::from_ref(&m1.body),
+                    std::slice::from_ref(&link),
+                    None,
+                    true,
+                    &proposed_hash,
+                ))
+            }
+            // `skip_batch_chain` ablates the chain checks only — the
+            // batch still replays, so the mutation lets a forged batch
+            // through to installation where the b2b-check state-hash
+            // oracle catches it.
+            ProposalKind::Batch { links } => match crate::messages::decode_batch_body(&m1.body) {
+                Some(updates) if !updates.is_empty() && updates.len() == links.len() => {
+                    Some(replay_updates(
+                        rep.object.as_ref(),
+                        validate,
+                        &rep.agreed_state,
+                        &updates,
+                        links,
+                        Some(run),
+                        !mutation.skip_batch_chain,
+                        &proposed_hash,
+                    ))
+                }
+                // Malformed framing or a link-count mismatch is
+                // tampering with the unsigned body.
+                _ => {
                     body_ok = false;
-                } else {
-                    match rep.object.apply_update(&rep.agreed_state, &m1.body) {
-                        Ok(next) if sha256(&next) == m1.proposal.proposed.state_hash => {
-                            pending_state = Some(next);
-                        }
-                        Ok(_) => body_ok = false,
-                        Err(reason) => {
-                            reject(&mut decision, format!("update not applicable: {reason}"));
-                        }
-                    }
+                    None
                 }
+            },
+        };
+        if let Some(replay) = replay {
+            body_ok &= !replay.tampered;
+            if let Some(reason) = replay.reject {
+                reject(&mut decision, reason);
             }
-            ProposalKind::Batch { links } => {
-                // §4.2 held per update inside the batch: replay the chain,
-                // checking each update's bytes against its signed
-                // `update_hash` and each intermediate state against its
-                // signed `state_hash`. The links sit in the verified signed
-                // part, so any mismatch is attributable to the proposer at
-                // the exact batch index (`BatchedUpdateMismatch`).
-                // `skip_batch_chain` ablates the chain checks only — the
-                // batch still replays, so the mutation lets a forged batch
-                // through to installation where the b2b-check state-hash
-                // oracle catches it.
-                let decoded = crate::messages::decode_batch_body(&m1.body);
-                match decoded {
-                    Some(updates) if !updates.is_empty() && updates.len() == links.len() => {
-                        // `befores[i]` is the state update `i` applies to;
-                        // `state` the one reached so far.
-                        let mut befores: Vec<Vec<u8>> = Vec::with_capacity(updates.len());
-                        let mut state = rep.agreed_state.clone();
-                        let mut failed = false;
-                        for (i, (u, link)) in updates.iter().zip(links.iter()).enumerate() {
-                            if !mutation.skip_batch_chain && sha256(u) != link.update_hash {
-                                misbehaviours
-                                    .push(Misbehaviour::BatchedUpdateMismatch { run, index: i });
-                                reject(
-                                    &mut decision,
-                                    format!("batch[{i}]: update does not match signed hash"),
-                                );
-                                body_ok = false;
-                                failed = true;
-                                break;
-                            }
-                            match rep.object.apply_update(&state, u) {
-                                Ok(next) => {
-                                    if !mutation.skip_batch_chain
-                                        && sha256(&next) != link.state_hash
-                                    {
-                                        misbehaviours.push(Misbehaviour::BatchedUpdateMismatch {
-                                            run,
-                                            index: i,
-                                        });
-                                        reject(
-                                            &mut decision,
-                                            format!("batch[{i}]: state hash chain mismatch"),
-                                        );
-                                        body_ok = false;
-                                        failed = true;
-                                        break;
-                                    }
-                                    befores.push(std::mem::replace(&mut state, next));
-                                }
-                                Err(reason) => {
-                                    // Application-level inapplicability: a
-                                    // veto, not tampering — mirrors the
-                                    // single-update arm.
-                                    if decision.is_accept() {
-                                        decision = Decision::reject_update(
-                                            i,
-                                            format!("update not applicable: {reason}"),
-                                        );
-                                    }
-                                    failed = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if !failed {
-                            if !mutation.skip_batch_chain
-                                && sha256(&state) != m1.proposal.proposed.state_hash
-                            {
-                                // Signed links consistent with the body but
-                                // the chain's end disagrees with the signed
-                                // proposed tuple: the proposer signed an
-                                // incoherent batch.
-                                misbehaviours.push(Misbehaviour::BatchedUpdateMismatch {
-                                    run,
-                                    index: links.len() - 1,
-                                });
-                                reject(
-                                    &mut decision,
-                                    "batch chain does not end at the proposed state".into(),
-                                );
-                                body_ok = false;
-                            } else {
-                                pending_state = Some(state);
-                                batch_updates = updates;
-                                batch_befores = befores;
-                            }
-                        }
-                    }
-                    // Malformed framing or a link-count mismatch is
-                    // tampering with the unsigned body.
-                    _ => body_ok = false,
-                }
-            }
+            misbehaviours.extend(replay.misbehaviour);
+            pending_state = replay.state;
+            veto = replay.veto;
         }
         if !body_ok {
             misbehaviours.push(Misbehaviour::BodyHashMismatch { run });
@@ -591,33 +531,13 @@ impl Coordinator {
 
         // ---- application validation upcall ----
         if decision.is_accept() {
-            let app = match (&m1.proposal.kind, &pending_state) {
-                (ProposalKind::Overwrite, _) => {
+            let app = match &m1.proposal.kind {
+                ProposalKind::Overwrite => {
                     rep.object
                         .validate_state(&m1.proposal.proposer, &rep.agreed_state, &m1.body)
                 }
-                (ProposalKind::Update { .. }, _) => {
-                    rep.object
-                        .validate_update(&m1.proposal.proposer, &rep.agreed_state, &m1.body)
-                }
-                (ProposalKind::Batch { .. }, _) => {
-                    // Validate each update against the state it would
-                    // actually apply to — the one the chain replay above
-                    // already computed — so the upcall sees exactly the
-                    // sequence a commit would install. The first veto names
-                    // its batch index (§4.4 attribution inside the batch).
-                    let mut app = Decision::accept();
-                    for (i, (u, before)) in batch_updates.iter().zip(&batch_befores).enumerate() {
-                        let v = rep.object.validate_update(&m1.proposal.proposer, before, u);
-                        if !v.is_accept() {
-                            app = Decision::reject_update(
-                                i,
-                                v.reason.unwrap_or_else(|| "rejected".into()),
-                            );
-                            break;
-                        }
-                    }
-                    app
+                ProposalKind::Update { .. } | ProposalKind::Batch { .. } => {
+                    veto.unwrap_or_else(Decision::accept)
                 }
             };
             if !app.is_accept() {
@@ -943,10 +863,7 @@ impl Coordinator {
                         .collect();
                     tids.sort();
                     if tids.len() == updates.len() {
-                        let reason = vetoers
-                            .first()
-                            .map(|(_, r)| r.clone())
-                            .unwrap_or_default();
+                        let reason = vetoers.first().map(|(_, r)| r.clone()).unwrap_or_default();
                         for (tid, u) in tids.into_iter().zip(updates) {
                             let n = self.transient_retry.entry(tid).or_insert(0);
                             *n += 1;
@@ -1317,20 +1234,149 @@ impl Coordinator {
     }
 }
 
-/// Applies `update` to `state` on behalf of a proposer: the successor
-/// state and the link a proposal signs for this step (`H(update)` and the
-/// hash of the successor state).
-pub(crate) fn apply_link(
+/// Replays `updates` over `agreed` on behalf of a proposer, through one
+/// [`B2BObject::fold_updates`]: per update, the link a proposal signs for
+/// it (`H(update)` and the hash of its successor state) or why it does not
+/// apply — the state then stays where it was — plus the state after the
+/// last update that applied.
+pub(crate) fn chain_links(
     object: &dyn B2BObject,
-    state: &[u8],
-    update: &[u8],
-) -> Result<(Vec<u8>, BatchLink), String> {
-    let next = object.apply_update(state, update)?;
-    let link = BatchLink {
-        update_hash: sha256(update),
-        state_hash: sha256(&next),
+    agreed: &[u8],
+    updates: &[Vec<u8>],
+) -> (Vec<Result<BatchLink, String>>, Option<Vec<u8>>) {
+    let mut state = None;
+    let links = updates
+        .iter()
+        .zip(object.fold_updates(None, agreed, updates))
+        .map(|(update, step)| {
+            let next = step.next?;
+            let link = BatchLink {
+                update_hash: sha256(update),
+                state_hash: sha256(&next),
+            };
+            state = Some(next);
+            Ok(link)
+        })
+        .collect();
+    (links, state)
+}
+
+/// What [`replay_updates`] found.
+#[derive(Default)]
+struct Replay {
+    /// The state after the last update, when every update applied and
+    /// matched its signed link.
+    state: Option<Vec<u8>>,
+    /// The body contradicts a signed hash.
+    tampered: bool,
+    /// Why the proposal is rejected, if it is.
+    reject: Option<String>,
+    /// The contradiction, attributed to the proposer at its batch index.
+    misbehaviour: Option<Misbehaviour>,
+    /// The application's first veto of an intact chain, when asked.
+    veto: Option<Decision>,
+}
+
+/// Replays the updates of an update or batch proposal over `agreed`,
+/// holding §4.2 per update: update `i`'s bytes must hash to
+/// `links[i].update_hash` and its successor to `links[i].state_hash`, and
+/// the last link must be the signed proposed state. One
+/// [`B2BObject::fold_updates`] does the replay and, given a `validate`
+/// proposer, the application's per-update verdicts against the state each
+/// update would actually apply to.
+///
+/// The first failure in chain order decides. A `batch` (its run) names
+/// the failing index in the reason and attributes a contradiction to the
+/// proposer as [`Misbehaviour::BatchedUpdateMismatch`]; for a single
+/// update a contradiction is only tampering. `check_chain == false`
+/// ablates the hash checks (the `skip_batch_chain` mutation).
+#[allow(clippy::too_many_arguments)]
+fn replay_updates(
+    object: &dyn B2BObject,
+    validate: Option<&PartyId>,
+    agreed: &[u8],
+    updates: &[Vec<u8>],
+    links: &[BatchLink],
+    batch: Option<RunId>,
+    check_chain: bool,
+    proposed: &Digest32,
+) -> Replay {
+    let at = |index: usize, reason: String| match batch {
+        Some(_) => format!("batch[{index}]: {reason}"),
+        None => reason,
     };
-    Ok((next, link))
+    let contradiction = |index: usize, reason: String| match batch {
+        Some(run) => Replay {
+            tampered: true,
+            reject: Some(reason),
+            misbehaviour: Some(Misbehaviour::BatchedUpdateMismatch { run, index }),
+            ..Replay::default()
+        },
+        None => Replay {
+            tampered: true,
+            ..Replay::default()
+        },
+    };
+    // Replay only the updates before the first that contradicts its hash.
+    let intact = if check_chain {
+        updates
+            .iter()
+            .zip(links)
+            .position(|(u, link)| sha256(u) != link.update_hash)
+            .unwrap_or(updates.len())
+    } else {
+        updates.len()
+    };
+    let mut state = None;
+    let mut veto = None;
+    let steps = object.fold_updates(validate, agreed, &updates[..intact]);
+    for (i, (step, link)) in steps.into_iter().zip(links).enumerate() {
+        let next = match step.next {
+            Ok(next) => next,
+            // Inapplicable: a veto, not tampering.
+            Err(reason) => {
+                return Replay {
+                    reject: Some(at(i, format!("update not applicable: {reason}"))),
+                    ..Replay::default()
+                }
+            }
+        };
+        if check_chain && sha256(&next) != link.state_hash {
+            return contradiction(i, format!("batch[{i}]: state hash chain mismatch"));
+        }
+        if veto.is_none() {
+            veto = step
+                .verdict
+                .filter(|v| !v.is_accept())
+                .map(|v| match batch {
+                    Some(_) => {
+                        Decision::reject_update(i, v.reason.unwrap_or_else(|| "rejected".into()))
+                    }
+                    None => v,
+                });
+        }
+        state = Some(next);
+    }
+    if intact < updates.len() {
+        return contradiction(
+            intact,
+            format!("batch[{intact}]: update does not match signed hash"),
+        );
+    }
+    // Links consistent with the body, but the chain's end is not the
+    // signed proposed tuple: an incoherent batch.
+    let last = links.len() - 1;
+    if check_chain && links[last].state_hash != *proposed {
+        return contradiction(
+            last,
+            "batch chain does not end at the proposed state".into(),
+        );
+    }
+    Replay {
+        state,
+        veto,
+        ..Replay::default()
+    }
 }
 
 /// Computes the group decision over a response set.

@@ -15,7 +15,7 @@ mod common;
 
 use b2b_core::controller::{CoordAccess, Mode};
 use b2b_core::{
-    Controller, CoordError, Coordinator, CoordEventKind, CoordTicket, ObjectId, SimAccess,
+    Controller, CoordError, CoordEventKind, CoordTicket, Coordinator, ObjectId, SimAccess,
     TicketId, TicketStatus,
 };
 use b2b_crypto::{KeyPair, KeyRing, Signer};

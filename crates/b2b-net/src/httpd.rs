@@ -135,7 +135,10 @@ impl ConnQueue {
     }
 
     fn push(&self, stream: TcpStream) {
-        self.queue.lock().expect("conn queue poisoned").push_back(stream);
+        self.queue
+            .lock()
+            .expect("conn queue poisoned")
+            .push_back(stream);
         self.ready.notify_one();
     }
 

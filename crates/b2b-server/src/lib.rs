@@ -46,7 +46,9 @@ use b2b_core::{
 };
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, VerifyPool};
 use b2b_evidence::{LogAuditor, MemStore};
-use b2b_net::{GroupHandle, GroupId, HttpHandler, HttpRequest, HttpResponse, HttpServer, ShardedNet};
+use b2b_net::{
+    GroupHandle, GroupId, HttpHandler, HttpRequest, HttpResponse, HttpServer, ShardedNet,
+};
 use b2b_telemetry::{names, Telemetry};
 use serde::Deserialize;
 use std::collections::HashMap;
@@ -551,8 +553,12 @@ impl Core {
                 Ok(())
             }
             "ship" => {
-                order.delivery_terms =
-                    Some(body.terms.as_deref().ok_or("missing field: terms")?.to_string());
+                order.delivery_terms = Some(
+                    body.terms
+                        .as_deref()
+                        .ok_or("missing field: terms")?
+                        .to_string(),
+                );
                 Ok(())
             }
             other => Err(format!("unknown op {other}")),
@@ -648,10 +654,7 @@ impl Core {
         match submitted {
             Ok(ticket) => self.conclude(g, p, ticket, mode),
             Err(CoordError::Busy { .. }) => self.backpressure(),
-            Err(e) => HttpResponse::json(
-                500,
-                format!("{{\"error\":{}}}", js(&format!("{e}"))),
-            ),
+            Err(e) => HttpResponse::json(500, format!("{{\"error\":{}}}", js(&format!("{e}")))),
         }
     }
 
@@ -763,17 +766,18 @@ impl Core {
         };
         match mode {
             Mode::Synchronous => {
-                let waiting = tickets.clone();
-                let done = handle.wait_until(self.sync_timeout, move |c| {
-                    waiting.iter().all(|t| c.outcome_of_ticket(t).is_some())
-                });
-                if !done {
+                let ctrl = Controller::new(handle.clone(), self.object.clone());
+                let waiting: Vec<CoordTicket> = tickets
+                    .iter()
+                    .map(|&ticket| CoordTicket { ticket })
+                    .collect();
+                let statuses = ctrl.wait_all_terminal(&waiting, self.sync_timeout);
+                if !statuses.iter().all(TicketStatus::is_terminal) {
                     return HttpResponse::json(504, "{\"error\":\"coordination timed out\"}");
                 }
-                let ctrl = Controller::new(handle.clone(), self.object.clone());
                 let mut last_seq = 0;
-                for &ticket in &tickets {
-                    match ctrl.poll_status(CoordTicket { ticket }) {
+                for status in statuses {
+                    match status {
                         TicketStatus::Installed { state } => {
                             self.telemetry.add(names::SERVE_INSTALLED, 1);
                             last_seq = state.seq;
@@ -964,7 +968,10 @@ impl Core {
         let Some(ids) = req.query_param("ids") else {
             return HttpResponse::json(400, "{\"error\":\"ids query parameter required\"}");
         };
-        let publics: Vec<u64> = ids.split(',').filter_map(|s| s.trim().parse().ok()).collect();
+        let publics: Vec<u64> = ids
+            .split(',')
+            .filter_map(|s| s.trim().parse().ok())
+            .collect();
         if publics.is_empty() || publics.len() > BULK_MAX {
             return HttpResponse::json(
                 400,
@@ -976,35 +983,59 @@ impl Core {
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
         let deadline = Instant::now() + Duration::from_millis(wait_ms).min(self.sync_timeout);
-        let mut entries = Vec::with_capacity(publics.len());
-        for &public in &publics {
-            let found = {
-                let tickets = self.tickets.lock().expect("tickets");
-                tickets
-                    .get(&public)
-                    .map(|e| (e.group, e.party, e.ticket))
-            };
-            let Some((group, party, ticket)) = found else {
-                entries.push(format!("{{\"ticket\":{public},\"status\":\"unknown\"}}"));
-                continue;
-            };
+        let found: Vec<Option<(usize, usize, TicketId)>> = {
+            let tickets = self.tickets.lock().expect("tickets");
+            publics
+                .iter()
+                .map(|public| tickets.get(public).map(|e| (e.group, e.party, e.ticket)))
+                .collect()
+        };
+        // One wait and one read per (group, party) engine, each waiting
+        // for all of its tickets at once; sequential waits share one
+        // deadline, and tickets resolve concurrently in their groups
+        // regardless of the order engines are visited.
+        let mut engines: Vec<(usize, usize)> = Vec::new();
+        for &(group, party, _) in found.iter().flatten() {
+            if !engines.contains(&(group, party)) {
+                engines.push((group, party));
+            }
+        }
+        let mut statuses: Vec<Option<TicketStatus>> = vec![None; publics.len()];
+        for (group, party) in engines {
+            let (indices, tickets): (Vec<usize>, Vec<CoordTicket>) = found
+                .iter()
+                .enumerate()
+                .filter_map(|(i, entry)| match *entry {
+                    Some((g, p, ticket)) if (g, p) == (group, party) => {
+                        Some((i, CoordTicket { ticket }))
+                    }
+                    _ => None,
+                })
+                .unzip();
             let ctrl = Controller::new(self.handles[group][party].clone(), self.object.clone());
             let budget = deadline.saturating_duration_since(Instant::now());
-            let status = if budget.is_zero() {
-                ctrl.poll_status(CoordTicket { ticket })
-            } else {
-                // Sequential waits share one deadline; tickets resolve
-                // concurrently in their groups regardless of the order
-                // this loop visits them.
-                ctrl.wait_terminal(CoordTicket { ticket }, budget)
-            };
-            self.count_terminal(public, &status);
-            let inner = Self::status_json(&status);
-            entries.push(format!(
-                "{{\"ticket\":{public},{}",
-                inner.strip_prefix('{').unwrap_or(&inner)
-            ));
+            for (i, status) in indices
+                .into_iter()
+                .zip(ctrl.wait_all_terminal(&tickets, budget))
+            {
+                statuses[i] = Some(status);
+            }
         }
+        let entries: Vec<String> = publics
+            .iter()
+            .zip(statuses)
+            .map(|(&public, status)| {
+                let Some(status) = status else {
+                    return format!("{{\"ticket\":{public},\"status\":\"unknown\"}}");
+                };
+                self.count_terminal(public, &status);
+                let inner = Self::status_json(&status);
+                format!(
+                    "{{\"ticket\":{public},{}",
+                    inner.strip_prefix('{').unwrap_or(&inner)
+                )
+            })
+            .collect();
         HttpResponse::json(200, format!("{{\"tickets\":[{}]}}", entries.join(",")))
     }
 
@@ -1020,9 +1051,7 @@ impl Core {
             if !entry.counted {
                 entry.counted = true;
                 match status {
-                    TicketStatus::Installed { .. } => {
-                        self.telemetry.add(names::SERVE_INSTALLED, 1)
-                    }
+                    TicketStatus::Installed { .. } => self.telemetry.add(names::SERVE_INSTALLED, 1),
                     _ => self.telemetry.add(names::SERVE_VETOED, 1),
                 }
             }
@@ -1201,10 +1230,9 @@ impl Core {
                     Err(CoordError::Timeout(_)) => {
                         HttpResponse::json(504, "{\"error\":\"coordination timed out\"}")
                     }
-                    Err(e) => HttpResponse::json(
-                        500,
-                        format!("{{\"error\":{}}}", js(&format!("{e}"))),
-                    ),
+                    Err(e) => {
+                        HttpResponse::json(500, format!("{{\"error\":{}}}", js(&format!("{e}"))))
+                    }
                 }
             }
             _ => unreachable!("routed actions only"),

@@ -88,7 +88,10 @@ fn main() {
     );
     let server = OrderServer::start(opts).unwrap_or_else(|e| die(&format!("bind failed: {e}")));
     println!("b2b-serve: listening on http://{}", server.addr());
-    println!("b2b-serve: try  curl -X POST http://{}/orders", server.addr());
+    println!(
+        "b2b-serve: try  curl -X POST http://{}/orders",
+        server.addr()
+    );
 
     if run_secs == 0 {
         // Serve until killed.

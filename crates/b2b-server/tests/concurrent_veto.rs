@@ -26,7 +26,10 @@ fn boot(orders: usize) -> OrderServer {
 fn int_field(body: &str, key: &str) -> Option<u64> {
     let tag = format!("\"{key}\":");
     let at = body.find(&tag)? + tag.len();
-    let digits: String = body[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
+    let digits: String = body[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
     digits.parse().ok()
 }
 
@@ -60,9 +63,7 @@ fn scope_roundtrip_over_http() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("installed"), "{body}");
 
-    let (status, body) = client
-        .get(&format!("/orders/{order}"))
-        .expect("read back");
+    let (status, body) = client.get(&format!("/orders/{order}")).expect("read back");
     assert_eq!(status, 200);
     assert!(body.contains("widget1"), "{body}");
 
@@ -206,12 +207,18 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
                     // lines; odd threads as the supplier pricing seeds.
                     let (path, body) = if t % 2 == 0 {
                         (
-                            format!("/orders/{order}/lines?mode={}", ["sync", "deferred", "async"][i % 3]),
+                            format!(
+                                "/orders/{order}/lines?mode={}",
+                                ["sync", "deferred", "async"][i % 3]
+                            ),
                             format!("{{\"item\":\"t{t}i{i}\",\"qty\":{}}}", i + 1),
                         )
                     } else {
                         (
-                            format!("/orders/{order}/price?mode={}", ["sync", "deferred", "async"][i % 3]),
+                            format!(
+                                "/orders/{order}/price?mode={}",
+                                ["sync", "deferred", "async"][i % 3]
+                            ),
                             format!("{{\"item\":\"seed{}\",\"unit_price\":{}}}", i % 4, 10 + i),
                         )
                     };
@@ -227,9 +234,7 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
                                 break;
                             }
                             202 => {
-                                tickets.push(
-                                    int_field(&body, "ticket").expect("ticket id in 202"),
-                                );
+                                tickets.push(int_field(&body, "ticket").expect("ticket id in 202"));
                                 break;
                             }
                             429 => std::thread::sleep(Duration::from_millis(5)),
@@ -241,9 +246,8 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
                 let deadline = std::time::Instant::now() + Duration::from_secs(60);
                 for ticket in tickets {
                     loop {
-                        let (status, body) = client
-                            .get(&format!("/tickets/{ticket}"))
-                            .expect("poll");
+                        let (status, body) =
+                            client.get(&format!("/tickets/{ticket}")).expect("poll");
                         assert_eq!(status, 200, "{body}");
                         if body.contains("installed") {
                             installed += 1;
@@ -282,6 +286,76 @@ fn concurrent_conflicting_updates_converge_with_clean_audit() {
     let (clean, records) = server.audit();
     assert!(clean, "evidence audit must be clean after the race");
     assert!(records > 0);
+    server.shutdown();
+}
+
+#[test]
+fn ticket_windows_answer_in_request_order_across_orders() {
+    // One `GET /tickets?ids=` spanning two orders' engines (one wait and
+    // one read per engine) still answers one entry per id in request
+    // order, unknown ids included; a synchronous bulk answers from one
+    // wait over all its tickets, veto reasons included.
+    let server = boot(2);
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let mut publics: Vec<Vec<u64>> = Vec::new();
+    for lines in [3, 2] {
+        let (status, body) = client.post("/orders", "").expect("create");
+        assert_eq!(status, 201, "{body}");
+        let order = int_field(&body, "order").expect("order id");
+        let ops: Vec<String> = (0..lines)
+            .map(|i| format!("{{\"op\":\"line\",\"item\":\"w{i}\",\"qty\":1}}"))
+            .collect();
+        let (status, body) = client
+            .post(
+                &format!("/orders/{order}/bulk?mode=deferred"),
+                &format!("{{\"ops\":[{}]}}", ops.join(",")),
+            )
+            .expect("bulk");
+        assert_eq!(status, 202, "{body}");
+        let list = body
+            .strip_prefix("{\"tickets\":[")
+            .and_then(|rest| rest.strip_suffix("]}"))
+            .expect("ticket list");
+        publics.push(list.split(',').map(|t| t.parse().unwrap()).collect());
+    }
+    let (a, b) = (&publics[0], &publics[1]);
+    let ids = [b[0], a[0], 999_999, a[1], b[1], a[2]];
+    let query: Vec<String> = ids.iter().map(u64::to_string).collect();
+    let (status, body) = client
+        .get(&format!("/tickets?ids={}&wait_ms=20000", query.join(",")))
+        .expect("poll window");
+    assert_eq!(status, 200, "{body}");
+    let entries: Vec<String> = ids
+        .iter()
+        .map(|&id| match id {
+            999_999 => format!("{{\"ticket\":{id},\"status\":\"unknown\"}}"),
+            _ => format!("{{\"ticket\":{id},\"status\":\"installed\",\"seq\":1}}"),
+        })
+        .collect();
+    assert_eq!(body, format!("{{\"tickets\":[{}]}}", entries.join(",")));
+
+    let (status, body) = client
+        .post(
+            "/orders/1/bulk?mode=sync",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w0\",\"qty\":5},{\"op\":\"line\",\"item\":\"w9\",\"qty\":1}]}",
+        )
+        .expect("sync bulk");
+    assert_eq!(
+        (status, body.as_str()),
+        (200, "{\"outcome\":\"installed\",\"ops\":2,\"seq\":2}")
+    );
+    let (status, body) = client
+        .post(
+            "/orders/1/bulk?as=supplier&mode=sync",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w7\",\"qty\":1}]}",
+        )
+        .expect("vetoed bulk");
+    assert_eq!(status, 409, "{body}");
+    assert!(
+        body.starts_with("{\"outcome\":\"invalidated\",\"vetoers\":[")
+            && body.contains("only the customer may add items"),
+        "{body}"
+    );
     server.shutdown();
 }
 
