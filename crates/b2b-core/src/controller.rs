@@ -20,15 +20,16 @@
 //!   [`Controller::disconnect`] initiate the §4.5 membership protocols.
 //!
 //! The same controller runs against both network drivers through the
-//! [`CoordAccess`] abstraction: [`b2b_net::NodeHandle`] for the threaded
-//! transport and [`SimAccess`] for the deterministic simulator.
+//! [`CoordAccess`] abstraction: [`b2b_net::GroupHandle`] for the sharded
+//! real-clock runtime (in process or over sockets) and [`SimAccess`] for
+//! the deterministic simulator.
 
 use crate::coordinator::{ConnectStatus, Coordinator, ObjectFactory, TicketId, TicketState};
 use crate::decision::Outcome;
 use crate::error::CoordError;
 use crate::ids::{ObjectId, RunId, StateId};
 use b2b_crypto::PartyId;
-use b2b_net::{GroupHandle, NodeCtx, NodeHandle, SimNet};
+use b2b_net::{GroupHandle, NodeCtx, SimNet};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -46,20 +47,6 @@ pub trait CoordAccess {
     /// Drives the system until `pred` holds or `timeout` elapses; returns
     /// whether the predicate was satisfied.
     fn wait(&self, timeout: Duration, pred: impl FnMut(&Coordinator) -> bool) -> bool;
-}
-
-impl CoordAccess for NodeHandle<Coordinator> {
-    fn with<R>(&self, f: impl FnOnce(&mut Coordinator, &mut NodeCtx) -> R) -> R {
-        self.invoke(f)
-    }
-
-    fn read<R>(&self, f: impl FnOnce(&Coordinator) -> R) -> R {
-        NodeHandle::read(self, f)
-    }
-
-    fn wait(&self, timeout: Duration, mut pred: impl FnMut(&Coordinator) -> bool) -> bool {
-        self.wait_until(timeout, |c| pred(c))
-    }
 }
 
 /// [`CoordAccess`] over one group of the sharded multi-group runtime:

@@ -6,8 +6,8 @@
 //! exposes the local operations the [`crate::controller`] builds on.
 //!
 //! The coordinator is an event-driven [`NetNode`], so the same engine runs
-//! under the deterministic network simulator and the threaded in-process
-//! transport.
+//! under the deterministic network simulator and the real-clock sharded
+//! runtime.
 
 use crate::config::CoordinatorConfig;
 use crate::decision::{CoordEvent, CoordEventKind, Outcome};

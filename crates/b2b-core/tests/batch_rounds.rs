@@ -438,6 +438,7 @@ fn join_sibling_responses(events: &[b2b_telemetry::TraceEvent]) -> Vec<b2b_telem
 #[test]
 fn batched_round_parity_sim_vs_tcp() {
     use b2b_crypto::{KeyPair, KeyRing, Signer};
+    use b2b_net::{GroupId, ShardedTcpConfig, ShardedTcpNet};
 
     let n = 3;
     let config = CoordinatorConfig::default().batch_linger(TimeMs(25));
@@ -487,14 +488,18 @@ fn batched_round_parity_sim_vs_tcp() {
                 .build()
         })
         .collect();
-    let net = b2b_net::tcp::TcpNet::spawn_loopback(nodes).expect("loopback sockets");
-    net.handle(&party(0)).invoke(|c, _| {
+    let net = ShardedTcpNet::spawn_loopback_with(
+        vec![(GroupId(0), nodes)],
+        ShardedTcpConfig::new().shards(1),
+    )
+    .expect("loopback sockets");
+    net.handle(GroupId(0), &party(0)).invoke(|c, _| {
         c.register_object(ObjectId::new("log"), Box::new(append_log_factory))
             .unwrap();
     });
     for i in 1..n {
         let sponsor = party(i - 1);
-        net.handle(&party(i)).invoke(move |c, ctx| {
+        net.handle(GroupId(0), &party(i)).invoke(move |c, ctx| {
             c.request_connect(
                 ObjectId::new("log"),
                 Box::new(append_log_factory),
@@ -504,13 +509,13 @@ fn batched_round_parity_sim_vs_tcp() {
             .unwrap();
         });
         let joined = net
-            .handle(&party(i))
+            .handle(GroupId(0), &party(i))
             .wait_until(std::time::Duration::from_secs(10), |c| {
                 c.is_member(&ObjectId::new("log"))
             });
         assert!(joined, "org{i} failed to join over tcp");
     }
-    net.handle(&party(0)).invoke(|c, ctx| {
+    net.handle(GroupId(0), &party(0)).invoke(|c, ctx| {
         for i in 0..6 {
             c.submit_update(&ObjectId::new("log"), entry(&format!("p{i}")), ctx)
                 .unwrap();
@@ -519,20 +524,24 @@ fn batched_round_parity_sim_vs_tcp() {
     let expected: Vec<String> = (0..6).map(|i| format!("p{i}")).collect();
     for i in 0..n {
         let expect = expected.clone();
-        let converged =
-            net.handle(&party(i))
-                .wait_until(std::time::Duration::from_secs(10), move |c| {
-                    c.agreed_state(&ObjectId::new("log"))
-                        .map(|s| entries(&s) == expect)
-                        .unwrap_or(false)
-                });
+        let converged = net.handle(GroupId(0), &party(i)).wait_until(
+            std::time::Duration::from_secs(10),
+            move |c| {
+                c.agreed_state(&ObjectId::new("log"))
+                    .map(|s| entries(&s) == expect)
+                    .unwrap_or(false)
+            },
+        );
         assert!(converged, "org{i} did not converge over tcp");
     }
     let tcp_state = net
-        .handle(&party(0))
+        .handle(GroupId(0), &party(0))
         .read(|c| c.agreed_state(&ObjectId::new("log")).unwrap());
     let tcp_detections: usize = (0..n)
-        .map(|i| net.handle(&party(i)).read(|c| c.detected().len()))
+        .map(|i| {
+            net.handle(GroupId(0), &party(i))
+                .read(|c| c.detected().len())
+        })
         .sum();
     net.shutdown();
 

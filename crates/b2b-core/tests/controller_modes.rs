@@ -6,7 +6,7 @@ mod common;
 use b2b_core::controller::Mode;
 use b2b_core::{ConnectStatus, Controller, CoordError, Coordinator, ObjectId, SimAccess};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer};
-use b2b_net::{SimNet, ThreadedNet};
+use b2b_net::{GroupId, ShardedNet, SimNet};
 use common::*;
 use std::time::Duration;
 
@@ -225,19 +225,26 @@ fn threaded_net_full_lifecycle() {
     let kp1 = KeyPair::generate_from_seed(12);
     ring.register(PartyId::new("alpha"), kp0.public_key());
     ring.register(PartyId::new("beta"), kp1.public_key());
-    let net = ThreadedNet::spawn(vec![
-        Coordinator::builder(PartyId::new("alpha"), kp0)
-            .ring(ring.clone())
-            .seed(1)
-            .build(),
-        Coordinator::builder(PartyId::new("beta"), kp1)
-            .ring(ring)
-            .seed(2)
-            .build(),
-    ]);
+    let net = ShardedNet::builder()
+        .shards(1)
+        .add_group(
+            GroupId(0),
+            vec![
+                Coordinator::builder(PartyId::new("alpha"), kp0)
+                    .ring(ring.clone())
+                    .seed(1)
+                    .build(),
+                Coordinator::builder(PartyId::new("beta"), kp1)
+                    .ring(ring)
+                    .seed(2)
+                    .build(),
+            ],
+        )
+        .spawn()
+        .expect("spawn worker pool");
 
-    let alpha = net.handle(&PartyId::new("alpha"));
-    let beta = net.handle(&PartyId::new("beta"));
+    let alpha = net.handle(GroupId(0), &PartyId::new("alpha"));
+    let beta = net.handle(GroupId(0), &PartyId::new("beta"));
     alpha.invoke(|c, _| {
         c.register_object(ObjectId::new("counter"), Box::new(counter_factory))
             .unwrap();

@@ -1,16 +1,16 @@
-//! Stress tests: real-thread concurrency over the in-process transport,
-//! and protocol tolerance of heavy message reordering (the paper requires
-//! no ordering from the communication system, §4.2).
+//! Stress tests: real-thread concurrency over the in-process sharded
+//! runtime, and protocol tolerance of heavy message reordering (the paper
+//! requires no ordering from the communication system, §4.2).
 
 mod common;
 
 use b2b_core::{CoordError, Coordinator, ObjectId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
-use b2b_net::{FaultPlan, ThreadedNet};
+use b2b_net::{FaultPlan, GroupId, ShardedNet};
 use common::*;
 use std::time::Duration;
 
-fn build_threaded(n: usize) -> (ThreadedNet<Coordinator>, Vec<PartyId>) {
+fn build_sharded(n: usize) -> (ShardedNet<Coordinator>, Vec<PartyId>) {
     let mut ring = KeyRing::new();
     let mut keys = Vec::new();
     for i in 0..n {
@@ -28,16 +28,21 @@ fn build_threaded(n: usize) -> (ThreadedNet<Coordinator>, Vec<PartyId>) {
                 .build()
         })
         .collect();
-    (ThreadedNet::spawn(nodes), (0..n).map(party).collect())
+    let net = ShardedNet::builder()
+        .shards(1)
+        .add_group(GroupId(0), nodes)
+        .spawn()
+        .expect("spawn worker pool");
+    (net, (0..n).map(party).collect())
 }
 
 #[test]
 fn threaded_contending_proposers_never_diverge() {
     // Both parties hammer the same object from real threads. The busy rule
     // rejects overlaps; retries eventually land; replicas never diverge.
-    let (net, parties) = build_threaded(2);
-    let a = net.handle(&parties[0]).clone();
-    let b = net.handle(&parties[1]).clone();
+    let (net, parties) = build_sharded(2);
+    let a = net.handle(GroupId(0), &parties[0]);
+    let b = net.handle(GroupId(0), &parties[1]);
     a.invoke(|c, _| {
         c.register_object(ObjectId::new("c"), Box::new(counter_factory))
             .unwrap();

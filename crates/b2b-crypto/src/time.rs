@@ -8,7 +8,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// A point in time (or a duration), in milliseconds.
 ///
 /// The middleware never assumes wall-clock time: under the deterministic
-/// network simulator this is virtual time, under the threaded runtime it is
+/// network simulator this is virtual time, under the sharded runtime it is
 /// milliseconds since process start.
 ///
 /// # Example

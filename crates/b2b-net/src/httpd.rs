@@ -7,8 +7,8 @@
 //!
 //! * **Readiness-driven accept** — the listener is nonblocking and the
 //!   accept thread waits on it with the same raw `poll(2)` primitive as
-//!   the [`crate::shard_tcp`] reactor, so shutdown never needs the
-//!   throwaway-connection trick: flip the stop flag, the poll timeout
+//!   the [`crate::shard_tcp`] reactor, so shutdown needs no throwaway
+//!   connection to unblock `accept`: flip the stop flag, the poll timeout
 //!   expires, the thread exits and is **joined**.
 //! * **A fixed worker pool** — accepted connections are handed to `N`
 //!   worker threads over a channel; each worker serves its connection

@@ -17,25 +17,23 @@
 //!   removes, delays, replays and tampers with traffic;
 //! * [`reliable`] — an ack/retransmit/dedup layer that presents the paper's
 //!   assumed *eventual once-only delivery* on top of lossy links;
-//! * [`inproc`] — a threaded in-process transport that drives the same
-//!   engines concurrently (the role Java RMI played in the prototype);
-//! * [`tcp`] — a transport over `std::net` OS sockets with length-prefixed
-//!   framing and reconnecting per-peer connections, for crossing process
-//!   and host boundaries;
-//! * [`shard`] — a sharded multi-group runtime multiplexing thousands of
-//!   coordination groups over a fixed worker pool, with per-shard timer
-//!   wheels and group-enveloped frames;
+//! * [`shard`] — the real-clock runtime: thousands of coordination groups
+//!   (or just one) multiplexed over a fixed worker pool, with per-shard
+//!   timer wheels and group-enveloped frames — the role Java RMI played
+//!   in the paper's prototype;
+//! * [`shard_tcp`] — the same runtime across processes and hosts: one
+//!   multiplexed, reconnecting socket pair per peer organisation, driven
+//!   by a `poll(2)` reactor;
 //! * [`poll`] — bounded condition-polling helpers for tests against the
 //!   real-clock transports;
 //! * [`httpd`] — reusable dependency-free HTTP/1.1 plumbing (readiness
 //!   accept loop, joined worker pool, keep-alive) shared by the scrape
 //!   endpoint and the `b2b-server` order service;
 //! * [`scrape`] — a tiny HTTP responder serving the metrics registry in
-//!   Prometheus text exposition format, for watching a live TCP fleet.
+//!   Prometheus text exposition format, for watching a live fleet.
 
 pub mod fault;
 pub mod httpd;
-pub mod inproc;
 pub mod intruder;
 pub mod node;
 pub mod poll;
@@ -45,11 +43,9 @@ pub mod shard;
 pub mod shard_tcp;
 pub mod sim;
 pub mod stats;
-pub mod tcp;
 
 pub use fault::FaultPlan;
 pub use httpd::{HttpClient, HttpHandler, HttpRequest, HttpResponse, HttpServer};
-pub use inproc::{Fabric, NodeHandle, ThreadedNet, DEFAULT_INBOX_CAPACITY};
 pub use intruder::{
     InterceptAction, Intruder, PassThrough, ScriptAction, ScriptRule, ScriptedIntruder,
 };
@@ -57,7 +53,6 @@ pub use node::{NetNode, NodeCtx, Payload};
 pub use reliable::{ReliableMux, RELIABLE_TIMER_BASE};
 pub use scrape::ScrapeServer;
 pub use shard::{GroupHandle, GroupId, ShardedNet, ShardedNetBuilder};
-pub use shard_tcp::{ShardedTcpConfig, ShardedTcpEndpoint, ShardedTcpNet};
+pub use shard_tcp::{ShardedTcpConfig, ShardedTcpEndpoint, ShardedTcpNet, MAX_FRAME_LEN};
 pub use sim::SimNet;
 pub use stats::NetStats;
-pub use tcp::{TcpConfig, TcpEndpoint, TcpNet, MAX_FRAME_LEN};

@@ -3,8 +3,8 @@
 //! Engines are deterministic state machines: every effect (send a message,
 //! arm a timer) is expressed through the [`NodeCtx`] handed to each event
 //! callback. The same engine then runs unmodified under the deterministic
-//! simulator ([`crate::sim::SimNet`]) and the threaded in-process transport
-//! ([`crate::inproc::ThreadedNet`]).
+//! simulator ([`crate::sim::SimNet`]) and the real-clock sharded runtime
+//! ([`crate::shard::ShardedNet`], [`crate::shard_tcp::ShardedTcpNet`]).
 
 use b2b_crypto::{PartyId, TimeMs};
 use std::sync::Arc;

@@ -8,8 +8,8 @@
 //! both the accept thread and the worker — no leaked threads, no
 //! throwaway unblocking connections.
 //!
-//! The registry handle is shared, so a scrape taken while a `TcpNet`
-//! experiment is running observes the counters live. Determinism is not at
+//! The registry handle is shared, so a scrape taken while a sharded fleet
+//! is running observes the counters live. Determinism is not at
 //! stake here: scraping reads a snapshot, it never mutates protocol state.
 
 use crate::httpd::{HttpHandler, HttpResponse, HttpServer};

@@ -3,9 +3,8 @@
 //!
 //! The paper's middleware assumes many independent information-sharing
 //! objects coexist — every game, order book or auction is its own
-//! coordination group. The threaded transport ([`crate::inproc`])
-//! dedicates one OS thread per node, which tops out at a few hundred
-//! nodes per process. This module multiplexes instead:
+//! coordination group. Rather than one OS thread per node, which tops
+//! out at a few hundred nodes per process, this module multiplexes:
 //!
 //! * a **shard map** — every group is pinned to one of ≈ `num_cpus`
 //!   shards at registration (`GroupId → shard`, frozen before the workers
@@ -28,16 +27,15 @@
 //!   predecessor mismatch and draws an honest veto).
 //!
 //! The per-node engine state lives in *slots* (`(GroupId, PartyId) →
-//! Mutex<engine>`), so [`GroupHandle::invoke`]/[`GroupHandle::wait_until`]
-//! offer exactly the client surface of [`crate::inproc::NodeHandle`] —
-//! engines run unmodified, and a single-group sharded run produces the
-//! same protocol traffic (hence byte-identical evidence and trace DAGs)
-//! as the thread-per-node path. Crash/recovery mirrors the simulator:
+//! Mutex<engine>`), driven by clients through
+//! [`GroupHandle::invoke`]/[`GroupHandle::wait_until`] — engines run
+//! unmodified, and a single-group sharded run produces the same protocol
+//! traffic (hence byte-identical evidence and trace DAGs) as the
+//! simulator. Crash/recovery mirrors the simulator:
 //! crashing a node bumps its epoch (stale timers are lazily discarded),
 //! drops its inbound frames, and recovery replays the engine's
 //! `on_recover`.
 
-use crate::inproc::Fabric;
 use crate::node::{NetNode, NodeCtx, Payload};
 use crate::reliable::{decode_group_frame, encode_group_frame};
 use crate::stats::NetStats;
@@ -63,8 +61,8 @@ impl std::fmt::Display for GroupId {
 }
 
 /// Default bound of each shard's event inbox. A shard serves many groups,
-/// so its inbox is sized well above the per-node
-/// [`crate::inproc::DEFAULT_INBOX_CAPACITY`].
+/// so its inbox is sized far above the handful of frames one round puts
+/// in flight per peer.
 pub const DEFAULT_SHARD_INBOX_CAPACITY: usize = 16 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -606,9 +604,9 @@ fn deliver<N: NetNode>(
 // ---------------------------------------------------------------------------
 
 /// A handle for interacting with one node of one group in a
-/// [`ShardedNet`] — the multi-group counterpart of
-/// [`crate::inproc::NodeHandle`], with the same `invoke`/`read`/
-/// `wait_until` surface.
+/// [`ShardedNet`] (or a [`crate::ShardedTcpNet`]): local calls, reads and
+/// condition waits against the engine — how the synchronous
+/// communication mode is realised.
 pub struct GroupHandle<N: NetNode> {
     slot: Arc<Slot<N>>,
     core: Arc<Core<N>>,
@@ -1008,44 +1006,6 @@ impl<N: NetNode> ShardedNet<N> {
 impl<N: NetNode> Drop for ShardedNet<N> {
     fn drop(&mut self) {
         self.stop_workers();
-    }
-}
-
-/// The sharded net's clock and outbound routing as a [`Fabric`], so
-/// engine-side code written against the fabric abstraction (none of the
-/// protocol engines, but diagnostic tooling) can address one group.
-pub struct GroupFabric<N: NetNode> {
-    gid: GroupId,
-    core: Arc<Core<N>>,
-}
-
-impl<N: NetNode> ShardedNet<N> {
-    /// A [`Fabric`] view pinned to `gid`.
-    pub fn fabric(&self, gid: GroupId) -> Arc<GroupFabric<N>> {
-        Arc::new(GroupFabric {
-            gid,
-            core: Arc::clone(&self.core),
-        })
-    }
-}
-
-impl<N: NetNode> Fabric for GroupFabric<N> {
-    fn now(&self) -> TimeMs {
-        self.core.now()
-    }
-
-    fn send(&self, from: &PartyId, to: &PartyId, payload: Payload) {
-        let Some(slot) = self.core.slots.get(&(self.gid, from.clone())) else {
-            self.core.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let mut inner = slot.inner.lock();
-        self.core.enqueue_out(slot, &mut inner, to, payload);
-        self.core.drain_outbox(slot, &mut inner);
-    }
-
-    fn note_delivered(&self) {
-        self.core.delivered.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -1,20 +1,23 @@
 //! Multiplexed TCP transport for the sharded multi-group runtime: **one
 //! socket pair per organisation endpoint carries every group**.
 //!
-//! The thread-per-connection transport ([`crate::tcp`]) spends one OS
-//! thread per peer per direction and one syscall per frame. This module
-//! replaces that socket model for the sharded runtime
-//! ([`crate::shard`]) with a *readiness-driven* design — nonblocking
-//! sockets driven by a single reactor thread per endpoint:
+//! Rather than one OS thread per peer per direction and one syscall per
+//! frame, the sharded runtime ([`crate::shard`]) crosses process and host
+//! boundaries with a *readiness-driven* design — nonblocking sockets
+//! driven by a single reactor thread per endpoint:
 //!
 //! * **Multiplexing** — frames already carry the [`crate::shard::GroupId`]
 //!   envelope ([`crate::reliable::encode_group_frame`]), so one
 //!   connection per peer endpoint carries the traffic of every group;
 //!   the receiving reactor demuxes by group id straight into the shard
 //!   map.
+//! * **Framing** — every message is `[u32 LE length][payload]`, capped at
+//!   [`MAX_FRAME_LEN`]; the first frame on every connection is a *hello*
+//!   carrying the sender's [`PartyId`], so connections are identified
+//!   without trusting socket addresses (all integrity lives in the signed
+//!   protocol layer anyway).
 //! * **Write coalescing** — per poll round, every queued frame for a
-//!   link is appended (`[u32 LE len][frame]`, the [`crate::tcp`]
-//!   framing) to one write buffer and handed to the socket in as few
+//!   link is appended to one write buffer and handed to the socket in as few
 //!   `write(2)` calls as it will take; the
 //!   [`names::MUX_FRAMES_SENT`]`/`[`names::MUX_WRITE_SYSCALLS`] ratio is
 //!   the observed batching factor.
@@ -27,15 +30,17 @@
 //! * **The reactor** — a hand-rolled `poll(2)` loop (raw syscall on
 //!   Linux, a report-all-ready sleep elsewhere — the build is offline,
 //!   no mio/tokio), one wake socket pair for cross-thread nudges, lazy
-//!   connections with the same proven-healthy exponential backoff as
-//!   the threaded transport: backoff resets only once a data frame
-//!   crosses the new connection.
+//!   connections with deterministic exponential backoff
+//!   (`base · 2^(n-1)`, capped) that resets only once a data frame
+//!   crosses the new connection: a peer that accepts and immediately
+//!   resets keeps counting as a failure, so it cannot drive a tight
+//!   connect/write loop.
 //!
 //! Loss model: while a link is connected (or still on its first connect
 //! attempt) frames queue losslessly; once a connect attempt *fails* the
-//! queued frames are dropped — exactly the threaded transport's "a
-//! connection reset is a temporary failure retransmission masks", so a
-//! dead peer never wedges a healthy group's rounds.
+//! queued frames are dropped — a connection reset is a temporary failure
+//! the reliable layer's retransmission masks, so a dead peer never
+//! wedges a healthy group's rounds.
 
 use crate::node::{NetNode, Payload};
 use crate::reliable::decode_group_frame;
@@ -44,7 +49,6 @@ use crate::shard::{
     DEFAULT_SHARD_INBOX_CAPACITY,
 };
 use crate::stats::NetStats;
-use crate::tcp::MAX_FRAME_LEN;
 use b2b_crypto::PartyId;
 use b2b_telemetry::{names, Telemetry};
 use parking_lot::Mutex;
@@ -56,6 +60,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Hard cap on a frame's payload length (16 MiB). A peer announcing a
+/// larger frame is treated as malformed traffic and the connection is
+/// dropped.
+pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
 // poll(2) without libc
@@ -383,8 +392,7 @@ struct OutLink {
     /// a connection dies with the buffer non-empty).
     wbuf_frames: u64,
     /// Whether a data write has succeeded on the current connection —
-    /// only then does the backoff reset (proven-healthy, as in
-    /// [`crate::tcp`]).
+    /// only then does the backoff reset (proven healthy).
     proven: bool,
     failures: u32,
     next_attempt_at: Option<Instant>,
@@ -859,8 +867,8 @@ impl Reactor {
     }
 }
 
-/// Deterministic backoff (same law as [`crate::tcp`]): `0` for the
-/// first attempt, then `base · 2^(failures-1)` capped at `max`.
+/// Deterministic backoff after `failures` consecutive failures: `0` for
+/// the first attempt, then `base · 2^(failures-1)` capped at `max`.
 fn backoff_delay(base: Duration, max: Duration, failures: u32) -> Duration {
     if failures == 0 {
         return Duration::ZERO;
@@ -1081,8 +1089,9 @@ impl<N: NetNode> Drop for ShardedTcpEndpoint<N> {
 
 /// A single-process cluster of [`ShardedTcpEndpoint`]s on `127.0.0.1`:
 /// one endpoint per distinct party, each carrying that party's slot of
-/// every group, all traffic over real multiplexed sockets. The
-/// multi-group counterpart of [`crate::tcp::TcpNet`].
+/// every group, all traffic over real multiplexed sockets — for tests and
+/// experiments; place each endpoint in its own OS process with
+/// [`ShardedTcpEndpoint::spawn_with_listener`].
 pub struct ShardedTcpNet<N: NetNode> {
     endpoints: HashMap<PartyId, ShardedTcpEndpoint<N>>,
 }
@@ -1541,5 +1550,137 @@ mod tests {
             syscalls * 2 <= frames,
             "coalescing must average >=2 frames/write, got {frames} frames in {syscalls} writes"
         );
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let (base, max) = (Duration::from_millis(10), Duration::from_millis(160));
+        let got = [0, 1, 2, 3, 5, 40].map(|f| backoff_delay(base, max, f).as_millis());
+        assert_eq!(got, [0, 10, 20, 40, 160, 160]);
+    }
+
+    fn loopback() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
+
+    /// A bare reactor with one outbound link to `addr`, for driving the
+    /// reconnect state machine directly.
+    fn test_reactor(addr: SocketAddr) -> Reactor {
+        let (wake_tx, wake_rx) = wake_pair().unwrap();
+        let mut cfg = ShardedTcpConfig::new();
+        cfg.reconnect_base = Duration::from_millis(10);
+        cfg.reconnect_max = Duration::from_secs(10);
+        Reactor {
+            me: PartyId::new("a"),
+            cfg,
+            shared: Arc::new(MuxShared {
+                peers: HashMap::from([(PartyId::new("b"), 0)]),
+                queues: vec![Mutex::new(VecDeque::new())],
+                kills: vec![AtomicBool::new(false)],
+                link_capacity: 16,
+                wake_tx,
+                stop: AtomicBool::new(false),
+                counters: MuxCounters::default(),
+            }),
+            listener: loopback(),
+            wake_rx,
+            inject: Arc::new(|_, _, _| true),
+            out: vec![OutLink {
+                addr,
+                stream: None,
+                wbuf: Vec::new(),
+                wpos: 0,
+                wbuf_frames: 0,
+                proven: false,
+                failures: 0,
+                next_attempt_at: None,
+                ever_connected: false,
+            }],
+            inbound: Vec::new(),
+            tel: LocalTel::default(),
+        }
+    }
+
+    /// Queues one frame on the link and runs a connect + write round.
+    fn offer(r: &mut Reactor, frame: &[u8]) {
+        r.shared.queues[0].lock().push_back(frame.to_vec().into());
+        r.connect_phase();
+        r.write_phase();
+    }
+
+    fn read_frame(s: &mut TcpStream) -> Vec<u8> {
+        let mut len = [0u8; 4];
+        s.read_exact(&mut len).unwrap();
+        let mut frame = vec![0; u32::from_le_bytes(len) as usize];
+        s.read_exact(&mut frame).unwrap();
+        frame
+    }
+
+    /// Backoff builds in an outage, resets only once a data frame crosses
+    /// the new connection, and a second outage starts again from base.
+    #[test]
+    fn backoff_resets_after_a_healthy_reconnect_two_outages() {
+        // Outage 1: reserve a port, then free it so connects are refused.
+        let addr = loopback().local_addr().unwrap();
+        let mut r = test_reactor(addr);
+        for expected in 1..=3 {
+            r.out[0].next_attempt_at = None; // collapse the wait, keep the count
+            offer(&mut r, b"x");
+            assert_eq!(r.out[0].failures, expected, "each refused connect counts");
+        }
+        assert!(r.out[0].next_attempt_at.is_some(), "backoff armed");
+        assert_eq!(r.shared.counters.io_errors.load(Ordering::Relaxed), 3);
+
+        // The peer comes back on the same port.
+        let listener = TcpListener::bind(addr).expect("rebind freed port");
+        r.out[0].next_attempt_at = None;
+        offer(&mut r, b"data");
+        assert_eq!(r.out[0].failures, 0, "a proven link resets");
+        assert!(r.out[0].next_attempt_at.is_none());
+        let (mut s, _) = listener.accept().unwrap();
+        let got = [read_frame(&mut s), read_frame(&mut s)];
+        assert_eq!(got, [b"a".to_vec(), b"data".to_vec()], "hello, then data");
+
+        // Outage 2: the peer goes away again; backoff starts from base.
+        drop((s, listener));
+        r.drop_conn(0, false);
+        offer(&mut r, b"y");
+        assert_eq!(r.out[0].failures, 1, "restarts from base");
+        let armed = r.out[0].next_attempt_at.expect("armed");
+        assert!(armed <= Instant::now() + r.cfg.reconnect_base);
+    }
+
+    /// A stream dying mid-write arms the backoff, so an accept-then-reset
+    /// peer cannot drive a tight connect/write loop.
+    #[test]
+    fn mid_write_stream_death_arms_backoff() {
+        let listener = loopback();
+        let mut r = test_reactor(listener.local_addr().unwrap());
+        offer(&mut r, b"first");
+        assert_eq!(r.out[0].failures, 0, "healthy write");
+        let (s, _) = listener.accept().unwrap();
+        // The peer goes away. Its RST needs a moment to surface: the first
+        // write after it may still land in the local socket buffer.
+        drop((s, listener));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while r.out[0].failures == 0 && Instant::now() < deadline {
+            offer(&mut r, b"x");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(r.out[0].failures > 0, "a dying stream arms the backoff");
+        assert!(r.out[0].next_attempt_at.is_some());
+        assert!(r.out[0].stream.is_none(), "the dead stream is dropped");
+        assert!(r.shared.counters.io_errors.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn send_to_unknown_peer_is_dropped_not_fatal() {
+        let net = ShardedTcpNet::spawn_loopback(vec![(GroupId(0), pair())]).unwrap();
+        let a = net.handle(GroupId(0), &PartyId::new("a"));
+        a.invoke(|_n, ctx| ctx.send(PartyId::new("nobody"), b"ping".to_vec()));
+        assert_eq!(net.stats().dropped, 1);
+        a.invoke(|_n, ctx| ctx.send(PartyId::new("b"), b"ping".to_vec()));
+        assert!(a.wait_until(Duration::from_secs(10), |n| n.pongs_received == 1));
+        net.shutdown();
     }
 }

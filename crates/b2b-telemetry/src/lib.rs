@@ -74,16 +74,6 @@ pub mod names {
     pub const MEMBERSHIP_CHANGES: &str = "membership_changes";
     /// Histogram: virtual-time latency of completed rounds.
     pub const ROUND_LATENCY_MS: &str = "round_latency_ms";
-    /// TCP transport: connections established to peers.
-    pub const TCP_CONNECTS: &str = "tcp_connects";
-    /// TCP transport: connections re-established after a loss (a subset of
-    /// [`TCP_CONNECTS`]).
-    pub const TCP_RECONNECTS: &str = "tcp_reconnects";
-    /// TCP transport: frames handed to the wire.
-    pub const TCP_FRAMES_SENT: &str = "tcp_frames_sent";
-    /// TCP transport: payload bytes handed to the wire (framing overhead
-    /// excluded).
-    pub const TCP_BYTES_SENT: &str = "tcp_bytes_sent";
     /// Simulator: datagrams discarded by an active partition (per-link
     /// breakdowns are registered ad hoc as `partition_drops:<from>-><to>`).
     pub const PARTITION_DROPS: &str = "partition_drops";
@@ -109,9 +99,9 @@ pub mod names {
     /// call (`b2b_crypto::sig::verify_batch`) rather than one public-key
     /// operation per signature.
     pub const SIG_BATCH_VERIFIES: &str = "sig_batch_verifies";
-    /// Transports with bounded inboxes: sends that found the destination
-    /// inbox full and had to stall (and possibly shed the frame) —
-    /// the backpressure signal of the sharded/threaded runtimes.
+    /// Sharded runtime: sends that found the destination inbox full and
+    /// parked head-of-line until it drained — the runtime's backpressure
+    /// signal.
     pub const INBOX_FULL_STALLS: &str = "inbox_full_stalls";
     /// Sharded runtime: events processed, per shard (registered as
     /// `shard_events:shard<i>`).

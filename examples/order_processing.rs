@@ -1,5 +1,5 @@
 //! Figure 7 replay: customer/supplier order processing with asymmetric
-//! validation rules, run over the threaded in-process transport using the
+//! validation rules, run over the in-process sharded runtime using the
 //! synchronous controller API — the deployment-shaped way to use the
 //! middleware.
 //!
@@ -8,7 +8,7 @@
 use b2bobjects::apps::order::{Order, OrderObject, OrderRoles};
 use b2bobjects::core::{Controller, CoordError, Coordinator, ObjectId};
 use b2bobjects::crypto::{KeyPair, KeyRing, PartyId, Signer};
-use b2bobjects::net::ThreadedNet;
+use b2bobjects::net::{GroupId, ShardedNet};
 use std::time::Duration;
 
 fn main() {
@@ -22,27 +22,34 @@ fn main() {
     ring.register(customer.clone(), kp_c.public_key());
     ring.register(supplier.clone(), kp_s.public_key());
 
-    let net = ThreadedNet::spawn(vec![
-        Coordinator::builder(customer.clone(), kp_c)
-            .ring(ring.clone())
-            .seed(1)
-            .build(),
-        Coordinator::builder(supplier.clone(), kp_s)
-            .ring(ring)
-            .seed(2)
-            .build(),
-    ]);
+    let group = GroupId(1001);
+    let net = ShardedNet::builder()
+        .add_group(
+            group,
+            vec![
+                Coordinator::builder(customer.clone(), kp_c)
+                    .ring(ring.clone())
+                    .seed(1)
+                    .build(),
+                Coordinator::builder(supplier.clone(), kp_s)
+                    .ring(ring)
+                    .seed(2)
+                    .build(),
+            ],
+        )
+        .spawn()
+        .expect("spawn worker pool");
 
     // The customer creates the order object; the supplier connects.
     let r = roles.clone();
-    net.handle(&customer).invoke(move |c, _| {
+    net.handle(group, &customer).invoke(move |c, _| {
         c.register_object(
             ObjectId::new("order-1001"),
             Box::new(move || Box::new(OrderObject::new(r.clone()))),
         )
         .unwrap();
     });
-    let supplier_ctrl = Controller::new(net.handle(&supplier).clone(), ObjectId::new("order-1001"))
+    let supplier_ctrl = Controller::new(net.handle(group, &supplier), ObjectId::new("order-1001"))
         .timeout(Duration::from_secs(10));
     let r = roles;
     supplier_ctrl
@@ -53,10 +60,10 @@ fn main() {
         .expect("supplier joins the order");
 
     let mut customer_ctrl =
-        Controller::new(net.handle(&customer).clone(), ObjectId::new("order-1001"))
+        Controller::new(net.handle(group, &customer), ObjectId::new("order-1001"))
             .timeout(Duration::from_secs(10));
     let mut supplier_ctrl2 =
-        Controller::new(net.handle(&supplier).clone(), ObjectId::new("order-1001"))
+        Controller::new(net.handle(group, &supplier), ObjectId::new("order-1001"))
             .timeout(Duration::from_secs(10));
 
     let step = |ctrl: &mut Controller<_>, describe: &str, mutate: &dyn Fn(&mut Order)| {

@@ -1,4 +1,4 @@
-//! Figure 5 replay over `b2b-net::tcp` — the same Tic-Tac-Toe script as
+//! Figure 5 replay over `b2b-net::shard_tcp` — the same Tic-Tac-Toe script as
 //! `examples/tictactoe.rs`, but with each organisation's coordinator
 //! reachable over a real OS socket, so the two servers can live in two
 //! different processes (or hosts).
@@ -27,11 +27,13 @@ use b2bobjects::core::{Coordinator, ObjectId, Outcome};
 use b2bobjects::crypto::{KeyPair, KeyRing, PartyId, Signer};
 use b2bobjects::evidence::{EvidenceStore, MemStore};
 use b2bobjects::net::poll::wait_for;
-use b2bobjects::net::{NodeHandle, TcpConfig, TcpEndpoint, TcpNet};
-use std::net::SocketAddr;
+use b2bobjects::net::{GroupHandle, GroupId, ShardedTcpConfig, ShardedTcpEndpoint, ShardedTcpNet};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The one coordination group the game runs in.
+const GAME: GroupId = GroupId(0);
 /// Deadline for in-game steps (sub-millisecond on loopback in practice).
 const STEP: Duration = Duration::from_secs(30);
 /// Deadline for the initial join — generous because in two-process mode a
@@ -86,7 +88,7 @@ fn build_node(role: &str) -> (Coordinator, Arc<MemStore>) {
 }
 
 /// Proposes a mutated board and waits for the group's verdict.
-fn play(handle: &NodeHandle<Coordinator>, mutate: impl Fn(&mut Board)) -> Outcome {
+fn play(handle: &GroupHandle<Coordinator>, mutate: impl Fn(&mut Board)) -> Outcome {
     let oid = ObjectId::new("game");
     handle.wait_until(STEP, |c| !c.is_busy(&oid));
     let state = handle
@@ -108,7 +110,7 @@ fn play(handle: &NodeHandle<Coordinator>, mutate: impl Fn(&mut Board)) -> Outcom
 
 /// Blocks until the agreed board shows `mark` at (`row`, `col`) — the
 /// peer's move has been installed here.
-fn wait_mark(handle: &NodeHandle<Coordinator>, deadline: Duration, mark: Mark, row: u8, col: u8) {
+fn wait_mark(handle: &GroupHandle<Coordinator>, deadline: Duration, mark: Mark, row: u8, col: u8) {
     assert!(
         handle.wait_until(deadline, move |c| {
             c.agreed_state(&ObjectId::new("game"))
@@ -119,7 +121,7 @@ fn wait_mark(handle: &NodeHandle<Coordinator>, deadline: Duration, mark: Mark, r
     );
 }
 
-fn show(handle: &NodeHandle<Coordinator>) -> Board {
+fn show(handle: &GroupHandle<Coordinator>) -> Board {
     Board::from_bytes(
         &handle
             .read(|c| c.agreed_state(&ObjectId::new("game")))
@@ -130,7 +132,7 @@ fn show(handle: &NodeHandle<Coordinator>) -> Board {
 
 /// Cross's whole game: create the object, wait for Nought, play the
 /// Figure 5 sequence ending with the cheating move.
-fn drive_cross(handle: NodeHandle<Coordinator>, store: Arc<MemStore>) {
+fn drive_cross(handle: GroupHandle<Coordinator>, store: Arc<MemStore>) {
     let oid = ObjectId::new("game");
     handle.invoke(|c, _| {
         c.register_object(ObjectId::new("game"), Box::new(game_factory))
@@ -170,7 +172,7 @@ fn drive_cross(handle: NodeHandle<Coordinator>, store: Arc<MemStore>) {
 }
 
 /// Nought's whole game: join, answer Cross's moves, veto the cheat.
-fn drive_nought(handle: NodeHandle<Coordinator>, store: Arc<MemStore>) {
+fn drive_nought(handle: GroupHandle<Coordinator>, store: Arc<MemStore>) {
     let oid = ObjectId::new("game");
     handle.invoke(|c, ctx| {
         c.request_connect(
@@ -219,15 +221,16 @@ fn drive_nought(handle: NodeHandle<Coordinator>, store: Arc<MemStore>) {
 fn run_loopback() {
     let (cross_node, cross_store) = build_node("cross");
     let (nought_node, nought_store) = build_node("nought");
-    let net = TcpNet::spawn_loopback(vec![cross_node, nought_node]).expect("bind loopback");
+    let net = ShardedTcpNet::spawn_loopback(vec![(GAME, vec![cross_node, nought_node])])
+        .expect("bind loopback");
     println!(
         "loopback mode: cross on {}, nought on {}",
         net.endpoint(&PartyId::new("cross")).local_addr(),
         net.endpoint(&PartyId::new("nought")).local_addr()
     );
-    let cross_handle = net.handle(&PartyId::new("cross")).clone();
+    let cross_handle = net.handle(GAME, &PartyId::new("cross"));
     let t = std::thread::spawn(move || drive_cross(cross_handle, cross_store));
-    drive_nought(net.handle(&PartyId::new("nought")).clone(), nought_store);
+    drive_nought(net.handle(GAME, &PartyId::new("nought")), nought_store);
     t.join().unwrap();
     net.shutdown();
 }
@@ -237,19 +240,20 @@ fn run_party(role: &str, listen: &str, peer: &str) {
     let peer_addr: SocketAddr = peer.parse().expect("peer address like 127.0.0.1:7402");
     let peer_id = PartyId::new(if role == "cross" { "nought" } else { "cross" });
     let (node, store) = build_node(role);
-    let mut endpoint = TcpEndpoint::spawn(
-        node,
-        listen,
+    let listener = TcpListener::bind(listen).expect("bind listen address");
+    let mut endpoint = ShardedTcpEndpoint::spawn_with_listener(
+        vec![(GAME, node)],
+        listener,
         vec![(peer_id, peer_addr)],
-        TcpConfig::default(),
+        ShardedTcpConfig::default(),
     )
-    .expect("bind listen address");
+    .expect("start endpoint");
     endpoint.start();
     println!(
         "[{role}] listening on {}, peer at {peer_addr}",
         endpoint.local_addr()
     );
-    let handle = endpoint.handle().clone();
+    let handle = endpoint.handle(GAME, &PartyId::new(role));
     match role {
         "cross" => drive_cross(handle, store),
         _ => drive_nought(handle, store),

@@ -12,9 +12,10 @@
 //!   coordination protocol, connection/disconnection protocols, the
 //!   [`core::B2BObject`] trait and [`core::controller`] API.
 //! * [`crypto`] — signatures, hashing, time-stamping, certificates.
-//! * [`net`] — transports: in-process threaded, deterministic simulated
-//!   (with fault injection and a Dolev-Yao intruder) and TCP over OS
-//!   sockets ([`net::tcp`]) for crossing process and host boundaries.
+//! * [`net`] — transports: deterministic simulated (with fault injection
+//!   and a Dolev-Yao intruder) and the real-clock sharded runtime, in
+//!   process or over OS sockets ([`net::shard_tcp`]) for crossing process
+//!   and host boundaries.
 //! * [`evidence`] — non-repudiation logs, evidence verification and the
 //!   offline arbiter for dispute resolution.
 //! * [`apps`] — proof-of-concept applications: Tic-Tac-Toe, order

@@ -7,8 +7,7 @@ use b2bobjects::core::{B2BObject, Coordinator, ObjectId, Outcome, RunId};
 use b2bobjects::crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2bobjects::evidence::{EvidenceStore, MemStore};
 use b2bobjects::net::{
-    GroupHandle, GroupId, NodeHandle, ShardedNet, ShardedTcpConfig, ShardedTcpNet, SimNet,
-    TcpConfig, TcpNet,
+    GroupHandle, GroupId, NetStats, ShardedNet, ShardedTcpConfig, ShardedTcpNet, SimNet,
 };
 use b2bobjects::telemetry::Telemetry;
 use std::collections::HashMap;
@@ -183,163 +182,6 @@ pub fn evidence_projection(store: &MemStore) -> EvidenceProjection {
         .collect()
 }
 
-/// The [`World`] harness over real loopback sockets: identical key
-/// material, seeds and script driving, with real-clock condition waits in
-/// place of virtual-time quiescence.
-pub struct TcpWorld {
-    pub net: TcpNet<Coordinator>,
-    pub parties: Vec<PartyId>,
-    pub stores: HashMap<PartyId, Arc<MemStore>>,
-    pub ring: KeyRing,
-}
-
-impl TcpWorld {
-    /// Builds coordinators named after `names`, each listening on an
-    /// ephemeral loopback port. Key material and coordinator seeds match
-    /// [`World::new`] exactly, so the two transports produce the same
-    /// evidence for the same script.
-    pub fn new(names: &[&str], seed: u64) -> TcpWorld {
-        let telemetry = names.iter().map(|_| Telemetry::new()).collect();
-        TcpWorld::with_telemetry(names, seed, telemetry)
-    }
-
-    /// [`TcpWorld::new`] with one caller-supplied telemetry handle per
-    /// party, mirroring [`World::with_telemetry`].
-    pub fn with_telemetry(names: &[&str], seed: u64, telemetry: Vec<Telemetry>) -> TcpWorld {
-        assert_eq!(names.len(), telemetry.len());
-        let mut ring = KeyRing::new();
-        let mut keys = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let kp = KeyPair::generate_from_seed(500 + i as u64);
-            ring.register(PartyId::new(*name), kp.public_key());
-            keys.push((PartyId::new(*name), kp));
-        }
-        let tsa = TimeStampAuthority::new(KeyPair::generate_from_seed(777));
-        let mut stores = HashMap::new();
-        let mut nodes = Vec::new();
-        for (i, ((id, kp), tel)) in keys.into_iter().zip(telemetry).enumerate() {
-            let store = Arc::new(MemStore::new());
-            stores.insert(id.clone(), store.clone());
-            nodes.push(
-                Coordinator::builder(id, kp)
-                    .ring(ring.clone())
-                    .tsa(tsa.clone())
-                    .store(store)
-                    .seed(seed + i as u64)
-                    .telemetry(tel)
-                    .build(),
-            );
-        }
-        let net = TcpNet::spawn_loopback_with(nodes, TcpConfig::default())
-            .expect("bind loopback listeners");
-        TcpWorld {
-            net,
-            parties: names.iter().map(|n| PartyId::new(*n)).collect(),
-            stores,
-            ring,
-        }
-    }
-
-    pub fn handle(&self, who: &str) -> &NodeHandle<Coordinator> {
-        self.net.handle(&PartyId::new(who))
-    }
-
-    /// Registers an object at `owner` and joins the remaining `joiners` in
-    /// order, each sponsored by the previously joined member.
-    pub fn share<F>(&mut self, alias: &str, owner: &str, joiners: &[&str], factory: F)
-    where
-        F: Fn() -> Box<dyn B2BObject> + Clone + Send + 'static,
-    {
-        let f = factory.clone();
-        self.handle(owner).invoke(move |c, _| {
-            c.register_object(ObjectId::new(alias.to_string()), Box::new(f))
-                .unwrap();
-        });
-        let mut sponsor = PartyId::new(owner);
-        let alias = alias.to_string();
-        for joiner in joiners {
-            let f = factory.clone();
-            let s = sponsor.clone();
-            let a = alias.clone();
-            self.handle(joiner).invoke(move |c, ctx| {
-                c.request_connect(ObjectId::new(a), Box::new(f), s, ctx)
-                    .unwrap();
-            });
-            let a = ObjectId::new(alias.clone());
-            assert!(
-                self.handle(joiner)
-                    .wait_until(TCP_STEP, |c| c.is_member(&a)),
-                "{joiner} failed to join {alias} over TCP"
-            );
-            // The sponsor has installed before it sends the welcome; wait
-            // for its queue to drain all the same so the next step starts
-            // from an idle group.
-            let a = ObjectId::new(alias.clone());
-            let sp = sponsor.clone();
-            assert!(
-                self.net
-                    .handle(&sp)
-                    .wait_until(TCP_STEP, |c| !c.is_busy(&a)),
-                "sponsor {sp} still busy after admitting {joiner}"
-            );
-            sponsor = PartyId::new(*joiner);
-        }
-        // A join round touches every existing member, not just the
-        // sponsor — the owner can still be installing the final
-        // membership change when the last welcome lands. Drain every
-        // member so the caller's first proposal starts from an idle
-        // group.
-        let a = ObjectId::new(alias);
-        for p in &self.parties {
-            let h = self.net.handle(p);
-            if !h.read(|c| c.is_member(&a)) {
-                continue;
-            }
-            assert!(
-                h.wait_until(TCP_STEP, |c| !c.is_busy(&a)),
-                "{p} still busy on {a:?} after the join chain settled"
-            );
-        }
-    }
-
-    /// Proposes `state` on `alias` from `who`; waits until every member
-    /// has recorded the run's outcome and returns it as seen by the
-    /// proposer.
-    pub fn propose(&mut self, who: &str, alias: &str, state: Vec<u8>) -> (RunId, Outcome) {
-        let a = ObjectId::new(alias);
-        let run = self
-            .handle(who)
-            .invoke(move |c, ctx| c.propose_overwrite(&a, state, ctx).unwrap());
-        let oid = ObjectId::new(alias);
-        for p in &self.parties {
-            let h = self.net.handle(p);
-            if !h.read(|c| c.is_member(&oid)) {
-                continue;
-            }
-            assert!(
-                h.wait_until(TCP_STEP, |c| c.outcome_of(&run).is_some()),
-                "{p} never recorded the outcome of {who}'s run"
-            );
-        }
-        let outcome = self
-            .handle(who)
-            .read(|c| c.outcome_of(&run).cloned())
-            .expect("run completed");
-        (run, outcome)
-    }
-
-    pub fn state(&self, who: &str, alias: &str) -> Vec<u8> {
-        self.handle(who)
-            .read(|c| c.agreed_state(&ObjectId::new(alias)))
-            .expect("state present")
-    }
-}
-
-/// The [`World`] harness on the sharded multi-group runtime, pinned to a
-/// single group: identical key material, seeds and script driving as
-/// [`World`] and [`TcpWorld`], so a one-group sharded run must produce
-/// the same evidence projection and the same canonical trace DAGs as the
-/// legacy fabrics.
 /// The socket fabric a [`ShardedWorld`] runs its worker pool over.
 pub enum ShardFabric {
     /// In-process delivery between slots (the default).
@@ -378,6 +220,13 @@ impl ShardFabric {
         }
     }
 
+    pub fn stats(&self) -> NetStats {
+        match self {
+            ShardFabric::Inproc(net) => net.stats(),
+            ShardFabric::Tcp(net) => net.stats(),
+        }
+    }
+
     pub fn shutdown(self) {
         match self {
             ShardFabric::Inproc(net) => net.shutdown(),
@@ -386,6 +235,11 @@ impl ShardFabric {
     }
 }
 
+/// The [`World`] harness on the sharded multi-group runtime, pinned to a
+/// single group: identical key material, seeds and script driving as
+/// [`World`], with real-clock condition waits in place of virtual-time
+/// quiescence, so a one-group sharded run must produce the same evidence
+/// projection and the same canonical trace DAGs as the simulator.
 pub struct ShardedWorld {
     pub net: ShardFabric,
     pub parties: Vec<PartyId>,
@@ -562,16 +416,14 @@ impl ShardedWorld {
             if !h.read(move |c| c.is_member(&o)) {
                 continue;
             }
-            let r = run.clone();
             assert!(
-                h.wait_until(TCP_STEP, move |c| c.outcome_of(&r).is_some()),
+                h.wait_until(TCP_STEP, move |c| c.outcome_of(&run).is_some()),
                 "{p} never recorded the outcome of {who}'s run"
             );
         }
-        let r = run.clone();
         let outcome = self
             .handle(who)
-            .read(move |c| c.outcome_of(&r).cloned())
+            .read(move |c| c.outcome_of(&run).cloned())
             .expect("run completed");
         (run, outcome)
     }

@@ -1,33 +1,20 @@
-//! The Figure 5 (Tic-Tac-Toe) and Figure 7 (order processing) scenario
-//! scripts replayed over `b2b-net::tcp` on loopback sockets.
+//! The Figure 7 (order processing) scenario script replayed over
+//! multiplexed loopback sockets (`b2b-net::shard_tcp`).
 //!
-//! Beyond the scripts completing, each test replays the *same* script with
+//! Beyond the script completing, the test replays the *same* script with
 //! the *same* seeds on the deterministic simulator and asserts the
 //! evidence logs are identical modulo the two time-dependent fields (TSA
 //! token, local append time): the transport underneath changes nothing
 //! about the evidence the parties accumulate — which is the paper's
-//! layering claim (§4.2) made checkable.
+//! layering claim (§4.2) made checkable. Figure 5 parity and the
+//! socket-kill recovery run in `sharded_parity.rs`.
 
 mod common;
 
 use b2bobjects::apps::order::{Order, OrderObject, OrderRoles};
-use b2bobjects::apps::tictactoe::{Board, GameObject, Mark, Players};
-use b2bobjects::core::{ObjectId, Outcome};
 use b2bobjects::crypto::PartyId;
 use b2bobjects::net::poll::wait_for;
-use common::{evidence_projection, TcpWorld, World, TCP_STEP};
-use std::time::Duration;
-
-fn players() -> Players {
-    Players {
-        cross: PartyId::new("cross"),
-        nought: PartyId::new("nought"),
-    }
-}
-
-fn game_factory() -> Box<dyn b2bobjects::core::B2BObject> {
-    Box::new(GameObject::new(players()))
-}
+use common::{evidence_projection, ShardedWorld, World, TCP_STEP};
 
 fn order_roles() -> OrderRoles {
     OrderRoles::two_party(PartyId::new("customer"), PartyId::new("supplier"))
@@ -35,38 +22,6 @@ fn order_roles() -> OrderRoles {
 
 fn order_factory() -> Box<dyn b2bobjects::core::B2BObject> {
     Box::new(OrderObject::new(order_roles()))
-}
-
-/// Drives the Figure 5 script (three legal moves, then Cross's cheat) on
-/// any harness through the closures; returns nothing — the caller reads
-/// the stores.
-macro_rules! figure5_script {
-    ($world:expr) => {{
-        $world.share("game", "cross", &["nought"], game_factory);
-        let moves = [
-            ("cross", Mark::X, 1, 1),
-            ("nought", Mark::O, 0, 0),
-            ("cross", Mark::X, 1, 2),
-        ];
-        for (who, mark, row, col) in moves {
-            let mut board = Board::from_bytes(&$world.state(who, "game")).unwrap();
-            board.play(mark, row, col).unwrap();
-            let (_, outcome) = $world.propose(who, "game", board.to_bytes());
-            assert!(outcome.is_installed(), "{who}'s legal move installs");
-        }
-        let before_cheat = $world.state("nought", "game");
-        let mut cheat = Board::from_bytes(&$world.state("cross", "game")).unwrap();
-        cheat.cheat_set(Mark::O, 2, 1);
-        let (_, outcome) = $world.propose("cross", "game", cheat.to_bytes());
-        match outcome {
-            Outcome::Invalidated { vetoers } => {
-                assert_eq!(vetoers[0].0, PartyId::new("nought"));
-            }
-            other => panic!("expected veto, got {other:?}"),
-        }
-        assert_eq!($world.state("nought", "game"), before_cheat);
-        assert_eq!($world.state("cross", "game"), before_cheat);
-    }};
 }
 
 /// The Figure 7 script: two valid updates each way, then the supplier's
@@ -107,16 +62,14 @@ macro_rules! figure7_script {
 }
 
 #[test]
-fn figure5_over_tcp_matches_inproc_evidence() {
-    // Reference run on the deterministic simulator.
-    let mut sim = World::new(&["cross", "nought"], 100);
-    figure5_script!(sim);
+fn figure7_over_tcp_matches_inproc_evidence() {
+    let mut sim = World::new(&["customer", "supplier"], 110);
+    figure7_script!(sim);
 
-    // The same script over real loopback sockets, same seeds.
-    let mut tcp = TcpWorld::new(&["cross", "nought"], 100);
-    figure5_script!(tcp);
+    let mut tcp = ShardedWorld::new_tcp(&["customer", "supplier"], 110);
+    figure7_script!(tcp);
 
-    for who in ["cross", "nought"] {
+    for who in ["customer", "supplier"] {
         let id = PartyId::new(who);
         let want = evidence_projection(&sim.stores[&id]);
         // The last protocol message may still be in flight when the script
@@ -130,79 +83,5 @@ fn figure5_over_tcp_matches_inproc_evidence() {
             want.len()
         );
     }
-    tcp.net.shutdown();
-}
-
-#[test]
-fn figure7_over_tcp_matches_inproc_evidence() {
-    let mut sim = World::new(&["customer", "supplier"], 110);
-    figure7_script!(sim);
-
-    let mut tcp = TcpWorld::new(&["customer", "supplier"], 110);
-    figure7_script!(tcp);
-
-    for who in ["customer", "supplier"] {
-        let id = PartyId::new(who);
-        let want = evidence_projection(&sim.stores[&id]);
-        let store = tcp.stores[&id].clone();
-        assert!(
-            wait_for(TCP_STEP, || evidence_projection(&store) == want),
-            "{who}'s evidence over TCP diverges from the in-proc run:\n\
-             tcp has {} records, sim has {}",
-            evidence_projection(&tcp.stores[&id]).len(),
-            want.len()
-        );
-    }
-    tcp.net.shutdown();
-}
-
-#[test]
-fn killed_connection_mid_run_completes_via_reconnect() {
-    let mut tcp = TcpWorld::new(&["cross", "nought"], 120);
-    tcp.share("game", "cross", &["nought"], game_factory);
-    let cross = PartyId::new("cross");
-    let nought = PartyId::new("nought");
-
-    // First move installs over healthy connections.
-    let mut board = Board::from_bytes(&tcp.state("cross", "game")).unwrap();
-    board.play(Mark::X, 1, 1).unwrap();
-    let (_, outcome) = tcp.propose("cross", "game", board.to_bytes());
-    assert!(outcome.is_installed());
-
-    // Sever both directions, then immediately propose: whichever protocol
-    // frames the reset swallows, retransmission re-sends and the writer
-    // reconnects — the run must still complete exactly once.
-    tcp.net.kill_connection(&cross, &nought);
-    let mut board = Board::from_bytes(&tcp.state("nought", "game")).unwrap();
-    board.play(Mark::O, 0, 0).unwrap();
-    let oid = ObjectId::new("game");
-    let state = board.to_bytes();
-    let run = tcp
-        .handle("nought")
-        .invoke(move |c, ctx| c.propose_overwrite(&oid, state, ctx).unwrap());
-    assert!(
-        tcp.handle("nought")
-            .wait_until(Duration::from_secs(60), |c| c
-                .outcome_of(&run)
-                .is_some_and(|o| o.is_installed())),
-        "run must complete despite the severed connection"
-    );
-    let oid = ObjectId::new("game");
-    assert!(
-        tcp.handle("cross")
-            .wait_until(TCP_STEP, |c| c.outcome_of(&run).is_some()),
-        "the peer also sees the run complete"
-    );
-    let final_board = Board::from_bytes(&tcp.state("cross", "game")).unwrap();
-    assert_eq!(final_board.at(0, 0), Some(Mark::O));
-    assert_eq!(tcp.state("cross", "game"), tcp.state("nought", "game"));
-    assert!(tcp.handle("cross").read(|c| c.is_member(&oid)));
-
-    // At least one side had to re-establish its link.
-    let stats = tcp.net.stats();
-    assert!(
-        stats.reconnects >= 1,
-        "expected a reconnect, stats: {stats:?}"
-    );
     tcp.net.shutdown();
 }

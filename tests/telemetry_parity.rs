@@ -4,7 +4,8 @@
 //! Trace roots are content-derived (run-id digests, membership request
 //! digests) and span links are carried in the wire frames, so the
 //! distributed traces assembled from the flight recorders of a simulated
-//! run and a real TCP-loopback run of the same script must be
+//! run and a real TCP-loopback run of the same script (one group on the
+//! multiplexed-socket runtime, `ShardedTcpNet`) must be
 //! structurally identical once wall-clock time is normalised away —
 //! which is exactly what [`canonical_dag`] does: it omits timestamps,
 //! details and concrete span ids and keeps only parties, span names and
@@ -22,7 +23,7 @@ use b2bobjects::apps::tictactoe::{Board, GameObject, Mark, Players};
 use b2bobjects::core::Outcome;
 use b2bobjects::crypto::PartyId;
 use b2bobjects::telemetry::{assemble, names, MetricsSnapshot, RingRecorder, Telemetry, TraceSink};
-use common::{TcpWorld, World};
+use common::{ShardedWorld, World};
 use std::sync::Arc;
 
 /// Counters whose values are decided by the protocol script, not by the
@@ -106,7 +107,8 @@ fn sim_and_tcp_runs_reconstruct_the_same_causal_dag() {
 
     let (tcp_dags, tcp_counters) = {
         let (recorder, telemetry) = recorded_telemetry(2);
-        let mut world = TcpWorld::with_telemetry(&["cross", "nought"], 100, telemetry.clone());
+        let mut world =
+            ShardedWorld::with_telemetry_tcp(&["cross", "nought"], 100, telemetry.clone());
         play_figure5!(world);
         let out = harvest(&recorder, &telemetry);
         world.net.shutdown();
