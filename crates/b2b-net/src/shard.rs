@@ -322,10 +322,8 @@ impl<N: NetNode> Core<N> {
     fn try_drain(&self, inner: &mut SlotInner<N>) -> bool {
         while let Some((dest, event)) = inner.outbox.pop_front() {
             match dest {
-                OutDest::Shard(d) => match self.shard_txs[d].try_send(event) {
-                    Ok(()) => {
-                        self.depths[d].fetch_add(1, Ordering::Relaxed);
-                    }
+                OutDest::Shard(d) => match self.offer(d, event) {
+                    Ok(()) => {}
                     Err(TrySendError::Disconnected(_)) => {
                         // Shutting down; the frame is lost with the pool.
                         self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -402,13 +400,23 @@ impl<N: NetNode> Core<N> {
         self.drain_outbox(slot, inner);
     }
 
-    fn wake(&self, shard: usize) {
+    /// Offers `event` to `shard`'s inbox, counting it into the shard's
+    /// depth *before* the send: the worker may dequeue (and decrement) as
+    /// soon as the send lands, so counting after it could drive the depth
+    /// below zero. A refused event is uncounted again.
+    fn offer(&self, shard: usize, event: ShardEvent) -> Result<(), TrySendError<ShardEvent>> {
         self.depths[shard].fetch_add(1, Ordering::Relaxed);
-        if self.shard_txs[shard].try_send(ShardEvent::Wake).is_err() {
-            // Full or stopped: either way the worker is busy and will
-            // re-check its deadline soon.
+        let sent = self.shard_txs[shard].try_send(event);
+        if sent.is_err() {
             self.depths[shard].fetch_sub(1, Ordering::Relaxed);
         }
+        sent
+    }
+
+    fn wake(&self, shard: usize) {
+        // Full or stopped: either way the worker is busy and will re-check
+        // its deadline soon.
+        let _ = self.offer(shard, ShardEvent::Wake);
     }
 
     /// Offers an externally received, still-enveloped frame to its
@@ -429,11 +437,8 @@ impl<N: NetNode> Core<N> {
             to,
             frame,
         };
-        match self.shard_txs[shard].try_send(event) {
-            Ok(()) => {
-                self.depths[shard].fetch_add(1, Ordering::Relaxed);
-                true
-            }
+        match self.offer(shard, event) {
+            Ok(()) => true,
             Err(TrySendError::Full(_)) => false,
             // Shutting down; consume the frame with the pool.
             Err(TrySendError::Disconnected(_)) => true,

@@ -1,0 +1,131 @@
+//! Request bodies are read by the derive-generated JSON reader: any
+//! spelling the JSON grammar allows installs as the canonical one would,
+//! and a malformed body is answered exactly as before the reader — same
+//! status, byte-identical error body (the golden strings below were
+//! recorded from the tree-only decoder).
+
+use b2b_apps::Order;
+use b2b_core::CoordinatorConfig;
+use b2b_net::HttpClient;
+use b2b_server::{OrderServer, OrderServerOptions};
+use b2b_telemetry::Telemetry;
+use std::time::Duration;
+
+fn boot() -> OrderServer {
+    OrderServer::start(OrderServerOptions {
+        orders: 1,
+        parties: 2,
+        shards: Some(1),
+        http_workers: 2,
+        config: CoordinatorConfig::default(),
+        telemetry: Telemetry::new(),
+        sync_timeout: Duration::from_secs(30),
+        ..OrderServerOptions::default()
+    })
+    .expect("server boots")
+}
+
+fn agreed(client: &mut HttpClient) -> Order {
+    let (status, body) = client.get("/orders/0").expect("read");
+    assert_eq!(status, 200, "{body}");
+    serde_json::from_str(&body).expect("the agreed order is JSON")
+}
+
+#[test]
+fn reordered_unknown_duplicate_and_spaced_members_install() {
+    let server = boot();
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+
+    // Keys out of order, an unknown member, a repeated `qty` (the first
+    // occurrence wins, as it always has) and whitespace everywhere.
+    let (status, body) = client
+        .post(
+            "/orders/0/lines?mode=sync",
+            " {\n \"qty\" : 3 ,\t\"note\" : {\"x\": [1, \"y\", null]} , \"item\" :\r\"widget-a\", \"qty\": 99 } ",
+        )
+        .expect("line");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client
+        .post(
+            "/orders/0/price?mode=sync",
+            "{\"unit_price\":10,\"extra\":null,\"item\":\"widget-a\",\"unit_price\":\"ignored\"}",
+        )
+        .expect("price");
+    assert_eq!(status, 200, "{body}");
+
+    // A bulk body whose `ops` is repeated (the first list wins) and whose
+    // elements spell their members in any order.
+    let (status, body) = client
+        .post(
+            "/orders/0/bulk?mode=sync",
+            "{ \"other\" : [1, {\"a\": \"b\"}],\n\
+             \"ops\" : [ {\"qty\":1 , \"item\":\"widget-b\",\"op\":\"line\"},\n\
+             {\"op\" : \"line\", \"item\":\"widget-c\", \"qty\":2, \"op\":\"price\"} ],\n\
+             \"ops\": [] }",
+        )
+        .expect("bulk");
+    assert_eq!(status, 200, "{body}");
+
+    let order = agreed(&mut client);
+    let line = |item: &str| order.line(item).cloned().expect("line installed");
+    assert_eq!(line("widget-a").qty, 3);
+    assert_eq!(line("widget-a").unit_price, Some(10));
+    assert_eq!(line("widget-b").qty, 1);
+    assert_eq!(line("widget-c").qty, 2);
+    assert_eq!(order.lines.len(), 3);
+    server.shutdown();
+}
+
+#[test]
+fn malformed_bodies_get_the_same_answers_as_before() {
+    let server = boot();
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+    let golden = [
+        // A type error: `from_value`'s message, with the field's path.
+        (
+            "/orders/0/lines",
+            "{\"item\":\"widget\",\"qty\":-1}",
+            "{\"error\":\"ActionBody.qty: expected unsigned integer, got I64(-1)\"}",
+        ),
+        // A syntax error after a well-typed prefix.
+        (
+            "/orders/0/lines",
+            "{\"item\":\"widget\",\"qty\":2,}",
+            "{\"error\":\"expected '\\\"' at offset 25\"}",
+        ),
+        // A type error *before* a syntax error: the tree path reports the
+        // syntax error, so the answer does too.
+        (
+            "/orders/0/bulk",
+            "{\"ops\":[{\"op\":\"line\",\"item\":7}],\"x\":[1,}",
+            "{\"error\":\"unexpected Some(125) at offset 39\"}",
+        ),
+    ];
+    for (path, request, response) in golden {
+        let (status, body) = client.post(path, request).expect("post");
+        assert_eq!((status, body.as_str()), (400, response), "{request}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn numbers_and_escapes_the_scanner_used_to_misread_are_refused() {
+    let server = boot();
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+    // Both used to install: the quantity as 1, the item as "A".
+    for request in [
+        "{\"item\":\"widget\",\"qty\":-18446744073709551615}",
+        "{\"item\":\"\\u+041\",\"qty\":1}",
+    ] {
+        let (status, body) = client.post("/orders/0/lines", request).expect("post");
+        assert_eq!(status, 400, "{request} -> {body}");
+    }
+    assert!(agreed(&mut client).lines.is_empty());
+    server.shutdown();
+}
