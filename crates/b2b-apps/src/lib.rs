@@ -18,8 +18,12 @@
 //! * [`ttp`] — trusted-third-party interposition (Figure 1b / Figure 6):
 //!   playing through a TTP that validates moves before disclosure, and a
 //!   bridge agent for indirect interaction.
+//! * [`generic`] — [`SharedCell`], any JSON-encodable value with a typed
+//!   validation rule, and [`CompositeObject`], several objects coordinated
+//!   as one.
 
 pub mod auction;
+pub mod generic;
 pub mod order;
 pub mod oss;
 pub mod tictactoe;
@@ -27,6 +31,7 @@ pub mod ttp;
 pub mod whiteboard;
 
 pub use auction::{Auction, AuctionObject, Bid};
+pub use generic::{CompositeObject, SharedCell};
 pub use order::{Order, OrderLine, OrderObject, OrderRoles, OrderUpdate};
 pub use oss::{FaultTicket, OssObject, ServiceConfig};
 pub use tictactoe::{Board, GameObject, Mark, MoveError, Players};

@@ -32,6 +32,8 @@ use b2b_core::{ConnectStatus, CoordinatorConfig, DecisionRule, ObjectId, Outcome
 use b2b_crypto::TimeMs;
 use b2b_net::FaultPlan;
 use b2b_telemetry::{names, MetricsSnapshot, Telemetry};
+use serde::json::write_str;
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -95,40 +97,24 @@ fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Minimal JSON string encoder for the hand-formatted sidecar envelope.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `{"<hist>":{"p50":..,"p95":..,"p99":..},...}` for every histogram in
-/// the snapshot.
-fn percentiles_json(metrics: &MetricsSnapshot) -> String {
-    let mut out = String::from("{");
+/// Appends `{"<hist>":{"p50":..,"p95":..,"p99":..},...}` for every
+/// histogram in the snapshot.
+fn write_percentiles(metrics: &MetricsSnapshot, out: &mut String) {
+    out.push('{');
     for (i, (name, h)) in metrics.histograms.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{}:{{\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            json_str(name),
+        write_str(name, out);
+        let _ = write!(
+            out,
+            ":{{\"p50\":{},\"p95\":{},\"p99\":{}}}",
             h.p50(),
             h.p95(),
             h.p99()
-        ));
+        );
     }
     out.push('}');
-    out
 }
 
 /// Writes the merged metrics of one experiment as a JSON sidecar under
@@ -144,14 +130,17 @@ fn write_sidecar(name: &str, fabric: &str, seed: u64, metrics: &MetricsSnapshot)
         return;
     }
     let path = dir.join(format!("{name}.metrics.json"));
-    let body = format!(
-        "{{\"provenance\":{{\"git_sha\":{},\"seed\":{seed},\"scenario\":{},\"fabric\":{}}},\"percentiles\":{},\"metrics\":{}}}",
-        json_str(&git_sha()),
-        json_str(name),
-        json_str(fabric),
-        percentiles_json(metrics),
-        metrics.to_json(),
-    );
+    let mut body = String::from("{\"provenance\":{\"git_sha\":");
+    write_str(&git_sha(), &mut body);
+    let _ = write!(body, ",\"seed\":{seed},\"scenario\":");
+    write_str(name, &mut body);
+    body.push_str(",\"fabric\":");
+    write_str(fabric, &mut body);
+    body.push_str("},\"percentiles\":");
+    write_percentiles(metrics, &mut body);
+    body.push_str(",\"metrics\":");
+    body.push_str(&metrics.to_json());
+    body.push('}');
     match std::fs::write(&path, body) {
         Ok(()) => {
             println!("\nmetrics sidecar: {}", path.display());

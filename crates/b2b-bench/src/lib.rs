@@ -7,14 +7,13 @@
 //! complexity, 3-step latency, liveness under bounded failures, the cost
 //! of the non-repudiation machinery) plus the design-choice ablations
 //! called out in `DESIGN.md`. Every experiment in `EXPERIMENTS.md` is
-//! regenerated either by a Criterion bench in `benches/` or by the
-//! `exp` binary (`cargo run -p b2b-bench --bin exp -- <e1..e9|all>`).
+//! regenerated by the `exp` binary
+//! (`cargo run -p b2b-bench --release --bin exp -- <e1..e9|all>`).
 
 pub mod sharded;
 
-use b2b_core::{
-    B2BObject, Coordinator, CoordinatorConfig, Decision, ObjectId, Outcome, RunId, SharedCell,
-};
+use b2b_apps::SharedCell;
+use b2b_core::{B2BObject, Coordinator, CoordinatorConfig, Decision, ObjectId, Outcome, RunId};
 use b2b_crypto::{InsecureSigner, KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2b_evidence::MemStore;
 use b2b_net::{FaultPlan, SimNet};
@@ -88,11 +87,6 @@ pub fn counter_factory() -> Box<dyn B2BObject> {
             Decision::reject("decrease")
         }
     }))
-}
-
-/// An accept-anything blob object for payload-size sweeps.
-pub fn blob_factory() -> Box<dyn B2BObject> {
-    Box::new(SharedCell::new(Vec::<u8>::new()))
 }
 
 /// A blob with genuine §4.3.1 *update* semantics: the coordinated state is
@@ -298,11 +292,6 @@ impl Fleet {
     pub fn metrics(&self) -> MetricsSnapshot {
         self.telemetry.metrics().snapshot()
     }
-}
-
-/// Formats a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 #[cfg(test)]

@@ -13,7 +13,9 @@ use b2b_core::messages::WireMsg;
 use b2b_core::{
     CoordEvent, Coordinator, CoordinatorConfig, MutationFlags, ObjectId, Outcome, RunId, StateId,
 };
-use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
+use b2b_crypto::{
+    CanonicalEncode, Encoder, KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority,
+};
 use b2b_evidence::{EvidenceStore, MemStore};
 use b2b_net::intruder::{Chain, ScriptedIntruder, SharedTap};
 use b2b_net::SimNet;
@@ -369,12 +371,17 @@ impl Fleet {
         &self.stores[i]
     }
 
-    /// Hex SHA-256 over party `i`'s serialized evidence records — the
+    /// Hex SHA-256 over party `i`'s evidence records in their canonical
+    /// form (the WAL frame bodies), as one length-prefixed sequence — the
     /// replay-stability fingerprint of a whole schedule.
     pub fn evidence_digest(&self, i: usize) -> String {
         let records = self.stores[i].records();
-        let bytes = serde_json::to_vec(&records).expect("evidence serialises");
-        hex::encode(b2b_crypto::sha256(&bytes).as_ref())
+        let mut enc = Encoder::new();
+        enc.put_u64(records.len() as u64);
+        for record in &records {
+            enc.put_bytes(&record.canonical_bytes());
+        }
+        hex::encode(b2b_crypto::sha256(&enc.finish()).as_ref())
     }
 }
 
@@ -384,7 +391,7 @@ impl Fleet {
 /// enough to give insiders an application-level veto to exploit.
 fn grow_only_counter() -> Box<dyn b2b_core::B2BObject> {
     Box::new(
-        b2b_core::SharedCell::new(0u64).with_validator(|_who, old, new| {
+        b2b_apps::SharedCell::new(0u64).with_validator(|_who, old, new| {
             if new >= old {
                 b2b_core::Decision::accept()
             } else {

@@ -935,7 +935,7 @@ impl Coordinator {
         m: Misbehaviour,
         now: TimeMs,
     ) {
-        let payload = serde_json::to_vec(&m).expect("misbehaviour serialises");
+        let payload = m.canonical_bytes();
         self.log_evidence(
             EvidenceKind::Misbehaviour,
             object,

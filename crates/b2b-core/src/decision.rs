@@ -9,11 +9,10 @@ use crate::ids::{ObjectId, RunId, StateId};
 use b2b_crypto::{
     CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder, PartyId, TimeMs,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Accept or reject.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The transition (or membership change) is locally valid.
     Accept,
@@ -100,7 +99,7 @@ impl CanonicalDecode for Decision {
 }
 
 /// The final result of a coordination run, as seen by one party.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Outcome {
     /// Unanimously agreed: the new state (or membership) was installed.
     Installed {
@@ -130,7 +129,7 @@ impl Outcome {
 
 /// A progress or completion notification delivered to the application
 /// (the `coordCallback` upcall of the paper's API, Figure 4).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoordEvent {
     /// The object concerned.
     pub object: ObjectId,
@@ -143,7 +142,7 @@ pub struct CoordEvent {
 }
 
 /// The kinds of coordination progress events.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoordEventKind {
     /// A proposal was dispatched to the group.
     Proposed,

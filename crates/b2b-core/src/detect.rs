@@ -4,17 +4,19 @@
 //! inconsistent message content, replays from prior runs, omitted and
 //! selectively sent messages, null transitions, and tampering with unsigned
 //! parts. Every detection is recorded in the non-repudiation log as a
-//! `Misbehaviour` evidence record whose payload is the JSON encoding of a
-//! [`Misbehaviour`] value.
+//! `Misbehaviour` evidence record whose payload is the canonical encoding
+//! of a [`Misbehaviour`] value: a variant tag byte, then the variant's
+//! fields in declaration order, in the `b2b_crypto::canonical` encoding.
+//! The decoder is strict, so a payload in any other format (such as the
+//! JSON that older logs carry) is refused, never repaired.
 
 use crate::ids::{GroupId, RunId, StateId};
-use b2b_crypto::PartyId;
-use serde::{Deserialize, Serialize};
+use b2b_crypto::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder, PartyId};
 use std::fmt;
 
 /// A detected deviation from the protocol, attributable to `culprit` when
 /// signatures make attribution possible.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Misbehaviour {
     /// A message's signature failed verification: either forged traffic or
     /// tampering with signed content in transit.
@@ -143,6 +145,131 @@ impl fmt::Display for Misbehaviour {
     }
 }
 
+impl CanonicalEncode for Misbehaviour {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            Misbehaviour::BadSignature { claimed, message } => {
+                enc.put_u8(0);
+                claimed.encode(enc);
+                enc.put_str(message);
+            }
+            Misbehaviour::BodyHashMismatch { run } => {
+                enc.put_u8(1);
+                run.encode(enc);
+            }
+            Misbehaviour::GroupIdMismatch { theirs, ours } => {
+                enc.put_u8(2);
+                theirs.encode(enc);
+                ours.encode(enc);
+            }
+            Misbehaviour::PredecessorMismatch { theirs, ours } => {
+                enc.put_u8(3);
+                theirs.encode(enc);
+                ours.encode(enc);
+            }
+            Misbehaviour::SequenceNotGreater { proposed, agreed } => {
+                enc.put_u8(4);
+                enc.put_u64(*proposed);
+                enc.put_u64(*agreed);
+            }
+            Misbehaviour::ReplayedProposal { run } => {
+                enc.put_u8(5);
+                run.encode(enc);
+            }
+            Misbehaviour::NullTransition { run } => {
+                enc.put_u8(6);
+                run.encode(enc);
+            }
+            Misbehaviour::BatchedUpdateMismatch { run, index } => {
+                enc.put_u8(7);
+                run.encode(enc);
+                enc.put_u64(*index as u64);
+            }
+            Misbehaviour::AuthenticatorMismatch { run } => {
+                enc.put_u8(8);
+                run.encode(enc);
+            }
+            Misbehaviour::ResponseMisrepresented { run } => {
+                enc.put_u8(9);
+                run.encode(enc);
+            }
+            Misbehaviour::InconsistentDecide { run, detail } => {
+                enc.put_u8(10);
+                run.encode(enc);
+                enc.put_str(detail);
+            }
+            Misbehaviour::IllegitimateSponsor { claimed, expected } => {
+                enc.put_u8(11);
+                claimed.encode(enc);
+                expected.encode(enc);
+            }
+            Misbehaviour::UnexpectedMessage { detail } => {
+                enc.put_u8(12);
+                enc.put_str(detail);
+            }
+        }
+    }
+}
+
+impl CanonicalDecode for Misbehaviour {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        Ok(match dec.get_u8()? {
+            0 => Misbehaviour::BadSignature {
+                claimed: PartyId::decode(dec)?,
+                message: String::decode(dec)?,
+            },
+            1 => Misbehaviour::BodyHashMismatch {
+                run: RunId::decode(dec)?,
+            },
+            2 => Misbehaviour::GroupIdMismatch {
+                theirs: GroupId::decode(dec)?,
+                ours: GroupId::decode(dec)?,
+            },
+            3 => Misbehaviour::PredecessorMismatch {
+                theirs: StateId::decode(dec)?,
+                ours: StateId::decode(dec)?,
+            },
+            4 => Misbehaviour::SequenceNotGreater {
+                proposed: dec.get_u64()?,
+                agreed: dec.get_u64()?,
+            },
+            5 => Misbehaviour::ReplayedProposal {
+                run: RunId::decode(dec)?,
+            },
+            6 => Misbehaviour::NullTransition {
+                run: RunId::decode(dec)?,
+            },
+            7 => {
+                let run = RunId::decode(dec)?;
+                let at = dec.position();
+                let Ok(index) = usize::try_from(dec.get_u64()?) else {
+                    return DecodeError::at("batch index overflows usize", at);
+                };
+                Misbehaviour::BatchedUpdateMismatch { run, index }
+            }
+            8 => Misbehaviour::AuthenticatorMismatch {
+                run: RunId::decode(dec)?,
+            },
+            9 => Misbehaviour::ResponseMisrepresented {
+                run: RunId::decode(dec)?,
+            },
+            10 => Misbehaviour::InconsistentDecide {
+                run: RunId::decode(dec)?,
+                detail: String::decode(dec)?,
+            },
+            11 => Misbehaviour::IllegitimateSponsor {
+                claimed: PartyId::decode(dec)?,
+                expected: PartyId::decode(dec)?,
+            },
+            12 => Misbehaviour::UnexpectedMessage {
+                detail: String::decode(dec)?,
+            },
+            _ => return DecodeError::at("unknown misbehaviour tag", at),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,14 +327,5 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), all.len());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let m = Misbehaviour::ReplayedProposal {
-            run: RunId(sha256(b"x")),
-        };
-        let json = serde_json::to_string(&m).unwrap();
-        assert_eq!(serde_json::from_str::<Misbehaviour>(&json).unwrap(), m);
     }
 }

@@ -18,10 +18,9 @@ use crate::ids::{members_digest, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
 use b2b_crypto::{CanonicalDecode, CanonicalEncode, KeyRing, PartyId};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
-use serde::{Deserialize, Serialize};
 
 /// A claim brought before the arbiter.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Claim {
     /// `proposer` claims that `state` of `object` was unanimously agreed
     /// by the group `members` (join order).
@@ -45,7 +44,7 @@ pub enum Claim {
 }
 
 /// The arbiter's ruling on a claim.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Ruling {
     /// The evidence supports the claim; the listed log sequence numbers
     /// carry the supporting records.

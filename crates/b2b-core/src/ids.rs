@@ -13,11 +13,10 @@
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The coordination alias of a shared object (the paper's `coordAlias`).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(String);
 
 impl ObjectId {
@@ -63,7 +62,7 @@ impl CanonicalDecode for ObjectId {
 }
 
 /// The state identifier tuple `(seqno, H(random), H(state))`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateId {
     /// Proposal sequence number; strictly greater than that of any agreed
     /// state or coordination request seen by the proposer.
@@ -127,7 +126,7 @@ impl CanonicalDecode for StateId {
 ///
 /// Regenerated by the sponsor at every membership change; "inconsistent
 /// group identifiers lead to invalidation of a proposal" (§4.2).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupId {
     /// Membership-change sequence number.
     pub seq: u64,
@@ -204,7 +203,7 @@ pub fn members_digest(members: &[PartyId]) -> Digest32 {
 /// "`t_prop` provides a unique label for each protocol run that is linked
 /// to each message in the run. It is therefore possible to detect any
 /// attempt to replay messages from a prior run" (§4.4).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RunId(pub Digest32);
 
 impl RunId {

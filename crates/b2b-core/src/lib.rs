@@ -10,9 +10,8 @@
 //! * [`Coordinator`] — the per-party protocol engine (`B2BCoordinator`):
 //!   state coordination (§4.3), connection/disconnection (§4.5), evidence
 //!   logging, checkpointing and crash recovery.
-//! * [`B2BObject`] — the trait application objects implement (Figure 4),
-//!   with [`SharedCell`] and [`CompositeObject`] as generic
-//!   implementations.
+//! * [`B2BObject`] — the trait application objects implement (Figure 4);
+//!   `b2b-apps` holds the generic implementations.
 //! * [`controller`] — the programmer-facing `B2BObjectController`:
 //!   `enter`/`examine`/`overwrite`/`update`/`leave` scoping and the
 //!   synchronous, deferred-synchronous and asynchronous modes (§5).
@@ -21,7 +20,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use b2b_core::{Coordinator, ObjectId, SharedCell};
+//! use b2b_apps::SharedCell;
+//! use b2b_core::{Coordinator, ObjectId};
 //! use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer};
 //! use b2b_net::{NodeCtx, SimNet};
 //! use b2b_crypto::TimeMs;
@@ -40,7 +40,7 @@
 //!
 //! let mut ctx = NodeCtx::new(TimeMs(0));
 //! let run = coord
-//!     .propose_overwrite(&ObjectId::new("counter"), serde_json::to_vec(&1u64).unwrap(), &mut ctx)
+//!     .propose_overwrite(&ObjectId::new("counter"), b"1".to_vec(), &mut ctx)
 //!     .unwrap();
 //! assert!(coord.outcome_of(&run).unwrap().is_installed());
 //! # drop(SimNet::<Coordinator>::new(0));
@@ -71,4 +71,4 @@ pub use detect::Misbehaviour;
 pub use dispute::{Arbiter, Claim, Ruling};
 pub use error::CoordError;
 pub use ids::{members_digest, GroupId, ObjectId, RunId, StateId};
-pub use object::{fold_each, B2BObject, CompositeObject, FoldStep, SharedCell};
+pub use object::{fold_each, B2BObject, FoldStep};

@@ -314,7 +314,7 @@ impl Coordinator {
 
         // Unverifiable content earns no response — only a misbehaviour
         // record. (A forged message must not be able to extract evidence.)
-        // The memo encodes exactly the bytes serde decoded, so any tampered
+        // The memo holds exactly the bytes the decoder read, so any tampered
         // wire byte is what gets verified — and rejected — here.
         let canonical = m1.proposal_bytes();
         if from != &m1.proposal.proposer

@@ -1211,15 +1211,29 @@ impl ReplyDoc {
 mod tests {
     use super::*;
     use crate::decision::Decision;
-    use crate::object::SharedCell;
     use b2b_crypto::sha256;
+
+    /// An object whose state is its bytes, accepting every transition.
+    struct Bytes(Vec<u8>);
+
+    impl B2BObject for Bytes {
+        fn get_state(&self) -> Vec<u8> {
+            self.0.clone()
+        }
+        fn apply_state(&mut self, state: &[u8]) {
+            self.0 = state.to_vec();
+        }
+        fn validate_state(&self, _who: &PartyId, _cur: &[u8], _next: &[u8]) -> Decision {
+            Decision::accept()
+        }
+    }
 
     fn replica(members: &[&str]) -> Replica {
         let members: Vec<PartyId> = members.iter().map(|m| PartyId::new(*m)).collect();
-        let state = serde_json::to_vec(&0u64).unwrap();
+        let state = b"0".to_vec();
         Replica::new(
             ObjectId::new("obj"),
-            Box::new(SharedCell::new(0u64)),
+            Box::new(Bytes(state.clone())),
             members.clone(),
             GroupId::genesis(sha256(b"g"), &members),
             StateId::genesis(sha256(b"r"), &state),
@@ -1275,7 +1289,7 @@ mod tests {
     fn restore(store: &HashMap<String, Vec<u8>>, cap: usize, window: u64) -> Replica {
         Replica::restore(
             ObjectId::new("obj"),
-            Box::new(SharedCell::new(99u64)),
+            Box::new(Bytes(b"99".to_vec())),
             CoreDoc::from_bytes(&store["core"]).unwrap(),
             cap,
             window,
@@ -1395,7 +1409,7 @@ mod tests {
                     seq: i + 1,
                     ..r.agreed
                 },
-                serde_json::to_vec(&i).unwrap(),
+                i.to_string().into_bytes(),
                 window,
             );
             r.remember_reply(run_id(i), decide(run_id(i)), cap);
@@ -1485,12 +1499,12 @@ mod tests {
         checkpoint(&mut replica(&["a"]), &mut store, 4);
         let back = Replica::restore(
             ObjectId::new("obj"),
-            Box::new(SharedCell::new(5u64).with_validator(|_w, _o, _n| Decision::accept())),
+            Box::new(Bytes(b"5".to_vec())),
             CoreDoc::from_bytes(&store["core"]).unwrap(),
             4,
             8,
             |_slot| None,
         );
-        assert_eq!(back.object.get_state(), serde_json::to_vec(&0u64).unwrap());
+        assert_eq!(back.object.get_state(), b"0".to_vec());
     }
 }

@@ -8,7 +8,7 @@ mod common;
 
 use b2b_core::messages::WireMsg;
 use b2b_core::{Misbehaviour, ObjectId, Outcome};
-use b2b_crypto::{PartyId, TimeMs};
+use b2b_crypto::{CanonicalDecode, PartyId, TimeMs};
 use b2b_net::intruder::{FnIntruder, Injection, InterceptAction};
 use common::*;
 
@@ -388,8 +388,9 @@ fn misbehaviour_evidence_is_persisted_in_the_log() {
         .filter(|r| r.kind == EvidenceKind::Misbehaviour)
         .collect();
     assert!(!mis.is_empty(), "misbehaviour must be logged as evidence");
-    let parsed: Misbehaviour = serde_json::from_slice(&mis[0].payload).unwrap();
+    let parsed = Misbehaviour::from_canonical(&mis[0].payload).expect("canonical payload");
     assert_eq!(parsed.tag(), "body-hash-mismatch");
+    assert_eq!(&parsed, &cluster.net.node(&party(1)).detected()[0]);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Properties of the one binary codec (`b2b_crypto::canonical`) as the
-//! protocol uses it: wire frames and replica checkpoints.
+//! protocol uses it: wire frames, replica checkpoints and misbehaviour
+//! evidence payloads.
 //!
-//! * round trip — `decode(encode(x)) == x` for every [`WireMsg`] variant
-//!   and for the checkpoint documents ([`CoreDoc`], [`ReplyDoc`]) in
-//!   every shape recovery has to restore;
+//! * round trip — `decode(encode(x)) == x` for every [`WireMsg`] variant,
+//!   for the checkpoint documents ([`CoreDoc`], [`ReplyDoc`]) in every
+//!   shape recovery has to restore, and for every [`Misbehaviour`];
 //! * totality — truncated, extended, bit-flipped and random input decodes
 //!   to `None`/`Err`, never a panic;
 //! * strictness — whatever mutated frame *is* accepted re-encodes to
@@ -16,9 +17,9 @@ use b2b_core::replica::{
     ActiveRun, CoreDoc, LeavingRun, MemberRun, MembershipChange, ProposerRun, QueuedRequest,
     RecipientRun, ReplyDoc, SeenEntry, SponsorRun, SNAPSHOT_FORMAT,
 };
-use b2b_core::{Decision, GroupId, ObjectId, RunId, StateId};
+use b2b_core::{Decision, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::DecodeError;
-use b2b_crypto::{sha256, CanonicalEncode, KeyPair, PartyId, Signer, TimeMs};
+use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, KeyPair, PartyId, Signer, TimeMs};
 use b2b_evidence::{EvidenceKind, EvidenceRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -632,6 +633,95 @@ fn damaged_checkpoint_documents_are_rejected_not_misread() {
             }
         }
     }
+}
+
+/// One value of each of the 13 variants, with empty, ASCII and non-ASCII
+/// strings and extreme integers.
+fn every_misbehaviour() -> Vec<Misbehaviour> {
+    vec![
+        Misbehaviour::BadSignature {
+            claimed: PartyId::new("supplier"),
+            message: "m1".into(),
+        },
+        Misbehaviour::BodyHashMismatch { run: run() },
+        Misbehaviour::GroupIdMismatch {
+            theirs: group_id(2),
+            ours: group_id(3),
+        },
+        Misbehaviour::PredecessorMismatch {
+            theirs: state_id(4),
+            ours: state_id(5),
+        },
+        Misbehaviour::SequenceNotGreater {
+            proposed: 0,
+            agreed: u64::MAX,
+        },
+        Misbehaviour::ReplayedProposal { run: run() },
+        Misbehaviour::NullTransition { run: run() },
+        Misbehaviour::BatchedUpdateMismatch {
+            run: run(),
+            index: 63,
+        },
+        Misbehaviour::AuthenticatorMismatch { run: run() },
+        Misbehaviour::ResponseMisrepresented { run: run() },
+        Misbehaviour::InconsistentDecide {
+            run: run(),
+            detail: "duplicate responder «customer»".into(),
+        },
+        Misbehaviour::IllegitimateSponsor {
+            claimed: PartyId::new("a"),
+            expected: PartyId::new("b"),
+        },
+        Misbehaviour::UnexpectedMessage {
+            detail: String::new(),
+        },
+    ]
+}
+
+#[test]
+fn every_misbehaviour_payload_round_trips_and_rejects_damage() {
+    let all = every_misbehaviour();
+    let mut tags: Vec<_> = all.iter().map(Misbehaviour::tag).collect();
+    tags.sort_unstable();
+    tags.dedup();
+    assert_eq!(tags.len(), 13, "one sample per variant");
+    for m in all {
+        let bytes = m.canonical_bytes();
+        assert_eq!(Misbehaviour::from_canonical(&bytes), Ok(m.clone()));
+        for cut in 0..bytes.len() {
+            assert!(
+                Misbehaviour::from_canonical(&bytes[..cut]).is_err(),
+                "{m}: cut at {cut}"
+            );
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(
+            Misbehaviour::from_canonical(&longer).unwrap_err().what,
+            "trailing bytes",
+            "{m}"
+        );
+        // A JSON payload starts with `{`, which is no variant tag.
+        let mut json = bytes.clone();
+        json[0] = b'{';
+        assert_eq!(
+            Misbehaviour::from_canonical(&json),
+            DecodeError::at("unknown misbehaviour tag", 0),
+            "{m}"
+        );
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[at] ^= flip;
+                if let Ok(again) = Misbehaviour::from_canonical(&mutated) {
+                    assert_eq!(again.canonical_bytes(), mutated, "{m}: byte {at}");
+                }
+            }
+        }
+    }
+    // The JSON payload an older log carries is refused, not repaired.
+    let old = format!(r#"{{"ReplayedProposal":{{"run":"{}"}}}}"#, run().to_hex());
+    assert!(Misbehaviour::from_canonical(old.as_bytes()).is_err());
 }
 
 /// Golden vector: the exact wire bytes of a fixed `m1` and the exact WAL

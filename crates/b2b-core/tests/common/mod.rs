@@ -4,9 +4,8 @@
 //! CA-less key ring, per-party in-memory stores, and helpers for the
 //! recurring setup (register an object, connect members, drive the net).
 
-use b2b_core::{
-    B2BObject, Coordinator, CoordinatorConfig, Decision, ObjectId, Outcome, RunId, SharedCell,
-};
+use b2b_apps::SharedCell;
+use b2b_core::{B2BObject, Coordinator, CoordinatorConfig, Decision, ObjectId, Outcome, RunId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2b_evidence::MemStore;
 use b2b_net::{FaultPlan, SimNet};

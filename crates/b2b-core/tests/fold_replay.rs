@@ -12,10 +12,9 @@
 
 mod common;
 
+use b2b_apps::{CompositeObject, SharedCell};
 use b2b_core::messages::{decode_batch_body, encode_batch_body, ProposalKind, WireMsg};
-use b2b_core::{
-    B2BObject, CompositeObject, CoordinatorConfig, Decision, FoldStep, ObjectId, SharedCell,
-};
+use b2b_core::{B2BObject, CoordinatorConfig, Decision, FoldStep, ObjectId};
 use b2b_crypto::{sha256, CanonicalEncode, PartyId, TimeMs};
 use b2b_net::intruder::{FnIntruder, InterceptAction};
 use b2b_net::FaultPlan;
@@ -227,13 +226,14 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
     (outcome, sha256(&digest_input).to_string())
 }
 
-/// `(fault, len, index, digest at the parent commit)`.
+/// `(fault, len, index, digest)`. The `Forged` rows log a `Misbehaviour`
+/// record, so their digests also pin its canonical payload.
 const GOLDEN: &[(Fault, usize, usize, &str)] = &[
     (
         Fault::Forged,
         4,
         2,
-        "a90a0a8dadf7b20a96947445a24f1b32887909e8ff9744b1b754ef444e643871",
+        "aab7882fa4bbc60314d5a653c6eb5c6e5440fbf0e126dd2a37eda7795217ff18",
     ),
     (
         Fault::Inapplicable,
@@ -251,7 +251,7 @@ const GOLDEN: &[(Fault, usize, usize, &str)] = &[
         Fault::Forged,
         1,
         0,
-        "7e9e828eee1dce9459874952a9e68e32aa8f4130dca242f61af54940e4dfa9a0",
+        "667b6ffaedf33b45f44d5d87a105389ced20f224941ba8d6214851c68b08eff5",
     ),
     (
         Fault::Inapplicable,

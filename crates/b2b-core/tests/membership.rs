@@ -2,7 +2,8 @@
 
 mod common;
 
-use b2b_core::{ConnectStatus, Decision, ObjectId, SharedCell};
+use b2b_apps::SharedCell;
+use b2b_core::{ConnectStatus, Decision, ObjectId};
 use common::*;
 
 #[test]

@@ -3,7 +3,8 @@
 
 mod common;
 
-use b2b_core::{Decision, ObjectId, Outcome, SharedCell, Verdict};
+use b2b_apps::SharedCell;
+use b2b_core::{Decision, ObjectId, Outcome, Verdict};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 use common::*;
 

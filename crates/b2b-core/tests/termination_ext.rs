@@ -74,7 +74,8 @@ fn majority_overrides_single_veto_documented_tradeoff() {
     // The §7 extension weakens the base safety property deliberately: a
     // strict majority can impose a state one party vetoed. This test
     // documents the boundary (see DESIGN.md).
-    use b2b_core::{B2BObject, Decision, SharedCell};
+    use b2b_apps::SharedCell;
+    use b2b_core::{B2BObject, Decision};
     let strict = || -> Box<dyn B2BObject> {
         Box::new(SharedCell::new(0u64).with_validator(|_w, _o, n: &u64| {
             if *n == 666 {

@@ -12,7 +12,6 @@ use crate::identity::PartyId;
 use crate::keys::{KeyRing, PublicKey};
 use crate::sig::{SigVerifier, Signature, Signer};
 use crate::time::TimeMs;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use thiserror::Error;
 
@@ -45,7 +44,7 @@ pub enum CertificateError {
 }
 
 /// An identity certificate: the CA's signed binding of a party to a key.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Certificate {
     /// The party whose key this certifies.
     pub subject: PartyId,

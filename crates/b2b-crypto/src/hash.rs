@@ -4,7 +4,6 @@
 //! bind state identifier tuples to object state, to commit to the proposer's
 //! random authenticator, and to identify group membership.
 
-use serde::{Deserialize, Serialize};
 use sha2::{Digest, Sha256};
 use std::fmt;
 
@@ -24,27 +23,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest32(pub [u8; 32]);
 
-// Serialized as a 64-character hex string rather than the derived form (a
-// JSON array of 32 integers). Digests are the most common leaf in every
-// message, snapshot and evidence record; one string node keeps wire frames
-// dense and makes structural serialization O(1) tree nodes per digest
-// instead of 32.
-impl Serialize for Digest32 {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(hex::encode(self.0))
-    }
-}
-
-impl Deserialize for Digest32 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => Digest32::from_hex(s)
-                .ok_or_else(|| serde::Error::msg("Digest32: expected 64 hex characters")),
-            _ => Err(serde::Error::msg("Digest32: expected hex string")),
-        }
-    }
-}
-
 impl Digest32 {
     /// The all-zero digest, usable as a sentinel for "no state yet".
     pub const ZERO: Digest32 = Digest32([0u8; 32]);
@@ -57,17 +35,6 @@ impl Digest32 {
     /// Renders the first four bytes as hex, for compact log output.
     pub fn short_hex(&self) -> String {
         hex::encode(&self.0[..4])
-    }
-
-    /// Parses a digest from a 64-character hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns `None` if `s` is not exactly 64 hex characters.
-    pub fn from_hex(s: &str) -> Option<Digest32> {
-        let bytes = hex::decode(s).ok()?;
-        let arr: [u8; 32] = bytes.try_into().ok()?;
-        Some(Digest32(arr))
     }
 }
 
@@ -140,20 +107,6 @@ mod tests {
         let s = d.to_string();
         assert_eq!(s.len(), 64);
         assert!(s.chars().all(|c| c.is_ascii_hexdigit()));
-    }
-
-    #[test]
-    fn digest_hex_roundtrip() {
-        let d = sha256(b"roundtrip");
-        let parsed = Digest32::from_hex(&d.to_string()).unwrap();
-        assert_eq!(d, parsed);
-    }
-
-    #[test]
-    fn from_hex_rejects_bad_input() {
-        assert!(Digest32::from_hex("zz").is_none());
-        assert!(Digest32::from_hex(&"a".repeat(63)).is_none());
-        assert!(Digest32::from_hex(&"g".repeat(64)).is_none());
     }
 
     #[test]

@@ -12,13 +12,12 @@ use crate::sig::{verify_insecure, SigVerifier, Signature, SignatureScheme, Signe
 use ed25519_dalek::{Signer as DalekSigner, SigningKey, Verifier, VerifyingKey};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// A verification (public) key, tagged with its scheme.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     scheme: SignatureScheme,
     bytes: Vec<u8>,

@@ -5,16 +5,15 @@
 //! party on data is both verifiable and unforgeable". [`crate::KeyPair`]
 //! (Ed25519) provides that. [`InsecureSigner`] exists solely so the
 //! benchmark suite can measure what non-repudiation costs (experiment E4);
-//! it is forgeable by construction and must never be used outside benches.
+//! it is forgeable by construction and must never be used outside experiments.
 
 use crate::error::CryptoError;
 use crate::hash::sha256_concat;
 use crate::keys::PublicKey;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The signature scheme a [`Signature`] or [`PublicKey`] belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SignatureScheme {
     /// Ed25519 (production scheme; unforgeable).
     Ed25519,
@@ -40,45 +39,6 @@ impl SignatureScheme {
 pub struct Signature {
     scheme: SignatureScheme,
     bytes: Vec<u8>,
-}
-
-// Serialized with the signature bytes as one hex string rather than the
-// derived JSON array of integers: like [`crate::Digest32`], signatures
-// appear in every message and evidence record, and the dense form keeps
-// both the wire frames and the structural serialization cost flat.
-impl Serialize for Signature {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("scheme".to_string(), self.scheme.to_value()),
-            (
-                "bytes".to_string(),
-                serde::Value::Str(hex::encode(&self.bytes)),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Signature {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = v
-            .as_map()
-            .ok_or_else(|| serde::Error::msg("Signature: expected object"))?;
-        let field = |name: &str| {
-            entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, val)| val)
-                .ok_or_else(|| serde::Error::msg(format!("Signature: missing field {name}")))
-        };
-        let scheme = SignatureScheme::from_value(field("scheme")?)?;
-        let bytes = match field("bytes")? {
-            serde::Value::Str(s) => {
-                hex::decode(s).map_err(|_| serde::Error::msg("Signature: bytes is not hex"))?
-            }
-            _ => return Err(serde::Error::msg("Signature: expected hex string bytes")),
-        };
-        Ok(Signature { scheme, bytes })
-    }
 }
 
 impl Signature {

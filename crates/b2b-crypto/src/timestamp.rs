@@ -15,11 +15,10 @@ use crate::hash::{sha256, Digest32};
 use crate::keys::PublicKey;
 use crate::sig::{SigVerifier, Signature, Signer};
 use crate::time::TimeMs;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A time-stamp token binding a message digest to a time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TimeStamp {
     /// Digest of the time-stamped message.
     pub digest: Digest32,

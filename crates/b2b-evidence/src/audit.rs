@@ -12,10 +12,9 @@ use crate::record::{EvidenceKind, EvidenceRecord};
 use crate::store::EvidenceStore;
 use crate::verify::{verify_record, RecordFault};
 use b2b_crypto::{KeyRing, PartyId, PublicKey};
-use serde::{Deserialize, Serialize};
 
 /// The result of auditing one log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// Total records examined.
     pub total: usize,

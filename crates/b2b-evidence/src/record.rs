@@ -4,7 +4,6 @@ use b2b_crypto::{
     CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder, PartyId, Signature, TimeMs,
     TimeStamp,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which protocol action a record evidences.
@@ -12,7 +11,7 @@ use std::fmt;
 /// One variant per evidence-bearing message of the coordination protocols
 /// (paper §4.3 and §4.5), plus local events that matter for recovery and
 /// arbitration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EvidenceKind {
     /// m1 of state coordination: a signed state-transition proposal.
     StatePropose,
@@ -115,7 +114,7 @@ impl fmt::Display for EvidenceKind {
 /// content; `signature` is the originator's signature over exactly those
 /// bytes, and `timestamp` is the TSA's token over them (§4.2 requires all
 /// signed evidence to be time-stamped).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EvidenceRecord {
     /// Log sequence number, assigned by the store on append.
     pub seq: u64,
@@ -307,17 +306,6 @@ mod tests {
             if let Ok(r) = EvidenceRecord::from_canonical(&buf) {
                 assert_eq!(r.canonical_bytes(), buf);
             }
-        }
-    }
-
-    /// Records still serialise to JSON for exported artifacts (the
-    /// `b2b-check` evidence digests) — just never on the storage path.
-    #[test]
-    fn record_json_roundtrip() {
-        for rec in samples().into_iter().take(4) {
-            let json = serde_json::to_string(&rec).unwrap();
-            let back: EvidenceRecord = serde_json::from_str(&json).unwrap();
-            assert_eq!(rec, back);
         }
     }
 

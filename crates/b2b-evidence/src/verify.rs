@@ -9,11 +9,10 @@
 
 use crate::record::EvidenceRecord;
 use b2b_crypto::{KeyRing, PublicKey};
-use serde::{Deserialize, Serialize};
 use thiserror::Error;
 
 /// Why a record failed verification.
-#[derive(Debug, Error, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Error, Clone, PartialEq, Eq)]
 pub enum RecordFault {
     /// The record claims an origin with no registered key.
     #[error("origin {0} has no registered key")]

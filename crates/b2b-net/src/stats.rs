@@ -3,10 +3,8 @@
 //! Experiment E1 (message complexity vs group size) and E6 (liveness under
 //! faults) read these counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters of datagram fates inside a network driver.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Datagrams handed to the network by nodes.
     pub sent: u64,

@@ -391,9 +391,11 @@ fn factory(roles: &OrderRoles) -> Box<dyn b2b_core::B2BObject> {
     Box::new(OrderObject::new(roles.clone()))
 }
 
-/// JSON-escapes a string (via the vendored encoder).
+/// `s` as a quoted, escaped JSON string.
 fn js(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"\"".to_string())
+    let mut out = String::with_capacity(s.len() + 2);
+    serde::json::write_str(s, &mut out);
+    out
 }
 
 fn vetoers_json(vetoers: &[(PartyId, String)]) -> String {

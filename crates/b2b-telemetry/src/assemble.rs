@@ -16,6 +16,7 @@
 //!   (`chrome://tracing` / Perfetto), with flow arrows for causal edges.
 
 use crate::trace::TraceEvent;
+use serde::json::write_str;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -186,25 +187,6 @@ impl DistributedTrace {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Exports traces as Chrome trace-event JSON (the `chrome://tracing` /
 /// Perfetto "JSON Array Format" wrapped in a `traceEvents` object).
 ///
@@ -226,11 +208,12 @@ pub fn chrome_trace_json(traces: &[DistributedTrace]) -> String {
         .collect();
     let mut events: Vec<String> = Vec::new();
     for (party, pid) in &pid_of {
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(party)
-        ));
+        let mut e = format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":"
+        );
+        write_str(party, &mut e);
+        e.push_str("}}");
+        events.push(e);
     }
     for t in traces {
         let spans = t.spans();
@@ -243,15 +226,17 @@ pub fn chrome_trace_json(traces: &[DistributedTrace]) -> String {
                 .first()
                 .and_then(|l| l.split('/').next())
                 .unwrap_or("span");
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"trace-{:016x}\",\"ph\":\"X\",\
-                 \"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"span\":\"{:016x}\",\"phases\":\"{}\"}}}}",
-                json_escape(name),
-                t.trace_id,
-                id,
-                json_escape(&labels.join(","))
-            ));
+            let mut e = String::from("{\"name\":");
+            write_str(name, &mut e);
+            let _ = write!(
+                e,
+                ",\"cat\":\"trace-{:016x}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+                 \"pid\":{pid},\"tid\":0,\"args\":{{\"span\":\"{id:016x}\",\"phases\":",
+                t.trace_id
+            );
+            write_str(&labels.join(","), &mut e);
+            e.push_str("}}");
+            events.push(e);
         }
         // Flow arrows: one start/finish pair per causal edge, identified by
         // the child span id (unique within the trace).
@@ -356,7 +341,17 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_trace_event_json() {
-        let traces = assemble(&sample());
+        // org1's name and phase carry quotes, a backslash, a newline, a
+        // raw control character and non-ASCII text, so do its details
+        // (which the export leaves out).
+        let hostile = "o\"r\\g\n\u{1}é—名";
+        let mut recorded = sample();
+        for e in recorded.iter_mut().filter(|e| e.party == "org1") {
+            e.party = hostile.to_string();
+            e.phase = format!("respond {hostile}");
+            e.detail = hostile.to_string();
+        }
+        let traces = assemble(&recorded);
         let json = chrome_trace_json(&traces);
         // Parse it back through the vendored JSON decoder: structurally
         // valid JSON with the required trace-event keys.
@@ -374,24 +369,34 @@ mod tests {
         // 2 process_name metadata + 4 spans + 2 flow edges × 2 = 10.
         assert_eq!(events.len(), 10);
         let mut phases = BTreeSet::new();
+        let mut args = Vec::new();
         for e in events {
             let serde::Value::Map(fields) = e else {
                 panic!("each event must be an object");
             };
-            let ph = fields
-                .iter()
-                .find(|(k, _)| k == "ph")
-                .map(|(_, v)| v.clone())
-                .expect("ph field");
-            let serde::Value::Str(ph) = ph else {
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let Some(serde::Value::Str(ph)) = field("ph") else {
                 panic!("ph must be a string");
             };
-            phases.insert(ph);
-            assert!(fields.iter().any(|(k, _)| k == "pid"));
+            phases.insert(ph.clone());
+            assert!(field("pid").is_some());
+            if let Some(serde::Value::Map(a)) = field("args") {
+                args.extend(a.iter().filter_map(|(_, v)| match v {
+                    serde::Value::Str(s) => Some(s.clone()),
+                    _ => None,
+                }));
+            }
         }
         assert_eq!(
             phases.into_iter().collect::<Vec<_>>(),
             vec!["M", "X", "f", "s"]
+        );
+        // The hostile strings parse back as written: the party as its
+        // process name, the phase inside its span's label list.
+        assert!(args.contains(&hostile.to_string()), "{args:?}");
+        assert!(
+            args.contains(&format!("state_run/respond {hostile}")),
+            "{args:?}"
         );
         // Determinism: rendering twice gives identical bytes.
         assert_eq!(json, chrome_trace_json(&traces));

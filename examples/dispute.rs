@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --example dispute`
 
-use b2bobjects::core::{
-    Arbiter, Claim, Coordinator, Decision, ObjectId, Outcome, SharedCell, StateId,
-};
+use b2bobjects::apps::SharedCell;
+use b2bobjects::core::{Arbiter, Claim, Coordinator, Decision, ObjectId, Outcome, StateId};
 use b2bobjects::crypto::{sha256, KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2bobjects::evidence::{EvidenceStore, LogAuditor, MemStore};
 use b2bobjects::net::SimNet;

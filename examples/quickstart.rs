@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use b2bobjects::core::{Coordinator, Decision, ObjectId, Outcome, SharedCell};
+use b2bobjects::apps::SharedCell;
+use b2bobjects::core::{Coordinator, Decision, ObjectId, Outcome};
 use b2bobjects::crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2bobjects::net::SimNet;
 

@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --example recovery`
 
-use b2bobjects::core::{Coordinator, Decision, ObjectId, SharedCell};
+use b2bobjects::apps::SharedCell;
+use b2bobjects::core::{Coordinator, Decision, ObjectId};
 use b2bobjects::crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2bobjects::evidence::{EvidenceStore, FileStore};
 use b2bobjects::net::{FaultPlan, SimNet};

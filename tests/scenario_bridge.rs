@@ -6,7 +6,8 @@ mod common;
 
 use b2bobjects::apps::order::{Order, OrderObject, OrderRoles};
 use b2bobjects::apps::ttp::BridgeAgent;
-use b2bobjects::core::{ObjectId, SharedCell};
+use b2bobjects::apps::SharedCell;
+use b2bobjects::core::ObjectId;
 use b2bobjects::crypto::PartyId;
 use common::World;
 

@@ -5,7 +5,8 @@
 mod common;
 
 use b2bobjects::apps::whiteboard::{Stroke, Whiteboard, WhiteboardObject};
-use b2bobjects::core::{CompositeObject, Outcome, SharedCell};
+use b2bobjects::apps::{CompositeObject, SharedCell};
+use b2bobjects::core::Outcome;
 use b2bobjects::crypto::PartyId;
 use common::World;
 

@@ -30,7 +30,8 @@
 mod common;
 
 use b2bobjects::apps::tictactoe::{Board, GameObject, Mark, Players};
-use b2bobjects::core::{Outcome, SharedCell};
+use b2bobjects::apps::SharedCell;
+use b2bobjects::core::Outcome;
 use b2bobjects::crypto::PartyId;
 use b2bobjects::telemetry::{assemble, names, MetricsSnapshot, RingRecorder, Telemetry, TraceSink};
 use common::{evidence_projection, EvidenceProjection, ShardedWorld, World, SHARD_GROUP, TCP_STEP};
