@@ -3,6 +3,21 @@
 use b2b_crypto::TimeMs;
 use serde::{Deserialize, Serialize};
 
+/// Replay-detection window: how many proposal tuples / run labels at or
+/// below the agreed sequence number are retained after an installation.
+/// Tuples older than the window are pruned — they are still rejected (the
+/// sequence check requires `seq == agreed.seq + 1`), only the misbehaviour
+/// label degrades from `ReplayedProposal` to the generic sequence
+/// complaint. Bounds the per-replica snapshot size, which otherwise grows
+/// without bound across runs.
+pub(crate) const REPLAY_WINDOW: u64 = 64;
+
+/// How many completed-run re-replies are retained for duplicate and
+/// post-recovery retransmissions. Oldest entries are dropped first; a peer
+/// that retransmits a run older than this simply gets silence and recovers
+/// through the normal state-transfer path.
+pub(crate) const COMPLETED_REPLIES_CAP: usize = 64;
+
 /// How the group decision over responses is computed.
 ///
 /// The base protocol requires unanimity (§4.1); majority decision is the
@@ -98,35 +113,17 @@ pub struct CoordinatorConfig {
     /// digest and always misses — and it is cleared whenever the key ring
     /// changes (see [`crate::Coordinator::update_ring`]).
     pub sig_cache_capacity: usize,
-    /// Replay-detection window: how many proposal tuples / run labels at or
-    /// below the agreed sequence number are retained after an installation.
-    /// Tuples older than the window are pruned — they are still rejected
-    /// (the sequence check requires `seq == agreed.seq + 1`), only the
-    /// misbehaviour label degrades from `ReplayedProposal` to the generic
-    /// sequence complaint. Bounds the per-replica snapshot size, which
-    /// otherwise grows without bound across runs.
-    pub replay_window: u64,
-    /// How many completed-run re-replies are retained for duplicate and
-    /// post-recovery retransmissions. Oldest entries are dropped first; a
-    /// peer that retransmits a run older than this simply gets silence and
-    /// recovers through the normal state-transfer path.
-    pub completed_replies_cap: usize,
     /// Maximum number of pending application updates coalesced into one
-    /// signed state-coordination round (`k`). While a round is in flight,
-    /// further `submit_update` calls queue; when the round completes, up to
-    /// `batch_max` queued updates are coordinated as one batch — one
-    /// canonical digest, one signature, one multicast, one evidence record.
-    /// `1` disables batching (every update pays its own round).
+    /// signed state-coordination round (`k`). An idle coordinator flushes
+    /// its queue at once; while a round is in flight, further submissions
+    /// queue, and when the round completes up to `batch_max` queued updates
+    /// are coordinated as one batch — one canonical digest, one signature,
+    /// one multicast, one evidence record. `1` disables batching (every
+    /// update pays its own round).
     pub batch_max: usize,
-    /// How long (virtual ms) an idle coordinator lingers after the first
-    /// queued update before dispatching a partial batch, hoping more
-    /// updates arrive to fill it. `TimeMs(0)` dispatches immediately —
-    /// batches then form only from genuine concurrency (updates queued
-    /// while a round is in flight), which adds no latency at low load.
-    pub batch_linger: TimeMs,
     /// Bound on the pending-update queue (backpressure for
-    /// `DeferredSynchronous`/`Asynchronous` callers): `submit_update`
-    /// beyond this many queued-but-not-yet-proposed updates fails with
+    /// `DeferredSynchronous`/`Asynchronous` callers): a submission that
+    /// would queue more than this many not-yet-proposed updates fails with
     /// `CoordError::Busy` instead of growing memory without bound.
     pub pending_updates_max: usize,
     /// Mutation-testing ablations of the §4.2 acceptance checks. All
@@ -145,10 +142,7 @@ impl CoordinatorConfig {
             ttp: None,
             run_deadline: None,
             sig_cache_capacity: 1024,
-            replay_window: 64,
-            completed_replies_cap: 64,
             batch_max: 16,
-            batch_linger: TimeMs(0),
             pending_updates_max: 1024,
             mutation: MutationFlags::default(),
         }
@@ -196,27 +190,9 @@ impl CoordinatorConfig {
         self
     }
 
-    /// Sets the replay-detection window (tuples/runs kept past install).
-    pub fn replay_window(mut self, window: u64) -> CoordinatorConfig {
-        self.replay_window = window;
-        self
-    }
-
-    /// Sets how many completed-run re-replies are retained.
-    pub fn completed_replies_cap(mut self, cap: usize) -> CoordinatorConfig {
-        self.completed_replies_cap = cap;
-        self
-    }
-
     /// Sets the maximum batch size `k` (clamped to at least 1).
     pub fn batch_max(mut self, k: usize) -> CoordinatorConfig {
         self.batch_max = k.max(1);
-        self
-    }
-
-    /// Sets the idle linger budget before dispatching a partial batch.
-    pub fn batch_linger(mut self, linger: TimeMs) -> CoordinatorConfig {
-        self.batch_linger = linger;
         self
     }
 
@@ -252,11 +228,8 @@ mod tests {
         assert_eq!(c.run_deadline, None);
         assert_eq!(c.ttp, None);
         assert_eq!(c.sig_cache_capacity, 1024);
-        assert_eq!(c.replay_window, 64);
-        assert_eq!(c.completed_replies_cap, 64);
         assert_eq!(c.retransmit_max, None);
         assert_eq!(c.batch_max, 16);
-        assert_eq!(c.batch_linger, TimeMs(0));
         assert_eq!(c.pending_updates_max, 1024);
         assert!(!c.mutation.any(), "no check is ablated by default");
     }
@@ -282,17 +255,11 @@ mod tests {
             .run_deadline(TimeMs(5_000))
             .ttp(b2b_crypto::PartyId::new("notary"))
             .sig_cache_capacity(0)
-            .replay_window(8)
-            .completed_replies_cap(4)
             .batch_max(0)
-            .batch_linger(TimeMs(25))
             .pending_updates_max(2);
         assert_eq!(c.ttp, Some(b2b_crypto::PartyId::new("notary")));
         assert_eq!(c.sig_cache_capacity, 0);
-        assert_eq!(c.replay_window, 8);
-        assert_eq!(c.completed_replies_cap, 4);
         assert_eq!(c.batch_max, 1, "batch_max clamps to at least 1");
-        assert_eq!(c.batch_linger, TimeMs(25));
         assert_eq!(c.pending_updates_max, 2);
         assert_eq!(c.retransmit_after, TimeMs(50));
         assert_eq!(c.retransmit_max, Some(TimeMs(800)));

@@ -206,10 +206,6 @@ enum AccessKind {
     Update,
 }
 
-/// Deprecated name kept for API-surface compatibility with early drafts;
-/// scoping lives directly on [`Controller`].
-pub type Scope = ();
-
 /// The per-object controller used by application code.
 pub struct Controller<A: CoordAccess> {
     access: A,

@@ -9,7 +9,7 @@
 //! under the deterministic network simulator and the real-clock sharded
 //! runtime.
 
-use crate::config::CoordinatorConfig;
+use crate::config::{CoordinatorConfig, COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
 use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
@@ -101,13 +101,10 @@ pub enum TicketState {
 }
 
 /// The pending-update queue of one object: updates accepted by
-/// [`Coordinator::submit_update`] but not yet carried by a round.
+/// [`Coordinator::submit_updates`] but not yet carried by a round.
 #[derive(Default)]
 pub(crate) struct PendingUpdates {
     pub(crate) queue: Vec<(TicketId, Vec<u8>)>,
-    /// The armed batch-linger timer, if any (stale timer ids are ignored
-    /// when they fire).
-    pub(crate) linger_timer: Option<u64>,
     /// The armed contention-retry holdoff timer, if any: while set, the
     /// queue is not flushed — requeued updates wait out a short jittered
     /// backoff so two colliding proposers desynchronise instead of
@@ -180,14 +177,12 @@ pub struct Coordinator {
     pub(crate) ttp_cases: HashMap<RunId, crate::termination::TtpCase>,
     pub(crate) ttp_timers: HashMap<u64, RunId>,
     pub(crate) next_timer: u64,
-    /// Per-object queues of updates accepted by [`Coordinator::submit_update`]
+    /// Per-object queues of updates accepted by [`Coordinator::submit_updates`]
     /// and awaiting a coordination round. Volatile (cleared on crash).
     pub(crate) pending_updates: HashMap<ObjectId, PendingUpdates>,
     /// Resolution state of every ticket handed out. Volatile.
     pub(crate) tickets: HashMap<TicketId, TicketState>,
     pub(crate) next_ticket: u64,
-    /// Armed batch-linger timers, timer id → object.
-    pub(crate) linger_timers: HashMap<u64, ObjectId>,
     /// Armed contention-retry holdoff timers, timer id → object.
     pub(crate) holdoff_timers: HashMap<u64, ObjectId>,
     /// How often each still-live ticket has been re-proposed after a round
@@ -351,7 +346,6 @@ impl CoordinatorBuilder {
             pending_updates: HashMap::new(),
             tickets: HashMap::new(),
             next_ticket: 1,
-            linger_timers: HashMap::new(),
             holdoff_timers: HashMap::new(),
             transient_retry: HashMap::new(),
             verify_pool: self.verify_pool,
@@ -975,7 +969,7 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(object) else {
             return;
         };
-        for (doc, blob) in rep.take_stale_docs(self.config.completed_replies_cap) {
+        for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP) {
             let key = match doc {
                 Doc::Reply { slot, .. } => format!("obj-{object}-reply-{slot}"),
                 Doc::Core => format!("obj-{object}"),
@@ -1108,8 +1102,8 @@ impl Coordinator {
                 object_id.clone(),
                 factory(),
                 core,
-                self.config.completed_replies_cap,
-                self.config.replay_window,
+                COMPLETED_REPLIES_CAP,
+                REPLAY_WINDOW,
                 |slot| {
                     self.snapshots
                         .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
@@ -1252,59 +1246,39 @@ impl Coordinator {
     // Pipelined update submission (batched rounds)
     // -----------------------------------------------------------------
 
-    /// Submits an application update for coordination without waiting for
-    /// the object to go idle. The update is queued; when the object is (or
-    /// becomes) idle, pending updates are coalesced — up to
-    /// [`CoordinatorConfig::batch_max`] of them, after at most
-    /// [`CoordinatorConfig::batch_linger`] of gathering time — into **one**
-    /// signed coordination round. The returned ticket resolves to the run
-    /// that carried the update (see [`Coordinator::outcome_of_ticket`]).
+    /// Submits one application update: [`Coordinator::submit_updates`]
+    /// with a single update, returning its ticket.
     ///
     /// # Errors
     ///
-    /// * [`CoordError::UnknownObject`] / [`CoordError::NotMember`] as for
-    ///   a direct proposal.
-    /// * [`CoordError::Busy`] when the pending queue has reached
-    ///   [`CoordinatorConfig::pending_updates_max`] — backpressure, the
-    ///   caller should retry after outstanding rounds complete.
+    /// As for [`Coordinator::submit_updates`].
     pub fn submit_update(
         &mut self,
         object: &ObjectId,
         update: Vec<u8>,
         ctx: &mut NodeCtx,
     ) -> Result<TicketId, CoordError> {
-        {
-            let rep = self
-                .replicas
-                .get(object)
-                .ok_or_else(|| CoordError::UnknownObject(object.clone()))?;
-            if rep.detached || !rep.is_member(&self.me) {
-                return Err(CoordError::NotMember {
-                    party: self.me.clone(),
-                    object: object.clone(),
-                });
-            }
-        }
-        let pending = self.pending_updates.entry(object.clone()).or_default();
-        if pending.queue.len() >= self.config.pending_updates_max {
-            return Err(CoordError::Busy {
-                object: object.clone(),
-            });
-        }
-        let ticket = TicketId(self.next_ticket);
-        self.next_ticket += 1;
-        pending.queue.push((ticket, update));
-        self.tickets.insert(ticket, TicketState::Queued);
-        self.maybe_dispatch(object, ctx);
-        Ok(ticket)
+        Ok(self.submit_updates(object, vec![update], ctx)?[0])
     }
 
-    /// Submits several updates in one call: every update is ticketed and
-    /// enqueued before the queue is pumped once, so the whole bulk rides
-    /// a single batched round (up to `batch_max`) instead of the first
-    /// update dispatching a round alone. Admission is all-or-nothing
-    /// against `pending_updates_max` — a bulk that does not fit answers
-    /// `Busy` without enqueueing anything.
+    /// Submits application updates for coordination without waiting for
+    /// the object to go idle. Every update is ticketed and enqueued before
+    /// the queue is flushed, and the queue has one dispatch rule: it is
+    /// flushed when the object is idle, otherwise when the active round
+    /// completes. A flush coalesces up to [`CoordinatorConfig::batch_max`]
+    /// pending updates into **one** signed coordination round, so a bulk
+    /// submitted while idle rides ⌈n / `batch_max`⌉ rounds. Each returned
+    /// ticket resolves to the run that carried its update (see
+    /// [`Coordinator::outcome_of_ticket`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`CoordError::UnknownObject`] / [`CoordError::NotMember`] as for
+    ///   a direct proposal.
+    /// * [`CoordError::Busy`] when the updates do not all fit under
+    ///   [`CoordinatorConfig::pending_updates_max`] — backpressure: nothing
+    ///   is enqueued, and the caller should retry after outstanding rounds
+    ///   complete.
     pub fn submit_updates(
         &mut self,
         object: &ObjectId,
@@ -1339,40 +1313,8 @@ impl Coordinator {
         for &ticket in &tickets {
             self.tickets.insert(ticket, TicketState::Queued);
         }
-        self.maybe_dispatch(object, ctx);
+        self.flush_pending_updates(object, ctx);
         Ok(tickets)
-    }
-
-    /// Dispatches or schedules pending updates for `object`: flush now when
-    /// the queue is full enough (or lingering is disabled), otherwise arm
-    /// the linger timer and let a little more load coalesce.
-    fn maybe_dispatch(&mut self, object: &ObjectId, ctx: &mut NodeCtx) {
-        let busy = self
-            .replicas
-            .get(object)
-            .map(|r| r.active.is_some())
-            .unwrap_or(true);
-        if busy {
-            return; // completion pumps the queue
-        }
-        let (len, armed) = match self.pending_updates.get(object) {
-            Some(p) => (p.queue.len(), p.linger_timer.is_some()),
-            None => return,
-        };
-        if len == 0 {
-            return;
-        }
-        if len >= self.config.batch_max || self.config.batch_linger.as_millis() == 0 {
-            self.flush_pending_updates(object, ctx);
-        } else if !armed {
-            let id = self.next_timer;
-            self.next_timer += 1;
-            self.linger_timers.insert(id, object.clone());
-            if let Some(p) = self.pending_updates.get_mut(object) {
-                p.linger_timer = Some(id);
-            }
-            ctx.set_timer(id, self.config.batch_linger);
-        }
     }
 
     /// Arms a short, jittered contention holdoff on `object`'s pending
@@ -1427,7 +1369,6 @@ impl Coordinator {
                 let Some(p) = self.pending_updates.get_mut(object) else {
                     return;
                 };
-                p.linger_timer = None;
                 if p.queue.is_empty() {
                     return;
                 }
@@ -1577,25 +1518,6 @@ impl NetNode for Coordinator {
             self.on_ttp_timer(run, ctx);
             self.end_episode();
         }
-        if let Some(object) = self.linger_timers.remove(&timer) {
-            // Only the currently armed timer flushes; a timer superseded by
-            // an earlier full-batch flush is stale and ignored.
-            let armed = self
-                .pending_updates
-                .get(&object)
-                .map(|p| p.linger_timer == Some(timer))
-                .unwrap_or(false);
-            if armed {
-                self.begin_root(Coordinator::derive_root(&[
-                    b"batch-linger",
-                    self.me.as_str().as_bytes(),
-                    object.as_str().as_bytes(),
-                    &timer.to_be_bytes(),
-                ]));
-                self.flush_pending_updates(&object, ctx);
-                self.end_episode();
-            }
-        }
         if let Some(object) = self.holdoff_timers.remove(&timer) {
             let armed = self
                 .pending_updates
@@ -1637,7 +1559,6 @@ impl NetNode for Coordinator {
         self.ttp_timers.clear();
         self.pending_updates.clear();
         self.tickets.clear();
-        self.linger_timers.clear();
         self.holdoff_timers.clear();
         self.transient_retry.clear();
         self.run_started.clear();

@@ -62,7 +62,7 @@ pub mod replica;
 mod termination;
 
 pub use config::{CoordinatorConfig, DecisionRule, MutationFlags};
-pub use controller::{Controller, CoordAccess, CoordTicket, Scope, SimAccess, TicketStatus};
+pub use controller::{Controller, CoordAccess, CoordTicket, SimAccess, TicketStatus};
 pub use coordinator::{
     ConnectStatus, Coordinator, CoordinatorBuilder, ObjectFactory, TicketId, TicketState,
 };

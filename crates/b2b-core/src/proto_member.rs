@@ -7,6 +7,7 @@
 //! membership, aggregates their signed decisions, and blocks new
 //! coordination requests while one is pending (§4.5.1).
 
+use crate::config::COMPLETED_REPLIES_CAP;
 use crate::coordinator::{ConnectStatus, ObjectFactory, PendingConnect};
 use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
@@ -913,7 +914,6 @@ impl Coordinator {
     fn finalize_member_run(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let me = self.me.clone();
-        let replies_cap = self.config.completed_replies_cap;
         let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
@@ -947,7 +947,11 @@ impl Coordinator {
             responses,
             connecting,
         };
-        rep.remember_reply(run, WireMsg::MemberDecide(decide.clone()), replies_cap);
+        rep.remember_reply(
+            run,
+            WireMsg::MemberDecide(decide.clone()),
+            COMPLETED_REPLIES_CAP,
+        );
 
         let decide_kind = if connecting {
             EvidenceKind::ConnectDecide

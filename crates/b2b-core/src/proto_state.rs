@@ -6,6 +6,7 @@
 //! final message is the group's non-repudiable decision, authenticated by
 //! the reveal of `r_P` whose hash was committed in the proposal.
 
+use crate::config::{COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
 use crate::decision::{CoordEventKind, Decision, Outcome, Verdict};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
@@ -216,7 +217,7 @@ impl Coordinator {
             if recipients.is_empty() {
                 // Singleton group: trivially unanimous.
                 rep.note_seen(run, Some((seq, proposed.rand_hash)));
-                rep.install_state(proposed, new_state, self.config.replay_window);
+                rep.install_state(proposed, new_state, REPLAY_WINDOW);
                 return Ok((run, m1, None));
             }
             rep.start_run(ActiveRun::Proposer(ProposerRun {
@@ -813,7 +814,7 @@ impl Coordinator {
             rep.install_state(
                 pr.propose.proposal.proposed,
                 pr.new_state.clone(),
-                self.config.replay_window,
+                REPLAY_WINDOW,
             );
             Outcome::Installed {
                 state: pr.propose.proposal.proposed,
@@ -895,11 +896,7 @@ impl Coordinator {
         }
 
         let recipients = rep.recipients(&me);
-        rep.remember_reply(
-            run,
-            WireMsg::Decide(decide.clone()),
-            self.config.completed_replies_cap,
-        );
+        rep.remember_reply(run, WireMsg::Decide(decide.clone()), COMPLETED_REPLIES_CAP);
         self.replicas.insert(oid.clone(), rep);
 
         let msg = WireMsg::Decide(decide.clone());
@@ -1087,11 +1084,7 @@ impl Coordinator {
         let outcome = if accepted {
             match rr.pending_state {
                 Some(next) => {
-                    rep.install_state(
-                        rr.propose.proposal.proposed,
-                        next,
-                        self.config.replay_window,
-                    );
+                    rep.install_state(rr.propose.proposal.proposed, next, REPLAY_WINDOW);
                     Outcome::Installed {
                         state: rr.propose.proposal.proposed,
                     }
@@ -1113,11 +1106,7 @@ impl Coordinator {
         // instead of minting a conflicting signed rejection (which would
         // manufacture false evidence of equivocation against us, and
         // false replay evidence against the honest proposer).
-        rep.remember_reply(
-            run,
-            WireMsg::Respond(rr.my_response),
-            self.config.completed_replies_cap,
-        );
+        rep.remember_reply(run, WireMsg::Respond(rr.my_response), COMPLETED_REPLIES_CAP);
         self.replicas.insert(oid.clone(), rep);
 
         self.log_evidence(

@@ -27,6 +27,7 @@
 //!   honest parties terminate with the same view; later appeals for the
 //!   same run replay the cached certificate.
 
+use crate::config::REPLAY_WINDOW;
 use crate::decision::{CoordEventKind, Outcome, Verdict};
 use crate::detect::Misbehaviour;
 use crate::ids::{members_digest, ObjectId, RunId};
@@ -501,7 +502,7 @@ impl Coordinator {
                 };
                 match pending {
                     Some((id, state)) => {
-                        rep.install_state(id, state, self.config.replay_window);
+                        rep.install_state(id, state, REPLAY_WINDOW);
                         Outcome::Installed { state: id }
                     }
                     None => Outcome::Aborted {

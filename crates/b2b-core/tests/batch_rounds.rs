@@ -1,4 +1,4 @@
-//! Pipelined coordination rounds: `submit_update` queues application
+//! Pipelined coordination rounds: `submit_updates` queues application
 //! updates and the coordinator coalesces up to `batch_max` of them into
 //! **one** signed round (one canonical digest, one signature, one
 //! multicast, one evidence record). These tests pin the §4.2/§4.4
@@ -12,7 +12,7 @@ use b2b_core::messages::{decode_batch_body, encode_batch_body, ProposalKind, Wir
 use b2b_core::{
     CoordError, Coordinator, CoordinatorConfig, Misbehaviour, ObjectId, Outcome, TicketState,
 };
-use b2b_crypto::{PartyId, TimeMs};
+use b2b_crypto::PartyId;
 use b2b_net::intruder::{FnIntruder, InterceptAction};
 use b2b_net::FaultPlan;
 use b2b_telemetry::{names, RingRecorder, Telemetry};
@@ -57,7 +57,7 @@ fn concurrent_deferred_updates_coalesce_into_one_signed_round() {
     let before = telemetry.metrics().snapshot();
 
     // Five updates submitted back-to-back while the first round is in
-    // flight: the first dispatches immediately (linger is 0), the other
+    // flight: the first dispatches immediately (the object is idle), the other
     // four queue behind the active run and flush as one batched round.
     let oid = ObjectId::new("log");
     let tickets = cluster.net.invoke(&party(0), move |c, ctx| {
@@ -101,99 +101,78 @@ fn concurrent_deferred_updates_coalesce_into_one_signed_round() {
 }
 
 #[test]
-fn batch_linger_gathers_updates_into_a_single_round() {
-    let telemetry = Telemetry::default();
-    let config = CoordinatorConfig::default().batch_linger(TimeMs(40));
-    let mut cluster = Cluster::with_config_and_telemetry(
-        3,
-        302,
-        config,
-        FaultPlan::new(),
-        vec![telemetry.clone()],
-    );
-    cluster.setup_object("log", append_log_factory);
-    let before = telemetry.metrics().snapshot();
-
-    let oid = ObjectId::new("log");
-    let queued = cluster.net.invoke(&party(0), move |c, ctx| {
-        for i in 0..3 {
-            c.submit_update(&oid, entry(&format!("l{i}")), ctx).unwrap();
-        }
-        c.pending_update_count(&ObjectId::new("log"))
-    });
-    assert_eq!(queued, 3, "all three linger in the queue");
-
-    cluster.run();
-    let after = telemetry.metrics().snapshot();
-    assert_eq!(
-        after.counter(names::ROUNDS_STARTED) - before.counter(names::ROUNDS_STARTED),
-        1,
-        "the linger timer flushes all three as one round"
-    );
-    assert_eq!(after.counter(names::ROUNDS_COALESCED), 2);
-    let expected: Vec<String> = (0..3).map(|i| format!("l{i}")).collect();
-    for who in 0..3 {
-        assert_eq!(entries(&cluster.state(who, "log")), expected);
-    }
-}
-
-#[test]
-fn full_queue_reaches_batch_max_and_flushes_without_waiting_for_linger() {
-    // With a long linger but batch_max=2, the second submission fills the
-    // batch and dispatches immediately.
-    let telemetry = Telemetry::default();
-    let config = CoordinatorConfig::default()
-        .batch_linger(TimeMs(600_000))
-        .batch_max(2);
-    let mut cluster = Cluster::with_config_and_telemetry(
-        2,
-        303,
-        config,
-        FaultPlan::new(),
-        vec![telemetry.clone()],
-    );
-    cluster.setup_object("log", append_log_factory);
-
-    let oid = ObjectId::new("log");
-    cluster.net.invoke(&party(0), move |c, ctx| {
-        c.submit_update(&oid, entry("a"), ctx).unwrap();
-        assert_eq!(c.pending_update_count(&ObjectId::new("log")), 1);
-        c.submit_update(&ObjectId::new("log"), entry("b"), ctx)
-            .unwrap();
-        assert_eq!(
-            c.pending_update_count(&ObjectId::new("log")),
-            0,
-            "reaching batch_max dispatches without waiting for the timer"
+fn an_idle_bulk_rides_one_round_per_batch_max_updates() {
+    // The pending queue's one dispatch rule: an idle coordinator flushes at
+    // once, a flush takes at most `batch_max` updates, and the rest wait
+    // for the active round to complete. A bulk that fits rides one round;
+    // five updates at `batch_max` 2 ride rounds of 2, 2 and 1.
+    for (batch_max, rounds) in [(8, 1), (2, 3)] {
+        let telemetry = Telemetry::default();
+        let config = CoordinatorConfig::default().batch_max(batch_max);
+        let mut cluster = Cluster::with_config_and_telemetry(
+            3,
+            302,
+            config,
+            FaultPlan::new(),
+            vec![telemetry.clone()],
         );
-    });
-    cluster.run();
-    assert_eq!(entries(&cluster.state(1, "log")), vec!["a", "b"]);
+        cluster.setup_object("log", append_log_factory);
+        let before = telemetry.metrics().snapshot();
+
+        let oid = ObjectId::new("log");
+        let queued = cluster.net.invoke(&party(0), move |c, ctx| {
+            let bulk = (0..5).map(|i| entry(&format!("l{i}"))).collect();
+            c.submit_updates(&oid, bulk, ctx).unwrap();
+            c.pending_update_count(&oid)
+        });
+        assert_eq!(
+            queued,
+            5 - batch_max.min(5),
+            "the first flush leaves without waiting"
+        );
+
+        cluster.run();
+        let after = telemetry.metrics().snapshot();
+        assert_eq!(
+            after.counter(names::ROUNDS_STARTED) - before.counter(names::ROUNDS_STARTED),
+            rounds,
+            "batch_max {batch_max}"
+        );
+        assert_eq!(after.counter(names::ROUNDS_COALESCED), 5 - rounds);
+        let expected: Vec<String> = (0..5).map(|i| format!("l{i}")).collect();
+        for who in 0..3 {
+            assert_eq!(entries(&cluster.state(who, "log")), expected);
+        }
+    }
 }
 
 #[test]
 fn pending_queue_backpressure_returns_busy() {
     // Satellite regression: unbounded queueing replaced by a bounded queue
-    // with a typed error. Two updates fit; the third bounces with `Busy`
-    // and nothing about the queued work is disturbed.
-    let config = CoordinatorConfig::default()
-        .batch_linger(TimeMs(50))
-        .pending_updates_max(2);
+    // with a typed error. `x` dispatches at once and `y`, `z` fill the
+    // queue behind its round; a further update, and a bulk that does not
+    // fit even an empty queue, bounce with `Busy`, and nothing about the
+    // queued work is disturbed.
+    let config = CoordinatorConfig::default().pending_updates_max(2);
     let mut cluster = Cluster::with_config(2, 304, config, FaultPlan::new());
     cluster.setup_object("log", append_log_factory);
 
     let oid = ObjectId::new("log");
-    let third = cluster.net.invoke(&party(0), move |c, ctx| {
+    let (oversized, fourth) = cluster.net.invoke(&party(0), move |c, ctx| {
+        let oversized = c.submit_updates(&oid, vec![entry("a"), entry("b"), entry("c")], ctx);
         c.submit_update(&oid, entry("x"), ctx).unwrap();
-        c.submit_update(&ObjectId::new("log"), entry("y"), ctx)
+        c.submit_updates(&oid, vec![entry("y"), entry("z")], ctx)
             .unwrap();
-        c.submit_update(&ObjectId::new("log"), entry("z"), ctx)
+        (oversized, c.submit_update(&oid, entry("w"), ctx))
     });
-    match third {
-        Err(CoordError::Busy { object }) => assert_eq!(object, ObjectId::new("log")),
-        other => panic!("expected Busy backpressure, got {other:?}"),
+    for bounced in [oversized.map(|_| ()), fourth.map(|_| ())] {
+        match bounced {
+            Err(CoordError::Busy { object }) => assert_eq!(object, ObjectId::new("log")),
+            other => panic!("expected Busy backpressure, got {other:?}"),
+        }
     }
     cluster.run();
-    assert_eq!(entries(&cluster.state(1, "log")), vec!["x", "y"]);
+    assert_eq!(entries(&cluster.state(1, "log")), vec!["x", "y", "z"]);
 }
 
 #[test]
@@ -202,8 +181,7 @@ fn forged_update_inside_batch_is_detected_attributed_and_rejected() {
     // the unsigned batch body. The signed per-update hash chain pins the
     // forgery to its exact index; the recipient vetoes the whole round and
     // no partial state is installed anywhere.
-    let config = CoordinatorConfig::default().batch_linger(TimeMs(30));
-    let mut cluster = Cluster::with_config(2, 305, config, FaultPlan::new());
+    let mut cluster = Cluster::with_config(2, 305, CoordinatorConfig::default(), FaultPlan::new());
     cluster.setup_object("log", append_log_factory);
     cluster.net.set_intruder(FnIntruder::new(
         |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
@@ -221,9 +199,8 @@ fn forged_update_inside_batch_is_detected_attributed_and_rejected() {
 
     let oid = ObjectId::new("log");
     let tickets = cluster.net.invoke(&party(0), move |c, ctx| {
-        (0..3)
-            .map(|i| c.submit_update(&oid, entry(&format!("g{i}")), ctx).unwrap())
-            .collect::<Vec<_>>()
+        let bulk = (0..3).map(|i| entry(&format!("g{i}"))).collect();
+        c.submit_updates(&oid, bulk, ctx).unwrap()
     });
     cluster.run();
 
@@ -260,22 +237,17 @@ fn forged_update_inside_batch_is_detected_attributed_and_rejected() {
 
 #[test]
 fn inapplicable_update_fails_its_ticket_without_sinking_the_batch() {
-    let config = CoordinatorConfig::default().batch_linger(TimeMs(30));
-    let mut cluster = Cluster::with_config(2, 306, config, FaultPlan::new());
+    let mut cluster = Cluster::with_config(2, 306, CoordinatorConfig::default(), FaultPlan::new());
     cluster.setup_object("log", append_log_factory);
 
     let oid = ObjectId::new("log");
-    let (good1, bad, good2) = cluster.net.invoke(&party(0), move |c, ctx| {
-        let g1 = c.submit_update(&oid, entry("ok-1"), ctx).unwrap();
-        // Not JSON: AppendLog::apply_update rejects it at flush time.
-        let b = c
-            .submit_update(&ObjectId::new("log"), b"\xff\xfe not json".to_vec(), ctx)
-            .unwrap();
-        let g2 = c
-            .submit_update(&ObjectId::new("log"), entry("ok-2"), ctx)
-            .unwrap();
-        (g1, b, g2)
+    let tickets = cluster.net.invoke(&party(0), move |c, ctx| {
+        // The middle one is not JSON: AppendLog::apply_update rejects it at
+        // flush time.
+        let bulk = vec![entry("ok-1"), b"\xff\xfe not json".to_vec(), entry("ok-2")];
+        c.submit_updates(&oid, bulk, ctx).unwrap()
     });
+    let (good1, bad, good2) = (tickets[0], tickets[1], tickets[2]);
     cluster.run();
 
     let node = cluster.net.node(&party(0));
@@ -346,9 +318,7 @@ fn batched_and_unbatched_scripts_agree_on_state_and_detection() {
     let run_script = |batch_max: usize| {
         let recorder = Arc::new(RingRecorder::new(16_384));
         let telemetry = Telemetry::with_sink(recorder.clone());
-        let config = CoordinatorConfig::default()
-            .batch_max(batch_max)
-            .batch_linger(TimeMs(25));
+        let config = CoordinatorConfig::default().batch_max(batch_max);
         let mut cluster = Cluster::with_config_and_telemetry(
             3,
             308,
@@ -359,9 +329,8 @@ fn batched_and_unbatched_scripts_agree_on_state_and_detection() {
         cluster.setup_object("log", append_log_factory);
         let oid = ObjectId::new("log");
         cluster.net.invoke(&party(0), move |c, ctx| {
-            for i in 0..8 {
-                c.submit_update(&oid, entry(&format!("s{i}")), ctx).unwrap();
-            }
+            let bulk = (0..8).map(|i| entry(&format!("s{i}"))).collect();
+            c.submit_updates(&oid, bulk, ctx).unwrap();
         });
         cluster.run();
         let detections: usize = (0..3)
@@ -441,7 +410,7 @@ fn batched_round_parity_sim_vs_tcp() {
     use b2b_net::{GroupId, ShardedTcpConfig, ShardedTcpNet};
 
     let n = 3;
-    let config = CoordinatorConfig::default().batch_linger(TimeMs(25));
+    let config = CoordinatorConfig::default();
 
     // --- sim fabric ---
     let sim_recorder = Arc::new(RingRecorder::new(16_384));
@@ -456,9 +425,8 @@ fn batched_round_parity_sim_vs_tcp() {
     cluster.setup_object("log", append_log_factory);
     let oid = ObjectId::new("log");
     cluster.net.invoke(&party(0), move |c, ctx| {
-        for i in 0..6 {
-            c.submit_update(&oid, entry(&format!("p{i}")), ctx).unwrap();
-        }
+        let bulk = (0..6).map(|i| entry(&format!("p{i}"))).collect();
+        c.submit_updates(&oid, bulk, ctx).unwrap();
     });
     cluster.run();
     let sim_state = cluster.state(0, "log");
@@ -516,10 +484,8 @@ fn batched_round_parity_sim_vs_tcp() {
         assert!(joined, "org{i} failed to join over tcp");
     }
     net.handle(GroupId(0), &party(0)).invoke(|c, ctx| {
-        for i in 0..6 {
-            c.submit_update(&ObjectId::new("log"), entry(&format!("p{i}")), ctx)
-                .unwrap();
-        }
+        let bulk = (0..6).map(|i| entry(&format!("p{i}"))).collect();
+        c.submit_updates(&ObjectId::new("log"), bulk, ctx).unwrap();
     });
     let expected: Vec<String> = (0..6).map(|i| format!("p{i}")).collect();
     for i in 0..n {

@@ -147,8 +147,7 @@ enum Fault {
 /// org0's outcome, every party's detected misbehaviours and the
 /// canonical bytes of every party's evidence records.
 fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
-    let config = CoordinatorConfig::default().batch_linger(TimeMs(30));
-    let mut cluster = Cluster::with_config(3, 321, config, FaultPlan::new());
+    let mut cluster = Cluster::with_config(3, 321, CoordinatorConfig::default(), FaultPlan::new());
     let oid = ObjectId::new("log");
     let picky = |me: &'static str| {
         move || {
@@ -202,14 +201,19 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
             _ => entry(&format!("e{i}")),
         })
         .collect();
-    let ticket = cluster.net.invoke(&party(0), {
+    // Submitted 30 ms after set-up: the virtual time these rows' evidence
+    // timestamps were recorded at.
+    let (sent, submitted) = std::sync::mpsc::channel();
+    let at = TimeMs(cluster.net.now().as_millis() + 30);
+    cluster.net.at(at, party(0), {
         let oid = oid.clone();
         move |c, ctx| {
             let tickets = c.submit_updates(&oid, entries, ctx).unwrap();
-            tickets[0]
+            sent.send(tickets[0]).unwrap();
         }
     });
     cluster.run();
+    let ticket = submitted.recv().unwrap();
 
     let outcome = format!(
         "{:?}",

@@ -1,9 +1,8 @@
 //! Reusable dependency-free HTTP/1.1 plumbing.
 //!
-//! [`HttpServer`] generalises the socket handling that [`crate::scrape`]
-//! grew for `/metrics` into a small embeddable server any crate in the
-//! workspace can put a JSON API on (the `b2b-server` order service is the
-//! main client):
+//! [`HttpServer`] is a small embeddable server any crate in the workspace
+//! can put a JSON API on (the `b2b-server` order service is the main
+//! client):
 //!
 //! * **Readiness-driven accept** — the listener is nonblocking and the
 //!   accept thread waits on it with the same raw `poll(2)` primitive as

@@ -27,10 +27,8 @@
 //! * [`poll`] — bounded condition-polling helpers for tests against the
 //!   real-clock transports;
 //! * [`httpd`] — reusable dependency-free HTTP/1.1 plumbing (readiness
-//!   accept loop, joined worker pool, keep-alive) shared by the scrape
-//!   endpoint and the `b2b-server` order service;
-//! * [`scrape`] — a tiny HTTP responder serving the metrics registry in
-//!   Prometheus text exposition format, for watching a live fleet.
+//!   accept loop, joined worker pool, keep-alive) behind the `b2b-server`
+//!   order service, which also serves the metrics registry on `/metrics`.
 
 pub mod fault;
 pub mod httpd;
@@ -38,7 +36,6 @@ pub mod intruder;
 pub mod node;
 pub mod poll;
 pub mod reliable;
-pub mod scrape;
 pub mod shard;
 pub mod shard_tcp;
 pub mod sim;
@@ -51,7 +48,6 @@ pub use intruder::{
 };
 pub use node::{NetNode, NodeCtx, Payload};
 pub use reliable::{ReliableMux, RELIABLE_TIMER_BASE};
-pub use scrape::ScrapeServer;
 pub use shard::{GroupHandle, GroupId, ShardedNet, ShardedNetBuilder};
 pub use shard_tcp::{ShardedTcpConfig, ShardedTcpEndpoint, ShardedTcpNet, MAX_FRAME_LEN};
 pub use sim::SimNet;

@@ -69,8 +69,8 @@ pub const DEFAULT_SHARD_INBOX_CAPACITY: usize = 16 * 1024;
 // Timer wheel
 // ---------------------------------------------------------------------------
 
-/// Milliseconds per wheel tick. Protocol timers (retransmit backoff,
-/// linger) are tens of milliseconds and up; 4 ms resolution is far below
+/// Milliseconds per wheel tick. Protocol timers (retransmit backoff, run
+/// deadlines) are tens of milliseconds and up; 4 ms resolution is far below
 /// any timer the engines arm.
 const WHEEL_TICK_MS: u64 = 4;
 /// Buckets per wheel: a 1.024 s horizon before entries overflow.

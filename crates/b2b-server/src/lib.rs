@@ -21,7 +21,7 @@
 //! | `POST /orders/:id/price` | supplier prices a line |
 //! | `POST /orders/:id/approve` | approver sanctions a line (four-party) |
 //! | `POST /orders/:id/ship` | dispatcher commits delivery terms (four-party) |
-//! | `POST /orders/:id/bulk` | a window of updates in one signed batched round |
+//! | `POST /orders/:id/bulk` | a window of n updates in ⌈n / `batch_max`⌉ signed batched rounds |
 //! | `POST /orders/:id/enter` … `/leave` | explicit §5 state-access scoping |
 //! | `GET /tickets/:id` | idempotent deferred/async completion poll |
 //! | `GET /tickets?ids=a,b,…` | one poll covering a whole ticket window |
@@ -138,6 +138,14 @@ struct ActionBody {
 #[derive(Deserialize)]
 struct BulkBody {
     ops: Vec<ActionBody>,
+}
+
+/// How a submitted mutation request ended, as far as its answer goes.
+enum Completion {
+    /// Deferred or async: the public tickets handed out, one per op.
+    Ticketed(Vec<u64>),
+    /// Synchronous: every ticket's terminal status, in op order.
+    Settled(Vec<TicketStatus>),
 }
 
 /// Largest accepted bulk batch — aligned with the coordinator's own
@@ -406,6 +414,40 @@ fn vetoers_json(vetoers: &[(PartyId, String)]) -> String {
     format!("[{}]", items.join(","))
 }
 
+/// `{"error":msg}` with `status`.
+fn error(status: u16, msg: &str) -> HttpResponse {
+    HttpResponse::json(status, format!("{{\"error\":{}}}", js(msg)))
+}
+
+/// The `400` for an op that cannot become, or cannot apply as, a delta.
+/// A bulk request names the op by its `index`; a direct one has one op.
+fn bad_op(msg: &str, index: Option<usize>) -> HttpResponse {
+    match index {
+        Some(i) => HttpResponse::json(400, format!("{{\"error\":{},\"index\":{i}}}", js(msg))),
+        None => error(400, msg),
+    }
+}
+
+/// The `409` of a vetoed round, naming every vetoer with its reason.
+fn invalidated(vetoers: &[(PartyId, String)]) -> HttpResponse {
+    HttpResponse::json(
+        409,
+        format!(
+            "{{\"outcome\":\"invalidated\",\"vetoers\":{}}}",
+            vetoers_json(vetoers)
+        ),
+    )
+}
+
+/// A `200` whose body is already JSON bytes (an order's state).
+fn json_bytes(body: Vec<u8>) -> HttpResponse {
+    HttpResponse {
+        status: 200,
+        content_type: "application/json".into(),
+        body,
+    }
+}
+
 impl Core {
     fn route(&self, req: &HttpRequest) -> HttpResponse {
         self.telemetry.add(names::SERVE_REQUESTS, 1);
@@ -469,13 +511,8 @@ impl Core {
     }
 
     fn get_order(&self, g: usize) -> HttpResponse {
-        let oid = self.object.clone();
-        match self.handles[g][0].read(move |c| c.agreed_state(&oid)) {
-            Some(bytes) => HttpResponse {
-                status: 200,
-                content_type: "application/json".into(),
-                body: bytes,
-            },
+        match self.handles[g][0].read(|c| c.agreed_state(&self.object)) {
+            Some(bytes) => json_bytes(bytes),
             None => HttpResponse::json(404, "{\"error\":\"no such order\"}"),
         }
     }
@@ -506,12 +543,11 @@ impl Core {
         }
     }
 
-    fn body_of(&self, req: &HttpRequest) -> Result<ActionBody, HttpResponse> {
+    fn body_of(req: &HttpRequest) -> Result<ActionBody, HttpResponse> {
         if req.body.is_empty() {
             return Ok(ActionBody::default());
         }
-        serde_json::from_slice(&req.body)
-            .map_err(|e| HttpResponse::json(400, format!("{{\"error\":{}}}", js(&e.to_string()))))
+        serde_json::from_slice(&req.body).map_err(|e| error(400, &e.to_string()))
     }
 
     fn order_action(&self, g: usize, action: &str, req: &HttpRequest) -> HttpResponse {
@@ -522,49 +558,12 @@ impl Core {
         for handle in &self.handles[g] {
             handle.update(|c| drop(c.take_events()));
         }
-        match action {
-            "lines" | "price" | "approve" | "ship" => self.direct_mutation(g, action, req),
-            "bulk" => self.bulk_mutation(g, req),
+        let answer = match action {
+            "lines" | "price" | "approve" | "ship" | "bulk" => self.mutation(g, action, req),
             "enter" | "examine" | "update" | "leave" => self.scope_call(g, action, req),
-            _ => HttpResponse::json(404, "{\"error\":\"no such action\"}"),
-        }
-    }
-
-    /// Applies `body` as the `op` action to `order`; `op` defaults from
-    /// the endpoint name for the direct-mutation routes.
-    fn apply_action(op: &str, body: &ActionBody, order: &mut Order) -> Result<(), String> {
-        match op {
-            "lines" | "line" => {
-                let item = body.item.as_deref().ok_or("missing field: item")?;
-                order.set_quantity(item, body.qty.ok_or("missing field: qty")?);
-                Ok(())
-            }
-            "price" => {
-                let item = body.item.as_deref().ok_or("missing field: item")?;
-                let price = body.unit_price.ok_or("missing field: unit_price")?;
-                if !order.set_price(item, price) {
-                    return Err(format!("no line for item {item}"));
-                }
-                Ok(())
-            }
-            "approve" => {
-                let item = body.item.as_deref().ok_or("missing field: item")?;
-                if !order.approve(item) {
-                    return Err(format!("no line for item {item}"));
-                }
-                Ok(())
-            }
-            "ship" => {
-                order.delivery_terms = Some(
-                    body.terms
-                        .as_deref()
-                        .ok_or("missing field: terms")?
-                        .to_string(),
-                );
-                Ok(())
-            }
-            other => Err(format!("unknown op {other}")),
-        }
+            _ => Err(HttpResponse::json(404, "{\"error\":\"no such action\"}")),
+        };
+        answer.unwrap_or_else(|resp| resp)
     }
 
     fn default_role(action: &str) -> &'static str {
@@ -576,8 +575,8 @@ impl Core {
         }
     }
 
-    /// Translates a direct-mutation action into an [`OrderUpdate`]
-    /// delta for coordination.
+    /// Translates the `op` action with `body`'s fields into an
+    /// [`OrderUpdate`] delta.
     fn action_delta(op: &str, body: &ActionBody) -> Result<OrderUpdate, String> {
         match op {
             "lines" | "line" => Ok(OrderUpdate::SetQuantity {
@@ -598,314 +597,167 @@ impl Core {
         }
     }
 
-    /// The one-shot mutation path: parse the action into an
-    /// [`OrderUpdate`] delta and submit it. The delta replays against
-    /// whatever state the group agrees on when its round runs, so
-    /// concurrent compatible actions compose — while rule violations
-    /// are vetoed by the peers' validators, never silently merged.
-    fn direct_mutation(&self, g: usize, action: &str, req: &HttpRequest) -> HttpResponse {
-        let p = match self.party_index(req, Self::default_role(action)) {
-            Ok(p) => p,
-            Err(resp) => return resp,
-        };
-        let mode = match self.mode_of(req) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
-        let body = match self.body_of(req) {
-            Ok(b) => b,
-            Err(resp) => return resp,
-        };
-        let delta = match Self::action_delta(action, &body) {
-            Ok(d) => d,
-            Err(msg) => return HttpResponse::json(400, format!("{{\"error\":{}}}", js(&msg))),
-        };
-        let handle = &self.handles[g][p];
-        let oid = self.object.clone();
-        // Fast-fail requests that cannot apply to the agreed state (e.g.
-        // pricing an item never ordered) — the round would abort them
-        // anyway; this answers 400 without spending one. The replica
-        // answering may lag the round that makes a delta applicable by
-        // one message delivery, so give it a short grace to catch up.
-        let applies = handle.wait_until(self.sync_timeout.min(Duration::from_millis(500)), {
-            let oid = oid.clone();
-            let delta = delta.clone();
-            move |c| {
-                c.agreed_state(&oid)
-                    .and_then(|cur| Order::from_bytes(&cur))
-                    .map(|mut o| delta.apply(&mut o).is_ok())
-                    .unwrap_or(false)
-            }
-        });
-        if !applies {
-            let Some(current) = handle.read({
-                let oid = oid.clone();
-                move |c| c.agreed_state(&oid)
-            }) else {
-                return HttpResponse::json(404, "{\"error\":\"no such order\"}");
-            };
-            let Some(mut order) = Order::from_bytes(&current) else {
-                return HttpResponse::json(500, "{\"error\":\"undecodable agreed state\"}");
-            };
-            if let Err(msg) = delta.apply(&mut order) {
-                return HttpResponse::json(400, format!("{{\"error\":{}}}", js(&msg)));
-            }
+    /// The deltas a mutation request carries: its body as the endpoint's
+    /// action, or for `bulk` each element of `ops` as the action its `op`
+    /// names.
+    fn deltas_of(action: &str, req: &HttpRequest) -> Result<Vec<OrderUpdate>, HttpResponse> {
+        if action != "bulk" {
+            let body = Self::body_of(req)?;
+            let delta = Self::action_delta(action, &body).map_err(|msg| error(400, &msg))?;
+            return Ok(vec![delta]);
         }
-        let proposed = delta.to_bytes();
-        let submitted = handle.invoke(move |c, ctx| c.submit_update(&oid, proposed, ctx));
-        match submitted {
-            Ok(ticket) => self.conclude(g, p, ticket, mode),
-            Err(CoordError::Busy { .. }) => self.backpressure(),
-            Err(e) => HttpResponse::json(500, format!("{{\"error\":{}}}", js(&format!("{e}")))),
-        }
-    }
-
-    /// `POST /orders/:id/bulk` — several deltas in one request, each
-    /// individually ticketed. The submissions land in the pending queue
-    /// together, so the coordinator coalesces them into batched signed
-    /// rounds (§3.3) instead of paying one HTTP round-trip *and* one
-    /// coordination round per delta. Synchronous calls block until every
-    /// ticket is terminal; deferred/async answer `202` with one public
-    /// ticket per accepted delta. Admission is all-or-nothing: a bulk
-    /// that does not fit under `pending_updates_max` answers `429`
-    /// without enqueueing anything.
-    fn bulk_mutation(&self, g: usize, req: &HttpRequest) -> HttpResponse {
-        let p = match self.party_index(req, "customer") {
-            Ok(p) => p,
-            Err(resp) => return resp,
-        };
-        let mode = match self.mode_of(req) {
-            Ok(m) => m,
-            Err(resp) => return resp,
-        };
-        let bulk: BulkBody = match serde_json::from_slice(&req.body) {
-            Ok(b) => b,
-            Err(e) => {
-                return HttpResponse::json(400, format!("{{\"error\":{}}}", js(&e.to_string())))
-            }
-        };
+        let bulk: BulkBody =
+            serde_json::from_slice(&req.body).map_err(|e| error(400, &e.to_string()))?;
         if bulk.ops.is_empty() {
-            return HttpResponse::json(400, "{\"error\":\"ops must not be empty\"}");
+            return Err(HttpResponse::json(
+                400,
+                "{\"error\":\"ops must not be empty\"}",
+            ));
         }
         if bulk.ops.len() > BULK_MAX {
-            return HttpResponse::json(
+            return Err(HttpResponse::json(
                 400,
                 format!("{{\"error\":\"at most {BULK_MAX} ops per bulk request\"}}"),
-            );
+            ));
         }
-        let mut deltas: Vec<OrderUpdate> = Vec::with_capacity(bulk.ops.len());
-        for (i, elem) in bulk.ops.iter().enumerate() {
-            let op = match elem.op.as_deref() {
-                Some(op) => op,
-                None => {
-                    return HttpResponse::json(
-                        400,
-                        format!("{{\"error\":\"missing field: op\",\"index\":{i}}}"),
-                    )
-                }
-            };
-            match Self::action_delta(op, elem) {
-                Ok(d) => deltas.push(d),
-                Err(msg) => {
-                    return HttpResponse::json(
-                        400,
-                        format!("{{\"error\":{},\"index\":{i}}}", js(&msg)),
-                    )
-                }
-            }
-        }
-        let handle = &self.handles[g][p];
-        let oid = self.object.clone();
-        // Cumulative applicability pre-check with the same replica-lag
-        // grace as the single-delta path: the whole batch must fold over
-        // the agreed state.
-        let applies = handle.wait_until(self.sync_timeout.min(Duration::from_millis(500)), {
-            let oid = oid.clone();
-            let deltas = deltas.clone();
-            move |c| {
-                c.agreed_state(&oid)
-                    .and_then(|cur| Order::from_bytes(&cur))
-                    .map(|mut o| deltas.iter().all(|d| d.apply(&mut o).is_ok()))
-                    .unwrap_or(false)
-            }
-        });
-        if !applies {
-            let Some(current) = handle.read({
-                let oid = oid.clone();
-                move |c| c.agreed_state(&oid)
-            }) else {
-                return HttpResponse::json(404, "{\"error\":\"no such order\"}");
-            };
-            let Some(mut order) = Order::from_bytes(&current) else {
-                return HttpResponse::json(500, "{\"error\":\"undecodable agreed state\"}");
-            };
-            for (i, d) in deltas.iter().enumerate() {
-                if let Err(msg) = d.apply(&mut order) {
-                    return HttpResponse::json(
-                        400,
-                        format!("{{\"error\":{},\"index\":{i}}}", js(&msg)),
-                    );
-                }
-            }
-        }
-        // One enqueue-then-dispatch: the whole bulk lands in the pending
-        // queue before the first round goes out, so it coalesces into
-        // `batch_max`-sized rounds. Admission is all-or-nothing against
-        // `pending_updates_max` (`429` when the bulk does not fit).
-        let submitted = handle.invoke({
-            let oid = oid.clone();
-            move |c, ctx| {
-                let bytes = deltas.iter().map(|d| d.to_bytes()).collect();
-                c.submit_updates(&oid, bytes, ctx)
-            }
-        });
-        let tickets = match submitted {
-            Ok(tickets) => tickets,
-            Err(CoordError::Busy { .. }) => return self.backpressure(),
-            Err(e) => {
-                return HttpResponse::json(500, format!("{{\"error\":{}}}", js(&format!("{e}"))))
-            }
-        };
-        match mode {
-            Mode::Synchronous => {
-                let ctrl = Controller::new(handle.clone(), self.object.clone());
-                let waiting: Vec<CoordTicket> = tickets
-                    .iter()
-                    .map(|&ticket| CoordTicket { ticket })
-                    .collect();
-                let statuses = ctrl.wait_all_terminal(&waiting, self.sync_timeout);
-                if !statuses.iter().all(TicketStatus::is_terminal) {
-                    return HttpResponse::json(504, "{\"error\":\"coordination timed out\"}");
-                }
-                let mut last_seq = 0;
-                for status in statuses {
-                    match status {
-                        TicketStatus::Installed { state } => {
-                            self.telemetry.add(names::SERVE_INSTALLED, 1);
-                            last_seq = state.seq;
-                        }
-                        TicketStatus::Invalidated { vetoers } => {
-                            self.telemetry.add(names::SERVE_VETOED, 1);
-                            return HttpResponse::json(
-                                409,
-                                format!(
-                                    "{{\"outcome\":\"invalidated\",\"vetoers\":{}}}",
-                                    vetoers_json(&vetoers)
-                                ),
-                            );
-                        }
-                        TicketStatus::Aborted { reason } => {
-                            self.telemetry.add(names::SERVE_VETOED, 1);
-                            return HttpResponse::json(
-                                409,
-                                format!("{{\"outcome\":\"aborted\",\"reason\":{}}}", js(&reason)),
-                            );
-                        }
-                        other => {
-                            return HttpResponse::json(
-                                500,
-                                format!(
-                                    "{{\"error\":{}}}",
-                                    js(&format!("unexpected ticket status {other:?}"))
-                                ),
-                            )
-                        }
-                    }
-                }
-                HttpResponse::json(
-                    200,
-                    format!(
-                        "{{\"outcome\":\"installed\",\"ops\":{},\"seq\":{last_seq}}}",
-                        tickets.len(),
-                    ),
-                )
-            }
-            Mode::DeferredSynchronous | Mode::Asynchronous => {
-                let mut publics = Vec::with_capacity(tickets.len());
-                {
-                    let mut map = self.tickets.lock().expect("tickets");
-                    for &ticket in &tickets {
-                        let public = self.next_ticket.fetch_add(1, Ordering::SeqCst);
-                        map.insert(
-                            public,
-                            TicketRef {
-                                group: g,
-                                party: p,
-                                ticket,
-                                counted: false,
-                            },
-                        );
-                        publics.push(public);
-                    }
-                }
-                let list = publics
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                HttpResponse::json(202, format!("{{\"tickets\":[{list}]}}"))
-            }
-        }
+        bulk.ops
+            .iter()
+            .enumerate()
+            .map(|(i, elem)| {
+                elem.op
+                    .as_deref()
+                    .ok_or_else(|| "missing field: op".to_string())
+                    .and_then(|op| Self::action_delta(op, elem))
+                    .map_err(|msg| bad_op(&msg, Some(i)))
+            })
+            .collect()
     }
 
-    fn backpressure(&self) -> HttpResponse {
-        self.telemetry.add(names::SERVE_BACKPRESSURE_429, 1);
+    /// Every mutating endpoint — `lines`, `price`, `approve`, `ship` and
+    /// `bulk` — takes this one path; a direct action is a bulk of one.
+    /// The deltas replay against whatever state the group agrees on when
+    /// their round runs, so concurrent compatible actions compose, while
+    /// rule violations are vetoed by the peers' validators, never
+    /// silently merged. A synchronous request waits for every ticket; the
+    /// other modes answer `202` with one public ticket per delta.
+    fn mutation(
+        &self,
+        g: usize,
+        action: &str,
+        req: &HttpRequest,
+    ) -> Result<HttpResponse, HttpResponse> {
+        let bulk = action == "bulk";
+        let p = self.party_index(req, Self::default_role(action))?;
+        let mode = self.mode_of(req)?;
+        let deltas = Self::deltas_of(action, req)?;
+        let handle = &self.handles[g][p];
+        // Fast-fail requests whose deltas, folded in order, cannot apply to
+        // the agreed state (e.g. pricing an item never ordered): the round
+        // would abort them anyway; this answers 400 without spending one.
+        // The replica answering may lag the round that makes a delta
+        // applicable by one message delivery, so give it a short grace to
+        // catch up.
+        let grace = self.sync_timeout.min(Duration::from_millis(500));
+        let applies = handle.wait_until(grace, |c| {
+            c.agreed_state(&self.object)
+                .and_then(|cur| Order::from_bytes(&cur))
+                .is_some_and(|mut o| deltas.iter().all(|d| d.apply(&mut o).is_ok()))
+        });
+        if !applies {
+            let current = handle
+                .read(|c| c.agreed_state(&self.object))
+                .ok_or_else(|| HttpResponse::json(404, "{\"error\":\"no such order\"}"))?;
+            let mut order = Order::from_bytes(&current).ok_or_else(|| {
+                HttpResponse::json(500, "{\"error\":\"undecodable agreed state\"}")
+            })?;
+            for (i, d) in deltas.iter().enumerate() {
+                d.apply(&mut order)
+                    .map_err(|msg| bad_op(&msg, bulk.then_some(i)))?;
+            }
+        }
+        // One enqueue-then-dispatch: every delta lands in the pending queue
+        // before the first round goes out, so a bulk coalesces into
+        // `batch_max`-sized rounds. Admission is all-or-nothing against
+        // `pending_updates_max` (`429` when the request does not fit).
+        let updates = deltas.iter().map(OrderUpdate::to_bytes).collect();
+        let tickets = handle
+            .invoke(|c, ctx| c.submit_updates(&self.object, updates, ctx))
+            .map_err(|e| match e {
+                CoordError::Busy { .. } => self.backpressure(),
+                e => error(500, &e.to_string()),
+            })?;
+        let completion = if mode == Mode::Synchronous {
+            let waiting: Vec<CoordTicket> = tickets
+                .into_iter()
+                .map(|ticket| CoordTicket { ticket })
+                .collect();
+            let ctrl = Controller::new(handle.clone(), self.object.clone());
+            let statuses = ctrl.wait_all_terminal(&waiting, self.sync_timeout);
+            if !statuses.iter().all(TicketStatus::is_terminal) {
+                return Err(error(504, "coordination timed out"));
+            }
+            for status in &statuses {
+                self.count(status);
+            }
+            Completion::Settled(statuses)
+        } else {
+            Completion::Ticketed(self.publish(g, p, &tickets))
+        };
+        Ok(Self::render(completion, bulk))
+    }
+
+    /// The answer to a submitted mutation. Ticketed: `202` with the public
+    /// tickets. Settled: the `409` of the first ticket that did not
+    /// install, else `200` with the last installed `seq`. A direct action
+    /// answers in the singular (`ticket`), a bulk in the plural (`tickets`,
+    /// and `ops` beside `seq`).
+    fn render(completion: Completion, bulk: bool) -> HttpResponse {
+        let statuses = match completion {
+            Completion::Ticketed(publics) if !bulk => {
+                return HttpResponse::json(202, format!("{{\"ticket\":{}}}", publics[0]))
+            }
+            Completion::Ticketed(publics) => {
+                let list: Vec<String> = publics.iter().map(u64::to_string).collect();
+                return HttpResponse::json(202, format!("{{\"tickets\":[{}]}}", list.join(",")));
+            }
+            Completion::Settled(statuses) => statuses,
+        };
+        let mut seq = 0;
+        for status in &statuses {
+            match status {
+                TicketStatus::Installed { state } => seq = state.seq,
+                TicketStatus::Invalidated { vetoers } => return invalidated(vetoers),
+                TicketStatus::Aborted { reason } => {
+                    return HttpResponse::json(
+                        409,
+                        format!("{{\"outcome\":\"aborted\",\"reason\":{}}}", js(reason)),
+                    )
+                }
+                TicketStatus::Pending { .. } | TicketStatus::Unknown => {
+                    unreachable!("only terminal statuses are answered")
+                }
+            }
+        }
+        let ops = if bulk {
+            format!("\"ops\":{},", statuses.len())
+        } else {
+            String::new()
+        };
         HttpResponse::json(
-            429,
-            "{\"error\":\"pending updates at capacity, retry later\"}",
+            200,
+            format!("{{\"outcome\":\"installed\",{ops}\"seq\":{seq}}}"),
         )
     }
 
-    /// Finishes a submitted update according to the request's mode:
-    /// block for the outcome (sync) or hand out a pollable ticket.
-    fn conclude(&self, g: usize, p: usize, ticket: TicketId, mode: Mode) -> HttpResponse {
-        match mode {
-            Mode::Synchronous => {
-                let handle = &self.handles[g][p];
-                let done = handle.wait_until(self.sync_timeout, move |c| {
-                    c.outcome_of_ticket(&ticket).is_some()
-                });
-                if !done {
-                    return HttpResponse::json(504, "{\"error\":\"coordination timed out\"}");
-                }
-                let ctrl = Controller::new(handle.clone(), self.object.clone());
-                match ctrl.poll_status(CoordTicket { ticket }) {
-                    TicketStatus::Installed { state } => {
-                        self.telemetry.add(names::SERVE_INSTALLED, 1);
-                        HttpResponse::json(
-                            200,
-                            format!("{{\"outcome\":\"installed\",\"seq\":{}}}", state.seq),
-                        )
-                    }
-                    TicketStatus::Invalidated { vetoers } => {
-                        self.telemetry.add(names::SERVE_VETOED, 1);
-                        HttpResponse::json(
-                            409,
-                            format!(
-                                "{{\"outcome\":\"invalidated\",\"vetoers\":{}}}",
-                                vetoers_json(&vetoers)
-                            ),
-                        )
-                    }
-                    TicketStatus::Aborted { reason } => {
-                        self.telemetry.add(names::SERVE_VETOED, 1);
-                        HttpResponse::json(
-                            409,
-                            format!("{{\"outcome\":\"aborted\",\"reason\":{}}}", js(&reason)),
-                        )
-                    }
-                    other => HttpResponse::json(
-                        500,
-                        format!(
-                            "{{\"error\":{}}}",
-                            js(&format!("unexpected ticket status {other:?}"))
-                        ),
-                    ),
-                }
-            }
-            Mode::DeferredSynchronous | Mode::Asynchronous => {
+    /// Registers one public, pollable ticket per engine ticket of order
+    /// `g`'s party `p`, in order.
+    fn publish(&self, g: usize, p: usize, tickets: &[TicketId]) -> Vec<u64> {
+        let mut map = self.tickets.lock().expect("tickets");
+        tickets
+            .iter()
+            .map(|&ticket| {
                 let public = self.next_ticket.fetch_add(1, Ordering::SeqCst);
-                self.tickets.lock().expect("tickets").insert(
+                map.insert(
                     public,
                     TicketRef {
                         group: g,
@@ -914,9 +766,17 @@ impl Core {
                         counted: false,
                     },
                 );
-                HttpResponse::json(202, format!("{{\"ticket\":{public}}}"))
-            }
-        }
+                public
+            })
+            .collect()
+    }
+
+    fn backpressure(&self) -> HttpResponse {
+        self.telemetry.add(names::SERVE_BACKPRESSURE_429, 1);
+        HttpResponse::json(
+            429,
+            "{\"error\":\"pending updates at capacity, retry later\"}",
+        )
     }
 
     /// `GET /tickets/:id` — idempotent status poll, veto reasons
@@ -1041,9 +901,17 @@ impl Core {
         HttpResponse::json(200, format!("{{\"tickets\":[{}]}}", entries.join(",")))
     }
 
-    /// Counts a ticket's first observed terminal status into the
-    /// `serve_installed`/`serve_vetoed` counters (idempotent per
-    /// ticket).
+    /// Counts one terminal outcome into the
+    /// `serve_installed`/`serve_vetoed` counters.
+    fn count(&self, status: &TicketStatus) {
+        match status {
+            TicketStatus::Installed { .. } => self.telemetry.add(names::SERVE_INSTALLED, 1),
+            _ => self.telemetry.add(names::SERVE_VETOED, 1),
+        }
+    }
+
+    /// Counts a public ticket's first observed terminal status
+    /// (idempotent per ticket).
     fn count_terminal(&self, public: u64, status: &TicketStatus) {
         if !status.is_terminal() {
             return;
@@ -1052,10 +920,7 @@ impl Core {
         if let Some(entry) = tickets.get_mut(&public) {
             if !entry.counted {
                 entry.counted = true;
-                match status {
-                    TicketStatus::Installed { .. } => self.telemetry.add(names::SERVE_INSTALLED, 1),
-                    _ => self.telemetry.add(names::SERVE_VETOED, 1),
-                }
+                self.count(status);
             }
         }
     }
@@ -1085,18 +950,18 @@ impl Core {
     /// `leave` on a session pinned to the (order, party) pair. The
     /// working copy lives server-side across requests; the outermost
     /// `leave` initiates coordination in the session's mode.
-    fn scope_call(&self, g: usize, action: &str, req: &HttpRequest) -> HttpResponse {
-        let p = match self.party_index(req, "customer") {
-            Ok(p) => p,
-            Err(resp) => return resp,
-        };
+    fn scope_call(
+        &self,
+        g: usize,
+        action: &str,
+        req: &HttpRequest,
+    ) -> Result<HttpResponse, HttpResponse> {
+        let p = self.party_index(req, "customer")?;
+        let no_scope = || HttpResponse::json(409, "{\"error\":\"no open scope\"}");
         let mut sessions = self.sessions.lock().expect("sessions");
         match action {
             "enter" => {
-                let mode = match self.mode_of(req) {
-                    Ok(m) => m,
-                    Err(resp) => return resp,
-                };
+                let mode = self.mode_of(req)?;
                 let session = sessions.entry((g, p)).or_insert_with(|| Session {
                     ctrl: Controller::new(self.handles[g][p].clone(), self.object.clone())
                         .mode(mode)
@@ -1105,76 +970,52 @@ impl Core {
                 });
                 if let Err(e) = session.ctrl.enter() {
                     sessions.remove(&(g, p));
-                    return HttpResponse::json(
-                        404,
-                        format!("{{\"error\":{}}}", js(&format!("{e}"))),
-                    );
+                    return Err(error(404, &e.to_string()));
                 }
                 session.depth += 1;
-                let state = session.ctrl.state().map(|s| s.to_vec()).unwrap_or_default();
-                HttpResponse {
-                    status: 200,
-                    content_type: "application/json".into(),
-                    body: state,
-                }
+                Ok(json_bytes(
+                    session.ctrl.state().map(|s| s.to_vec()).unwrap_or_default(),
+                ))
             }
             "examine" => {
-                let Some(session) = sessions.get_mut(&(g, p)) else {
-                    return HttpResponse::json(409, "{\"error\":\"no open scope\"}");
-                };
-                if let Err(e) = session.ctrl.examine() {
-                    return HttpResponse::json(
-                        409,
-                        format!("{{\"error\":{}}}", js(&format!("{e}"))),
-                    );
-                }
-                let state = session.ctrl.state().map(|s| s.to_vec()).unwrap_or_default();
-                HttpResponse {
-                    status: 200,
-                    content_type: "application/json".into(),
-                    body: state,
-                }
+                let session = sessions.get_mut(&(g, p)).ok_or_else(no_scope)?;
+                session
+                    .ctrl
+                    .examine()
+                    .map_err(|e| error(409, &e.to_string()))?;
+                Ok(json_bytes(
+                    session.ctrl.state().map(|s| s.to_vec()).unwrap_or_default(),
+                ))
             }
             "update" => {
-                let body = match self.body_of(req) {
-                    Ok(b) => b,
-                    Err(resp) => return resp,
-                };
-                let Some(session) = sessions.get_mut(&(g, p)) else {
-                    return HttpResponse::json(409, "{\"error\":\"no open scope\"}");
-                };
-                let Ok(working) = session.ctrl.state() else {
-                    return HttpResponse::json(409, "{\"error\":\"no working state\"}");
-                };
-                let Some(mut order) = Order::from_bytes(working) else {
-                    return HttpResponse::json(500, "{\"error\":\"undecodable working state\"}");
-                };
-                let op = body.op.clone().unwrap_or_else(|| "line".to_string());
-                if let Err(msg) = Self::apply_action(&op, &body, &mut order) {
-                    return HttpResponse::json(400, format!("{{\"error\":{}}}", js(&msg)));
-                }
+                let body = Self::body_of(req)?;
+                let session = sessions.get_mut(&(g, p)).ok_or_else(no_scope)?;
+                let working = session
+                    .ctrl
+                    .state()
+                    .map_err(|_| HttpResponse::json(409, "{\"error\":\"no working state\"}"))?;
+                let mut order = Order::from_bytes(working).ok_or_else(|| {
+                    HttpResponse::json(500, "{\"error\":\"undecodable working state\"}")
+                })?;
+                let op = body.op.as_deref().unwrap_or("line");
+                Self::action_delta(op, &body)
+                    .and_then(|delta| delta.apply(&mut order))
+                    .map_err(|msg| error(400, &msg))?;
                 let bytes = order.to_bytes();
                 // Keep the working copy current AND mark the scope as an
                 // update-kind access carrying the latest whole state.
-                if let Err(e) = session
+                session
                     .ctrl
                     .set_state(bytes.clone())
                     .and_then(|()| session.ctrl.update(bytes))
-                {
-                    return HttpResponse::json(
-                        409,
-                        format!("{{\"error\":{}}}", js(&format!("{e}"))),
-                    );
-                }
-                HttpResponse::json(200, "{\"ok\":true}")
+                    .map_err(|e| error(409, &e.to_string()))?;
+                Ok(HttpResponse::json(200, "{\"ok\":true}"))
             }
             "leave" => {
                 // Take the session out of the map before leaving: a
                 // synchronous leave blocks for the whole coordination
                 // round, and other sessions must stay serviceable.
-                let Some(mut session) = sessions.remove(&(g, p)) else {
-                    return HttpResponse::json(409, "{\"error\":\"no open scope\"}");
-                };
+                let mut session = sessions.remove(&(g, p)).ok_or_else(no_scope)?;
                 drop(sessions);
                 session.depth = session.depth.saturating_sub(1);
                 let outermost = session.depth == 0;
@@ -1186,55 +1027,32 @@ impl Core {
                         .insert((g, p), session);
                 }
                 match result {
-                    Ok(None) => HttpResponse::json(200, "{\"outcome\":\"none\"}"),
+                    // Inner leave never coordinates; outer-only.
+                    Ok(None) => Ok(HttpResponse::json(200, "{\"outcome\":\"none\"}")),
+                    Ok(Some(_)) if !outermost => {
+                        Ok(HttpResponse::json(200, "{\"outcome\":\"none\"}"))
+                    }
                     Ok(Some(ticket)) => {
-                        if !outermost {
-                            // Inner leave never coordinates; outer-only.
-                            return HttpResponse::json(200, "{\"outcome\":\"none\"}");
-                        }
                         // A synchronous leave has already committed inside
                         // Controller::leave — its outcome is known; the
                         // other modes hand out a pollable ticket.
-                        match self.handles[g][p].read({
-                            let t = ticket.ticket;
-                            move |c| c.outcome_of_ticket(&t)
-                        }) {
-                            Some(outcome) if outcome.is_installed() => {
-                                self.telemetry.add(names::SERVE_INSTALLED, 1);
-                                HttpResponse::json(200, "{\"outcome\":\"installed\"}")
-                            }
-                            _ => {
-                                let public = self.next_ticket.fetch_add(1, Ordering::SeqCst);
-                                self.tickets.lock().expect("tickets").insert(
-                                    public,
-                                    TicketRef {
-                                        group: g,
-                                        party: p,
-                                        ticket: ticket.ticket,
-                                        counted: false,
-                                    },
-                                );
-                                HttpResponse::json(202, format!("{{\"ticket\":{public}}}"))
-                            }
+                        let installed = self.handles[g][p]
+                            .read(|c| c.outcome_of_ticket(&ticket.ticket))
+                            .is_some_and(|outcome| outcome.is_installed());
+                        if installed {
+                            self.telemetry.add(names::SERVE_INSTALLED, 1);
+                            return Ok(HttpResponse::json(200, "{\"outcome\":\"installed\"}"));
                         }
+                        let public = self.publish(g, p, &[ticket.ticket])[0];
+                        Ok(HttpResponse::json(202, format!("{{\"ticket\":{public}}}")))
                     }
                     Err(CoordError::Invalidated { vetoers }) => {
                         self.telemetry.add(names::SERVE_VETOED, 1);
-                        HttpResponse::json(
-                            409,
-                            format!(
-                                "{{\"outcome\":\"invalidated\",\"vetoers\":{}}}",
-                                vetoers_json(&vetoers)
-                            ),
-                        )
+                        Err(invalidated(&vetoers))
                     }
-                    Err(CoordError::Busy { .. }) => self.backpressure(),
-                    Err(CoordError::Timeout(_)) => {
-                        HttpResponse::json(504, "{\"error\":\"coordination timed out\"}")
-                    }
-                    Err(e) => {
-                        HttpResponse::json(500, format!("{{\"error\":{}}}", js(&format!("{e}"))))
-                    }
+                    Err(CoordError::Busy { .. }) => Err(self.backpressure()),
+                    Err(CoordError::Timeout(_)) => Err(error(504, "coordination timed out")),
+                    Err(e) => Err(error(500, &e.to_string())),
                 }
             }
             _ => unreachable!("routed actions only"),

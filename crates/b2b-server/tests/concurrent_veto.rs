@@ -360,6 +360,43 @@ fn ticket_windows_answer_in_request_order_across_orders() {
 }
 
 #[test]
+fn sync_bulk_counts_every_ticket_outcome() {
+    // Twenty customer ops ride two rounds (`batch_max` 16). The first
+    // carries a customer `price`, which the supplier vetoes, sinking its
+    // sixteen; the last four install. The answer is the veto, and every
+    // ticket's outcome is counted once.
+    let server = boot(1);
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let (status, body) = client.post("/orders", "").expect("create");
+    assert_eq!(status, 201, "{body}");
+    let mut ops = vec![
+        "{\"op\":\"line\",\"item\":\"w0\",\"qty\":1}".to_string(),
+        "{\"op\":\"price\",\"item\":\"w0\",\"unit_price\":3}".to_string(),
+    ];
+    ops.extend((2..20).map(|i| format!("{{\"op\":\"line\",\"item\":\"w{i}\",\"qty\":1}}")));
+    let (status, body) = client
+        .post(
+            "/orders/0/bulk?mode=sync",
+            &format!("{{\"ops\":[{}]}}", ops.join(",")),
+        )
+        .expect("bulk");
+    assert_eq!(
+        (status, body.as_str()),
+        (
+            409,
+            "{\"outcome\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w0)\"}]}"
+        )
+    );
+    // Read back as the Prometheus exposition `GET /metrics` serves.
+    let (status, metrics) = client.get("/metrics").expect("metrics");
+    assert_eq!(status, 200, "{metrics}");
+    for line in ["b2b_serve_installed 4", "b2b_serve_vetoed 16"] {
+        assert!(metrics.lines().any(|l| l == line), "{line}:\n{metrics}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn engine_event_buffers_do_not_grow_with_traffic() {
     // Nothing in the server reads the engines' event streams; every
     // mutation discards what the order's engines buffered before it, so

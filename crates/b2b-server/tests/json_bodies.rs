@@ -112,6 +112,178 @@ fn malformed_bodies_get_the_same_answers_as_before() {
     server.shutdown();
 }
 
+/// Every mutation shape — direct and bulk, sync and deferred, the scoped
+/// `leave` — and the ticket window polled after each, answered with
+/// exactly these status codes and body bytes. A direct action is a bulk
+/// of one inside the server, but keeps its own response shapes: `seq`
+/// without `ops`, `ticket` rather than `tickets`, no `index` on a 400.
+#[test]
+fn every_mutation_shape_answers_its_recorded_bytes() {
+    let server = boot();
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    let script: &[(&str, &str, &str, u16, &str)] = &[
+        ("POST", "/orders", "", 201, "{\"order\":0,\"parties\":[\"customer\",\"supplier\"]}"),
+        // Direct, synchronous: installed, vetoed, malformed, inapplicable.
+        (
+            "POST",
+            "/orders/0/lines?mode=sync",
+            "{\"item\":\"w1\",\"qty\":2}",
+            200,
+            "{\"outcome\":\"installed\",\"seq\":1}",
+        ),
+        (
+            "POST",
+            "/orders/0/lines?as=supplier&mode=sync",
+            "{\"item\":\"w2\",\"qty\":1}",
+            409,
+            "{\"outcome\":\"invalidated\",\"vetoers\":[{\"party\":\"customer\",\"reason\":\"only the customer may add items (supplier added w2)\"}]}",
+        ),
+        ("POST", "/orders/0/lines", "{\"item\":\"w3\"}", 400, "{\"error\":\"missing field: qty\"}"),
+        (
+            "POST",
+            "/orders/0/price",
+            "{\"item\":\"nope\",\"unit_price\":3}",
+            400,
+            "{\"error\":\"no line for item nope\"}",
+        ),
+        // Direct, deferred: one ticket, then its window.
+        (
+            "POST",
+            "/orders/0/price?mode=deferred",
+            "{\"item\":\"w1\",\"unit_price\":7}",
+            202,
+            "{\"ticket\":1}",
+        ),
+        (
+            "GET",
+            "/tickets?ids=1&wait_ms=20000",
+            "",
+            200,
+            "{\"tickets\":[{\"ticket\":1,\"status\":\"installed\",\"seq\":2}]}",
+        ),
+        // Bulk, synchronous: installed, vetoed, and two 400s naming the op.
+        (
+            "POST",
+            "/orders/0/bulk?mode=sync",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w4\",\"qty\":1},{\"op\":\"line\",\"item\":\"w5\",\"qty\":2}]}",
+            200,
+            "{\"outcome\":\"installed\",\"ops\":2,\"seq\":3}",
+        ),
+        (
+            "POST",
+            "/orders/0/bulk?mode=sync",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w6\",\"qty\":1},{\"op\":\"price\",\"item\":\"w6\",\"unit_price\":5}]}",
+            409,
+            "{\"outcome\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w6)\"}]}",
+        ),
+        (
+            "POST",
+            "/orders/0/bulk",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w7\",\"qty\":1},{\"op\":\"price\",\"item\":\"w8\",\"unit_price\":1}]}",
+            400,
+            "{\"error\":\"no line for item w8\",\"index\":1}",
+        ),
+        (
+            "POST",
+            "/orders/0/bulk",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w7\",\"qty\":1},{\"item\":\"w7\"}]}",
+            400,
+            "{\"error\":\"missing field: op\",\"index\":1}",
+        ),
+        // Bulk, deferred: a ticket per op, polled with an unknown id.
+        (
+            "POST",
+            "/orders/0/bulk?mode=deferred",
+            "{\"ops\":[{\"op\":\"line\",\"item\":\"w9\",\"qty\":1},{\"op\":\"price\",\"item\":\"w9\",\"unit_price\":4}]}",
+            202,
+            "{\"tickets\":[2,3]}",
+        ),
+        (
+            "GET",
+            "/tickets?ids=2,99,3&wait_ms=20000",
+            "",
+            200,
+            "{\"tickets\":[{\"ticket\":2,\"status\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w9)\"}]},{\"ticket\":99,\"status\":\"unknown\"},{\"ticket\":3,\"status\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w9)\"}]}]}",
+        ),
+        // Scoped: a synchronous leave that installs …
+        ("POST", "/orders/0/enter?mode=sync", "", 200, ""),
+        (
+            "POST",
+            "/orders/0/update",
+            "{\"op\":\"line\",\"item\":\"w10\",\"qty\":1}",
+            200,
+            "{\"ok\":true}",
+        ),
+        ("POST", "/orders/0/leave", "", 200, "{\"outcome\":\"installed\"}"),
+        // … a deferred leave that hands out a ticket …
+        ("POST", "/orders/0/enter?mode=deferred", "", 200, ""),
+        (
+            "POST",
+            "/orders/0/update",
+            "{\"op\":\"line\",\"item\":\"w11\",\"qty\":1}",
+            200,
+            "{\"ok\":true}",
+        ),
+        ("POST", "/orders/0/leave", "", 202, "{\"ticket\":4}"),
+        (
+            "GET",
+            "/tickets?ids=4&wait_ms=20000",
+            "",
+            200,
+            "{\"tickets\":[{\"ticket\":4,\"status\":\"installed\",\"seq\":5}]}",
+        ),
+        // … and a synchronous leave from a stale working copy: vetoed.
+        ("POST", "/orders/0/enter?mode=sync", "", 200, ""),
+        (
+            "POST",
+            "/orders/0/lines?mode=sync",
+            "{\"item\":\"w12\",\"qty\":1}",
+            200,
+            "{\"outcome\":\"installed\",\"seq\":6}",
+        ),
+        (
+            "POST",
+            "/orders/0/update",
+            "{\"op\":\"line\",\"item\":\"w13\",\"qty\":1}",
+            200,
+            "{\"ok\":true}",
+        ),
+        (
+            "POST",
+            "/orders/0/leave",
+            "",
+            409,
+            "{\"outcome\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"items may not be renamed\"}]}",
+        ),
+        (
+            "GET",
+            "/tickets?ids=1,2,3,4",
+            "",
+            200,
+            "{\"tickets\":[{\"ticket\":1,\"status\":\"installed\",\"seq\":2},{\"ticket\":2,\"status\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w9)\"}]},{\"ticket\":3,\"status\":\"invalidated\",\"vetoers\":[{\"party\":\"supplier\",\"reason\":\"batch[1]: only the supplier may price items (customer priced w9)\"}]},{\"ticket\":4,\"status\":\"installed\",\"seq\":5}]}",
+        ),
+    ];
+    for &(method, path, request, status, response) in script {
+        let (got_status, got_body) = match method {
+            "GET" => client.get(path),
+            _ => client.post(path, request),
+        }
+        .expect("exchange");
+        // `enter` answers with the working copy; its bytes are the order
+        // encoding's business, not this test's.
+        if path.contains("/enter") {
+            assert_eq!(got_status, status, "{path}: {got_body}");
+            continue;
+        }
+        assert_eq!(
+            (got_status, got_body.as_str()),
+            (status, response),
+            "{method} {path} {request}"
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn numbers_and_escapes_the_scanner_used_to_misread_are_refused() {
     let server = boot();
