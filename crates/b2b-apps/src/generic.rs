@@ -152,11 +152,6 @@ impl CompositeObject {
         self
     }
 
-    /// The names of the components, in insertion order.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.components.iter().map(|c| c.name.as_str()).collect()
-    }
-
     fn decode_map(bytes: &[u8]) -> Result<std::collections::BTreeMap<String, Vec<u8>>, String> {
         serde_json::from_slice(bytes).map_err(|e| format!("undecodable composite state: {e}"))
     }

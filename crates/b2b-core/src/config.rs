@@ -18,6 +18,16 @@ pub(crate) const REPLAY_WINDOW: u64 = 64;
 /// through the normal state-transfer path.
 pub(crate) const COMPLETED_REPLIES_CAP: usize = 64;
 
+/// Base retransmission interval of the reliable-delivery layer: the delay
+/// before a frame's *first* retransmission.
+pub(crate) const RETRANSMIT_AFTER: TimeMs = TimeMs(200);
+
+/// Bound on the pending-update queue (backpressure for
+/// `DeferredSynchronous`/`Asynchronous` callers): a submission that would
+/// queue more than this many not-yet-proposed updates fails with
+/// `CoordError::Busy` instead of growing memory without bound.
+pub const PENDING_UPDATES_MAX: usize = 1024;
+
 /// How the group decision over responses is computed.
 ///
 /// The base protocol requires unanimity (§4.1); majority decision is the
@@ -76,15 +86,12 @@ impl MutationFlags {
 /// Tunables of a [`crate::Coordinator`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoordinatorConfig {
-    /// Base retransmission interval of the reliable-delivery layer: the
-    /// delay before a frame's *first* retransmission.
-    pub retransmit_after: TimeMs,
     /// Ceiling of the reliable layer's exponential retransmission backoff.
-    /// The delay doubles from `retransmit_after` on every further
+    /// The delay doubles from `RETRANSMIT_AFTER` on every further
     /// unacknowledged retransmission of the same frame until it reaches
     /// this cap, so a long partition produces a bounded probe trickle
     /// rather than a constant-rate storm. `None` keeps the layer's default
-    /// cap of 32 × `retransmit_after`.
+    /// cap of 32 × `RETRANSMIT_AFTER`.
     pub retransmit_max: Option<TimeMs>,
     /// Reject proposals whose new state equals the current agreed state
     /// (§4.4: recipients "can reject a null state transition").
@@ -121,11 +128,6 @@ pub struct CoordinatorConfig {
     /// one multicast, one evidence record. `1` disables batching (every
     /// update pays its own round).
     pub batch_max: usize,
-    /// Bound on the pending-update queue (backpressure for
-    /// `DeferredSynchronous`/`Asynchronous` callers): a submission that
-    /// would queue more than this many not-yet-proposed updates fails with
-    /// `CoordError::Busy` instead of growing memory without bound.
-    pub pending_updates_max: usize,
     /// Mutation-testing ablations of the §4.2 acceptance checks. All
     /// `false` in any real deployment; see [`MutationFlags`].
     pub mutation: MutationFlags,
@@ -135,7 +137,6 @@ impl CoordinatorConfig {
     /// The paper's base configuration.
     pub fn new() -> CoordinatorConfig {
         CoordinatorConfig {
-            retransmit_after: TimeMs(200),
             retransmit_max: None,
             reject_null_transitions: true,
             decision_rule: DecisionRule::Unanimous,
@@ -143,15 +144,8 @@ impl CoordinatorConfig {
             run_deadline: None,
             sig_cache_capacity: 1024,
             batch_max: 16,
-            pending_updates_max: 1024,
             mutation: MutationFlags::default(),
         }
-    }
-
-    /// Sets the base retransmission interval (first-retry delay).
-    pub fn retransmit_after(mut self, interval: TimeMs) -> CoordinatorConfig {
-        self.retransmit_after = interval;
-        self
     }
 
     /// Sets the retransmission-backoff ceiling.
@@ -196,12 +190,6 @@ impl CoordinatorConfig {
         self
     }
 
-    /// Sets the pending-update queue bound (backpressure threshold).
-    pub fn pending_updates_max(mut self, max: usize) -> CoordinatorConfig {
-        self.pending_updates_max = max;
-        self
-    }
-
     /// Ablates §4.2 acceptance checks for mutation testing. Never set in
     /// production; see [`MutationFlags`].
     pub fn mutation(mut self, flags: MutationFlags) -> CoordinatorConfig {
@@ -230,7 +218,6 @@ mod tests {
         assert_eq!(c.sig_cache_capacity, 1024);
         assert_eq!(c.retransmit_max, None);
         assert_eq!(c.batch_max, 16);
-        assert_eq!(c.pending_updates_max, 1024);
         assert!(!c.mutation.any(), "no check is ablated by default");
     }
 
@@ -248,20 +235,16 @@ mod tests {
     #[test]
     fn builder_chains() {
         let c = CoordinatorConfig::new()
-            .retransmit_after(TimeMs(50))
             .retransmit_max(TimeMs(800))
             .reject_null_transitions(false)
             .decision_rule(DecisionRule::Majority)
             .run_deadline(TimeMs(5_000))
             .ttp(b2b_crypto::PartyId::new("notary"))
             .sig_cache_capacity(0)
-            .batch_max(0)
-            .pending_updates_max(2);
+            .batch_max(0);
         assert_eq!(c.ttp, Some(b2b_crypto::PartyId::new("notary")));
         assert_eq!(c.sig_cache_capacity, 0);
         assert_eq!(c.batch_max, 1, "batch_max clamps to at least 1");
-        assert_eq!(c.pending_updates_max, 2);
-        assert_eq!(c.retransmit_after, TimeMs(50));
         assert_eq!(c.retransmit_max, Some(TimeMs(800)));
         assert!(!c.reject_null_transitions);
         assert_eq!(c.decision_rule, DecisionRule::Majority);

@@ -9,7 +9,9 @@
 //! under the deterministic network simulator and the real-clock sharded
 //! runtime.
 
-use crate::config::{CoordinatorConfig, COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
+use crate::config::{
+    CoordinatorConfig, COMPLETED_REPLIES_CAP, PENDING_UPDATES_MAX, REPLAY_WINDOW, RETRANSMIT_AFTER,
+};
 use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
@@ -17,7 +19,8 @@ use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES};
 use crate::object::B2BObject;
 use crate::replica::{
-    snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
+    snapshot_decoder, ActiveRun, CoreDoc, Doc, MembershipChange, QueuedRequest, Replica,
+    SNAPSHOT_FORMAT,
 };
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
@@ -314,7 +317,7 @@ impl CoordinatorBuilder {
         };
         let mut rng = SecureRng::seeded(self.seed);
         let epoch = rng.next_u64();
-        let mut mux = ReliableMux::new(self.config.retransmit_after, epoch);
+        let mut mux = ReliableMux::new(RETRANSMIT_AFTER, epoch);
         if let Some(max) = self.config.retransmit_max {
             mux = mux.with_retransmit_max(max);
         }
@@ -1040,14 +1043,18 @@ impl Coordinator {
             WireMsg::Propose(m) => self.on_propose(from, m, ctx),
             WireMsg::Respond(m) => self.on_respond(from, m, ctx),
             WireMsg::Decide(m) => self.on_decide(from, m, ctx),
-            WireMsg::ConnectRequest(m) => self.on_connect_request(from, m, ctx),
-            WireMsg::ConnectPropose(m) => self.on_connect_propose(from, m, ctx),
+            WireMsg::ConnectRequest(m) => self.on_connect_request(m, ctx),
+            WireMsg::ConnectPropose(m) => {
+                self.on_member_propose(from, MembershipChange::connect(m), ctx)
+            }
             WireMsg::MemberRespond(m) => self.on_member_respond(from, m, ctx),
             WireMsg::MemberDecide(m) => self.on_member_decide(from, m, ctx),
             WireMsg::Welcome(m) => self.on_welcome(from, m, ctx),
             WireMsg::ConnectReject(m) => self.on_connect_reject(from, m, ctx),
-            WireMsg::DisconnectRequest(m) => self.on_disconnect_request(from, m, ctx),
-            WireMsg::DisconnectPropose(m) => self.on_disconnect_propose(from, m, ctx),
+            WireMsg::DisconnectRequest(m) => self.on_disconnect_request(m, ctx),
+            WireMsg::DisconnectPropose(m) => {
+                self.on_member_propose(from, MembershipChange::disconnect(m), ctx)
+            }
             WireMsg::DisconnectAck(m) => self.on_disconnect_ack(from, m, ctx),
             WireMsg::DisconnectReject(m) => self.on_disconnect_reject(from, m, ctx),
             WireMsg::TtpResolve(m) => self.on_ttp_resolve(from, m, ctx),
@@ -1074,7 +1081,7 @@ impl Coordinator {
         // Fresh reliable-layer incarnation so peers do not confuse our
         // restarted sequence numbers with pre-crash traffic.
         let epoch = self.rng.next_u64();
-        let mut mux = ReliableMux::new(self.config.retransmit_after, epoch);
+        let mut mux = ReliableMux::new(RETRANSMIT_AFTER, epoch);
         if let Some(max) = self.config.retransmit_max {
             mux = mux.with_retransmit_max(max);
         }
@@ -1162,17 +1169,10 @@ impl Coordinator {
                 self.send_wire(&proposer, &msg, ctx);
             }
             Some(ActiveRun::Sponsor(run)) => {
-                self.resume_sponsor_run(object, run, ctx);
+                self.resume_sponsor_run(run, ctx);
             }
             Some(ActiveRun::Member(run)) => {
-                let sponsor = match &run.change {
-                    crate::replica::MembershipChange::Connect { propose, .. } => {
-                        propose.proposal.sponsor.clone()
-                    }
-                    crate::replica::MembershipChange::Disconnect { propose, .. } => {
-                        propose.proposal.sponsor.clone()
-                    }
-                };
+                let sponsor = run.change.proposal().sponsor.clone();
                 let msg = WireMsg::MemberRespond(run.my_response.clone());
                 self.send_wire(&sponsor, &msg, ctx);
             }
@@ -1224,14 +1224,8 @@ impl Coordinator {
                 }
             };
             let started = match next {
-                QueuedRequest::Connect(req) => {
-                    let from = req.request.subject.clone();
-                    self.sponsor_connect(&from, req, ctx)
-                }
-                QueuedRequest::Disconnect(req) => {
-                    let from = req.request.proposer.clone();
-                    self.sponsor_disconnect(&from, req, ctx)
-                }
+                QueuedRequest::Connect(req) => self.sponsor_connect(req, ctx),
+                QueuedRequest::Disconnect(req) => self.sponsor_disconnect(req, ctx),
             };
             // If the request started a run we are done; if it was answered
             // immediately (e.g. rejected), try the next queued request.
@@ -1276,7 +1270,7 @@ impl Coordinator {
     /// * [`CoordError::UnknownObject`] / [`CoordError::NotMember`] as for
     ///   a direct proposal.
     /// * [`CoordError::Busy`] when the updates do not all fit under
-    ///   [`CoordinatorConfig::pending_updates_max`] — backpressure: nothing
+    ///   [`PENDING_UPDATES_MAX`] — backpressure: nothing
     ///   is enqueued, and the caller should retry after outstanding rounds
     ///   complete.
     pub fn submit_updates(
@@ -1298,7 +1292,7 @@ impl Coordinator {
             }
         }
         let pending = self.pending_updates.entry(object.clone()).or_default();
-        if pending.queue.len() + updates.len() > self.config.pending_updates_max {
+        if pending.queue.len() + updates.len() > PENDING_UPDATES_MAX {
             return Err(CoordError::Busy {
                 object: object.clone(),
             });

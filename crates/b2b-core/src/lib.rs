@@ -61,7 +61,7 @@ mod proto_state;
 pub mod replica;
 mod termination;
 
-pub use config::{CoordinatorConfig, DecisionRule, MutationFlags};
+pub use config::{CoordinatorConfig, DecisionRule, MutationFlags, PENDING_UPDATES_MAX};
 pub use controller::{Controller, CoordAccess, CoordTicket, SimAccess, TicketStatus};
 pub use coordinator::{
     ConnectStatus, Coordinator, CoordinatorBuilder, ObjectFactory, TicketId, TicketState,

@@ -14,13 +14,15 @@ use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{GroupId, ObjectId, RunId};
 use crate::messages::{
-    ConnectProposal, ConnectProposeMsg, ConnectReject, ConnectRejectMsg, ConnectRequest,
-    ConnectRequestMsg, DisconnectAck, DisconnectAckMsg, DisconnectProposal, DisconnectProposeMsg,
-    DisconnectReject, DisconnectRejectMsg, DisconnectRequest, DisconnectRequestMsg,
-    MemberDecideMsg, MemberRespondMsg, MemberResponse, Welcome, WelcomeMsg, WireMsg,
+    ConnectReject, ConnectRejectMsg, ConnectRequest, ConnectRequestMsg, DisconnectAck,
+    DisconnectAckMsg, DisconnectReject, DisconnectRejectMsg, DisconnectRequest,
+    DisconnectRequestMsg, MemberDecideMsg, MemberRespondMsg, MemberResponse, Welcome, WelcomeMsg,
+    WireMsg,
 };
+use crate::object::B2BObject;
 use crate::replica::{
-    ActiveRun, Doc, LeavingRun, MemberRun, MembershipChange, QueuedRequest, Replica, SponsorRun,
+    ActiveRun, Doc, LeavingRun, MemberRun, MemberStep, MembershipChange, ProposalFields,
+    QueuedRequest, Replica, SponsorRun,
 };
 use crate::Coordinator;
 use b2b_crypto::{sha256, CanonicalEncode, PartyId};
@@ -64,11 +66,9 @@ impl Coordinator {
         let msg = ConnectRequestMsg { request, sig };
         // Content-addressed root: the request digest is the same on every
         // fabric, so sim and TCP reconstruct the same membership trace.
-        self.begin_root(u64::from_be_bytes(
-            msg.request.canonical_digest().as_bytes()[..8]
-                .try_into()
-                .expect("8 bytes"),
-        ));
+        self.begin_root(Coordinator::run_root(&RunId(
+            msg.request.canonical_digest(),
+        )));
         self.factories.insert(object.clone(), factory);
         self.pending_connects.insert(
             object.clone(),
@@ -230,7 +230,6 @@ impl Coordinator {
             },
             now,
         );
-        let _ = ctx;
     }
 
     pub(crate) fn on_connect_reject(
@@ -287,12 +286,7 @@ impl Coordinator {
     // Sponsor side: connection
     // =================================================================
 
-    pub(crate) fn on_connect_request(
-        &mut self,
-        from: &PartyId,
-        msg: ConnectRequestMsg,
-        ctx: &mut NodeCtx,
-    ) {
+    pub(crate) fn on_connect_request(&mut self, msg: ConnectRequestMsg, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let oid = msg.request.object.clone();
         // Verify before anything else. The sender need not be the subject:
@@ -327,21 +321,15 @@ impl Coordinator {
             self.persist(&oid);
             return;
         }
-        self.sponsor_connect(from, msg, ctx);
+        self.sponsor_connect(msg, ctx);
     }
 
     /// Starts (or immediately answers) a connection request. Returns
     /// `true` if a polling run was started.
-    pub(crate) fn sponsor_connect(
-        &mut self,
-        _from: &PartyId,
-        msg: ConnectRequestMsg,
-        ctx: &mut NodeCtx,
-    ) -> bool {
+    pub(crate) fn sponsor_connect(&mut self, msg: ConnectRequestMsg, ctx: &mut NodeCtx) -> bool {
         let now = ctx.now();
         let oid = msg.request.object.clone();
         let subject = msg.request.subject.clone();
-        let me = self.me.clone();
         let request_digest = msg.request.canonical_digest();
 
         let Some(rep) = self.replicas.get(&oid) else {
@@ -354,7 +342,7 @@ impl Coordinator {
         // that is not (or no longer) the sponsor — e.g. because an earlier
         // queued admission rotated sponsorship — forwards the request to
         // the current sponsor rather than dropping it.
-        if rep.sponsor() != &me {
+        if rep.sponsor() != &self.me {
             let sponsor = rep.sponsor().clone();
             self.send_wire(&sponsor, &WireMsg::ConnectRequest(msg), ctx);
             return false;
@@ -378,58 +366,51 @@ impl Coordinator {
             self.send_connect_reject(&oid, &subject, request_digest, ctx);
             return false;
         }
+        self.sponsor_run(&oid, QueuedRequest::Connect(msg), ctx)
+    }
 
-        let rep = self.replicas.get_mut(&oid).expect("checked above");
-        let mut new_members = rep.members.clone();
-        new_members.push(subject.clone());
+    /// The run-start tail of both sponsor prologues: proposes the change
+    /// `request` asks for to the polled members, or concludes it at once
+    /// when there are none. Returns `true` if a polling run was started.
+    fn sponsor_run(&mut self, oid: &ObjectId, request: QueuedRequest, ctx: &mut NodeCtx) -> bool {
+        let now = ctx.now();
+        let me = self.me.clone();
+        let rep = self.replicas.get_mut(oid).expect("checked by the prologue");
+        let mut change = MembershipChange::draft(request, me.clone(), rep.group, rep.agreed);
+        let new_members = change.new_members(&rep.members);
         let new_group = GroupId {
             seq: rep.group.seq + 1,
             rand_hash: sha256(&self.rng.nonce()),
             members_hash: crate::ids::members_digest(&new_members),
         };
         let authenticator = self.rng.nonce();
-        let proposal = ConnectProposal {
-            object: oid.clone(),
-            sponsor: me.clone(),
-            request_digest,
-            subject: subject.clone(),
-            group: rep.group,
-            new_group,
-            agreed: rep.agreed,
-            auth_commit: sha256(&authenticator),
-        };
-        let run = proposal.run_id();
-        let sig = self.signer.sign(&proposal.canonical_bytes());
-        let propose = ConnectProposeMsg {
-            proposal,
-            request: msg.clone(),
-            sig,
-        };
-        let polled: Vec<PartyId> = rep.members.iter().filter(|m| **m != me).cloned().collect();
+        change.seal(new_group, sha256(&authenticator), |bytes| {
+            self.signer.sign(bytes)
+        });
+        let ProposalFields { signed, sig, .. } = change.proposal();
+        let (run, sig) = (RunId::from_bytes(&signed), sig.clone());
+        let polled = change.polled(&rep.members, &me);
 
         if polled.is_empty() {
-            // Singleton group: the sponsor's acceptance is the group's.
+            // Nobody to poll: the sponsor's acceptance is the group's.
             rep.note_seen(run, None);
             let decide = MemberDecideMsg {
                 object: oid.clone(),
                 run,
                 authenticator,
                 responses: Vec::new(),
-                connecting: true,
+                connecting: change.connecting(),
             };
-            self.install_membership(&oid, run, new_members, new_group, &[], ctx);
-            self.send_welcome(&oid, run, &subject, decide, ctx);
+            self.conclude_member_run(&change, new_members, new_group, decide, ctx);
             return false;
         }
 
-        let subject_label = subject.clone();
+        let kind = change.evidence_kind(MemberStep::Propose);
+        let detail = change.describe();
+        let wire = change.propose_wire();
         rep.start_run(ActiveRun::Sponsor(SponsorRun {
             run,
-            change: MembershipChange::Connect {
-                subject,
-                request: msg,
-                propose: propose.clone(),
-            },
+            change,
             authenticator,
             new_members,
             new_group,
@@ -437,26 +418,43 @@ impl Coordinator {
             responses: Default::default(),
             decided: None,
         }));
-        self.log_evidence(
-            EvidenceKind::ConnectPropose,
-            &oid,
-            &run.to_hex(),
-            me,
-            propose.proposal.canonical_bytes(),
-            Some(propose.sig.clone()),
-            now,
-        );
+        self.log_evidence(kind, oid, &run.to_hex(), me, signed, Some(sig), now);
         self.trace(now, "membership", "propose", || {
             format!(
-                "object={oid} run={} change=connect subject={subject_label} polled={}",
+                "object={oid} run={} {detail} polled={}",
                 run.to_hex(),
                 polled.len()
             )
         });
-        let wire = WireMsg::ConnectPropose(propose);
         self.send_wire_all(&polled, &wire, ctx);
-        self.persist(&oid);
+        self.persist(oid);
         true
+    }
+
+    /// Installs an agreed change at its sponsor and answers the subject: a
+    /// welcome for a join, an ack for a voluntary leave. Evictees are not
+    /// consulted and get nothing.
+    fn conclude_member_run(
+        &mut self,
+        change: &MembershipChange,
+        new_members: Vec<PartyId>,
+        new_group: GroupId,
+        decide: MemberDecideMsg,
+        ctx: &mut NodeCtx,
+    ) {
+        let (oid, run) = (decide.object.clone(), decide.run);
+        self.install_membership(&oid, run, new_members, new_group, change.leavers(), ctx);
+        match change {
+            MembershipChange::Connect { subject, .. } => {
+                self.send_welcome(&oid, run, subject, decide, ctx);
+            }
+            MembershipChange::Disconnect {
+                subjects,
+                eviction: false,
+                ..
+            } => self.send_disconnect_ack(&oid, run, &subjects[0], decide, ctx),
+            MembershipChange::Disconnect { .. } => {}
+        }
     }
 
     fn send_connect_reject(
@@ -579,31 +577,27 @@ impl Coordinator {
     // Member side: polled about a membership change
     // =================================================================
 
-    pub(crate) fn on_connect_propose(
+    /// A polled member's handling of a connection or disconnection
+    /// proposal: one set of checks for both kinds of change, of which only
+    /// the attached request and the application upcall differ.
+    pub(crate) fn on_member_propose(
         &mut self,
         from: &PartyId,
-        msg: ConnectProposeMsg,
+        change: MembershipChange,
         ctx: &mut NodeCtx,
     ) {
         let now = ctx.now();
-        let oid = msg.proposal.object.clone();
-        let run = msg.proposal.run_id();
+        let p = change.proposal();
+        let oid = p.object.clone();
+        let run = RunId::from_bytes(&p.signed);
 
-        if from != &msg.proposal.sponsor
-            || self
-                .verify_for(
-                    &msg.proposal.sponsor,
-                    &msg.proposal.canonical_bytes(),
-                    &msg.sig,
-                )
-                .is_err()
-        {
+        if from != p.sponsor || self.verify_for(p.sponsor, &p.signed, p.sig).is_err() {
             self.log_misbehaviour(
                 &oid,
                 &run.to_hex(),
                 Misbehaviour::BadSignature {
-                    claimed: msg.proposal.sponsor.clone(),
-                    message: "connect-propose".into(),
+                    claimed: p.sponsor.clone(),
+                    message: format!("{}-propose", change.name()),
                 },
                 now,
             );
@@ -622,15 +616,29 @@ impl Coordinator {
                 return;
             }
         }
+        // As for state proposals: a party that has left the group (or was
+        // never in it) has no say and signs nothing.
+        if rep.detached || !rep.is_member(&self.me) {
+            self.log_misbehaviour(
+                &oid,
+                &run.to_hex(),
+                Misbehaviour::UnexpectedMessage {
+                    detail: format!("membership proposal from {from} to non-member"),
+                },
+                now,
+            );
+            return;
+        }
 
         // ---- consistency checks ----
         let mut decision = Decision::accept();
         let mut misbehaviours = Vec::new();
         let mut track = true;
-        if rep.sponsor() != &msg.proposal.sponsor {
+        let expected = change.legitimate_sponsor(rep);
+        if expected != Some(p.sponsor) {
             misbehaviours.push(Misbehaviour::IllegitimateSponsor {
-                claimed: msg.proposal.sponsor.clone(),
-                expected: rep.sponsor().clone(),
+                claimed: p.sponsor.clone(),
+                expected: expected.cloned().unwrap_or_else(|| PartyId::new("?")),
             });
             decision = Decision::reject("illegitimate sponsor");
         }
@@ -639,55 +647,89 @@ impl Coordinator {
             decision = Decision::reject("replayed membership proposal");
             track = false;
         }
-        if msg.proposal.group != rep.group {
+        if p.group != rep.group {
             misbehaviours.push(Misbehaviour::GroupIdMismatch {
-                theirs: msg.proposal.group,
+                theirs: p.group,
                 ours: rep.group,
             });
             if decision.is_accept() {
                 decision = Decision::reject("inconsistent group identifier");
             }
         }
-        if msg.proposal.agreed != rep.agreed {
+        if p.agreed != rep.agreed {
             misbehaviours.push(Misbehaviour::PredecessorMismatch {
-                theirs: msg.proposal.agreed,
+                theirs: p.agreed,
                 ours: rep.agreed,
             });
             if decision.is_accept() {
                 decision = Decision::reject("inconsistent agreed state");
             }
         }
-        // The proposed new group must be exactly our members + subject.
-        let mut expected_members = rep.members.clone();
-        expected_members.push(msg.proposal.subject.clone());
-        if !msg.proposal.new_group.identifies(&expected_members)
-            || msg.proposal.new_group.seq != rep.group.seq + 1
+        // The proposed new group must be exactly our members after the
+        // change.
+        if !p.new_group.identifies(&change.new_members(&rep.members))
+            || p.new_group.seq != rep.group.seq + 1
         {
+            let detail = if change.connecting() {
+                "proposed group does not match members + subject"
+            } else {
+                "proposed group does not match members - subjects"
+            };
             misbehaviours.push(Misbehaviour::InconsistentDecide {
                 run,
-                detail: "proposed group does not match members + subject".into(),
+                detail: detail.into(),
             });
             if decision.is_accept() {
                 decision = Decision::reject("inconsistent new group identifier");
             }
         }
-        // The subject's own signed request must be attached and verify.
-        let req_ok = msg.request.request.subject == msg.proposal.subject
-            && msg.request.request.canonical_digest() == msg.proposal.request_digest
-            && self
-                .verify_for(
-                    &msg.request.request.subject,
-                    &msg.request.request.canonical_bytes(),
-                    &msg.request.sig,
+        // The attached request must verify: the subject's own signature
+        // shows it asked to join, or (for a voluntary disconnect) to leave
+        // (§4.5.4).
+        let (req_ok, claimed, reason) = match &change {
+            MembershipChange::Connect {
+                request, propose, ..
+            } => (
+                request.request.subject == propose.proposal.subject
+                    && request.request.canonical_digest() == propose.proposal.request_digest
+                    && self
+                        .verify_for(
+                            &request.request.subject,
+                            &request.request.canonical_bytes(),
+                            &request.sig,
+                        )
+                        .is_ok(),
+                propose.proposal.subject.clone(),
+                "subject request does not verify",
+            ),
+            MembershipChange::Disconnect {
+                subjects,
+                eviction,
+                request,
+                propose,
+            } => {
+                let req = &request.request;
+                (
+                    req.canonical_digest() == propose.proposal.request_digest
+                        && req.subjects == *subjects
+                        && req.eviction == *eviction
+                        && (*eviction
+                            || (req.subjects.len() == 1 && req.proposer == req.subjects[0]))
+                        && self
+                            .verify_for(&req.proposer, &req.canonical_bytes(), &request.sig)
+                            .is_ok(),
+                    req.proposer.clone(),
+                    "attached request does not verify",
                 )
-                .is_ok();
+            }
+        };
         if !req_ok {
             misbehaviours.push(Misbehaviour::BadSignature {
-                claimed: msg.proposal.subject.clone(),
-                message: "attached connect-request".into(),
+                claimed,
+                message: format!("attached {}-request", change.name()),
             });
             if decision.is_accept() {
-                decision = Decision::reject("subject request does not verify");
+                decision = Decision::reject(reason);
             }
         }
         if rep.active.is_some() {
@@ -696,51 +738,50 @@ impl Coordinator {
             }
             track = false;
         }
+        // Application policy. Only joins and evictions are vetoable:
+        // "voluntary disconnection cannot be vetoed" (§4.5.4).
         if decision.is_accept() {
-            let app = rep.object.validate_connect(&msg.proposal.subject);
+            let app = match &change {
+                MembershipChange::Connect { subject, .. } => rep.object.validate_connect(subject),
+                MembershipChange::Disconnect {
+                    subjects,
+                    eviction: true,
+                    ..
+                } => validate_eviction(rep.object.as_ref(), subjects),
+                MembershipChange::Disconnect { .. } => Decision::accept(),
+            };
             if !app.is_accept() {
                 decision = app;
             }
         }
 
-        self.respond_membership(
-            &oid,
-            run,
-            msg.proposal.sponsor.clone(),
-            decision,
-            track,
-            MembershipChange::Connect {
-                subject: msg.proposal.subject.clone(),
-                request: msg.request.clone(),
-                propose: msg.clone(),
-            },
-            misbehaviours,
-            EvidenceKind::ConnectPropose,
-            msg.proposal.canonical_bytes(),
-            Some(msg.sig.clone()),
-            ctx,
-        );
+        self.respond_membership(run, decision, track, change, misbehaviours, ctx);
     }
 
-    /// Shared respond path for connect/disconnect proposals at a member.
-    #[allow(clippy::too_many_arguments)]
+    /// Signs and sends this member's response to a membership proposal,
+    /// tracking the run unless it was refused outright.
     fn respond_membership(
         &mut self,
-        oid: &ObjectId,
         run: RunId,
-        sponsor: PartyId,
         decision: Decision,
         track: bool,
         change: MembershipChange,
         misbehaviours: Vec<Misbehaviour>,
-        propose_kind: EvidenceKind,
-        propose_payload: Vec<u8>,
-        propose_sig: Option<b2b_crypto::Signature>,
         ctx: &mut NodeCtx,
     ) {
         let now = ctx.now();
         let me = self.me.clone();
-        let Some(rep) = self.replicas.get_mut(oid) else {
+        let ProposalFields {
+            object,
+            sponsor,
+            signed,
+            sig,
+            ..
+        } = change.proposal();
+        let (oid, sponsor, propose_sig) = (object.clone(), sponsor.clone(), sig.clone());
+        let propose_kind = change.evidence_kind(MemberStep::Propose);
+        let respond_kind = change.evidence_kind(MemberStep::Respond);
+        let Some(rep) = self.replicas.get_mut(&oid) else {
             return;
         };
         let response = MemberResponse {
@@ -764,20 +805,16 @@ impl Coordinator {
         }
         self.log_evidence(
             propose_kind,
-            oid,
+            &oid,
             &run.to_hex(),
             sponsor.clone(),
-            propose_payload,
-            propose_sig,
+            signed,
+            Some(propose_sig),
             now,
         );
-        let respond_kind = match propose_kind {
-            EvidenceKind::ConnectPropose => EvidenceKind::ConnectRespond,
-            _ => EvidenceKind::DisconnectRespond,
-        };
         self.log_evidence(
             respond_kind,
-            oid,
+            &oid,
             &run.to_hex(),
             me,
             m.response.canonical_bytes(),
@@ -785,7 +822,7 @@ impl Coordinator {
             now,
         );
         for mis in misbehaviours {
-            self.log_misbehaviour(oid, &run.to_hex(), mis, now);
+            self.log_misbehaviour(&oid, &run.to_hex(), mis, now);
         }
         self.trace(now, "membership", "respond", || {
             format!(
@@ -799,7 +836,7 @@ impl Coordinator {
             )
         });
         self.send_wire(&sponsor, &WireMsg::MemberRespond(m), ctx);
-        self.persist(oid);
+        self.persist(&oid);
     }
 
     pub(crate) fn on_member_respond(
@@ -866,12 +903,7 @@ impl Coordinator {
                         None => {
                             sr.responses.insert(from.clone(), msg.clone());
                             recorded = true;
-                            let kind = match sr.change {
-                                MembershipChange::Connect { .. } => EvidenceKind::ConnectRespond,
-                                MembershipChange::Disconnect { .. } => {
-                                    EvidenceKind::DisconnectRespond
-                                }
-                            };
+                            let kind = sr.change.evidence_kind(MemberStep::Respond);
                             if sr.responses.len() == sr.polled.len() {
                                 finalize = true;
                             }
@@ -924,22 +956,9 @@ impl Coordinator {
         // Membership changes always require unanimity among polled members
         // (voluntary disconnection cannot be vetoed, which the member side
         // enforces by always accepting).
-        let vetoers: Vec<(PartyId, String)> = responses
-            .iter()
-            .filter(|r| !r.response.decision.is_accept())
-            .map(|r| {
-                (
-                    r.response.responder.clone(),
-                    r.response
-                        .decision
-                        .reason
-                        .clone()
-                        .unwrap_or_else(|| "rejected".into()),
-                )
-            })
-            .collect();
+        let vetoers = vetoers(&responses);
         let accepted = vetoers.is_empty();
-        let connecting = matches!(sr.change, MembershipChange::Connect { .. });
+        let connecting = sr.change.connecting();
         let decide = MemberDecideMsg {
             object: oid.clone(),
             run,
@@ -953,11 +972,6 @@ impl Coordinator {
             COMPLETED_REPLIES_CAP,
         );
 
-        let decide_kind = if connecting {
-            EvidenceKind::ConnectDecide
-        } else {
-            EvidenceKind::DisconnectDecide
-        };
         let wire = WireMsg::MemberDecide(decide.clone());
         self.send_wire_all(&sr.polled, &wire, ctx);
         self.trace(now, "membership", "decide", || {
@@ -967,7 +981,7 @@ impl Coordinator {
             )
         });
         self.log_evidence(
-            decide_kind,
+            sr.change.evidence_kind(MemberStep::Decide),
             oid,
             &run.to_hex(),
             me.clone(),
@@ -976,60 +990,34 @@ impl Coordinator {
             now,
         );
 
-        match (&sr.change, accepted) {
-            (MembershipChange::Connect { subject, .. }, true) => {
-                let subject = subject.clone();
-                self.install_membership(oid, run, sr.new_members, sr.new_group, &[], ctx);
-                self.send_welcome(oid, run, &subject, decide, ctx);
-            }
-            (
+        if accepted {
+            self.conclude_member_run(&sr.change, sr.new_members, sr.new_group, decide, ctx);
+        } else {
+            self.outcomes.insert(run, Outcome::Invalidated { vetoers });
+            match &sr.change {
                 MembershipChange::Connect {
                     subject, request, ..
-                },
-                false,
-            ) => {
-                let subject = subject.clone();
-                let digest = request.request.canonical_digest();
-                self.outcomes.insert(run, Outcome::Invalidated { vetoers });
-                self.send_connect_reject(oid, &subject, digest, ctx);
-                self.persist(oid);
-            }
-            (
-                MembershipChange::Disconnect {
-                    subjects, eviction, ..
-                },
-                true,
-            ) => {
-                let subjects = subjects.clone();
-                let eviction = *eviction;
-                self.install_membership(oid, run, sr.new_members, sr.new_group, &subjects, ctx);
-                if !eviction {
-                    self.send_disconnect_ack(oid, run, &subjects[0], decide, ctx);
+                } => {
+                    let digest = request.request.canonical_digest();
+                    self.send_connect_reject(oid, subject, digest, ctx);
                 }
-            }
-            (
-                MembershipChange::Disconnect {
-                    subjects,
-                    eviction,
-                    request,
-                    ..
-                },
-                false,
-            ) => {
-                let subjects = subjects.clone();
-                let eviction = *eviction;
-                let digest = request.request.canonical_digest();
-                self.outcomes.insert(run, Outcome::Invalidated { vetoers });
                 // A voluntary leave cannot be vetoed, but the run can still
                 // fail a consistency check at a polled member. Tell the
                 // leaver, so its replica returns from `Leaving` to ordinary
                 // membership instead of hanging until the application
                 // intervenes. Evictees are not consulted and get nothing.
-                if !eviction {
+                MembershipChange::Disconnect {
+                    subjects,
+                    eviction: false,
+                    request,
+                    ..
+                } => {
+                    let digest = request.request.canonical_digest();
                     self.send_disconnect_reject(oid, &subjects[0], digest, ctx);
                 }
-                self.persist(oid);
+                MembershipChange::Disconnect { .. } => {}
             }
+            self.persist(oid);
         }
         self.pump_queue(oid, ctx);
     }
@@ -1055,48 +1043,16 @@ impl Coordinator {
         if mr.run != run {
             return;
         }
-        let (sponsor, auth_commit, expected_polled, new_members, new_group, leavers) =
-            match &mr.change {
-                MembershipChange::Connect {
-                    subject, propose, ..
-                } => {
-                    let mut nm = rep.members.clone();
-                    nm.push(subject.clone());
-                    (
-                        propose.proposal.sponsor.clone(),
-                        propose.proposal.auth_commit,
-                        rep.recipients(&propose.proposal.sponsor),
-                        nm,
-                        propose.proposal.new_group,
-                        Vec::new(),
-                    )
-                }
-                MembershipChange::Disconnect {
-                    subjects, propose, ..
-                } => {
-                    let nm: Vec<PartyId> = rep
-                        .members
-                        .iter()
-                        .filter(|m| !subjects.contains(m))
-                        .cloned()
-                        .collect();
-                    let polled: Vec<PartyId> = rep
-                        .members
-                        .iter()
-                        .filter(|m| **m != propose.proposal.sponsor && !subjects.contains(m))
-                        .cloned()
-                        .collect();
-                    (
-                        propose.proposal.sponsor.clone(),
-                        propose.proposal.auth_commit,
-                        polled,
-                        nm,
-                        propose.proposal.new_group,
-                        subjects.clone(),
-                    )
-                }
-            };
-        if from != &sponsor {
+        let change = &mr.change;
+        let ProposalFields {
+            sponsor,
+            new_group,
+            auth_commit,
+            ..
+        } = change.proposal();
+        let expected_polled = change.polled(&rep.members, sponsor);
+        let new_members = change.new_members(&rep.members);
+        if from != sponsor {
             return;
         }
         if sha256(&msg.authenticator) != auth_commit {
@@ -1157,37 +1113,18 @@ impl Coordinator {
             return;
         }
 
-        let vetoers: Vec<(PartyId, String)> = msg
-            .responses
-            .iter()
-            .filter(|r| !r.response.decision.is_accept())
-            .map(|r| {
-                (
-                    r.response.responder.clone(),
-                    r.response
-                        .decision
-                        .reason
-                        .clone()
-                        .unwrap_or_else(|| "rejected".into()),
-                )
-            })
-            .collect();
-        let decide_kind = if msg.connecting {
-            EvidenceKind::ConnectDecide
-        } else {
-            EvidenceKind::DisconnectDecide
-        };
+        let vetoers = vetoers(&msg.responses);
         self.log_evidence(
-            decide_kind,
+            change.evidence_kind(MemberStep::Decide),
             &oid,
             &run.to_hex(),
-            sponsor,
+            sponsor.clone(),
             msg.canonical_bytes(),
             None,
             now,
         );
         if vetoers.is_empty() {
-            self.install_membership(&oid, run, new_members, new_group, &leavers, ctx);
+            self.install_membership(&oid, run, new_members, new_group, change.leavers(), ctx);
         } else {
             if let Some(rep) = self.replicas.get_mut(&oid) {
                 rep.finish_run();
@@ -1240,39 +1177,18 @@ impl Coordinator {
             self.persist(object);
             return Ok(());
         };
-        let request = DisconnectRequest {
-            object: object.clone(),
-            proposer: me.clone(),
-            subjects: vec![me.clone()],
-            eviction: false,
-            nonce_hash: sha256(&self.rng.nonce()),
-        };
-        let sig = self.signer.sign(&request.canonical_bytes());
-        let msg = DisconnectRequestMsg { request, sig };
+        let msg = self.disconnect_request(object, vec![me], false, ctx);
         // If the run is invalidated at the sponsor by a consistency
         // failure (voluntary leaves cannot be vetoed, but e.g. a group-id
         // mismatch or a concurrent run can fail it), the sponsor sends a
         // signed rejection and `on_disconnect_reject` returns this replica
         // to ordinary membership; the application may then retry. A leaver
         // may also simply cease cooperation (§4.5.4).
+        let rep = self.replicas.get_mut(object).expect("checked above");
         rep.start_run(ActiveRun::Leaving(LeavingRun {
             request: msg.clone(),
             sponsor: sponsor.clone(),
         }));
-        self.begin_root(u64::from_be_bytes(
-            msg.request.canonical_digest().as_bytes()[..8]
-                .try_into()
-                .expect("8 bytes"),
-        ));
-        self.log_evidence(
-            EvidenceKind::DisconnectRequest,
-            object,
-            &msg.request.canonical_digest().to_string(),
-            me,
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
-            ctx.now(),
-        );
         self.trace(ctx.now(), "membership", "disconnect_request", || {
             format!("object={object} sponsor={sponsor}")
         });
@@ -1298,7 +1214,7 @@ impl Coordinator {
         ctx: &mut NodeCtx,
     ) -> Result<(), CoordError> {
         let me = self.me.clone();
-        {
+        let sponsor = {
             let rep = self
                 .replicas
                 .get(object)
@@ -1328,45 +1244,19 @@ impl Coordinator {
                     object: object.clone(),
                 });
             }
-        }
-        let request = DisconnectRequest {
-            object: object.clone(),
-            proposer: me.clone(),
-            subjects: subjects.clone(),
-            eviction: true,
-            nonce_hash: sha256(&self.rng.nonce()),
+            rep.sponsor_for_disconnect(&subjects)
+                .expect("proposer remains")
+                .clone()
         };
-        let sig = self.signer.sign(&request.canonical_bytes());
-        let msg = DisconnectRequestMsg { request, sig };
-        self.begin_root(u64::from_be_bytes(
-            msg.request.canonical_digest().as_bytes()[..8]
-                .try_into()
-                .expect("8 bytes"),
-        ));
-        self.log_evidence(
-            EvidenceKind::DisconnectRequest,
-            object,
-            &msg.request.canonical_digest().to_string(),
-            me.clone(),
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
-            ctx.now(),
-        );
-        let rep = self.replicas.get(object).expect("checked above");
-        let sponsor = rep
-            .sponsor_for_disconnect(&subjects)
-            .expect("proposer remains")
-            .clone();
+        let count = subjects.len();
+        let msg = self.disconnect_request(object, subjects, true, ctx);
         self.trace(ctx.now(), "membership", "evict_request", || {
-            format!(
-                "object={object} sponsor={sponsor} subjects={}",
-                subjects.len()
-            )
+            format!("object={object} sponsor={sponsor} subjects={count}")
         });
         if sponsor == me {
             // §4.5.4: when the sponsor proposes the eviction, the request
             // step is omitted.
-            self.sponsor_disconnect(&me.clone(), msg, ctx);
+            self.sponsor_disconnect(msg, ctx);
         } else {
             self.send_wire(&sponsor, &WireMsg::DisconnectRequest(msg), ctx);
         }
@@ -1375,12 +1265,39 @@ impl Coordinator {
         Ok(())
     }
 
-    pub(crate) fn on_disconnect_request(
+    /// Signs a disconnection request by this party, opens its trace and
+    /// logs it as evidence.
+    fn disconnect_request(
         &mut self,
-        from: &PartyId,
-        msg: DisconnectRequestMsg,
-        ctx: &mut NodeCtx,
-    ) {
+        object: &ObjectId,
+        subjects: Vec<PartyId>,
+        eviction: bool,
+        ctx: &NodeCtx,
+    ) -> DisconnectRequestMsg {
+        let request = DisconnectRequest {
+            object: object.clone(),
+            proposer: self.me.clone(),
+            subjects,
+            eviction,
+            nonce_hash: sha256(&self.rng.nonce()),
+        };
+        let sig = self.signer.sign(&request.canonical_bytes());
+        let msg = DisconnectRequestMsg { request, sig };
+        let digest = msg.request.canonical_digest();
+        self.begin_root(Coordinator::run_root(&RunId(digest)));
+        self.log_evidence(
+            EvidenceKind::DisconnectRequest,
+            object,
+            &digest.to_string(),
+            self.me.clone(),
+            msg.request.canonical_bytes(),
+            Some(msg.sig.clone()),
+            ctx.now(),
+        );
+        msg
+    }
+
+    pub(crate) fn on_disconnect_request(&mut self, msg: DisconnectRequestMsg, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let oid = msg.request.object.clone();
         // As with connection requests, the proposer's signature (not the
@@ -1426,22 +1343,19 @@ impl Coordinator {
             self.persist(&oid);
             return;
         }
-        self.sponsor_disconnect(from, msg, ctx);
+        self.sponsor_disconnect(msg, ctx);
     }
 
     /// Starts (or immediately resolves) a disconnection run at the
     /// sponsor. Returns `true` if a polling run was started.
     pub(crate) fn sponsor_disconnect(
         &mut self,
-        _from: &PartyId,
         msg: DisconnectRequestMsg,
         ctx: &mut NodeCtx,
     ) -> bool {
         let now = ctx.now();
         let oid = msg.request.object.clone();
-        let me = self.me.clone();
-        let subjects = msg.request.subjects.clone();
-        let eviction = msg.request.eviction;
+        let subjects = &msg.request.subjects;
         let request_digest = msg.request.canonical_digest();
 
         let Some(rep) = self.replicas.get(&oid) else {
@@ -1453,8 +1367,8 @@ impl Coordinator {
         // Legitimacy: the most recently joined member not itself leaving.
         // Stale addressing (sponsorship rotated while the request was
         // queued or in flight) forwards to the current sponsor.
-        if rep.sponsor_for_disconnect(&subjects) != Some(&me) {
-            if let Some(sponsor) = rep.sponsor_for_disconnect(&subjects).cloned() {
+        if rep.sponsor_for_disconnect(subjects) != Some(&self.me) {
+            if let Some(sponsor) = rep.sponsor_for_disconnect(subjects).cloned() {
                 self.send_wire(&sponsor, &WireMsg::DisconnectRequest(msg), ctx);
             }
             return false;
@@ -1472,276 +1386,19 @@ impl Coordinator {
         }
         // Sponsor's own policy check on evictions (a sponsor veto means the
         // eviction never goes to a vote).
-        if eviction {
-            let mut local = Decision::accept();
-            for s in &subjects {
-                let d = rep.object.validate_disconnect(s, true);
-                if !d.is_accept() {
-                    local = d;
-                    break;
-                }
-            }
-            if !local.is_accept() {
-                self.log_evidence(
-                    EvidenceKind::DisconnectRequest,
-                    &oid,
-                    &request_digest.to_string(),
-                    msg.request.proposer.clone(),
-                    msg.request.canonical_bytes(),
-                    Some(msg.sig.clone()),
-                    now,
-                );
-                return false;
-            }
-        }
-
-        let rep = self.replicas.get_mut(&oid).expect("checked above");
-        let new_members: Vec<PartyId> = rep
-            .members
-            .iter()
-            .filter(|m| !subjects.contains(m))
-            .cloned()
-            .collect();
-        let new_group = GroupId {
-            seq: rep.group.seq + 1,
-            rand_hash: sha256(&self.rng.nonce()),
-            members_hash: crate::ids::members_digest(&new_members),
-        };
-        let authenticator = self.rng.nonce();
-        let proposal = DisconnectProposal {
-            object: oid.clone(),
-            sponsor: me.clone(),
-            request_digest,
-            subjects: subjects.clone(),
-            eviction,
-            group: rep.group,
-            new_group,
-            agreed: rep.agreed,
-            auth_commit: sha256(&authenticator),
-        };
-        let run = proposal.run_id();
-        let sig = self.signer.sign(&proposal.canonical_bytes());
-        let propose = DisconnectProposeMsg {
-            proposal,
-            request: msg.clone(),
-            sig,
-        };
-        let polled: Vec<PartyId> = rep
-            .members
-            .iter()
-            .filter(|m| **m != me && !subjects.contains(m))
-            .cloned()
-            .collect();
-
-        if polled.is_empty() {
-            rep.note_seen(run, None);
-            let decide = MemberDecideMsg {
-                object: oid.clone(),
-                run,
-                authenticator,
-                responses: Vec::new(),
-                connecting: false,
-            };
-            self.install_membership(&oid, run, new_members, new_group, &subjects, ctx);
-            if !eviction {
-                self.send_disconnect_ack(&oid, run, &subjects[0], decide, ctx);
-            }
-            return false;
-        }
-
-        rep.start_run(ActiveRun::Sponsor(SponsorRun {
-            run,
-            change: MembershipChange::Disconnect {
-                subjects,
-                eviction,
-                request: msg,
-                propose: propose.clone(),
-            },
-            authenticator,
-            new_members,
-            new_group,
-            polled: polled.clone(),
-            responses: Default::default(),
-            decided: None,
-        }));
-        self.log_evidence(
-            EvidenceKind::DisconnectPropose,
-            &oid,
-            &run.to_hex(),
-            me,
-            propose.proposal.canonical_bytes(),
-            Some(propose.sig.clone()),
-            now,
-        );
-        self.trace(now, "membership", "propose", || {
-            format!(
-                "object={oid} run={} change=disconnect eviction={eviction} polled={}",
-                run.to_hex(),
-                polled.len()
-            )
-        });
-        let wire = WireMsg::DisconnectPropose(propose);
-        self.send_wire_all(&polled, &wire, ctx);
-        self.persist(&oid);
-        true
-    }
-
-    pub(crate) fn on_disconnect_propose(
-        &mut self,
-        from: &PartyId,
-        msg: DisconnectProposeMsg,
-        ctx: &mut NodeCtx,
-    ) {
-        let now = ctx.now();
-        let oid = msg.proposal.object.clone();
-        let run = msg.proposal.run_id();
-
-        if from != &msg.proposal.sponsor
-            || self
-                .verify_for(
-                    &msg.proposal.sponsor,
-                    &msg.proposal.canonical_bytes(),
-                    &msg.sig,
-                )
-                .is_err()
-        {
-            self.log_misbehaviour(
+        if msg.request.eviction && !validate_eviction(rep.object.as_ref(), subjects).is_accept() {
+            self.log_evidence(
+                EvidenceKind::DisconnectRequest,
                 &oid,
-                &run.to_hex(),
-                Misbehaviour::BadSignature {
-                    claimed: msg.proposal.sponsor.clone(),
-                    message: "disconnect-propose".into(),
-                },
+                &request_digest.to_string(),
+                msg.request.proposer.clone(),
+                msg.request.canonical_bytes(),
+                Some(msg.sig.clone()),
                 now,
             );
-            return;
+            return false;
         }
-        if self.replay_completed_reply(&oid, &run, from, ctx) {
-            return;
-        }
-        let Some(rep) = self.replicas.get(&oid) else {
-            return;
-        };
-        if let Some(ActiveRun::Member(mr)) = &rep.active {
-            if mr.run == run {
-                let reply = WireMsg::MemberRespond(mr.my_response.clone());
-                self.send_wire(from, &reply, ctx);
-                return;
-            }
-        }
-
-        let mut decision = Decision::accept();
-        let mut misbehaviours = Vec::new();
-        let mut track = true;
-        let subjects = msg.proposal.subjects.clone();
-        let eviction = msg.proposal.eviction;
-
-        if rep.sponsor_for_disconnect(&subjects) != Some(&msg.proposal.sponsor) {
-            misbehaviours.push(Misbehaviour::IllegitimateSponsor {
-                claimed: msg.proposal.sponsor.clone(),
-                expected: rep
-                    .sponsor_for_disconnect(&subjects)
-                    .cloned()
-                    .unwrap_or_else(|| PartyId::new("?")),
-            });
-            decision = Decision::reject("illegitimate sponsor");
-        }
-        if rep.has_seen_run(&run) {
-            misbehaviours.push(Misbehaviour::ReplayedProposal { run });
-            decision = Decision::reject("replayed membership proposal");
-            track = false;
-        }
-        if msg.proposal.group != rep.group {
-            misbehaviours.push(Misbehaviour::GroupIdMismatch {
-                theirs: msg.proposal.group,
-                ours: rep.group,
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent group identifier");
-            }
-        }
-        if msg.proposal.agreed != rep.agreed {
-            misbehaviours.push(Misbehaviour::PredecessorMismatch {
-                theirs: msg.proposal.agreed,
-                ours: rep.agreed,
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent agreed state");
-            }
-        }
-        let expected_members: Vec<PartyId> = rep
-            .members
-            .iter()
-            .filter(|m| !subjects.contains(m))
-            .cloned()
-            .collect();
-        if !msg.proposal.new_group.identifies(&expected_members)
-            || msg.proposal.new_group.seq != rep.group.seq + 1
-        {
-            misbehaviours.push(Misbehaviour::InconsistentDecide {
-                run,
-                detail: "proposed group does not match members - subjects".into(),
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent new group identifier");
-            }
-        }
-        // Attached request: for voluntary disconnects, the subject's own
-        // signature proves the subject initiated it (§4.5.4).
-        let req = &msg.request.request;
-        let req_ok = req.canonical_digest() == msg.proposal.request_digest
-            && req.subjects == subjects
-            && req.eviction == eviction
-            && (eviction || (req.subjects.len() == 1 && req.proposer == req.subjects[0]))
-            && self
-                .verify_for(&req.proposer, &req.canonical_bytes(), &msg.request.sig)
-                .is_ok();
-        if !req_ok {
-            misbehaviours.push(Misbehaviour::BadSignature {
-                claimed: req.proposer.clone(),
-                message: "attached disconnect-request".into(),
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("attached request does not verify");
-            }
-        }
-        if rep.active.is_some() {
-            if decision.is_accept() {
-                decision = Decision::reject("concurrent coordination run active");
-            }
-            track = false;
-        }
-        // Application policy: only evictions are vetoable; "voluntary
-        // disconnection cannot be vetoed" (§4.5.4) so the upcall result is
-        // advisory there.
-        if decision.is_accept() && eviction {
-            for s in &subjects {
-                let d = rep.object.validate_disconnect(s, true);
-                if !d.is_accept() {
-                    decision = d;
-                    break;
-                }
-            }
-        }
-
-        self.respond_membership(
-            &oid,
-            run,
-            msg.proposal.sponsor.clone(),
-            decision,
-            track,
-            MembershipChange::Disconnect {
-                subjects,
-                eviction,
-                request: msg.request.clone(),
-                propose: msg.clone(),
-            },
-            misbehaviours,
-            EvidenceKind::DisconnectPropose,
-            msg.proposal.canonical_bytes(),
-            Some(msg.sig.clone()),
-            ctx,
-        );
+        self.sponsor_run(&oid, QueuedRequest::Disconnect(msg), ctx)
     }
 
     fn send_disconnect_ack(
@@ -1937,25 +1594,41 @@ impl Coordinator {
     }
 
     /// Re-sends the outstanding proposal of a recovered sponsor run.
-    pub(crate) fn resume_sponsor_run(
-        &mut self,
-        object: &ObjectId,
-        run: SponsorRun,
-        ctx: &mut NodeCtx,
-    ) {
-        let wire = match &run.change {
-            MembershipChange::Connect { propose, .. } => WireMsg::ConnectPropose(propose.clone()),
-            MembershipChange::Disconnect { propose, .. } => {
-                WireMsg::DisconnectPropose(propose.clone())
-            }
-        };
+    pub(crate) fn resume_sponsor_run(&mut self, run: SponsorRun, ctx: &mut NodeCtx) {
         let pending: Vec<PartyId> = run
             .polled
             .iter()
             .filter(|p| !run.responses.contains_key(*p))
             .cloned()
             .collect();
-        self.send_wire_all(&pending, &wire, ctx);
-        let _ = object;
+        self.send_wire_all(&pending, &run.change.propose_wire(), ctx);
     }
+}
+
+/// The `(responder, reason)` of every rejecting response.
+fn vetoers(responses: &[MemberRespondMsg]) -> Vec<(PartyId, String)> {
+    responses
+        .iter()
+        .filter(|r| !r.response.decision.is_accept())
+        .map(|r| {
+            (
+                r.response.responder.clone(),
+                r.response
+                    .decision
+                    .reason
+                    .clone()
+                    .unwrap_or_else(|| "rejected".into()),
+            )
+        })
+        .collect()
+}
+
+/// The application's verdict on evicting `subjects`: the first rejection,
+/// if any.
+fn validate_eviction(object: &dyn B2BObject, subjects: &[PartyId]) -> Decision {
+    subjects
+        .iter()
+        .map(|s| object.validate_disconnect(s, true))
+        .find(|d| !d.is_accept())
+        .unwrap_or_else(Decision::accept)
 }

@@ -14,14 +14,17 @@
 
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
-    ConnectProposeMsg, ConnectRequestMsg, DecideMsg, DisconnectProposeMsg, DisconnectRequestMsg,
-    MemberDecideMsg, MemberRespondMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES,
+    ConnectProposal, ConnectProposeMsg, ConnectRequestMsg, DecideMsg, DisconnectProposal,
+    DisconnectProposeMsg, DisconnectRequestMsg, MemberDecideMsg, MemberRespondMsg, ProposeMsg,
+    RespondMsg, WireMsg, MIN_PARTY_BYTES,
 };
 use crate::object::B2BObject;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
-    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
+    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId, Signature,
+    SignatureScheme,
 };
+use b2b_evidence::EvidenceKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// First byte of every blob this module (and the coordinator's object
@@ -208,6 +211,257 @@ impl CanonicalDecode for MembershipChange {
                 propose: DisconnectProposeMsg::decode(dec)?,
             }),
             _ => DecodeError::at("unknown membership change", at),
+        }
+    }
+}
+
+/// A step of a membership run, for [`MembershipChange::evidence_kind`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MemberStep {
+    /// The sponsor's proposal.
+    Propose,
+    /// A polled member's response.
+    Respond,
+    /// The sponsor's decision.
+    Decide,
+}
+
+/// The fields every membership proposal carries, whatever the change.
+pub(crate) struct ProposalFields<'a> {
+    /// The object.
+    pub(crate) object: &'a ObjectId,
+    /// The sponsoring member.
+    pub(crate) sponsor: &'a PartyId,
+    /// The sponsor's view of the current group.
+    pub(crate) group: GroupId,
+    /// The group that results if the change is agreed.
+    pub(crate) new_group: GroupId,
+    /// The sponsor's agreed state tuple.
+    pub(crate) agreed: StateId,
+    /// Commitment to the decide authenticator.
+    pub(crate) auth_commit: Digest32,
+    /// The signed bytes; their digest is the run label.
+    pub(crate) signed: Vec<u8>,
+    /// The sponsor's signature over `signed`.
+    pub(crate) sig: &'a Signature,
+}
+
+/// The rules of a membership change (§4.5): everything the sponsor and the
+/// polled members derive from what is changing, in one place for both kinds.
+impl MembershipChange {
+    /// A polled member's view of a received connection proposal.
+    pub(crate) fn connect(propose: ConnectProposeMsg) -> MembershipChange {
+        MembershipChange::Connect {
+            subject: propose.proposal.subject.clone(),
+            request: propose.request.clone(),
+            propose,
+        }
+    }
+
+    /// A polled member's view of a received disconnection proposal.
+    pub(crate) fn disconnect(propose: DisconnectProposeMsg) -> MembershipChange {
+        MembershipChange::Disconnect {
+            subjects: propose.proposal.subjects.clone(),
+            eviction: propose.proposal.eviction,
+            request: propose.request.clone(),
+            propose,
+        }
+    }
+
+    /// The change `sponsor` proposes for `request` to the group at `group`
+    /// and `agreed`, before [`MembershipChange::seal`] fills in the new
+    /// group and signs it.
+    pub(crate) fn draft(
+        request: QueuedRequest,
+        sponsor: PartyId,
+        group: GroupId,
+        agreed: StateId,
+    ) -> MembershipChange {
+        let unsigned = Signature::new(SignatureScheme::Ed25519, Vec::new());
+        let auth_commit = Digest32([0; 32]);
+        match request {
+            QueuedRequest::Connect(request) => MembershipChange::connect(ConnectProposeMsg {
+                proposal: ConnectProposal {
+                    object: request.request.object.clone(),
+                    sponsor,
+                    request_digest: request.request.canonical_digest(),
+                    subject: request.request.subject.clone(),
+                    group,
+                    new_group: group,
+                    agreed,
+                    auth_commit,
+                },
+                request,
+                sig: unsigned,
+            }),
+            QueuedRequest::Disconnect(request) => {
+                MembershipChange::disconnect(DisconnectProposeMsg {
+                    proposal: DisconnectProposal {
+                        object: request.request.object.clone(),
+                        sponsor,
+                        request_digest: request.request.canonical_digest(),
+                        subjects: request.request.subjects.clone(),
+                        eviction: request.request.eviction,
+                        group,
+                        new_group: group,
+                        agreed,
+                        auth_commit,
+                    },
+                    request,
+                    sig: unsigned,
+                })
+            }
+        }
+    }
+
+    /// Completes a [`MembershipChange::draft`]: sets the proposed group and
+    /// the commitment to the decide authenticator, then signs.
+    pub(crate) fn seal(
+        &mut self,
+        new_group: GroupId,
+        auth_commit: Digest32,
+        sign: impl FnOnce(&[u8]) -> Signature,
+    ) {
+        match self {
+            MembershipChange::Connect { propose, .. } => {
+                propose.proposal.new_group = new_group;
+                propose.proposal.auth_commit = auth_commit;
+                propose.sig = sign(&propose.proposal.canonical_bytes());
+            }
+            MembershipChange::Disconnect { propose, .. } => {
+                propose.proposal.new_group = new_group;
+                propose.proposal.auth_commit = auth_commit;
+                propose.sig = sign(&propose.proposal.canonical_bytes());
+            }
+        }
+    }
+
+    /// `true` for a connection.
+    pub(crate) fn connecting(&self) -> bool {
+        matches!(self, MembershipChange::Connect { .. })
+    }
+
+    /// `"connect"` or `"disconnect"`, for diagnostics.
+    pub(crate) fn name(&self) -> &'static str {
+        if self.connecting() {
+            "connect"
+        } else {
+            "disconnect"
+        }
+    }
+
+    /// The trace detail of the proposal.
+    pub(crate) fn describe(&self) -> String {
+        match self {
+            MembershipChange::Connect { subject, .. } => {
+                format!("change=connect subject={subject}")
+            }
+            MembershipChange::Disconnect { eviction, .. } => {
+                format!("change=disconnect eviction={eviction}")
+            }
+        }
+    }
+
+    /// The legitimate sponsor at `rep` (§4.5.1): for a connection the most
+    /// recently joined member, for a disconnection the most recently joined
+    /// member that is not leaving.
+    pub(crate) fn legitimate_sponsor<'a>(&self, rep: &'a Replica) -> Option<&'a PartyId> {
+        match self {
+            MembershipChange::Connect { .. } => Some(rep.sponsor()),
+            MembershipChange::Disconnect { subjects, .. } => rep.sponsor_for_disconnect(subjects),
+        }
+    }
+
+    /// The member list (join order) after the change to `members`.
+    pub(crate) fn new_members(&self, members: &[PartyId]) -> Vec<PartyId> {
+        match self {
+            MembershipChange::Connect { subject, .. } => {
+                let mut next = members.to_vec();
+                next.push(subject.clone());
+                next
+            }
+            MembershipChange::Disconnect { subjects, .. } => members
+                .iter()
+                .filter(|m| !subjects.contains(m))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// The members of `members` that `sponsor` polls: everyone but the
+    /// sponsor and, for a disconnection, the leavers.
+    pub(crate) fn polled(&self, members: &[PartyId], sponsor: &PartyId) -> Vec<PartyId> {
+        match self {
+            MembershipChange::Connect { .. } => {
+                members.iter().filter(|m| *m != sponsor).cloned().collect()
+            }
+            MembershipChange::Disconnect { subjects, .. } => members
+                .iter()
+                .filter(|m| *m != sponsor && !subjects.contains(m))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// The members that leave the group.
+    pub(crate) fn leavers(&self) -> &[PartyId] {
+        match self {
+            MembershipChange::Connect { .. } => &[],
+            MembershipChange::Disconnect { subjects, .. } => subjects,
+        }
+    }
+
+    /// The proposal's common fields.
+    pub(crate) fn proposal(&self) -> ProposalFields<'_> {
+        match self {
+            MembershipChange::Connect { propose, .. } => {
+                let p = &propose.proposal;
+                ProposalFields {
+                    object: &p.object,
+                    sponsor: &p.sponsor,
+                    group: p.group,
+                    new_group: p.new_group,
+                    agreed: p.agreed,
+                    auth_commit: p.auth_commit,
+                    signed: p.canonical_bytes(),
+                    sig: &propose.sig,
+                }
+            }
+            MembershipChange::Disconnect { propose, .. } => {
+                let p = &propose.proposal;
+                ProposalFields {
+                    object: &p.object,
+                    sponsor: &p.sponsor,
+                    group: p.group,
+                    new_group: p.new_group,
+                    agreed: p.agreed,
+                    auth_commit: p.auth_commit,
+                    signed: p.canonical_bytes(),
+                    sig: &propose.sig,
+                }
+            }
+        }
+    }
+
+    /// The evidence kind of `step` of this change.
+    pub(crate) fn evidence_kind(&self, step: MemberStep) -> EvidenceKind {
+        match (self.connecting(), step) {
+            (true, MemberStep::Propose) => EvidenceKind::ConnectPropose,
+            (true, MemberStep::Respond) => EvidenceKind::ConnectRespond,
+            (true, MemberStep::Decide) => EvidenceKind::ConnectDecide,
+            (false, MemberStep::Propose) => EvidenceKind::DisconnectPropose,
+            (false, MemberStep::Respond) => EvidenceKind::DisconnectRespond,
+            (false, MemberStep::Decide) => EvidenceKind::DisconnectDecide,
+        }
+    }
+
+    /// The proposal as sent to the polled members.
+    pub(crate) fn propose_wire(&self) -> WireMsg {
+        match self {
+            MembershipChange::Connect { propose, .. } => WireMsg::ConnectPropose(propose.clone()),
+            MembershipChange::Disconnect { propose, .. } => {
+                WireMsg::DisconnectPropose(propose.clone())
+            }
         }
     }
 }

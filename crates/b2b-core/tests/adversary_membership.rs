@@ -71,6 +71,11 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     );
     assert!(!cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_golden(
+        &cluster,
+        "c",
+        "b3532432574e252854ccd21e5dab8371ecf9e85dfbd1142b8f4de635b51274ba",
+    );
 }
 
 #[test]
@@ -101,6 +106,11 @@ fn tampered_welcome_member_list_is_rejected() {
     assert!(!cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     // Tampering the signed part breaks the sponsor's signature.
     assert!(has_detection(&cluster, 1, "bad-signature"));
+    assert_golden(
+        &cluster,
+        "c",
+        "5c3609de8a579e240e4b0055b927c525ae3318c2cbec4f9d3e5df46653df7b35",
+    );
 }
 
 #[test]
@@ -146,6 +156,11 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_eq!(cluster.members(0, "c").len(), 3);
     assert!(
         has_detection(&cluster, 0, "bad-signature") || has_detection(&cluster, 1, "bad-signature")
+    );
+    assert_golden(
+        &cluster,
+        "c",
+        "a7284c6888724da26fda4a24aed62855ed0475c33b77f6412df31c83ffb6349f",
     );
 }
 
@@ -211,6 +226,11 @@ fn replayed_connect_proposal_is_detected() {
     // The replay was flagged; membership unchanged.
     assert!(has_detection(&cluster, 0, "replayed-proposal"));
     assert_eq!(cluster.members(0, "c").len(), 3);
+    assert_golden(
+        &cluster,
+        "c",
+        "80c7dd33fc4208feaa085da83e1d659d7326511e30b6df03cae954142d9b088f",
+    );
 }
 
 #[test]
@@ -245,4 +265,85 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_eq!(cluster.members(0, "c").len(), 3);
     assert!(cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     assert!(has_detection(&cluster, 2, "bad-signature"));
+    assert_golden(
+        &cluster,
+        "c",
+        "3611bff3c61d6d61514b079ff668c9b308862055203dfbb84a752c54cf8f874a",
+    );
+}
+
+#[test]
+fn detached_leaver_refuses_its_former_sponsors_proposal() {
+    use b2b_evidence::{EvidenceKind, EvidenceStore};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    // org1 leaves a three-party group and detaches, holding the post-leave
+    // group {org0, org2}. When org2 then sponsors org3's admission, the
+    // intruder hands org1 a copy of the genuine proposal. It passes every
+    // consistency check against org1's last view, but org1 is no longer a
+    // member: it must refuse, not sign a response for a group it left.
+    let mut cluster = Cluster::new(4, 705);
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("c"), Box::new(counter_factory))
+            .unwrap();
+    });
+    for i in 1..3 {
+        let sponsor = party(i - 1);
+        cluster.net.invoke(&party(i), move |c, ctx| {
+            c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+                .unwrap();
+        });
+        cluster.run();
+    }
+    cluster.net.invoke(&party(1), |c, ctx| {
+        c.request_disconnect(&ObjectId::new("c"), ctx).unwrap();
+    });
+    cluster.run();
+    assert!(!cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
+    assert_eq!(cluster.members(1, "c"), vec![party(0), party(2)]);
+
+    let logged_before = cluster.stores[&party(1)].records().len();
+
+    let copied = Arc::new(AtomicBool::new(false));
+    let once = copied.clone();
+    cluster.net.set_intruder(FnIntruder::new(
+        move |from: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::ConnectPropose(_))
+                if from.as_str() == "org2"
+                    && to.as_str() == "org0"
+                    && !once.swap(true, Ordering::SeqCst) =>
+            {
+                let payload = b2b_net::reliable::reframe(raw, 0x1eaf, 0).expect("data frame");
+                InterceptAction::Inject(vec![Injection {
+                    from: party(2),
+                    to: party(1),
+                    payload,
+                    after: TimeMs(1),
+                }])
+            }
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    let sponsor = party(2);
+    cluster.net.invoke(&party(3), move |c, ctx| {
+        c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+            .unwrap();
+    });
+    cluster.run();
+    assert!(copied.load(Ordering::SeqCst), "the proposal was copied");
+
+    // The admission itself is unaffected.
+    assert_eq!(cluster.members(0, "c"), vec![party(0), party(2), party(3)]);
+    // The leaver signed nothing and tracks no run: its only new record is
+    // the refusal.
+    let node = cluster.net.node(&party(1));
+    assert!(!node.is_busy(&ObjectId::new("c")), "no parked member run");
+    let logged: Vec<EvidenceKind> = cluster.stores[&party(1)].records()[logged_before..]
+        .iter()
+        .map(|r| r.kind)
+        .collect();
+    assert_eq!(logged, vec![EvidenceKind::Misbehaviour]);
+    assert!(has_detection(&cluster, 1, "unexpected-message"));
+    // The sponsor heard nothing from the leaver.
+    assert!(!has_detection(&cluster, 2, "unexpected-message"));
 }

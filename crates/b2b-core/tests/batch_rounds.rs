@@ -11,6 +11,7 @@ mod common;
 use b2b_core::messages::{decode_batch_body, encode_batch_body, ProposalKind, WireMsg};
 use b2b_core::{
     CoordError, Coordinator, CoordinatorConfig, Misbehaviour, ObjectId, Outcome, TicketState,
+    PENDING_UPDATES_MAX,
 };
 use b2b_crypto::PartyId;
 use b2b_net::intruder::{FnIntruder, InterceptAction};
@@ -149,30 +150,34 @@ fn an_idle_bulk_rides_one_round_per_batch_max_updates() {
 #[test]
 fn pending_queue_backpressure_returns_busy() {
     // Satellite regression: unbounded queueing replaced by a bounded queue
-    // with a typed error. `x` dispatches at once and `y`, `z` fill the
-    // queue behind its round; a further update, and a bulk that does not
-    // fit even an empty queue, bounce with `Busy`, and nothing about the
-    // queued work is disturbed.
-    let config = CoordinatorConfig::default().pending_updates_max(2);
-    let mut cluster = Cluster::with_config(2, 304, config, FaultPlan::new());
+    // with a typed error. A bulk that does not fit even an empty queue
+    // bounces with `Busy`; then `x` dispatches at once and a full bulk of
+    // `PENDING_UPDATES_MAX` fills the queue behind its round; one more
+    // update bounces, and nothing about the queued work is disturbed.
+    let mut cluster = Cluster::new(2, 304);
     cluster.setup_object("log", append_log_factory);
 
     let oid = ObjectId::new("log");
-    let (oversized, fourth) = cluster.net.invoke(&party(0), move |c, ctx| {
-        let oversized = c.submit_updates(&oid, vec![entry("a"), entry("b"), entry("c")], ctx);
+    let labels = |n: usize| (0..n).map(|i| format!("q{i}")).collect::<Vec<_>>();
+    let bulk = |n: usize| labels(n).iter().map(|l| entry(l)).collect::<Vec<_>>();
+    let (oversized, full) = (bulk(PENDING_UPDATES_MAX + 1), bulk(PENDING_UPDATES_MAX));
+    let (oversized, overflow) = cluster.net.invoke(&party(0), move |c, ctx| {
+        let oversized = c.submit_updates(&oid, oversized, ctx);
         c.submit_update(&oid, entry("x"), ctx).unwrap();
-        c.submit_updates(&oid, vec![entry("y"), entry("z")], ctx)
-            .unwrap();
+        c.submit_updates(&oid, full, ctx).unwrap();
         (oversized, c.submit_update(&oid, entry("w"), ctx))
     });
-    for bounced in [oversized.map(|_| ()), fourth.map(|_| ())] {
+    for bounced in [oversized.map(|_| ()), overflow.map(|_| ())] {
         match bounced {
             Err(CoordError::Busy { object }) => assert_eq!(object, ObjectId::new("log")),
             other => panic!("expected Busy backpressure, got {other:?}"),
         }
     }
     cluster.run();
-    assert_eq!(entries(&cluster.state(1, "log")), vec!["x", "y", "z"]);
+    let expected: Vec<String> = std::iter::once("x".into())
+        .chain(labels(PENDING_UPDATES_MAX))
+        .collect();
+    assert_eq!(entries(&cluster.state(1, "log")), expected);
 }
 
 #[test]

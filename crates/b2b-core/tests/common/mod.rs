@@ -148,6 +148,55 @@ impl Cluster {
     }
 }
 
+/// SHA-256 over what every party of `cluster` holds about `alias`: its
+/// evidence (canonical record bytes, in log order), its `obj-<alias>`
+/// checkpoint, and the outcome of every run its evidence names. Pins the
+/// bytes a scenario produces, so a refactor of the protocol code can show
+/// it changed none of them.
+pub fn scenario_digest(cluster: &Cluster, alias: &str) -> String {
+    use b2b_crypto::{CanonicalEncode, Digest32};
+    use b2b_evidence::{EvidenceStore, SnapshotStore};
+    let mut input = Vec::new();
+    for p in &cluster.parties {
+        let store = &cluster.stores[p];
+        let records = store.records();
+        for record in &records {
+            input.extend(record.canonical_bytes());
+        }
+        let checkpoint = store.get_snapshot(&format!("obj-{alias}"));
+        input.push(u8::from(checkpoint.is_some()));
+        input.extend(checkpoint.unwrap_or_default());
+        let mut runs: Vec<&str> = Vec::new();
+        for record in &records {
+            if !runs.contains(&record.run.as_str()) {
+                runs.push(&record.run);
+            }
+        }
+        for hex in runs.into_iter().filter(|h| h.len() == 64) {
+            let Some(bytes) = (0..32)
+                .map(|i| u8::from_str_radix(hex.get(2 * i..2 * i + 2)?, 16).ok())
+                .collect::<Option<Vec<u8>>>()
+            else {
+                continue;
+            };
+            let run = RunId(Digest32(bytes.try_into().expect("32 bytes")));
+            if let Some(outcome) = cluster.net.node(p).outcome_of(&run) {
+                input.extend(format!("{hex}={outcome:?};").into_bytes());
+            }
+        }
+    }
+    b2b_crypto::sha256(&input).to_string()
+}
+
+/// Asserts [`scenario_digest`] equals `golden`.
+pub fn assert_golden(cluster: &Cluster, alias: &str, golden: &str) {
+    assert_eq!(
+        scenario_digest(cluster, alias),
+        golden,
+        "evidence, checkpoint or outcome bytes of {alias} changed"
+    );
+}
+
 /// A grow-only shared counter: a transition is valid iff the value does
 /// not decrease. JSON-encoded `u64`.
 pub fn counter_factory() -> Box<dyn B2BObject> {

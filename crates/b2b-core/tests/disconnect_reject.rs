@@ -14,7 +14,7 @@ mod common;
 use b2b_core::ObjectId;
 use b2b_crypto::TimeMs;
 use b2b_evidence::{EvidenceKind, EvidenceStore};
-use common::{counter_factory, party, Cluster, QUIET};
+use common::{assert_golden, counter_factory, party, Cluster, QUIET};
 
 #[test]
 fn rejected_voluntary_leave_returns_replica_to_member() {
@@ -78,4 +78,9 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert!(!cluster.net.node(&party(0)).is_member(&oid));
     assert_eq!(cluster.members(1, "ledger"), vec![party(1), party(2)]);
     assert_eq!(cluster.members(2, "ledger"), vec![party(1), party(2)]);
+    assert_golden(
+        &cluster,
+        "ledger",
+        "d7008e91feee79a87f47a1513bfc287a7cab96219ca6149aed9dff8d56c57df8",
+    );
 }

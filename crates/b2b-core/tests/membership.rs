@@ -33,6 +33,11 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
             gid
         );
     }
+    assert_golden(
+        &cluster,
+        "counter",
+        "487243d245fdc697ac31b4a3a811fd2de1d66b8be56f07917bc41e579a206abf",
+    );
 }
 
 #[test]
@@ -74,6 +79,11 @@ fn joiner_receives_current_agreed_state() {
     let run = cluster.propose(2, "counter", enc(80));
     assert!(cluster.outcome(2, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(0, "counter")), 80);
+    assert_golden(
+        &cluster,
+        "counter",
+        "9fda0457e578e96c90139403b01ef63a9bd9b1faa59e899993f1fbe0eac07b82",
+    );
 }
 
 #[test]
@@ -143,6 +153,11 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     // Membership unchanged at the insiders.
     assert_eq!(cluster.members(0, "obj").len(), 2);
     assert_eq!(cluster.members(1, "obj").len(), 2);
+    assert_golden(
+        &cluster,
+        "obj",
+        "e39cfc70d47a81bdd3988e64a8af7bb82e4752946c69aaddd177ea465c3580b9",
+    );
 }
 
 #[test]
@@ -189,6 +204,11 @@ fn immediate_rejection_by_sponsor() {
             .connect_status(&ObjectId::new("obj")),
         Some(&ConnectStatus::Rejected)
     );
+    assert_golden(
+        &cluster,
+        "obj",
+        "bdfeb3f1676438f6077fb55bc353e6ca755834588ae05702ae605a9c9ad68610",
+    );
 }
 
 #[test]
@@ -218,6 +238,11 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     // The remaining pair still coordinates.
     let run = cluster.propose(0, "counter", enc(9));
     assert!(cluster.outcome(1, &run).unwrap().is_installed());
+    assert_golden(
+        &cluster,
+        "counter",
+        "b1eadee3846c16400b67079c761a31fe03b5a756509f4f2bd820a35879b217ce",
+    );
 }
 
 #[test]
@@ -237,6 +262,11 @@ fn two_party_disconnect_leaves_singleton() {
     // Singleton keeps working (trivially unanimous).
     let run = cluster.propose(0, "counter", enc(50));
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
+    assert_golden(
+        &cluster,
+        "counter",
+        "fbbd380e191efd190eec1b23fe4f54e863776f28b03a07db88b8097f6c51caf6",
+    );
 }
 
 #[test]
@@ -274,6 +304,11 @@ fn eviction_excludes_subject_from_the_vote() {
         "evictee cannot impose state on the new group"
     );
     assert_eq!(dec(&cluster.state(0, "counter")), 0);
+    assert_golden(
+        &cluster,
+        "counter",
+        "a2b78679bbbc9a4f96d694933e4cc96dabc4aac39a5e9f10520aaf2d450607c0",
+    );
 }
 
 #[test]
@@ -291,6 +326,11 @@ fn subset_eviction_forms_cooperating_subgroup() {
     // The remaining subgroup makes forward progress (§4.5.4).
     let run = cluster.propose(3, "counter", enc(5));
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
+    assert_golden(
+        &cluster,
+        "counter",
+        "1a74deec9636ca4d535a12231439b2c21d7d72116c17a2f03bc1549fdee7bdc5",
+    );
 }
 
 #[test]
@@ -317,6 +357,11 @@ fn membership_requests_queue_behind_active_run() {
         .node(&party(0))
         .is_busy(&ObjectId::new("counter")));
     assert_eq!(dec(&cluster.state(1, "counter")), 1);
+    assert_golden(
+        &cluster,
+        "counter",
+        "987fff634d36ef2a8303b8aad5eb0d5947e4912a59805780a38b823ba8a73468",
+    );
 }
 
 #[test]
@@ -361,12 +406,22 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert!(cluster.net.node(&party(2)).is_member(&ObjectId::new("c")));
     assert_eq!(cluster.members(0, "c").len(), 3);
     assert_eq!(dec(&cluster.state(2, "c")), 5);
+    assert_golden(
+        &cluster,
+        "c",
+        "38932b9c2d12bf5a712712576d112768cf28565eef280ea31726ec53f8c58663",
+    );
 }
 
 #[test]
 fn membership_change_message_cost() {
     // Connection: request + (n−1 propose) + (n−1 respond) + (n−1 decide)
     // + welcome = 3n − 1 messages for a group growing from n to n+1.
+    const GOLDEN: [&str; 3] = [
+        "a8cbf55eb5e938bffbce8ec70c597677a47000c905e4bdb3b3546d6343b48596",
+        "1812895739ea6bcdb2a3ca4db899f296ec9b6917953e472327b9470e55f0630b",
+        "d172095839aa55eb72203fa8a85c993cbcef9f00692193e7e98fa304f7e80a81",
+    ];
     for n in 2..=4u64 {
         let mut cluster = Cluster::new(n as usize + 1, 40 + n);
         // Build group of n first.
@@ -392,5 +447,6 @@ fn membership_change_message_cost() {
         cluster.run();
         let after = cluster.total_protocol_messages();
         assert_eq!(after - before, 3 * n - 1, "connect into group of {n}");
+        assert_golden(&cluster, "c", GOLDEN[n as usize - 2]);
     }
 }

@@ -28,6 +28,11 @@ fn leaver_can_rejoin_later() {
     // under the same alias is a DuplicateObject — callers use a fresh
     // coordinator or a new alias. This documents the boundary.
     assert!(matches!(err, Err(CoordError::DuplicateObject(_))));
+    assert_golden(
+        &cluster,
+        "c",
+        "a6f0c59785fb1c2ed438a1a1d3853d3b23b9b315715cd4d698d2ccbeda4e2547",
+    );
 }
 
 #[test]
@@ -42,6 +47,11 @@ fn double_disconnect_is_rejected_locally() {
         c.request_disconnect(&ObjectId::new("c"), ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_golden(
+        &cluster,
+        "c",
+        "2b01582d960ca4047cd8604b2c646c7db52dd8109ca95bc7d9a99e5f1a628262",
+    );
 }
 
 #[test]
@@ -56,6 +66,11 @@ fn detached_party_cannot_propose() {
         c.propose_overwrite(&ObjectId::new("c"), enc(1), ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_golden(
+        &cluster,
+        "c",
+        "2aa79b6405a9cd60c042f792b78ebda0229e257af4ed6290c23a54a3867ad688",
+    );
 }
 
 #[test]
@@ -86,6 +101,11 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     // (org3's replica still believes in the old group — checked elsewhere.)
     let run = cluster.propose(1, "c", enc(3));
     assert!(cluster.outcome(1, &run).unwrap().is_installed());
+    assert_golden(
+        &cluster,
+        "c",
+        "4cf956bbc0c0f75db2e2ad6f6041752aaae40809dfb2e15ef20e062d0af5f28d",
+    );
 }
 
 #[test]
@@ -126,6 +146,11 @@ fn connect_request_to_non_sponsor_is_forwarded() {
         Some(&ConnectStatus::Member)
     );
     assert_eq!(cluster.members(0, "c"), vec![party(0), party(1), party(2)]);
+    assert_golden(
+        &cluster,
+        "c",
+        "f8788b6123d56293d1cd095dcc1ecb33faf83d4832cb60015d784204d8d87a0d",
+    );
 }
 
 #[test]
@@ -137,6 +162,11 @@ fn sole_member_disconnect_is_local() {
     });
     cluster.run();
     assert!(!cluster.net.node(&party(0)).is_member(&ObjectId::new("c")));
+    assert_golden(
+        &cluster,
+        "c",
+        "90cf6c0256ece9032f9e06813f7b2b21839486cbd80d545abb540a3443379d24",
+    );
 }
 
 #[test]
@@ -163,6 +193,11 @@ fn eviction_by_non_member_is_rejected() {
         c.request_evict(&ObjectId::new("c"), vec![party(0)], ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_golden(
+        &cluster,
+        "c",
+        "80360685657e0e02acc880052532b1b02671899275384cf8b3755860b2634b5c",
+    );
 }
 
 #[test]
@@ -207,4 +242,9 @@ fn queued_connects_are_served_in_order() {
         "joiners admitted in request order after the run"
     );
     assert_eq!(dec(&cluster.state(3, "c")), 2);
+    assert_golden(
+        &cluster,
+        "c",
+        "754a63308a62b83e8ff53b87232cd8975f114efd50a58074285a7c527d278acd",
+    );
 }

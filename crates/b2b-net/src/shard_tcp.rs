@@ -235,6 +235,22 @@ fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
 // Configuration
 // ---------------------------------------------------------------------------
 
+/// Write-coalescing budget: queued frames are appended to a link's write
+/// buffer until it holds at least this many bytes, then written in as few
+/// syscalls as possible.
+const COALESCE_BYTES: usize = 256 * 1024;
+
+/// Delay before the second connect attempt to a peer; doubles on every
+/// further consecutive failure.
+const RECONNECT_BASE: Duration = Duration::from_millis(10);
+
+/// Ceiling of the reconnect backoff.
+const RECONNECT_MAX: Duration = Duration::from_secs(1);
+
+/// Per-attempt connect timeout (the reactor connects inline, so this
+/// bounds how long one dead peer can stall the loop).
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// Tunables of a [`ShardedTcpEndpoint`].
 #[derive(Clone)]
 pub struct ShardedTcpConfig {
@@ -246,38 +262,18 @@ pub struct ShardedTcpConfig {
     /// Frames queued per peer link before senders see backpressure
     /// (their outboxes park, FIFO intact).
     pub link_capacity: usize,
-    /// Write-coalescing budget: queued frames are appended to a link's
-    /// write buffer until it holds at least this many bytes, then
-    /// written in as few syscalls as possible.
-    pub coalesce_bytes: usize,
-    /// Delay before the second connect attempt to a peer; doubles on
-    /// every further consecutive failure.
-    pub reconnect_base: Duration,
-    /// Ceiling of the reconnect backoff.
-    pub reconnect_max: Duration,
-    /// Per-attempt connect timeout (the reactor connects inline, so
-    /// this bounds how long one dead peer can stall the loop).
-    pub connect_timeout: Duration,
-    /// Sets `TCP_NODELAY` on every connection.
-    pub nodelay: bool,
     /// Telemetry handle for the `mux_*` counters.
     pub telemetry: Telemetry,
 }
 
 impl ShardedTcpConfig {
-    /// Defaults: auto shards, 16Ki shard inboxes, 4096-frame links,
-    /// 256 KiB coalescing, 10 ms backoff base / 1 s cap, 250 ms connect
-    /// timeout, `TCP_NODELAY` on, no telemetry sink.
+    /// Defaults: auto shards, 16Ki shard inboxes, 4096-frame links, no
+    /// telemetry sink.
     pub fn new() -> ShardedTcpConfig {
         ShardedTcpConfig {
             shards: 0,
             inbox_capacity: DEFAULT_SHARD_INBOX_CAPACITY,
             link_capacity: 4096,
-            coalesce_bytes: 256 * 1024,
-            reconnect_base: Duration::from_millis(10),
-            reconnect_max: Duration::from_secs(1),
-            connect_timeout: Duration::from_millis(250),
-            nodelay: true,
             telemetry: Telemetry::default(),
         }
     }
@@ -526,11 +522,7 @@ impl Reactor {
                 .io_errors
                 .fetch_add(1, Ordering::Relaxed);
             link.failures = link.failures.saturating_add(1);
-            let delay = backoff_delay(
-                self.cfg.reconnect_base,
-                self.cfg.reconnect_max,
-                link.failures,
-            );
+            let delay = backoff_delay(RECONNECT_BASE, RECONNECT_MAX, link.failures);
             link.next_attempt_at = Some(Instant::now() + delay);
             // A failed link sheds its queue: retransmission recovers,
             // and a dead peer must not wedge the sender's outboxes.
@@ -579,8 +571,8 @@ impl Reactor {
                 }
             }
             let link = &mut self.out[i];
-            match TcpStream::connect_timeout(&link.addr, self.cfg.connect_timeout).and_then(|s| {
-                s.set_nodelay(self.cfg.nodelay)?;
+            match TcpStream::connect_timeout(&link.addr, CONNECT_TIMEOUT).and_then(|s| {
+                s.set_nodelay(true)?;
                 s.set_nonblocking(true)?;
                 Ok(s)
             }) {
@@ -622,9 +614,9 @@ impl Reactor {
                 // Fill: append queued frames up to the coalescing budget.
                 {
                     let link = &mut self.out[i];
-                    if link.wbuf.len() - link.wpos < self.cfg.coalesce_bytes {
+                    if link.wbuf.len() - link.wpos < COALESCE_BYTES {
                         let mut q = self.shared.queues[i].lock();
-                        while link.wbuf.len() - link.wpos < self.cfg.coalesce_bytes {
+                        while link.wbuf.len() - link.wpos < COALESCE_BYTES {
                             let Some(frame) = q.pop_front() else { break };
                             push_frame(&mut link.wbuf, &frame);
                             link.wbuf_frames += 1;
@@ -760,7 +752,7 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let _ = stream.set_nodelay(self.cfg.nodelay);
+                    let _ = stream.set_nodelay(true);
                     self.inbound.push(InConn {
                         stream,
                         decoder: StreamDecoder::new(),
@@ -1567,12 +1559,9 @@ mod tests {
     /// reconnect state machine directly.
     fn test_reactor(addr: SocketAddr) -> Reactor {
         let (wake_tx, wake_rx) = wake_pair().unwrap();
-        let mut cfg = ShardedTcpConfig::new();
-        cfg.reconnect_base = Duration::from_millis(10);
-        cfg.reconnect_max = Duration::from_secs(10);
         Reactor {
             me: PartyId::new("a"),
-            cfg,
+            cfg: ShardedTcpConfig::new(),
             shared: Arc::new(MuxShared {
                 peers: HashMap::from([(PartyId::new("b"), 0)]),
                 queues: vec![Mutex::new(VecDeque::new())],
@@ -1647,7 +1636,7 @@ mod tests {
         offer(&mut r, b"y");
         assert_eq!(r.out[0].failures, 1, "restarts from base");
         let armed = r.out[0].next_attempt_at.expect("armed");
-        assert!(armed <= Instant::now() + r.cfg.reconnect_base);
+        assert!(armed <= Instant::now() + RECONNECT_BASE);
     }
 
     /// A stream dying mid-write arms the backoff, so an accept-then-reset

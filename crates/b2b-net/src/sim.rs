@@ -245,11 +245,6 @@ impl<N: NetNode> SimNet<N> {
             .unwrap_or_else(|| panic!("unknown node {id}"))
     }
 
-    /// Returns the ids of all nodes, in arbitrary order.
-    pub fn node_ids(&self) -> Vec<PartyId> {
-        self.nodes.keys().cloned().collect()
-    }
-
     /// Returns `true` if the node is currently crashed.
     pub fn is_crashed(&self, id: &PartyId) -> bool {
         self.nodes.get(id).map(|s| s.crashed).unwrap_or(false)

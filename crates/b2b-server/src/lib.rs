@@ -35,7 +35,7 @@
 //! condvar until the ticket(s) turn terminal or the budget expires, so a
 //! closed-loop client spends one round-trip per outcome instead of
 //! spinning. When an order's pending-update queue is at
-//! `pending_updates_max`, the coordinator's backpressure surfaces as
+//! `PENDING_UPDATES_MAX`, the coordinator's backpressure surfaces as
 //! `429` — overload degrades gracefully instead of queueing unboundedly.
 
 use b2b_apps::{Order, OrderObject, OrderRoles, OrderUpdate};
@@ -78,7 +78,7 @@ pub struct OrderServerOptions {
     pub shards: Option<usize>,
     /// HTTP worker threads (each may block on a synchronous round).
     pub http_workers: usize,
-    /// Per-coordinator configuration (batching, `pending_updates_max`…).
+    /// Per-coordinator configuration (batching, deadlines…).
     pub config: CoordinatorConfig,
     /// Fleet-wide telemetry handle, served live on `/metrics`.
     pub telemetry: Telemetry,
@@ -678,7 +678,7 @@ impl Core {
         // One enqueue-then-dispatch: every delta lands in the pending queue
         // before the first round goes out, so a bulk coalesces into
         // `batch_max`-sized rounds. Admission is all-or-nothing against
-        // `pending_updates_max` (`429` when the request does not fit).
+        // `PENDING_UPDATES_MAX` (`429` when the request does not fit).
         let updates = deltas.iter().map(OrderUpdate::to_bytes).collect();
         let tickets = handle
             .invoke(|c, ctx| c.submit_updates(&self.object, updates, ctx))

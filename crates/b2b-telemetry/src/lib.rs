@@ -144,7 +144,7 @@ pub mod names {
     /// Order server: HTTP requests served (every status code).
     pub const SERVE_REQUESTS: &str = "serve_requests";
     /// Order server: requests answered `429` because the target group's
-    /// pending-update queue was at `pending_updates_max` (the HTTP face
+    /// pending-update queue was at `PENDING_UPDATES_MAX` (the HTTP face
     /// of the coordinator's backpressure).
     pub const SERVE_BACKPRESSURE_429: &str = "serve_backpressure_429";
     /// Order server: update requests that reached a terminal outcome and

@@ -220,21 +220,6 @@ impl MetricsRegistry {
             histograms: inner.histograms.clone(),
         }
     }
-
-    /// Folds a snapshot into this registry (fleet-wide aggregation).
-    pub fn merge_snapshot(&self, snap: &MetricsSnapshot) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        for (name, value) in &snap.counters {
-            *inner.counters.entry(name.clone()).or_insert(0) += value;
-        }
-        for (name, hist) in &snap.histograms {
-            inner
-                .histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(hist);
-        }
-    }
 }
 
 /// A point-in-time, serializable copy of a registry.
