@@ -93,9 +93,6 @@ pub struct CoordinatorConfig {
     /// rather than a constant-rate storm. `None` keeps the layer's default
     /// cap of 32 × `RETRANSMIT_AFTER`.
     pub retransmit_max: Option<TimeMs>,
-    /// Reject proposals whose new state equals the current agreed state
-    /// (§4.4: recipients "can reject a null state transition").
-    pub reject_null_transitions: bool,
     /// Unanimity (paper) or majority (§7 extension).
     pub decision_rule: DecisionRule,
     /// §7 extension: a trusted third party to appeal to when a run passes
@@ -138,7 +135,6 @@ impl CoordinatorConfig {
     pub fn new() -> CoordinatorConfig {
         CoordinatorConfig {
             retransmit_max: None,
-            reject_null_transitions: true,
             decision_rule: DecisionRule::Unanimous,
             ttp: None,
             run_deadline: None,
@@ -151,12 +147,6 @@ impl CoordinatorConfig {
     /// Sets the retransmission-backoff ceiling.
     pub fn retransmit_max(mut self, max: TimeMs) -> CoordinatorConfig {
         self.retransmit_max = Some(max);
-        self
-    }
-
-    /// Enables or disables null-transition rejection.
-    pub fn reject_null_transitions(mut self, reject: bool) -> CoordinatorConfig {
-        self.reject_null_transitions = reject;
         self
     }
 
@@ -212,7 +202,6 @@ mod tests {
     fn defaults_match_paper_base() {
         let c = CoordinatorConfig::default();
         assert_eq!(c.decision_rule, DecisionRule::Unanimous);
-        assert!(c.reject_null_transitions);
         assert_eq!(c.run_deadline, None);
         assert_eq!(c.ttp, None);
         assert_eq!(c.sig_cache_capacity, 1024);
@@ -236,7 +225,6 @@ mod tests {
     fn builder_chains() {
         let c = CoordinatorConfig::new()
             .retransmit_max(TimeMs(800))
-            .reject_null_transitions(false)
             .decision_rule(DecisionRule::Majority)
             .run_deadline(TimeMs(5_000))
             .ttp(b2b_crypto::PartyId::new("notary"))
@@ -246,7 +234,6 @@ mod tests {
         assert_eq!(c.sig_cache_capacity, 0);
         assert_eq!(c.batch_max, 1, "batch_max clamps to at least 1");
         assert_eq!(c.retransmit_max, Some(TimeMs(800)));
-        assert!(!c.reject_null_transitions);
         assert_eq!(c.decision_rule, DecisionRule::Majority);
         assert_eq!(c.run_deadline, Some(TimeMs(5_000)));
     }

@@ -1042,7 +1042,7 @@ impl Coordinator {
         match msg {
             WireMsg::Propose(m) => self.on_propose(from, m, ctx),
             WireMsg::Respond(m) => self.on_respond(from, m, ctx),
-            WireMsg::Decide(m) => self.on_decide(from, m, ctx),
+            WireMsg::Decide(m) => self.on_decide(m, ctx),
             WireMsg::ConnectRequest(m) => self.on_connect_request(m, ctx),
             WireMsg::ConnectPropose(m) => {
                 self.on_member_propose(from, MembershipChange::connect(m), ctx)
@@ -1150,18 +1150,13 @@ impl Coordinator {
         match rep.active.clone() {
             None => {}
             Some(ActiveRun::Proposer(run)) => {
-                let recipients = rep.recipients(&me);
-                if let Some(decide) = &run.decided {
-                    let msg = WireMsg::Decide(decide.clone());
-                    self.send_wire_all(&recipients, &msg, ctx);
-                } else {
-                    let msg = WireMsg::Propose(run.propose.clone());
-                    let pending: Vec<PartyId> = recipients
-                        .into_iter()
-                        .filter(|r| !run.responses.contains_key(r))
-                        .collect();
-                    self.send_wire_all(&pending, &msg, ctx);
-                }
+                let msg = WireMsg::Propose(run.propose.clone());
+                let pending: Vec<PartyId> = rep
+                    .recipients(&me)
+                    .into_iter()
+                    .filter(|r| !run.responses.contains_key(r))
+                    .collect();
+                self.send_wire_all(&pending, &msg, ctx);
             }
             Some(ActiveRun::Recipient(run)) => {
                 let proposer = run.propose.proposal.proposer.clone();

@@ -13,9 +13,9 @@
 //! of verified, accepting, signed responses from every other group member;
 //! a veto claim is upheld on any verified signed rejection.
 
-use crate::decision::Verdict;
 use crate::ids::{members_digest, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
+use crate::tally::{self, Vote};
 use b2b_crypto::{CanonicalDecode, CanonicalEncode, KeyRing, PartyId};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 
@@ -121,9 +121,7 @@ impl Arbiter {
                 reason: "claimed proposer is not in the claimed membership".into(),
             };
         }
-        let expected: std::collections::BTreeSet<&PartyId> =
-            members.iter().filter(|m| *m != proposer).collect();
-        if expected.is_empty() {
+        if members.iter().all(|m| m == proposer) {
             return Ruling::Rejected {
                 reason: "a singleton group cannot evidence multi-party agreement".into(),
             };
@@ -131,21 +129,23 @@ impl Arbiter {
         let members_hash = members_digest(members);
 
         for (seq, decide) in self.decide_records(object, store) {
-            let mut seen: std::collections::BTreeSet<&PartyId> = Default::default();
-            let all_ok = decide.responses.iter().all(|r| {
-                r.response.run == decide.run
-                    && r.response.proposed == *state
-                    && r.response.body_ok
-                    && r.response.decision.verdict == Verdict::Accept
-                    && r.response.group.members_hash == members_hash
-                    && expected.contains(&r.response.responder)
-                    && seen.insert(&r.response.responder)
-                    && self
-                        .ring
-                        .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)
-                        .is_ok()
-            });
-            if all_ok && seen.len() == expected.len() {
+            let set = tally::check_set(
+                &decide.responses,
+                decide.run,
+                object,
+                members.iter().filter(|m| *m != proposer),
+                false,
+                |r| r.response.proposed == *state && r.response.group.members_hash == members_hash,
+                |items| {
+                    items.iter().try_for_each(|(party, bytes, _, sig)| {
+                        self.ring
+                            .verify_for(party, bytes, sig)
+                            .map_err(|_| party.clone())
+                    })
+                },
+            );
+            // A complete set is unanimous when nobody in it vetoed.
+            if set.is_ok() && tally::vetoers(&decide.responses).is_empty() {
                 return Ruling::Upheld {
                     evidence: vec![seq],
                 };
@@ -171,7 +171,7 @@ impl Arbiter {
             }
             let vetoed = decide.responses.iter().any(|r| {
                 r.response.run == *run
-                    && (r.response.decision.verdict == Verdict::Reject || !r.response.body_ok)
+                    && r.vetoes()
                     && self
                         .ring
                         .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)

@@ -59,6 +59,7 @@ pub mod object;
 mod proto_member;
 mod proto_state;
 pub mod replica;
+mod tally;
 mod termination;
 
 pub use config::{CoordinatorConfig, DecisionRule, MutationFlags, PENDING_UPDATES_MAX};

@@ -380,11 +380,6 @@ impl RespondMsg {
     pub fn response_bytes(&self) -> Arc<[u8]> {
         self.memo.get_or_encode(&self.response).0
     }
-
-    /// SHA-256 digest of the response's canonical bytes.
-    pub fn response_digest(&self) -> Digest32 {
-        self.memo.get_or_encode(&self.response).1
-    }
 }
 
 impl CanonicalEncode for RespondMsg {

@@ -7,7 +7,7 @@
 //! membership, aggregates their signed decisions, and blocks new
 //! coordination requests while one is pending (§4.5.1).
 
-use crate::config::COMPLETED_REPLIES_CAP;
+use crate::config::{DecisionRule, COMPLETED_REPLIES_CAP};
 use crate::coordinator::{ConnectStatus, ObjectFactory, PendingConnect};
 use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
@@ -21,9 +21,10 @@ use crate::messages::{
 };
 use crate::object::B2BObject;
 use crate::replica::{
-    ActiveRun, Doc, LeavingRun, MemberRun, MemberStep, MembershipChange, ProposalFields,
-    QueuedRequest, Replica, SponsorRun,
+    ActiveRun, LeavingRun, MemberRun, MemberStep, MembershipChange, ProposalFields, QueuedRequest,
+    Replica, SponsorRun,
 };
+use crate::tally::{self, Ballot, Collected};
 use crate::Coordinator;
 use b2b_crypto::{sha256, CanonicalEncode, PartyId};
 use b2b_evidence::EvidenceKind;
@@ -110,15 +111,14 @@ impl Coordinator {
         // us (requests may have been forwarded, so it need not be the
         // member we originally contacted). The welcome must come from it
         // and carry its signature.
-        let sponsor = match msg.welcome.members.len().checked_sub(2) {
-            Some(i) => msg.welcome.members[i].clone(),
-            None => {
-                return;
-            }
+        let welcome = &msg.welcome;
+        let Some(i) = welcome.members.len().checked_sub(2) else {
+            return;
         };
+        let sponsor = welcome.members[i].clone();
         if from != &sponsor
             || self
-                .verify_for(&sponsor, &msg.welcome.canonical_bytes(), &msg.sig)
+                .verify_for(&sponsor, &welcome.canonical_bytes(), &msg.sig)
                 .is_err()
         {
             self.log_misbehaviour(
@@ -136,37 +136,31 @@ impl Coordinator {
         // identifies the member list; the state matches the agreed tuple;
         // and the member we actually contacted is in the admitted group —
         // otherwise any key-holding outsider could fabricate a "group"
-        // consisting only of itself and us.
+        // consisting only of itself and us. Then every *prior* member's
+        // signed response must be present (exactly the member list minus
+        // the admitting sponsor and ourselves — a vacuous or partial set
+        // would let a sponsor unilaterally admit), must verify, accept, and
+        // assert the same agreed state tuple — this is how the subject
+        // validates the membership and the state it is handed (§4.5.3).
         let me = self.me.clone();
-        let ok = msg.welcome.members.last() == Some(&me)
-            && msg.welcome.group.identifies(&msg.welcome.members)
-            && msg.welcome.agreed.identifies(&msg.state)
-            && msg.welcome.members.contains(&contacted_sponsor);
-        // Every *prior* member's signed response must be present (exactly
-        // the member list minus the admitting sponsor and ourselves — a
-        // vacuous or partial set would let a sponsor unilaterally admit),
-        // must verify, accept, and assert the same agreed state tuple —
-        // this is how the subject validates the membership and the state
-        // it is handed (§4.5.3).
-        let expected: std::collections::BTreeSet<&b2b_crypto::PartyId> = msg
-            .welcome
-            .members
-            .iter()
-            .filter(|m| **m != sponsor && **m != me)
-            .collect();
-        let mut seen_responders: std::collections::BTreeSet<&b2b_crypto::PartyId> =
-            Default::default();
-        let responses_ok = msg.decide.responses.iter().all(|r| {
-            r.response.agreed == msg.welcome.agreed
-                && r.response.decision.is_accept()
-                && r.response.run == msg.welcome.run
-                && expected.contains(&r.response.responder)
-                && seen_responders.insert(&r.response.responder)
-                && self
-                    .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)
-                    .is_ok()
-        }) && seen_responders.len() == expected.len();
-        if !ok || !responses_ok {
+        let ok = welcome.members.last() == Some(&me)
+            && welcome.group.identifies(&welcome.members)
+            && welcome.agreed.identifies(&msg.state)
+            && welcome.members.contains(&contacted_sponsor)
+            && tally::check_set(
+                &msg.decide.responses,
+                run,
+                &oid,
+                welcome
+                    .members
+                    .iter()
+                    .filter(|m| **m != sponsor && **m != me),
+                false,
+                |r| r.response.agreed == welcome.agreed && r.response.decision.is_accept(),
+                |items| self.verify_batch_cached(items),
+            )
+            .is_ok();
+        if !ok {
             self.log_misbehaviour(
                 &oid,
                 &run.to_hex(),
@@ -848,99 +842,55 @@ impl Coordinator {
         let now = ctx.now();
         let oid = msg.response.object.clone();
         let run = msg.response.run;
-        if from != &msg.response.responder
-            || self
-                .verify_for(
-                    &msg.response.responder,
-                    &msg.response.canonical_bytes(),
-                    &msg.sig,
-                )
-                .is_err()
-        {
-            self.log_misbehaviour(
-                &oid,
-                &run.to_hex(),
-                Misbehaviour::BadSignature {
-                    claimed: msg.response.responder.clone(),
-                    message: "member-respond".into(),
-                },
-                now,
-            );
-            return;
-        }
-        if self.replay_completed_reply(&oid, &run, from, ctx) {
-            return;
-        }
-        let Some(rep) = self.replicas.get_mut(&oid) else {
-            return;
-        };
-        let mut finalize = false;
-        let mut recorded = false;
-        match &mut rep.active {
+        let mut kind = None;
+        let collected = self.collect_vote(from, &msg, ctx, |rep| match &mut rep.active {
             Some(ActiveRun::Sponsor(sr)) if sr.run == run => {
-                if !sr.polled.contains(from) {
-                    let detail = format!("membership response from unpolled {from}");
-                    self.log_misbehaviour(
-                        &oid,
-                        &run.to_hex(),
-                        Misbehaviour::UnexpectedMessage { detail },
-                        now,
-                    );
-                } else {
-                    match sr.responses.get(from) {
-                        Some(existing) if existing == &msg => {}
-                        Some(_) => {
-                            self.log_misbehaviour(
-                                &oid,
-                                &run.to_hex(),
-                                Misbehaviour::InconsistentDecide {
-                                    run,
-                                    detail: format!("conflicting membership responses from {from}"),
-                                },
-                                now,
-                            );
-                        }
-                        None => {
-                            sr.responses.insert(from.clone(), msg.clone());
-                            recorded = true;
-                            let kind = sr.change.evidence_kind(MemberStep::Respond);
-                            if sr.responses.len() == sr.polled.len() {
-                                finalize = true;
-                            }
-                            self.log_evidence(
-                                kind,
-                                &oid,
-                                &run.to_hex(),
-                                from.clone(),
-                                msg.response.canonical_bytes(),
-                                Some(msg.sig.clone()),
-                                now,
-                            );
-                        }
-                    }
-                }
+                kind = Some(sr.change.evidence_kind(MemberStep::Respond));
+                Some(Ballot {
+                    echo: true,
+                    responses: &mut sr.responses,
+                    voters: &sr.polled,
+                })
             }
-            _ => {
-                self.log_misbehaviour(
+            _ => None,
+        });
+        let misbehaviour = match collected {
+            Collected::BadSignature => Some(Misbehaviour::BadSignature {
+                claimed: msg.response.responder.clone(),
+                message: "member-respond".into(),
+            }),
+            Collected::Ignored => None,
+            Collected::UnknownRun => Some(Misbehaviour::UnexpectedMessage {
+                detail: format!("membership response for unknown run from {from}"),
+            }),
+            Collected::Echo | Collected::Unexpected => Some(Misbehaviour::UnexpectedMessage {
+                detail: format!("membership response from unpolled {from}"),
+            }),
+            Collected::Conflicting => Some(Misbehaviour::InconsistentDecide {
+                run,
+                detail: format!("conflicting membership responses from {from}"),
+            }),
+            Collected::Recorded { got, want } => {
+                self.log_evidence(
+                    kind.expect("recorded in a sponsor run"),
                     &oid,
                     &run.to_hex(),
-                    Misbehaviour::UnexpectedMessage {
-                        detail: format!("membership response for unknown run from {from}"),
-                    },
+                    from.clone(),
+                    msg.response.canonical_bytes(),
+                    Some(msg.sig.clone()),
                     now,
                 );
+                if got == want {
+                    self.finalize_member_run(&oid, run, ctx);
+                    return;
+                }
+                None
             }
+        };
+        if let Some(m) = misbehaviour {
+            self.log_misbehaviour(&oid, &run.to_hex(), m, now);
         }
-        if recorded {
-            if let Some(rep) = self.replicas.get_mut(&oid) {
-                rep.mark_stale(Doc::Core);
-            }
-        }
-        if finalize {
-            self.finalize_member_run(&oid, run, ctx);
-        } else {
-            self.persist(&oid);
-        }
+        self.persist(&oid);
     }
 
     fn finalize_member_run(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
@@ -956,8 +906,8 @@ impl Coordinator {
         // Membership changes always require unanimity among polled members
         // (voluntary disconnection cannot be vetoed, which the member side
         // enforces by always accepting).
-        let vetoers = vetoers(&responses);
-        let accepted = vetoers.is_empty();
+        let (accepted, vetoers) =
+            tally::decide(DecisionRule::Unanimous, sr.polled.len() + 1, &responses);
         let connecting = sr.change.connecting();
         let decide = MemberDecideMsg {
             object: oid.clone(),
@@ -1065,41 +1015,18 @@ impl Coordinator {
             return;
         }
         // Verify the aggregated responses.
-        let expected: std::collections::BTreeSet<&PartyId> = expected_polled.iter().collect();
-        let mut seen: std::collections::BTreeSet<&PartyId> = Default::default();
-        let mut fault = None;
-        for r in &msg.responses {
-            if r.response.run != run {
-                fault = Some(Misbehaviour::InconsistentDecide {
-                    run,
-                    detail: "response for another run".into(),
-                });
-                break;
-            }
-            if self
-                .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)
-                .is_err()
-            {
-                fault = Some(Misbehaviour::BadSignature {
-                    claimed: r.response.responder.clone(),
-                    message: "aggregated membership response".into(),
-                });
-                break;
-            }
-            if !expected.contains(&r.response.responder) || !seen.insert(&r.response.responder) {
-                fault = Some(Misbehaviour::InconsistentDecide {
-                    run,
-                    detail: format!("unexpected or duplicate responder {}", r.response.responder),
-                });
-                break;
-            }
-        }
-        if fault.is_none() && seen.len() != expected.len() {
-            fault = Some(Misbehaviour::InconsistentDecide {
-                run,
-                detail: "membership response set incomplete".into(),
-            });
-        }
+        let set = tally::check_set(
+            &msg.responses,
+            run,
+            &oid,
+            &expected_polled,
+            false,
+            |_| true,
+            |items| self.verify_batch_cached(items),
+        );
+        let mut fault = set
+            .err()
+            .map(|fault| fault.misbehaviour(run, "membership response"));
         if fault.is_none()
             && !msg
                 .responses
@@ -1113,7 +1040,11 @@ impl Coordinator {
             return;
         }
 
-        let vetoers = vetoers(&msg.responses);
+        let (accepted, vetoers) = tally::decide(
+            DecisionRule::Unanimous,
+            expected_polled.len() + 1,
+            &msg.responses,
+        );
         self.log_evidence(
             change.evidence_kind(MemberStep::Decide),
             &oid,
@@ -1123,7 +1054,7 @@ impl Coordinator {
             None,
             now,
         );
-        if vetoers.is_empty() {
+        if accepted {
             self.install_membership(&oid, run, new_members, new_group, change.leavers(), ctx);
         } else {
             if let Some(rep) = self.replicas.get_mut(&oid) {
@@ -1603,24 +1534,6 @@ impl Coordinator {
             .collect();
         self.send_wire_all(&pending, &run.change.propose_wire(), ctx);
     }
-}
-
-/// The `(responder, reason)` of every rejecting response.
-fn vetoers(responses: &[MemberRespondMsg]) -> Vec<(PartyId, String)> {
-    responses
-        .iter()
-        .filter(|r| !r.response.decision.is_accept())
-        .map(|r| {
-            (
-                r.response.responder.clone(),
-                r.response
-                    .decision
-                    .reason
-                    .clone()
-                    .unwrap_or_else(|| "rejected".into()),
-            )
-        })
-        .collect()
 }
 
 /// The application's verdict on evicting `subjects`: the first rejection,

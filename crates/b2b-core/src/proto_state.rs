@@ -7,7 +7,7 @@
 //! the reveal of `r_P` whose hash was committed in the proposal.
 
 use crate::config::{COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
-use crate::decision::{CoordEventKind, Decision, Outcome, Verdict};
+use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{ObjectId, RunId, StateId};
@@ -15,7 +15,8 @@ use crate::messages::{
     BatchLink, DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
 };
 use crate::object::B2BObject;
-use crate::replica::{ActiveRun, Doc, ProposerRun, RecipientRun};
+use crate::replica::{ActiveRun, ProposerRun, RecipientRun};
+use crate::tally::{self, Ballot, Collected};
 use crate::Coordinator;
 use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, Digest32, PartyId};
 use b2b_evidence::EvidenceKind;
@@ -523,9 +524,7 @@ impl Coordinator {
         }
 
         // ---- null transition (§4.4) ----
-        if self.config.reject_null_transitions
-            && m1.proposal.proposed.state_hash == rep.agreed.state_hash
-        {
+        if m1.proposal.proposed.state_hash == rep.agreed.state_hash {
             misbehaviours.push(Misbehaviour::NullTransition { run });
             reject(&mut decision, "null state transition".into());
         }
@@ -647,145 +646,86 @@ impl Coordinator {
         let run = m2.response.run;
         let run_hex = run.to_hex();
 
-        let canonical = m2.response_bytes();
-        if from != &m2.response.responder
-            || self
-                .verify_cached(
-                    &m2.response.responder,
-                    &canonical,
-                    m2.response_digest(),
-                    &m2.sig,
-                )
-                .is_err()
-        {
-            self.telemetry.inc(names::VOTES_INVALID);
-            self.trace(now, "state_run", "vote_collect", || {
-                format!("object={oid} run={run_hex} from={from} vote=invalid_sig")
-            });
-            self.log_misbehaviour(
-                &oid,
-                &run_hex,
-                Misbehaviour::BadSignature {
+        // The signed response must echo the actual proposal: one that names
+        // another tuple under this run id is internally inconsistent and
+        // would weaken what the aggregated evidence proves (§4.4). It is
+        // recorded as misbehaviour and not counted; the run blocks until
+        // the deadline/TTP path resolves it.
+        let collected = self.collect_vote(from, &m2, ctx, |rep| match &mut rep.active {
+            Some(ActiveRun::Proposer(pr)) if pr.run == run => Some(Ballot {
+                echo: m2.response.proposed == pr.propose.proposal.proposed,
+                responses: &mut pr.responses,
+                voters: &rep.members,
+            }),
+            _ => None,
+        });
+        let misbehaviour = match collected {
+            Collected::BadSignature => {
+                self.telemetry.inc(names::VOTES_INVALID);
+                self.trace(now, "state_run", "vote_collect", || {
+                    format!("object={oid} run={run_hex} from={from} vote=invalid_sig")
+                });
+                Some(Misbehaviour::BadSignature {
                     claimed: m2.response.responder.clone(),
                     message: "respond".into(),
-                },
-                now,
-            );
-            return;
-        }
-
-        // Late response for a completed run: re-send the decide.
-        if self.replay_completed_reply(&oid, &run, from, ctx) {
-            return;
-        }
-
-        let Some(mut rep) = self.replicas.remove(&oid) else {
-            return;
-        };
-        let mut finalize = false;
-        let mut recorded = false;
-        match &mut rep.active {
-            Some(ActiveRun::Proposer(pr)) if pr.run == run => {
-                // The signed response must echo the actual proposal: a
-                // response that names another object or tuple under this
-                // run id is internally inconsistent and would weaken what
-                // the aggregated evidence proves (§4.4). It is recorded as
-                // misbehaviour and not counted; the run blocks until the
-                // deadline/TTP path resolves it.
-                if m2.response.object != oid || m2.response.proposed != pr.propose.proposal.proposed
-                {
-                    self.log_misbehaviour(
-                        &oid,
-                        &run_hex,
-                        Misbehaviour::InconsistentDecide {
-                            run,
-                            detail: format!("response from {from} echoes a different object/tuple"),
-                        },
-                        now,
-                    );
-                } else if !rep.members.contains(from) {
-                    self.log_misbehaviour(
-                        &oid,
-                        &run_hex,
-                        Misbehaviour::UnexpectedMessage {
-                            detail: format!("response from non-member {from}"),
-                        },
-                        now,
-                    );
-                } else {
-                    match pr.responses.get(from) {
-                        Some(existing) if existing == &m2 => {} // duplicate
-                        Some(_) => {
-                            // Two different signed responses to one run:
-                            // irrefutable evidence of misbehaviour.
-                            self.log_misbehaviour(
-                                &oid,
-                                &run_hex,
-                                Misbehaviour::InconsistentDecide {
-                                    run,
-                                    detail: format!("conflicting signed responses from {from}"),
-                                },
-                                now,
-                            );
-                        }
-                        None => {
-                            pr.responses.insert(from.clone(), m2.clone());
-                            recorded = true;
-                            self.telemetry.inc(names::VOTES_VALID);
-                            let (got, want) = (pr.responses.len(), rep.members.len() - 1);
-                            self.trace(now, "state_run", "vote_collect", || {
-                                format!(
-                                    "object={oid} run={run_hex} from={from} verdict={:?} \
-                                     {got}/{want}",
-                                    m2.response.decision.verdict
-                                )
-                            });
-                            self.log_evidence(
-                                EvidenceKind::StateRespond,
-                                &oid,
-                                &run_hex,
-                                from.clone(),
-                                self.response_bytes_of(&m2).to_vec(),
-                                Some(m2.sig.clone()),
-                                now,
-                            );
-                            self.events.push(crate::decision::CoordEvent {
-                                object: oid.clone(),
-                                run,
-                                event: CoordEventKind::ResponseReceived {
-                                    from: from.clone(),
-                                    verdict: m2.response.decision.verdict,
-                                },
-                                at: now,
-                            });
-                            let expected = rep.members.len() - 1;
-                            if pr.responses.len() == expected {
-                                finalize = true;
-                            }
-                        }
-                    }
-                }
+                })
             }
-            _ => {
-                self.log_misbehaviour(
+            // A duplicate, or a late response for a completed run, which
+            // had the decide re-sent.
+            Collected::Ignored => None,
+            Collected::UnknownRun => Some(Misbehaviour::UnexpectedMessage {
+                detail: format!("response for unknown run from {from}"),
+            }),
+            Collected::Echo => Some(Misbehaviour::InconsistentDecide {
+                run,
+                detail: format!("response from {from} echoes a different object/tuple"),
+            }),
+            Collected::Unexpected => Some(Misbehaviour::UnexpectedMessage {
+                detail: format!("response from non-member {from}"),
+            }),
+            // Two different signed responses to one run: irrefutable
+            // evidence of misbehaviour.
+            Collected::Conflicting => Some(Misbehaviour::InconsistentDecide {
+                run,
+                detail: format!("conflicting signed responses from {from}"),
+            }),
+            Collected::Recorded { got, want } => {
+                self.telemetry.inc(names::VOTES_VALID);
+                self.trace(now, "state_run", "vote_collect", || {
+                    format!(
+                        "object={oid} run={run_hex} from={from} verdict={:?} {got}/{want}",
+                        m2.response.decision.verdict
+                    )
+                });
+                self.log_evidence(
+                    EvidenceKind::StateRespond,
                     &oid,
                     &run_hex,
-                    Misbehaviour::UnexpectedMessage {
-                        detail: format!("response for unknown run from {from}"),
-                    },
+                    from.clone(),
+                    self.response_bytes_of(&m2).to_vec(),
+                    Some(m2.sig.clone()),
                     now,
                 );
+                self.events.push(crate::decision::CoordEvent {
+                    object: oid.clone(),
+                    run,
+                    event: CoordEventKind::ResponseReceived {
+                        from: from.clone(),
+                        verdict: m2.response.decision.verdict,
+                    },
+                    at: now,
+                });
+                if got == want {
+                    self.finalize_state_run(&oid, run, ctx);
+                    return;
+                }
+                None
             }
+        };
+        if let Some(m) = misbehaviour {
+            self.log_misbehaviour(&oid, &run_hex, m, now);
         }
-        if recorded {
-            rep.mark_stale(Doc::Core);
-        }
-        self.replicas.insert(oid.clone(), rep);
-        if finalize {
-            self.finalize_state_run(&oid, run, ctx);
-        } else {
-            self.persist(&oid);
-        }
+        self.persist(&oid);
     }
 
     /// Computes the group decision, sends `m3`, installs or rolls back.
@@ -803,7 +743,7 @@ impl Coordinator {
 
         let responses: Vec<RespondMsg> = pr.responses.values().cloned().collect();
         let (accepted, vetoers) =
-            group_decision(self.config.decision_rule, rep.members.len(), &responses);
+            tally::decide(self.config.decision_rule, rep.members.len(), &responses);
         let decide = DecideMsg {
             object: oid.clone(),
             run,
@@ -947,7 +887,7 @@ impl Coordinator {
     // Recipient side: the decide
     // -----------------------------------------------------------------
 
-    pub(crate) fn on_decide(&mut self, from: &PartyId, m3: DecideMsg, ctx: &mut NodeCtx) {
+    pub(crate) fn on_decide(&mut self, m3: DecideMsg, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let oid = m3.object.clone();
         let run = m3.run;
@@ -984,65 +924,28 @@ impl Coordinator {
         }
 
         // ---- verify the aggregated responses ----
-        let proposer = rr.propose.proposal.proposer.clone();
-        let mut fault: Option<Misbehaviour> = None;
-        let expected: std::collections::BTreeSet<&PartyId> =
-            rep.members.iter().filter(|m| **m != proposer).collect();
-        let mut seen: std::collections::BTreeSet<&PartyId> = Default::default();
-        for r in &m3.responses {
-            if r.response.run != run
-                || r.response.object != oid
-                || r.response.proposed != rr.propose.proposal.proposed
-            {
-                fault = Some(Misbehaviour::InconsistentDecide {
-                    run,
-                    detail: "response for another run, object or tuple".into(),
-                });
-                break;
-            }
-            if !expected.contains(&r.response.responder) || !seen.insert(&r.response.responder) {
-                fault = Some(Misbehaviour::InconsistentDecide {
-                    run,
-                    detail: format!("unexpected or duplicate responder {}", r.response.responder),
-                });
-                break;
-            }
-        }
-        // The structurally sound aggregation's signatures are checked as
-        // one batch: cache hits are excluded up front, the misses verify in
-        // a single batched call (spread across the verify pool when one is
-        // attached), and only a failed batch falls back to per-item
-        // verification so the offender is still attributed (§4.4).
-        if fault.is_none() {
-            let items: Vec<_> = m3
-                .responses
-                .iter()
-                .map(|r| {
-                    (
-                        r.response.responder.clone(),
-                        self.response_bytes_of(r),
-                        r.response_digest(),
-                        r.sig.clone(),
-                    )
-                })
-                .collect();
-            if let Err(claimed) = self.verify_batch_cached(&items) {
-                fault = Some(Misbehaviour::BadSignature {
-                    claimed,
-                    message: "aggregated response".into(),
-                });
-            }
-        }
         // Under the base (unanimous) rule the response set must be
         // complete; the §7 majority extension legitimately resolves runs
         // from a partial set after the deadline.
+        let proposer = rr.propose.proposal.proposer.clone();
         let majority = self.config.decision_rule == crate::config::DecisionRule::Majority;
-        if fault.is_none() && seen.len() != expected.len() && !majority {
-            fault = Some(Misbehaviour::InconsistentDecide {
-                run,
-                detail: "response set incomplete".into(),
-            });
-        }
+        // The verifier reads each response's memoized bytes; count those
+        // reads as `response_bytes_of` does.
+        let memo_hits = m3.responses.iter().filter(|r| r.memo.is_cached()).count();
+        let set = tally::check_set(
+            &m3.responses,
+            run,
+            &oid,
+            rep.members.iter().filter(|m| **m != proposer),
+            majority,
+            |r| r.response.proposed == rr.propose.proposal.proposed,
+            |items| {
+                self.telemetry
+                    .add(names::CANONICAL_CACHE_HITS, memo_hits as u64);
+                self.verify_batch_cached(items)
+            },
+        );
+        let mut fault = set.err().map(|fault| fault.misbehaviour(run, "response"));
         // Our own response, when included, must be byte-identical; under
         // the unanimous rule it must also be present.
         if fault.is_none() {
@@ -1066,7 +969,7 @@ impl Coordinator {
 
         // ---- compute the group decision ----
         let (accepted, vetoers) =
-            group_decision(self.config.decision_rule, rep.members.len(), &m3.responses);
+            tally::decide(self.config.decision_rule, rep.members.len(), &m3.responses);
         // Under the majority extension a *partial* response set may only
         // resolve the run by demonstrating the installing majority. A
         // partial veto-only set proves nothing (the missing responses
@@ -1074,7 +977,7 @@ impl Coordinator {
         // authenticator is public after the first m3, could be a
         // re-aggregation by the network adversary — keep waiting instead
         // of diverging from peers that saw the full set.
-        if majority && !accepted && seen.len() != expected.len() {
+        if majority && !accepted && m3.responses.len() != rep.members.len() - 1 {
             self.replicas.insert(oid, rep);
             return;
         }
@@ -1135,7 +1038,6 @@ impl Coordinator {
         self.outcomes.insert(run, outcome.clone());
         self.emit(&oid, run, CoordEventKind::Completed { outcome }, now);
         self.pump_queue(&oid, ctx);
-        let _ = from;
     }
 
     // -----------------------------------------------------------------
@@ -1144,24 +1046,18 @@ impl Coordinator {
 
     pub(crate) fn on_run_deadline(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let now = ctx.now();
-        // A blocked *recipient* (responded, decide never came) can appeal
-        // to the TTP too; without a TTP it stays blocked per the base
-        // protocol.
-        if matches!(
-            self.replicas.get(oid).and_then(|r| r.active.as_ref()),
-            Some(ActiveRun::Recipient(rr)) if rr.run == run
-        ) {
-            if let Some(ttp) = self.config.ttp.clone() {
-                self.appeal_to_ttp(oid, run, ttp, ctx);
+        match self.replicas.get(oid).and_then(|r| r.active.as_ref()) {
+            // A blocked *recipient* (responded, decide never came) can
+            // appeal to the TTP too; without a TTP it stays blocked per the
+            // base protocol.
+            Some(ActiveRun::Recipient(rr)) if rr.run == run => {
+                if let Some(ttp) = self.config.ttp.clone() {
+                    self.appeal_to_ttp(oid, run, ttp, ctx);
+                }
+                return;
             }
-            return;
-        }
-        let is_pending = matches!(
-            self.replicas.get(oid).and_then(|r| r.active.as_ref()),
-            Some(ActiveRun::Proposer(pr)) if pr.run == run && pr.decided.is_none()
-        );
-        if !is_pending {
-            return;
+            Some(ActiveRun::Proposer(pr)) if pr.run == run => {}
+            _ => return,
         }
         match self.config.decision_rule {
             crate::config::DecisionRule::Majority => {
@@ -1366,42 +1262,4 @@ fn replay_updates(
         veto,
         ..Replay::default()
     }
-}
-
-/// Computes the group decision over a response set.
-///
-/// Under [`crate::DecisionRule::Unanimous`] (the paper): valid iff every
-/// response accepts with an intact body. Under majority: valid iff
-/// `accepts + 1` (the proposer, by definition accepting) form a strict
-/// majority of the whole group.
-pub(crate) fn group_decision(
-    rule: crate::config::DecisionRule,
-    group_size: usize,
-    responses: &[RespondMsg],
-) -> (bool, Vec<(PartyId, String)>) {
-    let vetoers: Vec<(PartyId, String)> = responses
-        .iter()
-        .filter(|r| r.response.decision.verdict == Verdict::Reject || !r.response.body_ok)
-        .map(|r| {
-            (
-                r.response.responder.clone(),
-                r.response
-                    .decision
-                    .reason
-                    .clone()
-                    .unwrap_or_else(|| "rejected".into()),
-            )
-        })
-        .collect();
-    let accepts = responses
-        .iter()
-        .filter(|r| r.response.decision.verdict == Verdict::Accept && r.response.body_ok)
-        .count();
-    let accepted = match rule {
-        crate::config::DecisionRule::Unanimous => {
-            vetoers.is_empty() && accepts == group_size.saturating_sub(1)
-        }
-        crate::config::DecisionRule::Majority => (accepts + 1) * 2 > group_size,
-    };
-    (accepted, vetoers)
 }

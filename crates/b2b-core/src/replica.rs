@@ -19,6 +19,7 @@ use crate::messages::{
     RespondMsg, WireMsg, MIN_PARTY_BYTES,
 };
 use crate::object::B2BObject;
+use crate::tally::Vote;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
     CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId, Signature,
@@ -49,14 +50,13 @@ pub(crate) fn snapshot_decoder(bytes: &[u8]) -> Result<Decoder<'_>, DecodeError>
 
 /// Decodes a response set written as a sequence, re-keying it by
 /// responder; a responder appearing twice is rejected.
-fn decode_responses<M: CanonicalDecode>(
+fn decode_responses<M: CanonicalDecode + Vote>(
     dec: &mut Decoder<'_>,
-    responder: impl Fn(&M) -> &PartyId,
 ) -> Result<BTreeMap<PartyId, M>, DecodeError> {
     let at = dec.position();
     let mut out = BTreeMap::new();
     for m in decode_seq::<M>(dec, MIN_MSG_BYTES)? {
-        if out.insert(responder(&m).clone(), m).is_some() {
+        if out.insert(m.responder().clone(), m).is_some() {
             return DecodeError::at("duplicate responder in response set", at);
         }
     }
@@ -101,7 +101,7 @@ impl CanonicalDecode for ProposerRun {
             propose: ProposeMsg::decode(dec)?,
             authenticator: dec.get_array()?,
             new_state: Vec::<u8>::decode(dec)?,
-            responses: decode_responses(dec, |r: &RespondMsg| &r.response.responder)?,
+            responses: decode_responses(dec)?,
             decided: Option::<DecideMsg>::decode(dec)?,
         })
     }
@@ -512,7 +512,7 @@ impl CanonicalDecode for SponsorRun {
             new_members: decode_seq(dec, MIN_PARTY_BYTES)?,
             new_group: GroupId::decode(dec)?,
             polled: decode_seq(dec, MIN_PARTY_BYTES)?,
-            responses: decode_responses(dec, |r: &MemberRespondMsg| &r.response.responder)?,
+            responses: decode_responses(dec)?,
             decided: Option::<MemberDecideMsg>::decode(dec)?,
         })
     }

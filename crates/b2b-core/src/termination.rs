@@ -27,8 +27,8 @@
 //!   honest parties terminate with the same view; later appeals for the
 //!   same run replay the cached certificate.
 
-use crate::config::REPLAY_WINDOW;
-use crate::decision::{CoordEventKind, Outcome, Verdict};
+use crate::config::{DecisionRule, REPLAY_WINDOW};
+use crate::decision::{CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::ids::{members_digest, ObjectId, RunId};
 use crate::messages::{
@@ -37,6 +37,7 @@ use crate::messages::{
     TtpVerdict, WireMsg,
 };
 use crate::replica::ActiveRun;
+use crate::tally;
 use crate::Coordinator;
 use b2b_crypto::{CanonicalEncode, PartyId, TimeMs};
 use b2b_evidence::EvidenceKind;
@@ -51,11 +52,13 @@ pub(crate) struct TtpCase {
     /// The certified resolution, once issued (replayed on later appeals).
     pub(crate) resolution: Option<TtpResolutionMsg>,
     /// An evidence pull in flight after a recipient appeal.
-    pub(crate) pending: Option<PendingTtpCase>,
+    pub(crate) pending: Option<TtpAppeal>,
 }
 
-/// The context of a recipient appeal awaiting proposer evidence.
-pub(crate) struct PendingTtpCase {
+/// The context of an appeal: a proposer's is decided at once, a
+/// recipient's awaits the proposer's evidence.
+#[derive(Clone)]
+pub(crate) struct TtpAppeal {
     pub(crate) object: ObjectId,
     pub(crate) members: Vec<PartyId>,
     pub(crate) proposer: PartyId,
@@ -165,37 +168,23 @@ impl Coordinator {
             }
         }
 
-        let proposer = msg.propose.proposal.proposer.clone();
-        if msg.request.appellant == proposer {
+        let case = TtpAppeal {
+            object: oid.clone(),
+            members: msg.request.members,
+            proposer: msg.propose.proposal.proposer,
+            proposed: msg.propose.proposal.proposed,
+        };
+        if msg.request.appellant == case.proposer {
             // Proposer appeal: certify from the presented set.
-            let verdict = self.ttp_verdict(
-                &msg.request.members,
-                &proposer,
-                run,
-                &oid,
-                msg.propose.proposal.proposed,
-                &msg.responses,
-            );
-            self.certify_and_broadcast(
-                &oid,
-                run,
-                verdict,
-                &msg.responses,
-                &msg.request.members,
-                ctx,
-            );
+            self.certify_set(&case, run, &msg.responses, ctx);
         } else {
             // Recipient appeal: pull the proposer's evidence first.
+            let proposer = case.proposer.clone();
             self.ttp_cases.insert(
                 run,
                 TtpCase {
                     resolution: None,
-                    pending: Some(PendingTtpCase {
-                        object: oid.clone(),
-                        members: msg.request.members.clone(),
-                        proposer: proposer.clone(),
-                        proposed: msg.propose.proposal.proposed,
-                    }),
+                    pending: Some(case),
                 },
             );
             let request = TtpEvidenceRequest {
@@ -284,38 +273,32 @@ impl Coordinator {
         let Some(case) = self.ttp_cases.get(&run) else {
             return;
         };
-        let Some(pending) = &case.pending else {
+        let Some(pending) = case.pending.clone() else {
             return;
         };
         if case.resolution.is_some() {
             return;
         }
-        let (object, members, proposer, proposed) = (
-            pending.object.clone(),
-            pending.members.clone(),
-            pending.proposer.clone(),
-            pending.proposed,
-        );
-        if from != &proposer
-            || msg.evidence.proposer != proposer
+        let proposer = &pending.proposer;
+        if from != proposer
+            || &msg.evidence.proposer != proposer
             || msg.evidence.responses_digest != responses_digest(&msg.responses)
             || self
-                .verify_for(&proposer, &msg.evidence.canonical_bytes(), &msg.sig)
+                .verify_for(proposer, &msg.evidence.canonical_bytes(), &msg.sig)
                 .is_err()
         {
             self.log_misbehaviour(
-                &object,
+                &pending.object,
                 &run.to_hex(),
                 Misbehaviour::BadSignature {
-                    claimed: proposer,
+                    claimed: proposer.clone(),
                     message: "ttp-evidence".into(),
                 },
                 now,
             );
             return;
         }
-        let verdict = self.ttp_verdict(&members, &proposer, run, &object, proposed, &msg.responses);
-        self.certify_and_broadcast(&object, run, verdict, &msg.responses, &members, ctx);
+        self.certify_set(&pending, run, &msg.responses, ctx);
     }
 
     /// TTP side: the evidence pull timed out — certify an abort.
@@ -333,43 +316,33 @@ impl Coordinator {
         self.certify_and_broadcast(&object, run, TtpVerdict::CertifiedAbort, &[], &members, ctx);
     }
 
-    /// Computes the verdict a response set supports: a complete verified
+    /// Certifies the verdict a response set supports: a complete verified
     /// set certifies the decision it implies; anything else aborts.
-    fn ttp_verdict(
-        &self,
-        members: &[PartyId],
-        proposer: &PartyId,
+    fn certify_set(
+        &mut self,
+        case: &TtpAppeal,
         run: RunId,
-        object: &ObjectId,
-        proposed: crate::ids::StateId,
         responses: &[RespondMsg],
-    ) -> TtpVerdict {
-        let expected: std::collections::BTreeSet<&PartyId> =
-            members.iter().filter(|m| *m != proposer).collect();
-        let mut seen: std::collections::BTreeSet<&PartyId> = Default::default();
-        for r in responses {
-            if r.response.run != run
-                || &r.response.object != object
-                || r.response.proposed != proposed
-                || !expected.contains(&r.response.responder)
-                || !seen.insert(&r.response.responder)
-                || self
-                    .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)
-                    .is_err()
-            {
-                return TtpVerdict::CertifiedAbort;
-            }
-        }
-        if seen.len() != expected.len() {
+        ctx: &mut NodeCtx,
+    ) {
+        let members = &case.members;
+        let set = tally::check_set(
+            responses,
+            run,
+            &case.object,
+            members.iter().filter(|m| **m != case.proposer),
+            false,
+            |r| r.response.proposed == case.proposed,
+            |items| self.verify_batch_cached(items),
+        );
+        let verdict = if set.is_err() {
             TtpVerdict::CertifiedAbort
-        } else if responses
-            .iter()
-            .all(|r| r.response.decision.verdict == Verdict::Accept && r.response.body_ok)
-        {
+        } else if tally::decide(DecisionRule::Unanimous, members.len(), responses).0 {
             TtpVerdict::CertifiedValid
         } else {
             TtpVerdict::CertifiedInvalid
-        }
+        };
+        self.certify_and_broadcast(&case.object, run, verdict, responses, members, ctx);
     }
 
     fn certify_and_broadcast(
@@ -514,22 +487,9 @@ impl Coordinator {
                 let agreed = rep.agreed_state.clone();
                 rep.object.apply_state(&agreed);
                 rep.finish_run();
-                let vetoers = msg
-                    .responses
-                    .iter()
-                    .filter(|r| !r.response.decision.is_accept() || !r.response.body_ok)
-                    .map(|r| {
-                        (
-                            r.response.responder.clone(),
-                            r.response
-                                .decision
-                                .reason
-                                .clone()
-                                .unwrap_or_else(|| "rejected".into()),
-                        )
-                    })
-                    .collect();
-                Outcome::Invalidated { vetoers }
+                Outcome::Invalidated {
+                    vetoers: tally::vetoers(&msg.responses),
+                }
             }
         };
         self.log_evidence(

@@ -6,9 +6,9 @@
 mod common;
 
 use b2b_core::messages::WireMsg;
-use b2b_core::{ConnectStatus, ObjectId};
-use b2b_crypto::{PartyId, TimeMs};
-use b2b_net::intruder::{FnIntruder, Injection, InterceptAction};
+use b2b_core::{ConnectStatus, Misbehaviour, ObjectId};
+use b2b_crypto::{PartyId, Signature, TimeMs};
+use b2b_net::intruder::{FnIntruder, Injection, InterceptAction, Intruder};
 use common::*;
 
 const FRAME_HEADER: usize = 34;
@@ -33,6 +33,199 @@ fn has_detection(cluster: &Cluster, who: usize, tag: &str) -> bool {
         .detected()
         .iter()
         .any(|m| m.tag() == tag)
+}
+
+/// Builds the three-member group `c` (org0, org1, then org2, its sponsor)
+/// and runs org3's admission under `intruder`. org0 and org1 are polled,
+/// so each receives the member decide; org3 receives the welcome.
+fn admit_org3_under(seed: u64, intruder: impl Intruder + 'static) -> Cluster {
+    let mut cluster = Cluster::new(4, seed);
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("c"), Box::new(counter_factory))
+            .unwrap();
+    });
+    for i in 1..3 {
+        let sponsor = party(i - 1);
+        cluster.net.invoke(&party(i), move |c, ctx| {
+            c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+                .unwrap();
+        });
+        cluster.run();
+    }
+    cluster.net.set_intruder(intruder);
+    let sponsor = party(2);
+    cluster.net.invoke(&party(3), move |c, ctx| {
+        c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+            .unwrap();
+    });
+    cluster.run();
+    cluster
+}
+
+/// Rewrites the member decide sent to `victim` with `tamper`; every other
+/// frame is delivered as sent.
+fn tamper_member_decide_to(
+    victim: &'static str,
+    tamper: fn(&mut b2b_core::messages::MemberDecideMsg),
+) -> impl Intruder {
+    FnIntruder::new(
+        move |_f: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::MemberDecide(mut m)) if to.as_str() == victim => {
+                tamper(&mut m);
+                InterceptAction::Replace(replace_body(raw, &WireMsg::MemberDecide(m)))
+            }
+            _ => InterceptAction::Deliver,
+        },
+    )
+}
+
+/// `who` still holds the three-member group and the membership run is
+/// still open there: nothing was installed on the tampered decide.
+fn assert_not_installed(cluster: &Cluster, who: usize) {
+    assert_eq!(
+        cluster.members(who, "c"),
+        vec![party(0), party(1), party(2)]
+    );
+    assert!(cluster.net.node(&party(who)).is_busy(&ObjectId::new("c")));
+}
+
+#[test]
+fn forged_authenticator_in_member_decide_is_detected() {
+    let cluster = admit_org3_under(
+        706,
+        FnIntruder::new(
+            |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
+                Some(WireMsg::MemberDecide(mut m)) => {
+                    m.authenticator = [0xAB; 32];
+                    InterceptAction::Replace(replace_body(raw, &WireMsg::MemberDecide(m)))
+                }
+                _ => InterceptAction::Deliver,
+            },
+        ),
+    );
+    // The sponsor installed and welcomed org3; the polled members refuse
+    // the forged decide and keep the old group.
+    assert_eq!(cluster.members(2, "c").len(), 4);
+    assert!(cluster.net.node(&party(3)).is_member(&ObjectId::new("c")));
+    for who in 0..2 {
+        assert_not_installed(&cluster, who);
+        assert!(has_detection(&cluster, who, "authenticator-mismatch"));
+    }
+    assert_golden(
+        &cluster,
+        "c",
+        "fe374c80521dc7a25c1b056ae2e23e82b9a1b54b7ad4cc3b9619594d58c95c99",
+    );
+}
+
+#[test]
+fn response_removed_from_member_decide_aggregation_is_detected() {
+    let cluster = admit_org3_under(
+        707,
+        tamper_member_decide_to("org1", |m| {
+            m.responses
+                .retain(|r| r.response.responder.as_str() == "org1");
+        }),
+    );
+    assert_eq!(cluster.members(0, "c").len(), 4);
+    assert_not_installed(&cluster, 1);
+    assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_golden(
+        &cluster,
+        "c",
+        "ab6f809448057f32a47d8b6764c698fe27823db099b34a27caa8485ef8e45020",
+    );
+}
+
+#[test]
+fn own_response_swapped_in_member_decide_is_detected() {
+    // org0's validly signed response fills org1's slot too.
+    let cluster = admit_org3_under(
+        708,
+        tamper_member_decide_to("org1", |m| {
+            let donor = m
+                .responses
+                .iter()
+                .find(|r| r.response.responder.as_str() == "org0")
+                .cloned()
+                .expect("org0 was polled");
+            m.responses = vec![donor.clone(), donor];
+        }),
+    );
+    assert_eq!(cluster.members(0, "c").len(), 4);
+    assert_not_installed(&cluster, 1);
+    assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_golden(
+        &cluster,
+        "c",
+        "d856b08cdb8e9f301876d0507e11726c109e21721821c22896a5c83c6b9a43be",
+    );
+}
+
+#[test]
+fn flipped_signature_byte_in_member_decide_names_its_signer() {
+    let cluster = admit_org3_under(
+        709,
+        tamper_member_decide_to("org1", |m| {
+            for r in &mut m.responses {
+                if r.response.responder.as_str() == "org0" {
+                    let mut bytes = r.sig.as_bytes().to_vec();
+                    bytes[0] ^= 0x01;
+                    r.sig = Signature::new(r.sig.scheme(), bytes);
+                }
+            }
+        }),
+    );
+    assert_eq!(cluster.members(0, "c").len(), 4);
+    assert_not_installed(&cluster, 1);
+    assert!(cluster
+        .net
+        .node(&party(1))
+        .detected()
+        .iter()
+        .any(|m| matches!(m, Misbehaviour::BadSignature { claimed, .. } if *claimed == party(0))));
+    assert_golden(
+        &cluster,
+        "c",
+        "502e9c0eefe7d7467d549b8942b5160c3fc4d183783fd438dee35f46410b09f2",
+    );
+}
+
+#[test]
+fn welcome_missing_a_prior_members_response_is_rejected() {
+    // The welcome's signature covers the welcome, not the aggregated
+    // responses beside it: dropping org0's response leaves the sponsor's
+    // signature intact, and the subject must notice the gap itself.
+    let cluster = admit_org3_under(
+        710,
+        FnIntruder::new(
+            |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
+                Some(WireMsg::Welcome(mut w)) => {
+                    w.decide
+                        .responses
+                        .retain(|r| r.response.responder.as_str() != "org0");
+                    InterceptAction::Replace(replace_body(raw, &WireMsg::Welcome(w)))
+                }
+                _ => InterceptAction::Deliver,
+            },
+        ),
+    );
+    // The group admitted org3, but org3 itself refuses the welcome.
+    assert_eq!(cluster.members(0, "c").len(), 4);
+    assert!(!cluster.net.node(&party(3)).is_member(&ObjectId::new("c")));
+    assert_eq!(
+        cluster
+            .net
+            .node(&party(3))
+            .connect_status(&ObjectId::new("c")),
+        Some(&ConnectStatus::Pending)
+    );
+    assert!(has_detection(&cluster, 3, "inconsistent-decide"));
+    assert_golden(
+        &cluster,
+        "c",
+        "0e78020c9d61c6915ca37d73edd9e2c364d54b0b64a2748f62afba5b39846cd8",
+    );
 }
 
 #[test]

@@ -134,18 +134,6 @@ fn null_transition_rejected_by_default() {
 }
 
 #[test]
-fn null_transition_allowed_when_configured() {
-    // §4.4: "it may be legitimate to propose the re-installation of an
-    // earlier state" — re-proposing the *current* state is a policy knob.
-    let config = b2b_core::CoordinatorConfig::new().reject_null_transitions(false);
-    let mut cluster = Cluster::with_config(2, 9, config, b2b_net::FaultPlan::default());
-    cluster.setup_object("counter", counter_factory);
-    cluster.propose(0, "counter", enc(4));
-    let run = cluster.propose(0, "counter", enc(4));
-    assert!(cluster.outcome(0, &run).unwrap().is_installed());
-}
-
-#[test]
 fn concurrent_proposals_stay_consistent() {
     // Two proposers fire in the same instant. The busy rule may invalidate
     // one or both runs, but replicas must never diverge.

@@ -85,6 +85,50 @@ fn setup_counter(world: &mut TtpWorld) {
     }
 }
 
+/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
+const FRAME_HEADER: usize = 34;
+
+/// Decodes the protocol message inside a reliable-layer data frame.
+fn peek(raw: &[u8]) -> Option<WireMsg> {
+    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
+        return None;
+    }
+    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+}
+
+/// Re-encodes a tampered protocol message into the original frame header.
+fn replace_body(raw: &[u8], msg: &WireMsg) -> Vec<u8> {
+    let mut out = raw[..FRAME_HEADER].to_vec();
+    out.extend_from_slice(&msg.to_bytes());
+    out
+}
+
+/// Proposes from org0 while org2 is silent, so org0 appeals to the TTP at
+/// its deadline with org1's response alone; `pad` rewrites that appeal's
+/// (unsigned) response set in transit. Returns org0's outcome.
+fn appeal_with_padded_responses(
+    world: &mut TtpWorld,
+    pad: impl Fn(&mut Vec<b2b_core::messages::RespondMsg>) + Send + 'static,
+) -> Option<Outcome> {
+    world
+        .net
+        .partition([org(2)], vec![org(0), org(1)], TimeMs(u64::MAX));
+    world.net.set_intruder(FnIntruder::new(
+        move |from: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::TtpResolve(mut m)) if from.as_str() == "org0" => {
+                pad(&mut m.responses);
+                InterceptAction::Replace(replace_body(raw, &WireMsg::TtpResolve(m)))
+            }
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    let oid = ObjectId::new("c");
+    let run = world.net.invoke(&org(0), move |c, ctx| {
+        c.propose_overwrite(&oid, enc(9), ctx).unwrap()
+    });
+    drive_until_outcome(world, &org(0), &run, TimeMs(30_000))
+}
+
 fn drive_until_outcome(
     world: &mut TtpWorld,
     who: &PartyId,
@@ -183,6 +227,78 @@ fn complete_responses_yield_certified_decision() {
             7
         );
     }
+}
+
+#[test]
+fn appeal_with_a_duplicated_responder_is_certified_abort() {
+    // Two copies of org1's response are as many responses as the group
+    // owes, but one responder short: the TTP must count responders.
+    let mut world = build(3, 303, 500);
+    setup_counter(&mut world);
+    let outcome = appeal_with_padded_responses(&mut world, |responses| {
+        let copy = responses[0].clone();
+        responses.push(copy);
+    });
+    assert_eq!(
+        outcome,
+        Some(Outcome::Aborted {
+            reason: "TTP-certified abort".into()
+        })
+    );
+    assert_eq!(
+        dec(&world
+            .net
+            .node(&org(0))
+            .agreed_state(&ObjectId::new("c"))
+            .unwrap()),
+        0
+    );
+}
+
+#[test]
+fn appeal_with_a_response_from_another_run_is_certified_abort() {
+    use std::sync::Mutex;
+    // org2's accepting response to an earlier run fills its slot in the
+    // appeal: signed and from the right party, but about another run.
+    let mut world = build(3, 304, 500);
+    setup_counter(&mut world);
+    let recorded = Arc::new(Mutex::new(None));
+    let rec = recorded.clone();
+    world.net.set_intruder(FnIntruder::new(
+        move |from: &PartyId, _t: &PartyId, raw: &[u8], _n| {
+            if let Some(WireMsg::Respond(m)) = peek(raw) {
+                if from.as_str() == "org2" {
+                    rec.lock().unwrap().get_or_insert(m);
+                }
+            }
+            InterceptAction::Deliver
+        },
+    ));
+    let oid = ObjectId::new("c");
+    let earlier = world.net.invoke(&org(0), move |c, ctx| {
+        c.propose_overwrite(&oid, enc(1), ctx).unwrap()
+    });
+    let installed = drive_until_outcome(&mut world, &org(0), &earlier, TimeMs(30_000));
+    assert!(installed.is_some_and(|o| o.is_installed()));
+    world.net.run_until_quiet(TimeMs(600_000));
+    let stale = recorded.lock().unwrap().clone().expect("org2 responded");
+    let outcome = appeal_with_padded_responses(&mut world, move |responses| {
+        responses.push(stale.clone());
+    });
+    assert_eq!(
+        outcome,
+        Some(Outcome::Aborted {
+            reason: "TTP-certified abort".into()
+        })
+    );
+    assert_eq!(
+        dec(&world
+            .net
+            .node(&org(0))
+            .agreed_state(&ObjectId::new("c"))
+            .unwrap()),
+        1
+    );
 }
 
 #[test]
