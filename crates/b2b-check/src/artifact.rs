@@ -31,7 +31,7 @@ pub struct Counterexample {
     pub evidence_digests: Vec<String>,
     /// The distributed trace of the shrunk schedule: the merged per-node
     /// flight-recorder events, replayable byte-identically and exportable
-    /// as a Chrome trace (`exp -- check --emit`).
+    /// as a Chrome trace (`b2b-check check --emit`).
     pub trace: Vec<TraceEvent>,
 }
 

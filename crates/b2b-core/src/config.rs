@@ -86,13 +86,6 @@ impl MutationFlags {
 /// Tunables of a [`crate::Coordinator`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoordinatorConfig {
-    /// Ceiling of the reliable layer's exponential retransmission backoff.
-    /// The delay doubles from `RETRANSMIT_AFTER` on every further
-    /// unacknowledged retransmission of the same frame until it reaches
-    /// this cap, so a long partition produces a bounded probe trickle
-    /// rather than a constant-rate storm. `None` keeps the layer's default
-    /// cap of 32 × `RETRANSMIT_AFTER`.
-    pub retransmit_max: Option<TimeMs>,
     /// Unanimity (paper) or majority (§7 extension).
     pub decision_rule: DecisionRule,
     /// §7 extension: a trusted third party to appeal to when a run passes
@@ -134,7 +127,6 @@ impl CoordinatorConfig {
     /// The paper's base configuration.
     pub fn new() -> CoordinatorConfig {
         CoordinatorConfig {
-            retransmit_max: None,
             decision_rule: DecisionRule::Unanimous,
             ttp: None,
             run_deadline: None,
@@ -142,12 +134,6 @@ impl CoordinatorConfig {
             batch_max: 16,
             mutation: MutationFlags::default(),
         }
-    }
-
-    /// Sets the retransmission-backoff ceiling.
-    pub fn retransmit_max(mut self, max: TimeMs) -> CoordinatorConfig {
-        self.retransmit_max = Some(max);
-        self
     }
 
     /// Selects the group decision rule.
@@ -205,7 +191,6 @@ mod tests {
         assert_eq!(c.run_deadline, None);
         assert_eq!(c.ttp, None);
         assert_eq!(c.sig_cache_capacity, 1024);
-        assert_eq!(c.retransmit_max, None);
         assert_eq!(c.batch_max, 16);
         assert!(!c.mutation.any(), "no check is ablated by default");
     }
@@ -224,7 +209,6 @@ mod tests {
     #[test]
     fn builder_chains() {
         let c = CoordinatorConfig::new()
-            .retransmit_max(TimeMs(800))
             .decision_rule(DecisionRule::Majority)
             .run_deadline(TimeMs(5_000))
             .ttp(b2b_crypto::PartyId::new("notary"))
@@ -233,7 +217,6 @@ mod tests {
         assert_eq!(c.ttp, Some(b2b_crypto::PartyId::new("notary")));
         assert_eq!(c.sig_cache_capacity, 0);
         assert_eq!(c.batch_max, 1, "batch_max clamps to at least 1");
-        assert_eq!(c.retransmit_max, Some(TimeMs(800)));
         assert_eq!(c.decision_rule, DecisionRule::Majority);
         assert_eq!(c.run_deadline, Some(TimeMs(5_000)));
     }

@@ -318,9 +318,6 @@ impl CoordinatorBuilder {
         let mut rng = SecureRng::seeded(self.seed);
         let epoch = rng.next_u64();
         let mut mux = ReliableMux::new(RETRANSMIT_AFTER, epoch);
-        if let Some(max) = self.config.retransmit_max {
-            mux = mux.with_retransmit_max(max);
-        }
         mux.set_telemetry(self.telemetry.clone(), self.me.clone());
         let sig_cache = RefCell::new(SigVerifyCache::new(self.config.sig_cache_capacity));
         let party_tag = Coordinator::party_tag_of(&self.me);
@@ -1081,11 +1078,7 @@ impl Coordinator {
         // Fresh reliable-layer incarnation so peers do not confuse our
         // restarted sequence numbers with pre-crash traffic.
         let epoch = self.rng.next_u64();
-        let mut mux = ReliableMux::new(RETRANSMIT_AFTER, epoch);
-        if let Some(max) = self.config.retransmit_max {
-            mux = mux.with_retransmit_max(max);
-        }
-        self.mux = mux;
+        self.mux = ReliableMux::new(RETRANSMIT_AFTER, epoch);
         self.mux
             .set_telemetry(self.telemetry.clone(), self.me.clone());
 

@@ -57,7 +57,7 @@ fn five_party_propose_from_middle() {
 fn state_run_costs_3n_minus_3_messages() {
     // §7: the protocol is efficient in messages — m1, m2, m3 each cross
     // n−1 links, so one run costs exactly 3(n−1).
-    for n in 2..=6 {
+    for n in [2, 3, 4, 5, 6, 8, 12, 16] {
         let mut cluster = Cluster::new(n, 4);
         cluster.setup_object("counter", counter_factory);
         let before = cluster.total_protocol_messages();

@@ -353,3 +353,31 @@ fn resolution_from_anyone_but_the_appointed_ttp_is_rejected() {
         .iter()
         .any(|m| m.tag() == "bad-signature"));
 }
+
+#[test]
+fn certified_abort_resolves_two_link_delays_after_the_deadline() {
+    // E9: with one of five parties silent, the proposer appeals at its
+    // deadline and the notary's certified abort comes back one round trip
+    // later.
+    for deadline in [500u64, 2_000] {
+        let mut world = build(5, 9, deadline);
+        setup_counter(&mut world);
+        let t0 = world.net.now();
+        let others: Vec<_> = (0..4).map(org).collect();
+        world.net.partition([org(4)], others, TimeMs(u64::MAX));
+        let oid = ObjectId::new("c");
+        let run = world.net.invoke(&org(0), move |c, ctx| {
+            c.propose_overwrite(&oid, enc(5), ctx).unwrap()
+        });
+        while world.net.node(&org(0)).outcome_of(&run).is_none() {
+            assert!(world.net.step(), "simulator ran dry before resolution");
+        }
+        assert_eq!(world.net.now() - t0, TimeMs(deadline + 2), "{deadline} ms");
+        assert_eq!(
+            world.net.node(&org(0)).outcome_of(&run),
+            Some(&Outcome::Aborted {
+                reason: "TTP-certified abort".into()
+            })
+        );
+    }
+}

@@ -199,7 +199,7 @@ mod tests {
     use crate::sig::SignatureScheme;
 
     fn sig(b: u8) -> Signature {
-        Signature::new(SignatureScheme::Insecure, vec![b; 8])
+        Signature::new(SignatureScheme::Ed25519, vec![b; 8])
     }
 
     fn party(s: &str) -> PartyId {

@@ -72,7 +72,6 @@ impl Certificate {
         subject.encode(&mut enc);
         enc.put_u8(match public_key.scheme() {
             crate::sig::SignatureScheme::Ed25519 => 1,
-            crate::sig::SignatureScheme::Insecure => 2,
         });
         enc.put_bytes(public_key.as_bytes());
         not_before.encode(&mut enc);

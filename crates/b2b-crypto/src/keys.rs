@@ -8,7 +8,7 @@
 
 use crate::error::CryptoError;
 use crate::identity::PartyId;
-use crate::sig::{verify_insecure, SigVerifier, Signature, SignatureScheme, Signer};
+use crate::sig::{SigVerifier, Signature, SignatureScheme, Signer};
 use ed25519_dalek::{Signer as DalekSigner, SigningKey, Verifier, VerifyingKey};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -53,45 +53,34 @@ impl fmt::Debug for PublicKey {
 
 impl SigVerifier for PublicKey {
     fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), CryptoError> {
-        if sig.scheme() != self.scheme {
-            return Err(CryptoError::BadSignature {
-                scheme: sig.scheme().name(),
-            });
-        }
-        match self.scheme {
-            SignatureScheme::Ed25519 => {
-                let key_bytes: [u8; 32] =
-                    self.bytes
-                        .as_slice()
-                        .try_into()
-                        .map_err(|_| CryptoError::MalformedBytes {
-                            what: "public key",
-                            expected: 32,
-                            got: self.bytes.len(),
-                        })?;
-                let key = VerifyingKey::from_bytes(&key_bytes).map_err(|_| {
-                    CryptoError::MalformedBytes {
-                        what: "public key",
-                        expected: 32,
-                        got: self.bytes.len(),
-                    }
+        let key_bytes: [u8; 32] =
+            self.bytes
+                .as_slice()
+                .try_into()
+                .map_err(|_| CryptoError::MalformedBytes {
+                    what: "public key",
+                    expected: 32,
+                    got: self.bytes.len(),
                 })?;
-                let sig_bytes: [u8; 64] =
-                    sig.as_bytes()
-                        .try_into()
-                        .map_err(|_| CryptoError::MalformedBytes {
-                            what: "signature",
-                            expected: 64,
-                            got: sig.as_bytes().len(),
-                        })?;
-                let dalek_sig = ed25519_dalek::Signature::from_bytes(&sig_bytes);
-                key.verify(msg, &dalek_sig)
-                    .map_err(|_| CryptoError::BadSignature {
-                        scheme: SignatureScheme::Ed25519.name(),
-                    })
-            }
-            SignatureScheme::Insecure => verify_insecure(&self.bytes, msg, sig),
-        }
+        let key =
+            VerifyingKey::from_bytes(&key_bytes).map_err(|_| CryptoError::MalformedBytes {
+                what: "public key",
+                expected: 32,
+                got: self.bytes.len(),
+            })?;
+        let sig_bytes: [u8; 64] =
+            sig.as_bytes()
+                .try_into()
+                .map_err(|_| CryptoError::MalformedBytes {
+                    what: "signature",
+                    expected: 64,
+                    got: sig.as_bytes().len(),
+                })?;
+        let dalek_sig = ed25519_dalek::Signature::from_bytes(&sig_bytes);
+        key.verify(msg, &dalek_sig)
+            .map_err(|_| CryptoError::BadSignature {
+                scheme: SignatureScheme::Ed25519.name(),
+            })
     }
 }
 
@@ -228,7 +217,6 @@ impl KeyRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sig::InsecureSigner;
 
     #[test]
     fn ed25519_roundtrip() {
@@ -261,14 +249,6 @@ mod tests {
         let b = KeyPair::generate_from_seed(9);
         assert_eq!(a.public_key(), b.public_key());
         assert_ne!(a.public_key(), KeyPair::generate_from_seed(10).public_key());
-    }
-
-    #[test]
-    fn scheme_mismatch_is_rejected() {
-        let ed = KeyPair::generate_from_seed(1);
-        let insecure = InsecureSigner::from_seed(1);
-        let sig = insecure.sign(b"m");
-        assert!(ed.public_key().verify(b"m", &sig).is_err());
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use identity::PartyId;
 pub use keys::{KeyPair, KeyRing, PublicKey};
 pub use pool::{VerifyItem, VerifyPool};
 pub use rng::{random_nonce, SecureRng};
-pub use sig::{verify_batch, InsecureSigner, SigVerifier, Signature, SignatureScheme, Signer};
+pub use sig::{verify_batch, SigVerifier, Signature, SignatureScheme, Signer};
 pub use time::TimeMs;
 pub use timestamp::{TimeStamp, TimeStampAuthority};

@@ -185,8 +185,7 @@ impl ReliableMux {
     ///
     /// The first retransmission of a frame fires `retransmit_after` after
     /// the send; each subsequent one doubles the delay up to a cap of
-    /// 32 × `retransmit_after` (configurable via
-    /// [`ReliableMux::with_retransmit_max`]).
+    /// 32 × `retransmit_after`.
     pub fn new(retransmit_after: TimeMs, epoch: u64) -> ReliableMux {
         ReliableMux {
             peers: HashMap::new(),
@@ -206,7 +205,8 @@ impl ReliableMux {
     /// Sets the backoff ceiling: no retransmission delay ever exceeds
     /// `max` (values below the base interval are clamped up to it, which
     /// degenerates to the old fixed-interval behaviour).
-    pub fn with_retransmit_max(mut self, max: TimeMs) -> ReliableMux {
+    #[cfg(test)]
+    fn with_retransmit_max(mut self, max: TimeMs) -> ReliableMux {
         self.retransmit_max = TimeMs(max.0.max(self.retransmit_after.0));
         self
     }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 /// Well-known metric names emitted by the middleware layers.
 ///
-/// Keeping them in one place makes sidecar files and dashboards stable
+/// Keeping them in one place makes exported metrics and dashboards stable
 /// across crates; nothing prevents registering ad-hoc names as well.
 pub mod names {
     /// State-coordination rounds entered, at the proposer when it sends

@@ -122,7 +122,7 @@ impl Histogram {
     ///
     /// Because buckets are mergeable, quantiles computed on a merged
     /// histogram equal quantiles computed over the pooled observations —
-    /// the property the fleet-wide sidecar aggregation relies on.
+    /// the property fleet-wide aggregation relies on.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
