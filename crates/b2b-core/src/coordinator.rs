@@ -19,8 +19,7 @@ use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES};
 use crate::object::B2BObject;
 use crate::replica::{
-    snapshot_decoder, ActiveRun, CoreDoc, Doc, MembershipChange, QueuedRequest, Replica,
-    SNAPSHOT_FORMAT,
+    snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
 };
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
@@ -1039,19 +1038,11 @@ impl Coordinator {
         match msg {
             WireMsg::Propose(m) => self.on_propose(from, m, ctx),
             WireMsg::Respond(m) => self.on_respond(from, m, ctx),
-            WireMsg::Decide(m) => self.on_decide(m, ctx),
+            WireMsg::Decide(m) => self.on_decide(from, m, ctx),
             WireMsg::ConnectRequest(m) => self.on_connect_request(m, ctx),
-            WireMsg::ConnectPropose(m) => {
-                self.on_member_propose(from, MembershipChange::connect(m), ctx)
-            }
-            WireMsg::MemberRespond(m) => self.on_member_respond(from, m, ctx),
-            WireMsg::MemberDecide(m) => self.on_member_decide(from, m, ctx),
             WireMsg::Welcome(m) => self.on_welcome(from, m, ctx),
             WireMsg::ConnectReject(m) => self.on_connect_reject(from, m, ctx),
             WireMsg::DisconnectRequest(m) => self.on_disconnect_request(m, ctx),
-            WireMsg::DisconnectPropose(m) => {
-                self.on_member_propose(from, MembershipChange::disconnect(m), ctx)
-            }
             WireMsg::DisconnectAck(m) => self.on_disconnect_ack(from, m, ctx),
             WireMsg::DisconnectReject(m) => self.on_disconnect_reject(from, m, ctx),
             WireMsg::TtpResolve(m) => self.on_ttp_resolve(from, m, ctx),
@@ -1139,30 +1130,22 @@ impl Coordinator {
         let Some(rep) = self.replicas.get(object) else {
             return;
         };
-        let me = self.me.clone();
         match rep.active.clone() {
             None => {}
             Some(ActiveRun::Proposer(run)) => {
-                let msg = WireMsg::Propose(run.propose.clone());
-                let pending: Vec<PartyId> = rep
-                    .recipients(&me)
+                let pending: Vec<PartyId> = run
+                    .propose
+                    .proposal
+                    .polled(&rep.members)
                     .into_iter()
                     .filter(|r| !run.responses.contains_key(r))
                     .collect();
-                self.send_wire_all(&pending, &msg, ctx);
+                self.send_wire_all(&pending, &WireMsg::Propose(run.propose), ctx);
             }
             Some(ActiveRun::Recipient(run)) => {
                 let proposer = run.propose.proposal.proposer.clone();
-                let msg = WireMsg::Respond(run.my_response.clone());
+                let msg = WireMsg::Respond(run.my_response);
                 self.send_wire(&proposer, &msg, ctx);
-            }
-            Some(ActiveRun::Sponsor(run)) => {
-                self.resume_sponsor_run(run, ctx);
-            }
-            Some(ActiveRun::Member(run)) => {
-                let sponsor = run.change.proposal().sponsor.clone();
-                let msg = WireMsg::MemberRespond(run.my_response.clone());
-                self.send_wire(&sponsor, &msg, ctx);
             }
             Some(ActiveRun::Leaving(run)) => {
                 let msg = WireMsg::DisconnectRequest(run.request.clone());

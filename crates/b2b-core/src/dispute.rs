@@ -15,7 +15,7 @@
 
 use crate::ids::{members_digest, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
-use crate::tally::{self, Vote};
+use crate::tally;
 use b2b_crypto::{CanonicalDecode, CanonicalEncode, KeyRing, PartyId};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 

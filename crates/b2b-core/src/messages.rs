@@ -6,10 +6,13 @@
 //! messages). Unsigned bulk data is bound into the signed part by hash, so
 //! Dolev-Yao tampering with unsigned bytes is always detectable (§4.4).
 //!
-//! State coordination (§4.3) is three steps:
+//! Every coordination round is three steps:
 //! `m1` [`ProposeMsg`] → `m2` [`RespondMsg`] → `m3` [`DecideMsg`], i.e.
-//! `3(n−1)` messages for `n` parties. Connection/disconnection (§4.5) wrap
-//! the same propose/respond/decide core with a subject↔sponsor exchange.
+//! `3(n−1)` messages for `n` parties. What the round agrees on is the
+//! proposal's [`ProposalKind`]: a state transition (§4.3), or a connection
+//! or disconnection (§4.5), which is the same round with the subject's
+//! signed request as its body, preceded by the request to the sponsor and
+//! followed by a welcome, reject or ack to the subject.
 //!
 //! # Wire format
 //!
@@ -32,8 +35,8 @@ use std::sync::Arc;
 
 /// Lower bounds on encoded sizes, for [`Decoder::get_count`]: a sequence
 /// count is rejected unless that many elements could fit in what remains.
-/// A party id is at least its length prefix; a signed response of either
-/// protocol carries at least two 72-byte identifier tuples.
+/// A party id is at least its length prefix; a signed response carries at
+/// least two 72-byte identifier tuples.
 pub(crate) const MIN_PARTY_BYTES: usize = 8;
 const MIN_RESPOND_BYTES: usize = 144;
 
@@ -97,9 +100,9 @@ impl CanonicalDecode for BatchLink {
     }
 }
 
-/// Whether a proposal overwrites the state, applies an update delta
-/// (§4.3.1), or applies an ordered batch of update deltas in one signed
-/// round.
+/// What a round agrees on: a state transition — an overwrite, an update
+/// delta (§4.3.1) or an ordered batch of update deltas — or a membership
+/// change (§4.5). A membership round proposes the agreed tuple unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProposalKind {
     /// The unsigned body is the complete new state.
@@ -121,6 +124,60 @@ pub enum ProposalKind {
         /// Per-update hash chain, in application order.
         links: Vec<BatchLink>,
     },
+    /// Admitting `subject` (§4.5.3). The unsigned body is the subject's
+    /// signed [`ConnectRequestMsg`], bound by `request_digest`.
+    Connect {
+        /// Digest of the subject's signed request.
+        request_digest: Digest32,
+        /// The party seeking admission.
+        subject: PartyId,
+        /// The group that results from admission (`gid_new`).
+        new_group: GroupId,
+    },
+    /// Removing `subjects` (§4.5.4). The unsigned body is the signed
+    /// [`DisconnectRequestMsg`], bound by `request_digest`.
+    Disconnect {
+        /// Digest of the signed request.
+        request_digest: Digest32,
+        /// The member(s) leaving.
+        subjects: Vec<PartyId>,
+        /// Eviction (vetoable) or voluntary departure (not vetoable).
+        eviction: bool,
+        /// The group that results from the departure.
+        new_group: GroupId,
+    },
+}
+
+impl ProposalKind {
+    /// `true` for a connection or disconnection.
+    pub fn is_membership(&self) -> bool {
+        matches!(
+            self,
+            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. }
+        )
+    }
+
+    /// The members the round removes from the group.
+    pub fn leavers(&self) -> &[PartyId] {
+        match self {
+            ProposalKind::Disconnect { subjects, .. } => subjects,
+            _ => &[],
+        }
+    }
+
+    /// The member list (join order) once the round installs: `members`
+    /// without the leavers, then a connecting subject.
+    pub fn new_members(&self, members: &[PartyId]) -> Vec<PartyId> {
+        let mut next: Vec<PartyId> = members
+            .iter()
+            .filter(|m| !self.leavers().contains(m))
+            .cloned()
+            .collect();
+        if let ProposalKind::Connect { subject, .. } = self {
+            next.push(subject.clone());
+        }
+        next
+    }
 }
 
 impl CanonicalEncode for ProposalKind {
@@ -133,10 +190,29 @@ impl CanonicalEncode for ProposalKind {
             }
             ProposalKind::Batch { links } => {
                 enc.put_u8(2);
-                enc.put_u64(links.len() as u64);
-                for link in links {
-                    link.encode(enc);
-                }
+                encode_seq(links, enc);
+            }
+            ProposalKind::Connect {
+                request_digest,
+                subject,
+                new_group,
+            } => {
+                enc.put_u8(3);
+                enc.put_digest(request_digest);
+                subject.encode(enc);
+                new_group.encode(enc);
+            }
+            ProposalKind::Disconnect {
+                request_digest,
+                subjects,
+                eviction,
+                new_group,
+            } => {
+                enc.put_u8(4);
+                enc.put_digest(request_digest);
+                encode_seq(subjects, enc);
+                enc.put_bool(*eviction);
+                new_group.encode(enc);
             }
         }
     }
@@ -152,6 +228,17 @@ impl CanonicalDecode for ProposalKind {
             }),
             2 => Ok(ProposalKind::Batch {
                 links: decode_seq(dec, 64)?,
+            }),
+            3 => Ok(ProposalKind::Connect {
+                request_digest: dec.get_digest()?,
+                subject: PartyId::decode(dec)?,
+                new_group: GroupId::decode(dec)?,
+            }),
+            4 => Ok(ProposalKind::Disconnect {
+                request_digest: dec.get_digest()?,
+                subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
+                eviction: dec.get_bool()?,
+                new_group: GroupId::decode(dec)?,
             }),
             _ => DecodeError::at("unknown proposal kind", at),
         }
@@ -208,7 +295,7 @@ pub struct Proposal {
     pub proposed: StateId,
     /// Commitment `H(r_P)` to the authenticator revealed in `m3`.
     pub auth_commit: Digest32,
-    /// Overwrite or update.
+    /// What the round agrees on.
     pub kind: ProposalKind,
 }
 
@@ -243,14 +330,27 @@ impl Proposal {
     pub fn run_id(&self) -> RunId {
         RunId::from_bytes(&self.canonical_bytes())
     }
+
+    /// The members of `members` that respond: all but the proposer and
+    /// the leavers.
+    pub fn polled(&self, members: &[PartyId]) -> Vec<PartyId> {
+        members
+            .iter()
+            .filter(|m| **m != self.proposer && !self.kind.leavers().contains(m))
+            .cloned()
+            .collect()
+    }
 }
 
-/// `m1`: signed proposal + unsigned body (state or update bytes).
+/// `m1`: signed proposal + unsigned body (state or update bytes, or the
+/// subject's signed request).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProposeMsg {
     /// The signed part.
     pub proposal: Proposal,
-    /// The unsigned body: full state for overwrites, `u_P` for updates.
+    /// The unsigned body: full state for overwrites, `u_P` for updates,
+    /// the framed updates of a batch, the signed request of a membership
+    /// change.
     pub body: Vec<u8>,
     /// The proposer's signature over the proposal's canonical bytes.
     pub sig: Signature,
@@ -328,7 +428,7 @@ pub struct Response {
     /// Echo of the proposed tuple.
     pub proposed: StateId,
     /// The responder's assertion of the integrity (or otherwise) of the
-    /// unsigned body with respect to the hash in the signed proposal.
+    /// unsigned body with respect to the hashes in the signed proposal.
     pub body_ok: bool,
     /// The responder's decision on the validity of the transition.
     pub decision: Decision,
@@ -380,6 +480,12 @@ impl RespondMsg {
     pub fn response_bytes(&self) -> Arc<[u8]> {
         self.memo.get_or_encode(&self.response).0
     }
+
+    /// `true` if the response counts against the proposal: a rejection,
+    /// or an accept of a body that contradicts the signed hashes.
+    pub fn vetoes(&self) -> bool {
+        !self.response.decision.is_accept() || !self.response.body_ok
+    }
 }
 
 impl CanonicalEncode for RespondMsg {
@@ -424,8 +530,9 @@ pub struct DecideMsg {
 }
 
 /// The canonical form of a [`DecideMsg`] is also the payload of the
-/// `StateDecide` evidence record, which `dispute` and the auditors parse
-/// back with [`CanonicalDecode::from_canonical`].
+/// `StateDecide` (or `ConnectDecide`, `DisconnectDecide`) evidence record,
+/// which `dispute` and the auditors parse back with
+/// [`CanonicalDecode::from_canonical`].
 impl CanonicalEncode for DecideMsg {
     fn encode(&self, enc: &mut Encoder) {
         self.object.encode(enc);
@@ -496,193 +603,6 @@ signed_msg_codec!(ConnectRequestMsg {
     request: ConnectRequest
 });
 
-/// The signed part of the sponsor's relay of a connection request to the
-/// current membership.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConnectProposal {
-    /// The object.
-    pub object: ObjectId,
-    /// The sponsoring member.
-    pub sponsor: PartyId,
-    /// Digest of the subject's signed request (linkage).
-    pub request_digest: Digest32,
-    /// The subject seeking admission.
-    pub subject: PartyId,
-    /// The sponsor's view of the current group.
-    pub group: GroupId,
-    /// The group that would result from admission (`gid_new`).
-    pub new_group: GroupId,
-    /// The sponsor's current agreed state tuple.
-    pub agreed: StateId,
-    /// Commitment `H(r_sponsor)` to the decide authenticator.
-    pub auth_commit: Digest32,
-}
-
-impl CanonicalEncode for ConnectProposal {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.sponsor.encode(enc);
-        enc.put_digest(&self.request_digest);
-        self.subject.encode(enc);
-        self.group.encode(enc);
-        self.new_group.encode(enc);
-        self.agreed.encode(enc);
-        enc.put_digest(&self.auth_commit);
-    }
-}
-
-impl CanonicalDecode for ConnectProposal {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ConnectProposal {
-            object: ObjectId::decode(dec)?,
-            sponsor: PartyId::decode(dec)?,
-            request_digest: dec.get_digest()?,
-            subject: PartyId::decode(dec)?,
-            group: GroupId::decode(dec)?,
-            new_group: GroupId::decode(dec)?,
-            agreed: StateId::decode(dec)?,
-            auth_commit: dec.get_digest()?,
-        })
-    }
-}
-
-impl ConnectProposal {
-    /// The run label of this membership run.
-    pub fn run_id(&self) -> RunId {
-        RunId::from_bytes(&self.canonical_bytes())
-    }
-}
-
-/// Sponsor → members: the relayed connection proposal (with the subject's
-/// original signed request attached for verification).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConnectProposeMsg {
-    /// The signed part.
-    pub proposal: ConnectProposal,
-    /// The subject's original request (whose digest the proposal binds).
-    pub request: ConnectRequestMsg,
-    /// The sponsor's signature over the proposal.
-    pub sig: Signature,
-}
-
-impl CanonicalEncode for ConnectProposeMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.proposal.encode(enc);
-        self.request.encode(enc);
-        self.sig.encode(enc);
-    }
-}
-
-impl CanonicalDecode for ConnectProposeMsg {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ConnectProposeMsg {
-            proposal: ConnectProposal::decode(dec)?,
-            request: ConnectRequestMsg::decode(dec)?,
-            sig: Signature::decode(dec)?,
-        })
-    }
-}
-
-/// The signed part of a member's response to a membership proposal
-/// (connection or disconnection): decision plus the member's signed agreed
-/// state tuple, which the welcome uses to let the subject verify the state
-/// it receives (§4.5.3).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemberResponse {
-    /// The object.
-    pub object: ObjectId,
-    /// The responding member.
-    pub responder: PartyId,
-    /// The membership run being responded to.
-    pub run: RunId,
-    /// The responder's view of the current group.
-    pub group: GroupId,
-    /// The responder's current agreed state tuple (signed evidence of the
-    /// agreed state at the membership change).
-    pub agreed: StateId,
-    /// The responder's decision.
-    pub decision: Decision,
-}
-
-impl CanonicalEncode for MemberResponse {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.responder.encode(enc);
-        self.run.encode(enc);
-        self.group.encode(enc);
-        self.agreed.encode(enc);
-        self.decision.encode(enc);
-    }
-}
-
-impl CanonicalDecode for MemberResponse {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MemberResponse {
-            object: ObjectId::decode(dec)?,
-            responder: PartyId::decode(dec)?,
-            run: RunId::decode(dec)?,
-            group: GroupId::decode(dec)?,
-            agreed: StateId::decode(dec)?,
-            decision: Decision::decode(dec)?,
-        })
-    }
-}
-
-/// Member → sponsor: signed membership response.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MemberRespondMsg {
-    /// The signed part.
-    pub response: MemberResponse,
-    /// The member's signature.
-    pub sig: Signature,
-}
-
-signed_msg_codec!(MemberRespondMsg {
-    response: MemberResponse
-});
-
-/// Sponsor → members: aggregated membership decision with the revealed
-/// authenticator (no signature needed — only the sponsor holds the
-/// preimage).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MemberDecideMsg {
-    /// The object.
-    pub object: ObjectId,
-    /// The run being decided.
-    pub run: RunId,
-    /// The revealed authenticator `r_sponsor`.
-    pub authenticator: [u8; 32],
-    /// Every polled member's signed response.
-    pub responses: Vec<MemberRespondMsg>,
-    /// `true` if this decide concerns a connection; `false` for
-    /// disconnection/eviction.
-    pub connecting: bool,
-}
-
-/// Also the payload of the `ConnectDecide`/`DisconnectDecide` evidence
-/// records.
-impl CanonicalEncode for MemberDecideMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.run.encode(enc);
-        enc.put_raw(&self.authenticator);
-        encode_seq(&self.responses, enc);
-        enc.put_bool(self.connecting);
-    }
-}
-
-impl CanonicalDecode for MemberDecideMsg {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MemberDecideMsg {
-            object: ObjectId::decode(dec)?,
-            run: RunId::decode(dec)?,
-            authenticator: dec.get_array()?,
-            responses: decode_seq(dec, MIN_RESPOND_BYTES)?,
-            connecting: dec.get_bool()?,
-        })
-    }
-}
-
 /// The signed part of the sponsor's welcome to an admitted member.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Welcome {
@@ -730,7 +650,7 @@ pub struct WelcomeMsg {
     /// The unsigned agreed state bytes (bound by `welcome.agreed`).
     pub state: Vec<u8>,
     /// The aggregated member decisions admitting the subject.
-    pub decide: MemberDecideMsg,
+    pub decide: DecideMsg,
     /// The sponsor's signature over the welcome.
     pub sig: Signature,
 }
@@ -749,7 +669,7 @@ impl CanonicalDecode for WelcomeMsg {
         Ok(WelcomeMsg {
             welcome: Welcome::decode(dec)?,
             state: Vec::<u8>::decode(dec)?,
-            decide: MemberDecideMsg::decode(dec)?,
+            decide: DecideMsg::decode(dec)?,
             sig: Signature::decode(dec)?,
         })
     }
@@ -861,95 +781,6 @@ signed_msg_codec!(DisconnectRequestMsg {
     request: DisconnectRequest
 });
 
-/// The signed part of the sponsor's relay of a disconnection/eviction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DisconnectProposal {
-    /// The object.
-    pub object: ObjectId,
-    /// The sponsoring member.
-    pub sponsor: PartyId,
-    /// Digest of the signed request (linkage).
-    pub request_digest: Digest32,
-    /// The member(s) leaving.
-    pub subjects: Vec<PartyId>,
-    /// Eviction or voluntary.
-    pub eviction: bool,
-    /// The sponsor's view of the current group.
-    pub group: GroupId,
-    /// The group that would result.
-    pub new_group: GroupId,
-    /// The sponsor's agreed state tuple.
-    pub agreed: StateId,
-    /// Commitment to the decide authenticator.
-    pub auth_commit: Digest32,
-}
-
-impl CanonicalEncode for DisconnectProposal {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.sponsor.encode(enc);
-        enc.put_digest(&self.request_digest);
-        encode_seq(&self.subjects, enc);
-        enc.put_bool(self.eviction);
-        self.group.encode(enc);
-        self.new_group.encode(enc);
-        self.agreed.encode(enc);
-        enc.put_digest(&self.auth_commit);
-    }
-}
-
-impl CanonicalDecode for DisconnectProposal {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectProposal {
-            object: ObjectId::decode(dec)?,
-            sponsor: PartyId::decode(dec)?,
-            request_digest: dec.get_digest()?,
-            subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
-            eviction: dec.get_bool()?,
-            group: GroupId::decode(dec)?,
-            new_group: GroupId::decode(dec)?,
-            agreed: StateId::decode(dec)?,
-            auth_commit: dec.get_digest()?,
-        })
-    }
-}
-
-impl DisconnectProposal {
-    /// The run label of this membership run.
-    pub fn run_id(&self) -> RunId {
-        RunId::from_bytes(&self.canonical_bytes())
-    }
-}
-
-/// Sponsor → members: relayed disconnection proposal.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DisconnectProposeMsg {
-    /// The signed part.
-    pub proposal: DisconnectProposal,
-    /// The original signed request.
-    pub request: DisconnectRequestMsg,
-    /// The sponsor's signature.
-    pub sig: Signature,
-}
-
-impl CanonicalEncode for DisconnectProposeMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.proposal.encode(enc);
-        self.request.encode(enc);
-        self.sig.encode(enc);
-    }
-}
-
-impl CanonicalDecode for DisconnectProposeMsg {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectProposeMsg {
-            proposal: DisconnectProposal::decode(dec)?,
-            request: DisconnectRequestMsg::decode(dec)?,
-            sig: Signature::decode(dec)?,
-        })
-    }
-}
-
 /// The signed part of the sponsor's final acknowledgement to a voluntarily
 /// departing member: "evidence of the group membership and agreed object
 /// state when they disconnected".
@@ -1000,7 +831,7 @@ pub struct DisconnectAckMsg {
     /// The signed part.
     pub ack: DisconnectAck,
     /// The aggregated member responses.
-    pub decide: MemberDecideMsg,
+    pub decide: DecideMsg,
     /// The sponsor's signature.
     pub sig: Signature,
 }
@@ -1017,7 +848,7 @@ impl CanonicalDecode for DisconnectAckMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(DisconnectAckMsg {
             ack: DisconnectAck::decode(dec)?,
-            decide: MemberDecideMsg::decode(dec)?,
+            decide: DecideMsg::decode(dec)?,
             sig: Signature::decode(dec)?,
         })
     }
@@ -1364,28 +1195,20 @@ impl CanonicalDecode for TtpResolutionMsg {
 #[derive(Clone, Debug, PartialEq)]
 #[allow(clippy::large_enum_variant)]
 pub enum WireMsg {
-    /// State coordination m1.
+    /// m1 of any round.
     Propose(ProposeMsg),
-    /// State coordination m2.
+    /// m2 of any round.
     Respond(RespondMsg),
-    /// State coordination m3.
+    /// m3 of any round.
     Decide(DecideMsg),
     /// Connection: subject's request to the sponsor.
     ConnectRequest(ConnectRequestMsg),
-    /// Connection: sponsor's relay to members.
-    ConnectPropose(ConnectProposeMsg),
-    /// Connection/disconnection: member's response to the sponsor.
-    MemberRespond(MemberRespondMsg),
-    /// Connection/disconnection: sponsor's aggregated decide.
-    MemberDecide(MemberDecideMsg),
     /// Connection: sponsor's welcome to the admitted subject.
     Welcome(WelcomeMsg),
     /// Connection: sponsor's rejection to the subject.
     ConnectReject(ConnectRejectMsg),
     /// Disconnection: request to the sponsor.
     DisconnectRequest(DisconnectRequestMsg),
-    /// Disconnection: sponsor's relay to members.
-    DisconnectPropose(DisconnectProposeMsg),
     /// Disconnection: sponsor's ack to a voluntary leaver.
     DisconnectAck(DisconnectAckMsg),
     /// Disconnection: sponsor's rejection to a voluntary leaver whose run
@@ -1402,7 +1225,7 @@ pub enum WireMsg {
 }
 
 /// First byte of every wire frame: the version of the layout that follows.
-pub const WIRE_FORMAT: u8 = 1;
+pub const WIRE_FORMAT: u8 = 2;
 
 /// The one table of variant tags: generates [`WireMsg::to_bytes`] and
 /// [`WireMsg::from_bytes`] so a tag can only ever name one variant.
@@ -1446,19 +1269,15 @@ wire_codec! {
     1 => Respond(RespondMsg),
     2 => Decide(DecideMsg),
     3 => ConnectRequest(ConnectRequestMsg),
-    4 => ConnectPropose(ConnectProposeMsg),
-    5 => MemberRespond(MemberRespondMsg),
-    6 => MemberDecide(MemberDecideMsg),
-    7 => Welcome(WelcomeMsg),
-    8 => ConnectReject(ConnectRejectMsg),
-    9 => DisconnectRequest(DisconnectRequestMsg),
-    10 => DisconnectPropose(DisconnectProposeMsg),
-    11 => DisconnectAck(DisconnectAckMsg),
-    12 => DisconnectReject(DisconnectRejectMsg),
-    13 => TtpResolve(TtpResolveMsg),
-    14 => TtpEvidenceRequest(TtpEvidenceRequestMsg),
-    15 => TtpEvidence(TtpEvidenceMsg),
-    16 => TtpResolution(TtpResolutionMsg),
+    4 => Welcome(WelcomeMsg),
+    5 => ConnectReject(ConnectRejectMsg),
+    6 => DisconnectRequest(DisconnectRequestMsg),
+    7 => DisconnectAck(DisconnectAckMsg),
+    8 => DisconnectReject(DisconnectRejectMsg),
+    9 => TtpResolve(TtpResolveMsg),
+    10 => TtpEvidenceRequest(TtpEvidenceRequestMsg),
+    11 => TtpEvidence(TtpEvidenceMsg),
+    12 => TtpResolution(TtpResolutionMsg),
 }
 
 impl WireMsg {
@@ -1469,13 +1288,9 @@ impl WireMsg {
             WireMsg::Respond(_) => "respond",
             WireMsg::Decide(_) => "decide",
             WireMsg::ConnectRequest(_) => "connect-request",
-            WireMsg::ConnectPropose(_) => "connect-propose",
-            WireMsg::MemberRespond(_) => "member-respond",
-            WireMsg::MemberDecide(_) => "member-decide",
             WireMsg::Welcome(_) => "welcome",
             WireMsg::ConnectReject(_) => "connect-reject",
             WireMsg::DisconnectRequest(_) => "disconnect-request",
-            WireMsg::DisconnectPropose(_) => "disconnect-propose",
             WireMsg::DisconnectAck(_) => "disconnect-ack",
             WireMsg::DisconnectReject(_) => "disconnect-reject",
             WireMsg::TtpResolve(_) => "ttp-resolve",

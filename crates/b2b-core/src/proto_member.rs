@@ -6,27 +6,29 @@
 //! the most recently joined member, who relays the request to the current
 //! membership, aggregates their signed decisions, and blocks new
 //! coordination requests while one is pending (§4.5.1).
+//!
+//! The relay, the responses and the decision are the one round of
+//! `proto_state`, proposing a [`ProposalKind::Connect`] or
+//! [`ProposalKind::Disconnect`]. This module holds what surrounds it: the
+//! subject's request, the sponsor's prologue that turns a request into a
+//! round, the body check of a membership proposal, and the welcome, ack
+//! or rejection that tells the subject how the group decided.
 
-use crate::config::{DecisionRule, COMPLETED_REPLIES_CAP};
 use crate::coordinator::{ConnectStatus, ObjectFactory, PendingConnect};
 use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
-use crate::ids::{GroupId, ObjectId, RunId};
+use crate::ids::{members_digest, GroupId, ObjectId, RunId};
 use crate::messages::{
-    ConnectReject, ConnectRejectMsg, ConnectRequest, ConnectRequestMsg, DisconnectAck,
+    ConnectReject, ConnectRejectMsg, ConnectRequest, ConnectRequestMsg, DecideMsg, DisconnectAck,
     DisconnectAckMsg, DisconnectReject, DisconnectRejectMsg, DisconnectRequest,
-    DisconnectRequestMsg, MemberDecideMsg, MemberRespondMsg, MemberResponse, Welcome, WelcomeMsg,
-    WireMsg,
+    DisconnectRequestMsg, Proposal, ProposalKind, Welcome, WelcomeMsg, WireMsg,
 };
 use crate::object::B2BObject;
-use crate::replica::{
-    ActiveRun, LeavingRun, MemberRun, MemberStep, MembershipChange, ProposalFields, QueuedRequest,
-    Replica, SponsorRun,
-};
-use crate::tally::{self, Ballot, Collected};
+use crate::replica::{ActiveRun, LeavingRun, QueuedRequest, Replica};
+use crate::tally;
 use crate::Coordinator;
-use b2b_crypto::{sha256, CanonicalEncode, PartyId};
+use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, Digest32, PartyId};
 use b2b_evidence::EvidenceKind;
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -156,7 +158,7 @@ impl Coordinator {
                     .iter()
                     .filter(|m| **m != sponsor && **m != me),
                 false,
-                |r| r.response.agreed == welcome.agreed && r.response.decision.is_accept(),
+                |r| r.response.prev == welcome.agreed && r.response.decision.is_accept(),
                 |items| self.verify_batch_cached(items),
             )
             .is_ok();
@@ -363,91 +365,132 @@ impl Coordinator {
         self.sponsor_run(&oid, QueuedRequest::Connect(msg), ctx)
     }
 
-    /// The run-start tail of both sponsor prologues: proposes the change
-    /// `request` asks for to the polled members, or concludes it at once
-    /// when there are none. Returns `true` if a polling run was started.
+    /// The run-start tail of both sponsor prologues: opens the round that
+    /// proposes the change `request` asks for, which ends at once when
+    /// there is nobody to poll. Returns `true` if a polling run was started.
     fn sponsor_run(&mut self, oid: &ObjectId, request: QueuedRequest, ctx: &mut NodeCtx) -> bool {
-        let now = ctx.now();
-        let me = self.me.clone();
-        let rep = self.replicas.get_mut(oid).expect("checked by the prologue");
-        let mut change = MembershipChange::draft(request, me.clone(), rep.group, rep.agreed);
-        let new_members = change.new_members(&rep.members);
-        let new_group = GroupId {
-            seq: rep.group.seq + 1,
-            rand_hash: sha256(&self.rng.nonce()),
-            members_hash: crate::ids::members_digest(&new_members),
+        let rep = &self.replicas[oid];
+        let group = rep.group;
+        let (mut kind, body) = match request {
+            QueuedRequest::Connect(m) => (
+                ProposalKind::Connect {
+                    request_digest: m.request.canonical_digest(),
+                    subject: m.request.subject.clone(),
+                    new_group: group,
+                },
+                m.canonical_bytes(),
+            ),
+            QueuedRequest::Disconnect(m) => (
+                ProposalKind::Disconnect {
+                    request_digest: m.request.canonical_digest(),
+                    subjects: m.request.subjects.clone(),
+                    eviction: m.request.eviction,
+                    new_group: group,
+                },
+                m.canonical_bytes(),
+            ),
         };
-        let authenticator = self.rng.nonce();
-        change.seal(new_group, sha256(&authenticator), |bytes| {
-            self.signer.sign(bytes)
-        });
-        let ProposalFields { signed, sig, .. } = change.proposal();
-        let (run, sig) = (RunId::from_bytes(&signed), sig.clone());
-        let polled = change.polled(&rep.members, &me);
-
-        if polled.is_empty() {
-            // Nobody to poll: the sponsor's acceptance is the group's.
-            rep.note_seen(run, None);
-            let decide = MemberDecideMsg {
-                object: oid.clone(),
-                run,
-                authenticator,
-                responses: Vec::new(),
-                connecting: change.connecting(),
+        let members_hash = members_digest(&kind.new_members(&rep.members));
+        let agreed = rep.agreed;
+        if let ProposalKind::Connect { new_group, .. }
+        | ProposalKind::Disconnect { new_group, .. } = &mut kind
+        {
+            *new_group = GroupId {
+                seq: group.seq + 1,
+                rand_hash: sha256(&self.rng.nonce()),
+                members_hash,
             };
-            self.conclude_member_run(&change, new_members, new_group, decide, ctx);
-            return false;
         }
-
-        let kind = change.evidence_kind(MemberStep::Propose);
-        let detail = change.describe();
-        let wire = change.propose_wire();
-        rep.start_run(ActiveRun::Sponsor(SponsorRun {
-            run,
-            change,
-            authenticator,
-            new_members,
-            new_group,
-            polled: polled.clone(),
-            responses: Default::default(),
-            decided: None,
-        }));
-        self.log_evidence(kind, oid, &run.to_hex(), me, signed, Some(sig), now);
-        self.trace(now, "membership", "propose", || {
-            format!(
-                "object={oid} run={} {detail} polled={}",
-                run.to_hex(),
-                polled.len()
-            )
-        });
-        self.send_wire_all(&polled, &wire, ctx);
-        self.persist(oid);
-        true
+        self.open_round(oid, agreed, kind, body, Vec::new(), ctx);
+        self.is_busy(oid)
     }
 
-    /// Installs an agreed change at its sponsor and answers the subject: a
-    /// welcome for a join, an ack for a voluntary leave. Evictees are not
-    /// consulted and get nothing.
-    fn conclude_member_run(
+    /// Tells the subject of a membership round, at its sponsor, how the
+    /// group decided: a welcome or a rejection for a connection, an ack or a
+    /// rejection for a voluntary departure. A voluntary leave cannot be
+    /// vetoed, but the run can still fail a consistency check at a polled
+    /// member; the rejection returns the leaver's replica from `Leaving` to
+    /// ordinary membership instead of leaving it hanging. Evictees are not
+    /// consulted and get nothing; nor does anyone for a state round.
+    pub(crate) fn answer_subject(
         &mut self,
-        change: &MembershipChange,
-        new_members: Vec<PartyId>,
-        new_group: GroupId,
-        decide: MemberDecideMsg,
+        oid: &ObjectId,
+        run: RunId,
+        kind: &ProposalKind,
+        accepted: bool,
+        decide: DecideMsg,
         ctx: &mut NodeCtx,
     ) {
-        let (oid, run) = (decide.object.clone(), decide.run);
-        self.install_membership(&oid, run, new_members, new_group, change.leavers(), ctx);
-        match change {
-            MembershipChange::Connect { subject, .. } => {
-                self.send_welcome(&oid, run, subject, decide, ctx);
+        match (kind, accepted) {
+            (ProposalKind::Connect { subject, .. }, true) => {
+                self.send_welcome(oid, run, subject, decide, ctx);
             }
-            MembershipChange::Disconnect {
-                subjects,
-                eviction: false,
+            (
+                ProposalKind::Connect {
+                    subject,
+                    request_digest,
+                    ..
+                },
+                false,
+            ) => self.send_connect_reject(oid, subject, *request_digest, ctx),
+            (
+                ProposalKind::Disconnect {
+                    subjects,
+                    eviction: false,
+                    ..
+                },
+                true,
+            ) => self.send_disconnect_ack(oid, run, &subjects[0], decide, ctx),
+            (
+                ProposalKind::Disconnect {
+                    subjects,
+                    eviction: false,
+                    request_digest,
+                    ..
+                },
+                false,
+            ) => self.send_disconnect_reject(oid, &subjects[0], *request_digest, ctx),
+            _ => {}
+        }
+    }
+
+    /// The body check of a membership proposal `p`: `body` is the signed
+    /// request `p` names by digest, for `p`'s object, asking for exactly the
+    /// change proposed — a connection signed by its subject (§4.5.3), a
+    /// disconnection signed by its requester, who for a voluntary one is
+    /// its only subject (§4.5.4).
+    pub(crate) fn request_ok(&self, p: &Proposal, body: &[u8]) -> bool {
+        match &p.kind {
+            ProposalKind::Connect {
+                request_digest,
+                subject,
                 ..
-            } => self.send_disconnect_ack(&oid, run, &subjects[0], decide, ctx),
-            MembershipChange::Disconnect { .. } => {}
+            } => ConnectRequestMsg::from_canonical(body).is_ok_and(|m| {
+                let r = &m.request;
+                r.canonical_digest() == *request_digest
+                    && r.object == p.object
+                    && r.subject == *subject
+                    && self
+                        .verify_for(subject, &r.canonical_bytes(), &m.sig)
+                        .is_ok()
+            }),
+            ProposalKind::Disconnect {
+                request_digest,
+                subjects,
+                eviction,
+                ..
+            } => DisconnectRequestMsg::from_canonical(body).is_ok_and(|m| {
+                let r = &m.request;
+                r.canonical_digest() == *request_digest
+                    && r.object == p.object
+                    && r.subjects == *subjects
+                    && r.eviction == *eviction
+                    && (*eviction || (subjects.len() == 1 && r.proposer == subjects[0]))
+                    && self
+                        .verify_for(&r.proposer, &r.canonical_bytes(), &m.sig)
+                        .is_ok()
+            }),
+            _ => false,
         }
     }
 
@@ -455,7 +498,7 @@ impl Coordinator {
         &mut self,
         oid: &ObjectId,
         subject: &PartyId,
-        request_digest: b2b_crypto::Digest32,
+        request_digest: Digest32,
         ctx: &mut NodeCtx,
     ) {
         let reject = ConnectReject {
@@ -485,7 +528,7 @@ impl Coordinator {
         oid: &ObjectId,
         run: RunId,
         subject: &PartyId,
-        decide: MemberDecideMsg,
+        decide: DecideMsg,
         ctx: &mut NodeCtx,
     ) {
         let Some(rep) = self.replicas.get(oid) else {
@@ -516,554 +559,6 @@ impl Coordinator {
             sig,
         });
         self.send_wire(&subject.clone(), &msg, ctx);
-    }
-
-    /// Installs an agreed membership change and emits the event.
-    fn install_membership(
-        &mut self,
-        oid: &ObjectId,
-        run: RunId,
-        new_members: Vec<PartyId>,
-        new_group: GroupId,
-        leavers: &[PartyId],
-        ctx: &mut NodeCtx,
-    ) {
-        let me = self.me.clone();
-        let now = ctx.now();
-        if let Some(rep) = self.replicas.get_mut(oid) {
-            rep.finish_run();
-            rep.install_membership(new_members.clone(), new_group);
-            if leavers.contains(&me) {
-                rep.detach();
-            }
-        }
-        self.persist(oid);
-        self.telemetry.inc(names::MEMBERSHIP_CHANGES);
-        self.trace(now, "membership", "install", || {
-            format!(
-                "object={oid} run={} members={} leavers={}",
-                run.to_hex(),
-                new_members.len(),
-                leavers.len()
-            )
-        });
-        self.outcomes.insert(
-            run,
-            Outcome::Installed {
-                state: self
-                    .replicas
-                    .get(oid)
-                    .map(|r| r.agreed)
-                    .expect("replica exists"),
-            },
-        );
-        self.emit(
-            oid,
-            run,
-            CoordEventKind::MembershipChanged {
-                members: new_members,
-            },
-            now,
-        );
-    }
-
-    // =================================================================
-    // Member side: polled about a membership change
-    // =================================================================
-
-    /// A polled member's handling of a connection or disconnection
-    /// proposal: one set of checks for both kinds of change, of which only
-    /// the attached request and the application upcall differ.
-    pub(crate) fn on_member_propose(
-        &mut self,
-        from: &PartyId,
-        change: MembershipChange,
-        ctx: &mut NodeCtx,
-    ) {
-        let now = ctx.now();
-        let p = change.proposal();
-        let oid = p.object.clone();
-        let run = RunId::from_bytes(&p.signed);
-
-        if from != p.sponsor || self.verify_for(p.sponsor, &p.signed, p.sig).is_err() {
-            self.log_misbehaviour(
-                &oid,
-                &run.to_hex(),
-                Misbehaviour::BadSignature {
-                    claimed: p.sponsor.clone(),
-                    message: format!("{}-propose", change.name()),
-                },
-                now,
-            );
-            return;
-        }
-        if self.replay_completed_reply(&oid, &run, from, ctx) {
-            return;
-        }
-        let Some(rep) = self.replicas.get(&oid) else {
-            return;
-        };
-        if let Some(ActiveRun::Member(mr)) = &rep.active {
-            if mr.run == run {
-                let reply = WireMsg::MemberRespond(mr.my_response.clone());
-                self.send_wire(from, &reply, ctx);
-                return;
-            }
-        }
-        // As for state proposals: a party that has left the group (or was
-        // never in it) has no say and signs nothing.
-        if rep.detached || !rep.is_member(&self.me) {
-            self.log_misbehaviour(
-                &oid,
-                &run.to_hex(),
-                Misbehaviour::UnexpectedMessage {
-                    detail: format!("membership proposal from {from} to non-member"),
-                },
-                now,
-            );
-            return;
-        }
-
-        // ---- consistency checks ----
-        let mut decision = Decision::accept();
-        let mut misbehaviours = Vec::new();
-        let mut track = true;
-        let expected = change.legitimate_sponsor(rep);
-        if expected != Some(p.sponsor) {
-            misbehaviours.push(Misbehaviour::IllegitimateSponsor {
-                claimed: p.sponsor.clone(),
-                expected: expected.cloned().unwrap_or_else(|| PartyId::new("?")),
-            });
-            decision = Decision::reject("illegitimate sponsor");
-        }
-        if rep.has_seen_run(&run) {
-            misbehaviours.push(Misbehaviour::ReplayedProposal { run });
-            decision = Decision::reject("replayed membership proposal");
-            track = false;
-        }
-        if p.group != rep.group {
-            misbehaviours.push(Misbehaviour::GroupIdMismatch {
-                theirs: p.group,
-                ours: rep.group,
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent group identifier");
-            }
-        }
-        if p.agreed != rep.agreed {
-            misbehaviours.push(Misbehaviour::PredecessorMismatch {
-                theirs: p.agreed,
-                ours: rep.agreed,
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent agreed state");
-            }
-        }
-        // The proposed new group must be exactly our members after the
-        // change.
-        if !p.new_group.identifies(&change.new_members(&rep.members))
-            || p.new_group.seq != rep.group.seq + 1
-        {
-            let detail = if change.connecting() {
-                "proposed group does not match members + subject"
-            } else {
-                "proposed group does not match members - subjects"
-            };
-            misbehaviours.push(Misbehaviour::InconsistentDecide {
-                run,
-                detail: detail.into(),
-            });
-            if decision.is_accept() {
-                decision = Decision::reject("inconsistent new group identifier");
-            }
-        }
-        // The attached request must verify: the subject's own signature
-        // shows it asked to join, or (for a voluntary disconnect) to leave
-        // (§4.5.4).
-        let (req_ok, claimed, reason) = match &change {
-            MembershipChange::Connect {
-                request, propose, ..
-            } => (
-                request.request.subject == propose.proposal.subject
-                    && request.request.canonical_digest() == propose.proposal.request_digest
-                    && self
-                        .verify_for(
-                            &request.request.subject,
-                            &request.request.canonical_bytes(),
-                            &request.sig,
-                        )
-                        .is_ok(),
-                propose.proposal.subject.clone(),
-                "subject request does not verify",
-            ),
-            MembershipChange::Disconnect {
-                subjects,
-                eviction,
-                request,
-                propose,
-            } => {
-                let req = &request.request;
-                (
-                    req.canonical_digest() == propose.proposal.request_digest
-                        && req.subjects == *subjects
-                        && req.eviction == *eviction
-                        && (*eviction
-                            || (req.subjects.len() == 1 && req.proposer == req.subjects[0]))
-                        && self
-                            .verify_for(&req.proposer, &req.canonical_bytes(), &request.sig)
-                            .is_ok(),
-                    req.proposer.clone(),
-                    "attached request does not verify",
-                )
-            }
-        };
-        if !req_ok {
-            misbehaviours.push(Misbehaviour::BadSignature {
-                claimed,
-                message: format!("attached {}-request", change.name()),
-            });
-            if decision.is_accept() {
-                decision = Decision::reject(reason);
-            }
-        }
-        if rep.active.is_some() {
-            if decision.is_accept() {
-                decision = Decision::reject("concurrent coordination run active");
-            }
-            track = false;
-        }
-        // Application policy. Only joins and evictions are vetoable:
-        // "voluntary disconnection cannot be vetoed" (§4.5.4).
-        if decision.is_accept() {
-            let app = match &change {
-                MembershipChange::Connect { subject, .. } => rep.object.validate_connect(subject),
-                MembershipChange::Disconnect {
-                    subjects,
-                    eviction: true,
-                    ..
-                } => validate_eviction(rep.object.as_ref(), subjects),
-                MembershipChange::Disconnect { .. } => Decision::accept(),
-            };
-            if !app.is_accept() {
-                decision = app;
-            }
-        }
-
-        self.respond_membership(run, decision, track, change, misbehaviours, ctx);
-    }
-
-    /// Signs and sends this member's response to a membership proposal,
-    /// tracking the run unless it was refused outright.
-    fn respond_membership(
-        &mut self,
-        run: RunId,
-        decision: Decision,
-        track: bool,
-        change: MembershipChange,
-        misbehaviours: Vec<Misbehaviour>,
-        ctx: &mut NodeCtx,
-    ) {
-        let now = ctx.now();
-        let me = self.me.clone();
-        let ProposalFields {
-            object,
-            sponsor,
-            signed,
-            sig,
-            ..
-        } = change.proposal();
-        let (oid, sponsor, propose_sig) = (object.clone(), sponsor.clone(), sig.clone());
-        let propose_kind = change.evidence_kind(MemberStep::Propose);
-        let respond_kind = change.evidence_kind(MemberStep::Respond);
-        let Some(rep) = self.replicas.get_mut(&oid) else {
-            return;
-        };
-        let response = MemberResponse {
-            object: oid.clone(),
-            responder: me.clone(),
-            run,
-            group: rep.group,
-            agreed: rep.agreed,
-            decision,
-        };
-        let sig = self.signer.sign(&response.canonical_bytes());
-        let m = MemberRespondMsg { response, sig };
-        if track {
-            rep.start_run(ActiveRun::Member(MemberRun {
-                run,
-                change,
-                my_response: m.clone(),
-            }));
-        } else {
-            rep.note_seen(run, None);
-        }
-        self.log_evidence(
-            propose_kind,
-            &oid,
-            &run.to_hex(),
-            sponsor.clone(),
-            signed,
-            Some(propose_sig),
-            now,
-        );
-        self.log_evidence(
-            respond_kind,
-            &oid,
-            &run.to_hex(),
-            me,
-            m.response.canonical_bytes(),
-            Some(m.sig.clone()),
-            now,
-        );
-        for mis in misbehaviours {
-            self.log_misbehaviour(&oid, &run.to_hex(), mis, now);
-        }
-        self.trace(now, "membership", "respond", || {
-            format!(
-                "object={oid} run={} decision={}",
-                run.to_hex(),
-                if m.response.decision.is_accept() {
-                    "accept"
-                } else {
-                    "reject"
-                }
-            )
-        });
-        self.send_wire(&sponsor, &WireMsg::MemberRespond(m), ctx);
-        self.persist(&oid);
-    }
-
-    pub(crate) fn on_member_respond(
-        &mut self,
-        from: &PartyId,
-        msg: MemberRespondMsg,
-        ctx: &mut NodeCtx,
-    ) {
-        let now = ctx.now();
-        let oid = msg.response.object.clone();
-        let run = msg.response.run;
-        let mut kind = None;
-        let collected = self.collect_vote(from, &msg, ctx, |rep| match &mut rep.active {
-            Some(ActiveRun::Sponsor(sr)) if sr.run == run => {
-                kind = Some(sr.change.evidence_kind(MemberStep::Respond));
-                Some(Ballot {
-                    echo: true,
-                    responses: &mut sr.responses,
-                    voters: &sr.polled,
-                })
-            }
-            _ => None,
-        });
-        let misbehaviour = match collected {
-            Collected::BadSignature => Some(Misbehaviour::BadSignature {
-                claimed: msg.response.responder.clone(),
-                message: "member-respond".into(),
-            }),
-            Collected::Ignored => None,
-            Collected::UnknownRun => Some(Misbehaviour::UnexpectedMessage {
-                detail: format!("membership response for unknown run from {from}"),
-            }),
-            Collected::Echo | Collected::Unexpected => Some(Misbehaviour::UnexpectedMessage {
-                detail: format!("membership response from unpolled {from}"),
-            }),
-            Collected::Conflicting => Some(Misbehaviour::InconsistentDecide {
-                run,
-                detail: format!("conflicting membership responses from {from}"),
-            }),
-            Collected::Recorded { got, want } => {
-                self.log_evidence(
-                    kind.expect("recorded in a sponsor run"),
-                    &oid,
-                    &run.to_hex(),
-                    from.clone(),
-                    msg.response.canonical_bytes(),
-                    Some(msg.sig.clone()),
-                    now,
-                );
-                if got == want {
-                    self.finalize_member_run(&oid, run, ctx);
-                    return;
-                }
-                None
-            }
-        };
-        if let Some(m) = misbehaviour {
-            self.log_misbehaviour(&oid, &run.to_hex(), m, now);
-        }
-        self.persist(&oid);
-    }
-
-    fn finalize_member_run(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
-        let now = ctx.now();
-        let me = self.me.clone();
-        let Some(rep) = self.replicas.get_mut(oid) else {
-            return;
-        };
-        let Some(ActiveRun::Sponsor(sr)) = rep.finish_run() else {
-            return;
-        };
-        let responses: Vec<MemberRespondMsg> = sr.responses.values().cloned().collect();
-        // Membership changes always require unanimity among polled members
-        // (voluntary disconnection cannot be vetoed, which the member side
-        // enforces by always accepting).
-        let (accepted, vetoers) =
-            tally::decide(DecisionRule::Unanimous, sr.polled.len() + 1, &responses);
-        let connecting = sr.change.connecting();
-        let decide = MemberDecideMsg {
-            object: oid.clone(),
-            run,
-            authenticator: sr.authenticator,
-            responses,
-            connecting,
-        };
-        rep.remember_reply(
-            run,
-            WireMsg::MemberDecide(decide.clone()),
-            COMPLETED_REPLIES_CAP,
-        );
-
-        let wire = WireMsg::MemberDecide(decide.clone());
-        self.send_wire_all(&sr.polled, &wire, ctx);
-        self.trace(now, "membership", "decide", || {
-            format!(
-                "object={oid} run={} connecting={connecting} accepted={accepted}",
-                run.to_hex()
-            )
-        });
-        self.log_evidence(
-            sr.change.evidence_kind(MemberStep::Decide),
-            oid,
-            &run.to_hex(),
-            me.clone(),
-            decide.canonical_bytes(),
-            None,
-            now,
-        );
-
-        if accepted {
-            self.conclude_member_run(&sr.change, sr.new_members, sr.new_group, decide, ctx);
-        } else {
-            self.outcomes.insert(run, Outcome::Invalidated { vetoers });
-            match &sr.change {
-                MembershipChange::Connect {
-                    subject, request, ..
-                } => {
-                    let digest = request.request.canonical_digest();
-                    self.send_connect_reject(oid, subject, digest, ctx);
-                }
-                // A voluntary leave cannot be vetoed, but the run can still
-                // fail a consistency check at a polled member. Tell the
-                // leaver, so its replica returns from `Leaving` to ordinary
-                // membership instead of hanging until the application
-                // intervenes. Evictees are not consulted and get nothing.
-                MembershipChange::Disconnect {
-                    subjects,
-                    eviction: false,
-                    request,
-                    ..
-                } => {
-                    let digest = request.request.canonical_digest();
-                    self.send_disconnect_reject(oid, &subjects[0], digest, ctx);
-                }
-                MembershipChange::Disconnect { .. } => {}
-            }
-            self.persist(oid);
-        }
-        self.pump_queue(oid, ctx);
-    }
-
-    pub(crate) fn on_member_decide(
-        &mut self,
-        from: &PartyId,
-        msg: MemberDecideMsg,
-        ctx: &mut NodeCtx,
-    ) {
-        let now = ctx.now();
-        let oid = msg.object.clone();
-        let run = msg.run;
-        if self.outcomes.contains_key(&run) {
-            return;
-        }
-        let Some(rep) = self.replicas.get(&oid) else {
-            return;
-        };
-        let Some(ActiveRun::Member(mr)) = rep.active.clone() else {
-            return;
-        };
-        if mr.run != run {
-            return;
-        }
-        let change = &mr.change;
-        let ProposalFields {
-            sponsor,
-            new_group,
-            auth_commit,
-            ..
-        } = change.proposal();
-        let expected_polled = change.polled(&rep.members, sponsor);
-        let new_members = change.new_members(&rep.members);
-        if from != sponsor {
-            return;
-        }
-        if sha256(&msg.authenticator) != auth_commit {
-            self.log_misbehaviour(
-                &oid,
-                &run.to_hex(),
-                Misbehaviour::AuthenticatorMismatch { run },
-                now,
-            );
-            return;
-        }
-        // Verify the aggregated responses.
-        let set = tally::check_set(
-            &msg.responses,
-            run,
-            &oid,
-            &expected_polled,
-            false,
-            |_| true,
-            |items| self.verify_batch_cached(items),
-        );
-        let mut fault = set
-            .err()
-            .map(|fault| fault.misbehaviour(run, "membership response"));
-        if fault.is_none()
-            && !msg
-                .responses
-                .iter()
-                .any(|r| r.response.responder == self.me && r == &mr.my_response)
-        {
-            fault = Some(Misbehaviour::ResponseMisrepresented { run });
-        }
-        if let Some(f) = fault {
-            self.log_misbehaviour(&oid, &run.to_hex(), f, now);
-            return;
-        }
-
-        let (accepted, vetoers) = tally::decide(
-            DecisionRule::Unanimous,
-            expected_polled.len() + 1,
-            &msg.responses,
-        );
-        self.log_evidence(
-            change.evidence_kind(MemberStep::Decide),
-            &oid,
-            &run.to_hex(),
-            sponsor.clone(),
-            msg.canonical_bytes(),
-            None,
-            now,
-        );
-        if accepted {
-            self.install_membership(&oid, run, new_members, new_group, change.leavers(), ctx);
-        } else {
-            if let Some(rep) = self.replicas.get_mut(&oid) {
-                rep.finish_run();
-            }
-            self.outcomes.insert(run, Outcome::Invalidated { vetoers });
-            self.persist(&oid);
-        }
-        self.pump_queue(&oid, ctx);
     }
 
     // =================================================================
@@ -1337,7 +832,7 @@ impl Coordinator {
         oid: &ObjectId,
         run: RunId,
         subject: &PartyId,
-        decide: MemberDecideMsg,
+        decide: DecideMsg,
         ctx: &mut NodeCtx,
     ) {
         let Some(rep) = self.replicas.get(oid) else {
@@ -1440,7 +935,7 @@ impl Coordinator {
         &mut self,
         oid: &ObjectId,
         subject: &PartyId,
-        request_digest: b2b_crypto::Digest32,
+        request_digest: Digest32,
         ctx: &mut NodeCtx,
     ) {
         let reject = DisconnectReject {
@@ -1523,22 +1018,11 @@ impl Coordinator {
         });
         self.persist(&oid);
     }
-
-    /// Re-sends the outstanding proposal of a recovered sponsor run.
-    pub(crate) fn resume_sponsor_run(&mut self, run: SponsorRun, ctx: &mut NodeCtx) {
-        let pending: Vec<PartyId> = run
-            .polled
-            .iter()
-            .filter(|p| !run.responses.contains_key(*p))
-            .cloned()
-            .collect();
-        self.send_wire_all(&pending, &run.change.propose_wire(), ctx);
-    }
 }
 
 /// The application's verdict on evicting `subjects`: the first rejection,
 /// if any.
-fn validate_eviction(object: &dyn B2BObject, subjects: &[PartyId]) -> Decision {
+pub(crate) fn validate_eviction(object: &dyn B2BObject, subjects: &[PartyId]) -> Decision {
     subjects
         .iter()
         .map(|s| object.validate_disconnect(s, true))

@@ -1,12 +1,20 @@
-//! The non-repudiable state coordination protocol (§4.3).
+//! The one coordination round (§4.3, §4.5).
 //!
 //! Three steps — `m1` propose, `m2` respond, `m3` decide — giving
 //! "non-repudiable two-phase commit" with richer semantics: the proposer is
 //! committed at initiation, a transition is rejected only by veto, and the
 //! final message is the group's non-repudiable decision, authenticated by
 //! the reveal of `r_P` whose hash was committed in the proposal.
+//!
+//! The same round agrees on a state transition and on a membership change
+//! (a connection or disconnection, proposed by its sponsor): one proposer
+//! run, one recipient run and one handler per step serve both. What
+//! differs is looked up on the proposal's kind — [`Rules`], the body and
+//! application checks of [`Coordinator::on_propose`], and the install step
+//! [`Coordinator::install`] — and DESIGN.md §14 tabulates it.
 
-use crate::config::{COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
+use crate::config::{DecisionRule, COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
+use crate::coordinator::TicketId;
 use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
@@ -15,10 +23,11 @@ use crate::messages::{
     BatchLink, DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
 };
 use crate::object::B2BObject;
-use crate::replica::{ActiveRun, ProposerRun, RecipientRun};
+use crate::proto_member::validate_eviction;
+use crate::replica::{seen_tuple, ActiveRun, ProposerRun, RecipientRun};
 use crate::tally::{self, Ballot, Collected};
 use crate::Coordinator;
-use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, Digest32, PartyId};
+use b2b_crypto::{sha256, CachedCanonical, CanonicalEncode, Digest32, PartyId, TimeMs};
 use b2b_evidence::EvidenceKind;
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -158,149 +167,156 @@ impl Coordinator {
         state_hash: Digest32,
         ctx: &mut NodeCtx,
     ) -> Result<RunId, CoordError> {
-        let now = ctx.now();
-        let me = self.me.clone();
-        let mut rep = self
+        let rep = self
             .replicas
-            .remove(object)
+            .get(object)
             .ok_or_else(|| CoordError::UnknownObject(object.clone()))?;
-        let result = (|| {
-            if rep.detached || !rep.is_member(&me) {
-                return Err(CoordError::NotMember {
-                    party: me.clone(),
-                    object: object.clone(),
-                });
-            }
-            if rep.active.is_some() {
-                return Err(CoordError::Busy {
-                    object: object.clone(),
-                });
-            }
-
-            // Sequence number: exactly one past the agreed state. The
-            // paper asks for "greater than any coordination request seen",
-            // but deriving the next number from *seen* proposals lets a
-            // malicious member poison it (one vetoed proposal carrying
-            // seq u64::MAX would brick this party); the random-hash half
-            // of the tuple already provides the disambiguation the paper
-            // wants, so a fixed increment is both safe and sufficient —
-            // and recipients enforce the same exact increment.
-            let seq = rep.agreed.seq + 1;
-            let rand = self.rng.nonce();
-            let proposed = StateId {
-                seq,
-                rand_hash: sha256(&rand),
-                state_hash,
-            };
-            let authenticator = self.rng.nonce();
-            let proposal = Proposal {
+        if rep.detached || !rep.is_member(&self.me) {
+            return Err(CoordError::NotMember {
+                party: self.me.clone(),
                 object: object.clone(),
-                proposer: me.clone(),
-                group: rep.group,
-                prev: rep.agreed,
-                proposed,
-                auth_commit: sha256(&authenticator),
-                kind,
-            };
-            // Encode the signed part exactly once: the memo feeds the run
-            // label, the signature, evidence logging and the wire fan-out.
-            let memo = CachedCanonical::new();
-            let (canonical, digest) = memo.get_or_encode(&proposal);
-            let run = RunId(digest);
-            let sig = self.sign_and_cache(&canonical, digest);
-            let m1 = ProposeMsg {
-                proposal,
-                body,
-                sig,
-                memo,
-            };
-            let recipients = rep.recipients(&me);
-            if recipients.is_empty() {
-                // Singleton group: trivially unanimous.
-                rep.note_seen(run, Some((seq, proposed.rand_hash)));
-                rep.install_state(proposed, new_state, REPLAY_WINDOW);
-                return Ok((run, m1, None));
-            }
+            });
+        }
+        if rep.active.is_some() {
+            return Err(CoordError::Busy {
+                object: object.clone(),
+            });
+        }
+        // Sequence number: exactly one past the agreed state. The paper
+        // asks for "greater than any coordination request seen", but
+        // deriving the next number from *seen* proposals lets a malicious
+        // member poison it (one vetoed proposal carrying seq u64::MAX would
+        // brick this party); the random-hash half of the tuple already
+        // provides the disambiguation the paper wants, so a fixed increment
+        // is both safe and sufficient — and recipients enforce the same
+        // exact increment.
+        let proposed = StateId {
+            seq: rep.agreed.seq + 1,
+            rand_hash: sha256(&self.rng.nonce()),
+            state_hash,
+        };
+        let run = self.open_round(object, proposed, kind, body, new_state, ctx);
+        self.end_episode();
+        self.flush_evidence();
+        Ok(run)
+    }
+
+    /// Opens a round on `object` proposing `proposed` by `kind`, with the
+    /// unsigned `body`; `new_state` is what a state round installs. Signs
+    /// the proposal and polls the members it names; with nobody to poll,
+    /// the proposer's acceptance is the group's and the round ends at once.
+    /// The caller has checked that this party may propose and is idle.
+    pub(crate) fn open_round(
+        &mut self,
+        object: &ObjectId,
+        proposed: StateId,
+        kind: ProposalKind,
+        body: Vec<u8>,
+        new_state: Vec<u8>,
+        ctx: &mut NodeCtx,
+    ) -> RunId {
+        let now = ctx.now();
+        let authenticator = self.rng.nonce();
+        let rep = &self.replicas[object];
+        let proposal = Proposal {
+            object: object.clone(),
+            proposer: self.me.clone(),
+            group: rep.group,
+            prev: rep.agreed,
+            proposed,
+            auth_commit: sha256(&authenticator),
+            kind,
+        };
+        let polled = proposal.polled(&rep.members);
+        // Encode the signed part exactly once: the memo feeds the run
+        // label, the signature, evidence logging and the wire fan-out.
+        let memo = CachedCanonical::new();
+        let (canonical, digest) = memo.get_or_encode(&proposal);
+        let run = RunId(digest);
+        let sig = self.sign_and_cache(&canonical, digest);
+        let m1 = ProposeMsg {
+            proposal,
+            body,
+            sig,
+            memo,
+        };
+        let rules = rules(&m1.proposal.kind);
+        let rep = self.replicas.get_mut(object).expect("checked above");
+        let unpolled = if polled.is_empty() {
+            rep.note_seen(run, seen_tuple(&m1));
+            Some(new_state)
+        } else {
             rep.start_run(ActiveRun::Proposer(ProposerRun {
                 run,
                 propose: m1.clone(),
                 authenticator,
                 new_state,
                 responses: Default::default(),
-                decided: None,
             }));
-            Ok((run, m1, Some(recipients)))
-        })();
-
-        let (run, m1, recipients) = match result {
-            Ok(parts) => parts,
-            Err(e) => {
-                self.replicas.insert(object.clone(), rep);
-                return Err(e);
-            }
+            None
         };
-        self.replicas.insert(object.clone(), rep);
-        // The run id is a digest of the signed proposal, so the first
-        // eight bytes make a content-addressed root trace id: identical on
-        // every fabric, never drawn from the rng.
-        self.begin_root(Coordinator::run_root(&run));
+        if !rules.membership {
+            // A state round is a client operation of its own. The run id is
+            // a digest of the signed proposal, so the first eight bytes make
+            // a content-addressed root trace id: identical on every fabric,
+            // never drawn from the rng. (A membership round continues the
+            // trace of the request it serves.)
+            self.begin_root(Coordinator::run_root(&run));
+        }
         self.telemetry.inc(names::ROUNDS_STARTED);
         self.note_run_started(run, now);
-        self.trace(now, "state_run", "propose", || {
+        self.trace(now, rules.span, "propose", || {
             format!(
                 "object={object} run={} seq={} peers={}",
                 run.to_hex(),
                 m1.proposal.proposed.seq,
-                recipients.as_ref().map(Vec::len).unwrap_or(0)
+                polled.len()
             )
         });
-        self.log_evidence(
-            EvidenceKind::StatePropose,
-            object,
-            &run.to_hex(),
-            self.me.clone(),
-            self.proposal_bytes_of(&m1).to_vec(),
-            Some(m1.sig.clone()),
-            now,
-        );
-        match recipients {
-            None => {
-                // Installed immediately (singleton group).
-                self.checkpoint_evidence(object, run, now);
-                self.persist(object);
-                self.telemetry.inc(names::ROUNDS_COMMITTED);
-                self.observe_run_latency(&run, now);
-                self.trace(now, "state_run", "install", || {
-                    format!("object={object} run={} singleton", run.to_hex())
-                });
-                self.outcomes.insert(
-                    run,
-                    Outcome::Installed {
-                        state: m1.proposal.proposed,
-                    },
-                );
-                self.emit(
-                    object,
-                    run,
-                    CoordEventKind::Completed {
-                        outcome: Outcome::Installed {
-                            state: m1.proposal.proposed,
-                        },
-                    },
-                    now,
-                );
-            }
-            Some(recipients) => {
-                let msg = WireMsg::Propose(m1);
-                self.send_wire_all(&recipients, &msg, ctx);
-                self.arm_deadline(object, run, ctx);
-                self.persist(object);
-                self.emit(object, run, CoordEventKind::Proposed, now);
-            }
+        // The welcome or ack that ends an unpolled membership change is its
+        // evidence.
+        if unpolled.is_none() || !rules.membership {
+            self.log_evidence(
+                rules.evidence[0],
+                object,
+                &run.to_hex(),
+                self.me.clone(),
+                self.proposal_bytes_of(&m1).to_vec(),
+                Some(m1.sig.clone()),
+                now,
+            );
         }
-        self.end_episode();
-        self.flush_evidence();
-        Ok(run)
+        if let Some(state) = unpolled {
+            let outcome = self.install(object, &m1, Some(state));
+            self.close_round(object, run, &m1.proposal.kind, outcome, now);
+            let decide = DecideMsg {
+                object: object.clone(),
+                run,
+                authenticator,
+                responses: Vec::new(),
+            };
+            self.answer_subject(object, run, &m1.proposal.kind, true, decide, ctx);
+            return run;
+        }
+        self.send_wire_all(&polled, &WireMsg::Propose(m1), ctx);
+        if !rules.membership {
+            self.arm_deadline(object, run, ctx);
+        }
+        self.persist(object);
+        self.emit(object, run, CoordEventKind::Proposed, now);
+        run
+    }
+
+    /// The decision rule of a round: the configured one for a state round,
+    /// unanimity of the polled members for a membership change (§4.5; a
+    /// voluntary departure cannot be vetoed, which they enforce by
+    /// accepting it).
+    fn rule(&self, kind: &ProposalKind) -> DecisionRule {
+        if kind.is_membership() {
+            DecisionRule::Unanimous
+        } else {
+            self.config.decision_rule
+        }
     }
 
     // -----------------------------------------------------------------
@@ -368,6 +384,8 @@ impl Coordinator {
             }
         }
 
+        // A party that has left the group (or was never in it) has no say
+        // and signs nothing; nor does a non-member's proposal get a say.
         if rep.detached || !rep.is_member(&me) || !rep.is_member(&m1.proposal.proposer) {
             self.replicas.insert(oid.clone(), rep);
             self.log_misbehaviour(
@@ -382,109 +400,136 @@ impl Coordinator {
         }
 
         // ---- systematic consistency checks (§4.2 invariants, §4.4) ----
-        let mut misbehaviours: Vec<Misbehaviour> = Vec::new();
-        let mut decision = Decision::accept();
-        let mut track_run = true;
-        let reject = |d: &mut Decision, reason: String| {
-            if d.is_accept() {
-                *d = Decision::reject(reason);
-            }
+        let p = &m1.proposal;
+        let rules = rules(&p.kind);
+        let mut c = Checks {
+            decision: Decision::accept(),
+            misbehaviours: Vec::new(),
+            track: true,
         };
-
         // `mutation` ablates individual checks below so the b2b-check
         // explorer can demonstrate each one is load-bearing; all flags are
         // false outside mutation-testing builds.
         let mutation = self.config.mutation;
-        let tuple = (m1.proposal.proposed.seq, m1.proposal.proposed.rand_hash);
+        // Only the most recently joined member (not itself leaving) may
+        // sponsor a membership change (§4.5.1); any member may propose a
+        // state transition.
+        let legitimate = match &p.kind {
+            ProposalKind::Connect { .. } => Some(rep.sponsor()),
+            ProposalKind::Disconnect { subjects, .. } => rep.sponsor_for_disconnect(subjects),
+            _ => Some(&p.proposer),
+        };
+        if legitimate != Some(&p.proposer) {
+            let expected = legitimate.cloned().unwrap_or_else(|| PartyId::new("?"));
+            let claimed = p.proposer.clone();
+            c.refuse(
+                Misbehaviour::IllegitimateSponsor { claimed, expected },
+                "illegitimate sponsor",
+            );
+        }
+        let tuple = seen_tuple(&m1);
         if !mutation.skip_replay && rep.has_seen_run(&run) {
             // Not the active run and not completed here ⇒ replay.
-            misbehaviours.push(Misbehaviour::ReplayedProposal { run });
-            reject(&mut decision, "replayed proposal".into());
-            track_run = false;
+            c.refuse(Misbehaviour::ReplayedProposal { run }, "replayed proposal");
         }
-        if !mutation.skip_replay && rep.has_seen_tuple(&tuple) && !rep.has_seen_run(&run) {
-            misbehaviours.push(Misbehaviour::ReplayedProposal { run });
-            reject(&mut decision, "proposal tuple reused".into());
-            track_run = false;
+        if !mutation.skip_replay
+            && tuple.is_some_and(|t| rep.has_seen_tuple(&t))
+            && !rep.has_seen_run(&run)
+        {
+            c.refuse(
+                Misbehaviour::ReplayedProposal { run },
+                "proposal tuple reused",
+            );
         }
-        if m1.proposal.group != rep.group {
-            misbehaviours.push(Misbehaviour::GroupIdMismatch {
-                theirs: m1.proposal.group,
-                ours: rep.group,
-            });
-            reject(&mut decision, "inconsistent group identifier".into());
-            track_run = false;
+        if p.group != rep.group {
+            let (theirs, ours) = (p.group, rep.group);
+            c.refuse(
+                Misbehaviour::GroupIdMismatch { theirs, ours },
+                "inconsistent group identifier",
+            );
         }
-        if !mutation.skip_predecessor && m1.proposal.prev != rep.agreed {
-            misbehaviours.push(Misbehaviour::PredecessorMismatch {
-                theirs: m1.proposal.prev,
-                ours: rep.agreed,
-            });
-            reject(&mut decision, "predecessor is not the agreed state".into());
-            track_run = false;
+        if !mutation.skip_predecessor && p.prev != rep.agreed {
+            let (theirs, ours) = (p.prev, rep.agreed);
+            c.refuse(
+                Misbehaviour::PredecessorMismatch { theirs, ours },
+                "predecessor is not the agreed state",
+            );
         }
-        if !mutation.skip_sequence && m1.proposal.proposed.seq != rep.agreed.seq + 1 {
-            // Exact increment: strictly stronger than the paper's
-            // "greater than", and what honest proposers produce; anything
-            // else is a replayed/poisoned sequence number.
-            misbehaviours.push(Misbehaviour::SequenceNotGreater {
-                proposed: m1.proposal.proposed.seq,
-                agreed: rep.agreed.seq,
-            });
-            reject(&mut decision, "sequence number is not agreed + 1".into());
-            track_run = false;
+        match &p.kind {
+            // A membership change keeps the agreed tuple and proposes a
+            // group of exactly our members after the change.
+            ProposalKind::Connect { new_group, .. }
+            | ProposalKind::Disconnect { new_group, .. }
+                if p.proposed != p.prev
+                    || new_group.seq != rep.group.seq + 1
+                    || !new_group.identifies(&p.kind.new_members(&rep.members)) =>
+            {
+                let detail = "proposed group does not match the membership change".into();
+                c.refuse(
+                    Misbehaviour::InconsistentDecide { run, detail },
+                    "inconsistent new group identifier",
+                );
+            }
+            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. } => {}
+            // Exact increment: strictly stronger than the paper's "greater
+            // than", and what honest proposers produce; anything else is a
+            // replayed/poisoned sequence number.
+            _ if !mutation.skip_sequence && p.proposed.seq != rep.agreed.seq + 1 => {
+                let (proposed, agreed) = (p.proposed.seq, rep.agreed.seq);
+                c.refuse(
+                    Misbehaviour::SequenceNotGreater { proposed, agreed },
+                    "sequence number is not agreed + 1",
+                );
+            }
+            _ => {}
         }
         if rep.active.is_some() {
             // Concurrency control: one run at a time per object. Not
             // misbehaviour — the proposer simply retries after the active
             // run completes.
-            reject(&mut decision, "concurrent coordination run active".into());
-            track_run = false;
+            c.reject("concurrent coordination run active");
+            c.track = false;
         }
 
         // ---- unsigned-body integrity (Dolev-Yao tampering, §4.4) ----
-        let mut body_ok = true;
-        let mut pending_state: Option<Vec<u8>> = None;
-        // The application's first veto of an intact update chain. The
-        // replay asks for it only while nothing has rejected the proposal
-        // yet; it is applied below, after the null-transition check.
-        let mut veto: Option<Decision> = None;
-        let proposed_hash = m1.proposal.proposed.state_hash;
-        let validate = decision.is_accept().then_some(&m1.proposal.proposer);
-        let replay = match &m1.proposal.kind {
-            ProposalKind::Overwrite => {
-                if sha256(&m1.body) == proposed_hash {
-                    pending_state = Some(m1.body.clone());
-                } else {
-                    body_ok = false;
-                }
-                None
-            }
+        let proposed_hash = p.proposed.state_hash;
+        // The application's verdict on an intact update chain is asked for
+        // only while nothing has rejected the proposal yet; it is applied
+        // below, after the null-transition check.
+        let validate = c.decision.is_accept().then_some(&p.proposer);
+        let Replay {
+            state: pending_state,
+            tampered,
+            reject,
+            misbehaviour,
+            veto,
+        } = match &p.kind {
+            ProposalKind::Overwrite if sha256(&m1.body) == proposed_hash => Replay {
+                state: Some(m1.body.clone()),
+                ..Replay::default()
+            },
             // A single update is a batch of one, its link the signed
             // update hash and proposed state hash.
-            ProposalKind::Update { update_hash } => {
-                let link = BatchLink {
+            ProposalKind::Update { update_hash } => replay_updates(
+                rep.object.as_ref(),
+                validate,
+                &rep.agreed_state,
+                std::slice::from_ref(&m1.body),
+                &[BatchLink {
                     update_hash: *update_hash,
                     state_hash: proposed_hash,
-                };
-                Some(replay_updates(
-                    rep.object.as_ref(),
-                    validate,
-                    &rep.agreed_state,
-                    std::slice::from_ref(&m1.body),
-                    std::slice::from_ref(&link),
-                    None,
-                    true,
-                    &proposed_hash,
-                ))
-            }
+                }],
+                None,
+                true,
+                &proposed_hash,
+            ),
             // `skip_batch_chain` ablates the chain checks only — the
             // batch still replays, so the mutation lets a forged batch
             // through to installation where the b2b-check state-hash
             // oracle catches it.
             ProposalKind::Batch { links } => match crate::messages::decode_batch_body(&m1.body) {
                 Some(updates) if !updates.is_empty() && updates.len() == links.len() => {
-                    Some(replay_updates(
+                    replay_updates(
                         rep.object.as_ref(),
                         validate,
                         &rep.agreed_state,
@@ -493,55 +538,68 @@ impl Coordinator {
                         Some(run),
                         !mutation.skip_batch_chain,
                         &proposed_hash,
-                    ))
+                    )
                 }
                 // Malformed framing or a link-count mismatch is
                 // tampering with the unsigned body.
-                _ => {
-                    body_ok = false;
-                    None
-                }
+                _ => Replay {
+                    tampered: true,
+                    ..Replay::default()
+                },
+            },
+            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. } => Replay {
+                tampered: !self.request_ok(p, &m1.body),
+                ..Replay::default()
+            },
+            // An overwrite whose body does not hash to the proposed state.
+            ProposalKind::Overwrite => Replay {
+                tampered: true,
+                ..Replay::default()
             },
         };
-        if let Some(replay) = replay {
-            body_ok &= !replay.tampered;
-            if let Some(reason) = replay.reject {
-                reject(&mut decision, reason);
-            }
-            misbehaviours.extend(replay.misbehaviour);
-            pending_state = replay.state;
-            veto = replay.veto;
+        if let Some(reason) = reject {
+            c.reject(reason);
         }
-        if !body_ok {
-            misbehaviours.push(Misbehaviour::BodyHashMismatch { run });
-            reject(&mut decision, "body does not match signed hashes".into());
+        c.misbehaviours.extend(misbehaviour);
+        if tampered {
             // An incoherent proposal (like the invariant failures above)
             // is rejected without holding the object: tracking it would
             // let a single bogus signed m1 lock the replica until a
             // decide that may never come. Genuine runs that fail only
             // application validation still track and await m3.
-            track_run = false;
+            c.refuse(
+                Misbehaviour::BodyHashMismatch { run },
+                "body does not match signed hashes",
+            );
         }
 
-        // ---- null transition (§4.4) ----
-        if m1.proposal.proposed.state_hash == rep.agreed.state_hash {
-            misbehaviours.push(Misbehaviour::NullTransition { run });
-            reject(&mut decision, "null state transition".into());
+        // ---- null transition (§4.4); a membership change keeps the state ----
+        if !rules.membership && p.proposed.state_hash == rep.agreed.state_hash {
+            c.misbehaviours.push(Misbehaviour::NullTransition { run });
+            c.reject("null state transition");
         }
 
         // ---- application validation upcall ----
-        if decision.is_accept() {
-            let app = match &m1.proposal.kind {
+        if c.decision.is_accept() {
+            let app = match &p.kind {
                 ProposalKind::Overwrite => {
                     rep.object
-                        .validate_state(&m1.proposal.proposer, &rep.agreed_state, &m1.body)
+                        .validate_state(&p.proposer, &rep.agreed_state, &m1.body)
                 }
                 ProposalKind::Update { .. } | ProposalKind::Batch { .. } => {
                     veto.unwrap_or_else(Decision::accept)
                 }
+                ProposalKind::Connect { subject, .. } => rep.object.validate_connect(subject),
+                // "Voluntary disconnection cannot be vetoed" (§4.5.4).
+                ProposalKind::Disconnect {
+                    subjects, eviction, ..
+                } => match eviction {
+                    true => validate_eviction(rep.object.as_ref(), subjects),
+                    false => Decision::accept(),
+                },
             };
             if !app.is_accept() {
-                decision = app;
+                c.decision = app;
             }
         }
 
@@ -550,9 +608,7 @@ impl Coordinator {
         // extension an outvoted recipient can still follow the group
         // decision. Under the unanimous rule a veto precludes installation
         // anyway, so keeping it is harmless there.
-        if decision.is_accept() {
-            debug_assert!(pending_state.is_some());
-        }
+        debug_assert!(rules.membership || !c.decision.is_accept() || pending_state.is_some());
 
         // ---- respond ----
         let response = Response {
@@ -561,9 +617,9 @@ impl Coordinator {
             group: rep.group,
             run,
             prev: rep.agreed,
-            proposed: m1.proposal.proposed,
-            body_ok,
-            decision: decision.clone(),
+            proposed: p.proposed,
+            body_ok: !tampered,
+            decision: c.decision.clone(),
         };
         // Seeding the verification cache with our own signature means that
         // when this response comes back aggregated inside the m3, checking
@@ -577,8 +633,8 @@ impl Coordinator {
             memo,
         };
 
-        let armed_recipient_deadline = track_run && self.config.ttp.is_some();
-        if track_run {
+        let proposer = p.proposer.clone();
+        if c.track {
             rep.start_run(ActiveRun::Recipient(RecipientRun {
                 run,
                 propose: m1.clone(),
@@ -586,24 +642,24 @@ impl Coordinator {
                 pending_state,
             }));
         } else {
-            rep.note_seen(run, Some(tuple));
+            rep.note_seen(run, tuple);
         }
         self.replicas.insert(oid.clone(), rep);
-        if armed_recipient_deadline {
+        if c.track && self.config.ttp.is_some() && !rules.membership {
             self.arm_deadline(&oid, run, ctx);
         }
 
         self.log_evidence(
-            EvidenceKind::StatePropose,
+            rules.evidence[0],
             &oid,
             &run_hex,
-            m1.proposal.proposer.clone(),
+            proposer.clone(),
             self.proposal_bytes_of(&m1).to_vec(),
             Some(m1.sig.clone()),
             now,
         );
         self.log_evidence(
-            EvidenceKind::StateRespond,
+            rules.evidence[1],
             &oid,
             &run_hex,
             me,
@@ -611,27 +667,26 @@ impl Coordinator {
             Some(m2.sig.clone()),
             now,
         );
-        for m in misbehaviours {
+        for m in c.misbehaviours {
             self.log_misbehaviour(&oid, &run_hex, m, now);
         }
-        if track_run {
+        if c.track {
             // A recipient's round begins when it starts tracking the
             // proposal, so fleet-wide `rounds_started` bounds
             // `rounds_committed + rounds_aborted`.
             self.telemetry.inc(names::ROUNDS_STARTED);
             self.note_run_started(run, now);
         }
-        self.trace(now, "state_run", "respond", || {
+        self.trace(now, rules.span, "respond", || {
             format!(
                 "object={oid} run={run_hex} decision={}",
-                if decision.is_accept() {
+                if c.decision.is_accept() {
                     "accept"
                 } else {
                     "reject"
                 }
             )
         });
-        let proposer = m1.proposal.proposer.clone();
         self.send_wire(&proposer, &WireMsg::Respond(m2), ctx);
         self.persist(&oid);
     }
@@ -650,19 +705,24 @@ impl Coordinator {
         // another tuple under this run id is internally inconsistent and
         // would weaken what the aggregated evidence proves (§4.4). It is
         // recorded as misbehaviour and not counted; the run blocks until
-        // the deadline/TTP path resolves it.
+        // the deadline/TTP path resolves it. A response that reaches no
+        // proposer run is refused and traced as a state round's.
+        let mut kind_rules = rules(&ProposalKind::Overwrite);
         let collected = self.collect_vote(from, &m2, ctx, |rep| match &mut rep.active {
-            Some(ActiveRun::Proposer(pr)) if pr.run == run => Some(Ballot {
-                echo: m2.response.proposed == pr.propose.proposal.proposed,
-                responses: &mut pr.responses,
-                voters: &rep.members,
-            }),
+            Some(ActiveRun::Proposer(pr)) if pr.run == run => {
+                kind_rules = rules(&pr.propose.proposal.kind);
+                Some(Ballot {
+                    echo: m2.response.proposed == pr.propose.proposal.proposed,
+                    voters: pr.propose.proposal.polled(&rep.members),
+                    responses: &mut pr.responses,
+                })
+            }
             _ => None,
         });
         let misbehaviour = match collected {
             Collected::BadSignature => {
                 self.telemetry.inc(names::VOTES_INVALID);
-                self.trace(now, "state_run", "vote_collect", || {
+                self.trace(now, kind_rules.span, "vote_collect", || {
                     format!("object={oid} run={run_hex} from={from} vote=invalid_sig")
                 });
                 Some(Misbehaviour::BadSignature {
@@ -681,7 +741,7 @@ impl Coordinator {
                 detail: format!("response from {from} echoes a different object/tuple"),
             }),
             Collected::Unexpected => Some(Misbehaviour::UnexpectedMessage {
-                detail: format!("response from non-member {from}"),
+                detail: format!("response from unpolled party {from}"),
             }),
             // Two different signed responses to one run: irrefutable
             // evidence of misbehaviour.
@@ -691,14 +751,14 @@ impl Coordinator {
             }),
             Collected::Recorded { got, want } => {
                 self.telemetry.inc(names::VOTES_VALID);
-                self.trace(now, "state_run", "vote_collect", || {
+                self.trace(now, kind_rules.span, "vote_collect", || {
                     format!(
                         "object={oid} run={run_hex} from={from} verdict={:?} {got}/{want}",
                         m2.response.decision.verdict
                     )
                 });
                 self.log_evidence(
-                    EvidenceKind::StateRespond,
+                    kind_rules.evidence[1],
                     &oid,
                     &run_hex,
                     from.clone(),
@@ -716,7 +776,7 @@ impl Coordinator {
                     at: now,
                 });
                 if got == want {
-                    self.finalize_state_run(&oid, run, ctx);
+                    self.finalize(&oid, run, ctx);
                     return;
                 }
                 None
@@ -729,21 +789,20 @@ impl Coordinator {
     }
 
     /// Computes the group decision, sends `m3`, installs or rolls back.
-    fn finalize_state_run(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
+    pub(crate) fn finalize(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let run_hex = run.to_hex();
-        let me = self.me.clone();
-        let Some(mut rep) = self.replicas.remove(oid) else {
+        let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
         let Some(ActiveRun::Proposer(pr)) = rep.finish_run() else {
-            self.replicas.insert(oid.clone(), rep);
             return;
         };
-
-        let responses: Vec<RespondMsg> = pr.responses.values().cloned().collect();
-        let (accepted, vetoers) =
-            tally::decide(self.config.decision_rule, rep.members.len(), &responses);
+        let polled = pr.propose.proposal.polled(&rep.members);
+        let kind = &pr.propose.proposal.kind;
+        let rules = rules(kind);
+        let responses: Vec<RespondMsg> = pr.responses.into_values().collect();
+        let (accepted, vetoers) = tally::decide(self.rule(kind), polled.len() + 1, &responses);
         let decide = DecideMsg {
             object: oid.clone(),
             run,
@@ -751,127 +810,39 @@ impl Coordinator {
             responses,
         };
         let outcome = if accepted {
-            rep.install_state(
-                pr.propose.proposal.proposed,
-                pr.new_state.clone(),
-                REPLAY_WINDOW,
-            );
-            Outcome::Installed {
-                state: pr.propose.proposal.proposed,
-            }
+            self.install(oid, &pr.propose, Some(pr.new_state))
         } else {
             // The proposer's working state rolls back to the agreed state;
             // the engine never installed the proposed state, so rollback is
             // re-asserting the agreed checkpoint.
-            let agreed = rep.agreed_state.clone();
-            rep.object.apply_state(&agreed);
+            if let Some(rep) = self.replicas.get_mut(oid) {
+                let agreed = rep.agreed_state.clone();
+                rep.object.apply_state(&agreed);
+            }
             Outcome::Invalidated { vetoers }
         };
-
-        // §3.3 "the proposer simply retries": a round rejected purely by
-        // the group's concurrency control — every veto reason systematic
-        // (a peer was mid-round, or an install won the race for this
-        // sequence number), none an application judgement — requeues its
-        // updates at the head of the pending queue. The next flush
-        // re-derives them against the new agreed state (the object's
-        // `apply_update`), after a jittered holdoff so the colliding
-        // proposers desynchronise. Overwrites are excluded: an overwrite
-        // asserts an exact predecessor, so replaying it against a
-        // different one would change its meaning.
-        let mut requeue: Vec<(crate::coordinator::TicketId, Vec<u8>)> = Vec::new();
-        if let Outcome::Invalidated { vetoers } = &outcome {
-            if !vetoers.is_empty()
-                && vetoers
-                    .iter()
-                    .all(|(_, r)| crate::coordinator::is_transient_reject(r))
-            {
-                let updates: Vec<Vec<u8>> = match &pr.propose.proposal.kind {
-                    ProposalKind::Update { .. } => vec![pr.propose.body.clone()],
-                    ProposalKind::Batch { .. } => {
-                        crate::messages::decode_batch_body(&pr.propose.body).unwrap_or_default()
-                    }
-                    ProposalKind::Overwrite => Vec::new(),
-                };
-                if !updates.is_empty() {
-                    // This run's tickets, in submission (= batch) order.
-                    let mut tids: Vec<crate::coordinator::TicketId> = self
-                        .tickets
-                        .iter()
-                        .filter(|(_, s)| {
-                            matches!(s, crate::coordinator::TicketState::Run(r) if *r == run)
-                        })
-                        .map(|(t, _)| *t)
-                        .collect();
-                    tids.sort();
-                    if tids.len() == updates.len() {
-                        let reason = vetoers.first().map(|(_, r)| r.clone()).unwrap_or_default();
-                        for (tid, u) in tids.into_iter().zip(updates) {
-                            let n = self.transient_retry.entry(tid).or_insert(0);
-                            *n += 1;
-                            if *n > crate::coordinator::MAX_TRANSIENT_RETRIES {
-                                self.transient_retry.remove(&tid);
-                                self.tickets.insert(
-                                    tid,
-                                    crate::coordinator::TicketState::Failed(format!(
-                                        "contention retries exhausted: {reason}"
-                                    )),
-                                );
-                            } else {
-                                self.tickets
-                                    .insert(tid, crate::coordinator::TicketState::Queued);
-                                requeue.push((tid, u));
-                            }
-                        }
-                    }
-                }
-            }
+        if let Some(rep) = self.replicas.get_mut(oid) {
+            rep.remember_reply(run, WireMsg::Decide(decide.clone()), COMPLETED_REPLIES_CAP);
         }
-        if outcome.is_installed() && !self.transient_retry.is_empty() {
-            // The contended updates made it in: drop their retry counters.
-            let tickets = &self.tickets;
-            self.transient_retry.retain(|tid, _| {
-                !matches!(tickets.get(tid),
-                          Some(crate::coordinator::TicketState::Run(r)) if *r == run)
-            });
-        }
-
-        let recipients = rep.recipients(&me);
-        rep.remember_reply(run, WireMsg::Decide(decide.clone()), COMPLETED_REPLIES_CAP);
-        self.replicas.insert(oid.clone(), rep);
-
-        let msg = WireMsg::Decide(decide.clone());
-        self.send_wire_all(&recipients, &msg, ctx);
-        self.trace(now, "state_run", "decide", || {
+        self.send_wire_all(&polled, &WireMsg::Decide(decide.clone()), ctx);
+        self.trace(now, rules.span, "decide", || {
             format!(
                 "object={oid} run={run_hex} accepted={accepted} responses={}",
                 decide.responses.len()
             )
         });
         self.log_evidence(
-            EvidenceKind::StateDecide,
+            rules.evidence[2],
             oid,
             &run_hex,
-            me,
+            self.me.clone(),
             decide.canonical_bytes(),
             None,
             now,
         );
-        if outcome.is_installed() {
-            self.checkpoint_evidence(oid, run, now);
-            self.telemetry.inc(names::ROUNDS_COMMITTED);
-            self.trace(now, "state_run", "install", || {
-                format!("object={oid} run={run_hex}")
-            });
-        } else {
-            self.telemetry.inc(names::ROUNDS_ABORTED);
-            self.trace(now, "state_run", "rollback", || {
-                format!("object={oid} run={run_hex}")
-            });
-        }
-        self.observe_run_latency(&run, now);
-        self.persist(oid);
-        self.outcomes.insert(run, outcome.clone());
-        self.emit(oid, run, CoordEventKind::Completed { outcome }, now);
+        let requeue = self.requeue_contended(run, &pr.propose, &outcome);
+        self.close_round(oid, run, kind, outcome, now);
+        self.answer_subject(oid, run, kind, accepted, decide, ctx);
         if !requeue.is_empty() {
             self.telemetry.inc(names::ROUNDS_RETRIED);
             let p = self.pending_updates.entry(oid.clone()).or_default();
@@ -883,93 +854,204 @@ impl Coordinator {
         self.pump_queue(oid, ctx);
     }
 
+    /// §3.3 "the proposer simply retries": an update round rejected purely
+    /// by the group's concurrency control — every veto reason systematic (a
+    /// peer was mid-round, or an install won the race for this sequence
+    /// number), none an application judgement — requeues its updates,
+    /// returned here, at the head of the pending queue. The next flush
+    /// re-derives them against the new agreed state (the object's
+    /// `apply_update`), after a jittered holdoff so the colliding proposers
+    /// desynchronise. Overwrites are excluded: an overwrite asserts an exact
+    /// predecessor, so replaying it against a different one would change
+    /// its meaning; so are membership changes, which carry no updates.
+    fn requeue_contended(
+        &mut self,
+        run: RunId,
+        m1: &ProposeMsg,
+        outcome: &Outcome,
+    ) -> Vec<(TicketId, Vec<u8>)> {
+        use crate::coordinator::TicketState;
+        let mut requeue = Vec::new();
+        if outcome.is_installed() && !self.transient_retry.is_empty() {
+            // The contended updates made it in: drop their retry counters.
+            let tickets = &self.tickets;
+            self.transient_retry.retain(
+                |tid, _| !matches!(tickets.get(tid), Some(TicketState::Run(r)) if *r == run),
+            );
+        }
+        let Outcome::Invalidated { vetoers } = outcome else {
+            return requeue;
+        };
+        if vetoers.is_empty()
+            || !vetoers
+                .iter()
+                .all(|(_, r)| crate::coordinator::is_transient_reject(r))
+        {
+            return requeue;
+        }
+        let updates: Vec<Vec<u8>> = match &m1.proposal.kind {
+            ProposalKind::Update { .. } => vec![m1.body.clone()],
+            ProposalKind::Batch { .. } => {
+                crate::messages::decode_batch_body(&m1.body).unwrap_or_default()
+            }
+            _ => return requeue,
+        };
+        // This run's tickets, in submission (= batch) order.
+        let mut tids: Vec<TicketId> = self
+            .tickets
+            .iter()
+            .filter(|(_, s)| matches!(s, TicketState::Run(r) if *r == run))
+            .map(|(t, _)| *t)
+            .collect();
+        tids.sort();
+        if tids.len() != updates.len() {
+            return requeue;
+        }
+        let reason = vetoers.first().map(|(_, r)| r.clone()).unwrap_or_default();
+        for (tid, u) in tids.into_iter().zip(updates) {
+            let n = self.transient_retry.entry(tid).or_insert(0);
+            *n += 1;
+            if *n > crate::coordinator::MAX_TRANSIENT_RETRIES {
+                self.transient_retry.remove(&tid);
+                let failed = format!("contention retries exhausted: {reason}");
+                self.tickets.insert(tid, TicketState::Failed(failed));
+            } else {
+                self.tickets.insert(tid, TicketState::Queued);
+                requeue.push((tid, u));
+            }
+        }
+        requeue
+    }
+
     // -----------------------------------------------------------------
     // Recipient side: the decide
     // -----------------------------------------------------------------
 
-    pub(crate) fn on_decide(&mut self, m3: DecideMsg, ctx: &mut NodeCtx) {
+    pub(crate) fn on_decide(&mut self, from: &PartyId, m3: DecideMsg, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let oid = m3.object.clone();
         let run = m3.run;
         let run_hex = run.to_hex();
-        let me = self.me.clone();
 
         if self.outcomes.contains_key(&run) {
             return; // duplicate decide
         }
-        let Some(mut rep) = self.replicas.remove(&oid) else {
-            return;
-        };
-        let rr = match &rep.active {
-            Some(ActiveRun::Recipient(rr)) if rr.run == run => rr,
+        let checked = {
+            let Some(rep) = self.replicas.get(&oid) else {
+                return;
+            };
             // A decide for a run we rejected while busy (we kept no run
-            // state) or never saw: ignore — installing anything on the
-            // basis of an unexpected decide would be unsafe.
-            _ => {
-                self.replicas.insert(oid, rep);
+            // state) or never saw, or one its proposer did not send:
+            // ignore — installing anything on the basis of an unexpected
+            // decide would be unsafe.
+            let rr = match &rep.active {
+                Some(ActiveRun::Recipient(rr))
+                    if rr.run == run && &rr.propose.proposal.proposer == from =>
+                {
+                    rr
+                }
+                _ => return,
+            };
+            let p = &rr.propose.proposal;
+            self.check_decide(&m3, p, &rr.my_response, &p.polled(&rep.members))
+        };
+        let (accepted, vetoers) = match checked {
+            DecideCheck::Decided(accepted, vetoers) => (accepted, vetoers),
+            // Fail-safe abort: evidence is logged; the replica keeps its
+            // agreed state. The run stays active awaiting a consistent
+            // decide (or extra-protocol resolution).
+            DecideCheck::Refuted(m) => {
+                self.log_misbehaviour(&oid, &run_hex, m, now);
                 return;
             }
+            DecideCheck::Wait => return,
         };
-
-        // ---- authenticator: only the proposer can reveal r_P ----
-        if sha256(&m3.authenticator) != rr.propose.proposal.auth_commit {
-            self.replicas.insert(oid.clone(), rep);
-            self.log_misbehaviour(
-                &oid,
-                &run_hex,
-                Misbehaviour::AuthenticatorMismatch { run },
-                now,
-            );
-            return; // keep the run active: the genuine decide may follow
+        let Some(ActiveRun::Recipient(rr)) =
+            self.replicas.get_mut(&oid).and_then(|r| r.finish_run())
+        else {
+            unreachable!("matched above");
+        };
+        let kind = &rr.propose.proposal.kind;
+        let outcome = if accepted {
+            // Without a valid body (only under the majority extension, when
+            // we ourselves vetoed for body reasons) a state round cannot
+            // install here, and aborts locally.
+            self.install(&oid, &rr.propose, rr.pending_state)
+        } else {
+            Outcome::Invalidated { vetoers }
+        };
+        if !kind.is_membership() {
+            // Keep our signed response on file: if the proposer crashed and
+            // re-sends m1 on recovery, we answer with the *same* response
+            // instead of minting a conflicting signed rejection (which
+            // would manufacture false evidence of equivocation against us,
+            // and false replay evidence against the honest proposer).
+            if let Some(rep) = self.replicas.get_mut(&oid) {
+                let reply = WireMsg::Respond(rr.my_response);
+                rep.remember_reply(run, reply, COMPLETED_REPLIES_CAP);
+            }
         }
+        self.log_evidence(
+            rules(kind).evidence[2],
+            &oid,
+            &run_hex,
+            from.clone(),
+            m3.canonical_bytes(),
+            None,
+            now,
+        );
+        self.close_round(&oid, run, kind, outcome, now);
+        self.pump_queue(&oid, ctx);
+    }
 
+    /// A recipient's check of the decide `m3` of proposal `p`, in which it
+    /// answered `mine` and expects a response from each of `polled`.
+    fn check_decide(
+        &self,
+        m3: &DecideMsg,
+        p: &Proposal,
+        mine: &RespondMsg,
+        polled: &[PartyId],
+    ) -> DecideCheck {
+        let run = m3.run;
+        // ---- authenticator: only the proposer can reveal r_P ----
+        if sha256(&m3.authenticator) != p.auth_commit {
+            return DecideCheck::Refuted(Misbehaviour::AuthenticatorMismatch { run });
+        }
         // ---- verify the aggregated responses ----
         // Under the base (unanimous) rule the response set must be
-        // complete; the §7 majority extension legitimately resolves runs
-        // from a partial set after the deadline.
-        let proposer = rr.propose.proposal.proposer.clone();
-        let majority = self.config.decision_rule == crate::config::DecisionRule::Majority;
+        // complete; the §7 majority extension legitimately resolves state
+        // runs from a partial set after the deadline.
+        let rule = self.rule(&p.kind);
+        let partial = rule == DecisionRule::Majority;
         // The verifier reads each response's memoized bytes; count those
         // reads as `response_bytes_of` does.
         let memo_hits = m3.responses.iter().filter(|r| r.memo.is_cached()).count();
         let set = tally::check_set(
             &m3.responses,
             run,
-            &oid,
-            rep.members.iter().filter(|m| **m != proposer),
-            majority,
-            |r| r.response.proposed == rr.propose.proposal.proposed,
+            &p.object,
+            polled,
+            partial,
+            |r| r.response.proposed == p.proposed,
             |items| {
                 self.telemetry
                     .add(names::CANONICAL_CACHE_HITS, memo_hits as u64);
                 self.verify_batch_cached(items)
             },
         );
-        let mut fault = set.err().map(|fault| fault.misbehaviour(run, "response"));
+        if let Err(fault) = set {
+            return DecideCheck::Refuted(fault.misbehaviour(run));
+        }
         // Our own response, when included, must be byte-identical; under
         // the unanimous rule it must also be present.
-        if fault.is_none() {
-            let mine = m3.responses.iter().find(|r| r.response.responder == me);
-            match mine {
-                Some(r) if r == &rr.my_response => {}
-                Some(_) => fault = Some(Misbehaviour::ResponseMisrepresented { run }),
-                None if !majority => fault = Some(Misbehaviour::ResponseMisrepresented { run }),
-                None => {}
-            }
+        let me = &self.me;
+        match m3.responses.iter().find(|r| &r.response.responder == me) {
+            Some(r) if r == mine => {}
+            None if partial => {}
+            _ => return DecideCheck::Refuted(Misbehaviour::ResponseMisrepresented { run }),
         }
-
-        if let Some(m) = fault {
-            // Fail-safe abort: evidence is logged; the replica keeps its
-            // agreed state. The run stays active awaiting a consistent
-            // decide (or extra-protocol resolution).
-            self.replicas.insert(oid.clone(), rep);
-            self.log_misbehaviour(&oid, &run_hex, m, now);
-            return;
-        }
-
-        // ---- compute the group decision ----
-        let (accepted, vetoers) =
-            tally::decide(self.config.decision_rule, rep.members.len(), &m3.responses);
+        let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &m3.responses);
         // Under the majority extension a *partial* response set may only
         // resolve the run by demonstrating the installing majority. A
         // partial veto-only set proves nothing (the missing responses
@@ -977,67 +1059,91 @@ impl Coordinator {
         // authenticator is public after the first m3, could be a
         // re-aggregation by the network adversary — keep waiting instead
         // of diverging from peers that saw the full set.
-        if majority && !accepted && m3.responses.len() != rep.members.len() - 1 {
-            self.replicas.insert(oid, rep);
-            return;
+        if partial && !accepted && m3.responses.len() != polled.len() {
+            return DecideCheck::Wait;
         }
-        let Some(ActiveRun::Recipient(rr)) = rep.finish_run() else {
-            unreachable!("matched above");
-        };
-        let outcome = if accepted {
-            match rr.pending_state {
-                Some(next) => {
-                    rep.install_state(rr.propose.proposal.proposed, next, REPLAY_WINDOW);
-                    Outcome::Installed {
-                        state: rr.propose.proposal.proposed,
-                    }
-                }
-                None => {
-                    // Only reachable under the majority extension when we
-                    // ourselves vetoed for body reasons: without a valid
-                    // body we cannot install, so we abort locally.
-                    Outcome::Aborted {
-                        reason: "group accepted but no valid local body".into(),
-                    }
-                }
-            }
-        } else {
-            Outcome::Invalidated { vetoers }
-        };
-        // Keep our signed response on file: if the proposer crashed and
-        // re-sends m1 on recovery, we answer with the *same* response
-        // instead of minting a conflicting signed rejection (which would
-        // manufacture false evidence of equivocation against us, and
-        // false replay evidence against the honest proposer).
-        rep.remember_reply(run, WireMsg::Respond(rr.my_response), COMPLETED_REPLIES_CAP);
-        self.replicas.insert(oid.clone(), rep);
+        DecideCheck::Decided(accepted, vetoers)
+    }
 
-        self.log_evidence(
-            EvidenceKind::StateDecide,
-            &oid,
-            &run_hex,
-            proposer,
-            m3.canonical_bytes(),
-            None,
-            now,
-        );
-        if outcome.is_installed() {
-            self.checkpoint_evidence(&oid, run, now);
-            self.telemetry.inc(names::ROUNDS_COMMITTED);
-            self.trace(now, "state_run", "install", || {
+    // -----------------------------------------------------------------
+    // The end of a round: install, close
+    // -----------------------------------------------------------------
+
+    /// Installs what the group accepted in round `m1` at this party: the
+    /// successor `state` of a state round (`None` when this party holds no
+    /// valid body, which aborts it here), or the new group of a membership
+    /// change. Returns the outcome.
+    pub(crate) fn install(
+        &mut self,
+        oid: &ObjectId,
+        m1: &ProposeMsg,
+        state: Option<Vec<u8>>,
+    ) -> Outcome {
+        let rep = self
+            .replicas
+            .get_mut(oid)
+            .expect("a round's replica outlives it");
+        let p = &m1.proposal;
+        match (&p.kind, state) {
+            (
+                ProposalKind::Connect { new_group, .. }
+                | ProposalKind::Disconnect { new_group, .. },
+                _,
+            ) => {
+                rep.install_membership(p.kind.new_members(&rep.members), *new_group);
+                self.telemetry.inc(names::MEMBERSHIP_CHANGES);
+                Outcome::Installed { state: rep.agreed }
+            }
+            (_, Some(next)) => {
+                rep.install_state(p.proposed, next, REPLAY_WINDOW);
+                Outcome::Installed { state: p.proposed }
+            }
+            (_, None) => Outcome::Aborted {
+                reason: "group accepted but no valid local body".into(),
+            },
+        }
+    }
+
+    /// The common end of `run` at this party once its `outcome` is known:
+    /// the checkpoint evidence of an installed state, the counters and the
+    /// trace, the checkpoint documents, and the outcome with its event — a
+    /// membership change reports the new members.
+    pub(crate) fn close_round(
+        &mut self,
+        oid: &ObjectId,
+        run: RunId,
+        kind: &ProposalKind,
+        outcome: Outcome,
+        now: TimeMs,
+    ) {
+        let rules = rules(kind);
+        let run_hex = run.to_hex();
+        if !outcome.is_installed() {
+            self.telemetry.inc(names::ROUNDS_ABORTED);
+            self.trace(now, rules.span, "rollback", || {
                 format!("object={oid} run={run_hex}")
             });
         } else {
-            self.telemetry.inc(names::ROUNDS_ABORTED);
-            self.trace(now, "state_run", "rollback", || {
+            if !rules.membership {
+                self.checkpoint_evidence(oid, run, now);
+            }
+            self.telemetry.inc(names::ROUNDS_COMMITTED);
+            self.trace(now, rules.span, "install", || {
                 format!("object={oid} run={run_hex}")
             });
         }
         self.observe_run_latency(&run, now);
-        self.persist(&oid);
+        self.persist(oid);
         self.outcomes.insert(run, outcome.clone());
-        self.emit(&oid, run, CoordEventKind::Completed { outcome }, now);
-        self.pump_queue(&oid, ctx);
+        let event = match self.replicas.get(oid) {
+            Some(rep) if rules.membership && outcome.is_installed() => {
+                CoordEventKind::MembershipChanged {
+                    members: rep.members.clone(),
+                }
+            }
+            _ => CoordEventKind::Completed { outcome },
+        };
+        self.emit(oid, run, event, now);
     }
 
     // -----------------------------------------------------------------
@@ -1064,7 +1170,7 @@ impl Coordinator {
                 // Resolve with the responses in hand: silence counts
                 // neither for nor against; the majority threshold is over
                 // the whole group.
-                self.finalize_state_run(oid, run, ctx);
+                self.finalize(oid, run, ctx);
             }
             crate::config::DecisionRule::Unanimous => {
                 // §7: with an appointed TTP, appeal for a certified
@@ -1096,12 +1202,7 @@ impl Coordinator {
         }
     }
 
-    pub(crate) fn checkpoint_evidence(
-        &mut self,
-        oid: &ObjectId,
-        run: RunId,
-        now: b2b_crypto::TimeMs,
-    ) {
+    pub(crate) fn checkpoint_evidence(&mut self, oid: &ObjectId, run: RunId, now: TimeMs) {
         let payload = self
             .replicas
             .get(oid)
@@ -1116,6 +1217,75 @@ impl Coordinator {
             None,
             now,
         );
+    }
+}
+
+/// The per-kind rules of a round that are not a check: how it is traced
+/// and which evidence kinds its propose, respond and decide records carry.
+#[derive(Clone, Copy)]
+pub(crate) struct Rules {
+    /// The trace span.
+    pub(crate) span: &'static str,
+    /// Evidence kinds of the propose, respond and decide steps.
+    pub(crate) evidence: [EvidenceKind; 3],
+    /// Whether the round changes the membership rather than the state.
+    pub(crate) membership: bool,
+}
+
+/// The [`Rules`] of a round of `kind`.
+pub(crate) fn rules(kind: &ProposalKind) -> Rules {
+    use EvidenceKind::*;
+    let (span, evidence) = match kind {
+        ProposalKind::Connect { .. } => (
+            "membership",
+            [ConnectPropose, ConnectRespond, ConnectDecide],
+        ),
+        ProposalKind::Disconnect { .. } => (
+            "membership",
+            [DisconnectPropose, DisconnectRespond, DisconnectDecide],
+        ),
+        _ => ("state_run", [StatePropose, StateRespond, StateDecide]),
+    };
+    Rules {
+        span,
+        evidence,
+        membership: kind.is_membership(),
+    }
+}
+
+/// What a recipient makes of a decide.
+enum DecideCheck {
+    /// The group's decision: whether it accepted, and who vetoed.
+    Decided(bool, Vec<(PartyId, String)>),
+    /// The decide is refuted by this misbehaviour.
+    Refuted(Misbehaviour),
+    /// A partial set that proves nothing yet: keep waiting.
+    Wait,
+}
+
+/// A recipient's verdict on a proposal as its checks accumulate.
+struct Checks {
+    decision: Decision,
+    misbehaviours: Vec<Misbehaviour>,
+    /// Whether the proposal becomes the active run.
+    track: bool,
+}
+
+impl Checks {
+    /// Rejects for `reason`, unless already rejected.
+    fn reject(&mut self, reason: impl Into<String>) {
+        if self.decision.is_accept() {
+            self.decision = Decision::reject(reason);
+        }
+    }
+
+    /// An incoherent proposal: recorded as `misbehaviour`, rejected for
+    /// `reason` and not tracked — holding the object for it would let one
+    /// bogus signed m1 lock the replica until a decide that may never come.
+    fn refuse(&mut self, misbehaviour: Misbehaviour, reason: &str) {
+        self.misbehaviours.push(misbehaviour);
+        self.reject(reason);
+        self.track = false;
     }
 }
 

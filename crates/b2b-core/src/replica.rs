@@ -14,24 +14,19 @@
 
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
-    ConnectProposal, ConnectProposeMsg, ConnectRequestMsg, DecideMsg, DisconnectProposal,
-    DisconnectProposeMsg, DisconnectRequestMsg, MemberDecideMsg, MemberRespondMsg, ProposeMsg,
-    RespondMsg, WireMsg, MIN_PARTY_BYTES,
+    ConnectRequestMsg, DisconnectRequestMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES,
 };
 use crate::object::B2BObject;
-use crate::tally::Vote;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
-    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId, Signature,
-    SignatureScheme,
+    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
 };
-use b2b_evidence::EvidenceKind;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// First byte of every blob this module (and the coordinator's object
 /// index) puts in the snapshot store: the version of the layout that
 /// follows. A blob with any other first byte is not decoded.
-pub const SNAPSHOT_FORMAT: u8 = 2;
+pub const SNAPSHOT_FORMAT: u8 = 3;
 
 /// Lower bound on the encoded size of a signed message (it holds at least
 /// one digest), for [`Decoder::get_count`].
@@ -50,20 +45,19 @@ pub(crate) fn snapshot_decoder(bytes: &[u8]) -> Result<Decoder<'_>, DecodeError>
 
 /// Decodes a response set written as a sequence, re-keying it by
 /// responder; a responder appearing twice is rejected.
-fn decode_responses<M: CanonicalDecode + Vote>(
-    dec: &mut Decoder<'_>,
-) -> Result<BTreeMap<PartyId, M>, DecodeError> {
+fn decode_responses(dec: &mut Decoder<'_>) -> Result<BTreeMap<PartyId, RespondMsg>, DecodeError> {
     let at = dec.position();
     let mut out = BTreeMap::new();
-    for m in decode_seq::<M>(dec, MIN_MSG_BYTES)? {
-        if out.insert(m.responder().clone(), m).is_some() {
+    for m in decode_seq::<RespondMsg>(dec, MIN_MSG_BYTES)? {
+        if out.insert(m.response.responder.clone(), m).is_some() {
             return DecodeError::at("duplicate responder in response set", at);
         }
     }
     Ok(out)
 }
 
-/// A state-coordination run at its proposer.
+/// A round at its proposer: the party proposing a state transition, or
+/// the sponsor of a membership change.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProposerRun {
     /// Run label.
@@ -72,12 +66,11 @@ pub struct ProposerRun {
     pub propose: ProposeMsg,
     /// The authenticator `r_P` (revealed in m3).
     pub authenticator: [u8; 32],
-    /// The successor state the run installs on success.
+    /// The successor state a state round installs on success (empty for a
+    /// membership round, which keeps the agreed state).
     pub new_state: Vec<u8>,
     /// Responses collected so far, by responder.
     pub responses: BTreeMap<PartyId, RespondMsg>,
-    /// The m3, once computed (kept for recovery re-sends).
-    pub decided: Option<DecideMsg>,
 }
 
 impl CanonicalEncode for ProposerRun {
@@ -90,7 +83,6 @@ impl CanonicalEncode for ProposerRun {
         for r in self.responses.values() {
             r.encode(enc);
         }
-        self.decided.encode(enc);
     }
 }
 
@@ -102,12 +94,11 @@ impl CanonicalDecode for ProposerRun {
             authenticator: dec.get_array()?,
             new_state: Vec::<u8>::decode(dec)?,
             responses: decode_responses(dec)?,
-            decided: Option::<DecideMsg>::decode(dec)?,
         })
     }
 }
 
-/// A state-coordination run at a recipient.
+/// A round at a recipient: a party polled about another's proposal.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecipientRun {
     /// Run label.
@@ -116,7 +107,7 @@ pub struct RecipientRun {
     pub propose: ProposeMsg,
     /// The m2 we sent (re-sent on recovery or duplicate m1).
     pub my_response: RespondMsg,
-    /// For accepted proposals: the successor state to install on a
+    /// For accepted state proposals: the successor state to install on a
     /// positive decide (body for overwrites, computed state for updates).
     pub pending_state: Option<Vec<u8>>,
 }
@@ -137,412 +128,6 @@ impl CanonicalDecode for RecipientRun {
             propose: ProposeMsg::decode(dec)?,
             my_response: RespondMsg::decode(dec)?,
             pending_state: Option::<Vec<u8>>::decode(dec)?,
-        })
-    }
-}
-
-/// What a membership run is changing.
-#[derive(Clone, Debug, PartialEq)]
-pub enum MembershipChange {
-    /// Admitting `subject`.
-    Connect {
-        /// The joining party.
-        subject: PartyId,
-        /// The subject's original signed request.
-        request: ConnectRequestMsg,
-        /// The sponsor's relay (kept for recovery re-sends).
-        propose: ConnectProposeMsg,
-    },
-    /// Removing `subjects` (voluntarily or by eviction).
-    Disconnect {
-        /// The leaving parties.
-        subjects: Vec<PartyId>,
-        /// `true` for eviction.
-        eviction: bool,
-        /// The original signed request.
-        request: DisconnectRequestMsg,
-        /// The sponsor's relay.
-        propose: DisconnectProposeMsg,
-    },
-}
-
-impl CanonicalEncode for MembershipChange {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            MembershipChange::Connect {
-                subject,
-                request,
-                propose,
-            } => {
-                enc.put_u8(0);
-                subject.encode(enc);
-                request.encode(enc);
-                propose.encode(enc);
-            }
-            MembershipChange::Disconnect {
-                subjects,
-                eviction,
-                request,
-                propose,
-            } => {
-                enc.put_u8(1);
-                encode_seq(subjects, enc);
-                enc.put_bool(*eviction);
-                request.encode(enc);
-                propose.encode(enc);
-            }
-        }
-    }
-}
-
-impl CanonicalDecode for MembershipChange {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let at = dec.position();
-        match dec.get_u8()? {
-            0 => Ok(MembershipChange::Connect {
-                subject: PartyId::decode(dec)?,
-                request: ConnectRequestMsg::decode(dec)?,
-                propose: ConnectProposeMsg::decode(dec)?,
-            }),
-            1 => Ok(MembershipChange::Disconnect {
-                subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
-                eviction: dec.get_bool()?,
-                request: DisconnectRequestMsg::decode(dec)?,
-                propose: DisconnectProposeMsg::decode(dec)?,
-            }),
-            _ => DecodeError::at("unknown membership change", at),
-        }
-    }
-}
-
-/// A step of a membership run, for [`MembershipChange::evidence_kind`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum MemberStep {
-    /// The sponsor's proposal.
-    Propose,
-    /// A polled member's response.
-    Respond,
-    /// The sponsor's decision.
-    Decide,
-}
-
-/// The fields every membership proposal carries, whatever the change.
-pub(crate) struct ProposalFields<'a> {
-    /// The object.
-    pub(crate) object: &'a ObjectId,
-    /// The sponsoring member.
-    pub(crate) sponsor: &'a PartyId,
-    /// The sponsor's view of the current group.
-    pub(crate) group: GroupId,
-    /// The group that results if the change is agreed.
-    pub(crate) new_group: GroupId,
-    /// The sponsor's agreed state tuple.
-    pub(crate) agreed: StateId,
-    /// Commitment to the decide authenticator.
-    pub(crate) auth_commit: Digest32,
-    /// The signed bytes; their digest is the run label.
-    pub(crate) signed: Vec<u8>,
-    /// The sponsor's signature over `signed`.
-    pub(crate) sig: &'a Signature,
-}
-
-/// The rules of a membership change (§4.5): everything the sponsor and the
-/// polled members derive from what is changing, in one place for both kinds.
-impl MembershipChange {
-    /// A polled member's view of a received connection proposal.
-    pub(crate) fn connect(propose: ConnectProposeMsg) -> MembershipChange {
-        MembershipChange::Connect {
-            subject: propose.proposal.subject.clone(),
-            request: propose.request.clone(),
-            propose,
-        }
-    }
-
-    /// A polled member's view of a received disconnection proposal.
-    pub(crate) fn disconnect(propose: DisconnectProposeMsg) -> MembershipChange {
-        MembershipChange::Disconnect {
-            subjects: propose.proposal.subjects.clone(),
-            eviction: propose.proposal.eviction,
-            request: propose.request.clone(),
-            propose,
-        }
-    }
-
-    /// The change `sponsor` proposes for `request` to the group at `group`
-    /// and `agreed`, before [`MembershipChange::seal`] fills in the new
-    /// group and signs it.
-    pub(crate) fn draft(
-        request: QueuedRequest,
-        sponsor: PartyId,
-        group: GroupId,
-        agreed: StateId,
-    ) -> MembershipChange {
-        let unsigned = Signature::new(SignatureScheme::Ed25519, Vec::new());
-        let auth_commit = Digest32([0; 32]);
-        match request {
-            QueuedRequest::Connect(request) => MembershipChange::connect(ConnectProposeMsg {
-                proposal: ConnectProposal {
-                    object: request.request.object.clone(),
-                    sponsor,
-                    request_digest: request.request.canonical_digest(),
-                    subject: request.request.subject.clone(),
-                    group,
-                    new_group: group,
-                    agreed,
-                    auth_commit,
-                },
-                request,
-                sig: unsigned,
-            }),
-            QueuedRequest::Disconnect(request) => {
-                MembershipChange::disconnect(DisconnectProposeMsg {
-                    proposal: DisconnectProposal {
-                        object: request.request.object.clone(),
-                        sponsor,
-                        request_digest: request.request.canonical_digest(),
-                        subjects: request.request.subjects.clone(),
-                        eviction: request.request.eviction,
-                        group,
-                        new_group: group,
-                        agreed,
-                        auth_commit,
-                    },
-                    request,
-                    sig: unsigned,
-                })
-            }
-        }
-    }
-
-    /// Completes a [`MembershipChange::draft`]: sets the proposed group and
-    /// the commitment to the decide authenticator, then signs.
-    pub(crate) fn seal(
-        &mut self,
-        new_group: GroupId,
-        auth_commit: Digest32,
-        sign: impl FnOnce(&[u8]) -> Signature,
-    ) {
-        match self {
-            MembershipChange::Connect { propose, .. } => {
-                propose.proposal.new_group = new_group;
-                propose.proposal.auth_commit = auth_commit;
-                propose.sig = sign(&propose.proposal.canonical_bytes());
-            }
-            MembershipChange::Disconnect { propose, .. } => {
-                propose.proposal.new_group = new_group;
-                propose.proposal.auth_commit = auth_commit;
-                propose.sig = sign(&propose.proposal.canonical_bytes());
-            }
-        }
-    }
-
-    /// `true` for a connection.
-    pub(crate) fn connecting(&self) -> bool {
-        matches!(self, MembershipChange::Connect { .. })
-    }
-
-    /// `"connect"` or `"disconnect"`, for diagnostics.
-    pub(crate) fn name(&self) -> &'static str {
-        if self.connecting() {
-            "connect"
-        } else {
-            "disconnect"
-        }
-    }
-
-    /// The trace detail of the proposal.
-    pub(crate) fn describe(&self) -> String {
-        match self {
-            MembershipChange::Connect { subject, .. } => {
-                format!("change=connect subject={subject}")
-            }
-            MembershipChange::Disconnect { eviction, .. } => {
-                format!("change=disconnect eviction={eviction}")
-            }
-        }
-    }
-
-    /// The legitimate sponsor at `rep` (§4.5.1): for a connection the most
-    /// recently joined member, for a disconnection the most recently joined
-    /// member that is not leaving.
-    pub(crate) fn legitimate_sponsor<'a>(&self, rep: &'a Replica) -> Option<&'a PartyId> {
-        match self {
-            MembershipChange::Connect { .. } => Some(rep.sponsor()),
-            MembershipChange::Disconnect { subjects, .. } => rep.sponsor_for_disconnect(subjects),
-        }
-    }
-
-    /// The member list (join order) after the change to `members`.
-    pub(crate) fn new_members(&self, members: &[PartyId]) -> Vec<PartyId> {
-        match self {
-            MembershipChange::Connect { subject, .. } => {
-                let mut next = members.to_vec();
-                next.push(subject.clone());
-                next
-            }
-            MembershipChange::Disconnect { subjects, .. } => members
-                .iter()
-                .filter(|m| !subjects.contains(m))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// The members of `members` that `sponsor` polls: everyone but the
-    /// sponsor and, for a disconnection, the leavers.
-    pub(crate) fn polled(&self, members: &[PartyId], sponsor: &PartyId) -> Vec<PartyId> {
-        match self {
-            MembershipChange::Connect { .. } => {
-                members.iter().filter(|m| *m != sponsor).cloned().collect()
-            }
-            MembershipChange::Disconnect { subjects, .. } => members
-                .iter()
-                .filter(|m| *m != sponsor && !subjects.contains(m))
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// The members that leave the group.
-    pub(crate) fn leavers(&self) -> &[PartyId] {
-        match self {
-            MembershipChange::Connect { .. } => &[],
-            MembershipChange::Disconnect { subjects, .. } => subjects,
-        }
-    }
-
-    /// The proposal's common fields.
-    pub(crate) fn proposal(&self) -> ProposalFields<'_> {
-        match self {
-            MembershipChange::Connect { propose, .. } => {
-                let p = &propose.proposal;
-                ProposalFields {
-                    object: &p.object,
-                    sponsor: &p.sponsor,
-                    group: p.group,
-                    new_group: p.new_group,
-                    agreed: p.agreed,
-                    auth_commit: p.auth_commit,
-                    signed: p.canonical_bytes(),
-                    sig: &propose.sig,
-                }
-            }
-            MembershipChange::Disconnect { propose, .. } => {
-                let p = &propose.proposal;
-                ProposalFields {
-                    object: &p.object,
-                    sponsor: &p.sponsor,
-                    group: p.group,
-                    new_group: p.new_group,
-                    agreed: p.agreed,
-                    auth_commit: p.auth_commit,
-                    signed: p.canonical_bytes(),
-                    sig: &propose.sig,
-                }
-            }
-        }
-    }
-
-    /// The evidence kind of `step` of this change.
-    pub(crate) fn evidence_kind(&self, step: MemberStep) -> EvidenceKind {
-        match (self.connecting(), step) {
-            (true, MemberStep::Propose) => EvidenceKind::ConnectPropose,
-            (true, MemberStep::Respond) => EvidenceKind::ConnectRespond,
-            (true, MemberStep::Decide) => EvidenceKind::ConnectDecide,
-            (false, MemberStep::Propose) => EvidenceKind::DisconnectPropose,
-            (false, MemberStep::Respond) => EvidenceKind::DisconnectRespond,
-            (false, MemberStep::Decide) => EvidenceKind::DisconnectDecide,
-        }
-    }
-
-    /// The proposal as sent to the polled members.
-    pub(crate) fn propose_wire(&self) -> WireMsg {
-        match self {
-            MembershipChange::Connect { propose, .. } => WireMsg::ConnectPropose(propose.clone()),
-            MembershipChange::Disconnect { propose, .. } => {
-                WireMsg::DisconnectPropose(propose.clone())
-            }
-        }
-    }
-}
-
-/// A membership run at its sponsor.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SponsorRun {
-    /// Run label.
-    pub run: RunId,
-    /// What is being changed.
-    pub change: MembershipChange,
-    /// The authenticator revealed in the decide.
-    pub authenticator: [u8; 32],
-    /// The member list that results if agreed (join order).
-    pub new_members: Vec<PartyId>,
-    /// The group identifier that results if agreed.
-    pub new_group: GroupId,
-    /// The members polled (recipients of the proposal).
-    pub polled: Vec<PartyId>,
-    /// Responses collected so far.
-    pub responses: BTreeMap<PartyId, MemberRespondMsg>,
-    /// The decide, once computed.
-    pub decided: Option<MemberDecideMsg>,
-}
-
-impl CanonicalEncode for SponsorRun {
-    fn encode(&self, enc: &mut Encoder) {
-        self.run.encode(enc);
-        self.change.encode(enc);
-        enc.put_raw(&self.authenticator);
-        encode_seq(&self.new_members, enc);
-        self.new_group.encode(enc);
-        encode_seq(&self.polled, enc);
-        enc.put_u64(self.responses.len() as u64);
-        for r in self.responses.values() {
-            r.encode(enc);
-        }
-        self.decided.encode(enc);
-    }
-}
-
-impl CanonicalDecode for SponsorRun {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SponsorRun {
-            run: RunId::decode(dec)?,
-            change: MembershipChange::decode(dec)?,
-            authenticator: dec.get_array()?,
-            new_members: decode_seq(dec, MIN_PARTY_BYTES)?,
-            new_group: GroupId::decode(dec)?,
-            polled: decode_seq(dec, MIN_PARTY_BYTES)?,
-            responses: decode_responses(dec)?,
-            decided: Option::<MemberDecideMsg>::decode(dec)?,
-        })
-    }
-}
-
-/// A membership run at a polled member.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MemberRun {
-    /// Run label.
-    pub run: RunId,
-    /// What is being changed.
-    pub change: MembershipChange,
-    /// The response we sent to the sponsor.
-    pub my_response: MemberRespondMsg,
-}
-
-impl CanonicalEncode for MemberRun {
-    fn encode(&self, enc: &mut Encoder) {
-        self.run.encode(enc);
-        self.change.encode(enc);
-        self.my_response.encode(enc);
-    }
-}
-
-impl CanonicalDecode for MemberRun {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(MemberRun {
-            run: RunId::decode(dec)?,
-            change: MembershipChange::decode(dec)?,
-            my_response: MemberRespondMsg::decode(dec)?,
         })
     }
 }
@@ -574,15 +159,12 @@ impl CanonicalDecode for LeavingRun {
 
 /// The at-most-one protocol run currently active at this replica.
 #[derive(Clone, Debug, PartialEq)]
+#[allow(clippy::large_enum_variant)]
 pub enum ActiveRun {
-    /// We proposed a state change.
+    /// We proposed a state change or sponsor a membership change.
     Proposer(ProposerRun),
-    /// We are validating another party's state change.
+    /// We are polled about another party's proposal.
     Recipient(RecipientRun),
-    /// We sponsor a membership change.
-    Sponsor(SponsorRun),
-    /// We are polled about a membership change.
-    Member(MemberRun),
     /// We asked to leave and await the ack.
     Leaving(LeavingRun),
 }
@@ -594,8 +176,6 @@ impl ActiveRun {
         match self {
             ActiveRun::Proposer(r) => Some(r.run),
             ActiveRun::Recipient(r) => Some(r.run),
-            ActiveRun::Sponsor(r) => Some(r.run),
-            ActiveRun::Member(r) => Some(r.run),
             ActiveRun::Leaving(_) => None,
         }
     }
@@ -612,16 +192,8 @@ impl CanonicalEncode for ActiveRun {
                 enc.put_u8(1);
                 r.encode(enc);
             }
-            ActiveRun::Sponsor(r) => {
-                enc.put_u8(2);
-                r.encode(enc);
-            }
-            ActiveRun::Member(r) => {
-                enc.put_u8(3);
-                r.encode(enc);
-            }
             ActiveRun::Leaving(r) => {
-                enc.put_u8(4);
+                enc.put_u8(2);
                 r.encode(enc);
             }
         }
@@ -634,9 +206,7 @@ impl CanonicalDecode for ActiveRun {
         match dec.get_u8()? {
             0 => ProposerRun::decode(dec).map(ActiveRun::Proposer),
             1 => RecipientRun::decode(dec).map(ActiveRun::Recipient),
-            2 => SponsorRun::decode(dec).map(ActiveRun::Sponsor),
-            3 => MemberRun::decode(dec).map(ActiveRun::Member),
-            4 => LeavingRun::decode(dec).map(ActiveRun::Leaving),
+            2 => LeavingRun::decode(dec).map(ActiveRun::Leaving),
             _ => DecodeError::at("unknown active run", at),
         }
     }
@@ -738,18 +308,20 @@ impl ActiveRun {
     /// What the replay window holds for this run: its label and, for a
     /// state run, the proposed tuple's `(seq, rand_hash)`.
     fn seen_key(&self) -> Option<(RunId, Option<(u64, Digest32)>)> {
-        let tuple = |m1: &ProposeMsg| {
-            let t = &m1.proposal.proposed;
-            Some((t.seq, t.rand_hash))
-        };
         match self {
-            ActiveRun::Proposer(r) => Some((r.run, tuple(&r.propose))),
-            ActiveRun::Recipient(r) => Some((r.run, tuple(&r.propose))),
-            ActiveRun::Sponsor(r) => Some((r.run, None)),
-            ActiveRun::Member(r) => Some((r.run, None)),
+            ActiveRun::Proposer(r) => Some((r.run, seen_tuple(&r.propose))),
+            ActiveRun::Recipient(r) => Some((r.run, seen_tuple(&r.propose))),
             ActiveRun::Leaving(_) => None,
         }
     }
+}
+
+/// The tuple half of a proposal's replay-window entry: the proposed
+/// `(seq, rand_hash)` of a state proposal; a membership proposal, which
+/// proposes the agreed tuple, has none.
+pub(crate) fn seen_tuple(m1: &ProposeMsg) -> Option<(u64, Digest32)> {
+    let t = &m1.proposal.proposed;
+    (!m1.proposal.kind.is_membership()).then_some((t.seq, t.rand_hash))
 }
 
 /// A checkpoint document of a replica.
@@ -1465,6 +1037,7 @@ impl ReplyDoc {
 mod tests {
     use super::*;
     use crate::decision::Decision;
+    use crate::messages::DecideMsg;
     use b2b_crypto::sha256;
 
     /// An object whose state is its bytes, accepting every transition.

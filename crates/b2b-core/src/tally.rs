@@ -1,11 +1,11 @@
 //! One tally for signed responses.
 //!
-//! State coordination (§4.3) and connect/disconnect (§4.5) are the same
-//! signed two-phase agreement, and both of the paper's promises rest on
-//! one rule: a decision stands only on a complete set of verified
-//! responses that echo the run. This module is the only place that states
-//! it. [`Coordinator::collect_vote`] records a response at the proposer or
-//! sponsor; [`check_set`] checks an aggregated set at a recipient, a
+//! Every round — a state transition (§4.3) or a connect/disconnect (§4.5)
+//! — is the same signed two-phase agreement, and both of the paper's
+//! promises rest on one rule: a decision stands only on a complete set of
+//! verified responses that echo the run. This module is the only place
+//! that states it. [`Coordinator::collect_vote`] records a response at the
+//! proposer; [`check_set`] checks an aggregated set at a recipient, a
 //! welcomed subject, the TTP and the arbiter alike; [`decide`] says who
 //! vetoed and whether the set is accepted. Each caller maps what these
 //! return to its own misbehaviour record, verdict or ruling.
@@ -13,94 +13,23 @@
 use crate::config::DecisionRule;
 use crate::detect::Misbehaviour;
 use crate::ids::{ObjectId, RunId};
-use crate::messages::{MemberRespondMsg, RespondMsg};
+use crate::messages::RespondMsg;
 use crate::replica::{Doc, Replica};
 use crate::Coordinator;
-use b2b_crypto::{sha256, CanonicalEncode, Digest32, PartyId, Signature};
+use b2b_crypto::{Digest32, PartyId, Signature};
 use b2b_net::NodeCtx;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// A signed response as the tally sees it: `m2` of a state round, or a
-/// member's response to a membership proposal.
-pub(crate) trait Vote {
-    /// The responding party.
-    fn responder(&self) -> &PartyId;
-    /// The run responded to.
-    fn run(&self) -> RunId;
-    /// The object the run coordinates.
-    fn object(&self) -> &ObjectId;
-    /// `true` if the response counts against the proposal.
-    fn vetoes(&self) -> bool;
-    /// The responder's diagnostic, if any.
-    fn reason(&self) -> Option<&str>;
-    /// The signed bytes and their digest.
-    fn signed(&self) -> (Arc<[u8]>, Digest32);
-    /// The responder's signature over [`Vote::signed`].
-    fn sig(&self) -> &Signature;
-}
-
-impl Vote for RespondMsg {
-    fn responder(&self) -> &PartyId {
-        &self.response.responder
-    }
-    fn run(&self) -> RunId {
-        self.response.run
-    }
-    fn object(&self) -> &ObjectId {
-        &self.response.object
-    }
-    /// A rejection, or an accept of a body that contradicts the signed
-    /// hashes.
-    fn vetoes(&self) -> bool {
-        !self.response.decision.is_accept() || !self.response.body_ok
-    }
-    fn reason(&self) -> Option<&str> {
-        self.response.decision.reason.as_deref()
-    }
-    fn signed(&self) -> (Arc<[u8]>, Digest32) {
-        self.memo.get_or_encode(&self.response)
-    }
-    fn sig(&self) -> &Signature {
-        &self.sig
-    }
-}
-
-impl Vote for MemberRespondMsg {
-    fn responder(&self) -> &PartyId {
-        &self.response.responder
-    }
-    fn run(&self) -> RunId {
-        self.response.run
-    }
-    fn object(&self) -> &ObjectId {
-        &self.response.object
-    }
-    fn vetoes(&self) -> bool {
-        !self.response.decision.is_accept()
-    }
-    fn reason(&self) -> Option<&str> {
-        self.response.decision.reason.as_deref()
-    }
-    fn signed(&self) -> (Arc<[u8]>, Digest32) {
-        let bytes: Arc<[u8]> = self.response.canonical_bytes().into();
-        let digest = sha256(&bytes);
-        (bytes, digest)
-    }
-    fn sig(&self) -> &Signature {
-        &self.sig
-    }
-}
-
 /// The `(responder, reason)` of every vetoing response, in set order; a
 /// veto without a diagnostic reads "rejected".
-pub(crate) fn vetoers<V: Vote>(votes: &[V]) -> Vec<(PartyId, String)> {
+pub(crate) fn vetoers(votes: &[RespondMsg]) -> Vec<(PartyId, String)> {
     votes
         .iter()
         .filter(|v| v.vetoes())
         .map(|v| {
-            let reason = v.reason().unwrap_or("rejected");
-            (v.responder().clone(), reason.to_owned())
+            let reason = v.response.decision.reason.as_deref().unwrap_or("rejected");
+            (v.response.responder.clone(), reason.to_owned())
         })
         .collect()
 }
@@ -110,10 +39,10 @@ pub(crate) fn vetoers<V: Vote>(votes: &[V]) -> Vec<(PartyId, String)> {
 /// (the paper, and every membership change) every other member must
 /// accept; under majority the accepts plus the proposer, who by
 /// definition accepts, must be a strict majority of the whole group.
-pub(crate) fn decide<V: Vote>(
+pub(crate) fn decide(
     rule: DecisionRule,
     group_size: usize,
-    votes: &[V],
+    votes: &[RespondMsg],
 ) -> (bool, Vec<(PartyId, String)>) {
     let vetoers = vetoers(votes);
     let accepts = votes.len() - vetoers.len();
@@ -144,14 +73,14 @@ pub(crate) enum Fault {
 
 impl Fault {
     /// The misbehaviour a recipient records against the decide of `run`
-    /// whose set of `kind` ("response" or "membership response") fails.
-    pub(crate) fn misbehaviour(self, run: RunId, kind: &str) -> Misbehaviour {
+    /// whose response set fails.
+    pub(crate) fn misbehaviour(self, run: RunId) -> Misbehaviour {
         let detail = match self {
             Fault::Mismatch => "response for another run, object or tuple".to_owned(),
             Fault::Responder(who) => format!("unexpected or duplicate responder {who}"),
-            Fault::Incomplete => format!("{kind} set incomplete"),
+            Fault::Incomplete => "response set incomplete".to_owned(),
             Fault::BadSignature(claimed) => {
-                let message = format!("aggregated {kind}");
+                let message = "aggregated response".to_owned();
                 return Misbehaviour::BadSignature { claimed, message };
             }
         };
@@ -164,22 +93,22 @@ impl Fault {
 /// comes from an `expected` party not seen before; the set is complete
 /// unless `allow_partial`; and `verify` accepts every signature, naming
 /// the first offender otherwise. The first failure is returned.
-pub(crate) fn check_set<'a, V: Vote>(
-    votes: &[V],
+pub(crate) fn check_set<'a>(
+    votes: &[RespondMsg],
     run: RunId,
     object: &ObjectId,
     expected: impl IntoIterator<Item = &'a PartyId>,
     allow_partial: bool,
-    echo: impl Fn(&V) -> bool,
+    echo: impl Fn(&RespondMsg) -> bool,
     verify: impl FnOnce(&[SignedVote]) -> Result<(), PartyId>,
 ) -> Result<(), Fault> {
     let expected: BTreeSet<&PartyId> = expected.into_iter().collect();
     let mut seen: BTreeSet<&PartyId> = BTreeSet::new();
     for v in votes {
-        if v.run() != run || v.object() != object || !echo(v) {
+        if v.response.run != run || &v.response.object != object || !echo(v) {
             return Err(Fault::Mismatch);
         }
-        let responder = v.responder();
+        let responder = &v.response.responder;
         if !expected.contains(responder) || !seen.insert(responder) {
             return Err(Fault::Responder(responder.clone()));
         }
@@ -190,8 +119,8 @@ pub(crate) fn check_set<'a, V: Vote>(
     let items: Vec<SignedVote> = votes
         .iter()
         .map(|v| {
-            let (bytes, digest) = v.signed();
-            (v.responder().clone(), bytes, digest, v.sig().clone())
+            let (bytes, digest) = v.memo.get_or_encode(&v.response);
+            (v.response.responder.clone(), bytes, digest, v.sig.clone())
         })
         .collect();
     verify(&items).map_err(Fault::BadSignature)
@@ -199,16 +128,14 @@ pub(crate) fn check_set<'a, V: Vote>(
 
 /// The collecting side of an active round, as [`Coordinator::collect_vote`]
 /// sees it.
-pub(crate) struct Ballot<'a, V> {
+pub(crate) struct Ballot<'a> {
     /// The responses recorded so far, by responder.
-    pub(crate) responses: &'a mut BTreeMap<PartyId, V>,
-    /// The parties that may respond; their responses, this party's aside,
-    /// complete the set.
-    pub(crate) voters: &'a [PartyId],
+    pub(crate) responses: &'a mut BTreeMap<PartyId, RespondMsg>,
+    /// The parties the round polled; their responses complete the set.
+    pub(crate) voters: Vec<PartyId>,
     /// Whether the response echoes the round.
     pub(crate) echo: bool,
 }
-
 /// What [`Coordinator::collect_vote`] made of a response.
 pub(crate) enum Collected {
     /// The sender is not the responder, or the signature fails.
@@ -230,30 +157,28 @@ pub(crate) enum Collected {
 }
 
 impl Coordinator {
-    /// Collects one signed response at the proposer of a state round or
-    /// the sponsor of a membership round. In order: the signature; a
+    /// Collects one signed response at the proposer of a round. In order:
+    /// the signature; a
     /// completed run's reply, re-sent; the active round, which `ballot`
     /// finds in the replica; its echo; an expected responder; a duplicate
     /// or conflicting response. A new response is recorded and the core
     /// checkpoint document marked stale. Evidence, trace events and
     /// counters are the caller's.
-    pub(crate) fn collect_vote<V: Vote + Clone + PartialEq>(
+    pub(crate) fn collect_vote(
         &mut self,
         from: &PartyId,
-        vote: &V,
+        vote: &RespondMsg,
         ctx: &mut NodeCtx,
-        ballot: impl FnOnce(&mut Replica) -> Option<Ballot<'_, V>>,
+        ballot: impl FnOnce(&mut Replica) -> Option<Ballot<'_>>,
     ) -> Collected {
-        let (bytes, digest) = vote.signed();
-        if from != vote.responder()
-            || self
-                .verify_cached(from, &bytes, digest, vote.sig())
-                .is_err()
+        let (bytes, digest) = vote.memo.get_or_encode(&vote.response);
+        if from != &vote.response.responder
+            || self.verify_cached(from, &bytes, digest, &vote.sig).is_err()
         {
             return Collected::BadSignature;
         }
-        let oid = vote.object();
-        if self.replay_completed_reply(oid, &vote.run(), from, ctx) {
+        let oid = &vote.response.object;
+        if self.replay_completed_reply(oid, &vote.response.run, from, ctx) {
             return Collected::Ignored;
         }
         let Some(rep) = self.replicas.get_mut(oid) else {
@@ -274,7 +199,7 @@ impl Coordinator {
             None => {
                 ballot.responses.insert(from.clone(), vote.clone());
                 let got = ballot.responses.len();
-                let want = ballot.voters.iter().filter(|v| **v != self.me).count();
+                let want = ballot.voters.len();
                 rep.mark_stale(Doc::Core);
                 Collected::Recorded { got, want }
             }
@@ -287,8 +212,8 @@ mod tests {
     use super::*;
     use crate::decision::{Decision, Verdict};
     use crate::ids::{GroupId, StateId};
-    use crate::messages::{MemberResponse, Response};
-    use b2b_crypto::{KeyPair, KeyRing, Signer};
+    use crate::messages::Response;
+    use b2b_crypto::{sha256, CanonicalEncode, KeyPair, KeyRing, Signer};
 
     /// Verifies `items` one by one against `ring`, naming the first
     /// signer whose signature fails.
@@ -334,57 +259,34 @@ mod tests {
         }
     }
 
-    /// Builds a signed vote of either kind.
-    trait Cast: Vote + Clone + Sized {
-        fn cast(w: &World, who: usize, run: RunId, object: &ObjectId, decision: Decision) -> Self;
-        fn sig_mut(&mut self) -> &mut Signature;
-    }
-
-    impl Cast for RespondMsg {
-        fn cast(w: &World, who: usize, run: RunId, object: &ObjectId, decision: Decision) -> Self {
-            let (party, kp) = &w.keys[who];
-            let response = Response {
-                object: object.clone(),
-                responder: party.clone(),
-                group: GroupId::genesis(sha256(b"group"), &[]),
-                run,
-                prev: tuple(b"prev"),
-                proposed: tuple(b"next"),
-                body_ok: true,
-                decision,
-            };
-            let sig = kp.sign(&response.canonical_bytes());
-            RespondMsg {
-                response,
-                sig,
-                memo: Default::default(),
-            }
-        }
-        fn sig_mut(&mut self) -> &mut Signature {
-            &mut self.sig
+    /// Builds `who`'s signed response.
+    fn cast(
+        w: &World,
+        who: usize,
+        run: RunId,
+        object: &ObjectId,
+        decision: Decision,
+    ) -> RespondMsg {
+        let (party, kp) = &w.keys[who];
+        let response = Response {
+            object: object.clone(),
+            responder: party.clone(),
+            group: GroupId::genesis(sha256(b"group"), &[]),
+            run,
+            prev: tuple(b"prev"),
+            proposed: tuple(b"next"),
+            body_ok: true,
+            decision,
+        };
+        let sig = kp.sign(&response.canonical_bytes());
+        RespondMsg {
+            response,
+            sig,
+            memo: Default::default(),
         }
     }
 
-    impl Cast for MemberRespondMsg {
-        fn cast(w: &World, who: usize, run: RunId, object: &ObjectId, decision: Decision) -> Self {
-            let (party, kp) = &w.keys[who];
-            let response = MemberResponse {
-                object: object.clone(),
-                responder: party.clone(),
-                run,
-                group: GroupId::genesis(sha256(b"group"), &[]),
-                agreed: tuple(b"prev"),
-                decision,
-            };
-            let sig = kp.sign(&response.canonical_bytes());
-            MemberRespondMsg { response, sig }
-        }
-        fn sig_mut(&mut self) -> &mut Signature {
-            &mut self.sig
-        }
-    }
-
-    fn check<V: Vote>(w: &World, votes: &[V], allow_partial: bool) -> Result<(), Fault> {
+    fn check(w: &World, votes: &[RespondMsg], allow_partial: bool) -> Result<(), Fault> {
         let expected = [&w.keys[1].0, &w.keys[2].0];
         check_set(
             votes,
@@ -393,28 +295,31 @@ mod tests {
             expected,
             allow_partial,
             // The echo fails on `p2`'s vote when it carries the reason "x".
-            |v| !(v.responder() == &w.keys[2].0 && v.reason() == Some("x")),
+            |v| {
+                !(v.response.responder == w.keys[2].0
+                    && v.response.decision.reason.as_deref() == Some("x"))
+            },
             |items| verify_each(&w.ring, items),
         )
     }
 
     /// A case name, the set, whether it may be partial, and the verdict.
-    type SetRow<V> = (&'static str, Vec<V>, bool, Result<(), Fault>);
+    type SetRow = (&'static str, Vec<RespondMsg>, bool, Result<(), Fault>);
 
-    fn set_checks<V: Cast>() {
+    fn set_checks() {
         let w = world();
-        let vote = |who: usize| V::cast(&w, who, w.run, &w.object, Decision::accept());
-        let other_run = V::cast(
+        let vote = |who: usize| cast(&w, who, w.run, &w.object, Decision::accept());
+        let other_run = cast(
             &w,
             2,
             RunId(sha256(b"other")),
             &w.object,
             Decision::accept(),
         );
-        let other_object = V::cast(&w, 2, w.run, &ObjectId::new("other"), Decision::accept());
-        let no_echo = V::cast(&w, 2, w.run, &w.object, Decision::reject("x"));
+        let other_object = cast(&w, 2, w.run, &ObjectId::new("other"), Decision::accept());
+        let no_echo = cast(&w, 2, w.run, &w.object, Decision::reject("x"));
         let p = |i: usize| w.keys[i].0.clone();
-        let table: Vec<SetRow<V>> = vec![
+        let table: Vec<SetRow> = vec![
             ("complete", vec![vote(1), vote(2)], false, Ok(())),
             (
                 "complete, other order",
@@ -467,14 +372,14 @@ mod tests {
         }
     }
 
-    fn bad_signature_at_each_index<V: Cast>() {
+    fn bad_signature_at_each_index() {
         let w = world();
         let expected: Vec<&PartyId> = (1..4).map(|i| &w.keys[i].0).collect();
         for bad in 0..3 {
-            let mut votes: Vec<V> = (1..4)
-                .map(|who| V::cast(&w, who, w.run, &w.object, Decision::accept()))
+            let mut votes: Vec<RespondMsg> = (1..4)
+                .map(|who| cast(&w, who, w.run, &w.object, Decision::accept()))
                 .collect();
-            let sig = votes[bad].sig_mut();
+            let sig = &mut votes[bad].sig;
             let mut bytes = sig.as_bytes().to_vec();
             bytes[0] ^= 0x01;
             *sig = Signature::new(sig.scheme(), bytes);
@@ -497,43 +402,39 @@ mod tests {
 
     #[test]
     fn set_checks_over_state_responses() {
-        set_checks::<RespondMsg>();
-    }
-
-    #[test]
-    fn set_checks_over_member_responses() {
-        set_checks::<MemberRespondMsg>();
+        set_checks();
     }
 
     #[test]
     fn bad_signature_is_attributed_at_each_index_of_state_responses() {
-        bad_signature_at_each_index::<RespondMsg>();
-    }
-
-    #[test]
-    fn bad_signature_is_attributed_at_each_index_of_member_responses() {
-        bad_signature_at_each_index::<MemberRespondMsg>();
+        bad_signature_at_each_index();
     }
 
     /// A case name, the rule, the set, and the expected decision.
-    type DecideRow<V> = (&'static str, DecisionRule, Vec<V>, bool, Vec<Vetoer>);
+    type DecideRow = (
+        &'static str,
+        DecisionRule,
+        Vec<RespondMsg>,
+        bool,
+        Vec<Vetoer>,
+    );
     type Vetoer = (PartyId, String);
 
-    fn decisions<V: Cast>() {
+    fn decisions() {
         use DecisionRule::{Majority, Unanimous};
         let w = world();
-        let acc = |who| V::cast(&w, who, w.run, &w.object, Decision::accept());
-        let rej = |who| V::cast(&w, who, w.run, &w.object, Decision::reject("no"));
+        let acc = |who| cast(&w, who, w.run, &w.object, Decision::accept());
+        let rej = |who| cast(&w, who, w.run, &w.object, Decision::reject("no"));
         let bare = |who| {
             let bare = Decision {
                 verdict: Verdict::Reject,
                 reason: None,
             };
-            V::cast(&w, who, w.run, &w.object, bare)
+            cast(&w, who, w.run, &w.object, bare)
         };
         let p = |i: usize| w.keys[i].0.clone();
         // Group of four: the proposer and three responders.
-        let table: Vec<DecideRow<V>> = vec![
+        let table: Vec<DecideRow> = vec![
             (
                 "all accept",
                 Unanimous,
@@ -585,18 +486,13 @@ mod tests {
 
     #[test]
     fn decisions_over_state_responses() {
-        decisions::<RespondMsg>();
-    }
-
-    #[test]
-    fn decisions_over_member_responses() {
-        decisions::<MemberRespondMsg>();
+        decisions();
     }
 
     #[test]
     fn a_tampered_body_vetoes_an_accepting_state_response() {
         let w = world();
-        let acc = |who| RespondMsg::cast(&w, who, w.run, &w.object, Decision::accept());
+        let acc = |who| cast(&w, who, w.run, &w.object, Decision::accept());
         let mut tampered = acc(2);
         tampered.response.body_ok = false;
         let votes = vec![acc(1), tampered, acc(3)];

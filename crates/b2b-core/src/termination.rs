@@ -442,13 +442,16 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(&oid) else {
             return;
         };
-        let in_run = matches!(
-            &rep.active,
-            Some(ActiveRun::Proposer(pr)) if pr.run == run
-        ) || matches!(
-            &rep.active,
-            Some(ActiveRun::Recipient(rr)) if rr.run == run
-        );
+        // Only state rounds have deadlines, and so appeals.
+        let in_run = match &rep.active {
+            Some(ActiveRun::Proposer(pr)) => {
+                pr.run == run && !pr.propose.proposal.kind.is_membership()
+            }
+            Some(ActiveRun::Recipient(rr)) => {
+                rr.run == run && !rr.propose.proposal.kind.is_membership()
+            }
+            _ => false,
+        };
         if !in_run {
             return;
         }

@@ -66,13 +66,13 @@ fn admit_org3_under(seed: u64, intruder: impl Intruder + 'static) -> Cluster {
 /// frame is delivered as sent.
 fn tamper_member_decide_to(
     victim: &'static str,
-    tamper: fn(&mut b2b_core::messages::MemberDecideMsg),
+    tamper: fn(&mut b2b_core::messages::DecideMsg),
 ) -> impl Intruder {
     FnIntruder::new(
         move |_f: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
-            Some(WireMsg::MemberDecide(mut m)) if to.as_str() == victim => {
+            Some(WireMsg::Decide(mut m)) if to.as_str() == victim => {
                 tamper(&mut m);
-                InterceptAction::Replace(replace_body(raw, &WireMsg::MemberDecide(m)))
+                InterceptAction::Replace(replace_body(raw, &WireMsg::Decide(m)))
             }
             _ => InterceptAction::Deliver,
         },
@@ -95,9 +95,9 @@ fn forged_authenticator_in_member_decide_is_detected() {
         706,
         FnIntruder::new(
             |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
-                Some(WireMsg::MemberDecide(mut m)) => {
+                Some(WireMsg::Decide(mut m)) => {
                     m.authenticator = [0xAB; 32];
-                    InterceptAction::Replace(replace_body(raw, &WireMsg::MemberDecide(m)))
+                    InterceptAction::Replace(replace_body(raw, &WireMsg::Decide(m)))
                 }
                 _ => InterceptAction::Deliver,
             },
@@ -114,7 +114,12 @@ fn forged_authenticator_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "fe374c80521dc7a25c1b056ae2e23e82b9a1b54b7ad4cc3b9619594d58c95c99",
+        "b032c35d99895dcec5b76f352645bc09eba2827627e9839b8e3ebccf4d393950",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "140a3b89c242261e79690620e342718a2e128c87e3d5429d8f0dbe0184de56ba",
     );
 }
 
@@ -133,7 +138,12 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "ab6f809448057f32a47d8b6764c698fe27823db099b34a27caa8485ef8e45020",
+        "5a8af4065cd9ff033cf641ac4a6ae557b9ba52aedd814510d3bf13d115b22206",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "d8ccbfb8e0cbe8295920dfece5aaec227ffe3f64f44c5fc4f762ebc534ff5525",
     );
 }
 
@@ -158,7 +168,12 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "d856b08cdb8e9f301876d0507e11726c109e21721821c22896a5c83c6b9a43be",
+        "b852ebaeaf92e5863d4fd2da83e026ecaea0e41d06aa5c552d171860a5ef109a",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "3551f91e0e9ffafbb6c18728fbd74948be7df5d3539a55f817dd9d6995f0f562",
     );
 }
 
@@ -187,7 +202,12 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
     assert_golden(
         &cluster,
         "c",
-        "502e9c0eefe7d7467d549b8942b5160c3fc4d183783fd438dee35f46410b09f2",
+        "2b2a3531701b28b62ec762798564e5dfe2cd9676284e73f20275c3297cf738bd",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "07e5dc57ac5176578a0c30955cc51e09e9f813cb0d3b1161bd72f885b3d1c2b7",
     );
 }
 
@@ -224,7 +244,12 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "0e78020c9d61c6915ca37d73edd9e2c364d54b0b64a2748f62afba5b39846cd8",
+        "773cd517b7a5e96ab911015a561422a967c3bd6feda5d7fbf21007cffb14547f",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "a2fa651e2634e055def7b45fe9f8d47340f2e36ce7476cb0e5c1bf097dcfec7e",
     );
 }
 
@@ -267,7 +292,12 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_golden(
         &cluster,
         "c",
-        "b3532432574e252854ccd21e5dab8371ecf9e85dfbd1142b8f4de635b51274ba",
+        "fef5467d7fa3f876caaf46f1e2bf38e2f3ab0c4ffb4e96371e3957d1145cc82c",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "50055ff14cf0dc1aeb27afe801ceea457c02b04fa4816335b12ba83d8bb716ff",
     );
 }
 
@@ -302,7 +332,12 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "5c3609de8a579e240e4b0055b927c525ae3318c2cbec4f9d3e5df46653df7b35",
+        "669e4059144aa6d3d390e88ecac4f2c3a80e8b150d793021d6eecc5cd601c407",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "a95aac9c056ac2bc10135806585320db0944e8e86965eac194d02b7c6989034e",
     );
 }
 
@@ -329,11 +364,11 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     // so it looks like org0 itself sponsors the admission.
     cluster.net.set_intruder(FnIntruder::new(
         |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
-            Some(WireMsg::ConnectPropose(mut m)) => {
+            Some(WireMsg::Propose(mut m)) => {
                 // Claim org0 as sponsor: breaks either legitimacy (if the
                 // group really has org2 as sponsor) or the signature.
-                m.proposal.sponsor = PartyId::new("org0");
-                InterceptAction::Replace(replace_body(raw, &WireMsg::ConnectPropose(m)))
+                m.proposal.proposer = PartyId::new("org0");
+                InterceptAction::Replace(replace_body(raw, &WireMsg::Propose(m)))
             }
             _ => InterceptAction::Deliver,
         },
@@ -353,7 +388,12 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_golden(
         &cluster,
         "c",
-        "a7284c6888724da26fda4a24aed62855ed0475c33b77f6412df31c83ffb6349f",
+        "c4bf942669929d7dea15aae7188be6a3bd3c4b490ed4a1a02cbf5e408503a86e",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "562142d7a1aa7a73388b735b773c5bd1a966cf9c8f9f142ab920681f10b57b81",
     );
 }
 
@@ -377,7 +417,7 @@ fn replayed_connect_proposal_is_detected() {
     cluster.run();
     cluster.net.set_intruder(FnIntruder::new(
         move |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| {
-            if let Some(WireMsg::ConnectPropose(_)) = peek(raw) {
+            if let Some(WireMsg::Propose(_)) = peek(raw) {
                 rec.lock().unwrap().get_or_insert_with(|| raw.to_vec());
             }
             InterceptAction::Deliver
@@ -422,7 +462,12 @@ fn replayed_connect_proposal_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "80c7dd33fc4208feaa085da83e1d659d7326511e30b6df03cae954142d9b088f",
+        "24796cdd5741bcc13a3eecc5b03017b3d51f95d053a0f873b03cae97f639050e",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "64ee10065b1875665ad8b361f7bbc5ef2ffcc4d35373b53cbd77b1c974dbbe35",
     );
 }
 
@@ -461,7 +506,12 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_golden(
         &cluster,
         "c",
-        "3611bff3c61d6d61514b079ff668c9b308862055203dfbb84a752c54cf8f874a",
+        "c336f772ec18e5ea7610e3fe70b3d993edf0147ddbe4137d45a78e76eae425b8",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "b193b716fc3bfa5ded3f37100f60fe8102cb02446b2183b91d0ab06da25b5cc4",
     );
 }
 
@@ -501,7 +551,7 @@ fn detached_leaver_refuses_its_former_sponsors_proposal() {
     let once = copied.clone();
     cluster.net.set_intruder(FnIntruder::new(
         move |from: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
-            Some(WireMsg::ConnectPropose(_))
+            Some(WireMsg::Propose(_))
                 if from.as_str() == "org2"
                     && to.as_str() == "org0"
                     && !once.swap(true, Ordering::SeqCst) =>
@@ -539,4 +589,92 @@ fn detached_leaver_refuses_its_former_sponsors_proposal() {
     assert!(has_detection(&cluster, 1, "unexpected-message"));
     // The sponsor heard nothing from the leaver.
     assert!(!has_detection(&cluster, 2, "unexpected-message"));
+}
+
+#[test]
+fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
+    use b2b_core::messages::{
+        ConnectRequest, ConnectRequestMsg, Proposal, ProposalKind, ProposeMsg,
+    };
+    use b2b_core::{members_digest, GroupId};
+    use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer};
+    // org0 is a member but not the sponsor (org2 is). It signs a
+    // connection proposal for org3 naming itself as sponsor, coherent in
+    // every other respect, and sends it to org1. org1 must veto it, record
+    // the illegitimate sponsor, and not hold the object for it: a
+    // membership round has no deadline and no TTP, so a tracked bogus
+    // proposal would lock org1 for good and veto the sponsor's next update
+    // as a concurrent run.
+    let mut cluster = Cluster::new(4, 711);
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("c"), Box::new(counter_factory))
+            .unwrap();
+    });
+    for i in 1..3 {
+        let sponsor = party(i - 1);
+        cluster.net.invoke(&party(i), move |c, ctx| {
+            c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+                .unwrap();
+        });
+        cluster.run();
+    }
+    let oid = ObjectId::new("c");
+    let node = cluster.net.node(&party(0));
+    let (group, agreed) = (node.group(&oid).unwrap(), node.agreed_id(&oid).unwrap());
+    let request = ConnectRequest {
+        object: oid.clone(),
+        subject: party(3),
+        nonce_hash: sha256(b"n"),
+    };
+    let request = ConnectRequestMsg {
+        sig: KeyPair::generate_from_seed(1003).sign(&request.canonical_bytes()),
+        request,
+    };
+    let proposal = Proposal {
+        object: oid.clone(),
+        proposer: party(0),
+        group,
+        prev: agreed,
+        proposed: agreed,
+        auth_commit: sha256(b"auth"),
+        kind: ProposalKind::Connect {
+            request_digest: request.request.canonical_digest(),
+            subject: party(3),
+            new_group: GroupId {
+                seq: group.seq + 1,
+                rand_hash: sha256(b"g"),
+                members_hash: members_digest(&[party(0), party(1), party(2), party(3)]),
+            },
+        },
+    };
+    let msg = WireMsg::Propose(ProposeMsg {
+        sig: KeyPair::generate_from_seed(1000).sign(&proposal.canonical_bytes()),
+        proposal,
+        body: request.canonical_bytes(),
+        memo: Default::default(),
+    });
+    let mut frame = vec![0u8];
+    frame.extend_from_slice(&0x5eed_u64.to_be_bytes());
+    frame.extend_from_slice(&0u64.to_be_bytes());
+    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
+    frame.extend_from_slice(&msg.to_bytes());
+    cluster
+        .net
+        .invoke(&party(0), move |_c, ctx| ctx.send(party(1), frame));
+    cluster.run();
+
+    assert!(has_detection(&cluster, 1, "illegitimate-sponsor"));
+    assert!(
+        !cluster.net.node(&party(1)).is_busy(&oid),
+        "the vetoed proposal holds the member"
+    );
+    assert_eq!(cluster.members(1, "c"), vec![party(0), party(1), party(2)]);
+    let run = cluster.propose(2, "c", enc(4));
+    for who in 0..3 {
+        let outcome = cluster.outcome(who, &run);
+        assert!(
+            outcome.as_ref().is_some_and(|o| o.is_installed()),
+            "org{who}: {outcome:?}"
+        );
+    }
 }

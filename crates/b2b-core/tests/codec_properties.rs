@@ -14,12 +14,14 @@
 
 use b2b_core::messages::*;
 use b2b_core::replica::{
-    ActiveRun, CoreDoc, LeavingRun, MemberRun, MembershipChange, ProposerRun, QueuedRequest,
-    RecipientRun, ReplyDoc, SeenEntry, SponsorRun, SNAPSHOT_FORMAT,
+    ActiveRun, CoreDoc, LeavingRun, ProposerRun, QueuedRequest, RecipientRun, ReplyDoc, SeenEntry,
+    SNAPSHOT_FORMAT,
 };
 use b2b_core::{Decision, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::DecodeError;
-use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, KeyPair, PartyId, Signer, TimeMs};
+use b2b_crypto::{
+    sha256, CanonicalDecode, CanonicalEncode, Encoder, KeyPair, PartyId, Signer, TimeMs,
+};
 use b2b_evidence::{EvidenceKind, EvidenceRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -114,46 +116,73 @@ fn connect_request() -> ConnectRequestMsg {
     }
 }
 
-fn connect_propose() -> ConnectProposeMsg {
-    let proposal = ConnectProposal {
+/// A signed `m1` of any kind by `proposer`, from `prev` to `proposed`.
+fn propose_by(
+    proposer: &str,
+    prev: StateId,
+    proposed: StateId,
+    kind: ProposalKind,
+    body: &[u8],
+) -> ProposeMsg {
+    let proposal = Proposal {
         object: oid(),
-        sponsor: PartyId::new("approver"),
-        request_digest: sha256(b"req"),
-        subject: PartyId::new("dispatcher"),
+        proposer: PartyId::new(proposer),
         group: group_id(3),
-        new_group: group_id(4),
-        agreed: state_id(5),
+        prev,
+        proposed,
         auth_commit: sha256(b"auth2"),
+        kind,
     };
-    ConnectProposeMsg {
+    ProposeMsg {
         sig: kp().sign(&proposal.canonical_bytes()),
         proposal,
-        request: connect_request(),
+        body: body.to_vec(),
+        memo: Default::default(),
     }
 }
 
-fn member_respond(who: &str) -> MemberRespondMsg {
-    let response = MemberResponse {
+fn connect_propose() -> ProposeMsg {
+    let request = connect_request();
+    let kind = ProposalKind::Connect {
+        request_digest: request.request.canonical_digest(),
+        subject: PartyId::new("dispatcher"),
+        new_group: group_id(4),
+    };
+    propose_by(
+        "approver",
+        state_id(5),
+        state_id(5),
+        kind,
+        &request.canonical_bytes(),
+    )
+}
+
+/// A member's response to a membership proposal: it echoes the agreed
+/// tuple the proposal keeps.
+fn member_respond(who: &str) -> RespondMsg {
+    let response = Response {
         object: oid(),
         responder: PartyId::new(who),
-        run: run(),
         group: group_id(3),
-        agreed: state_id(5),
+        run: run(),
+        prev: state_id(5),
+        proposed: state_id(5),
+        body_ok: true,
         decision: Decision::accept(),
     };
-    MemberRespondMsg {
+    RespondMsg {
         sig: kp().sign(&response.canonical_bytes()),
         response,
+        memo: Default::default(),
     }
 }
 
-fn member_decide(connecting: bool) -> MemberDecideMsg {
-    MemberDecideMsg {
+fn member_decide() -> DecideMsg {
+    DecideMsg {
         object: oid(),
         run: run(),
         authenticator: [9; 32],
         responses: vec![member_respond("customer"), member_respond("supplier")],
-        connecting,
     }
 }
 
@@ -171,27 +200,26 @@ fn disconnect_request() -> DisconnectRequestMsg {
     }
 }
 
-fn disconnect_propose() -> DisconnectProposeMsg {
-    let proposal = DisconnectProposal {
-        object: oid(),
-        sponsor: PartyId::new("supplier"),
-        request_digest: sha256(b"dreq"),
+fn disconnect_propose() -> ProposeMsg {
+    let request = disconnect_request();
+    let kind = ProposalKind::Disconnect {
+        request_digest: request.request.canonical_digest(),
         subjects: vec![PartyId::new("approver"), PartyId::new("dispatcher")],
         eviction: true,
-        group: group_id(4),
         new_group: group_id(5),
-        agreed: state_id(5),
-        auth_commit: sha256(b"auth3"),
     };
-    DisconnectProposeMsg {
-        sig: kp().sign(&proposal.canonical_bytes()),
-        proposal,
-        request: disconnect_request(),
-    }
+    propose_by(
+        "supplier",
+        state_id(5),
+        state_id(5),
+        kind,
+        &request.canonical_bytes(),
+    )
 }
 
-/// One message of every [`WireMsg`] variant (two for `Propose`: an
-/// overwrite and a batch).
+/// One message of every [`WireMsg`] variant: `Propose` in every
+/// [`ProposalKind`] (the update inside the TTP appeal), `Respond` and
+/// `Decide` of a state and of a membership round.
 fn every_variant() -> Vec<WireMsg> {
     let links = vec![
         BatchLink {
@@ -259,25 +287,25 @@ fn every_variant() -> Vec<WireMsg> {
         WireMsg::Respond(respond("supplier", Decision::reject("no"))),
         WireMsg::Decide(decide()),
         WireMsg::ConnectRequest(connect_request()),
-        WireMsg::ConnectPropose(connect_propose()),
-        WireMsg::MemberRespond(member_respond("customer")),
-        WireMsg::MemberDecide(member_decide(true)),
+        WireMsg::Propose(connect_propose()),
+        WireMsg::Respond(member_respond("customer")),
+        WireMsg::Decide(member_decide()),
         WireMsg::Welcome(WelcomeMsg {
             sig: kp().sign(&welcome.canonical_bytes()),
             welcome,
             state: b"agreed state bytes".to_vec(),
-            decide: member_decide(true),
+            decide: member_decide(),
         }),
         WireMsg::ConnectReject(ConnectRejectMsg {
             sig: kp().sign(&reject.canonical_bytes()),
             reject,
         }),
         WireMsg::DisconnectRequest(disconnect_request()),
-        WireMsg::DisconnectPropose(disconnect_propose()),
+        WireMsg::Propose(disconnect_propose()),
         WireMsg::DisconnectAck(DisconnectAckMsg {
             sig: kp().sign(&ack.canonical_bytes()),
             ack,
-            decide: member_decide(false),
+            decide: member_decide(),
         }),
         WireMsg::DisconnectReject(DisconnectRejectMsg {
             sig: kp().sign(&dreject.canonical_bytes()),
@@ -314,9 +342,8 @@ fn every_variant() -> Vec<WireMsg> {
 #[test]
 fn every_wire_variant_round_trips() {
     let msgs = every_variant();
-    let mut kinds: Vec<&str> = msgs.iter().map(WireMsg::kind_name).collect();
-    kinds.dedup();
-    assert_eq!(kinds.len(), 17, "one sample per variant");
+    let kinds: std::collections::BTreeSet<&str> = msgs.iter().map(WireMsg::kind_name).collect();
+    assert_eq!(kinds.len(), 13, "a sample of every variant");
     for msg in msgs {
         let bytes = msg.to_bytes();
         assert_eq!(bytes[0], WIRE_FORMAT);
@@ -405,7 +432,7 @@ fn mutated_frames_are_rejected_or_reencode_identically() {
     assert!(accepted > 0 && rejected > 0);
     // The leading format byte and the variant tag in particular.
     let frame = WireMsg::Respond(respond("supplier", Decision::accept())).to_bytes();
-    for (at, value) in [(0, 0u8), (0, 2), (0, b'{'), (1, 17), (1, 255)] {
+    for (at, value) in [(0, 0u8), (0, 1), (0, 3), (0, b'{'), (1, 13), (1, 255)] {
         let mut bad = frame.clone();
         bad[at] = value;
         assert!(WireMsg::from_bytes(&bad).is_none(), "byte {at} = {value}");
@@ -422,7 +449,7 @@ fn random_buffers_never_decode_or_panic() {
         // decoders see random input too.
         if i % 2 == 0 && buf.len() >= 2 {
             buf[0] = WIRE_FORMAT;
-            buf[1] %= 17;
+            buf[1] %= 13;
         }
         if let Some(m) = WireMsg::from_bytes(&buf) {
             assert_eq!(
@@ -448,6 +475,130 @@ fn random_buffers_never_decode_or_panic() {
     huge.extend_from_slice(&[0; 32]);
     huge.extend_from_slice(&u64::MAX.to_be_bytes()); // response count
     assert!(WireMsg::from_bytes(&huge).is_none());
+}
+
+/// Every [`ProposalKind`] round-trips inside a signed proposal, with its
+/// tag (0–4) as the first byte of the kind's encoding, and a tag past the
+/// last is refused.
+#[test]
+fn every_proposal_kind_round_trips() {
+    let link = |tag: &[u8]| BatchLink {
+        update_hash: sha256(tag),
+        state_hash: sha256(tag),
+    };
+    let kinds = vec![
+        ProposalKind::Overwrite,
+        ProposalKind::Update {
+            update_hash: sha256(b"u"),
+        },
+        ProposalKind::Batch {
+            links: vec![link(b"a"), link(b"b")],
+        },
+        connect_propose().proposal.kind,
+        disconnect_propose().proposal.kind,
+        ProposalKind::Disconnect {
+            request_digest: sha256(b"leave"),
+            subjects: vec![PartyId::new("supplier")],
+            eviction: false,
+            new_group: group_id(6),
+        },
+    ];
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let bytes = kind.canonical_bytes();
+        assert_eq!(bytes[0] as usize, i.min(4), "{kind:?}");
+        assert_eq!(ProposalKind::from_canonical(&bytes), Ok(kind.clone()));
+        let m1 = propose_by("customer", state_id(4), state_id(5), kind, b"body");
+        let frame = WireMsg::Propose(m1.clone()).to_bytes();
+        assert_eq!(WireMsg::from_bytes(&frame), Some(WireMsg::Propose(m1)));
+    }
+    for tag in [5u8, 0xff] {
+        assert!(ProposalKind::from_canonical(&[tag]).is_err(), "tag {tag}");
+    }
+}
+
+/// The frames of the previous layout are refused, never repaired: a
+/// format-1 frame of any message, and — under the current format — the
+/// variant tags past the last (the previous layout's 17 variants became
+/// 13 when the membership round's own propose, respond and decide went).
+/// The retired membership variants, encoded as the previous layout laid
+/// them out, are refused too.
+#[test]
+fn previous_format_frames_and_retired_tags_are_refused() {
+    for msg in every_variant() {
+        let mut old = msg.to_bytes();
+        old[0] = 1;
+        assert!(WireMsg::from_bytes(&old).is_none(), "{}", msg.kind_name());
+        for tag in 13..=16u8 {
+            let mut retired = msg.to_bytes();
+            retired[1] = tag;
+            assert!(WireMsg::from_bytes(&retired).is_none(), "tag {tag}");
+        }
+    }
+    // The previous layout's four membership-round frames, byte for byte
+    // as it encoded them: `[1][tag][message]`.
+    let frame = |tag: u8, body: &dyn Fn(&mut Encoder)| {
+        let mut enc = Encoder::new();
+        enc.put_u8(1);
+        enc.put_u8(tag);
+        body(&mut enc);
+        enc.finish()
+    };
+    let sig = kp().sign(b"signed part");
+    let member_response = |enc: &mut Encoder| {
+        oid().encode(enc);
+        PartyId::new("customer").encode(enc);
+        run().encode(enc);
+        group_id(3).encode(enc);
+        state_id(5).encode(enc);
+        Decision::accept().encode(enc);
+        sig.encode(enc);
+    };
+    let connect_propose = frame(4, &|enc| {
+        oid().encode(enc);
+        PartyId::new("approver").encode(enc);
+        enc.put_digest(&sha256(b"req"));
+        PartyId::new("dispatcher").encode(enc);
+        group_id(3).encode(enc);
+        group_id(4).encode(enc);
+        state_id(5).encode(enc);
+        enc.put_digest(&sha256(b"auth"));
+        connect_request().encode(enc);
+        sig.encode(enc);
+    });
+    let member_respond = frame(5, &member_response);
+    let member_decide = frame(6, &|enc| {
+        oid().encode(enc);
+        run().encode(enc);
+        enc.put_raw(&[9; 32]);
+        enc.put_u64(1);
+        member_response(enc);
+        enc.put_bool(true);
+    });
+    let disconnect_propose = frame(10, &|enc| {
+        oid().encode(enc);
+        PartyId::new("supplier").encode(enc);
+        enc.put_digest(&sha256(b"dreq"));
+        b2b_crypto::canonical::encode_seq(&[PartyId::new("approver")], enc);
+        enc.put_bool(true);
+        group_id(4).encode(enc);
+        group_id(5).encode(enc);
+        state_id(5).encode(enc);
+        enc.put_digest(&sha256(b"auth"));
+        disconnect_request().encode(enc);
+        sig.encode(enc);
+    });
+    for old in [
+        connect_propose,
+        member_respond,
+        member_decide,
+        disconnect_propose,
+    ] {
+        assert!(WireMsg::from_bytes(&old).is_none());
+        // Nor does the old body decode under its old tag in this format.
+        let mut relabelled = old.clone();
+        relabelled[0] = WIRE_FORMAT;
+        assert!(WireMsg::from_bytes(&relabelled).is_none(), "tag {}", old[1]);
+    }
 }
 
 /// Decodes a checkpoint document and encodes it again.
@@ -501,7 +652,6 @@ fn core_docs() -> Vec<CoreDoc> {
         .into_iter()
         .map(|(who, d)| (PartyId::new(who), respond(who, d)))
         .collect(),
-        decided: Some(decide()),
     };
     let recipient = RecipientRun {
         run: m1.run_id(),
@@ -509,33 +659,22 @@ fn core_docs() -> Vec<CoreDoc> {
         my_response: respond("supplier", Decision::accept()),
         pending_state: Some(b"next".to_vec()),
     };
-    let connect = MembershipChange::Connect {
-        subject: PartyId::new("dispatcher"),
-        request: connect_request(),
-        propose: connect_propose(),
-    };
-    let disconnect = MembershipChange::Disconnect {
-        subjects: vec![PartyId::new("approver")],
-        eviction: true,
-        request: disconnect_request(),
-        propose: disconnect_propose(),
-    };
-    let sponsor = SponsorRun {
-        run: run(),
-        change: connect,
+    let connect = connect_propose();
+    let sponsor = ProposerRun {
+        run: connect.run_id(),
+        propose: connect,
         authenticator: [4; 32],
-        new_members: vec![PartyId::new("customer"), PartyId::new("dispatcher")],
-        new_group: group_id(4),
-        polled: vec![PartyId::new("customer"), PartyId::new("supplier")],
+        new_state: Vec::new(),
         responses: [(PartyId::new("customer"), member_respond("customer"))]
             .into_iter()
             .collect(),
-        decided: None,
     };
-    let member = MemberRun {
-        run: run(),
-        change: disconnect,
-        my_response: member_respond("supplier"),
+    let disconnect = disconnect_propose();
+    let member = RecipientRun {
+        run: disconnect.run_id(),
+        propose: disconnect,
+        my_response: member_respond("customer"),
+        pending_state: None,
     };
     let leaving = LeavingRun {
         request: disconnect_request(),
@@ -556,8 +695,8 @@ fn core_docs() -> Vec<CoreDoc> {
         core_doc(None),
         core_doc(Some(ActiveRun::Proposer(proposer))),
         core_doc(Some(ActiveRun::Recipient(recipient))),
-        core_doc(Some(ActiveRun::Sponsor(sponsor))),
-        core_doc(Some(ActiveRun::Member(member))),
+        core_doc(Some(ActiveRun::Proposer(sponsor))),
+        core_doc(Some(ActiveRun::Recipient(member))),
         core_doc(Some(ActiveRun::Leaving(leaving))),
         fresh,
         detached,
@@ -574,7 +713,7 @@ fn reply_docs() -> Vec<ReplyDoc> {
     };
     let membership_run = ReplyDoc {
         tuple: None,
-        wire: WireMsg::MemberRespond(member_respond("supplier")).to_bytes(),
+        wire: WireMsg::Respond(member_respond("supplier")).to_bytes(),
         ..state_run.clone()
     };
     let past_the_window = ReplyDoc {
@@ -616,9 +755,10 @@ fn damaged_checkpoint_documents_are_rejected_not_misread() {
         longer.push(0);
         assert!(decode(&longer).is_err());
         // A blob in another format is refused at the first byte: the
-        // format-1 whole-replica snapshots of the previous layout, and the
+        // format-2 documents whose active run could be a sponsor or member
+        // run, the format-1 whole-replica snapshots before those, and the
         // JSON snapshots before those (they start with `{`).
-        for other_format in [1, b'{'] {
+        for other_format in [2, 1, b'{'] {
             let mut other = bytes.clone();
             other[0] = other_format;
             assert!(decode(&other).is_err());
@@ -755,6 +895,19 @@ fn golden_m1_and_its_wal_record() {
         );
     };
     golden("m1.wire", include_str!("fixtures/m1.wire.hex"), &wire);
+    // The state round's m1 moved only its format byte when the membership
+    // round's own messages went: with byte 0 set back to 1 the fixture is
+    // the previous layout's vector (pinned by its digest), and that frame
+    // is refused.
+    assert_eq!(wire[0], WIRE_FORMAT);
+    let mut previous = wire.clone();
+    previous[0] = 1;
+    assert_eq!(
+        sha256(hex::encode(&previous).as_bytes()).to_string(),
+        "6a67bc12b9b6a8b6690c8eea707da841f84594a9c6b7782902e4d9ab8f5d7934",
+        "the format-1 m1.wire.hex vector"
+    );
+    assert!(WireMsg::from_bytes(&previous).is_none());
     golden(
         "m1.wal-record",
         include_str!("fixtures/m1.wal-record.hex"),

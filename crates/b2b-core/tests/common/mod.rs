@@ -197,6 +197,81 @@ pub fn assert_golden(cluster: &Cluster, alias: &str, golden: &str) {
     );
 }
 
+/// SHA-256 over what a scenario *did*, blind to the bytes of membership
+/// messages. Per party of `cluster`:
+/// - the sequence of (evidence kind, signer) in log order, with the
+///   payload bytes of the state-round records (propose, respond, decide,
+///   checkpoint);
+/// - the outcome of every run its evidence names, keyed by the run's order
+///   of first appearance in the log rather than by its label;
+/// - the final members, agreed tuple and agreed state of `alias`.
+///
+/// A change to the wire layout of membership rounds moves
+/// [`scenario_digest`] but not this; a change to who signed what, to any
+/// state-round byte or to any outcome moves both.
+pub fn scenario_shape(cluster: &Cluster, alias: &str) -> String {
+    use b2b_crypto::CanonicalEncode;
+    use b2b_evidence::{EvidenceKind, EvidenceStore};
+    let oid = ObjectId::new(alias);
+    let mut input = Vec::new();
+    for p in &cluster.parties {
+        let node = cluster.net.node(p);
+        let records = cluster.stores[p].records();
+        let mut runs: Vec<&str> = Vec::new();
+        for record in &records {
+            input.extend(format!("{:?}/{};", record.kind, record.origin).into_bytes());
+            if matches!(
+                record.kind,
+                EvidenceKind::StatePropose
+                    | EvidenceKind::StateRespond
+                    | EvidenceKind::StateDecide
+                    | EvidenceKind::Checkpoint
+            ) {
+                input.extend(&record.payload);
+            }
+            if !runs.contains(&record.run.as_str()) {
+                runs.push(&record.run);
+            }
+        }
+        for (i, hex) in runs.into_iter().enumerate() {
+            let Some(run) = run_of_hex(hex) else {
+                continue;
+            };
+            if let Some(outcome) = node.outcome_of(&run) {
+                input.extend(format!("#{i}={outcome:?};").into_bytes());
+            }
+        }
+        input.extend(format!("{:?}|", node.members(&oid)).into_bytes());
+        input.extend(
+            node.agreed_id(&oid)
+                .map(|id| id.canonical_bytes())
+                .unwrap_or_default(),
+        );
+        input.extend(node.agreed_state(&oid).unwrap_or_default());
+    }
+    b2b_crypto::sha256(&input).to_string()
+}
+
+/// The run label a record names, if it is one (64 hex digits).
+fn run_of_hex(hex: &str) -> Option<RunId> {
+    if hex.len() != 64 {
+        return None;
+    }
+    let bytes = (0..32)
+        .map(|i| u8::from_str_radix(hex.get(2 * i..2 * i + 2)?, 16).ok())
+        .collect::<Option<Vec<u8>>>()?;
+    Some(RunId(b2b_crypto::Digest32(bytes.try_into().ok()?)))
+}
+
+/// Asserts [`scenario_shape`] equals `golden`.
+pub fn assert_shape(cluster: &Cluster, alias: &str, golden: &str) {
+    assert_eq!(
+        scenario_shape(cluster, alias),
+        golden,
+        "evidence kinds, signers, state-round bytes, outcomes or final state of {alias} changed"
+    );
+}
+
 /// A grow-only shared counter: a transition is valid iff the value does
 /// not decrease. JSON-encoded `u64`.
 pub fn counter_factory() -> Box<dyn B2BObject> {

@@ -14,7 +14,7 @@ mod common;
 use b2b_core::ObjectId;
 use b2b_crypto::TimeMs;
 use b2b_evidence::{EvidenceKind, EvidenceStore};
-use common::{assert_golden, counter_factory, party, Cluster, QUIET};
+use common::{assert_golden, assert_shape, counter_factory, party, Cluster, QUIET};
 
 #[test]
 fn rejected_voluntary_leave_returns_replica_to_member() {
@@ -81,6 +81,11 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_golden(
         &cluster,
         "ledger",
-        "d7008e91feee79a87f47a1513bfc287a7cab96219ca6149aed9dff8d56c57df8",
+        "dce2c60dac03d7a56e3bb4ea024e83f6326958bf429309446648cce0ef394c04",
+    );
+    assert_shape(
+        &cluster,
+        "ledger",
+        "36b13306c8f56c8a408610eeefa36eb7e39122d123f31adf3a19680a19b0ec78",
     );
 }

@@ -145,8 +145,9 @@ enum Fault {
 /// `len == 1`) from org0 to org1 and org2 with `fault` at `index`, and
 /// returns what it decided and a digest of everything it left behind:
 /// org0's outcome, every party's detected misbehaviours and the
-/// canonical bytes of every party's evidence records.
-fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
+/// canonical bytes of every party's evidence records, and its
+/// [`scenario_shape`].
+fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String, String) {
     let mut cluster = Cluster::with_config(3, 321, CoordinatorConfig::default(), FaultPlan::new());
     let oid = ObjectId::new("log");
     let picky = |me: &'static str| {
@@ -186,7 +187,7 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
                         m.body = encode_batch_body(&updates);
                     }
                     ProposalKind::Update { .. } => m.body = entry("forged"),
-                    ProposalKind::Overwrite => return InterceptAction::Deliver,
+                    _ => return InterceptAction::Deliver,
                 }
                 let mut out = raw[..FRAME_HEADER].to_vec();
                 out.extend_from_slice(&WireMsg::Propose(m).to_bytes());
@@ -227,54 +228,61 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String) {
             digest_input.extend(record.canonical_bytes());
         }
     }
-    (outcome, sha256(&digest_input).to_string())
+    let shape = scenario_shape(&cluster, "log");
+    (outcome, sha256(&digest_input).to_string(), shape)
 }
 
-/// `(fault, len, index, digest)`. The `Forged` rows log a `Misbehaviour`
-/// record, so their digests also pin its canonical payload.
-const GOLDEN: &[(Fault, usize, usize, &str)] = &[
+/// `(fault, len, index, digest, shape)`. The `Forged` rows log a
+/// `Misbehaviour` record, so their digests also pin its canonical payload.
+const GOLDEN: &[(Fault, usize, usize, &str, &str)] = &[
     (
         Fault::Forged,
         4,
         2,
-        "aab7882fa4bbc60314d5a653c6eb5c6e5440fbf0e126dd2a37eda7795217ff18",
+        "2c3e87c064288fae4463632444bebb031605e813370bd1f4291e6c382731f396",
+        "12f22826177096f78ada09a7b0ce683fe5d770d556ce40b85d93b45464139e4a",
     ),
     (
         Fault::Inapplicable,
         4,
         1,
-        "167a098fcc73c8d40d0e0cf808f06f319034d2228fd34d4f2df3cdb34730b121",
+        "a268d2034dbc5fa171590d1a7e5f5c4e9c98941d36d9a5146bf69ffd69754266",
+        "f2fd852b55eb13ce69bb373456a02dc30db9defdfce9b2c1063629bafbaf2cc9",
     ),
     (
         Fault::Vetoed,
         4,
         3,
-        "eee2b823b437452faad5f90bf19cf4d9e1d00a72237af8e896d8b18b1caf8ccf",
+        "fcdd92690fb7c7ea820a1455f4f3028d535356ab17eb7b0d00d46b432f1d3dac",
+        "5b55578c22e09afc3dda9d3af9675e103e6cd72e79d4ef8090fa7c5c52b5ad72",
     ),
     (
         Fault::Forged,
         1,
         0,
-        "667b6ffaedf33b45f44d5d87a105389ced20f224941ba8d6214851c68b08eff5",
+        "cef4e145979edb72f00d1fd035831943d3c626b127e6ad2adc1116bfefd193b8",
+        "15eb1e0eda4aae5a8c2c05f177546a8720870b932e84152c7bbc13824dfb7bd8",
     ),
     (
         Fault::Inapplicable,
         1,
         0,
-        "d967557060f2c95455ce61f2822184ca11dbe5ca13130366956e3d3c8143d339",
+        "7ea283bb40df9ba31f9f7c144439624f492b8b9b7386bff8e701f2c217e3d1ad",
+        "1877f1f4ca9cadef3641cfd87d274b603ca7acaf0e0196753e526388d1ad9d2f",
     ),
     (
         Fault::Vetoed,
         1,
         0,
-        "0f8a1d439e36efc3fdd2a0978c4cf4c4492d4085d504ba6b0c5e54faf342342d",
+        "559aa8b9e4633393bc19c8cbee863f14dc96152815a16e8a98053b8c45bc9fcd",
+        "81ae91e94d35bf8ce4a6f66c8ab11ec89b306cb874fcaf85637157231717c357",
     ),
 ];
 
 #[test]
 fn failures_inside_a_replayed_chain_keep_decision_misbehaviour_and_evidence() {
-    for &(fault, len, index, golden) in GOLDEN {
-        let (outcome, digest) = faulty_round(fault, len, index);
+    for &(fault, len, index, golden, shape) in GOLDEN {
+        let (outcome, digest, got_shape) = faulty_round(fault, len, index);
         // The decision names the failing update's index inside a batch.
         let expect = match (fault, len) {
             (Fault::Forged, 1) => "body does not match signed hashes".to_string(),
@@ -293,6 +301,10 @@ fn failures_inside_a_replayed_chain_keep_decision_misbehaviour_and_evidence() {
         assert_eq!(
             digest, golden,
             "{fault:?} at {index} of {len}: decision, misbehaviour or evidence bytes moved ({outcome})"
+        );
+        assert_eq!(
+            got_shape, shape,
+            "{fault:?} at {index} of {len}: scenario shape moved"
         );
     }
 }

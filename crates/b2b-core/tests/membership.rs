@@ -36,7 +36,12 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_golden(
         &cluster,
         "counter",
-        "487243d245fdc697ac31b4a3a811fd2de1d66b8be56f07917bc41e579a206abf",
+        "a149c343337d84421370b5e6503d481dc5767b8ef35d07915db1487ed8c9f90c",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "0e70f327df5d42b39b62b79f22013a8079650f4251ac18a5e81b250169e17562",
     );
 }
 
@@ -82,7 +87,12 @@ fn joiner_receives_current_agreed_state() {
     assert_golden(
         &cluster,
         "counter",
-        "9fda0457e578e96c90139403b01ef63a9bd9b1faa59e899993f1fbe0eac07b82",
+        "c898d432c2175b645c63556da23688e44b6fcfef0322ed116e62594190a1bd03",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "5ad22f8c65c0d93194689cae01973bcb08d987f04cc86582cd661b533f85a270",
     );
 }
 
@@ -156,7 +166,12 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_golden(
         &cluster,
         "obj",
-        "e39cfc70d47a81bdd3988e64a8af7bb82e4752946c69aaddd177ea465c3580b9",
+        "e8a777b6dece2a814b84d9b1debc2cd92eb29f84a471890b5a892def3e32446d",
+    );
+    assert_shape(
+        &cluster,
+        "obj",
+        "daafd5b45194202dc87a2756519dc356bafd4656a67c9c904e084dda8606495d",
     );
 }
 
@@ -207,7 +222,12 @@ fn immediate_rejection_by_sponsor() {
     assert_golden(
         &cluster,
         "obj",
-        "bdfeb3f1676438f6077fb55bc353e6ca755834588ae05702ae605a9c9ad68610",
+        "9e316e6346f99d537041e1175a1901dedb847da2b9bab9d36286e6970328da54",
+    );
+    assert_shape(
+        &cluster,
+        "obj",
+        "6bd795547bc7d11d8b2456d4c90735ea2841be956ce90c74ee0ff6029ab2f533",
     );
 }
 
@@ -241,7 +261,12 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_golden(
         &cluster,
         "counter",
-        "b1eadee3846c16400b67079c761a31fe03b5a756509f4f2bd820a35879b217ce",
+        "a9d98b631944298d0a99d71d7111ec08da9549ae52d61f75b0047bf36bff3b3c",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "6f4ad98dd4e6942080b26e852295c776007c49d84810ec01016cabfda308bc18",
     );
 }
 
@@ -265,7 +290,12 @@ fn two_party_disconnect_leaves_singleton() {
     assert_golden(
         &cluster,
         "counter",
-        "fbbd380e191efd190eec1b23fe4f54e863776f28b03a07db88b8097f6c51caf6",
+        "94237b3e3cd24cc31b1c085dc5ecfed0824d06c8526cc7b8d044681a9c1e14bb",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "9572d516f0dc7d973841896051eab61057f708b410b8b9ea6df70d3441adef0d",
     );
 }
 
@@ -307,7 +337,12 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_golden(
         &cluster,
         "counter",
-        "a2b78679bbbc9a4f96d694933e4cc96dabc4aac39a5e9f10520aaf2d450607c0",
+        "657ce333616534db013c52515546bc62438168e147819af0ccdf9f28ead936a0",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "6da042706efd7aeb22df82919b69c58e5afbecf8c360bde921c1d052467c2a65",
     );
 }
 
@@ -329,7 +364,12 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_golden(
         &cluster,
         "counter",
-        "1a74deec9636ca4d535a12231439b2c21d7d72116c17a2f03bc1549fdee7bdc5",
+        "0859df536e3434fd5e18ab915ee4a8f240d8fc6ddac337fd9d07d83db240e6b0",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "dca0bb807a3addce185d3ea838ac3e5a24b07d9c4c27b1658149cbd7a8a63ed1",
     );
 }
 
@@ -360,7 +400,12 @@ fn membership_requests_queue_behind_active_run() {
     assert_golden(
         &cluster,
         "counter",
-        "987fff634d36ef2a8303b8aad5eb0d5947e4912a59805780a38b823ba8a73468",
+        "10709e739303ccb27f497b14a05a4775b5aa03c9ec45c47bc374ab7f9961a72e",
+    );
+    assert_shape(
+        &cluster,
+        "counter",
+        "4a2bf0da51cf90a8151eb1d5312e530a6de7108ea18e14245ea99fc8db2cf42b",
     );
 }
 
@@ -409,7 +454,12 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_golden(
         &cluster,
         "c",
-        "38932b9c2d12bf5a712712576d112768cf28565eef280ea31726ec53f8c58663",
+        "a56f0a102fd9fe6715af8f0640f621f728cf52024e1152234226f14d915cfd8e",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "f64eefdb2e95ff4e7b28f10cd9b71d2ce32cd7535ca451bbc5822966ae9b9af3",
     );
 }
 
@@ -418,9 +468,14 @@ fn membership_change_message_cost() {
     // Connection: request + (n−1 propose) + (n−1 respond) + (n−1 decide)
     // + welcome = 3n − 1 messages for a group growing from n to n+1.
     const GOLDEN: [&str; 3] = [
-        "a8cbf55eb5e938bffbce8ec70c597677a47000c905e4bdb3b3546d6343b48596",
-        "1812895739ea6bcdb2a3ca4db899f296ec9b6917953e472327b9470e55f0630b",
-        "d172095839aa55eb72203fa8a85c993cbcef9f00692193e7e98fa304f7e80a81",
+        "e1c0472dde130d4e03cfcb246eb436ea85003cdc0f4f38e7bfaa066906568c4f",
+        "333d82fd4d662692a467d730e27442c29da9fb76a57859516c9e162771d6a5b7",
+        "5c495f9bba20efd81e5e6f70ca87c162d91aabe2429f550b72f38808d4ad5095",
+    ];
+    const SHAPES: [&str; 3] = [
+        "6bc6db5da11c8624deb5d3132132bc67c936eac3b6b3907a248a5c6ae54c426f",
+        "577b6876be084a78541cf9e690e973ce45f8f1c6ef2e6312cb13519db5d864d8",
+        "bc68a49df5ba857f23c536099c16b7242431264b380e4643cb1f227b351656f1",
     ];
     for n in 2..=4u64 {
         let mut cluster = Cluster::new(n as usize + 1, 40 + n);
@@ -448,5 +503,6 @@ fn membership_change_message_cost() {
         let after = cluster.total_protocol_messages();
         assert_eq!(after - before, 3 * n - 1, "connect into group of {n}");
         assert_golden(&cluster, "c", GOLDEN[n as usize - 2]);
+        assert_shape(&cluster, "c", SHAPES[n as usize - 2]);
     }
 }

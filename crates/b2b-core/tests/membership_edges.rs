@@ -31,7 +31,12 @@ fn leaver_can_rejoin_later() {
     assert_golden(
         &cluster,
         "c",
-        "a6f0c59785fb1c2ed438a1a1d3853d3b23b9b315715cd4d698d2ccbeda4e2547",
+        "591cdf9cadbd8fa32177a9a82c69f9d84a4cc65ca3d3abfa402f7f327ce6db72",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "83e6e91cc53b950bf7248735229d4d3b85b75db7e09c0ef66b093edcee9611af",
     );
 }
 
@@ -50,7 +55,12 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "2b01582d960ca4047cd8604b2c646c7db52dd8109ca95bc7d9a99e5f1a628262",
+        "8daa95a854df6846fc64ca9c1bb0a83d54e4ee367aaaab4e402876173bafbe2a",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "ae0eb38824cf520b22cdff54a03de532375b1dbd239aa8554498b8b3f0c9efa4",
     );
 }
 
@@ -69,7 +79,12 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "2aa79b6405a9cd60c042f792b78ebda0229e257af4ed6290c23a54a3867ad688",
+        "729e0e962e0a546f96d076607fa6ade3751d8706a61087a9c6ba6d8f2a869a5a",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "a6e8682b7dce036811a07bedbc597a591ffab553f802a2b72d618be27752cbc0",
     );
 }
 
@@ -104,7 +119,12 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_golden(
         &cluster,
         "c",
-        "4cf956bbc0c0f75db2e2ad6f6041752aaae40809dfb2e15ef20e062d0af5f28d",
+        "daa975d894f15a26d007857b6ee32708a734b41ee6d9dda2062026db5d13f661",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "e9466aa3539e701fe0a26b0fc4caefec0f6f6b29d996d030b62fd5fcb52da0ac",
     );
 }
 
@@ -149,7 +169,12 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_golden(
         &cluster,
         "c",
-        "f8788b6123d56293d1cd095dcc1ecb33faf83d4832cb60015d784204d8d87a0d",
+        "ec53845a0c371122171c6a64fd092fa8dc639b6d7ea7daa01b96f0e9f692c9a2",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "946bb5f7a804bb0a09fcf93e026a350f750e8058a90180d1e6552f4d03614386",
     );
 }
 
@@ -165,7 +190,12 @@ fn sole_member_disconnect_is_local() {
     assert_golden(
         &cluster,
         "c",
-        "90cf6c0256ece9032f9e06813f7b2b21839486cbd80d545abb540a3443379d24",
+        "e5f7f76a1ce9391454030df6e48f3a2278fe182631ec0aa663f4953ae4a6d7cb",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "37a8e5ffc549e2e056881f8bc4d7be9fdbe232240103ca3d5b53d0d08e9130a4",
     );
 }
 
@@ -196,7 +226,12 @@ fn eviction_by_non_member_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "80360685657e0e02acc880052532b1b02671899275384cf8b3755860b2634b5c",
+        "e9c58300883471fb3e8aea298751784b21f6f638f33eb16eb422c6469a6b8a25",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "8e7bac3f07399a6f3392d3a158bbe6db1db95deb3e89d687816f67f33c6928b0",
     );
 }
 
@@ -245,6 +280,11 @@ fn queued_connects_are_served_in_order() {
     assert_golden(
         &cluster,
         "c",
-        "754a63308a62b83e8ff53b87232cd8975f114efd50a58074285a7c527d278acd",
+        "659999bf7bba6d6ecfb5594385006a0c01f5ea3cf0f26054f72e97fbcd04df8e",
+    );
+    assert_shape(
+        &cluster,
+        "c",
+        "601883cced4addfec1da1c401d48a5aa45db016c8023e3430207ebebf9eaeff5",
     );
 }
