@@ -167,7 +167,9 @@ pub struct Coordinator {
     pub(crate) evidence: Arc<dyn EvidenceStore>,
     pub(crate) snapshots: Arc<dyn SnapshotStore>,
     pub(crate) rng: SecureRng,
-    pub(crate) replicas: HashMap<ObjectId, Replica>,
+    /// Boxed, so a bucket of the map is a pointer wide and moving a replica
+    /// out and back (as `on_propose` does) copies one word.
+    pub(crate) replicas: HashMap<ObjectId, Box<Replica>>,
     pub(crate) factories: HashMap<ObjectId, ObjectFactory>,
     pub(crate) pending_connects: HashMap<ObjectId, PendingConnect>,
     pub(crate) connect_status: HashMap<ObjectId, ConnectStatus>,
@@ -421,7 +423,7 @@ impl Coordinator {
             state,
         );
         self.factories.insert(object_id.clone(), factory);
-        self.replicas.insert(object_id.clone(), replica);
+        self.replicas.insert(object_id.clone(), Box::new(replica));
         self.persist(&object_id);
         self.persist_index();
         Ok(())
@@ -473,7 +475,7 @@ impl Coordinator {
     /// This party's replica of `object` — protocol bookkeeping included —
     /// for inspection by tests and tools.
     pub fn replica(&self, object: &ObjectId) -> Option<&Replica> {
-        self.replicas.get(object)
+        self.replicas.get(object).map(|r| &**r)
     }
 
     /// Read-only access to the application object of `object`.
@@ -1100,7 +1102,7 @@ impl Coordinator {
                         .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
                 },
             );
-            self.replicas.insert(object_id.clone(), replica);
+            self.replicas.insert(object_id.clone(), Box::new(replica));
             self.resume_run(&object_id, ctx);
         }
         // Pending connection attempts (no replica yet at the subject).

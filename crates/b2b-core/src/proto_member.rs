@@ -189,7 +189,7 @@ impl Coordinator {
             msg.state.clone(),
         );
         replica.note_seen(run, None);
-        self.replicas.insert(oid.clone(), replica);
+        self.replicas.insert(oid.clone(), Box::new(replica));
         self.pending_connects.remove(&oid);
         self.connect_status
             .insert(oid.clone(), ConnectStatus::Member);
@@ -611,10 +611,10 @@ impl Coordinator {
         // to ordinary membership; the application may then retry. A leaver
         // may also simply cease cooperation (§4.5.4).
         let rep = self.replicas.get_mut(object).expect("checked above");
-        rep.start_run(ActiveRun::Leaving(LeavingRun {
+        rep.start_run(ActiveRun::Leaving(Box::new(LeavingRun {
             request: msg.clone(),
             sponsor: sponsor.clone(),
-        }));
+        })));
         self.trace(ctx.now(), "membership", "disconnect_request", || {
             format!("object={object} sponsor={sponsor}")
         });

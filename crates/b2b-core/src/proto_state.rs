@@ -246,13 +246,13 @@ impl Coordinator {
             rep.note_seen(run, seen_tuple(&m1));
             Some(new_state)
         } else {
-            rep.start_run(ActiveRun::Proposer(ProposerRun {
+            rep.start_run(ActiveRun::Proposer(Box::new(ProposerRun {
                 run,
                 propose: m1.clone(),
                 authenticator,
                 new_state,
                 responses: Default::default(),
-            }));
+            })));
             None
         };
         if !rules.membership {
@@ -635,12 +635,12 @@ impl Coordinator {
 
         let proposer = p.proposer.clone();
         if c.track {
-            rep.start_run(ActiveRun::Recipient(RecipientRun {
+            rep.start_run(ActiveRun::Recipient(Box::new(RecipientRun {
                 run,
                 propose: m1.clone(),
                 my_response: m2.clone(),
                 pending_state,
-            }));
+            })));
         } else {
             rep.note_seen(run, tuple);
         }

@@ -158,15 +158,17 @@ impl CanonicalDecode for LeavingRun {
 }
 
 /// The at-most-one protocol run currently active at this replica.
+///
+/// Every variant is boxed, so an idle replica spends one pointer-sized
+/// word on its run slot rather than room for an m1 and an m2.
 #[derive(Clone, Debug, PartialEq)]
-#[allow(clippy::large_enum_variant)]
 pub enum ActiveRun {
     /// We proposed a state change or sponsor a membership change.
-    Proposer(ProposerRun),
+    Proposer(Box<ProposerRun>),
     /// We are polled about another party's proposal.
-    Recipient(RecipientRun),
+    Recipient(Box<RecipientRun>),
     /// We asked to leave and await the ack.
-    Leaving(LeavingRun),
+    Leaving(Box<LeavingRun>),
 }
 
 impl ActiveRun {
@@ -204,9 +206,9 @@ impl CanonicalDecode for ActiveRun {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let at = dec.position();
         match dec.get_u8()? {
-            0 => ProposerRun::decode(dec).map(ActiveRun::Proposer),
-            1 => RecipientRun::decode(dec).map(ActiveRun::Recipient),
-            2 => LeavingRun::decode(dec).map(ActiveRun::Leaving),
+            0 => Ok(ActiveRun::Proposer(Box::new(ProposerRun::decode(dec)?))),
+            1 => Ok(ActiveRun::Recipient(Box::new(RecipientRun::decode(dec)?))),
+            2 => Ok(ActiveRun::Leaving(Box::new(LeavingRun::decode(dec)?))),
             _ => DecodeError::at("unknown active run", at),
         }
     }
@@ -1093,10 +1095,10 @@ mod tests {
             &b2b_crypto::KeyPair::generate_from_seed(1),
             &request.canonical_bytes(),
         );
-        ActiveRun::Leaving(LeavingRun {
+        ActiveRun::Leaving(Box::new(LeavingRun {
             request: DisconnectRequestMsg { request, sig },
             sponsor: PartyId::new("b"),
-        })
+        }))
     }
 
     /// Writes every stale document of `r` into `store`, as `persist` does.

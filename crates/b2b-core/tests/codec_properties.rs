@@ -693,11 +693,11 @@ fn core_docs() -> Vec<CoreDoc> {
     };
     vec![
         core_doc(None),
-        core_doc(Some(ActiveRun::Proposer(proposer))),
-        core_doc(Some(ActiveRun::Recipient(recipient))),
-        core_doc(Some(ActiveRun::Proposer(sponsor))),
-        core_doc(Some(ActiveRun::Recipient(member))),
-        core_doc(Some(ActiveRun::Leaving(leaving))),
+        core_doc(Some(ActiveRun::Proposer(Box::new(proposer)))),
+        core_doc(Some(ActiveRun::Recipient(Box::new(recipient)))),
+        core_doc(Some(ActiveRun::Proposer(Box::new(sponsor)))),
+        core_doc(Some(ActiveRun::Recipient(Box::new(member)))),
+        core_doc(Some(ActiveRun::Leaving(Box::new(leaving)))),
         fresh,
         detached,
     ]

@@ -23,7 +23,7 @@ use crate::canonical::CanonicalEncode;
 use crate::hash::{sha256, Digest32};
 use crate::identity::PartyId;
 use crate::sig::Signature;
-use std::collections::{BTreeMap, HashMap};
+use sha2::{Digest, Sha256};
 use std::sync::{Arc, OnceLock};
 
 /// A lazily-memoized canonical encoding of a signed protocol part.
@@ -98,7 +98,19 @@ impl PartialEq for CachedCanonical {
 }
 impl Eq for CachedCanonical {}
 
-type VerifyKey = (PartyId, Digest32, Signature);
+/// An empty link or index slot.
+const NIL: u32 = u32::MAX;
+
+/// One cached verification: the SHA-256 fingerprint of its
+/// `(party, digest, signature)` triple and its place in the recency list.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    key: [u8; 32],
+    /// The next more recently used entry, or [`NIL`].
+    newer: u32,
+    /// The next less recently used entry, or [`NIL`].
+    older: u32,
+}
 
 /// A bounded LRU cache of *successful* signature verifications.
 ///
@@ -116,13 +128,52 @@ type VerifyKey = (PartyId, Digest32, Signature);
 /// Eviction is deterministic (strict least-recently-used order), keeping
 /// same-seed simulator runs reproducible.
 ///
+/// Every entry is a fixed-size record in one table: the triple is held as
+/// a full SHA-256 fingerprint (never a truncated or non-cryptographic
+/// hash), recency is a doubly linked list threaded through the table, and
+/// lookup goes through a linear-probing index of table positions. Nothing
+/// is allocated per entry.
+///
 /// [`clear`]: SigVerifyCache::clear
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SigVerifyCache {
     capacity: usize,
-    stamp: u64,
-    by_key: HashMap<VerifyKey, u64>,
-    by_stamp: BTreeMap<u64, VerifyKey>,
+    entries: Vec<Entry>,
+    /// Open-addressed positions into `entries` ([`NIL`] = empty); a power
+    /// of two at least twice `entries.len()`, so probes stay short.
+    index: Vec<u32>,
+    /// The most recently used entry, or [`NIL`] when empty.
+    newest: u32,
+    /// The least recently used entry, the next to be evicted, or [`NIL`].
+    oldest: u32,
+}
+
+/// The fingerprint of a verification triple: SHA-256 over the
+/// length-prefixed party id and scheme name, the digest and the
+/// length-prefixed signature bytes, so distinct triples never share an
+/// input.
+fn fingerprint(party: &PartyId, digest: &Digest32, sig: &Signature) -> [u8; 32] {
+    let mut h = Sha256::new();
+    for part in [party.as_str().as_bytes(), sig.scheme().name().as_bytes()] {
+        h.update((part.len() as u64).to_be_bytes());
+        h.update(part);
+    }
+    h.update(digest.as_bytes());
+    h.update((sig.as_bytes().len() as u64).to_be_bytes());
+    h.update(sig.as_bytes());
+    h.finalize()
+}
+
+/// The index slot a fingerprint starts probing from: its first eight
+/// bytes, which are uniformly distributed.
+fn home(key: &[u8; 32], mask: usize) -> usize {
+    u64::from_le_bytes(key[..8].try_into().expect("8 bytes")) as usize & mask
+}
+
+impl Default for SigVerifyCache {
+    fn default() -> SigVerifyCache {
+        SigVerifyCache::new(0)
+    }
 }
 
 impl SigVerifyCache {
@@ -130,8 +181,11 @@ impl SigVerifyCache {
     /// caching entirely (every lookup misses, every insert is dropped).
     pub fn new(capacity: usize) -> SigVerifyCache {
         SigVerifyCache {
-            capacity,
-            ..SigVerifyCache::default()
+            capacity: capacity.min(NIL as usize),
+            entries: Vec::new(),
+            index: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
         }
     }
 
@@ -142,27 +196,28 @@ impl SigVerifyCache {
 
     /// The number of cached verifications.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.entries.len()
     }
 
     /// Returns `true` if the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.entries.is_empty()
     }
 
     /// Looks up a previously-successful verification, refreshing its LRU
     /// position on a hit.
     pub fn check(&mut self, party: &PartyId, digest: &Digest32, sig: &Signature) -> bool {
-        let key = (party.clone(), *digest, sig.clone());
-        let Some(stamp) = self.by_key.get_mut(&key) else {
+        if self.entries.is_empty() {
             return false;
-        };
-        let old = *stamp;
-        self.stamp += 1;
-        *stamp = self.stamp;
-        self.by_stamp.remove(&old);
-        self.by_stamp.insert(self.stamp, key);
-        true
+        }
+        let key = fingerprint(party, digest, sig);
+        match self.find(&key) {
+            Ok(slot) => {
+                self.touch(self.index[slot]);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Records a successful verification, evicting the least-recently-used
@@ -171,25 +226,125 @@ impl SigVerifyCache {
         if self.capacity == 0 {
             return;
         }
-        let key = (party, digest, sig);
-        self.stamp += 1;
-        if let Some(old) = self.by_key.insert(key.clone(), self.stamp) {
-            self.by_stamp.remove(&old);
+        let key = fingerprint(&party, &digest, &sig);
+        if !self.entries.is_empty() {
+            if let Ok(slot) = self.find(&key) {
+                self.touch(self.index[slot]);
+                return;
+            }
         }
-        self.by_stamp.insert(self.stamp, key);
-        while self.by_key.len() > self.capacity {
-            let (&oldest, _) = self.by_stamp.iter().next().expect("non-empty");
-            let victim = self.by_stamp.remove(&oldest).expect("present");
-            self.by_key.remove(&victim);
-        }
+        let at = if self.entries.len() < self.capacity {
+            if self.index.len() < 2 * (self.entries.len() + 1) {
+                self.grow_index();
+            }
+            self.entries.push(Entry {
+                key,
+                newer: NIL,
+                older: NIL,
+            });
+            (self.entries.len() - 1) as u32
+        } else {
+            // Full: the least recently used entry's record takes the new key.
+            let victim = self.oldest;
+            let slot = self
+                .find(&self.entries[victim as usize].key)
+                .expect("every entry is indexed");
+            self.unindex(slot);
+            self.unlink(victim);
+            self.entries[victim as usize].key = key;
+            victim
+        };
+        let slot = self
+            .find(&key)
+            .expect_err("the key was just checked absent");
+        self.index[slot] = at;
+        self.push_newest(at);
     }
 
     /// Drops every cached verification. Must be called whenever the key
     /// material used for verification changes.
     pub fn clear(&mut self) {
-        self.by_key.clear();
-        self.by_stamp.clear();
-        self.stamp = 0;
+        self.entries.clear();
+        self.index.fill(NIL);
+        self.newest = NIL;
+        self.oldest = NIL;
+    }
+
+    /// The index slot holding `key` (`Ok`), or the empty slot where it
+    /// would go (`Err`). The index must have been allocated.
+    fn find(&self, key: &[u8; 32]) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = home(key, mask);
+        loop {
+            match self.index[slot] {
+                NIL => return Err(slot),
+                at if self.entries[at as usize].key == *key => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties index slot `slot`, shifting later entries of its probe run
+    /// back so every remaining key stays reachable from its home slot.
+    fn unindex(&mut self, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = slot;
+        let mut next = slot;
+        loop {
+            next = (next + 1) & mask;
+            let at = self.index[next];
+            if at == NIL {
+                break;
+            }
+            let from_home = next.wrapping_sub(home(&self.entries[at as usize].key, mask)) & mask;
+            if from_home >= next.wrapping_sub(hole) & mask {
+                self.index[hole] = at;
+                hole = next;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
+    /// Doubles the index (to at least 8 slots) and re-indexes every entry.
+    fn grow_index(&mut self) {
+        let size = (self.index.len() * 2).max(8);
+        self.index = vec![NIL; size];
+        for at in 0..self.entries.len() {
+            let key = self.entries[at].key;
+            let slot = self.find(&key).expect_err("keys are distinct");
+            self.index[slot] = at as u32;
+        }
+    }
+
+    /// Moves entry `at` to the most recently used end.
+    fn touch(&mut self, at: u32) {
+        if self.newest != at {
+            self.unlink(at);
+            self.push_newest(at);
+        }
+    }
+
+    fn unlink(&mut self, at: u32) {
+        let Entry { newer, older, .. } = self.entries[at as usize];
+        match newer {
+            NIL => self.newest = older,
+            n => self.entries[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.entries[o as usize].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, at: u32) {
+        let entry = &mut self.entries[at as usize];
+        entry.newer = NIL;
+        entry.older = self.newest;
+        match self.newest {
+            NIL => self.oldest = at,
+            n => self.entries[n as usize].newer = at,
+        }
+        self.newest = at;
     }
 }
 

@@ -219,6 +219,49 @@ impl EvidenceRecord {
     }
 }
 
+/// A record held as its binary form: exactly the body of the record's WAL
+/// frame, in one exact-size allocation.
+///
+/// Both stores keep their records this way and decode on read, so a
+/// resident log costs its encoded bytes and not a struct with four
+/// separately allocated fields. A frame is only ever built from a record
+/// or from bytes that decoded as one, so decoding it again cannot fail.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct RecordFrame(Box<[u8]>);
+
+impl RecordFrame {
+    /// The frame of `record`.
+    pub(crate) fn encode(record: &EvidenceRecord) -> RecordFrame {
+        RecordFrame(record.canonical_bytes().into_boxed_slice())
+    }
+
+    /// The frame of `body`, if it is a record in this version's format.
+    pub(crate) fn from_body(body: &[u8]) -> Result<RecordFrame, DecodeError> {
+        EvidenceRecord::from_canonical(body)?;
+        Ok(RecordFrame(body.into()))
+    }
+
+    /// The record's binary form.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The record, decoded.
+    pub(crate) fn record(&self) -> EvidenceRecord {
+        EvidenceRecord::from_canonical(&self.0).expect("a frame holds a decodable record")
+    }
+
+    /// The record's `run`, read in place: past the format byte, `seq`, the
+    /// kind's tag and `object`.
+    pub(crate) fn run(&self) -> &str {
+        let mut dec = Decoder::new(&self.0);
+        dec.take(1 + 8 + 1)
+            .and_then(|_| dec.get_bytes())
+            .and_then(|_| dec.get_str())
+            .expect("a frame holds a decodable record")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,6 +306,18 @@ mod tests {
             assert_eq!(bytes[0], RECORD_FORMAT);
             assert_eq!(EvidenceRecord::from_canonical(&bytes), Ok(rec));
         }
+    }
+
+    #[test]
+    fn frames_hold_the_binary_form_and_read_the_run_in_place() {
+        for rec in samples() {
+            let frame = RecordFrame::encode(&rec);
+            assert_eq!(frame.body(), &rec.canonical_bytes()[..]);
+            assert_eq!(frame.run(), rec.run);
+            assert_eq!(frame.record(), rec);
+            assert_eq!(RecordFrame::from_body(frame.body()), Ok(frame));
+        }
+        assert!(RecordFrame::from_body(b"{}").is_err());
     }
 
     #[test]

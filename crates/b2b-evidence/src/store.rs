@@ -11,7 +11,7 @@
 //! by swapping in a fresh engine over the surviving store;
 //! [`crate::wal::FileStore`] implements both on disk.
 
-use crate::record::EvidenceRecord;
+use crate::record::{EvidenceRecord, RecordFrame};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -105,6 +105,9 @@ impl<T: EvidenceStore + ?Sized> EvidenceStore for std::sync::Arc<T> {
     fn records(&self) -> Vec<EvidenceRecord> {
         (**self).records()
     }
+    fn records_for_run(&self, run: &str) -> Vec<EvidenceRecord> {
+        (**self).records_for_run(run)
+    }
     fn flush(&self) -> Result<(), StoreError> {
         (**self).flush()
     }
@@ -120,6 +123,9 @@ impl<T: SnapshotStore + ?Sized> SnapshotStore for std::sync::Arc<T> {
 }
 
 /// In-memory evidence + snapshot store.
+///
+/// Records are held as their frames (the bytes [`crate::FileStore`]
+/// writes to its log) and decoded on read.
 ///
 /// Cheaply cloneable (shared interior); a clone held by the test harness
 /// survives "crashing" the engine that wrote to it, modelling stable
@@ -148,7 +154,7 @@ pub struct MemStore {
 
 #[derive(Debug, Default)]
 struct MemStoreInner {
-    records: Vec<EvidenceRecord>,
+    records: Vec<RecordFrame>,
     snapshots: HashMap<String, Vec<u8>>,
 }
 
@@ -164,7 +170,7 @@ impl EvidenceStore for MemStore {
         let mut inner = self.inner.write();
         let seq = inner.records.len() as u64;
         record.seq = seq;
-        inner.records.push(record);
+        inner.records.push(RecordFrame::encode(&record));
         Ok(seq)
     }
 
@@ -173,12 +179,29 @@ impl EvidenceStore for MemStore {
     }
 
     fn get(&self, seq: u64) -> Option<EvidenceRecord> {
-        self.inner.read().records.get(seq as usize).cloned()
+        self.inner
+            .read()
+            .records
+            .get(seq as usize)
+            .map(RecordFrame::record)
     }
 
     fn records(&self) -> Vec<EvidenceRecord> {
-        self.inner.read().records.clone()
+        decode_all(&self.inner.read().records, None)
     }
+
+    fn records_for_run(&self, run: &str) -> Vec<EvidenceRecord> {
+        decode_all(&self.inner.read().records, Some(run))
+    }
+}
+
+/// Decodes `frames` in order — only those of protocol run `run`, if given.
+pub(crate) fn decode_all(frames: &[RecordFrame], run: Option<&str>) -> Vec<EvidenceRecord> {
+    frames
+        .iter()
+        .filter(|f| run.is_none_or(|r| f.run() == r))
+        .map(RecordFrame::record)
+        .collect()
 }
 
 impl SnapshotStore for MemStore {

@@ -16,9 +16,8 @@
 //! directory, written via a temp file + rename so a crash never leaves a
 //! half-written checkpoint visible.
 
-use crate::record::EvidenceRecord;
-use crate::store::{EvidenceStore, SnapshotStore, StoreError};
-use b2b_crypto::{CanonicalDecode, CanonicalEncode, Encoder};
+use crate::record::{EvidenceRecord, RecordFrame};
+use crate::store::{decode_all, EvidenceStore, SnapshotStore, StoreError};
 use b2b_telemetry::{names, Telemetry};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -58,13 +57,18 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 struct WalInner {
     file: File,
-    records: Vec<EvidenceRecord>,
-    /// Encoded frames awaiting the next group-commit flush (always empty in
-    /// the default durable-per-append mode).
+    /// Every record in the log, each held as its frame body.
+    records: Vec<RecordFrame>,
+    /// Encoded frames awaiting the next group-commit flush. In the default
+    /// durable-per-append mode it stages the one frame being written and
+    /// is empty between appends.
     pending: Vec<u8>,
 }
 
 /// File-backed [`EvidenceStore`] + [`SnapshotStore`].
+///
+/// Records stay in memory as the frame bodies written to the log, and
+/// reads decode them.
 ///
 /// # Example
 ///
@@ -163,11 +167,11 @@ impl FileStore {
     }
 }
 
-/// Replays frames from `bytes`, returning the decoded records and the byte
+/// Replays frames from `bytes`, returning the record frames and the byte
 /// length of the valid prefix. What follows the prefix is a torn tail: a
 /// frame cut short or failing its CRC. A frame that passes its CRC but
 /// does not decode is an error, never a tail.
-fn replay(bytes: &[u8]) -> Result<(Vec<EvidenceRecord>, u64), StoreError> {
+fn replay(bytes: &[u8]) -> Result<(Vec<RecordFrame>, u64), StoreError> {
     let mut records = Vec::new();
     let mut offset = 0usize;
     loop {
@@ -186,12 +190,12 @@ fn replay(bytes: &[u8]) -> Result<(Vec<EvidenceRecord>, u64), StoreError> {
         if crc32(body) != crc {
             break; // corrupt frame: stop at last good prefix
         }
-        let record = EvidenceRecord::from_canonical(body).map_err(|e| {
+        let frame = RecordFrame::from_body(body).map_err(|e| {
             StoreError::Codec(format!(
                 "intact frame at byte {offset} is not a record in this format: {e}"
             ))
         })?;
-        records.push(record);
+        records.push(frame);
         offset = body_end;
     }
     Ok((records, offset as u64))
@@ -199,27 +203,27 @@ fn replay(bytes: &[u8]) -> Result<(Vec<EvidenceRecord>, u64), StoreError> {
 
 impl EvidenceStore for FileStore {
     fn append(&self, mut record: EvidenceRecord) -> Result<u64, StoreError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let seq = inner.records.len() as u64;
         record.seq = seq;
-        // Header placeholder first, so the body is encoded in place.
-        let mut enc = Encoder::with_capacity(8 + record.encoded_size_hint());
-        enc.put_raw(&[0u8; 8]);
-        record.encode(&mut enc);
-        let mut frame = enc.finish();
-        let body_len = u32::try_from(frame.len() - 8)
+        let frame = RecordFrame::encode(&record);
+        let body = frame.body();
+        let body_len = u32::try_from(body.len())
             .map_err(|_| StoreError::Codec("record body exceeds the u32 frame length".into()))?;
-        let crc = crc32(&frame[8..]);
-        frame[..4].copy_from_slice(&body_len.to_be_bytes());
-        frame[4..8].copy_from_slice(&crc.to_be_bytes());
-        if self.group_commit {
-            inner.pending.extend_from_slice(&frame);
-        } else {
-            inner.file.write_all(&frame)?;
-            inner.file.flush()?;
+        inner.pending.extend_from_slice(&body_len.to_be_bytes());
+        inner.pending.extend_from_slice(&crc32(body).to_be_bytes());
+        inner.pending.extend_from_slice(body);
+        if !self.group_commit {
+            let written = inner
+                .file
+                .write_all(&inner.pending)
+                .and_then(|()| inner.file.flush());
+            inner.pending.clear();
+            written?;
             self.telemetry.inc(names::WAL_FLUSHES);
         }
-        inner.records.push(record);
+        inner.records.push(frame);
         self.telemetry.inc(names::WAL_APPENDS);
         Ok(seq)
     }
@@ -241,11 +245,19 @@ impl EvidenceStore for FileStore {
     }
 
     fn get(&self, seq: u64) -> Option<EvidenceRecord> {
-        self.inner.lock().records.get(seq as usize).cloned()
+        self.inner
+            .lock()
+            .records
+            .get(seq as usize)
+            .map(RecordFrame::record)
     }
 
     fn records(&self) -> Vec<EvidenceRecord> {
-        self.inner.lock().records.clone()
+        decode_all(&self.inner.lock().records, None)
+    }
+
+    fn records_for_run(&self, run: &str) -> Vec<EvidenceRecord> {
+        decode_all(&self.inner.lock().records, Some(run))
     }
 }
 
@@ -279,7 +291,7 @@ impl SnapshotStore for FileStore {
 mod tests {
     use super::*;
     use crate::record::EvidenceKind;
-    use b2b_crypto::{PartyId, TimeMs};
+    use b2b_crypto::{CanonicalEncode, PartyId, TimeMs};
 
     fn rec(run: &str, payload: Vec<u8>) -> EvidenceRecord {
         EvidenceRecord::new(
@@ -518,7 +530,7 @@ mod tests {
         let on_disk = std::fs::read(dir.join("evidence.wal")).unwrap();
         let (records, valid) = replay(&on_disk).unwrap();
         assert_eq!(records.len(), 1);
-        assert_eq!(records[0].run, "flushed");
+        assert_eq!(records[0].run(), "flushed");
         assert_eq!(valid, on_disk.len() as u64, "log ends at a frame boundary");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -185,6 +185,10 @@ struct SlotInner<N> {
     outbox: VecDeque<(OutDest, ShardEvent)>,
     /// Whether this slot is registered on its shard's parked list.
     outbox_blocked: bool,
+    /// Threads blocked in [`GroupHandle::wait_until`] on this slot. Changed
+    /// only under the slot lock, around the wait, so a notifier holding
+    /// the lock that reads zero has no one to wake.
+    waiters: usize,
 }
 
 /// One node's engine state, resident on exactly one shard.
@@ -194,6 +198,17 @@ struct Slot<N> {
     shard: usize,
     inner: Mutex<SlotInner<N>>,
     cv: Condvar,
+}
+
+impl<N> Slot<N> {
+    /// Wakes the threads waiting on this slot's engine, if there are any:
+    /// a notify with no waiter would still cost a syscall (caller holds
+    /// the slot lock).
+    fn notify(&self, inner: &SlotInner<N>) {
+        if inner.waiters > 0 {
+            self.cv.notify_all();
+        }
+    }
 }
 
 enum ShardEvent {
@@ -379,12 +394,21 @@ impl<N: NetNode> Core<N> {
     /// Applies a context's effects after an engine callback: sends are
     /// group-enveloped and queued through the slot's FIFO outbox, timers
     /// go onto the owning shard's wheel (caller holds the slot lock).
-    fn flush(&self, slot: &Slot<N>, inner: &mut SlotInner<N>, ctx: &mut NodeCtx) {
+    ///
+    /// Returns whether the owning worker must be sent a
+    /// [`ShardEvent::Wake`] to see a timer armed from outside it: the
+    /// callback armed one, and nothing headed for the shard's own inbox
+    /// whose delivery would make the worker recompute its deadline anyway.
+    /// (A frame still stuck behind a full inbox has parked the outbox,
+    /// which already woke the worker into its short re-drain poll.)
+    #[must_use]
+    fn flush(&self, slot: &Slot<N>, inner: &mut SlotInner<N>, ctx: &mut NodeCtx) -> bool {
         for (to, payload) in ctx.take_outgoing() {
             self.enqueue_out(slot, inner, &to, payload);
         }
         let timers = ctx.take_timers();
-        if !timers.is_empty() {
+        let armed = !timers.is_empty();
+        if armed {
             let now = self.now();
             let mut wheel = self.wheels[slot.shard].lock();
             for (timer_id, after) in timers {
@@ -397,7 +421,12 @@ impl<N: NetNode> Core<N> {
                 });
             }
         }
+        let to_own_inbox = inner
+            .outbox
+            .iter()
+            .any(|(dest, _)| matches!(dest, OutDest::Shard(_)));
         self.drain_outbox(slot, inner);
+        armed && !to_own_inbox
     }
 
     /// Offers `event` to `shard`'s inbox, counting it into the shard's
@@ -560,8 +589,9 @@ fn run_shard<N: NetNode>(shard: usize, rx: Receiver<ShardEvent>, core: Arc<Core<
             }
             local.timer_fires += 1;
             inner.node.on_timer(entry.timer_id, &mut ctx);
-            core.flush(slot, &mut inner, &mut ctx);
-            slot.cv.notify_all();
+            // On the worker itself: the loop recomputes its deadline next.
+            let _ = core.flush(slot, &mut inner, &mut ctx);
+            slot.notify(&inner);
         }
         if local.events >= COUNTER_FLUSH_EVERY {
             flush_local(&mut local);
@@ -600,8 +630,8 @@ fn deliver<N: NetNode>(
     }
     core.delivered.fetch_add(1, Ordering::Relaxed);
     inner.node.on_message(from, inner_frame, &mut ctx);
-    core.flush(slot, &mut inner, &mut ctx);
-    slot.cv.notify_all();
+    let _ = core.flush(slot, &mut inner, &mut ctx);
+    slot.notify(&inner);
 }
 
 // ---------------------------------------------------------------------------
@@ -641,15 +671,17 @@ impl<N: NetNode> GroupHandle<N> {
     /// and timers), and returns the call's result.
     pub fn invoke<R>(&self, f: impl FnOnce(&mut N, &mut NodeCtx) -> R) -> R {
         let mut ctx = NodeCtx::new(self.core.now());
-        let result = {
+        let (result, wake) = {
             let mut inner = self.slot.inner.lock();
             let result = f(&mut inner.node, &mut ctx);
-            self.core.flush(&self.slot, &mut inner, &mut ctx);
-            self.slot.cv.notify_all();
-            result
+            let wake = self.core.flush(&self.slot, &mut inner, &mut ctx);
+            self.slot.notify(&inner);
+            (result, wake)
         };
-        // Recompute the shard's loop deadline in case a timer was armed.
-        self.core.wake(self.slot.shard);
+        if wake {
+            // The worker recomputes its loop deadline to take in the timer.
+            self.core.wake(self.slot.shard);
+        }
         result
     }
 
@@ -678,7 +710,10 @@ impl<N: NetNode> GroupHandle<N> {
             if Instant::now() >= deadline {
                 return false;
             }
-            if self.slot.cv.wait_until(&mut inner, deadline).timed_out() {
+            inner.waiters += 1;
+            let timed_out = self.slot.cv.wait_until(&mut inner, deadline).timed_out();
+            inner.waiters -= 1;
+            if timed_out {
                 return pred(&inner.node);
             }
         }
@@ -790,6 +825,7 @@ impl<N: NetNode> ShardedNetBuilder<N> {
                             epoch: 0,
                             outbox: VecDeque::new(),
                             outbox_blocked: false,
+                            waiters: 0,
                         }),
                         cv: Condvar::new(),
                     }),
@@ -961,7 +997,7 @@ impl<N: NetNode> ShardedNet<N> {
             inner.crashed = true;
             inner.epoch += 1;
             inner.node.on_crash();
-            slot.cv.notify_all();
+            slot.notify(&inner);
         }
     }
 
@@ -969,7 +1005,7 @@ impl<N: NetNode> ShardedNet<N> {
     /// `on_recover` and applying its effects.
     pub fn recover(&self, gid: GroupId, party: &PartyId) {
         let slot = self.handle(gid, party).slot;
-        {
+        let wake = {
             let mut ctx = NodeCtx::new(self.core.now());
             let mut inner = slot.inner.lock();
             if !inner.crashed {
@@ -977,10 +1013,13 @@ impl<N: NetNode> ShardedNet<N> {
             }
             inner.crashed = false;
             inner.node.on_recover(&mut ctx);
-            self.core.flush(&slot, &mut inner, &mut ctx);
-            slot.cv.notify_all();
+            let wake = self.core.flush(&slot, &mut inner, &mut ctx);
+            slot.notify(&inner);
+            wake
+        };
+        if wake {
+            self.core.wake(slot.shard);
         }
-        self.core.wake(slot.shard);
     }
 
     /// Traffic statistics so far.
