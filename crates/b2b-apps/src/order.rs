@@ -12,8 +12,10 @@
 //! the optional roles of [`OrderRoles`].
 
 use b2b_core::{B2BObject, Decision, FoldStep};
-use b2b_crypto::PartyId;
+use b2b_crypto::{sha256, Digest32, PartyId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 
 /// One line of an order.
@@ -245,17 +247,29 @@ impl OrderRoles {
 }
 
 /// The shared order object: state + the asymmetric role rules.
+///
+/// An order is decoded once per install. A fold over the state the object
+/// last installed starts from the typed order it holds, and installing
+/// the state a fold reached takes the typed successor; both are matched by
+/// the digest of the state's bytes, never by a copy of them.
 pub struct OrderObject {
     order: Order,
     roles: OrderRoles,
+    /// Digest of the state bytes `order` was installed from.
+    applied: Digest32,
+    /// The successor the last fold reached, under the digest of its bytes.
+    folded: Cell<Option<(Digest32, Order)>>,
 }
 
 impl OrderObject {
     /// Creates the shared order for the given role assignment.
     pub fn new(roles: OrderRoles) -> OrderObject {
+        let order = Order::new();
         OrderObject {
-            order: Order::new(),
+            applied: sha256(&order.to_bytes()),
+            order,
             roles,
+            folded: Cell::new(None),
         }
     }
 
@@ -413,9 +427,15 @@ impl B2BObject for OrderObject {
     }
 
     fn apply_state(&mut self, state: &[u8]) {
-        if let Some(o) = Order::from_bytes(state) {
-            self.order = o;
+        let digest = sha256(state);
+        match self.folded.take() {
+            Some((folded, order)) if folded == digest => self.order = order,
+            _ => match Order::from_bytes(state) {
+                Some(order) => self.order = order,
+                None => return,
+            },
         }
+        self.applied = digest;
     }
 
     fn validate_state(&self, proposer: &PartyId, current: &[u8], proposed: &[u8]) -> Decision {
@@ -457,20 +477,26 @@ impl B2BObject for OrderObject {
     }
 
     /// The default fold's steps, replayed in typed form: `current` is
-    /// decoded once, each update applies to (and is checked against) the
-    /// order the steps before it reached, and each successor is encoded
-    /// once — its hash is what the batch link signs.
+    /// decoded at most once — not at all when it is the state this object
+    /// last installed — each update applies to (and is checked against)
+    /// the order the steps before it reached, and each successor is
+    /// encoded once — its hash is what the batch link signs. The last
+    /// successor is kept for [`B2BObject::apply_state`].
     fn fold_updates(
         &self,
         proposer: Option<&PartyId>,
         current: &[u8],
         updates: &[Vec<u8>],
     ) -> Vec<FoldStep> {
-        let mut cur = Order::from_bytes(current);
-        updates
+        let mut cur = if sha256(current) == self.applied {
+            Some(Cow::Borrowed(&self.order))
+        } else {
+            Order::from_bytes(current).map(Cow::Owned)
+        };
+        let steps: Vec<FoldStep> = updates
             .iter()
             .map(|update| {
-                let (next, verdict) = self.replay(proposer, cur.as_ref(), update);
+                let (next, verdict) = self.replay(proposer, cur.as_deref(), update);
                 let next = next.map(|next| {
                     let (order, bytes) = match next {
                         Next::Applied(order) => {
@@ -479,12 +505,17 @@ impl B2BObject for OrderObject {
                         }
                         Next::Whole(order) => (order, update.clone()),
                     };
-                    cur = Some(order);
+                    cur = Some(Cow::Owned(order));
                     bytes
                 });
                 FoldStep { next, verdict }
             })
-            .collect()
+            .collect();
+        let reached = steps.iter().rev().find_map(|step| step.next.as_ref().ok());
+        if let (Some(bytes), Some(Cow::Owned(order))) = (reached, cur) {
+            self.folded.set(Some((sha256(bytes), order)));
+        }
+        steps
     }
 }
 
@@ -855,5 +886,41 @@ mod tests {
         };
         let d = obj.validate_update(&supplier(), &base, &add.to_bytes());
         assert!(!d.is_accept());
+    }
+
+    #[test]
+    fn a_fold_from_the_installed_state_and_its_install_match_a_decode() {
+        let add = |qty| {
+            OrderUpdate::SetQuantity {
+                item: "w".into(),
+                qty,
+            }
+            .to_bytes()
+        };
+        let mut memo = two_party_object();
+        let fresh = two_party_object();
+        let s0 = memo.get_state();
+        // Folding from the installed state (typed start) equals a fold that
+        // decodes it, step for step.
+        let updates = vec![add(1), add(2)];
+        let steps = memo.fold_updates(Some(&customer()), &s0, &updates);
+        assert_eq!(steps, fresh.fold_updates(Some(&customer()), &s0, &updates));
+        let reached = steps[1].next.clone().unwrap();
+        // Installing what the fold reached takes the typed successor.
+        memo.apply_state(&reached);
+        assert_eq!(memo.order(), &Order::from_bytes(&reached).unwrap());
+        assert_eq!(memo.get_state(), reached);
+        // A fold from bytes other than the installed state decodes them.
+        let steps = memo.fold_updates(Some(&customer()), &s0, &[add(7)]);
+        assert_eq!(steps, fresh.fold_updates(Some(&customer()), &s0, &[add(7)]));
+        // Installing other bytes than the fold reached decodes them.
+        memo.apply_state(&s0);
+        assert_eq!(memo.get_state(), s0);
+        // An undecodable state leaves the order, and the next fold starts
+        // from it.
+        memo.apply_state(b"not an order");
+        assert_eq!(memo.get_state(), s0);
+        let steps = memo.fold_updates(Some(&customer()), &s0, &[add(3)]);
+        assert_eq!(steps, fresh.fold_updates(Some(&customer()), &s0, &[add(3)]));
     }
 }

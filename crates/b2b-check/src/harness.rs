@@ -18,6 +18,7 @@ use b2b_crypto::{
 };
 use b2b_evidence::{EvidenceStore, MemStore};
 use b2b_net::intruder::{Chain, ScriptedIntruder, SharedTap};
+use b2b_net::reliable::{data_body, data_frame};
 use b2b_net::SimNet;
 use b2b_telemetry::{RingRecorder, Telemetry, TraceEvent};
 use std::sync::Arc;
@@ -25,9 +26,6 @@ use std::sync::Arc;
 /// Virtual-time ceiling for settling the network (absolute, generous: the
 /// fault budget keeps every crash and partition window far below it).
 const QUIET: TimeMs = TimeMs(600_000);
-
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER_LEN: usize = 34;
 
 /// Flight-recorder capacity shared by a whole fleet. Shrunk schedules are
 /// short; the bound only matters for runaway exploration runs, where
@@ -336,12 +334,7 @@ impl Fleet {
         let body = msg.to_bytes();
         for _ in 0..3 {
             self.forged_epochs += 1;
-            let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-            frame.push(0u8);
-            frame.extend_from_slice(&(FORGED_EPOCH_BASE + self.forged_epochs).to_be_bytes());
-            frame.extend_from_slice(&0u64.to_be_bytes());
-            frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-            frame.extend_from_slice(&body);
+            let frame = data_frame(0, FORGED_EPOCH_BASE + self.forged_epochs, 0, &body);
             let to = party(j);
             self.net
                 .invoke(&party(i), move |_c, ctx| ctx.send(to, frame));
@@ -358,10 +351,9 @@ impl Fleet {
             .seen()
             .into_iter()
             .filter_map(|(from, to, raw, at)| {
-                if raw.len() <= FRAME_HEADER_LEN || raw[0] != 0 {
-                    return None; // ack or malformed
-                }
-                WireMsg::from_bytes(&raw[FRAME_HEADER_LEN..]).map(|m| (from, to, m, at))
+                // Acks and malformed frames carry no message.
+                let msg = WireMsg::from_bytes(data_body(&raw)?)?;
+                Some((from, to, msg, at))
             })
             .collect()
     }

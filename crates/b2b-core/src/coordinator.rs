@@ -25,12 +25,13 @@ use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
     SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
 };
-use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore, SnapshotStore};
+use b2b_evidence::{EvidenceKind, EvidenceStore, RecordRef, RunLabel, SnapshotStore};
 use b2b_net::reliable::Inbound;
 use b2b_net::{NetNode, NodeCtx, ReliableMux};
 use b2b_telemetry::{names, SpanIds, Telemetry, TraceContext};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Builds fresh application-object instances, used to reconstruct replicas
@@ -176,6 +177,9 @@ pub struct Coordinator {
     pub(crate) outcomes: HashMap<RunId, Outcome>,
     pub(crate) events: Vec<CoordEvent>,
     pub(crate) msg_counts: BTreeMap<&'static str, u64>,
+    /// The key of the checkpoint document being written, rebuilt in place
+    /// for every document.
+    checkpoint_key: String,
     pub(crate) detected: Vec<Misbehaviour>,
     pub(crate) deadline_timers: HashMap<u64, (ObjectId, RunId)>,
     pub(crate) ttp_cases: HashMap<RunId, crate::termination::TtpCase>,
@@ -339,6 +343,7 @@ impl CoordinatorBuilder {
             outcomes: HashMap::new(),
             events: Vec::new(),
             msg_counts: BTreeMap::new(),
+            checkpoint_key: String::new(),
             detected: Vec::new(),
             deadline_timers: HashMap::new(),
             ttp_cases: HashMap::new(),
@@ -531,6 +536,12 @@ impl Coordinator {
     /// Total protocol-level messages sent so far.
     pub fn messages_sent(&self) -> u64 {
         self.msg_counts.values().sum()
+    }
+
+    /// The reliable layer under this engine: its counters, and the
+    /// retransmit timers it holds per peer.
+    pub fn reliable(&self) -> &ReliableMux {
+        &self.mux
     }
 
     /// Misbehaviour detected so far (also logged as evidence records).
@@ -878,32 +889,33 @@ impl Coordinator {
         }
     }
 
-    /// Appends an evidence record; timestamps it when a TSA is configured.
+    /// Appends an evidence record, encoded straight from the borrowed
+    /// fields; timestamps it when a TSA is configured.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn log_evidence(
         &mut self,
         kind: EvidenceKind,
         object: &ObjectId,
-        run: &str,
+        run: RunLabel<'_>,
         origin: PartyId,
-        payload: Vec<u8>,
-        signature: Option<b2b_crypto::Signature>,
+        payload: &[u8],
+        signature: Option<&b2b_crypto::Signature>,
         now: TimeMs,
     ) {
-        let timestamp = self.tsa.as_ref().map(|tsa| tsa.stamp(&payload, now));
-        let record = EvidenceRecord::new(
+        let timestamp = self.tsa.as_ref().map(|tsa| tsa.stamp(payload, now));
+        let record = RecordRef {
             kind,
-            object.as_str(),
+            object: object.as_str(),
             run,
-            origin,
+            origin: &origin,
             payload,
             signature,
-            timestamp,
-            now,
-        );
+            timestamp: timestamp.as_ref(),
+            logged_at: now,
+        };
         // A full log is a liveness problem, not a safety one; surface
         // storage failures as diagnostics rather than panicking.
-        match self.evidence.append(record) {
+        match self.evidence.append_ref(record) {
             Ok(_) => self.telemetry.inc(names::EVIDENCE_RECORDS_APPENDED),
             Err(e) => self.detected.push(Misbehaviour::UnexpectedMessage {
                 detail: format!("evidence log append failed: {e}"),
@@ -926,7 +938,7 @@ impl Coordinator {
     pub(crate) fn log_misbehaviour(
         &mut self,
         object: &ObjectId,
-        run: &str,
+        run: RunLabel<'_>,
         m: Misbehaviour,
         now: TimeMs,
     ) {
@@ -936,7 +948,7 @@ impl Coordinator {
             object,
             run,
             self.me.clone(),
-            payload,
+            &payload,
             None,
             now,
         );
@@ -971,11 +983,13 @@ impl Coordinator {
             return;
         };
         for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP) {
-            let key = match doc {
-                Doc::Reply { slot, .. } => format!("obj-{object}-reply-{slot}"),
-                Doc::Core => format!("obj-{object}"),
+            let key = &mut self.checkpoint_key;
+            key.clear();
+            let _ = match doc {
+                Doc::Reply { slot, .. } => write!(key, "obj-{object}-reply-{slot}"),
+                Doc::Core => write!(key, "obj-{object}"),
             };
-            if let Err(e) = self.snapshots.put_snapshot(&key, blob) {
+            if let Err(e) = self.snapshots.put_snapshot(key, blob) {
                 rep.mark_stale(doc);
                 self.detected.push(Misbehaviour::UnexpectedMessage {
                     detail: format!("checkpoint write of {key} failed: {e}"),
@@ -1445,13 +1459,13 @@ impl NetNode for Coordinator {
                 // One delivered message = one causal episode: every trace
                 // event and outgoing frame below cites it as parent.
                 self.begin_episode(trace);
-                match WireMsg::from_bytes(&bytes) {
+                match WireMsg::from_bytes(bytes) {
                     Some(msg) => self.dispatch(from, msg, ctx),
                     None => {
                         let object = ObjectId::new("?");
                         self.log_misbehaviour(
                             &object,
-                            "",
+                            RunLabel::Text(""),
                             Misbehaviour::UnexpectedMessage {
                                 detail: format!("undecodable payload from {from}"),
                             },
@@ -1466,6 +1480,9 @@ impl NetNode for Coordinator {
                 // Foreign or corrupted traffic below the protocol layer.
             }
         }
+        // Acks no reply carried — for an m3, or for an m2 whose decide
+        // waits on the rest of the group — leave alone.
+        self.mux.flush_acks(ctx);
         self.flush_evidence();
     }
 

@@ -13,16 +13,21 @@
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
 };
+use b2b_evidence::RunLabel;
 use std::fmt;
+use std::sync::Arc;
 
 /// The coordination alias of a shared object (the paper's `coordAlias`).
+/// The alias is shared: a clone is a reference-count increment, while
+/// equality, ordering, hashing and the canonical encoding are the
+/// string's.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ObjectId(String);
+pub struct ObjectId(Arc<str>);
 
 impl ObjectId {
     /// Creates an object alias.
-    pub fn new(alias: impl Into<String>) -> ObjectId {
-        ObjectId(alias.into())
+    pub fn new(alias: impl AsRef<str>) -> ObjectId {
+        ObjectId(Arc::from(alias.as_ref()))
     }
 
     /// The alias as a string slice.
@@ -215,6 +220,12 @@ impl RunId {
     /// Hex rendering used as the `run` key of evidence records.
     pub fn to_hex(&self) -> String {
         self.0.to_string()
+    }
+
+    /// The run's label in the evidence log — its hex — written straight
+    /// from the digest bytes when a record is encoded.
+    pub fn label(&self) -> RunLabel<'_> {
+        RunLabel::Hex(self.0.as_bytes())
     }
 }
 

@@ -29,7 +29,7 @@ use crate::replica::{ActiveRun, LeavingRun, QueuedRequest, Replica};
 use crate::tally;
 use crate::Coordinator;
 use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, Digest32, PartyId};
-use b2b_evidence::EvidenceKind;
+use b2b_evidence::{EvidenceKind, RunLabel};
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
 
@@ -85,10 +85,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectRequest,
             &object,
-            &msg.request.canonical_digest().to_string(),
+            RunLabel::Hex(msg.request.canonical_digest().as_bytes()),
             self.me.clone(),
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.request.canonical_bytes(),
+            Some(&msg.sig),
             ctx.now(),
         );
         self.trace(ctx.now(), "membership", "connect_request", || {
@@ -125,7 +125,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &run.to_hex(),
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: sponsor,
                     message: "welcome".into(),
@@ -165,7 +165,7 @@ impl Coordinator {
         if !ok {
             self.log_misbehaviour(
                 &oid,
-                &run.to_hex(),
+                run.label(),
                 Misbehaviour::InconsistentDecide {
                     run,
                     detail: "welcome fails verification".into(),
@@ -204,10 +204,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectWelcome,
             &oid,
-            &run.to_hex(),
+            run.label(),
             from.clone(),
-            msg.welcome.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.welcome.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         self.persist(&oid);
@@ -254,7 +254,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &expected_digest.to_string(),
+                RunLabel::Hex(expected_digest.as_bytes()),
                 Misbehaviour::BadSignature {
                     claimed: msg.reject.sponsor.clone(),
                     message: "connect-reject".into(),
@@ -269,10 +269,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectReject,
             &oid,
-            &expected_digest.to_string(),
+            RunLabel::Hex(expected_digest.as_bytes()),
             from.clone(),
-            msg.reject.canonical_bytes(),
-            Some(msg.sig),
+            &msg.reject.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         self.persist_index();
@@ -299,7 +299,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                "",
+                RunLabel::Text(""),
                 Misbehaviour::BadSignature {
                     claimed: msg.request.subject.clone(),
                     message: "connect-request".into(),
@@ -352,10 +352,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectRequest,
             &oid,
-            &request_digest.to_string(),
+            RunLabel::Hex(request_digest.as_bytes()),
             subject.clone(),
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.request.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         if !local.is_accept() {
@@ -510,10 +510,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectReject,
             oid,
-            &request_digest.to_string(),
+            RunLabel::Hex(request_digest.as_bytes()),
             self.me.clone(),
-            reject.canonical_bytes(),
-            Some(sig.clone()),
+            &reject.canonical_bytes(),
+            Some(&sig),
             ctx.now(),
         );
         self.send_wire(
@@ -546,10 +546,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::ConnectWelcome,
             oid,
-            &run.to_hex(),
+            run.label(),
             self.me.clone(),
-            welcome.canonical_bytes(),
-            Some(sig.clone()),
+            &welcome.canonical_bytes(),
+            Some(&sig),
             ctx.now(),
         );
         let msg = WireMsg::Welcome(WelcomeMsg {
@@ -714,10 +714,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::DisconnectRequest,
             object,
-            &digest.to_string(),
+            RunLabel::Hex(digest.as_bytes()),
             self.me.clone(),
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.request.canonical_bytes(),
+            Some(&msg.sig),
             ctx.now(),
         );
         msg
@@ -738,7 +738,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                "",
+                RunLabel::Text(""),
                 Misbehaviour::BadSignature {
                     claimed: msg.request.proposer.clone(),
                     message: "disconnect-request".into(),
@@ -753,7 +753,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                "",
+                RunLabel::Text(""),
                 Misbehaviour::UnexpectedMessage {
                     detail: "voluntary disconnect not initiated by subject".into(),
                 },
@@ -802,7 +802,7 @@ impl Coordinator {
         if subjects.iter().any(|s| !rep.members.contains(s)) {
             self.log_misbehaviour(
                 &oid,
-                &request_digest.to_string(),
+                RunLabel::Hex(request_digest.as_bytes()),
                 Misbehaviour::UnexpectedMessage {
                     detail: "disconnect of non-member".into(),
                 },
@@ -816,10 +816,10 @@ impl Coordinator {
             self.log_evidence(
                 EvidenceKind::DisconnectRequest,
                 &oid,
-                &request_digest.to_string(),
+                RunLabel::Hex(request_digest.as_bytes()),
                 msg.request.proposer.clone(),
-                msg.request.canonical_bytes(),
-                Some(msg.sig.clone()),
+                &msg.request.canonical_bytes(),
+                Some(&msg.sig),
                 now,
             );
             return false;
@@ -850,10 +850,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::DisconnectAck,
             oid,
-            &run.to_hex(),
+            run.label(),
             self.me.clone(),
-            ack.canonical_bytes(),
-            Some(sig.clone()),
+            &ack.canonical_bytes(),
+            Some(&sig),
             ctx.now(),
         );
         let msg = WireMsg::DisconnectAck(DisconnectAckMsg { ack, decide, sig });
@@ -883,7 +883,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &run.to_hex(),
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: lr.sponsor,
                     message: "disconnect-ack".into(),
@@ -904,10 +904,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::DisconnectAck,
             &oid,
-            &run.to_hex(),
+            run.label(),
             from.clone(),
-            msg.ack.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.ack.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         self.persist(&oid);
@@ -947,10 +947,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::DisconnectReject,
             oid,
-            &request_digest.to_string(),
+            RunLabel::Hex(request_digest.as_bytes()),
             self.me.clone(),
-            reject.canonical_bytes(),
-            Some(sig.clone()),
+            &reject.canonical_bytes(),
+            Some(&sig),
             ctx.now(),
         );
         self.trace(ctx.now(), "membership", "disconnect_reject", || {
@@ -990,7 +990,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &expected_digest.to_string(),
+                RunLabel::Hex(expected_digest.as_bytes()),
                 Misbehaviour::BadSignature {
                     claimed: msg.reject.sponsor.clone(),
                     message: "disconnect-reject".into(),
@@ -1007,10 +1007,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::DisconnectReject,
             &oid,
-            &expected_digest.to_string(),
+            RunLabel::Hex(expected_digest.as_bytes()),
             from.clone(),
-            msg.reject.canonical_bytes(),
-            Some(msg.sig),
+            &msg.reject.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         self.trace(now, "membership", "disconnect_rejected", || {

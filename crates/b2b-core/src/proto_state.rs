@@ -279,10 +279,10 @@ impl Coordinator {
             self.log_evidence(
                 rules.evidence[0],
                 object,
-                &run.to_hex(),
+                run.label(),
                 self.me.clone(),
-                self.proposal_bytes_of(&m1).to_vec(),
-                Some(m1.sig.clone()),
+                &self.proposal_bytes_of(&m1),
+                Some(&m1.sig),
                 now,
             );
         }
@@ -327,7 +327,7 @@ impl Coordinator {
         let now = ctx.now();
         let oid = m1.proposal.object.clone();
         let run = m1.run_id();
-        let run_hex = run.to_hex();
+        let run_hex = run.0;
         let me = self.me.clone();
 
         // Unverifiable content earns no response — only a misbehaviour
@@ -347,7 +347,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &run_hex,
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: m1.proposal.proposer.clone(),
                     message: "propose".into(),
@@ -365,7 +365,7 @@ impl Coordinator {
         let Some(mut rep) = self.replicas.remove(&oid) else {
             self.log_misbehaviour(
                 &oid,
-                &run_hex,
+                run.label(),
                 Misbehaviour::UnexpectedMessage {
                     detail: format!("propose from {from} for unknown object"),
                 },
@@ -390,7 +390,7 @@ impl Coordinator {
             self.replicas.insert(oid.clone(), rep);
             self.log_misbehaviour(
                 &oid,
-                &run_hex,
+                run.label(),
                 Misbehaviour::UnexpectedMessage {
                     detail: format!("propose from non-member or to non-member ({from})"),
                 },
@@ -652,23 +652,23 @@ impl Coordinator {
         self.log_evidence(
             rules.evidence[0],
             &oid,
-            &run_hex,
+            run.label(),
             proposer.clone(),
-            self.proposal_bytes_of(&m1).to_vec(),
-            Some(m1.sig.clone()),
+            &self.proposal_bytes_of(&m1),
+            Some(&m1.sig),
             now,
         );
         self.log_evidence(
             rules.evidence[1],
             &oid,
-            &run_hex,
+            run.label(),
             me,
-            self.response_bytes_of(&m2).to_vec(),
-            Some(m2.sig.clone()),
+            &self.response_bytes_of(&m2),
+            Some(&m2.sig),
             now,
         );
         for m in c.misbehaviours {
-            self.log_misbehaviour(&oid, &run_hex, m, now);
+            self.log_misbehaviour(&oid, run.label(), m, now);
         }
         if c.track {
             // A recipient's round begins when it starts tracking the
@@ -699,7 +699,7 @@ impl Coordinator {
         let now = ctx.now();
         let oid = m2.response.object.clone();
         let run = m2.response.run;
-        let run_hex = run.to_hex();
+        let run_hex = run.0;
 
         // The signed response must echo the actual proposal: one that names
         // another tuple under this run id is internally inconsistent and
@@ -760,10 +760,10 @@ impl Coordinator {
                 self.log_evidence(
                     kind_rules.evidence[1],
                     &oid,
-                    &run_hex,
+                    run.label(),
                     from.clone(),
-                    self.response_bytes_of(&m2).to_vec(),
-                    Some(m2.sig.clone()),
+                    &self.response_bytes_of(&m2),
+                    Some(&m2.sig),
                     now,
                 );
                 self.events.push(crate::decision::CoordEvent {
@@ -783,7 +783,7 @@ impl Coordinator {
             }
         };
         if let Some(m) = misbehaviour {
-            self.log_misbehaviour(&oid, &run_hex, m, now);
+            self.log_misbehaviour(&oid, run.label(), m, now);
         }
         self.persist(&oid);
     }
@@ -791,7 +791,7 @@ impl Coordinator {
     /// Computes the group decision, sends `m3`, installs or rolls back.
     pub(crate) fn finalize(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let now = ctx.now();
-        let run_hex = run.to_hex();
+        let run_hex = run.0;
         let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
@@ -834,9 +834,9 @@ impl Coordinator {
         self.log_evidence(
             rules.evidence[2],
             oid,
-            &run_hex,
+            run.label(),
             self.me.clone(),
-            decide.canonical_bytes(),
+            &decide.canonical_bytes(),
             None,
             now,
         );
@@ -931,7 +931,6 @@ impl Coordinator {
         let now = ctx.now();
         let oid = m3.object.clone();
         let run = m3.run;
-        let run_hex = run.to_hex();
 
         if self.outcomes.contains_key(&run) {
             return; // duplicate decide
@@ -961,7 +960,7 @@ impl Coordinator {
             // agreed state. The run stays active awaiting a consistent
             // decide (or extra-protocol resolution).
             DecideCheck::Refuted(m) => {
-                self.log_misbehaviour(&oid, &run_hex, m, now);
+                self.log_misbehaviour(&oid, run.label(), m, now);
                 return;
             }
             DecideCheck::Wait => return,
@@ -994,9 +993,9 @@ impl Coordinator {
         self.log_evidence(
             rules(kind).evidence[2],
             &oid,
-            &run_hex,
+            run.label(),
             from.clone(),
-            m3.canonical_bytes(),
+            &m3.canonical_bytes(),
             None,
             now,
         );
@@ -1117,7 +1116,7 @@ impl Coordinator {
         now: TimeMs,
     ) {
         let rules = rules(kind);
-        let run_hex = run.to_hex();
+        let run_hex = run.0;
         if !outcome.is_installed() {
             self.telemetry.inc(names::ROUNDS_ABORTED);
             self.trace(now, rules.span, "rollback", || {
@@ -1211,9 +1210,9 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::Checkpoint,
             oid,
-            &run.to_hex(),
+            run.label(),
             self.me.clone(),
-            payload,
+            &payload,
             None,
             now,
         );

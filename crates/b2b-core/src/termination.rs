@@ -106,10 +106,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::TtpAbort,
             oid,
-            &run.to_hex(),
+            run.label(),
             self.me.clone(),
-            msg.request.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.request.canonical_bytes(),
+            Some(&msg.sig),
             ctx.now(),
         );
         self.send_wire(&ttp, &WireMsg::TtpResolve(msg), ctx);
@@ -122,7 +122,6 @@ impl Coordinator {
         let now = ctx.now();
         let oid = msg.request.object.clone();
         let run = msg.request.run;
-        let run_hex = run.to_hex();
 
         let appeal_ok = from == &msg.request.appellant
             && self
@@ -147,7 +146,7 @@ impl Coordinator {
         if !appeal_ok {
             self.log_misbehaviour(
                 &oid,
-                &run_hex,
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: msg.request.appellant.clone(),
                     message: "ttp-resolve".into(),
@@ -222,7 +221,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &run.to_hex(),
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: msg.request.ttp.clone(),
                     message: "ttp-evidence-request".into(),
@@ -289,7 +288,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &pending.object,
-                &run.to_hex(),
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: proposer.clone(),
                     message: "ttp-evidence".into(),
@@ -369,10 +368,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::TtpAbort,
             object,
-            &run.to_hex(),
+            run.label(),
             self.me.clone(),
-            resolution.canonical_bytes(),
-            Some(sig.clone()),
+            &resolution.canonical_bytes(),
+            Some(&sig),
             ctx.now(),
         );
         let msg = TtpResolutionMsg {
@@ -413,7 +412,6 @@ impl Coordinator {
         let now = ctx.now();
         let oid = msg.resolution.object.clone();
         let run = msg.resolution.run;
-        let run_hex = run.to_hex();
 
         // Only resolutions signed by the TTP this party appointed count.
         let Some(ttp) = self.config.ttp.clone() else {
@@ -427,7 +425,7 @@ impl Coordinator {
         {
             self.log_misbehaviour(
                 &oid,
-                &run_hex,
+                run.label(),
                 Misbehaviour::BadSignature {
                     claimed: ttp,
                     message: "ttp-resolution".into(),
@@ -498,10 +496,10 @@ impl Coordinator {
         self.log_evidence(
             EvidenceKind::TtpAbort,
             &oid,
-            &run_hex,
+            run.label(),
             from.clone(),
-            msg.resolution.canonical_bytes(),
-            Some(msg.sig.clone()),
+            &msg.resolution.canonical_bytes(),
+            Some(&msg.sig),
             now,
         );
         if outcome.is_installed() {

@@ -10,24 +10,17 @@ use b2b_core::messages::WireMsg;
 use b2b_core::{Misbehaviour, ObjectId, Outcome};
 use b2b_crypto::{CanonicalDecode, PartyId, TimeMs};
 use b2b_net::intruder::{FnIntruder, Injection, InterceptAction};
+use b2b_net::reliable::{data_body, data_frame, reframe, with_body};
 use common::*;
-
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER: usize = 34;
 
 /// Decodes the protocol message inside a reliable-layer data frame.
 fn peek(raw: &[u8]) -> Option<WireMsg> {
-    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-        return None; // ack or malformed
-    }
-    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+    WireMsg::from_bytes(data_body(raw)?)
 }
 
 /// Re-encodes a tampered protocol message into the original frame header.
 fn replace_body(raw: &[u8], msg: &WireMsg) -> Vec<u8> {
-    let mut out = raw[..FRAME_HEADER].to_vec();
-    out.extend_from_slice(&msg.to_bytes());
-    out
+    with_body(raw, &msg.to_bytes()).expect("a data frame")
 }
 
 fn has_detection(cluster: &Cluster, who: usize, tag: &str) -> bool {
@@ -114,12 +107,8 @@ fn replayed_proposal_from_prior_run_is_rejected() {
     // Replay the recorded m1 under a fresh reliable-layer identity (the
     // intruder controls the network, so it can re-frame at will).
     let frame = recorded.lock().unwrap().clone().expect("recorded m1");
-    let mut replay = Vec::new();
-    replay.push(0u8);
-    replay.extend_from_slice(&0xdead_beef_u64.to_be_bytes());
-    replay.extend_from_slice(&0u64.to_be_bytes());
     // A wholesale replay keeps the recorded trace context and body.
-    replay.extend_from_slice(&frame[17..]);
+    let replay = reframe(&frame, 0xdead_beef_u64, 0).expect("a data frame");
     cluster.net.set_intruder(FnIntruder::new(
         move |_f: &PartyId, to: &PartyId, _raw: &[u8], _n| {
             if to.as_str() == "org1" {
@@ -185,10 +174,7 @@ fn replayed_tuple_in_a_fresh_proposal_is_rejected() {
     // the public API, so assert the tuple-reuse detection through the
     // recipient's checks using the original signature: deliver the stolen
     // m1 unmodified under a fresh epoch AFTER org1 has moved past it.)
-    let mut frame = vec![0u8];
-    frame.extend_from_slice(&0xabad1dea_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&WireMsg::Propose(stolen).to_bytes());
+    let frame = data_frame(0, 0xabad1dea_u64, 0, &WireMsg::Propose(stolen).to_bytes());
     // Move the group forward so run1 is no longer the latest state…
     let run2 = cluster.propose(0, "counter", enc(7));
     assert!(cluster.outcome(1, &run2).unwrap().is_installed());
@@ -340,12 +326,7 @@ fn fabricated_propose_without_key_is_ignored() {
         // The old signature cannot cover the new proposal content.
         WireMsg::Propose(m)
     };
-    let mut frame = Vec::new();
-    frame.push(0u8);
-    frame.extend_from_slice(&0xfeed_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-    frame.extend_from_slice(&forged.to_bytes());
+    let frame = data_frame(0, 0xfeed_u64, 0, &forged.to_bytes());
     cluster.net.set_intruder(FnIntruder::new(
         move |_f: &PartyId, to: &PartyId, _raw: &[u8], _n| {
             if to.as_str() == "org1" {
@@ -437,11 +418,7 @@ fn poisoned_sequence_number_cannot_brick_future_proposals() {
         sig,
         memo: Default::default(),
     });
-    let mut frame = vec![0u8];
-    frame.extend_from_slice(&0xdead_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-    frame.extend_from_slice(&m1.to_bytes());
+    let frame = data_frame(0, 0xdead_u64, 0, &m1.to_bytes());
     cluster.net.invoke(&party(1), move |_c, ctx| {
         ctx.send(party(0), frame);
     });
@@ -477,19 +454,11 @@ fn frame_that_does_not_strictly_decode_is_dropped_as_malformed() {
     let m1_frame = recorded.lock().unwrap().clone().expect("recorded m1");
     let sent_before = cluster.net.node(&party(1)).messages_sent();
 
-    let reframe = |epoch: u64, body: &[u8]| {
-        let mut frame = vec![0u8];
-        frame.extend_from_slice(&epoch.to_be_bytes());
-        frame.extend_from_slice(&0u64.to_be_bytes());
-        frame.extend_from_slice(&[0u8; 17]);
-        frame.extend_from_slice(body);
-        frame
-    };
-    let mut trailing = m1_frame[FRAME_HEADER..].to_vec();
+    let mut trailing = data_body(&m1_frame).expect("a data frame").to_vec();
     trailing.push(0);
     let json = br#"{"Propose":{"proposal":{"object":"counter"}}}"#;
     for (epoch, body) in [(0xbad1_u64, &trailing[..]), (0xbad2, &json[..])] {
-        let frame = reframe(epoch, body);
+        let frame = data_frame(0, epoch, 0, body);
         cluster.net.invoke(&party(0), move |_c, ctx| {
             ctx.send(party(1), frame);
         });

@@ -9,21 +9,15 @@ use b2b_core::messages::WireMsg;
 use b2b_core::{ConnectStatus, Misbehaviour, ObjectId};
 use b2b_crypto::{PartyId, Signature, TimeMs};
 use b2b_net::intruder::{FnIntruder, Injection, InterceptAction, Intruder};
+use b2b_net::reliable::{data_body, data_frame, reframe, with_body};
 use common::*;
 
-const FRAME_HEADER: usize = 34;
-
 fn peek(raw: &[u8]) -> Option<WireMsg> {
-    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-        return None;
-    }
-    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+    WireMsg::from_bytes(data_body(raw)?)
 }
 
 fn replace_body(raw: &[u8], msg: &WireMsg) -> Vec<u8> {
-    let mut out = raw[..FRAME_HEADER].to_vec();
-    out.extend_from_slice(&msg.to_bytes());
-    out
+    with_body(raw, &msg.to_bytes()).expect("a data frame")
 }
 
 fn has_detection(cluster: &Cluster, who: usize, tag: &str) -> bool {
@@ -433,11 +427,8 @@ fn replayed_connect_proposal_is_detected() {
 
     // Replay the recorded proposal to org0 under a fresh transport epoch.
     let frame = recorded.lock().unwrap().clone().expect("recorded");
-    let mut replay = vec![0u8];
-    replay.extend_from_slice(&0xfeed_beef_u64.to_be_bytes());
-    replay.extend_from_slice(&0u64.to_be_bytes());
     // A wholesale replay keeps the recorded trace context and body.
-    replay.extend_from_slice(&frame[17..]);
+    let replay = reframe(&frame, 0xfeed_beef_u64, 0).expect("a data frame");
     cluster.net.set_intruder(FnIntruder::new(
         move |_f: &PartyId, to: &PartyId, _raw: &[u8], _n| {
             if to.as_str() == "org0" {
@@ -490,11 +481,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     let outsider = KeyPair::generate_from_seed(31337);
     let sig = outsider.sign(&request.canonical_bytes());
     let msg = WireMsg::DisconnectRequest(DisconnectRequestMsg { request, sig });
-    let mut frame = vec![0u8];
-    frame.extend_from_slice(&0xabcd_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-    frame.extend_from_slice(&msg.to_bytes());
+    let frame = data_frame(0, 0xabcd_u64, 0, &msg.to_bytes());
     // Deliver to the disconnect sponsor (org2).
     cluster.net.invoke(&party(0), move |_c, ctx| {
         ctx.send(party(2), frame);
@@ -556,7 +543,7 @@ fn detached_leaver_refuses_its_former_sponsors_proposal() {
                     && to.as_str() == "org0"
                     && !once.swap(true, Ordering::SeqCst) =>
             {
-                let payload = b2b_net::reliable::reframe(raw, 0x1eaf, 0).expect("data frame");
+                let payload = reframe(raw, 0x1eaf, 0).expect("data frame");
                 InterceptAction::Inject(vec![Injection {
                     from: party(2),
                     to: party(1),
@@ -653,11 +640,7 @@ fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
         body: request.canonical_bytes(),
         memo: Default::default(),
     });
-    let mut frame = vec![0u8];
-    frame.extend_from_slice(&0x5eed_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-    frame.extend_from_slice(&msg.to_bytes());
+    let frame = data_frame(0, 0x5eed_u64, 0, &msg.to_bytes());
     cluster
         .net
         .invoke(&party(0), move |_c, ctx| ctx.send(party(1), frame));

@@ -15,25 +15,18 @@ use b2b_core::{
 };
 use b2b_crypto::PartyId;
 use b2b_net::intruder::{FnIntruder, InterceptAction};
+use b2b_net::reliable::{data_body, with_body};
 use b2b_net::FaultPlan;
 use b2b_telemetry::{names, RingRecorder, Telemetry};
 use common::*;
 use std::sync::Arc;
 
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER: usize = 34;
-
 fn peek(raw: &[u8]) -> Option<WireMsg> {
-    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-        return None;
-    }
-    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+    WireMsg::from_bytes(data_body(raw)?)
 }
 
 fn replace_body(raw: &[u8], msg: &WireMsg) -> Vec<u8> {
-    let mut out = raw[..FRAME_HEADER].to_vec();
-    out.extend_from_slice(&msg.to_bytes());
-    out
+    with_body(raw, &msg.to_bytes()).expect("a data frame")
 }
 
 fn entry(s: &str) -> Vec<u8> {

@@ -22,31 +22,20 @@ use b2b_core::messages::WireMsg;
 use b2b_core::{CoordinatorConfig, Misbehaviour};
 use b2b_crypto::{KeyPair, PartyId, Signer, TimeMs};
 use b2b_net::intruder::{FnIntruder, Injection, InterceptAction, Intruder};
+use b2b_net::reliable::data_body;
 use b2b_net::FaultPlan;
 use b2b_telemetry::{names, MetricsSnapshot, RingRecorder, Telemetry};
 use common::*;
 use std::sync::{Arc, Mutex};
 
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER: usize = 34;
-
 fn peek(raw: &[u8]) -> Option<WireMsg> {
-    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-        return None;
-    }
-    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+    WireMsg::from_bytes(data_body(raw)?)
 }
 
 /// Re-frames a recorded protocol message under a fresh reliable-layer
 /// identity so the dedup layer does not swallow the re-delivery.
 fn reframe(frame: &[u8], epoch: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(0u8);
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.extend_from_slice(&0u64.to_be_bytes());
-    // Keep the recorded trace context and body.
-    out.extend_from_slice(&frame[17..]);
-    out
+    b2b_net::reliable::reframe(frame, epoch, 0).expect("a data frame")
 }
 
 fn inject_to_org1(payload: Vec<u8>) -> impl Intruder + 'static {

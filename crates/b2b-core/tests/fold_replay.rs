@@ -17,6 +17,7 @@ use b2b_core::messages::{decode_batch_body, encode_batch_body, ProposalKind, Wir
 use b2b_core::{B2BObject, CoordinatorConfig, Decision, FoldStep, ObjectId};
 use b2b_crypto::{sha256, CanonicalEncode, PartyId, TimeMs};
 use b2b_net::intruder::{FnIntruder, InterceptAction};
+use b2b_net::reliable::{data_body, with_body};
 use b2b_net::FaultPlan;
 use common::*;
 
@@ -99,9 +100,6 @@ fn default_fold_of_shared_cell_and_composite_equals_per_update_calls() {
 // Failures at a known index: decision, misbehaviour and evidence pinned
 // ---------------------------------------------------------------------
 
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER: usize = 34;
-
 fn entry(s: &str) -> Vec<u8> {
     serde_json::to_vec(&s.to_string()).unwrap()
 }
@@ -173,10 +171,7 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String, Stri
     if let Fault::Forged = fault {
         cluster.net.set_intruder(FnIntruder::new(
             move |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| {
-                if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-                    return InterceptAction::Deliver;
-                }
-                let Some(WireMsg::Propose(mut m)) = WireMsg::from_bytes(&raw[FRAME_HEADER..])
+                let Some(WireMsg::Propose(mut m)) = data_body(raw).and_then(WireMsg::from_bytes)
                 else {
                     return InterceptAction::Deliver;
                 };
@@ -189,9 +184,8 @@ fn faulty_round(fault: Fault, len: usize, index: usize) -> (String, String, Stri
                     ProposalKind::Update { .. } => m.body = entry("forged"),
                     _ => return InterceptAction::Deliver,
                 }
-                let mut out = raw[..FRAME_HEADER].to_vec();
-                out.extend_from_slice(&WireMsg::Propose(m).to_bytes());
-                InterceptAction::Replace(out)
+                let out = with_body(raw, &WireMsg::Propose(m).to_bytes());
+                InterceptAction::Replace(out.expect("a data frame"))
             },
         ));
     }

@@ -10,6 +10,7 @@ use b2b_core::{Coordinator, CoordinatorConfig, ObjectId, Outcome};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2b_evidence::MemStore;
 use b2b_net::intruder::{FnIntruder, InterceptAction};
+use b2b_net::reliable::{data_body, data_frame, with_body};
 use b2b_net::SimNet;
 use common::{counter_factory, dec, enc};
 use std::sync::Arc;
@@ -85,22 +86,14 @@ fn setup_counter(world: &mut TtpWorld) {
     }
 }
 
-/// Reliable-layer frame header: kind(1) + epoch(8) + seq(8) + trace(17).
-const FRAME_HEADER: usize = 34;
-
 /// Decodes the protocol message inside a reliable-layer data frame.
 fn peek(raw: &[u8]) -> Option<WireMsg> {
-    if raw.len() <= FRAME_HEADER || raw[0] != 0 {
-        return None;
-    }
-    WireMsg::from_bytes(&raw[FRAME_HEADER..])
+    WireMsg::from_bytes(data_body(raw)?)
 }
 
 /// Re-encodes a tampered protocol message into the original frame header.
 fn replace_body(raw: &[u8], msg: &WireMsg) -> Vec<u8> {
-    let mut out = raw[..FRAME_HEADER].to_vec();
-    out.extend_from_slice(&msg.to_bytes());
-    out
+    with_body(raw, &msg.to_bytes()).expect("a data frame")
 }
 
 /// Proposes from org0 while org2 is silent, so org0 appeals to the TTP at
@@ -197,11 +190,9 @@ fn complete_responses_yield_certified_decision() {
     setup_counter(&mut world);
     world.net.set_intruder(FnIntruder::new(
         |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| {
-            // Drop every decide frame (reliable header is 17 bytes).
-            if raw.len() > 17 && raw[0] == 0 {
-                if let Some(WireMsg::Decide(_)) = WireMsg::from_bytes(&raw[17..]) {
-                    return InterceptAction::Drop;
-                }
+            // Drop every decide frame.
+            if let Some(WireMsg::Decide(_)) = data_body(raw).and_then(WireMsg::from_bytes) {
+                return InterceptAction::Drop;
             }
             InterceptAction::Deliver
         },
@@ -333,11 +324,7 @@ fn resolution_from_anyone_but_the_appointed_ttp_is_rejected() {
         sig,
     };
     // Frame it manually (fresh reliable-layer epoch) and send from org2.
-    let mut frame = vec![0u8];
-    frame.extend_from_slice(&0xbeef_u64.to_be_bytes());
-    frame.extend_from_slice(&0u64.to_be_bytes());
-    frame.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-    frame.extend_from_slice(&WireMsg::TtpResolution(msg).to_bytes());
+    let frame = data_frame(0, 0xbeef_u64, 0, &WireMsg::TtpResolution(msg).to_bytes());
     world.net.invoke(&org(2), move |_c, ctx| {
         ctx.send(PartyId::new("org0"), frame);
     });

@@ -9,8 +9,12 @@
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 /// The identity of an organisation participating in information sharing.
+///
+/// The name is shared: a clone is a reference-count increment, while
+/// equality, ordering, hashing and the JSON form are the string's.
 ///
 /// # Example
 ///
@@ -20,13 +24,13 @@ use std::fmt;
 /// assert_eq!(customer.as_str(), "customer");
 /// assert_eq!(customer.to_string(), "customer");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct PartyId(String);
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+pub struct PartyId(Arc<str>);
 
 impl PartyId {
     /// Creates a party identifier from any string-like name.
-    pub fn new(name: impl Into<String>) -> PartyId {
-        PartyId(name.into())
+    pub fn new(name: impl AsRef<str>) -> PartyId {
+        PartyId(Arc::from(name.as_ref()))
     }
 
     /// Returns the identifier as a string slice.
@@ -56,6 +60,15 @@ impl From<&str> for PartyId {
 impl From<String> for PartyId {
     fn from(s: String) -> Self {
         PartyId::new(s)
+    }
+}
+
+impl Deserialize for PartyId {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        String::from_value(v).map(PartyId::new)
+    }
+    fn read_json(r: &mut serde::json::Reader<'_>, depth: usize) -> Result<Self, serde::Error> {
+        String::read_json(r, depth).map(PartyId::new)
     }
 }
 
@@ -100,5 +113,15 @@ mod tests {
     #[test]
     fn ordering_is_lexicographic() {
         assert!(PartyId::new("a") < PartyId::new("b"));
+    }
+
+    #[test]
+    fn clones_share_the_name_and_json_is_the_string() {
+        let p = PartyId::new("org1");
+        let q = p.clone();
+        assert!(std::ptr::eq(p.as_str(), q.as_str()));
+        let value = p.to_value();
+        assert_eq!(value, serde::Value::Str("org1".into()));
+        assert_eq!(PartyId::from_value(&value).unwrap(), p);
     }
 }

@@ -132,7 +132,7 @@ impl fmt::Debug for KeyPair {
 impl Signer for KeyPair {
     fn sign(&self, msg: &[u8]) -> Signature {
         let sig = self.signing.sign(msg);
-        Signature::new(SignatureScheme::Ed25519, sig.to_bytes().to_vec())
+        Signature::new(SignatureScheme::Ed25519, sig.to_bytes())
     }
 
     fn public_key(&self) -> PublicKey {

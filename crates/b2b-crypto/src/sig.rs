@@ -8,6 +8,7 @@
 use crate::error::CryptoError;
 use crate::keys::PublicKey;
 use std::fmt;
+use std::sync::Arc;
 
 /// The signature scheme a [`Signature`] or [`PublicKey`] belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,17 +29,21 @@ impl SignatureScheme {
 /// A detached signature over a byte string.
 ///
 /// Rendered in the paper's notation as `sig_P(x)`. Signatures appear inside
-/// protocol messages and evidence records.
+/// protocol messages and evidence records, so the bytes are shared: a clone
+/// is a reference-count increment.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     scheme: SignatureScheme,
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
 }
 
 impl Signature {
     /// Creates a signature value from raw scheme output.
-    pub fn new(scheme: SignatureScheme, bytes: Vec<u8>) -> Signature {
-        Signature { scheme, bytes }
+    pub fn new(scheme: SignatureScheme, bytes: impl Into<Arc<[u8]>>) -> Signature {
+        Signature {
+            scheme,
+            bytes: bytes.into(),
+        }
     }
 
     /// The scheme that produced this signature.
@@ -72,7 +77,7 @@ impl crate::canonical::CanonicalDecode for Signature {
         };
         Ok(Signature {
             scheme,
-            bytes: dec.get_bytes()?.to_vec(),
+            bytes: dec.get_bytes()?.into(),
         })
     }
 }

@@ -27,7 +27,7 @@ pub mod verify;
 pub mod wal;
 
 pub use audit::{AuditReport, LogAuditor};
-pub use record::{EvidenceKind, EvidenceRecord};
+pub use record::{EvidenceKind, EvidenceRecord, RecordRef, RunLabel};
 pub use store::{EvidenceStore, MemStore, SnapshotStore, StoreError};
 pub use verify::{verify_record, RecordFault};
 pub use wal::FileStore;

@@ -141,31 +141,154 @@ pub struct EvidenceRecord {
 /// follows.
 pub const RECORD_FORMAT: u8 = 1;
 
-/// The record's binary form, which is the body of a WAL frame:
-/// [`RECORD_FORMAT`], then `seq` (u64), the kind's tag (u8), `object`,
-/// `run`, `origin` (length-prefixed strings), `payload` (length-prefixed
-/// bytes), `signature` and `timestamp` (presence byte + value) and
-/// `logged_at` (u64), all in the `b2b_crypto::canonical` encoding.
-impl CanonicalEncode for EvidenceRecord {
-    fn encode(&self, enc: &mut Encoder) {
+/// The label of the run a record belongs to, as the log holds it: text.
+/// A caller holding a run's digest passes the digest, and it is written
+/// as lowercase hex straight into the record's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunLabel<'a> {
+    /// Digest bytes, written two lowercase hex digits per byte.
+    Hex(&'a [u8]),
+    /// A label written as it is.
+    Text(&'a str),
+}
+
+impl RunLabel<'_> {
+    fn len(&self) -> usize {
+        match self {
+            RunLabel::Hex(bytes) => 2 * bytes.len(),
+            RunLabel::Text(text) => text.len(),
+        }
+    }
+
+    /// Writes the label as a length-prefixed string.
+    fn put(&self, enc: &mut Encoder) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        match self {
+            RunLabel::Text(text) => enc.put_str(text),
+            RunLabel::Hex(bytes) => {
+                enc.put_u64(self.len() as u64);
+                for byte in *bytes {
+                    enc.put_raw(&[
+                        DIGITS[usize::from(byte >> 4)],
+                        DIGITS[usize::from(byte & 15)],
+                    ]);
+                }
+            }
+        }
+    }
+
+    /// The label as an owned string.
+    pub fn to_text(&self) -> String {
+        match self {
+            RunLabel::Hex(bytes) => hex::encode(bytes),
+            RunLabel::Text(text) => (*text).to_string(),
+        }
+    }
+}
+
+/// An evidence record's fields, borrowed from whoever holds them: what a
+/// record is encoded from without first building an [`EvidenceRecord`]
+/// (see [`crate::EvidenceStore::append_ref`]). The store assigns `seq`.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordRef<'a> {
+    /// The protocol action evidenced.
+    pub kind: EvidenceKind,
+    /// The shared object the action concerns.
+    pub object: &'a str,
+    /// The protocol run the action belongs to.
+    pub run: RunLabel<'a>,
+    /// The party whose action this record evidences.
+    pub origin: &'a PartyId,
+    /// Canonical bytes of the evidenced content.
+    pub payload: &'a [u8],
+    /// The originator's signature over `payload`.
+    pub signature: Option<&'a Signature>,
+    /// TSA token over `payload`.
+    pub timestamp: Option<&'a TimeStamp>,
+    /// Local time at which the record is appended.
+    pub logged_at: TimeMs,
+}
+
+impl RecordRef<'_> {
+    /// The record's binary form under sequence number `seq` (see
+    /// [`EvidenceRecord`]'s encoding), in one allocation of exactly its
+    /// size.
+    pub fn encode(&self, seq: u64) -> Box<[u8]> {
+        let mut enc = Encoder::with_capacity(self.encoded_len());
+        self.encode_into(seq, &mut enc);
+        enc.finish().into_boxed_slice()
+    }
+
+    /// The one encoder of a record: [`RECORD_FORMAT`], then `seq` (u64),
+    /// the kind's tag (u8), `object`, `run`, `origin` (length-prefixed
+    /// strings), `payload` (length-prefixed bytes), `signature` and
+    /// `timestamp` (presence byte + value) and `logged_at` (u64), all in
+    /// the `b2b_crypto::canonical` encoding.
+    fn encode_into(&self, seq: u64, enc: &mut Encoder) {
         enc.put_u8(RECORD_FORMAT);
-        enc.put_u64(self.seq);
+        enc.put_u64(seq);
         let tag = KINDS
             .iter()
             .position(|k| *k == self.kind)
             .expect("every kind is listed in KINDS");
         enc.put_u8(tag as u8);
-        enc.put_str(&self.object);
-        enc.put_str(&self.run);
+        enc.put_str(self.object);
+        self.run.put(enc);
         self.origin.encode(enc);
-        enc.put_bytes(&self.payload);
+        enc.put_bytes(self.payload);
         self.signature.encode(enc);
         self.timestamp.encode(enc);
         self.logged_at.encode(enc);
     }
 
+    /// The exact length of the binary form.
+    fn encoded_len(&self) -> usize {
+        let string = |len: usize| 8 + len;
+        let signature = self
+            .signature
+            .map_or(0, |sig| 1 + string(sig.as_bytes().len()));
+        // A time-stamp's length is its encoding's; only a TSA-backed log
+        // pays for measuring it.
+        let timestamp = self.timestamp.map_or(0, |ts| ts.canonical_bytes().len());
+        1 + 8
+            + 1
+            + string(self.object.len())
+            + string(self.run.len())
+            + string(self.origin.as_str().len())
+            + string(self.payload.len())
+            + 1
+            + signature
+            + 1
+            + timestamp
+            + 8
+    }
+
+    /// The owned record under sequence number `seq`.
+    pub fn to_record(&self, seq: u64) -> EvidenceRecord {
+        EvidenceRecord {
+            seq,
+            kind: self.kind,
+            object: self.object.to_string(),
+            run: self.run.to_text(),
+            origin: self.origin.clone(),
+            payload: self.payload.to_vec(),
+            signature: self.signature.cloned(),
+            timestamp: self.timestamp.cloned(),
+            logged_at: self.logged_at,
+        }
+    }
+}
+
+/// The record's binary form, which is the body of a WAL frame; written by
+/// the borrowed form's encoder, so a record and the [`RecordRef`] of its
+/// fields encode to the same bytes.
+impl CanonicalEncode for EvidenceRecord {
+    fn encode(&self, enc: &mut Encoder) {
+        self.fields().encode_into(self.seq, enc);
+    }
+
     fn encoded_size_hint(&self) -> usize {
-        256 + self.object.len() + self.run.len() + self.payload.len()
+        self.fields().encoded_len()
     }
 }
 
@@ -217,6 +340,20 @@ impl EvidenceRecord {
             logged_at,
         }
     }
+
+    /// This record's fields, borrowed.
+    pub fn fields(&self) -> RecordRef<'_> {
+        RecordRef {
+            kind: self.kind,
+            object: &self.object,
+            run: RunLabel::Text(&self.run),
+            origin: &self.origin,
+            payload: &self.payload,
+            signature: self.signature.as_ref(),
+            timestamp: self.timestamp.as_ref(),
+            logged_at: self.logged_at,
+        }
+    }
 }
 
 /// A record held as its binary form: exactly the body of the record's WAL
@@ -230,9 +367,10 @@ impl EvidenceRecord {
 pub(crate) struct RecordFrame(Box<[u8]>);
 
 impl RecordFrame {
-    /// The frame of `record`.
-    pub(crate) fn encode(record: &EvidenceRecord) -> RecordFrame {
-        RecordFrame(record.canonical_bytes().into_boxed_slice())
+    /// The frame of the record `fields` describe, under sequence number
+    /// `seq`.
+    pub(crate) fn encode(seq: u64, fields: &RecordRef<'_>) -> RecordFrame {
+        RecordFrame(fields.encode(seq))
     }
 
     /// The frame of `body`, if it is a record in this version's format.
@@ -311,13 +449,28 @@ mod tests {
     #[test]
     fn frames_hold_the_binary_form_and_read_the_run_in_place() {
         for rec in samples() {
-            let frame = RecordFrame::encode(&rec);
+            let frame = RecordFrame::encode(rec.seq, &rec.fields());
             assert_eq!(frame.body(), &rec.canonical_bytes()[..]);
             assert_eq!(frame.run(), rec.run);
             assert_eq!(frame.record(), rec);
             assert_eq!(RecordFrame::from_body(frame.body()), Ok(frame));
         }
         assert!(RecordFrame::from_body(b"{}").is_err());
+    }
+
+    #[test]
+    fn borrowed_fields_encode_exactly_the_record() {
+        for rec in samples() {
+            let digest = [0xab_u8; 32];
+            let fields = RecordRef {
+                run: RunLabel::Hex(&digest),
+                ..rec.fields()
+            };
+            let bytes = fields.encode(rec.seq);
+            assert_eq!(bytes.len(), fields.encoded_len(), "an exact-size frame");
+            assert_eq!(&bytes[..], &rec.canonical_bytes()[..]);
+            assert_eq!(fields.to_record(rec.seq), rec);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! by swapping in a fresh engine over the surviving store;
 //! [`crate::wal::FileStore`] implements both on disk.
 
-use crate::record::{EvidenceRecord, RecordFrame};
+use crate::record::{EvidenceRecord, RecordFrame, RecordRef};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,6 +40,19 @@ pub trait EvidenceStore: Send + Sync {
     ///
     /// Returns a [`StoreError`] if the record cannot be durably recorded.
     fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError>;
+
+    /// Appends the record whose fields `record` borrows, assigning and
+    /// returning its sequence number. Stores that hold records as their
+    /// binary form encode it straight from the borrowed fields; the
+    /// default builds the owned record and calls
+    /// [`EvidenceStore::append`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StoreError`] if the record cannot be durably recorded.
+    fn append_ref(&self, record: RecordRef<'_>) -> Result<u64, StoreError> {
+        self.append(record.to_record(0))
+    }
 
     /// The number of records in the log.
     fn len(&self) -> usize;
@@ -95,6 +108,9 @@ pub trait SnapshotStore: Send + Sync {
 impl<T: EvidenceStore + ?Sized> EvidenceStore for std::sync::Arc<T> {
     fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError> {
         (**self).append(record)
+    }
+    fn append_ref(&self, record: RecordRef<'_>) -> Result<u64, StoreError> {
+        (**self).append_ref(record)
     }
     fn len(&self) -> usize {
         (**self).len()
@@ -166,11 +182,14 @@ impl MemStore {
 }
 
 impl EvidenceStore for MemStore {
-    fn append(&self, mut record: EvidenceRecord) -> Result<u64, StoreError> {
+    fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError> {
+        self.append_ref(record.fields())
+    }
+
+    fn append_ref(&self, record: RecordRef<'_>) -> Result<u64, StoreError> {
         let mut inner = self.inner.write();
         let seq = inner.records.len() as u64;
-        record.seq = seq;
-        inner.records.push(RecordFrame::encode(&record));
+        inner.records.push(RecordFrame::encode(seq, &record));
         Ok(seq)
     }
 
@@ -206,7 +225,13 @@ pub(crate) fn decode_all(frames: &[RecordFrame], run: Option<&str>) -> Vec<Evide
 
 impl SnapshotStore for MemStore {
     fn put_snapshot(&self, key: &str, bytes: Vec<u8>) -> Result<(), StoreError> {
-        self.inner.write().snapshots.insert(key.to_string(), bytes);
+        let mut inner = self.inner.write();
+        match inner.snapshots.get_mut(key) {
+            Some(slot) => *slot = bytes,
+            None => {
+                inner.snapshots.insert(key.to_string(), bytes);
+            }
+        }
         Ok(())
     }
 

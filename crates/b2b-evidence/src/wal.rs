@@ -16,7 +16,7 @@
 //! directory, written via a temp file + rename so a crash never leaves a
 //! half-written checkpoint visible.
 
-use crate::record::{EvidenceRecord, RecordFrame};
+use crate::record::{EvidenceRecord, RecordFrame, RecordRef};
 use crate::store::{decode_all, EvidenceStore, SnapshotStore, StoreError};
 use b2b_telemetry::{names, Telemetry};
 use parking_lot::Mutex;
@@ -202,12 +202,15 @@ fn replay(bytes: &[u8]) -> Result<(Vec<RecordFrame>, u64), StoreError> {
 }
 
 impl EvidenceStore for FileStore {
-    fn append(&self, mut record: EvidenceRecord) -> Result<u64, StoreError> {
+    fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError> {
+        self.append_ref(record.fields())
+    }
+
+    fn append_ref(&self, record: RecordRef<'_>) -> Result<u64, StoreError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let seq = inner.records.len() as u64;
-        record.seq = seq;
-        let frame = RecordFrame::encode(&record);
+        let frame = RecordFrame::encode(seq, &record);
         let body = frame.body();
         let body_len = u32::try_from(body.len())
             .map_err(|_| StoreError::Codec("record body exceeds the u32 frame length".into()))?;

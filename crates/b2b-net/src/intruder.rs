@@ -394,12 +394,7 @@ mod tests {
     }
 
     fn data_frame(body: &[u8]) -> Vec<u8> {
-        let mut f = vec![0u8]; // KIND_DATA
-        f.extend_from_slice(&1u64.to_be_bytes()); // epoch
-        f.extend_from_slice(&0u64.to_be_bytes()); // seq
-        f.extend_from_slice(&[0u8; 17]); // trace context (untraced)
-        f.extend_from_slice(body);
-        f
+        crate::reliable::data_frame(0, 1, 0, body)
     }
 
     #[test]
@@ -420,9 +415,11 @@ mod tests {
         assert_eq!(s.rules_fired(), 1);
         // Acks are invisible to scripts: not counted, not matched.
         let ack = {
-            let mut f = vec![1u8];
-            f.extend_from_slice(&[0u8; 33]);
-            f
+            let mut mux = crate::ReliableMux::new(TimeMs(10), 2);
+            let mut ctx = crate::NodeCtx::new(TimeMs(0));
+            mux.on_message(&a, &f, &mut ctx);
+            mux.flush_acks(&mut ctx);
+            ctx.take_outgoing().remove(0).1
         };
         assert_eq!(
             s.intercept(&a, &b, &ack, TimeMs(3)),
@@ -445,7 +442,10 @@ mod tests {
                 assert_eq!(injs.len(), 1);
                 assert_eq!(injs[0].after, TimeMs(50));
                 assert_ne!(injs[0].payload, f, "replay must carry a fresh identity");
-                assert_eq!(&injs[0].payload[34..], b"payload");
+                assert_eq!(
+                    crate::reliable::data_body(&injs[0].payload),
+                    Some(&b"payload"[..])
+                );
             }
             other => panic!("expected injection, got {other:?}"),
         }

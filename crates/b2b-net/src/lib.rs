@@ -19,7 +19,7 @@
 //!   assumed *eventual once-only delivery* on top of lossy links;
 //! * [`shard`] — the real-clock runtime: thousands of coordination groups
 //!   (or just one) multiplexed over a fixed worker pool, with per-shard
-//!   timer wheels and group-enveloped frames — the role Java RMI played
+//!   timer wheels and frames that name their group — the role Java RMI played
 //!   in the paper's prototype;
 //! * [`shard_tcp`] — the same runtime across processes and hosts: one
 //!   multiplexed, reconnecting socket pair per peer organisation, driven

@@ -71,6 +71,12 @@ pub trait NetNode: Send + 'static {
 #[derive(Debug)]
 pub struct NodeCtx {
     now: TimeMs,
+    /// The group the node's frames are addressed in; 0 outside a
+    /// multi-group runtime.
+    group: u64,
+    /// Whether the driver delivers another frame to this node right after
+    /// this callback.
+    frame_follows: bool,
     outgoing: Vec<(PartyId, Payload)>,
     timers: Vec<(u64, TimeMs)>,
 }
@@ -78,8 +84,17 @@ pub struct NodeCtx {
 impl NodeCtx {
     /// Creates a context at the given time.
     pub fn new(now: TimeMs) -> NodeCtx {
+        NodeCtx::with_group(now, 0)
+    }
+
+    /// Creates a context at the given time for a node of `group`: the
+    /// reliable layer writes the group into every frame header, where a
+    /// transport carrying many groups over one connection reads it.
+    pub fn with_group(now: TimeMs, group: u64) -> NodeCtx {
         NodeCtx {
             now,
+            group,
+            frame_follows: false,
             outgoing: Vec::new(),
             timers: Vec::new(),
         }
@@ -88,6 +103,25 @@ impl NodeCtx {
     /// The current (virtual or real) time.
     pub fn now(&self) -> TimeMs {
         self.now
+    }
+
+    /// The group this node's frames are addressed in.
+    pub fn group(&self) -> u64 {
+        self.group
+    }
+
+    /// Whether the driver delivers another frame to this node right after
+    /// this callback — the next event in its queue at the same instant, or
+    /// in its inbox, is one. Work that can wait for that frame's handler
+    /// (an ack a reply may yet carry) waits.
+    pub fn frame_follows(&self) -> bool {
+        self.frame_follows
+    }
+
+    /// Marks that another frame for this node follows this callback
+    /// (driver use).
+    pub(crate) fn set_frame_follows(&mut self, follows: bool) {
+        self.frame_follows = follows;
     }
 
     /// Queues `payload` for delivery to `to`.

@@ -8,63 +8,167 @@
 //! There is no requirement for the communications system to order
 //! messages."
 //!
-//! [`ReliableMux`] is that masking layer: per-peer sequence numbers, acks,
-//! timer-driven retransmission and duplicate suppression. It deliberately
-//! does **not** order messages — the coordination protocols above tolerate
-//! reordering, exactly as the paper states.
+//! [`ReliableMux`] is that masking layer: per-peer sequence numbers,
+//! cumulative acks, timer-driven retransmission and duplicate suppression.
+//! It deliberately does **not** order messages — the coordination
+//! protocols above tolerate reordering, exactly as the paper states.
+//!
+//! Nothing in §4.2 asks for an ack per frame, and in §4.3 every message
+//! but the last already answers the one before it. So acks ride on data:
+//! every data frame carries a cumulative ack for its peer, and an ack goes
+//! out in a frame of its own only when a handler ends with no data frame
+//! having left for that peer and no further frame queued for this node
+//! ([`ReliableMux::flush_acks`]). Each peer with frames outstanding has one
+//! retransmit timer, armed for the earliest frame deadline; every frame
+//! keeps its own attempt count and back-off.
 
 use crate::node::{NodeCtx, Payload};
 use b2b_crypto::{PartyId, TimeMs};
-use b2b_telemetry::{names, Telemetry, TraceContext};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use b2b_telemetry::{ctx::WIRE_LEN, names, Telemetry, TraceContext};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Timer ids at or above this value belong to the reliable layer; protocol
 /// engines must allocate their own timer ids strictly below it.
 pub const RELIABLE_TIMER_BASE: u64 = 1 << 62;
 
-const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
+/// The frame layout's version, in the high nibble of a frame's first byte.
+/// The previous layout — a group envelope, then `kind (0 | 1) | epoch | seq
+/// | trace` — starts with the group id's top byte (or, unwrapped, the
+/// kind), whose high nibble is 0 for every group id below 2⁶⁰: it is
+/// refused as malformed, never misread.
+const FRAME_VERSION: u8 = 0x20;
+const VERSION_MASK: u8 = 0xF0;
+/// Kind flags, in the low nibble of the first byte: a frame carries data,
+/// an ack, or both.
+const FLAG_DATA: u8 = 0x01;
+const FLAG_ACK: u8 = 0x02;
 
-/// Frame layout: `kind (1) | epoch (8) | seq (8) | trace context (17)`,
-/// then the body. The trace context rides in every frame (zeroed on acks
-/// and untraced sends) so all three fabrics — which transmit mux frames
-/// opaquely — propagate causality without knowing about it.
-const FRAME_HEADER_LEN: usize = 17 + b2b_telemetry::ctx::WIRE_LEN;
+/// `tag (1) | group (8, BE)`: present in every frame.
+const PREFIX_LEN: usize = 9;
+/// `epoch (8) | seq (8) | trace context (17)`: present with [`FLAG_DATA`].
+const DATA_HEADER_LEN: usize = 16 + WIRE_LEN;
+/// `ack epoch (8) | low (8) | count (1)`, then `count` sparse seqs of 8
+/// bytes: present with [`FLAG_ACK`].
+const ACK_FIXED_LEN: usize = 17;
+
+/// How many delivered seqs above the cumulative low watermark one ack
+/// reports; any further ones are reported by a later ack, once the
+/// watermark has moved.
+const MAX_SPARSE_ACKS: usize = 8;
 
 /// What [`ReliableMux::on_message`] concluded about an incoming frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inbound {
+pub enum Inbound<'a> {
     /// A payload delivered for the first time, with the causal trace
-    /// context the sender stamped on it: hand it to the protocol.
-    Deliver(Vec<u8>, TraceContext),
+    /// context the sender stamped on it: hand it to the protocol. The body
+    /// is read in place, from the frame as it arrived.
+    Deliver(&'a [u8], TraceContext),
     /// A duplicate of an already-delivered payload: suppressed.
     Duplicate,
-    /// An ack for one of our outstanding sends: bookkeeping only.
+    /// A frame carrying only an ack for our outstanding sends: bookkeeping
+    /// only.
     Ack,
-    /// A frame that failed to parse (corrupt or foreign traffic).
+    /// A frame that failed to parse (corrupt, foreign or old-layout
+    /// traffic).
     Malformed,
+}
+
+/// A cumulative ack: every seq of `epoch` below `low` has been delivered,
+/// and so have the first `count` entries of `above`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ack {
+    epoch: u64,
+    low: u64,
+    count: u8,
+    above: [u64; MAX_SPARSE_ACKS],
+}
+
+impl Ack {
+    fn sparse(&self) -> &[u64] {
+        &self.above[..self.count as usize]
+    }
+
+    fn covers(&self, seq: u64) -> bool {
+        seq < self.low || self.sparse().contains(&seq)
+    }
+
+    fn wire_len(&self) -> usize {
+        ACK_FIXED_LEN + 8 * self.count as usize
+    }
+}
+
+/// One parsed frame, borrowing its body from the received bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Frame<'a> {
+    group: u64,
+    /// `(epoch, seq, trace)` of a data frame.
+    data: Option<(u64, u64, TraceContext)>,
+    ack: Option<Ack>,
+    body: &'a [u8],
 }
 
 /// An unacknowledged outbound frame plus its retransmission history.
 #[derive(Debug)]
 struct OutFrame {
+    seq: u64,
     /// The exact frame on the wire; retransmits clone the reference count,
     /// not the bytes.
     frame: Payload,
     /// How many times this frame has been retransmitted; drives the
     /// exponential backoff of the next retransmission delay.
     attempts: u32,
+    /// When the next retransmission of this frame is due.
+    due: TimeMs,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PeerState {
+    id: PartyId,
     next_send_seq: u64,
-    /// Unacknowledged outbound *frames* by sequence number. The stored
-    /// allocation is the same one handed to the transport, so a retransmit
-    /// clones a reference count, not the bytes.
-    outstanding: BTreeMap<u64, OutFrame>,
+    /// Unacknowledged outbound frames, in ascending seq order.
+    outstanding: Vec<OutFrame>,
+    /// Deadlines of this peer's retransmit timers still pending. The
+    /// runtime cannot cancel a timer, so an acked frame leaves its timer
+    /// armed; a frame due no earlier than a pending timer arms none.
+    armed: Vec<TimeMs>,
+    /// The latest retransmit deadline any frame to this peer was given,
+    /// acked or not: the timer runs until it, as a timer per frame did.
+    horizon: TimeMs,
     /// Inbound data frames already delivered upward.
     delivered: Delivered,
+    /// Sender epoch of the last data frame received from this peer: the
+    /// window every ack to the peer reports.
+    ack_epoch: Option<u64>,
+    /// A data frame arrived since the last ack left for this peer.
+    ack_owed: bool,
+}
+
+impl PeerState {
+    fn new(id: PartyId) -> PeerState {
+        PeerState {
+            id,
+            next_send_seq: 0,
+            outstanding: Vec::new(),
+            armed: Vec::new(),
+            horizon: TimeMs::ZERO,
+            delivered: Delivered::default(),
+            ack_epoch: None,
+            ack_owed: false,
+        }
+    }
+
+    /// The cumulative ack this peer is owed, if it ever sent us data; the
+    /// debt is paid by whatever frame carries it.
+    fn take_ack(&mut self) -> Option<Ack> {
+        self.ack_owed = false;
+        let epoch = self.ack_epoch?;
+        Some(self.delivered.ack(epoch))
+    }
+
+    fn apply_ack(&mut self, ack: &Ack) {
+        self.outstanding.retain(|out| !ack.covers(out.seq));
+    }
 }
 
 /// Which `(epoch, seq)` data frames of one peer have been delivered. The
@@ -75,7 +179,7 @@ struct PeerState {
 /// delivered is a contiguous prefix plus — while frames are in flight out
 /// of order — a few numbers beyond it. Keeping the prefix as one
 /// watermark bounds this by the reordering in flight, not by the frames
-/// ever received.
+/// ever received, and is exactly what a cumulative ack reports.
 #[derive(Debug, Default)]
 struct Delivered {
     /// One window per sender epoch seen (one per incarnation of the peer).
@@ -112,6 +216,25 @@ impl Delivered {
         }
         true
     }
+
+    /// The cumulative ack for `epoch`: its watermark and the first
+    /// [`MAX_SPARSE_ACKS`] seqs delivered above it.
+    fn ack(&self, epoch: u64) -> Ack {
+        let mut ack = Ack {
+            epoch,
+            low: 0,
+            count: 0,
+            above: [0; MAX_SPARSE_ACKS],
+        };
+        if let Some((_, window)) = self.epochs.iter().find(|(e, _)| *e == epoch) {
+            ack.low = window.low;
+            for (slot, seq) in ack.above.iter_mut().zip(&window.above) {
+                *slot = *seq;
+                ack.count += 1;
+            }
+        }
+        ack
+    }
 }
 
 /// Reliable, once-only (but unordered) delivery over unreliable links, for
@@ -122,6 +245,9 @@ impl Delivered {
 /// * Send with [`ReliableMux::send`] instead of [`NodeCtx::send`].
 /// * Feed every raw payload to [`ReliableMux::on_message`] and act only on
 ///   [`Inbound::Deliver`].
+/// * Call [`ReliableMux::flush_acks`] at the end of every
+///   [`crate::NetNode::on_message`]: acks no data frame carried leave then,
+///   unless the driver delivers another frame to this node next.
 /// * Forward timer ids `>= RELIABLE_TIMER_BASE` to
 ///   [`ReliableMux::on_timer`].
 ///
@@ -146,13 +272,23 @@ impl Delivered {
 /// let mut bob_ctx = NodeCtx::new(TimeMs(1));
 /// assert_eq!(
 ///     bob.on_message(&a, &frame, &mut bob_ctx),
-///     Inbound::Deliver(b"hi".to_vec(), TraceContext::NONE)
+///     Inbound::Deliver(&b"hi"[..], TraceContext::NONE)
 /// );
 /// assert_eq!(bob.on_message(&a, &frame, &mut bob_ctx), Inbound::Duplicate);
+///
+/// // Bob had nothing to send back, so his ack leaves on its own when his
+/// // handler ends.
+/// bob.flush_acks(&mut bob_ctx);
+/// let (_to, ack) = bob_ctx.take_outgoing().pop().unwrap();
+/// assert_eq!(alice.on_message(&b, &ack, &mut ctx), Inbound::Ack);
+/// assert!(alice.all_acked());
 /// ```
 #[derive(Debug)]
 pub struct ReliableMux {
-    peers: HashMap<PartyId, PeerState>,
+    /// Peers in first-contact order; a peer's index names its retransmit
+    /// timer (`RELIABLE_TIMER_BASE + index`). A group has a handful of
+    /// peers, so a scan beats hashing their names.
+    peers: Vec<PeerState>,
     retransmit_after: TimeMs,
     /// Ceiling of the exponential retransmission backoff: the delay doubles
     /// from `retransmit_after` on every unacknowledged retransmission of a
@@ -163,14 +299,14 @@ pub struct ReliableMux {
     /// after crash-recovery so receivers do not mistake its restarted
     /// sequence numbers for duplicates of pre-crash traffic.
     epoch: u64,
-    next_timer: u64,
-    timer_targets: HashMap<u64, (PartyId, u64)>,
     /// Count of protocol-level payloads sent (excluding retransmits/acks).
     sent_payloads: u64,
     /// Count of retransmitted frames.
     retransmits: u64,
     /// Count of duplicate data frames suppressed before delivery.
     dedup_drops: u64,
+    /// Count of acks that left in a frame of their own.
+    standalone_acks: u64,
     /// Observability handle; the default handle records counters into a
     /// private registry and traces nothing.
     telemetry: Telemetry,
@@ -188,15 +324,14 @@ impl ReliableMux {
     /// 32 × `retransmit_after`.
     pub fn new(retransmit_after: TimeMs, epoch: u64) -> ReliableMux {
         ReliableMux {
-            peers: HashMap::new(),
+            peers: Vec::new(),
             retransmit_after,
             retransmit_max: TimeMs(retransmit_after.0.saturating_mul(32)),
             epoch,
-            next_timer: RELIABLE_TIMER_BASE,
-            timer_targets: HashMap::new(),
             sent_payloads: 0,
             retransmits: 0,
             dedup_drops: 0,
+            standalone_acks: 0,
             telemetry: Telemetry::default(),
             owner: None,
         }
@@ -240,13 +375,24 @@ impl ReliableMux {
         self.owner.as_ref().map(PartyId::as_str).unwrap_or("?")
     }
 
+    fn peer_index(&mut self, id: &PartyId) -> usize {
+        match self.peers.iter().position(|p| p.id == *id) {
+            Some(i) => i,
+            None => {
+                self.peers.push(PeerState::new(id.clone()));
+                self.peers.len() - 1
+            }
+        }
+    }
+
     /// Sends `payload` to `to` with at-least-once retransmission; the
     /// receiver's mux suppresses duplicates, yielding once-only delivery.
     ///
     /// Accepts any byte source, so a multicast caller can serialize a
     /// message once and pass the same shared buffer for every peer; the
-    /// per-peer frame (which carries the peer's sequence number) is built
-    /// once and shared between the wire and the retransmit buffer.
+    /// per-peer frame (which carries the peer's sequence number and the
+    /// ack owed to it) is built once, straight into the shared allocation
+    /// that both the wire and the retransmit buffer hold.
     pub fn send(&mut self, to: PartyId, payload: impl AsRef<[u8]>, ctx: &mut NodeCtx) {
         self.send_traced(to, payload, TraceContext::NONE, ctx);
     }
@@ -262,100 +408,164 @@ impl ReliableMux {
         trace: TraceContext,
         ctx: &mut NodeCtx,
     ) {
-        let peer = self.peers.entry(to.clone()).or_default();
+        let idx = self.peer_index(&to);
+        let due = ctx.now() + self.backoff_delay(0);
+        let peer = &mut self.peers[idx];
         let seq = peer.next_send_seq;
         peer.next_send_seq += 1;
-        let frame: Payload =
-            encode_frame(KIND_DATA, self.epoch, seq, &trace, payload.as_ref()).into();
-        peer.outstanding.insert(
-            seq,
-            OutFrame {
-                frame: frame.clone(),
-                attempts: 0,
-            },
+        let ack = peer.take_ack();
+        let frame = encode_frame(
+            ctx.group(),
+            Some((self.epoch, seq, &trace)),
+            ack.as_ref(),
+            payload.as_ref(),
         );
+        peer.outstanding.push(OutFrame {
+            seq,
+            frame: frame.clone(),
+            attempts: 0,
+            due,
+        });
+        peer.horizon = peer.horizon.max(due);
         self.sent_payloads += 1;
-        ctx.send(to.clone(), frame);
-        self.arm_retransmit(to, seq, 0, ctx);
+        ctx.send(to, frame);
+        self.arm(idx, ctx);
     }
 
-    /// Processes a raw inbound payload; acks data frames and classifies the
-    /// result for the caller.
-    pub fn on_message(&mut self, from: &PartyId, raw: &[u8], ctx: &mut NodeCtx) -> Inbound {
-        let Some((kind, epoch, seq, trace, body)) = decode_frame(raw) else {
+    /// Processes a raw inbound payload: applies the ack it carries and
+    /// classifies its data for the caller. A data frame — a duplicate
+    /// too, since the previous ack may have been lost — leaves an ack
+    /// owed to its sender, paid by the next data frame to that peer or by
+    /// [`ReliableMux::flush_acks`].
+    pub fn on_message<'a>(
+        &mut self,
+        from: &PartyId,
+        raw: &'a [u8],
+        ctx: &mut NodeCtx,
+    ) -> Inbound<'a> {
+        let Some(frame) = decode_frame(raw) else {
             return Inbound::Malformed;
         };
-        match kind {
-            KIND_DATA => {
-                // Always re-ack: the previous ack may have been lost. Acks
-                // carry no causal context of their own.
-                ctx.send(
-                    from.clone(),
-                    encode_frame(KIND_ACK, epoch, seq, &TraceContext::NONE, &[]),
-                );
-                let peer = self.peers.entry(from.clone()).or_default();
-                if peer.delivered.insert(epoch, seq) {
-                    Inbound::Deliver(body.to_vec(), trace)
-                } else {
-                    self.dedup_drops += 1;
-                    self.telemetry.inc(names::DEDUP_DROPS);
-                    self.telemetry.trace(
-                        ctx.now().as_millis(),
-                        self.owner_label(),
-                        "net",
-                        "dedup_drop",
-                        || format!("from={from} epoch={epoch} seq={seq}"),
-                    );
-                    Inbound::Duplicate
-                }
+        let Some((epoch, seq, trace)) = frame.data else {
+            // Ack only: bookkeeping for a peer we have sent to, if any.
+            if let (Some(ack), Some(peer)) = (
+                frame.ack.filter(|a| a.epoch == self.epoch),
+                self.peers.iter_mut().find(|p| p.id == *from),
+            ) {
+                peer.apply_ack(&ack);
             }
-            KIND_ACK => {
-                if epoch == self.epoch {
-                    if let Some(peer) = self.peers.get_mut(from) {
-                        peer.outstanding.remove(&seq);
-                    }
-                }
-                Inbound::Ack
+            return Inbound::Ack;
+        };
+        let idx = self.peer_index(from);
+        let peer = &mut self.peers[idx];
+        if let Some(ack) = frame.ack.filter(|a| a.epoch == self.epoch) {
+            peer.apply_ack(&ack);
+        }
+        peer.ack_owed = true;
+        peer.ack_epoch = Some(epoch);
+        if peer.delivered.insert(epoch, seq) {
+            Inbound::Deliver(frame.body, trace)
+        } else {
+            self.dedup_drops += 1;
+            self.telemetry.inc(names::DEDUP_DROPS);
+            self.telemetry.trace(
+                ctx.now().as_millis(),
+                self.owner_label(),
+                "net",
+                "dedup_drop",
+                || format!("from={from} epoch={epoch} seq={seq}"),
+            );
+            Inbound::Duplicate
+        }
+    }
+
+    /// Sends every ack still owed in a frame of its own: call it at the end
+    /// of a message handler, after the protocol has had its chance to send
+    /// data that carries them. When the driver delivers another frame to
+    /// this node next ([`NodeCtx::frame_follows`]) the acks wait for that
+    /// handler: the m2s of a group arriving together are all acked by the
+    /// one m3 they produce.
+    pub fn flush_acks(&mut self, ctx: &mut NodeCtx) {
+        if ctx.frame_follows() {
+            return;
+        }
+        for peer in self.peers.iter_mut().filter(|p| p.ack_owed) {
+            if let Some(ack) = peer.take_ack() {
+                let frame = encode_frame(ctx.group(), None, Some(&ack), &[]);
+                self.standalone_acks += 1;
+                ctx.send(peer.id.clone(), frame);
             }
-            _ => Inbound::Malformed,
         }
     }
 
     /// Handles a reliable-layer timer; returns `true` if the id belonged to
     /// this mux (otherwise the caller should treat it as a protocol timer).
+    ///
+    /// A peer's timer resends each of its frames whose own deadline has
+    /// passed, backs each off by its own attempt count, and re-arms for the
+    /// earliest deadline left — so a frame's retransmit schedule is the
+    /// same however many other frames share the timer.
     pub fn on_timer(&mut self, timer: u64, ctx: &mut NodeCtx) -> bool {
         if timer < RELIABLE_TIMER_BASE {
             return false;
         }
-        if let Some((peer_id, seq)) = self.timer_targets.remove(&timer) {
-            let resend = self.peers.get_mut(&peer_id).and_then(|p| {
-                p.outstanding.get_mut(&seq).map(|out| {
-                    out.attempts += 1;
-                    // The frame was built at send time; re-sending is a
-                    // reference-count bump on the same allocation.
-                    (out.frame.clone(), out.attempts)
-                })
-            });
-            if let Some((frame, attempts)) = resend {
-                self.retransmits += 1;
-                self.telemetry.inc(names::RETRANSMITS);
-                self.telemetry.trace(
-                    ctx.now().as_millis(),
-                    self.owner_label(),
-                    "net",
-                    "retransmit",
-                    || {
-                        format!(
-                            "to={peer_id} seq={seq} epoch={} attempt={attempts}",
-                            self.epoch
-                        )
-                    },
-                );
-                ctx.send(peer_id.clone(), frame);
-                self.arm_retransmit(peer_id, seq, attempts, ctx);
+        let idx = (timer - RELIABLE_TIMER_BASE) as usize;
+        let Some(peer) = self.peers.get_mut(idx) else {
+            return true;
+        };
+        let now = ctx.now();
+        peer.armed.retain(|at| *at > now);
+        for i in 0..self.peers[idx].outstanding.len() {
+            let out = &self.peers[idx].outstanding[i];
+            if out.due > now {
+                continue;
             }
+            let attempts = out.attempts + 1;
+            let next_due = now + self.backoff_delay(attempts);
+            self.peers[idx].horizon = self.peers[idx].horizon.max(next_due);
+            let out = &mut self.peers[idx].outstanding[i];
+            out.attempts = attempts;
+            out.due = next_due;
+            let (seq, frame) = (out.seq, out.frame.clone());
+            self.retransmits += 1;
+            self.telemetry.inc(names::RETRANSMITS);
+            let peer_id = &self.peers[idx].id;
+            self.telemetry.trace(
+                now.as_millis(),
+                self.owner.as_ref().map(PartyId::as_str).unwrap_or("?"),
+                "net",
+                "retransmit",
+                || {
+                    format!(
+                        "to={peer_id} seq={seq} epoch={} attempt={attempts}",
+                        self.epoch
+                    )
+                },
+            );
+            ctx.send(peer_id.clone(), frame);
         }
+        self.arm(idx, ctx);
         true
+    }
+
+    /// Arms peer `idx`'s timer for its earliest frame deadline — or, with
+    /// every frame acked, for its horizon — unless a timer already pending
+    /// fires at or before it.
+    fn arm(&mut self, idx: usize, ctx: &mut NodeCtx) {
+        let peer = &mut self.peers[idx];
+        let next = match peer.outstanding.iter().map(|out| out.due).min() {
+            Some(due) => due,
+            None if peer.horizon > ctx.now() => peer.horizon,
+            None => return,
+        };
+        if peer.armed.iter().any(|at| *at <= next) {
+            return;
+        }
+        peer.armed.push(next);
+        ctx.set_timer(
+            RELIABLE_TIMER_BASE + idx as u64,
+            next.saturating_sub(ctx.now()),
+        );
     }
 
     /// Number of distinct payloads submitted for sending.
@@ -373,91 +583,185 @@ impl ReliableMux {
         self.dedup_drops
     }
 
+    /// Number of acks that left in a frame of their own, because no data
+    /// frame to their peer carried them.
+    pub fn standalone_acks(&self) -> u64 {
+        self.standalone_acks
+    }
+
+    /// The most retransmit timers pending for any one peer.
+    pub fn max_timers_per_peer(&self) -> usize {
+        self.peers.iter().map(|p| p.armed.len()).max().unwrap_or(0)
+    }
+
     /// Returns `true` if every sent payload has been acknowledged.
     pub fn all_acked(&self) -> bool {
-        self.peers.values().all(|p| p.outstanding.is_empty())
-    }
-
-    fn arm_retransmit(&mut self, peer: PartyId, seq: u64, attempts: u32, ctx: &mut NodeCtx) {
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.timer_targets.insert(id, (peer, seq));
-        ctx.set_timer(id, self.backoff_delay(attempts));
+        self.peers.iter().all(|p| p.outstanding.is_empty())
     }
 }
 
-/// Returns `true` if `raw` parses as a reliable-layer DATA frame (as
-/// opposed to an ack or foreign traffic). Intruder scripts use this to
-/// target protocol-bearing datagrams only.
+/// Returns `true` if `raw` parses as a reliable-layer frame carrying a
+/// protocol payload (as opposed to a bare ack or foreign traffic).
+/// Intruder scripts use this to target protocol-bearing datagrams only.
 pub fn is_data_frame(raw: &[u8]) -> bool {
-    matches!(decode_frame(raw), Some((KIND_DATA, _, _, _, body)) if !body.is_empty())
+    data_body(raw).is_some_and(|body| !body.is_empty())
 }
 
-/// Re-wraps a captured DATA frame's body under a fresh `(epoch, seq)`
-/// identity, so a replayed copy is not suppressed by the receiver's
-/// duplicate filter (which keys on the pair). The captured trace context
-/// is preserved — the intruder replays the frame bytes it recorded.
-/// Returns `None` for acks and malformed frames. This is the Dolev-Yao
-/// "replay at will" primitive: the intruder controls the network and can
-/// re-frame recorded traffic.
-pub fn reframe(raw: &[u8], epoch: u64, seq: u64) -> Option<Vec<u8>> {
-    match decode_frame(raw) {
-        Some((KIND_DATA, _, _, trace, body)) => {
-            Some(encode_frame(KIND_DATA, epoch, seq, &trace, body))
-        }
-        _ => None,
-    }
+/// The protocol payload of a data frame, read in place; `None` for a bare
+/// ack or a malformed frame.
+pub fn data_body(raw: &[u8]) -> Option<&[u8]> {
+    decode_frame(raw)
+        .filter(|f| f.data.is_some())
+        .map(|f| f.body)
 }
 
-/// Length of the group envelope prefixed to every frame that crosses a
-/// multi-group fabric: the destination group's id, big-endian.
-pub const GROUP_ENVELOPE_LEN: usize = 8;
-
-/// Wraps a reliable-layer frame in a group envelope: `group id (8, BE)`
-/// followed by the frame bytes unchanged.
-///
-/// Group routing is a *transport* concern, so the envelope sits **outside**
-/// the reliable frame — exactly like TCP's length prefix. The inner
-/// `kind | epoch | seq | trace` layout (and therefore every recorded
-/// counterexample, forged-frame fixture and wire-tap parser) is untouched,
-/// and a single-group fabric that never wraps its frames stays
-/// byte-identical on the wire.
-pub fn encode_group_frame(group: u64, frame: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(GROUP_ENVELOPE_LEN + frame.len());
-    out.extend_from_slice(&group.to_be_bytes());
-    out.extend_from_slice(frame);
-    out
-}
-
-/// Splits a group envelope off a received frame; `None` if `raw` is too
-/// short to carry one.
-pub fn decode_group_frame(raw: &[u8]) -> Option<(u64, &[u8])> {
-    if raw.len() < GROUP_ENVELOPE_LEN {
+/// The group a frame is addressed to, read from its header; `None` if
+/// `raw` is not a frame of this layout. Transports that carry many groups
+/// over one connection demultiplex on it.
+pub fn frame_group(raw: &[u8]) -> Option<u64> {
+    if raw.len() < PREFIX_LEN || raw[0] & VERSION_MASK != FRAME_VERSION {
         return None;
     }
-    let group = u64::from_be_bytes(raw[..GROUP_ENVELOPE_LEN].try_into().ok()?);
-    Some((group, &raw[GROUP_ENVELOPE_LEN..]))
+    Some(u64::from_be_bytes(raw[1..PREFIX_LEN].try_into().ok()?))
 }
 
-fn encode_frame(kind: u8, epoch: u64, seq: u64, trace: &TraceContext, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-    out.push(kind);
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&trace.encode());
+/// A one-shot data frame of `group` carrying `body` under `(epoch, seq)`,
+/// untraced and acking nothing: what a forger outside any mux injects.
+pub fn data_frame(group: u64, epoch: u64, seq: u64, body: &[u8]) -> Vec<u8> {
+    encode_frame(group, Some((epoch, seq, &TraceContext::NONE)), None, body).to_vec()
+}
+
+/// `raw`'s header — identity, trace context and ack — around a different
+/// body: a tampered copy of a recorded data frame. `None` for acks and
+/// malformed frames.
+pub fn with_body(raw: &[u8], body: &[u8]) -> Option<Vec<u8>> {
+    let old = data_body(raw)?;
+    let header = &raw[..raw.len() - old.len()];
+    let mut out = Vec::with_capacity(header.len() + body.len());
+    out.extend_from_slice(header);
     out.extend_from_slice(body);
-    out
+    Some(out)
 }
 
-fn decode_frame(raw: &[u8]) -> Option<(u8, u64, u64, TraceContext, &[u8])> {
-    if raw.len() < FRAME_HEADER_LEN {
+/// Re-wraps a captured data frame's body under a fresh `(epoch, seq)`
+/// identity, so a replayed copy is not suppressed by the receiver's
+/// duplicate filter (which keys on the pair). The captured group and trace
+/// context are preserved — the intruder replays the frame bytes it
+/// recorded — and the ack it carried is not. Returns `None` for acks and
+/// malformed frames. This is the Dolev-Yao "replay at will" primitive: the
+/// intruder controls the network and can re-frame recorded traffic.
+pub fn reframe(raw: &[u8], epoch: u64, seq: u64) -> Option<Vec<u8>> {
+    let frame = decode_frame(raw)?;
+    let (_, _, trace) = frame.data?;
+    Some(encode_frame(frame.group, Some((epoch, seq, &trace)), None, frame.body).to_vec())
+}
+
+/// Writes one frame — `tag | group`, then the data header and the ack if
+/// present, then the body — straight into the shared allocation the wire
+/// and the retransmit buffer hold.
+fn encode_frame(
+    group: u64,
+    data: Option<(u64, u64, &TraceContext)>,
+    ack: Option<&Ack>,
+    body: &[u8],
+) -> Payload {
+    let mut tag = FRAME_VERSION;
+    let mut len = PREFIX_LEN + body.len();
+    if data.is_some() {
+        tag |= FLAG_DATA;
+        len += DATA_HEADER_LEN;
+    }
+    if let Some(ack) = ack {
+        tag |= FLAG_ACK;
+        len += ack.wire_len();
+    }
+    // An exact-size iterator collects into one allocation of `len` bytes.
+    let mut frame: Payload = std::iter::repeat_n(0u8, len).collect();
+    let out = Arc::get_mut(&mut frame).expect("freshly allocated");
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        out[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
+    put(&[tag]);
+    put(&group.to_be_bytes());
+    if let Some((epoch, seq, trace)) = data {
+        put(&epoch.to_be_bytes());
+        put(&seq.to_be_bytes());
+        put(&trace.encode());
+    }
+    if let Some(ack) = ack {
+        put(&ack.epoch.to_be_bytes());
+        put(&ack.low.to_be_bytes());
+        put(&[ack.count]);
+        for seq in ack.sparse() {
+            put(&seq.to_be_bytes());
+        }
+    }
+    put(body);
+    frame
+}
+
+fn read_u64(raw: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_be_bytes(raw.get(at..at + 8)?.try_into().ok()?))
+}
+
+/// Parses a frame of this layout; `None` for anything else — a wrong
+/// version, unknown kind flags, a truncated header, an ack reporting more
+/// than [`MAX_SPARSE_ACKS`] seqs or a seq its watermark already covers,
+/// or a bare ack with trailing bytes.
+fn decode_frame(raw: &[u8]) -> Option<Frame<'_>> {
+    let tag = *raw.first()?;
+    let flags = tag & !VERSION_MASK;
+    if tag & VERSION_MASK != FRAME_VERSION || flags == 0 || flags & !(FLAG_DATA | FLAG_ACK) != 0 {
         return None;
     }
-    let kind = raw[0];
-    let epoch = u64::from_be_bytes(raw[1..9].try_into().ok()?);
-    let seq = u64::from_be_bytes(raw[9..17].try_into().ok()?);
-    let trace = TraceContext::decode(&raw[17..FRAME_HEADER_LEN])?;
-    Some((kind, epoch, seq, trace, &raw[FRAME_HEADER_LEN..]))
+    let group = read_u64(raw, 1)?;
+    let mut at = PREFIX_LEN;
+    let data = if flags & FLAG_DATA != 0 {
+        let epoch = read_u64(raw, at)?;
+        let seq = read_u64(raw, at + 8)?;
+        let trace = TraceContext::decode(raw.get(at + 16..at + DATA_HEADER_LEN)?)?;
+        at += DATA_HEADER_LEN;
+        Some((epoch, seq, trace))
+    } else {
+        None
+    };
+    let ack = if flags & FLAG_ACK != 0 {
+        let epoch = read_u64(raw, at)?;
+        let low = read_u64(raw, at + 8)?;
+        let count = *raw.get(at + 16)?;
+        if count as usize > MAX_SPARSE_ACKS {
+            return None;
+        }
+        at += ACK_FIXED_LEN;
+        let mut above = [0u64; MAX_SPARSE_ACKS];
+        for slot in above.iter_mut().take(count as usize) {
+            *slot = read_u64(raw, at)?;
+            if *slot < low {
+                return None;
+            }
+            at += 8;
+        }
+        Some(Ack {
+            epoch,
+            low,
+            count,
+            above,
+        })
+    } else {
+        None
+    };
+    let body = &raw[at..];
+    if data.is_none() && !body.is_empty() {
+        return None;
+    }
+    Some(Frame {
+        group,
+        data,
+        ack,
+        body,
+    })
 }
 
 #[cfg(test)]
@@ -476,103 +780,140 @@ mod tests {
         }
     }
 
+    fn ack_of(epoch: u64, low: u64, sparse: &[u64]) -> Ack {
+        let mut above = [0; MAX_SPARSE_ACKS];
+        above[..sparse.len()].copy_from_slice(sparse);
+        Ack {
+            epoch,
+            low,
+            count: sparse.len() as u8,
+            above,
+        }
+    }
+
+    fn data(epoch: u64, seq: u64, body: &[u8]) -> Payload {
+        encode_frame(0, Some((epoch, seq, &TraceContext::NONE)), None, body)
+    }
+
+    fn bare_ack(epoch: u64, low: u64) -> Payload {
+        encode_frame(0, None, Some(&ack_of(epoch, low, &[])), &[])
+    }
+
     #[test]
     fn reframe_changes_identity_but_not_body() {
-        let f = encode_frame(KIND_DATA, 7, 42, &tctx(), b"payload");
+        let f = encode_frame(
+            9,
+            Some((7, 42, &tctx())),
+            Some(&ack_of(3, 1, &[4])),
+            b"payload",
+        );
         assert!(is_data_frame(&f));
         let r = reframe(&f, 99, 3).unwrap();
-        let (k, e, s, t, b) = decode_frame(&r).unwrap();
-        assert_eq!((k, e, s, b), (KIND_DATA, 99, 3, &b"payload"[..]));
-        // The replayed frame carries the recorded trace bytes verbatim.
-        assert_eq!(t, tctx());
+        let frame = decode_frame(&r).unwrap();
+        assert_eq!(frame.data, Some((99, 3, tctx())));
+        assert_eq!((frame.group, frame.body), (9, &b"payload"[..]));
+        // The replay carries the recorded trace bytes, not the ack.
+        assert_eq!(frame.ack, None);
         // A receiver treats the reframed copy as fresh traffic.
         let mut rx = ReliableMux::new(TimeMs(10), 0);
         let mut ctx = NodeCtx::new(TimeMs(0));
         let from = PartyId::new("tx");
         assert_eq!(
             rx.on_message(&from, &f, &mut ctx),
-            Inbound::Deliver(b"payload".to_vec(), tctx())
+            Inbound::Deliver(b"payload", tctx())
         );
         assert_eq!(
             rx.on_message(&from, &r, &mut ctx),
-            Inbound::Deliver(b"payload".to_vec(), tctx())
+            Inbound::Deliver(b"payload", tctx())
         );
         // Acks cannot be reframed into data.
-        let ack = encode_frame(KIND_ACK, 7, 42, &TraceContext::NONE, &[]);
+        let ack = bare_ack(7, 42);
         assert!(!is_data_frame(&ack));
         assert!(reframe(&ack, 1, 1).is_none());
     }
 
     #[test]
-    fn group_envelope_roundtrips_and_preserves_the_inner_frame() {
-        let inner = encode_frame(KIND_DATA, 7, 42, &tctx(), b"payload");
-        let wrapped = encode_group_frame(0xDEAD_BEEF_0000_0001, &inner);
-        assert_eq!(wrapped.len(), GROUP_ENVELOPE_LEN + inner.len());
-        let (gid, frame) = decode_group_frame(&wrapped).unwrap();
-        assert_eq!(gid, 0xDEAD_BEEF_0000_0001);
-        // The inner frame is byte-identical: the envelope is pure prefix.
-        assert_eq!(frame, &inner[..]);
-        let (k, e, s, t, b) = decode_frame(frame).unwrap();
-        assert_eq!((k, e, s, t, b), (KIND_DATA, 7, 42, tctx(), &b"payload"[..]));
-        // Too-short inputs are rejected, not sliced.
-        assert!(decode_group_frame(&[1, 2, 3]).is_none());
-    }
-
-    /// Property sweep over [`decode_group_frame`]: every input shorter
-    /// than the envelope is rejected; every input at least as long is
-    /// split exactly at the 8-byte boundary with the group id read
-    /// big-endian, whatever the bytes are — garbage in the body never
-    /// confuses the envelope layer, and the decode never panics.
-    #[test]
-    fn group_envelope_decode_is_total_and_exact_on_arbitrary_bytes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xE57A6E);
-        // Truncated: every length below the envelope, random contents.
-        for len in 0..GROUP_ENVELOPE_LEN {
-            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u32) as u8).collect();
-            assert!(decode_group_frame(&bytes).is_none(), "len {len} accepted");
+    fn frame_roundtrip_with_and_without_an_ack() {
+        let plain = encode_frame(5, Some((7, 42, &tctx())), None, b"payload");
+        assert_eq!(plain.len(), PREFIX_LEN + DATA_HEADER_LEN + 7);
+        let ack = ack_of(11, 6, &[8, 9]);
+        let carried = encode_frame(5, Some((7, 42, &tctx())), Some(&ack), b"payload");
+        assert_eq!(carried.len(), plain.len() + ACK_FIXED_LEN + 16);
+        for (raw, want_ack) in [(&plain, None), (&carried, Some(ack))] {
+            let f = decode_frame(raw).unwrap();
+            assert_eq!(f.group, 5);
+            assert_eq!(f.data, Some((7, 42, tctx())));
+            assert_eq!(f.ack, want_ack);
+            assert_eq!(f.body, b"payload");
+            assert_eq!(frame_group(raw), Some(5));
+            assert_eq!(data_body(raw), Some(&b"payload"[..]));
         }
-        // At or above the envelope: decode must agree with a manual
-        // split, including the empty-body boundary and oversized bodies.
-        for case in 0..200 {
-            let body_len = match case % 4 {
-                0 => 0,
-                1 => 1,
-                2 => rng.gen_range(2..64usize),
-                _ => rng.gen_range(64..4096usize),
-            };
-            let gid: u64 = rng.gen_range(0..=u64::MAX);
-            let body: Vec<u8> = (0..body_len)
-                .map(|_| rng.gen_range(0..=255u32) as u8)
-                .collect();
-            let wrapped = encode_group_frame(gid, &body);
-            assert_eq!(wrapped.len(), GROUP_ENVELOPE_LEN + body_len);
-            let (got_gid, got_body) = decode_group_frame(&wrapped).unwrap();
-            assert_eq!(got_gid, gid, "case {case}");
-            assert_eq!(got_body, &body[..], "case {case}");
-            // Raw random bytes of the same length also decode: the
-            // envelope is position-defined, so the split point cannot
-            // drift no matter the contents.
-            let raw: Vec<u8> = (0..GROUP_ENVELOPE_LEN + body_len)
-                .map(|_| rng.gen_range(0..=255u32) as u8)
-                .collect();
-            let (raw_gid, raw_body) = decode_group_frame(&raw).unwrap();
-            assert_eq!(raw_gid, u64::from_be_bytes(raw[..8].try_into().unwrap()));
-            assert_eq!(raw_body, &raw[8..]);
-        }
+        let bare = encode_frame(5, None, Some(&ack), &[]);
+        assert_eq!(bare.len(), PREFIX_LEN + ACK_FIXED_LEN + 16);
+        let f = decode_frame(&bare).unwrap();
+        assert_eq!((f.data, f.ack), (None, Some(ack)));
+        assert_eq!(data_body(&bare), None);
+        // A tampered body keeps the whole header, ack included.
+        let swapped = with_body(&carried, b"other").unwrap();
+        let f = decode_frame(&swapped).unwrap();
+        assert_eq!((f.ack, f.body), (Some(ack), &b"other"[..]));
     }
 
     #[test]
-    fn frame_roundtrip() {
-        let f = encode_frame(KIND_DATA, 7, 42, &tctx(), b"payload");
-        assert_eq!(f.len(), FRAME_HEADER_LEN + b"payload".len());
-        let (k, e, s, t, b) = decode_frame(&f).unwrap();
-        assert_eq!(k, KIND_DATA);
-        assert_eq!(e, 7);
-        assert_eq!(s, 42);
-        assert_eq!(t, tctx());
-        assert_eq!(b, b"payload");
+    fn old_layout_and_bad_headers_are_refused() {
+        // The previous layout: `kind | epoch | seq | trace | body`, with or
+        // without the 8-byte group envelope in front.
+        let mut old = vec![0u8];
+        old.extend_from_slice(&7u64.to_be_bytes());
+        old.extend_from_slice(&42u64.to_be_bytes());
+        old.extend_from_slice(&tctx().encode());
+        old.extend_from_slice(b"payload");
+        let mut enveloped = 3u64.to_be_bytes().to_vec();
+        enveloped.extend_from_slice(&old);
+        let mut old_ack = vec![1u8];
+        old_ack.extend_from_slice(&[0u8; 33]);
+        let good = encode_frame(0, Some((7, 42, &tctx())), None, b"payload").to_vec();
+        let mut bad_flags = good.clone();
+        bad_flags[0] = FRAME_VERSION | 0x04;
+        let mut no_kind = good.clone();
+        no_kind[0] = FRAME_VERSION;
+        let mut bare_with_tail = bare_ack(1, 1).to_vec();
+        bare_with_tail.push(0);
+        let mut too_sparse = bare_ack(1, 1).to_vec();
+        too_sparse[PREFIX_LEN + 16] = MAX_SPARSE_ACKS as u8 + 1;
+        let below_low = encode_frame(0, None, Some(&ack_of(1, 5, &[4])), &[]);
+        for (name, raw) in [
+            ("old data", &old[..]),
+            ("old enveloped", &enveloped[..]),
+            ("old ack", &old_ack[..]),
+            ("unknown flag", &bad_flags[..]),
+            ("no kind", &no_kind[..]),
+            ("bare ack with a tail", &bare_with_tail[..]),
+            ("too many sparse seqs", &too_sparse[..]),
+            ("sparse seq below the watermark", &below_low[..]),
+            ("truncated", &good[..PREFIX_LEN + 3]),
+        ] {
+            assert!(decode_frame(raw).is_none(), "{name} accepted");
+            let mut mux = ReliableMux::new(TimeMs(10), 1);
+            let mut ctx = NodeCtx::new(TimeMs(0));
+            assert_eq!(
+                mux.on_message(&PartyId::new("x"), raw, &mut ctx),
+                Inbound::Malformed,
+                "{name}"
+            );
+            mux.flush_acks(&mut ctx);
+            assert!(ctx.is_quiet(), "{name} drew an ack");
+        }
+    }
+
+    #[test]
+    fn frames_carry_the_group_of_their_context() {
+        let mut tx = ReliableMux::new(TimeMs(10), 1);
+        let mut ctx = NodeCtx::with_group(TimeMs(0), 0xDEAD_BEEF);
+        tx.send(PartyId::new("b"), b"m", &mut ctx);
+        let (_, frame) = ctx.take_outgoing().remove(0);
+        assert_eq!(frame_group(&frame), Some(0xDEAD_BEEF));
+        assert_eq!(frame_group(&[FRAME_VERSION | FLAG_DATA, 1, 2]), None);
     }
 
     #[test]
@@ -586,13 +927,13 @@ mod tests {
         let mut rctx = NodeCtx::new(TimeMs(1));
         assert_eq!(
             rx.on_message(&pa, &frame, &mut rctx),
-            Inbound::Deliver(b"m".to_vec(), tctx())
+            Inbound::Deliver(b"m", tctx())
         );
         // Untraced sends carry the all-zero sentinel.
         let mut ctx2 = NodeCtx::new(TimeMs(2));
         tx.send(PartyId::new("b"), b"n", &mut ctx2);
         let (_, frame2) = ctx2.take_outgoing().remove(0);
-        let (_, _, _, t, _) = decode_frame(&frame2).unwrap();
+        let (_, _, t) = decode_frame(&frame2).unwrap().data.unwrap();
         assert_eq!(t, TraceContext::NONE);
     }
 
@@ -603,15 +944,15 @@ mod tests {
         let mut rx = ReliableMux::new(TimeMs(10), 0);
         let from = PartyId::new("tx");
         let mut ctx = NodeCtx::new(TimeMs(0));
-        let before = encode_frame(KIND_DATA, 1, 0, &TraceContext::NONE, b"pre-crash");
-        let after = encode_frame(KIND_DATA, 2, 0, &TraceContext::NONE, b"post-crash");
+        let before = data(1, 0, b"pre-crash");
+        let after = data(2, 0, b"post-crash");
         assert_eq!(
             rx.on_message(&from, &before, &mut ctx),
-            Inbound::Deliver(b"pre-crash".to_vec(), TraceContext::NONE)
+            Inbound::Deliver(b"pre-crash", TraceContext::NONE)
         );
         assert_eq!(
             rx.on_message(&from, &after, &mut ctx),
-            Inbound::Deliver(b"post-crash".to_vec(), TraceContext::NONE)
+            Inbound::Deliver(b"post-crash", TraceContext::NONE)
         );
         assert_eq!(rx.on_message(&from, &after, &mut ctx), Inbound::Duplicate);
         assert_eq!(rx.dedup_drops(), 1);
@@ -633,7 +974,7 @@ mod tests {
 
         let mut rx = ReliableMux::new(TimeMs(10), 0);
         rx.set_telemetry(tel.clone(), PartyId::new("rx"));
-        let frame = encode_frame(KIND_DATA, 1, 0, &TraceContext::NONE, b"x");
+        let frame = data(1, 0, b"x");
         let mut rctx = NodeCtx::new(TimeMs(1));
         rx.on_message(&PartyId::new("tx"), &frame, &mut rctx);
         rx.on_message(&PartyId::new("tx"), &frame, &mut rctx);
@@ -648,11 +989,9 @@ mod tests {
         let mut ctx = NodeCtx::new(TimeMs(0));
         tx.send(to.clone(), &b"m"[..], &mut ctx);
         // An ack for another epoch must not clear our outstanding send.
-        let stale = encode_frame(KIND_ACK, 4, 0, &TraceContext::NONE, &[]);
-        tx.on_message(&to, &stale, &mut ctx);
+        tx.on_message(&to, &bare_ack(4, 1), &mut ctx);
         assert!(!tx.all_acked());
-        let good = encode_frame(KIND_ACK, 5, 0, &TraceContext::NONE, &[]);
-        tx.on_message(&to, &good, &mut ctx);
+        tx.on_message(&to, &bare_ack(5, 1), &mut ctx);
         assert!(tx.all_acked());
     }
 
@@ -668,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_clears_outstanding() {
+    fn a_lone_ack_clears_outstanding() {
         let mut a = ReliableMux::new(TimeMs(10), 1);
         let mut b = ReliableMux::new(TimeMs(10), 2);
         let (pa, pb) = (PartyId::new("a"), PartyId::new("b"));
@@ -679,11 +1018,77 @@ mod tests {
 
         let mut bctx = NodeCtx::new(TimeMs(1));
         b.on_message(&pa, &frame, &mut bctx);
+        assert!(bctx.is_quiet(), "the ack waits for the handler to end");
+        bctx.set_frame_follows(true);
+        b.flush_acks(&mut bctx);
+        assert!(bctx.is_quiet(), "and for the next frame's handler");
+        bctx.set_frame_follows(false);
+        b.flush_acks(&mut bctx);
         let (_, ack) = bctx.take_outgoing().remove(0);
+        assert_eq!(b.standalone_acks(), 1);
+        b.flush_acks(&mut bctx);
+        assert!(bctx.is_quiet(), "an ack is owed once");
 
         let mut actx = NodeCtx::new(TimeMs(2));
         assert_eq!(a.on_message(&pb, &ack, &mut actx), Inbound::Ack);
         assert!(a.all_acked());
+    }
+
+    #[test]
+    fn a_reply_carries_the_ack_and_no_lone_ack_follows() {
+        let mut a = ReliableMux::new(TimeMs(10), 1);
+        let mut b = ReliableMux::new(TimeMs(10), 2);
+        let (pa, pb) = (PartyId::new("a"), PartyId::new("b"));
+        let mut ctx = NodeCtx::new(TimeMs(0));
+        a.send(pb.clone(), &b"m1"[..], &mut ctx);
+        let (_, m1) = ctx.take_outgoing().remove(0);
+
+        let mut bctx = NodeCtx::new(TimeMs(1));
+        assert!(matches!(
+            b.on_message(&pa, &m1, &mut bctx),
+            Inbound::Deliver(..)
+        ));
+        b.send(pa.clone(), &b"m2"[..], &mut bctx);
+        b.flush_acks(&mut bctx);
+        let out = bctx.take_outgoing();
+        assert_eq!(out.len(), 1, "the reply alone leaves");
+        assert_eq!(b.standalone_acks(), 0);
+
+        let mut actx = NodeCtx::new(TimeMs(2));
+        assert_eq!(
+            a.on_message(&pb, &out[0].1, &mut actx),
+            Inbound::Deliver(b"m2", TraceContext::NONE)
+        );
+        assert!(a.all_acked(), "m2 acked m1");
+    }
+
+    #[test]
+    fn sparse_seqs_above_the_watermark_are_acked() {
+        let mut a = ReliableMux::new(TimeMs(10), 1);
+        let mut b = ReliableMux::new(TimeMs(10), 2);
+        let (pa, pb) = (PartyId::new("a"), PartyId::new("b"));
+        let mut ctx = NodeCtx::new(TimeMs(0));
+        let frames: Vec<Payload> = (0..4u8)
+            .map(|i| {
+                a.send(pb.clone(), [i], &mut ctx);
+                ctx.take_outgoing().remove(0).1
+            })
+            .collect();
+        // Frame 0 is lost; 1..=3 arrive.
+        let mut bctx = NodeCtx::new(TimeMs(1));
+        for f in &frames[1..] {
+            b.on_message(&pa, f, &mut bctx);
+        }
+        b.flush_acks(&mut bctx);
+        let (_, ack) = bctx.take_outgoing().remove(0);
+        assert_eq!(
+            decode_frame(&ack).unwrap().ack,
+            Some(ack_of(1, 0, &[1, 2, 3]))
+        );
+        a.on_message(&pb, &ack, &mut ctx);
+        assert!(!a.all_acked());
+        assert_eq!(a.peers[0].outstanding.len(), 1);
+        assert_eq!(a.peers[0].outstanding[0].seq, 0);
     }
 
     #[test]
@@ -704,15 +1109,35 @@ mod tests {
         assert_eq!(ctx2.take_outgoing().len(), 1);
         assert_eq!(a.retransmits(), 1);
         let (tid2, _) = ctx2.take_timers()[0];
+        assert_eq!(tid2, tid, "one timer id per peer");
 
         // Ack arrives; the pending timer becomes a no-op.
-        let frame_ack = encode_frame(KIND_ACK, 1, 0, &TraceContext::NONE, &[]);
         let mut ctx3 = NodeCtx::new(TimeMs(15));
-        a.on_message(&pb, &frame_ack, &mut ctx3);
-        let mut ctx4 = NodeCtx::new(TimeMs(20));
+        a.on_message(&pb, &bare_ack(1, 1), &mut ctx3);
+        let mut ctx4 = NodeCtx::new(TimeMs(30));
         assert!(a.on_timer(tid2, &mut ctx4));
         assert!(ctx4.take_outgoing().is_empty());
         assert!(ctx4.take_timers().is_empty());
+        assert_eq!(a.max_timers_per_peer(), 0);
+    }
+
+    #[test]
+    fn frames_to_one_peer_share_one_timer() {
+        let mut a = ReliableMux::new(TimeMs(10), 1);
+        let pb = PartyId::new("b");
+        for t in 0..5u64 {
+            let mut ctx = NodeCtx::new(TimeMs(t));
+            a.send(pb.clone(), [t as u8], &mut ctx);
+            let armed = ctx.take_timers();
+            assert_eq!(armed.len(), usize::from(t == 0), "send at {t}");
+        }
+        assert_eq!(a.max_timers_per_peer(), 1);
+        // Another peer gets a timer of its own.
+        let mut ctx = NodeCtx::new(TimeMs(5));
+        a.send(PartyId::new("c"), b"x", &mut ctx);
+        let armed = ctx.take_timers();
+        assert_eq!(armed.len(), 1);
+        assert_eq!(armed[0].0, RELIABLE_TIMER_BASE + 1);
     }
 
     #[test]
@@ -723,19 +1148,19 @@ mod tests {
         let pb = PartyId::new("b");
         let mut ctx = NodeCtx::new(TimeMs(0));
         a.send(pb.clone(), &b"m"[..], &mut ctx);
-        let (mut tid, first) = ctx.take_timers()[0];
+        let (tid, first) = ctx.take_timers()[0];
         assert_eq!(first, TimeMs(10));
 
         let mut delays = Vec::new();
-        let mut now = 0u64;
+        let mut now = 10u64;
         for _ in 0..6 {
-            now += 1_000;
             let mut tctx = NodeCtx::new(TimeMs(now));
             assert!(a.on_timer(tid, &mut tctx));
             assert_eq!(tctx.take_outgoing().len(), 1, "still unacked: resend");
             let (next_tid, delay) = tctx.take_timers()[0];
+            assert_eq!(next_tid, tid);
             delays.push(delay.0);
-            tid = next_tid;
+            now += delay.0;
         }
         assert_eq!(delays, vec![20, 40, 80, 80, 80, 80]);
         assert_eq!(a.retransmits(), 6);
@@ -856,15 +1281,18 @@ mod tests {
                 Inbound::Deliver(..)
             ));
         }
+        bob.flush_acks(&mut bob_ctx);
         bob_ctx.take_outgoing();
         // A late retransmission of frame 0, now below the watermark.
         assert_eq!(
             bob.on_message(&a, &frames[0], &mut bob_ctx),
             Inbound::Duplicate
         );
+        bob.flush_acks(&mut bob_ctx);
         let acks = bob_ctx.take_outgoing();
         assert_eq!(acks.len(), 1, "the duplicate is acked again");
         assert_eq!(alice.on_message(&b, &acks[0].1, &mut ctx), Inbound::Ack);
+        assert!(alice.all_acked());
     }
 
     #[test]
@@ -897,8 +1325,9 @@ mod tests {
         }
         fn on_message(&mut self, from: &PartyId, payload: &[u8], ctx: &mut NodeCtx) {
             if let Inbound::Deliver(m, _) = self.mux.on_message(from, payload, ctx) {
-                self.delivered.push(m);
+                self.delivered.push(m.to_vec());
             }
+            self.mux.flush_acks(ctx);
         }
         fn on_timer(&mut self, timer: u64, ctx: &mut NodeCtx) {
             self.mux.on_timer(timer, ctx);

@@ -9,10 +9,11 @@
 //! * a **shard map** — every group is pinned to one of ≈ `num_cpus`
 //!   shards at registration (`GroupId → shard`, frozen before the workers
 //!   start, so routing is lock-free reads of an immutable table);
-//! * a **group envelope** on every frame — sends are wrapped with
-//!   [`crate::reliable::encode_group_frame`] (`[group id, BE u64][frame]`)
-//!   so one fabric endpoint carries traffic for many groups and delivery
-//!   verifies the id against the destination slot;
+//! * a **group id in every frame header** — each engine callback runs
+//!   with a [`NodeCtx`] naming its group, and the reliable layer writes
+//!   that id into the one header it builds per frame, so one socket
+//!   carries traffic for many groups ([`crate::shard_tcp`] demultiplexes
+//!   on it) while in process a frame travels untouched beside its group;
 //! * **per-shard timer wheels** — a hashed wheel per worker replaces the
 //!   per-node binary heaps, so 20k nodes' retransmit timers cost one
 //!   wheel advance per shard tick instead of 20k thread wakeups;
@@ -37,7 +38,6 @@
 //! `on_recover`.
 
 use crate::node::{NetNode, NodeCtx, Payload};
-use crate::reliable::{decode_group_frame, encode_group_frame};
 use crate::stats::NetStats;
 use b2b_crypto::{PartyId, TimeMs};
 use b2b_telemetry::{names, Telemetry};
@@ -212,7 +212,7 @@ impl<N> Slot<N> {
 }
 
 enum ShardEvent {
-    /// A group-enveloped frame for `(gid, to)`.
+    /// A frame for `(gid, to)`, exactly as its sender built it.
     Deliver {
         gid: GroupId,
         from: PartyId,
@@ -250,13 +250,13 @@ pub(crate) enum RouteOffer {
 /// [`ShardedNet::set_external_route`]); sends to parties without a local
 /// slot are offered here instead of being dropped.
 pub(crate) trait ExternalRoute: Send + Sync {
-    /// Offers one group-enveloped `frame` addressed to `to`. Must not
+    /// Offers one `frame` of group `gid` addressed to `to`. Must not
     /// block: backpressure is expressed through [`RouteOffer::Full`].
     fn try_send(&self, gid: GroupId, to: &PartyId, frame: &Payload) -> RouteOffer;
 }
 
 /// An inbound sink handed to a transport: `(raw group id, sender,
-/// enveloped frame) → accepted?`. Returns `false` when the destination
+/// frame) → accepted?`. Returns `false` when the destination
 /// shard's inbox is full — the transport must hold the frame and retry
 /// (its socket receive window then pushes back on the peer).
 pub(crate) type ExternalInjector = Arc<dyn Fn(u64, PartyId, Payload) -> bool + Send + Sync>;
@@ -323,7 +323,7 @@ impl<N: NetNode> Core<N> {
             gid: slot.gid,
             from: slot.party.clone(),
             to: to.clone(),
-            frame: encode_group_frame(slot.gid.0, &payload).into(),
+            frame: payload,
         };
         inner.outbox.push_back((dest, event));
     }
@@ -392,7 +392,7 @@ impl<N: NetNode> Core<N> {
     }
 
     /// Applies a context's effects after an engine callback: sends are
-    /// group-enveloped and queued through the slot's FIFO outbox, timers
+    /// queued through the slot's FIFO outbox, timers
     /// go onto the owning shard's wheel (caller holds the slot lock).
     ///
     /// Returns whether the owning worker must be sent a
@@ -448,7 +448,7 @@ impl<N: NetNode> Core<N> {
         let _ = self.offer(shard, ShardEvent::Wake);
     }
 
-    /// Offers an externally received, still-enveloped frame to its
+    /// Offers an externally received frame to its
     /// destination shard's inbox. Returns `false` when the inbox is full
     /// — the transport must hold the frame and retry later, never shed
     /// or reorder it.
@@ -549,13 +549,27 @@ fn run_shard<N: NetNode>(shard: usize, rx: Receiver<ShardEvent>, core: Arc<Core<
         while let Some(event) = next {
             core.depths[shard].fetch_sub(1, Ordering::Relaxed);
             local.events += 1;
+            burst += 1;
+            // Take the following event first: whether it is a frame for
+            // the same slot tells the engine if its acks can wait for it.
+            let following = if burst < EVENT_BURST {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
             match event {
                 ShardEvent::Deliver {
                     gid,
                     from,
                     to,
                     frame,
-                } => deliver(&core, gid, &from, &to, &frame, &mut local),
+                } => {
+                    let follows = matches!(
+                        &following,
+                        Some(ShardEvent::Deliver { gid: g, to: t, .. }) if *g == gid && *t == to
+                    );
+                    deliver(&core, gid, &from, &to, &frame, follows, &mut local)
+                }
                 ShardEvent::Wake => {}
                 ShardEvent::Stop => {
                     stop = true;
@@ -566,12 +580,7 @@ fn run_shard<N: NetNode>(shard: usize, rx: Receiver<ShardEvent>, core: Arc<Core<
                 let depth = core.depths[shard].load(Ordering::Relaxed) as u64;
                 core.telemetry.observe_ms(names::SHARD_QUEUE_DEPTH, depth);
             }
-            burst += 1;
-            next = if burst < EVENT_BURST {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
+            next = following;
         }
         if stop {
             break;
@@ -582,7 +591,7 @@ fn run_shard<N: NetNode>(shard: usize, rx: Receiver<ShardEvent>, core: Arc<Core<
             let Some(slot) = core.slots.get(&(entry.gid, entry.party.clone())) else {
                 continue;
             };
-            let mut ctx = NodeCtx::new(core.now());
+            let mut ctx = NodeCtx::with_group(core.now(), entry.gid.0);
             let mut inner = slot.inner.lock();
             if inner.crashed || inner.epoch != entry.epoch {
                 continue; // a crashed incarnation's timer
@@ -600,36 +609,30 @@ fn run_shard<N: NetNode>(shard: usize, rx: Receiver<ShardEvent>, core: Arc<Core<
     flush_local(&mut local);
 }
 
+/// Hands one frame to its slot's engine; `follows` says whether the
+/// worker's next event is another frame for the same slot.
 fn deliver<N: NetNode>(
     core: &Core<N>,
     gid: GroupId,
     from: &PartyId,
     to: &PartyId,
     frame: &[u8],
+    follows: bool,
     local: &mut LocalCounters,
 ) {
-    // Strip and verify the group envelope: a frame routed to the wrong
-    // group's slot must never reach an engine.
-    let Some((wire_gid, inner_frame)) = decode_group_frame(frame) else {
-        local.undeliverable += 1;
-        return;
-    };
-    if wire_gid != gid.0 {
-        local.undeliverable += 1;
-        return;
-    }
     let Some(slot) = core.slots.get(&(gid, to.clone())) else {
         local.undeliverable += 1;
         return;
     };
-    let mut ctx = NodeCtx::new(core.now());
+    let mut ctx = NodeCtx::with_group(core.now(), gid.0);
     let mut inner = slot.inner.lock();
     if inner.crashed {
         local.undeliverable += 1;
         return;
     }
     core.delivered.fetch_add(1, Ordering::Relaxed);
-    inner.node.on_message(from, inner_frame, &mut ctx);
+    ctx.set_frame_follows(follows);
+    inner.node.on_message(from, frame, &mut ctx);
     let _ = core.flush(slot, &mut inner, &mut ctx);
     slot.notify(&inner);
 }
@@ -670,7 +673,7 @@ impl<N: NetNode> GroupHandle<N> {
     /// Runs a local call against the engine, applies its effects (sends
     /// and timers), and returns the call's result.
     pub fn invoke<R>(&self, f: impl FnOnce(&mut N, &mut NodeCtx) -> R) -> R {
-        let mut ctx = NodeCtx::new(self.core.now());
+        let mut ctx = NodeCtx::with_group(self.core.now(), self.slot.gid.0);
         let (result, wake) = {
             let mut inner = self.slot.inner.lock();
             let result = f(&mut inner.node, &mut ctx);
@@ -981,7 +984,7 @@ impl<N: NetNode> ShardedNet<N> {
     /// An inbound sink delivering externally received frames to `to`'s
     /// slots on this net (every slot of one endpoint belongs to the same
     /// party). The transport calls it with the raw group id from the
-    /// envelope and the sender learned from the connection's hello.
+    /// frame header and the sender learned from the connection's hello.
     pub(crate) fn injector(&self, to: PartyId) -> ExternalInjector {
         let core = Arc::clone(&self.core);
         Arc::new(move |gid_raw, from, frame| core.try_inject(gid_raw, from, to.clone(), frame))
@@ -1006,7 +1009,7 @@ impl<N: NetNode> ShardedNet<N> {
     pub fn recover(&self, gid: GroupId, party: &PartyId) {
         let slot = self.handle(gid, party).slot;
         let wake = {
-            let mut ctx = NodeCtx::new(self.core.now());
+            let mut ctx = NodeCtx::with_group(self.core.now(), gid.0);
             let mut inner = slot.inner.lock();
             if !inner.crashed {
                 return;

@@ -6,8 +6,8 @@
 //! boundaries with a *readiness-driven* design — nonblocking sockets
 //! driven by a single reactor thread per endpoint:
 //!
-//! * **Multiplexing** — frames already carry the [`crate::shard::GroupId`]
-//!   envelope ([`crate::reliable::encode_group_frame`]), so one
+//! * **Multiplexing** — every frame header names its
+//!   [`crate::shard::GroupId`] ([`crate::reliable::frame_group`]), so one
 //!   connection per peer endpoint carries the traffic of every group;
 //!   the receiving reactor demuxes by group id straight into the shard
 //!   map.
@@ -43,7 +43,7 @@
 //! wedges a healthy group's rounds.
 
 use crate::node::{NetNode, Payload};
-use crate::reliable::decode_group_frame;
+use crate::reliable::frame_group;
 use crate::shard::{
     ExternalInjector, ExternalRoute, GroupHandle, GroupId, RouteOffer, ShardedNet,
     DEFAULT_SHARD_INBOX_CAPACITY,
@@ -200,9 +200,11 @@ impl StreamDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pops the next complete frame, `Ok(None)` if more bytes are
-    /// needed, `Err` if the length prefix is malformed (oversized).
-    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+    /// Pops the next complete frame — copied once, out of the read buffer
+    /// into the shared allocation the engine receives — `Ok(None)` if more
+    /// bytes are needed, `Err` if the length prefix is malformed
+    /// (oversized).
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Payload>> {
         let avail = self.buf.len() - self.pos;
         if avail < 4 {
             return Ok(None);
@@ -218,7 +220,7 @@ impl StreamDecoder {
             return Ok(None);
         }
         let start = self.pos + 4;
-        let frame = self.buf[start..start + len].to_vec();
+        let frame = Payload::from(&self.buf[start..start + len]);
         self.pos += 4 + len;
         Ok(Some(frame))
     }
@@ -326,7 +328,7 @@ struct MuxCounters {
 struct MuxShared {
     /// Peer → link index; frozen at spawn.
     peers: HashMap<PartyId, usize>,
-    /// Per-link FIFO of group-enveloped frames awaiting the reactor.
+    /// Per-link FIFO of frames awaiting the reactor.
     queues: Vec<Mutex<VecDeque<Payload>>>,
     /// Per-link kill requests (test hook).
     kills: Vec<AtomicBool>,
@@ -541,14 +543,20 @@ impl Reactor {
         }
     }
 
-    /// Re-offers frames whose shard inbox was full when they arrived.
+    /// Re-offers frames whose shard inbox was full when they arrived, then
+    /// the frames decoded behind them: those are already out of the socket,
+    /// so no further read would release them.
     fn retry_pending(&mut self) {
-        for conn in &mut self.inbound {
-            if let Some((gid, frame)) = conn.pending.take() {
-                let from = conn.peer.clone().expect("pending implies hello");
-                if !(self.inject)(gid, from, frame.clone()) {
-                    conn.pending = Some((gid, frame));
-                }
+        for idx in 0..self.inbound.len() {
+            let conn = &mut self.inbound[idx];
+            let Some((gid, frame)) = conn.pending.take() else {
+                continue;
+            };
+            let from = conn.peer.clone().expect("pending implies hello");
+            if (self.inject)(gid, from, frame.clone()) {
+                self.deliver_decoded(idx);
+            } else {
+                self.inbound[idx].pending = Some((gid, frame));
             }
         }
     }
@@ -798,7 +806,7 @@ impl Reactor {
     }
 
     /// Drains complete frames out of a connection's decoder: the first
-    /// is the hello, the rest are group-enveloped protocol frames.
+    /// is the hello, the rest are protocol frames, each naming its group.
     fn deliver_decoded(&mut self, idx: usize) {
         loop {
             let conn = &mut self.inbound[idx];
@@ -818,7 +826,7 @@ impl Reactor {
                 }
             };
             let Some(peer) = conn.peer.clone() else {
-                match String::from_utf8(frame) {
+                match std::str::from_utf8(&frame) {
                     Ok(name) => conn.peer = Some(PartyId::new(name)),
                     Err(_) => {
                         conn.dead = true;
@@ -829,14 +837,13 @@ impl Reactor {
             };
             // Torn/garbage inner frame: count it, drop it, carry on —
             // the length prefix kept the stream in sync.
-            let Some((gid, _)) = decode_group_frame(&frame) else {
+            let Some(gid) = frame_group(&frame) else {
                 self.tel.bad_frames += 1;
                 continue;
             };
-            let payload: Payload = frame.into();
-            if !(self.inject)(gid, peer, payload.clone()) {
+            if !(self.inject)(gid, peer, frame.clone()) {
                 self.tel.read_stalls += 1;
-                conn.pending = Some((gid, payload));
+                conn.pending = Some((gid, frame));
                 break;
             }
         }
@@ -1213,7 +1220,7 @@ mod tests {
     use super::*;
     use crate::node::NodeCtx;
     use crate::poll::wait_for;
-    use crate::reliable::{encode_group_frame, GROUP_ENVELOPE_LEN};
+    use crate::reliable::{data_body, data_frame};
     use b2b_crypto::TimeMs;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1236,17 +1243,24 @@ mod tests {
         }
     }
 
+    /// A raw test payload in a frame header naming the context's group:
+    /// the receiving socket demultiplexes on it.
+    fn framed(ctx: &NodeCtx, body: &[u8]) -> Vec<u8> {
+        data_frame(ctx.group(), 0, 0, body)
+    }
+
     impl NetNode for PingPong {
         fn id(&self) -> PartyId {
             self.id.clone()
         }
         fn on_message(&mut self, from: &PartyId, payload: &[u8], ctx: &mut NodeCtx) {
-            match payload {
-                b"ping" => {
+            match data_body(payload) {
+                Some(b"ping") => {
                     self.pings_received += 1;
-                    ctx.send(from.clone(), b"pong".to_vec());
+                    let pong = framed(ctx, b"pong");
+                    ctx.send(from.clone(), pong);
                 }
-                b"pong" => self.pongs_received += 1,
+                Some(b"pong") => self.pongs_received += 1,
                 _ => {}
             }
         }
@@ -1269,7 +1283,7 @@ mod tests {
         .unwrap();
         for g in 0..3 {
             net.handle(GroupId(g), &PartyId::new("a"))
-                .invoke(|_n, ctx| ctx.send(PartyId::new("b"), b"ping".to_vec()));
+                .invoke(|_n, ctx| ctx.send(PartyId::new("b"), framed(ctx, b"ping")));
         }
         for g in 0..3 {
             let a = net.handle(GroupId(g), &PartyId::new("a"));
@@ -1312,8 +1326,9 @@ mod tests {
             self.id.clone()
         }
         fn on_message(&mut self, _from: &PartyId, payload: &[u8], _ctx: &mut NodeCtx) {
+            let body = data_body(payload).expect("framed");
             self.received
-                .push(u32::from_le_bytes(payload[..4].try_into().unwrap()));
+                .push(u32::from_le_bytes(body[..4].try_into().unwrap()));
         }
     }
 
@@ -1344,7 +1359,8 @@ mod tests {
         let a = net.handle(GroupId(0), &PartyId::new("a"));
         a.invoke(|_n, ctx| {
             for i in 0..500u32 {
-                ctx.send(PartyId::new("b"), i.to_le_bytes().to_vec());
+                let frame = framed(ctx, &i.to_le_bytes());
+                ctx.send(PartyId::new("b"), frame);
             }
         });
         let b = net.handle(GroupId(0), &PartyId::new("b"));
@@ -1370,13 +1386,13 @@ mod tests {
         let a_id = PartyId::new("a");
         let b_id = PartyId::new("b");
         let a = net.handle(GroupId(0), &a_id);
-        a.invoke(|_n, ctx| ctx.send(b_id.clone(), b"ping".to_vec()));
+        a.invoke(|_n, ctx| ctx.send(b_id.clone(), framed(ctx, b"ping")));
         assert!(a.wait_until(Duration::from_secs(10), |n| n.pongs_received == 1));
         net.kill_connection(&a_id, &b_id);
         let b = net.handle(GroupId(0), &b_id);
         assert!(wait_for(Duration::from_secs(10), || {
             let b_id = b_id.clone();
-            a.invoke(move |_n, ctx| ctx.send(b_id, b"ping".to_vec()));
+            a.invoke(move |_n, ctx| ctx.send(b_id, framed(ctx, b"ping")));
             b.read(|n| n.pings_received >= 2)
         }));
         assert!(net.stats().reconnects >= 1);
@@ -1398,11 +1414,11 @@ mod tests {
             dec.extend(&wire[..cut]);
             let mut got = Vec::new();
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
             dec.extend(&wire[cut..]);
             while let Some(f) = dec.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
             assert_eq!(got, frames, "split at {cut}");
         }
@@ -1416,11 +1432,11 @@ mod tests {
         assert!(dec.next_frame().is_err());
     }
 
-    /// The satellite property test: a stream interleaving valid
-    /// group-enveloped frames with torn (shorter than the envelope) and
-    /// garbage frames, fed to the decoder in random chunks, must yield
-    /// every frame intact and in order — the bad ones identifiable
-    /// (envelope fails to parse) without ever desyncing the stream.
+    /// A stream interleaving valid frames with torn (shorter than the
+    /// `tag | group` prefix) and garbage frames, fed to the decoder in
+    /// random chunks, must yield every frame intact and in order — the
+    /// bad ones identifiable (no group can be read) without ever
+    /// desyncing the stream.
     #[test]
     fn torn_and_garbage_frames_never_desync_the_stream() {
         let mut rng = StdRng::seed_from_u64(0xB2B);
@@ -1430,25 +1446,26 @@ mod tests {
             let mut wire = Vec::new();
             for i in 0..40u32 {
                 let frame: Vec<u8> = match rng.gen_range(0..4u32) {
-                    // A valid enveloped frame.
+                    // A valid frame.
                     0 | 1 => {
                         let body: Vec<u8> = (0..rng.gen_range(0..200u32))
                             .map(|_| rng.gen_range(0..=255u32) as u8)
                             .collect();
-                        encode_group_frame(u64::from(i), &body)
+                        data_frame(u64::from(i), 1, u64::from(i), &body)
                     }
-                    // Torn: shorter than the 8-byte envelope.
-                    2 => (0..rng.gen_range(0..GROUP_ENVELOPE_LEN as u32))
+                    // Torn: shorter than the 9-byte `tag | group` prefix.
+                    2 => (0..rng.gen_range(0..9u32))
                         .map(|_| rng.gen_range(0..=255u32) as u8)
                         .collect(),
-                    // Garbage that happens to be long enough: it parses
+                    // Garbage that happens to be long enough: it may read
                     // as *some* group id — the shard map rejects unknown
-                    // groups downstream; the stream layer stays in sync.
-                    _ => (0..rng.gen_range(GROUP_ENVELOPE_LEN as u32..64))
+                    // groups and the engine malformed frames downstream;
+                    // the stream layer stays in sync either way.
+                    _ => (0..rng.gen_range(9..64u32))
                         .map(|_| rng.gen_range(0..=255u32) as u8)
                         .collect(),
                 };
-                let parses = decode_group_frame(&frame).is_some();
+                let parses = frame_group(&frame).is_some();
                 push_frame(&mut wire, &frame);
                 expected.push((parses, frame));
             }
@@ -1462,10 +1479,10 @@ mod tests {
                 dec.extend(&wire[pos..pos + n]);
                 pos += n;
                 while let Some(f) = dec.next_frame().unwrap() {
-                    if decode_group_frame(&f).is_none() {
+                    if frame_group(&f).is_none() {
                         torn_count += 1; // dropped + counted, stream continues
                     }
-                    got.push(f);
+                    got.push(f.to_vec());
                 }
             }
             let want_torn = expected.iter().filter(|(p, _)| !p).count();
@@ -1481,7 +1498,7 @@ mod tests {
     #[test]
     fn torn_frames_on_a_live_socket_are_counted_and_skipped() {
         // Drive a raw client against a live endpoint: hello, then a torn
-        // frame (shorter than the group envelope), then a valid ping.
+        // frame (shorter than the `tag | group` prefix), then a valid ping.
         // The ping must still arrive — the torn frame cost nothing but a
         // counter.
         let telemetry = Telemetry::new();
@@ -1497,8 +1514,8 @@ mod tests {
         let mut client = TcpStream::connect(ep.local_addr()).unwrap();
         let mut wire = Vec::new();
         push_frame(&mut wire, b"a"); // hello
-        push_frame(&mut wire, &[0xFF; 3]); // torn: < GROUP_ENVELOPE_LEN
-        push_frame(&mut wire, &encode_group_frame(0, b"ping"));
+        push_frame(&mut wire, &[0xFF; 3]); // torn: no group to read
+        push_frame(&mut wire, &data_frame(0, 1, 0, b"ping"));
         client.write_all(&wire).unwrap();
         let b = ep.handle(GroupId(0), &PartyId::new("b"));
         assert!(
@@ -1528,7 +1545,8 @@ mod tests {
         // fewer syscalls than frames.
         a.invoke(|_n, ctx| {
             for i in 0..400u32 {
-                ctx.send(PartyId::new("b"), i.to_le_bytes().to_vec());
+                let frame = framed(ctx, &i.to_le_bytes());
+                ctx.send(PartyId::new("b"), frame);
             }
         });
         let b = net.handle(GroupId(0), &PartyId::new("b"));
@@ -1662,13 +1680,57 @@ mod tests {
         assert!(r.shared.counters.io_errors.load(Ordering::Relaxed) >= 1);
     }
 
+    /// Frames decoded behind one that found the shard inbox full are
+    /// delivered once it drains, though the peer sends nothing more.
+    #[test]
+    fn frames_decoded_behind_a_refused_one_follow_it_in() {
+        let mut r = test_reactor(loopback().local_addr().unwrap());
+        let accepted = Arc::new(Mutex::new(Vec::new()));
+        let refuse_next = Arc::new(AtomicBool::new(true));
+        let (log, refuse) = (Arc::clone(&accepted), Arc::clone(&refuse_next));
+        r.inject = Arc::new(move |gid, _from, _frame| {
+            if refuse.swap(false, Ordering::SeqCst) {
+                return false;
+            }
+            log.lock().push(gid);
+            true
+        });
+        let listener = loopback();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut wire = Vec::new();
+        push_frame(&mut wire, b"b"); // hello
+        for gid in 1..=3u64 {
+            push_frame(&mut wire, &data_frame(gid, 1, gid, b"x"));
+        }
+        let mut decoder = StreamDecoder::new();
+        decoder.extend(&wire);
+        r.inbound.push(InConn {
+            stream,
+            decoder,
+            peer: None,
+            pending: None,
+            dead: false,
+        });
+        r.deliver_decoded(0);
+        assert!(r.inbound[0].pending.is_some(), "the first frame waits");
+        assert!(accepted.lock().is_empty());
+        r.retry_pending();
+        assert_eq!(
+            *accepted.lock(),
+            vec![1, 2, 3],
+            "in order, none left behind"
+        );
+        assert!(r.inbound[0].pending.is_none());
+    }
+
     #[test]
     fn send_to_unknown_peer_is_dropped_not_fatal() {
         let net = ShardedTcpNet::spawn_loopback(vec![(GroupId(0), pair())]).unwrap();
         let a = net.handle(GroupId(0), &PartyId::new("a"));
-        a.invoke(|_n, ctx| ctx.send(PartyId::new("nobody"), b"ping".to_vec()));
+        a.invoke(|_n, ctx| ctx.send(PartyId::new("nobody"), framed(ctx, b"ping")));
         assert_eq!(net.stats().dropped, 1);
-        a.invoke(|_n, ctx| ctx.send(PartyId::new("b"), b"ping".to_vec()));
+        a.invoke(|_n, ctx| ctx.send(PartyId::new("b"), framed(ctx, b"ping")));
         assert!(a.wait_until(Duration::from_secs(10), |n| n.pongs_received == 1));
         net.shutdown();
     }

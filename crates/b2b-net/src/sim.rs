@@ -325,7 +325,17 @@ impl<N: NetNode> SimNet<N> {
                         "deliver",
                         || format!("from={from} bytes={}", payload.len()),
                     );
-                    self.with_node(&to, |n, ctx| n.on_message(&from, &payload, ctx));
+                    // Another frame for the same node at this instant is
+                    // delivered next: the handler may leave work for it.
+                    let follows = matches!(
+                        self.queue.peek(),
+                        Some(Event { time, kind: EventKind::Deliver { to: next, .. }, .. })
+                            if *time == self.now && *next == to
+                    );
+                    self.with_node(&to, |n, ctx| {
+                        ctx.set_frame_follows(follows);
+                        n.on_message(&from, &payload, ctx)
+                    });
                 } else {
                     self.stats.undeliverable += 1;
                     self.telemetry

@@ -10,6 +10,7 @@
 //! can hold.
 
 use b2b_crypto::PartyId;
+use b2b_net::reliable::{data_body, data_frame};
 use b2b_net::{GroupId, NetNode, NodeCtx, ShardedNet, ShardedTcpConfig, ShardedTcpNet};
 use b2b_telemetry::{names, Telemetry};
 use std::time::Duration;
@@ -27,8 +28,10 @@ struct Rally {
     landed: u32,
 }
 
-fn ball(count: u32) -> Vec<u8> {
-    count.to_le_bytes().to_vec()
+/// A ball in a frame header naming the group: the receiving socket
+/// demultiplexes on it.
+fn ball(ctx: &NodeCtx, count: u32) -> Vec<u8> {
+    data_frame(ctx.group(), 0, 0, &count.to_le_bytes())
 }
 
 impl NetNode for Rally {
@@ -38,16 +41,17 @@ impl NetNode for Rally {
     fn on_start(&mut self, ctx: &mut NodeCtx) {
         if self.id == PartyId::new("a") {
             for _ in 0..BALLS {
-                ctx.send(self.peer.clone(), ball(BOUNCES));
+                ctx.send(self.peer.clone(), ball(ctx, BOUNCES));
             }
         }
     }
     fn on_message(&mut self, from: &PartyId, payload: &[u8], ctx: &mut NodeCtx) {
-        let count = u32::from_le_bytes(payload.try_into().expect("a ball"));
+        let body = data_body(payload).expect("a framed ball");
+        let count = u32::from_le_bytes(body.try_into().expect("a ball"));
         if count == 0 {
             self.landed += 1;
         } else {
-            ctx.send(from.clone(), ball(count - 1));
+            ctx.send(from.clone(), ball(ctx, count - 1));
         }
     }
 }

@@ -51,6 +51,12 @@ fn party(id: &str) -> PartyId {
     PartyId::new(id)
 }
 
+/// A payload in a frame header naming the context's group: a socket
+/// carrying many groups demultiplexes on it.
+fn framed(ctx: &NodeCtx, body: &[u8]) -> Vec<u8> {
+    b2b_net::reliable::data_frame(ctx.group(), 0, 0, body)
+}
+
 fn groups(n: u64) -> Vec<(GroupId, Vec<Counter>)> {
     (0..n)
         .map(|g| {
@@ -90,7 +96,7 @@ fn every_waiter_wakes(handle: impl Fn(GroupId, &str) -> GroupHandle<Counter>) {
     for k in 1..=EVENTS {
         for g in 0..GROUPS {
             handle(GroupId(g), "a").invoke(|_n, ctx| {
-                ctx.send(party("b"), vec![k as u8]);
+                ctx.send(party("b"), framed(ctx, &[k as u8]));
                 ctx.set_timer(u64::from(k), TimeMs(1));
             });
         }
@@ -114,13 +120,13 @@ fn every_waiter_wakes(handle: impl Fn(GroupId, &str) -> GroupHandle<Counter>) {
 fn timer_fires_on_time(by: &GroupHandle<Counter>, kick: &GroupHandle<Counter>, send: bool) {
     for round in 1..=3u32 {
         // A frame for `by` makes its worker run, then restart its idle poll.
-        kick.invoke(|_n, ctx| ctx.send(party("a"), b"kick".to_vec()));
+        kick.invoke(|_n, ctx| ctx.send(party("a"), framed(ctx, b"kick")));
         assert!(by.wait_until(WAIT, |n| n.received == round));
         std::thread::sleep(Duration::from_millis(10));
         let armed = Instant::now();
         by.invoke(|_n, ctx| {
             if send {
-                ctx.send(party("b"), b"over".to_vec());
+                ctx.send(party("b"), framed(ctx, b"over"));
             }
             ctx.set_timer(u64::from(round), TIMER);
         });

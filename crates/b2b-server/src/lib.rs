@@ -656,17 +656,38 @@ impl Core {
         // would abort them anyway; this answers 400 without spending one.
         // The replica answering may lag the round that makes a delta
         // applicable by one message delivery, so give it a short grace to
-        // catch up.
-        let grace = self.sync_timeout.min(Duration::from_millis(500));
-        let applies = handle.wait_until(grace, |c| {
-            c.agreed_state(&self.object)
-                .and_then(|cur| Order::from_bytes(&cur))
+        // catch up. The agreed state is copied under the slot lock — which
+        // the shard worker needs too — and decoded outside it, and copied
+        // again only once the agreed tuple has moved.
+        let deadline = Instant::now() + self.sync_timeout.min(Duration::from_millis(500));
+        let applies_to = |state: &[u8]| {
+            Order::from_bytes(state)
                 .is_some_and(|mut o| deltas.iter().all(|d| d.apply(&mut o).is_ok()))
-        });
+        };
+        let agreed_of =
+            |c: &Coordinator| c.agreed_id(&self.object).zip(c.agreed_state(&self.object));
+        let mut agreed = handle.read(agreed_of);
+        let mut applies = agreed.as_ref().is_some_and(|(_, state)| applies_to(state));
+        while !applies {
+            let seen = agreed.as_ref().map(|(id, _)| *id);
+            let mut moved = None;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let changed = handle.wait_until(remaining, |c| {
+                if c.agreed_id(&self.object) == seen {
+                    return false;
+                }
+                moved = agreed_of(c);
+                true
+            });
+            if !changed {
+                break;
+            }
+            agreed = moved;
+            applies = agreed.as_ref().is_some_and(|(_, state)| applies_to(state));
+        }
         if !applies {
-            let current = handle
-                .read(|c| c.agreed_state(&self.object))
-                .ok_or_else(|| HttpResponse::json(404, "{\"error\":\"no such order\"}"))?;
+            let (_, current) =
+                agreed.ok_or_else(|| HttpResponse::json(404, "{\"error\":\"no such order\"}"))?;
             let mut order = Order::from_bytes(&current).ok_or_else(|| {
                 HttpResponse::json(500, "{\"error\":\"undecodable agreed state\"}")
             })?;

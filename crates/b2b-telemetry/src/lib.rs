@@ -114,7 +114,7 @@ pub mod names {
     /// Sharded runtime: timers fired from the per-shard timer wheels.
     pub const SHARD_TIMER_FIRES: &str = "shard_timer_fires";
     /// Sharded runtime: frames dropped because the destination group node
-    /// was crashed, unknown, or the group envelope failed to parse.
+    /// was crashed or unknown.
     pub const SHARD_UNDELIVERABLE: &str = "shard_undeliverable";
     /// Multiplexed sharded TCP transport: connections established to
     /// peer endpoints (one socket pair carries every group).
@@ -122,7 +122,7 @@ pub mod names {
     /// Multiplexed transport: connections re-established after a loss —
     /// a subset of [`MUX_CONNECTS`].
     pub const MUX_RECONNECTS: &str = "mux_reconnects";
-    /// Multiplexed transport: group-enveloped frames handed to the wire.
+    /// Multiplexed transport: frames handed to the wire.
     pub const MUX_FRAMES_SENT: &str = "mux_frames_sent";
     /// Multiplexed transport: payload bytes handed to the wire (framing
     /// overhead excluded).
@@ -137,9 +137,9 @@ pub mod names {
     /// still waiting for shard-inbox space (inbound backpressure: the
     /// socket's receive window pushes back on the peer).
     pub const MUX_READ_STALLS: &str = "mux_read_stalls";
-    /// Multiplexed transport: frames whose group envelope failed to
-    /// parse; the frame is dropped but the length-prefixed stream stays
-    /// in sync.
+    /// Multiplexed transport: frames whose header names no group (torn,
+    /// foreign or old-layout frames); the frame is dropped but the
+    /// length-prefixed stream stays in sync.
     pub const MUX_BAD_FRAMES: &str = "mux_bad_frames";
     /// Order server: HTTP requests served (every status code).
     pub const SERVE_REQUESTS: &str = "serve_requests";

@@ -196,14 +196,19 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Records `value` into histogram `name`, creating it if absent.
+    /// Records `value` into histogram `name`, creating it if absent. Like
+    /// [`MetricsRegistry::add`], it looks the name up first, so only the
+    /// first observation of a name allocates.
     pub fn observe(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => {
+                let mut histogram = Histogram::default();
+                histogram.observe(value);
+                inner.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// Returns the current value of counter `name` (0 if absent).

@@ -31,8 +31,9 @@ impl NetNode for Endpoint {
     }
     fn on_message(&mut self, from: &PartyId, payload: &[u8], ctx: &mut NodeCtx) {
         if let Inbound::Deliver(m, _) = self.mux.on_message(from, payload, ctx) {
-            self.delivered.push(m);
+            self.delivered.push(m.to_vec());
         }
+        self.mux.flush_acks(ctx);
     }
     fn on_timer(&mut self, timer: u64, ctx: &mut NodeCtx) {
         self.mux.on_timer(timer, ctx);

@@ -82,7 +82,7 @@ impl World {
     {
         let f = factory.clone();
         self.net.invoke(&PartyId::new(owner), move |c, _| {
-            c.register_object(ObjectId::new(alias.to_string()), Box::new(f))
+            c.register_object(ObjectId::new(alias), Box::new(f))
                 .unwrap();
         });
         let mut sponsor = PartyId::new(owner);
@@ -357,7 +357,7 @@ impl ShardedWorld {
     {
         let f = factory.clone();
         self.handle(owner).invoke(move |c, _| {
-            c.register_object(ObjectId::new(alias.to_string()), Box::new(f))
+            c.register_object(ObjectId::new(alias), Box::new(f))
                 .unwrap();
         });
         let mut sponsor = PartyId::new(owner);
