@@ -181,28 +181,124 @@ impl OrderUpdate {
     /// Returns a diagnostic when the delta no longer applies (e.g.
     /// pricing an item that was never ordered).
     pub fn apply(&self, order: &mut Order) -> Result<(), String> {
-        match self {
-            OrderUpdate::SetQuantity { item, qty } => {
-                order.set_quantity(item, *qty);
-                Ok(())
-            }
+        self.change(order)?.install(order);
+        Ok(())
+    }
+
+    /// What the delta does to `order`, or why it does not apply.
+    fn change(&self, order: &Order) -> Result<Change, String> {
+        let (item, edit): (&str, &dyn Fn(&mut OrderLine)) = match self {
+            OrderUpdate::SetQuantity { item, qty } => (item, &|line| line.qty = *qty),
             OrderUpdate::SetPrice { item, unit_price } => {
-                if !order.set_price(item, *unit_price) {
-                    return Err(format!("no line for item {item}"));
+                (item, &|line| line.unit_price = Some(*unit_price))
+            }
+            OrderUpdate::Approve { item } => (item, &|line| line.approved = true),
+            OrderUpdate::SetDeliveryTerms { terms } => return Ok(Change::Terms(terms.clone())),
+        };
+        let Some(i) = order.lines.iter().position(|l| l.item == item) else {
+            return match self {
+                OrderUpdate::SetQuantity { qty, .. } => {
+                    Ok(Change::Append(OrderLine::new(item, *qty)))
                 }
-                Ok(())
-            }
-            OrderUpdate::Approve { item } => {
-                if !order.approve(item) {
-                    return Err(format!("no line for item {item}"));
-                }
-                Ok(())
-            }
-            OrderUpdate::SetDeliveryTerms { terms } => {
-                order.delivery_terms = Some(terms.clone());
-                Ok(())
-            }
+                _ => Err(format!("no line for item {item}")),
+            };
+        };
+        let mut line = order.lines[i].clone();
+        edit(&mut line);
+        Ok(Change::Line(i, line))
+    }
+}
+
+/// What a delta does to the order it applies to: it replaces one line,
+/// appends one, or sets the delivery terms.
+enum Change {
+    /// Line `i` becomes the given line.
+    Line(usize, OrderLine),
+    /// The line is appended.
+    Append(OrderLine),
+    /// The delivery terms are set.
+    Terms(String),
+}
+
+impl Change {
+    fn install(self, order: &mut Order) {
+        match self {
+            Change::Line(i, line) => order.lines[i] = line,
+            Change::Append(line) => order.lines.push(line),
+            Change::Terms(terms) => order.delivery_terms = Some(terms),
         }
+    }
+}
+
+/// The text around an order's lines in its encoding ([`Order::to_bytes`]):
+/// `HEAD`, the lines separated by commas, `TAIL`, the delivery terms, `}`.
+const HEAD: &str = "{\"lines\":[";
+const TAIL: &str = "],\"delivery_terms\":";
+
+/// Where the lines of an order's encoding end: `ends[i]` is the offset
+/// just past line `i`. A successor's bytes are the bytes before it with
+/// the one part a delta changed spliced in, so nothing else is encoded.
+#[derive(Clone)]
+struct Layout {
+    ends: Vec<usize>,
+}
+
+impl Layout {
+    /// Encodes `order` exactly as [`Order::to_bytes`] does, with its
+    /// layout, into a buffer of `capacity` bytes to begin with.
+    fn encode(order: &Order, capacity: usize) -> (Vec<u8>, Layout) {
+        let mut out = String::with_capacity(capacity);
+        out.push_str(HEAD);
+        let mut ends = Vec::with_capacity(order.lines.len());
+        for (i, line) in order.lines.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            line.write_json(&mut out);
+            ends.push(out.len());
+        }
+        out.push_str(TAIL);
+        order.delivery_terms.write_json(&mut out);
+        out.push('}');
+        (out.into_bytes(), Layout { ends })
+    }
+
+    /// The bytes of the order that `change` makes of the one `prev`
+    /// encodes, this layout following them. `text` is scratch space.
+    fn splice(&mut self, prev: &[u8], change: &Change, text: &mut String) -> Vec<u8> {
+        text.clear();
+        let lines_end = self.ends.last().copied().unwrap_or(HEAD.len());
+        let (start, end) = match change {
+            Change::Line(i, line) => {
+                line.write_json(text);
+                let start = match i {
+                    0 => HEAD.len(),
+                    i => self.ends[i - 1] + 1,
+                };
+                let end = self.ends[*i];
+                for e in &mut self.ends[*i..] {
+                    *e = *e + text.len() + start - end;
+                }
+                (start, end)
+            }
+            Change::Append(line) => {
+                if !self.ends.is_empty() {
+                    text.push(',');
+                }
+                line.write_json(text);
+                self.ends.push(lines_end + text.len());
+                (lines_end, lines_end)
+            }
+            Change::Terms(terms) => {
+                terms.write_json(text);
+                (lines_end + TAIL.len(), prev.len() - 1)
+            }
+        };
+        let mut next = Vec::with_capacity(prev.len() - (end - start) + text.len());
+        next.extend_from_slice(&prev[..start]);
+        next.extend_from_slice(text.as_bytes());
+        next.extend_from_slice(&prev[end..]);
+        next
     }
 }
 
@@ -251,22 +347,42 @@ impl OrderRoles {
 /// An order is decoded once per install. A fold over the state the object
 /// last installed starts from the typed order it holds, and installing
 /// the state a fold reached takes the typed successor; both are matched by
-/// the digest of the state's bytes, never by a copy of them.
+/// the digest of the state's bytes, never by a copy of them. Beside each
+/// typed order the object keeps where the lines of its bytes end, when the
+/// bytes are the order's own encoding, so a fold splices each successor
+/// instead of encoding it whole.
 pub struct OrderObject {
     order: Order,
     roles: OrderRoles,
     /// Digest of the state bytes `order` was installed from.
     applied: Digest32,
+    /// The layout of those bytes, when they are `order`'s own encoding.
+    layout: Option<Layout>,
     /// The successor the last fold reached, under the digest of its bytes.
-    folded: Cell<Option<(Digest32, Order)>>,
+    folded: Cell<Option<Folded>>,
+}
+
+/// A fold's last successor: the digest of its bytes, the typed order and,
+/// when the bytes are its encoding, their layout.
+type Folded = (Digest32, Order, Option<Layout>);
+
+/// The roles a party holds on an order.
+#[derive(Clone, Copy)]
+struct Role {
+    customer: bool,
+    supplier: bool,
+    approver: bool,
+    dispatcher: bool,
 }
 
 impl OrderObject {
     /// Creates the shared order for the given role assignment.
     pub fn new(roles: OrderRoles) -> OrderObject {
         let order = Order::new();
+        let (bytes, layout) = Layout::encode(&order, 64);
         OrderObject {
-            applied: sha256(&order.to_bytes()),
+            applied: sha256(&bytes),
+            layout: Some(layout),
             order,
             roles,
             folded: Cell::new(None),
@@ -278,101 +394,134 @@ impl OrderObject {
         &self.order
     }
 
+    /// The roles `proposer` holds, or why it may not act at all.
+    fn role(&self, proposer: &PartyId) -> Result<Role, String> {
+        let role = Role {
+            customer: proposer == &self.roles.customer,
+            supplier: proposer == &self.roles.supplier,
+            approver: self.roles.approver.as_ref() == Some(proposer),
+            dispatcher: self.roles.dispatcher.as_ref() == Some(proposer),
+        };
+        if !(role.customer || role.supplier || role.approver || role.dispatcher) {
+            return Err(format!("{proposer} has no role on this order"));
+        }
+        Ok(role)
+    }
+
     /// Checks one transition under the proposer's role. Returns the first
     /// violation, if any.
     fn check(&self, proposer: &PartyId, cur: &Order, next: &Order) -> Option<String> {
-        let is_customer = proposer == &self.roles.customer;
-        let is_supplier = proposer == &self.roles.supplier;
-        let is_approver = self.roles.approver.as_ref() == Some(proposer);
-        let is_dispatcher = self.roles.dispatcher.as_ref() == Some(proposer);
-        if !(is_customer || is_supplier || is_approver || is_dispatcher) {
-            return Some(format!("{proposer} has no role on this order"));
+        let role = match self.role(proposer) {
+            Ok(role) => role,
+            Err(reason) => return Some(reason),
+        };
+        if let Some(reason) = check_terms(
+            role,
+            cur.delivery_terms.as_deref(),
+            next.delivery_terms.as_deref(),
+        ) {
+            return Some(reason);
         }
-
-        // Delivery terms: dispatcher only, write-once.
-        if next.delivery_terms != cur.delivery_terms {
-            if !is_dispatcher {
-                return Some("only the dispatcher may set delivery terms".into());
-            }
-            if cur.delivery_terms.is_some() {
-                return Some("delivery terms are already committed".into());
-            }
-        }
-        if is_dispatcher && next.lines != cur.lines {
+        if role.dispatcher && next.lines != cur.lines {
             return Some("the dispatcher may not amend order lines".into());
         }
-
         // Lines may only be appended, never removed or reordered.
         if next.lines.len() < cur.lines.len() {
             return Some("order lines may not be removed".into());
         }
-        for (i, new_line) in next.lines.iter().enumerate() {
-            let old_line = cur.lines.get(i);
-            match old_line {
-                None => {
-                    // A new line: customers only, unpriced and unapproved.
-                    if !is_customer {
-                        return Some(format!(
-                            "only the customer may add items ({} added {})",
-                            proposer, new_line.item
-                        ));
-                    }
-                    if new_line.unit_price.is_some() {
-                        return Some("the customer may not price items".into());
-                    }
-                    if new_line.approved {
-                        return Some("the customer may not approve items".into());
-                    }
-                }
-                Some(old) => {
-                    if new_line.item != old.item {
-                        return Some("items may not be renamed".into());
-                    }
-                    if new_line.qty != old.qty && !is_customer {
-                        return Some(format!(
-                            "only the customer may change quantities ({} touched {})",
-                            proposer, new_line.item
-                        ));
-                    }
-                    if new_line.unit_price != old.unit_price && !is_supplier {
-                        return Some(format!(
-                            "only the supplier may price items ({} priced {})",
-                            proposer, new_line.item
-                        ));
-                    }
-                    if new_line.approved != old.approved {
-                        if self.roles.approver.is_none() {
-                            return Some("no approver role on this order".into());
-                        }
-                        if !is_approver {
-                            return Some("only the approver may approve items".into());
-                        }
-                        if old.approved {
-                            return Some("approval may not be revoked".into());
-                        }
-                    }
-                    // Role exclusivity: each role touches only its fields.
-                    if is_customer && new_line.unit_price != old.unit_price {
-                        return Some("the customer may not price items".into());
-                    }
-                    if is_supplier && (new_line.qty != old.qty || new_line.approved != old.approved)
-                    {
-                        return Some("the supplier may not amend the order".into());
-                    }
-                    if is_approver
-                        && (new_line.qty != old.qty || new_line.unit_price != old.unit_price)
-                    {
-                        return Some("the approver may only approve".into());
-                    }
-                }
+        next.lines
+            .iter()
+            .enumerate()
+            .find_map(|(i, line)| self.check_line(role, proposer, cur.lines.get(i), line))
+    }
+
+    /// [`OrderObject::check`] of `cur` against what `change` makes of it:
+    /// a line, or the terms, that the change leaves alone passes every
+    /// rule, so only the changed part is looked at.
+    fn check_change(&self, proposer: &PartyId, cur: &Order, change: &Change) -> Option<String> {
+        let role = match self.role(proposer) {
+            Ok(role) => role,
+            Err(reason) => return Some(reason),
+        };
+        let (old, new) = match change {
+            Change::Terms(terms) => {
+                return check_terms(role, cur.delivery_terms.as_deref(), Some(terms))
             }
+            Change::Line(i, new) => (Some(&cur.lines[*i]), new),
+            Change::Append(new) => (None, new),
+        };
+        if role.dispatcher && old != Some(new) {
+            return Some("the dispatcher may not amend order lines".into());
+        }
+        self.check_line(role, proposer, old, new)
+    }
+
+    /// The rules for line `new`, which was `old` (`None`: it is new).
+    fn check_line(
+        &self,
+        role: Role,
+        proposer: &PartyId,
+        old: Option<&OrderLine>,
+        new: &OrderLine,
+    ) -> Option<String> {
+        let Some(old) = old else {
+            // A new line: customers only, unpriced and unapproved.
+            if !role.customer {
+                return Some(format!(
+                    "only the customer may add items ({} added {})",
+                    proposer, new.item
+                ));
+            }
+            if new.unit_price.is_some() {
+                return Some("the customer may not price items".into());
+            }
+            if new.approved {
+                return Some("the customer may not approve items".into());
+            }
+            return None;
+        };
+        if new.item != old.item {
+            return Some("items may not be renamed".into());
+        }
+        if new.qty != old.qty && !role.customer {
+            return Some(format!(
+                "only the customer may change quantities ({} touched {})",
+                proposer, new.item
+            ));
+        }
+        if new.unit_price != old.unit_price && !role.supplier {
+            return Some(format!(
+                "only the supplier may price items ({} priced {})",
+                proposer, new.item
+            ));
+        }
+        if new.approved != old.approved {
+            if self.roles.approver.is_none() {
+                return Some("no approver role on this order".into());
+            }
+            if !role.approver {
+                return Some("only the approver may approve items".into());
+            }
+            if old.approved {
+                return Some("approval may not be revoked".into());
+            }
+        }
+        // Role exclusivity: each role touches only its fields.
+        if role.customer && new.unit_price != old.unit_price {
+            return Some("the customer may not price items".into());
+        }
+        if role.supplier && (new.qty != old.qty || new.approved != old.approved) {
+            return Some("the supplier may not amend the order".into());
+        }
+        if role.approver && (new.qty != old.qty || new.unit_price != old.unit_price) {
+            return Some("the approver may only approve".into());
         }
         None
     }
 
     /// `update` replayed over `cur` (`None`: the state did not decode) —
-    /// what [`B2BObject::apply_update`] computes, in typed form — and, for
-    /// a `proposer`, the verdict [`B2BObject::validate_update`] gives.
+    /// what [`B2BObject::apply_update`] does to it, in typed form — and,
+    /// for a `proposer`, the verdict [`B2BObject::validate_update`] gives.
     fn replay(
         &self,
         proposer: Option<&PartyId>,
@@ -385,38 +534,50 @@ impl OrderObject {
                 proposer.map(|_| Decision::reject(reason)),
             )
         };
-        let decide = |cur: &Order, next: &Order| {
-            proposer.map(|p| match self.check(p, cur, next) {
-                None => Decision::accept(),
-                Some(reason) => Decision::reject(reason),
-            })
+        let decide = |violation: Option<String>| match violation {
+            None => Decision::accept(),
+            Some(reason) => Decision::reject(reason),
         };
         if let Some(delta) = OrderUpdate::from_bytes(update) {
             let Some(cur) = cur else {
                 return fail("undecodable order state".into());
             };
-            let mut next = cur.clone();
-            if let Err(reason) = delta.apply(&mut next) {
-                return fail(reason);
-            }
-            let verdict = decide(cur, &next);
-            return (Ok(Next::Applied(next)), verdict);
+            let change = match delta.change(cur) {
+                Ok(change) => change,
+                Err(reason) => return fail(reason),
+            };
+            let verdict = proposer.map(|p| decide(self.check_change(p, cur, &change)));
+            return (Ok(Next::Change(change)), verdict);
         }
         let Some(next) = Order::from_bytes(update) else {
             return fail("undecodable order update".into());
         };
         let verdict = match cur {
-            Some(cur) => decide(cur, &next),
+            Some(cur) => proposer.map(|p| decide(self.check(p, cur, &next))),
             None => proposer.map(|_| Decision::reject("undecodable order")),
         };
         (Ok(Next::Whole(next)), verdict)
     }
 }
 
+/// The delivery-terms rule: dispatcher only, write-once.
+fn check_terms(role: Role, cur: Option<&str>, next: Option<&str>) -> Option<String> {
+    if next != cur {
+        if !role.dispatcher {
+            return Some("only the dispatcher may set delivery terms".into());
+        }
+        if cur.is_some() {
+            return Some("delivery terms are already committed".into());
+        }
+    }
+    None
+}
+
 /// A successor order, replayed in typed form.
 enum Next {
-    /// A delta applied: the successor's bytes are its encoding.
-    Applied(Order),
+    /// A delta: the successor is the change applied, its bytes its
+    /// encoding.
+    Change(Change),
     /// A whole-state update: the successor's bytes are the update's own.
     Whole(Order),
 }
@@ -428,10 +589,19 @@ impl B2BObject for OrderObject {
 
     fn apply_state(&mut self, state: &[u8]) {
         let digest = sha256(state);
+        if digest == self.applied {
+            return;
+        }
         match self.folded.take() {
-            Some((folded, order)) if folded == digest => self.order = order,
+            Some((folded, order, layout)) if folded == digest => {
+                self.order = order;
+                self.layout = layout;
+            }
             _ => match Order::from_bytes(state) {
-                Some(order) => self.order = order,
+                Some(order) => {
+                    self.order = order;
+                    self.layout = None;
+                }
                 None => return,
             },
         }
@@ -478,42 +648,66 @@ impl B2BObject for OrderObject {
 
     /// The default fold's steps, replayed in typed form: `current` is
     /// decoded at most once — not at all when it is the state this object
-    /// last installed — each update applies to (and is checked against)
-    /// the order the steps before it reached, and each successor is
-    /// encoded once — its hash is what the batch link signs. The last
-    /// successor is kept for [`B2BObject::apply_state`].
+    /// last installed — and each update is checked against the order the
+    /// steps before it reached, by the part it changes. Each successor's
+    /// bytes — their hash is what the batch link signs — are the bytes
+    /// before it with that part spliced in; an order is encoded whole only
+    /// when the bytes before it are not its own encoding (an undecoded
+    /// start, or a whole-state update's bytes). The last successor is kept
+    /// for [`B2BObject::apply_state`].
     fn fold_updates(
         &self,
         proposer: Option<&PartyId>,
         current: &[u8],
         updates: &[Vec<u8>],
     ) -> Vec<FoldStep> {
-        let mut cur = if sha256(current) == self.applied {
-            Some(Cow::Borrowed(&self.order))
+        let (mut cur, mut layout) = if sha256(current) == self.applied {
+            (Some(Cow::Borrowed(&self.order)), self.layout.clone())
         } else {
-            Order::from_bytes(current).map(Cow::Owned)
+            (Order::from_bytes(current).map(Cow::Owned), None)
         };
-        let steps: Vec<FoldStep> = updates
-            .iter()
-            .map(|update| {
-                let (next, verdict) = self.replay(proposer, cur.as_deref(), update);
-                let next = next.map(|next| {
-                    let (order, bytes) = match next {
-                        Next::Applied(order) => {
-                            let bytes = order.to_bytes();
-                            (order, bytes)
-                        }
-                        Next::Whole(order) => (order, update.clone()),
-                    };
+        let mut steps: Vec<FoldStep> = Vec::with_capacity(updates.len());
+        // The step whose successor is the state reached so far, if any.
+        let mut reached: Option<usize> = None;
+        let mut text = String::new();
+        for update in updates {
+            let (next, verdict) = self.replay(proposer, cur.as_deref(), update);
+            let next = match next {
+                Err(reason) => Err(reason),
+                Ok(Next::Whole(order)) => {
                     cur = Some(Cow::Owned(order));
-                    bytes
-                });
-                FoldStep { next, verdict }
-            })
-            .collect();
-        let reached = steps.iter().rev().find_map(|step| step.next.as_ref().ok());
-        if let (Some(bytes), Some(Cow::Owned(order))) = (reached, cur) {
-            self.folded.set(Some((sha256(bytes), order)));
+                    layout = None;
+                    Ok(update.clone())
+                }
+                Ok(Next::Change(change)) => {
+                    let order = cur.as_mut().expect("a delta applies to an order").to_mut();
+                    let prev = match reached.map(|i| &steps[i].next) {
+                        Some(Ok(state)) => state.as_slice(),
+                        _ => current,
+                    };
+                    match &mut layout {
+                        Some(layout) => {
+                            let bytes = layout.splice(prev, &change, &mut text);
+                            change.install(order);
+                            Ok(bytes)
+                        }
+                        None => {
+                            change.install(order);
+                            let (bytes, encoded) = Layout::encode(order, prev.len() + 64);
+                            layout = Some(encoded);
+                            Ok(bytes)
+                        }
+                    }
+                }
+            };
+            if next.is_ok() {
+                reached = Some(steps.len());
+            }
+            steps.push(FoldStep { next, verdict });
+        }
+        if let (Some(i), Some(Cow::Owned(order))) = (reached, cur) {
+            let bytes = steps[i].next.as_ref().expect("a reached state");
+            self.folded.set(Some((sha256(bytes), order, layout)));
         }
         steps
     }

@@ -455,7 +455,7 @@ impl<A: CoordAccess> Controller<A> {
                 let object = self.object.clone();
                 let ticket = self.access.with(move |c, ctx| {
                     let run = c.propose_overwrite(&object, state, ctx)?;
-                    Ok::<_, CoordError>(c.ticket_for_run(run))
+                    Ok::<_, CoordError>(c.ticket_for_run(&object, run))
                 })?;
                 self.finish_ticket(ticket)
             }
@@ -468,7 +468,7 @@ impl<A: CoordAccess> Controller<A> {
                     // pre-batching wire behaviour).
                     Mode::Synchronous => self.access.with(move |c, ctx| {
                         let run = c.propose_update(&object, delta, ctx)?;
-                        Ok::<_, CoordError>(c.ticket_for_run(run))
+                        Ok::<_, CoordError>(c.ticket_for_run(&object, run))
                     })?,
                     // Deferred and asynchronous callers pipeline: the
                     // update queues and may coalesce with concurrent
@@ -517,9 +517,7 @@ impl<A: CoordAccess> Controller<A> {
     /// arrived in time.
     pub fn coord_commit(&self, ticket: CoordTicket) -> Result<(), CoordError> {
         let id = ticket.ticket;
-        let done = self
-            .access
-            .wait(self.timeout, move |c| c.outcome_of_ticket(&id).is_some());
+        let done = self.access.wait(self.timeout, move |c| has_outcome(c, &id));
         if !done {
             let run = self
                 .run_of(ticket)
@@ -648,10 +646,18 @@ fn status_of(c: &Coordinator, ticket: &TicketId) -> TicketStatus {
 }
 
 /// Whether waiting on `ticket` at `c` is over: it is terminal, or unknown.
+/// A wait re-runs this after every event on the slot, so it only looks;
+/// the statuses are built once, when the wait ends.
 fn settled(c: &Coordinator, ticket: &TicketId) -> bool {
+    c.ticket_state(ticket).is_none() || has_outcome(c, ticket)
+}
+
+/// Whether [`Coordinator::outcome_of_ticket`] would answer, without
+/// building the answer.
+fn has_outcome(c: &Coordinator, ticket: &TicketId) -> bool {
     match c.ticket_state(ticket) {
-        None | Some(TicketState::Failed(_)) => true,
-        Some(TicketState::Queued) => false,
-        Some(TicketState::Run(_)) => c.outcome_of_ticket(ticket).is_some(),
+        None | Some(TicketState::Queued) => false,
+        Some(TicketState::Failed(_)) => true,
+        Some(TicketState::Run(run)) => c.outcome_of(run).is_some(),
     }
 }

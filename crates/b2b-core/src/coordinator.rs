@@ -21,6 +21,7 @@ use crate::object::B2BObject;
 use crate::replica::{
     snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
 };
+use crate::seq::SeqTable;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
     SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
@@ -113,6 +114,10 @@ pub(crate) struct PendingUpdates {
     /// backoff so two colliding proposers desynchronise instead of
     /// re-colliding in lockstep.
     pub(crate) holdoff_timer: Option<u64>,
+    /// The tickets the object's active round carries, in batch order,
+    /// under its run: a contended veto requeues them, an install drops
+    /// their retry counters.
+    pub(crate) carried: Option<(RunId, Vec<TicketId>)>,
 }
 
 /// How many times one ticket's update is re-proposed after rounds lost
@@ -188,9 +193,9 @@ pub struct Coordinator {
     /// Per-object queues of updates accepted by [`Coordinator::submit_updates`]
     /// and awaiting a coordination round. Volatile (cleared on crash).
     pub(crate) pending_updates: HashMap<ObjectId, PendingUpdates>,
-    /// Resolution state of every ticket handed out. Volatile.
-    pub(crate) tickets: HashMap<TicketId, TicketState>,
-    pub(crate) next_ticket: u64,
+    /// Resolution state of every ticket handed out, under its id: ids are
+    /// issued in sequence from 1 and go on after a crash. Volatile.
+    pub(crate) tickets: SeqTable<TicketState>,
     /// Armed contention-retry holdoff timers, timer id → object.
     pub(crate) holdoff_timers: HashMap<u64, ObjectId>,
     /// How often each still-live ticket has been re-proposed after a round
@@ -350,8 +355,7 @@ impl CoordinatorBuilder {
             ttp_timers: HashMap::new(),
             next_timer: 1,
             pending_updates: HashMap::new(),
-            tickets: HashMap::new(),
-            next_ticket: 1,
+            tickets: SeqTable::new(1),
             holdoff_timers: HashMap::new(),
             transient_retry: HashMap::new(),
             verify_pool: self.verify_pool,
@@ -1286,13 +1290,9 @@ impl Coordinator {
         }
         let mut tickets = Vec::with_capacity(updates.len());
         for update in updates {
-            let ticket = TicketId(self.next_ticket);
-            self.next_ticket += 1;
+            let ticket = TicketId(self.tickets.push(TicketState::Queued));
             pending.queue.push((ticket, update));
             tickets.push(ticket);
-        }
-        for &ticket in &tickets {
-            self.tickets.insert(ticket, TicketState::Queued);
         }
         self.flush_pending_updates(object, ctx);
         Ok(tickets)
@@ -1374,7 +1374,7 @@ impl Coordinator {
                         updates.push(u);
                     }
                     Err(reason) => {
-                        self.tickets.insert(
+                        self.set_ticket(
                             tid,
                             TicketState::Failed(format!("update not applicable: {reason}")),
                         );
@@ -1386,40 +1386,53 @@ impl Coordinator {
             };
             match self.propose_applied(object, updates, links, state, ctx) {
                 Ok(run) => {
-                    for tid in ids {
-                        self.tickets.insert(tid, TicketState::Run(run));
+                    for &tid in &ids {
+                        self.set_ticket(tid, TicketState::Run(run));
                     }
+                    self.carry(object, run, ids);
                     return;
                 }
                 Err(e) => {
                     let reason = e.to_string();
                     for tid in ids {
-                        self.tickets
-                            .insert(tid, TicketState::Failed(reason.clone()));
+                        self.set_ticket(tid, TicketState::Failed(reason.clone()));
                     }
                 }
             }
         }
     }
 
-    /// Wraps an already-started run in a ticket, so callers that proposed
-    /// directly (overwrite, synchronous update) and callers that went
-    /// through the pending queue poll one uniform handle.
-    pub fn ticket_for_run(&mut self, run: RunId) -> TicketId {
-        let ticket = TicketId(self.next_ticket);
-        self.next_ticket += 1;
-        self.tickets.insert(ticket, TicketState::Run(run));
+    /// Wraps a run just started on `object` in a ticket, so callers that
+    /// proposed directly (overwrite, synchronous update) and callers that
+    /// went through the pending queue poll one uniform handle.
+    pub fn ticket_for_run(&mut self, object: &ObjectId, run: RunId) -> TicketId {
+        let ticket = TicketId(self.tickets.push(TicketState::Run(run)));
+        self.carry(object, run, vec![ticket]);
         ticket
+    }
+
+    /// Records that `run`, the round now active on `object`, carries the
+    /// updates of `tickets`.
+    fn carry(&mut self, object: &ObjectId, run: RunId, tickets: Vec<TicketId>) {
+        let pending = self.pending_updates.entry(object.clone()).or_default();
+        pending.carried = Some((run, tickets));
+    }
+
+    /// Moves `ticket` on to `state`, if this party still holds it.
+    pub(crate) fn set_ticket(&mut self, ticket: TicketId, state: TicketState) {
+        if let Some(entry) = self.tickets.get_mut(ticket.0) {
+            *entry = state;
+        }
     }
 
     /// Where `ticket` currently stands, if known.
     pub fn ticket_state(&self, ticket: &TicketId) -> Option<&TicketState> {
-        self.tickets.get(ticket)
+        self.tickets.get(ticket.0)
     }
 
     /// The run that carried `ticket`'s update, once dispatched.
     pub fn run_of_ticket(&self, ticket: &TicketId) -> Option<RunId> {
-        match self.tickets.get(ticket) {
+        match self.tickets.get(ticket.0) {
             Some(TicketState::Run(run)) => Some(*run),
             _ => None,
         }
@@ -1429,7 +1442,7 @@ impl Coordinator {
     /// A ticket that failed before dispatch (inapplicable update, proposal
     /// error) reports as [`Outcome::Aborted`] with the failure reason.
     pub fn outcome_of_ticket(&self, ticket: &TicketId) -> Option<Outcome> {
-        match self.tickets.get(ticket)? {
+        match self.tickets.get(ticket.0)? {
             TicketState::Queued => None,
             TicketState::Run(run) => self.outcomes.get(run).cloned(),
             TicketState::Failed(reason) => Some(Outcome::Aborted {

@@ -59,6 +59,7 @@ pub mod object;
 mod proto_member;
 mod proto_state;
 pub mod replica;
+pub mod seq;
 mod tally;
 mod termination;
 
@@ -73,3 +74,4 @@ pub use dispute::{Arbiter, Claim, Ruling};
 pub use error::CoordError;
 pub use ids::{members_digest, GroupId, ObjectId, RunId, StateId};
 pub use object::{fold_each, B2BObject, FoldStep};
+pub use seq::SeqTable;

@@ -872,12 +872,20 @@ impl Coordinator {
     ) -> Vec<(TicketId, Vec<u8>)> {
         use crate::coordinator::TicketState;
         let mut requeue = Vec::new();
+        // The tickets this run carries, in batch order.
+        let tids = match self
+            .pending_updates
+            .get_mut(&m1.proposal.object)
+            .and_then(|p| p.carried.take())
+        {
+            Some((carrier, tids)) if carrier == run => tids,
+            _ => return requeue,
+        };
         if outcome.is_installed() && !self.transient_retry.is_empty() {
             // The contended updates made it in: drop their retry counters.
-            let tickets = &self.tickets;
-            self.transient_retry.retain(
-                |tid, _| !matches!(tickets.get(tid), Some(TicketState::Run(r)) if *r == run),
-            );
+            for tid in &tids {
+                self.transient_retry.remove(tid);
+            }
         }
         let Outcome::Invalidated { vetoers } = outcome else {
             return requeue;
@@ -896,14 +904,6 @@ impl Coordinator {
             }
             _ => return requeue,
         };
-        // This run's tickets, in submission (= batch) order.
-        let mut tids: Vec<TicketId> = self
-            .tickets
-            .iter()
-            .filter(|(_, s)| matches!(s, TicketState::Run(r) if *r == run))
-            .map(|(t, _)| *t)
-            .collect();
-        tids.sort();
         if tids.len() != updates.len() {
             return requeue;
         }
@@ -914,9 +914,9 @@ impl Coordinator {
             if *n > crate::coordinator::MAX_TRANSIENT_RETRIES {
                 self.transient_retry.remove(&tid);
                 let failed = format!("contention retries exhausted: {reason}");
-                self.tickets.insert(tid, TicketState::Failed(failed));
+                self.set_ticket(tid, TicketState::Failed(failed));
             } else {
-                self.tickets.insert(tid, TicketState::Queued);
+                self.set_ticket(tid, TicketState::Queued);
                 requeue.push((tid, u));
             }
         }

@@ -41,8 +41,8 @@
 use b2b_apps::{Order, OrderObject, OrderRoles, OrderUpdate};
 use b2b_core::controller::Mode;
 use b2b_core::{
-    Controller, CoordError, CoordTicket, Coordinator, CoordinatorConfig, ObjectId, TicketId,
-    TicketStatus,
+    Controller, CoordError, CoordTicket, Coordinator, CoordinatorConfig, ObjectId, SeqTable,
+    TicketId, TicketStatus,
 };
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, VerifyPool};
 use b2b_evidence::{LogAuditor, MemStore};
@@ -106,12 +106,85 @@ impl Default for OrderServerOptions {
 }
 
 /// Where a public ticket points, plus whether its terminal outcome has
-/// been counted into the `serve_installed`/`serve_vetoed` metrics.
+/// been counted into the `serve_installed`/`serve_vetoed` metrics: 16
+/// bytes.
 struct TicketRef {
-    group: usize,
-    party: usize,
     ticket: TicketId,
+    group: u32,
+    party: u16,
     counted: bool,
+}
+
+/// An engine ticket, by the order (group) and party whose engine holds it.
+type Resolved = (usize, usize, TicketId);
+
+/// The public tickets handed out. They are pollable for the life of the
+/// process, under ids 1, 2, 3, … issued in the table under its lock, so an
+/// id resolves by arithmetic and the table grows without copying itself.
+struct PublicTickets(Mutex<SeqTable<TicketRef>>);
+
+impl PublicTickets {
+    fn new() -> PublicTickets {
+        PublicTickets(Mutex::new(SeqTable::new(1)))
+    }
+
+    /// Issues one public ticket per engine ticket of order `g`'s party
+    /// `p`, in order.
+    fn publish(&self, g: usize, p: usize, tickets: &[TicketId]) -> Vec<u64> {
+        let group = u32::try_from(g).expect("order index fits 32 bits");
+        let party = u16::try_from(p).expect("party index fits 16 bits");
+        let mut table = self.0.lock().expect("tickets");
+        tickets
+            .iter()
+            .map(|&ticket| {
+                table.push(TicketRef {
+                    ticket,
+                    group,
+                    party,
+                    counted: false,
+                })
+            })
+            .collect()
+    }
+
+    /// Where each of `publics` points (`None`: never issued), under one
+    /// lock.
+    fn resolve(&self, publics: &[u64]) -> Vec<Option<Resolved>> {
+        let table = self.0.lock().expect("tickets");
+        publics
+            .iter()
+            .map(|&public| {
+                let entry = table.get(public)?;
+                Some((entry.group as usize, entry.party as usize, entry.ticket))
+            })
+            .collect()
+    }
+
+    /// Marks each public ticket whose status is terminal as counted, under
+    /// one lock, and returns the statuses counted for the first time.
+    fn first_terminal<'a>(
+        &self,
+        answered: impl IntoIterator<Item = (u64, &'a TicketStatus)>,
+    ) -> Vec<&'a TicketStatus> {
+        let mut terminal = answered
+            .into_iter()
+            .filter(|(_, status)| status.is_terminal())
+            .peekable();
+        if terminal.peek().is_none() {
+            return Vec::new();
+        }
+        let mut table = self.0.lock().expect("tickets");
+        terminal
+            .filter(|&(public, _)| match table.get_mut(public) {
+                Some(entry) if !entry.counted => {
+                    entry.counted = true;
+                    true
+                }
+                _ => false,
+            })
+            .map(|(_, status)| status)
+            .collect()
+    }
 }
 
 /// One open §5 state-access scope, pinned to an (order, party) pair
@@ -161,8 +234,7 @@ struct Core {
     object: ObjectId,
     orders: usize,
     allocated: AtomicU64,
-    next_ticket: AtomicU64,
-    tickets: Mutex<HashMap<u64, TicketRef>>,
+    tickets: PublicTickets,
     sessions: Mutex<HashMap<(usize, usize), Session>>,
     telemetry: Telemetry,
     sync_timeout: Duration,
@@ -277,8 +349,7 @@ impl OrderServer {
             object,
             orders: opts.orders,
             allocated: AtomicU64::new(0),
-            next_ticket: AtomicU64::new(1),
-            tickets: Mutex::new(HashMap::new()),
+            tickets: PublicTickets::new(),
             sessions: Mutex::new(HashMap::new()),
             telemetry: opts.telemetry,
             sync_timeout: opts.sync_timeout,
@@ -722,7 +793,7 @@ impl Core {
             }
             Completion::Settled(statuses)
         } else {
-            Completion::Ticketed(self.publish(g, p, &tickets))
+            Completion::Ticketed(self.tickets.publish(g, p, &tickets))
         };
         Ok(Self::render(completion, bulk))
     }
@@ -770,28 +841,6 @@ impl Core {
         )
     }
 
-    /// Registers one public, pollable ticket per engine ticket of order
-    /// `g`'s party `p`, in order.
-    fn publish(&self, g: usize, p: usize, tickets: &[TicketId]) -> Vec<u64> {
-        let mut map = self.tickets.lock().expect("tickets");
-        tickets
-            .iter()
-            .map(|&ticket| {
-                let public = self.next_ticket.fetch_add(1, Ordering::SeqCst);
-                map.insert(
-                    public,
-                    TicketRef {
-                        group: g,
-                        party: p,
-                        ticket,
-                        counted: false,
-                    },
-                );
-                public
-            })
-            .collect()
-    }
-
     fn backpressure(&self) -> HttpResponse {
         self.telemetry.add(names::SERVE_BACKPRESSURE_429, 1);
         HttpResponse::json(
@@ -815,17 +864,12 @@ impl Core {
             .query_param("wait_ms")
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        // Copy the reference out and drop the map lock before touching
-        // the coordinator: `poll_status` waits on the group's slot, and
-        // holding the global ticket map across that wait would convoy
-        // every other poll and every deferred submit behind one slow
-        // group.
-        let (group, party, ticket) = {
-            let tickets = self.tickets.lock().expect("tickets");
-            let Some(entry) = tickets.get(&public) else {
-                return HttpResponse::json(404, "{\"status\":\"unknown\"}");
-            };
-            (entry.group, entry.party, entry.ticket)
+        // The reference is copied out and the table's lock dropped before
+        // the coordinator is touched: `poll_status` waits on the group's
+        // slot, and holding the table across that wait would convoy every
+        // other poll and every deferred submit behind one slow group.
+        let Some((group, party, ticket)) = self.tickets.resolve(&[public])[0] else {
+            return HttpResponse::json(404, "{\"status\":\"unknown\"}");
         };
         let handle = &self.handles[group][party];
         let ctrl = Controller::new(handle.clone(), self.object.clone());
@@ -835,7 +879,7 @@ impl Core {
         } else {
             ctrl.poll_status(CoordTicket { ticket })
         };
-        self.count_terminal(public, &status);
+        self.count_first(public, &status);
         if matches!(status, TicketStatus::Unknown) {
             return HttpResponse::json(404, "{\"status\":\"unknown\"}");
         }
@@ -866,13 +910,7 @@ impl Core {
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
         let deadline = Instant::now() + Duration::from_millis(wait_ms).min(self.sync_timeout);
-        let found: Vec<Option<(usize, usize, TicketId)>> = {
-            let tickets = self.tickets.lock().expect("tickets");
-            publics
-                .iter()
-                .map(|public| tickets.get(public).map(|e| (e.group, e.party, e.ticket)))
-                .collect()
-        };
+        let found = self.tickets.resolve(&publics);
         // One wait and one read per (group, party) engine, each waiting
         // for all of its tickets at once; sequential waits share one
         // deadline, and tickets resolve concurrently in their groups
@@ -904,6 +942,12 @@ impl Core {
                 statuses[i] = Some(status);
             }
         }
+        let answered = publics.iter().zip(&statuses);
+        for status in self.tickets.first_terminal(
+            answered.filter_map(|(&public, status)| Some((public, status.as_ref()?))),
+        ) {
+            self.count(status);
+        }
         let entries: Vec<String> = publics
             .iter()
             .zip(statuses)
@@ -911,7 +955,6 @@ impl Core {
                 let Some(status) = status else {
                     return format!("{{\"ticket\":{public},\"status\":\"unknown\"}}");
                 };
-                self.count_terminal(public, &status);
                 let inner = Self::status_json(&status);
                 format!(
                     "{{\"ticket\":{public},{}",
@@ -933,16 +976,9 @@ impl Core {
 
     /// Counts a public ticket's first observed terminal status
     /// (idempotent per ticket).
-    fn count_terminal(&self, public: u64, status: &TicketStatus) {
-        if !status.is_terminal() {
-            return;
-        }
-        let mut tickets = self.tickets.lock().expect("tickets");
-        if let Some(entry) = tickets.get_mut(&public) {
-            if !entry.counted {
-                entry.counted = true;
-                self.count(status);
-            }
+    fn count_first(&self, public: u64, status: &TicketStatus) {
+        for status in self.tickets.first_terminal([(public, status)]) {
+            self.count(status);
         }
     }
 
@@ -1064,7 +1100,7 @@ impl Core {
                             self.telemetry.add(names::SERVE_INSTALLED, 1);
                             return Ok(HttpResponse::json(200, "{\"outcome\":\"installed\"}"));
                         }
-                        let public = self.publish(g, p, &[ticket.ticket])[0];
+                        let public = self.tickets.publish(g, p, &[ticket.ticket])[0];
                         Ok(HttpResponse::json(202, format!("{{\"ticket\":{public}}}")))
                     }
                     Err(CoordError::Invalidated { vetoers }) => {
@@ -1078,5 +1114,98 @@ impl Core {
             }
             _ => unreachable!("routed actions only"),
         }
+    }
+}
+
+#[cfg(test)]
+mod ticket_table {
+    use super::*;
+
+    fn terminal() -> TicketStatus {
+        TicketStatus::Aborted {
+            reason: "terminal".into(),
+        }
+    }
+
+    #[test]
+    fn an_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<TicketRef>(), 16);
+    }
+
+    #[test]
+    fn ids_never_issued_resolve_to_nothing() {
+        let table = PublicTickets::new();
+        assert_eq!(table.publish(3, 1, &[TicketId(7), TicketId(8)]), [1, 2]);
+        assert_eq!(
+            table.resolve(&[0, 1, 2, 3, u64::MAX]),
+            [
+                None,
+                Some((3, 1, TicketId(7))),
+                Some((3, 1, TicketId(8))),
+                None,
+                None
+            ]
+        );
+    }
+
+    #[test]
+    fn tickets_published_from_several_threads_resolve_to_their_own() {
+        let table = Arc::new(PublicTickets::new());
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let threads: Vec<_> = (0..4usize)
+            .map(|g| {
+                let (table, start) = (Arc::clone(&table), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut issued = Vec::new();
+                    for round in 0..500u64 {
+                        let p = (round % 2) as usize;
+                        let tickets: Vec<TicketId> = (0..1 + round % 3)
+                            .map(|i| TicketId(1000 * g as u64 + 10 * round + i))
+                            .collect();
+                        let publics = table.publish(g, p, &tickets);
+                        assert_eq!(publics.len(), tickets.len());
+                        // One publication's ids are consecutive.
+                        assert!(publics.windows(2).all(|w| w[1] == w[0] + 1));
+                        issued.extend(
+                            publics
+                                .into_iter()
+                                .zip(tickets)
+                                .map(|(public, t)| (public, (g, p, t))),
+                        );
+                    }
+                    issued
+                })
+            })
+            .collect();
+        let mut issued: Vec<(u64, Resolved)> = threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("publisher"))
+            .collect();
+        issued.sort_by_key(|&(public, _)| public);
+        // Every id from 1 up was issued exactly once.
+        assert!(issued
+            .iter()
+            .map(|&(public, _)| public)
+            .eq(1..=issued.len() as u64));
+        let publics: Vec<u64> = issued.iter().map(|&(public, _)| public).collect();
+        let resolved = table.resolve(&publics);
+        for ((public, expected), found) in issued.iter().zip(resolved) {
+            assert_eq!(found, Some(*expected), "public ticket {public}");
+        }
+        let next = issued.len() as u64 + 1;
+        assert_eq!(table.resolve(&[next]), [None]);
+    }
+
+    #[test]
+    fn a_terminal_status_is_counted_once_and_only_for_issued_ids() {
+        let table = PublicTickets::new();
+        table.publish(0, 0, &[TicketId(1), TicketId(2)]);
+        let (done, pending) = (terminal(), TicketStatus::Pending { run: None });
+        let first = table.first_terminal([(1, &done), (2, &pending), (9, &done)]);
+        assert_eq!(first, [&done]);
+        let again = table.first_terminal([(1, &done), (2, &done)]);
+        assert_eq!(again, [&done]);
+        assert!(table.first_terminal([(1, &done), (2, &done)]).is_empty());
     }
 }
