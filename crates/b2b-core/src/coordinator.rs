@@ -185,6 +185,8 @@ pub struct Coordinator {
     /// The key of the checkpoint document being written, rebuilt in place
     /// for every document.
     checkpoint_key: String,
+    /// An index write failed: the next checkpoint rewrites the index.
+    index_stale: bool,
     pub(crate) detected: Vec<Misbehaviour>,
     pub(crate) deadline_timers: HashMap<u64, (ObjectId, RunId)>,
     pub(crate) ttp_cases: HashMap<RunId, crate::termination::TtpCase>,
@@ -349,6 +351,7 @@ impl CoordinatorBuilder {
             events: Vec::new(),
             msg_counts: BTreeMap::new(),
             checkpoint_key: String::new(),
+            index_stale: false,
             detected: Vec::new(),
             deadline_timers: HashMap::new(),
             ttp_cases: HashMap::new(),
@@ -981,8 +984,12 @@ impl Coordinator {
     /// Checkpoints `object`: writes the checkpoint documents this step
     /// made stale, and only those, in the order
     /// [`Replica::take_stale_docs`] fixes. A document whose write fails
-    /// stays stale and is retried by the next checkpoint.
+    /// stays stale and is retried by the next checkpoint, as is an index
+    /// whose write failed.
     pub(crate) fn persist(&mut self, object: &ObjectId) {
+        if self.index_stale {
+            self.persist_index();
+        }
         let Some(rep) = self.replicas.get_mut(object) else {
             return;
         };
@@ -1023,25 +1030,33 @@ impl Coordinator {
         }
     }
 
+    /// Writes the index recovery starts from: the objects this party holds
+    /// a replica of, and its pending connection requests. A failed write is
+    /// reported and leaves the index stale for the next checkpoint.
     pub(crate) fn persist_index(&mut self) {
-        let mut enc = Encoder::new();
-        enc.put_u8(SNAPSHOT_FORMAT);
-        enc.put_u64(self.replicas.len() as u64);
+        let mut objects = Encoder::new();
+        objects.put_u8(SNAPSHOT_FORMAT);
+        objects.put_u64(self.replicas.len() as u64);
         for id in self.replicas.keys() {
-            id.encode(&mut enc);
+            id.encode(&mut objects);
         }
-        let _ = self.snapshots.put_snapshot("objects", enc.finish());
-        let mut enc = Encoder::new();
-        enc.put_u8(SNAPSHOT_FORMAT);
-        enc.put_u64(self.pending_connects.len() as u64);
+        let mut pending = Encoder::new();
+        pending.put_u8(SNAPSHOT_FORMAT);
+        pending.put_u64(self.pending_connects.len() as u64);
         for (object, p) in &self.pending_connects {
-            object.encode(&mut enc);
-            p.sponsor.encode(&mut enc);
-            p.request.encode(&mut enc);
+            object.encode(&mut pending);
+            p.sponsor.encode(&mut pending);
+            p.request.encode(&mut pending);
         }
-        let _ = self
-            .snapshots
-            .put_snapshot("pending-connects", enc.finish());
+        self.index_stale = false;
+        for (key, blob) in [("objects", objects), ("pending-connects", pending)] {
+            if let Err(e) = self.snapshots.put_snapshot(key, blob.finish()) {
+                self.index_stale = true;
+                self.detected.push(Misbehaviour::UnexpectedMessage {
+                    detail: format!("checkpoint write of {key} failed: {e}"),
+                });
+            }
+        }
     }
 
     /// Arms the proposer-side run deadline, when configured.

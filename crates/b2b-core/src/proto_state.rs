@@ -299,9 +299,7 @@ impl Coordinator {
             return run;
         }
         self.send_wire_all(&polled, &WireMsg::Propose(m1), ctx);
-        if !rules.membership {
-            self.arm_deadline(object, run, ctx);
-        }
+        self.arm_deadline(object, run, ctx);
         self.persist(object);
         self.emit(object, run, CoordEventKind::Proposed, now);
         run
@@ -645,7 +643,7 @@ impl Coordinator {
             rep.note_seen(run, tuple);
         }
         self.replicas.insert(oid.clone(), rep);
-        if c.track && self.config.ttp.is_some() && !rules.membership {
+        if c.track && self.config.ttp.is_some() {
             self.arm_deadline(&oid, run, ctx);
         }
 
@@ -816,8 +814,7 @@ impl Coordinator {
             // the engine never installed the proposed state, so rollback is
             // re-asserting the agreed checkpoint.
             if let Some(rep) = self.replicas.get_mut(oid) {
-                let agreed = rep.agreed_state.clone();
-                rep.object.apply_state(&agreed);
+                rep.object.apply_state(&rep.agreed_state);
             }
             Outcome::Invalidated { vetoers }
         };
@@ -1146,62 +1143,79 @@ impl Coordinator {
     }
 
     // -----------------------------------------------------------------
-    // Deadlines (§7 termination extension, proposer side)
+    // Deadlines (§7 termination extension)
     // -----------------------------------------------------------------
 
+    /// A run's deadline passed. A proposer's majority round resolves with
+    /// the responses in hand: silence counts neither for nor against. Any
+    /// other blocked run — the proposer's under unanimity, or a recipient's
+    /// whose decide never came — appeals to the TTP (§7). Without one the
+    /// proposer aborts locally, leaving the evidence for extra-protocol
+    /// resolution, and a recipient stays blocked per the base protocol.
     pub(crate) fn on_run_deadline(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
-        let now = ctx.now();
-        match self.replicas.get(oid).and_then(|r| r.active.as_ref()) {
-            // A blocked *recipient* (responded, decide never came) can
-            // appeal to the TTP too; without a TTP it stays blocked per the
-            // base protocol.
-            Some(ActiveRun::Recipient(rr)) if rr.run == run => {
-                if let Some(ttp) = self.config.ttp.clone() {
-                    self.appeal_to_ttp(oid, run, ttp, ctx);
-                }
-                return;
-            }
-            Some(ActiveRun::Proposer(pr)) if pr.run == run => {}
+        let (proposer, majority) = match self.replicas.get(oid).and_then(|r| r.active.as_ref()) {
+            Some(ActiveRun::Proposer(pr)) if pr.run == run => (
+                true,
+                self.rule(&pr.propose.proposal.kind) == DecisionRule::Majority,
+            ),
+            Some(ActiveRun::Recipient(rr)) if rr.run == run => (false, false),
             _ => return,
-        }
-        match self.config.decision_rule {
-            crate::config::DecisionRule::Majority => {
-                // Resolve with the responses in hand: silence counts
-                // neither for nor against; the majority threshold is over
-                // the whole group.
-                self.finalize(oid, run, ctx);
-            }
-            crate::config::DecisionRule::Unanimous => {
-                // §7: with an appointed TTP, appeal for a certified
-                // resolution that reaches every member; without one, abort
-                // locally and leave the evidence for extra-protocol
-                // resolution.
-                if let Some(ttp) = self.config.ttp.clone() {
-                    self.appeal_to_ttp(oid, run, ttp, ctx);
-                    return;
-                }
-                if let Some(rep) = self.replicas.get_mut(oid) {
-                    rep.finish_run();
-                    let agreed = rep.agreed_state.clone();
-                    rep.object.apply_state(&agreed);
-                }
-                let outcome = Outcome::Aborted {
-                    reason: "response deadline expired".into(),
-                };
-                self.telemetry.inc(names::ROUNDS_ABORTED);
-                self.observe_run_latency(&run, now);
-                self.trace(now, "state_run", "abort", || {
-                    format!("object={oid} run={} reason=deadline", run.to_hex())
-                });
-                self.persist(oid);
-                self.outcomes.insert(run, outcome.clone());
-                self.emit(oid, run, CoordEventKind::Completed { outcome }, now);
-                self.pump_queue(oid, ctx);
-            }
+        };
+        if majority {
+            self.finalize(oid, run, ctx);
+        } else if let Some(ttp) = self.config.ttp.clone() {
+            self.appeal_to_ttp(oid, run, ttp, ctx);
+        } else if proposer {
+            let reason = "response deadline expired".into();
+            self.end_run(oid, run, Err(Outcome::Aborted { reason }), Vec::new(), ctx);
         }
     }
 
-    pub(crate) fn checkpoint_evidence(&mut self, oid: &ObjectId, run: RunId, now: TimeMs) {
+    /// Ends the active `run` here without a decide, at its deadline or by a
+    /// TTP resolution: `Ok` installs what it proposed, `Err` rolls back to
+    /// the agreed state with that outcome. A sponsor then tells the subject,
+    /// with `responses` as the deciding set.
+    pub(crate) fn end_run(
+        &mut self,
+        oid: &ObjectId,
+        run: RunId,
+        verdict: Result<(), Outcome>,
+        responses: Vec<RespondMsg>,
+        ctx: &mut NodeCtx,
+    ) {
+        let Some(rep) = self.replicas.get_mut(oid) else {
+            return;
+        };
+        let (m1, state, authenticator) = match rep.finish_run() {
+            Some(ActiveRun::Proposer(pr)) => {
+                (pr.propose, Some(pr.new_state), Some(pr.authenticator))
+            }
+            Some(ActiveRun::Recipient(rr)) => (rr.propose, rr.pending_state, None),
+            _ => unreachable!("the caller matched the active run"),
+        };
+        let accepted = verdict.is_ok();
+        let outcome = match verdict {
+            Ok(()) => self.install(oid, &m1, state),
+            Err(outcome) => {
+                rep.object.apply_state(&rep.agreed_state);
+                outcome
+            }
+        };
+        let kind = &m1.proposal.kind;
+        self.close_round(oid, run, kind, outcome, ctx.now());
+        if let Some(authenticator) = authenticator {
+            let decide = DecideMsg {
+                object: oid.clone(),
+                run,
+                authenticator,
+                responses,
+            };
+            self.answer_subject(oid, run, kind, accepted, decide, ctx);
+        }
+        self.pump_queue(oid, ctx);
+    }
+
+    fn checkpoint_evidence(&mut self, oid: &ObjectId, run: RunId, now: TimeMs) {
         let payload = self
             .replicas
             .get(oid)

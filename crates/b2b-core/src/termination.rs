@@ -27,8 +27,8 @@
 //!   honest parties terminate with the same view; later appeals for the
 //!   same run replay the cached certificate.
 
-use crate::config::{DecisionRule, REPLAY_WINDOW};
-use crate::decision::{CoordEventKind, Outcome};
+use crate::config::DecisionRule;
+use crate::decision::Outcome;
 use crate::detect::Misbehaviour;
 use crate::ids::{members_digest, ObjectId, RunId};
 use crate::messages::{
@@ -60,7 +60,11 @@ pub(crate) struct TtpCase {
 #[derive(Clone)]
 pub(crate) struct TtpAppeal {
     pub(crate) object: ObjectId,
+    /// Every member, each of whom is sent the resolution.
     pub(crate) members: Vec<PartyId>,
+    /// The members the proposal polled: the proposer's peers, less the
+    /// subjects of a departure or an eviction.
+    pub(crate) polled: Vec<PartyId>,
     pub(crate) proposer: PartyId,
     /// The proposed tuple from the (verified, signed) proposal; response
     /// echoes are checked against it.
@@ -169,6 +173,7 @@ impl Coordinator {
 
         let case = TtpAppeal {
             object: oid.clone(),
+            polled: msg.propose.proposal.polled(&msg.request.members),
             members: msg.request.members,
             proposer: msg.propose.proposal.proposer,
             proposed: msg.propose.proposal.proposed,
@@ -324,24 +329,24 @@ impl Coordinator {
         responses: &[RespondMsg],
         ctx: &mut NodeCtx,
     ) {
-        let members = &case.members;
+        let polled = &case.polled;
         let set = tally::check_set(
             responses,
             run,
             &case.object,
-            members.iter().filter(|m| **m != case.proposer),
+            polled,
             false,
             |r| r.response.proposed == case.proposed,
             |items| self.verify_batch_cached(items),
         );
         let verdict = if set.is_err() {
             TtpVerdict::CertifiedAbort
-        } else if tally::decide(DecisionRule::Unanimous, members.len(), responses).0 {
+        } else if tally::decide(DecisionRule::Unanimous, polled.len() + 1, responses).0 {
             TtpVerdict::CertifiedValid
         } else {
             TtpVerdict::CertifiedInvalid
         };
-        self.certify_and_broadcast(&case.object, run, verdict, responses, members, ctx);
+        self.certify_and_broadcast(&case.object, run, verdict, responses, &case.members, ctx);
     }
 
     fn certify_and_broadcast(
@@ -437,62 +442,10 @@ impl Coordinator {
         if self.outcomes.contains_key(&run) {
             return; // already terminated (e.g. the decide arrived after all)
         }
-        let Some(rep) = self.replicas.get_mut(&oid) else {
-            return;
-        };
-        // Only state rounds have deadlines, and so appeals.
-        let in_run = match &rep.active {
-            Some(ActiveRun::Proposer(pr)) => {
-                pr.run == run && !pr.propose.proposal.kind.is_membership()
-            }
-            Some(ActiveRun::Recipient(rr)) => {
-                rr.run == run && !rr.propose.proposal.kind.is_membership()
-            }
-            _ => false,
-        };
-        if !in_run {
+        let active = self.replicas.get(&oid).and_then(|r| r.active.as_ref());
+        if active.and_then(ActiveRun::run_id) != Some(run) {
             return;
         }
-
-        let outcome = match msg.resolution.verdict {
-            TtpVerdict::CertifiedAbort => {
-                let agreed = rep.agreed_state.clone();
-                rep.object.apply_state(&agreed);
-                rep.finish_run();
-                Outcome::Aborted {
-                    reason: "TTP-certified abort".into(),
-                }
-            }
-            TtpVerdict::CertifiedValid => {
-                let pending = match rep.finish_run() {
-                    Some(ActiveRun::Proposer(pr)) => {
-                        Some((pr.propose.proposal.proposed, pr.new_state))
-                    }
-                    Some(ActiveRun::Recipient(rr)) => rr
-                        .pending_state
-                        .clone()
-                        .map(|st| (rr.propose.proposal.proposed, st)),
-                    _ => None,
-                };
-                match pending {
-                    Some((id, state)) => {
-                        rep.install_state(id, state, REPLAY_WINDOW);
-                        Outcome::Installed { state: id }
-                    }
-                    None => Outcome::Aborted {
-                        reason: "TTP certified valid but no local body".into(),
-                    },
-                }
-            }
-            TtpVerdict::CertifiedInvalid => {
-                let agreed = rep.agreed_state.clone();
-                rep.object.apply_state(&agreed);
-                rep.finish_run();
-                Outcome::Invalidated {
-                    vetoers: tally::vetoers(&msg.responses),
-                }
-            }
-        };
         self.log_evidence(
             EvidenceKind::TtpAbort,
             &oid,
@@ -502,12 +455,15 @@ impl Coordinator {
             Some(&msg.sig),
             now,
         );
-        if outcome.is_installed() {
-            self.checkpoint_evidence(&oid, run, now);
-        }
-        self.persist(&oid);
-        self.outcomes.insert(run, outcome.clone());
-        self.emit(&oid, run, CoordEventKind::Completed { outcome }, now);
-        self.pump_queue(&oid, ctx);
+        let verdict = match msg.resolution.verdict {
+            TtpVerdict::CertifiedValid => Ok(()),
+            TtpVerdict::CertifiedAbort => Err(Outcome::Aborted {
+                reason: "TTP-certified abort".into(),
+            }),
+            TtpVerdict::CertifiedInvalid => Err(Outcome::Invalidated {
+                vetoers: tally::vetoers(&msg.responses),
+            }),
+        };
+        self.end_run(&oid, run, verdict, msg.responses, ctx);
     }
 }

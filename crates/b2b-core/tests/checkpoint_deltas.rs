@@ -8,12 +8,14 @@
 //! * a crash landing just before any checkpoint put of a run — state
 //!   round, vetoed round, connection, disconnection — leaves a store from
 //!   which the crashed party recovers, the run completes, and every party
-//!   ends up exactly where an uncrashed run leaves it.
+//!   ends up exactly where an uncrashed run leaves it;
+//! * a failed write of the object index is reported and rewritten by the
+//!   next checkpoint, so a later crash still recovers the object.
 
 mod common;
 
 use b2b_core::replica::{ReplayWindow, StoredReply};
-use b2b_core::{Coordinator, CoordinatorConfig, GroupId, ObjectId, RunId, StateId};
+use b2b_core::{Coordinator, CoordinatorConfig, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2b_evidence::{
     EvidenceRecord, EvidenceStore, LogAuditor, MemStore, SnapshotStore, StoreError,
@@ -26,7 +28,8 @@ use std::sync::{Arc, Mutex};
 /// A [`MemStore`] that logs every replica-checkpoint put (`obj-…` keys) and
 /// can be told to fail from the n-th such put on — the disk a crashing
 /// process leaves behind. The `objects` / `pending-connects` index blobs
-/// are not part of the layout under test and are never the failing put.
+/// are not part of the layout under test; they fail only when
+/// `fail_objects_once` is armed, and then without a crash.
 struct ProbeStore {
     inner: MemStore,
     /// `(key, blob length)` of every checkpoint put that landed.
@@ -35,6 +38,8 @@ struct ProbeStore {
     fail_from: AtomicUsize,
     /// A put has failed; every later put fails too, until healed.
     tripped: AtomicBool,
+    /// The next `objects` put fails, and the process lives on.
+    fail_objects_once: AtomicBool,
 }
 
 impl ProbeStore {
@@ -44,6 +49,7 @@ impl ProbeStore {
             log: Mutex::new(Vec::new()),
             fail_from: AtomicUsize::new(usize::MAX),
             tripped: AtomicBool::new(false),
+            fail_objects_once: AtomicBool::new(false),
         }
     }
 
@@ -81,6 +87,9 @@ impl SnapshotStore for ProbeStore {
         let crashed = || StoreError::Io(std::io::Error::other("process crashed"));
         if self.tripped.load(Ordering::SeqCst) {
             return Err(crashed());
+        }
+        if key == "objects" && self.fail_objects_once.swap(false, Ordering::SeqCst) {
+            return Err(StoreError::Io(std::io::Error::other("disk full")));
         }
         if key.starts_with("obj-") {
             let mut log = self.log.lock().unwrap();
@@ -556,4 +565,37 @@ fn every_party_recovers_what_it_had() {
     }
     world.settle();
     assert_eq!(world.images(), live);
+}
+
+#[test]
+fn a_failed_index_write_is_rewritten_at_the_next_checkpoint() {
+    // org1's `objects` index put fails as it is welcomed. The failure is
+    // reported, the next checkpoint (its response to a round) rewrites the
+    // index, and a crash after that recovers the object.
+    let mut world = World::new(2, 1, 47);
+    world.connect(1, 0);
+    world.stores[1]
+        .fail_objects_once
+        .store(true, Ordering::SeqCst);
+    world.settle();
+    assert!(world.coord(1).is_member(&oid()));
+    assert!(!world.stores[1].fail_objects_once.load(Ordering::SeqCst));
+    assert!(
+        world
+            .coord(1)
+            .detected()
+            .iter()
+            .any(|m| matches!(m, Misbehaviour::UnexpectedMessage { detail } if detail.contains("objects"))),
+        "the failed index write is reported"
+    );
+    let run = world.propose(0, value(1));
+    world.settle();
+    assert!(world.coord(1).outcome_of(&run).unwrap().is_installed());
+    let live = world.images();
+    world.net.invoke(&party(1), |c, ctx| {
+        c.inner.on_crash();
+        c.recover(ctx);
+    });
+    world.settle();
+    assert_eq!(world.images(), live, "org1 recovers the object");
 }

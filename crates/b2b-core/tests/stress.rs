@@ -4,7 +4,7 @@
 
 mod common;
 
-use b2b_core::{CoordError, Coordinator, ObjectId};
+use b2b_core::{CoordError, Coordinator, ObjectId, Outcome};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2b_net::{FaultPlan, GroupId, ShardedNet};
 use common::*;
@@ -70,14 +70,29 @@ fn threaded_contending_proposers_never_diverge() {
                         let done = handle
                             .wait_until(Duration::from_secs(5), |c| c.outcome_of(&run).is_some());
                         assert!(done, "outcome must arrive");
-                        if handle.read(|c| c.outcome_of(&run).unwrap().is_installed()) {
+                        let (outcome, agreed) = handle.read(|c| {
+                            let outcome = c.outcome_of(&run).unwrap().clone();
+                            (outcome, c.agreed_id(&ObjectId::new("c")))
+                        });
+                        let collided = matches!(&outcome, Outcome::Invalidated { vetoers }
+                            if vetoers.iter().all(|(_, r)| r == "concurrent coordination run active"));
+                        if outcome.is_installed() {
                             installed += 1;
+                        } else if collided && idx == 1 {
+                            // A collision with the peer's run: both threads
+                            // see their vetoes at once, so waiting for the
+                            // object to go idle would send both next
+                            // proposals in lockstep again. Party 1 yields
+                            // until the agreed tuple moves — party 0's retry
+                            // installed — bounded for when party 0 has no
+                            // proposal left. A condition wait (not a guessed
+                            // sleep) cannot flake on a loaded machine.
+                            handle.wait_until(Duration::from_millis(200), |c| {
+                                c.agreed_id(&ObjectId::new("c")) != agreed
+                            });
                         } else {
-                            // Collision with the peer's run: wait for the
-                            // object to go idle before retrying, with an
-                            // asymmetric bound to break the lockstep. A
-                            // condition wait (not a guessed sleep) cannot
-                            // flake on a loaded machine.
+                            // Party 0 retries once the object is idle; so
+                            // does party 1 after a veto of the counter's.
                             handle.wait_until(Duration::from_millis(20 + 30 * idx as u64), |c| {
                                 !c.is_busy(&ObjectId::new("c"))
                             });

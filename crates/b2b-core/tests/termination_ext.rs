@@ -3,7 +3,7 @@
 
 mod common;
 
-use b2b_core::{CoordinatorConfig, DecisionRule, ObjectId, Outcome};
+use b2b_core::{ConnectStatus, CoordinatorConfig, DecisionRule, ObjectId, Outcome};
 use b2b_crypto::TimeMs;
 use b2b_net::FaultPlan;
 use common::*;
@@ -130,4 +130,54 @@ fn unanimous_rule_never_overrides_a_veto() {
             .unwrap_or(false));
         assert_eq!(dec(&cluster.state(who, "counter")), 10);
     }
+}
+
+#[test]
+fn majority_never_resolves_a_membership_change_from_a_partial_set() {
+    // A connection needs every polled member's acceptance whatever the
+    // state rule (§4.5). org0..org2 share the counter, org1 is silent, and
+    // org2 sponsors org3: at the deadline the sponsor, with no TTP to
+    // appeal to, aborts the round and rejects the subject instead of
+    // deciding on org0's response alone.
+    let mut cluster = majority_cluster(4, 203, 500);
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("counter"), Box::new(counter_factory))
+            .unwrap();
+    });
+    for i in 1..3 {
+        let sponsor = party(i - 1);
+        cluster.net.invoke(&party(i), move |c, ctx| {
+            c.request_connect(
+                ObjectId::new("counter"),
+                Box::new(counter_factory),
+                sponsor,
+                ctx,
+            )
+            .unwrap();
+        });
+        cluster.run();
+    }
+    let others: Vec<_> = [0, 2, 3].into_iter().map(party).collect();
+    cluster.net.partition([party(1)], others, TimeMs(u64::MAX));
+    let t0 = cluster.net.now();
+    cluster.net.invoke(&party(3), move |c, ctx| {
+        c.request_connect(
+            ObjectId::new("counter"),
+            Box::new(counter_factory),
+            party(2),
+            ctx,
+        )
+        .unwrap();
+    });
+    cluster.net.run_until(t0 + TimeMs(5_000));
+    let sponsor = cluster.net.node(&party(2));
+    assert!(!sponsor.is_busy(&ObjectId::new("counter")));
+    assert_eq!(cluster.members(2, "counter").len(), 3);
+    assert_eq!(
+        cluster
+            .net
+            .node(&party(3))
+            .connect_status(&ObjectId::new("counter")),
+        Some(&ConnectStatus::Rejected)
+    );
 }

@@ -6,14 +6,15 @@
 mod common;
 
 use b2b_core::messages::WireMsg;
-use b2b_core::{Coordinator, CoordinatorConfig, ObjectId, Outcome};
+use b2b_core::{ConnectStatus, Coordinator, CoordinatorConfig, ObjectId, Outcome, RunId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority};
 use b2b_evidence::MemStore;
 use b2b_net::intruder::{FnIntruder, InterceptAction};
 use b2b_net::reliable::{data_body, data_frame, with_body};
 use b2b_net::SimNet;
+use b2b_telemetry::names;
 use common::{counter_factory, dec, enc};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Builds `n` member orgs plus a separate TTP node ("notary") that is not
 /// a group member but answers appeals.
@@ -72,11 +73,18 @@ fn build(n: usize, seed: u64, deadline: u64) -> TtpWorld {
 }
 
 fn setup_counter(world: &mut TtpWorld) {
+    let n = world.parties.len();
+    setup_group(world, n);
+}
+
+/// Forms the counter's group from the first `members` orgs, each joining
+/// through the one before it, so the last of them is the sponsor.
+fn setup_group(world: &mut TtpWorld, members: usize) {
     world.net.invoke(&org(0), |c, _| {
         c.register_object(ObjectId::new("c"), Box::new(counter_factory))
             .unwrap();
     });
-    for i in 1..world.parties.len() {
+    for i in 1..members {
         let sponsor = org(i - 1);
         world.net.invoke(&org(i), move |c, ctx| {
             c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
@@ -125,7 +133,7 @@ fn appeal_with_padded_responses(
 fn drive_until_outcome(
     world: &mut TtpWorld,
     who: &PartyId,
-    run: &b2b_core::RunId,
+    run: &RunId,
     budget: TimeMs,
 ) -> Option<Outcome> {
     let t0 = world.net.now();
@@ -145,6 +153,14 @@ fn incomplete_responses_yield_certified_abort_at_every_member() {
     setup_counter(&mut world);
     // org2 goes silent forever (but the TTP stays reachable).
     let t0 = world.net.now();
+    let counts = |world: &TtpWorld, who: usize| {
+        let metrics = world.net.node(&org(who)).telemetry().metrics().snapshot();
+        let latencies = metrics
+            .histogram(names::ROUND_LATENCY_MS)
+            .map_or(0, |h| h.count);
+        (metrics.counter(names::ROUNDS_ABORTED), latencies)
+    };
+    let before = [counts(&world, 0), counts(&world, 1)];
     world
         .net
         .partition([org(2)], vec![org(0), org(1)], TimeMs(u64::MAX));
@@ -178,6 +194,15 @@ fn incomplete_responses_yield_certified_abort_at_every_member() {
             .unwrap()),
         0
     );
+    // The round the TTP ended is counted like any other: one abort and one
+    // latency observation at each member that took part.
+    for (who, (aborted, latencies)) in before.into_iter().enumerate() {
+        assert_eq!(
+            counts(&world, who),
+            (aborted + 1, latencies + 1),
+            "org{who}: (rounds_aborted, round_latency_ms count)"
+        );
+    }
     let _ = t0;
 }
 
@@ -248,7 +273,6 @@ fn appeal_with_a_duplicated_responder_is_certified_abort() {
 
 #[test]
 fn appeal_with_a_response_from_another_run_is_certified_abort() {
-    use std::sync::Mutex;
     // org2's accepting response to an earlier run fills its slot in the
     // appeal: signed and from the right party, but about another run.
     let mut world = build(3, 304, 500);
@@ -367,4 +391,173 @@ fn certified_abort_resolves_two_link_delays_after_the_deadline() {
             })
         );
     }
+}
+
+/// Drops every `Propose` of a membership round addressed to `silent`: that
+/// member never answers the connect or eviction. The returned cell names
+/// the dropped round.
+fn silence_on_membership(world: &mut TtpWorld, silent: PartyId) -> Arc<Mutex<Option<RunId>>> {
+    let dropped = Arc::new(Mutex::new(None));
+    let cell = dropped.clone();
+    world.net.set_intruder(FnIntruder::new(
+        move |_from: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::Propose(m)) if *to == silent && m.proposal.kind.is_membership() => {
+                *cell.lock().unwrap() = Some(m.run_id());
+                InterceptAction::Drop
+            }
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    dropped
+}
+
+/// Whether `who` has an outcome for the dropped round.
+fn ended_at(world: &TtpWorld, dropped: &Mutex<Option<RunId>>, who: usize) -> bool {
+    let run = *dropped.lock().unwrap();
+    run.is_some_and(|run| world.net.node(&org(who)).outcome_of(&run).is_some())
+}
+
+/// Each org in `who` ended the dropped round by the TTP's certified abort.
+fn certified_abort_at(world: &TtpWorld, dropped: &Mutex<Option<RunId>>, who: &[usize]) {
+    let run = dropped.lock().unwrap().expect("the round was proposed");
+    for &m in who {
+        assert_eq!(
+            world.net.node(&org(m)).outcome_of(&run),
+            Some(&Outcome::Aborted {
+                reason: "TTP-certified abort".into()
+            }),
+            "org{m}"
+        );
+    }
+}
+
+/// Steps the simulator until `done` holds, within `budget` of virtual time.
+fn step_until(world: &mut TtpWorld, budget: TimeMs, done: impl Fn(&TtpWorld) -> bool) -> bool {
+    let t0 = world.net.now();
+    while !done(world) {
+        if world.net.now() - t0 > budget || !world.net.step() {
+            return done(world);
+        }
+    }
+    true
+}
+
+/// An overwrite from `who` after a membership round ended must install at
+/// every org in `members`.
+fn next_update_installs(world: &mut TtpWorld, who: usize, members: &[usize], value: u64) {
+    let oid = ObjectId::new("c");
+    let run = world
+        .net
+        .invoke(&org(who), move |c, ctx| {
+            c.propose_overwrite(&oid, enc(value), ctx)
+        })
+        .expect("the object is idle again");
+    for &m in members {
+        let outcome = drive_until_outcome(world, &org(m), &run, TimeMs(30_000));
+        assert!(
+            outcome.as_ref().is_some_and(Outcome::is_installed),
+            "org{m}: the next update must install, got {outcome:?}"
+        );
+        let state = world.net.node(&org(m)).agreed_state(&ObjectId::new("c"));
+        assert_eq!(state.map(|s| dec(&s)), Some(value), "org{m}");
+    }
+}
+
+#[test]
+fn silent_member_on_a_connect_is_certified_abort_and_the_subject_is_rejected() {
+    // org0..org2 share the counter; org2, the newest, sponsors org3's
+    // admission. org1 never receives the connect's proposal. The sponsor's
+    // deadline appeals to the TTP, whose certified abort ends the run at
+    // every member that took part, and the subject hears a rejection.
+    let deadline = 500;
+    let mut world = build(4, 310, deadline);
+    setup_group(&mut world, 3);
+    let dropped = silence_on_membership(&mut world, org(1));
+    let oid = ObjectId::new("c");
+    let t0 = world.net.now();
+    world.net.invoke(&org(3), move |c, ctx| {
+        c.request_connect(oid, Box::new(counter_factory), org(2), ctx)
+            .unwrap()
+    });
+    let resolved = step_until(&mut world, TimeMs(30_000), |w| ended_at(w, &dropped, 2));
+    assert!(resolved, "the sponsor must not stay busy for ever");
+    // One link delay for the request, then the E9 figure: the deadline
+    // plus the appeal's round trip to the TTP.
+    assert_eq!(world.net.now() - t0, TimeMs(1 + deadline + 2));
+    let rejected = step_until(&mut world, TimeMs(30_000), |w| {
+        w.net.node(&org(3)).connect_status(&ObjectId::new("c")) == Some(&ConnectStatus::Rejected)
+    });
+    assert!(rejected, "the subject must get a ConnectReject");
+    world.net.run_until_quiet(TimeMs(600_000));
+    for m in 0..3 {
+        let node = world.net.node(&org(m));
+        assert_eq!(node.members(&ObjectId::new("c")).map(|v| v.len()), Some(3));
+        assert!(!node.is_busy(&ObjectId::new("c")), "org{m} idle");
+    }
+    certified_abort_at(&world, &dropped, &[0, 2]);
+    next_update_installs(&mut world, 2, &[0, 1, 2], 11);
+}
+
+#[test]
+fn silent_member_on_an_eviction_is_certified_abort() {
+    // org3, the sponsor of a four-party group, evicts org0; org1 and org2
+    // are polled, and org1 never receives the proposal.
+    let deadline = 500;
+    let mut world = build(4, 311, deadline);
+    setup_group(&mut world, 4);
+    let dropped = silence_on_membership(&mut world, org(1));
+    let t0 = world.net.now();
+    world.net.invoke(&org(3), move |c, ctx| {
+        c.request_evict(&ObjectId::new("c"), vec![org(0)], ctx)
+            .unwrap()
+    });
+    let resolved = step_until(&mut world, TimeMs(30_000), |w| ended_at(w, &dropped, 3));
+    assert!(resolved, "the sponsor must not stay busy for ever");
+    assert_eq!(world.net.now() - t0, TimeMs(deadline + 2));
+    world.net.run_until_quiet(TimeMs(600_000));
+    for m in 0..4 {
+        let node = world.net.node(&org(m));
+        assert_eq!(node.members(&ObjectId::new("c")).map(|v| v.len()), Some(4));
+        assert!(!node.is_busy(&ObjectId::new("c")), "org{m} idle");
+    }
+    certified_abort_at(&world, &dropped, &[2, 3]);
+    next_update_installs(&mut world, 3, &[0, 1, 2, 3], 12);
+}
+
+#[test]
+fn an_eviction_whose_decide_is_lost_is_certified_valid_at_every_polled_member() {
+    // Every polled member answers and the sponsor installs the new group,
+    // but no decide arrives. The polled members appeal at their deadlines;
+    // the TTP pulls the sponsor's complete set — the evictee owes no
+    // response — and certifies the eviction, so no replica diverges.
+    let mut world = build(4, 312, 500);
+    setup_group(&mut world, 4);
+    world.net.set_intruder(FnIntruder::new(
+        |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::Decide(_)) => InterceptAction::Drop,
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    world.net.invoke(&org(3), move |c, ctx| {
+        c.request_evict(&ObjectId::new("c"), vec![org(0)], ctx)
+            .unwrap()
+    });
+    let settled = step_until(&mut world, TimeMs(30_000), |w| {
+        (1..4).all(|m| {
+            w.net
+                .node(&org(m))
+                .members(&ObjectId::new("c"))
+                .map(|v| v.len())
+                == Some(3)
+        })
+    });
+    assert!(settled, "every remaining member installs the eviction");
+    world.net.run_until_quiet(TimeMs(600_000));
+    let group = world.net.node(&org(3)).group(&ObjectId::new("c"));
+    for m in 1..4 {
+        let node = world.net.node(&org(m));
+        assert_eq!(node.group(&ObjectId::new("c")), group, "org{m}");
+        assert!(!node.is_busy(&ObjectId::new("c")), "org{m} idle");
+    }
+    next_update_installs(&mut world, 3, &[1, 2, 3], 13);
 }
