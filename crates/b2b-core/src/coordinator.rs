@@ -16,7 +16,7 @@ use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES};
+use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
 use crate::object::B2BObject;
 use crate::replica::{
     snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
@@ -159,6 +159,63 @@ fn decode_pending_connects(bytes: &[u8]) -> Result<Vec<(ObjectId, PendingConnect
     Ok(out)
 }
 
+/// Writes checkpoint document `doc` of `object` under its key, built in
+/// `key`; a failed write returns what to report.
+fn put_doc(
+    snapshots: &dyn SnapshotStore,
+    key: &mut String,
+    object: &ObjectId,
+    doc: Doc,
+    blob: Vec<u8>,
+) -> Result<(), String> {
+    key.clear();
+    let _ = match doc {
+        Doc::Reply { slot, .. } => write!(key, "obj-{object}-reply-{slot}"),
+        Doc::Core => write!(key, "obj-{object}"),
+    };
+    snapshots
+        .put_snapshot(key, blob)
+        .map_err(|e| format!("checkpoint write of {key} failed: {e}"))
+}
+
+/// Engine state that a quiet group never touches: the time-stamping
+/// authority, connection attempts in progress, run deadlines, contention
+/// holdoffs and retries, TTP cases and detected misbehaviour. It lives in
+/// one box behind [`Coordinator::cold`], allocated on first use and dropped
+/// again once it is empty, so a quiet engine spends one pointer on it.
+#[derive(Default)]
+pub(crate) struct Cold {
+    pub(crate) tsa: Option<TimeStampAuthority>,
+    pub(crate) pending_connects: HashMap<ObjectId, PendingConnect>,
+    /// Connection attempts still pending or rejected; an admitted one is
+    /// answered by the replica ([`Replica::joined`]).
+    pub(crate) connect_status: HashMap<ObjectId, ConnectStatus>,
+    pub(crate) detected: Vec<Misbehaviour>,
+    pub(crate) deadline_timers: HashMap<u64, (ObjectId, RunId)>,
+    pub(crate) ttp_cases: HashMap<RunId, crate::termination::TtpCase>,
+    pub(crate) ttp_timers: HashMap<u64, RunId>,
+    /// Armed contention-retry holdoff timers, timer id → object.
+    pub(crate) holdoff_timers: HashMap<u64, ObjectId>,
+    /// How often each still-live ticket has been re-proposed after a round
+    /// lost to the group's concurrency control. Entries are dropped when
+    /// the ticket's run completes (or the ticket fails). Volatile.
+    pub(crate) transient_retry: HashMap<TicketId, u32>,
+}
+
+impl Cold {
+    fn is_empty(&self) -> bool {
+        self.tsa.is_none()
+            && self.pending_connects.is_empty()
+            && self.connect_status.is_empty()
+            && self.detected.is_empty()
+            && self.deadline_timers.is_empty()
+            && self.ttp_cases.is_empty()
+            && self.ttp_timers.is_empty()
+            && self.holdoff_timers.is_empty()
+            && self.transient_retry.is_empty()
+    }
+}
+
 /// The B2BObjects coordinator for one party.
 pub struct Coordinator {
     pub(crate) me: PartyId,
@@ -167,7 +224,6 @@ pub struct Coordinator {
     /// holds the same `Arc`, so 10k groups pay for one ring, not 20k
     /// copies of every party's key.
     pub(crate) ring: Arc<KeyRing>,
-    pub(crate) tsa: Option<TimeStampAuthority>,
     pub(crate) config: CoordinatorConfig,
     pub(crate) mux: ReliableMux,
     pub(crate) evidence: Arc<dyn EvidenceStore>,
@@ -176,21 +232,20 @@ pub struct Coordinator {
     /// Boxed, so a bucket of the map is a pointer wide and moving a replica
     /// out and back (as `on_propose` does) copies one word.
     pub(crate) replicas: HashMap<ObjectId, Box<Replica>>,
-    pub(crate) factories: HashMap<ObjectId, ObjectFactory>,
-    pub(crate) pending_connects: HashMap<ObjectId, PendingConnect>,
-    pub(crate) connect_status: HashMap<ObjectId, ConnectStatus>,
+    /// The factory of every object this party holds or is joining, for
+    /// joins and recovery; a list, since an engine holds a handful.
+    pub(crate) factories: Vec<(ObjectId, ObjectFactory)>,
     pub(crate) outcomes: HashMap<RunId, Outcome>,
     pub(crate) events: Vec<CoordEvent>,
-    pub(crate) msg_counts: BTreeMap<&'static str, u64>,
+    /// Protocol messages sent, by wire tag.
+    msg_counts: [u64; WIRE_TAGS],
+    /// State a quiet group never touches; see [`Cold`].
+    pub(crate) cold: Option<Box<Cold>>,
     /// The key of the checkpoint document being written, rebuilt in place
     /// for every document.
     checkpoint_key: String,
     /// An index write failed: the next checkpoint rewrites the index.
     index_stale: bool,
-    pub(crate) detected: Vec<Misbehaviour>,
-    pub(crate) deadline_timers: HashMap<u64, (ObjectId, RunId)>,
-    pub(crate) ttp_cases: HashMap<RunId, crate::termination::TtpCase>,
-    pub(crate) ttp_timers: HashMap<u64, RunId>,
     pub(crate) next_timer: u64,
     /// Per-object queues of updates accepted by [`Coordinator::submit_updates`]
     /// and awaiting a coordination round. Volatile (cleared on crash).
@@ -198,12 +253,6 @@ pub struct Coordinator {
     /// Resolution state of every ticket handed out, under its id: ids are
     /// issued in sequence from 1 and go on after a crash. Volatile.
     pub(crate) tickets: SeqTable<TicketState>,
-    /// Armed contention-retry holdoff timers, timer id → object.
-    pub(crate) holdoff_timers: HashMap<u64, ObjectId>,
-    /// How often each still-live ticket has been re-proposed after a round
-    /// lost to the group's concurrency control. Entries are dropped when
-    /// the ticket's run completes (or the ticket fails). Volatile.
-    pub(crate) transient_retry: HashMap<TicketId, u32>,
     /// Optional worker pool for cross-group parallel signature
     /// verification. When absent, batch verification runs inline on the
     /// coordinator's thread (deterministic — the simulator never sets it).
@@ -217,7 +266,8 @@ pub struct Coordinator {
     pub(crate) telemetry: Telemetry,
     /// Virtual start time of runs this party is participating in, used to
     /// observe `round_latency_ms` when the run completes. Volatile.
-    pub(crate) run_started: HashMap<RunId, TimeMs>,
+    /// A list: an engine is inside a handful of runs at a time.
+    pub(crate) run_started: Vec<(RunId, TimeMs)>,
     /// The causal episode currently being executed, if any. Set by
     /// [`Coordinator::begin_episode`]/[`Coordinator::begin_root`] around
     /// message dispatch, timer firings and client operations.
@@ -337,34 +387,31 @@ impl CoordinatorBuilder {
             me: self.me,
             signer: self.signer,
             ring: self.ring,
-            tsa: self.tsa,
             mux,
             config: self.config,
             evidence,
             snapshots,
             rng,
             replicas: HashMap::new(),
-            factories: HashMap::new(),
-            pending_connects: HashMap::new(),
-            connect_status: HashMap::new(),
+            factories: Vec::new(),
             outcomes: HashMap::new(),
             events: Vec::new(),
-            msg_counts: BTreeMap::new(),
+            msg_counts: [0; WIRE_TAGS],
+            cold: self.tsa.map(|tsa| {
+                Box::new(Cold {
+                    tsa: Some(tsa),
+                    ..Cold::default()
+                })
+            }),
             checkpoint_key: String::new(),
             index_stale: false,
-            detected: Vec::new(),
-            deadline_timers: HashMap::new(),
-            ttp_cases: HashMap::new(),
-            ttp_timers: HashMap::new(),
             next_timer: 1,
             pending_updates: HashMap::new(),
             tickets: SeqTable::new(1),
-            holdoff_timers: HashMap::new(),
-            transient_retry: HashMap::new(),
             verify_pool: self.verify_pool,
             sig_cache,
             telemetry: self.telemetry,
-            run_started: HashMap::new(),
+            run_started: Vec::new(),
             episode: None,
             span_counter: 0,
             party_tag,
@@ -420,7 +467,7 @@ impl Coordinator {
         object_id: ObjectId,
         factory: ObjectFactory,
     ) -> Result<(), CoordError> {
-        if self.replicas.contains_key(&object_id) || self.factories.contains_key(&object_id) {
+        if self.replicas.contains_key(&object_id) || self.factory(&object_id).is_some() {
             return Err(CoordError::DuplicateObject(object_id));
         }
         let object = factory();
@@ -434,7 +481,7 @@ impl Coordinator {
             StateId::genesis(sha256(&self.rng.nonce()), &state),
             state,
         );
-        self.factories.insert(object_id.clone(), factory);
+        self.set_factory(object_id.clone(), factory);
         self.replicas.insert(object_id.clone(), Box::new(replica));
         self.persist(&object_id);
         self.persist_index();
@@ -525,7 +572,14 @@ impl Coordinator {
 
     /// Progress of this party's connection attempt to `object`.
     pub fn connect_status(&self, object: &ObjectId) -> Option<&ConnectStatus> {
-        self.connect_status.get(object)
+        match self.cold().and_then(|c| c.connect_status.get(object)) {
+            Some(status) => Some(status),
+            None => self
+                .replicas
+                .get(object)
+                .filter(|r| r.joined)
+                .map(|_| &ConnectStatus::Member),
+        }
     }
 
     /// Drains the coordination events accumulated since the last call (the
@@ -536,13 +590,17 @@ impl Coordinator {
 
     /// Protocol-level messages sent so far, by kind (excludes acks and
     /// retransmissions). Experiment E1 reads these counters.
-    pub fn message_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.msg_counts
+    pub fn message_counts(&self) -> BTreeMap<&'static str, u64> {
+        WireMsg::KIND_NAMES
+            .into_iter()
+            .zip(self.msg_counts)
+            .filter(|(_, n)| *n > 0)
+            .collect()
     }
 
     /// Total protocol-level messages sent so far.
     pub fn messages_sent(&self) -> u64 {
-        self.msg_counts.values().sum()
+        self.msg_counts.iter().sum()
     }
 
     /// The reliable layer under this engine: its counters, and the
@@ -553,7 +611,29 @@ impl Coordinator {
 
     /// Misbehaviour detected so far (also logged as evidence records).
     pub fn detected(&self) -> &[Misbehaviour] {
-        &self.detected
+        self.cold().map_or(&[], |c| &c.detected)
+    }
+
+    /// The state a quiet group never touches, if any is held.
+    pub(crate) fn cold(&self) -> Option<&Cold> {
+        self.cold.as_deref()
+    }
+
+    /// The state a quiet group never touches, allocated on first use.
+    pub(crate) fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Lets go of the cold state once nothing is left in it.
+    pub(crate) fn trim_cold(&mut self) {
+        if self.cold.as_ref().is_some_and(|c| c.is_empty()) {
+            self.cold = None;
+        }
+    }
+
+    /// Records detected misbehaviour (the caller logs the evidence).
+    pub(crate) fn detect(&mut self, m: Misbehaviour) {
+        self.cold_mut().detected.push(m);
     }
 
     /// The non-repudiation log of this party.
@@ -663,7 +743,7 @@ impl Coordinator {
     }
 
     pub(crate) fn send_wire(&mut self, to: &PartyId, msg: &WireMsg, ctx: &mut NodeCtx) {
-        *self.msg_counts.entry(msg.kind_name()).or_default() += 1;
+        self.msg_counts[usize::from(msg.tag())] += 1;
         let trace = self.outgoing_ctx();
         self.mux.send_traced(to.clone(), msg.to_bytes(), trace, ctx);
     }
@@ -681,7 +761,7 @@ impl Coordinator {
             return;
         }
         let bytes = msg.to_bytes();
-        *self.msg_counts.entry(msg.kind_name()).or_default() += recipients.len() as u64;
+        self.msg_counts[usize::from(msg.tag())] += recipients.len() as u64;
         self.telemetry.add(
             names::FANOUT_SERIALIZATIONS_AVOIDED,
             (recipients.len() - 1) as u64,
@@ -880,15 +960,38 @@ impl Coordinator {
         );
     }
 
+    /// The factory registered for `object`.
+    pub(crate) fn factory(&self, object: &ObjectId) -> Option<&ObjectFactory> {
+        self.factories
+            .iter()
+            .find(|(o, _)| o == object)
+            .map(|(_, f)| f)
+    }
+
+    /// Registers (or replaces) the factory of `object`.
+    pub(crate) fn set_factory(&mut self, object: ObjectId, factory: ObjectFactory) {
+        match self.factories.iter_mut().find(|(o, _)| *o == object) {
+            Some((_, f)) => *f = factory,
+            None => {
+                self.factories.reserve_exact(1);
+                self.factories.push((object, factory));
+            }
+        }
+    }
+
     /// Notes that `run` started at `now` (for round-latency observation).
     pub(crate) fn note_run_started(&mut self, run: RunId, now: TimeMs) {
-        self.run_started.entry(run).or_insert(now);
+        if self.run_started.iter().all(|(r, _)| *r != run) {
+            self.run_started.reserve_exact(1);
+            self.run_started.push((run, now));
+        }
     }
 
     /// Observes the latency of `run` completing at `now`, if its start was
     /// recorded on this party.
     pub(crate) fn observe_run_latency(&mut self, run: &RunId, now: TimeMs) {
-        if let Some(started) = self.run_started.remove(run) {
+        if let Some(i) = self.run_started.iter().position(|(r, _)| r == run) {
+            let (_, started) = self.run_started.swap_remove(i);
             self.telemetry.observe_ms(
                 names::ROUND_LATENCY_MS,
                 now.saturating_sub(started).as_millis(),
@@ -909,7 +1012,10 @@ impl Coordinator {
         signature: Option<&b2b_crypto::Signature>,
         now: TimeMs,
     ) {
-        let timestamp = self.tsa.as_ref().map(|tsa| tsa.stamp(payload, now));
+        let timestamp = self
+            .cold()
+            .and_then(|c| c.tsa.as_ref())
+            .map(|tsa| tsa.stamp(payload, now));
         let record = RecordRef {
             kind,
             object: object.as_str(),
@@ -924,7 +1030,7 @@ impl Coordinator {
         // storage failures as diagnostics rather than panicking.
         match self.evidence.append_ref(record) {
             Ok(_) => self.telemetry.inc(names::EVIDENCE_RECORDS_APPENDED),
-            Err(e) => self.detected.push(Misbehaviour::UnexpectedMessage {
+            Err(e) => self.detect(Misbehaviour::UnexpectedMessage {
                 detail: format!("evidence log append failed: {e}"),
             }),
         }
@@ -936,7 +1042,7 @@ impl Coordinator {
     /// the externally visible effects of a step.
     pub(crate) fn flush_evidence(&mut self) {
         if let Err(e) = self.evidence.flush() {
-            self.detected.push(Misbehaviour::UnexpectedMessage {
+            self.detect(Misbehaviour::UnexpectedMessage {
                 detail: format!("evidence flush failed: {e}"),
             });
         }
@@ -959,7 +1065,7 @@ impl Coordinator {
             None,
             now,
         );
-        self.detected.push(m);
+        self.detect(m);
     }
 
     pub(crate) fn emit(
@@ -994,21 +1100,68 @@ impl Coordinator {
             return;
         };
         for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP) {
-            let key = &mut self.checkpoint_key;
-            key.clear();
-            let _ = match doc {
-                Doc::Reply { slot, .. } => write!(key, "obj-{object}-reply-{slot}"),
-                Doc::Core => write!(key, "obj-{object}"),
-            };
-            if let Err(e) = self.snapshots.put_snapshot(key, blob) {
-                rep.mark_stale(doc);
-                self.detected.push(Misbehaviour::UnexpectedMessage {
-                    detail: format!("checkpoint write of {key} failed: {e}"),
-                });
+            let written = put_doc(
+                &*self.snapshots,
+                &mut self.checkpoint_key,
+                object,
+                doc,
+                blob,
+            );
+            match (doc, written) {
+                (Doc::Reply { run, .. }, Ok(())) => rep.reply_written(&run),
+                (Doc::Core, Ok(())) => {}
+                (doc, Err(detail)) => {
+                    if doc == Doc::Core {
+                        rep.mark_core_stale();
+                    }
+                    let cold = self.cold.get_or_insert_with(Box::default);
+                    cold.detected
+                        .push(Misbehaviour::UnexpectedMessage { detail });
+                }
             }
         }
         #[cfg(debug_assertions)]
         self.assert_checkpoint_current(object);
+    }
+
+    /// Records `reply` as the re-reply of the completed `run` and writes its
+    /// reply document at once, the reply encoded straight into it: the
+    /// document is the one copy of the reply's bytes, and the replica
+    /// keeps its index. If the write fails, the replica holds the bytes
+    /// until a later checkpoint writes them.
+    pub(crate) fn remember_reply(&mut self, object: &ObjectId, run: RunId, reply: &WireMsg) {
+        let Some(rep) = self.replicas.get_mut(object) else {
+            return;
+        };
+        let Some(doc) = rep.remember_reply(run, COMPLETED_REPLIES_CAP) else {
+            return;
+        };
+        let Some(blob) = rep.reply_doc(&run, reply) else {
+            return;
+        };
+        if let Err(detail) = put_doc(
+            &*self.snapshots,
+            &mut self.checkpoint_key,
+            object,
+            doc,
+            blob,
+        ) {
+            rep.hold_unwritten(run, reply.to_bytes());
+            let cold = self.cold.get_or_insert_with(Box::default);
+            cold.detected
+                .push(Misbehaviour::UnexpectedMessage { detail });
+        }
+    }
+
+    /// The retained re-reply of the completed `run` of `object`, read back
+    /// from its reply document.
+    pub(crate) fn completed_reply(&self, object: &ObjectId, run: &RunId) -> Option<WireMsg> {
+        self.replicas
+            .get(object)?
+            .completed_reply(run, COMPLETED_REPLIES_CAP, |slot| {
+                self.snapshots
+                    .get_snapshot(&format!("obj-{object}-reply-{slot}"))
+            })
     }
 
     /// Debug builds check the dirty tracking on every checkpoint: when
@@ -1042,8 +1195,8 @@ impl Coordinator {
         }
         let mut pending = Encoder::new();
         pending.put_u8(SNAPSHOT_FORMAT);
-        pending.put_u64(self.pending_connects.len() as u64);
-        for (object, p) in &self.pending_connects {
+        pending.put_u64(self.cold().map_or(0, |c| c.pending_connects.len()) as u64);
+        for (object, p) in self.cold().into_iter().flat_map(|c| &c.pending_connects) {
             object.encode(&mut pending);
             p.sponsor.encode(&mut pending);
             p.request.encode(&mut pending);
@@ -1052,7 +1205,7 @@ impl Coordinator {
         for (key, blob) in [("objects", objects), ("pending-connects", pending)] {
             if let Err(e) = self.snapshots.put_snapshot(key, blob.finish()) {
                 self.index_stale = true;
-                self.detected.push(Misbehaviour::UnexpectedMessage {
+                self.detect(Misbehaviour::UnexpectedMessage {
                     detail: format!("checkpoint write of {key} failed: {e}"),
                 });
             }
@@ -1064,7 +1217,9 @@ impl Coordinator {
         if let Some(deadline) = self.config.run_deadline {
             let id = self.next_timer;
             self.next_timer += 1;
-            self.deadline_timers.insert(id, (object.clone(), run));
+            self.cold_mut()
+                .deadline_timers
+                .insert(id, (object.clone(), run));
             ctx.set_timer(id, deadline);
         }
     }
@@ -1121,7 +1276,7 @@ impl Coordinator {
             else {
                 continue;
             };
-            let Some(factory) = self.factories.get(&object_id) else {
+            let Some(factory) = self.factory(&object_id) else {
                 continue;
             };
             let replica = Replica::restore(
@@ -1150,9 +1305,10 @@ impl Coordinator {
             }
             let msg = WireMsg::ConnectRequest(p.request.clone());
             self.send_wire(&p.sponsor.clone(), &msg, ctx);
-            self.connect_status
+            let cold = self.cold_mut();
+            cold.connect_status
                 .insert(object.clone(), ConnectStatus::Pending);
-            self.pending_connects.insert(object, p);
+            cold.pending_connects.insert(object, p);
         }
         self.trace(ctx.now(), "recovery", "done", || {
             format!("replicas={}", self.replicas.len())
@@ -1198,11 +1354,7 @@ impl Coordinator {
         to: &PartyId,
         ctx: &mut NodeCtx,
     ) -> bool {
-        let reply = self
-            .replicas
-            .get(object)
-            .and_then(|r| r.completed_reply(run));
-        match reply {
+        match self.completed_reply(object, run) {
             Some(msg) => {
                 self.send_wire(to, &msg, ctx);
                 true
@@ -1329,7 +1481,7 @@ impl Coordinator {
         }
         let id = self.next_timer;
         self.next_timer += 1;
-        self.holdoff_timers.insert(id, object.clone());
+        self.cold_mut().holdoff_timers.insert(id, object.clone());
         if let Some(p) = self.pending_updates.get_mut(object) {
             p.holdoff_timer = Some(id);
         }
@@ -1369,7 +1521,12 @@ impl Coordinator {
                     return;
                 }
                 let n = p.queue.len().min(self.config.batch_max);
-                p.queue.drain(..n).collect()
+                if n == p.queue.len() {
+                    // The whole queue goes: it leaves no capacity behind.
+                    std::mem::take(&mut p.queue)
+                } else {
+                    p.queue.drain(..n).collect()
+                }
             };
             // Apply each update to the evolving state, so one inapplicable
             // update fails its own ticket instead of aborting the whole
@@ -1511,6 +1668,7 @@ impl NetNode for Coordinator {
         // Acks no reply carried — for an m3, or for an m2 whose decide
         // waits on the rest of the group — leave alone.
         self.mux.flush_acks(ctx);
+        self.trim_cold();
         self.flush_evidence();
     }
 
@@ -1518,19 +1676,28 @@ impl NetNode for Coordinator {
         if self.mux.on_timer(timer, ctx) && timer >= b2b_net::RELIABLE_TIMER_BASE {
             return;
         }
-        if let Some((object, run)) = self.deadline_timers.remove(&timer) {
+        let cold = self.cold.as_deref_mut();
+        let (deadline, ttp, holdoff) = match cold {
+            Some(c) => (
+                c.deadline_timers.remove(&timer),
+                c.ttp_timers.remove(&timer),
+                c.holdoff_timers.remove(&timer),
+            ),
+            None => (None, None, None),
+        };
+        if let Some((object, run)) = deadline {
             // The deadline continues the run's trace as a second root —
             // the appeal/abort it triggers stays in the round's DAG.
             self.begin_root(Coordinator::run_root(&run));
             self.on_run_deadline(&object, run, ctx);
             self.end_episode();
         }
-        if let Some(run) = self.ttp_timers.remove(&timer) {
+        if let Some(run) = ttp {
             self.begin_root(Coordinator::run_root(&run));
             self.on_ttp_timer(run, ctx);
             self.end_episode();
         }
-        if let Some(object) = self.holdoff_timers.remove(&timer) {
+        if let Some(object) = holdoff {
             let armed = self
                 .pending_updates
                 .get_mut(&object)
@@ -1554,6 +1721,7 @@ impl NetNode for Coordinator {
                 self.end_episode();
             }
         }
+        self.trim_cold();
         self.flush_evidence();
     }
 
@@ -1562,17 +1730,19 @@ impl NetNode for Coordinator {
         // material, object factories — and the telemetry handle, which
         // models an external observer — survive.
         self.replicas.clear();
-        self.pending_connects.clear();
-        self.connect_status.clear();
+        if let Some(cold) = self.cold.as_deref_mut() {
+            let Cold { tsa, detected, .. } = std::mem::take(cold);
+            *cold = Cold {
+                tsa,
+                detected,
+                ..Cold::default()
+            };
+        }
+        self.trim_cold();
         self.outcomes.clear();
         self.events.clear();
-        self.deadline_timers.clear();
-        self.ttp_cases.clear();
-        self.ttp_timers.clear();
         self.pending_updates.clear();
         self.tickets.clear();
-        self.holdoff_timers.clear();
-        self.transient_retry.clear();
         self.run_started.clear();
         self.sig_cache.borrow_mut().clear();
         // The episode dies with the crash; the span allocator survives so

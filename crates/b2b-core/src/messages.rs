@@ -1234,14 +1234,33 @@ macro_rules! wire_codec {
         impl WireMsg {
             /// Serialises for the transport: `[WIRE_FORMAT][tag][message]`.
             pub fn to_bytes(&self) -> Vec<u8> {
+                let mut enc = Encoder::with_capacity(self.size_hint());
+                self.encode_into(&mut enc);
+                enc.finish()
+            }
+
+            /// Appends the bytes of [`WireMsg::to_bytes`] to `enc`.
+            pub fn encode_into(&self, enc: &mut Encoder) {
+                enc.put_u8(WIRE_FORMAT);
                 match self {
                     $(WireMsg::$variant(m) => {
-                        let mut enc = Encoder::with_capacity(2 + m.encoded_size_hint());
-                        enc.put_u8(WIRE_FORMAT);
                         enc.put_u8($tag);
-                        m.encode(&mut enc);
-                        enc.finish()
+                        m.encode(enc);
                     })*
+                }
+            }
+
+            /// A rough upper bound on the length of [`WireMsg::to_bytes`].
+            pub fn size_hint(&self) -> usize {
+                match self {
+                    $(WireMsg::$variant(m) => 2 + m.encoded_size_hint(),)*
+                }
+            }
+
+            /// The variant's tag, `0..`[`WIRE_TAGS`].
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(WireMsg::$variant(_) => $tag,)*
                 }
             }
 
@@ -1280,24 +1299,30 @@ wire_codec! {
     12 => TtpResolution(TtpResolutionMsg),
 }
 
+/// How many variant tags [`WireMsg`] has: they are `0..WIRE_TAGS`.
+pub const WIRE_TAGS: usize = 13;
+
 impl WireMsg {
+    /// The [`WireMsg::kind_name`] of every tag, in tag order.
+    pub const KIND_NAMES: [&'static str; WIRE_TAGS] = [
+        "propose",
+        "respond",
+        "decide",
+        "connect-request",
+        "welcome",
+        "connect-reject",
+        "disconnect-request",
+        "disconnect-ack",
+        "disconnect-reject",
+        "ttp-resolve",
+        "ttp-evidence-request",
+        "ttp-evidence",
+        "ttp-resolution",
+    ];
+
     /// A short name for diagnostics and traffic accounting.
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            WireMsg::Propose(_) => "propose",
-            WireMsg::Respond(_) => "respond",
-            WireMsg::Decide(_) => "decide",
-            WireMsg::ConnectRequest(_) => "connect-request",
-            WireMsg::Welcome(_) => "welcome",
-            WireMsg::ConnectReject(_) => "connect-reject",
-            WireMsg::DisconnectRequest(_) => "disconnect-request",
-            WireMsg::DisconnectAck(_) => "disconnect-ack",
-            WireMsg::DisconnectReject(_) => "disconnect-reject",
-            WireMsg::TtpResolve(_) => "ttp-resolve",
-            WireMsg::TtpEvidenceRequest(_) => "ttp-evidence-request",
-            WireMsg::TtpEvidence(_) => "ttp-evidence",
-            WireMsg::TtpResolution(_) => "ttp-resolution",
-        }
+        WireMsg::KIND_NAMES[usize::from(self.tag())]
     }
 }
 

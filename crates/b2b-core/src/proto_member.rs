@@ -57,7 +57,11 @@ impl Coordinator {
         sponsor: PartyId,
         ctx: &mut NodeCtx,
     ) -> Result<(), CoordError> {
-        if self.replicas.contains_key(&object) || self.pending_connects.contains_key(&object) {
+        if self.replicas.contains_key(&object)
+            || self
+                .cold()
+                .is_some_and(|c| c.pending_connects.contains_key(&object))
+        {
             return Err(CoordError::DuplicateObject(object));
         }
         let request = ConnectRequest {
@@ -72,15 +76,16 @@ impl Coordinator {
         self.begin_root(Coordinator::run_root(&RunId(
             msg.request.canonical_digest(),
         )));
-        self.factories.insert(object.clone(), factory);
-        self.pending_connects.insert(
+        self.set_factory(object.clone(), factory);
+        let cold = self.cold_mut();
+        cold.pending_connects.insert(
             object.clone(),
             PendingConnect {
                 request: msg.clone(),
                 sponsor: sponsor.clone(),
             },
         );
-        self.connect_status
+        cold.connect_status
             .insert(object.clone(), ConnectStatus::Pending);
         self.log_evidence(
             EvidenceKind::ConnectRequest,
@@ -105,7 +110,10 @@ impl Coordinator {
         let now = ctx.now();
         let oid = msg.welcome.object.clone();
         let run = msg.welcome.run;
-        let Some(contacted_sponsor) = self.pending_connects.get(&oid).map(|p| p.sponsor.clone())
+        let Some(contacted_sponsor) = self
+            .cold()
+            .and_then(|c| c.pending_connects.get(&oid))
+            .map(|p| p.sponsor.clone())
         else {
             return; // duplicate welcome after installation, or stray
         };
@@ -175,7 +183,7 @@ impl Coordinator {
             return;
         }
 
-        let Some(factory) = self.factories.get(&oid) else {
+        let Some(factory) = self.factory(&oid) else {
             return;
         };
         let mut object = factory();
@@ -189,10 +197,12 @@ impl Coordinator {
             msg.state.clone(),
         );
         replica.note_seen(run, None);
+        replica.joined = true;
         self.replicas.insert(oid.clone(), Box::new(replica));
-        self.pending_connects.remove(&oid);
-        self.connect_status
-            .insert(oid.clone(), ConnectStatus::Member);
+        if let Some(cold) = self.cold.as_deref_mut() {
+            cold.pending_connects.remove(&oid);
+            cold.connect_status.remove(&oid);
+        }
         self.telemetry.inc(names::MEMBERSHIP_CHANGES);
         self.trace(now, "membership", "install", || {
             format!(
@@ -236,7 +246,7 @@ impl Coordinator {
     ) {
         let now = ctx.now();
         let oid = msg.reject.object.clone();
-        let Some(pending) = self.pending_connects.get(&oid) else {
+        let Some(pending) = self.cold().and_then(|c| c.pending_connects.get(&oid)) else {
             return;
         };
         let expected_digest = pending.request.request.canonical_digest();
@@ -263,8 +273,9 @@ impl Coordinator {
             );
             return;
         }
-        self.pending_connects.remove(&oid);
-        self.connect_status
+        let cold = self.cold_mut();
+        cold.pending_connects.remove(&oid);
+        cold.connect_status
             .insert(oid.clone(), ConnectStatus::Rejected);
         self.log_evidence(
             EvidenceKind::ConnectReject,

@@ -13,7 +13,7 @@
 //! application checks of [`Coordinator::on_propose`], and the install step
 //! [`Coordinator::install`] — and DESIGN.md §14 tabulates it.
 
-use crate::config::{DecisionRule, COMPLETED_REPLIES_CAP, REPLAY_WINDOW};
+use crate::config::{DecisionRule, REPLAY_WINDOW};
 use crate::coordinator::TicketId;
 use crate::decision::{CoordEventKind, Decision, Outcome};
 use crate::detect::Misbehaviour;
@@ -774,7 +774,7 @@ impl Coordinator {
                     at: now,
                 });
                 if got == want {
-                    self.finalize(&oid, run, ctx);
+                    self.finalize(&oid, run, false, ctx);
                     return;
                 }
                 None
@@ -787,7 +787,17 @@ impl Coordinator {
     }
 
     /// Computes the group decision, sends `m3`, installs or rolls back.
-    pub(crate) fn finalize(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
+    /// With `expired`, the run's deadline passed on the responses in hand:
+    /// under the unanimous rule that set is incomplete and can never
+    /// commit, so the round aborts — and the decide tells every polled
+    /// member so, the set naming by omission who did not answer.
+    pub(crate) fn finalize(
+        &mut self,
+        oid: &ObjectId,
+        run: RunId,
+        expired: bool,
+        ctx: &mut NodeCtx,
+    ) {
         let now = ctx.now();
         let run_hex = run.0;
         let Some(rep) = self.replicas.get_mut(oid) else {
@@ -800,7 +810,8 @@ impl Coordinator {
         let kind = &pr.propose.proposal.kind;
         let rules = rules(kind);
         let responses: Vec<RespondMsg> = pr.responses.into_values().collect();
-        let (accepted, vetoers) = tally::decide(self.rule(kind), polled.len() + 1, &responses);
+        let rule = self.rule(kind);
+        let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &responses);
         let decide = DecideMsg {
             object: oid.clone(),
             run,
@@ -816,12 +827,20 @@ impl Coordinator {
             if let Some(rep) = self.replicas.get_mut(oid) {
                 rep.object.apply_state(&rep.agreed_state);
             }
-            Outcome::Invalidated { vetoers }
+            if expired && rule == DecisionRule::Unanimous {
+                Outcome::Aborted {
+                    reason: DEADLINE_EXPIRED.into(),
+                }
+            } else {
+                Outcome::Invalidated { vetoers }
+            }
         };
-        if let Some(rep) = self.replicas.get_mut(oid) {
-            rep.remember_reply(run, WireMsg::Decide(decide.clone()), COMPLETED_REPLIES_CAP);
-        }
-        self.send_wire_all(&polled, &WireMsg::Decide(decide.clone()), ctx);
+        let m3 = WireMsg::Decide(decide);
+        self.remember_reply(oid, run, &m3);
+        self.send_wire_all(&polled, &m3, ctx);
+        let WireMsg::Decide(decide) = m3 else {
+            unreachable!("built above")
+        };
         self.trace(now, rules.span, "decide", || {
             format!(
                 "object={oid} run={run_hex} accepted={accepted} responses={}",
@@ -878,10 +897,10 @@ impl Coordinator {
             Some((carrier, tids)) if carrier == run => tids,
             _ => return requeue,
         };
-        if outcome.is_installed() && !self.transient_retry.is_empty() {
+        if let (true, Some(cold)) = (outcome.is_installed(), self.cold.as_deref_mut()) {
             // The contended updates made it in: drop their retry counters.
             for tid in &tids {
-                self.transient_retry.remove(tid);
+                cold.transient_retry.remove(tid);
             }
         }
         let Outcome::Invalidated { vetoers } = outcome else {
@@ -906,10 +925,11 @@ impl Coordinator {
         }
         let reason = vetoers.first().map(|(_, r)| r.clone()).unwrap_or_default();
         for (tid, u) in tids.into_iter().zip(updates) {
-            let n = self.transient_retry.entry(tid).or_insert(0);
+            let retries = &mut self.cold_mut().transient_retry;
+            let n = retries.entry(tid).or_insert(0);
             *n += 1;
             if *n > crate::coordinator::MAX_TRANSIENT_RETRIES {
-                self.transient_retry.remove(&tid);
+                retries.remove(&tid);
                 let failed = format!("contention retries exhausted: {reason}");
                 self.set_ticket(tid, TicketState::Failed(failed));
             } else {
@@ -951,8 +971,12 @@ impl Coordinator {
             let p = &rr.propose.proposal;
             self.check_decide(&m3, p, &rr.my_response, &p.polled(&rep.members))
         };
-        let (accepted, vetoers) = match checked {
-            DecideCheck::Decided(accepted, vetoers) => (accepted, vetoers),
+        let verdict = match checked {
+            DecideCheck::Decided(true, _) => Ok(()),
+            DecideCheck::Decided(false, vetoers) => Err(Outcome::Invalidated { vetoers }),
+            DecideCheck::Aborted => Err(Outcome::Aborted {
+                reason: DEADLINE_EXPIRED.into(),
+            }),
             // Fail-safe abort: evidence is logged; the replica keeps its
             // agreed state. The run stays active awaiting a consistent
             // decide (or extra-protocol resolution).
@@ -968,13 +992,12 @@ impl Coordinator {
             unreachable!("matched above");
         };
         let kind = &rr.propose.proposal.kind;
-        let outcome = if accepted {
+        let outcome = match verdict {
             // Without a valid body (only under the majority extension, when
             // we ourselves vetoed for body reasons) a state round cannot
             // install here, and aborts locally.
-            self.install(&oid, &rr.propose, rr.pending_state)
-        } else {
-            Outcome::Invalidated { vetoers }
+            Ok(()) => self.install(&oid, &rr.propose, rr.pending_state),
+            Err(outcome) => outcome,
         };
         if !kind.is_membership() {
             // Keep our signed response on file: if the proposer crashed and
@@ -982,10 +1005,7 @@ impl Coordinator {
             // instead of minting a conflicting signed rejection (which
             // would manufacture false evidence of equivocation against us,
             // and false replay evidence against the honest proposer).
-            if let Some(rep) = self.replicas.get_mut(&oid) {
-                let reply = WireMsg::Respond(rr.my_response);
-                rep.remember_reply(run, reply, COMPLETED_REPLIES_CAP);
-            }
+            self.remember_reply(&oid, run, &WireMsg::Respond(rr.my_response));
         }
         self.log_evidence(
             rules(kind).evidence[2],
@@ -1015,11 +1035,11 @@ impl Coordinator {
             return DecideCheck::Refuted(Misbehaviour::AuthenticatorMismatch { run });
         }
         // ---- verify the aggregated responses ----
-        // Under the base (unanimous) rule the response set must be
-        // complete; the §7 majority extension legitimately resolves state
-        // runs from a partial set after the deadline.
+        // A set may be partial: the proposer's deadline passed on the
+        // responses it held. Under the §7 majority extension a partial set
+        // may still resolve a state run; under the base (unanimous) rule it
+        // can never commit, and is the proposer's abort.
         let rule = self.rule(&p.kind);
-        let partial = rule == DecisionRule::Majority;
         // The verifier reads each response's memoized bytes; count those
         // reads as `response_bytes_of` does.
         let memo_hits = m3.responses.iter().filter(|r| r.memo.is_cached()).count();
@@ -1028,7 +1048,7 @@ impl Coordinator {
             run,
             &p.object,
             polled,
-            partial,
+            true,
             |r| r.response.proposed == p.proposed,
             |items| {
                 self.telemetry
@@ -1039,13 +1059,18 @@ impl Coordinator {
         if let Err(fault) = set {
             return DecideCheck::Refuted(fault.misbehaviour(run));
         }
-        // Our own response, when included, must be byte-identical; under
-        // the unanimous rule it must also be present.
+        // Our own response, when included, must be byte-identical; a
+        // complete set includes it.
         let me = &self.me;
+        let complete = m3.responses.len() == polled.len();
         match m3.responses.iter().find(|r| &r.response.responder == me) {
             Some(r) if r == mine => {}
-            None if partial => {}
+            None if !complete => {}
             _ => return DecideCheck::Refuted(Misbehaviour::ResponseMisrepresented { run }),
+        }
+        let partial = rule == DecisionRule::Majority;
+        if !complete && !partial {
+            return DecideCheck::Aborted;
         }
         let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &m3.responses);
         // Under the majority extension a *partial* response set may only
@@ -1150,8 +1175,9 @@ impl Coordinator {
     /// the responses in hand: silence counts neither for nor against. Any
     /// other blocked run — the proposer's under unanimity, or a recipient's
     /// whose decide never came — appeals to the TTP (§7). Without one the
-    /// proposer aborts locally, leaving the evidence for extra-protocol
-    /// resolution, and a recipient stays blocked per the base protocol.
+    /// proposer aborts and sends its decide with the responses in hand, so
+    /// every polled member that hears it ends the run too; a recipient
+    /// whose proposer fell silent stays blocked per the base protocol.
     pub(crate) fn on_run_deadline(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let (proposer, majority) = match self.replicas.get(oid).and_then(|r| r.active.as_ref()) {
             Some(ActiveRun::Proposer(pr)) if pr.run == run => (
@@ -1161,13 +1187,10 @@ impl Coordinator {
             Some(ActiveRun::Recipient(rr)) if rr.run == run => (false, false),
             _ => return,
         };
-        if majority {
-            self.finalize(oid, run, ctx);
-        } else if let Some(ttp) = self.config.ttp.clone() {
-            self.appeal_to_ttp(oid, run, ttp, ctx);
-        } else if proposer {
-            let reason = "response deadline expired".into();
-            self.end_run(oid, run, Err(Outcome::Aborted { reason }), Vec::new(), ctx);
+        match self.config.ttp.clone() {
+            Some(ttp) if !majority => self.appeal_to_ttp(oid, run, ttp, ctx),
+            _ if proposer => self.finalize(oid, run, true, ctx),
+            _ => {}
         }
     }
 
@@ -1266,10 +1289,17 @@ pub(crate) fn rules(kind: &ProposalKind) -> Rules {
     }
 }
 
+/// The outcome reason of a round its proposer aborted at its deadline,
+/// at the proposer and at every member its abort decide reaches.
+pub(crate) const DEADLINE_EXPIRED: &str = "response deadline expired";
+
 /// What a recipient makes of a decide.
 enum DecideCheck {
     /// The group's decision: whether it accepted, and who vetoed.
     Decided(bool, Vec<(PartyId, String)>),
+    /// The proposer's abort at its deadline: an incomplete set under the
+    /// unanimous rule, which can never commit.
+    Aborted,
     /// The decide is refuted by this misbehaviour.
     Refuted(Misbehaviour),
     /// A partial set that proves nothing yet: keep waiting.

@@ -21,7 +21,7 @@ use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
     CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// First byte of every blob this module (and the coordinator's object
 /// index) puts in the snapshot store: the version of the layout that
@@ -326,6 +326,35 @@ pub(crate) fn seen_tuple(m1: &ProposeMsg) -> Option<(u64, Digest32)> {
     (!m1.proposal.kind.is_membership()).then_some((t.seq, t.rand_hash))
 }
 
+/// One half of the replay window: each key with the latest `seen_at` of
+/// the entries that carry it, as a list sorted by key. A quiet replica
+/// holds a handful of entries and a busy one those of the last
+/// `REPLAY_WINDOW` agreed states, so the list is as large as what it holds
+/// and a lookup is a binary search.
+#[derive(Debug)]
+pub(crate) struct SeenMap<K>(Vec<(K, u64)>);
+
+impl<K: Ord + Copy> SeenMap<K> {
+    /// The `seen_at` of `key`, if it is in the window.
+    fn get(&self, key: &K) -> Option<u64> {
+        let i = self.0.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        Some(self.0[i].1)
+    }
+
+    /// Enters `key`, or moves its `seen_at` up to `seen_at`.
+    fn admit(&mut self, key: K, seen_at: u64) {
+        match self.0.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => self.0[i].1 = self.0[i].1.max(seen_at),
+            Err(i) => self.0.insert(i, (key, seen_at)),
+        }
+    }
+
+    /// Drops every entry seen before `floor`.
+    fn prune(&mut self, floor: u64) {
+        self.0.retain(|(_, seen_at)| *seen_at >= floor);
+    }
+}
+
 /// A checkpoint document of a replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Doc {
@@ -364,10 +393,10 @@ pub struct Replica {
     /// was first seen (replay detection across runs). Pruned by the replay
     /// window, so the set stays bounded no matter how many rounds a
     /// replica lives through.
-    pub(crate) seen_runs: HashMap<RunId, u64>,
+    pub(crate) seen_runs: SeenMap<RunId>,
     /// Proposal tuples seen (invariant 4 of §4.2), each with the latest
     /// `seen_at` of the entries that carry it; pruned with `seen_runs`.
-    pub(crate) seen_tuples: HashMap<(u64, Digest32), u64>,
+    pub(crate) seen_tuples: SeenMap<(u64, Digest32)>,
     /// Window entries that neither the active run nor a reply slot
     /// carries: proposals recorded without becoming the active run, runs
     /// that ended without a re-reply, and entries that outlive their
@@ -377,22 +406,28 @@ pub struct Replica {
     pub(crate) active: Option<ActiveRun>,
     /// Membership requests deferred behind the active run.
     pub(crate) queued: Vec<QueuedRequest>,
-    /// Responses we produced for already-completed runs, so a duplicate or
-    /// post-recovery retransmission of m1/m3 gets a consistent re-reply.
-    /// Stored pre-encoded (see [`StoredReply`]). Bounded: insert through
+    /// The replies we produced for completed runs, oldest first, so a
+    /// duplicate or post-recovery retransmission of m1/m3 gets a
+    /// consistent re-reply. Each is held as its index (see
+    /// [`StoredReply`]): the bytes live in the reply document in the
+    /// snapshot store. Bounded, and sized to what it holds: insert through
     /// [`Replica::remember_reply`].
-    pub(crate) completed_replies: HashMap<RunId, StoredReply>,
-    /// Insertion order of `completed_replies`, oldest first — the
-    /// deterministic eviction order when the retention cap is exceeded.
-    pub(crate) completed_order: VecDeque<RunId>,
-    /// Runs remembered since the last checkpoint, i.e. re-replies whose
-    /// slot the persistence layer has not written yet.
-    dirty_replies: Vec<RunId>,
+    replies: VecDeque<(RunId, StoredReply)>,
+    /// The wire bytes of retained replies whose reply document is not in
+    /// the store, because its write failed: the next checkpoint retries
+    /// it, and a re-reply reads them here. Normally empty.
+    unwritten: Vec<(RunId, Vec<u8>)>,
     /// Monotonic counter of remembered replies; numbers the reply slots.
     pub(crate) reply_slots: u64,
     /// Set when this party has left (or been evicted from) the group; the
     /// replica is kept for inspection but no longer coordinates.
     pub(crate) detached: bool,
+    /// Set when this party was admitted through the connection protocol
+    /// (not checkpointed: it answers [`ConnectStatus::Member`] until the
+    /// next crash, as the engine's volatile connection status did).
+    ///
+    /// [`ConnectStatus::Member`]: crate::ConnectStatus::Member
+    pub(crate) joined: bool,
     /// The core document no longer matches the replica.
     core_dirty: bool,
 }
@@ -428,16 +463,16 @@ impl Replica {
             group,
             agreed,
             agreed_state,
-            seen_runs: HashMap::new(),
-            seen_tuples: HashMap::new(),
+            seen_runs: SeenMap(Vec::new()),
+            seen_tuples: SeenMap(Vec::new()),
             loose_seen: Vec::new(),
             active: None,
             queued: Vec::new(),
-            completed_replies: HashMap::new(),
-            completed_order: VecDeque::new(),
-            dirty_replies: Vec::new(),
+            replies: VecDeque::new(),
+            unwritten: Vec::new(),
             reply_slots: 0,
             detached: false,
+            joined: false,
             core_dirty: true,
         }
     }
@@ -499,19 +534,17 @@ impl Replica {
 
     /// The replay window in a comparable form.
     pub fn replay_window(&self) -> ReplayWindow {
-        let mut runs: Vec<_> = self.seen_runs.iter().map(|(r, at)| (*r, *at)).collect();
-        let mut tuples: Vec<_> = self.seen_tuples.iter().map(|(t, at)| (*t, *at)).collect();
-        runs.sort_unstable();
-        tuples.sort_unstable();
-        (runs, tuples)
+        (self.seen_runs.0.clone(), self.seen_tuples.0.clone())
     }
 
     /// The retained re-replies, oldest first.
     pub fn completed(&self) -> Vec<(RunId, &StoredReply)> {
-        self.completed_order
-            .iter()
-            .filter_map(|run| self.completed_replies.get(run).map(|r| (*run, r)))
-            .collect()
+        self.replies.iter().map(|(run, r)| (*run, r)).collect()
+    }
+
+    /// The retained reply of `run`, if the ring still holds it.
+    fn reply_of(&self, run: &RunId) -> Option<&StoredReply> {
+        self.replies.iter().find(|(r, _)| r == run).map(|(_, r)| r)
     }
 
     // -----------------------------------------------------------------
@@ -523,22 +556,30 @@ impl Replica {
         if entry.seen_at < floor {
             return;
         }
-        let at = self.seen_runs.entry(entry.run).or_insert(entry.seen_at);
-        *at = (*at).max(entry.seen_at);
+        self.seen_runs.admit(entry.run, entry.seen_at);
         if let Some(tuple) = entry.tuple {
-            let at = self.seen_tuples.entry(tuple).or_insert(entry.seen_at);
-            *at = (*at).max(entry.seen_at);
+            self.seen_tuples.admit(tuple, entry.seen_at);
         }
     }
 
     /// Whether `run` is in the replay window.
     pub(crate) fn has_seen_run(&self, run: &RunId) -> bool {
-        self.seen_runs.contains_key(run)
+        self.seen_runs.get(run).is_some()
     }
 
     /// Whether a proposal with this `(seq, rand_hash)` is in the window.
     pub(crate) fn has_seen_tuple(&self, tuple: &(u64, Digest32)) -> bool {
-        self.seen_tuples.contains_key(tuple)
+        self.seen_tuples.get(tuple).is_some()
+    }
+
+    /// Appends a window entry no other document carries. The loose list
+    /// is normally empty or short, so it grows one entry at a time up to
+    /// four, and doubles from there.
+    fn push_loose(&mut self, entry: SeenEntry) {
+        if self.loose_seen.len() == self.loose_seen.capacity() && self.loose_seen.len() < 4 {
+            self.loose_seen.reserve_exact(1);
+        }
+        self.loose_seen.push(entry);
     }
 
     /// Records a proposal that does not become the active run (rejected
@@ -546,7 +587,7 @@ impl Replica {
     /// window keeps its first `seen_at`: a proposal old enough to have
     /// expired names a predecessor that is no longer the agreed state.
     pub(crate) fn note_seen(&mut self, run: RunId, tuple: Option<(u64, Digest32)>) {
-        if self.seen_runs.contains_key(&run) {
+        if self.has_seen_run(&run) {
             return;
         }
         let entry = SeenEntry {
@@ -555,7 +596,7 @@ impl Replica {
             tuple,
         };
         self.admit_seen(&entry, 0);
-        self.loose_seen.push(entry);
+        self.push_loose(entry);
         self.core_dirty = true;
     }
 
@@ -577,14 +618,11 @@ impl Replica {
         self.core_dirty = true;
     }
 
-    /// Notes that `doc` no longer matches the replica: the active run
-    /// recorded a response, or the document's write failed and the next
-    /// checkpoint must retry it.
-    pub(crate) fn mark_stale(&mut self, doc: Doc) {
-        match doc {
-            Doc::Reply { run, .. } => self.dirty_replies.push(run),
-            Doc::Core => self.core_dirty = true,
-        }
+    /// Notes that the core document no longer matches the replica: the
+    /// active run recorded a response, or the document's write failed and
+    /// the next checkpoint must retry it.
+    pub(crate) fn mark_core_stale(&mut self) {
+        self.core_dirty = true;
     }
 
     /// Ends the active run. Its window entry moves to the loose list until
@@ -593,10 +631,10 @@ impl Replica {
         let run = self.active.take()?;
         self.core_dirty = true;
         if let Some((label, tuple)) = run.seen_key() {
-            let housed = self.completed_replies.contains_key(&label)
-                || self.loose_seen.iter().any(|e| e.run == label);
-            if let (Some(&seen_at), false) = (self.seen_runs.get(&label), housed) {
-                self.loose_seen.push(SeenEntry {
+            let housed =
+                self.reply_of(&label).is_some() || self.loose_seen.iter().any(|e| e.run == label);
+            if let (Some(seen_at), false) = (self.seen_runs.get(&label), housed) {
+                self.push_loose(SeenEntry {
                     run: label,
                     seen_at,
                     tuple,
@@ -609,8 +647,10 @@ impl Replica {
     /// Installs a newly agreed state, then prunes replay-window entries
     /// that fell out of `window` (§4.2 invariant 4 stays enforced by the
     /// exact-increment sequence check).
-    pub(crate) fn install_state(&mut self, id: StateId, state: Vec<u8>, window: u64) {
+    pub(crate) fn install_state(&mut self, id: StateId, mut state: Vec<u8>, window: u64) {
         self.object.apply_state(&state);
+        // Held until the next install, in every replica of the process.
+        state.shrink_to_fit();
         self.agreed = id;
         self.agreed_state = state;
         self.prune_seen(window);
@@ -645,56 +685,120 @@ impl Replica {
         Some(self.queued.remove(0))
     }
 
-    /// Records the re-reply for a completed run, evicting the oldest
-    /// retained reply once more than `cap` are held. A peer retransmitting
-    /// a run older than the cap gets silence and recovers through the
-    /// normal state-transfer path; `cap == 0` retains nothing.
+    /// Records that `run` completed with a re-reply, evicting the oldest
+    /// retained reply once `cap` are held, and returns the document that
+    /// must now reach the store: [`Replica::reply_doc`] encodes it. A peer
+    /// retransmitting a run older than the cap gets silence and recovers
+    /// through the normal state-transfer path; `cap == 0` retains nothing.
     ///
-    /// The message is encoded to wire bytes **here, once**, so every later
-    /// touch — checkpoint, re-reply send — is a plain byte copy. The run's
-    /// window entry moves from the loose list into the reply's slot; an
-    /// evicted reply whose entry is still inside the window hands it back.
-    pub fn remember_reply(&mut self, run: RunId, reply: WireMsg, cap: usize) {
+    /// The replica keeps only the reply's index — its run, its number and
+    /// the tuple of its window entry — and reads the bytes back from the
+    /// reply document on a re-reply ([`Replica::completed_reply`]). The
+    /// run's window entry moves from the loose list into the reply's slot;
+    /// an evicted reply whose entry is still inside the window hands it
+    /// back.
+    pub(crate) fn remember_reply(&mut self, run: RunId, cap: usize) -> Option<Doc> {
         if cap == 0 {
-            return;
+            return None;
         }
         let tuple = match self.loose_seen.iter().rposition(|e| e.run == run) {
-            Some(i) => self.loose_seen.remove(i).tuple,
+            Some(i) => {
+                let entry = self.loose_seen.remove(i);
+                if self.loose_seen.is_empty() {
+                    self.loose_seen = Vec::new();
+                }
+                entry.tuple
+            }
             None => None,
         };
-        let stored = StoredReply {
-            n: self.reply_slots,
-            wire: reply.to_bytes(),
-            tuple,
-        };
-        self.reply_slots += 1;
-        self.core_dirty = true;
-        if self.completed_replies.insert(run, stored).is_none() {
-            self.completed_order.push_back(run);
+        if let Some(i) = self.replies.iter().position(|(r, _)| *r == run) {
+            self.replies.remove(i);
         }
-        self.dirty_replies.push(run);
-        while self.completed_replies.len() > cap {
-            let Some(oldest) = self.completed_order.pop_front() else {
+        while self.replies.len() >= cap {
+            let Some((oldest, evicted)) = self.replies.pop_front() else {
                 break;
             };
-            let evicted = self.completed_replies.remove(&oldest);
-            if let (Some(evicted), Some(&seen_at)) = (evicted, self.seen_runs.get(&oldest)) {
-                self.loose_seen.push(SeenEntry {
+            self.unwritten.retain(|(r, _)| *r != oldest);
+            if let Some(seen_at) = self.seen_runs.get(&oldest) {
+                self.push_loose(SeenEntry {
                     run: oldest,
                     seen_at,
                     tuple: evicted.tuple,
                 });
             }
         }
+        let n = self.reply_slots;
+        self.reply_slots += 1;
+        self.core_dirty = true;
+        self.push_reply(run, StoredReply { n, tuple });
+        Some(Doc::Reply {
+            run,
+            slot: reply_slot(n, cap),
+        })
     }
 
-    /// Decodes the retained re-reply for `run`, if the window still holds
-    /// it. Only duplicate/post-recovery retransmissions and TTP evidence
-    /// requests take this path, so decode-on-demand is the right trade.
-    pub fn completed_reply(&self, run: &RunId) -> Option<WireMsg> {
-        self.completed_replies
-            .get(run)
-            .and_then(|r| WireMsg::from_bytes(&r.wire))
+    /// Appends to the reply ring, which is sized to what it holds: a quiet
+    /// replica keeps a reply or two, so the ring grows one entry at a time
+    /// up to four, and doubles from there to the retention cap.
+    fn push_reply(&mut self, run: RunId, stored: StoredReply) {
+        if self.replies.len() == self.replies.capacity() && self.replies.len() < 4 {
+            self.replies.reserve_exact(1);
+        }
+        self.replies.push_back((run, stored));
+    }
+
+    /// The reply document of the retained reply of `run`, carrying `wire`
+    /// (the reply's encoding, written straight into the document).
+    pub(crate) fn reply_doc(&self, run: &RunId, wire: &WireMsg) -> Option<Vec<u8>> {
+        let stored = self.reply_of(run)?;
+        let seen_at = self.seen_runs.get(run);
+        Some(encode_reply_doc(
+            stored.n,
+            run,
+            seen_at,
+            &stored.tuple,
+            wire.size_hint(),
+            |enc| wire.encode_into(enc),
+        ))
+    }
+
+    /// Keeps the wire bytes of `run`'s reply, whose document write failed,
+    /// until a checkpoint writes it ([`Replica::reply_written`]).
+    pub(crate) fn hold_unwritten(&mut self, run: RunId, wire: Vec<u8>) {
+        if self.reply_of(&run).is_some() && self.unwritten.iter().all(|(r, _)| *r != run) {
+            self.unwritten.push((run, wire));
+        }
+    }
+
+    /// The reply document of `run` reached the store: its bytes need no
+    /// longer be held.
+    pub(crate) fn reply_written(&mut self, run: &RunId) {
+        self.unwritten.retain(|(r, _)| r != run);
+        if self.unwritten.is_empty() {
+            self.unwritten = Vec::new();
+        }
+    }
+
+    /// The retained re-reply for `run`, if the ring still holds it: read
+    /// from the held bytes of an unwritten reply, or else from the reply
+    /// document that `fetch_reply` resolves its store slot to — if the
+    /// document there is still this reply's. Only duplicate/post-recovery
+    /// retransmissions and TTP evidence requests take this path.
+    pub fn completed_reply(
+        &self,
+        run: &RunId,
+        cap: usize,
+        fetch_reply: impl FnOnce(u64) -> Option<Vec<u8>>,
+    ) -> Option<WireMsg> {
+        let stored = self.reply_of(run)?;
+        if let Some((_, wire)) = self.unwritten.iter().find(|(r, _)| r == run) {
+            return WireMsg::from_bytes(wire);
+        }
+        let doc = ReplyDoc::from_bytes(&fetch_reply(reply_slot(stored.n, cap))?).ok()?;
+        if doc.n != stored.n || doc.run != *run {
+            return None;
+        }
+        WireMsg::from_bytes(&doc.wire)
     }
 
     /// Prunes replay-window entries first seen more than `window` agreed
@@ -704,9 +808,12 @@ impl Replica {
     /// `ReplayedProposal`) while bounding the window across runs.
     pub(crate) fn prune_seen(&mut self, window: u64) {
         let floor = self.agreed.seq.saturating_sub(window);
-        self.seen_runs.retain(|_, seen_at| *seen_at >= floor);
-        self.seen_tuples.retain(|_, seen_at| *seen_at >= floor);
+        self.seen_runs.prune(floor);
+        self.seen_tuples.prune(floor);
         self.loose_seen.retain(|e| e.seen_at >= floor);
+        if self.loose_seen.is_empty() {
+            self.loose_seen = Vec::new();
+        }
     }
 
     // -----------------------------------------------------------------
@@ -714,20 +821,23 @@ impl Replica {
     // -----------------------------------------------------------------
 
     /// The documents this replica's changes made stale since the last
-    /// call, in the order they must reach the store: reply documents
-    /// before the core document whose `reply_slots` commits them, so the
-    /// core never counts a reply that is not there.
+    /// call, in the order they must reach the store: reply documents whose
+    /// write failed before the core document whose `reply_slots` commits
+    /// them, so the core never counts a reply that is not there. A reply
+    /// document stays due until [`Replica::reply_written`]; the core
+    /// document is due again after [`Replica::mark_core_stale`].
     pub(crate) fn take_stale_docs(&mut self, cap: usize) -> Vec<(Doc, Vec<u8>)> {
         let mut docs = Vec::new();
-        for run in std::mem::take(&mut self.dirty_replies) {
-            // Evicted before this checkpoint: nothing to write.
-            let Some(stored) = self.completed_replies.get(&run) else {
+        for (run, wire) in &self.unwritten {
+            let Some(stored) = self.reply_of(run) else {
                 continue;
             };
-            let seen_at = self.seen_runs.get(&run).copied();
-            let blob = encode_reply_doc(stored.n, &run, seen_at, &stored.tuple, &stored.wire);
+            let seen_at = self.seen_runs.get(run);
+            let blob = encode_reply_doc(stored.n, run, seen_at, &stored.tuple, wire.len(), |enc| {
+                enc.put_raw(wire)
+            });
             let slot = reply_slot(stored.n, cap);
-            docs.push((Doc::Reply { run, slot }, blob));
+            docs.push((Doc::Reply { run: *run, slot }, blob));
         }
         if std::mem::take(&mut self.core_dirty) {
             docs.push((Doc::Core, self.core_doc()));
@@ -811,17 +921,14 @@ impl Replica {
             }
             let stored = StoredReply {
                 n,
-                wire: doc.wire,
                 tuple: doc.tuple,
             };
-            if rep.completed_replies.insert(doc.run, stored).is_none() {
-                rep.completed_order.push_back(doc.run);
-            }
+            rep.push_reply(doc.run, stored);
         }
         for entry in core.loose_seen {
             if entry.seen_at >= floor {
                 rep.admit_seen(&entry, floor);
-                rep.loose_seen.push(entry);
+                rep.push_loose(entry);
             }
         }
         if let Some((run, tuple)) = core.active.as_ref().and_then(ActiveRun::seen_key) {
@@ -857,16 +964,14 @@ fn reply_slot(n: u64, cap: usize) -> u64 {
     n % (cap as u64 + 1)
 }
 
-/// A completed run's re-reply: the wire message pre-encoded at
-/// [`Replica::remember_reply`] time, its number in the reply ring (which
-/// fixes the snapshot-store slot it is checkpointed under) and the tuple
-/// half of its replay-window entry.
+/// A completed run's re-reply, by index: its number in the reply ring
+/// (which fixes the snapshot-store slot its reply document is written to)
+/// and the tuple half of its replay-window entry. The reply's bytes live
+/// in that document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoredReply {
     /// The value of the replica's reply counter when this was remembered.
     pub n: u64,
-    /// The encoded wire message ([`WireMsg::to_bytes`]).
-    pub wire: Vec<u8>,
     /// The run's `(seq, rand_hash)`, for a state run inside the window.
     pub tuple: Option<(u64, Digest32)>,
 }
@@ -997,27 +1102,37 @@ pub struct ReplyDoc {
     pub wire: Vec<u8>,
 }
 
+/// Encodes a reply document whose wire message `put_wire` appends, in
+/// about `wire_len` bytes.
 fn encode_reply_doc(
     n: u64,
     run: &RunId,
     seen_at: Option<u64>,
     tuple: &Option<(u64, Digest32)>,
-    wire: &[u8],
+    wire_len: usize,
+    put_wire: impl FnOnce(&mut Encoder),
 ) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(128 + wire.len());
+    let mut enc = Encoder::with_capacity(128 + wire_len);
     enc.put_u8(SNAPSHOT_FORMAT);
     enc.put_u64(n);
     run.encode(&mut enc);
     seen_at.encode(&mut enc);
     put_tuple(&mut enc, tuple);
-    enc.put_bytes(wire);
+    enc.put_nested(put_wire);
     finish_doc(enc)
 }
 
 impl ReplyDoc {
     /// The blob written to the snapshot store.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_reply_doc(self.n, &self.run, self.seen_at, &self.tuple, &self.wire)
+        encode_reply_doc(
+            self.n,
+            &self.run,
+            self.seen_at,
+            &self.tuple,
+            self.wire.len(),
+            |enc| enc.put_raw(&self.wire),
+        )
     }
 
     /// Decodes a blob written by [`ReplyDoc::to_bytes`].
@@ -1041,6 +1156,7 @@ mod tests {
     use crate::decision::Decision;
     use crate::messages::DecideMsg;
     use b2b_crypto::sha256;
+    use std::collections::HashMap;
 
     /// An object whose state is its bytes, accepting every transition.
     struct Bytes(Vec<u8>);
@@ -1104,8 +1220,32 @@ mod tests {
     /// Writes every stale document of `r` into `store`, as `persist` does.
     fn checkpoint(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>, cap: usize) {
         for (doc, blob) in r.take_stale_docs(cap) {
+            if let Doc::Reply { run, .. } = doc {
+                r.reply_written(&run);
+            }
             store.insert(key(doc), blob);
         }
+    }
+
+    /// Remembers `reply` for `run` and writes its reply document into
+    /// `store`, as `Coordinator::remember_reply` does.
+    fn remember(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>, run: RunId, cap: usize) {
+        if let Some(doc) = r.remember_reply(run, cap) {
+            let blob = r.reply_doc(&run, &decide(run)).unwrap();
+            store.insert(key(doc), blob);
+        }
+    }
+
+    /// The retained re-reply of `run`, read back from `store`.
+    fn reply(
+        r: &Replica,
+        store: &HashMap<String, Vec<u8>>,
+        run: RunId,
+        cap: usize,
+    ) -> Option<WireMsg> {
+        r.completed_reply(&run, cap, |slot| {
+            store.get(&format!("reply-{slot}")).cloned()
+        })
     }
 
     fn key(doc: Doc) -> String {
@@ -1174,23 +1314,48 @@ mod tests {
 
     #[test]
     fn remember_reply_evicts_oldest_beyond_cap() {
+        let mut store = HashMap::new();
         let mut r = replica(&["a", "b"]);
         for i in 0..5 {
-            r.remember_reply(run_id(i), decide(run_id(i)), 3);
+            remember(&mut r, &mut store, run_id(i), 3);
         }
-        assert_eq!(r.completed_replies.len(), 3);
-        assert_eq!(r.completed_order.len(), 3);
-        assert!(!r.completed_replies.contains_key(&run_id(0)));
-        assert!(!r.completed_replies.contains_key(&run_id(1)));
-        // The retained replies decode back to the remembered messages and
-        // are numbered in order.
-        assert_eq!(r.completed_reply(&run_id(4)), Some(decide(run_id(4))));
+        let kept: Vec<RunId> = r.completed().iter().map(|(run, _)| *run).collect();
+        assert_eq!(kept, vec![run_id(2), run_id(3), run_id(4)]);
+        assert_eq!(
+            r.replies.capacity(),
+            3,
+            "the ring is sized to what it holds"
+        );
+        // The retained replies read back from their documents as the
+        // remembered messages and are numbered in order; an evicted one
+        // does not, though its slot still holds a document.
+        assert_eq!(reply(&r, &store, run_id(4), 3), Some(decide(run_id(4))));
+        assert_eq!(reply(&r, &store, run_id(0), 3), None);
         let numbers: Vec<u64> = r.completed().iter().map(|(_, sr)| sr.n).collect();
         assert_eq!(numbers, vec![2, 3, 4]);
         // Zero cap retains nothing.
         let mut empty = replica(&["a", "b"]);
-        empty.remember_reply(run_id(9), decide(run_id(9)), 0);
-        assert!(empty.completed_replies.is_empty());
+        assert_eq!(empty.remember_reply(run_id(9), 0), None);
+        assert!(empty.completed().is_empty());
+    }
+
+    #[test]
+    fn a_reply_whose_document_write_failed_is_held_until_written() {
+        let (cap, window) = (4, 8);
+        let mut store = HashMap::new();
+        let mut r = replica(&["a", "b"]);
+        r.remember_reply(run_id(1), cap);
+        r.hold_unwritten(run_id(1), decide(run_id(1)).to_bytes());
+        // Re-replies read the held bytes: the store has no document.
+        assert_eq!(reply(&r, &store, run_id(1), cap), Some(decide(run_id(1))));
+        // The next checkpoint writes the document, byte-identical to the
+        // one the failed write carried, and the bytes are let go.
+        let want = r.reply_doc(&run_id(1), &decide(run_id(1))).unwrap();
+        checkpoint(&mut r, &mut store, cap);
+        assert_eq!(store["reply-0"], want);
+        assert!(r.unwritten.is_empty() && r.unwritten.capacity() == 0);
+        assert_eq!(reply(&r, &store, run_id(1), cap), Some(decide(run_id(1))));
+        assert_same(&restore(&store, cap, window), &r);
     }
 
     #[test]
@@ -1241,7 +1406,7 @@ mod tests {
                 i.to_string().into_bytes(),
                 window,
             );
-            r.remember_reply(run_id(i), decide(run_id(i)), cap);
+            remember(&mut r, &mut store, run_id(i), cap);
             checkpoint(&mut r, &mut store, cap);
         }
         r.queue_request(QueuedRequest::Disconnect(match leaving() {
@@ -1261,7 +1426,10 @@ mod tests {
         assert!(back.has_seen_run(&run_id(0)) && back.has_seen_run(&run_id(100)));
         // The fresh object had state 99 but restore installs the checkpoint.
         assert_eq!(back.object.get_state(), r.agreed_state);
-        assert_eq!(back.completed_reply(&run_id(5)), Some(decide(run_id(5))));
+        assert_eq!(
+            reply(&back, &store, run_id(5), cap),
+            Some(decide(run_id(5)))
+        );
         // Nothing is stale after a restore.
         let mut back = back;
         assert!(back.take_stale_docs(cap).is_empty());
@@ -1273,7 +1441,7 @@ mod tests {
         let mut store = HashMap::new();
         let mut r = replica(&["a", "b"]);
         for i in 0..3u64 {
-            r.remember_reply(run_id(i), decide(run_id(i)), cap);
+            remember(&mut r, &mut store, run_id(i), cap);
             checkpoint(&mut r, &mut store, cap);
         }
         let committed = restore(&store, cap, window);
@@ -1282,28 +1450,28 @@ mod tests {
         r.start_run(leaving());
         checkpoint(&mut r, &mut store, cap);
         r.finish_run();
-        r.remember_reply(run_id(3), decide(run_id(3)), cap);
-        let mut rest = r.take_stale_docs(cap).into_iter();
-        let (doc, blob) = rest.next().unwrap();
-        assert!(matches!(doc, Doc::Reply { .. }));
-        store.insert(key(doc), blob);
+        remember(&mut r, &mut store, run_id(3), cap);
         let back = restore(&store, cap, window);
         // Replies 1 and 2 are still retained (reply 3 went to the spare
         // slot), reply 3 is not committed, and the run is still active.
         assert_eq!(back.completed(), committed.completed());
         assert_eq!(back.reply_slots, 3);
-        assert!(back.completed_reply(&run_id(3)).is_none());
+        assert!(reply(&back, &store, run_id(3), cap).is_none());
         assert_eq!(back.active, Some(leaving()));
 
         // Once the core document lands, the run is over and reply 3 in.
+        let mut rest = r.take_stale_docs(cap).into_iter();
         let (doc, blob) = rest.next().unwrap();
         assert_eq!(doc, Doc::Core);
         store.insert(key(doc), blob);
         assert_eq!(rest.next(), None);
         let back = restore(&store, cap, window);
         assert_eq!(back.active, None);
-        assert_eq!(back.completed_reply(&run_id(3)), Some(decide(run_id(3))));
-        assert!(back.completed_reply(&run_id(1)).is_none());
+        assert_eq!(
+            reply(&back, &store, run_id(3), cap),
+            Some(decide(run_id(3)))
+        );
+        assert!(reply(&back, &store, run_id(1), cap).is_none());
     }
 
     #[test]
@@ -1312,7 +1480,7 @@ mod tests {
         let mut store = HashMap::new();
         let mut r = replica(&["a", "b"]);
         for i in 0..3u64 {
-            r.remember_reply(run_id(i), decide(run_id(i)), cap);
+            remember(&mut r, &mut store, run_id(i), cap);
         }
         checkpoint(&mut r, &mut store, cap);
         store.remove("reply-0");

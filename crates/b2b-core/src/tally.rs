@@ -14,7 +14,7 @@ use crate::config::DecisionRule;
 use crate::detect::Misbehaviour;
 use crate::ids::{ObjectId, RunId};
 use crate::messages::RespondMsg;
-use crate::replica::{Doc, Replica};
+use crate::replica::Replica;
 use crate::Coordinator;
 use b2b_crypto::{Digest32, PartyId, Signature};
 use b2b_net::NodeCtx;
@@ -200,7 +200,7 @@ impl Coordinator {
                 ballot.responses.insert(from.clone(), vote.clone());
                 let got = ballot.responses.len();
                 let want = ballot.voters.len();
-                rep.mark_stale(Doc::Core);
+                rep.mark_core_stale();
                 Collected::Recorded { got, want }
             }
         }

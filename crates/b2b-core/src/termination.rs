@@ -161,7 +161,7 @@ impl Coordinator {
         }
 
         // A cached resolution settles any later appeal identically.
-        if let Some(case) = self.ttp_cases.get(&run) {
+        if let Some(case) = self.cold().and_then(|c| c.ttp_cases.get(&run)) {
             if let Some(resolution) = case.resolution.clone() {
                 self.broadcast_resolution(&msg.request.members, resolution, ctx);
                 return;
@@ -184,7 +184,7 @@ impl Coordinator {
         } else {
             // Recipient appeal: pull the proposer's evidence first.
             let proposer = case.proposer.clone();
-            self.ttp_cases.insert(
+            self.cold_mut().ttp_cases.insert(
                 run,
                 TtpCase {
                     resolution: None,
@@ -204,7 +204,7 @@ impl Coordinator {
             );
             let timer = self.next_timer;
             self.next_timer += 1;
-            self.ttp_timers.insert(timer, run);
+            self.cold_mut().ttp_timers.insert(timer, run);
             ctx.set_timer(timer, TTP_EVIDENCE_TIMEOUT);
         }
     }
@@ -238,7 +238,7 @@ impl Coordinator {
         // Answer with whatever we hold: an active run's responses, or the
         // response set inside a completed run's decide.
         let responses: Vec<RespondMsg> = match self.replicas.get(&oid) {
-            Some(rep) => match (&rep.active, rep.completed_reply(&run)) {
+            Some(rep) => match (&rep.active, self.completed_reply(&oid, &run)) {
                 (Some(ActiveRun::Proposer(pr)), _) if pr.run == run => {
                     pr.responses.values().cloned().collect()
                 }
@@ -274,7 +274,7 @@ impl Coordinator {
     ) {
         let now = ctx.now();
         let run = msg.evidence.run;
-        let Some(case) = self.ttp_cases.get(&run) else {
+        let Some(case) = self.cold().and_then(|c| c.ttp_cases.get(&run)) else {
             return;
         };
         let Some(pending) = case.pending.clone() else {
@@ -307,7 +307,7 @@ impl Coordinator {
 
     /// TTP side: the evidence pull timed out — certify an abort.
     pub(crate) fn on_ttp_timer(&mut self, run: RunId, ctx: &mut NodeCtx) {
-        let Some(case) = self.ttp_cases.get(&run) else {
+        let Some(case) = self.cold().and_then(|c| c.ttp_cases.get(&run)) else {
             return;
         };
         if case.resolution.is_some() {
@@ -384,7 +384,7 @@ impl Coordinator {
             responses: kept,
             sig,
         };
-        self.ttp_cases.insert(
+        self.cold_mut().ttp_cases.insert(
             run,
             TtpCase {
                 resolution: Some(msg.clone()),

@@ -241,9 +241,11 @@ fn forged_authenticator_in_decide_is_detected() {
 }
 
 #[test]
-fn response_removed_from_decide_aggregation_is_detected() {
+fn response_removed_from_decide_aggregation_never_installs() {
     // A dishonest proposer (or intruder) presenting an incomplete response
-    // set cannot make a recipient install.
+    // set cannot make a recipient install. Under the unanimous rule an
+    // incomplete set can never commit: it is its proposer's abort at the
+    // run's deadline, and the recipient closes the run as aborted.
     let mut cluster = Cluster::new(3, 55);
     cluster.setup_object("counter", counter_factory);
     cluster.net.set_intruder(FnIntruder::new(
@@ -258,9 +260,14 @@ fn response_removed_from_decide_aggregation_is_detected() {
     ));
     let run = cluster.propose(0, "counter", enc(5));
     assert!(cluster.outcome(2, &run).unwrap().is_installed());
-    assert!(cluster.outcome(1, &run).is_none());
+    assert_eq!(
+        cluster.outcome(1, &run),
+        Some(Outcome::Aborted {
+            reason: "response deadline expired".into()
+        })
+    );
     assert_eq!(dec(&cluster.state(1, "counter")), 0);
-    assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert!(!has_detection(&cluster, 1, "inconsistent-decide"));
 }
 
 #[test]

@@ -63,10 +63,13 @@ const ROUNDS: u32 = 64;
 
 /// What a round may cost, per group size. Frames and bare acks are exact.
 /// Allocations and bytes are within 10 % of the figures measured on
-/// x86-64 Linux in a debug build — 127 and 53 160 for two parties, 319
-/// and 153 141 for four, against 321 / 67 942 and 839 / 196 409 before
-/// acks rode on data frames and names, signatures and evidence stopped
-/// being copied (see `DESIGN.md` §16).
+/// x86-64 Linux in a debug build — 133 and 50 812 for two parties, 333
+/// and 147 034 for four since each reply is encoded once, straight into
+/// its checkpoint document, and no longer held in RAM (139 / 53 249 and
+/// 343 / 153 432 before, see `DESIGN.md` §15; 127 / 53 160 and 319 /
+/// 153 141 before a bulk update cost its delta; 321 / 67 942 and 839 /
+/// 196 409 before acks rode on data frames and names, signatures and
+/// evidence stopped being copied, see `DESIGN.md` §16).
 struct Budget {
     parties: usize,
     allocations: u64,

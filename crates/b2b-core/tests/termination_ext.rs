@@ -15,6 +15,113 @@ fn majority_cluster(n: usize, seed: u64, deadline: u64) -> Cluster {
     Cluster::with_config(n, seed, config, FaultPlan::default())
 }
 
+/// The paper's unanimous rule with a proposer-side deadline and no TTP.
+fn unanimous_cluster(n: usize, seed: u64, deadline: u64) -> Cluster {
+    let config = CoordinatorConfig::new().run_deadline(TimeMs(deadline));
+    Cluster::with_config(n, seed, config, FaultPlan::default())
+}
+
+/// The counter's next update, proposed by org0, installs at every member.
+fn next_update_installs_everywhere(cluster: &mut Cluster, n: usize, value: u64) {
+    let run = cluster.propose(0, "counter", enc(value));
+    for who in 0..n {
+        assert!(
+            cluster.outcome(who, &run).is_some_and(|o| o.is_installed()),
+            "org{who} installs the next update"
+        );
+        assert_eq!(dec(&cluster.state(who, "counter")), value);
+    }
+}
+
+#[test]
+fn a_state_round_aborted_at_its_deadline_frees_every_member_that_answered() {
+    // org2 is silent through org0's deadline. Without a TTP org0 aborts,
+    // and its decide — the responses in hand — ends the run at org1 one
+    // link delay later instead of leaving it active there for good.
+    let mut cluster = unanimous_cluster(3, 204, 500);
+    cluster.setup_object("counter", counter_factory);
+    let oid = ObjectId::new("counter");
+    let t0 = cluster.net.now();
+    cluster
+        .net
+        .partition([party(2)], [party(0), party(1)], t0 + TimeMs(2_000));
+    let o = oid.clone();
+    let run = cluster.net.invoke(&party(0), move |c, ctx| {
+        c.propose_overwrite(&o, enc(5), ctx).unwrap()
+    });
+    cluster.net.run_until(t0 + TimeMs(502));
+    let expired = Outcome::Aborted {
+        reason: "response deadline expired".into(),
+    };
+    for who in 0..2 {
+        assert_eq!(
+            cluster.outcome(who, &run),
+            Some(expired.clone()),
+            "org{who}"
+        );
+        assert!(!cluster.net.node(&party(who)).is_busy(&oid), "org{who}");
+        assert_eq!(dec(&cluster.state(who, "counter")), 0);
+    }
+    // Once healed, org2 hears the same abort; the group goes on.
+    cluster.run();
+    assert_eq!(cluster.outcome(2, &run), Some(expired));
+    next_update_installs_everywhere(&mut cluster, 3, 7);
+}
+
+#[test]
+fn a_connect_aborted_at_its_deadline_frees_every_member_that_answered() {
+    // org0..org2 share the counter and org1 is silent while org2 sponsors
+    // org3: at the deadline the sponsor rejects org3, and its decide ends
+    // the connect at org0 one link delay later.
+    let mut cluster = unanimous_cluster(4, 205, 500);
+    let oid = ObjectId::new("counter");
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("counter"), Box::new(counter_factory))
+            .unwrap();
+    });
+    for i in 1..3 {
+        let sponsor = party(i - 1);
+        cluster.net.invoke(&party(i), move |c, ctx| {
+            c.request_connect(
+                ObjectId::new("counter"),
+                Box::new(counter_factory),
+                sponsor,
+                ctx,
+            )
+            .unwrap();
+        });
+        cluster.run();
+    }
+    let t0 = cluster.net.now();
+    let others: Vec<_> = [0, 2, 3].into_iter().map(party).collect();
+    cluster
+        .net
+        .partition([party(1)], others, t0 + TimeMs(2_000));
+    cluster.net.invoke(&party(3), move |c, ctx| {
+        c.request_connect(
+            ObjectId::new("counter"),
+            Box::new(counter_factory),
+            party(2),
+            ctx,
+        )
+        .unwrap();
+    });
+    // The request reaches the sponsor one link delay after t0, and the
+    // deadline runs from there.
+    cluster.net.run_until(t0 + TimeMs(503));
+    for who in [0, 2] {
+        assert!(!cluster.net.node(&party(who)).is_busy(&oid), "org{who}");
+        assert_eq!(cluster.members(who, "counter").len(), 3, "org{who}");
+    }
+    assert_eq!(
+        cluster.net.node(&party(3)).connect_status(&oid),
+        Some(&ConnectStatus::Rejected)
+    );
+    cluster.run();
+    assert!(!cluster.net.node(&party(1)).is_busy(&oid));
+    next_update_installs_everywhere(&mut cluster, 3, 7);
+}
+
 #[test]
 fn majority_resolves_run_with_silent_party() {
     let mut cluster = majority_cluster(5, 200, 500);
@@ -172,6 +279,12 @@ fn majority_never_resolves_a_membership_change_from_a_partial_set() {
     cluster.net.run_until(t0 + TimeMs(5_000));
     let sponsor = cluster.net.node(&party(2));
     assert!(!sponsor.is_busy(&ObjectId::new("counter")));
+    // The sponsor's abort decide reached org0, the polled member that
+    // answered: it is not left holding the run.
+    assert!(!cluster
+        .net
+        .node(&party(0))
+        .is_busy(&ObjectId::new("counter")));
     assert_eq!(cluster.members(2, "counter").len(), 3);
     assert_eq!(
         cluster

@@ -103,6 +103,17 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends what `body` encodes, with a `u64` length prefix: the bytes
+    /// [`Encoder::put_bytes`] would write for `body`'s own encoding, built
+    /// in place instead of in a buffer of their own.
+    pub fn put_nested(&mut self, body: impl FnOnce(&mut Encoder)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        body(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_be_bytes());
+    }
+
     /// Appends a UTF-8 string with a `u64` length prefix.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());

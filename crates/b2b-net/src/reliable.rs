@@ -200,6 +200,9 @@ impl Delivered {
         let window = match self.epochs.iter().position(|(e, _)| *e == epoch) {
             Some(i) => &mut self.epochs[i].1,
             None => {
+                // One window per incarnation of the peer, held for the
+                // mux's life: sized to the windows it holds.
+                self.epochs.reserve_exact(1);
                 self.epochs.push((epoch, SeqWindow::default()));
                 &mut self.epochs.last_mut().expect("just pushed").1
             }
@@ -379,6 +382,7 @@ impl ReliableMux {
         match self.peers.iter().position(|p| p.id == *id) {
             Some(i) => i,
             None => {
+                self.peers.reserve_exact(1);
                 self.peers.push(PeerState::new(id.clone()));
                 self.peers.len() - 1
             }
@@ -550,13 +554,21 @@ impl ReliableMux {
 
     /// Arms peer `idx`'s timer for its earliest frame deadline — or, with
     /// every frame acked, for its horizon — unless a timer already pending
-    /// fires at or before it.
+    /// fires at or before it. A peer past its horizon with every frame
+    /// acked and no timer pending is quiet: its frame and timer lists give
+    /// their capacity back until it is sent to again.
     fn arm(&mut self, idx: usize, ctx: &mut NodeCtx) {
         let peer = &mut self.peers[idx];
         let next = match peer.outstanding.iter().map(|out| out.due).min() {
             Some(due) => due,
             None if peer.horizon > ctx.now() => peer.horizon,
-            None => return,
+            None => {
+                if peer.armed.is_empty() {
+                    peer.outstanding = Vec::new();
+                    peer.armed = Vec::new();
+                }
+                return;
+            }
         };
         if peer.armed.iter().any(|at| *at <= next) {
             return;
@@ -1119,6 +1131,30 @@ mod tests {
         assert!(ctx4.take_outgoing().is_empty());
         assert!(ctx4.take_timers().is_empty());
         assert_eq!(a.max_timers_per_peer(), 0);
+    }
+
+    #[test]
+    fn a_quiet_peer_gives_back_its_capacity() {
+        let mut a = ReliableMux::new(TimeMs(10), 1);
+        let pb = PartyId::new("b");
+        let mut ctx = NodeCtx::new(TimeMs(0));
+        for body in [&b"m1"[..], b"m2"] {
+            a.send(pb.clone(), body, &mut ctx);
+        }
+        let (tid, _) = ctx.take_timers()[0];
+        a.on_message(&pb, &bare_ack(1, 2), &mut NodeCtx::new(TimeMs(1)));
+        assert!(a.all_acked());
+        assert!(a.peers[0].outstanding.capacity() > 0);
+        // The timer runs out at the horizon with nothing to resend.
+        assert!(a.on_timer(tid, &mut NodeCtx::new(TimeMs(10))));
+        assert_eq!(a.peers[0].outstanding.capacity(), 0);
+        assert_eq!(a.peers[0].armed.capacity(), 0);
+        assert_eq!(a.peers.capacity(), 1);
+        // The peer is sent to again as before.
+        let mut ctx = NodeCtx::new(TimeMs(20));
+        a.send(pb.clone(), b"m3", &mut ctx);
+        assert_eq!(ctx.take_timers(), vec![(tid, TimeMs(10))]);
+        assert_eq!(a.peers[0].outstanding[0].seq, 2);
     }
 
     #[test]

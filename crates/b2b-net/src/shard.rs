@@ -293,19 +293,21 @@ impl<N: NetNode> Core<N> {
         TimeMs(self.start.elapsed().as_millis() as u64)
     }
 
-    /// Queues one outgoing payload from `slot` onto its FIFO outbox
-    /// (caller holds the slot lock).
-    fn enqueue_out(
+    /// Sends one outgoing payload from `slot`: offered to its destination
+    /// at once while the slot's outbox is empty, queued behind the outbox
+    /// otherwise or if the destination is full (caller holds the slot
+    /// lock). Returns whether the payload is headed for a local shard.
+    fn send_out(
         &self,
         slot: &Slot<N>,
         inner: &mut SlotInner<N>,
         to: &PartyId,
         payload: Payload,
-    ) {
+    ) -> bool {
         self.sent.fetch_add(1, Ordering::Relaxed);
         let Some(&shard) = self.shard_of.get(&slot.gid) else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         };
         let dest = if self.slots.contains_key(&(slot.gid, to.clone())) {
             OutDest::Shard(shard)
@@ -317,57 +319,71 @@ impl<N: NetNode> Core<N> {
             // Unknown destination: undeliverable, silently lost (the
             // paper's model treats it as a lost message).
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         };
+        let local = matches!(dest, OutDest::Shard(_));
         let event = ShardEvent::Deliver {
             gid: slot.gid,
             from: slot.party.clone(),
             to: to.clone(),
             frame: payload,
         };
-        inner.outbox.push_back((dest, event));
+        if !inner.outbox.is_empty() {
+            inner.outbox.push_back((dest, event));
+        } else if let Err(full) = self.offer_out(dest, event) {
+            inner.outbox.push_back(full);
+        }
+        local
     }
 
-    /// Offers `slot`'s outbox to the destinations in send order — local
-    /// shard inboxes or the external transport — stopping at the first
-    /// full one (head-of-line — nothing is shed and nothing overtakes).
-    /// Never blocks, so workers cannot deadlock on each other's full
-    /// inboxes. Returns whether the outbox emptied (caller holds the
-    /// slot lock).
-    fn try_drain(&self, inner: &mut SlotInner<N>) -> bool {
-        while let Some((dest, event)) = inner.outbox.pop_front() {
-            match dest {
-                OutDest::Shard(d) => match self.offer(d, event) {
-                    Ok(()) => {}
-                    Err(TrySendError::Disconnected(_)) => {
-                        // Shutting down; the frame is lost with the pool.
+    /// Offers one outbox entry to its destination — a local shard inbox or
+    /// the external transport — handing it back if the destination is full.
+    /// Never blocks.
+    fn offer_out(&self, dest: OutDest, event: ShardEvent) -> Result<(), (OutDest, ShardEvent)> {
+        match dest {
+            OutDest::Shard(d) => match self.offer(d, event) {
+                Ok(()) => {}
+                Err(TrySendError::Disconnected(_)) => {
+                    // Shutting down; the frame is lost with the pool.
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(TrySendError::Full(event)) => return Err((OutDest::Shard(d), event)),
+            },
+            OutDest::External => {
+                let Some(route) = self.external.get() else {
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                };
+                let ShardEvent::Deliver { gid, to, frame, .. } = &event else {
+                    return Ok(());
+                };
+                match route.try_send(*gid, to, frame) {
+                    RouteOffer::Sent => {}
+                    RouteOffer::Unroutable => {
                         self.dropped.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(TrySendError::Full(event)) => {
-                        inner.outbox.push_front((OutDest::Shard(d), event));
-                        return false;
-                    }
-                },
-                OutDest::External => {
-                    let Some(route) = self.external.get() else {
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    };
-                    let ShardEvent::Deliver { gid, to, frame, .. } = &event else {
-                        continue;
-                    };
-                    match route.try_send(*gid, to, frame) {
-                        RouteOffer::Sent => {}
-                        RouteOffer::Unroutable => {
-                            self.dropped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        RouteOffer::Full => {
-                            inner.outbox.push_front((OutDest::External, event));
-                            return false;
-                        }
-                    }
+                    RouteOffer::Full => return Err((OutDest::External, event)),
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Offers `slot`'s outbox to the destinations in send order, stopping
+    /// at the first full one (head-of-line — nothing is shed and nothing
+    /// overtakes). Never blocks, so workers cannot deadlock on each other's
+    /// full inboxes. Returns whether the outbox emptied; an emptied outbox
+    /// gives back its capacity, since only a full destination fills it
+    /// (caller holds the slot lock).
+    fn try_drain(&self, inner: &mut SlotInner<N>) -> bool {
+        while let Some((dest, event)) = inner.outbox.pop_front() {
+            if let Err(full) = self.offer_out(dest, event) {
+                inner.outbox.push_front(full);
+                return false;
+            }
+        }
+        if inner.outbox.capacity() > 0 {
+            inner.outbox = VecDeque::new();
         }
         true
     }
@@ -391,9 +407,10 @@ impl<N: NetNode> Core<N> {
         }
     }
 
-    /// Applies a context's effects after an engine callback: sends are
-    /// queued through the slot's FIFO outbox, timers
-    /// go onto the owning shard's wheel (caller holds the slot lock).
+    /// Applies a context's effects after an engine callback: timers go
+    /// onto the owning shard's wheel, then sends leave through the slot's
+    /// FIFO outbox — timers first, so a worker woken by one of the frames
+    /// already sees them (caller holds the slot lock).
     ///
     /// Returns whether the owning worker must be sent a
     /// [`ShardEvent::Wake`] to see a timer armed from outside it: the
@@ -403,9 +420,6 @@ impl<N: NetNode> Core<N> {
     /// which already woke the worker into its short re-drain poll.)
     #[must_use]
     fn flush(&self, slot: &Slot<N>, inner: &mut SlotInner<N>, ctx: &mut NodeCtx) -> bool {
-        for (to, payload) in ctx.take_outgoing() {
-            self.enqueue_out(slot, inner, &to, payload);
-        }
         let timers = ctx.take_timers();
         let armed = !timers.is_empty();
         if armed {
@@ -421,10 +435,13 @@ impl<N: NetNode> Core<N> {
                 });
             }
         }
-        let to_own_inbox = inner
+        let mut to_own_inbox = inner
             .outbox
             .iter()
             .any(|(dest, _)| matches!(dest, OutDest::Shard(_)));
+        for (to, payload) in ctx.take_outgoing() {
+            to_own_inbox |= self.send_out(slot, inner, &to, payload);
+        }
         self.drain_outbox(slot, inner);
         armed && !to_own_inbox
     }

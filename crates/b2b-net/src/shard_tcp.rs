@@ -56,6 +56,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -335,7 +336,7 @@ struct MuxShared {
     link_capacity: usize,
     /// Writer half of the wake socket pair; one byte nudges the
     /// reactor out of `poll`.
-    wake_tx: TcpStream,
+    wake_tx: UnixStream,
     stop: AtomicBool,
     counters: MuxCounters,
 }
@@ -432,7 +433,7 @@ struct Reactor {
     cfg: ShardedTcpConfig,
     shared: Arc<MuxShared>,
     listener: TcpListener,
-    wake_rx: TcpStream,
+    wake_rx: UnixStream,
     inject: ExternalInjector,
     out: Vec<OutLink>,
     inbound: Vec<InConn>,
@@ -881,15 +882,11 @@ fn backoff_delay(base: Duration, max: Duration, failures: u32) -> Duration {
     delay.min(max)
 }
 
-/// Loopback socket pair for waking the reactor (no `socketpair(2)`
-/// without libc, so a localhost TCP pair stands in).
-fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let (rx, _) = listener.accept()?;
+/// Connected Unix-domain socket pair (`socketpair(2)`) for waking the
+/// reactor: one byte written to the first end makes the second readable.
+fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
     Ok((tx, rx))
 }
