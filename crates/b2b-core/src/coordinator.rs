@@ -27,6 +27,7 @@ use b2b_crypto::{
     SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
 };
 use b2b_evidence::{EvidenceKind, EvidenceStore, RecordRef, RunLabel, SnapshotStore};
+use b2b_net::compact::Compact;
 use b2b_net::reliable::Inbound;
 use b2b_net::{NetNode, NodeCtx, ReliableMux};
 use b2b_telemetry::{names, SpanIds, Telemetry, TraceContext};
@@ -972,18 +973,14 @@ impl Coordinator {
     pub(crate) fn set_factory(&mut self, object: ObjectId, factory: ObjectFactory) {
         match self.factories.iter_mut().find(|(o, _)| *o == object) {
             Some((_, f)) => *f = factory,
-            None => {
-                self.factories.reserve_exact(1);
-                self.factories.push((object, factory));
-            }
+            None => self.factories.push_small((object, factory)),
         }
     }
 
     /// Notes that `run` started at `now` (for round-latency observation).
     pub(crate) fn note_run_started(&mut self, run: RunId, now: TimeMs) {
         if self.run_started.iter().all(|(r, _)| *r != run) {
-            self.run_started.reserve_exact(1);
-            self.run_started.push((run, now));
+            self.run_started.push_small((run, now));
         }
     }
 

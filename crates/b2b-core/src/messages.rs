@@ -1227,11 +1227,29 @@ pub enum WireMsg {
 /// First byte of every wire frame: the version of the layout that follows.
 pub const WIRE_FORMAT: u8 = 2;
 
-/// The one table of variant tags: generates [`WireMsg::to_bytes`] and
-/// [`WireMsg::from_bytes`] so a tag can only ever name one variant.
+/// The one table of variant tags and kind names: generates
+/// [`WireMsg::to_bytes`], [`WireMsg::from_bytes`], [`WIRE_TAGS`] and
+/// [`WireMsg::KIND_NAMES`] so a tag can only ever name one variant. The
+/// tags must run `0, 1, 2, …` in the order listed, which is checked at
+/// compile time, so a tag indexes the name table.
 macro_rules! wire_codec {
-    ($($tag:literal => $variant:ident($msg:ty)),* $(,)?) => {
+    ($($tag:literal => $variant:ident($msg:ty) $name:literal),* $(,)?) => {
+        /// How many variant tags [`WireMsg`] has: they are `0..WIRE_TAGS`.
+        pub const WIRE_TAGS: usize = [$($tag),*].len();
+
+        const _: () = {
+            let tags: [u8; WIRE_TAGS] = [$($tag),*];
+            let mut i = 0;
+            while i < WIRE_TAGS {
+                assert!(tags[i] as usize == i, "wire tags run 0.. in order");
+                i += 1;
+            }
+        };
+
         impl WireMsg {
+            /// The [`WireMsg::kind_name`] of every tag, in tag order.
+            pub const KIND_NAMES: [&'static str; WIRE_TAGS] = [$($name),*];
+
             /// Serialises for the transport: `[WIRE_FORMAT][tag][message]`.
             pub fn to_bytes(&self) -> Vec<u8> {
                 let mut enc = Encoder::with_capacity(self.size_hint());
@@ -1284,42 +1302,22 @@ macro_rules! wire_codec {
 }
 
 wire_codec! {
-    0 => Propose(ProposeMsg),
-    1 => Respond(RespondMsg),
-    2 => Decide(DecideMsg),
-    3 => ConnectRequest(ConnectRequestMsg),
-    4 => Welcome(WelcomeMsg),
-    5 => ConnectReject(ConnectRejectMsg),
-    6 => DisconnectRequest(DisconnectRequestMsg),
-    7 => DisconnectAck(DisconnectAckMsg),
-    8 => DisconnectReject(DisconnectRejectMsg),
-    9 => TtpResolve(TtpResolveMsg),
-    10 => TtpEvidenceRequest(TtpEvidenceRequestMsg),
-    11 => TtpEvidence(TtpEvidenceMsg),
-    12 => TtpResolution(TtpResolutionMsg),
+    0 => Propose(ProposeMsg) "propose",
+    1 => Respond(RespondMsg) "respond",
+    2 => Decide(DecideMsg) "decide",
+    3 => ConnectRequest(ConnectRequestMsg) "connect-request",
+    4 => Welcome(WelcomeMsg) "welcome",
+    5 => ConnectReject(ConnectRejectMsg) "connect-reject",
+    6 => DisconnectRequest(DisconnectRequestMsg) "disconnect-request",
+    7 => DisconnectAck(DisconnectAckMsg) "disconnect-ack",
+    8 => DisconnectReject(DisconnectRejectMsg) "disconnect-reject",
+    9 => TtpResolve(TtpResolveMsg) "ttp-resolve",
+    10 => TtpEvidenceRequest(TtpEvidenceRequestMsg) "ttp-evidence-request",
+    11 => TtpEvidence(TtpEvidenceMsg) "ttp-evidence",
+    12 => TtpResolution(TtpResolutionMsg) "ttp-resolution",
 }
 
-/// How many variant tags [`WireMsg`] has: they are `0..WIRE_TAGS`.
-pub const WIRE_TAGS: usize = 13;
-
 impl WireMsg {
-    /// The [`WireMsg::kind_name`] of every tag, in tag order.
-    pub const KIND_NAMES: [&'static str; WIRE_TAGS] = [
-        "propose",
-        "respond",
-        "decide",
-        "connect-request",
-        "welcome",
-        "connect-reject",
-        "disconnect-request",
-        "disconnect-ack",
-        "disconnect-reject",
-        "ttp-resolve",
-        "ttp-evidence-request",
-        "ttp-evidence",
-        "ttp-resolution",
-    ];
-
     /// A short name for diagnostics and traffic accounting.
     pub fn kind_name(&self) -> &'static str {
         WireMsg::KIND_NAMES[usize::from(self.tag())]

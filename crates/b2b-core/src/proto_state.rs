@@ -774,7 +774,7 @@ impl Coordinator {
                     at: now,
                 });
                 if got == want {
-                    self.finalize(&oid, run, false, ctx);
+                    self.finalize(&oid, run, ctx);
                     return;
                 }
                 None
@@ -787,17 +787,11 @@ impl Coordinator {
     }
 
     /// Computes the group decision, sends `m3`, installs or rolls back.
-    /// With `expired`, the run's deadline passed on the responses in hand:
-    /// under the unanimous rule that set is incomplete and can never
-    /// commit, so the round aborts — and the decide tells every polled
-    /// member so, the set naming by omission who did not answer.
-    pub(crate) fn finalize(
-        &mut self,
-        oid: &ObjectId,
-        run: RunId,
-        expired: bool,
-        ctx: &mut NodeCtx,
-    ) {
+    /// An incomplete set under the unanimous rule means the run's deadline
+    /// passed on the responses in hand: it can never commit, so the round
+    /// aborts — and the decide tells every polled member so, the set
+    /// naming by omission who did not answer.
+    pub(crate) fn finalize(&mut self, oid: &ObjectId, run: RunId, ctx: &mut NodeCtx) {
         let now = ctx.now();
         let run_hex = run.0;
         let Some(rep) = self.replicas.get_mut(oid) else {
@@ -812,6 +806,7 @@ impl Coordinator {
         let responses: Vec<RespondMsg> = pr.responses.into_values().collect();
         let rule = self.rule(kind);
         let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &responses);
+        let expired = rule == DecisionRule::Unanimous && responses.len() < polled.len();
         let decide = DecideMsg {
             object: oid.clone(),
             run,
@@ -827,7 +822,7 @@ impl Coordinator {
             if let Some(rep) = self.replicas.get_mut(oid) {
                 rep.object.apply_state(&rep.agreed_state);
             }
-            if expired && rule == DecisionRule::Unanimous {
+            if expired {
                 Outcome::Aborted {
                     reason: DEADLINE_EXPIRED.into(),
                 }
@@ -1035,11 +1030,16 @@ impl Coordinator {
             return DecideCheck::Refuted(Misbehaviour::AuthenticatorMismatch { run });
         }
         // ---- verify the aggregated responses ----
-        // A set may be partial: the proposer's deadline passed on the
-        // responses it held. Under the §7 majority extension a partial set
-        // may still resolve a state run; under the base (unanimous) rule it
-        // can never commit, and is the proposer's abort.
+        // Under the base (unanimous) rule the response set must be
+        // complete, except where an honest proposer sends a partial one:
+        // its deadline abort when no TTP is configured (`on_run_deadline`),
+        // which can never commit. With a TTP the proposer appeals instead,
+        // so a partial set can only be an adversary's re-aggregation. The
+        // §7 majority extension legitimately resolves state runs from a
+        // partial set after the deadline.
         let rule = self.rule(&p.kind);
+        let partial = rule == DecisionRule::Majority;
+        let abortable = !partial && self.config.run_deadline.is_some() && self.config.ttp.is_none();
         // The verifier reads each response's memoized bytes; count those
         // reads as `response_bytes_of` does.
         let memo_hits = m3.responses.iter().filter(|r| r.memo.is_cached()).count();
@@ -1048,7 +1048,7 @@ impl Coordinator {
             run,
             &p.object,
             polled,
-            true,
+            partial || abortable,
             |r| r.response.proposed == p.proposed,
             |items| {
                 self.telemetry
@@ -1068,8 +1068,7 @@ impl Coordinator {
             None if !complete => {}
             _ => return DecideCheck::Refuted(Misbehaviour::ResponseMisrepresented { run }),
         }
-        let partial = rule == DecisionRule::Majority;
-        if !complete && !partial {
+        if !complete && abortable {
             return DecideCheck::Aborted;
         }
         let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &m3.responses);
@@ -1080,7 +1079,7 @@ impl Coordinator {
         // authenticator is public after the first m3, could be a
         // re-aggregation by the network adversary — keep waiting instead
         // of diverging from peers that saw the full set.
-        if partial && !accepted && m3.responses.len() != polled.len() {
+        if partial && !accepted && !complete {
             return DecideCheck::Wait;
         }
         DecideCheck::Decided(accepted, vetoers)
@@ -1189,7 +1188,7 @@ impl Coordinator {
         };
         match self.config.ttp.clone() {
             Some(ttp) if !majority => self.appeal_to_ttp(oid, run, ttp, ctx),
-            _ if proposer => self.finalize(oid, run, true, ctx),
+            _ if proposer => self.finalize(oid, run, ctx),
             _ => {}
         }
     }
@@ -1298,7 +1297,7 @@ enum DecideCheck {
     /// The group's decision: whether it accepted, and who vetoed.
     Decided(bool, Vec<(PartyId, String)>),
     /// The proposer's abort at its deadline: an incomplete set under the
-    /// unanimous rule, which can never commit.
+    /// unanimous rule, where a deadline and no TTP are configured.
     Aborted,
     /// The decide is refuted by this misbehaviour.
     Refuted(Misbehaviour),

@@ -21,6 +21,7 @@ use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
     CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
 };
+use b2b_net::compact::Compact;
 use std::collections::{BTreeMap, VecDeque};
 
 /// First byte of every blob this module (and the coordinator's object
@@ -572,16 +573,6 @@ impl Replica {
         self.seen_tuples.get(tuple).is_some()
     }
 
-    /// Appends a window entry no other document carries. The loose list
-    /// is normally empty or short, so it grows one entry at a time up to
-    /// four, and doubles from there.
-    fn push_loose(&mut self, entry: SeenEntry) {
-        if self.loose_seen.len() == self.loose_seen.capacity() && self.loose_seen.len() < 4 {
-            self.loose_seen.reserve_exact(1);
-        }
-        self.loose_seen.push(entry);
-    }
-
     /// Records a proposal that does not become the active run (rejected
     /// without tracking, or decided on the spot). A run already in the
     /// window keeps its first `seen_at`: a proposal old enough to have
@@ -596,7 +587,7 @@ impl Replica {
             tuple,
         };
         self.admit_seen(&entry, 0);
-        self.push_loose(entry);
+        self.loose_seen.push_small(entry);
         self.core_dirty = true;
     }
 
@@ -634,7 +625,7 @@ impl Replica {
             let housed =
                 self.reply_of(&label).is_some() || self.loose_seen.iter().any(|e| e.run == label);
             if let (Some(seen_at), false) = (self.seen_runs.get(&label), housed) {
-                self.push_loose(SeenEntry {
+                self.loose_seen.push_small(SeenEntry {
                     run: label,
                     seen_at,
                     tuple,
@@ -704,9 +695,7 @@ impl Replica {
         let tuple = match self.loose_seen.iter().rposition(|e| e.run == run) {
             Some(i) => {
                 let entry = self.loose_seen.remove(i);
-                if self.loose_seen.is_empty() {
-                    self.loose_seen = Vec::new();
-                }
+                self.loose_seen.release_if_empty();
                 entry.tuple
             }
             None => None,
@@ -720,7 +709,7 @@ impl Replica {
             };
             self.unwritten.retain(|(r, _)| *r != oldest);
             if let Some(seen_at) = self.seen_runs.get(&oldest) {
-                self.push_loose(SeenEntry {
+                self.loose_seen.push_small(SeenEntry {
                     run: oldest,
                     seen_at,
                     tuple: evicted.tuple,
@@ -730,21 +719,11 @@ impl Replica {
         let n = self.reply_slots;
         self.reply_slots += 1;
         self.core_dirty = true;
-        self.push_reply(run, StoredReply { n, tuple });
+        self.replies.push_small((run, StoredReply { n, tuple }));
         Some(Doc::Reply {
             run,
             slot: reply_slot(n, cap),
         })
-    }
-
-    /// Appends to the reply ring, which is sized to what it holds: a quiet
-    /// replica keeps a reply or two, so the ring grows one entry at a time
-    /// up to four, and doubles from there to the retention cap.
-    fn push_reply(&mut self, run: RunId, stored: StoredReply) {
-        if self.replies.len() == self.replies.capacity() && self.replies.len() < 4 {
-            self.replies.reserve_exact(1);
-        }
-        self.replies.push_back((run, stored));
     }
 
     /// The reply document of the retained reply of `run`, carrying `wire`
@@ -774,9 +753,7 @@ impl Replica {
     /// longer be held.
     pub(crate) fn reply_written(&mut self, run: &RunId) {
         self.unwritten.retain(|(r, _)| r != run);
-        if self.unwritten.is_empty() {
-            self.unwritten = Vec::new();
-        }
+        self.unwritten.release_if_empty();
     }
 
     /// The retained re-reply for `run`, if the ring still holds it: read
@@ -811,9 +788,7 @@ impl Replica {
         self.seen_runs.prune(floor);
         self.seen_tuples.prune(floor);
         self.loose_seen.retain(|e| e.seen_at >= floor);
-        if self.loose_seen.is_empty() {
-            self.loose_seen = Vec::new();
-        }
+        self.loose_seen.release_if_empty();
     }
 
     // -----------------------------------------------------------------
@@ -923,12 +898,12 @@ impl Replica {
                 n,
                 tuple: doc.tuple,
             };
-            rep.push_reply(doc.run, stored);
+            rep.replies.push_small((doc.run, stored));
         }
         for entry in core.loose_seen {
             if entry.seen_at >= floor {
                 rep.admit_seen(&entry, floor);
-                rep.push_loose(entry);
+                rep.loose_seen.push_small(entry);
             }
         }
         if let Some((run, tuple)) = core.active.as_ref().and_then(ActiveRun::seen_key) {

@@ -241,11 +241,9 @@ fn forged_authenticator_in_decide_is_detected() {
 }
 
 #[test]
-fn response_removed_from_decide_aggregation_never_installs() {
+fn response_removed_from_decide_aggregation_is_detected() {
     // A dishonest proposer (or intruder) presenting an incomplete response
-    // set cannot make a recipient install. Under the unanimous rule an
-    // incomplete set can never commit: it is its proposer's abort at the
-    // run's deadline, and the recipient closes the run as aborted.
+    // set cannot make a recipient install.
     let mut cluster = Cluster::new(3, 55);
     cluster.setup_object("counter", counter_factory);
     cluster.net.set_intruder(FnIntruder::new(
@@ -260,14 +258,9 @@ fn response_removed_from_decide_aggregation_never_installs() {
     ));
     let run = cluster.propose(0, "counter", enc(5));
     assert!(cluster.outcome(2, &run).unwrap().is_installed());
-    assert_eq!(
-        cluster.outcome(1, &run),
-        Some(Outcome::Aborted {
-            reason: "response deadline expired".into()
-        })
-    );
+    assert!(cluster.outcome(1, &run).is_none());
     assert_eq!(dec(&cluster.state(1, "counter")), 0);
-    assert!(!has_detection(&cluster, 1, "inconsistent-decide"));
+    assert!(has_detection(&cluster, 1, "inconsistent-decide"));
 }
 
 #[test]

@@ -246,6 +246,43 @@ fn complete_responses_yield_certified_decision() {
 }
 
 #[test]
+fn a_decide_stripped_in_flight_is_certified_valid_at_its_victim() {
+    // The network strips org2's response from every decide to org1. With a
+    // TTP the proposer never sends a partial set, so org1 refuses it and
+    // stays busy rather than aborting; at its deadline it appeals, and the
+    // TTP certifies the proposer's complete set. Every member installs.
+    let mut world = build(3, 302, 500);
+    setup_counter(&mut world);
+    world.net.set_intruder(FnIntruder::new(
+        |_f: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::Decide(mut m)) if to.as_str() == "org1" => {
+                m.responses
+                    .retain(|r| r.response.responder.as_str() == "org1");
+                InterceptAction::Replace(replace_body(raw, &WireMsg::Decide(m)))
+            }
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    let oid = ObjectId::new("c");
+    let run = world.net.invoke(&org(0), move |c, ctx| {
+        c.propose_overwrite(&oid, enc(8), ctx).unwrap()
+    });
+    for who in 0..3 {
+        let outcome = drive_until_outcome(&mut world, &org(who), &run, TimeMs(60_000));
+        assert!(
+            outcome.as_ref().is_some_and(Outcome::is_installed),
+            "org{who} must install, got {outcome:?}"
+        );
+    }
+    world.net.run_until_quiet(TimeMs(600_000));
+    for who in 0..3 {
+        let node = world.net.node(&org(who));
+        assert!(!node.is_busy(&ObjectId::new("c")), "org{who} idle");
+        assert_eq!(dec(&node.agreed_state(&ObjectId::new("c")).unwrap()), 8);
+    }
+}
+
+#[test]
 fn appeal_with_a_duplicated_responder_is_certified_abort() {
     // Two copies of org1's response are as many responses as the group
     // owes, but one responder short: the TTP must count responders.

@@ -12,6 +12,8 @@
 //! * [`sim`] — a deterministic discrete-event network simulator with
 //!   virtual time, seeded randomness, node crash/recovery and healing
 //!   partitions;
+//! * [`compact`] — the capacity policy of per-group containers that are
+//!   usually empty or short;
 //! * [`fault`] — per-link fault plans (drop, duplicate, delay, reorder);
 //! * [`intruder`] — a programmable Dolev-Yao adversary that observes,
 //!   removes, delays, replays and tampers with traffic;
@@ -30,6 +32,7 @@
 //!   accept loop, joined worker pool, keep-alive) behind the `b2b-server`
 //!   order service, which also serves the metrics registry on `/metrics`.
 
+pub mod compact;
 pub mod fault;
 pub mod httpd;
 pub mod intruder;

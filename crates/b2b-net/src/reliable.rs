@@ -22,6 +22,7 @@
 //! retransmit timer, armed for the earliest frame deadline; every frame
 //! keeps its own attempt count and back-off.
 
+use crate::compact::Compact;
 use crate::node::{NodeCtx, Payload};
 use b2b_crypto::{PartyId, TimeMs};
 use b2b_telemetry::{ctx::WIRE_LEN, names, Telemetry, TraceContext};
@@ -202,8 +203,7 @@ impl Delivered {
             None => {
                 // One window per incarnation of the peer, held for the
                 // mux's life: sized to the windows it holds.
-                self.epochs.reserve_exact(1);
-                self.epochs.push((epoch, SeqWindow::default()));
+                self.epochs.push_small((epoch, SeqWindow::default()));
                 &mut self.epochs.last_mut().expect("just pushed").1
             }
         };
@@ -382,8 +382,7 @@ impl ReliableMux {
         match self.peers.iter().position(|p| p.id == *id) {
             Some(i) => i,
             None => {
-                self.peers.reserve_exact(1);
-                self.peers.push(PeerState::new(id.clone()));
+                self.peers.push_small(PeerState::new(id.clone()));
                 self.peers.len() - 1
             }
         }
@@ -564,8 +563,8 @@ impl ReliableMux {
             None if peer.horizon > ctx.now() => peer.horizon,
             None => {
                 if peer.armed.is_empty() {
-                    peer.outstanding = Vec::new();
-                    peer.armed = Vec::new();
+                    peer.outstanding.release_if_empty();
+                    peer.armed.release_if_empty();
                 }
                 return;
             }

@@ -37,6 +37,7 @@
 //! drops its inbound frames, and recovery replays the engine's
 //! `on_recover`.
 
+use crate::compact::Compact;
 use crate::node::{NetNode, NodeCtx, Payload};
 use crate::stats::NetStats;
 use b2b_crypto::{PartyId, TimeMs};
@@ -382,9 +383,7 @@ impl<N: NetNode> Core<N> {
                 return false;
             }
         }
-        if inner.outbox.capacity() > 0 {
-            inner.outbox = VecDeque::new();
-        }
+        inner.outbox.release_if_empty();
         true
     }
 
