@@ -113,7 +113,7 @@ fn forged_authenticator_in_member_decide_is_detected() {
     assert_shape(
         &cluster,
         "c",
-        "140a3b89c242261e79690620e342718a2e128c87e3d5429d8f0dbe0184de56ba",
+        "0bc7e42f6a366a8bcdac399769901617bc3f2068df4a94e5e17f00d5d8137eb5",
     );
 }
 
@@ -137,7 +137,7 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_shape(
         &cluster,
         "c",
-        "d8ccbfb8e0cbe8295920dfece5aaec227ffe3f64f44c5fc4f762ebc534ff5525",
+        "e5901bbe29769b59ed87a0c239585d5ef516db996e40c85199f2ec7268452284",
     );
 }
 
@@ -167,7 +167,7 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_shape(
         &cluster,
         "c",
-        "3551f91e0e9ffafbb6c18728fbd74948be7df5d3539a55f817dd9d6995f0f562",
+        "c4d7427e9b008de81893af5d0902b3c3a077fee65cea05f4bb1c748b8a2c3769",
     );
 }
 
@@ -201,7 +201,7 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
     assert_shape(
         &cluster,
         "c",
-        "07e5dc57ac5176578a0c30955cc51e09e9f813cb0d3b1161bd72f885b3d1c2b7",
+        "aadba52767597f80b4c952b589f656bd0f2b08ebe4381128295aa172b0d66d35",
     );
 }
 
@@ -243,7 +243,7 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
     assert_shape(
         &cluster,
         "c",
-        "a2fa651e2634e055def7b45fe9f8d47340f2e36ce7476cb0e5c1bf097dcfec7e",
+        "f34bde43dbdf70559b153432a00d9ae9f2ed7ce27982e9730c8f20d281d5c418",
     );
 }
 
@@ -291,7 +291,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_shape(
         &cluster,
         "c",
-        "50055ff14cf0dc1aeb27afe801ceea457c02b04fa4816335b12ba83d8bb716ff",
+        "c9bc28f913a111737927c834472a9ed8ce1cfdb71b61aeb645ab04579a4646ad",
     );
 }
 
@@ -331,7 +331,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_shape(
         &cluster,
         "c",
-        "a95aac9c056ac2bc10135806585320db0944e8e86965eac194d02b7c6989034e",
+        "618354e8cc4fdad7c79a3f40a3abb26f5488fdb76ab899736d1f666a158650de",
     );
 }
 
@@ -387,7 +387,7 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_shape(
         &cluster,
         "c",
-        "562142d7a1aa7a73388b735b773c5bd1a966cf9c8f9f142ab920681f10b57b81",
+        "7a70e18d85ea2d890a4e501e47682fe9c7c2fdd9eb95daf53b18569c7a19e149",
     );
 }
 
@@ -458,7 +458,7 @@ fn replayed_connect_proposal_is_detected() {
     assert_shape(
         &cluster,
         "c",
-        "64ee10065b1875665ad8b361f7bbc5ef2ffcc4d35373b53cbd77b1c974dbbe35",
+        "375d7abe1d6ecbd4e6c06bd3943d74b6511729a97d65fed42122a44944f3cb7f",
     );
 }
 
@@ -498,7 +498,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_shape(
         &cluster,
         "c",
-        "b193b716fc3bfa5ded3f37100f60fe8102cb02446b2183b91d0ab06da25b5cc4",
+        "1373232ce1e7e32977119f71d8f982d29f90d298c98dc896ebeb754e2bf7e04a",
     );
 }
 

@@ -198,35 +198,57 @@ pub fn assert_golden(cluster: &Cluster, alias: &str, golden: &str) {
 }
 
 /// SHA-256 over what a scenario *did*, blind to the bytes of membership
-/// messages. Per party of `cluster`:
-/// - the sequence of (evidence kind, signer) in log order, with the
-///   payload bytes of the state-round records (propose, respond, decide,
+/// messages and to the names their evidence kinds once had. Per party of
+/// `cluster`:
+/// - the sequence of (round step, signer) in log order, with the payload
+///   bytes of the state-round records (propose, respond, decide,
 ///   checkpoint);
 /// - the outcome of every run its evidence names, keyed by the run's order
 ///   of first appearance in the log rather than by its label;
 /// - the final members, agreed tuple and agreed state of `alias`.
 ///
-/// A change to the wire layout of membership rounds moves
-/// [`scenario_digest`] but not this; a change to who signed what, to any
-/// state-round byte or to any outcome moves both.
+/// The step of a record is its kind, with the propose, respond and decide
+/// of a membership round named as a state round's and a subject's request
+/// and answer named `MemberRequest` and `MemberAnswer`. A record belongs
+/// to a membership round when its run's proposal is a membership change.
+///
+/// A change to the wire layout of membership rounds, or to the kinds their
+/// records are filed under, moves [`scenario_digest`] but not this; a
+/// change to who signed what, to any state-round byte or to any outcome
+/// moves both.
 pub fn scenario_shape(cluster: &Cluster, alias: &str) -> String {
-    use b2b_crypto::CanonicalEncode;
+    use b2b_core::messages::Proposal;
+    use b2b_crypto::{CanonicalDecode, CanonicalEncode};
     use b2b_evidence::{EvidenceKind, EvidenceStore};
     let oid = ObjectId::new(alias);
+    let logs: Vec<_> = cluster
+        .parties
+        .iter()
+        .map(|p| cluster.stores[p].records())
+        .collect();
+    let member_runs: std::collections::HashSet<&str> = logs
+        .iter()
+        .flatten()
+        .filter(|r| {
+            r.kind == EvidenceKind::StatePropose
+                && Proposal::from_canonical(&r.payload).is_ok_and(|p| p.kind.is_membership())
+        })
+        .map(|r| r.run.as_str())
+        .collect();
     let mut input = Vec::new();
-    for p in &cluster.parties {
+    for (p, records) in cluster.parties.iter().zip(&logs) {
         let node = cluster.net.node(p);
-        let records = cluster.stores[p].records();
         let mut runs: Vec<&str> = Vec::new();
-        for record in &records {
-            input.extend(format!("{:?}/{};", record.kind, record.origin).into_bytes());
+        for record in records {
+            input.extend(format!("{}/{};", round_step(record.kind), record.origin).into_bytes());
             if matches!(
                 record.kind,
                 EvidenceKind::StatePropose
                     | EvidenceKind::StateRespond
                     | EvidenceKind::StateDecide
                     | EvidenceKind::Checkpoint
-            ) {
+            ) && !member_runs.contains(record.run.as_str())
+            {
                 input.extend(&record.payload);
             }
             if !runs.contains(&record.run.as_str()) {
@@ -250,6 +272,20 @@ pub fn scenario_shape(cluster: &Cluster, alias: &str) -> String {
         input.extend(node.agreed_state(&oid).unwrap_or_default());
     }
     b2b_crypto::sha256(&input).to_string()
+}
+
+/// The round step a record of `kind` evidences, as [`scenario_shape`]
+/// names it.
+fn round_step(kind: b2b_evidence::EvidenceKind) -> String {
+    use b2b_evidence::EvidenceKind::*;
+    match kind {
+        ConnectPropose | DisconnectPropose => "StatePropose".into(),
+        ConnectRespond | DisconnectRespond => "StateRespond".into(),
+        ConnectDecide | DisconnectDecide => "StateDecide".into(),
+        ConnectRequest | DisconnectRequest => "MemberRequest".into(),
+        ConnectWelcome | ConnectReject | DisconnectAck | DisconnectReject => "MemberAnswer".into(),
+        other => format!("{other:?}"),
+    }
 }
 
 /// The run label a record names, if it is one (64 hex digits).

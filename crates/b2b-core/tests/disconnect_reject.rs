@@ -86,6 +86,6 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_shape(
         &cluster,
         "ledger",
-        "36b13306c8f56c8a408610eeefa36eb7e39122d123f31adf3a19680a19b0ec78",
+        "11ff18c383d2dbf03a206ff225239f1222b79001a0e2e80a34da73bf9d2b2f44",
     );
 }

@@ -234,42 +234,42 @@ const GOLDEN: &[(Fault, usize, usize, &str, &str)] = &[
         4,
         2,
         "2c3e87c064288fae4463632444bebb031605e813370bd1f4291e6c382731f396",
-        "12f22826177096f78ada09a7b0ce683fe5d770d556ce40b85d93b45464139e4a",
+        "c879b922eb607bf34c698beafb314fe4bf3ae9646e476a43bcdfd933e7c65a30",
     ),
     (
         Fault::Inapplicable,
         4,
         1,
         "a268d2034dbc5fa171590d1a7e5f5c4e9c98941d36d9a5146bf69ffd69754266",
-        "f2fd852b55eb13ce69bb373456a02dc30db9defdfce9b2c1063629bafbaf2cc9",
+        "329f03b6100fc226dff246885471ab8bc5aa7b1bfedb4571cfd77bef453b2134",
     ),
     (
         Fault::Vetoed,
         4,
         3,
         "fcdd92690fb7c7ea820a1455f4f3028d535356ab17eb7b0d00d46b432f1d3dac",
-        "5b55578c22e09afc3dda9d3af9675e103e6cd72e79d4ef8090fa7c5c52b5ad72",
+        "c48533c9cc77d500d2752e219367caaf98936668ad832a939cebc7bdea74fb2f",
     ),
     (
         Fault::Forged,
         1,
         0,
         "cef4e145979edb72f00d1fd035831943d3c626b127e6ad2adc1116bfefd193b8",
-        "15eb1e0eda4aae5a8c2c05f177546a8720870b932e84152c7bbc13824dfb7bd8",
+        "48ece7c1531a2ee36fd1403e99239c0ba0a4e7dc4fbc6a6b7e412cb25571dea5",
     ),
     (
         Fault::Inapplicable,
         1,
         0,
         "7ea283bb40df9ba31f9f7c144439624f492b8b9b7386bff8e701f2c217e3d1ad",
-        "1877f1f4ca9cadef3641cfd87d274b603ca7acaf0e0196753e526388d1ad9d2f",
+        "b2bd082a1e98c3a94de0b2e65a910001104c7a3a8c8533553ec934ff8bd14522",
     ),
     (
         Fault::Vetoed,
         1,
         0,
         "559aa8b9e4633393bc19c8cbee863f14dc96152815a16e8a98053b8c45bc9fcd",
-        "81ae91e94d35bf8ce4a6f66c8ab11ec89b306cb874fcaf85637157231717c357",
+        "4d8a8e4999167aab1c8eee902af051687916072bdef398af374b79d8d3f1f0da",
     ),
 ];
 

@@ -41,7 +41,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_shape(
         &cluster,
         "counter",
-        "0e70f327df5d42b39b62b79f22013a8079650f4251ac18a5e81b250169e17562",
+        "e719b4c5e2056e77dad120a7eef4141ddfcb939e6c62e4836e061670532f894e",
     );
 }
 
@@ -92,7 +92,7 @@ fn joiner_receives_current_agreed_state() {
     assert_shape(
         &cluster,
         "counter",
-        "5ad22f8c65c0d93194689cae01973bcb08d987f04cc86582cd661b533f85a270",
+        "23486d9b8d4dc59a2083592c5d7b046ea7a52101e499be5aa4142736945f27c6",
     );
 }
 
@@ -171,7 +171,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_shape(
         &cluster,
         "obj",
-        "daafd5b45194202dc87a2756519dc356bafd4656a67c9c904e084dda8606495d",
+        "114351a5efdb73db5c1f5143cd260c3a742f7865b38da1e05dd28c118b751b5c",
     );
 }
 
@@ -227,7 +227,7 @@ fn immediate_rejection_by_sponsor() {
     assert_shape(
         &cluster,
         "obj",
-        "6bd795547bc7d11d8b2456d4c90735ea2841be956ce90c74ee0ff6029ab2f533",
+        "c8eadd2beb6fe91228a53c9d171f5b9f05c6f2c4bcca8549776c016988dbad9f",
     );
 }
 
@@ -266,7 +266,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_shape(
         &cluster,
         "counter",
-        "6f4ad98dd4e6942080b26e852295c776007c49d84810ec01016cabfda308bc18",
+        "9fb1692485b70d98a184288854d628372258177cabc4f47a05973781a4b838ad",
     );
 }
 
@@ -295,7 +295,7 @@ fn two_party_disconnect_leaves_singleton() {
     assert_shape(
         &cluster,
         "counter",
-        "9572d516f0dc7d973841896051eab61057f708b410b8b9ea6df70d3441adef0d",
+        "466510b62619cc26e9a93853afb42aab4d13a16a63db5c0a72822890510e9d7b",
     );
 }
 
@@ -342,7 +342,7 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_shape(
         &cluster,
         "counter",
-        "6da042706efd7aeb22df82919b69c58e5afbecf8c360bde921c1d052467c2a65",
+        "e561288380a22206b2ad928883c008cc7f03b3ac0123af2bdc61153cf6c176b8",
     );
 }
 
@@ -369,7 +369,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_shape(
         &cluster,
         "counter",
-        "dca0bb807a3addce185d3ea838ac3e5a24b07d9c4c27b1658149cbd7a8a63ed1",
+        "4caba3a21ded55968d914c810eaa912eaf5feabcf1ac7303c6b5f0d8d770afac",
     );
 }
 
@@ -405,7 +405,7 @@ fn membership_requests_queue_behind_active_run() {
     assert_shape(
         &cluster,
         "counter",
-        "4a2bf0da51cf90a8151eb1d5312e530a6de7108ea18e14245ea99fc8db2cf42b",
+        "33f08121d55eb3f48a1f5c9cd950a341d7a1db7b5737bbb434fa283f8bada8fe",
     );
 }
 
@@ -459,7 +459,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_shape(
         &cluster,
         "c",
-        "f64eefdb2e95ff4e7b28f10cd9b71d2ce32cd7535ca451bbc5822966ae9b9af3",
+        "26fc46675e058bdcd84497c9538d8847295cb993855b2c6c97a171b7c7288483",
     );
 }
 
@@ -473,9 +473,9 @@ fn membership_change_message_cost() {
         "5c495f9bba20efd81e5e6f70ca87c162d91aabe2429f550b72f38808d4ad5095",
     ];
     const SHAPES: [&str; 3] = [
-        "6bc6db5da11c8624deb5d3132132bc67c936eac3b6b3907a248a5c6ae54c426f",
-        "577b6876be084a78541cf9e690e973ce45f8f1c6ef2e6312cb13519db5d864d8",
-        "bc68a49df5ba857f23c536099c16b7242431264b380e4643cb1f227b351656f1",
+        "bc0ac1a374ada8b45dbd7687861def9f48e23a2825ac5bf4ede49fd408eb20b2",
+        "8c6c6067a9aeec2cc68b636f67b2e85ff099593f863096d6f7ee85502a060bf0",
+        "ab55410cd058a3d22d215695abd7a7e15d835b83758825339f30d4b06c5d27c0",
     ];
     for n in 2..=4u64 {
         let mut cluster = Cluster::new(n as usize + 1, 40 + n);

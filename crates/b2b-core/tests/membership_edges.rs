@@ -36,7 +36,7 @@ fn leaver_can_rejoin_later() {
     assert_shape(
         &cluster,
         "c",
-        "83e6e91cc53b950bf7248735229d4d3b85b75db7e09c0ef66b093edcee9611af",
+        "a192533f09cde44c21eceb658254741e20e5e31599c85118ea2e4dae3fa5334d",
     );
 }
 
@@ -60,7 +60,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_shape(
         &cluster,
         "c",
-        "ae0eb38824cf520b22cdff54a03de532375b1dbd239aa8554498b8b3f0c9efa4",
+        "73bec86e3a050d9d95a9c91a29b547a7cb22bd23b4d9b517fcd219ae812659f0",
     );
 }
 
@@ -84,7 +84,7 @@ fn detached_party_cannot_propose() {
     assert_shape(
         &cluster,
         "c",
-        "a6e8682b7dce036811a07bedbc597a591ffab553f802a2b72d618be27752cbc0",
+        "c8b7fb4e35f79262ffafce1a59a67e860af9c383fd545d635a3dad2225f1328f",
     );
 }
 
@@ -124,7 +124,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_shape(
         &cluster,
         "c",
-        "e9466aa3539e701fe0a26b0fc4caefec0f6f6b29d996d030b62fd5fcb52da0ac",
+        "e998de54a685b5e7498b5ac988999953713218ff5063312f96475cd0a741349b",
     );
 }
 
@@ -174,7 +174,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_shape(
         &cluster,
         "c",
-        "946bb5f7a804bb0a09fcf93e026a350f750e8058a90180d1e6552f4d03614386",
+        "ec06cbffb67875ebb8f32b301d65a2fd9a4b68d71ffbbcc98336bea476629d39",
     );
 }
 
@@ -231,7 +231,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_shape(
         &cluster,
         "c",
-        "8e7bac3f07399a6f3392d3a158bbe6db1db95deb3e89d687816f67f33c6928b0",
+        "aec598d00142a5c44d686bdeccdc45cf32ed38d3e4875163cc9f3fb4fec71402",
     );
 }
 
@@ -285,6 +285,6 @@ fn queued_connects_are_served_in_order() {
     assert_shape(
         &cluster,
         "c",
-        "601883cced4addfec1da1c401d48a5aa45db016c8023e3430207ebebf9eaeff5",
+        "ee47f1208f32736064f385553d6196f6f2817e4d9d98973614e12b9b39d65287",
     );
 }
