@@ -16,11 +16,9 @@ use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{ConnectRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
+use crate::messages::{MemberRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
 use crate::object::B2BObject;
-use crate::replica::{
-    snapshot_decoder, ActiveRun, CoreDoc, Doc, QueuedRequest, Replica, SNAPSHOT_FORMAT,
-};
+use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Replica, SNAPSHOT_FORMAT};
 use crate::seq::SeqTable;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
@@ -73,7 +71,7 @@ pub(crate) struct Episode {
 
 /// A connection attempt in progress at the subject.
 pub(crate) struct PendingConnect {
-    pub(crate) request: ConnectRequestMsg,
+    pub(crate) request: MemberRequestMsg,
     pub(crate) sponsor: PartyId,
 }
 
@@ -153,7 +151,7 @@ fn decode_pending_connects(bytes: &[u8]) -> Result<Vec<(ObjectId, PendingConnect
     for _ in 0..dec.get_count(64)? {
         let object = ObjectId::decode(&mut dec)?;
         let sponsor = PartyId::decode(&mut dec)?;
-        let request = ConnectRequestMsg::decode(&mut dec)?;
+        let request = MemberRequestMsg::decode(&mut dec)?;
         out.push((object, PendingConnect { request, sponsor }));
     }
     dec.finish()?;
@@ -1226,12 +1224,8 @@ impl Coordinator {
             WireMsg::Propose(m) => self.on_propose(from, m, ctx),
             WireMsg::Respond(m) => self.on_respond(from, m, ctx),
             WireMsg::Decide(m) => self.on_decide(from, m, ctx),
-            WireMsg::ConnectRequest(m) => self.on_connect_request(m, ctx),
-            WireMsg::Welcome(m) => self.on_welcome(from, m, ctx),
-            WireMsg::ConnectReject(m) => self.on_connect_reject(from, m, ctx),
-            WireMsg::DisconnectRequest(m) => self.on_disconnect_request(m, ctx),
-            WireMsg::DisconnectAck(m) => self.on_disconnect_ack(from, m, ctx),
-            WireMsg::DisconnectReject(m) => self.on_disconnect_reject(from, m, ctx),
+            WireMsg::MemberRequest(m) => self.on_member_request(m, ctx),
+            WireMsg::MemberAnswer(m) => self.on_member_answer(from, m, ctx),
             WireMsg::TtpResolve(m) => self.on_ttp_resolve(from, m, ctx),
             WireMsg::TtpEvidenceRequest(m) => self.on_ttp_evidence_request(from, m, ctx),
             WireMsg::TtpEvidence(m) => self.on_ttp_evidence(from, m, ctx),
@@ -1300,7 +1294,7 @@ impl Coordinator {
             if self.replicas.contains_key(&object) {
                 continue; // welcomed before the crash
             }
-            let msg = WireMsg::ConnectRequest(p.request.clone());
+            let msg = WireMsg::MemberRequest(p.request.clone());
             self.send_wire(&p.sponsor.clone(), &msg, ctx);
             let cold = self.cold_mut();
             cold.connect_status
@@ -1336,7 +1330,7 @@ impl Coordinator {
                 self.send_wire(&proposer, &msg, ctx);
             }
             Some(ActiveRun::Leaving(run)) => {
-                let msg = WireMsg::DisconnectRequest(run.request.clone());
+                let msg = WireMsg::MemberRequest(run.request.clone());
                 self.send_wire(&run.sponsor.clone(), &msg, ctx);
             }
         }
@@ -1378,10 +1372,7 @@ impl Coordinator {
                     None => break,
                 }
             };
-            let started = match next {
-                QueuedRequest::Connect(req) => self.sponsor_connect(req, ctx),
-                QueuedRequest::Disconnect(req) => self.sponsor_disconnect(req, ctx),
-            };
+            let started = self.sponsor_request(next, ctx);
             // If the request started a run we are done; if it was answered
             // immediately (e.g. rejected), try the next queued request.
             if started {

@@ -9,10 +9,11 @@
 //! Every coordination round is three steps:
 //! `m1` [`ProposeMsg`] → `m2` [`RespondMsg`] → `m3` [`DecideMsg`], i.e.
 //! `3(n−1)` messages for `n` parties. What the round agrees on is the
-//! proposal's [`ProposalKind`]: a state transition (§4.3), or a connection
-//! or disconnection (§4.5), which is the same round with the subject's
-//! signed request as its body, preceded by the request to the sponsor and
-//! followed by a welcome, reject or ack to the subject.
+//! proposal's [`ProposalKind`]: a state transition (§4.3), or a membership
+//! change (§4.5), which is the same round with the requester's signed
+//! [`MemberRequestMsg`] as its body, preceded by that request to the
+//! sponsor and followed by the sponsor's [`MemberAnswerMsg`] to the
+//! subject of a join or leave.
 //!
 //! # Wire format
 //!
@@ -124,26 +125,16 @@ pub enum ProposalKind {
         /// Per-update hash chain, in application order.
         links: Vec<BatchLink>,
     },
-    /// Admitting `subject` (§4.5.3). The unsigned body is the subject's
-    /// signed [`ConnectRequestMsg`], bound by `request_digest`.
-    Connect {
-        /// Digest of the subject's signed request.
-        request_digest: Digest32,
-        /// The party seeking admission.
-        subject: PartyId,
-        /// The group that results from admission (`gid_new`).
-        new_group: GroupId,
-    },
-    /// Removing `subjects` (§4.5.4). The unsigned body is the signed
-    /// [`DisconnectRequestMsg`], bound by `request_digest`.
-    Disconnect {
+    /// The membership change `requester` asked for (§4.5). The unsigned
+    /// body is the signed [`MemberRequestMsg`], bound by `request_digest`.
+    Member {
         /// Digest of the signed request.
         request_digest: Digest32,
-        /// The member(s) leaving.
-        subjects: Vec<PartyId>,
-        /// Eviction (vetoable) or voluntary departure (not vetoable).
-        eviction: bool,
-        /// The group that results from the departure.
+        /// Who signed the request: the subject of a join or leave.
+        requester: PartyId,
+        /// The change requested.
+        change: MemberChange,
+        /// The group that results from the change (`gid_new`).
         new_group: GroupId,
     },
 }
@@ -151,16 +142,15 @@ pub enum ProposalKind {
 impl ProposalKind {
     /// `true` for a connection or disconnection.
     pub fn is_membership(&self) -> bool {
-        matches!(
-            self,
-            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. }
-        )
+        matches!(self, ProposalKind::Member { .. })
     }
 
     /// The members the round removes from the group.
     pub fn leavers(&self) -> &[PartyId] {
         match self {
-            ProposalKind::Disconnect { subjects, .. } => subjects,
+            ProposalKind::Member {
+                requester, change, ..
+            } => change.leavers(requester),
             _ => &[],
         }
     }
@@ -173,8 +163,13 @@ impl ProposalKind {
             .filter(|m| !self.leavers().contains(m))
             .cloned()
             .collect();
-        if let ProposalKind::Connect { subject, .. } = self {
-            next.push(subject.clone());
+        if let ProposalKind::Member {
+            requester,
+            change: MemberChange::Join,
+            ..
+        } = self
+        {
+            next.push(requester.clone());
         }
         next
     }
@@ -192,26 +187,16 @@ impl CanonicalEncode for ProposalKind {
                 enc.put_u8(2);
                 encode_seq(links, enc);
             }
-            ProposalKind::Connect {
+            ProposalKind::Member {
                 request_digest,
-                subject,
+                requester,
+                change,
                 new_group,
             } => {
                 enc.put_u8(3);
                 enc.put_digest(request_digest);
-                subject.encode(enc);
-                new_group.encode(enc);
-            }
-            ProposalKind::Disconnect {
-                request_digest,
-                subjects,
-                eviction,
-                new_group,
-            } => {
-                enc.put_u8(4);
-                enc.put_digest(request_digest);
-                encode_seq(subjects, enc);
-                enc.put_bool(*eviction);
+                requester.encode(enc);
+                change.encode(enc);
                 new_group.encode(enc);
             }
         }
@@ -229,15 +214,10 @@ impl CanonicalDecode for ProposalKind {
             2 => Ok(ProposalKind::Batch {
                 links: decode_seq(dec, 64)?,
             }),
-            3 => Ok(ProposalKind::Connect {
+            3 => Ok(ProposalKind::Member {
                 request_digest: dec.get_digest()?,
-                subject: PartyId::decode(dec)?,
-                new_group: GroupId::decode(dec)?,
-            }),
-            4 => Ok(ProposalKind::Disconnect {
-                request_digest: dec.get_digest()?,
-                subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
-                eviction: dec.get_bool()?,
+                requester: PartyId::decode(dec)?,
+                change: MemberChange::decode(dec)?,
                 new_group: GroupId::decode(dec)?,
             }),
             _ => DecodeError::at("unknown proposal kind", at),
@@ -530,8 +510,8 @@ pub struct DecideMsg {
 }
 
 /// The canonical form of a [`DecideMsg`] is also the payload of the
-/// `StateDecide` (or `ConnectDecide`, `DisconnectDecide`) evidence record,
-/// which `dispute` and the auditors parse back with
+/// `StateDecide` evidence record of every round kind, which `dispute` and
+/// the auditors parse back with
 /// [`CanonicalDecode::from_canonical`].
 impl CanonicalEncode for DecideMsg {
     fn encode(&self, enc: &mut Encoder) {
@@ -558,351 +538,264 @@ impl CanonicalDecode for DecideMsg {
 }
 
 // ---------------------------------------------------------------------------
-// Connection protocol (§4.5.3)
+// The subject's request and the sponsor's answer (§4.5)
 // ---------------------------------------------------------------------------
 
-/// The signed part of the subject's initial connection request.
+/// The membership change a [`MemberRequest`] asks for. A join and a leave
+/// name their requester as the subject, so nobody can ask for someone
+/// else's admission or voluntary departure.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConnectRequest {
-    /// The object the subject wants to share.
+pub enum MemberChange {
+    /// Admit the requester (§4.5.3).
+    Join,
+    /// Remove the requester: a voluntary departure, which cannot be vetoed
+    /// (§4.5.4) — a leaver could simply stop cooperating.
+    Leave,
+    /// Remove `subjects`, a vetoable eviction proposed by the requester
+    /// (§4.5.4, including subset eviction).
+    Evict {
+        /// The member(s) to evict.
+        subjects: Vec<PartyId>,
+    },
+}
+
+impl MemberChange {
+    /// The members the change removes, for a request by `requester`.
+    pub fn leavers<'a>(&'a self, requester: &'a PartyId) -> &'a [PartyId] {
+        match self {
+            MemberChange::Join => &[],
+            MemberChange::Leave => std::slice::from_ref(requester),
+            MemberChange::Evict { subjects } => subjects,
+        }
+    }
+}
+
+impl CanonicalEncode for MemberChange {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            MemberChange::Join => enc.put_u8(0),
+            MemberChange::Leave => enc.put_u8(1),
+            MemberChange::Evict { subjects } => {
+                enc.put_u8(2);
+                encode_seq(subjects, enc);
+            }
+        }
+    }
+}
+
+impl CanonicalDecode for MemberChange {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => Ok(MemberChange::Join),
+            1 => Ok(MemberChange::Leave),
+            2 => Ok(MemberChange::Evict {
+                subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
+            }),
+            _ => DecodeError::at("unknown member change", at),
+        }
+    }
+}
+
+/// The signed part of a membership request: `requester` asks the sponsor
+/// of `object`'s group for `change`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MemberRequest {
+    /// The object.
     pub object: ObjectId,
-    /// The prospective member `P_{n+1}`.
-    pub subject: PartyId,
-    /// `H(r_s)`: hash of a random uniquely labelling this request.
+    /// The requesting party, who signs the request.
+    pub requester: PartyId,
+    /// What the request asks for.
+    pub change: MemberChange,
+    /// `H(r)`: hash of a random uniquely labelling this request.
     pub nonce_hash: Digest32,
 }
 
-impl CanonicalEncode for ConnectRequest {
+impl CanonicalEncode for MemberRequest {
     fn encode(&self, enc: &mut Encoder) {
         self.object.encode(enc);
-        self.subject.encode(enc);
+        self.requester.encode(enc);
+        self.change.encode(enc);
         enc.put_digest(&self.nonce_hash);
     }
 }
 
-impl CanonicalDecode for ConnectRequest {
+impl CanonicalDecode for MemberRequest {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ConnectRequest {
+        Ok(MemberRequest {
             object: ObjectId::decode(dec)?,
-            subject: PartyId::decode(dec)?,
+            requester: PartyId::decode(dec)?,
+            change: MemberChange::decode(dec)?,
             nonce_hash: dec.get_digest()?,
         })
     }
 }
 
-/// Subject → sponsor: signed connection request.
+impl MemberRequest {
+    /// The members the request would remove.
+    pub fn leavers(&self) -> &[PartyId] {
+        self.change.leavers(&self.requester)
+    }
+}
+
+/// Requester → sponsor: a signed membership request. Members forward a
+/// request to the current sponsor unchanged; the requester's signature
+/// authenticates it wherever it arrives.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ConnectRequestMsg {
+pub struct MemberRequestMsg {
     /// The signed part.
-    pub request: ConnectRequest,
-    /// The subject's signature.
+    pub request: MemberRequest,
+    /// The requester's signature.
     pub sig: Signature,
 }
 
-signed_msg_codec!(ConnectRequestMsg {
-    request: ConnectRequest
+signed_msg_codec!(MemberRequestMsg {
+    request: MemberRequest
 });
 
-/// The signed part of the sponsor's welcome to an admitted member.
+/// How the group decided a membership request.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Welcome {
+pub enum MemberVerdict {
+    /// The group agreed the change in round `run`: the group after it, its
+    /// members in join order (an admitted subject last) and the agreed
+    /// state tuple, which the change keeps.
+    Accepted {
+        /// The membership round.
+        run: RunId,
+        /// The group identifier after the change.
+        group: GroupId,
+        /// The member list after the change, in join order.
+        members: Vec<PartyId>,
+        /// The agreed state tuple.
+        agreed: StateId,
+    },
+    /// The sponsor refused at once, or a polled member vetoed — or, for a
+    /// voluntary leave, failed a consistency check. §4.5.3: on veto "the
+    /// subject learns no more information than in the case of immediate
+    /// rejection by the sponsor", so both are this one verdict, with no
+    /// run and no decide.
+    Rejected,
+}
+
+impl CanonicalEncode for MemberVerdict {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            MemberVerdict::Accepted {
+                run,
+                group,
+                members,
+                agreed,
+            } => {
+                enc.put_u8(0);
+                run.encode(enc);
+                group.encode(enc);
+                encode_seq(members, enc);
+                agreed.encode(enc);
+            }
+            MemberVerdict::Rejected => enc.put_u8(1),
+        }
+    }
+}
+
+impl CanonicalDecode for MemberVerdict {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let at = dec.position();
+        match dec.get_u8()? {
+            0 => Ok(MemberVerdict::Accepted {
+                run: RunId::decode(dec)?,
+                group: GroupId::decode(dec)?,
+                members: decode_seq(dec, MIN_PARTY_BYTES)?,
+                agreed: StateId::decode(dec)?,
+            }),
+            1 => Ok(MemberVerdict::Rejected),
+            _ => DecodeError::at("unknown member verdict", at),
+        }
+    }
+}
+
+/// The signed part of the sponsor's answer to a join or leave request.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MemberAnswer {
     /// The object.
     pub object: ObjectId,
-    /// The membership run that admitted the subject.
-    pub run: RunId,
-    /// The new group identifier.
-    pub group: GroupId,
-    /// The member list, in join order (subject last).
-    pub members: Vec<PartyId>,
-    /// The agreed state tuple the carried state must match.
-    pub agreed: StateId,
-}
-
-impl CanonicalEncode for Welcome {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.run.encode(enc);
-        self.group.encode(enc);
-        encode_seq(&self.members, enc);
-        self.agreed.encode(enc);
-    }
-}
-
-impl CanonicalDecode for Welcome {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Welcome {
-            object: ObjectId::decode(dec)?,
-            run: RunId::decode(dec)?,
-            group: GroupId::decode(dec)?,
-            members: decode_seq(dec, MIN_PARTY_BYTES)?,
-            agreed: StateId::decode(dec)?,
-        })
-    }
-}
-
-/// Sponsor → subject: admission + the current agreed object state, "which
-/// can be verified against each of the signed agreed state tuples supplied
-/// by members" in the attached decide aggregation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WelcomeMsg {
-    /// The signed part.
-    pub welcome: Welcome,
-    /// The unsigned agreed state bytes (bound by `welcome.agreed`).
-    pub state: Vec<u8>,
-    /// The aggregated member decisions admitting the subject.
-    pub decide: DecideMsg,
-    /// The sponsor's signature over the welcome.
-    pub sig: Signature,
-}
-
-impl CanonicalEncode for WelcomeMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.welcome.encode(enc);
-        enc.put_bytes(&self.state);
-        self.decide.encode(enc);
-        self.sig.encode(enc);
-    }
-}
-
-impl CanonicalDecode for WelcomeMsg {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(WelcomeMsg {
-            welcome: Welcome::decode(dec)?,
-            state: Vec::<u8>::decode(dec)?,
-            decide: DecideMsg::decode(dec)?,
-            sig: Signature::decode(dec)?,
-        })
-    }
-}
-
-/// The signed part of a sponsor's rejection of a connection request.
-///
-/// §4.5.3: on veto "the subject learns no more information than in the
-/// case of immediate rejection by the sponsor" — both paths produce exactly
-/// this message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConnectReject {
-    /// The object.
-    pub object: ObjectId,
-    /// The sponsor rejecting.
+    /// The answering sponsor.
     pub sponsor: PartyId,
-    /// Digest of the subject's signed request being rejected.
+    /// Digest of the signed request answered.
     pub request_digest: Digest32,
+    /// How the group decided.
+    pub verdict: MemberVerdict,
 }
 
-impl CanonicalEncode for ConnectReject {
+impl CanonicalEncode for MemberAnswer {
     fn encode(&self, enc: &mut Encoder) {
         self.object.encode(enc);
         self.sponsor.encode(enc);
         enc.put_digest(&self.request_digest);
+        self.verdict.encode(enc);
     }
 }
 
-impl CanonicalDecode for ConnectReject {
+impl CanonicalDecode for MemberAnswer {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(ConnectReject {
+        Ok(MemberAnswer {
             object: ObjectId::decode(dec)?,
             sponsor: PartyId::decode(dec)?,
             request_digest: dec.get_digest()?,
+            verdict: MemberVerdict::decode(dec)?,
         })
     }
 }
 
-/// Sponsor → subject: signed rejection.
+/// Sponsor → subject: the signed answer. An accepted answer carries the
+/// round's decide, whose signed responses show the subject that every
+/// polled member agreed; an accepted join also carries the agreed state,
+/// "which can be verified against each of the signed agreed state tuples
+/// supplied by members". A rejection carries neither, and decoding refuses
+/// one that does.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ConnectRejectMsg {
+pub struct MemberAnswerMsg {
     /// The signed part.
-    pub reject: ConnectReject,
-    /// The sponsor's signature.
+    pub answer: MemberAnswer,
+    /// The decide of the accepting round.
+    pub decide: Option<DecideMsg>,
+    /// The agreed state bytes, bound by the verdict's `agreed` tuple.
+    pub state: Option<Vec<u8>>,
+    /// The sponsor's signature over the answer.
     pub sig: Signature,
 }
 
-signed_msg_codec!(ConnectRejectMsg {
-    reject: ConnectReject
-});
-
-// ---------------------------------------------------------------------------
-// Disconnection protocols (§4.5.4)
-// ---------------------------------------------------------------------------
-
-/// The signed part of a disconnection/eviction request.
-///
-/// For voluntary disconnection the proposer *is* the (single) subject; for
-/// eviction the proposer is any member and `subjects` may be a set
-/// (subset eviction, §4.5.4).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DisconnectRequest {
-    /// The object.
-    pub object: ObjectId,
-    /// The requesting party.
-    pub proposer: PartyId,
-    /// The member(s) to disconnect.
-    pub subjects: Vec<PartyId>,
-    /// `true` for eviction (vetoable), `false` for voluntary
-    /// disconnection (not vetoable — a leaver could simply stop
-    /// cooperating).
-    pub eviction: bool,
-    /// `H(r)` uniquely labelling the request.
-    pub nonce_hash: Digest32,
-}
-
-impl CanonicalEncode for DisconnectRequest {
+impl CanonicalEncode for MemberAnswerMsg {
     fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.proposer.encode(enc);
-        encode_seq(&self.subjects, enc);
-        enc.put_bool(self.eviction);
-        enc.put_digest(&self.nonce_hash);
-    }
-}
-
-impl CanonicalDecode for DisconnectRequest {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectRequest {
-            object: ObjectId::decode(dec)?,
-            proposer: PartyId::decode(dec)?,
-            subjects: decode_seq(dec, MIN_PARTY_BYTES)?,
-            eviction: dec.get_bool()?,
-            nonce_hash: dec.get_digest()?,
-        })
-    }
-}
-
-/// Proposer → sponsor: signed disconnection request.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DisconnectRequestMsg {
-    /// The signed part.
-    pub request: DisconnectRequest,
-    /// The proposer's signature.
-    pub sig: Signature,
-}
-
-signed_msg_codec!(DisconnectRequestMsg {
-    request: DisconnectRequest
-});
-
-/// The signed part of the sponsor's final acknowledgement to a voluntarily
-/// departing member: "evidence of the group membership and agreed object
-/// state when they disconnected".
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DisconnectAck {
-    /// The object.
-    pub object: ObjectId,
-    /// The membership run.
-    pub run: RunId,
-    /// The sponsor.
-    pub sponsor: PartyId,
-    /// The departing member.
-    pub subject: PartyId,
-    /// Group identifier after the departure.
-    pub group: GroupId,
-    /// The agreed state tuple at departure.
-    pub agreed: StateId,
-}
-
-impl CanonicalEncode for DisconnectAck {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.run.encode(enc);
-        self.sponsor.encode(enc);
-        self.subject.encode(enc);
-        self.group.encode(enc);
-        self.agreed.encode(enc);
-    }
-}
-
-impl CanonicalDecode for DisconnectAck {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectAck {
-            object: ObjectId::decode(dec)?,
-            run: RunId::decode(dec)?,
-            sponsor: PartyId::decode(dec)?,
-            subject: PartyId::decode(dec)?,
-            group: GroupId::decode(dec)?,
-            agreed: StateId::decode(dec)?,
-        })
-    }
-}
-
-/// Sponsor → departing subject: signed acknowledgement (also carries the
-/// decide aggregation as evidence all members saw the request).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DisconnectAckMsg {
-    /// The signed part.
-    pub ack: DisconnectAck,
-    /// The aggregated member responses.
-    pub decide: DecideMsg,
-    /// The sponsor's signature.
-    pub sig: Signature,
-}
-
-impl CanonicalEncode for DisconnectAckMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.ack.encode(enc);
+        self.answer.encode(enc);
         self.decide.encode(enc);
+        self.state.encode(enc);
         self.sig.encode(enc);
     }
+
+    fn encoded_size_hint(&self) -> usize {
+        let decide = self.decide.as_ref().map_or(0, |d| d.encoded_size_hint());
+        512 + decide + self.state.as_ref().map_or(0, Vec::len)
+    }
 }
 
-impl CanonicalDecode for DisconnectAckMsg {
+impl CanonicalDecode for MemberAnswerMsg {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectAckMsg {
-            ack: DisconnectAck::decode(dec)?,
-            decide: DecideMsg::decode(dec)?,
+        let answer = MemberAnswer::decode(dec)?;
+        let at = dec.position();
+        let decide = Option::<DecideMsg>::decode(dec)?;
+        let state = Option::<Vec<u8>>::decode(dec)?;
+        let accepted = matches!(answer.verdict, MemberVerdict::Accepted { .. });
+        if decide.is_some() != accepted || (state.is_some() && !accepted) {
+            return DecodeError::at("a decide and state ride only on an accepted answer", at);
+        }
+        Ok(MemberAnswerMsg {
+            answer,
+            decide,
+            state,
             sig: Signature::decode(dec)?,
         })
     }
 }
-
-/// The signed part of the sponsor's rejection notice to a voluntary leaver
-/// whose disconnection run was invalidated.
-///
-/// Voluntary disconnection cannot be vetoed (§4.5.4), but the run can still
-/// fail a *consistency* check at a polled member (group-id or agreed-state
-/// mismatch, concurrent run, illegitimate sponsor). Without this notice the
-/// leaver's replica would hang in its `Leaving` state until the application
-/// intervened; with it, the replica returns to ordinary membership and the
-/// leaver may retry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DisconnectReject {
-    /// The object.
-    pub object: ObjectId,
-    /// The sponsor rejecting.
-    pub sponsor: PartyId,
-    /// Digest of the leaver's signed request being rejected (linkage).
-    pub request_digest: Digest32,
-}
-
-impl CanonicalEncode for DisconnectReject {
-    fn encode(&self, enc: &mut Encoder) {
-        self.object.encode(enc);
-        self.sponsor.encode(enc);
-        enc.put_digest(&self.request_digest);
-    }
-}
-
-impl CanonicalDecode for DisconnectReject {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(DisconnectReject {
-            object: ObjectId::decode(dec)?,
-            sponsor: PartyId::decode(dec)?,
-            request_digest: dec.get_digest()?,
-        })
-    }
-}
-
-/// Sponsor → voluntary leaver: signed rejection of the disconnection run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DisconnectRejectMsg {
-    /// The signed part.
-    pub reject: DisconnectReject,
-    /// The sponsor's signature.
-    pub sig: Signature,
-}
-
-signed_msg_codec!(DisconnectRejectMsg {
-    reject: DisconnectReject
-});
 
 // ---------------------------------------------------------------------------
 // TTP-certified termination (§7 extension)
@@ -1201,19 +1094,10 @@ pub enum WireMsg {
     Respond(RespondMsg),
     /// m3 of any round.
     Decide(DecideMsg),
-    /// Connection: subject's request to the sponsor.
-    ConnectRequest(ConnectRequestMsg),
-    /// Connection: sponsor's welcome to the admitted subject.
-    Welcome(WelcomeMsg),
-    /// Connection: sponsor's rejection to the subject.
-    ConnectReject(ConnectRejectMsg),
-    /// Disconnection: request to the sponsor.
-    DisconnectRequest(DisconnectRequestMsg),
-    /// Disconnection: sponsor's ack to a voluntary leaver.
-    DisconnectAck(DisconnectAckMsg),
-    /// Disconnection: sponsor's rejection to a voluntary leaver whose run
-    /// failed a consistency check at some polled member.
-    DisconnectReject(DisconnectRejectMsg),
+    /// Membership: a join, leave or eviction request to the sponsor.
+    MemberRequest(MemberRequestMsg),
+    /// Membership: the sponsor's answer to the subject of a join or leave.
+    MemberAnswer(MemberAnswerMsg),
     /// Termination extension: an appeal to the TTP.
     TtpResolve(TtpResolveMsg),
     /// Termination extension: the TTP pulls evidence from the proposer.
@@ -1225,7 +1109,7 @@ pub enum WireMsg {
 }
 
 /// First byte of every wire frame: the version of the layout that follows.
-pub const WIRE_FORMAT: u8 = 2;
+pub const WIRE_FORMAT: u8 = 3;
 
 /// The one table of variant tags and kind names: generates
 /// [`WireMsg::to_bytes`], [`WireMsg::from_bytes`], [`WIRE_TAGS`] and
@@ -1305,16 +1189,12 @@ wire_codec! {
     0 => Propose(ProposeMsg) "propose",
     1 => Respond(RespondMsg) "respond",
     2 => Decide(DecideMsg) "decide",
-    3 => ConnectRequest(ConnectRequestMsg) "connect-request",
-    4 => Welcome(WelcomeMsg) "welcome",
-    5 => ConnectReject(ConnectRejectMsg) "connect-reject",
-    6 => DisconnectRequest(DisconnectRequestMsg) "disconnect-request",
-    7 => DisconnectAck(DisconnectAckMsg) "disconnect-ack",
-    8 => DisconnectReject(DisconnectRejectMsg) "disconnect-reject",
-    9 => TtpResolve(TtpResolveMsg) "ttp-resolve",
-    10 => TtpEvidenceRequest(TtpEvidenceRequestMsg) "ttp-evidence-request",
-    11 => TtpEvidence(TtpEvidenceMsg) "ttp-evidence",
-    12 => TtpResolution(TtpResolutionMsg) "ttp-resolution",
+    3 => MemberRequest(MemberRequestMsg) "member-request",
+    4 => MemberAnswer(MemberAnswerMsg) "member-answer",
+    5 => TtpResolve(TtpResolveMsg) "ttp-resolve",
+    6 => TtpEvidenceRequest(TtpEvidenceRequestMsg) "ttp-evidence-request",
+    7 => TtpEvidence(TtpEvidenceMsg) "ttp-evidence",
+    8 => TtpResolution(TtpResolutionMsg) "ttp-resolution",
 }
 
 impl WireMsg {
@@ -1457,47 +1337,42 @@ mod tests {
     }
 
     #[test]
-    fn welcome_canonical_covers_members_order() {
-        let w = Welcome {
+    fn accepted_answer_canonical_covers_members_order() {
+        let answer = |members: Vec<PartyId>| MemberAnswer {
             object: ObjectId::new("obj"),
-            run: RunId(sha256(b"run")),
-            group: group_id(),
-            members: vec![PartyId::new("a"), PartyId::new("b")],
-            agreed: state_id(3),
+            sponsor: PartyId::new("a"),
+            request_digest: sha256(b"req"),
+            verdict: MemberVerdict::Accepted {
+                run: RunId(sha256(b"run")),
+                group: group_id(),
+                members,
+                agreed: state_id(3),
+            },
         };
-        let mut swapped = w.clone();
-        swapped.members.reverse();
-        assert_ne!(w.canonical_bytes(), swapped.canonical_bytes());
+        let (a, b) = (PartyId::new("a"), PartyId::new("b"));
+        assert_ne!(
+            answer(vec![a.clone(), b.clone()]).canonical_bytes(),
+            answer(vec![b, a]).canonical_bytes()
+        );
     }
 
     #[test]
-    fn wire_roundtrip_all_membership_kinds() {
+    fn wire_roundtrip_member_request() {
         let kp = KeyPair::generate_from_seed(2);
-        let req = ConnectRequest {
+        let request = MemberRequest {
             object: ObjectId::new("obj"),
-            subject: PartyId::new("s"),
+            requester: PartyId::new("p"),
+            change: MemberChange::Evict {
+                subjects: vec![PartyId::new("x"), PartyId::new("y")],
+            },
             nonce_hash: sha256(b"n"),
         };
-        let req_msg = ConnectRequestMsg {
-            sig: kp.sign(&req.canonical_bytes()),
-            request: req,
-        };
-        let msg = WireMsg::ConnectRequest(req_msg.clone());
-        assert_eq!(WireMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-
-        let dreq = DisconnectRequest {
-            object: ObjectId::new("obj"),
-            proposer: PartyId::new("p"),
-            subjects: vec![PartyId::new("x"), PartyId::new("y")],
-            eviction: true,
-            nonce_hash: sha256(b"n2"),
-        };
-        let dmsg = WireMsg::DisconnectRequest(DisconnectRequestMsg {
-            sig: kp.sign(&dreq.canonical_bytes()),
-            request: dreq,
+        let msg = WireMsg::MemberRequest(MemberRequestMsg {
+            sig: kp.sign(&request.canonical_bytes()),
+            request,
         });
-        assert_eq!(WireMsg::from_bytes(&dmsg.to_bytes()).unwrap(), dmsg);
-        assert_eq!(dmsg.kind_name(), "disconnect-request");
+        assert_eq!(WireMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
+        assert_eq!(msg.kind_name(), "member-request");
     }
 
     #[test]
@@ -1584,14 +1459,18 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_request_canonical_covers_eviction_flag() {
-        let mk = |ev: bool| DisconnectRequest {
+    fn member_request_canonical_covers_the_change() {
+        let mk = |change| MemberRequest {
             object: ObjectId::new("obj"),
-            proposer: PartyId::new("p"),
-            subjects: vec![PartyId::new("x")],
-            eviction: ev,
+            requester: PartyId::new("p"),
+            change,
             nonce_hash: sha256(b"n"),
         };
-        assert_ne!(mk(true).canonical_bytes(), mk(false).canonical_bytes());
+        let evict = MemberChange::Evict {
+            subjects: vec![PartyId::new("p")],
+        };
+        let leave = mk(MemberChange::Leave).canonical_bytes();
+        assert_ne!(leave, mk(evict).canonical_bytes());
+        assert_ne!(leave, mk(MemberChange::Join).canonical_bytes());
     }
 }

@@ -20,7 +20,8 @@ use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{ObjectId, RunId, StateId};
 use crate::messages::{
-    BatchLink, DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
+    BatchLink, DecideMsg, MemberChange, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response,
+    WireMsg,
 };
 use crate::object::B2BObject;
 use crate::proto_member::validate_eviction;
@@ -277,7 +278,7 @@ impl Coordinator {
         // evidence.
         if unpolled.is_none() || !rules.membership {
             self.log_evidence(
-                rules.evidence[0],
+                EvidenceKind::StatePropose,
                 object,
                 run.label(),
                 self.me.clone(),
@@ -413,8 +414,7 @@ impl Coordinator {
         // sponsor a membership change (§4.5.1); any member may propose a
         // state transition.
         let legitimate = match &p.kind {
-            ProposalKind::Connect { .. } => Some(rep.sponsor()),
-            ProposalKind::Disconnect { subjects, .. } => rep.sponsor_for_disconnect(subjects),
+            ProposalKind::Member { .. } => rep.sponsor_for_disconnect(p.kind.leavers()),
             _ => Some(&p.proposer),
         };
         if legitimate != Some(&p.proposer) {
@@ -456,8 +456,7 @@ impl Coordinator {
         match &p.kind {
             // A membership change keeps the agreed tuple and proposes a
             // group of exactly our members after the change.
-            ProposalKind::Connect { new_group, .. }
-            | ProposalKind::Disconnect { new_group, .. }
+            ProposalKind::Member { new_group, .. }
                 if p.proposed != p.prev
                     || new_group.seq != rep.group.seq + 1
                     || !new_group.identifies(&p.kind.new_members(&rep.members)) =>
@@ -468,7 +467,7 @@ impl Coordinator {
                     "inconsistent new group identifier",
                 );
             }
-            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. } => {}
+            ProposalKind::Member { .. } => {}
             // Exact increment: strictly stronger than the paper's "greater
             // than", and what honest proposers produce; anything else is a
             // replayed/poisoned sequence number.
@@ -545,7 +544,7 @@ impl Coordinator {
                     ..Replay::default()
                 },
             },
-            ProposalKind::Connect { .. } | ProposalKind::Disconnect { .. } => Replay {
+            ProposalKind::Member { .. } => Replay {
                 tampered: !self.request_ok(p, &m1.body),
                 ..Replay::default()
             },
@@ -587,13 +586,15 @@ impl Coordinator {
                 ProposalKind::Update { .. } | ProposalKind::Batch { .. } => {
                     veto.unwrap_or_else(Decision::accept)
                 }
-                ProposalKind::Connect { subject, .. } => rep.object.validate_connect(subject),
-                // "Voluntary disconnection cannot be vetoed" (§4.5.4).
-                ProposalKind::Disconnect {
-                    subjects, eviction, ..
-                } => match eviction {
-                    true => validate_eviction(rep.object.as_ref(), subjects),
-                    false => Decision::accept(),
+                ProposalKind::Member {
+                    requester, change, ..
+                } => match change {
+                    MemberChange::Join => rep.object.validate_connect(requester),
+                    // "Voluntary disconnection cannot be vetoed" (§4.5.4).
+                    MemberChange::Leave => Decision::accept(),
+                    MemberChange::Evict { subjects } => {
+                        validate_eviction(rep.object.as_ref(), subjects)
+                    }
                 },
             };
             if !app.is_accept() {
@@ -648,7 +649,7 @@ impl Coordinator {
         }
 
         self.log_evidence(
-            rules.evidence[0],
+            EvidenceKind::StatePropose,
             &oid,
             run.label(),
             proposer.clone(),
@@ -657,7 +658,7 @@ impl Coordinator {
             now,
         );
         self.log_evidence(
-            rules.evidence[1],
+            EvidenceKind::StateRespond,
             &oid,
             run.label(),
             me,
@@ -756,7 +757,7 @@ impl Coordinator {
                     )
                 });
                 self.log_evidence(
-                    kind_rules.evidence[1],
+                    EvidenceKind::StateRespond,
                     &oid,
                     run.label(),
                     from.clone(),
@@ -843,7 +844,7 @@ impl Coordinator {
             )
         });
         self.log_evidence(
-            rules.evidence[2],
+            EvidenceKind::StateDecide,
             oid,
             run.label(),
             self.me.clone(),
@@ -1003,7 +1004,7 @@ impl Coordinator {
             self.remember_reply(&oid, run, &WireMsg::Respond(rr.my_response));
         }
         self.log_evidence(
-            rules(kind).evidence[2],
+            EvidenceKind::StateDecide,
             &oid,
             run.label(),
             from.clone(),
@@ -1105,11 +1106,7 @@ impl Coordinator {
             .expect("a round's replica outlives it");
         let p = &m1.proposal;
         match (&p.kind, state) {
-            (
-                ProposalKind::Connect { new_group, .. }
-                | ProposalKind::Disconnect { new_group, .. },
-                _,
-            ) => {
+            (ProposalKind::Member { new_group, .. }, _) => {
                 rep.install_membership(p.kind.new_members(&rep.members), *new_group);
                 self.telemetry.inc(names::MEMBERSHIP_CHANGES);
                 Outcome::Installed { state: rep.agreed }
@@ -1256,35 +1253,26 @@ impl Coordinator {
 }
 
 /// The per-kind rules of a round that are not a check: how it is traced
-/// and which evidence kinds its propose, respond and decide records carry.
+/// and whether it changes the membership. Every kind files its propose,
+/// respond and decide records under the same three evidence kinds.
 #[derive(Clone, Copy)]
 pub(crate) struct Rules {
     /// The trace span.
     pub(crate) span: &'static str,
-    /// Evidence kinds of the propose, respond and decide steps.
-    pub(crate) evidence: [EvidenceKind; 3],
     /// Whether the round changes the membership rather than the state.
     pub(crate) membership: bool,
 }
 
 /// The [`Rules`] of a round of `kind`.
 pub(crate) fn rules(kind: &ProposalKind) -> Rules {
-    use EvidenceKind::*;
-    let (span, evidence) = match kind {
-        ProposalKind::Connect { .. } => (
-            "membership",
-            [ConnectPropose, ConnectRespond, ConnectDecide],
-        ),
-        ProposalKind::Disconnect { .. } => (
-            "membership",
-            [DisconnectPropose, DisconnectRespond, DisconnectDecide],
-        ),
-        _ => ("state_run", [StatePropose, StateRespond, StateDecide]),
-    };
+    let membership = kind.is_membership();
     Rules {
-        span,
-        evidence,
-        membership: kind.is_membership(),
+        span: if membership {
+            "membership"
+        } else {
+            "state_run"
+        },
+        membership,
     }
 }
 

@@ -13,9 +13,7 @@
 //! them back together.
 
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{
-    ConnectRequestMsg, DisconnectRequestMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES,
-};
+use crate::messages::{MemberRequestMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES};
 use crate::object::B2BObject;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
@@ -27,7 +25,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// First byte of every blob this module (and the coordinator's object
 /// index) puts in the snapshot store: the version of the layout that
 /// follows. A blob with any other first byte is not decoded.
-pub const SNAPSHOT_FORMAT: u8 = 3;
+pub const SNAPSHOT_FORMAT: u8 = 4;
 
 /// Lower bound on the encoded size of a signed message (it holds at least
 /// one digest), for [`Decoder::get_count`].
@@ -133,11 +131,11 @@ impl CanonicalDecode for RecipientRun {
     }
 }
 
-/// A voluntary disconnection at its subject, awaiting the sponsor's ack.
+/// A voluntary departure at its subject, awaiting the sponsor's answer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LeavingRun {
     /// The request we sent.
-    pub request: DisconnectRequestMsg,
+    pub request: MemberRequestMsg,
     /// The sponsor we sent it to.
     pub sponsor: PartyId,
 }
@@ -152,7 +150,7 @@ impl CanonicalEncode for LeavingRun {
 impl CanonicalDecode for LeavingRun {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(LeavingRun {
-            request: DisconnectRequestMsg::decode(dec)?,
+            request: MemberRequestMsg::decode(dec)?,
             sponsor: PartyId::decode(dec)?,
         })
     }
@@ -211,43 +209,6 @@ impl CanonicalDecode for ActiveRun {
             1 => Ok(ActiveRun::Recipient(Box::new(RecipientRun::decode(dec)?))),
             2 => Ok(ActiveRun::Leaving(Box::new(LeavingRun::decode(dec)?))),
             _ => DecodeError::at("unknown active run", at),
-        }
-    }
-}
-
-/// A queued membership request, deferred while another run is active
-/// (§4.5.1: the sponsor blocks new coordination requests pending decision
-/// on any active request).
-#[derive(Clone, Debug, PartialEq)]
-pub enum QueuedRequest {
-    /// A connection request from a prospective member.
-    Connect(ConnectRequestMsg),
-    /// A disconnection/eviction request.
-    Disconnect(DisconnectRequestMsg),
-}
-
-impl CanonicalEncode for QueuedRequest {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            QueuedRequest::Connect(m) => {
-                enc.put_u8(0);
-                m.encode(enc);
-            }
-            QueuedRequest::Disconnect(m) => {
-                enc.put_u8(1);
-                m.encode(enc);
-            }
-        }
-    }
-}
-
-impl CanonicalDecode for QueuedRequest {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let at = dec.position();
-        match dec.get_u8()? {
-            0 => ConnectRequestMsg::decode(dec).map(QueuedRequest::Connect),
-            1 => DisconnectRequestMsg::decode(dec).map(QueuedRequest::Disconnect),
-            _ => DecodeError::at("unknown queued request", at),
         }
     }
 }
@@ -405,8 +366,10 @@ pub struct Replica {
     pub(crate) loose_seen: Vec<SeenEntry>,
     /// At most one active run.
     pub(crate) active: Option<ActiveRun>,
-    /// Membership requests deferred behind the active run.
-    pub(crate) queued: Vec<QueuedRequest>,
+    /// Membership requests deferred behind the active run (§4.5.1: the
+    /// sponsor blocks new coordination requests pending decision on any
+    /// active request).
+    pub(crate) queued: Vec<MemberRequestMsg>,
     /// The replies we produced for completed runs, oldest first, so a
     /// duplicate or post-recovery retransmission of m1/m3 gets a
     /// consistent re-reply. Each is held as its index (see
@@ -662,13 +625,13 @@ impl Replica {
     }
 
     /// Defers a membership request behind the active run.
-    pub(crate) fn queue_request(&mut self, request: QueuedRequest) {
+    pub(crate) fn queue_request(&mut self, request: MemberRequestMsg) {
         self.queued.push(request);
         self.core_dirty = true;
     }
 
     /// Takes the oldest deferred membership request.
-    pub(crate) fn dequeue_request(&mut self) -> Option<QueuedRequest> {
+    pub(crate) fn dequeue_request(&mut self) -> Option<MemberRequestMsg> {
         if self.queued.is_empty() {
             return None;
         }
@@ -973,7 +936,7 @@ pub struct CoreDoc {
     /// implied: first seen at `agreed.seq`.
     pub active: Option<ActiveRun>,
     /// Deferred membership requests.
-    pub queued: Vec<QueuedRequest>,
+    pub queued: Vec<MemberRequestMsg>,
     /// Replay-window entries no other document carries.
     pub loose_seen: Vec<SeenEntry>,
     /// Replies remembered so far: reply documents numbered below this are
@@ -990,7 +953,7 @@ struct CoreRef<'a> {
     agreed: &'a StateId,
     agreed_state: &'a [u8],
     active: &'a Option<ActiveRun>,
-    queued: &'a [QueuedRequest],
+    queued: &'a [MemberRequestMsg],
     loose_seen: &'a [SeenEntry],
     reply_slots: u64,
     detached: bool,
@@ -1175,11 +1138,10 @@ mod tests {
     }
 
     fn leaving() -> ActiveRun {
-        let request = crate::messages::DisconnectRequest {
+        let request = crate::messages::MemberRequest {
             object: ObjectId::new("obj"),
-            proposer: PartyId::new("a"),
-            subjects: vec![PartyId::new("a")],
-            eviction: false,
+            requester: PartyId::new("a"),
+            change: crate::messages::MemberChange::Leave,
             nonce_hash: sha256(b"n"),
         };
         let sig = b2b_crypto::Signer::sign(
@@ -1187,7 +1149,7 @@ mod tests {
             &request.canonical_bytes(),
         );
         ActiveRun::Leaving(Box::new(LeavingRun {
-            request: DisconnectRequestMsg { request, sig },
+            request: MemberRequestMsg { request, sig },
             sponsor: PartyId::new("b"),
         }))
     }
@@ -1384,10 +1346,10 @@ mod tests {
             remember(&mut r, &mut store, run_id(i), cap);
             checkpoint(&mut r, &mut store, cap);
         }
-        r.queue_request(QueuedRequest::Disconnect(match leaving() {
+        r.queue_request(match leaving() {
             ActiveRun::Leaving(l) => l.request,
             _ => unreachable!(),
-        }));
+        });
         r.start_run(leaving());
         checkpoint(&mut r, &mut store, cap);
 

@@ -5,7 +5,7 @@
 
 mod common;
 
-use b2b_core::messages::WireMsg;
+use b2b_core::messages::{MemberVerdict, WireMsg};
 use b2b_core::{ConnectStatus, Misbehaviour, ObjectId};
 use b2b_crypto::{PartyId, Signature, TimeMs};
 use b2b_net::intruder::{FnIntruder, Injection, InterceptAction, Intruder};
@@ -214,11 +214,12 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
         710,
         FnIntruder::new(
             |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
-                Some(WireMsg::Welcome(mut w)) => {
-                    w.decide
-                        .responses
-                        .retain(|r| r.response.responder.as_str() != "org0");
-                    InterceptAction::Replace(replace_body(raw, &WireMsg::Welcome(w)))
+                Some(WireMsg::MemberAnswer(mut w)) if w.decide.is_some() => {
+                    if let Some(d) = &mut w.decide {
+                        d.responses
+                            .retain(|r| r.response.responder.as_str() != "org0");
+                    }
+                    InterceptAction::Replace(replace_body(raw, &WireMsg::MemberAnswer(w)))
                 }
                 _ => InterceptAction::Deliver,
             },
@@ -259,9 +260,9 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     });
     cluster.net.set_intruder(FnIntruder::new(
         |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
-            Some(WireMsg::Welcome(mut w)) => {
-                w.state = enc(999_999); // forged state
-                InterceptAction::Replace(replace_body(raw, &WireMsg::Welcome(w)))
+            Some(WireMsg::MemberAnswer(mut w)) if w.state.is_some() => {
+                w.state = Some(enc(999_999)); // forged state
+                InterceptAction::Replace(replace_body(raw, &WireMsg::MemberAnswer(w)))
             }
             _ => InterceptAction::Deliver,
         },
@@ -307,9 +308,11 @@ fn tampered_welcome_member_list_is_rejected() {
     });
     cluster.net.set_intruder(FnIntruder::new(
         |_f: &PartyId, _t: &PartyId, raw: &[u8], _n| match peek(raw) {
-            Some(WireMsg::Welcome(mut w)) => {
-                w.welcome.members.insert(0, PartyId::new("mallory"));
-                InterceptAction::Replace(replace_body(raw, &WireMsg::Welcome(w)))
+            Some(WireMsg::MemberAnswer(mut w)) => {
+                if let MemberVerdict::Accepted { members, .. } = &mut w.answer.verdict {
+                    members.insert(0, PartyId::new("mallory"));
+                }
+                InterceptAction::Replace(replace_body(raw, &WireMsg::MemberAnswer(w)))
             }
             _ => InterceptAction::Deliver,
         },
@@ -468,19 +471,18 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     // asked). The signature cannot verify; nothing changes.
     let mut cluster = Cluster::new(3, 704);
     cluster.setup_object("c", counter_factory);
-    use b2b_core::messages::{DisconnectRequest, DisconnectRequestMsg};
+    use b2b_core::messages::{MemberChange, MemberRequest, MemberRequestMsg};
     use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer};
-    let request = DisconnectRequest {
+    let request = MemberRequest {
         object: ObjectId::new("c"),
-        proposer: party(1),
-        subjects: vec![party(1)],
-        eviction: false,
+        requester: party(1),
+        change: MemberChange::Leave,
         nonce_hash: sha256(b"forged"),
     };
     // Signed with the WRONG key (an outsider's).
     let outsider = KeyPair::generate_from_seed(31337);
     let sig = outsider.sign(&request.canonical_bytes());
-    let msg = WireMsg::DisconnectRequest(DisconnectRequestMsg { request, sig });
+    let msg = WireMsg::MemberRequest(MemberRequestMsg { request, sig });
     let frame = data_frame(0, 0xabcd_u64, 0, &msg.to_bytes());
     // Deliver to the disconnect sponsor (org2).
     cluster.net.invoke(&party(0), move |_c, ctx| {
@@ -581,7 +583,7 @@ fn detached_leaver_refuses_its_former_sponsors_proposal() {
 #[test]
 fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
     use b2b_core::messages::{
-        ConnectRequest, ConnectRequestMsg, Proposal, ProposalKind, ProposeMsg,
+        MemberChange, MemberRequest, MemberRequestMsg, Proposal, ProposalKind, ProposeMsg,
     };
     use b2b_core::{members_digest, GroupId};
     use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer};
@@ -608,12 +610,13 @@ fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
     let oid = ObjectId::new("c");
     let node = cluster.net.node(&party(0));
     let (group, agreed) = (node.group(&oid).unwrap(), node.agreed_id(&oid).unwrap());
-    let request = ConnectRequest {
+    let request = MemberRequest {
         object: oid.clone(),
-        subject: party(3),
+        requester: party(3),
+        change: MemberChange::Join,
         nonce_hash: sha256(b"n"),
     };
-    let request = ConnectRequestMsg {
+    let request = MemberRequestMsg {
         sig: KeyPair::generate_from_seed(1003).sign(&request.canonical_bytes()),
         request,
     };
@@ -624,9 +627,10 @@ fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
         prev: agreed,
         proposed: agreed,
         auth_commit: sha256(b"auth"),
-        kind: ProposalKind::Connect {
+        kind: ProposalKind::Member {
             request_digest: request.request.canonical_digest(),
-            subject: party(3),
+            requester: party(3),
+            change: MemberChange::Join,
             new_group: GroupId {
                 seq: group.seq + 1,
                 rand_hash: sha256(b"g"),

@@ -14,14 +14,14 @@
 
 use b2b_core::messages::*;
 use b2b_core::replica::{
-    ActiveRun, CoreDoc, LeavingRun, ProposerRun, QueuedRequest, RecipientRun, ReplyDoc, SeenEntry,
-    SNAPSHOT_FORMAT,
+    ActiveRun, CoreDoc, LeavingRun, ProposerRun, RecipientRun, ReplyDoc, SeenEntry, SNAPSHOT_FORMAT,
 };
 use b2b_core::{Decision, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::DecodeError;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, Encoder, KeyPair, PartyId, Signer, TimeMs,
 };
+use b2b_evidence::record::RECORD_FORMAT;
 use b2b_evidence::{EvidenceKind, EvidenceRecord};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -104,16 +104,48 @@ fn decide() -> DecideMsg {
     }
 }
 
-fn connect_request() -> ConnectRequestMsg {
-    let request = ConnectRequest {
+/// A signed request by `requester` for `change`.
+fn member_request(requester: &str, change: MemberChange) -> MemberRequestMsg {
+    let request = MemberRequest {
         object: oid(),
-        subject: PartyId::new("dispatcher"),
+        requester: PartyId::new(requester),
+        change,
         nonce_hash: sha256(b"nonce"),
     };
-    ConnectRequestMsg {
+    MemberRequestMsg {
         sig: kp().sign(&request.canonical_bytes()),
         request,
     }
+}
+
+fn join_request() -> MemberRequestMsg {
+    member_request("dispatcher", MemberChange::Join)
+}
+
+fn leave_request() -> MemberRequestMsg {
+    member_request("approver", MemberChange::Leave)
+}
+
+fn evict_request() -> MemberRequestMsg {
+    let subjects = vec![PartyId::new("approver"), PartyId::new("dispatcher")];
+    member_request("customer", MemberChange::Evict { subjects })
+}
+
+/// The membership proposal of `request`, by `sponsor`.
+fn member_propose(sponsor: &str, request: MemberRequestMsg, new_group: GroupId) -> ProposeMsg {
+    let kind = ProposalKind::Member {
+        request_digest: request.request.canonical_digest(),
+        requester: request.request.requester.clone(),
+        change: request.request.change.clone(),
+        new_group,
+    };
+    propose_by(
+        sponsor,
+        state_id(5),
+        state_id(5),
+        kind,
+        &request.canonical_bytes(),
+    )
 }
 
 /// A signed `m1` of any kind by `proposer`, from `prev` to `proposed`.
@@ -141,20 +173,8 @@ fn propose_by(
     }
 }
 
-fn connect_propose() -> ProposeMsg {
-    let request = connect_request();
-    let kind = ProposalKind::Connect {
-        request_digest: request.request.canonical_digest(),
-        subject: PartyId::new("dispatcher"),
-        new_group: group_id(4),
-    };
-    propose_by(
-        "approver",
-        state_id(5),
-        state_id(5),
-        kind,
-        &request.canonical_bytes(),
-    )
+fn join_propose() -> ProposeMsg {
+    member_propose("approver", join_request(), group_id(4))
 }
 
 /// A member's response to a membership proposal: it echoes the agreed
@@ -186,40 +206,58 @@ fn member_decide() -> DecideMsg {
     }
 }
 
-fn disconnect_request() -> DisconnectRequestMsg {
-    let request = DisconnectRequest {
+fn evict_propose() -> ProposeMsg {
+    member_propose("supplier", evict_request(), group_id(5))
+}
+
+/// The sponsor's signed answer with `verdict`, and with `decide` and
+/// `state` riding beside it as given.
+fn member_answer(
+    verdict: MemberVerdict,
+    decide: Option<DecideMsg>,
+    state: Option<Vec<u8>>,
+) -> MemberAnswerMsg {
+    let answer = MemberAnswer {
         object: oid(),
-        proposer: PartyId::new("customer"),
-        subjects: vec![PartyId::new("approver"), PartyId::new("dispatcher")],
-        eviction: true,
-        nonce_hash: sha256(b"n2"),
+        sponsor: PartyId::new("approver"),
+        request_digest: sha256(b"req"),
+        verdict,
     };
-    DisconnectRequestMsg {
-        sig: kp().sign(&request.canonical_bytes()),
-        request,
+    MemberAnswerMsg {
+        sig: kp().sign(&answer.canonical_bytes()),
+        answer,
+        decide,
+        state,
     }
 }
 
-fn disconnect_propose() -> ProposeMsg {
-    let request = disconnect_request();
-    let kind = ProposalKind::Disconnect {
-        request_digest: request.request.canonical_digest(),
-        subjects: vec![PartyId::new("approver"), PartyId::new("dispatcher")],
-        eviction: true,
-        new_group: group_id(5),
-    };
-    propose_by(
-        "supplier",
-        state_id(5),
-        state_id(5),
-        kind,
-        &request.canonical_bytes(),
-    )
+fn accepted(members: &[&str]) -> MemberVerdict {
+    MemberVerdict::Accepted {
+        run: run(),
+        group: group_id(4),
+        members: members.iter().map(|m| PartyId::new(*m)).collect(),
+        agreed: state_id(5),
+    }
+}
+
+/// An answer of both verdicts: an accepted join (decide and state), an
+/// accepted leave (decide only) and a rejection (neither).
+fn every_answer() -> Vec<MemberAnswerMsg> {
+    vec![
+        member_answer(
+            accepted(&["customer", "dispatcher"]),
+            Some(member_decide()),
+            Some(b"agreed state bytes".to_vec()),
+        ),
+        member_answer(accepted(&["customer"]), Some(member_decide()), None),
+        member_answer(MemberVerdict::Rejected, None, None),
+    ]
 }
 
 /// One message of every [`WireMsg`] variant: `Propose` in every
 /// [`ProposalKind`] (the update inside the TTP appeal), `Respond` and
-/// `Decide` of a state and of a membership round.
+/// `Decide` of a state and of a membership round, a `MemberRequest` for
+/// every change and a `MemberAnswer` of both verdicts.
 fn every_variant() -> Vec<WireMsg> {
     let links = vec![
         BatchLink {
@@ -232,31 +270,6 @@ fn every_variant() -> Vec<WireMsg> {
         },
     ];
     let batch_body = encode_batch_body(&[b"u0".to_vec(), b"u1".to_vec()]);
-    let welcome = Welcome {
-        object: oid(),
-        run: run(),
-        group: group_id(4),
-        members: vec![PartyId::new("customer"), PartyId::new("dispatcher")],
-        agreed: state_id(5),
-    };
-    let reject = ConnectReject {
-        object: oid(),
-        sponsor: PartyId::new("approver"),
-        request_digest: sha256(b"req"),
-    };
-    let ack = DisconnectAck {
-        object: oid(),
-        run: run(),
-        sponsor: PartyId::new("supplier"),
-        subject: PartyId::new("approver"),
-        group: group_id(5),
-        agreed: state_id(5),
-    };
-    let dreject = DisconnectReject {
-        object: oid(),
-        sponsor: PartyId::new("supplier"),
-        request_digest: sha256(b"dreq"),
-    };
     let resolve = TtpResolveRequest {
         object: oid(),
         run: run(),
@@ -281,36 +294,21 @@ fn every_variant() -> Vec<WireMsg> {
         verdict: TtpVerdict::CertifiedInvalid,
         responses_digest: responses_digest(&responses),
     };
-    vec![
+    let mut msgs = vec![
         WireMsg::Propose(propose(ProposalKind::Overwrite, b"{\"lines\":[]}")),
         WireMsg::Propose(propose(ProposalKind::Batch { links }, &batch_body)),
         WireMsg::Respond(respond("supplier", Decision::reject("no"))),
         WireMsg::Decide(decide()),
-        WireMsg::ConnectRequest(connect_request()),
-        WireMsg::Propose(connect_propose()),
+        WireMsg::MemberRequest(join_request()),
+        WireMsg::MemberRequest(leave_request()),
+        WireMsg::MemberRequest(evict_request()),
+        WireMsg::Propose(join_propose()),
         WireMsg::Respond(member_respond("customer")),
         WireMsg::Decide(member_decide()),
-        WireMsg::Welcome(WelcomeMsg {
-            sig: kp().sign(&welcome.canonical_bytes()),
-            welcome,
-            state: b"agreed state bytes".to_vec(),
-            decide: member_decide(),
-        }),
-        WireMsg::ConnectReject(ConnectRejectMsg {
-            sig: kp().sign(&reject.canonical_bytes()),
-            reject,
-        }),
-        WireMsg::DisconnectRequest(disconnect_request()),
-        WireMsg::Propose(disconnect_propose()),
-        WireMsg::DisconnectAck(DisconnectAckMsg {
-            sig: kp().sign(&ack.canonical_bytes()),
-            ack,
-            decide: member_decide(),
-        }),
-        WireMsg::DisconnectReject(DisconnectRejectMsg {
-            sig: kp().sign(&dreject.canonical_bytes()),
-            reject: dreject,
-        }),
+        WireMsg::Propose(evict_propose()),
+    ];
+    msgs.extend(every_answer().into_iter().map(WireMsg::MemberAnswer));
+    msgs.extend([
         WireMsg::TtpResolve(TtpResolveMsg {
             sig: kp().sign(&resolve.canonical_bytes()),
             request: resolve,
@@ -336,14 +334,16 @@ fn every_variant() -> Vec<WireMsg> {
             resolution,
             responses,
         }),
-    ]
+    ]);
+    msgs
 }
 
 #[test]
 fn every_wire_variant_round_trips() {
     let msgs = every_variant();
     let kinds: std::collections::BTreeSet<&str> = msgs.iter().map(WireMsg::kind_name).collect();
-    assert_eq!(kinds.len(), 13, "a sample of every variant");
+    assert_eq!(kinds.len(), WIRE_TAGS, "a sample of every variant");
+    assert_eq!(WIRE_TAGS, 9);
     for msg in msgs {
         let bytes = msg.to_bytes();
         assert_eq!(bytes[0], WIRE_FORMAT);
@@ -432,7 +432,15 @@ fn mutated_frames_are_rejected_or_reencode_identically() {
     assert!(accepted > 0 && rejected > 0);
     // The leading format byte and the variant tag in particular.
     let frame = WireMsg::Respond(respond("supplier", Decision::accept())).to_bytes();
-    for (at, value) in [(0, 0u8), (0, 1), (0, 3), (0, b'{'), (1, 13), (1, 255)] {
+    for (at, value) in [
+        (0, 0u8),
+        (0, 1),
+        (0, 2),
+        (0, 4),
+        (0, b'{'),
+        (1, 9),
+        (1, 255),
+    ] {
         let mut bad = frame.clone();
         bad[at] = value;
         assert!(WireMsg::from_bytes(&bad).is_none(), "byte {at} = {value}");
@@ -449,7 +457,7 @@ fn random_buffers_never_decode_or_panic() {
         // decoders see random input too.
         if i % 2 == 0 && buf.len() >= 2 {
             buf[0] = WIRE_FORMAT;
-            buf[1] %= 13;
+            buf[1] %= WIRE_TAGS as u8;
         }
         if let Some(m) = WireMsg::from_bytes(&buf) {
             assert_eq!(
@@ -478,8 +486,8 @@ fn random_buffers_never_decode_or_panic() {
 }
 
 /// Every [`ProposalKind`] round-trips inside a signed proposal, with its
-/// tag (0–4) as the first byte of the kind's encoding, and a tag past the
-/// last is refused.
+/// tag (0–3) as the first byte of the kind's encoding, and a tag past the
+/// last is refused — 4 among them, the retired disconnection kind.
 #[test]
 fn every_proposal_kind_round_trips() {
     let link = |tag: &[u8]| BatchLink {
@@ -494,56 +502,121 @@ fn every_proposal_kind_round_trips() {
         ProposalKind::Batch {
             links: vec![link(b"a"), link(b"b")],
         },
-        connect_propose().proposal.kind,
-        disconnect_propose().proposal.kind,
-        ProposalKind::Disconnect {
-            request_digest: sha256(b"leave"),
-            subjects: vec![PartyId::new("supplier")],
-            eviction: false,
-            new_group: group_id(6),
-        },
+        join_propose().proposal.kind,
+        evict_propose().proposal.kind,
+        member_propose("customer", leave_request(), group_id(6))
+            .proposal
+            .kind,
     ];
     for (i, kind) in kinds.into_iter().enumerate() {
         let bytes = kind.canonical_bytes();
-        assert_eq!(bytes[0] as usize, i.min(4), "{kind:?}");
+        assert_eq!(bytes[0] as usize, i.min(3), "{kind:?}");
         assert_eq!(ProposalKind::from_canonical(&bytes), Ok(kind.clone()));
         let m1 = propose_by("customer", state_id(4), state_id(5), kind, b"body");
         let frame = WireMsg::Propose(m1.clone()).to_bytes();
         assert_eq!(WireMsg::from_bytes(&frame), Some(WireMsg::Propose(m1)));
     }
-    for tag in [5u8, 0xff] {
+    for tag in [4u8, 5, 0xff] {
         assert!(ProposalKind::from_canonical(&[tag]).is_err(), "tag {tag}");
     }
 }
 
-/// The frames of the previous layout are refused, never repaired: a
-/// format-1 frame of any message, and — under the current format — the
-/// variant tags past the last (the previous layout's 17 variants became
-/// 13 when the membership round's own propose, respond and decide went).
-/// The retired membership variants, encoded as the previous layout laid
+/// A request round-trips for every change, and an answer for both
+/// verdicts; a rejection that carries a decide or a state, and an
+/// acceptance without a decide, are refused at decode.
+#[test]
+fn member_request_and_answer_round_trip_and_refuse_misplaced_payloads() {
+    for m in [join_request(), leave_request(), evict_request()] {
+        let bytes = m.canonical_bytes();
+        assert_eq!(MemberRequestMsg::from_canonical(&bytes), Ok(m));
+    }
+    for m in every_answer() {
+        let bytes = m.canonical_bytes();
+        assert_eq!(MemberAnswerMsg::from_canonical(&bytes), Ok(m));
+    }
+    let state = Some(b"agreed state bytes".to_vec());
+    for misplaced in [
+        member_answer(MemberVerdict::Rejected, Some(member_decide()), None),
+        member_answer(MemberVerdict::Rejected, None, state.clone()),
+        member_answer(
+            MemberVerdict::Rejected,
+            Some(member_decide()),
+            state.clone(),
+        ),
+        member_answer(accepted(&["customer"]), None, None),
+        member_answer(accepted(&["customer"]), None, state),
+    ] {
+        let frame = WireMsg::MemberAnswer(misplaced.clone()).to_bytes();
+        assert!(WireMsg::from_bytes(&frame).is_none(), "{misplaced:?}");
+    }
+}
+
+/// The frames of earlier layouts are refused, never repaired: a format-1
+/// or format-2 frame of any message, and — under the current format — the
+/// variant tags past the last (format 1 had 17 variants, format 2 had 13;
+/// the subject's six messages of format 2 became the request and the
+/// answer). The retired membership frames, encoded as those layouts laid
 /// them out, are refused too.
 #[test]
 fn previous_format_frames_and_retired_tags_are_refused() {
     for msg in every_variant() {
-        let mut old = msg.to_bytes();
-        old[0] = 1;
-        assert!(WireMsg::from_bytes(&old).is_none(), "{}", msg.kind_name());
-        for tag in 13..=16u8 {
+        for format in [1, 2] {
+            let mut old = msg.to_bytes();
+            old[0] = format;
+            assert!(WireMsg::from_bytes(&old).is_none(), "{}", msg.kind_name());
+        }
+        for tag in 9..=16u8 {
             let mut retired = msg.to_bytes();
             retired[1] = tag;
             assert!(WireMsg::from_bytes(&retired).is_none(), "tag {tag}");
         }
     }
-    // The previous layout's four membership-round frames, byte for byte
-    // as it encoded them: `[1][tag][message]`.
-    let frame = |tag: u8, body: &dyn Fn(&mut Encoder)| {
+    let frame = |format: u8, tag: u8, body: &dyn Fn(&mut Encoder)| {
         let mut enc = Encoder::new();
-        enc.put_u8(1);
+        enc.put_u8(format);
         enc.put_u8(tag);
         body(&mut enc);
         enc.finish()
     };
     let sig = kp().sign(b"signed part");
+    // The subject's messages of both earlier layouts: a connection request
+    // and a voluntary disconnection request.
+    let connect_request = |enc: &mut Encoder| {
+        oid().encode(enc);
+        PartyId::new("dispatcher").encode(enc);
+        enc.put_digest(&sha256(b"nonce"));
+        sig.encode(enc);
+    };
+    let disconnect_request = |enc: &mut Encoder| {
+        oid().encode(enc);
+        PartyId::new("approver").encode(enc);
+        b2b_crypto::canonical::encode_seq(&[PartyId::new("approver")], enc);
+        enc.put_bool(false);
+        enc.put_digest(&sha256(b"n2"));
+        sig.encode(enc);
+    };
+    // Format 2: the welcome (tag 4) and the disconnect ack (tag 7).
+    let welcome = frame(2, 4, &|enc| {
+        oid().encode(enc);
+        run().encode(enc);
+        group_id(4).encode(enc);
+        b2b_crypto::canonical::encode_seq(&[PartyId::new("dispatcher")], enc);
+        state_id(5).encode(enc);
+        enc.put_bytes(b"agreed state bytes");
+        member_decide().encode(enc);
+        sig.encode(enc);
+    });
+    let ack = frame(2, 7, &|enc| {
+        oid().encode(enc);
+        run().encode(enc);
+        PartyId::new("supplier").encode(enc);
+        PartyId::new("approver").encode(enc);
+        group_id(5).encode(enc);
+        state_id(5).encode(enc);
+        member_decide().encode(enc);
+        sig.encode(enc);
+    });
+    // Format 1: the membership round's own propose, respond and decide.
     let member_response = |enc: &mut Encoder| {
         oid().encode(enc);
         PartyId::new("customer").encode(enc);
@@ -553,7 +626,7 @@ fn previous_format_frames_and_retired_tags_are_refused() {
         Decision::accept().encode(enc);
         sig.encode(enc);
     };
-    let connect_propose = frame(4, &|enc| {
+    let connect_propose = frame(1, 4, &|enc| {
         oid().encode(enc);
         PartyId::new("approver").encode(enc);
         enc.put_digest(&sha256(b"req"));
@@ -562,11 +635,11 @@ fn previous_format_frames_and_retired_tags_are_refused() {
         group_id(4).encode(enc);
         state_id(5).encode(enc);
         enc.put_digest(&sha256(b"auth"));
-        connect_request().encode(enc);
+        connect_request(enc);
         sig.encode(enc);
     });
-    let member_respond = frame(5, &member_response);
-    let member_decide = frame(6, &|enc| {
+    let member_respond = frame(1, 5, &member_response);
+    let member_decide = frame(1, 6, &|enc| {
         oid().encode(enc);
         run().encode(enc);
         enc.put_raw(&[9; 32]);
@@ -574,7 +647,7 @@ fn previous_format_frames_and_retired_tags_are_refused() {
         member_response(enc);
         enc.put_bool(true);
     });
-    let disconnect_propose = frame(10, &|enc| {
+    let disconnect_propose = frame(1, 10, &|enc| {
         oid().encode(enc);
         PartyId::new("supplier").encode(enc);
         enc.put_digest(&sha256(b"dreq"));
@@ -584,10 +657,14 @@ fn previous_format_frames_and_retired_tags_are_refused() {
         group_id(5).encode(enc);
         state_id(5).encode(enc);
         enc.put_digest(&sha256(b"auth"));
-        disconnect_request().encode(enc);
+        disconnect_request(enc);
         sig.encode(enc);
     });
     for old in [
+        frame(2, 3, &connect_request),
+        frame(2, 6, &disconnect_request),
+        welcome,
+        ack,
         connect_propose,
         member_respond,
         member_decide,
@@ -617,10 +694,7 @@ fn core_doc(active: Option<ActiveRun>) -> CoreDoc {
         agreed: state_id(5),
         agreed_state: b"{\"lines\":[{\"item\":\"a\",\"qty\":1}]}".to_vec(),
         active,
-        queued: vec![
-            QueuedRequest::Connect(connect_request()),
-            QueuedRequest::Disconnect(disconnect_request()),
-        ],
+        queued: vec![join_request(), evict_request()],
         loose_seen: vec![
             SeenEntry {
                 run: run(),
@@ -659,7 +733,7 @@ fn core_docs() -> Vec<CoreDoc> {
         my_response: respond("supplier", Decision::accept()),
         pending_state: Some(b"next".to_vec()),
     };
-    let connect = connect_propose();
+    let connect = join_propose();
     let sponsor = ProposerRun {
         run: connect.run_id(),
         propose: connect,
@@ -669,7 +743,7 @@ fn core_docs() -> Vec<CoreDoc> {
             .into_iter()
             .collect(),
     };
-    let disconnect = disconnect_propose();
+    let disconnect = evict_propose();
     let member = RecipientRun {
         run: disconnect.run_id(),
         propose: disconnect,
@@ -677,7 +751,7 @@ fn core_docs() -> Vec<CoreDoc> {
         pending_state: None,
     };
     let leaving = LeavingRun {
-        request: disconnect_request(),
+        request: leave_request(),
         sponsor: PartyId::new("supplier"),
     };
     let fresh = CoreDoc {
@@ -755,10 +829,12 @@ fn damaged_checkpoint_documents_are_rejected_not_misread() {
         longer.push(0);
         assert!(decode(&longer).is_err());
         // A blob in another format is refused at the first byte: the
-        // format-2 documents whose active run could be a sponsor or member
-        // run, the format-1 whole-replica snapshots before those, and the
-        // JSON snapshots before those (they start with `{`).
-        for other_format in [2, 1, b'{'] {
+        // format-3 documents whose queue and leaving run held the subject's
+        // earlier request messages, the format-2 documents whose active run
+        // could be a sponsor or member run, the format-1 whole-replica
+        // snapshots before those, and the JSON snapshots before those
+        // (they start with `{`).
+        for other_format in [3, 2, 1, b'{'] {
             let mut other = bytes.clone();
             other[0] = other_format;
             assert!(decode(&other).is_err());
@@ -895,10 +971,11 @@ fn golden_m1_and_its_wal_record() {
         );
     };
     golden("m1.wire", include_str!("fixtures/m1.wire.hex"), &wire);
-    // The state round's m1 moved only its format byte when the membership
-    // round's own messages went: with byte 0 set back to 1 the fixture is
-    // the previous layout's vector (pinned by its digest), and that frame
-    // is refused.
+    // The state round's m1 has moved only its format byte since format 1
+    // (when the membership round's own messages went, and again when the
+    // subject's six became two): with byte 0 set back to 1 the fixture is
+    // the format-1 vector (pinned by its digest), and that frame is
+    // refused, as is the format-2 one.
     assert_eq!(wire[0], WIRE_FORMAT);
     let mut previous = wire.clone();
     previous[0] = 1;
@@ -908,9 +985,18 @@ fn golden_m1_and_its_wal_record() {
         "the format-1 m1.wire.hex vector"
     );
     assert!(WireMsg::from_bytes(&previous).is_none());
+    previous[0] = 2;
+    assert!(WireMsg::from_bytes(&previous).is_none());
+    let bytes = record.canonical_bytes();
     golden(
         "m1.wal-record",
         include_str!("fixtures/m1.wal-record.hex"),
-        &record.canonical_bytes(),
+        &bytes,
     );
+    // Its record moved only its format byte when the membership kinds
+    // folded into the round's: the format-1 record is refused.
+    assert_eq!(bytes[0], RECORD_FORMAT);
+    let mut previous = bytes.clone();
+    previous[0] = 1;
+    assert!(EvidenceRecord::from_canonical(&previous).is_err());
 }

@@ -207,10 +207,12 @@ pub fn assert_golden(cluster: &Cluster, alias: &str, golden: &str) {
 ///   of first appearance in the log rather than by its label;
 /// - the final members, agreed tuple and agreed state of `alias`.
 ///
-/// The step of a record is its kind, with the propose, respond and decide
-/// of a membership round named as a state round's and a subject's request
-/// and answer named `MemberRequest` and `MemberAnswer`. A record belongs
-/// to a membership round when its run's proposal is a membership change.
+/// The step of a record is its kind: the propose, respond and decide of
+/// every round are filed as `State…` steps, and a subject's request and
+/// answer as `MemberRequest` and `MemberAnswer` (the log once had a kind
+/// per membership step; this digest was recorded mapping them onto
+/// these). A record belongs to a membership round when its run's proposal
+/// is a membership change.
 ///
 /// A change to the wire layout of membership rounds, or to the kinds their
 /// records are filed under, moves [`scenario_digest`] but not this; a
@@ -240,7 +242,7 @@ pub fn scenario_shape(cluster: &Cluster, alias: &str) -> String {
         let node = cluster.net.node(p);
         let mut runs: Vec<&str> = Vec::new();
         for record in records {
-            input.extend(format!("{}/{};", round_step(record.kind), record.origin).into_bytes());
+            input.extend(format!("{:?}/{};", record.kind, record.origin).into_bytes());
             if matches!(
                 record.kind,
                 EvidenceKind::StatePropose
@@ -272,20 +274,6 @@ pub fn scenario_shape(cluster: &Cluster, alias: &str) -> String {
         input.extend(node.agreed_state(&oid).unwrap_or_default());
     }
     b2b_crypto::sha256(&input).to_string()
-}
-
-/// The round step a record of `kind` evidences, as [`scenario_shape`]
-/// names it.
-fn round_step(kind: b2b_evidence::EvidenceKind) -> String {
-    use b2b_evidence::EvidenceKind::*;
-    match kind {
-        ConnectPropose | DisconnectPropose => "StatePropose".into(),
-        ConnectRespond | DisconnectRespond => "StateRespond".into(),
-        ConnectDecide | DisconnectDecide => "StateDecide".into(),
-        ConnectRequest | DisconnectRequest => "MemberRequest".into(),
-        ConnectWelcome | ConnectReject | DisconnectAck | DisconnectReject => "MemberAnswer".into(),
-        other => format!("{other:?}"),
-    }
 }
 
 /// The run label a record names, if it is one (64 hex digits).

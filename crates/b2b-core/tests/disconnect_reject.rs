@@ -6,15 +6,23 @@
 //! so it answers "concurrent coordination run active" and the sponsor
 //! invalidates the run. Before the fix the sponsor sent nothing back and
 //! the leaver's replica hung in `Leaving` forever; now the sponsor sends a
-//! signed `DisconnectReject` and the leaver returns to ordinary membership
+//! signed rejecting `MemberAnswer` and the leaver returns to ordinary membership
 //! and may retry.
 
 mod common;
 
+use b2b_core::messages::{MemberAnswer, MemberVerdict};
 use b2b_core::ObjectId;
-use b2b_crypto::TimeMs;
-use b2b_evidence::{EvidenceKind, EvidenceStore};
+use b2b_crypto::{CanonicalDecode, TimeMs};
+use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore};
 use common::{assert_golden, assert_shape, counter_factory, party, Cluster, QUIET};
+
+/// Whether `r` is a signed rejecting answer.
+fn is_rejection(r: &EvidenceRecord) -> bool {
+    r.kind == EvidenceKind::MemberAnswer
+        && MemberAnswer::from_canonical(&r.payload)
+            .is_ok_and(|a| a.verdict == MemberVerdict::Rejected)
+}
 
 #[test]
 fn rejected_voluntary_leave_returns_replica_to_member() {
@@ -57,14 +65,14 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     let rejects = cluster.stores[&party(0)]
         .records()
         .into_iter()
-        .filter(|r| r.kind == EvidenceKind::DisconnectReject)
+        .filter(is_rejection)
         .count();
-    assert_eq!(rejects, 1, "leaver logs exactly one disconnect-reject");
+    assert_eq!(rejects, 1, "leaver logs exactly one rejection");
     // ... and so does the sponsor (its own send).
     let sponsor_rejects = cluster.stores[&party(2)]
         .records()
         .into_iter()
-        .filter(|r| r.kind == EvidenceKind::DisconnectReject)
+        .filter(is_rejection)
         .count();
     assert_eq!(sponsor_rejects, 1, "sponsor logs the rejection it signed");
 

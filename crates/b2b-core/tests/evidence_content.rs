@@ -77,9 +77,10 @@ fn message_counts_break_down_by_kind() {
         .invoke(&party(0), |c, _| c.message_counts().clone());
     assert_eq!(counts.get("propose"), Some(&2), "m1 to both recipients");
     assert_eq!(counts.get("decide"), Some(&2), "m3 to both recipients");
-    // org0 sponsored org1's admission: one connect-propose… to nobody
-    // (singleton), so no entry; it sent the welcome though.
-    assert!(counts.contains_key("welcome"));
+    // org0 sponsored org1's admission: its proposal went to nobody
+    // (singleton), so no propose of its own there; it sent the answer
+    // though.
+    assert!(counts.contains_key("member-answer"));
     let recipient_counts = cluster
         .net
         .invoke(&party(1), |c, _| c.message_counts().clone());

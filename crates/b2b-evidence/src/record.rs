@@ -8,43 +8,25 @@ use std::fmt;
 
 /// Which protocol action a record evidences.
 ///
-/// One variant per evidence-bearing message of the coordination protocols
-/// (paper §4.3 and §4.5), plus local events that matter for recovery and
+/// One kind per step of the coordination round (paper §4.3, §4.5), which
+/// serves every round kind — the proposal inside a propose record says
+/// whether the round agreed a state transition or a membership change —
+/// plus the subject's request and the sponsor's answer around a
+/// membership round, and local events that matter for recovery and
 /// arbitration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EvidenceKind {
-    /// m1 of state coordination: a signed state-transition proposal.
+    /// m1 of any round: a signed proposal.
     StatePropose,
-    /// m2: a recipient's signed receipt + validity decision.
+    /// m2 of any round: a recipient's signed receipt + validity decision.
     StateRespond,
-    /// m3: the proposer's aggregated decision with revealed authenticator.
+    /// m3 of any round: the proposer's aggregated decision with revealed
+    /// authenticator.
     StateDecide,
-    /// Initial request from a prospective member to the sponsor.
-    ConnectRequest,
-    /// Sponsor's relay of a connection proposal to current members.
-    ConnectPropose,
-    /// A member's signed decision on a connection request.
-    ConnectRespond,
-    /// Sponsor's aggregated connection decision.
-    ConnectDecide,
-    /// Sponsor's welcome to an admitted member (carries agreed state).
-    ConnectWelcome,
-    /// Sponsor's signed immediate rejection of a connection request.
-    ConnectReject,
-    /// A member's request for voluntary disconnection or an eviction
-    /// proposal.
-    DisconnectRequest,
-    /// Sponsor's relay of a disconnection/eviction proposal.
-    DisconnectPropose,
-    /// A member's signed decision on a disconnection/eviction.
-    DisconnectRespond,
-    /// Sponsor's aggregated disconnection decision.
-    DisconnectDecide,
-    /// Final acknowledgement to a voluntarily departing member.
-    DisconnectAck,
-    /// Sponsor's signed rejection notice to a voluntary leaver whose run
-    /// failed a consistency check at a polled member.
-    DisconnectReject,
+    /// A signed join, leave or eviction request to the sponsor.
+    MemberRequest,
+    /// The sponsor's signed answer to the subject of a join or leave.
+    MemberAnswer,
     /// A locally installed checkpoint of newly validated object state.
     Checkpoint,
     /// A locally detected misbehaviour or inconsistency (diagnostics).
@@ -55,22 +37,12 @@ pub enum EvidenceKind {
 
 /// Every kind, in the order of its on-disk tag: a kind's tag is its index
 /// here, so new kinds are appended and existing ones never move.
-const KINDS: [EvidenceKind; 18] = [
+const KINDS: [EvidenceKind; 8] = [
     EvidenceKind::StatePropose,
     EvidenceKind::StateRespond,
     EvidenceKind::StateDecide,
-    EvidenceKind::ConnectRequest,
-    EvidenceKind::ConnectPropose,
-    EvidenceKind::ConnectRespond,
-    EvidenceKind::ConnectDecide,
-    EvidenceKind::ConnectWelcome,
-    EvidenceKind::ConnectReject,
-    EvidenceKind::DisconnectRequest,
-    EvidenceKind::DisconnectPropose,
-    EvidenceKind::DisconnectRespond,
-    EvidenceKind::DisconnectDecide,
-    EvidenceKind::DisconnectAck,
-    EvidenceKind::DisconnectReject,
+    EvidenceKind::MemberRequest,
+    EvidenceKind::MemberAnswer,
     EvidenceKind::Checkpoint,
     EvidenceKind::Misbehaviour,
     EvidenceKind::TtpAbort,
@@ -83,18 +55,8 @@ impl EvidenceKind {
             EvidenceKind::StatePropose => "state-propose",
             EvidenceKind::StateRespond => "state-respond",
             EvidenceKind::StateDecide => "state-decide",
-            EvidenceKind::ConnectRequest => "connect-request",
-            EvidenceKind::ConnectPropose => "connect-propose",
-            EvidenceKind::ConnectRespond => "connect-respond",
-            EvidenceKind::ConnectDecide => "connect-decide",
-            EvidenceKind::ConnectWelcome => "connect-welcome",
-            EvidenceKind::ConnectReject => "connect-reject",
-            EvidenceKind::DisconnectRequest => "disconnect-request",
-            EvidenceKind::DisconnectPropose => "disconnect-propose",
-            EvidenceKind::DisconnectRespond => "disconnect-respond",
-            EvidenceKind::DisconnectDecide => "disconnect-decide",
-            EvidenceKind::DisconnectAck => "disconnect-ack",
-            EvidenceKind::DisconnectReject => "disconnect-reject",
+            EvidenceKind::MemberRequest => "member-request",
+            EvidenceKind::MemberAnswer => "member-answer",
             EvidenceKind::Checkpoint => "checkpoint",
             EvidenceKind::Misbehaviour => "misbehaviour",
             EvidenceKind::TtpAbort => "ttp-abort",
@@ -139,7 +101,7 @@ pub struct EvidenceRecord {
 
 /// First byte of a record's binary form: the version of the layout that
 /// follows.
-pub const RECORD_FORMAT: u8 = 1;
+pub const RECORD_FORMAT: u8 = 2;
 
 /// The label of the run a record belongs to, as the log holds it: text.
 /// A caller holding a run's digest passes the digest, and it is written
@@ -492,8 +454,10 @@ mod tests {
                     }
                 }
             }
-            // The format byte and the kind tag are closed sets.
-            for (at, value) in [(0, 0u8), (0, 2), (0, b'{'), (9, 18), (9, 255)] {
+            // The format byte and the kind tag are closed sets: a record of
+            // format 1 (the layout with a kind per membership step) is refused.
+            let kinds = KINDS.len() as u8;
+            for (at, value) in [(0, 0u8), (0, 1), (0, 3), (0, b'{'), (9, kinds), (9, 255)] {
                 let mut bad = bytes.clone();
                 bad[at] = value;
                 assert!(EvidenceRecord::from_canonical(&bad).is_err());

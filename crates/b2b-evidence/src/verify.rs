@@ -37,7 +37,7 @@ fn requires_signature(record: &EvidenceRecord) -> bool {
     use crate::record::EvidenceKind::*;
     !matches!(
         record.kind,
-        Checkpoint | Misbehaviour | StateDecide | ConnectDecide | DisconnectDecide | TtpAbort
+        Checkpoint | Misbehaviour | StateDecide | TtpAbort
     )
 }
 

@@ -18,7 +18,7 @@ const KINDS: [EvidenceKind; 6] = [
     EvidenceKind::StatePropose,
     EvidenceKind::StateRespond,
     EvidenceKind::StateDecide,
-    EvidenceKind::ConnectWelcome,
+    EvidenceKind::MemberAnswer,
     EvidenceKind::Checkpoint,
     EvidenceKind::TtpAbort,
 ];
