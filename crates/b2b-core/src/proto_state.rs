@@ -274,19 +274,15 @@ impl Coordinator {
                 polled.len()
             )
         });
-        // The welcome or ack that ends an unpolled membership change is its
-        // evidence.
-        if unpolled.is_none() || !rules.membership {
-            self.log_evidence(
-                EvidenceKind::StatePropose,
-                object,
-                run.label(),
-                self.me.clone(),
-                &self.proposal_bytes_of(&m1),
-                Some(&m1.sig),
-                now,
-            );
-        }
+        self.log_evidence(
+            EvidenceKind::StatePropose,
+            object,
+            run.label(),
+            self.me.clone(),
+            &self.proposal_bytes_of(&m1),
+            Some(&m1.sig),
+            now,
+        );
         if let Some(state) = unpolled {
             let outcome = self.install(object, &m1, Some(state));
             self.close_round(object, run, &m1.proposal.kind, outcome, now);
@@ -995,14 +991,12 @@ impl Coordinator {
             Ok(()) => self.install(&oid, &rr.propose, rr.pending_state),
             Err(outcome) => outcome,
         };
-        if !kind.is_membership() {
-            // Keep our signed response on file: if the proposer crashed and
-            // re-sends m1 on recovery, we answer with the *same* response
-            // instead of minting a conflicting signed rejection (which
-            // would manufacture false evidence of equivocation against us,
-            // and false replay evidence against the honest proposer).
-            self.remember_reply(&oid, run, &WireMsg::Respond(rr.my_response));
-        }
+        // Keep our signed response on file: if the proposer crashed and
+        // re-sends m1 on recovery, we answer with the *same* response
+        // instead of minting a conflicting signed rejection (which would
+        // manufacture false evidence of equivocation against us, and false
+        // replay evidence against the honest proposer).
+        self.remember_reply(&oid, run, &WireMsg::Respond(rr.my_response));
         self.log_evidence(
             EvidenceKind::StateDecide,
             &oid,

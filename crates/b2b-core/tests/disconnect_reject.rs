@@ -94,6 +94,6 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_shape(
         &cluster,
         "ledger",
-        "11ff18c383d2dbf03a206ff225239f1222b79001a0e2e80a34da73bf9d2b2f44",
+        "419b5a4dbfd600a7fad3afd8b416feb084cb13ff42a500aa54e675b2fbd6deaa",
     );
 }

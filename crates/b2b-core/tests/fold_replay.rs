@@ -234,42 +234,42 @@ const GOLDEN: &[(Fault, usize, usize, &str, &str)] = &[
         4,
         2,
         "2c3e87c064288fae4463632444bebb031605e813370bd1f4291e6c382731f396",
-        "c879b922eb607bf34c698beafb314fe4bf3ae9646e476a43bcdfd933e7c65a30",
+        "bc2131f7fc2901d3c8f851e6b59117bac051ae94396afea76fee7ed1ea620096",
     ),
     (
         Fault::Inapplicable,
         4,
         1,
         "a268d2034dbc5fa171590d1a7e5f5c4e9c98941d36d9a5146bf69ffd69754266",
-        "329f03b6100fc226dff246885471ab8bc5aa7b1bfedb4571cfd77bef453b2134",
+        "c070c9389b5659ad661df2a6ffcfc406923735ce7121a711dd1b325aa5bf4255",
     ),
     (
         Fault::Vetoed,
         4,
         3,
         "fcdd92690fb7c7ea820a1455f4f3028d535356ab17eb7b0d00d46b432f1d3dac",
-        "c48533c9cc77d500d2752e219367caaf98936668ad832a939cebc7bdea74fb2f",
+        "af336f3cc388c966c7bed7869709e5b13c82425ce4e3d7cb9f149279dd8e4924",
     ),
     (
         Fault::Forged,
         1,
         0,
         "cef4e145979edb72f00d1fd035831943d3c626b127e6ad2adc1116bfefd193b8",
-        "48ece7c1531a2ee36fd1403e99239c0ba0a4e7dc4fbc6a6b7e412cb25571dea5",
+        "849edc40f874ce7d6cea36c46a16ed7945361875630e43ef4bb4924993e01b27",
     ),
     (
         Fault::Inapplicable,
         1,
         0,
         "7ea283bb40df9ba31f9f7c144439624f492b8b9b7386bff8e701f2c217e3d1ad",
-        "b2bd082a1e98c3a94de0b2e65a910001104c7a3a8c8533553ec934ff8bd14522",
+        "2d4817991f4ecf11d4a80059fe3b21ecb534fb6e3d56e226598f846f24deedd0",
     ),
     (
         Fault::Vetoed,
         1,
         0,
         "559aa8b9e4633393bc19c8cbee863f14dc96152815a16e8a98053b8c45bc9fcd",
-        "4d8a8e4999167aab1c8eee902af051687916072bdef398af374b79d8d3f1f0da",
+        "c6861ce08cf2c207368dd47f033e25d15bfdccd7e4d8f9a3f7084fbbd3135f6a",
     ),
 ];
 

@@ -41,7 +41,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_shape(
         &cluster,
         "counter",
-        "e719b4c5e2056e77dad120a7eef4141ddfcb939e6c62e4836e061670532f894e",
+        "8137461831434e05d17d72c5fd44ad1cc05c49ac5c9626206d7fd85548fe0728",
     );
 }
 
@@ -92,7 +92,7 @@ fn joiner_receives_current_agreed_state() {
     assert_shape(
         &cluster,
         "counter",
-        "23486d9b8d4dc59a2083592c5d7b046ea7a52101e499be5aa4142736945f27c6",
+        "811664691e77810ce4927df48d84072aee2751f2441e59dd7977a6ea08291a0b",
     );
 }
 
@@ -171,7 +171,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_shape(
         &cluster,
         "obj",
-        "114351a5efdb73db5c1f5143cd260c3a742f7865b38da1e05dd28c118b751b5c",
+        "fe0ac487ba28c074c951a37630aea4f07d646d28abf76ae1de71ee1f61386362",
     );
 }
 
@@ -266,7 +266,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_shape(
         &cluster,
         "counter",
-        "9fb1692485b70d98a184288854d628372258177cabc4f47a05973781a4b838ad",
+        "5f585e37002f6a0afb06d3f199dd77bc300c0af01aef22ff193b7adbae8d43c6",
     );
 }
 
@@ -295,7 +295,7 @@ fn two_party_disconnect_leaves_singleton() {
     assert_shape(
         &cluster,
         "counter",
-        "466510b62619cc26e9a93853afb42aab4d13a16a63db5c0a72822890510e9d7b",
+        "856d25e06572977504a918438388af75e224076ca904938dc1750aece65d1432",
     );
 }
 
@@ -342,7 +342,7 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_shape(
         &cluster,
         "counter",
-        "e561288380a22206b2ad928883c008cc7f03b3ac0123af2bdc61153cf6c176b8",
+        "e48e506c7ae75c409ab964fb13a5de435f33bd8c4cb6174a1443280772205280",
     );
 }
 
@@ -369,7 +369,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_shape(
         &cluster,
         "counter",
-        "4caba3a21ded55968d914c810eaa912eaf5feabcf1ac7303c6b5f0d8d770afac",
+        "b29f3759c6f5462012c8c463f4e36f3955eb1f1b826982cc07add05e6abeca75",
     );
 }
 
@@ -405,7 +405,7 @@ fn membership_requests_queue_behind_active_run() {
     assert_shape(
         &cluster,
         "counter",
-        "33f08121d55eb3f48a1f5c9cd950a341d7a1db7b5737bbb434fa283f8bada8fe",
+        "5a81611f52718b76e6aeaba4d72810251c64546b956349367fdf18b85e424748",
     );
 }
 
@@ -459,7 +459,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_shape(
         &cluster,
         "c",
-        "26fc46675e058bdcd84497c9538d8847295cb993855b2c6c97a171b7c7288483",
+        "82d9e1d614ae00111fbee3bf2ddd55602cefb43d59b4057f2f07cad4d6e46827",
     );
 }
 
@@ -473,9 +473,9 @@ fn membership_change_message_cost() {
         "5c495f9bba20efd81e5e6f70ca87c162d91aabe2429f550b72f38808d4ad5095",
     ];
     const SHAPES: [&str; 3] = [
-        "bc0ac1a374ada8b45dbd7687861def9f48e23a2825ac5bf4ede49fd408eb20b2",
-        "8c6c6067a9aeec2cc68b636f67b2e85ff099593f863096d6f7ee85502a060bf0",
-        "ab55410cd058a3d22d215695abd7a7e15d835b83758825339f30d4b06c5d27c0",
+        "8c87814d212bca41d0a861e35990df414fbc8f495a312358c8b33e03afbec9fe",
+        "aae4d8eaeae133cc9de04716d65a9290bf99c97ae681bdf8a93eea2a3c0cd8b1",
+        "435c4f6babd4ea83dbc9131c797ee899d52395e5764070541a541690469630a0",
     ];
     for n in 2..=4u64 {
         let mut cluster = Cluster::new(n as usize + 1, 40 + n);

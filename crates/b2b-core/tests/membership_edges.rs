@@ -36,7 +36,7 @@ fn leaver_can_rejoin_later() {
     assert_shape(
         &cluster,
         "c",
-        "a192533f09cde44c21eceb658254741e20e5e31599c85118ea2e4dae3fa5334d",
+        "f15a0d6f1e82b7283dac102860df4d41c3e7e6a4de7edce5f23f833ca29b8518",
     );
 }
 
@@ -60,7 +60,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_shape(
         &cluster,
         "c",
-        "73bec86e3a050d9d95a9c91a29b547a7cb22bd23b4d9b517fcd219ae812659f0",
+        "dc2ca837798091b182d265c84b3eab860ad3abff62ef2b4ab4f2029feceff517",
     );
 }
 
@@ -84,7 +84,7 @@ fn detached_party_cannot_propose() {
     assert_shape(
         &cluster,
         "c",
-        "c8b7fb4e35f79262ffafce1a59a67e860af9c383fd545d635a3dad2225f1328f",
+        "b10ea271c49bc30aa622c293614de38fc8289d2a15990ab7cc10ee665480c286",
     );
 }
 
@@ -124,7 +124,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_shape(
         &cluster,
         "c",
-        "e998de54a685b5e7498b5ac988999953713218ff5063312f96475cd0a741349b",
+        "240d32240b61b8ee1b471e843889c0ff8da63eb7b57337e0c31fa8dc4644e541",
     );
 }
 
@@ -174,7 +174,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_shape(
         &cluster,
         "c",
-        "ec06cbffb67875ebb8f32b301d65a2fd9a4b68d71ffbbcc98336bea476629d39",
+        "25cd78f6d9a556794ec5285709dc734edc117636101d5b6098a7e8688d28e72c",
     );
 }
 
@@ -231,7 +231,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_shape(
         &cluster,
         "c",
-        "aec598d00142a5c44d686bdeccdc45cf32ed38d3e4875163cc9f3fb4fec71402",
+        "ff20967a03c88c8fc117678a787149586760e36b477a98b481471a4d207dda46",
     );
 }
 
@@ -285,6 +285,6 @@ fn queued_connects_are_served_in_order() {
     assert_shape(
         &cluster,
         "c",
-        "ee47f1208f32736064f385553d6196f6f2817e4d9d98973614e12b9b39d65287",
+        "4e5a4ac802eaa13f77b19981f40c133ea16e41c99ebb10e79a7e6f0fe54286e6",
     );
 }
