@@ -611,6 +611,11 @@ impl Coordinator {
             return;
         };
         if !accepted {
+            if *change == MemberChange::Leave {
+                self.trace(ctx.now(), "membership", "disconnect_reject", || {
+                    format!("object={oid} subject={requester}")
+                });
+            }
             let answer = self.answer(oid, *request_digest, MemberVerdict::Rejected);
             return self.send_answer(requester, answer, None, None, ctx);
         }
@@ -664,10 +669,6 @@ impl Coordinator {
         };
         let me = self.me.clone();
         self.log_answer(&oid, label, &me, &msg, ctx.now());
-        self.trace(ctx.now(), "membership", "answer", || {
-            let accepted = matches!(msg.answer.verdict, MemberVerdict::Accepted { .. });
-            format!("object={oid} subject={subject} accepted={accepted}")
-        });
         self.send_wire(subject, &WireMsg::MemberAnswer(msg), ctx);
     }
 
