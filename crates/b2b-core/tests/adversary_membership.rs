@@ -108,7 +108,7 @@ fn forged_authenticator_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "b032c35d99895dcec5b76f352645bc09eba2827627e9839b8e3ebccf4d393950",
+        "e8a872d6553b30d3bf77c840f592fba3a5fc1ecd998fba5fb81f453c719fd89c",
     );
     assert_shape(
         &cluster,
@@ -132,7 +132,7 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "5a8af4065cd9ff033cf641ac4a6ae557b9ba52aedd814510d3bf13d115b22206",
+        "2e1853b447b26846650d8d2fa634a911cd4f886c33568be28e533fdf50e1b29a",
     );
     assert_shape(
         &cluster,
@@ -162,7 +162,7 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "b852ebaeaf92e5863d4fd2da83e026ecaea0e41d06aa5c552d171860a5ef109a",
+        "07793d9910d24668069b40174b34ced7512b7db253a5da7678e26acd01004c96",
     );
     assert_shape(
         &cluster,
@@ -196,7 +196,7 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
     assert_golden(
         &cluster,
         "c",
-        "2b2a3531701b28b62ec762798564e5dfe2cd9676284e73f20275c3297cf738bd",
+        "d41b8b7d23fae5b3576f41b8511034b3bdf3c4efe264139c1260432e44d6c7d0",
     );
     assert_shape(
         &cluster,
@@ -239,7 +239,7 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "773cd517b7a5e96ab911015a561422a967c3bd6feda5d7fbf21007cffb14547f",
+        "7974e73893e77b9885d42f3e1c30f7d4dfc106851c154389612cdc787f47050b",
     );
     assert_shape(
         &cluster,
@@ -287,7 +287,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_golden(
         &cluster,
         "c",
-        "fef5467d7fa3f876caaf46f1e2bf38e2f3ab0c4ffb4e96371e3957d1145cc82c",
+        "b30e74a4033fd5d588fbd3b593941195d57aa949689f4b2f0548552313eca789",
     );
     assert_shape(
         &cluster,
@@ -329,7 +329,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "669e4059144aa6d3d390e88ecac4f2c3a80e8b150d793021d6eecc5cd601c407",
+        "11a190b62982663a9007a484ca428452174028fb967e1815d908fcce2f965123",
     );
     assert_shape(
         &cluster,
@@ -385,7 +385,7 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_golden(
         &cluster,
         "c",
-        "c4bf942669929d7dea15aae7188be6a3bd3c4b490ed4a1a02cbf5e408503a86e",
+        "bda9bc11722276fad85d9745df12658428026684398808a4c13116bf789ab2d4",
     );
     assert_shape(
         &cluster,
@@ -458,7 +458,7 @@ fn replayed_connect_proposal_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "24796cdd5741bcc13a3eecc5b03017b3d51f95d053a0f873b03cae97f639050e",
+        "8d927c1e43bf202b8277e0954399bb0bcf2bd65973fb385bec1f74fc97558871",
     );
     assert_shape(
         &cluster,
@@ -497,7 +497,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_golden(
         &cluster,
         "c",
-        "c336f772ec18e5ea7610e3fe70b3d993edf0147ddbe4137d45a78e76eae425b8",
+        "dfa960dfb75b96a380810c7e227cd27edc9835bdb7a11a26764fbed66d722cf4",
     );
     assert_shape(
         &cluster,

@@ -89,7 +89,7 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_golden(
         &cluster,
         "ledger",
-        "dce2c60dac03d7a56e3bb4ea024e83f6326958bf429309446648cce0ef394c04",
+        "b82cd22d093461fae21bc442b5313dcffa35294f285375ac7ab8e0848ef81c3d",
     );
     assert_shape(
         &cluster,

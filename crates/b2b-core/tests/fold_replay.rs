@@ -233,42 +233,42 @@ const GOLDEN: &[(Fault, usize, usize, &str, &str)] = &[
         Fault::Forged,
         4,
         2,
-        "2c3e87c064288fae4463632444bebb031605e813370bd1f4291e6c382731f396",
+        "c8a0fd3c121468f33399a755597c3274f6157299ba527ad4e4fcd7007b760d5f",
         "bc2131f7fc2901d3c8f851e6b59117bac051ae94396afea76fee7ed1ea620096",
     ),
     (
         Fault::Inapplicable,
         4,
         1,
-        "a268d2034dbc5fa171590d1a7e5f5c4e9c98941d36d9a5146bf69ffd69754266",
+        "b4d8abfaa0dedc5ecffeab70ad13c873c6ddd16cb9afaa832f70785bc327a092",
         "c070c9389b5659ad661df2a6ffcfc406923735ce7121a711dd1b325aa5bf4255",
     ),
     (
         Fault::Vetoed,
         4,
         3,
-        "fcdd92690fb7c7ea820a1455f4f3028d535356ab17eb7b0d00d46b432f1d3dac",
+        "f28f955e7411b7122a2a4632a480e7e9f2af6c25072ce3d325b7ab36940b6bc7",
         "af336f3cc388c966c7bed7869709e5b13c82425ce4e3d7cb9f149279dd8e4924",
     ),
     (
         Fault::Forged,
         1,
         0,
-        "cef4e145979edb72f00d1fd035831943d3c626b127e6ad2adc1116bfefd193b8",
+        "a800f9e49a74e6bac5ceec40f3b468929e693b7c4d21df30c2a3d7b388028d1c",
         "849edc40f874ce7d6cea36c46a16ed7945361875630e43ef4bb4924993e01b27",
     ),
     (
         Fault::Inapplicable,
         1,
         0,
-        "7ea283bb40df9ba31f9f7c144439624f492b8b9b7386bff8e701f2c217e3d1ad",
+        "908c237b20985675c11845b84856834a644b2c4faf4a81d2e55094cb1b67bff7",
         "2d4817991f4ecf11d4a80059fe3b21ecb534fb6e3d56e226598f846f24deedd0",
     ),
     (
         Fault::Vetoed,
         1,
         0,
-        "559aa8b9e4633393bc19c8cbee863f14dc96152815a16e8a98053b8c45bc9fcd",
+        "d636cf4ef092e0903d582fd2c01e7eb83ad06879224c04d305feb7600db2919d",
         "c6861ce08cf2c207368dd47f033e25d15bfdccd7e4d8f9a3f7084fbbd3135f6a",
     ),
 ];

@@ -36,7 +36,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_golden(
         &cluster,
         "counter",
-        "a149c343337d84421370b5e6503d481dc5767b8ef35d07915db1487ed8c9f90c",
+        "c2e02bcb90697e643a5f5c26b15ca7072653bbb88c2045944653d9d52b19422f",
     );
     assert_shape(
         &cluster,
@@ -87,7 +87,7 @@ fn joiner_receives_current_agreed_state() {
     assert_golden(
         &cluster,
         "counter",
-        "c898d432c2175b645c63556da23688e44b6fcfef0322ed116e62594190a1bd03",
+        "9493f81d41d73a1a221e8bbe8d85238a8f908e30482a35bb0a5846086f51c0db",
     );
     assert_shape(
         &cluster,
@@ -166,7 +166,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_golden(
         &cluster,
         "obj",
-        "e8a777b6dece2a814b84d9b1debc2cd92eb29f84a471890b5a892def3e32446d",
+        "348ecc0141e402ffaf416605b5c3cbdab9ac12a9dc7fdaddc7c1be2b2b39ec21",
     );
     assert_shape(
         &cluster,
@@ -222,7 +222,7 @@ fn immediate_rejection_by_sponsor() {
     assert_golden(
         &cluster,
         "obj",
-        "9e316e6346f99d537041e1175a1901dedb847da2b9bab9d36286e6970328da54",
+        "bd076d95c4d80315cb8d1161ca6ec4dfa701eea6ebef65db9d20b0988c5c73fc",
     );
     assert_shape(
         &cluster,
@@ -261,7 +261,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_golden(
         &cluster,
         "counter",
-        "a9d98b631944298d0a99d71d7111ec08da9549ae52d61f75b0047bf36bff3b3c",
+        "5ac4abd8f3dc3d91e72efb221f00faaca5e8b96301e7467118458d7bd4a4ade6",
     );
     assert_shape(
         &cluster,
@@ -290,7 +290,7 @@ fn two_party_disconnect_leaves_singleton() {
     assert_golden(
         &cluster,
         "counter",
-        "94237b3e3cd24cc31b1c085dc5ecfed0824d06c8526cc7b8d044681a9c1e14bb",
+        "85d6b27af3b1531c60fd34d0598a0ad97a7ea4e08e23bce1b801d02533b6d2ac",
     );
     assert_shape(
         &cluster,
@@ -337,7 +337,7 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_golden(
         &cluster,
         "counter",
-        "657ce333616534db013c52515546bc62438168e147819af0ccdf9f28ead936a0",
+        "5124876fe881cd5e3a003565fbd7f5b24fc8731681867d060b41a0c9ab723d2b",
     );
     assert_shape(
         &cluster,
@@ -364,7 +364,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_golden(
         &cluster,
         "counter",
-        "0859df536e3434fd5e18ab915ee4a8f240d8fc6ddac337fd9d07d83db240e6b0",
+        "c791a15e43e9c603a6b56e0f7f5a9b7476fc1a877f57ae4a52d7929c603c28a5",
     );
     assert_shape(
         &cluster,
@@ -400,7 +400,7 @@ fn membership_requests_queue_behind_active_run() {
     assert_golden(
         &cluster,
         "counter",
-        "10709e739303ccb27f497b14a05a4775b5aa03c9ec45c47bc374ab7f9961a72e",
+        "573166ae25ada54a5878f3e5240fd838a572453b7b1762b70b3dd3b9d92f40ec",
     );
     assert_shape(
         &cluster,
@@ -454,7 +454,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_golden(
         &cluster,
         "c",
-        "a56f0a102fd9fe6715af8f0640f621f728cf52024e1152234226f14d915cfd8e",
+        "247bc5d11e86b9d4f8ef6eb7561cbadcd4117f83c71316a6cfd89801dd8bf510",
     );
     assert_shape(
         &cluster,
@@ -468,9 +468,9 @@ fn membership_change_message_cost() {
     // Connection: request + (n−1 propose) + (n−1 respond) + (n−1 decide)
     // + welcome = 3n − 1 messages for a group growing from n to n+1.
     const GOLDEN: [&str; 3] = [
-        "e1c0472dde130d4e03cfcb246eb436ea85003cdc0f4f38e7bfaa066906568c4f",
-        "333d82fd4d662692a467d730e27442c29da9fb76a57859516c9e162771d6a5b7",
-        "5c495f9bba20efd81e5e6f70ca87c162d91aabe2429f550b72f38808d4ad5095",
+        "1e5b11c8df8a5e478b8d541a1da994cc921b995663fc60476e1aa0853a5a28cf",
+        "a001daa4adcec66e61f9698021ffcc94981b8e624a81f752891802a16d69c200",
+        "e794f0b9e7aee85ca080cd9a544e64a1c55ebf38b958d8a86e46b1ecfa8ace29",
     ];
     const SHAPES: [&str; 3] = [
         "8c87814d212bca41d0a861e35990df414fbc8f495a312358c8b33e03afbec9fe",

@@ -31,7 +31,7 @@ fn leaver_can_rejoin_later() {
     assert_golden(
         &cluster,
         "c",
-        "591cdf9cadbd8fa32177a9a82c69f9d84a4cc65ca3d3abfa402f7f327ce6db72",
+        "fe7cd38fcefbfa758222900ccf31b8bf5ff0ecfee677f6828c8f7abfe5a0ac15",
     );
     assert_shape(
         &cluster,
@@ -55,7 +55,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "8daa95a854df6846fc64ca9c1bb0a83d54e4ee367aaaab4e402876173bafbe2a",
+        "0e47e32e18e2d7be129e0918dbe2a835af5f89ed6c795b08babc6d36d2572a20",
     );
     assert_shape(
         &cluster,
@@ -79,7 +79,7 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "729e0e962e0a546f96d076607fa6ade3751d8706a61087a9c6ba6d8f2a869a5a",
+        "09e3a13f622036197abd9c0f788cfe592e0f196c6b83c2d81e89c77930dcc954",
     );
     assert_shape(
         &cluster,
@@ -119,7 +119,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_golden(
         &cluster,
         "c",
-        "daa975d894f15a26d007857b6ee32708a734b41ee6d9dda2062026db5d13f661",
+        "5a7669d102ec25cca89214827ae1b1befa7b3c5889a21c8d574a234dfdeaf407",
     );
     assert_shape(
         &cluster,
@@ -169,7 +169,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_golden(
         &cluster,
         "c",
-        "ec53845a0c371122171c6a64fd092fa8dc639b6d7ea7daa01b96f0e9f692c9a2",
+        "410751ef42081e12d9a7183195003dea0ae276c168c8b9cf8c14f349ac6aad4c",
     );
     assert_shape(
         &cluster,
@@ -190,7 +190,7 @@ fn sole_member_disconnect_is_local() {
     assert_golden(
         &cluster,
         "c",
-        "e5f7f76a1ce9391454030df6e48f3a2278fe182631ec0aa663f4953ae4a6d7cb",
+        "4823a9abbb19da19ab7c7b25002b47c6e9737ef67b0ac340fc59a62a6281ff9a",
     );
     assert_shape(
         &cluster,
@@ -226,7 +226,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "e9c58300883471fb3e8aea298751784b21f6f638f33eb16eb422c6469a6b8a25",
+        "7a399f6aebcc5a6141ce4a293a473ff3f5957f524aa2f1c62e4f06f8af49aab9",
     );
     assert_shape(
         &cluster,
@@ -280,7 +280,7 @@ fn queued_connects_are_served_in_order() {
     assert_golden(
         &cluster,
         "c",
-        "659999bf7bba6d6ecfb5594385006a0c01f5ea3cf0f26054f72e97fbcd04df8e",
+        "290bc57404e8bd736cc23fcbee3611d2f395a7d81e4c90545ba6dd0e4997fb44",
     );
     assert_shape(
         &cluster,
