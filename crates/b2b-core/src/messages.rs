@@ -155,23 +155,15 @@ impl ProposalKind {
         }
     }
 
-    /// The member list (join order) once the round installs: `members`
-    /// without the leavers, then a connecting subject.
+    /// The member list (join order) once the round installs: the
+    /// members of a state round, or the members after the change.
     pub fn new_members(&self, members: &[PartyId]) -> Vec<PartyId> {
-        let mut next: Vec<PartyId> = members
-            .iter()
-            .filter(|m| !self.leavers().contains(m))
-            .cloned()
-            .collect();
-        if let ProposalKind::Member {
-            requester,
-            change: MemberChange::Join,
-            ..
-        } = self
-        {
-            next.push(requester.clone());
+        match self {
+            ProposalKind::Member {
+                requester, change, ..
+            } => change.new_members(requester, members),
+            _ => members.to_vec(),
         }
-        next
     }
 }
 
@@ -567,6 +559,22 @@ impl MemberChange {
             MemberChange::Leave => std::slice::from_ref(requester),
             MemberChange::Evict { subjects } => subjects,
         }
+    }
+
+    /// The member list (join order) after the change, requested by
+    /// `requester`: `members` without the leavers, then a joining
+    /// requester.
+    pub fn new_members(&self, requester: &PartyId, members: &[PartyId]) -> Vec<PartyId> {
+        let leavers = self.leavers(requester);
+        let mut next: Vec<PartyId> = members
+            .iter()
+            .filter(|m| !leavers.contains(m))
+            .cloned()
+            .collect();
+        if *self == MemberChange::Join {
+            next.push(requester.clone());
+        }
+        next
     }
 }
 

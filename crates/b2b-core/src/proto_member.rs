@@ -27,7 +27,7 @@ use crate::object::B2BObject;
 use crate::replica::{ActiveRun, LeavingRun, Replica};
 use crate::tally;
 use crate::Coordinator;
-use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, PartyId};
+use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, Digest32, PartyId, TimeMs};
 use b2b_evidence::{EvidenceKind, RunLabel};
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -399,7 +399,7 @@ impl Coordinator {
 
     /// Installs the replica of the group that admitted this party, from a
     /// verified accepting answer.
-    fn admitted(&mut self, oid: &ObjectId, msg: MemberAnswerMsg, now: b2b_crypto::TimeMs) {
+    fn admitted(&mut self, oid: &ObjectId, msg: MemberAnswerMsg, now: TimeMs) {
         let MemberVerdict::Accepted {
             run,
             group,
@@ -448,7 +448,7 @@ impl Coordinator {
         label: RunLabel<'_>,
         sponsor: &PartyId,
         msg: &MemberAnswerMsg,
-        now: b2b_crypto::TimeMs,
+        now: TimeMs,
     ) {
         let bytes = msg.answer.canonical_bytes();
         let sponsor = sponsor.clone();
@@ -517,14 +517,14 @@ impl Coordinator {
         // change rotated sponsorship, forwards the request rather than
         // dropping it.
         let leavers = r.leavers();
-        if let Some(sponsor) = rep.sponsor_for_disconnect(leavers) {
-            if sponsor != &self.me {
+        match rep.sponsor_for_disconnect(leavers) {
+            Some(sponsor) if sponsor == &self.me => {}
+            Some(sponsor) => {
                 let sponsor = sponsor.clone();
                 self.send_wire(&sponsor, &WireMsg::MemberRequest(msg), ctx);
                 return false;
             }
-        } else {
-            return false;
+            None => return false,
         }
         if leavers.iter().any(|s| !rep.is_member(s)) {
             let detail = "disconnect of non-member".into();
@@ -542,15 +542,8 @@ impl Coordinator {
             MemberChange::Leave => Decision::accept(),
             MemberChange::Evict { subjects } => validate_eviction(rep.object.as_ref(), subjects),
         };
-        let group = rep.group;
-        let agreed = rep.agreed;
-        let mut kind = ProposalKind::Member {
-            request_digest,
-            requester: r.requester.clone(),
-            change: r.change.clone(),
-            new_group: group,
-        };
-        let members_hash = members_digest(&kind.new_members(&rep.members));
+        let (group, agreed) = (rep.group, rep.agreed);
+        let members_hash = members_digest(&r.change.new_members(&r.requester, &rep.members));
         // The sponsor files the request of a join, which it answers either
         // way, and of a change it refuses.
         if joining || !local.is_accept() {
@@ -571,13 +564,16 @@ impl Coordinator {
             }
             return false;
         }
-        if let ProposalKind::Member { new_group, .. } = &mut kind {
-            *new_group = GroupId {
+        let kind = ProposalKind::Member {
+            request_digest,
+            requester: r.requester.clone(),
+            change: r.change.clone(),
+            new_group: GroupId {
                 seq: group.seq + 1,
                 rand_hash: sha256(&self.rng.nonce()),
                 members_hash,
-            };
-        }
+            },
+        };
         self.open_round(&oid, agreed, kind, msg.canonical_bytes(), Vec::new(), ctx);
         self.is_busy(&oid)
     }
@@ -610,31 +606,32 @@ impl Coordinator {
         let Some(rep) = self.replicas.get(oid) else {
             return;
         };
-        if !accepted {
+        let (verdict, decide, state) = if accepted {
+            let verdict = MemberVerdict::Accepted {
+                run,
+                group: rep.group,
+                members: rep.members.clone(),
+                agreed: rep.agreed,
+            };
+            let state = (*change == MemberChange::Join).then(|| rep.agreed_state.clone());
+            (verdict, Some(decide), state)
+        } else {
             if *change == MemberChange::Leave {
                 self.trace(ctx.now(), "membership", "disconnect_reject", || {
                     format!("object={oid} subject={requester}")
                 });
             }
-            let answer = self.answer(oid, *request_digest, MemberVerdict::Rejected);
-            return self.send_answer(requester, answer, None, None, ctx);
-        }
-        let verdict = MemberVerdict::Accepted {
-            run,
-            group: rep.group,
-            members: rep.members.clone(),
-            agreed: rep.agreed,
+            (MemberVerdict::Rejected, None, None)
         };
-        let state = (*change == MemberChange::Join).then(|| rep.agreed_state.clone());
         let answer = self.answer(oid, *request_digest, verdict);
-        self.send_answer(requester, answer, Some(decide), state, ctx);
+        self.send_answer(requester, answer, decide, state, ctx);
     }
 
     /// The signed part of this sponsor's answer to a request.
     fn answer(
         &self,
         oid: &ObjectId,
-        request_digest: b2b_crypto::Digest32,
+        request_digest: Digest32,
         verdict: MemberVerdict,
     ) -> MemberAnswer {
         MemberAnswer {

@@ -507,6 +507,56 @@ fn forged_disconnect_request_cannot_evict_anyone() {
 }
 
 #[test]
+fn forged_rejection_cannot_cancel_a_join() {
+    // While org1's join is pending, the intruder answers it first with a
+    // rejection that names org0 as sponsor and the request's digest, but
+    // is signed with an outsider's key. org1 refuses it, and the genuine
+    // answer admits org1.
+    use b2b_core::messages::{MemberAnswer, MemberAnswerMsg};
+    use b2b_crypto::{CanonicalEncode, KeyPair, Signer};
+    let mut cluster = Cluster::new(2, 712);
+    cluster.net.invoke(&party(0), |c, _| {
+        c.register_object(ObjectId::new("c"), Box::new(counter_factory))
+            .unwrap();
+    });
+    cluster.net.set_intruder(FnIntruder::new(
+        |from: &PartyId, to: &PartyId, raw: &[u8], _n| match peek(raw) {
+            Some(WireMsg::MemberRequest(m)) => {
+                let answer = MemberAnswer {
+                    object: m.request.object.clone(),
+                    sponsor: to.clone(),
+                    request_digest: m.request.canonical_digest(),
+                    verdict: MemberVerdict::Rejected,
+                };
+                let outsider = KeyPair::generate_from_seed(31337);
+                let forged = WireMsg::MemberAnswer(MemberAnswerMsg {
+                    sig: outsider.sign(&answer.canonical_bytes()),
+                    answer,
+                    decide: None,
+                    state: None,
+                });
+                InterceptAction::Inject(vec![Injection {
+                    from: to.clone(),
+                    to: from.clone(),
+                    payload: data_frame(0, 0xf0f0, 0, &forged.to_bytes()),
+                    after: TimeMs(0),
+                }])
+            }
+            _ => InterceptAction::Deliver,
+        },
+    ));
+    let sponsor = party(0);
+    cluster.net.invoke(&party(1), move |c, ctx| {
+        c.request_connect(ObjectId::new("c"), Box::new(counter_factory), sponsor, ctx)
+            .unwrap();
+    });
+    cluster.run();
+    assert!(has_detection(&cluster, 1, "bad-signature"));
+    assert!(cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
+    assert_eq!(cluster.members(0, "c"), vec![party(0), party(1)]);
+}
+
+#[test]
 fn detached_leaver_refuses_its_former_sponsors_proposal() {
     use b2b_evidence::{EvidenceKind, EvidenceStore};
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -70,45 +70,76 @@ fn body(frame: &Option<Vec<u8>>) -> Vec<u8> {
         .to_vec()
 }
 
+/// Every round kind re-replies alike: a state round of org0's, polling
+/// org1, and org2's admission, sponsored by org1 and polling org0.
 #[test]
 fn duplicates_after_the_round_and_after_recovery_get_the_original_bytes() {
-    let rec = Arc::new(Mutex::new(Recorded::default()));
-    let mut cluster = Cluster::new(2, 71);
-    cluster.setup_object("counter", counter_factory);
-    cluster.net.set_intruder(recorder(rec.clone()));
-    let run = cluster.propose(0, "counter", enc(5));
-    assert!(cluster.outcome(1, &run).unwrap().is_installed());
-    let (m1, m2, m3) = {
-        let r = rec.lock().unwrap();
-        (
-            r.m1.clone().unwrap(),
-            r.m2.clone().unwrap(),
-            r.m3.clone().unwrap(),
-        )
-    };
-    let (m2_body, m3_body) = (body(&Some(m2.clone())), body(&Some(m3)));
+    for join in [false, true] {
+        let rec = Arc::new(Mutex::new(Recorded::default()));
+        let mut cluster = Cluster::new(2 + usize::from(join), 71);
+        let oid = ObjectId::new("counter");
+        let o = oid.clone();
+        cluster.net.invoke(&party(0), move |c, _| {
+            c.register_object(o, Box::new(counter_factory)).unwrap();
+        });
+        let o = oid.clone();
+        cluster.net.invoke(&party(1), move |c, ctx| {
+            c.request_connect(o, Box::new(counter_factory), party(0), ctx)
+                .unwrap();
+        });
+        cluster.run();
+        cluster.net.set_intruder(recorder(rec.clone()));
+        let (proposer, recipient) = if join {
+            let o = oid.clone();
+            cluster.net.invoke(&party(2), move |c, ctx| {
+                c.request_connect(o, Box::new(counter_factory), party(1), ctx)
+                    .unwrap();
+            });
+            cluster.run();
+            assert!(cluster.net.node(&party(2)).is_member(&oid));
+            (1, 0)
+        } else {
+            let run = cluster.propose(0, "counter", enc(5));
+            assert!(cluster.outcome(1, &run).unwrap().is_installed());
+            (0, 1)
+        };
+        let (m1, m2, m3) = {
+            let r = rec.lock().unwrap();
+            (
+                r.m1.clone().unwrap(),
+                r.m2.clone().unwrap(),
+                r.m3.clone().unwrap(),
+            )
+        };
+        let (m2_body, m3_body) = (body(&Some(m2.clone())), body(&Some(m3)));
 
-    // The recipient answers a duplicate m1 with its response, and the
-    // proposer a duplicate m2 with its decide.
-    assert_eq!(
-        answer(&mut cluster.net, 0, 1, &m1, 0xd0),
-        vec![m2_body.clone()]
-    );
-    assert_eq!(
-        answer(&mut cluster.net, 1, 0, &m2, 0xd1),
-        vec![m3_body.clone()]
-    );
+        // The recipient answers a duplicate m1 with its response, and the
+        // proposer a duplicate m2 with its decide.
+        let net = &mut cluster.net;
+        let (p, r) = (proposer, recipient);
+        assert_eq!(
+            answer(net, p, r, &m1, 0xd0),
+            vec![m2_body.clone()],
+            "{join}"
+        );
+        assert_eq!(
+            answer(net, r, p, &m2, 0xd1),
+            vec![m3_body.clone()],
+            "{join}"
+        );
 
-    // Both crash and recover: the replicas come back from their
-    // checkpoints, and the answers are the same bytes.
-    let t = cluster.net.now();
-    for who in [0, 1] {
-        cluster.net.crash_at(t + TimeMs(1), party(who));
-        cluster.net.recover_at(t + TimeMs(50), party(who));
+        // Both crash and recover: the replicas come back from their
+        // checkpoints, and the answers are the same bytes.
+        let t = cluster.net.now();
+        for who in [p, r] {
+            cluster.net.crash_at(t + TimeMs(1), party(who));
+            cluster.net.recover_at(t + TimeMs(50), party(who));
+        }
+        cluster.run();
+        let net = &mut cluster.net;
+        assert_eq!(answer(net, p, r, &m1, 0xd2), vec![m2_body], "{join}");
+        assert_eq!(answer(net, r, p, &m2, 0xd3), vec![m3_body], "{join}");
     }
-    cluster.run();
-    assert_eq!(answer(&mut cluster.net, 0, 1, &m1, 0xd2), vec![m2_body]);
-    assert_eq!(answer(&mut cluster.net, 1, 0, &m2, 0xd3), vec![m3_body]);
 }
 
 /// An in-memory store whose reply-document writes fail while `failing` is

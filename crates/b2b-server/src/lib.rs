@@ -340,6 +340,22 @@ impl OrderServer {
                 );
             }
         }
+        // Nothing consumes the engines' event streams (see `order_action`):
+        // drop what provisioning buffered — the joins' events — once every
+        // member has installed the last join, so a quiet order does not
+        // keep them.
+        for (g, group) in handles.iter().enumerate() {
+            for handle in group {
+                let oid = object.clone();
+                let joined =
+                    move |c: &Coordinator| c.members(&oid).is_some_and(|m| m.len() == opts.parties);
+                assert!(
+                    handle.wait_until(Duration::from_secs(120), joined),
+                    "order {g} did not settle its joins"
+                );
+                handle.update(|c| drop(c.take_events()));
+            }
+        }
 
         let core = Arc::new(Core {
             handles,
