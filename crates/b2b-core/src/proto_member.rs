@@ -114,10 +114,7 @@ impl Coordinator {
                 object: object.clone(),
             });
         }
-        let Some(sponsor) = rep
-            .sponsor_for_disconnect(std::slice::from_ref(&me))
-            .cloned()
-        else {
+        let Some(sponsor) = rep.sponsor_for(std::slice::from_ref(&me)).cloned() else {
             // Sole member: leaving is local.
             rep.detach();
             self.persist(object);
@@ -189,7 +186,7 @@ impl Coordinator {
                     object: object.clone(),
                 });
             }
-            rep.sponsor_for_disconnect(&subjects)
+            rep.sponsor_for(&subjects)
                 .expect("proposer remains")
                 .clone()
         };
@@ -517,7 +514,7 @@ impl Coordinator {
         // change rotated sponsorship, forwards the request rather than
         // dropping it.
         let leavers = r.leavers();
-        match rep.sponsor_for_disconnect(leavers) {
+        match rep.sponsor_for(leavers) {
             Some(sponsor) if sponsor == &self.me => {}
             Some(sponsor) => {
                 let sponsor = sponsor.clone();
@@ -534,13 +531,10 @@ impl Coordinator {
         }
         // The sponsor's own verdict: a refused change never goes to a vote.
         let joining = r.change == MemberChange::Join;
-        let local = match &r.change {
-            MemberChange::Join if rep.is_member(&r.requester) => {
-                Decision::reject("already a member")
-            }
-            MemberChange::Join => rep.object.validate_connect(&r.requester),
-            MemberChange::Leave => Decision::accept(),
-            MemberChange::Evict { subjects } => validate_eviction(rep.object.as_ref(), subjects),
+        let local = if joining && rep.is_member(&r.requester) {
+            Decision::reject("already a member")
+        } else {
+            validate_change(rep.object.as_ref(), &r.requester, &r.change)
         };
         let (group, agreed) = (rep.group, rep.agreed);
         let members_hash = members_digest(&r.change.new_members(&r.requester, &rep.members));
@@ -694,12 +688,22 @@ impl Coordinator {
     }
 }
 
-/// The application's verdict on evicting `subjects`: the first rejection,
-/// if any.
-pub(crate) fn validate_eviction(object: &dyn B2BObject, subjects: &[PartyId]) -> Decision {
-    subjects
-        .iter()
-        .map(|s| object.validate_disconnect(s, true))
-        .find(|d| !d.is_accept())
-        .unwrap_or_else(Decision::accept)
+/// The application's verdict on `change`, requested by `requester`: its
+/// connect upcall for a join, the first rejection of an eviction's
+/// subjects, and acceptance of a voluntary departure, which "cannot be
+/// vetoed" (§4.5.4).
+pub(crate) fn validate_change(
+    object: &dyn B2BObject,
+    requester: &PartyId,
+    change: &MemberChange,
+) -> Decision {
+    match change {
+        MemberChange::Join => object.validate_connect(requester),
+        MemberChange::Leave => Decision::accept(),
+        MemberChange::Evict { subjects } => subjects
+            .iter()
+            .map(|s| object.validate_disconnect(s, true))
+            .find(|d| !d.is_accept())
+            .unwrap_or_else(Decision::accept),
+    }
 }

@@ -20,11 +20,10 @@ use crate::detect::Misbehaviour;
 use crate::error::CoordError;
 use crate::ids::{ObjectId, RunId, StateId};
 use crate::messages::{
-    BatchLink, DecideMsg, MemberChange, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response,
-    WireMsg,
+    BatchLink, DecideMsg, Proposal, ProposalKind, ProposeMsg, RespondMsg, Response, WireMsg,
 };
 use crate::object::B2BObject;
-use crate::proto_member::validate_eviction;
+use crate::proto_member::validate_change;
 use crate::replica::{seen_tuple, ActiveRun, ProposerRun, RecipientRun};
 use crate::tally::{self, Ballot, Collected};
 use crate::Coordinator;
@@ -410,7 +409,7 @@ impl Coordinator {
         // sponsor a membership change (§4.5.1); any member may propose a
         // state transition.
         let legitimate = match &p.kind {
-            ProposalKind::Member { .. } => rep.sponsor_for_disconnect(p.kind.leavers()),
+            ProposalKind::Member { .. } => rep.sponsor_for(p.kind.leavers()),
             _ => Some(&p.proposer),
         };
         if legitimate != Some(&p.proposer) {
@@ -584,14 +583,7 @@ impl Coordinator {
                 }
                 ProposalKind::Member {
                     requester, change, ..
-                } => match change {
-                    MemberChange::Join => rep.object.validate_connect(requester),
-                    // "Voluntary disconnection cannot be vetoed" (§4.5.4).
-                    MemberChange::Leave => Decision::accept(),
-                    MemberChange::Evict { subjects } => {
-                        validate_eviction(rep.object.as_ref(), subjects)
-                    }
-                },
+                } => validate_change(rep.object.as_ref(), requester, change),
             };
             if !app.is_accept() {
                 c.decision = app;

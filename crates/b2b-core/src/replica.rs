@@ -446,10 +446,11 @@ impl Replica {
         self.members.last().expect("group is never empty")
     }
 
-    /// The sponsor for a disconnection of `subjects`: the most recently
-    /// joined member that is not itself leaving (§4.5.1).
-    pub fn sponsor_for_disconnect(&self, subjects: &[PartyId]) -> Option<&PartyId> {
-        self.members.iter().rev().find(|m| !subjects.contains(m))
+    /// The sponsor of a membership change that removes `leavers`: the most
+    /// recently joined member that is not itself leaving (§4.5.1) — for a
+    /// join, which removes nobody, [`Replica::sponsor`].
+    pub fn sponsor_for(&self, leavers: &[PartyId]) -> Option<&PartyId> {
+        self.members.iter().rev().find(|m| !leavers.contains(m))
     }
 
     /// Returns `true` if `party` is currently a member.
@@ -1227,15 +1228,15 @@ mod tests {
     fn disconnect_sponsor_skips_subjects() {
         let r = replica(&["a", "b", "c"]);
         assert_eq!(
-            r.sponsor_for_disconnect(&[PartyId::new("c")]),
+            r.sponsor_for(&[PartyId::new("c")]),
             Some(&PartyId::new("b"))
         );
         assert_eq!(
-            r.sponsor_for_disconnect(&[PartyId::new("b")]),
+            r.sponsor_for(&[PartyId::new("b")]),
             Some(&PartyId::new("c"))
         );
         assert_eq!(
-            r.sponsor_for_disconnect(&[PartyId::new("a"), PartyId::new("b"), PartyId::new("c")]),
+            r.sponsor_for(&[PartyId::new("a"), PartyId::new("b"), PartyId::new("c")]),
             None
         );
     }
