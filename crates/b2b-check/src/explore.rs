@@ -92,7 +92,7 @@ pub fn run_schedule(
     fleet.apply(plan);
     let ops = scenario.drive(&mut fleet);
     fleet.run();
-    let violations = oracle::check_all(&mut fleet, scenario, &ops)
+    let violations = oracle::check_all(&fleet, scenario, &ops)
         .iter()
         .map(|v| v.to_string())
         .collect();

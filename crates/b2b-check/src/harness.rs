@@ -10,9 +10,7 @@
 
 use crate::plan::{FaultEvent, SchedulePlan};
 use b2b_core::messages::WireMsg;
-use b2b_core::{
-    CoordEvent, Coordinator, CoordinatorConfig, MutationFlags, ObjectId, Outcome, RunId, StateId,
-};
+use b2b_core::{Coordinator, CoordinatorConfig, MutationFlags, ObjectId, Outcome, RunId, StateId};
 use b2b_crypto::{
     CanonicalEncode, Encoder, KeyPair, KeyRing, PartyId, Signer, TimeMs, TimeStampAuthority,
 };
@@ -43,7 +41,7 @@ pub fn party(i: usize) -> PartyId {
     PartyId::new(format!("org{i}"))
 }
 
-/// A simulated cluster plus the wire tap and bookkeeping the oracles need.
+/// A simulated cluster plus the wire tap the insider scenarios read.
 pub struct Fleet {
     /// The simulator (public: scenarios script arbitrary node actions).
     pub net: SimNet<Coordinator>,
@@ -55,7 +53,6 @@ pub struct Fleet {
     per_group: usize,
     tap: SharedTap,
     baseline: Vec<StateId>,
-    crashed_ever: Vec<bool>,
     forged_epochs: u64,
     /// The fleet-wide flight recorder every coordinator traces into;
     /// events carry party labels, so one merged ring serves the trace
@@ -126,7 +123,6 @@ impl Fleet {
             per_group,
             tap: SharedTap::new(),
             baseline: Vec::new(),
-            crashed_ever: vec![false; n],
             forged_epochs: 0,
             recorder,
         };
@@ -185,20 +181,13 @@ impl Fleet {
         self.parties.iter().position(|q| q == p)
     }
 
-    /// Applies a schedule plan: settles and drains all setup traffic and
-    /// events, records the per-party baseline state, then installs the
-    /// link faults, the tap + scripted intruder, and the crash/partition
-    /// timeline (plan offsets are relative to this instant).
+    /// Applies a schedule plan: settles all setup traffic, records the
+    /// per-party baseline state, then installs the link faults, the tap +
+    /// scripted intruder, and the crash/partition timeline (plan offsets
+    /// are relative to this instant).
     pub fn apply(&mut self, plan: &SchedulePlan) {
         self.run();
-        self.baseline = (0..self.parties.len())
-            .map(|i| {
-                self.net.invoke(&party(i), |c, _| {
-                    let _ = c.take_events();
-                });
-                self.agreed_id(i)
-            })
-            .collect();
+        self.baseline = (0..self.parties.len()).map(|i| self.agreed_id(i)).collect();
         // The artifact trace should cover the schedule under test, not
         // the fleet bring-up.
         self.recorder.clear();
@@ -215,7 +204,6 @@ impl Fleet {
                     at,
                     until,
                 } => {
-                    self.crashed_ever[p] = true;
                     self.net.crash_at(TimeMs(t0.0 + at.0), party(p));
                     self.net.recover_at(TimeMs(t0.0 + until.0), party(p));
                 }
@@ -292,12 +280,6 @@ impl Fleet {
         self.baseline[i]
     }
 
-    /// Whether the plan ever crashes party `i` (its volatile protocol
-    /// events are lost, so per-party history oracles must skip it).
-    pub fn crashed_ever(&self, i: usize) -> bool {
-        self.crashed_ever[i]
-    }
-
     /// Proposes `value` from party `i` and settles the net. `None` when
     /// the coordinator refuses the proposal (e.g. replica busy).
     pub fn propose(&mut self, i: usize, value: u64) -> Option<RunId> {
@@ -313,15 +295,6 @@ impl Fleet {
     /// Party `i`'s outcome for `run`, if decided.
     pub fn outcome(&self, i: usize, run: &RunId) -> Option<Outcome> {
         self.net.node(&party(i)).outcome_of(run).cloned()
-    }
-
-    /// Drains party `i`'s coordination events (empty for a currently
-    /// crashed node — a crashed party has no event history to judge).
-    pub fn take_events(&mut self, i: usize) -> Vec<CoordEvent> {
-        if self.net.is_crashed(&party(i)) {
-            return Vec::new();
-        }
-        self.net.invoke(&party(i), |c, _| c.take_events())
     }
 
     /// Sends `msg` from party `i` to party `j` as raw one-shot data
@@ -344,8 +317,7 @@ impl Fleet {
     /// Every protocol message the wire tap has seen since the plan was
     /// applied, decoded: `(from, to, message, at)`. Includes frames the
     /// fault plan or intruder subsequently dropped — the tap records at
-    /// send time, which is exactly the Dolev-Yao observer the lineage and
-    /// freshness oracles need.
+    /// send time, as a Dolev-Yao insider observes the wire.
     pub fn wire(&self) -> Vec<(PartyId, PartyId, WireMsg, TimeMs)> {
         self.tap
             .seen()

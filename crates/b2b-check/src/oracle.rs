@@ -3,16 +3,15 @@
 //! Each oracle checks one promise the paper makes about the coordination
 //! protocols, judged only at *correctly behaving* parties (never at a
 //! scenario's insider — a misbehaving party's own replica carries no
-//! guarantee). The per-party history oracles (chain contiguity, lineage)
-//! additionally skip parties the schedule crashed, because a crash loses
-//! the volatile event buffer — not because the guarantee lapses.
+//! guarantee). A party's history is read from its evidence log through
+//! [`b2b_core::history`], which survives a crash, so parties the schedule
+//! crashed are judged too.
 
-use crate::harness::{party, Fleet};
+use crate::harness::Fleet;
 use crate::scenario::{DrivenOp, Scenario};
-use b2b_core::messages::{DecideMsg, ProposeMsg, WireMsg};
-use b2b_core::{CoordEventKind, Outcome, RunId, StateId};
-use b2b_crypto::{sha256, CanonicalDecode};
-use b2b_evidence::{EvidenceKind, EvidenceStore, LogAuditor};
+use b2b_core::history::{self, FaultKind};
+use b2b_core::StateId;
+use b2b_crypto::sha256;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -31,59 +30,18 @@ pub enum Violation {
         /// Second party index and its conflicting state id.
         b: (usize, StateId),
     },
-    /// A correct party's installed sequence numbers skipped a value
-    /// (§4.2 invariant 3 is what forbids this end to end).
-    ChainGap {
-        /// The party whose chain has the gap.
+    /// A correct party's evidence log is not a history: a record fails
+    /// verification, or installs what the log has not established — a
+    /// skipped sequence number, a predecessor other than the installed
+    /// tuple, a reused tuple, a decide without a complete, unanimous,
+    /// correctly signed response set (§4.2, §4.3).
+    History {
+        /// The party whose log it is.
         party: usize,
-        /// The sequence number the next install should have carried.
-        expected_seq: u64,
-        /// The sequence number actually installed.
-        got_seq: u64,
-    },
-    /// A correct party installed a state whose signed proposal names a
-    /// predecessor other than the state the party actually held (§4.2
-    /// invariant 1 is what forbids this).
-    Lineage {
-        /// The party that installed the ill-founded state.
-        party: usize,
-        /// The predecessor named in the proposal on the wire.
-        wire_prev: StateId,
-        /// The predecessor the party actually held.
-        held_prev: StateId,
-    },
-    /// A correct party installed a run whose proposal tuple
-    /// `(seq, H(random))` it had already processed under an earlier,
-    /// different run label (§4.4: the tuple "uniquely labels" a
-    /// transition; reuse lets one receipt vouch for two states).
-    TupleReuse {
-        /// The party that accepted the reused tuple.
-        party: usize,
-        /// The installing run (hex label).
-        run: String,
-        /// The earlier run that first carried the tuple (hex label).
-        earlier_run: String,
-        /// The reused sequence number.
-        seq: u64,
-    },
-    /// An installed state is not backed by well-formed unanimous signed
-    /// agreement in the party's own evidence log (§4.3: `m3` aggregates
-    /// "all decisions and … non-repudiation evidence").
-    MalformedDecide {
-        /// The party holding the defective evidence.
-        party: usize,
-        /// The run concerned (hex label).
-        run: String,
-        /// What was wrong.
-        reason: String,
-    },
-    /// A correct party's evidence log failed the full `b2b-evidence`
-    /// audit (missing signatures, broken timestamps, tampered records).
-    AuditFault {
-        /// The party whose log is defective.
-        party: usize,
-        /// Number of faulted records.
-        faults: usize,
+        /// The sequence number of the first record that does not fit.
+        record: u64,
+        /// What is wrong with it.
+        fault: FaultKind,
     },
     /// A correct party's held state bytes do not hash to the state hash
     /// its own agreed [`StateId`] claims (§4.2: the signed proposal pins
@@ -114,41 +72,11 @@ impl fmt::Display for Violation {
                 "divergence: seq {seq} installed as {:?} at org{} but {:?} at org{}",
                 a.1, a.0, b.1, b.0
             ),
-            Violation::ChainGap {
+            Violation::History {
                 party,
-                expected_seq,
-                got_seq,
-            } => write!(
-                f,
-                "chain-gap: org{party} installed seq {got_seq} where {expected_seq} was due"
-            ),
-            Violation::Lineage {
-                party,
-                wire_prev,
-                held_prev,
-            } => write!(
-                f,
-                "lineage: org{party} installed over wire prev {wire_prev:?} while holding {held_prev:?}"
-            ),
-            Violation::TupleReuse {
-                party,
-                run,
-                earlier_run,
-                seq,
-            } => write!(
-                f,
-                "tuple-reuse: org{party} installed run {} reusing the tuple (seq {seq}) of earlier run {}",
-                &run[..12.min(run.len())],
-                &earlier_run[..12.min(earlier_run.len())]
-            ),
-            Violation::MalformedDecide { party, run, reason } => write!(
-                f,
-                "malformed-decide: org{party} run {}: {reason}",
-                &run[..12.min(run.len())]
-            ),
-            Violation::AuditFault { party, faults } => {
-                write!(f, "audit-fault: org{party} log has {faults} faulted records")
-            }
+                record,
+                fault,
+            } => write!(f, "history: org{party} record {record}: {fault}"),
             Violation::StateHashMismatch {
                 party,
                 claimed,
@@ -164,160 +92,50 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One install drained from a party's event stream.
-struct Install {
-    run: RunId,
-    id: StateId,
-}
-
-/// Runs every oracle against the finished schedule. Call exactly once
-/// per schedule: it drains the coordinators' event buffers.
-pub fn check_all(fleet: &mut Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Vec<Violation> {
-    let n = fleet.len();
+/// Runs every oracle against the finished schedule.
+pub fn check_all(fleet: &Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Vec<Violation> {
     let insider = scenario.insider();
-    let correct: Vec<usize> = (0..n).filter(|&i| Some(i) != insider).collect();
-
-    // Per-party installs, in event order (volatile: crashed parties lose
-    // theirs, which is why the history oracles skip them).
-    let installs: Vec<Vec<Install>> = (0..n)
-        .map(|i| {
-            fleet
-                .take_events(i)
-                .into_iter()
-                .filter_map(|e| match e.event {
-                    CoordEventKind::Completed {
-                        outcome: Outcome::Installed { state },
-                    } => Some(Install {
-                        run: e.run,
-                        id: state,
-                    }),
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect();
-
-    // First wire appearance of every distinct proposal, by run label:
-    // (message, tap position). The tap records at send time — the
-    // Dolev-Yao observer's view, independent of later drops.
-    let mut m1s: BTreeMap<String, (ProposeMsg, usize)> = BTreeMap::new();
-    for (pos, (_, _, msg, _)) in fleet.wire().into_iter().enumerate() {
-        if let WireMsg::Propose(m) = msg {
-            m1s.entry(m.proposal.run_id().to_hex()).or_insert((m, pos));
-        }
-    }
-
+    let correct: Vec<usize> = (0..fleet.len()).filter(|&i| Some(i) != insider).collect();
     let mut violations = Vec::new();
 
-    // Oracle 1 — install divergence across correct parties. Keyed by
-    // (group, seq): independent groups advance their own chains, so the
-    // same sequence number legitimately carries different states in
-    // different groups.
+    // Oracles 1–6 — each correct party's log is a history: every record
+    // verifies, and every install extends what the log established
+    // (contiguous sequence numbers, lineage, fresh tuples, a complete
+    // unanimous signed decide).
+    let tsa = fleet.tsa().public_key();
     let mut by_seq: BTreeMap<(usize, u64), (usize, StateId)> = BTreeMap::new();
     for &i in &correct {
-        for ins in &installs[i] {
-            match by_seq.get(&(fleet.group_of(i), ins.id.seq)) {
+        let installs = match history::check(
+            fleet.store(i).as_ref(),
+            &fleet.object(),
+            fleet.ring(),
+            Some(&tsa),
+        ) {
+            Ok(installs) => installs,
+            Err(fault) => {
+                violations.push(Violation::History {
+                    party: i,
+                    record: fault.record,
+                    fault: fault.kind,
+                });
+                continue;
+            }
+        };
+        // Install divergence across correct parties, keyed by (group,
+        // seq): independent groups advance their own chains.
+        for install in installs {
+            let (seq, id) = (install.tuple.seq, install.tuple);
+            match by_seq.get(&(fleet.group_of(i), seq)) {
                 None => {
-                    by_seq.insert((fleet.group_of(i), ins.id.seq), (i, ins.id));
+                    by_seq.insert((fleet.group_of(i), seq), (i, id));
                 }
-                Some((j, other)) if *other != ins.id => {
-                    violations.push(Violation::Divergence {
-                        seq: ins.id.seq,
-                        a: (*j, *other),
-                        b: (i, ins.id),
-                    });
-                }
+                Some(&(j, other)) if other != id => violations.push(Violation::Divergence {
+                    seq,
+                    a: (j, other),
+                    b: (i, id),
+                }),
                 Some(_) => {}
             }
-        }
-    }
-
-    // Oracles 2+3 — per-party chain contiguity and lineage, judged
-    // against the wire tap (correct, never-crashed parties only).
-    for &i in &correct {
-        if fleet.crashed_ever(i) {
-            continue;
-        }
-        let mut held = fleet.baseline(i);
-        for ins in &installs[i] {
-            if ins.id.seq != held.seq + 1 {
-                violations.push(Violation::ChainGap {
-                    party: i,
-                    expected_seq: held.seq + 1,
-                    got_seq: ins.id.seq,
-                });
-            }
-            if let Some((m1, _)) = m1s.get(&ins.run.to_hex()) {
-                if m1.proposal.prev != held {
-                    violations.push(Violation::Lineage {
-                        party: i,
-                        wire_prev: m1.proposal.prev,
-                        held_prev: held,
-                    });
-                }
-            }
-            held = ins.id;
-        }
-    }
-
-    // Oracle 4 — proposal-tuple freshness: an install whose tuple an
-    // earlier, differently labelled run already carried — and which the
-    // party itself demonstrably processed (it logged evidence for the
-    // earlier run; tuples it never saw put it under no obligation).
-    for &i in &correct {
-        for ins in &installs[i] {
-            let run_hex = ins.run.to_hex();
-            let Some((m1, first_seen)) = m1s.get(&run_hex) else {
-                continue;
-            };
-            let tuple = (m1.proposal.proposed.seq, m1.proposal.proposed.rand_hash);
-            for (other_hex, (other, other_seen)) in &m1s {
-                if *other_hex == run_hex
-                    || (
-                        other.proposal.proposed.seq,
-                        other.proposal.proposed.rand_hash,
-                    ) != tuple
-                    || other_seen >= first_seen
-                    || fleet.store(i).records_for_run(other_hex).is_empty()
-                {
-                    continue;
-                }
-                violations.push(Violation::TupleReuse {
-                    party: i,
-                    run: run_hex.clone(),
-                    earlier_run: other_hex.clone(),
-                    seq: tuple.0,
-                });
-            }
-        }
-    }
-
-    // Oracle 5 — decide well-formedness: every install is backed by a
-    // parseable m3 in the party's own log, revealing the committed
-    // authenticator and carrying a complete, unanimous, correctly signed
-    // response set.
-    for &i in &correct {
-        for ins in &installs[i] {
-            let run_hex = ins.run.to_hex();
-            if let Some(reason) = decide_defect(fleet, i, &run_hex, m1s.get(&run_hex)) {
-                violations.push(Violation::MalformedDecide {
-                    party: i,
-                    run: run_hex,
-                    reason,
-                });
-            }
-        }
-    }
-
-    // Oracle 6 — the full evidence audit.
-    let auditor = LogAuditor::new(fleet.ring().clone(), Some(fleet.tsa().public_key()));
-    for &i in &correct {
-        let report = auditor.audit(fleet.store(i).as_ref());
-        if !report.is_clean() {
-            violations.push(Violation::AuditFault {
-                party: i,
-                faults: report.total.saturating_sub(report.valid),
-            });
         }
     }
 
@@ -385,87 +203,4 @@ pub fn check_all(fleet: &mut Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -
     }
 
     violations
-}
-
-/// Checks one install's decide evidence; `Some(reason)` on any defect.
-fn decide_defect(
-    fleet: &Fleet,
-    i: usize,
-    run_hex: &str,
-    m1: Option<&(ProposeMsg, usize)>,
-) -> Option<String> {
-    let records = fleet.store(i).records_for_run(run_hex);
-    let rec = records
-        .iter()
-        .find(|r| r.kind == EvidenceKind::StateDecide)?
-        .clone();
-    let m3 = match DecideMsg::from_canonical(&rec.payload) {
-        Ok(m) => m,
-        Err(e) => return Some(format!("undecodable StateDecide evidence: {e}")),
-    };
-    let Some((m1, _)) = m1 else {
-        // No proposal on the tap (pre-plan run): nothing more to check.
-        return verify_responses(fleet, &m3, None);
-    };
-    if sha256(&m3.authenticator) != m1.proposal.auth_commit {
-        return Some("revealed authenticator does not match the signed commitment".into());
-    }
-    verify_responses(fleet, &m3, Some(&m1.proposal.proposer))
-}
-
-// A missing StateDecide record would itself be a defect, but `?` above
-// returns None (no defect) for it: installs are logged transactionally
-// with their decide, so an absent record only occurs for installs that
-// predate the tap. Completeness of the response set is still enforced
-// whenever the record exists.
-fn verify_responses(
-    fleet: &Fleet,
-    m3: &DecideMsg,
-    proposer: Option<&b2b_crypto::PartyId>,
-) -> Option<String> {
-    let mut seen = BTreeSet::new();
-    for r in &m3.responses {
-        if r.response.run != m3.run {
-            return Some("response for a different run aggregated into the decide".into());
-        }
-        if !r.response.decision.is_accept() {
-            return Some(format!(
-                "installed despite a non-accepting response from {}",
-                r.response.responder
-            ));
-        }
-        if fleet
-            .ring()
-            .verify_for(&r.response.responder, &r.response_bytes(), &r.sig)
-            .is_err()
-        {
-            return Some(format!(
-                "bad signature on {}'s response",
-                r.response.responder
-            ));
-        }
-        if !seen.insert(r.response.responder.clone()) {
-            return Some(format!("duplicate response from {}", r.response.responder));
-        }
-    }
-    if let Some(proposer) = proposer {
-        // The recipient set is the proposer's *group*, not the whole
-        // process — co-scheduled groups never vote in each other's rounds.
-        let group = fleet
-            .index_of(proposer)
-            .map(|i| fleet.group_of(i))
-            .expect("proposer is a fleet member");
-        let mut expected: BTreeSet<_> = fleet.group_members(group).into_iter().map(party).collect();
-        expected.remove(proposer);
-        if seen != expected {
-            return Some(format!(
-                "response set {{{}}} is not the full recipient set",
-                seen.iter()
-                    .map(|p| p.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-    }
-    None
 }

@@ -9,28 +9,26 @@
 //! The key §4.1 guarantee this module demonstrates: *"no party can
 //! misrepresent the validity of object state, either by claiming that an
 //! invalid (vetoed) state is valid or that a valid (unanimously agreed)
-//! state is invalid"*. A validity claim is upheld only on a complete set
-//! of verified, accepting, signed responses from every other group member;
-//! a veto claim is upheld on any verified signed rejection.
+//! state is invalid"*. A validity claim is upheld only when the log's own
+//! history ([`crate::history`]) installs the state on a decide — a complete
+//! set of verified, accepting, signed responses from every other member of
+//! the group the log has established; a veto claim is upheld on any
+//! verified signed rejection.
 
-use crate::ids::{members_digest, ObjectId, RunId, StateId};
+use crate::history;
+use crate::ids::{ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
-use crate::tally;
-use b2b_crypto::{CanonicalDecode, CanonicalEncode, KeyRing, PartyId};
+use b2b_crypto::{CanonicalDecode, KeyRing};
 use b2b_evidence::{EvidenceKind, EvidenceStore};
 
 /// A claim brought before the arbiter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Claim {
-    /// `proposer` claims that `state` of `object` was unanimously agreed
-    /// by the group `members` (join order).
+    /// `state` of `object` was unanimously agreed. Who proposed it and
+    /// which group agreed are what the log's history says.
     StateValid {
         /// The object concerned.
         object: ObjectId,
-        /// The party that proposed the state.
-        proposer: PartyId,
-        /// The full group membership at the time, in join order.
-        members: Vec<PartyId>,
         /// The state tuple claimed valid.
         state: StateId,
     },
@@ -81,78 +79,35 @@ impl Arbiter {
     /// Rules on `claim` against the evidence in `store`.
     pub fn judge(&self, claim: &Claim, store: &dyn EvidenceStore) -> Ruling {
         match claim {
-            Claim::StateValid {
-                object,
-                proposer,
-                members,
-                state,
-            } => self.judge_state_valid(object, proposer, members, state, store),
+            Claim::StateValid { object, state } => self.judge_state_valid(object, state, store),
             Claim::StateVetoed { object, run } => self.judge_state_vetoed(object, run, store),
         }
     }
 
-    fn decide_records(
-        &self,
-        object: &ObjectId,
-        store: &dyn EvidenceStore,
-    ) -> Vec<(u64, DecideMsg)> {
-        store
-            .records()
-            .into_iter()
-            .filter(|r| r.kind == EvidenceKind::StateDecide && r.object == object.as_str())
-            .filter_map(|r| {
-                DecideMsg::from_canonical(&r.payload)
-                    .ok()
-                    .map(|d| (r.seq, d))
-            })
-            .collect()
-    }
-
+    /// Upholds the claim on the decide that installs `state` in the log's
+    /// history of a group of two or more.
     fn judge_state_valid(
         &self,
         object: &ObjectId,
-        proposer: &PartyId,
-        members: &[PartyId],
         state: &StateId,
         store: &dyn EvidenceStore,
     ) -> Ruling {
-        if !members.contains(proposer) {
-            return Ruling::Rejected {
-                reason: "claimed proposer is not in the claimed membership".into(),
-            };
-        }
-        if members.iter().all(|m| m == proposer) {
-            return Ruling::Rejected {
-                reason: "a singleton group cannot evidence multi-party agreement".into(),
-            };
-        }
-        let members_hash = members_digest(members);
-
-        for (seq, decide) in self.decide_records(object, store) {
-            let set = tally::check_set(
-                &decide.responses,
-                decide.run,
-                object,
-                members.iter().filter(|m| *m != proposer),
-                false,
-                |r| r.response.proposed == *state && r.response.group.members_hash == members_hash,
-                |items| {
-                    items.iter().try_for_each(|(party, bytes, _, sig)| {
-                        self.ring
-                            .verify_for(party, bytes, sig)
-                            .map_err(|_| party.clone())
-                    })
-                },
-            );
-            // A complete set is unanimous when nobody in it vetoed.
-            if set.is_ok() && tally::vetoers(&decide.responses).is_empty() {
-                return Ruling::Upheld {
-                    evidence: vec![seq],
-                };
+        let installs = match history::check(store, object, &self.ring, None) {
+            Ok(installs) => installs,
+            Err(fault) => {
+                let reason = format!("the log is not a history: {fault}");
+                return Ruling::Rejected { reason };
             }
-        }
-        Ruling::Rejected {
-            reason: "no complete set of verified accepting responses found".into(),
+        };
+        match installs.iter().find(|i| {
+            i.tuple == *state && i.by == EvidenceKind::StateDecide && i.members.len() >= 2
+        }) {
+            Some(install) => Ruling::Upheld {
+                evidence: vec![install.record],
+            },
+            None => Ruling::Rejected {
+                reason: "no decide of a group of two or more installs the state".into(),
+            },
         }
     }
 
@@ -162,24 +117,29 @@ impl Arbiter {
         run: &RunId,
         store: &dyn EvidenceStore,
     ) -> Ruling {
-        // A verified signed rejection in the run — either inside a logged
-        // decide aggregation or as a directly logged response — upholds
-        // the veto claim.
-        for (seq, decide) in self.decide_records(object, store) {
+        // A verified signed rejection in the run, inside a logged decide,
+        // upholds the veto claim.
+        for r in store.records() {
+            if r.kind != EvidenceKind::StateDecide || r.object != object.as_str() {
+                continue;
+            }
+            let Ok(decide) = DecideMsg::from_canonical(&r.payload) else {
+                continue;
+            };
             if decide.run != *run {
                 continue;
             }
-            let vetoed = decide.responses.iter().any(|r| {
-                r.response.run == *run
-                    && r.vetoes()
+            let vetoed = decide.responses.iter().any(|v| {
+                v.response.run == *run
+                    && v.vetoes()
                     && self
                         .ring
-                        .verify_for(&r.response.responder, &r.response.canonical_bytes(), &r.sig)
+                        .verify_for(&v.response.responder, &v.response_bytes(), &v.sig)
                         .is_ok()
             });
             if vetoed {
                 return Ruling::Upheld {
-                    evidence: vec![seq],
+                    evidence: vec![r.seq],
                 };
             }
         }
@@ -193,48 +153,110 @@ impl Arbiter {
 mod tests {
     use super::*;
     use crate::decision::Decision;
-    use crate::ids::GroupId;
-    use crate::messages::{RespondMsg, Response};
-    use b2b_crypto::{sha256, KeyPair, Signer, TimeMs};
+    use crate::ids::{members_digest, GroupId};
+    use crate::messages::{
+        MemberAnswer, MemberChange, MemberRequest, MemberVerdict, Proposal, ProposalKind,
+        RespondMsg, Response,
+    };
+    use b2b_crypto::{sha256, CanonicalEncode, KeyPair, PartyId, Signer, TimeMs};
     use b2b_evidence::{EvidenceRecord, MemStore};
 
+    /// Three parties `a`, `b`, `c`, and the log of `c`, which `b` admitted
+    /// to the group of all three: `c`'s request and `b`'s answer, then
+    /// `a`'s proposal of `state` in run `run`. A test appends the decide.
     struct Fixture {
         ring: KeyRing,
         keys: Vec<(PartyId, KeyPair)>,
         object: ObjectId,
-        members: Vec<PartyId>,
         group: GroupId,
         state: StateId,
         run: RunId,
+        store: MemStore,
+    }
+
+    fn append(store: &MemStore, kind: EvidenceKind, by: &(PartyId, KeyPair), payload: Vec<u8>) {
+        let sig = (kind != EvidenceKind::StateDecide).then(|| by.1.sign(&payload));
+        let rec = EvidenceRecord::new(kind, "obj", "", by.0.clone(), payload, sig, None, TimeMs(0));
+        store.append(rec).unwrap();
     }
 
     fn fixture() -> Fixture {
-        let names = ["a", "b", "c"];
         let mut ring = KeyRing::new();
-        let mut keys = Vec::new();
-        for (i, n) in names.iter().enumerate() {
-            let kp = KeyPair::generate_from_seed(i as u64 + 1);
-            ring.register(PartyId::new(*n), kp.public_key());
-            keys.push((PartyId::new(*n), kp));
+        let keys: Vec<(PartyId, KeyPair)> = ["a", "b", "c"]
+            .iter()
+            .zip(1..)
+            .map(|(n, seed)| (PartyId::new(*n), KeyPair::generate_from_seed(seed)))
+            .collect();
+        for (party, kp) in &keys {
+            ring.register(party.clone(), kp.public_key());
         }
-        let members: Vec<PartyId> = names.iter().map(|n| PartyId::new(*n)).collect();
+        let members: Vec<PartyId> = keys.iter().map(|k| k.0.clone()).collect();
+        let object = ObjectId::new("obj");
         let group = GroupId {
-            seq: 0,
+            seq: 2,
             rand_hash: sha256(b"g"),
             members_hash: members_digest(&members),
         };
+        let prev = StateId::genesis(sha256(b"p"), b"old");
+        let store = MemStore::new();
+        let request = MemberRequest {
+            object: object.clone(),
+            requester: keys[2].0.clone(),
+            change: MemberChange::Join,
+            nonce_hash: sha256(b"n"),
+        };
+        append(
+            &store,
+            EvidenceKind::MemberRequest,
+            &keys[2],
+            request.canonical_bytes(),
+        );
+        let verdict = MemberVerdict::Accepted {
+            run: RunId(sha256(b"join")),
+            group,
+            members,
+            agreed: prev,
+        };
+        let answer = MemberAnswer {
+            object: object.clone(),
+            sponsor: keys[1].0.clone(),
+            request_digest: request.canonical_digest(),
+            verdict,
+        };
+        append(
+            &store,
+            EvidenceKind::MemberAnswer,
+            &keys[1],
+            answer.canonical_bytes(),
+        );
+        let state = StateId {
+            seq: 1,
+            rand_hash: sha256(b"r"),
+            state_hash: sha256(b"new"),
+        };
+        let proposal = Proposal {
+            object: object.clone(),
+            proposer: keys[0].0.clone(),
+            group,
+            prev,
+            proposed: state,
+            auth_commit: sha256(&[9u8; 32]),
+            kind: ProposalKind::Overwrite,
+        };
+        append(
+            &store,
+            EvidenceKind::StatePropose,
+            &keys[0],
+            proposal.canonical_bytes(),
+        );
         Fixture {
             ring,
+            run: proposal.run_id(),
             keys,
-            object: ObjectId::new("obj"),
-            members,
+            object,
             group,
-            state: StateId {
-                seq: 1,
-                rand_hash: sha256(b"r"),
-                state_hash: sha256(b"new"),
-            },
-            run: RunId(sha256(b"run")),
+            state,
+            store,
         }
     }
 
@@ -245,11 +267,7 @@ mod tests {
             responder: party.clone(),
             group: f.group,
             run: f.run,
-            prev: StateId {
-                seq: 0,
-                rand_hash: sha256(b"p"),
-                state_hash: sha256(b"old"),
-            },
+            prev: StateId::genesis(sha256(b"p"), b"old"),
             proposed: f.state,
             body_ok: true,
             decision,
@@ -262,33 +280,32 @@ mod tests {
         }
     }
 
-    fn log_decide(store: &MemStore, f: &Fixture, responses: Vec<RespondMsg>) {
+    fn log_decide(f: &Fixture, responses: Vec<RespondMsg>) {
         let decide = DecideMsg {
             object: f.object.clone(),
             run: f.run,
             authenticator: [9u8; 32],
             responses,
         };
-        store
-            .append(EvidenceRecord::new(
-                b2b_evidence::EvidenceKind::StateDecide,
-                f.object.as_str(),
-                f.run.to_hex(),
-                f.keys[0].0.clone(),
-                decide.canonical_bytes(),
-                None,
-                None,
-                TimeMs(0),
-            ))
-            .unwrap();
+        append(
+            &f.store,
+            EvidenceKind::StateDecide,
+            &f.keys[0],
+            decide.canonical_bytes(),
+        );
+    }
+
+    fn valid(f: &Fixture) -> Claim {
+        Claim::StateValid {
+            object: f.object.clone(),
+            state: f.state,
+        }
     }
 
     #[test]
     fn valid_claim_upheld_on_complete_accepts() {
         let f = fixture();
-        let store = MemStore::new();
         log_decide(
-            &store,
             &f,
             vec![
                 response(&f, 1, Decision::accept()),
@@ -296,21 +313,14 @@ mod tests {
             ],
         );
         let arbiter = Arbiter::new(f.ring.clone());
-        let claim = Claim::StateValid {
-            object: f.object.clone(),
-            proposer: f.members[0].clone(),
-            members: f.members.clone(),
-            state: f.state,
-        };
-        assert!(arbiter.judge(&claim, &store).is_upheld());
+        let ruling = arbiter.judge(&valid(&f), &f.store);
+        assert_eq!(ruling, Ruling::Upheld { evidence: vec![3] });
     }
 
     #[test]
     fn vetoed_state_cannot_be_claimed_valid() {
         let f = fixture();
-        let store = MemStore::new();
         log_decide(
-            &store,
             &f,
             vec![
                 response(&f, 1, Decision::accept()),
@@ -318,64 +328,38 @@ mod tests {
             ],
         );
         let arbiter = Arbiter::new(f.ring.clone());
-        let valid_claim = Claim::StateValid {
-            object: f.object.clone(),
-            proposer: f.members[0].clone(),
-            members: f.members.clone(),
-            state: f.state,
-        };
-        assert!(!arbiter.judge(&valid_claim, &store).is_upheld());
+        assert!(!arbiter.judge(&valid(&f), &f.store).is_upheld());
         // …but the veto claim is upheld by the same log.
         let veto_claim = Claim::StateVetoed {
             object: f.object.clone(),
             run: f.run,
         };
-        assert!(arbiter.judge(&veto_claim, &store).is_upheld());
+        assert!(arbiter.judge(&veto_claim, &f.store).is_upheld());
     }
 
     #[test]
     fn incomplete_response_set_rejected() {
         let f = fixture();
-        let store = MemStore::new();
-        log_decide(&store, &f, vec![response(&f, 1, Decision::accept())]);
+        log_decide(&f, vec![response(&f, 1, Decision::accept())]);
         let arbiter = Arbiter::new(f.ring.clone());
-        let claim = Claim::StateValid {
-            object: f.object.clone(),
-            proposer: f.members[0].clone(),
-            members: f.members.clone(),
-            state: f.state,
-        };
-        assert!(!arbiter.judge(&claim, &store).is_upheld());
+        assert!(!arbiter.judge(&valid(&f), &f.store).is_upheld());
     }
 
     #[test]
     fn forged_response_cannot_support_validity() {
         let f = fixture();
-        let store = MemStore::new();
-        // Party 2's "response" signed with party 1's key: forgery.
+        // Party c's "response" signed with party b's key: forgery.
         let mut forged = response(&f, 1, Decision::accept());
-        forged.response.responder = f.members[2].clone();
-        log_decide(
-            &store,
-            &f,
-            vec![response(&f, 1, Decision::accept()), forged],
-        );
+        forged.response.responder = f.keys[2].0.clone();
+        log_decide(&f, vec![response(&f, 1, Decision::accept()), forged]);
         let arbiter = Arbiter::new(f.ring.clone());
-        let claim = Claim::StateValid {
-            object: f.object.clone(),
-            proposer: f.members[0].clone(),
-            members: f.members.clone(),
-            state: f.state,
-        };
-        assert!(!arbiter.judge(&claim, &store).is_upheld());
+        assert!(!arbiter.judge(&valid(&f), &f.store).is_upheld());
     }
 
     #[test]
     fn valid_state_cannot_be_claimed_vetoed() {
         let f = fixture();
-        let store = MemStore::new();
         log_decide(
-            &store,
             &f,
             vec![
                 response(&f, 1, Decision::accept()),
@@ -387,20 +371,41 @@ mod tests {
             object: f.object.clone(),
             run: f.run,
         };
-        assert!(!arbiter.judge(&claim, &store).is_upheld());
+        assert!(!arbiter.judge(&claim, &f.store).is_upheld());
     }
 
     #[test]
     fn singleton_group_claims_rejected() {
+        // A lone founder's proposal polls nobody and installs at once: its
+        // log holds no decide, and no agreement by anyone else.
         let f = fixture();
         let store = MemStore::new();
-        let arbiter = Arbiter::new(f.ring.clone());
-        let claim = Claim::StateValid {
+        let founder = &f.keys[0];
+        let proposal = Proposal {
             object: f.object.clone(),
-            proposer: f.members[0].clone(),
-            members: vec![f.members[0].clone()],
-            state: f.state,
+            proposer: founder.0.clone(),
+            group: GroupId::genesis(sha256(b"g"), std::slice::from_ref(&founder.0)),
+            prev: StateId::genesis(sha256(b"p"), b"old"),
+            proposed: f.state,
+            auth_commit: sha256(&[9u8; 32]),
+            kind: ProposalKind::Overwrite,
         };
-        assert!(!arbiter.judge(&claim, &store).is_upheld());
+        append(
+            &store,
+            EvidenceKind::StatePropose,
+            founder,
+            proposal.canonical_bytes(),
+        );
+        append(
+            &store,
+            EvidenceKind::Checkpoint,
+            founder,
+            f.state.canonical_bytes(),
+        );
+        let installs = history::check(&store, &f.object, &f.ring, None).unwrap();
+        assert_eq!(installs.len(), 1, "the lone member installs");
+        assert_eq!(installs[0].tuple, f.state);
+        let arbiter = Arbiter::new(f.ring.clone());
+        assert!(!arbiter.judge(&valid(&f), &store).is_upheld());
     }
 }

@@ -15,6 +15,8 @@
 //! * [`controller`] — the programmer-facing `B2BObjectController`:
 //!   `enter`/`examine`/`overwrite`/`update`/`leave` scoping and the
 //!   synchronous, deferred-synchronous and asynchronous modes (§5).
+//! * [`history`] — one party's log read as a history: what it installed,
+//!   or the first record that does not fit.
 //! * [`dispute`] — the offline arbiter consuming non-repudiation logs.
 //!
 //! # Quickstart
@@ -53,6 +55,7 @@ pub mod decision;
 pub mod detect;
 pub mod dispute;
 pub mod error;
+pub mod history;
 pub mod ids;
 pub mod messages;
 pub mod object;

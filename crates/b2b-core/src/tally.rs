@@ -59,7 +59,7 @@ pub(crate) type SignedVote = (PartyId, Arc<[u8]>, Digest32, Signature);
 
 /// Why [`check_set`] refused a response set.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Fault {
+pub enum Fault {
     /// A response names another run or object, or fails the caller's echo.
     Mismatch,
     /// A response from a party the set does not expect, or a second one

@@ -105,6 +105,7 @@ fn forged_authenticator_in_member_decide_is_detected() {
         assert_not_installed(&cluster, who);
         assert!(has_detection(&cluster, who, "authenticator-mismatch"));
     }
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -129,6 +130,7 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_eq!(cluster.members(0, "c").len(), 4);
     assert_not_installed(&cluster, 1);
     assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -159,6 +161,7 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_eq!(cluster.members(0, "c").len(), 4);
     assert_not_installed(&cluster, 1);
     assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -193,6 +196,7 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
         .detected()
         .iter()
         .any(|m| matches!(m, Misbehaviour::BadSignature { claimed, .. } if *claimed == party(0))));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -236,6 +240,7 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
         Some(&ConnectStatus::Pending)
     );
     assert!(has_detection(&cluster, 3, "inconsistent-decide"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -284,6 +289,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     );
     assert!(!cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     assert!(has_detection(&cluster, 1, "inconsistent-decide"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -326,6 +332,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert!(!cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     // Tampering the signed part breaks the sponsor's signature.
     assert!(has_detection(&cluster, 1, "bad-signature"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -382,6 +389,7 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert!(
         has_detection(&cluster, 0, "bad-signature") || has_detection(&cluster, 1, "bad-signature")
     );
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -455,6 +463,7 @@ fn replayed_connect_proposal_is_detected() {
     // than flagged: a replay and an honest redelivery after recovery are
     // indistinguishable. It cannot change the membership.
     assert_eq!(cluster.members(0, "c").len(), 3);
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -494,6 +503,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_eq!(cluster.members(0, "c").len(), 3);
     assert!(cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     assert!(has_detection(&cluster, 2, "bad-signature"));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",

@@ -197,6 +197,20 @@ pub fn assert_golden(cluster: &Cluster, alias: &str, golden: &str) {
     );
 }
 
+/// Asserts that every party's log of `alias` reads as a history
+/// ([`b2b_core::history::check`]): each record verifies against the ring
+/// and the TSA, and each install extends what the log itself established.
+pub fn assert_history(cluster: &Cluster, alias: &str) {
+    let oid = ObjectId::new(alias);
+    let tsa = cluster.tsa.public_key();
+    for p in &cluster.parties {
+        let log = &*cluster.stores[p];
+        if let Err(fault) = b2b_core::history::check(log, &oid, &cluster.ring, Some(&tsa)) {
+            panic!("{p}'s log of {alias} is not a history: {fault}");
+        }
+    }
+}
+
 /// SHA-256 over what a scenario *did*, blind to the bytes of membership
 /// messages and to the names their evidence kinds once had. Per party of
 /// `cluster`:

@@ -15,7 +15,7 @@ use b2b_core::messages::{MemberAnswer, MemberVerdict};
 use b2b_core::ObjectId;
 use b2b_crypto::{CanonicalDecode, TimeMs};
 use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore};
-use common::{assert_golden, assert_shape, counter_factory, party, Cluster, QUIET};
+use common::{assert_golden, assert_history, assert_shape, counter_factory, party, Cluster, QUIET};
 
 /// Whether `r` is a signed rejecting answer.
 fn is_rejection(r: &EvidenceRecord) -> bool {
@@ -86,6 +86,7 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert!(!cluster.net.node(&party(0)).is_member(&oid));
     assert_eq!(cluster.members(1, "ledger"), vec![party(1), party(2)]);
     assert_eq!(cluster.members(2, "ledger"), vec![party(1), party(2)]);
+    assert_history(&cluster, "ledger");
     assert_golden(
         &cluster,
         "ledger",

@@ -3,9 +3,14 @@
 
 mod common;
 
-use b2b_core::{Arbiter, Claim, ObjectId, StateId};
-use b2b_crypto::sha256;
+use b2b_core::history::{self, FaultKind};
+use b2b_core::messages::{DecideMsg, Proposal, ProposalKind, RespondMsg, Response};
+use b2b_core::{members_digest, Arbiter, Claim, Coordinator, Decision, GroupId, ObjectId, StateId};
+use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer, TimeMs};
+use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore, FileStore, MemStore};
+use b2b_net::SimNet;
 use common::*;
+use std::sync::Arc;
 
 fn state_id_of(cluster: &Cluster, who: usize, alias: &str) -> StateId {
     cluster
@@ -25,8 +30,6 @@ fn proposer_proves_validity_of_installed_state_from_its_own_log() {
     let arbiter = Arbiter::new(cluster.ring.clone());
     let claim = Claim::StateValid {
         object: ObjectId::new("counter"),
-        proposer: party(0),
-        members: cluster.members(0, "counter"),
         state,
     };
     let ruling = arbiter.judge(&claim, &*cluster.stores[&party(0)]);
@@ -45,8 +48,6 @@ fn recipient_can_also_prove_validity_from_its_log() {
     let arbiter = Arbiter::new(cluster.ring.clone());
     let claim = Claim::StateValid {
         object: ObjectId::new("counter"),
-        proposer: party(1),
-        members: cluster.members(2, "counter"),
         state,
     };
     assert!(arbiter
@@ -72,8 +73,6 @@ fn vetoed_state_cannot_be_misrepresented_as_valid() {
     };
     let claim = Claim::StateValid {
         object: ObjectId::new("counter"),
-        proposer: party(1),
-        members: cluster.members(0, "counter"),
         state: fake_state,
     };
     assert!(!arbiter
@@ -126,4 +125,196 @@ fn whole_log_audit_is_clean_after_honest_runs() {
         assert!(report.is_clean(), "org{who} log audit: {:?}", report.faults);
         assert!(report.total > 0);
     }
+}
+
+#[test]
+fn colluders_cannot_shrink_the_group_behind_a_claim() {
+    // org0 and org1 collude in a group of three: org0 proposes a state,
+    // org1 signs a response over the two of them, and org0 files the pair
+    // as a decide in its own log. The log's history says the group has
+    // three members, so org2's missing response leaves the decide partial:
+    // an abort, which installs nothing.
+    let mut cluster = Cluster::new(3, 95);
+    cluster.setup_object("counter", counter_factory);
+    let object = ObjectId::new("counter");
+    let agreed = state_id_of(&cluster, 0, "counter");
+    let pair = [party(0), party(1)];
+    let group = GroupId {
+        seq: 1,
+        rand_hash: sha256(b"pair"),
+        members_hash: members_digest(&pair),
+    };
+    let state = StateId {
+        seq: agreed.seq + 1,
+        rand_hash: sha256(b"collusion"),
+        state_hash: sha256(&enc(1_000)),
+    };
+    let authenticator = [7u8; 32];
+    let proposal = Proposal {
+        object: object.clone(),
+        proposer: party(0),
+        group,
+        prev: agreed,
+        proposed: state,
+        auth_commit: sha256(&authenticator),
+        kind: ProposalKind::Overwrite,
+    };
+    let run = proposal.run_id();
+    let response = Response {
+        object: object.clone(),
+        responder: party(1),
+        group,
+        run,
+        prev: agreed,
+        proposed: state,
+        body_ok: true,
+        decision: Decision::accept(),
+    };
+    let signed = |i: u64, bytes: &[u8]| KeyPair::generate_from_seed(1000 + i).sign(bytes);
+    let vote = RespondMsg {
+        sig: signed(1, &response.canonical_bytes()),
+        response,
+        memo: Default::default(),
+    };
+    let decide = DecideMsg {
+        object: object.clone(),
+        run,
+        authenticator,
+        responses: vec![vote.clone()],
+    };
+    let log = &cluster.stores[&party(0)];
+    for (kind, origin, payload, sig) in [
+        (
+            EvidenceKind::StatePropose,
+            party(0),
+            proposal.canonical_bytes(),
+            Some(signed(0, &proposal.canonical_bytes())),
+        ),
+        (
+            EvidenceKind::StateRespond,
+            party(1),
+            vote.response_bytes().to_vec(),
+            Some(vote.sig.clone()),
+        ),
+        (
+            EvidenceKind::StateDecide,
+            party(0),
+            decide.canonical_bytes(),
+            None,
+        ),
+    ] {
+        let label = run.to_hex();
+        let record = EvidenceRecord::new(
+            kind,
+            "counter",
+            label,
+            origin,
+            payload,
+            sig,
+            None,
+            TimeMs(0),
+        );
+        log.append(record).unwrap();
+    }
+    let installs = history::check(&**log, &object, &cluster.ring, None).unwrap();
+    assert!(installs.iter().all(|i| i.tuple != state));
+    let claim = Claim::StateValid { object, state };
+    let ruling = Arbiter::new(cluster.ring.clone()).judge(&claim, &**log);
+    assert!(!ruling.is_upheld(), "ruling: {ruling:?}");
+}
+
+/// The frames of a WAL file (`[len][crc][body]` each), in order.
+fn frames(wal: &[u8]) -> Vec<&[u8]> {
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < wal.len() {
+        let len = u32::from_be_bytes(wal[at..at + 4].try_into().unwrap()) as usize;
+        out.push(&wal[at..at + 8 + len]);
+        at += 8 + len;
+    }
+    out
+}
+
+#[test]
+fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
+    let dir = std::env::temp_dir().join(format!("b2b-dispute-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (object, ring) = (ObjectId::new("counter"), Cluster::new(2, 0).ring);
+    {
+        let mut net = SimNet::new(96);
+        for i in 0..2 {
+            let store = Arc::new(FileStore::open(dir.join(format!("org{i}"))).unwrap());
+            let kp = KeyPair::generate_from_seed(1000 + i as u64);
+            let coordinator = Coordinator::builder(party(i), kp)
+                .ring(ring.clone())
+                .store(store);
+            net.add_node(coordinator.seed(i as u64).build());
+        }
+        let oid = object.clone();
+        net.invoke(&party(0), move |c, _| {
+            c.register_object(oid, Box::new(counter_factory)).unwrap()
+        });
+        let oid = object.clone();
+        net.invoke(&party(1), move |c, ctx| {
+            c.request_connect(oid, Box::new(counter_factory), party(0), ctx)
+                .unwrap()
+        });
+        net.run_until_quiet(QUIET);
+        for v in 1..=3 {
+            let oid = object.clone();
+            net.invoke(&party(0), move |c, ctx| {
+                c.propose_overwrite(&oid, enc(v), ctx).unwrap();
+            });
+            net.run_until_quiet(QUIET);
+        }
+    }
+    let original = dir.join("org0");
+    let log = FileStore::open(&original).unwrap();
+    assert_eq!(history::check(&log, &object, &ring, None).unwrap().len(), 4);
+    let records = log.records();
+    let decide = records
+        .iter()
+        .filter(|r| r.kind == EvidenceKind::StateDecide)
+        .nth(1)
+        .expect("a decide of the second state round")
+        .seq as usize;
+    let wal = std::fs::read(original.join("evidence.wal")).unwrap();
+    let frames = frames(&wal);
+    assert_eq!(frames.len(), records.len());
+    let mut dropped = frames.clone();
+    dropped.remove(decide);
+    let mut reordered = frames.clone();
+    reordered.swap(decide, decide + 1);
+    let mut duplicated = frames.clone();
+    duplicated.insert(decide, frames[decide]);
+    for (tag, copy) in [
+        ("drop", dropped),
+        ("reorder", reordered),
+        ("dup", duplicated),
+    ] {
+        // A byte copy keeps every record's own sequence number.
+        let copy_dir = dir.join(tag);
+        std::fs::create_dir_all(&copy_dir).unwrap();
+        std::fs::write(copy_dir.join("evidence.wal"), copy.concat()).unwrap();
+        let fault = history::check(&FileStore::open(&copy_dir).unwrap(), &object, &ring, None);
+        assert_eq!(fault.unwrap_err().record, decide as u64, "{tag}");
+        // Filed afresh, the records are renumbered, and the history itself
+        // breaks at the same place: a checkpoint with no install before it,
+        // or a decide of a run that already ended.
+        let renumbered = MemStore::new();
+        for record in FileStore::open(&copy_dir).unwrap().records() {
+            renumbered.append(record).unwrap();
+        }
+        let fault = history::check(&renumbered, &object, &ring, None).unwrap_err();
+        let at = decide as u64 + u64::from(tag == "dup");
+        assert_eq!(fault.record, at, "{tag}: {fault}");
+        assert!(
+            matches!(
+                fault.kind,
+                FaultKind::Checkpoint(..) | FaultKind::NoOpenRound
+            ),
+            "{tag}: {fault}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

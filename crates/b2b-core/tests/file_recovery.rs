@@ -143,7 +143,6 @@ fn evidence_on_disk_supports_arbitration_after_restart() {
     } // everything dropped; only the files remain
 
     let cold = FileStore::open(dir.join("org0")).unwrap();
-    let members = vec![org(0), org(1)];
     let records = cold.records();
     // Find the installed state tuple from the checkpoint record.
     let state: b2b_core::StateId = records
@@ -155,8 +154,6 @@ fn evidence_on_disk_supports_arbitration_after_restart() {
     let arbiter = b2b_core::Arbiter::new(ring);
     let claim = b2b_core::Claim::StateValid {
         object: ObjectId::new("c"),
-        proposer: org(0),
-        members,
         state,
     };
     assert!(arbiter.judge(&claim, &cold).is_upheld());

@@ -33,6 +33,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
             gid
         );
     }
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -84,6 +85,7 @@ fn joiner_receives_current_agreed_state() {
     let run = cluster.propose(2, "counter", enc(80));
     assert!(cluster.outcome(2, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(0, "counter")), 80);
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -163,6 +165,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     // Membership unchanged at the insiders.
     assert_eq!(cluster.members(0, "obj").len(), 2);
     assert_eq!(cluster.members(1, "obj").len(), 2);
+    assert_history(&cluster, "obj");
     assert_golden(
         &cluster,
         "obj",
@@ -219,6 +222,7 @@ fn immediate_rejection_by_sponsor() {
             .connect_status(&ObjectId::new("obj")),
         Some(&ConnectStatus::Rejected)
     );
+    assert_history(&cluster, "obj");
     assert_golden(
         &cluster,
         "obj",
@@ -258,6 +262,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     // The remaining pair still coordinates.
     let run = cluster.propose(0, "counter", enc(9));
     assert!(cluster.outcome(1, &run).unwrap().is_installed());
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -287,6 +292,7 @@ fn two_party_disconnect_leaves_singleton() {
     // Singleton keeps working (trivially unanimous).
     let run = cluster.propose(0, "counter", enc(50));
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -334,6 +340,7 @@ fn eviction_excludes_subject_from_the_vote() {
         "evictee cannot impose state on the new group"
     );
     assert_eq!(dec(&cluster.state(0, "counter")), 0);
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -361,6 +368,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     // The remaining subgroup makes forward progress (§4.5.4).
     let run = cluster.propose(3, "counter", enc(5));
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -397,6 +405,7 @@ fn membership_requests_queue_behind_active_run() {
         .node(&party(0))
         .is_busy(&ObjectId::new("counter")));
     assert_eq!(dec(&cluster.state(1, "counter")), 1);
+    assert_history(&cluster, "counter");
     assert_golden(
         &cluster,
         "counter",
@@ -451,6 +460,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert!(cluster.net.node(&party(2)).is_member(&ObjectId::new("c")));
     assert_eq!(cluster.members(0, "c").len(), 3);
     assert_eq!(dec(&cluster.state(2, "c")), 5);
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -502,6 +512,7 @@ fn membership_change_message_cost() {
         cluster.run();
         let after = cluster.total_protocol_messages();
         assert_eq!(after - before, 3 * n - 1, "connect into group of {n}");
+        assert_history(&cluster, "c");
         assert_golden(&cluster, "c", GOLDEN[n as usize - 2]);
         assert_shape(&cluster, "c", SHAPES[n as usize - 2]);
     }

@@ -28,6 +28,7 @@ fn leaver_can_rejoin_later() {
     // under the same alias is a DuplicateObject — callers use a fresh
     // coordinator or a new alias. This documents the boundary.
     assert!(matches!(err, Err(CoordError::DuplicateObject(_))));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -52,6 +53,7 @@ fn double_disconnect_is_rejected_locally() {
         c.request_disconnect(&ObjectId::new("c"), ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -76,6 +78,7 @@ fn detached_party_cannot_propose() {
         c.propose_overwrite(&ObjectId::new("c"), enc(1), ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -116,6 +119,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     // (org3's replica still believes in the old group — checked elsewhere.)
     let run = cluster.propose(1, "c", enc(3));
     assert!(cluster.outcome(1, &run).unwrap().is_installed());
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -166,6 +170,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
         Some(&ConnectStatus::Member)
     );
     assert_eq!(cluster.members(0, "c"), vec![party(0), party(1), party(2)]);
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -187,6 +192,7 @@ fn sole_member_disconnect_is_local() {
     });
     cluster.run();
     assert!(!cluster.net.node(&party(0)).is_member(&ObjectId::new("c")));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -223,6 +229,7 @@ fn eviction_by_non_member_is_rejected() {
         c.request_evict(&ObjectId::new("c"), vec![party(0)], ctx)
     });
     assert!(matches!(err, Err(CoordError::NotMember { .. })));
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",
@@ -277,6 +284,7 @@ fn queued_connects_are_served_in_order() {
         "joiners admitted in request order after the run"
     );
     assert_eq!(dec(&cluster.state(3, "c")), 2);
+    assert_history(&cluster, "c");
     assert_golden(
         &cluster,
         "c",

@@ -29,6 +29,7 @@ fn recipient_crash_during_run_recovers_and_completes() {
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(1, "counter")), 5);
     assert_eq!(dec(&cluster.state(0, "counter")), 5);
+    assert_history(&cluster, "counter");
 }
 
 #[test]
@@ -54,6 +55,7 @@ fn recipient_crash_after_respond_before_decide_recovers() {
     cluster.run();
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(1, "counter")), 9);
+    assert_history(&cluster, "counter");
 }
 
 #[test]
@@ -79,6 +81,7 @@ fn proposer_crash_midrun_recovers_and_finishes() {
         );
         assert_eq!(dec(&cluster.state(who, "counter")), 7);
     }
+    assert_history(&cluster, "counter");
 }
 
 #[test]
@@ -96,6 +99,7 @@ fn recovered_party_keeps_agreed_state_from_checkpoint() {
     // And the recovered party keeps coordinating.
     let run = cluster.propose(1, "counter", enc(50));
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
+    assert_history(&cluster, "counter");
 }
 
 #[test]
@@ -119,6 +123,7 @@ fn subject_crash_during_connect_retries_and_joins() {
     cluster.run();
     assert!(cluster.net.node(&party(1)).is_member(&ObjectId::new("c")));
     assert_eq!(cluster.members(0, "c").len(), 2);
+    assert_history(&cluster, "c");
 }
 
 #[test]
@@ -152,6 +157,7 @@ fn liveness_under_heavy_loss_and_duplication() {
         for who in 0..3 {
             assert_eq!(dec(&cluster.state(who, "counter")), 21, "seed {seed}");
         }
+        assert_history(&cluster, "counter");
     }
 }
 
@@ -173,6 +179,7 @@ fn liveness_through_a_healing_partition() {
     cluster.run();
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(1, "counter")), 4);
+    assert_history(&cluster, "counter");
 }
 
 #[test]
@@ -202,4 +209,5 @@ fn deadline_aborts_blocked_run_and_rolls_back() {
         .net
         .node(&party(0))
         .is_busy(&ObjectId::new("counter")));
+    assert_history(&cluster, "counter");
 }

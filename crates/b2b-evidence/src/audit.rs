@@ -1,17 +1,13 @@
-//! Whole-log audits and cross-log queries.
+//! Whole-log audits.
 //!
-//! During extra-protocol dispute resolution (§4.1: "this evidence can be
-//! used in extra-protocol arbitration to resolve disputes"), an arbiter is
-//! handed parties' non-repudiation logs. [`LogAuditor`] performs the
-//! generic half of that job: verifying every record cryptographically and
-//! answering "does this log contain a signed record of kind K in run R by
-//! party P?" — the queries from which `b2b-core::dispute` composes
-//! protocol-specific claim checking.
+//! [`LogAuditor`] verifies every record of a log cryptographically, each
+//! on its own, and counts the faults. Reading a log as a protocol history
+//! — what it installed, in what order, on whose agreement — is
+//! `b2b-core::history`, which the arbiter judges claims through.
 
-use crate::record::{EvidenceKind, EvidenceRecord};
 use crate::store::EvidenceStore;
 use crate::verify::{verify_record, RecordFault};
-use b2b_crypto::{KeyRing, PartyId, PublicKey};
+use b2b_crypto::{KeyRing, PublicKey};
 
 /// The result of auditing one log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +27,7 @@ impl AuditReport {
     }
 }
 
-/// Verifies logs and answers evidence queries for an arbiter.
+/// Verifies every record of a log.
 #[derive(Debug, Clone)]
 pub struct LogAuditor {
     ring: KeyRing,
@@ -60,32 +56,14 @@ impl LogAuditor {
             faults,
         }
     }
-
-    /// Finds verified records of `kind` in run `run`, optionally restricted
-    /// to a specific origin. Unverifiable records are never returned: a
-    /// forged entry cannot support a claim.
-    pub fn find_evidence(
-        &self,
-        store: &dyn EvidenceStore,
-        run: &str,
-        kind: EvidenceKind,
-        origin: Option<&PartyId>,
-    ) -> Vec<EvidenceRecord> {
-        store
-            .records_for_run(run)
-            .into_iter()
-            .filter(|r| r.kind == kind)
-            .filter(|r| origin.is_none_or(|o| &r.origin == o))
-            .filter(|r| verify_record(r, &self.ring, self.tsa_key.as_ref()).is_ok())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{EvidenceKind, EvidenceRecord};
     use crate::store::MemStore;
-    use b2b_crypto::{KeyPair, Signer, TimeMs};
+    use b2b_crypto::{KeyPair, PartyId, Signer, TimeMs};
 
     fn setup() -> (KeyPair, KeyRing, MemStore) {
         let kp = KeyPair::generate_from_seed(1);
@@ -121,7 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn forged_record_is_flagged_and_excluded_from_queries() {
+    fn forged_record_is_flagged() {
         let (kp, ring, store) = setup();
         push_signed(&store, &kp, "r1", EvidenceKind::StatePropose, b"good");
         // Forgery: payload swapped after signing.
@@ -141,46 +119,9 @@ mod tests {
         let auditor = LogAuditor::new(ring, None);
         let report = auditor.audit(&store);
         assert_eq!(report.valid, 1);
-        assert_eq!(report.faults.len(), 1);
-        assert!(auditor
-            .find_evidence(&store, "r1", EvidenceKind::StateRespond, None)
-            .is_empty());
         assert_eq!(
-            auditor
-                .find_evidence(&store, "r1", EvidenceKind::StatePropose, None)
-                .len(),
-            1
+            report.faults,
+            vec![(1, RecordFault::BadSignature("p".into()))]
         );
-    }
-
-    #[test]
-    fn find_evidence_filters_by_origin() {
-        let (kp, mut ring, store) = setup();
-        let other = KeyPair::generate_from_seed(2);
-        ring.register(PartyId::new("q"), other.public_key());
-        push_signed(&store, &kp, "r1", EvidenceKind::StateRespond, b"by-p");
-        let rec = EvidenceRecord::new(
-            EvidenceKind::StateRespond,
-            "obj",
-            "r1",
-            PartyId::new("q"),
-            b"by-q".to_vec(),
-            Some(other.sign(b"by-q")),
-            None,
-            TimeMs(0),
-        );
-        store.append(rec).unwrap();
-
-        let auditor = LogAuditor::new(ring, None);
-        let p_only = auditor.find_evidence(
-            &store,
-            "r1",
-            EvidenceKind::StateRespond,
-            Some(&PartyId::new("p")),
-        );
-        assert_eq!(p_only.len(), 1);
-        assert_eq!(p_only[0].payload, b"by-p".to_vec());
-        let all = auditor.find_evidence(&store, "r1", EvidenceKind::StateRespond, None);
-        assert_eq!(all.len(), 2);
     }
 }

@@ -14,11 +14,10 @@
 //!   checkpoints that §3 requires for recovery and rollback;
 //! * [`wal`] — a crash-safe append-only file implementation (length- and
 //!   CRC-framed records; torn tails are discarded on recovery);
-//! * [`verify`] — per-record signature/time-stamp verification and
-//!   whole-log audits;
-//! * [`audit`] — cross-log queries an arbiter uses during extra-protocol
-//!   dispute resolution (protocol-specific claim checking lives in
-//!   `b2b-core::dispute`, on top of this layer).
+//! * [`verify`] — per-record signature/time-stamp verification;
+//! * [`audit`] — whole-log audits, every record verified on its own. An
+//!   arbiter reads a log as a protocol history through
+//!   `b2b-core::history`, which verifies each record with [`verify`].
 
 pub mod audit;
 pub mod record;

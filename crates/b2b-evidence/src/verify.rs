@@ -5,7 +5,7 @@
 //! cryptographic half of that claim — signatures bind the origin to the
 //! payload, time-stamps bind the payload to a time. Protocol-level
 //! consistency (tuple linkage, run membership) is checked by
-//! `b2b-core::dispute` on top.
+//! `b2b-core::history` on top.
 
 use crate::record::EvidenceRecord;
 use b2b_crypto::{KeyRing, PublicKey};

@@ -87,10 +87,6 @@ fn main() {
 
     // --- arbitration, offline, from the logs alone ---
     let arbiter = Arbiter::new(ring.clone());
-    let members = net
-        .node(&honest)
-        .members(&ObjectId::new("balance"))
-        .unwrap();
 
     // 1. honest-org proves the veto from ITS OWN log.
     let veto_claim = Claim::StateVetoed {
@@ -106,8 +102,6 @@ fn main() {
     //    its own log, which contains honest-org's signed rejection.
     let bogus = Claim::StateValid {
         object: ObjectId::new("balance"),
-        proposer: shady.clone(),
-        members: members.clone(),
         state: StateId {
             seq: 2,
             rand_hash: sha256(b"anything"),
@@ -126,8 +120,6 @@ fn main() {
         .unwrap();
     let valid = Claim::StateValid {
         object: ObjectId::new("balance"),
-        proposer: shady,
-        members,
         state: agreed,
     };
     println!(
