@@ -538,9 +538,9 @@ impl Coordinator {
         };
         let (group, agreed) = (rep.group, rep.agreed);
         let members_hash = members_digest(&r.change.new_members(&r.requester, &rep.members));
-        // The sponsor files the request of a join, which it answers either
-        // way, and of a change it refuses.
-        if joining || !local.is_accept() {
+        // The sponsor files every request it answers or puts to a vote; its
+        // own was filed when it signed it.
+        if r.requester != self.me {
             self.log_evidence(
                 EvidenceKind::MemberRequest,
                 &oid,

@@ -517,3 +517,39 @@ fn membership_change_message_cost() {
         assert_shape(&cluster, "c", SHAPES[n as usize - 2]);
     }
 }
+
+#[test]
+fn sponsor_files_the_signed_request_of_every_change_it_puts_to_a_vote() {
+    use b2b_core::messages::{MemberChange, MemberRequest};
+    use b2b_crypto::CanonicalDecode;
+    use b2b_evidence::{verify_record, EvidenceKind, EvidenceStore};
+    let mut cluster = Cluster::new(3, 37);
+    cluster.setup_object("counter", counter_factory);
+    let oid = ObjectId::new("counter");
+    // org0 asks the sponsor, org2, to evict org1; then org0 leaves.
+    let evict = oid.clone();
+    cluster.net.invoke(&party(0), move |c, ctx| {
+        c.request_evict(&evict, vec![party(1)], ctx).unwrap();
+    });
+    cluster.run();
+    assert_eq!(cluster.members(2, "counter"), vec![party(0), party(2)]);
+    let leave = oid.clone();
+    cluster.net.invoke(&party(0), move |c, ctx| {
+        c.request_disconnect(&leave, ctx).unwrap();
+    });
+    cluster.run();
+    assert_eq!(cluster.members(2, "counter"), vec![party(2)]);
+    let filed: Vec<MemberChange> = cluster.stores[&party(2)]
+        .records()
+        .into_iter()
+        .filter(|r| r.kind == EvidenceKind::MemberRequest && r.origin == party(0))
+        .map(|r| {
+            assert_eq!(verify_record(&r, &cluster.ring, None), Ok(()));
+            MemberRequest::from_canonical(&r.payload).unwrap().change
+        })
+        .collect();
+    let evicted = MemberChange::Evict {
+        subjects: vec![party(1)],
+    };
+    assert_eq!(filed, vec![evicted, MemberChange::Leave]);
+}
