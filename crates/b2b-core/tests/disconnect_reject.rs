@@ -90,11 +90,11 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_golden(
         &cluster,
         "ledger",
-        "b82cd22d093461fae21bc442b5313dcffa35294f285375ac7ab8e0848ef81c3d",
+        "77da6f234a7f7c99810d9ea6668ec027a12de1a917487e56e24fede018ece8e9",
     );
     assert_shape(
         &cluster,
         "ledger",
-        "419b5a4dbfd600a7fad3afd8b416feb084cb13ff42a500aa54e675b2fbd6deaa",
+        "80f00d5e9874775379439e420d56eba6c0e14c02e7f71fe55717f20e06b6b115",
     );
 }

@@ -266,12 +266,12 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_golden(
         &cluster,
         "counter",
-        "5ac4abd8f3dc3d91e72efb221f00faaca5e8b96301e7467118458d7bd4a4ade6",
+        "549d0a2bb83715ce1162bee1fdfaaab9d85e04631d924c8d60dc00d4520f327b",
     );
     assert_shape(
         &cluster,
         "counter",
-        "5f585e37002f6a0afb06d3f199dd77bc300c0af01aef22ff193b7adbae8d43c6",
+        "a2fd433877a4e2c12abe459baca4c279ed55eb2728945dba4e09b8521215899a",
     );
 }
 
@@ -296,12 +296,12 @@ fn two_party_disconnect_leaves_singleton() {
     assert_golden(
         &cluster,
         "counter",
-        "85d6b27af3b1531c60fd34d0598a0ad97a7ea4e08e23bce1b801d02533b6d2ac",
+        "9766895f901b8f1857a4b595d532a4973b4835dc106a285b40864a102d2a0c82",
     );
     assert_shape(
         &cluster,
         "counter",
-        "856d25e06572977504a918438388af75e224076ca904938dc1750aece65d1432",
+        "8abf5bf5a3d9b63302dc5835ca116a65e74cf8133559ded252e55d37d477c482",
     );
 }
 
@@ -344,12 +344,12 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_golden(
         &cluster,
         "counter",
-        "5124876fe881cd5e3a003565fbd7f5b24fc8731681867d060b41a0c9ab723d2b",
+        "635efbd86e9e49deeafb9ac6a8719f3c2b964c16a07ae2bb340da8c9170bf95b",
     );
     assert_shape(
         &cluster,
         "counter",
-        "e48e506c7ae75c409ab964fb13a5de435f33bd8c4cb6174a1443280772205280",
+        "0e87298971aeca390cc581ca8a04af6216deb3cab5dd689e41d4a5afb7a179d5",
     );
 }
 
@@ -372,12 +372,12 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_golden(
         &cluster,
         "counter",
-        "c791a15e43e9c603a6b56e0f7f5a9b7476fc1a877f57ae4a52d7929c603c28a5",
+        "cde9bddbbc16992c12d34b0c652dbc58aa505f9bb7eb22eac61083bed6752f4f",
     );
     assert_shape(
         &cluster,
         "counter",
-        "b29f3759c6f5462012c8c463f4e36f3955eb1f1b826982cc07add05e6abeca75",
+        "382524d6aa4c0b474f1c400c8ad1915117b49f315f2c41ba15e6c34a560ecf9a",
     );
 }
 

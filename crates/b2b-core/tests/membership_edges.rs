@@ -32,12 +32,12 @@ fn leaver_can_rejoin_later() {
     assert_golden(
         &cluster,
         "c",
-        "fe7cd38fcefbfa758222900ccf31b8bf5ff0ecfee677f6828c8f7abfe5a0ac15",
+        "19c544cdae70ceb31ef774ba484dc54efe71dbfacf8fd9bea712d1379ca39a53",
     );
     assert_shape(
         &cluster,
         "c",
-        "f15a0d6f1e82b7283dac102860df4d41c3e7e6a4de7edce5f23f833ca29b8518",
+        "2e670ec909635efff44e2c491c1f635f79aa2b92705128418ddf3cd2f583cedc",
     );
 }
 
@@ -57,12 +57,12 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "0e47e32e18e2d7be129e0918dbe2a835af5f89ed6c795b08babc6d36d2572a20",
+        "f0f72a601df27ce127e4ae1877a7c57eece2aebe202de585d1ef040c337f7551",
     );
     assert_shape(
         &cluster,
         "c",
-        "dc2ca837798091b182d265c84b3eab860ad3abff62ef2b4ab4f2029feceff517",
+        "ec527c139edcbd4c2094f12032d45229d0b9425af23511df71ab87a4a919029c",
     );
 }
 
@@ -82,12 +82,12 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "09e3a13f622036197abd9c0f788cfe592e0f196c6b83c2d81e89c77930dcc954",
+        "1d10ae45f1d63991c7ac39c17ef4aea633a4bb60308d7a70f6fa4287ab2c0d70",
     );
     assert_shape(
         &cluster,
         "c",
-        "b10ea271c49bc30aa622c293614de38fc8289d2a15990ab7cc10ee665480c286",
+        "139317c185f72f58fd03f09cd113216d2722fd355ef4a49b97bd95be75c570c7",
     );
 }
 
@@ -123,12 +123,12 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_golden(
         &cluster,
         "c",
-        "5a7669d102ec25cca89214827ae1b1befa7b3c5889a21c8d574a234dfdeaf407",
+        "2cb31b953226d3798fc6e29fdbe20963970d89288272238424ba9ca9b7e55ee8",
     );
     assert_shape(
         &cluster,
         "c",
-        "240d32240b61b8ee1b471e843889c0ff8da63eb7b57337e0c31fa8dc4644e541",
+        "eb7f1511057c2cdf640e28cffe57c2f4cbd98649e8b127c8825242ae19159f89",
     );
 }
 
