@@ -176,11 +176,6 @@ impl Fleet {
         (g * self.per_group..(g + 1) * self.per_group).collect()
     }
 
-    /// The fleet index of `p`, if it names a fleet member.
-    pub fn index_of(&self, p: &PartyId) -> Option<usize> {
-        self.parties.iter().position(|q| q == p)
-    }
-
     /// Applies a schedule plan: settles all setup traffic, records the
     /// per-party baseline state, then installs the link faults, the tap +
     /// scripted intruder, and the crash/partition timeline (plan offsets

@@ -16,11 +16,13 @@
 //! 2. [`scenario`] — a small registry of whole-group protocol drives,
 //!    including *misbehaving-insider* scenarios that craft validly signed
 //!    proposals violating exactly one §4.2 invariant;
-//! 3. [`oracle`] — pluggable checks evaluated after every schedule:
-//!    install divergence, per-party chain contiguity and lineage,
-//!    proposal-tuple freshness, decide well-formedness (unanimous signed
-//!    agreement behind every install, via the evidence log), a full
-//!    [`b2b_evidence::LogAuditor`] pass, and bounded-envelope liveness;
+//! 3. [`oracle`] — checks evaluated after every schedule: each correct
+//!    party's evidence log read as a history by [`b2b_core::history`]
+//!    (every record verified, every install backed by a complete,
+//!    unanimous signed decide and extending the installed chain, no tuple
+//!    reused), crashed parties included because the log survives a crash;
+//!    install divergence across those histories; held-state
+//!    well-foundedness; and bounded-envelope liveness;
 //! 4. [`explore`] — drives seed after seed through a scenario until an
 //!    oracle fires or the budget is exhausted;
 //! 5. [`shrink`] — greedily removes fault events and narrows windows from

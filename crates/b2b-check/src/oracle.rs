@@ -3,13 +3,13 @@
 //! Each oracle checks one promise the paper makes about the coordination
 //! protocols, judged only at *correctly behaving* parties (never at a
 //! scenario's insider — a misbehaving party's own replica carries no
-//! guarantee). A party's history is read from its evidence log through
-//! [`b2b_core::history`], which survives a crash, so parties the schedule
-//! crashed are judged too.
+//! guarantee). A party's history is read through [`b2b_core::history`]
+//! from its evidence log, which survives a crash, so the parties a
+//! schedule crashed are judged like the others.
 
 use crate::harness::Fleet;
 use crate::scenario::{DrivenOp, Scenario};
-use b2b_core::history::{self, FaultKind};
+use b2b_core::history::{self, FaultKind, Install};
 use b2b_core::StateId;
 use b2b_crypto::sha256;
 use std::collections::{BTreeMap, BTreeSet};
@@ -102,15 +102,11 @@ pub fn check_all(fleet: &Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Ve
     // verifies, and every install extends what the log established
     // (contiguous sequence numbers, lineage, fresh tuples, a complete
     // unanimous signed decide).
-    let tsa = fleet.tsa().public_key();
+    let (object, tsa) = (fleet.object(), fleet.tsa().public_key());
     let mut by_seq: BTreeMap<(usize, u64), (usize, StateId)> = BTreeMap::new();
     for &i in &correct {
-        let installs = match history::check(
-            fleet.store(i).as_ref(),
-            &fleet.object(),
-            fleet.ring(),
-            Some(&tsa),
-        ) {
+        let log = fleet.store(i).as_ref();
+        let installs = match history::check(log, &object, fleet.ring(), Some(&tsa)) {
             Ok(installs) => installs,
             Err(fault) => {
                 violations.push(Violation::History {
@@ -123,18 +119,12 @@ pub fn check_all(fleet: &Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Ve
         };
         // Install divergence across correct parties, keyed by (group,
         // seq): independent groups advance their own chains.
-        for install in installs {
-            let (seq, id) = (install.tuple.seq, install.tuple);
-            match by_seq.get(&(fleet.group_of(i), seq)) {
-                None => {
-                    by_seq.insert((fleet.group_of(i), seq), (i, id));
-                }
-                Some(&(j, other)) if other != id => violations.push(Violation::Divergence {
-                    seq,
-                    a: (j, other),
-                    b: (i, id),
-                }),
-                Some(_) => {}
+        for Install { tuple: id, .. } in installs {
+            let seq = id.seq;
+            let (j, other) = *by_seq.entry((fleet.group_of(i), seq)).or_insert((i, id));
+            if other != id {
+                let (a, b) = ((j, other), (i, id));
+                violations.push(Violation::Divergence { seq, a, b });
             }
         }
     }

@@ -387,7 +387,7 @@ impl Scenario for InsiderBatchForge {
 /// once per round — the natural batch-boundary off-by-k. Everything else
 /// (chain, links, signature, body) is honest, so only the exact-increment
 /// check stands in its way; ablated, the victim's install chain skips a
-/// sequence number and the chain-gap oracle convicts it.
+/// sequence number and the history oracle convicts it.
 pub struct InsiderBatchSeqJump;
 
 impl Scenario for InsiderBatchSeqJump {

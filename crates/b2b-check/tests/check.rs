@@ -151,3 +151,53 @@ fn committed_counterexample_fixtures_still_replay() {
             .unwrap_or_else(|e| panic!("{} no longer replays: {e}", path.display()));
     }
 }
+
+/// The history oracle reads a party's evidence log, which a crash does not
+/// lose, so a party the schedule crashed is judged like the others.
+#[test]
+fn a_crashed_party_is_judged_from_its_log() {
+    use b2b_check::harness::party;
+    use b2b_check::{oracle, scenario, FaultEvent, Fleet, Violation};
+    use b2b_core::history::FaultKind;
+    use b2b_core::StateId;
+    use b2b_crypto::{sha256, CanonicalEncode, TimeMs};
+    use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore};
+    let scenario = scenario("temporal-faults").unwrap();
+    let mut plan = SchedulePlan::quiescent(3);
+    let (at, until) = (TimeMs(1), TimeMs(500));
+    plan.events.push(FaultEvent::Crash {
+        party: 1,
+        at,
+        until,
+    });
+    let mut fleet = Fleet::new(3, plan.seed, MutationFlags::default());
+    fleet.apply(&plan);
+    let ops = scenario.drive(&mut fleet);
+    fleet.run();
+    assert_eq!(oracle::check_all(&fleet, scenario, &ops), vec![]);
+    // A checkpoint no install accounts for, in the crashed party's log.
+    let bogus = StateId::genesis(sha256(b"bogus"), b"99").canonical_bytes();
+    let record = EvidenceRecord::new(
+        EvidenceKind::Checkpoint,
+        "counter",
+        "",
+        party(1),
+        bogus,
+        None,
+        None,
+        TimeMs(0),
+    );
+    fleet.store(1).append(record).unwrap();
+    let violations = oracle::check_all(&fleet, scenario, &ops);
+    assert!(
+        matches!(
+            violations[..],
+            [Violation::History {
+                party: 1,
+                fault: FaultKind::Checkpoint(..),
+                ..
+            }]
+        ),
+        "{violations:?}"
+    );
+}

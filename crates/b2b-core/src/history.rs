@@ -1,24 +1,15 @@
 //! One party's log, read as a history.
 //!
-//! §4.1: the evidence a party logs "can be used in extra-protocol
-//! arbitration to resolve disputes". [`check`] is that reading: one fold
-//! over one party's log for one object, from the party's founding or the
-//! answer that welcomed it to its last record. It returns what the log
-//! proves the party installed, or the first record the history cannot
-//! account for. The arbiter ([`crate::dispute`]) and `b2b-check`'s oracles
-//! both judge through it; it only reads the log.
-//!
-//! A round ends in one of three ways: a complete, unanimous decide
-//! installs; any other decide — the proposer's partial deadline abort, or
-//! a set with a veto — installs nothing; a signed TTP resolution ends it
-//! as the resolution says. A proposal that polls nobody is its proposer's
-//! whole round and installs at once. Every install must extend the
-//! history: the proposal's group and predecessor are what the log has
-//! established, a state round advances the sequence by exactly one with a
-//! tuple no other run proposed before it, and a membership change moves
-//! the group as its change says. The fold judges the paper's unanimous
-//! rule; a log written under the §7 majority extension installs on sets
-//! it reads as aborts, and is out of its scope.
+//! §4.1: logged evidence "can be used in extra-protocol arbitration to
+//! resolve disputes". [`check`] folds one party's log for one object, from
+//! its founding or the answer that welcomed it to its last record, into
+//! what the log proves the party installed — or the first record that does
+//! not fit. The arbiter and `b2b-check`'s oracles judge through it. A
+//! complete, unanimous decide installs; any other decide (a veto, the
+//! proposer's deadline abort) installs nothing; a TTP resolution ends a
+//! round as it says; a proposal that polls nobody installs at once. The
+//! fold judges the paper's unanimous rule: logs written under the §7
+//! majority extension are out of its scope (DESIGN §8).
 
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
@@ -74,8 +65,7 @@ pub enum FaultKind {
     /// Its payload is not what a record of its kind holds.
     #[error("undecodable {0} payload")]
     Undecodable(EvidenceKind),
-    /// It ends a run that has no open round: none was proposed before it,
-    /// or the round already ended.
+    /// It ends a run with no proposal before it, or one already ended.
     #[error("ends a run with no open round")]
     NoOpenRound,
     /// It installs or checkpoints outside the party's membership.
@@ -87,19 +77,17 @@ pub enum FaultKind {
     /// Its decide's response set fails the tally.
     #[error("response set refused: {0:?}")]
     ResponseSet(SetFault),
-    /// It installs a proposal of another group or by a non-member, or a
-    /// membership change that does not move the group as the change says.
+    /// It installs a proposal of another group, or a membership change
+    /// that does not move the group as the change says.
     #[error("installs a proposal that does not fit the group")]
     Group,
     /// It installs over the first tuple while the history holds the second.
     #[error("installs over prev {0:?} while holding {1:?}")]
     Predecessor(StateId, Box<StateId>),
-    /// It installs a state round proposing the first sequence number where
-    /// the second was due.
+    /// It installs the first sequence number where the second was due.
     #[error("installs seq {0} where {1} was due")]
     Sequence(u64, u64),
-    /// It installs a tuple, of this sequence number, that an earlier run
-    /// proposed.
+    /// It installs a tuple (of this seq) that an earlier run proposed.
     #[error("installs the tuple (seq {0}) of earlier {1}")]
     TupleReuse(u64, RunId),
     /// A checkpoint of the first tuple while the history holds the second.
@@ -123,15 +111,7 @@ pub fn check(
     ring: &KeyRing,
     tsa_key: Option<&PublicKey>,
 ) -> Result<Vec<Install>, Fault> {
-    let mut fold = Fold {
-        object,
-        ring,
-        group: None,
-        rounds: HashMap::new(),
-        tuples: HashMap::new(),
-        requests: HashMap::new(),
-        installs: Vec::new(),
-    };
+    let mut fold = Fold::default();
     for (expected, record) in (0u64..).zip(log.records()) {
         let step = if record.seq != expected {
             Err(FaultKind::OutOfPlace)
@@ -140,7 +120,7 @@ pub fn check(
         } else {
             verify_record(&record, ring, tsa_key)
                 .map_err(FaultKind::Record)
-                .and_then(|()| fold.step(&record))
+                .and_then(|()| fold.step(&record, object, ring))
         };
         step.map_err(|kind| Fault {
             record: record.seq.min(expected),
@@ -157,18 +137,12 @@ struct Group {
     tuple: StateId,
 }
 
-/// A proposal in the log, and whether its round has ended.
-struct Round {
-    proposal: Proposal,
-    ended: bool,
-}
-
-struct Fold<'a> {
-    object: &'a ObjectId,
-    ring: &'a KeyRing,
+#[derive(Default)]
+struct Fold {
     /// `None` before the founding or welcome, and after the party left.
     group: Option<Group>,
-    rounds: HashMap<RunId, Round>,
+    /// Every proposal in the log, and whether its round has ended.
+    rounds: HashMap<RunId, (Proposal, bool)>,
     /// The first run to propose each state tuple `(seq, H(random))`.
     tuples: HashMap<(u64, Digest32), RunId>,
     /// The membership requests in the log, by digest.
@@ -180,8 +154,13 @@ fn decode<T: CanonicalDecode>(r: &EvidenceRecord) -> Result<T, FaultKind> {
     T::from_canonical(&r.payload).map_err(|_| FaultKind::Undecodable(r.kind))
 }
 
-impl Fold<'_> {
-    fn step(&mut self, r: &EvidenceRecord) -> Result<(), FaultKind> {
+impl Fold {
+    fn step(
+        &mut self,
+        r: &EvidenceRecord,
+        object: &ObjectId,
+        ring: &KeyRing,
+    ) -> Result<(), FaultKind> {
         match r.kind {
             EvidenceKind::StatePropose => {
                 let p: Proposal = decode(r)?;
@@ -204,14 +183,7 @@ impl Fold<'_> {
                 }
                 let unpolled =
                     (self.group.as_ref()).is_some_and(|g| p.polled(&g.members).is_empty());
-                let proposal = p;
-                self.rounds.insert(
-                    run,
-                    Round {
-                        proposal,
-                        ended: false,
-                    },
-                );
+                self.rounds.insert(run, (p, false));
                 if unpolled {
                     self.end(run, r, true)?;
                 }
@@ -227,13 +199,13 @@ impl Fold<'_> {
                 tally::check_set(
                     &d.responses,
                     d.run,
-                    self.object,
+                    object,
                     &polled,
                     true,
                     |v| v.response.proposed == p.proposed,
                     |items| {
                         items.iter().try_for_each(|(party, bytes, _, sig)| {
-                            (self.ring.verify_for(party, bytes, sig)).map_err(|_| party.clone())
+                            (ring.verify_for(party, bytes, sig)).map_err(|_| party.clone())
                         })
                     },
                 )
@@ -273,21 +245,18 @@ impl Fold<'_> {
 
     /// The open round of `run` and the group it runs in.
     fn open(&self, run: &RunId) -> Result<(&Proposal, &Group), FaultKind> {
-        let round = (self.rounds.get(run)).filter(|r| !r.ended);
-        let round = round.ok_or(FaultKind::NoOpenRound)?;
-        let group = self.group.as_ref().ok_or(FaultKind::NotMember)?;
-        Ok((&round.proposal, group))
+        let (p, _) = (self.rounds.get(run).filter(|r| !r.1)).ok_or(FaultKind::NoOpenRound)?;
+        Ok((p, self.group.as_ref().ok_or(FaultKind::NotMember)?))
     }
 
     /// Ends the round of `run` at record `r`, installing its proposal if
     /// `installs`.
     fn end(&mut self, run: RunId, r: &EvidenceRecord, installs: bool) -> Result<(), FaultKind> {
-        let round = self.rounds.get_mut(&run).ok_or(FaultKind::NoOpenRound)?;
-        round.ended = true;
+        let (p, ended) = self.rounds.get_mut(&run).ok_or(FaultKind::NoOpenRound)?;
+        *ended = true;
         if !installs {
             return Ok(());
         }
-        let p = &round.proposal;
         let g = self.group.as_mut().ok_or(FaultKind::NotMember)?;
         if p.group != g.id || !g.members.contains(&p.proposer) {
             return Err(FaultKind::Group);
@@ -333,14 +302,20 @@ impl Fold<'_> {
             }
         }
         let (tuple, members) = (g.tuple, g.members.clone());
-        self.installs.push(Install {
-            record: r.seq,
-            by: r.kind,
+        self.install(r, tuple, members, run);
+        Ok(())
+    }
+
+    fn install(&mut self, r: &EvidenceRecord, tuple: StateId, members: Vec<PartyId>, run: RunId) {
+        let (record, by) = (r.seq, r.kind);
+        let install = Install {
+            record,
+            by,
             tuple,
             members,
             run,
-        });
-        Ok(())
+        };
+        self.installs.push(install);
     }
 
     /// A member answer. An accepted one for a round in the log is the
@@ -358,35 +333,22 @@ impl Fold<'_> {
         else {
             return Ok(());
         };
-        if let Some(round) = self.rounds.get(&run) {
-            let installed = self.group.as_ref().is_some_and(|g| g.id == group);
-            return match round.ended && installed {
-                true => Ok(()),
-                false => Err(FaultKind::Answer),
-            };
+        if let Some((_, ended)) = self.rounds.get(&run) {
+            let installed = *ended && self.group.as_ref().is_some_and(|g| g.id == group);
+            return installed.then_some(()).ok_or(FaultKind::Answer);
         }
         let request = self.requests.get(&answer.request_digest);
         self.group = match request.map(|q| (&q.change, &q.requester)) {
             Some((MemberChange::Join, subject))
                 if members.last() == Some(subject) && group.identifies(&members) =>
             {
-                let members = members.clone();
-                Some(Group {
-                    id: group,
-                    members,
-                    tuple: agreed,
-                })
+                let (id, members, tuple) = (group, members.clone(), agreed);
+                Some(Group { id, members, tuple })
             }
             Some((MemberChange::Leave, _)) if self.group.is_some() => None,
             _ => return Err(FaultKind::Answer),
         };
-        self.installs.push(Install {
-            record: r.seq,
-            by: r.kind,
-            tuple: agreed,
-            members,
-            run,
-        });
+        self.install(r, agreed, members, run);
         Ok(())
     }
 }

@@ -6,7 +6,7 @@ mod common;
 use b2b_core::history::{self, FaultKind};
 use b2b_core::messages::{DecideMsg, Proposal, ProposalKind, RespondMsg, Response};
 use b2b_core::{members_digest, Arbiter, Claim, Coordinator, Decision, GroupId, ObjectId, StateId};
-use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer, TimeMs};
+use b2b_crypto::{sha256, CanonicalEncode, KeyPair, KeyRing, Signer, TimeMs};
 use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore, FileStore, MemStore};
 use b2b_net::SimNet;
 use common::*;
@@ -239,12 +239,18 @@ fn frames(wal: &[u8]) -> Vec<&[u8]> {
 fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
     let dir = std::env::temp_dir().join(format!("b2b-dispute-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (object, ring) = (ObjectId::new("counter"), Cluster::new(2, 0).ring);
+    let object = ObjectId::new("counter");
+    let keys: Vec<KeyPair> = (0..2)
+        .map(|i| KeyPair::generate_from_seed(1000 + i))
+        .collect();
+    let mut ring = KeyRing::new();
+    for (i, kp) in keys.iter().enumerate() {
+        ring.register(party(i), kp.public_key());
+    }
     {
         let mut net = SimNet::new(96);
-        for i in 0..2 {
+        for (i, kp) in keys.into_iter().enumerate() {
             let store = Arc::new(FileStore::open(dir.join(format!("org{i}"))).unwrap());
-            let kp = KeyPair::generate_from_seed(1000 + i as u64);
             let coordinator = Coordinator::builder(party(i), kp)
                 .ring(ring.clone())
                 .store(store);
