@@ -57,7 +57,8 @@ pub(crate) fn decide(
 /// a signature verifier is handed.
 pub(crate) type SignedVote = (PartyId, Arc<[u8]>, Digest32, Signature);
 
-/// Why [`check_set`] refused a response set.
+/// Why the one check of an aggregated response set (`check_set`) refused
+/// it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// A response names another run or object, or fails the caller's echo.
