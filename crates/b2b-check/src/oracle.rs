@@ -106,20 +106,18 @@ pub fn check_all(fleet: &Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Ve
     let mut by_seq: BTreeMap<(usize, u64), (usize, StateId)> = BTreeMap::new();
     for &i in &correct {
         let log = fleet.store(i).as_ref();
-        let installs = match history::check(log, &object, fleet.ring(), Some(&tsa)) {
-            Ok(installs) => installs,
-            Err(fault) => {
-                violations.push(Violation::History {
-                    party: i,
-                    record: fault.record,
-                    fault: fault.kind,
-                });
-                continue;
-            }
-        };
+        let history = history::check(log, &object, fleet.ring(), Some(&tsa));
+        if let Some(fault) = history.fault {
+            violations.push(Violation::History {
+                party: i,
+                record: fault.record,
+                fault: fault.kind,
+            });
+            continue;
+        }
         // Install divergence across correct parties, keyed by (group,
         // seq): independent groups advance their own chains.
-        for Install { tuple: id, .. } in installs {
+        for Install { tuple: id, .. } in history.installs {
             let seq = id.seq;
             let (j, other) = *by_seq.entry((fleet.group_of(i), seq)).or_insert((i, id));
             if other != id {

@@ -12,8 +12,8 @@
 //! state is invalid"*. A validity claim is upheld only when the log's own
 //! history ([`crate::history`]) installs the state on a decide — a complete
 //! set of verified, accepting, signed responses from every other member of
-//! the group the log has established; a veto claim is upheld on any
-//! verified signed rejection.
+//! the group the log has established — before the log's first fault; a
+//! veto claim is upheld on any verified signed rejection.
 
 use crate::history;
 use crate::ids::{ObjectId, RunId, StateId};
@@ -85,29 +85,23 @@ impl Arbiter {
     }
 
     /// Upholds the claim on the decide that installs `state` in the log's
-    /// history of a group of two or more.
+    /// history of a group of two or more, before the log's first fault.
     fn judge_state_valid(
         &self,
         object: &ObjectId,
         state: &StateId,
         store: &dyn EvidenceStore,
     ) -> Ruling {
-        let installs = match history::check(store, object, &self.ring, None) {
-            Ok(installs) => installs,
-            Err(fault) => {
-                let reason = format!("the log is not a history: {fault}");
-                return Ruling::Rejected { reason };
-            }
-        };
-        match installs.iter().find(|i| {
+        let history = history::check(store, object, &self.ring, None);
+        let Some(install) = history.installs.iter().find(|i| {
             i.tuple == *state && i.by == EvidenceKind::StateDecide && i.members.len() >= 2
-        }) {
-            Some(install) => Ruling::Upheld {
-                evidence: vec![install.record],
-            },
-            None => Ruling::Rejected {
-                reason: "no decide of a group of two or more installs the state".into(),
-            },
+        }) else {
+            let end = history.fault.map_or("the end".into(), |f| f.to_string());
+            let reason = format!("no decide of a group of two or more installs it before {end}");
+            return Ruling::Rejected { reason };
+        };
+        Ruling::Upheld {
+            evidence: vec![install.record],
         }
     }
 
@@ -375,6 +369,34 @@ mod tests {
     }
 
     #[test]
+    fn welcome_from_other_than_the_newest_member_refused() {
+        // `a` welcomes `c`, but a join's sponsor is the newest old member,
+        // `b`: the log never admits `c`, and proves nothing after.
+        let f = fixture();
+        let accepts = vec![
+            response(&f, 1, Decision::accept()),
+            response(&f, 2, Decision::accept()),
+        ];
+        log_decide(&f, accepts);
+        let store = MemStore::new();
+        for r in f.store.records() {
+            let mut by = f.keys.iter().find(|k| k.0 == r.origin).unwrap();
+            let mut payload = r.payload;
+            if r.kind == EvidenceKind::MemberAnswer {
+                let mut answer = MemberAnswer::from_canonical(&payload).unwrap();
+                (by, answer.sponsor) = (&f.keys[0], f.keys[0].0.clone());
+                payload = answer.canonical_bytes();
+            }
+            append(&store, r.kind, by, payload);
+        }
+        let fault = history::check(&store, &f.object, &f.ring, None).fault;
+        let answer = Some((1, history::FaultKind::Answer));
+        assert_eq!(fault.map(|f| (f.record, f.kind)), answer);
+        let arbiter = Arbiter::new(f.ring.clone());
+        assert!(!arbiter.judge(&valid(&f), &store).is_upheld());
+    }
+
+    #[test]
     fn singleton_group_claims_rejected() {
         // A lone founder's proposal polls nobody and installs at once: its
         // log holds no decide, and no agreement by anyone else.
@@ -402,7 +424,9 @@ mod tests {
             founder,
             f.state.canonical_bytes(),
         );
-        let installs = history::check(&store, &f.object, &f.ring, None).unwrap();
+        let history = history::check(&store, &f.object, &f.ring, None);
+        let installs = history.installs;
+        assert_eq!(history.fault, None);
         assert_eq!(installs.len(), 1, "the lone member installs");
         assert_eq!(installs[0].tuple, f.state);
         let arbiter = Arbiter::new(f.ring.clone());

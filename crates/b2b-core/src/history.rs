@@ -3,12 +3,12 @@
 //! §4.1: logged evidence "can be used in extra-protocol arbitration to
 //! resolve disputes". [`check`] folds one party's log for one object, from
 //! its founding or the answer that welcomed it to its last record, into
-//! what the log proves the party installed — or the first record that does
-//! not fit. The arbiter and `b2b-check`'s oracles judge through it. A
+//! what the log proves the party installed, up to the first record that
+//! does not fit. The arbiter and `b2b-check`'s oracles judge through it. A
 //! complete, unanimous decide installs; any other decide (a veto, the
-//! proposer's deadline abort) installs nothing; a TTP resolution ends a
-//! round as it says; a proposal that polls nobody installs at once. The
-//! fold judges the paper's unanimous rule: logs written under the §7
+//! proposer's deadline abort) installs nothing; a signed TTP resolution
+//! ends a round as it says; a proposal that polls nobody installs at once.
+//! The fold judges the paper's unanimous rule: logs written under the §7
 //! majority extension are out of its scope (DESIGN §8).
 
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
@@ -17,7 +17,6 @@ use crate::messages::{
     TtpResolution, TtpVerdict,
 };
 use crate::tally;
-pub use crate::tally::Fault as SetFault;
 use b2b_crypto::{sha256, CanonicalDecode, Digest32, KeyRing, PartyId, PublicKey};
 use b2b_evidence::{verify_record, EvidenceKind, EvidenceRecord, EvidenceStore, RecordFault};
 use std::collections::HashMap;
@@ -62,6 +61,9 @@ pub enum FaultKind {
     /// Its signature or time-stamp fails.
     #[error("{0}")]
     Record(RecordFault),
+    /// Its signer is not the party its payload names.
+    #[error("signed by another than the party it names")]
+    Origin,
     /// Its payload is not what a record of its kind holds.
     #[error("undecodable {0} payload")]
     Undecodable(EvidenceKind),
@@ -76,7 +78,7 @@ pub enum FaultKind {
     Authenticator,
     /// Its decide's response set fails the tally.
     #[error("response set refused: {0:?}")]
-    ResponseSet(SetFault),
+    ResponseSet(tally::Fault),
     /// It installs a proposal of another group, or a membership change
     /// that does not move the group as the change says.
     #[error("installs a proposal that does not fit the group")]
@@ -98,21 +100,25 @@ pub enum FaultKind {
     Answer,
 }
 
+/// What a log proves: its installs, in log order, up to its first fault.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct History {
+    /// The installs before the fault, or all of them.
+    pub installs: Vec<Install>,
+    /// The first record the history cannot account for, if any.
+    pub fault: Option<Fault>,
+}
+
 /// Folds `log`'s records for `object`, verifying each against `ring` and,
-/// when given, the TSA's `tsa_key`. Returns the installs in log order, or
-/// the first fault.
-///
-/// # Errors
-///
-/// The first [`Fault`], naming its record.
+/// when given, the TSA's `tsa_key`, up to the first fault.
 pub fn check(
     log: &dyn EvidenceStore,
     object: &ObjectId,
     ring: &KeyRing,
     tsa_key: Option<&PublicKey>,
-) -> Result<Vec<Install>, Fault> {
+) -> History {
     let mut fold = Fold::default();
-    for (expected, record) in (0u64..).zip(log.records()) {
+    let fault = (0u64..).zip(log.records()).find_map(|(expected, record)| {
         let step = if record.seq != expected {
             Err(FaultKind::OutOfPlace)
         } else if record.object != object.as_str() {
@@ -122,12 +128,11 @@ pub fn check(
                 .map_err(FaultKind::Record)
                 .and_then(|()| fold.step(&record, object, ring))
         };
-        step.map_err(|kind| Fault {
-            record: record.seq.min(expected),
-            kind,
-        })?;
-    }
-    Ok(fold.installs)
+        let record = record.seq.min(expected);
+        step.err().map(|kind| Fault { record, kind })
+    });
+    let installs = fold.installs;
+    History { installs, fault }
 }
 
 /// What the log has established about the group.
@@ -154,6 +159,11 @@ fn decode<T: CanonicalDecode>(r: &EvidenceRecord) -> Result<T, FaultKind> {
     T::from_canonical(&r.payload).map_err(|_| FaultKind::Undecodable(r.kind))
 }
 
+/// `r`'s verified signer is `named`.
+fn signed_by(r: &EvidenceRecord, named: &PartyId) -> Result<(), FaultKind> {
+    (r.origin == *named).then_some(()).ok_or(FaultKind::Origin)
+}
+
 impl Fold {
     fn step(
         &mut self,
@@ -164,6 +174,7 @@ impl Fold {
         match r.kind {
             EvidenceKind::StatePropose => {
                 let p: Proposal = decode(r)?;
+                signed_by(r, &p.proposer)?;
                 let run = RunId::from_bytes(&r.payload);
                 if self.rounds.contains_key(&run) {
                     return Ok(()); // logged again after a recovery
@@ -215,9 +226,13 @@ impl Fold {
                 self.end(d.run, r, unanimous)
             }
             // A member's own appeal, or the resolution of the TTP, which is
-            // no member.
+            // no member and signs it.
             EvidenceKind::TtpAbort => match &self.group {
                 Some(g) if !g.members.contains(&r.origin) => {
+                    if r.signature.is_none() {
+                        let kind = r.kind.name().to_string();
+                        return Err(FaultKind::Record(RecordFault::MissingSignature(kind)));
+                    }
                     let resolution: TtpResolution = decode(r)?;
                     self.open(&resolution.run)?;
                     let valid = resolution.verdict == TtpVerdict::CertifiedValid;
@@ -235,6 +250,7 @@ impl Fold {
             }
             EvidenceKind::MemberRequest => {
                 let request: MemberRequest = decode(r)?;
+                signed_by(r, &request.requester)?;
                 self.requests.insert(sha256(&r.payload), request);
                 Ok(())
             }
@@ -318,12 +334,14 @@ impl Fold {
         self.installs.push(install);
     }
 
-    /// A member answer. An accepted one for a round in the log is the
-    /// sponsor's copy, and names the group that round installed; one for a
-    /// join the log requested welcomes the party, and one for its leave
+    /// A member answer, signed by the sponsor it names. An accepted one for
+    /// a round in the log is the sponsor's copy, and names the group that
+    /// round installed; one from the newest old member for a join the log
+    /// requested welcomes a party not yet in a group, and one for its leave
     /// ends its membership.
     fn answer(&mut self, r: &EvidenceRecord) -> Result<(), FaultKind> {
         let answer: MemberAnswer = decode(r)?;
+        signed_by(r, &answer.sponsor)?;
         let MemberVerdict::Accepted {
             run,
             group,
@@ -340,7 +358,9 @@ impl Fold {
         let request = self.requests.get(&answer.request_digest);
         self.group = match request.map(|q| (&q.change, &q.requester)) {
             Some((MemberChange::Join, subject))
-                if members.last() == Some(subject) && group.identifies(&members) =>
+                if self.group.is_none()
+                    && members.ends_with(&[answer.sponsor.clone(), subject.clone()])
+                    && group.identifies(&members) =>
             {
                 let (id, members, tuple) = (group, members.clone(), agreed);
                 Some(Group { id, members, tuple })

@@ -205,7 +205,8 @@ pub fn assert_history(cluster: &Cluster, alias: &str) {
     let tsa = cluster.tsa.public_key();
     for p in &cluster.parties {
         let log = &*cluster.stores[p];
-        if let Err(fault) = b2b_core::history::check(log, &oid, &cluster.ring, Some(&tsa)) {
+        let history = b2b_core::history::check(log, &oid, &cluster.ring, Some(&tsa));
+        if let Some(fault) = history.fault {
             panic!("{p}'s log of {alias} is not a history: {fault}");
         }
     }

@@ -4,8 +4,14 @@
 mod common;
 
 use b2b_core::history::{self, FaultKind};
-use b2b_core::messages::{DecideMsg, Proposal, ProposalKind, RespondMsg, Response};
-use b2b_core::{members_digest, Arbiter, Claim, Coordinator, Decision, GroupId, ObjectId, StateId};
+use b2b_core::messages::{
+    DecideMsg, MemberAnswer, MemberChange, MemberRequest, MemberVerdict, Proposal, ProposalKind,
+    RespondMsg, Response,
+};
+use b2b_core::{
+    members_digest, Arbiter, Claim, Coordinator, Decision, GroupId, ObjectId, Ruling, RunId,
+    StateId,
+};
 use b2b_crypto::{sha256, CanonicalEncode, KeyPair, KeyRing, Signer, TimeMs};
 use b2b_evidence::{EvidenceKind, EvidenceRecord, EvidenceStore, FileStore, MemStore};
 use b2b_net::SimNet;
@@ -34,6 +40,38 @@ fn proposer_proves_validity_of_installed_state_from_its_own_log() {
     };
     let ruling = arbiter.judge(&claim, &*cluster.stores[&party(0)]);
     assert!(ruling.is_upheld(), "ruling: {ruling:?}");
+}
+
+#[test]
+fn a_fault_later_in_the_log_leaves_earlier_installs_provable() {
+    // A checkpoint no install accounts for, filed between two rounds: the
+    // state agreed before it is still proven, the one after it is not.
+    let mut cluster = Cluster::new(3, 90);
+    cluster.setup_object("counter", counter_factory);
+    cluster.propose(0, "counter", enc(5));
+    let before = state_id_of(&cluster, 0, "counter");
+    let log = &*cluster.stores[&party(0)];
+    let bogus = StateId::genesis(sha256(b"bogus"), b"99").canonical_bytes();
+    let fault = log.records().len() as u64;
+    let (kind, stamp) = (EvidenceKind::Checkpoint, TimeMs(0));
+    let record = EvidenceRecord::new(kind, "counter", "", party(0), bogus, None, None, stamp);
+    log.append(record).unwrap();
+    cluster.propose(0, "counter", enc(6));
+    let after = state_id_of(&cluster, 0, "counter");
+    let arbiter = Arbiter::new(cluster.ring.clone());
+    let object = ObjectId::new("counter");
+    let ruling = |state| {
+        let claim = Claim::StateValid {
+            object: object.clone(),
+            state,
+        };
+        arbiter.judge(&claim, &*cluster.stores[&party(0)])
+    };
+    assert!(ruling(before).is_upheld());
+    let Ruling::Rejected { reason } = ruling(after) else {
+        panic!("a state agreed after the fault is upheld");
+    };
+    assert!(reason.contains(&format!("record {fault}")), "{reason}");
 }
 
 #[test]
@@ -127,100 +165,140 @@ fn whole_log_audit_is_clean_after_honest_runs() {
     }
 }
 
-#[test]
-fn colluders_cannot_shrink_the_group_behind_a_claim() {
-    // org0 and org1 collude in a group of three: org0 proposes a state,
-    // org1 signs a response over the two of them, and org0 files the pair
-    // as a decide in its own log. The log's history says the group has
-    // three members, so org2's missing response leaves the decide partial:
-    // an abort, which installs nothing.
-    let mut cluster = Cluster::new(3, 95);
-    cluster.setup_object("counter", counter_factory);
-    let object = ObjectId::new("counter");
-    let agreed = state_id_of(&cluster, 0, "counter");
-    let pair = [party(0), party(1)];
-    let group = GroupId {
-        seq: 1,
-        rand_hash: sha256(b"pair"),
-        members_hash: members_digest(&pair),
-    };
-    let state = StateId {
-        seq: agreed.seq + 1,
-        rand_hash: sha256(b"collusion"),
-        state_hash: sha256(&enc(1_000)),
-    };
-    let authenticator = [7u8; 32];
-    let proposal = Proposal {
-        object: object.clone(),
-        proposer: party(0),
-        group,
-        prev: agreed,
-        proposed: state,
-        auth_commit: sha256(&authenticator),
-        kind: ProposalKind::Overwrite,
-    };
-    let run = proposal.run_id();
-    let response = Response {
-        object: object.clone(),
-        responder: party(1),
-        group,
-        run,
-        prev: agreed,
-        proposed: state,
-        body_ok: true,
-        decision: Decision::accept(),
-    };
-    let signed = |i: u64, bytes: &[u8]| KeyPair::generate_from_seed(1000 + i).sign(bytes);
-    let vote = RespondMsg {
-        sig: signed(1, &response.canonical_bytes()),
-        response,
-        memo: Default::default(),
-    };
-    let decide = DecideMsg {
-        object: object.clone(),
-        run,
-        authenticator,
-        responses: vec![vote.clone()],
-    };
-    let log = &cluster.stores[&party(0)];
-    for (kind, origin, payload, sig) in [
-        (
-            EvidenceKind::StatePropose,
-            party(0),
-            proposal.canonical_bytes(),
-            Some(signed(0, &proposal.canonical_bytes())),
-        ),
-        (
-            EvidenceKind::StateRespond,
-            party(1),
-            vote.response_bytes().to_vec(),
-            Some(vote.sig.clone()),
-        ),
-        (
-            EvidenceKind::StateDecide,
-            party(0),
-            decide.canonical_bytes(),
-            None,
-        ),
-    ] {
-        let label = run.to_hex();
-        let record = EvidenceRecord::new(
-            kind,
-            "counter",
-            label,
-            origin,
-            payload,
-            sig,
-            None,
-            TimeMs(0),
-        );
+/// Appends one record per (kind, signer, payload) to `log`, each signed
+/// by its signer, but a decide, which nobody signs.
+fn file(log: &dyn EvidenceStore, label: &str, records: Vec<(EvidenceKind, usize, Vec<u8>)>) {
+    for (kind, by, payload) in records {
+        let key = KeyPair::generate_from_seed(1000 + by as u64);
+        let sig = (kind != EvidenceKind::StateDecide).then(|| key.sign(&payload));
+        let (origin, stamp) = (party(by), TimeMs(0));
+        let record = EvidenceRecord::new(kind, "counter", label, origin, payload, sig, None, stamp);
         log.append(record).unwrap();
     }
-    let installs = history::check(&**log, &object, &cluster.ring, None).unwrap();
-    assert!(installs.iter().all(|i| i.tuple != state));
-    let claim = Claim::StateValid { object, state };
-    let ruling = Arbiter::new(cluster.ring.clone()).judge(&claim, &**log);
-    assert!(!ruling.is_upheld(), "ruling: {ruling:?}");
+}
+
+#[test]
+fn colluders_cannot_shrink_the_group_behind_a_claim() {
+    // Each case files a forged round in one log — org0's proposal of
+    // `state` in `group`, org1's accepting response, a decide of the two
+    // — and claims `state` from that log.
+    // - "partial": org0 files it in the group of three. The log's history
+    //   says org2 is a member too, so the decide is partial: an abort,
+    //   which installs nothing.
+    // - "re-welcome": org0 first files org1's join request and its own
+    //   welcome of the pair. org0 is in a group already, so the history
+    //   refuses the welcome.
+    // - "own proposal": in a group of two, org1 files the proposal in
+    //   org0's name but signs it itself, to be the only member polled.
+    //   The history refuses a proposal its proposer did not sign.
+    let object = ObjectId::new("counter");
+    let pair = [party(0), party(1)];
+    for case in ["partial", "re-welcome", "own proposal"] {
+        let mut cluster = Cluster::new(if case == "own proposal" { 2 } else { 3 }, 95);
+        cluster.setup_object("counter", counter_factory);
+        let agreed = state_id_of(&cluster, 0, "counter");
+        let group = match case {
+            "own proposal" => cluster.net.node(&party(0)).group(&object).unwrap(),
+            _ => GroupId {
+                seq: 1,
+                rand_hash: sha256(b"pair"),
+                members_hash: members_digest(&pair),
+            },
+        };
+        let state = StateId {
+            seq: agreed.seq + 1,
+            rand_hash: sha256(b"collusion"),
+            state_hash: sha256(&enc(1_000)),
+        };
+        let authenticator = [7u8; 32];
+        let proposal = Proposal {
+            object: object.clone(),
+            proposer: party(0),
+            group,
+            prev: agreed,
+            proposed: state,
+            auth_commit: sha256(&authenticator),
+            kind: ProposalKind::Overwrite,
+        };
+        let run = proposal.run_id();
+        let response = Response {
+            object: object.clone(),
+            responder: party(1),
+            group,
+            run,
+            prev: agreed,
+            proposed: state,
+            body_ok: true,
+            decision: Decision::accept(),
+        };
+        let vote = RespondMsg {
+            sig: KeyPair::generate_from_seed(1001).sign(&response.canonical_bytes()),
+            response,
+            memo: Default::default(),
+        };
+        let decide = DecideMsg {
+            object: object.clone(),
+            run,
+            authenticator,
+            responses: vec![vote.clone()],
+        };
+        let filer = usize::from(case == "own proposal");
+        let log = &*cluster.stores[&party(filer)];
+        let forged = log.records().len() as u64;
+        if case == "re-welcome" {
+            let request = MemberRequest {
+                object: object.clone(),
+                requester: party(1),
+                change: MemberChange::Join,
+                nonce_hash: sha256(b"rejoin"),
+            };
+            let verdict = MemberVerdict::Accepted {
+                run: RunId(sha256(b"rejoin")),
+                group,
+                members: pair.to_vec(),
+                agreed,
+            };
+            let answer = MemberAnswer {
+                object: object.clone(),
+                sponsor: party(0),
+                request_digest: request.canonical_digest(),
+                verdict,
+            };
+            let records = vec![
+                (EvidenceKind::MemberRequest, 1, request.canonical_bytes()),
+                (EvidenceKind::MemberAnswer, 0, answer.canonical_bytes()),
+            ];
+            file(log, "", records);
+        }
+        let records = vec![
+            (
+                EvidenceKind::StatePropose,
+                filer,
+                proposal.canonical_bytes(),
+            ),
+            (
+                EvidenceKind::StateRespond,
+                1,
+                vote.response_bytes().to_vec(),
+            ),
+            (EvidenceKind::StateDecide, filer, decide.canonical_bytes()),
+        ];
+        file(log, &run.to_hex(), records);
+        let history = history::check(log, &object, &cluster.ring, None);
+        assert!(history.installs.iter().all(|i| i.tuple != state), "{case}");
+        let fault = history.fault.map(|f| (f.record, f.kind));
+        match case {
+            "partial" => assert_eq!(fault, None),
+            "re-welcome" => assert_eq!(fault, Some((forged + 1, FaultKind::Answer))),
+            _ => assert_eq!(fault, Some((forged, FaultKind::Origin))),
+        }
+        let claim = Claim::StateValid {
+            object: object.clone(),
+            state,
+        };
+        let ruling = Arbiter::new(cluster.ring.clone()).judge(&claim, log);
+        assert!(!ruling.is_upheld(), "{case}: {ruling:?}");
+    }
 }
 
 /// The frames of a WAL file (`[len][crc][body]` each), in order.
@@ -276,7 +354,8 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
     }
     let original = dir.join("org0");
     let log = FileStore::open(&original).unwrap();
-    assert_eq!(history::check(&log, &object, &ring, None).unwrap().len(), 4);
+    let history = history::check(&log, &object, &ring, None);
+    assert_eq!((history.installs.len(), history.fault), (4, None));
     let records = log.records();
     let decide = records
         .iter()
@@ -303,7 +382,7 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
         std::fs::create_dir_all(&copy_dir).unwrap();
         std::fs::write(copy_dir.join("evidence.wal"), copy.concat()).unwrap();
         let fault = history::check(&FileStore::open(&copy_dir).unwrap(), &object, &ring, None);
-        assert_eq!(fault.unwrap_err().record, decide as u64, "{tag}");
+        assert_eq!(fault.fault.unwrap().record, decide as u64, "{tag}");
         // Filed afresh, the records are renumbered, and the history itself
         // breaks at the same place: a checkpoint with no install before it,
         // or a decide of a run that already ended.
@@ -311,7 +390,9 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
         for record in FileStore::open(&copy_dir).unwrap().records() {
             renumbered.append(record).unwrap();
         }
-        let fault = history::check(&renumbered, &object, &ring, None).unwrap_err();
+        let fault = history::check(&renumbered, &object, &ring, None)
+            .fault
+            .unwrap();
         let at = decide as u64 + u64::from(tag == "dup");
         assert_eq!(fault.record, at, "{tag}: {fault}");
         assert!(

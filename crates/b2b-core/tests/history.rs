@@ -4,11 +4,11 @@
 
 mod common;
 
-use b2b_core::history::{self, Install};
+use b2b_core::history::{self, FaultKind, Install};
 use b2b_core::messages::WireMsg;
 use b2b_core::{CoordinatorConfig, ObjectId};
-use b2b_crypto::TimeMs;
-use b2b_evidence::EvidenceKind;
+use b2b_crypto::{PartyId, TimeMs};
+use b2b_evidence::{EvidenceKind, EvidenceStore, MemStore, RecordFault};
 use b2b_net::intruder::{FnIntruder, InterceptAction};
 use b2b_net::reliable::data_body;
 use b2b_net::FaultPlan;
@@ -17,8 +17,11 @@ use common::*;
 fn installs(cluster: &Cluster, who: usize) -> Vec<Install> {
     let log = &*cluster.stores[&party(who)];
     let tsa = cluster.tsa.public_key();
-    history::check(log, &ObjectId::new("counter"), &cluster.ring, Some(&tsa))
-        .unwrap_or_else(|fault| panic!("org{who}: {fault}"))
+    let history = history::check(log, &ObjectId::new("counter"), &cluster.ring, Some(&tsa));
+    if let Some(fault) = history.fault {
+        panic!("org{who}: {fault}");
+    }
+    history.installs
 }
 
 #[test]
@@ -161,4 +164,19 @@ fn a_ttp_resolution_installs_where_the_decide_was_lost() {
         assert_eq!((last.run, last.by), (run, by), "org{who}");
     }
     assert!(installs(&cluster, 3).is_empty(), "the TTP holds no history");
+    // Unsigned, a resolution proves nothing, whichever party it names.
+    let (stripped, mut at) = (MemStore::new(), None);
+    for mut record in cluster.stores[&party(1)].records() {
+        if record.kind == EvidenceKind::TtpAbort && record.origin == party(3) {
+            (record.origin, record.signature) = (PartyId::new("nobody"), None);
+            at.get_or_insert(record.seq);
+        }
+        stripped.append(record).unwrap();
+    }
+    let tsa = cluster.tsa.public_key();
+    let fault = history::check(&stripped, &oid, &cluster.ring, Some(&tsa));
+    let fault = fault.fault.unwrap();
+    assert_eq!(fault.record, at.unwrap());
+    let unsigned = FaultKind::Record(RecordFault::MissingSignature("ttp-abort".into()));
+    assert_eq!(fault.kind, unsigned, "{fault}");
 }
