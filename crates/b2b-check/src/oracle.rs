@@ -10,7 +10,7 @@
 use crate::harness::Fleet;
 use crate::scenario::{DrivenOp, Scenario};
 use b2b_core::history::{self, FaultKind, Install};
-use b2b_core::StateId;
+use b2b_core::{DecisionRule, StateId};
 use b2b_crypto::sha256;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -106,7 +106,13 @@ pub fn check_all(fleet: &Fleet, scenario: &dyn Scenario, ops: &[DrivenOp]) -> Ve
     let mut by_seq: BTreeMap<(usize, u64), (usize, StateId)> = BTreeMap::new();
     for &i in &correct {
         let log = fleet.store(i).as_ref();
-        let history = history::check(log, &object, fleet.ring(), Some(&tsa));
+        let history = history::check(
+            log,
+            &object,
+            fleet.ring(),
+            Some(&tsa),
+            DecisionRule::Unanimous,
+        );
         if let Some(fault) = history.fault {
             violations.push(Violation::History {
                 party: i,

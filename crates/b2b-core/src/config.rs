@@ -33,10 +33,11 @@ pub const PENDING_UPDATES_MAX: usize = 1024;
 /// The base protocol requires unanimity (§4.1); majority decision is the
 /// §7 termination extension ("automatic resolution or abort by resorting to
 /// majority decision on state changes").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DecisionRule {
     /// "A new state is valid if the collective decision is unanimous
     /// agreement to the change" (§3).
+    #[default]
     Unanimous,
     /// Extension: a strict majority of *all group members* (proposer
     /// included, who by definition accepts) validates the change even if a

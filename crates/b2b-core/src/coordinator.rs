@@ -15,16 +15,20 @@ use crate::config::{
 use crate::decision::{CoordEvent, CoordEventKind, Outcome};
 use crate::detect::Misbehaviour;
 use crate::error::CoordError;
+use crate::history;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
+use crate::messages::DecideMsg;
 use crate::messages::{MemberRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
 use crate::object::B2BObject;
-use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Replica, SNAPSHOT_FORMAT};
+use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Ended, Replica, SNAPSHOT_FORMAT};
 use crate::seq::SeqTable;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
     SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
 };
-use b2b_evidence::{EvidenceKind, EvidenceStore, RecordRef, RunLabel, SnapshotStore};
+use b2b_evidence::{
+    EvidenceKind, EvidenceRecord, EvidenceStore, RecordRef, RunLabel, SnapshotStore,
+};
 use b2b_net::compact::Compact;
 use b2b_net::reliable::Inbound;
 use b2b_net::{NetNode, NodeCtx, ReliableMux};
@@ -1087,14 +1091,22 @@ impl Coordinator {
     /// [`Replica::take_stale_docs`] fixes. A document whose write fails
     /// stays stale and is retried by the next checkpoint, as is an index
     /// whose write failed.
+    ///
+    /// The log is the commit point: the records a core document depends on
+    /// are flushed before it is written, and the document marks the log's
+    /// length, so recovery knows how far into the log it reaches.
     pub(crate) fn persist(&mut self, object: &ObjectId) {
         if self.index_stale {
             self.persist_index();
         }
+        if self.replicas.get(object).is_some_and(|r| r.core_is_stale()) {
+            self.flush_evidence();
+        }
+        let logged = self.evidence.len() as u64;
         let Some(rep) = self.replicas.get_mut(object) else {
             return;
         };
-        for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP) {
+        for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP, logged) {
             let written = put_doc(
                 &*self.snapshots,
                 &mut self.checkpoint_key,
@@ -1245,7 +1257,7 @@ impl Coordinator {
             self.me.as_str().as_bytes(),
         ]));
         self.trace(ctx.now(), "recovery", "begin", || {
-            "restoring replicas from checkpoints".to_string()
+            "restoring replicas from the log and checkpoints".to_string()
         });
         // Fresh reliable-layer incarnation so peers do not confuse our
         // restarted sequence numbers with pre-crash traffic.
@@ -1259,30 +1271,49 @@ impl Coordinator {
             .get_snapshot("objects")
             .and_then(|b| decode_object_index(&b).ok())
             .unwrap_or_default();
+        let records = self.evidence.records();
         for object_id in ids {
-            let Some(core) = self
-                .snapshots
-                .get_snapshot(&format!("obj-{object_id}"))
-                .and_then(|b| CoreDoc::from_bytes(&b).ok())
-            else {
+            let (Some(core), Some(factory)) = (
+                (self.snapshots.get_snapshot(&format!("obj-{object_id}")))
+                    .and_then(|b| CoreDoc::from_bytes(&b).ok()),
+                self.factory(&object_id),
+            ) else {
                 continue;
             };
-            let Some(factory) = self.factory(&object_id) else {
-                continue;
+            let rule = self.config.decision_rule;
+            let history = history::fold(&records, &object_id, &self.ring, None, rule);
+            let restored = match &history.fault {
+                Some(fault) => Err(format!("its log faults at {fault}")),
+                None => Replica::restore(
+                    object_id.clone(),
+                    factory(),
+                    &self.me,
+                    &history,
+                    core,
+                    COMPLETED_REPLIES_CAP,
+                    REPLAY_WINDOW,
+                    |slot| (self.snapshots).get_snapshot(&format!("obj-{object_id}-reply-{slot}")),
+                )
+                .map_err(|e| e.to_string()),
             };
-            let replica = Replica::restore(
-                object_id.clone(),
-                factory(),
-                core,
-                COMPLETED_REPLIES_CAP,
-                REPLAY_WINDOW,
-                |slot| {
-                    self.snapshots
-                        .get_snapshot(&format!("obj-{object_id}-reply-{slot}"))
-                },
-            );
-            self.replicas.insert(object_id.clone(), Box::new(replica));
-            self.resume_run(&object_id, ctx);
+            match restored {
+                Ok((replica, ended)) => {
+                    self.replicas.insert(object_id.clone(), Box::new(replica));
+                    match ended {
+                        Some(ended) => {
+                            let end = &records[ended.record as usize];
+                            self.finish_ended(&object_id, ended, end, ctx);
+                        }
+                        None => self.resume_run(&object_id, ctx),
+                    }
+                }
+                Err(reason) => {
+                    self.telemetry.inc(names::RECOVERIES_REFUSED);
+                    self.detect(Misbehaviour::UnexpectedMessage {
+                        detail: format!("recovery of {object_id} refused: {reason}"),
+                    });
+                }
+            }
         }
         // Pending connection attempts (no replica yet at the subject).
         let pending = self
@@ -1305,6 +1336,47 @@ impl Coordinator {
             format!("replicas={}", self.replicas.len())
         });
         self.end_episode();
+    }
+
+    /// Finishes a run the log ended (at record `end`) after the
+    /// checkpoint's last write, as the step that ended it went on to: its
+    /// re-reply, the decide to the polled members, the answer to a
+    /// membership change's subject. Nothing is logged again.
+    fn finish_ended(
+        &mut self,
+        oid: &ObjectId,
+        ended: Ended,
+        end: &EvidenceRecord,
+        ctx: &mut NodeCtx,
+    ) {
+        let decide = (end.kind == EvidenceKind::StateDecide)
+            .then(|| DecideMsg::from_canonical(&end.payload).ok())
+            .flatten();
+        match (ended.run, decide) {
+            (ActiveRun::Proposer(pr), decide) => {
+                let polled = pr.propose.proposal.polled(&self.replicas[oid].members);
+                if let Some(decide) = &decide {
+                    let m3 = WireMsg::Decide(decide.clone());
+                    self.remember_reply(oid, pr.run, &m3);
+                    self.send_wire_all(&polled, &m3, ctx);
+                }
+                // A TTP resolution ended it: the set in hand decided.
+                let decide = decide.unwrap_or_else(|| DecideMsg {
+                    object: oid.clone(),
+                    run: pr.run,
+                    authenticator: pr.authenticator,
+                    responses: pr.responses.values().cloned().collect(),
+                });
+                let kind = &pr.propose.proposal.kind;
+                self.answer_subject(oid, pr.run, kind, ended.installed, decide, ctx);
+            }
+            (ActiveRun::Recipient(rr), Some(_)) => {
+                self.remember_reply(oid, rr.run, &WireMsg::Respond(rr.my_response));
+            }
+            _ => {}
+        }
+        self.persist(oid);
+        self.pump_queue(oid, ctx);
     }
 
     /// Re-sends the in-flight message(s) of a persisted active run.

@@ -15,6 +15,7 @@
 //! the group the log has established — before the log's first fault; a
 //! veto claim is upheld on any verified signed rejection.
 
+use crate::config::DecisionRule;
 use crate::history;
 use crate::ids::{ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
@@ -92,7 +93,7 @@ impl Arbiter {
         state: &StateId,
         store: &dyn EvidenceStore,
     ) -> Ruling {
-        let history = history::check(store, object, &self.ring, None);
+        let history = history::check(store, object, &self.ring, None, DecisionRule::Unanimous);
         let Some(install) = history.installs.iter().find(|i| {
             i.tuple == *state && i.by == EvidenceKind::StateDecide && i.members.len() >= 2
         }) else {
@@ -389,7 +390,7 @@ mod tests {
             }
             append(&store, r.kind, by, payload);
         }
-        let fault = history::check(&store, &f.object, &f.ring, None).fault;
+        let fault = history::check(&store, &f.object, &f.ring, None, DecisionRule::Unanimous).fault;
         let answer = Some((1, history::FaultKind::Answer));
         assert_eq!(fault.map(|f| (f.record, f.kind)), answer);
         let arbiter = Arbiter::new(f.ring.clone());
@@ -424,7 +425,7 @@ mod tests {
             founder,
             f.state.canonical_bytes(),
         );
-        let history = history::check(&store, &f.object, &f.ring, None);
+        let history = history::check(&store, &f.object, &f.ring, None, DecisionRule::Unanimous);
         let installs = history.installs;
         assert_eq!(history.fault, None);
         assert_eq!(installs.len(), 1, "the lone member installs");

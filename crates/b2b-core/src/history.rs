@@ -4,18 +4,23 @@
 //! resolve disputes". [`check`] folds one party's log for one object, from
 //! its founding or the answer that welcomed it to its last record, into
 //! what the log proves the party installed, up to the first record that
-//! does not fit. The arbiter and `b2b-check`'s oracles judge through it. A
-//! complete, unanimous decide installs; any other decide (a veto, the
-//! proposer's deadline abort) installs nothing; a signed TTP resolution
-//! ends a round as it says; a proposal that polls nobody installs at once.
-//! The fold judges the paper's unanimous rule: logs written under the §7
-//! majority extension are out of its scope (DESIGN §8).
+//! does not fit. Three callers judge through it: the arbiter,
+//! `b2b-check`'s oracles, and crash recovery, which rebuilds a replica's
+//! group, agreed tuple and replay window from the [`History`] of the
+//! party's own log (DESIGN §8, §13). A decide installs when its response
+//! set carries the decision under the round's rule — the rule the caller
+//! names for a state round, unanimity for a membership change — and
+//! installs nothing otherwise (a veto, the proposer's deadline abort); a
+//! signed TTP resolution ends a round as it says; a proposal that polls
+//! nobody installs at once.
 
+use crate::config::DecisionRule;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
     DecideMsg, MemberAnswer, MemberChange, MemberRequest, MemberVerdict, Proposal, ProposalKind,
     TtpResolution, TtpVerdict,
 };
+use crate::replica::seen_tuple;
 use crate::tally;
 use b2b_crypto::{sha256, CanonicalDecode, Digest32, KeyRing, PartyId, PublicKey};
 use b2b_evidence::{verify_record, EvidenceKind, EvidenceRecord, EvidenceStore, RecordFault};
@@ -33,8 +38,23 @@ pub struct Install {
     pub tuple: StateId,
     /// The members after the install, in join order.
     pub members: Vec<PartyId>,
+    /// The group after the install.
+    pub group: GroupId,
     /// The round that agreed it.
     pub run: RunId,
+}
+
+/// A proposal the log holds, as the party's replay window saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seen {
+    /// Sequence number of the record that holds it.
+    pub record: u64,
+    /// The run label.
+    pub run: RunId,
+    /// The proposed `(seq, rand_hash)` of a state proposal.
+    pub tuple: Option<(u64, Digest32)>,
+    /// The agreed sequence number when the log took it in.
+    pub at: u64,
 }
 
 /// The first record a history cannot account for.
@@ -100,39 +120,70 @@ pub enum FaultKind {
     Answer,
 }
 
-/// What a log proves: its installs, in log order, up to its first fault.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What a log proves: its installs, in log order, up to its first fault,
+/// and what recovery reads besides.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct History {
     /// The installs before the fault, or all of them.
     pub installs: Vec<Install>,
     /// The first record the history cannot account for, if any.
     pub fault: Option<Fault>,
+    /// The sequence number of the record that ended each round the log
+    /// ended, by run; an answer to a membership request is filed under the
+    /// request's digest.
+    pub ended: HashMap<RunId, u64>,
+    /// The proposals of the party's current membership, in log order,
+    /// after the run that welcomed it if it joined: its replay window
+    /// before expiry.
+    pub seen: Vec<Seen>,
+    /// The number of records the log holds.
+    pub len: u64,
 }
 
 /// Folds `log`'s records for `object`, verifying each against `ring` and,
-/// when given, the TSA's `tsa_key`, up to the first fault.
+/// when given, the TSA's `tsa_key`, up to the first fault. A decide of a
+/// state round installs under `rule`.
 pub fn check(
     log: &dyn EvidenceStore,
     object: &ObjectId,
     ring: &KeyRing,
     tsa_key: Option<&PublicKey>,
+    rule: DecisionRule,
 ) -> History {
-    let mut fold = Fold::default();
-    let fault = (0u64..).zip(log.records()).find_map(|(expected, record)| {
+    fold(&log.records(), object, ring, tsa_key, rule)
+}
+
+/// [`check`] over records already read from the log.
+pub(crate) fn fold(
+    records: &[EvidenceRecord],
+    object: &ObjectId,
+    ring: &KeyRing,
+    tsa_key: Option<&PublicKey>,
+    rule: DecisionRule,
+) -> History {
+    let mut fold = Fold {
+        rule,
+        ..Fold::default()
+    };
+    let fault = (0u64..).zip(records).find_map(|(expected, record)| {
         let step = if record.seq != expected {
             Err(FaultKind::OutOfPlace)
         } else if record.object != object.as_str() {
             Ok(())
         } else {
-            verify_record(&record, ring, tsa_key)
+            verify_record(record, ring, tsa_key)
                 .map_err(FaultKind::Record)
-                .and_then(|()| fold.step(&record, object, ring))
+                .and_then(|()| fold.step(record, object, ring))
         };
         let record = record.seq.min(expected);
         step.err().map(|kind| Fault { record, kind })
     });
-    let installs = fold.installs;
-    History { installs, fault }
+    let len = records.len() as u64;
+    History {
+        fault,
+        len,
+        ..fold.history
+    }
 }
 
 /// What the log has established about the group.
@@ -144,6 +195,8 @@ struct Group {
 
 #[derive(Default)]
 struct Fold {
+    /// The rule a state round's decide installs under.
+    rule: DecisionRule,
     /// `None` before the founding or welcome, and after the party left.
     group: Option<Group>,
     /// Every proposal in the log, and whether its round has ended.
@@ -152,7 +205,7 @@ struct Fold {
     tuples: HashMap<(u64, Digest32), RunId>,
     /// The membership requests in the log, by digest.
     requests: HashMap<Digest32, MemberRequest>,
-    installs: Vec<Install>,
+    history: History,
 }
 
 fn decode<T: CanonicalDecode>(r: &EvidenceRecord) -> Result<T, FaultKind> {
@@ -176,9 +229,6 @@ impl Fold {
                 let p: Proposal = decode(r)?;
                 signed_by(r, &p.proposer)?;
                 let run = RunId::from_bytes(&r.payload);
-                if self.rounds.contains_key(&run) {
-                    return Ok(()); // logged again after a recovery
-                }
                 // Only the founder logs a proposal of its genesis group.
                 if self.group.is_none()
                     && p.group.seq == 0
@@ -188,8 +238,19 @@ impl Fold {
                     let (id, members, tuple) = (p.group, vec![p.proposer.clone()], p.prev);
                     self.group = Some(Group { id, members, tuple });
                 }
-                if !p.kind.is_membership() {
-                    let tuple = (p.proposed.seq, p.proposed.rand_hash);
+                let tuple = seen_tuple(&p);
+                let at = self.group.as_ref().map_or(0, |g| g.tuple.seq);
+                let record = r.seq;
+                (self.history.seen).push(Seen {
+                    record,
+                    run,
+                    tuple,
+                    at,
+                });
+                if self.rounds.contains_key(&run) {
+                    return Ok(()); // logged again: a replay, or after a crash
+                }
+                if let Some(tuple) = tuple {
                     self.tuples.entry(tuple).or_insert(run);
                 }
                 let unpolled =
@@ -221,9 +282,9 @@ impl Fold {
                     },
                 )
                 .map_err(FaultKind::ResponseSet)?;
-                let unanimous =
-                    d.responses.len() == polled.len() && tally::vetoers(&d.responses).is_empty();
-                self.end(d.run, r, unanimous)
+                let rule = tally::rule_for(self.rule, &p.kind);
+                let (accepted, _) = tally::decide(rule, polled.len() + 1, &d.responses);
+                self.end(d.run, r, accepted)
             }
             // A member's own appeal, or the resolution of the TTP, which is
             // no member and signs it.
@@ -270,6 +331,7 @@ impl Fold {
     fn end(&mut self, run: RunId, r: &EvidenceRecord, installs: bool) -> Result<(), FaultKind> {
         let (p, ended) = self.rounds.get_mut(&run).ok_or(FaultKind::NoOpenRound)?;
         *ended = true;
+        self.history.ended.insert(run, r.seq);
         if !installs {
             return Ok(());
         }
@@ -317,21 +379,8 @@ impl Fold {
                 }
             }
         }
-        let (tuple, members) = (g.tuple, g.members.clone());
-        self.install(r, tuple, members, run);
+        self.history.installs.push(install(r, g, run));
         Ok(())
-    }
-
-    fn install(&mut self, r: &EvidenceRecord, tuple: StateId, members: Vec<PartyId>, run: RunId) {
-        let (record, by) = (r.seq, r.kind);
-        let install = Install {
-            record,
-            by,
-            tuple,
-            members,
-            run,
-        };
-        self.installs.push(install);
     }
 
     /// A member answer, signed by the sponsor it names. An accepted one for
@@ -342,6 +391,8 @@ impl Fold {
     fn answer(&mut self, r: &EvidenceRecord) -> Result<(), FaultKind> {
         let answer: MemberAnswer = decode(r)?;
         signed_by(r, &answer.sponsor)?;
+        let request = RunId(answer.request_digest);
+        self.history.ended.insert(request, r.seq);
         let MemberVerdict::Accepted {
             run,
             group,
@@ -356,19 +407,44 @@ impl Fold {
             return installed.then_some(()).ok_or(FaultKind::Answer);
         }
         let request = self.requests.get(&answer.request_digest);
-        self.group = match request.map(|q| (&q.change, &q.requester)) {
+        let joined = match request.map(|q| (&q.change, &q.requester)) {
             Some((MemberChange::Join, subject))
                 if self.group.is_none()
                     && members.ends_with(&[answer.sponsor.clone(), subject.clone()])
                     && group.identifies(&members) =>
             {
-                let (id, members, tuple) = (group, members.clone(), agreed);
-                Some(Group { id, members, tuple })
+                true
             }
-            Some((MemberChange::Leave, _)) if self.group.is_some() => None,
+            Some((MemberChange::Leave, _)) if self.group.is_some() => false,
             _ => return Err(FaultKind::Answer),
         };
-        self.install(r, agreed, members, run);
+        let (id, tuple) = (group, agreed);
+        let g = Group { id, members, tuple };
+        self.history.installs.push(install(r, &g, run));
+        if joined {
+            // A new membership: its window starts at the welcome.
+            let (record, at) = (r.seq, tuple.seq);
+            let tuple = None;
+            self.history.seen = vec![Seen {
+                record,
+                run,
+                tuple,
+                at,
+            }];
+        }
+        self.group = joined.then_some(g);
         Ok(())
+    }
+}
+
+/// The install at record `r` of `run`, leaving the group at `g`.
+fn install(r: &EvidenceRecord, g: &Group, run: RunId) -> Install {
+    Install {
+        record: r.seq,
+        by: r.kind,
+        tuple: g.tuple,
+        members: g.members.clone(),
+        group: g.id,
+        run,
     }
 }

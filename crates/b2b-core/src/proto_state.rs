@@ -243,7 +243,7 @@ impl Coordinator {
         let rules = rules(&m1.proposal.kind);
         let rep = self.replicas.get_mut(object).expect("checked above");
         let unpolled = if polled.is_empty() {
-            rep.note_seen(run, seen_tuple(&m1));
+            rep.note_seen(run, seen_tuple(&m1.proposal));
             Some(new_state)
         } else {
             rep.start_run(ActiveRun::Proposer(Box::new(ProposerRun {
@@ -284,14 +284,16 @@ impl Coordinator {
         );
         if let Some(state) = unpolled {
             let outcome = self.install(object, &m1, Some(state));
-            self.close_round(object, run, &m1.proposal.kind, outcome, now);
             let decide = DecideMsg {
                 object: object.clone(),
                 run,
                 authenticator,
                 responses: Vec::new(),
             };
+            // The answer is logged before the round's checkpoint, so one
+            // flush makes both records durable.
             self.answer_subject(object, run, &m1.proposal.kind, true, decide, ctx);
+            self.close_round(object, run, &m1.proposal.kind, outcome, now);
             return run;
         }
         self.send_wire_all(&polled, &WireMsg::Propose(m1), ctx);
@@ -301,16 +303,9 @@ impl Coordinator {
         run
     }
 
-    /// The decision rule of a round: the configured one for a state round,
-    /// unanimity of the polled members for a membership change (§4.5; a
-    /// voluntary departure cannot be vetoed, which they enforce by
-    /// accepting it).
+    /// The decision rule of a round ([`tally::rule_for`]).
     fn rule(&self, kind: &ProposalKind) -> DecisionRule {
-        if kind.is_membership() {
-            DecisionRule::Unanimous
-        } else {
-            self.config.decision_rule
-        }
+        tally::rule_for(self.config.decision_rule, kind)
     }
 
     // -----------------------------------------------------------------
@@ -420,7 +415,7 @@ impl Coordinator {
                 "illegitimate sponsor",
             );
         }
-        let tuple = seen_tuple(&m1);
+        let tuple = seen_tuple(&m1.proposal);
         if !mutation.skip_replay && rep.has_seen_run(&run) {
             // Not the active run and not completed here ⇒ replay.
             c.refuse(Misbehaviour::ReplayedProposal { run }, "replayed proposal");

@@ -7,13 +7,18 @@
 //! selection), the group identifier, the agreed state tuple, replay
 //! detection sets, and at most one active protocol run.
 //!
-//! The replica is checkpointed as two kinds of snapshot-store document — a
-//! [`CoreDoc`] and a ring of [`ReplyDoc`]s — so that a protocol step writes
-//! what it changed and never the replay windows; [`Replica::restore`] puts
-//! them back together.
+//! The party's evidence log is the replica's commit point, and its
+//! checkpoint a cache of the bytes the log lacks: a [`CoreDoc`] (the state
+//! bytes, the active run, the deferred requests, how far into the log it
+//! reaches) and a ring of [`ReplyDoc`]s (the re-replies). A protocol step
+//! writes only the documents it changed, after the records they depend on
+//! are flushed. [`Replica::restore`] rebuilds the members, the group, the
+//! agreed tuple and the replay window from the [`History`] of the party's
+//! own log, and takes from the checkpoint only what the log does not hold.
 
+use crate::history::History;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{MemberRequestMsg, ProposeMsg, RespondMsg, WireMsg, MIN_PARTY_BYTES};
+use crate::messages::{MemberRequestMsg, Proposal, ProposeMsg, RespondMsg, WireMsg};
 use crate::object::B2BObject;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
@@ -25,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// First byte of every blob this module (and the coordinator's object
 /// index) puts in the snapshot store: the version of the layout that
 /// follows. A blob with any other first byte is not decoded.
-pub const SNAPSHOT_FORMAT: u8 = 4;
+pub const SNAPSHOT_FORMAT: u8 = 5;
 
 /// Lower bound on the encoded size of a signed message (it holds at least
 /// one digest), for [`Decoder::get_count`].
@@ -213,69 +218,40 @@ impl CanonicalDecode for ActiveRun {
     }
 }
 
-/// One replay-window entry: a proposal this replica has seen, keyed for
-/// expiry by the agreed sequence number current when it was first seen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeenEntry {
-    /// The run label (digest of the signed proposal).
-    pub run: RunId,
-    /// `agreed.seq` when the proposal was first seen; the entry expires
-    /// once the agreed state is more than the replay window past it.
-    pub seen_at: u64,
-    /// For state proposals, the `(seq, rand_hash)` half of the proposed
-    /// tuple (invariant 4 of §4.2); membership proposals have none.
-    pub tuple: Option<(u64, Digest32)>,
-}
-
 /// A replica's replay window as sorted lists: `(run, seen_at)` pairs and
 /// `((seq, rand_hash), seen_at)` pairs.
 pub type ReplayWindow = (Vec<(RunId, u64)>, Vec<((u64, Digest32), u64)>);
-
-/// Lower bound on an encoded [`SeenEntry`], for [`Decoder::get_count`].
-const MIN_SEEN_BYTES: usize = 41;
-
-fn put_tuple(enc: &mut Encoder, tuple: &Option<(u64, Digest32)>) {
-    enc.put_bool(tuple.is_some());
-    if let Some((seq, rand_hash)) = tuple {
-        enc.put_u64(*seq);
-        enc.put_digest(rand_hash);
-    }
-}
-
-fn get_tuple(dec: &mut Decoder<'_>) -> Result<Option<(u64, Digest32)>, DecodeError> {
-    Ok(if dec.get_bool()? {
-        Some((dec.get_u64()?, dec.get_digest()?))
-    } else {
-        None
-    })
-}
-
-impl CanonicalEncode for SeenEntry {
-    fn encode(&self, enc: &mut Encoder) {
-        self.run.encode(enc);
-        enc.put_u64(self.seen_at);
-        put_tuple(enc, &self.tuple);
-    }
-}
-
-impl CanonicalDecode for SeenEntry {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(SeenEntry {
-            run: RunId::decode(dec)?,
-            seen_at: dec.get_u64()?,
-            tuple: get_tuple(dec)?,
-        })
-    }
-}
 
 impl ActiveRun {
     /// What the replay window holds for this run: its label and, for a
     /// state run, the proposed tuple's `(seq, rand_hash)`.
     fn seen_key(&self) -> Option<(RunId, Option<(u64, Digest32)>)> {
         match self {
-            ActiveRun::Proposer(r) => Some((r.run, seen_tuple(&r.propose))),
-            ActiveRun::Recipient(r) => Some((r.run, seen_tuple(&r.propose))),
+            ActiveRun::Proposer(r) => Some((r.run, seen_tuple(&r.propose.proposal))),
+            ActiveRun::Recipient(r) => Some((r.run, seen_tuple(&r.propose.proposal))),
             ActiveRun::Leaving(_) => None,
+        }
+    }
+
+    /// The key the log files this run's end under ([`History::ended`]):
+    /// its label, or for a departure the digest of its request.
+    fn end_key(&self) -> RunId {
+        match self {
+            ActiveRun::Proposer(r) => r.run,
+            ActiveRun::Recipient(r) => r.run,
+            ActiveRun::Leaving(r) => RunId(r.request.request.canonical_digest()),
+        }
+    }
+
+    /// The successor state this run carries, if it is a state run that
+    /// holds one.
+    fn carried_state(&self) -> Option<&Vec<u8>> {
+        match self {
+            ActiveRun::Proposer(r) if !r.propose.proposal.kind.is_membership() => {
+                Some(&r.new_state)
+            }
+            ActiveRun::Recipient(r) => r.pending_state.as_ref(),
+            _ => None,
         }
     }
 }
@@ -283,9 +259,8 @@ impl ActiveRun {
 /// The tuple half of a proposal's replay-window entry: the proposed
 /// `(seq, rand_hash)` of a state proposal; a membership proposal, which
 /// proposes the agreed tuple, has none.
-pub(crate) fn seen_tuple(m1: &ProposeMsg) -> Option<(u64, Digest32)> {
-    let t = &m1.proposal.proposed;
-    (!m1.proposal.kind.is_membership()).then_some((t.seq, t.rand_hash))
+pub(crate) fn seen_tuple(p: &Proposal) -> Option<(u64, Digest32)> {
+    (!p.kind.is_membership()).then_some((p.proposed.seq, p.proposed.rand_hash))
 }
 
 /// One half of the replay window: each key with the latest `seen_at` of
@@ -359,11 +334,6 @@ pub struct Replica {
     /// Proposal tuples seen (invariant 4 of §4.2), each with the latest
     /// `seen_at` of the entries that carry it; pruned with `seen_runs`.
     pub(crate) seen_tuples: SeenMap<(u64, Digest32)>,
-    /// Window entries that neither the active run nor a reply slot
-    /// carries: proposals recorded without becoming the active run, runs
-    /// that ended without a re-reply, and entries that outlive their
-    /// evicted slot. Checkpointed in the core document; normally empty.
-    pub(crate) loose_seen: Vec<SeenEntry>,
     /// At most one active run.
     pub(crate) active: Option<ActiveRun>,
     /// Membership requests deferred behind the active run (§4.5.1: the
@@ -383,8 +353,11 @@ pub struct Replica {
     unwritten: Vec<(RunId, Vec<u8>)>,
     /// Monotonic counter of remembered replies; numbers the reply slots.
     pub(crate) reply_slots: u64,
-    /// Set when this party has left (or been evicted from) the group; the
-    /// replica is kept for inspection but no longer coordinates.
+    /// The length of the evidence log when the core document was last
+    /// written: how far into the log the checkpoint reaches.
+    logged: u64,
+    /// Set when this party has left the group; the replica is kept for
+    /// inspection but no longer coordinates.
     pub(crate) detached: bool,
     /// Set when this party was admitted through the connection protocol
     /// (not checkpointed: it answers [`ConnectStatus::Member`] until the
@@ -429,12 +402,12 @@ impl Replica {
             agreed_state,
             seen_runs: SeenMap(Vec::new()),
             seen_tuples: SeenMap(Vec::new()),
-            loose_seen: Vec::new(),
             active: None,
             queued: Vec::new(),
             replies: VecDeque::new(),
             unwritten: Vec::new(),
             reply_slots: 0,
+            logged: 0,
             detached: false,
             joined: false,
             core_dirty: true,
@@ -516,17 +489,6 @@ impl Replica {
     // Mutation points: each notes which checkpoint document it staled.
     // -----------------------------------------------------------------
 
-    /// Enters `entry` in the window maps if it is not past the window.
-    fn admit_seen(&mut self, entry: &SeenEntry, floor: u64) {
-        if entry.seen_at < floor {
-            return;
-        }
-        self.seen_runs.admit(entry.run, entry.seen_at);
-        if let Some(tuple) = entry.tuple {
-            self.seen_tuples.admit(tuple, entry.seen_at);
-        }
-    }
-
     /// Whether `run` is in the replay window.
     pub(crate) fn has_seen_run(&self, run: &RunId) -> bool {
         self.seen_runs.get(run).is_some()
@@ -537,37 +499,34 @@ impl Replica {
         self.seen_tuples.get(tuple).is_some()
     }
 
-    /// Records a proposal that does not become the active run (rejected
-    /// without tracking, or decided on the spot). A run already in the
-    /// window keeps its first `seen_at`: a proposal old enough to have
-    /// expired names a predecessor that is no longer the agreed state.
-    pub(crate) fn note_seen(&mut self, run: RunId, tuple: Option<(u64, Digest32)>) {
+    /// Records a proposal in the replay window, first seen at the agreed
+    /// sequence number `at`. A run already in the window keeps its first
+    /// `seen_at`: a proposal old enough to have expired names a
+    /// predecessor that is no longer the agreed state. The core document
+    /// is due again, so that its log mark commits the sighting.
+    fn see(&mut self, run: RunId, tuple: Option<(u64, Digest32)>, at: u64) {
         if self.has_seen_run(&run) {
             return;
         }
-        let entry = SeenEntry {
-            run,
-            seen_at: self.agreed.seq,
-            tuple,
-        };
-        self.admit_seen(&entry, 0);
-        self.loose_seen.push_small(entry);
+        self.seen_runs.admit(run, at);
+        if let Some(tuple) = tuple {
+            self.seen_tuples.admit(tuple, at);
+        }
         self.core_dirty = true;
     }
 
-    /// Makes `run` the active run and records it in the replay window; the
-    /// core document carries the run, and with it the window entry (whose
-    /// `seen_at` is the agreed sequence number for as long as the run is
-    /// active, since only the run's own end can install a state).
+    /// Records a proposal that does not become the active run (rejected
+    /// without tracking, decided on the spot, or the round that welcomed
+    /// this party).
+    pub(crate) fn note_seen(&mut self, run: RunId, tuple: Option<(u64, Digest32)>) {
+        self.see(run, tuple, self.agreed.seq);
+    }
+
+    /// Makes `run` the active run and records it in the replay window.
     pub(crate) fn start_run(&mut self, run: ActiveRun) {
         debug_assert!(self.active.is_none(), "one run at a time");
         if let Some((label, tuple)) = run.seen_key() {
-            let entry = SeenEntry {
-                run: label,
-                seen_at: self.agreed.seq,
-                tuple,
-            };
-            self.admit_seen(&entry, 0);
+            self.note_seen(label, tuple);
         }
         self.active = Some(run);
         self.core_dirty = true;
@@ -580,22 +539,10 @@ impl Replica {
         self.core_dirty = true;
     }
 
-    /// Ends the active run. Its window entry moves to the loose list until
-    /// (and unless) [`Replica::remember_reply`] gives it a reply slot.
+    /// Ends the active run.
     pub(crate) fn finish_run(&mut self) -> Option<ActiveRun> {
         let run = self.active.take()?;
         self.core_dirty = true;
-        if let Some((label, tuple)) = run.seen_key() {
-            let housed =
-                self.reply_of(&label).is_some() || self.loose_seen.iter().any(|e| e.run == label);
-            if let (Some(seen_at), false) = (self.seen_runs.get(&label), housed) {
-                self.loose_seen.push_small(SeenEntry {
-                    run: label,
-                    seen_at,
-                    tuple,
-                });
-            }
-        }
         Some(run)
     }
 
@@ -646,44 +593,26 @@ impl Replica {
     /// retransmitting a run older than the cap gets silence and recovers
     /// through the normal state-transfer path; `cap == 0` retains nothing.
     ///
-    /// The replica keeps only the reply's index — its run, its number and
-    /// the tuple of its window entry — and reads the bytes back from the
-    /// reply document on a re-reply ([`Replica::completed_reply`]). The
-    /// run's window entry moves from the loose list into the reply's slot;
-    /// an evicted reply whose entry is still inside the window hands it
-    /// back.
+    /// The replica keeps only the reply's index — its run and its number —
+    /// and reads the bytes back from the reply document on a re-reply
+    /// ([`Replica::completed_reply`]).
     pub(crate) fn remember_reply(&mut self, run: RunId, cap: usize) -> Option<Doc> {
         if cap == 0 {
             return None;
         }
-        let tuple = match self.loose_seen.iter().rposition(|e| e.run == run) {
-            Some(i) => {
-                let entry = self.loose_seen.remove(i);
-                self.loose_seen.release_if_empty();
-                entry.tuple
-            }
-            None => None,
-        };
         if let Some(i) = self.replies.iter().position(|(r, _)| *r == run) {
             self.replies.remove(i);
         }
         while self.replies.len() >= cap {
-            let Some((oldest, evicted)) = self.replies.pop_front() else {
+            let Some((oldest, _)) = self.replies.pop_front() else {
                 break;
             };
             self.unwritten.retain(|(r, _)| *r != oldest);
-            if let Some(seen_at) = self.seen_runs.get(&oldest) {
-                self.loose_seen.push_small(SeenEntry {
-                    run: oldest,
-                    seen_at,
-                    tuple: evicted.tuple,
-                });
-            }
         }
         let n = self.reply_slots;
         self.reply_slots += 1;
         self.core_dirty = true;
-        self.replies.push_small((run, StoredReply { n, tuple }));
+        self.replies.push_small((run, StoredReply { n }));
         Some(Doc::Reply {
             run,
             slot: reply_slot(n, cap),
@@ -694,15 +623,9 @@ impl Replica {
     /// (the reply's encoding, written straight into the document).
     pub(crate) fn reply_doc(&self, run: &RunId, wire: &WireMsg) -> Option<Vec<u8>> {
         let stored = self.reply_of(run)?;
-        let seen_at = self.seen_runs.get(run);
-        Some(encode_reply_doc(
-            stored.n,
-            run,
-            seen_at,
-            &stored.tuple,
-            wire.size_hint(),
-            |enc| wire.encode_into(enc),
-        ))
+        Some(encode_reply_doc(stored.n, run, wire.size_hint(), |enc| {
+            wire.encode_into(enc)
+        }))
     }
 
     /// Keeps the wire bytes of `run`'s reply, whose document write failed,
@@ -748,11 +671,14 @@ impl Replica {
     /// misbehaviour label (generic complaint instead of
     /// `ReplayedProposal`) while bounding the window across runs.
     pub(crate) fn prune_seen(&mut self, window: u64) {
-        let floor = self.agreed.seq.saturating_sub(window);
+        self.prune_seen_at(self.agreed.seq, window);
+    }
+
+    /// Prunes the window as an install of sequence number `seq` does.
+    fn prune_seen_at(&mut self, seq: u64, window: u64) {
+        let floor = seq.saturating_sub(window);
         self.seen_runs.prune(floor);
         self.seen_tuples.prune(floor);
-        self.loose_seen.retain(|e| e.seen_at >= floor);
-        self.loose_seen.release_if_empty();
     }
 
     // -----------------------------------------------------------------
@@ -764,36 +690,40 @@ impl Replica {
     /// write failed before the core document whose `reply_slots` commits
     /// them, so the core never counts a reply that is not there. A reply
     /// document stays due until [`Replica::reply_written`]; the core
-    /// document is due again after [`Replica::mark_core_stale`].
-    pub(crate) fn take_stale_docs(&mut self, cap: usize) -> Vec<(Doc, Vec<u8>)> {
+    /// document is due again after [`Replica::mark_core_stale`]. `logged`
+    /// is the length of the evidence log, every record of which is
+    /// durable: the core document records it as its mark.
+    pub(crate) fn take_stale_docs(&mut self, cap: usize, logged: u64) -> Vec<(Doc, Vec<u8>)> {
         let mut docs = Vec::new();
         for (run, wire) in &self.unwritten {
             let Some(stored) = self.reply_of(run) else {
                 continue;
             };
-            let seen_at = self.seen_runs.get(run);
-            let blob = encode_reply_doc(stored.n, run, seen_at, &stored.tuple, wire.len(), |enc| {
-                enc.put_raw(wire)
-            });
+            let blob = encode_reply_doc(stored.n, run, wire.len(), |enc| enc.put_raw(wire));
             let slot = reply_slot(stored.n, cap);
             docs.push((Doc::Reply { run: *run, slot }, blob));
         }
         if std::mem::take(&mut self.core_dirty) {
+            self.logged = logged;
             docs.push((Doc::Core, self.core_doc()));
         }
         docs
     }
 
-    /// The core document of the replica as it stands.
+    /// The core document of the replica as it stands. A replica that has
+    /// seen no proposal has logged nothing its group could be read from,
+    /// so the document carries its founding.
     pub(crate) fn core_doc(&self) -> Vec<u8> {
         CoreRef {
-            members: &self.members,
-            group: &self.group,
-            agreed: &self.agreed,
+            logged: self.logged,
+            founding: self
+                .seen_runs
+                .0
+                .is_empty()
+                .then_some((&self.group, &self.agreed)),
             agreed_state: &self.agreed_state,
             active: &self.active,
             queued: &self.queued,
-            loose_seen: &self.loose_seen,
             reply_slots: self.reply_slots,
             detached: self.detached,
         }
@@ -801,89 +731,137 @@ impl Replica {
     }
 
     /// Whether the core document is due to be rewritten.
-    #[cfg(debug_assertions)]
     pub(crate) fn core_is_stale(&self) -> bool {
         self.core_dirty
     }
 
-    /// Rebuilds a replica from its checkpoint documents around a freshly
-    /// constructed application object (the object's state is re-installed
-    /// from the core document).
+    /// Rebuilds `me`'s replica from the `history` of its own log and its
+    /// checkpoint documents, around a fresh application object.
     ///
-    /// * `fetch_reply` resolves a reply slot to the blob last written to
-    ///   it. Reply `n` is retained iff `reply_slots - cap <= n <
-    ///   reply_slots` and slot `n % (cap + 1)` holds the blob numbered
-    ///   `n`; a blob numbered `reply_slots` or later was written by a step
-    ///   whose core document never landed and is not committed.
-    /// * The replay window is the union of the entries the active run, the
-    ///   retained replies and the core's loose list carry, pruned to
-    ///   `window`.
+    /// * The history counts up to the core document's mark, and past it
+    ///   only where it ends the document's active run, which is then over
+    ///   ([`Ended`]; a state run it installed hands over its bytes). The
+    ///   last install (or the document's founding) gives the members, the
+    ///   group and the agreed tuple, to which the state bytes must hash.
+    /// * The replay window holds every proposal seen before the mark, at
+    ///   the agreed sequence number of its record, expired as installs do.
+    /// * Reply `n` is retained iff `reply_slots - cap <= n < reply_slots`
+    ///   and `fetch_reply` finds it in slot `n % (cap + 1)`; one numbered
+    ///   `reply_slots` or later is from a step whose core document never
+    ///   landed.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError`] when the log and the checkpoint disagree.
+    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         object_id: ObjectId,
         object: Box<dyn B2BObject>,
+        me: &PartyId,
+        history: &History,
         core: CoreDoc,
         cap: usize,
         window: u64,
         mut fetch_reply: impl FnMut(u64) -> Option<Vec<u8>>,
-    ) -> Replica {
-        let mut rep = Replica::new(
-            object_id,
-            object,
-            core.members,
-            core.group,
-            core.agreed,
-            core.agreed_state,
-        );
+    ) -> Result<(Replica, Option<Ended>), RestoreError> {
+        let CoreDoc {
+            logged,
+            founding,
+            mut agreed_state,
+            mut active,
+            queued,
+            reply_slots,
+            detached,
+        } = core;
+        if logged > history.len {
+            return Err(RestoreError::Behind);
+        }
+        let end = (active.as_ref()).and_then(|run| history.ended.get(&run.end_key()).copied());
+        let installs = &history.installs;
+        if installs
+            .iter()
+            .any(|i| i.record >= logged && Some(i.record) != end)
+        {
+            return Err(RestoreError::Ahead);
+        }
+        let (members, group, agreed) = match (installs.last(), founding) {
+            (Some(i), _) => (i.members.clone(), i.group, i.tuple),
+            (None, Some((group, agreed))) => (vec![me.clone()], group, agreed),
+            (None, None) => return Err(RestoreError::NoGroup),
+        };
+        let ended = end.and_then(|record| {
+            let run = active.take()?;
+            let installed = installs.last().is_some_and(|i| i.record == record);
+            if let (true, Some(state)) = (installed, run.carried_state()) {
+                agreed_state.clone_from(state);
+            }
+            Some(Ended {
+                run,
+                record,
+                installed,
+            })
+        });
+        if !agreed.identifies(&agreed_state) {
+            return Err(RestoreError::State);
+        }
+        let mut rep = Replica::new(object_id, object, members, group, agreed, agreed_state);
         rep.object.apply_state(&rep.agreed_state);
-        rep.queued = core.queued;
-        rep.reply_slots = core.reply_slots;
-        rep.detached = core.detached;
-        rep.core_dirty = false;
-        let floor = rep.agreed.seq.saturating_sub(window);
-
-        for n in core.reply_slots.saturating_sub(cap as u64)..core.reply_slots {
+        rep.detached = detached || !rep.is_member(me);
+        rep.active = active;
+        rep.queued = queued;
+        rep.reply_slots = reply_slots;
+        rep.logged = logged;
+        let mut pruned_at = None;
+        for seen in history.seen.iter().filter(|s| s.record < logged) {
+            if pruned_at != Some(seen.at) {
+                rep.prune_seen_at(seen.at, window);
+                pruned_at = Some(seen.at);
+            }
+            rep.see(seen.run, seen.tuple, seen.at);
+        }
+        rep.prune_seen(window);
+        for n in reply_slots.saturating_sub(cap as u64)..reply_slots {
             let Some(doc) = fetch_reply(reply_slot(n, cap))
                 .and_then(|blob| ReplyDoc::from_bytes(&blob).ok())
                 .filter(|doc| doc.n == n)
             else {
                 continue;
             };
-            if let Some(seen_at) = doc.seen_at {
-                rep.admit_seen(
-                    &SeenEntry {
-                        run: doc.run,
-                        seen_at,
-                        tuple: doc.tuple,
-                    },
-                    floor,
-                );
-            }
-            let stored = StoredReply {
-                n,
-                tuple: doc.tuple,
-            };
-            rep.replies.push_small((doc.run, stored));
+            rep.replies.push_small((doc.run, StoredReply { n }));
         }
-        for entry in core.loose_seen {
-            if entry.seen_at >= floor {
-                rep.admit_seen(&entry, floor);
-                rep.loose_seen.push_small(entry);
-            }
-        }
-        if let Some((run, tuple)) = core.active.as_ref().and_then(ActiveRun::seen_key) {
-            let seen_at = rep.agreed.seq;
-            rep.admit_seen(
-                &SeenEntry {
-                    run,
-                    seen_at,
-                    tuple,
-                },
-                floor,
-            );
-        }
-        rep.active = core.active;
-        rep
+        rep.core_dirty = ended.is_some();
+        Ok((rep, ended))
     }
+}
+
+/// Why a replica is not restored: its log and its checkpoint disagree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, thiserror::Error)]
+pub enum RestoreError {
+    /// The log installs past the checkpoint's mark, other than by ending
+    /// the checkpoint's active run.
+    #[error("the log installs past what the checkpoint reaches")]
+    Ahead,
+    /// The checkpoint reaches past the end of the log.
+    #[error("the checkpoint reaches past the log")]
+    Behind,
+    /// Neither the log nor the checkpoint establishes a group.
+    #[error("neither the log nor the checkpoint founds a group")]
+    NoGroup,
+    /// The state bytes do not hash to the agreed tuple.
+    #[error("the state bytes do not hash to the agreed tuple")]
+    State,
+}
+
+/// A checkpoint's active run that the log shows ended: the end of a step
+/// whose last checkpoint write did not land.
+#[derive(Debug)]
+pub struct Ended {
+    /// The run, as the checkpoint held it.
+    pub run: ActiveRun,
+    /// The sequence number of the record that ended it.
+    pub record: u64,
+    /// Whether that record installed the run.
+    pub installed: bool,
 }
 
 /// Finishes a checkpoint blob, trimmed to its length: the in-memory stores
@@ -903,59 +881,52 @@ fn reply_slot(n: u64, cap: usize) -> u64 {
     n % (cap as u64 + 1)
 }
 
-/// A completed run's re-reply, by index: its number in the reply ring
-/// (which fixes the snapshot-store slot its reply document is written to)
-/// and the tuple half of its replay-window entry. The reply's bytes live
-/// in that document.
+/// A completed run's re-reply, by index: its number in the reply ring,
+/// which fixes the snapshot-store slot its reply document is written to.
+/// The reply's bytes live in that document.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoredReply {
     /// The value of the replica's reply counter when this was remembered.
     pub n: u64,
-    /// The run's `(seq, rand_hash)`, for a state run inside the window.
-    pub tuple: Option<(u64, Digest32)>,
 }
 
-/// The **core** checkpoint document, key `obj-<id>`: the replica without
-/// its replay windows and re-reply ring. Written by every step that
-/// changes one of its fields, the active run included.
+/// The **core** checkpoint document, key `obj-<id>`: the bytes of the
+/// replica that its log does not hold. Written by every step that changes
+/// one of its fields, the active run included, after the records it
+/// depends on are flushed.
 ///
-/// Layout: [`SNAPSHOT_FORMAT`], members, group, agreed tuple, agreed state
-/// (length-prefixed raw bytes), the active run (its messages exactly as
-/// they travel on the wire), queued requests, loose window entries,
-/// `reply_slots`, detached.
+/// Layout: [`SNAPSHOT_FORMAT`], the log mark, the optional founding (group
+/// and agreed tuple), the agreed state (length-prefixed raw bytes), the
+/// active run (its messages exactly as they travel on the wire), queued
+/// requests, `reply_slots`, detached.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoreDoc {
-    /// Member list in join order.
-    pub members: Vec<PartyId>,
-    /// Group identifier.
-    pub group: GroupId,
-    /// Agreed state tuple.
-    pub agreed: StateId,
+    /// The length of the evidence log when the document was written.
+    pub logged: u64,
+    /// A founder's genesis group and tuple, while it has logged no
+    /// proposal.
+    pub founding: Option<(GroupId, StateId)>,
     /// Agreed state bytes.
     pub agreed_state: Vec<u8>,
-    /// The active run, if one was in progress. Its replay-window entry is
-    /// implied: first seen at `agreed.seq`.
+    /// The active run, if one was in progress.
     pub active: Option<ActiveRun>,
     /// Deferred membership requests.
     pub queued: Vec<MemberRequestMsg>,
-    /// Replay-window entries no other document carries.
-    pub loose_seen: Vec<SeenEntry>,
     /// Replies remembered so far: reply documents numbered below this are
     /// committed.
     pub reply_slots: u64,
-    /// Whether the party had left the group.
+    /// Whether the party had left the group; the log records every leave
+    /// but a sole member's.
     pub detached: bool,
 }
 
 /// The fields of a core document, borrowed from wherever they live.
 struct CoreRef<'a> {
-    members: &'a [PartyId],
-    group: &'a GroupId,
-    agreed: &'a StateId,
+    logged: u64,
+    founding: Option<(&'a GroupId, &'a StateId)>,
     agreed_state: &'a [u8],
     active: &'a Option<ActiveRun>,
     queued: &'a [MemberRequestMsg],
-    loose_seen: &'a [SeenEntry],
     reply_slots: u64,
     detached: bool,
 }
@@ -963,20 +934,20 @@ struct CoreRef<'a> {
 impl CoreRef<'_> {
     fn to_bytes(&self) -> Vec<u8> {
         let hint = 256
-            + 32 * self.members.len()
             + self.agreed_state.len()
             + if self.active.is_some() { 2048 } else { 0 }
-            + 512 * self.queued.len()
-            + 2 * MIN_SEEN_BYTES * self.loose_seen.len();
+            + 512 * self.queued.len();
         let mut enc = Encoder::with_capacity(hint);
         enc.put_u8(SNAPSHOT_FORMAT);
-        encode_seq(self.members, &mut enc);
-        self.group.encode(&mut enc);
-        self.agreed.encode(&mut enc);
+        enc.put_u64(self.logged);
+        enc.put_bool(self.founding.is_some());
+        if let Some((group, agreed)) = self.founding {
+            group.encode(&mut enc);
+            agreed.encode(&mut enc);
+        }
         enc.put_bytes(self.agreed_state);
         self.active.encode(&mut enc);
         encode_seq(self.queued, &mut enc);
-        encode_seq(self.loose_seen, &mut enc);
         enc.put_u64(self.reply_slots);
         enc.put_bool(self.detached);
         finish_doc(enc)
@@ -987,13 +958,11 @@ impl CoreDoc {
     /// The blob written to the snapshot store.
     pub fn to_bytes(&self) -> Vec<u8> {
         CoreRef {
-            members: &self.members,
-            group: &self.group,
-            agreed: &self.agreed,
+            logged: self.logged,
+            founding: self.founding.as_ref().map(|(g, a)| (g, a)),
             agreed_state: &self.agreed_state,
             active: &self.active,
             queued: &self.queued,
-            loose_seen: &self.loose_seen,
             reply_slots: self.reply_slots,
             detached: self.detached,
         }
@@ -1003,14 +972,18 @@ impl CoreDoc {
     /// Decodes a blob written by [`CoreDoc::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<CoreDoc, DecodeError> {
         let mut dec = snapshot_decoder(bytes)?;
+        let logged = dec.get_u64()?;
+        let founding = if dec.get_bool()? {
+            Some((GroupId::decode(&mut dec)?, StateId::decode(&mut dec)?))
+        } else {
+            None
+        };
         let doc = CoreDoc {
-            members: decode_seq(&mut dec, MIN_PARTY_BYTES)?,
-            group: GroupId::decode(&mut dec)?,
-            agreed: StateId::decode(&mut dec)?,
+            logged,
+            founding,
             agreed_state: Vec::<u8>::decode(&mut dec)?,
             active: Option::<ActiveRun>::decode(&mut dec)?,
             queued: decode_seq(&mut dec, MIN_MSG_BYTES)?,
-            loose_seen: decode_seq(&mut dec, MIN_SEEN_BYTES)?,
             reply_slots: dec.get_u64()?,
             detached: dec.get_bool()?,
         };
@@ -1020,23 +993,17 @@ impl CoreDoc {
 }
 
 /// A **reply** checkpoint document, key `obj-<id>-reply-<slot>`: the
-/// re-reply of one completed run plus that run's replay-window entry.
-/// Written once, when the run completes, *before* the core document whose
-/// `reply_slots` commits it.
+/// re-reply of one completed run. Written once, when the run completes,
+/// *before* the core document whose `reply_slots` commits it.
 ///
-/// Layout: [`SNAPSHOT_FORMAT`], `n`, run label, optional `seen_at`,
-/// optional tuple, the wire message (length-prefixed).
+/// Layout: [`SNAPSHOT_FORMAT`], `n`, run label, the wire message
+/// (length-prefixed).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplyDoc {
     /// The reply's number in the ring; it lives in slot `n % (cap + 1)`.
     pub n: u64,
     /// The completed run.
     pub run: RunId,
-    /// `seen_at` of the run's window entry, if it was inside the window
-    /// when the run completed.
-    pub seen_at: Option<u64>,
-    /// The tuple half of the window entry (state runs).
-    pub tuple: Option<(u64, Digest32)>,
     /// The encoded re-reply ([`WireMsg::to_bytes`]).
     pub wire: Vec<u8>,
 }
@@ -1046,17 +1013,13 @@ pub struct ReplyDoc {
 fn encode_reply_doc(
     n: u64,
     run: &RunId,
-    seen_at: Option<u64>,
-    tuple: &Option<(u64, Digest32)>,
     wire_len: usize,
     put_wire: impl FnOnce(&mut Encoder),
 ) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(128 + wire_len);
+    let mut enc = Encoder::with_capacity(64 + wire_len);
     enc.put_u8(SNAPSHOT_FORMAT);
     enc.put_u64(n);
     run.encode(&mut enc);
-    seen_at.encode(&mut enc);
-    put_tuple(&mut enc, tuple);
     enc.put_nested(put_wire);
     finish_doc(enc)
 }
@@ -1064,14 +1027,9 @@ fn encode_reply_doc(
 impl ReplyDoc {
     /// The blob written to the snapshot store.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode_reply_doc(
-            self.n,
-            &self.run,
-            self.seen_at,
-            &self.tuple,
-            self.wire.len(),
-            |enc| enc.put_raw(&self.wire),
-        )
+        encode_reply_doc(self.n, &self.run, self.wire.len(), |enc| {
+            enc.put_raw(&self.wire)
+        })
     }
 
     /// Decodes a blob written by [`ReplyDoc::to_bytes`].
@@ -1080,8 +1038,6 @@ impl ReplyDoc {
         let doc = ReplyDoc {
             n: dec.get_u64()?,
             run: RunId::decode(&mut dec)?,
-            seen_at: Option::<u64>::decode(&mut dec)?,
-            tuple: get_tuple(&mut dec)?,
             wire: Vec::<u8>::decode(&mut dec)?,
         };
         dec.finish()?;
@@ -1093,6 +1049,7 @@ impl ReplyDoc {
 mod tests {
     use super::*;
     use crate::decision::Decision;
+    use crate::history::Seen;
     use crate::messages::DecideMsg;
     use b2b_crypto::sha256;
     use std::collections::HashMap;
@@ -1155,9 +1112,10 @@ mod tests {
         }))
     }
 
-    /// Writes every stale document of `r` into `store`, as `persist` does.
+    /// Writes every stale document of `r` into `store`, as `persist` does,
+    /// over a log of 0 records.
     fn checkpoint(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>, cap: usize) {
-        for (doc, blob) in r.take_stale_docs(cap) {
+        for (doc, blob) in r.take_stale_docs(cap, 0) {
             if let Doc::Reply { run, .. } = doc {
                 r.reply_written(&run);
             }
@@ -1193,15 +1151,36 @@ mod tests {
         }
     }
 
-    fn restore(store: &HashMap<String, Vec<u8>>, cap: usize, window: u64) -> Replica {
+    /// A history that establishes nothing: the founder's own, before it
+    /// proposes.
+    fn empty() -> History {
+        History::default()
+    }
+
+    fn restore_from(
+        history: &History,
+        core: CoreDoc,
+        store: &HashMap<String, Vec<u8>>,
+        cap: usize,
+    ) -> Result<(Replica, Option<Ended>), RestoreError> {
         Replica::restore(
             ObjectId::new("obj"),
             Box::new(Bytes(b"99".to_vec())),
-            CoreDoc::from_bytes(&store["core"]).unwrap(),
+            &PartyId::new("a"),
+            history,
+            core,
             cap,
-            window,
+            8,
             |slot| store.get(&format!("reply-{slot}")).cloned(),
         )
+    }
+
+    /// The founder's replica back from `store` and an empty history.
+    fn restore(store: &HashMap<String, Vec<u8>>, cap: usize) -> Replica {
+        let core = CoreDoc::from_bytes(&store["core"]).unwrap();
+        let (rep, ended) = restore_from(&empty(), core, store, cap).unwrap();
+        assert!(ended.is_none());
+        rep
     }
 
     fn assert_same(a: &Replica, b: &Replica) {
@@ -1210,7 +1189,6 @@ mod tests {
         assert_eq!(a.agreed, b.agreed);
         assert_eq!(a.agreed_state, b.agreed_state);
         assert_eq!(a.replay_window(), b.replay_window());
-        assert_eq!(a.loose_seen, b.loose_seen);
         assert_eq!(a.active, b.active);
         assert_eq!(a.queued, b.queued);
         assert_eq!(a.completed(), b.completed());
@@ -1279,9 +1257,9 @@ mod tests {
 
     #[test]
     fn a_reply_whose_document_write_failed_is_held_until_written() {
-        let (cap, window) = (4, 8);
+        let cap = 4;
         let mut store = HashMap::new();
-        let mut r = replica(&["a", "b"]);
+        let mut r = replica(&["a"]);
         r.remember_reply(run_id(1), cap);
         r.hold_unwritten(run_id(1), decide(run_id(1)).to_bytes());
         // Re-replies read the held bytes: the store has no document.
@@ -1293,7 +1271,7 @@ mod tests {
         assert_eq!(store["reply-0"], want);
         assert!(r.unwritten.is_empty() && r.unwritten.capacity() == 0);
         assert_eq!(reply(&r, &store, run_id(1), cap), Some(decide(run_id(1))));
-        assert_same(&restore(&store, cap, window), &r);
+        assert_same(&restore(&store, cap), &r);
     }
 
     #[test]
@@ -1309,7 +1287,6 @@ mod tests {
         assert_eq!(runs.len(), 4); // first seen at 6..=9
         assert!(runs.iter().all(|(_, at)| *at >= 6));
         assert_eq!(tuples.len(), 4);
-        assert_eq!(r.loose_seen.len(), 4);
     }
 
     #[test]
@@ -1319,77 +1296,142 @@ mod tests {
         r.agreed.seq = 5;
         r.note_seen(run_id(1), None);
         assert_eq!(r.replay_window().0, vec![(run_id(1), 0)]);
-        assert_eq!(r.loose_seen.len(), 1);
+    }
+
+    /// A founder's replica with `installs` state installs over `sightings`
+    /// noted runs: the checkpoint and the history of the log it wrote.
+    fn founder_with_history(
+        store: &mut HashMap<String, Vec<u8>>,
+        cap: usize,
+    ) -> (Replica, History) {
+        let window = 8;
+        let mut r = replica(&["a"]);
+        let mut history = empty();
+        // Twenty proposals, one per install, and each seen again later:
+        // a replay inside the window keeps its first `seen_at`, one past
+        // it enters afresh.
+        for i in 0..20u64 {
+            for run in [i, i.saturating_sub(3), i.saturating_sub(12)] {
+                let tuple = Some((run + 1, sha256(&[run as u8])));
+                let at = r.agreed.seq;
+                r.note_seen(run_id(run), tuple);
+                let record = history.seen.len() as u64;
+                let run = run_id(run);
+                history.seen.push(Seen {
+                    record,
+                    run,
+                    tuple,
+                    at,
+                });
+            }
+            let state = i.to_string().into_bytes();
+            let id = StateId {
+                seq: i + 1,
+                rand_hash: sha256(&[i as u8]),
+                state_hash: sha256(&state),
+            };
+            r.install_state(id, state, window);
+            remember(&mut r, store, run_id(i), cap);
+        }
+        let members = r.members.clone();
+        let (group, tuple, run) = (r.group, r.agreed, run_id(19));
+        history.installs.push(crate::history::Install {
+            record: history.seen.len() as u64 - 1,
+            by: b2b_evidence::EvidenceKind::StatePropose,
+            tuple,
+            members,
+            group,
+            run,
+        });
+        history.len = history.seen.len() as u64;
+        for (doc, blob) in r.take_stale_docs(cap, history.len) {
+            store.insert(key(doc), blob);
+        }
+        (r, history)
     }
 
     #[test]
-    fn documents_round_trip_through_restore() {
-        let (cap, window) = (4, 8);
+    fn restore_reads_the_group_the_tuple_and_the_window_from_the_history() {
+        let cap = 4;
         let mut store = HashMap::new();
-        let mut r = replica(&["a", "b"]);
-        checkpoint(&mut r, &mut store, cap);
-        // A proposal rejected without tracking, then six completed runs
-        // (two more than the ring keeps), then a run in progress.
-        r.note_seen(run_id(100), Some((1, sha256(b"t"))));
-        for i in 0..6u64 {
-            r.start_run(leaving());
-            checkpoint(&mut r, &mut store, cap);
-            r.finish_run();
-            r.note_seen(run_id(i), Some((i + 1, sha256(&[i as u8]))));
-            r.install_state(
-                StateId {
-                    seq: i + 1,
-                    ..r.agreed
-                },
-                i.to_string().into_bytes(),
-                window,
-            );
-            remember(&mut r, &mut store, run_id(i), cap);
-            checkpoint(&mut r, &mut store, cap);
-        }
-        r.queue_request(match leaving() {
-            ActiveRun::Leaving(l) => l.request,
-            _ => unreachable!(),
-        });
-        r.start_run(leaving());
-        checkpoint(&mut r, &mut store, cap);
-
-        let back = restore(&store, cap, window);
+        let (r, history) = founder_with_history(&mut store, cap);
+        let core = CoreDoc::from_bytes(&store["core"]).unwrap();
+        assert_eq!(core.founding, None, "the log founds the group");
+        let (back, ended) = restore_from(&history, core, &store, cap).unwrap();
+        assert!(ended.is_none());
         assert_same(&back, &r);
-        assert!(back.active.is_some());
-        assert_eq!(back.completed().len(), cap);
-        // Runs 0 and 1 lost their slots while still inside the window:
-        // their entries moved to the loose list, beside run 100's.
-        assert_eq!(back.loose_seen.len(), 3);
-        assert!(back.has_seen_run(&run_id(0)) && back.has_seen_run(&run_id(100)));
-        // The fresh object had state 99 but restore installs the checkpoint.
-        assert_eq!(back.object.get_state(), r.agreed_state);
+        // Run 1 expired, and its replay twelve installs later entered
+        // afresh; run 9's replay three installs on kept its first sighting,
+        // which has since expired.
+        assert!(back.has_seen_run(&run_id(1)) && !back.has_seen_run(&run_id(9)));
+        assert_eq!(back.object.get_state(), b"19".to_vec());
         assert_eq!(
-            reply(&back, &store, run_id(5), cap),
-            Some(decide(run_id(5)))
+            reply(&back, &store, run_id(19), cap),
+            Some(decide(run_id(19)))
         );
-        // Nothing is stale after a restore.
         let mut back = back;
-        assert!(back.take_stale_docs(cap).is_empty());
+        assert!(back.take_stale_docs(cap, 0).is_empty(), "nothing is stale");
+    }
+
+    #[test]
+    fn restore_refuses_what_the_log_does_not_bear_out() {
+        let cap = 4;
+        let mut store = HashMap::new();
+        let (_, history) = founder_with_history(&mut store, cap);
+        let core = || CoreDoc::from_bytes(&store["core"]).unwrap();
+        // State bytes that do not hash to the log's agreed tuple.
+        let mut edited = core();
+        edited.agreed_state = b"18".to_vec();
+        let refused = restore_from(&history, edited, &store, cap);
+        assert_eq!(refused.err(), Some(RestoreError::State));
+        // An install past the checkpoint's mark that ends no run of it.
+        let mut behind = core();
+        behind.logged -= 1;
+        let refused = restore_from(&history, behind, &store, cap);
+        assert_eq!(refused.err(), Some(RestoreError::Ahead));
+        // A checkpoint that reaches past the end of the log.
+        let refused = restore_from(&empty(), core(), &store, cap);
+        assert_eq!(refused.err(), Some(RestoreError::Behind));
+        // A history with no group, and a checkpoint with no founding.
+        let mut unfounded = core();
+        unfounded.logged = 0;
+        let refused = restore_from(&empty(), unfounded, &store, cap);
+        assert_eq!(refused.err(), Some(RestoreError::NoGroup));
+    }
+
+    #[test]
+    fn a_founder_that_logged_nothing_restores_from_its_founding() {
+        let (cap, mut store) = (4, HashMap::new());
+        let mut r = replica(&["a"]);
+        checkpoint(&mut r, &mut store, cap);
+        let core = CoreDoc::from_bytes(&store["core"]).unwrap();
+        assert_eq!(core.founding, Some((r.group, r.agreed)));
+        // Alone, it leaves without a word to anyone: only the checkpoint
+        // knows.
+        r.detach();
+        checkpoint(&mut r, &mut store, cap);
+        let back = restore(&store, cap);
+        assert_same(&back, &r);
+        assert!(back.is_detached());
     }
 
     #[test]
     fn restore_commits_only_what_the_core_document_covers() {
-        let (cap, window) = (2, 8);
+        let cap = 2;
         let mut store = HashMap::new();
-        let mut r = replica(&["a", "b"]);
+        let mut r = replica(&["a"]);
         for i in 0..3u64 {
             remember(&mut r, &mut store, run_id(i), cap);
             checkpoint(&mut r, &mut store, cap);
         }
-        let committed = restore(&store, cap, window);
+        let committed = restore(&store, cap);
         // A run starts, completes and writes its reply document — and the
         // crash lands before the core document.
         r.start_run(leaving());
         checkpoint(&mut r, &mut store, cap);
         r.finish_run();
         remember(&mut r, &mut store, run_id(3), cap);
-        let back = restore(&store, cap, window);
+        let back = restore(&store, cap);
         // Replies 1 and 2 are still retained (reply 3 went to the spare
         // slot), reply 3 is not committed, and the run is still active.
         assert_eq!(back.completed(), committed.completed());
@@ -1398,12 +1440,12 @@ mod tests {
         assert_eq!(back.active, Some(leaving()));
 
         // Once the core document lands, the run is over and reply 3 in.
-        let mut rest = r.take_stale_docs(cap).into_iter();
+        let mut rest = r.take_stale_docs(cap, 0).into_iter();
         let (doc, blob) = rest.next().unwrap();
         assert_eq!(doc, Doc::Core);
         store.insert(key(doc), blob);
         assert_eq!(rest.next(), None);
-        let back = restore(&store, cap, window);
+        let back = restore(&store, cap);
         assert_eq!(back.active, None);
         assert_eq!(
             reply(&back, &store, run_id(3), cap),
@@ -1414,16 +1456,16 @@ mod tests {
 
     #[test]
     fn restore_skips_a_missing_or_foreign_reply_blob() {
-        let (cap, window) = (4, 8);
+        let cap = 4;
         let mut store = HashMap::new();
-        let mut r = replica(&["a", "b"]);
+        let mut r = replica(&["a"]);
         for i in 0..3u64 {
             remember(&mut r, &mut store, run_id(i), cap);
         }
         checkpoint(&mut r, &mut store, cap);
         store.remove("reply-0");
         store.insert("reply-1".into(), b"{\"format\":1}".to_vec());
-        let back = restore(&store, cap, window);
+        let back = restore(&store, cap);
         let kept: Vec<RunId> = back.completed().iter().map(|(run, _)| *run).collect();
         assert_eq!(kept, vec![run_id(2)]);
     }
@@ -1432,14 +1474,7 @@ mod tests {
     fn restore_installs_the_checkpointed_state_into_the_object() {
         let mut store = HashMap::new();
         checkpoint(&mut replica(&["a"]), &mut store, 4);
-        let back = Replica::restore(
-            ObjectId::new("obj"),
-            Box::new(Bytes(b"5".to_vec())),
-            CoreDoc::from_bytes(&store["core"]).unwrap(),
-            4,
-            8,
-            |_slot| None,
-        );
+        let back = restore(&store, 4);
         assert_eq!(back.object.get_state(), b"0".to_vec());
     }
 }

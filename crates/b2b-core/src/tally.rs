@@ -13,7 +13,7 @@
 use crate::config::DecisionRule;
 use crate::detect::Misbehaviour;
 use crate::ids::{ObjectId, RunId};
-use crate::messages::RespondMsg;
+use crate::messages::{ProposalKind, RespondMsg};
 use crate::replica::Replica;
 use crate::Coordinator;
 use b2b_crypto::{Digest32, PartyId, Signature};
@@ -32,6 +32,18 @@ pub(crate) fn vetoers(votes: &[RespondMsg]) -> Vec<(PartyId, String)> {
             (v.response.responder.clone(), reason.to_owned())
         })
         .collect()
+}
+
+/// The rule a round of `kind` is decided under: the `configured` one for
+/// a state round, unanimity of the polled members for a membership change
+/// (§4.5; a voluntary departure cannot be vetoed, which they enforce by
+/// accepting it).
+pub(crate) fn rule_for(configured: DecisionRule, kind: &ProposalKind) -> DecisionRule {
+    if kind.is_membership() {
+        DecisionRule::Unanimous
+    } else {
+        configured
+    }
 }
 
 /// Whether `votes` accept the proposal in a group of `group_size`

@@ -109,7 +109,7 @@ fn forged_authenticator_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "e8a872d6553b30d3bf77c840f592fba3a5fc1ecd998fba5fb81f453c719fd89c",
+        "3b7bd93782153dcdd1908a3fcf7cd576fcd981eeea6616e226b2d0ffa367f979",
     );
     assert_shape(
         &cluster,
@@ -134,7 +134,7 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "2e1853b447b26846650d8d2fa634a911cd4f886c33568be28e533fdf50e1b29a",
+        "7fa3feb4f837373ccaf295e033ae04840dbc21332d78b9a599f042ba2997a178",
     );
     assert_shape(
         &cluster,
@@ -165,7 +165,7 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "07793d9910d24668069b40174b34ced7512b7db253a5da7678e26acd01004c96",
+        "142692e8ebdcf797141b65c460b01e0c3b9217c7f26aea0af382ba42dda108a7",
     );
     assert_shape(
         &cluster,
@@ -200,7 +200,7 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
     assert_golden(
         &cluster,
         "c",
-        "d41b8b7d23fae5b3576f41b8511034b3bdf3c4efe264139c1260432e44d6c7d0",
+        "62a760ce715f0c55fdf8566d0d717322d76fd8281d1bade240fcf02046b87a0c",
     );
     assert_shape(
         &cluster,
@@ -244,7 +244,7 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "7974e73893e77b9885d42f3e1c30f7d4dfc106851c154389612cdc787f47050b",
+        "8c9b3c4a661cf470b8ae324ccfc114a5b6a42cd899486e7f1b91f04ff6e73687",
     );
     assert_shape(
         &cluster,
@@ -293,7 +293,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_golden(
         &cluster,
         "c",
-        "b30e74a4033fd5d588fbd3b593941195d57aa949689f4b2f0548552313eca789",
+        "cfc4401332a1e4e791efb0ef247d6f5dec334b250ffc54eb90fc25fefdebe1d6",
     );
     assert_shape(
         &cluster,
@@ -336,7 +336,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "11a190b62982663a9007a484ca428452174028fb967e1815d908fcce2f965123",
+        "7cfead9d7ed8d0fbd3c6d63919159cea1398be510fb559ba63512479d0cb78da",
     );
     assert_shape(
         &cluster,
@@ -393,7 +393,7 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_golden(
         &cluster,
         "c",
-        "bda9bc11722276fad85d9745df12658428026684398808a4c13116bf789ab2d4",
+        "d2267f6eb9aa8743b346ac5ce51aa4222cdc6b935f04c81eaa709cd3deb0fc22",
     );
     assert_shape(
         &cluster,
@@ -467,7 +467,7 @@ fn replayed_connect_proposal_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "8d927c1e43bf202b8277e0954399bb0bcf2bd65973fb385bec1f74fc97558871",
+        "438337df59cdce5aef337ca34f6ad92af52cf4486de94beb10f539fda82ca99d",
     );
     assert_shape(
         &cluster,
@@ -507,7 +507,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_golden(
         &cluster,
         "c",
-        "dfa960dfb75b96a380810c7e227cd27edc9835bdb7a11a26764fbed66d722cf4",
+        "2c320ef4a415f2b4e9a14bc05b5ff2a81889d71a61c2148a1701ac9da54c28cd",
     );
     assert_shape(
         &cluster,

@@ -14,7 +14,9 @@
 
 mod common;
 
+use b2b_core::history;
 use b2b_core::replica::{ReplayWindow, StoredReply};
+use b2b_core::DecisionRule::Unanimous;
 use b2b_core::{Coordinator, CoordinatorConfig, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2b_evidence::{
@@ -292,6 +294,8 @@ impl World {
         for (i, store) in self.stores.iter().enumerate() {
             let report = auditor.audit(store.as_ref());
             assert!(report.is_clean(), "org{i}: {:?}", report.faults);
+            let history = history::check(store.as_ref(), &oid(), &self.ring, None, Unanimous);
+            assert_eq!(history.fault, None, "org{i}'s log is no history");
         }
     }
 }

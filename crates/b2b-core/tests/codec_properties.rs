@@ -14,7 +14,7 @@
 
 use b2b_core::messages::*;
 use b2b_core::replica::{
-    ActiveRun, CoreDoc, LeavingRun, ProposerRun, RecipientRun, ReplyDoc, SeenEntry, SNAPSHOT_FORMAT,
+    ActiveRun, CoreDoc, LeavingRun, ProposerRun, RecipientRun, ReplyDoc, SNAPSHOT_FORMAT,
 };
 use b2b_core::{Decision, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::DecodeError;
@@ -689,24 +689,11 @@ const CHECKPOINT_CODECS: [Recode; 2] = [
 
 fn core_doc(active: Option<ActiveRun>) -> CoreDoc {
     CoreDoc {
-        members: vec![PartyId::new("customer"), PartyId::new("supplier")],
-        group: group_id(3),
-        agreed: state_id(5),
+        logged: 4_321,
+        founding: None,
         agreed_state: b"{\"lines\":[{\"item\":\"a\",\"qty\":1}]}".to_vec(),
         active,
         queued: vec![join_request(), evict_request()],
-        loose_seen: vec![
-            SeenEntry {
-                run: run(),
-                seen_at: 4,
-                tuple: Some((5, sha256(b"rand"))),
-            },
-            SeenEntry {
-                run: RunId(sha256(b"membership run")),
-                seen_at: 5,
-                tuple: None,
-            },
-        ],
         reply_slots: 1_234,
         detached: false,
     }
@@ -755,8 +742,9 @@ fn core_docs() -> Vec<CoreDoc> {
         sponsor: PartyId::new("supplier"),
     };
     let fresh = CoreDoc {
+        logged: 0,
+        founding: Some((group_id(0), state_id(0))),
         queued: Vec::new(),
-        loose_seen: Vec::new(),
         reply_slots: 0,
         ..core_doc(None)
     };
@@ -781,20 +769,13 @@ fn reply_docs() -> Vec<ReplyDoc> {
     let state_run = ReplyDoc {
         n: 1_233,
         run: run(),
-        seen_at: Some(4),
-        tuple: Some((5, sha256(b"rand"))),
         wire: WireMsg::Decide(decide()).to_bytes(),
     };
     let membership_run = ReplyDoc {
-        tuple: None,
         wire: WireMsg::Respond(member_respond("supplier")).to_bytes(),
         ..state_run.clone()
     };
-    let past_the_window = ReplyDoc {
-        seen_at: None,
-        ..membership_run.clone()
-    };
-    vec![state_run, membership_run, past_the_window]
+    vec![state_run, membership_run]
 }
 
 /// Every checkpoint document's bytes, with the index of its codec.
@@ -829,12 +810,14 @@ fn damaged_checkpoint_documents_are_rejected_not_misread() {
         longer.push(0);
         assert!(decode(&longer).is_err());
         // A blob in another format is refused at the first byte: the
+        // format-4 documents that carried the members, the group, the
+        // agreed tuple and replay-window entries the log now holds, the
         // format-3 documents whose queue and leaving run held the subject's
         // earlier request messages, the format-2 documents whose active run
         // could be a sponsor or member run, the format-1 whole-replica
         // snapshots before those, and the JSON snapshots before those
         // (they start with `{`).
-        for other_format in [3, 2, 1, b'{'] {
+        for other_format in [4, 3, 2, 1, b'{'] {
             let mut other = bytes.clone();
             other[0] = other_format;
             assert!(decode(&other).is_err());

@@ -90,7 +90,7 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_golden(
         &cluster,
         "ledger",
-        "77da6f234a7f7c99810d9ea6668ec027a12de1a917487e56e24fede018ece8e9",
+        "834fcd3e43c9ae8b8b50e507eb6bb4fe32a7209db9246a2358abdd8bc3bbf0cc",
     );
     assert_shape(
         &cluster,

@@ -8,6 +8,7 @@ use b2b_core::messages::{
     DecideMsg, MemberAnswer, MemberChange, MemberRequest, MemberVerdict, Proposal, ProposalKind,
     RespondMsg, Response,
 };
+use b2b_core::DecisionRule::Unanimous;
 use b2b_core::{
     members_digest, Arbiter, Claim, Coordinator, Decision, GroupId, ObjectId, Ruling, RunId,
     StateId,
@@ -284,7 +285,7 @@ fn colluders_cannot_shrink_the_group_behind_a_claim() {
             (EvidenceKind::StateDecide, filer, decide.canonical_bytes()),
         ];
         file(log, &run.to_hex(), records);
-        let history = history::check(log, &object, &cluster.ring, None);
+        let history = history::check(log, &object, &cluster.ring, None, Unanimous);
         assert!(history.installs.iter().all(|i| i.tuple != state), "{case}");
         let fault = history.fault.map(|f| (f.record, f.kind));
         match case {
@@ -354,7 +355,7 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
     }
     let original = dir.join("org0");
     let log = FileStore::open(&original).unwrap();
-    let history = history::check(&log, &object, &ring, None);
+    let history = history::check(&log, &object, &ring, None, Unanimous);
     assert_eq!((history.installs.len(), history.fault), (4, None));
     let records = log.records();
     let decide = records
@@ -381,7 +382,13 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
         let copy_dir = dir.join(tag);
         std::fs::create_dir_all(&copy_dir).unwrap();
         std::fs::write(copy_dir.join("evidence.wal"), copy.concat()).unwrap();
-        let fault = history::check(&FileStore::open(&copy_dir).unwrap(), &object, &ring, None);
+        let fault = history::check(
+            &FileStore::open(&copy_dir).unwrap(),
+            &object,
+            &ring,
+            None,
+            Unanimous,
+        );
         assert_eq!(fault.fault.unwrap().record, decide as u64, "{tag}");
         // Filed afresh, the records are renumbered, and the history itself
         // breaks at the same place: a checkpoint with no install before it,
@@ -390,7 +397,7 @@ fn a_dropped_reordered_or_duplicated_decide_is_named_by_the_history_check() {
         for record in FileStore::open(&copy_dir).unwrap().records() {
             renumbered.append(record).unwrap();
         }
-        let fault = history::check(&renumbered, &object, &ring, None)
+        let fault = history::check(&renumbered, &object, &ring, None, Unanimous)
             .fault
             .unwrap();
         let at = decide as u64 + u64::from(tag == "dup");

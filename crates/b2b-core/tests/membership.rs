@@ -37,7 +37,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_golden(
         &cluster,
         "counter",
-        "c2e02bcb90697e643a5f5c26b15ca7072653bbb88c2045944653d9d52b19422f",
+        "5c4c0f35da92fedf360bcc96f1bb24e9cf7d29348915e64dca750324986b3cd0",
     );
     assert_shape(
         &cluster,
@@ -89,7 +89,7 @@ fn joiner_receives_current_agreed_state() {
     assert_golden(
         &cluster,
         "counter",
-        "9493f81d41d73a1a221e8bbe8d85238a8f908e30482a35bb0a5846086f51c0db",
+        "0c806fc790378c69e69d70cfcc2be6cacbc71ee0e56ca3b219a691f554236ee4",
     );
     assert_shape(
         &cluster,
@@ -169,7 +169,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_golden(
         &cluster,
         "obj",
-        "348ecc0141e402ffaf416605b5c3cbdab9ac12a9dc7fdaddc7c1be2b2b39ec21",
+        "b055a6a5f46d940a260ffe8069ce19ae4989cfd2653d53a2b2b024fa7ea93c28",
     );
     assert_shape(
         &cluster,
@@ -226,7 +226,7 @@ fn immediate_rejection_by_sponsor() {
     assert_golden(
         &cluster,
         "obj",
-        "bd076d95c4d80315cb8d1161ca6ec4dfa701eea6ebef65db9d20b0988c5c73fc",
+        "bdb4dd1fe3c644b324f27dd0fcd03ce66b61ca5e790bf818bb8ecefefc56c949",
     );
     assert_shape(
         &cluster,
@@ -266,7 +266,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_golden(
         &cluster,
         "counter",
-        "549d0a2bb83715ce1162bee1fdfaaab9d85e04631d924c8d60dc00d4520f327b",
+        "5f3dde2817098fdedd68747282fe1fe5f1441df0a8ebc18e561e1b2d54a7a9cd",
     );
     assert_shape(
         &cluster,
@@ -296,7 +296,7 @@ fn two_party_disconnect_leaves_singleton() {
     assert_golden(
         &cluster,
         "counter",
-        "9766895f901b8f1857a4b595d532a4973b4835dc106a285b40864a102d2a0c82",
+        "48beaf27177664b4da616f2fde54db11f186010794e2ece48ae0a653f10556a5",
     );
     assert_shape(
         &cluster,
@@ -344,7 +344,7 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_golden(
         &cluster,
         "counter",
-        "635efbd86e9e49deeafb9ac6a8719f3c2b964c16a07ae2bb340da8c9170bf95b",
+        "17a6e6179f136b349107760f84f690663d837e2691a27354dee86c467e97a86e",
     );
     assert_shape(
         &cluster,
@@ -372,7 +372,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_golden(
         &cluster,
         "counter",
-        "cde9bddbbc16992c12d34b0c652dbc58aa505f9bb7eb22eac61083bed6752f4f",
+        "3dc9db9eae0ed21bdfcaa69752e733511424becb9a782c3dfb662232d68c9dce",
     );
     assert_shape(
         &cluster,
@@ -409,7 +409,7 @@ fn membership_requests_queue_behind_active_run() {
     assert_golden(
         &cluster,
         "counter",
-        "573166ae25ada54a5878f3e5240fd838a572453b7b1762b70b3dd3b9d92f40ec",
+        "d830dfe62cd460ca68a62696a32832756dd42407ccc1711b904f21d63e95160a",
     );
     assert_shape(
         &cluster,
@@ -464,7 +464,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_golden(
         &cluster,
         "c",
-        "247bc5d11e86b9d4f8ef6eb7561cbadcd4117f83c71316a6cfd89801dd8bf510",
+        "7da318d75095b54eda8406b2478c649db45aae92c15803794e6e3d41876bcc41",
     );
     assert_shape(
         &cluster,
@@ -478,9 +478,9 @@ fn membership_change_message_cost() {
     // Connection: request + (n−1 propose) + (n−1 respond) + (n−1 decide)
     // + welcome = 3n − 1 messages for a group growing from n to n+1.
     const GOLDEN: [&str; 3] = [
-        "1e5b11c8df8a5e478b8d541a1da994cc921b995663fc60476e1aa0853a5a28cf",
-        "a001daa4adcec66e61f9698021ffcc94981b8e624a81f752891802a16d69c200",
-        "e794f0b9e7aee85ca080cd9a544e64a1c55ebf38b958d8a86e46b1ecfa8ace29",
+        "49b2ae6f12233f955dc92abaf9a9ccd801f45a265434008f7eb46105663bc2df",
+        "1ee10ae89d35b0a04a160512cc83039a40dcb08bb80f513e47b6a45e56def79d",
+        "88fedd1642b7aded6ef05f644efcd17fc20cdec6e1c215595d183122827805b2",
     ];
     const SHAPES: [&str; 3] = [
         "8c87814d212bca41d0a861e35990df414fbc8f495a312358c8b33e03afbec9fe",

@@ -32,7 +32,7 @@ fn leaver_can_rejoin_later() {
     assert_golden(
         &cluster,
         "c",
-        "19c544cdae70ceb31ef774ba484dc54efe71dbfacf8fd9bea712d1379ca39a53",
+        "6b39bea8ef9dc245f4b8232956e8dd051e61b16e28e78befd7ecd12414d2f8c0",
     );
     assert_shape(
         &cluster,
@@ -57,7 +57,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "f0f72a601df27ce127e4ae1877a7c57eece2aebe202de585d1ef040c337f7551",
+        "8a5fd7c08cc80545f1039f55f0a116fc0f3887100d0d127e3c7e30a649b2a77f",
     );
     assert_shape(
         &cluster,
@@ -82,7 +82,7 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "1d10ae45f1d63991c7ac39c17ef4aea633a4bb60308d7a70f6fa4287ab2c0d70",
+        "ae6595461825120651e8f0b398b923fa4fccc1522ceb24e752d310d9f6ba2b14",
     );
     assert_shape(
         &cluster,
@@ -123,7 +123,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_golden(
         &cluster,
         "c",
-        "2cb31b953226d3798fc6e29fdbe20963970d89288272238424ba9ca9b7e55ee8",
+        "7cce775f16976ae53a878f0ba7549c0a1882512a094828d31bf0699a0130bfaa",
     );
     assert_shape(
         &cluster,
@@ -174,7 +174,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_golden(
         &cluster,
         "c",
-        "410751ef42081e12d9a7183195003dea0ae276c168c8b9cf8c14f349ac6aad4c",
+        "302253601f818b2f8d7622032b7f155b0b81a36b305eac136a75a28c5ef4cd24",
     );
     assert_shape(
         &cluster,
@@ -196,7 +196,7 @@ fn sole_member_disconnect_is_local() {
     assert_golden(
         &cluster,
         "c",
-        "4823a9abbb19da19ab7c7b25002b47c6e9737ef67b0ac340fc59a62a6281ff9a",
+        "408678affd7da3b21033d362d53c3a0aa2d9ea1046756c7284d33e2f075e0a9f",
     );
     assert_shape(
         &cluster,
@@ -233,7 +233,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "7a399f6aebcc5a6141ce4a293a473ff3f5957f524aa2f1c62e4f06f8af49aab9",
+        "970d4e4129c48b410186d35f899467da462179bbc254b6c90601b3eb1f95a189",
     );
     assert_shape(
         &cluster,
@@ -288,7 +288,7 @@ fn queued_connects_are_served_in_order() {
     assert_golden(
         &cluster,
         "c",
-        "290bc57404e8bd736cc23fcbee3611d2f395a7d81e4c90545ba6dd0e4997fb44",
+        "923b9d2a388140ff0ac78737e707ad855a2bfbeee5972a4812fe04a6361e5d38",
     );
     assert_shape(
         &cluster,

@@ -176,11 +176,9 @@ fn majority_vetoes_still_invalidate() {
     assert_eq!(dec(&cluster.state(1, "counter")), 10);
 }
 
-#[test]
-fn majority_overrides_single_veto_documented_tradeoff() {
-    // The §7 extension weakens the base safety property deliberately: a
-    // strict majority can impose a state one party vetoed. This test
-    // documents the boundary (see DESIGN.md).
+/// Three parties under the majority rule, org1 with a stricter policy
+/// than org0 and org2; org0 proposes what org1 vetoes.
+fn outvoted_veto() -> (Cluster, b2b_core::RunId) {
     use b2b_apps::SharedCell;
     use b2b_core::{B2BObject, Decision};
     let strict = || -> Box<dyn B2BObject> {
@@ -214,12 +212,37 @@ fn majority_overrides_single_veto_documented_tradeoff() {
     cluster.run();
 
     let run = cluster.propose(0, "counter", enc(666));
+    (cluster, run)
+}
+
+#[test]
+fn majority_overrides_single_veto_documented_tradeoff() {
+    // The §7 extension weakens the base safety property deliberately: a
+    // strict majority can impose a state one party vetoed. This test
+    // documents the boundary (see DESIGN.md).
+    let (cluster, run) = outvoted_veto();
     // 2 accepts (org0 implicit + org2) vs 1 reject: majority installs.
     assert!(cluster.outcome(0, &run).unwrap().is_installed());
     assert_eq!(dec(&cluster.state(2, "counter")), 666);
     // The vetoing party also follows the group decision under majority —
     // its local policy was outvoted (the documented §7 trade-off).
     assert_eq!(dec(&cluster.state(1, "counter")), 666);
+}
+
+#[test]
+fn an_outvoted_party_recovers_the_majority_s_state() {
+    // Recovery reads the outvoted party's log under its own rule, where
+    // the decide that carries its veto installs.
+    use b2b_net::NetNode;
+    let (mut cluster, _) = outvoted_veto();
+    cluster.net.invoke(&party(1), |c, ctx| {
+        c.on_crash();
+        c.on_recover(ctx);
+    });
+    cluster.run();
+    assert!(cluster.net.node(&party(1)).detected().is_empty());
+    assert_eq!(dec(&cluster.state(1, "counter")), 666);
+    next_update_installs_everywhere(&mut cluster, 3, 700);
 }
 
 #[test]

@@ -81,8 +81,9 @@ pub trait EvidenceStore: Send + Sync {
     /// Stores that are durable per-append (the default) need do nothing; a
     /// store in group-commit mode (see [`crate::FileStore::group_commit`])
     /// batches appends in memory and writes them out here. The coordinator
-    /// calls this at protocol-step boundaries, so a batch never spans the
-    /// externally visible effects of a step.
+    /// calls this before each core checkpoint write, so a checkpoint never
+    /// reaches past the durable log, and at protocol-step boundaries, so a
+    /// batch never spans the externally visible effects of a step.
     ///
     /// # Errors
     ///

@@ -40,12 +40,14 @@
 
 use b2b_apps::{Order, OrderObject, OrderRoles, OrderUpdate};
 use b2b_core::controller::Mode;
+use b2b_core::history;
+use b2b_core::DecisionRule::Unanimous;
 use b2b_core::{
     Controller, CoordError, CoordTicket, Coordinator, CoordinatorConfig, ObjectId, SeqTable,
     TicketId, TicketStatus,
 };
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, VerifyPool};
-use b2b_evidence::{LogAuditor, MemStore};
+use b2b_evidence::MemStore;
 use b2b_net::{
     GroupHandle, GroupId, HttpHandler, HttpRequest, HttpResponse, HttpServer, ShardedNet,
 };
@@ -403,18 +405,17 @@ impl OrderServer {
         self.core.handles[g][p].clone()
     }
 
-    /// Audits every party's evidence store across all provisioned
-    /// orders. Returns `(all_clean, total_records)`.
+    /// Judges every party's evidence log across all provisioned orders
+    /// as a history of its order ([`history::check`]). Returns
+    /// `(all_clean, total_records)`.
     pub fn audit(&self) -> (bool, usize) {
-        let auditor = LogAuditor::new((*self.core.ring).clone(), None);
+        let (ring, object) = (&*self.core.ring, &self.core.object);
         let mut clean = true;
         let mut total = 0usize;
-        for group in &self.core.stores {
-            for store in group {
-                let report = auditor.audit(store.as_ref());
-                clean &= report.is_clean();
-                total += report.total;
-            }
+        for store in self.core.stores.iter().flatten() {
+            let history = history::check(store.as_ref(), object, ring, None, Unanimous);
+            clean &= history.fault.is_none();
+            total += history.len as usize;
         }
         (clean, total)
     }

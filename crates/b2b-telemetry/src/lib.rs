@@ -64,6 +64,9 @@ pub mod names {
     pub const WAL_FLUSHES: &str = "wal_flushes";
     /// Evidence records appended to the store.
     pub const EVIDENCE_RECORDS_APPENDED: &str = "evidence_records_appended";
+    /// Crash recoveries of a replica refused because the party's log
+    /// faults or disagrees with its checkpoint.
+    pub const RECOVERIES_REFUSED: &str = "recoveries_refused";
     /// Frames appended to the write-ahead log.
     pub const WAL_APPENDS: &str = "wal_appends";
     /// Payload retransmissions by the reliable layer.
