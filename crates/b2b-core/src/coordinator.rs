@@ -20,15 +20,13 @@ use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
 use crate::messages::{MemberRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
 use crate::object::B2BObject;
-use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Ended, Replica, SNAPSHOT_FORMAT};
+use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Replica, SNAPSHOT_FORMAT};
 use crate::seq::SeqTable;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
     SecureRng, SigVerifyCache, Signature, Signer, TimeMs, TimeStampAuthority,
 };
-use b2b_evidence::{
-    EvidenceKind, EvidenceRecord, EvidenceStore, RecordRef, RunLabel, SnapshotStore,
-};
+use b2b_evidence::{EvidenceKind, EvidenceStore, RecordRef, RunLabel, SnapshotStore};
 use b2b_net::compact::Compact;
 use b2b_net::reliable::Inbound;
 use b2b_net::{NetNode, NodeCtx, ReliableMux};
@@ -1284,6 +1282,9 @@ impl Coordinator {
             let history = history::fold(&records, &object_id, &self.ring, None, rule);
             let restored = match &history.fault {
                 Some(fault) => Err(format!("its log faults at {fault}")),
+                None if core.logged > records.len() as u64 => {
+                    Err("its checkpoint reaches past the log".into())
+                }
                 None => Replica::restore(
                     object_id.clone(),
                     factory(),
@@ -1299,13 +1300,17 @@ impl Coordinator {
             match restored {
                 Ok((replica, ended)) => {
                     self.replicas.insert(object_id.clone(), Box::new(replica));
-                    match ended {
-                        Some(ended) => {
-                            let end = &records[ended.record as usize];
-                            self.finish_ended(&object_id, ended, end, ctx);
-                        }
-                        None => self.resume_run(&object_id, ctx),
-                    }
+                    let Some(ended) = ended else {
+                        self.resume_run(&object_id, ctx);
+                        continue;
+                    };
+                    // The step that ended the run went on from here.
+                    let end = &records[ended.record as usize];
+                    let decide = (end.kind == EvidenceKind::StateDecide)
+                        .then(|| DecideMsg::from_canonical(&end.payload).ok())
+                        .flatten();
+                    self.conclude(&object_id, ended.run, decide, ended.installed, None, ctx);
+                    self.pump_queue(&object_id, ctx);
                 }
                 Err(reason) => {
                     self.telemetry.inc(names::RECOVERIES_REFUSED);
@@ -1338,47 +1343,6 @@ impl Coordinator {
         self.end_episode();
     }
 
-    /// Finishes a run the log ended (at record `end`) after the
-    /// checkpoint's last write, as the step that ended it went on to: its
-    /// re-reply, the decide to the polled members, the answer to a
-    /// membership change's subject. Nothing is logged again.
-    fn finish_ended(
-        &mut self,
-        oid: &ObjectId,
-        ended: Ended,
-        end: &EvidenceRecord,
-        ctx: &mut NodeCtx,
-    ) {
-        let decide = (end.kind == EvidenceKind::StateDecide)
-            .then(|| DecideMsg::from_canonical(&end.payload).ok())
-            .flatten();
-        match (ended.run, decide) {
-            (ActiveRun::Proposer(pr), decide) => {
-                let polled = pr.propose.proposal.polled(&self.replicas[oid].members);
-                if let Some(decide) = &decide {
-                    let m3 = WireMsg::Decide(decide.clone());
-                    self.remember_reply(oid, pr.run, &m3);
-                    self.send_wire_all(&polled, &m3, ctx);
-                }
-                // A TTP resolution ended it: the set in hand decided.
-                let decide = decide.unwrap_or_else(|| DecideMsg {
-                    object: oid.clone(),
-                    run: pr.run,
-                    authenticator: pr.authenticator,
-                    responses: pr.responses.values().cloned().collect(),
-                });
-                let kind = &pr.propose.proposal.kind;
-                self.answer_subject(oid, pr.run, kind, ended.installed, decide, ctx);
-            }
-            (ActiveRun::Recipient(rr), Some(_)) => {
-                self.remember_reply(oid, rr.run, &WireMsg::Respond(rr.my_response));
-            }
-            _ => {}
-        }
-        self.persist(oid);
-        self.pump_queue(oid, ctx);
-    }
-
     /// Re-sends the in-flight message(s) of a persisted active run.
     fn resume_run(&mut self, object: &ObjectId, ctx: &mut NodeCtx) {
         let Some(rep) = self.replicas.get(object) else {
@@ -1386,6 +1350,12 @@ impl Coordinator {
         };
         match rep.active.clone() {
             None => {}
+            // Its checkpoint landed, and its record did not.
+            Some(ActiveRun::Proposer(run))
+                if !rep.members.iter().any(|m| run.propose.proposal.polls(m)) =>
+            {
+                self.end_unpolled(object, ctx);
+            }
             Some(ActiveRun::Proposer(run)) => {
                 let pending: Vec<PartyId> = run
                     .propose

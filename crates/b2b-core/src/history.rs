@@ -12,7 +12,8 @@
 //! names for a state round, unanimity for a membership change — and
 //! installs nothing otherwise (a veto, the proposer's deadline abort); a
 //! signed TTP resolution ends a round as it says; a proposal that polls
-//! nobody installs at once.
+//! nobody installs at once — in a party's own log it is the party's own,
+//! for a recipient does not log a proposal that does not poll it.
 
 use crate::config::DecisionRule;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
@@ -136,8 +137,6 @@ pub struct History {
     /// after the run that welcomed it if it joined: its replay window
     /// before expiry.
     pub seen: Vec<Seen>,
-    /// The number of records the log holds.
-    pub len: u64,
 }
 
 /// Folds `log`'s records for `object`, verifying each against `ring` and,
@@ -178,10 +177,8 @@ pub(crate) fn fold(
         let record = record.seq.min(expected);
         step.err().map(|kind| Fault { record, kind })
     });
-    let len = records.len() as u64;
     History {
         fault,
-        len,
         ..fold.history
     }
 }

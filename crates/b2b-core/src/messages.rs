@@ -304,13 +304,23 @@ impl Proposal {
     }
 
     /// The members of `members` that respond: all but the proposer and
-    /// the leavers.
+    /// the subjects of a membership change — the leavers, or a joiner, so
+    /// the members before the change and after it give the same answer.
     pub fn polled(&self, members: &[PartyId]) -> Vec<PartyId> {
-        members
-            .iter()
-            .filter(|m| **m != self.proposer && !self.kind.leavers().contains(m))
-            .cloned()
-            .collect()
+        members.iter().filter(|m| self.polls(m)).cloned().collect()
+    }
+
+    /// Whether `member` responds: it is not the proposer, nor a subject.
+    pub fn polls(&self, member: &PartyId) -> bool {
+        let joiner = match &self.kind {
+            ProposalKind::Member {
+                requester,
+                change: MemberChange::Join,
+                ..
+            } => Some(requester),
+            _ => None,
+        };
+        *member != self.proposer && !self.kind.leavers().contains(member) && joiner != Some(member)
     }
 }
 
@@ -1254,6 +1264,33 @@ mod tests {
         let mut other2 = proposal();
         other2.auth_commit = sha256(b"different");
         assert_ne!(base.run_id(), other2.run_id());
+    }
+
+    #[test]
+    fn a_change_polls_the_same_members_before_and_after_it() {
+        let who = |names: &[&str]| names.iter().map(|n| PartyId::new(*n)).collect::<Vec<_>>();
+        let change = |change: MemberChange, requester: &str| Proposal {
+            kind: ProposalKind::Member {
+                request_digest: sha256(b"r"),
+                requester: PartyId::new(requester),
+                change,
+                new_group: group_id(),
+            },
+            ..proposal()
+        };
+        let evict = MemberChange::Evict {
+            subjects: who(&["b"]),
+        };
+        for (p, before) in [
+            (change(MemberChange::Join, "j"), who(&["a", "b", "p"])),
+            (change(MemberChange::Leave, "b"), who(&["a", "b", "p"])),
+            (change(evict, "a"), who(&["a", "b", "p"])),
+            (proposal(), who(&["a", "b", "p"])),
+        ] {
+            let after = p.kind.new_members(&before);
+            assert_eq!(p.polled(&before), p.polled(&after), "{:?}", p.kind);
+            assert!(!p.polls(&p.proposer) && p.kind.leavers().iter().all(|l| !p.polls(l)));
+        }
     }
 
     #[test]

@@ -242,19 +242,13 @@ impl Coordinator {
         };
         let rules = rules(&m1.proposal.kind);
         let rep = self.replicas.get_mut(object).expect("checked above");
-        let unpolled = if polled.is_empty() {
-            rep.note_seen(run, seen_tuple(&m1.proposal));
-            Some(new_state)
-        } else {
-            rep.start_run(ActiveRun::Proposer(Box::new(ProposerRun {
-                run,
-                propose: m1.clone(),
-                authenticator,
-                new_state,
-                responses: Default::default(),
-            })));
-            None
-        };
+        rep.start_run(ActiveRun::Proposer(Box::new(ProposerRun {
+            run,
+            propose: m1.clone(),
+            authenticator,
+            new_state,
+            responses: Default::default(),
+        })));
         if !rules.membership {
             // A state round is a client operation of its own. The run id is
             // a digest of the signed proposal, so the first eight bytes make
@@ -273,6 +267,13 @@ impl Coordinator {
                 polled.len()
             )
         });
+        if polled.is_empty() {
+            // What the round installs reaches the checkpoint, as its active
+            // run, before the record that installs it reaches the log.
+            self.persist(object);
+            self.end_unpolled(object, ctx);
+            return run;
+        }
         self.log_evidence(
             EvidenceKind::StatePropose,
             object,
@@ -282,25 +283,44 @@ impl Coordinator {
             Some(&m1.sig),
             now,
         );
-        if let Some(state) = unpolled {
-            let outcome = self.install(object, &m1, Some(state));
-            let decide = DecideMsg {
-                object: object.clone(),
-                run,
-                authenticator,
-                responses: Vec::new(),
-            };
-            // The answer is logged before the round's checkpoint, so one
-            // flush makes both records durable.
-            self.answer_subject(object, run, &m1.proposal.kind, true, decide, ctx);
-            self.close_round(object, run, &m1.proposal.kind, outcome, now);
-            return run;
-        }
         self.send_wire_all(&polled, &WireMsg::Propose(m1), ctx);
         self.arm_deadline(object, run, ctx);
         self.persist(object);
         self.emit(object, run, CoordEventKind::Proposed, now);
         run
+    }
+
+    /// Ends the active round of `object`, which polls nobody: the
+    /// proposer's acceptance is the group's, so logging the proposal
+    /// installs it. A round whose checkpoint write failed is dropped
+    /// unlogged. Recovery resumes here a round whose checkpoint landed and
+    /// whose record did not.
+    pub(crate) fn end_unpolled(&mut self, object: &ObjectId, ctx: &mut NodeCtx) {
+        let Some(rep) = self.replicas.get_mut(object) else {
+            return;
+        };
+        let durable = !rep.core_is_stale();
+        let Some(ActiveRun::Proposer(mut pr)) = rep.finish_run() else {
+            return;
+        };
+        let outcome = if durable {
+            self.log_evidence(
+                EvidenceKind::StatePropose,
+                object,
+                pr.run.label(),
+                self.me.clone(),
+                &self.proposal_bytes_of(&pr.propose),
+                Some(&pr.propose.sig),
+                ctx.now(),
+            );
+            let state = std::mem::take(&mut pr.new_state);
+            self.install(object, &pr.propose, Some(state))
+        } else {
+            let reason = "checkpoint write failed".into();
+            Outcome::Aborted { reason }
+        };
+        let pr = ActiveRun::Proposer(pr);
+        self.conclude(object, pr, None, durable, Some(outcome), ctx);
     }
 
     /// The decision rule of a round ([`tally::rule_for`]).
@@ -374,8 +394,15 @@ impl Coordinator {
         }
 
         // A party that has left the group (or was never in it) has no say
-        // and signs nothing; nor does a non-member's proposal get a say.
-        if rep.detached || !rep.is_member(&me) || !rep.is_member(&m1.proposal.proposer) {
+        // and signs nothing; nor does a non-member's proposal get a say. A
+        // proposal that does not poll this party (it names it a subject) is
+        // no round of this party's, and is not logged as one: in its own
+        // history that record would install the change.
+        if rep.detached
+            || !rep.is_member(&me)
+            || !rep.is_member(&m1.proposal.proposer)
+            || !m1.proposal.polls(&me)
+        {
             self.replicas.insert(oid.clone(), rep);
             self.log_misbehaviour(
                 &oid,
@@ -781,16 +808,17 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
-        let Some(ActiveRun::Proposer(pr)) = rep.finish_run() else {
+        let Some(ActiveRun::Proposer(mut pr)) = rep.finish_run() else {
             return;
         };
-        let polled = pr.propose.proposal.polled(&rep.members);
+        let polled = rep.members.iter().filter(|m| pr.propose.proposal.polls(m));
+        let polled = polled.count();
         let kind = &pr.propose.proposal.kind;
         let rules = rules(kind);
-        let responses: Vec<RespondMsg> = pr.responses.into_values().collect();
+        let responses: Vec<RespondMsg> = std::mem::take(&mut pr.responses).into_values().collect();
         let rule = self.rule(kind);
-        let (accepted, vetoers) = tally::decide(rule, polled.len() + 1, &responses);
-        let expired = rule == DecisionRule::Unanimous && responses.len() < polled.len();
+        let (accepted, vetoers) = tally::decide(rule, polled + 1, &responses);
+        let expired = rule == DecisionRule::Unanimous && responses.len() < polled;
         let decide = DecideMsg {
             object: oid.clone(),
             run,
@@ -798,7 +826,8 @@ impl Coordinator {
             responses,
         };
         let outcome = if accepted {
-            self.install(oid, &pr.propose, Some(pr.new_state))
+            let state = std::mem::take(&mut pr.new_state);
+            self.install(oid, &pr.propose, Some(state))
         } else {
             // The proposer's working state rolls back to the agreed state;
             // the engine never installed the proposed state, so rollback is
@@ -813,12 +842,6 @@ impl Coordinator {
             } else {
                 Outcome::Invalidated { vetoers }
             }
-        };
-        let m3 = WireMsg::Decide(decide);
-        self.remember_reply(oid, run, &m3);
-        self.send_wire_all(&polled, &m3, ctx);
-        let WireMsg::Decide(decide) = m3 else {
-            unreachable!("built above")
         };
         self.trace(now, rules.span, "decide", || {
             format!(
@@ -836,8 +859,8 @@ impl Coordinator {
             now,
         );
         let requeue = self.requeue_contended(run, &pr.propose, &outcome);
-        self.close_round(oid, run, kind, outcome, now);
-        self.answer_subject(oid, run, kind, accepted, decide, ctx);
+        let pr = ActiveRun::Proposer(pr);
+        self.conclude(oid, pr, Some(decide), accepted, Some(outcome), ctx);
         if !requeue.is_empty() {
             self.telemetry.inc(names::ROUNDS_RETRIED);
             let p = self.pending_updates.entry(oid.clone()).or_default();
@@ -847,6 +870,64 @@ impl Coordinator {
             self.arm_retry_holdoff(oid, ctx);
         }
         self.pump_queue(oid, ctx);
+    }
+
+    /// The end of a round at this party once the record that decides it is
+    /// logged: the re-reply it leaves — a proposer's `decide`, also sent to
+    /// the members it polled, or a recipient's own response — then the
+    /// round's close with its `outcome`, and a sponsor's answer to the
+    /// change's subject, `accepted` or not; without a decide the answer
+    /// carries the responses in hand. Recovery finishes here, with no
+    /// `outcome`, a round the log ended after the checkpoint's last write:
+    /// the round closed before the crash, so only its checkpoint is written
+    /// again.
+    pub(crate) fn conclude(
+        &mut self,
+        oid: &ObjectId,
+        run: ActiveRun,
+        decide: Option<DecideMsg>,
+        accepted: bool,
+        outcome: Option<Outcome>,
+        ctx: &mut NodeCtx,
+    ) {
+        let (run, m1, answer) = match run {
+            ActiveRun::Proposer(pr) => {
+                let decide = match decide {
+                    Some(decide) => {
+                        let m3 = WireMsg::Decide(decide);
+                        self.remember_reply(oid, pr.run, &m3);
+                        let polled = pr.propose.proposal.polled(&self.replicas[oid].members);
+                        self.send_wire_all(&polled, &m3, ctx);
+                        let WireMsg::Decide(decide) = m3 else {
+                            unreachable!("built above")
+                        };
+                        decide
+                    }
+                    None => DecideMsg {
+                        object: oid.clone(),
+                        run: pr.run,
+                        authenticator: pr.authenticator,
+                        responses: pr.responses.into_values().collect(),
+                    },
+                };
+                (pr.run, pr.propose, Some(decide))
+            }
+            ActiveRun::Recipient(rr) => {
+                if decide.is_some() {
+                    self.remember_reply(oid, rr.run, &WireMsg::Respond(rr.my_response));
+                }
+                (rr.run, rr.propose, None)
+            }
+            ActiveRun::Leaving(_) => return self.persist(oid),
+        };
+        let kind = &m1.proposal.kind;
+        match outcome {
+            Some(outcome) => self.close_round(oid, run, kind, outcome, ctx.now()),
+            None => self.persist(oid),
+        }
+        if let Some(decide) = answer {
+            self.answer_subject(oid, run, kind, accepted, decide, ctx);
+        }
     }
 
     /// §3.3 "the proposer simply retries": an update round rejected purely
@@ -965,25 +1046,18 @@ impl Coordinator {
             }
             DecideCheck::Wait => return,
         };
-        let Some(ActiveRun::Recipient(rr)) =
+        let Some(ActiveRun::Recipient(mut rr)) =
             self.replicas.get_mut(&oid).and_then(|r| r.finish_run())
         else {
             unreachable!("matched above");
         };
-        let kind = &rr.propose.proposal.kind;
         let outcome = match verdict {
             // Without a valid body (only under the majority extension, when
             // we ourselves vetoed for body reasons) a state round cannot
             // install here, and aborts locally.
-            Ok(()) => self.install(&oid, &rr.propose, rr.pending_state),
+            Ok(()) => self.install(&oid, &rr.propose, rr.pending_state.take()),
             Err(outcome) => outcome,
         };
-        // Keep our signed response on file: if the proposer crashed and
-        // re-sends m1 on recovery, we answer with the *same* response
-        // instead of minting a conflicting signed rejection (which would
-        // manufacture false evidence of equivocation against us, and false
-        // replay evidence against the honest proposer).
-        self.remember_reply(&oid, run, &WireMsg::Respond(rr.my_response));
         self.log_evidence(
             EvidenceKind::StateDecide,
             &oid,
@@ -993,7 +1067,13 @@ impl Coordinator {
             None,
             now,
         );
-        self.close_round(&oid, run, kind, outcome, now);
+        // Keep our signed response on file: if the proposer crashed and
+        // re-sends m1 on recovery, we answer with the *same* response
+        // instead of minting a conflicting signed rejection (which would
+        // manufacture false evidence of equivocation against us, and false
+        // replay evidence against the honest proposer).
+        let (rr, accepted) = (ActiveRun::Recipient(rr), outcome.is_installed());
+        self.conclude(&oid, rr, Some(m3), accepted, Some(outcome), ctx);
         self.pump_queue(&oid, ctx);
     }
 
@@ -1171,14 +1251,13 @@ impl Coordinator {
         }
     }
 
-    /// Ends the active `run` here without a decide, at its deadline or by a
-    /// TTP resolution: `Ok` installs what it proposed, `Err` rolls back to
-    /// the agreed state with that outcome. A sponsor then tells the subject,
-    /// with `responses` as the deciding set.
+    /// Ends the active run here without a decide, by a TTP resolution:
+    /// `Ok` installs what it proposed, `Err` rolls back to the agreed state
+    /// with that outcome. A sponsor then tells the subject, with
+    /// `responses` as the deciding set.
     pub(crate) fn end_run(
         &mut self,
         oid: &ObjectId,
-        run: RunId,
         verdict: Result<(), Outcome>,
         responses: Vec<RespondMsg>,
         ctx: &mut NodeCtx,
@@ -1186,32 +1265,28 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(oid) else {
             return;
         };
-        let (m1, state, authenticator) = match rep.finish_run() {
-            Some(ActiveRun::Proposer(pr)) => {
-                (pr.propose, Some(pr.new_state), Some(pr.authenticator))
+        let mut active = rep.finish_run().expect("the caller matched the active run");
+        let (m1, state) = match &mut active {
+            ActiveRun::Proposer(pr) => {
+                // The deciding set is the one the resolution certifies.
+                let set = responses
+                    .into_iter()
+                    .map(|r| (r.response.responder.clone(), r));
+                pr.responses = set.collect();
+                (&pr.propose, Some(std::mem::take(&mut pr.new_state)))
             }
-            Some(ActiveRun::Recipient(rr)) => (rr.propose, rr.pending_state, None),
-            _ => unreachable!("the caller matched the active run"),
+            ActiveRun::Recipient(rr) => (&rr.propose, rr.pending_state.take()),
+            ActiveRun::Leaving(_) => unreachable!("a departure has no resolution"),
         };
         let accepted = verdict.is_ok();
         let outcome = match verdict {
-            Ok(()) => self.install(oid, &m1, state),
+            Ok(()) => self.install(oid, m1, state),
             Err(outcome) => {
                 rep.object.apply_state(&rep.agreed_state);
                 outcome
             }
         };
-        let kind = &m1.proposal.kind;
-        self.close_round(oid, run, kind, outcome, ctx.now());
-        if let Some(authenticator) = authenticator {
-            let decide = DecideMsg {
-                object: oid.clone(),
-                run,
-                authenticator,
-                responses,
-            };
-            self.answer_subject(oid, run, kind, accepted, decide, ctx);
-        }
+        self.conclude(oid, active, None, accepted, Some(outcome), ctx);
         self.pump_queue(oid, ctx);
     }
 

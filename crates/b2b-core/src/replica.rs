@@ -16,7 +16,7 @@
 //! agreed tuple and the replay window from the [`History`] of the party's
 //! own log, and takes from the checkpoint only what the log does not hold.
 
-use crate::history::History;
+use crate::history::{History, Seen};
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{MemberRequestMsg, Proposal, ProposeMsg, RespondMsg, WireMsg};
 use crate::object::B2BObject;
@@ -711,16 +711,15 @@ impl Replica {
     }
 
     /// The core document of the replica as it stands. A replica that has
-    /// seen no proposal has logged nothing its group could be read from,
-    /// so the document carries its founding.
+    /// seen no proposal, or only that of its active run, which a sole
+    /// member logs after this document, may have logged nothing its group
+    /// could be read from, so the document carries its founding.
     pub(crate) fn core_doc(&self) -> Vec<u8> {
+        let active = self.active.as_ref().and_then(ActiveRun::run_id);
+        let unlogged = self.seen_runs.0.iter().all(|(run, _)| Some(*run) == active);
         CoreRef {
             logged: self.logged,
-            founding: self
-                .seen_runs
-                .0
-                .is_empty()
-                .then_some((&self.group, &self.agreed)),
+            founding: unlogged.then_some((&self.group, &self.agreed)),
             agreed_state: &self.agreed_state,
             active: &self.active,
             queued: &self.queued,
@@ -743,8 +742,9 @@ impl Replica {
     ///   ([`Ended`]; a state run it installed hands over its bytes). The
     ///   last install (or the document's founding) gives the members, the
     ///   group and the agreed tuple, to which the state bytes must hash.
-    /// * The replay window holds every proposal seen before the mark, at
-    ///   the agreed sequence number of its record, expired as installs do.
+    /// * The replay window holds every proposal seen before the mark, and
+    ///   the one whose record ended the active run, at the agreed sequence
+    ///   number of its record, expired as installs do.
     /// * Reply `n` is retained iff `reply_slots - cap <= n < reply_slots`
     ///   and `fetch_reply` finds it in slot `n % (cap + 1)`; one numbered
     ///   `reply_slots` or later is from a step whose core document never
@@ -773,9 +773,6 @@ impl Replica {
             reply_slots,
             detached,
         } = core;
-        if logged > history.len {
-            return Err(RestoreError::Behind);
-        }
         let end = (active.as_ref()).and_then(|run| history.ended.get(&run.end_key()).copied());
         let installs = &history.installs;
         if installs
@@ -812,7 +809,8 @@ impl Replica {
         rep.reply_slots = reply_slots;
         rep.logged = logged;
         let mut pruned_at = None;
-        for seen in history.seen.iter().filter(|s| s.record < logged) {
+        let window_records = |s: &&Seen| s.record < logged || Some(s.record) == end;
+        for seen in history.seen.iter().filter(window_records) {
             if pruned_at != Some(seen.at) {
                 rep.prune_seen_at(seen.at, window);
                 pruned_at = Some(seen.at);
@@ -841,9 +839,6 @@ pub enum RestoreError {
     /// the checkpoint's active run.
     #[error("the log installs past what the checkpoint reaches")]
     Ahead,
-    /// The checkpoint reaches past the end of the log.
-    #[error("the checkpoint reaches past the log")]
-    Behind,
     /// Neither the log nor the checkpoint establishes a group.
     #[error("neither the log nor the checkpoint founds a group")]
     NoGroup,
@@ -1343,8 +1338,7 @@ mod tests {
             group,
             run,
         });
-        history.len = history.seen.len() as u64;
-        for (doc, blob) in r.take_stale_docs(cap, history.len) {
+        for (doc, blob) in r.take_stale_docs(cap, history.seen.len() as u64) {
             store.insert(key(doc), blob);
         }
         (r, history)
@@ -1389,9 +1383,6 @@ mod tests {
         behind.logged -= 1;
         let refused = restore_from(&history, behind, &store, cap);
         assert_eq!(refused.err(), Some(RestoreError::Ahead));
-        // A checkpoint that reaches past the end of the log.
-        let refused = restore_from(&empty(), core(), &store, cap);
-        assert_eq!(refused.err(), Some(RestoreError::Behind));
         // A history with no group, and a checkpoint with no founding.
         let mut unfounded = core();
         unfounded.logged = 0;

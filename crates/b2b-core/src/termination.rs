@@ -464,6 +464,6 @@ impl Coordinator {
                 vetoers: tally::vetoers(&msg.responses),
             }),
         };
-        self.end_run(&oid, run, verdict, msg.responses, ctx);
+        self.end_run(&oid, verdict, msg.responses, ctx);
     }
 }

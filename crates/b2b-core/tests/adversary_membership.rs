@@ -293,7 +293,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_golden(
         &cluster,
         "c",
-        "cfc4401332a1e4e791efb0ef247d6f5dec334b250ffc54eb90fc25fefdebe1d6",
+        "3e84a680ecc3c34cde040726654e61447363752ed84db48c2dda96983889f7e5",
     );
     assert_shape(
         &cluster,
@@ -336,7 +336,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "7cfead9d7ed8d0fbd3c6d63919159cea1398be510fb559ba63512479d0cb78da",
+        "e348b0e2792ea26b42add935bd58454d080001bba418e14c813d7bdb0114a3d6",
     );
     assert_shape(
         &cluster,
@@ -718,6 +718,98 @@ fn non_sponsor_connect_proposal_is_vetoed_without_holding_the_member() {
         "the vetoed proposal holds the member"
     );
     assert_eq!(cluster.members(1, "c"), vec![party(0), party(1), party(2)]);
+    let run = cluster.propose(2, "c", enc(4));
+    for who in 0..3 {
+        let outcome = cluster.outcome(who, &run);
+        assert!(
+            outcome.as_ref().is_some_and(|o| o.is_installed()),
+            "org{who}: {outcome:?}"
+        );
+    }
+}
+
+#[test]
+fn an_insider_s_proposal_that_polls_nobody_at_its_recipient_leaves_its_recovery_alone() {
+    use b2b_core::messages::{
+        MemberChange, MemberRequest, MemberRequestMsg, Proposal, ProposalKind, ProposeMsg,
+    };
+    use b2b_core::{members_digest, GroupId};
+    use b2b_crypto::{sha256, CanonicalEncode, KeyPair, Signer};
+    use b2b_evidence::{EvidenceKind, EvidenceStore};
+    use b2b_net::NetNode;
+    // org2, the sponsor, signs an eviction of every other member under a
+    // group id that is not the group's, and sends it to org0. The eviction
+    // polls nobody in org0's group: logged by org0 as a proposal of its
+    // own history, it would install there and fault that history, and
+    // org0 would never be restored. org0 records the misbehaviour alone,
+    // and a crash later it comes back and takes part.
+    let mut cluster = Cluster::new(3, 712);
+    cluster.setup_object("c", counter_factory);
+    let oid = ObjectId::new("c");
+    let node = cluster.net.node(&party(0));
+    let (group, agreed) = (node.group(&oid).unwrap(), node.agreed_id(&oid).unwrap());
+    let change = MemberChange::Evict {
+        subjects: vec![party(0), party(1)],
+    };
+    let request = MemberRequest {
+        object: oid.clone(),
+        requester: party(2),
+        change: change.clone(),
+        nonce_hash: sha256(b"n"),
+    };
+    let insider = KeyPair::generate_from_seed(1002);
+    let request = MemberRequestMsg {
+        sig: insider.sign(&request.canonical_bytes()),
+        request,
+    };
+    let proposal = Proposal {
+        object: oid.clone(),
+        proposer: party(2),
+        group: GroupId {
+            seq: group.seq + 7,
+            ..group
+        },
+        prev: agreed,
+        proposed: agreed,
+        auth_commit: sha256(b"auth"),
+        kind: ProposalKind::Member {
+            request_digest: request.request.canonical_digest(),
+            requester: party(2),
+            change,
+            new_group: GroupId {
+                seq: group.seq + 1,
+                rand_hash: sha256(b"g"),
+                members_hash: members_digest(&[party(2)]),
+            },
+        },
+    };
+    let msg = WireMsg::Propose(ProposeMsg {
+        sig: insider.sign(&proposal.canonical_bytes()),
+        proposal,
+        body: request.canonical_bytes(),
+        memo: Default::default(),
+    });
+    let frame = data_frame(0, 0x5eed_u64, 0, &msg.to_bytes());
+    cluster
+        .net
+        .invoke(&party(2), move |_c, ctx| ctx.send(party(0), frame));
+    cluster.run();
+    assert!(has_detection(&cluster, 0, "unexpected-message"));
+    let proposals = cluster.stores[&party(0)].records().into_iter();
+    let logged = proposals.filter(|r| r.kind == EvidenceKind::StatePropose && r.origin == party(2));
+    assert_eq!(logged.count(), 0, "org0 logged the eviction");
+
+    cluster.net.invoke(&party(0), |c, ctx| {
+        c.on_crash();
+        c.on_recover(ctx);
+    });
+    cluster.run();
+    let org0 = cluster.net.node(&party(0));
+    assert!(org0.replica(&oid).is_some(), "org0 is not restored");
+    let refused = |m: &Misbehaviour| format!("{m:?}").contains("refused");
+    assert!(!org0.detected().iter().any(refused));
+    assert_eq!(cluster.members(0, "c"), vec![party(0), party(1), party(2)]);
+    assert_history(&cluster, "c");
     let run = cluster.propose(2, "c", enc(4));
     for who in 0..3 {
         let outcome = cluster.outcome(who, &run);

@@ -544,6 +544,67 @@ fn a_crash_before_any_checkpoint_put_of_a_run_is_recovered_from() {
     }
 }
 
+/// Rounds that poll nobody, run by org0 alone: a state round, and its
+/// sponsorship of the first join.
+const UNPOLLED: [Scenario; 2] = [
+    Scenario {
+        name: "sole member's state round",
+        parties: 1,
+        members: 1,
+        initiators: &[0],
+        start: |w| {
+            w.propose(0, value(7));
+        },
+    },
+    Scenario {
+        name: "sole member's first join",
+        parties: 2,
+        members: 1,
+        initiators: &[0],
+        start: |w| w.connect(1, 0),
+    },
+];
+
+#[test]
+fn a_round_that_polls_nobody_is_recovered_from_a_crash_at_any_put() {
+    // Logging the proposal installs such a round, so its active run
+    // reaches the checkpoint first. A crash at that put leaves no round
+    // (org0 decides anew, as an initiator does above), and a crash at any
+    // later put a round the log finishes. Either way the object comes back.
+    for scenario in &UNPOLLED {
+        let mut reference = scenario.world();
+        let before = reference.stores[0].puts();
+        (scenario.start)(&mut reference);
+        reference.settle();
+        let expected = reference.images();
+        let puts = reference.stores[0].puts() - before;
+        assert!(puts >= 2, "{}: {puts} puts", scenario.name);
+        for nth in 0..puts {
+            let mut world = scenario.world();
+            world.stores[0]
+                .fail_from
+                .store(before + nth, Ordering::SeqCst);
+            (scenario.start)(&mut world);
+            world.settle();
+            let refused = world.coord(0).detected().iter().any(|m| {
+                matches!(m, Misbehaviour::UnexpectedMessage { detail } if detail.contains("refused"))
+            });
+            assert!(!refused, "{}: recovery refused at put {nth}", scenario.name);
+            assert!(world.image(0).is_some(), "{}: no replica", scenario.name);
+            if nth > 0 {
+                assert!(world.stores[0].puts() > before + nth);
+                let images = world.images();
+                assert_eq!(
+                    images, expected,
+                    "{}: crash before put {nth}",
+                    scenario.name
+                );
+            }
+            world.assert_audits_clean();
+        }
+    }
+}
+
 #[test]
 fn every_party_recovers_what_it_had() {
     // Crash-recover every party of a settled group at once: what comes back

@@ -237,6 +237,24 @@ fn a_checkpoint_whose_state_was_edited_is_refused_at_restore_and_counted() {
 }
 
 #[test]
+fn a_checkpoint_that_reaches_past_its_log_is_refused_at_restore_and_counted() {
+    let telemetry = Telemetry::new();
+    let (config, plan) = (CoordinatorConfig::default(), FaultPlan::default());
+    let observers = vec![Telemetry::new(), telemetry.clone()];
+    let mut cluster = Cluster::with_config_and_telemetry(2, 127, config, plan, observers);
+    cluster.setup_object("counter", counter_factory);
+    cluster.propose(0, "counter", enc(4));
+    let store = &cluster.stores[&party(1)];
+    let mut core = CoreDoc::from_bytes(&store.get_snapshot("obj-counter").unwrap()).unwrap();
+    core.logged = store.len() as u64 + 1;
+    store.put_snapshot("obj-counter", core.to_bytes()).unwrap();
+    crash_and_recover(&mut cluster, 1);
+    let org1 = cluster.net.node(&party(1));
+    assert!(org1.replica(&ObjectId::new("counter")).is_none());
+    assert_eq!(telemetry.metrics().counter(names::RECOVERIES_REFUSED), 1);
+}
+
+#[test]
 fn a_leaver_an_evictee_and_a_sole_leaver_recover_as_they_stood() {
     let mut cluster = Cluster::new(4, 126);
     cluster.setup_object("counter", counter_factory);

@@ -57,7 +57,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "8a5fd7c08cc80545f1039f55f0a116fc0f3887100d0d127e3c7e30a649b2a77f",
+        "bff58c2efc79be5a3fbd1e5db84c94146f5f4aba4ff68785bf1d364bc861d02a",
     );
     assert_shape(
         &cluster,
@@ -82,7 +82,7 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "ae6595461825120651e8f0b398b923fa4fccc1522ceb24e752d310d9f6ba2b14",
+        "9db66ac05805d04c5b0c126001954557698d0c552eca02514be279186e783b3e",
     );
     assert_shape(
         &cluster,
@@ -233,7 +233,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "970d4e4129c48b410186d35f899467da462179bbc254b6c90601b3eb1f95a189",
+        "602cb1d0bb5fefd30c20c7dae6e99a1463a9fa7960eb0368be467ad1113657bd",
     );
     assert_shape(
         &cluster,

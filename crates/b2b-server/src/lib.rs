@@ -47,7 +47,7 @@ use b2b_core::{
     TicketId, TicketStatus,
 };
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, VerifyPool};
-use b2b_evidence::MemStore;
+use b2b_evidence::{EvidenceStore, MemStore};
 use b2b_net::{
     GroupHandle, GroupId, HttpHandler, HttpRequest, HttpResponse, HttpServer, ShardedNet,
 };
@@ -415,7 +415,7 @@ impl OrderServer {
         for store in self.core.stores.iter().flatten() {
             let history = history::check(store.as_ref(), object, ring, None, Unanimous);
             clean &= history.fault.is_none();
-            total += history.len as usize;
+            total += store.len();
         }
         (clean, total)
     }
