@@ -20,7 +20,7 @@ use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::DecideMsg;
 use crate::messages::{MemberRequestMsg, WireMsg, MIN_PARTY_BYTES, WIRE_TAGS};
 use crate::object::B2BObject;
-use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Doc, Replica, SNAPSHOT_FORMAT};
+use crate::replica::{snapshot_decoder, ActiveRun, CoreDoc, Replica, SNAPSHOT_FORMAT};
 use crate::seq::SeqTable;
 use b2b_crypto::{
     sha256, CanonicalDecode, CanonicalEncode, DecodeError, Digest32, Encoder, KeyRing, PartyId,
@@ -160,25 +160,6 @@ fn decode_pending_connects(bytes: &[u8]) -> Result<Vec<(ObjectId, PendingConnect
     Ok(out)
 }
 
-/// Writes checkpoint document `doc` of `object` under its key, built in
-/// `key`; a failed write returns what to report.
-fn put_doc(
-    snapshots: &dyn SnapshotStore,
-    key: &mut String,
-    object: &ObjectId,
-    doc: Doc,
-    blob: Vec<u8>,
-) -> Result<(), String> {
-    key.clear();
-    let _ = match doc {
-        Doc::Reply { slot, .. } => write!(key, "obj-{object}-reply-{slot}"),
-        Doc::Core => write!(key, "obj-{object}"),
-    };
-    snapshots
-        .put_snapshot(key, blob)
-        .map_err(|e| format!("checkpoint write of {key} failed: {e}"))
-}
-
 /// Engine state that a quiet group never touches: the time-stamping
 /// authority, connection attempts in progress, run deadlines, contention
 /// holdoffs and retries, TTP cases and detected misbehaviour. It lives in
@@ -242,11 +223,12 @@ pub struct Coordinator {
     msg_counts: [u64; WIRE_TAGS],
     /// State a quiet group never touches; see [`Cold`].
     pub(crate) cold: Option<Box<Cold>>,
-    /// The key of the checkpoint document being written, rebuilt in place
-    /// for every document.
+    /// The key of the core document being written, rebuilt in place for
+    /// every write.
     checkpoint_key: String,
-    /// An index write failed: the next checkpoint rewrites the index.
-    index_stale: bool,
+    /// The index in the store is not the engine's: the next checkpoint
+    /// rewrites it.
+    pub(crate) index_stale: bool,
     pub(crate) next_timer: u64,
     /// Per-object queues of updates accepted by [`Coordinator::submit_updates`]
     /// and awaiting a coordination round. Volatile (cleared on crash).
@@ -997,7 +979,8 @@ impl Coordinator {
     }
 
     /// Appends an evidence record, encoded straight from the borrowed
-    /// fields; timestamps it when a TSA is configured.
+    /// fields; timestamps it when a TSA is configured. Returns the
+    /// sequence number the log assigned, or `None` if the append failed.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn log_evidence(
         &mut self,
@@ -1008,7 +991,7 @@ impl Coordinator {
         payload: &[u8],
         signature: Option<&b2b_crypto::Signature>,
         now: TimeMs,
-    ) {
+    ) -> Option<u64> {
         let timestamp = self
             .cold()
             .and_then(|c| c.tsa.as_ref())
@@ -1026,10 +1009,16 @@ impl Coordinator {
         // A full log is a liveness problem, not a safety one; surface
         // storage failures as diagnostics rather than panicking.
         match self.evidence.append_ref(record) {
-            Ok(_) => self.telemetry.inc(names::EVIDENCE_RECORDS_APPENDED),
-            Err(e) => self.detect(Misbehaviour::UnexpectedMessage {
-                detail: format!("evidence log append failed: {e}"),
-            }),
+            Ok(seq) => {
+                self.telemetry.inc(names::EVIDENCE_RECORDS_APPENDED);
+                Some(seq)
+            }
+            Err(e) => {
+                self.detect(Misbehaviour::UnexpectedMessage {
+                    detail: format!("evidence log append failed: {e}"),
+                });
+                None
+            }
         }
     }
 
@@ -1084,11 +1073,9 @@ impl Coordinator {
         self.events.push(event);
     }
 
-    /// Checkpoints `object`: writes the checkpoint documents this step
-    /// made stale, and only those, in the order
-    /// [`Replica::take_stale_docs`] fixes. A document whose write fails
-    /// stays stale and is retried by the next checkpoint, as is an index
-    /// whose write failed.
+    /// Checkpoints `object`: writes its core document if this step made it
+    /// stale. A document whose write fails stays stale and is retried by
+    /// the next checkpoint, as is an index whose write failed.
     ///
     /// The log is the commit point: the records a core document depends on
     /// are flushed before it is written, and the document marks the log's
@@ -1104,21 +1091,15 @@ impl Coordinator {
         let Some(rep) = self.replicas.get_mut(object) else {
             return;
         };
-        for (doc, blob) in rep.take_stale_docs(COMPLETED_REPLIES_CAP, logged) {
-            let written = put_doc(
-                &*self.snapshots,
-                &mut self.checkpoint_key,
-                object,
-                doc,
-                blob,
-            );
-            match (doc, written) {
-                (Doc::Reply { run, .. }, Ok(())) => rep.reply_written(&run),
-                (Doc::Core, Ok(())) => {}
-                (doc, Err(detail)) => {
-                    if doc == Doc::Core {
-                        rep.mark_core_stale();
-                    }
+        if let Some(blob) = rep.take_stale_core(logged) {
+            let key = &mut self.checkpoint_key;
+            key.clear();
+            let _ = write!(key, "obj-{object}");
+            match self.snapshots.put_snapshot(key, blob) {
+                Ok(()) => rep.core_written(),
+                Err(e) => {
+                    rep.mark_core_stale();
+                    let detail = format!("checkpoint write of {key} failed: {e}");
                     let cold = self.cold.get_or_insert_with(Box::default);
                     cold.detected
                         .push(Misbehaviour::UnexpectedMessage { detail });
@@ -1129,44 +1110,19 @@ impl Coordinator {
         self.assert_checkpoint_current(object);
     }
 
-    /// Records `reply` as the re-reply of the completed `run` and writes its
-    /// reply document at once, the reply encoded straight into it: the
-    /// document is the one copy of the reply's bytes, and the replica
-    /// keeps its index. If the write fails, the replica holds the bytes
-    /// until a later checkpoint writes them.
-    pub(crate) fn remember_reply(&mut self, object: &ObjectId, run: RunId, reply: &WireMsg) {
-        let Some(rep) = self.replicas.get_mut(object) else {
-            return;
-        };
-        let Some(doc) = rep.remember_reply(run, COMPLETED_REPLIES_CAP) else {
-            return;
-        };
-        let Some(blob) = rep.reply_doc(&run, reply) else {
-            return;
-        };
-        if let Err(detail) = put_doc(
-            &*self.snapshots,
-            &mut self.checkpoint_key,
-            object,
-            doc,
-            blob,
-        ) {
-            rep.hold_unwritten(run, reply.to_bytes());
-            let cold = self.cold.get_or_insert_with(Box::default);
-            cold.detected
-                .push(Misbehaviour::UnexpectedMessage { detail });
+    /// Records that the completed `run` of `object` re-replies with our
+    /// log record `record` (`None` if its append failed, and then nothing
+    /// is retained).
+    pub(crate) fn remember_reply(&mut self, object: &ObjectId, run: RunId, record: Option<u64>) {
+        if let Some(rep) = self.replicas.get_mut(object) {
+            rep.remember_reply(run, record, COMPLETED_REPLIES_CAP);
         }
     }
 
     /// The retained re-reply of the completed `run` of `object`, read back
-    /// from its reply document.
+    /// from the record of our log that carries it.
     pub(crate) fn completed_reply(&self, object: &ObjectId, run: &RunId) -> Option<WireMsg> {
-        self.replicas
-            .get(object)?
-            .completed_reply(run, COMPLETED_REPLIES_CAP, |slot| {
-                self.snapshots
-                    .get_snapshot(&format!("obj-{object}-reply-{slot}"))
-            })
+        (self.replicas.get(object)?).completed_reply(run, &*self.evidence)
     }
 
     /// Debug builds check the dirty tracking on every checkpoint: when
@@ -1269,17 +1225,27 @@ impl Coordinator {
             .get_snapshot("objects")
             .and_then(|b| decode_object_index(&b).ok())
             .unwrap_or_default();
-        let records = self.evidence.records();
+        let mut records = self.evidence.records();
+        let rule = self.config.decision_rule;
         for object_id in ids {
-            let (Some(core), Some(factory)) = (
+            let (Some(core), Some(object)) = (
                 (self.snapshots.get_snapshot(&format!("obj-{object_id}")))
                     .and_then(|b| CoreDoc::from_bytes(&b).ok()),
-                self.factory(&object_id),
+                self.factory(&object_id).map(|factory| factory()),
             ) else {
                 continue;
             };
-            let rule = self.config.decision_rule;
-            let history = history::fold(&records, &object_id, &self.ring, None, rule);
+            let me = Some(&self.me);
+            let mut history = history::fold(&records, &object_id, &self.ring, None, rule, me);
+            // The crash landed between putting the welcome and logging it.
+            let unlogged = (core.welcome.as_ref())
+                .filter(|(answer, _)| !history.ended.contains_key(&RunId(answer.request_digest)));
+            if let Some((answer, sig)) = unlogged {
+                let logged = self.log_answer(answer, sig, ctx.now());
+                records.extend(logged.and_then(|seq| self.evidence.get(seq)));
+                let me = Some(&self.me);
+                history = history::fold(&records, &object_id, &self.ring, None, rule, me);
+            }
             let restored = match &history.fault {
                 Some(fault) => Err(format!("its log faults at {fault}")),
                 None if core.logged > records.len() as u64 => {
@@ -1287,13 +1253,12 @@ impl Coordinator {
                 }
                 None => Replica::restore(
                     object_id.clone(),
-                    factory(),
+                    object,
                     &self.me,
                     &history,
                     core,
                     COMPLETED_REPLIES_CAP,
                     REPLAY_WINDOW,
-                    |slot| (self.snapshots).get_snapshot(&format!("obj-{object_id}-reply-{slot}")),
                 )
                 .map_err(|e| e.to_string()),
             };
@@ -1308,7 +1273,8 @@ impl Coordinator {
                     let end = &records[ended.record as usize];
                     let decide = (end.kind == EvidenceKind::StateDecide)
                         .then(|| DecideMsg::from_canonical(&end.payload).ok())
-                        .flatten();
+                        .flatten()
+                        .map(|decide| (decide, Some(ended.record)));
                     self.conclude(&object_id, ended.run, decide, ended.installed, None, ctx);
                     self.pump_queue(&object_id, ctx);
                 }

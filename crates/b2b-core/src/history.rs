@@ -6,20 +6,23 @@
 //! what the log proves the party installed, up to the first record that
 //! does not fit. Three callers judge through it: the arbiter,
 //! `b2b-check`'s oracles, and crash recovery, which rebuilds a replica's
-//! group, agreed tuple and replay window from the [`History`] of the
-//! party's own log (DESIGN §8, §13). A decide installs when its response
-//! set carries the decision under the round's rule — the rule the caller
-//! names for a state round, unanimity for a membership change — and
-//! installs nothing otherwise (a veto, the proposer's deadline abort); a
-//! signed TTP resolution ends a round as it says; a proposal that polls
-//! nobody installs at once — in a party's own log it is the party's own,
-//! for a recipient does not log a proposal that does not poll it.
+//! group, agreed tuple, replay window and re-reply ring from the
+//! [`History`] of the party's own log (DESIGN §8, §13): a completed run's
+//! re-reply is the party's own record that carries it — the decide of a
+//! round it proposed, its response in one it was polled in. A decide
+//! installs when its response set carries the decision under the round's
+//! rule — the rule the caller names for a state round, unanimity for a
+//! membership change — and installs nothing otherwise (a veto, the
+//! proposer's deadline abort); a signed TTP resolution ends a round as it
+//! says; a proposal that polls nobody installs at once — in a party's own
+//! log it is the party's own, for a recipient does not log a proposal that
+//! does not poll it.
 
 use crate::config::DecisionRule;
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
 use crate::messages::{
     DecideMsg, MemberAnswer, MemberChange, MemberRequest, MemberVerdict, Proposal, ProposalKind,
-    TtpResolution, TtpVerdict,
+    Response, TtpResolution, TtpVerdict,
 };
 use crate::replica::seen_tuple;
 use crate::tally;
@@ -137,6 +140,11 @@ pub struct History {
     /// after the run that welcomed it if it joined: its replay window
     /// before expiry.
     pub seen: Vec<Seen>,
+    /// Each round a decide ended, in log order, with the sequence number
+    /// of the owner's own record that carries its reply: the decide of a
+    /// round it proposed, its response in one it was polled in. Only
+    /// recovery, which names the owner, reads it.
+    pub replies: Vec<(RunId, u64)>,
 }
 
 /// Folds `log`'s records for `object`, verifying each against `ring` and,
@@ -149,19 +157,22 @@ pub fn check(
     tsa_key: Option<&PublicKey>,
     rule: DecisionRule,
 ) -> History {
-    fold(&log.records(), object, ring, tsa_key, rule)
+    fold(&log.records(), object, ring, tsa_key, rule, None)
 }
 
-/// [`check`] over records already read from the log.
+/// [`check`] over records already read from the log of `owner`, when
+/// named: then [`History::replies`] is filled in too.
 pub(crate) fn fold(
     records: &[EvidenceRecord],
     object: &ObjectId,
     ring: &KeyRing,
     tsa_key: Option<&PublicKey>,
     rule: DecisionRule,
+    owner: Option<&PartyId>,
 ) -> History {
     let mut fold = Fold {
         rule,
+        owner: owner.cloned(),
         ..Fold::default()
     };
     let fault = (0u64..).zip(records).find_map(|(expected, record)| {
@@ -194,6 +205,10 @@ struct Group {
 struct Fold {
     /// The rule a state round's decide installs under.
     rule: DecisionRule,
+    /// The party whose log this is, if known.
+    owner: Option<PartyId>,
+    /// The owner's response in each open round, by run.
+    responded: HashMap<RunId, u64>,
     /// `None` before the founding or welcome, and after the party left.
     group: Option<Group>,
     /// Every proposal in the log, and whether its round has ended.
@@ -281,6 +296,11 @@ impl Fold {
                 .map_err(FaultKind::ResponseSet)?;
                 let rule = tally::rule_for(self.rule, &p.kind);
                 let (accepted, _) = tally::decide(rule, polled.len() + 1, &d.responses);
+                let reply = match &self.owner {
+                    Some(owner) if *owner == r.origin => Some(r.seq),
+                    _ => self.responded.remove(&d.run),
+                };
+                self.history.replies.extend(reply.map(|seq| (d.run, seq)));
                 self.end(d.run, r, accepted)
             }
             // A member's own appeal, or the resolution of the TTP, which is
@@ -313,6 +333,12 @@ impl Fold {
                 Ok(())
             }
             EvidenceKind::MemberAnswer => self.answer(r),
+            EvidenceKind::StateRespond if self.owner.as_ref() == Some(&r.origin) => {
+                if let Ok(response) = Response::from_canonical(&r.payload) {
+                    self.responded.insert(response.run, r.seq);
+                }
+                Ok(())
+            }
             EvidenceKind::StateRespond | EvidenceKind::Misbehaviour => Ok(()),
         }
     }

@@ -27,7 +27,7 @@ use crate::object::B2BObject;
 use crate::replica::{ActiveRun, LeavingRun, Replica};
 use crate::tally;
 use crate::Coordinator;
-use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, Digest32, PartyId, TimeMs};
+use b2b_crypto::{sha256, CanonicalDecode, CanonicalEncode, Digest32, PartyId, Signature, TimeMs};
 use b2b_evidence::{EvidenceKind, RunLabel};
 use b2b_net::NodeCtx;
 use b2b_telemetry::names;
@@ -354,7 +354,7 @@ impl Coordinator {
                 cold.pending_connects.remove(&oid);
                 cold.connect_status
                     .insert(oid.clone(), ConnectStatus::Rejected);
-                self.log_answer(&oid, label, from, &msg, now);
+                self.log_answer(&msg.answer, &msg.sig, now);
                 self.persist_index();
             }
             (false, verdict) => {
@@ -374,7 +374,7 @@ impl Coordinator {
                     // retry.
                     MemberVerdict::Rejected => None,
                 };
-                self.log_answer(&oid, label, from, &msg, now);
+                self.log_answer(&msg.answer, &msg.sig, now);
                 self.persist(&oid);
                 let Some((run, agreed)) = left else {
                     self.trace(now, "membership", "disconnect_rejected", || {
@@ -415,11 +415,26 @@ impl Coordinator {
         let mut replica = Replica::new(oid.clone(), object, members.clone(), group, agreed, state);
         replica.note_seen(run, None);
         replica.joined = true;
+        replica.hold_welcome((msg.answer.clone(), msg.sig.clone()));
         self.replicas.insert(oid.clone(), Box::new(replica));
+        // The object reaches the index, and the welcome the core document,
+        // before the welcome reaches the log: recovery logs a welcome its
+        // log lacks. Until it is logged the request stays pending in the
+        // index, so recovery asks again for a join whose core document did
+        // not land — which is dropped here unlogged.
+        self.persist_index();
+        self.persist(oid);
+        if self.replicas[oid].holds_welcome() {
+            self.replicas.remove(oid);
+            self.index_stale = true;
+            return;
+        }
         if let Some(cold) = self.cold.as_deref_mut() {
             cold.pending_connects.remove(oid);
             cold.connect_status.remove(oid);
         }
+        self.log_answer(&msg.answer, &msg.sig, now);
+        self.persist_index();
         self.telemetry.inc(names::MEMBERSHIP_CHANGES);
         self.trace(now, "membership", "install", || {
             format!(
@@ -428,9 +443,6 @@ impl Coordinator {
                 members.len()
             )
         });
-        self.log_answer(oid, run.label(), &msg.answer.sponsor, &msg, now);
-        self.persist(oid);
-        self.persist_index();
         self.outcomes
             .insert(run, Outcome::Installed { state: agreed });
         let event = CoordEventKind::MembershipChanged {
@@ -439,25 +451,27 @@ impl Coordinator {
         self.emit(oid, run, event, now);
     }
 
-    fn log_answer(
+    /// Logs a member answer as its sponsor's signed record, filed under
+    /// the round it names, or under the request's digest if it rejects.
+    pub(crate) fn log_answer(
         &mut self,
-        oid: &ObjectId,
-        label: RunLabel<'_>,
-        sponsor: &PartyId,
-        msg: &MemberAnswerMsg,
+        answer: &MemberAnswer,
+        sig: &Signature,
         now: TimeMs,
-    ) {
-        let bytes = msg.answer.canonical_bytes();
-        let sponsor = sponsor.clone();
+    ) -> Option<u64> {
+        let label = match &answer.verdict {
+            MemberVerdict::Accepted { run, .. } => run.label(),
+            MemberVerdict::Rejected => RunLabel::Hex(answer.request_digest.as_bytes()),
+        };
         self.log_evidence(
             EvidenceKind::MemberAnswer,
-            oid,
+            &answer.object,
             label,
-            sponsor,
-            &bytes,
-            Some(&msg.sig),
+            answer.sponsor.clone(),
+            &answer.canonical_bytes(),
+            Some(sig),
             now,
-        );
+        )
     }
 
     // =================================================================
@@ -653,13 +667,7 @@ impl Coordinator {
             state,
             sig,
         };
-        let oid = msg.answer.object.clone();
-        let label = match &msg.answer.verdict {
-            MemberVerdict::Accepted { run, .. } => run.label(),
-            MemberVerdict::Rejected => RunLabel::Hex(msg.answer.request_digest.as_bytes()),
-        };
-        let me = self.me.clone();
-        self.log_answer(&oid, label, &me, &msg, ctx.now());
+        self.log_answer(&msg.answer, &msg.sig, ctx.now());
         self.send_wire(subject, &WireMsg::MemberAnswer(msg), ctx);
     }
 

@@ -643,21 +643,6 @@ impl Coordinator {
         };
 
         let proposer = p.proposer.clone();
-        if c.track {
-            rep.start_run(ActiveRun::Recipient(Box::new(RecipientRun {
-                run,
-                propose: m1.clone(),
-                my_response: m2.clone(),
-                pending_state,
-            })));
-        } else {
-            rep.note_seen(run, tuple);
-        }
-        self.replicas.insert(oid.clone(), rep);
-        if c.track && self.config.ttp.is_some() {
-            self.arm_deadline(&oid, run, ctx);
-        }
-
         self.log_evidence(
             EvidenceKind::StatePropose,
             &oid,
@@ -667,7 +652,7 @@ impl Coordinator {
             Some(&m1.sig),
             now,
         );
-        self.log_evidence(
+        let responded = self.log_evidence(
             EvidenceKind::StateRespond,
             &oid,
             run.label(),
@@ -676,6 +661,21 @@ impl Coordinator {
             Some(&m2.sig),
             now,
         );
+        if c.track {
+            rep.start_run(ActiveRun::Recipient(Box::new(RecipientRun {
+                run,
+                propose: m1.clone(),
+                my_response: m2.clone(),
+                responded,
+                pending_state,
+            })));
+        } else {
+            rep.note_seen(run, tuple);
+        }
+        self.replicas.insert(oid.clone(), rep);
+        if c.track && self.config.ttp.is_some() {
+            self.arm_deadline(&oid, run, ctx);
+        }
         for m in c.misbehaviours {
             self.log_misbehaviour(&oid, run.label(), m, now);
         }
@@ -849,7 +849,7 @@ impl Coordinator {
                 decide.responses.len()
             )
         });
-        self.log_evidence(
+        let record = self.log_evidence(
             EvidenceKind::StateDecide,
             oid,
             run.label(),
@@ -860,7 +860,14 @@ impl Coordinator {
         );
         let requeue = self.requeue_contended(run, &pr.propose, &outcome);
         let pr = ActiveRun::Proposer(pr);
-        self.conclude(oid, pr, Some(decide), accepted, Some(outcome), ctx);
+        self.conclude(
+            oid,
+            pr,
+            Some((decide, record)),
+            accepted,
+            Some(outcome),
+            ctx,
+        );
         if !requeue.is_empty() {
             self.telemetry.inc(names::ROUNDS_RETRIED);
             let p = self.pending_updates.entry(oid.clone()).or_default();
@@ -873,19 +880,20 @@ impl Coordinator {
     }
 
     /// The end of a round at this party once the record that decides it is
-    /// logged: the re-reply it leaves — a proposer's `decide`, also sent to
-    /// the members it polled, or a recipient's own response — then the
-    /// round's close with its `outcome`, and a sponsor's answer to the
-    /// change's subject, `accepted` or not; without a decide the answer
-    /// carries the responses in hand. Recovery finishes here, with no
-    /// `outcome`, a round the log ended after the checkpoint's last write:
-    /// the round closed before the crash, so only its checkpoint is written
-    /// again.
+    /// logged (`decide`, with that record's sequence number in our log):
+    /// the re-reply it leaves — a proposer's decide record, the decide also
+    /// sent to the members it polled, or a recipient's own response record
+    /// — then the round's close with its `outcome`, and a sponsor's answer
+    /// to the change's subject, `accepted` or not; without a decide the
+    /// answer carries the responses in hand. Recovery finishes here, with
+    /// no `outcome`, a round the log ended after the checkpoint's last
+    /// write: the round closed before the crash, so only its checkpoint is
+    /// written again.
     pub(crate) fn conclude(
         &mut self,
         oid: &ObjectId,
         run: ActiveRun,
-        decide: Option<DecideMsg>,
+        decide: Option<(DecideMsg, Option<u64>)>,
         accepted: bool,
         outcome: Option<Outcome>,
         ctx: &mut NodeCtx,
@@ -893,9 +901,9 @@ impl Coordinator {
         let (run, m1, answer) = match run {
             ActiveRun::Proposer(pr) => {
                 let decide = match decide {
-                    Some(decide) => {
+                    Some((decide, record)) => {
+                        self.remember_reply(oid, pr.run, record);
                         let m3 = WireMsg::Decide(decide);
-                        self.remember_reply(oid, pr.run, &m3);
                         let polled = pr.propose.proposal.polled(&self.replicas[oid].members);
                         self.send_wire_all(&polled, &m3, ctx);
                         let WireMsg::Decide(decide) = m3 else {
@@ -914,7 +922,7 @@ impl Coordinator {
             }
             ActiveRun::Recipient(rr) => {
                 if decide.is_some() {
-                    self.remember_reply(oid, rr.run, &WireMsg::Respond(rr.my_response));
+                    self.remember_reply(oid, rr.run, rr.responded);
                 }
                 (rr.run, rr.propose, None)
             }
@@ -1058,7 +1066,7 @@ impl Coordinator {
             Ok(()) => self.install(&oid, &rr.propose, rr.pending_state.take()),
             Err(outcome) => outcome,
         };
-        self.log_evidence(
+        let record = self.log_evidence(
             EvidenceKind::StateDecide,
             &oid,
             run.label(),
@@ -1073,7 +1081,7 @@ impl Coordinator {
         // manufacture false evidence of equivocation against us, and false
         // replay evidence against the honest proposer).
         let (rr, accepted) = (ActiveRun::Recipient(rr), outcome.is_installed());
-        self.conclude(&oid, rr, Some(m3), accepted, Some(outcome), ctx);
+        self.conclude(&oid, rr, Some((m3, record)), accepted, Some(outcome), ctx);
         self.pump_queue(&oid, ctx);
     }
 

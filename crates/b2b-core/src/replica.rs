@@ -8,29 +8,35 @@
 //! detection sets, and at most one active protocol run.
 //!
 //! The party's evidence log is the replica's commit point, and its
-//! checkpoint a cache of the bytes the log lacks: a [`CoreDoc`] (the state
-//! bytes, the active run, the deferred requests, how far into the log it
-//! reaches) and a ring of [`ReplyDoc`]s (the re-replies). A protocol step
-//! writes only the documents it changed, after the records they depend on
-//! are flushed. [`Replica::restore`] rebuilds the members, the group, the
-//! agreed tuple and the replay window from the [`History`] of the party's
-//! own log, and takes from the checkpoint only what the log does not hold.
+//! checkpoint a cache of the bytes the log lacks: one [`CoreDoc`] (the
+//! state bytes, the active run, the deferred requests, how far into the
+//! log it reaches). A protocol step rewrites it only if it changed it,
+//! after the records it depends on are flushed. A completed run's
+//! re-reply is the party's own log record that carries it, read back by
+//! its sequence number. [`Replica::restore`] rebuilds the members, the
+//! group, the agreed tuple, the replay window and the re-reply ring from
+//! the [`History`] of the party's own log, and takes from the checkpoint
+//! only what the log does not hold.
 
 use crate::history::{History, Seen};
 use crate::ids::{GroupId, ObjectId, RunId, StateId};
-use crate::messages::{MemberRequestMsg, Proposal, ProposeMsg, RespondMsg, WireMsg};
+use crate::messages::{
+    DecideMsg, MemberAnswer, MemberRequestMsg, Proposal, ProposeMsg, RespondMsg, Response, WireMsg,
+};
 use crate::object::B2BObject;
 use b2b_crypto::canonical::{decode_seq, encode_seq};
 use b2b_crypto::{
-    CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder, PartyId,
+    CachedCanonical, CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Digest32, Encoder,
+    PartyId, Signature,
 };
+use b2b_evidence::{EvidenceKind, EvidenceStore};
 use b2b_net::compact::Compact;
 use std::collections::{BTreeMap, VecDeque};
 
 /// First byte of every blob this module (and the coordinator's object
 /// index) puts in the snapshot store: the version of the layout that
 /// follows. A blob with any other first byte is not decoded.
-pub const SNAPSHOT_FORMAT: u8 = 5;
+pub const SNAPSHOT_FORMAT: u8 = 6;
 
 /// Lower bound on the encoded size of a signed message (it holds at least
 /// one digest), for [`Decoder::get_count`].
@@ -111,6 +117,10 @@ pub struct RecipientRun {
     pub propose: ProposeMsg,
     /// The m2 we sent (re-sent on recovery or duplicate m1).
     pub my_response: RespondMsg,
+    /// The sequence number of the `StateRespond` record that logged
+    /// `my_response`: the run's re-reply once it completes. `None` if the
+    /// append failed, and then no re-reply is kept.
+    pub responded: Option<u64>,
     /// For accepted state proposals: the successor state to install on a
     /// positive decide (body for overwrites, computed state for updates).
     pub pending_state: Option<Vec<u8>>,
@@ -121,6 +131,7 @@ impl CanonicalEncode for RecipientRun {
         self.run.encode(enc);
         self.propose.encode(enc);
         self.my_response.encode(enc);
+        self.responded.encode(enc);
         self.pending_state.encode(enc);
     }
 }
@@ -131,6 +142,7 @@ impl CanonicalDecode for RecipientRun {
             run: RunId::decode(dec)?,
             propose: ProposeMsg::decode(dec)?,
             my_response: RespondMsg::decode(dec)?,
+            responded: Option::<u64>::decode(dec)?,
             pending_state: Option::<Vec<u8>>::decode(dec)?,
         })
     }
@@ -292,26 +304,16 @@ impl<K: Ord + Copy> SeenMap<K> {
     }
 }
 
-/// A checkpoint document of a replica.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Doc {
-    /// The reply document of this completed run, in this store slot.
-    Reply {
-        /// The completed run.
-        run: RunId,
-        /// The slot the document is stored under.
-        slot: u64,
-    },
-    /// The core document.
-    Core,
-}
+/// The sponsor's signed answer that admitted a joiner: the record that
+/// founds its history.
+pub type Welcome = (MemberAnswer, Signature);
 
 /// One party's replica of a shared object plus protocol bookkeeping.
 ///
 /// Fields are crate-visible for reading; everything the checkpoint covers
-/// is *changed* only through the methods below, which note which of the
-/// checkpoint documents (see [`CoreDoc`], [`ReplyDoc`]) the change made
-/// stale, so a protocol step rewrites only those.
+/// is *changed* only through the methods below, which note when the
+/// change made the [`CoreDoc`] stale, so a protocol step rewrites it only
+/// then.
 pub struct Replica {
     /// The object alias.
     pub(crate) object_id: ObjectId,
@@ -342,17 +344,13 @@ pub struct Replica {
     pub(crate) queued: Vec<MemberRequestMsg>,
     /// The replies we produced for completed runs, oldest first, so a
     /// duplicate or post-recovery retransmission of m1/m3 gets a
-    /// consistent re-reply. Each is held as its index (see
-    /// [`StoredReply`]): the bytes live in the reply document in the
-    /// snapshot store. Bounded, and sized to what it holds: insert through
-    /// [`Replica::remember_reply`].
-    replies: VecDeque<(RunId, StoredReply)>,
-    /// The wire bytes of retained replies whose reply document is not in
-    /// the store, because its write failed: the next checkpoint retries
-    /// it, and a re-reply reads them here. Normally empty.
-    unwritten: Vec<(RunId, Vec<u8>)>,
-    /// Monotonic counter of remembered replies; numbers the reply slots.
-    pub(crate) reply_slots: u64,
+    /// consistent re-reply. Each is held as the sequence number of our
+    /// own log record that carries it. Bounded, and sized to what it
+    /// holds: insert through [`Replica::remember_reply`].
+    replies: VecDeque<(RunId, u64)>,
+    /// The answer that admitted this party, until a core document that
+    /// carries it lands: it is put before the answer is logged.
+    welcome: Option<Box<Welcome>>,
     /// The length of the evidence log when the core document was last
     /// written: how far into the log the checkpoint reaches.
     logged: u64,
@@ -405,8 +403,7 @@ impl Replica {
             active: None,
             queued: Vec::new(),
             replies: VecDeque::new(),
-            unwritten: Vec::new(),
-            reply_slots: 0,
+            welcome: None,
             logged: 0,
             detached: false,
             joined: false,
@@ -475,18 +472,14 @@ impl Replica {
         (self.seen_runs.0.clone(), self.seen_tuples.0.clone())
     }
 
-    /// The retained re-replies, oldest first.
-    pub fn completed(&self) -> Vec<(RunId, &StoredReply)> {
-        self.replies.iter().map(|(run, r)| (*run, r)).collect()
-    }
-
-    /// The retained reply of `run`, if the ring still holds it.
-    fn reply_of(&self, run: &RunId) -> Option<&StoredReply> {
-        self.replies.iter().find(|(r, _)| r == run).map(|(_, r)| r)
+    /// The retained re-replies, oldest first, each with the sequence
+    /// number of the log record that carries it.
+    pub fn completed(&self) -> Vec<(RunId, u64)> {
+        self.replies.iter().copied().collect()
     }
 
     // -----------------------------------------------------------------
-    // Mutation points: each notes which checkpoint document it staled.
+    // Mutation points: each notes when it staled the core document.
     // -----------------------------------------------------------------
 
     /// Whether `run` is in the replay window.
@@ -587,82 +580,46 @@ impl Replica {
         Some(self.queued.remove(0))
     }
 
-    /// Records that `run` completed with a re-reply, evicting the oldest
-    /// retained reply once `cap` are held, and returns the document that
-    /// must now reach the store: [`Replica::reply_doc`] encodes it. A peer
-    /// retransmitting a run older than the cap gets silence and recovers
-    /// through the normal state-transfer path; `cap == 0` retains nothing.
-    ///
-    /// The replica keeps only the reply's index — its run and its number —
-    /// and reads the bytes back from the reply document on a re-reply
-    /// ([`Replica::completed_reply`]).
-    pub(crate) fn remember_reply(&mut self, run: RunId, cap: usize) -> Option<Doc> {
-        if cap == 0 {
-            return None;
-        }
-        if let Some(i) = self.replies.iter().position(|(r, _)| *r == run) {
-            self.replies.remove(i);
-        }
+    /// Records that `run` completed with the re-reply our log holds at
+    /// `record`, evicting the oldest retained reply once `cap` are held. A
+    /// reply whose record append failed (`None`) is not retained, like one
+    /// older than the cap: a peer retransmitting such a run gets silence
+    /// and recovers through the normal state-transfer path; `cap == 0`
+    /// retains nothing. The ring is read back from the log at restore, so
+    /// no checkpoint document changes.
+    pub(crate) fn remember_reply(&mut self, run: RunId, record: Option<u64>, cap: usize) {
+        let Some(record) = record.filter(|_| cap > 0) else {
+            return;
+        };
+        self.replies.retain(|(r, _)| *r != run);
         while self.replies.len() >= cap {
-            let Some((oldest, _)) = self.replies.pop_front() else {
-                break;
-            };
-            self.unwritten.retain(|(r, _)| *r != oldest);
+            self.replies.pop_front();
         }
-        let n = self.reply_slots;
-        self.reply_slots += 1;
-        self.core_dirty = true;
-        self.replies.push_small((run, StoredReply { n }));
-        Some(Doc::Reply {
-            run,
-            slot: reply_slot(n, cap),
-        })
+        self.replies.push_small((run, record));
     }
 
-    /// The reply document of the retained reply of `run`, carrying `wire`
-    /// (the reply's encoding, written straight into the document).
-    pub(crate) fn reply_doc(&self, run: &RunId, wire: &WireMsg) -> Option<Vec<u8>> {
-        let stored = self.reply_of(run)?;
-        Some(encode_reply_doc(stored.n, run, wire.size_hint(), |enc| {
-            wire.encode_into(enc)
-        }))
-    }
-
-    /// Keeps the wire bytes of `run`'s reply, whose document write failed,
-    /// until a checkpoint writes it ([`Replica::reply_written`]).
-    pub(crate) fn hold_unwritten(&mut self, run: RunId, wire: Vec<u8>) {
-        if self.reply_of(&run).is_some() && self.unwritten.iter().all(|(r, _)| *r != run) {
-            self.unwritten.push((run, wire));
+    /// The retained re-reply for `run`, if the ring still holds it: the
+    /// frame first sent, rebuilt from our own record in `log` — a decide
+    /// is its payload, a response its payload and signature. Only
+    /// duplicate/post-recovery retransmissions and TTP evidence requests
+    /// take this path, and each reads one record.
+    pub fn completed_reply(&self, run: &RunId, log: &dyn EvidenceStore) -> Option<WireMsg> {
+        let (_, seq) = self.replies.iter().find(|(r, _)| r == run)?;
+        let record = log.get(*seq)?;
+        match record.kind {
+            EvidenceKind::StateDecide => (DecideMsg::from_canonical(&record.payload).ok())
+                .filter(|d| d.run == *run)
+                .map(WireMsg::Decide),
+            EvidenceKind::StateRespond => {
+                let response = Response::from_canonical(&record.payload).ok();
+                Some(WireMsg::Respond(RespondMsg {
+                    response: response.filter(|r| r.run == *run)?,
+                    sig: record.signature?,
+                    memo: CachedCanonical::from_received(&record.payload),
+                }))
+            }
+            _ => None,
         }
-    }
-
-    /// The reply document of `run` reached the store: its bytes need no
-    /// longer be held.
-    pub(crate) fn reply_written(&mut self, run: &RunId) {
-        self.unwritten.retain(|(r, _)| r != run);
-        self.unwritten.release_if_empty();
-    }
-
-    /// The retained re-reply for `run`, if the ring still holds it: read
-    /// from the held bytes of an unwritten reply, or else from the reply
-    /// document that `fetch_reply` resolves its store slot to — if the
-    /// document there is still this reply's. Only duplicate/post-recovery
-    /// retransmissions and TTP evidence requests take this path.
-    pub fn completed_reply(
-        &self,
-        run: &RunId,
-        cap: usize,
-        fetch_reply: impl FnOnce(u64) -> Option<Vec<u8>>,
-    ) -> Option<WireMsg> {
-        let stored = self.reply_of(run)?;
-        if let Some((_, wire)) = self.unwritten.iter().find(|(r, _)| r == run) {
-            return WireMsg::from_bytes(wire);
-        }
-        let doc = ReplyDoc::from_bytes(&fetch_reply(reply_slot(stored.n, cap))?).ok()?;
-        if doc.n != stored.n || doc.run != *run {
-            return None;
-        }
-        WireMsg::from_bytes(&doc.wire)
     }
 
     /// Prunes replay-window entries first seen more than `window` agreed
@@ -685,29 +642,38 @@ impl Replica {
     // Checkpoint documents
     // -----------------------------------------------------------------
 
-    /// The documents this replica's changes made stale since the last
-    /// call, in the order they must reach the store: reply documents whose
-    /// write failed before the core document whose `reply_slots` commits
-    /// them, so the core never counts a reply that is not there. A reply
-    /// document stays due until [`Replica::reply_written`]; the core
-    /// document is due again after [`Replica::mark_core_stale`]. `logged`
-    /// is the length of the evidence log, every record of which is
-    /// durable: the core document records it as its mark.
-    pub(crate) fn take_stale_docs(&mut self, cap: usize, logged: u64) -> Vec<(Doc, Vec<u8>)> {
-        let mut docs = Vec::new();
-        for (run, wire) in &self.unwritten {
-            let Some(stored) = self.reply_of(run) else {
-                continue;
-            };
-            let blob = encode_reply_doc(stored.n, run, wire.len(), |enc| enc.put_raw(wire));
-            let slot = reply_slot(stored.n, cap);
-            docs.push((Doc::Reply { run: *run, slot }, blob));
+    /// The core document, if this replica's changes made it stale since
+    /// the last call; it is due again after [`Replica::mark_core_stale`].
+    /// `logged` is the length of the evidence log, every record of which
+    /// is durable: the document records it as its mark.
+    pub(crate) fn take_stale_core(&mut self, logged: u64) -> Option<Vec<u8>> {
+        if !std::mem::take(&mut self.core_dirty) {
+            return None;
         }
-        if std::mem::take(&mut self.core_dirty) {
-            self.logged = logged;
-            docs.push((Doc::Core, self.core_doc()));
+        self.logged = logged;
+        Some(self.core_doc())
+    }
+
+    /// Holds the answer that admitted this party for the next core
+    /// document, which is put before the answer is logged.
+    pub(crate) fn hold_welcome(&mut self, welcome: Welcome) {
+        self.welcome = Some(Box::new(welcome));
+        self.core_dirty = true;
+    }
+
+    /// Whether the answer that admitted this party waits for a core
+    /// document to carry it.
+    pub(crate) fn holds_welcome(&self) -> bool {
+        self.welcome.is_some()
+    }
+
+    /// A core document landed. If it carried the welcome, the welcome is
+    /// let go and the document is due again: the answer is logged next,
+    /// and the next core document, written after a flush, reaches past it.
+    pub(crate) fn core_written(&mut self) {
+        if self.welcome.take().is_some() {
+            self.core_dirty = true;
         }
-        docs
     }
 
     /// The core document of the replica as it stands. A replica that has
@@ -720,10 +686,10 @@ impl Replica {
         CoreRef {
             logged: self.logged,
             founding: unlogged.then_some((&self.group, &self.agreed)),
+            welcome: self.welcome.as_deref(),
             agreed_state: &self.agreed_state,
             active: &self.active,
             queued: &self.queued,
-            reply_slots: self.reply_slots,
             detached: self.detached,
         }
         .to_bytes()
@@ -735,25 +701,23 @@ impl Replica {
     }
 
     /// Rebuilds `me`'s replica from the `history` of its own log and its
-    /// checkpoint documents, around a fresh application object.
+    /// core document, around a fresh application object.
     ///
     /// * The history counts up to the core document's mark, and past it
     ///   only where it ends the document's active run, which is then over
     ///   ([`Ended`]; a state run it installed hands over its bytes). The
     ///   last install (or the document's founding) gives the members, the
     ///   group and the agreed tuple, to which the state bytes must hash.
+    ///   A welcome the document carries was logged just after it: the mark
+    ///   reaches past it.
     /// * The replay window holds every proposal seen before the mark, and
     ///   the one whose record ended the active run, at the agreed sequence
     ///   number of its record, expired as installs do.
-    /// * Reply `n` is retained iff `reply_slots - cap <= n < reply_slots`
-    ///   and `fetch_reply` finds it in slot `n % (cap + 1)`; one numbered
-    ///   `reply_slots` or later is from a step whose core document never
-    ///   landed.
+    /// * The re-reply ring is the last `cap` of the history's replies.
     ///
     /// # Errors
     ///
     /// [`RestoreError`] when the log and the checkpoint disagree.
-    #[allow(clippy::too_many_arguments)]
     pub fn restore(
         object_id: ObjectId,
         object: Box<dyn B2BObject>,
@@ -762,17 +726,20 @@ impl Replica {
         core: CoreDoc,
         cap: usize,
         window: u64,
-        mut fetch_reply: impl FnMut(u64) -> Option<Vec<u8>>,
     ) -> Result<(Replica, Option<Ended>), RestoreError> {
         let CoreDoc {
-            logged,
+            mut logged,
             founding,
+            welcome,
             mut agreed_state,
             mut active,
             queued,
-            reply_slots,
             detached,
         } = core;
+        if let Some((answer, _)) = &welcome {
+            let welcomed = history.ended.get(&RunId(answer.request_digest));
+            logged = logged.max(welcomed.map_or(0, |seq| seq + 1));
+        }
         let end = (active.as_ref()).and_then(|run| history.ended.get(&run.end_key()).copied());
         let installs = &history.installs;
         if installs
@@ -806,7 +773,6 @@ impl Replica {
         rep.detached = detached || !rep.is_member(me);
         rep.active = active;
         rep.queued = queued;
-        rep.reply_slots = reply_slots;
         rep.logged = logged;
         let mut pruned_at = None;
         let window_records = |s: &&Seen| s.record < logged || Some(s.record) == end;
@@ -818,16 +784,11 @@ impl Replica {
             rep.see(seen.run, seen.tuple, seen.at);
         }
         rep.prune_seen(window);
-        for n in reply_slots.saturating_sub(cap as u64)..reply_slots {
-            let Some(doc) = fetch_reply(reply_slot(n, cap))
-                .and_then(|blob| ReplyDoc::from_bytes(&blob).ok())
-                .filter(|doc| doc.n == n)
-            else {
-                continue;
-            };
-            rep.replies.push_small((doc.run, StoredReply { n }));
+        let replies = &history.replies;
+        for (run, record) in &replies[replies.len().saturating_sub(cap)..] {
+            rep.replies.push_small((*run, *record));
         }
-        rep.core_dirty = ended.is_some();
+        rep.core_dirty = ended.is_some() || welcome.is_some();
         Ok((rep, ended))
     }
 }
@@ -868,32 +829,15 @@ fn finish_doc(enc: Encoder) -> Vec<u8> {
     blob
 }
 
-/// The snapshot-store slot of reply number `n`. One slot more than the
-/// `cap` replies retained, so writing reply `n` overwrites reply
-/// `n - cap - 1` — already evicted by a committed core document — and a
-/// crash before this step's core document lands loses nothing retained.
-fn reply_slot(n: u64, cap: usize) -> u64 {
-    n % (cap as u64 + 1)
-}
-
-/// A completed run's re-reply, by index: its number in the reply ring,
-/// which fixes the snapshot-store slot its reply document is written to.
-/// The reply's bytes live in that document.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoredReply {
-    /// The value of the replica's reply counter when this was remembered.
-    pub n: u64,
-}
-
-/// The **core** checkpoint document, key `obj-<id>`: the bytes of the
-/// replica that its log does not hold. Written by every step that changes
-/// one of its fields, the active run included, after the records it
-/// depends on are flushed.
+/// The checkpoint document, key `obj-<id>`: the bytes of the replica that
+/// its log does not hold. Written by every step that changes one of its
+/// fields, the active run included, after the records it depends on are
+/// flushed.
 ///
 /// Layout: [`SNAPSHOT_FORMAT`], the log mark, the optional founding (group
-/// and agreed tuple), the agreed state (length-prefixed raw bytes), the
-/// active run (its messages exactly as they travel on the wire), queued
-/// requests, `reply_slots`, detached.
+/// and agreed tuple), the optional welcome (answer and signature), the
+/// agreed state (length-prefixed raw bytes), the active run (its messages
+/// exactly as they travel on the wire), queued requests, detached.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoreDoc {
     /// The length of the evidence log when the document was written.
@@ -901,15 +845,15 @@ pub struct CoreDoc {
     /// A founder's genesis group and tuple, while it has logged no
     /// proposal.
     pub founding: Option<(GroupId, StateId)>,
+    /// The answer that admitted a joiner, in the document put before the
+    /// answer is logged; recovery logs it if the log lacks it.
+    pub welcome: Option<Welcome>,
     /// Agreed state bytes.
     pub agreed_state: Vec<u8>,
     /// The active run, if one was in progress.
     pub active: Option<ActiveRun>,
     /// Deferred membership requests.
     pub queued: Vec<MemberRequestMsg>,
-    /// Replies remembered so far: reply documents numbered below this are
-    /// committed.
-    pub reply_slots: u64,
     /// Whether the party had left the group; the log records every leave
     /// but a sole member's.
     pub detached: bool,
@@ -919,10 +863,10 @@ pub struct CoreDoc {
 struct CoreRef<'a> {
     logged: u64,
     founding: Option<(&'a GroupId, &'a StateId)>,
+    welcome: Option<&'a Welcome>,
     agreed_state: &'a [u8],
     active: &'a Option<ActiveRun>,
     queued: &'a [MemberRequestMsg],
-    reply_slots: u64,
     detached: bool,
 }
 
@@ -940,10 +884,14 @@ impl CoreRef<'_> {
             group.encode(&mut enc);
             agreed.encode(&mut enc);
         }
+        enc.put_bool(self.welcome.is_some());
+        if let Some((answer, sig)) = self.welcome {
+            answer.encode(&mut enc);
+            sig.encode(&mut enc);
+        }
         enc.put_bytes(self.agreed_state);
         self.active.encode(&mut enc);
         encode_seq(self.queued, &mut enc);
-        enc.put_u64(self.reply_slots);
         enc.put_bool(self.detached);
         finish_doc(enc)
     }
@@ -955,10 +903,10 @@ impl CoreDoc {
         CoreRef {
             logged: self.logged,
             founding: self.founding.as_ref().map(|(g, a)| (g, a)),
+            welcome: self.welcome.as_ref(),
             agreed_state: &self.agreed_state,
             active: &self.active,
             queued: &self.queued,
-            reply_slots: self.reply_slots,
             detached: self.detached,
         }
         .to_bytes()
@@ -973,67 +921,22 @@ impl CoreDoc {
         } else {
             None
         };
+        let welcome = if dec.get_bool()? {
+            Some((
+                MemberAnswer::decode(&mut dec)?,
+                Signature::decode(&mut dec)?,
+            ))
+        } else {
+            None
+        };
         let doc = CoreDoc {
             logged,
             founding,
+            welcome,
             agreed_state: Vec::<u8>::decode(&mut dec)?,
             active: Option::<ActiveRun>::decode(&mut dec)?,
             queued: decode_seq(&mut dec, MIN_MSG_BYTES)?,
-            reply_slots: dec.get_u64()?,
             detached: dec.get_bool()?,
-        };
-        dec.finish()?;
-        Ok(doc)
-    }
-}
-
-/// A **reply** checkpoint document, key `obj-<id>-reply-<slot>`: the
-/// re-reply of one completed run. Written once, when the run completes,
-/// *before* the core document whose `reply_slots` commits it.
-///
-/// Layout: [`SNAPSHOT_FORMAT`], `n`, run label, the wire message
-/// (length-prefixed).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplyDoc {
-    /// The reply's number in the ring; it lives in slot `n % (cap + 1)`.
-    pub n: u64,
-    /// The completed run.
-    pub run: RunId,
-    /// The encoded re-reply ([`WireMsg::to_bytes`]).
-    pub wire: Vec<u8>,
-}
-
-/// Encodes a reply document whose wire message `put_wire` appends, in
-/// about `wire_len` bytes.
-fn encode_reply_doc(
-    n: u64,
-    run: &RunId,
-    wire_len: usize,
-    put_wire: impl FnOnce(&mut Encoder),
-) -> Vec<u8> {
-    let mut enc = Encoder::with_capacity(64 + wire_len);
-    enc.put_u8(SNAPSHOT_FORMAT);
-    enc.put_u64(n);
-    run.encode(&mut enc);
-    enc.put_nested(put_wire);
-    finish_doc(enc)
-}
-
-impl ReplyDoc {
-    /// The blob written to the snapshot store.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        encode_reply_doc(self.n, &self.run, self.wire.len(), |enc| {
-            enc.put_raw(&self.wire)
-        })
-    }
-
-    /// Decodes a blob written by [`ReplyDoc::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ReplyDoc, DecodeError> {
-        let mut dec = snapshot_decoder(bytes)?;
-        let doc = ReplyDoc {
-            n: dec.get_u64()?,
-            run: RunId::decode(&mut dec)?,
-            wire: Vec::<u8>::decode(&mut dec)?,
         };
         dec.finish()?;
         Ok(doc)
@@ -1045,8 +948,8 @@ mod tests {
     use super::*;
     use crate::decision::Decision;
     use crate::history::Seen;
-    use crate::messages::DecideMsg;
-    use b2b_crypto::sha256;
+    use b2b_crypto::{sha256, TimeMs};
+    use b2b_evidence::{EvidenceRecord, MemStore};
     use std::collections::HashMap;
 
     /// An object whose state is its bytes, accepting every transition.
@@ -1081,13 +984,13 @@ mod tests {
         RunId(sha256(&i.to_be_bytes()))
     }
 
-    fn decide(run: RunId) -> WireMsg {
-        WireMsg::Decide(DecideMsg {
+    fn decide(run: RunId) -> DecideMsg {
+        DecideMsg {
             object: ObjectId::new("obj"),
             run,
             authenticator: [0; 32],
             responses: Vec::new(),
-        })
+        }
     }
 
     fn leaving() -> ActiveRun {
@@ -1107,43 +1010,36 @@ mod tests {
         }))
     }
 
-    /// Writes every stale document of `r` into `store`, as `persist` does,
-    /// over a log of 0 records.
-    fn checkpoint(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>, cap: usize) {
-        for (doc, blob) in r.take_stale_docs(cap, 0) {
-            if let Doc::Reply { run, .. } = doc {
-                r.reply_written(&run);
-            }
-            store.insert(key(doc), blob);
+    /// Writes the core document of `r` into `store` if it is stale, as
+    /// `persist` does, over a log of 0 records.
+    fn checkpoint(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>) {
+        if let Some(blob) = r.take_stale_core(0) {
+            store.insert("core".into(), blob);
+            r.core_written();
         }
     }
 
-    /// Remembers `reply` for `run` and writes its reply document into
-    /// `store`, as `Coordinator::remember_reply` does.
-    fn remember(r: &mut Replica, store: &mut HashMap<String, Vec<u8>>, run: RunId, cap: usize) {
-        if let Some(doc) = r.remember_reply(run, cap) {
-            let blob = r.reply_doc(&run, &decide(run)).unwrap();
-            store.insert(key(doc), blob);
-        }
+    /// Logs the decide of `run` in `log`, as a proposer's `finalize` does,
+    /// and remembers it as the run's re-reply. Returns the record's seq.
+    fn remember(r: &mut Replica, log: &MemStore, run: RunId, cap: usize) -> u64 {
+        let record = EvidenceRecord::new(
+            EvidenceKind::StateDecide,
+            "obj",
+            run.to_hex(),
+            PartyId::new("a"),
+            decide(run).canonical_bytes(),
+            None,
+            None,
+            TimeMs(0),
+        );
+        let seq = log.append(record).unwrap();
+        r.remember_reply(run, Some(seq), cap);
+        seq
     }
 
-    /// The retained re-reply of `run`, read back from `store`.
-    fn reply(
-        r: &Replica,
-        store: &HashMap<String, Vec<u8>>,
-        run: RunId,
-        cap: usize,
-    ) -> Option<WireMsg> {
-        r.completed_reply(&run, cap, |slot| {
-            store.get(&format!("reply-{slot}")).cloned()
-        })
-    }
-
-    fn key(doc: Doc) -> String {
-        match doc {
-            Doc::Reply { slot, .. } => format!("reply-{slot}"),
-            Doc::Core => "core".into(),
-        }
+    /// The retained re-reply of `run`, read back from `log`.
+    fn reply(r: &Replica, log: &MemStore, run: RunId) -> Option<WireMsg> {
+        r.completed_reply(&run, log)
     }
 
     /// A history that establishes nothing: the founder's own, before it
@@ -1155,7 +1051,6 @@ mod tests {
     fn restore_from(
         history: &History,
         core: CoreDoc,
-        store: &HashMap<String, Vec<u8>>,
         cap: usize,
     ) -> Result<(Replica, Option<Ended>), RestoreError> {
         Replica::restore(
@@ -1166,14 +1061,13 @@ mod tests {
             core,
             cap,
             8,
-            |slot| store.get(&format!("reply-{slot}")).cloned(),
         )
     }
 
     /// The founder's replica back from `store` and an empty history.
-    fn restore(store: &HashMap<String, Vec<u8>>, cap: usize) -> Replica {
+    fn restore(store: &HashMap<String, Vec<u8>>) -> Replica {
         let core = CoreDoc::from_bytes(&store["core"]).unwrap();
-        let (rep, ended) = restore_from(&empty(), core, store, cap).unwrap();
+        let (rep, ended) = restore_from(&empty(), core, 4).unwrap();
         assert!(ended.is_none());
         rep
     }
@@ -1187,7 +1081,6 @@ mod tests {
         assert_eq!(a.active, b.active);
         assert_eq!(a.queued, b.queued);
         assert_eq!(a.completed(), b.completed());
-        assert_eq!(a.reply_slots, b.reply_slots);
         assert_eq!(a.detached, b.detached);
     }
 
@@ -1225,10 +1118,10 @@ mod tests {
 
     #[test]
     fn remember_reply_evicts_oldest_beyond_cap() {
-        let mut store = HashMap::new();
+        let log = MemStore::new();
         let mut r = replica(&["a", "b"]);
         for i in 0..5 {
-            remember(&mut r, &mut store, run_id(i), 3);
+            remember(&mut r, &log, run_id(i), 3);
         }
         let kept: Vec<RunId> = r.completed().iter().map(|(run, _)| *run).collect();
         assert_eq!(kept, vec![run_id(2), run_id(3), run_id(4)]);
@@ -1237,36 +1130,40 @@ mod tests {
             3,
             "the ring is sized to what it holds"
         );
-        // The retained replies read back from their documents as the
-        // remembered messages and are numbered in order; an evicted one
-        // does not, though its slot still holds a document.
-        assert_eq!(reply(&r, &store, run_id(4), 3), Some(decide(run_id(4))));
-        assert_eq!(reply(&r, &store, run_id(0), 3), None);
-        let numbers: Vec<u64> = r.completed().iter().map(|(_, sr)| sr.n).collect();
-        assert_eq!(numbers, vec![2, 3, 4]);
-        // Zero cap retains nothing.
+        // The retained replies read back from their records as the decides
+        // logged, each under its record's seq; an evicted one does not,
+        // though the log still holds its record.
+        let decided = |i| Some(WireMsg::Decide(decide(run_id(i))));
+        assert_eq!(reply(&r, &log, run_id(4)), decided(4));
+        assert_eq!(reply(&r, &log, run_id(0)), None);
+        let records: Vec<u64> = r.completed().iter().map(|(_, seq)| *seq).collect();
+        assert_eq!(records, vec![2, 3, 4]);
+        // Zero cap retains nothing, and neither does a failed append.
         let mut empty = replica(&["a", "b"]);
-        assert_eq!(empty.remember_reply(run_id(9), 0), None);
+        empty.remember_reply(run_id(9), Some(0), 0);
+        empty.remember_reply(run_id(9), None, 3);
         assert!(empty.completed().is_empty());
+        // Remembering a reply is no change to the core document.
+        empty.take_stale_core(0);
+        empty.remember_reply(run_id(9), Some(4), 3);
+        assert!(!empty.core_is_stale());
     }
 
     #[test]
-    fn a_reply_whose_document_write_failed_is_held_until_written() {
-        let cap = 4;
-        let mut store = HashMap::new();
-        let mut r = replica(&["a"]);
-        r.remember_reply(run_id(1), cap);
-        r.hold_unwritten(run_id(1), decide(run_id(1)).to_bytes());
-        // Re-replies read the held bytes: the store has no document.
-        assert_eq!(reply(&r, &store, run_id(1), cap), Some(decide(run_id(1))));
-        // The next checkpoint writes the document, byte-identical to the
-        // one the failed write carried, and the bytes are let go.
-        let want = r.reply_doc(&run_id(1), &decide(run_id(1))).unwrap();
-        checkpoint(&mut r, &mut store, cap);
-        assert_eq!(store["reply-0"], want);
-        assert!(r.unwritten.is_empty() && r.unwritten.capacity() == 0);
-        assert_eq!(reply(&r, &store, run_id(1), cap), Some(decide(run_id(1))));
-        assert_same(&restore(&store, cap), &r);
+    fn a_re_reply_reads_only_its_own_run_s_record() {
+        let log = MemStore::new();
+        let mut r = replica(&["a", "b"]);
+        let seq = remember(&mut r, &log, run_id(1), 4);
+        // A ring entry naming a record of another run is no reply.
+        r.remember_reply(run_id(2), Some(seq), 4);
+        assert_eq!(reply(&r, &log, run_id(2)), None);
+        // Nor is one past the end of the log.
+        r.remember_reply(run_id(3), Some(seq + 1), 4);
+        assert_eq!(reply(&r, &log, run_id(3)), None);
+        assert_eq!(
+            reply(&r, &log, run_id(1)),
+            Some(WireMsg::Decide(decide(run_id(1))))
+        );
     }
 
     #[test]
@@ -1293,10 +1190,12 @@ mod tests {
         assert_eq!(r.replay_window().0, vec![(run_id(1), 0)]);
     }
 
-    /// A founder's replica with `installs` state installs over `sightings`
-    /// noted runs: the checkpoint and the history of the log it wrote.
+    /// A founder's replica with twenty state installs and a re-reply for
+    /// each: its core document in `store`, the decides in `log`, and the
+    /// history of that log.
     fn founder_with_history(
         store: &mut HashMap<String, Vec<u8>>,
+        log: &MemStore,
         cap: usize,
     ) -> (Replica, History) {
         let window = 8;
@@ -1326,32 +1225,32 @@ mod tests {
                 state_hash: sha256(&state),
             };
             r.install_state(id, state, window);
-            remember(&mut r, store, run_id(i), cap);
+            let seq = remember(&mut r, log, run_id(i), cap);
+            history.replies.push((run_id(i), seq));
         }
         let members = r.members.clone();
         let (group, tuple, run) = (r.group, r.agreed, run_id(19));
         history.installs.push(crate::history::Install {
             record: history.seen.len() as u64 - 1,
-            by: b2b_evidence::EvidenceKind::StatePropose,
+            by: EvidenceKind::StatePropose,
             tuple,
             members,
             group,
             run,
         });
-        for (doc, blob) in r.take_stale_docs(cap, history.seen.len() as u64) {
-            store.insert(key(doc), blob);
-        }
+        let blob = r.take_stale_core(history.seen.len() as u64).unwrap();
+        store.insert("core".into(), blob);
         (r, history)
     }
 
     #[test]
-    fn restore_reads_the_group_the_tuple_and_the_window_from_the_history() {
+    fn restore_reads_the_group_the_tuple_the_window_and_the_ring_from_the_history() {
         let cap = 4;
-        let mut store = HashMap::new();
-        let (r, history) = founder_with_history(&mut store, cap);
+        let (mut store, log) = (HashMap::new(), MemStore::new());
+        let (r, history) = founder_with_history(&mut store, &log, cap);
         let core = CoreDoc::from_bytes(&store["core"]).unwrap();
         assert_eq!(core.founding, None, "the log founds the group");
-        let (back, ended) = restore_from(&history, core, &store, cap).unwrap();
+        let (back, ended) = restore_from(&history, core, cap).unwrap();
         assert!(ended.is_none());
         assert_same(&back, &r);
         // Run 1 expired, and its replay twelve installs later entered
@@ -1359,113 +1258,103 @@ mod tests {
         // which has since expired.
         assert!(back.has_seen_run(&run_id(1)) && !back.has_seen_run(&run_id(9)));
         assert_eq!(back.object.get_state(), b"19".to_vec());
+        // The ring is the history's last `cap` replies, read from the log.
+        let kept: Vec<RunId> = back.completed().iter().map(|(run, _)| *run).collect();
+        assert_eq!(kept, (16..20).map(run_id).collect::<Vec<_>>());
         assert_eq!(
-            reply(&back, &store, run_id(19), cap),
-            Some(decide(run_id(19)))
+            reply(&back, &log, run_id(19)),
+            Some(WireMsg::Decide(decide(run_id(19))))
         );
         let mut back = back;
-        assert!(back.take_stale_docs(cap, 0).is_empty(), "nothing is stale");
+        assert!(back.take_stale_core(0).is_none(), "nothing is stale");
     }
 
     #[test]
     fn restore_refuses_what_the_log_does_not_bear_out() {
         let cap = 4;
-        let mut store = HashMap::new();
-        let (_, history) = founder_with_history(&mut store, cap);
+        let (mut store, log) = (HashMap::new(), MemStore::new());
+        let (_, history) = founder_with_history(&mut store, &log, cap);
         let core = || CoreDoc::from_bytes(&store["core"]).unwrap();
         // State bytes that do not hash to the log's agreed tuple.
         let mut edited = core();
         edited.agreed_state = b"18".to_vec();
-        let refused = restore_from(&history, edited, &store, cap);
+        let refused = restore_from(&history, edited, cap);
         assert_eq!(refused.err(), Some(RestoreError::State));
         // An install past the checkpoint's mark that ends no run of it.
         let mut behind = core();
         behind.logged -= 1;
-        let refused = restore_from(&history, behind, &store, cap);
+        let refused = restore_from(&history, behind, cap);
         assert_eq!(refused.err(), Some(RestoreError::Ahead));
         // A history with no group, and a checkpoint with no founding.
         let mut unfounded = core();
         unfounded.logged = 0;
-        let refused = restore_from(&empty(), unfounded, &store, cap);
+        let refused = restore_from(&empty(), unfounded, cap);
         assert_eq!(refused.err(), Some(RestoreError::NoGroup));
     }
 
     #[test]
     fn a_founder_that_logged_nothing_restores_from_its_founding() {
-        let (cap, mut store) = (4, HashMap::new());
+        let mut store = HashMap::new();
         let mut r = replica(&["a"]);
-        checkpoint(&mut r, &mut store, cap);
+        checkpoint(&mut r, &mut store);
         let core = CoreDoc::from_bytes(&store["core"]).unwrap();
         assert_eq!(core.founding, Some((r.group, r.agreed)));
         // Alone, it leaves without a word to anyone: only the checkpoint
         // knows.
         r.detach();
-        checkpoint(&mut r, &mut store, cap);
-        let back = restore(&store, cap);
+        checkpoint(&mut r, &mut store);
+        let back = restore(&store);
         assert_same(&back, &r);
         assert!(back.is_detached());
     }
 
     #[test]
-    fn restore_commits_only_what_the_core_document_covers() {
-        let cap = 2;
+    fn restore_keeps_the_active_run_of_the_last_core_document() {
         let mut store = HashMap::new();
         let mut r = replica(&["a"]);
-        for i in 0..3u64 {
-            remember(&mut r, &mut store, run_id(i), cap);
-            checkpoint(&mut r, &mut store, cap);
-        }
-        let committed = restore(&store, cap);
-        // A run starts, completes and writes its reply document — and the
-        // crash lands before the core document.
+        checkpoint(&mut r, &mut store);
+        // A run starts and completes — and the crash lands before the core
+        // document that ends it.
         r.start_run(leaving());
-        checkpoint(&mut r, &mut store, cap);
+        checkpoint(&mut r, &mut store);
         r.finish_run();
-        remember(&mut r, &mut store, run_id(3), cap);
-        let back = restore(&store, cap);
-        // Replies 1 and 2 are still retained (reply 3 went to the spare
-        // slot), reply 3 is not committed, and the run is still active.
-        assert_eq!(back.completed(), committed.completed());
-        assert_eq!(back.reply_slots, 3);
-        assert!(reply(&back, &store, run_id(3), cap).is_none());
-        assert_eq!(back.active, Some(leaving()));
-
-        // Once the core document lands, the run is over and reply 3 in.
-        let mut rest = r.take_stale_docs(cap, 0).into_iter();
-        let (doc, blob) = rest.next().unwrap();
-        assert_eq!(doc, Doc::Core);
-        store.insert(key(doc), blob);
-        assert_eq!(rest.next(), None);
-        let back = restore(&store, cap);
-        assert_eq!(back.active, None);
-        assert_eq!(
-            reply(&back, &store, run_id(3), cap),
-            Some(decide(run_id(3)))
-        );
-        assert!(reply(&back, &store, run_id(1), cap).is_none());
+        assert_eq!(restore(&store).active, Some(leaving()));
+        // Once the core document lands, the run is over.
+        checkpoint(&mut r, &mut store);
+        assert_eq!(restore(&store).active, None);
     }
 
     #[test]
-    fn restore_skips_a_missing_or_foreign_reply_blob() {
-        let cap = 4;
+    fn a_welcome_rides_in_one_core_document() {
         let mut store = HashMap::new();
-        let mut r = replica(&["a"]);
-        for i in 0..3u64 {
-            remember(&mut r, &mut store, run_id(i), cap);
-        }
-        checkpoint(&mut r, &mut store, cap);
-        store.remove("reply-0");
-        store.insert("reply-1".into(), b"{\"format\":1}".to_vec());
-        let back = restore(&store, cap);
-        let kept: Vec<RunId> = back.completed().iter().map(|(run, _)| *run).collect();
-        assert_eq!(kept, vec![run_id(2)]);
+        let mut r = replica(&["a", "b"]);
+        let answer = MemberAnswer {
+            object: ObjectId::new("obj"),
+            sponsor: PartyId::new("a"),
+            request_digest: sha256(b"join"),
+            verdict: crate::messages::MemberVerdict::Rejected,
+        };
+        let sig = b2b_crypto::Signer::sign(
+            &b2b_crypto::KeyPair::generate_from_seed(1),
+            &answer.canonical_bytes(),
+        );
+        r.hold_welcome((answer.clone(), sig.clone()));
+        checkpoint(&mut r, &mut store);
+        let core = CoreDoc::from_bytes(&store["core"]).unwrap();
+        assert_eq!(core.welcome, Some((answer, sig)));
+        // The next document, written after the welcome is logged, leaves
+        // it out.
+        checkpoint(&mut r, &mut store);
+        let core = CoreDoc::from_bytes(&store["core"]).unwrap();
+        assert_eq!(core.welcome, None);
+        assert!(r.take_stale_core(0).is_none());
     }
 
     #[test]
     fn restore_installs_the_checkpointed_state_into_the_object() {
         let mut store = HashMap::new();
-        checkpoint(&mut replica(&["a"]), &mut store, 4);
-        let back = restore(&store, 4);
+        checkpoint(&mut replica(&["a"]), &mut store);
+        let back = restore(&store);
         assert_eq!(back.object.get_state(), b"0".to_vec());
     }
 }

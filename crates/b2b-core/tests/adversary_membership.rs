@@ -109,7 +109,7 @@ fn forged_authenticator_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "3b7bd93782153dcdd1908a3fcf7cd576fcd981eeea6616e226b2d0ffa367f979",
+        "d0d99c2d7997ebdf3b522d35c6cb9331a4f93c2875183e61fd24be3c7d12cdc1",
     );
     assert_shape(
         &cluster,
@@ -134,7 +134,7 @@ fn response_removed_from_member_decide_aggregation_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "7fa3feb4f837373ccaf295e033ae04840dbc21332d78b9a599f042ba2997a178",
+        "0a79f359df64fd02f31a54651b40e9511191ca600c18bc880a1080c97ad9057f",
     );
     assert_shape(
         &cluster,
@@ -165,7 +165,7 @@ fn own_response_swapped_in_member_decide_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "142692e8ebdcf797141b65c460b01e0c3b9217c7f26aea0af382ba42dda108a7",
+        "0aaacb58d74b2446a0a0157611083069a5a1c948fc04744842e17f0444dedf0f",
     );
     assert_shape(
         &cluster,
@@ -200,7 +200,7 @@ fn flipped_signature_byte_in_member_decide_names_its_signer() {
     assert_golden(
         &cluster,
         "c",
-        "62a760ce715f0c55fdf8566d0d717322d76fd8281d1bade240fcf02046b87a0c",
+        "1b4c82848b1952be1ec8454ec8c2b55ecd0c522f69999c398f5f51112636bdcc",
     );
     assert_shape(
         &cluster,
@@ -244,7 +244,7 @@ fn welcome_missing_a_prior_members_response_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "8c9b3c4a661cf470b8ae324ccfc114a5b6a42cd899486e7f1b91f04ff6e73687",
+        "3af4f82ba96f97f8967253bfa8a291573cdbd994fa52349d75e5016f8b63f712",
     );
     assert_shape(
         &cluster,
@@ -293,7 +293,7 @@ fn tampered_welcome_state_is_rejected_by_the_subject() {
     assert_golden(
         &cluster,
         "c",
-        "3e84a680ecc3c34cde040726654e61447363752ed84db48c2dda96983889f7e5",
+        "69e16d164229a39ff6909f7145c96dae24f572ef4a4fa08bdaa7b6b54c5393a7",
     );
     assert_shape(
         &cluster,
@@ -336,7 +336,7 @@ fn tampered_welcome_member_list_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "e348b0e2792ea26b42add935bd58454d080001bba418e14c813d7bdb0114a3d6",
+        "ccc1d57e907efc8be6fab9bb117be4e37f418894a82af66c36eca758fd3e1765",
     );
     assert_shape(
         &cluster,
@@ -393,7 +393,7 @@ fn illegitimate_sponsor_proposal_is_vetoed() {
     assert_golden(
         &cluster,
         "c",
-        "d2267f6eb9aa8743b346ac5ce51aa4222cdc6b935f04c81eaa709cd3deb0fc22",
+        "f3ed94a0e9a84a722a60f46c9bc2482f49429fcaf41f91ba6122709fd8d002a0",
     );
     assert_shape(
         &cluster,
@@ -467,7 +467,7 @@ fn replayed_connect_proposal_is_detected() {
     assert_golden(
         &cluster,
         "c",
-        "438337df59cdce5aef337ca34f6ad92af52cf4486de94beb10f539fda82ca99d",
+        "b2f0bd97afb89f5b4f423d31a3ffca2bd3fd338e774712112fcbbdc83de8bb4d",
     );
     assert_shape(
         &cluster,
@@ -507,7 +507,7 @@ fn forged_disconnect_request_cannot_evict_anyone() {
     assert_golden(
         &cluster,
         "c",
-        "2c320ef4a415f2b4e9a14bc05b5ff2a81889d71a61c2148a1701ac9da54c28cd",
+        "fc863a048be1d799a005bd349c7db7742f07d1e2b22ee51ff272f11662ac6bb5",
     );
     assert_shape(
         &cluster,

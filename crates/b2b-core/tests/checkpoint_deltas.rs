@@ -6,21 +6,23 @@
 //!   and the re-reply ring are, and stay within a small multiple of what
 //!   the round itself moved;
 //! * a crash landing just before any checkpoint put of a run — state
-//!   round, vetoed round, connection, disconnection — leaves a store from
-//!   which the crashed party recovers, the run completes, and every party
-//!   ends up exactly where an uncrashed run leaves it;
+//!   round, vetoed round, connection (its subject included),
+//!   disconnection — leaves a store from which the crashed party recovers,
+//!   the run completes, and every party ends up exactly where an
+//!   uncrashed run leaves it; so does a joiner's crash between putting
+//!   its welcome and logging it;
 //! * a failed write of the object index is reported and rewritten by the
 //!   next checkpoint, so a later crash still recovers the object.
 
 mod common;
 
 use b2b_core::history;
-use b2b_core::replica::{ReplayWindow, StoredReply};
+use b2b_core::replica::ReplayWindow;
 use b2b_core::DecisionRule::Unanimous;
 use b2b_core::{Coordinator, CoordinatorConfig, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::{KeyPair, KeyRing, PartyId, Signer, TimeMs};
 use b2b_evidence::{
-    EvidenceRecord, EvidenceStore, LogAuditor, MemStore, SnapshotStore, StoreError,
+    EvidenceKind, EvidenceRecord, EvidenceStore, LogAuditor, MemStore, SnapshotStore, StoreError,
 };
 use b2b_net::{NetNode, NodeCtx, SimNet};
 use common::{counter_factory, enc, party, QUIET};
@@ -42,6 +44,8 @@ struct ProbeStore {
     tripped: AtomicBool,
     /// The next `objects` put fails, and the process lives on.
     fail_objects_once: AtomicBool,
+    /// The next `MemberAnswer` append is lost: the process dies first.
+    lose_answer: AtomicBool,
 }
 
 impl ProbeStore {
@@ -52,6 +56,7 @@ impl ProbeStore {
             fail_from: AtomicUsize::new(usize::MAX),
             tripped: AtomicBool::new(false),
             fail_objects_once: AtomicBool::new(false),
+            lose_answer: AtomicBool::new(false),
         }
     }
 
@@ -71,6 +76,12 @@ impl ProbeStore {
 
 impl EvidenceStore for ProbeStore {
     fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError> {
+        if record.kind == EvidenceKind::MemberAnswer
+            && self.lose_answer.swap(false, Ordering::SeqCst)
+        {
+            self.tripped.store(true, Ordering::SeqCst);
+            return Err(StoreError::Io(std::io::Error::other("process crashed")));
+        }
         self.inner.append(record)
     }
     fn len(&self) -> usize {
@@ -278,7 +289,10 @@ impl World {
             replies: rep
                 .completed()
                 .into_iter()
-                .map(|(run, reply)| (run, reply.clone()))
+                .map(|(run, _)| {
+                    let reply = rep.completed_reply(&run, self.stores[i].as_ref());
+                    (run, reply.map(|m| m.to_bytes()))
+                })
                 .collect(),
             busy: rep.active().is_some(),
             detached: rep.is_detached(),
@@ -308,7 +322,8 @@ struct Image {
     agreed: StateId,
     state: Vec<u8>,
     window: ReplayWindow,
-    replies: Vec<(RunId, StoredReply)>,
+    /// Each retained re-reply, as the frame it re-sends.
+    replies: Vec<(RunId, Option<Vec<u8>>)>,
     busy: bool,
     detached: bool,
 }
@@ -350,7 +365,7 @@ fn checkpoint_bytes_per_round_do_not_grow_with_the_windows() {
     let state_len = enc(value(0)).len() as u64;
     for (round, (parties, wire)) in rounds.iter().enumerate() {
         for (puts, bytes) in parties {
-            assert_eq!(*puts, 3, "round {round}: a run's start, its reply, its end");
+            assert_eq!(*puts, 2, "round {round}: a run's start, its end");
             // Every round moves state + m1 + m2 + m3 (`wire`, which also
             // counts the acks); a party checkpoints under three times that.
             assert!(
@@ -365,10 +380,8 @@ fn checkpoint_bytes_per_round_do_not_grow_with_the_windows() {
     };
     for who in 0..2 {
         let (early, late) = (mean(10..20, who), mean(200..300, who));
-        // Flat — or rather a little *lower* once the window has moved past
-        // the run that formed the group: that run has no reply slot, so
-        // its one window entry (41 bytes) rides in the core document, two
-        // writes a round, for the first 64 rounds.
+        // Flat: the core document holds neither the windows nor the
+        // ring, so filling them adds no checkpoint bytes.
         assert!(
             late <= 1.01 * early && early - late <= 2.0 * 41.0 + 0.01 * early,
             "org{who}: {early} bytes per round while the windows fill, {late} once full"
@@ -409,17 +422,15 @@ fn a_four_party_proposer_checkpoints_once_per_recorded_response() {
         .map(|(s, b)| s.puts() - b)
         .collect();
     // Proposer: the start, the first two responses, then (the third
-    // completing the run) its reply and its end. Recipients: as ever.
-    assert_eq!(puts, vec![5, 3, 3, 3]);
+    // completing the run) its end. Recipients: as ever.
+    assert_eq!(puts, vec![4, 2, 2, 2]);
     for i in 0..4 {
         assert!(world.coord(i).outcome_of(&run).unwrap().is_installed());
     }
-    // The puts of the run in progress are the core document alone.
+    // Every put is the core document: the reply is the log's record.
     let log = world.stores[0].log.lock().unwrap();
     let keys: Vec<&str> = log[before[0]..].iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys[..3], ["obj-counter"; 3]);
-    assert!(keys[3].starts_with("obj-counter-reply-"));
-    assert_eq!(keys[4], "obj-counter");
+    assert_eq!(keys, ["obj-counter"; 4]);
 }
 
 /// One run to crash through: how many coordinators, how many of them are
@@ -496,7 +507,9 @@ impl Scenario {
 
 #[test]
 fn a_crash_before_any_checkpoint_put_of_a_run_is_recovered_from() {
-    for scenario in &SCENARIOS {
+    // The crash points of each scenario: every put of every party's run
+    // but an initiator's first.
+    for (scenario, points) in SCENARIOS.iter().zip([3, 9, 3, 7, 4]) {
         let mut reference = scenario.world();
         let before: Vec<usize> = reference.stores.iter().map(|s| s.puts()).collect();
         (scenario.start)(&mut reference);
@@ -509,12 +522,9 @@ fn a_crash_before_any_checkpoint_put_of_a_run_is_recovered_from() {
         );
         let mut cases = 0;
         for (victim, &before) in before.iter().enumerate() {
+            // The subject of a connection puts its first core document,
+            // carrying the welcome, before it logs the welcome.
             let puts = reference.stores[victim].puts() - before;
-            // The subject of a connection has no replica, hence no
-            // checkpoint, until the welcome that ends the run.
-            if before == 0 {
-                continue;
-            }
             for nth in 0..puts {
                 if nth == 0 && scenario.initiators.contains(&victim) {
                     continue;
@@ -540,8 +550,32 @@ fn a_crash_before_any_checkpoint_put_of_a_run_is_recovered_from() {
                 cases += 1;
             }
         }
-        assert!(cases >= 4, "{}: only {cases} crash points", scenario.name);
+        assert_eq!(cases, points, "{}: crash points", scenario.name);
     }
+}
+
+#[test]
+fn a_joiner_whose_welcome_missed_its_log_logs_it_at_recovery() {
+    // org1 puts its core document with the welcome and its index, then
+    // dies before the welcome reaches its log. Recovery logs the welcome
+    // the core document holds, once, and org1 is the member it would
+    // have been.
+    let mut reference = World::new(2, 1, 48);
+    reference.connect(1, 0);
+    reference.settle();
+    let mut world = World::new(2, 1, 48);
+    world.stores[1].lose_answer.store(true, Ordering::SeqCst);
+    world.connect(1, 0);
+    world.settle();
+    assert!(!world.stores[1].lose_answer.load(Ordering::SeqCst));
+    assert_eq!(world.images(), reference.images());
+    world.assert_audits_clean();
+    let answers = world.stores[1]
+        .records()
+        .iter()
+        .filter(|r| r.kind == EvidenceKind::MemberAnswer)
+        .count();
+    assert_eq!(answers, 1, "org1 logged its welcome once");
 }
 
 /// Rounds that poll nobody, run by org0 alone: a state round, and its

@@ -3,8 +3,8 @@
 //! evidence payloads.
 //!
 //! * round trip — `decode(encode(x)) == x` for every [`WireMsg`] variant,
-//!   for the checkpoint documents ([`CoreDoc`], [`ReplyDoc`]) in every
-//!   shape recovery has to restore, and for every [`Misbehaviour`];
+//!   for the checkpoint document ([`CoreDoc`]) in every shape recovery
+//!   has to restore, and for every [`Misbehaviour`];
 //! * totality — truncated, extended, bit-flipped and random input decodes
 //!   to `None`/`Err`, never a panic;
 //! * strictness — whatever mutated frame *is* accepted re-encodes to
@@ -14,7 +14,7 @@
 
 use b2b_core::messages::*;
 use b2b_core::replica::{
-    ActiveRun, CoreDoc, LeavingRun, ProposerRun, RecipientRun, ReplyDoc, SNAPSHOT_FORMAT,
+    ActiveRun, CoreDoc, LeavingRun, ProposerRun, RecipientRun, SNAPSHOT_FORMAT,
 };
 use b2b_core::{Decision, GroupId, Misbehaviour, ObjectId, RunId, StateId};
 use b2b_crypto::DecodeError;
@@ -466,14 +466,12 @@ fn random_buffers_never_decode_or_panic() {
                 "accepted random buffer must be canonical"
             );
         }
-        // Likewise past the checkpoint documents' format byte.
+        // Likewise past the checkpoint document's format byte.
         if i % 4 == 1 && !buf.is_empty() {
             buf[0] = SNAPSHOT_FORMAT;
         }
-        for doc in CHECKPOINT_CODECS {
-            if let Ok(bytes) = doc(&buf) {
-                assert_eq!(bytes, buf);
-            }
+        if let Ok(bytes) = recode(&buf) {
+            assert_eq!(bytes, buf);
         }
     }
     // A length prefix far beyond the buffer must not size an allocation.
@@ -679,22 +677,18 @@ fn previous_format_frames_and_retired_tags_are_refused() {
 }
 
 /// Decodes a checkpoint document and encodes it again.
-type Recode = fn(&[u8]) -> Result<Vec<u8>, DecodeError>;
-
-/// One [`Recode`] per checkpoint document kind.
-const CHECKPOINT_CODECS: [Recode; 2] = [
-    |b| CoreDoc::from_bytes(b).map(|d| d.to_bytes()),
-    |b| ReplyDoc::from_bytes(b).map(|d| d.to_bytes()),
-];
+fn recode(bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    CoreDoc::from_bytes(bytes).map(|d| d.to_bytes())
+}
 
 fn core_doc(active: Option<ActiveRun>) -> CoreDoc {
     CoreDoc {
         logged: 4_321,
         founding: None,
+        welcome: None,
         agreed_state: b"{\"lines\":[{\"item\":\"a\",\"qty\":1}]}".to_vec(),
         active,
         queued: vec![join_request(), evict_request()],
-        reply_slots: 1_234,
         detached: false,
     }
 }
@@ -718,6 +712,7 @@ fn core_docs() -> Vec<CoreDoc> {
         run: m1.run_id(),
         propose: m1,
         my_response: respond("supplier", Decision::accept()),
+        responded: Some(1_233),
         pending_state: Some(b"next".to_vec()),
     };
     let connect = join_propose();
@@ -735,6 +730,7 @@ fn core_docs() -> Vec<CoreDoc> {
         run: disconnect.run_id(),
         propose: disconnect,
         my_response: member_respond("customer"),
+        responded: None,
         pending_state: None,
     };
     let leaving = LeavingRun {
@@ -745,13 +741,19 @@ fn core_docs() -> Vec<CoreDoc> {
         logged: 0,
         founding: Some((group_id(0), state_id(0))),
         queued: Vec::new(),
-        reply_slots: 0,
         ..core_doc(None)
     };
     let detached = CoreDoc {
         agreed_state: Vec::new(),
         detached: true,
         ..fresh.clone()
+    };
+    let welcome = member_answer(accepted(&["customer", "dispatcher"]), None, None);
+    let joined = CoreDoc {
+        logged: 7,
+        welcome: Some((welcome.answer, welcome.sig)),
+        queued: Vec::new(),
+        ..core_doc(None)
     };
     vec![
         core_doc(None),
@@ -762,47 +764,23 @@ fn core_docs() -> Vec<CoreDoc> {
         core_doc(Some(ActiveRun::Leaving(Box::new(leaving)))),
         fresh,
         detached,
+        joined,
     ]
-}
-
-fn reply_docs() -> Vec<ReplyDoc> {
-    let state_run = ReplyDoc {
-        n: 1_233,
-        run: run(),
-        wire: WireMsg::Decide(decide()).to_bytes(),
-    };
-    let membership_run = ReplyDoc {
-        wire: WireMsg::Respond(member_respond("supplier")).to_bytes(),
-        ..state_run.clone()
-    };
-    vec![state_run, membership_run]
-}
-
-/// Every checkpoint document's bytes, with the index of its codec.
-fn every_checkpoint_blob() -> Vec<(usize, Vec<u8>)> {
-    let mut blobs = Vec::new();
-    blobs.extend(core_docs().iter().map(|d| (0, d.to_bytes())));
-    blobs.extend(reply_docs().iter().map(|d| (1, d.to_bytes())));
-    blobs
 }
 
 #[test]
 fn every_checkpoint_document_round_trips() {
     for doc in core_docs() {
-        assert_eq!(CoreDoc::from_bytes(&doc.to_bytes()), Ok(doc));
-    }
-    for doc in reply_docs() {
-        assert_eq!(ReplyDoc::from_bytes(&doc.to_bytes()), Ok(doc));
-    }
-    for (codec, bytes) in every_checkpoint_blob() {
-        assert_eq!(CHECKPOINT_CODECS[codec](&bytes), Ok(bytes));
+        let bytes = doc.to_bytes();
+        assert_eq!(CoreDoc::from_bytes(&bytes), Ok(doc));
+        assert_eq!(recode(&bytes), Ok(bytes));
     }
 }
 
 #[test]
 fn damaged_checkpoint_documents_are_rejected_not_misread() {
-    for (codec, bytes) in every_checkpoint_blob() {
-        let decode = CHECKPOINT_CODECS[codec];
+    for bytes in core_docs().iter().map(CoreDoc::to_bytes) {
+        let decode = recode;
         for cut in 0..bytes.len() {
             assert!(decode(&bytes[..cut]).is_err());
         }
@@ -810,14 +788,15 @@ fn damaged_checkpoint_documents_are_rejected_not_misread() {
         longer.push(0);
         assert!(decode(&longer).is_err());
         // A blob in another format is refused at the first byte: the
-        // format-4 documents that carried the members, the group, the
-        // agreed tuple and replay-window entries the log now holds, the
-        // format-3 documents whose queue and leaving run held the subject's
-        // earlier request messages, the format-2 documents whose active run
-        // could be a sponsor or member run, the format-1 whole-replica
-        // snapshots before those, and the JSON snapshots before those
-        // (they start with `{`).
-        for other_format in [4, 3, 2, 1, b'{'] {
+        // format-5 documents that counted the reply documents the log's
+        // records replaced, the format-4 documents that carried the
+        // members, the group, the agreed tuple and replay-window entries
+        // the log now holds, the format-3 documents whose queue and leaving
+        // run held the subject's earlier request messages, the format-2
+        // documents whose active run could be a sponsor or member run, the
+        // format-1 whole-replica snapshots before those, and the JSON
+        // snapshots before those (they start with `{`).
+        for other_format in [5, 4, 3, 2, 1, b'{'] {
             let mut other = bytes.clone();
             other[0] = other_format;
             assert!(decode(&other).is_err());

@@ -90,7 +90,7 @@ fn rejected_voluntary_leave_returns_replica_to_member() {
     assert_golden(
         &cluster,
         "ledger",
-        "834fcd3e43c9ae8b8b50e507eb6bb4fe32a7209db9246a2358abdd8bc3bbf0cc",
+        "1d9d5bdb289ce24a1ff9b555232833b0a09c20d791dea4a32657851b578b8463",
     );
     assert_shape(
         &cluster,

@@ -37,7 +37,7 @@ fn sequential_joins_agree_on_membership_and_sponsor() {
     assert_golden(
         &cluster,
         "counter",
-        "5c4c0f35da92fedf360bcc96f1bb24e9cf7d29348915e64dca750324986b3cd0",
+        "7936b31f3baeb2214d9a21c97d7948c72a1a25e1df2e95b90ba809fca1beaa24",
     );
     assert_shape(
         &cluster,
@@ -89,7 +89,7 @@ fn joiner_receives_current_agreed_state() {
     assert_golden(
         &cluster,
         "counter",
-        "0c806fc790378c69e69d70cfcc2be6cacbc71ee0e56ca3b219a691f554236ee4",
+        "873db3e41769f1f13c185f8c041165d2e91cdde2c1dc478e6215fd5a63658d21",
     );
     assert_shape(
         &cluster,
@@ -169,7 +169,7 @@ fn connect_vetoed_by_member_is_indistinguishable_from_immediate_reject() {
     assert_golden(
         &cluster,
         "obj",
-        "b055a6a5f46d940a260ffe8069ce19ae4989cfd2653d53a2b2b024fa7ea93c28",
+        "24c2ba0d4dae664df334115606cfc1873f865777520752157e1fc11cdb7be2e2",
     );
     assert_shape(
         &cluster,
@@ -226,7 +226,7 @@ fn immediate_rejection_by_sponsor() {
     assert_golden(
         &cluster,
         "obj",
-        "bdb4dd1fe3c644b324f27dd0fcd03ce66b61ca5e790bf818bb8ecefefc56c949",
+        "23c9bebb55fb92c997de2417bc46b1672cad28576104bc90e10ac2175f64f3e5",
     );
     assert_shape(
         &cluster,
@@ -266,7 +266,7 @@ fn voluntary_disconnect_of_sponsor_rotates_sponsorship() {
     assert_golden(
         &cluster,
         "counter",
-        "5f3dde2817098fdedd68747282fe1fe5f1441df0a8ebc18e561e1b2d54a7a9cd",
+        "d2d39c308badadb5b7526c50a4b94896c8e3fb47158b1e014e057edcc89516a1",
     );
     assert_shape(
         &cluster,
@@ -296,7 +296,7 @@ fn two_party_disconnect_leaves_singleton() {
     assert_golden(
         &cluster,
         "counter",
-        "48beaf27177664b4da616f2fde54db11f186010794e2ece48ae0a653f10556a5",
+        "e8c2c0cae12d3910daa974c1d55e9283e40a9dd11199c7b421a229bf4ae3ed32",
     );
     assert_shape(
         &cluster,
@@ -344,7 +344,7 @@ fn eviction_excludes_subject_from_the_vote() {
     assert_golden(
         &cluster,
         "counter",
-        "17a6e6179f136b349107760f84f690663d837e2691a27354dee86c467e97a86e",
+        "7d853b4c5fb189518bf4fbbb3d274914557908180f33b99b64158a38e3008719",
     );
     assert_shape(
         &cluster,
@@ -372,7 +372,7 @@ fn subset_eviction_forms_cooperating_subgroup() {
     assert_golden(
         &cluster,
         "counter",
-        "3dc9db9eae0ed21bdfcaa69752e733511424becb9a782c3dfb662232d68c9dce",
+        "c9630b89263840fde3d89a42deee27514be2276bec261330a8db07f777329d52",
     );
     assert_shape(
         &cluster,
@@ -409,7 +409,7 @@ fn membership_requests_queue_behind_active_run() {
     assert_golden(
         &cluster,
         "counter",
-        "d830dfe62cd460ca68a62696a32832756dd42407ccc1711b904f21d63e95160a",
+        "fdd1440ffe4d7b7f0bd65b17709a25587b54dfc33fd388bb39a0967388072bd3",
     );
     assert_shape(
         &cluster,
@@ -464,7 +464,7 @@ fn third_party_joins_while_state_run_in_flight_queues() {
     assert_golden(
         &cluster,
         "c",
-        "7da318d75095b54eda8406b2478c649db45aae92c15803794e6e3d41876bcc41",
+        "2261ee5400afab81abf1c2a9ce7c7a673ed75f0ffb928493ed39e9dd73e7d807",
     );
     assert_shape(
         &cluster,
@@ -478,9 +478,9 @@ fn membership_change_message_cost() {
     // Connection: request + (n−1 propose) + (n−1 respond) + (n−1 decide)
     // + welcome = 3n − 1 messages for a group growing from n to n+1.
     const GOLDEN: [&str; 3] = [
-        "49b2ae6f12233f955dc92abaf9a9ccd801f45a265434008f7eb46105663bc2df",
-        "1ee10ae89d35b0a04a160512cc83039a40dcb08bb80f513e47b6a45e56def79d",
-        "88fedd1642b7aded6ef05f644efcd17fc20cdec6e1c215595d183122827805b2",
+        "898e098e057deff188255e4274cd024235f4e16594802b168e0c4ddb80f3d0b8",
+        "cad2bef1cf789354fc094190ded7877c40144660f5231dcaaed7d6e9746099b6",
+        "b9506b61a036fb7ef351f7cf181321bd7a87ce28f12714176ce19598743f5e58",
     ];
     const SHAPES: [&str; 3] = [
         "8c87814d212bca41d0a861e35990df414fbc8f495a312358c8b33e03afbec9fe",

@@ -32,7 +32,7 @@ fn leaver_can_rejoin_later() {
     assert_golden(
         &cluster,
         "c",
-        "6b39bea8ef9dc245f4b8232956e8dd051e61b16e28e78befd7ecd12414d2f8c0",
+        "0b18fa969f7a49c45ec1782fb107de244dca176d0330c95fc2e241fd088a9afe",
     );
     assert_shape(
         &cluster,
@@ -57,7 +57,7 @@ fn double_disconnect_is_rejected_locally() {
     assert_golden(
         &cluster,
         "c",
-        "bff58c2efc79be5a3fbd1e5db84c94146f5f4aba4ff68785bf1d364bc861d02a",
+        "1a337af598448ff0ed436e1aa825f3fb2b31bc9bd337238a9202dcf53efbdb82",
     );
     assert_shape(
         &cluster,
@@ -82,7 +82,7 @@ fn detached_party_cannot_propose() {
     assert_golden(
         &cluster,
         "c",
-        "9db66ac05805d04c5b0c126001954557698d0c552eca02514be279186e783b3e",
+        "9cdd9a27fdce348bcdb0fd08628bf851e5726d7e57cd705315b6d762dd425f52",
     );
     assert_shape(
         &cluster,
@@ -123,7 +123,7 @@ fn evicting_the_current_sponsor_moves_sponsorship() {
     assert_golden(
         &cluster,
         "c",
-        "7cce775f16976ae53a878f0ba7549c0a1882512a094828d31bf0699a0130bfaa",
+        "605a5592f1b43d6077e74e583f9f6af826b18286a35da99a7c406a39aa1abe78",
     );
     assert_shape(
         &cluster,
@@ -174,7 +174,7 @@ fn connect_request_to_non_sponsor_is_forwarded() {
     assert_golden(
         &cluster,
         "c",
-        "302253601f818b2f8d7622032b7f155b0b81a36b305eac136a75a28c5ef4cd24",
+        "ed7d5e71f8dc8e0db4c2d4b309a9364e403e897f7b28877114b3bcd0581aea8b",
     );
     assert_shape(
         &cluster,
@@ -196,7 +196,7 @@ fn sole_member_disconnect_is_local() {
     assert_golden(
         &cluster,
         "c",
-        "408678affd7da3b21033d362d53c3a0aa2d9ea1046756c7284d33e2f075e0a9f",
+        "fa4210bfcf42a8dd932f04d7cf791044bc04ce1ca1f16c96291d415974a64b3f",
     );
     assert_shape(
         &cluster,
@@ -233,7 +233,7 @@ fn eviction_by_non_member_is_rejected() {
     assert_golden(
         &cluster,
         "c",
-        "602cb1d0bb5fefd30c20c7dae6e99a1463a9fa7960eb0368be467ad1113657bd",
+        "ffd6966080bec8f69f9b5966272004ce1e6f8b695e4b2881984162402125ba26",
     );
     assert_shape(
         &cluster,
@@ -288,7 +288,7 @@ fn queued_connects_are_served_in_order() {
     assert_golden(
         &cluster,
         "c",
-        "923b9d2a388140ff0ac78737e707ad855a2bfbeee5972a4812fe04a6361e5d38",
+        "a7c5d4661e7fb5b038a3b542d36681e99fe127cb7eacd5403cee40c8f02726ae",
     );
     assert_shape(
         &cluster,

@@ -1,10 +1,11 @@
 //! A completed run's re-reply is the reply it sent, byte for byte.
 //!
-//! A replica keeps a completed run's reply only as an index into its
-//! checkpoint store: the reply document there holds the bytes. These tests
-//! answer duplicate protocol messages after the round, after a crash and
-//! recovery, and after the reply document's write failed, and compare the
-//! protocol message each answer carries with the one first sent.
+//! A replica keeps a completed run's reply only as the sequence number of
+//! its own evidence record that carries it: the proposer's decide, the
+//! recipient's response. These tests answer duplicate protocol messages
+//! after the round, after a crash and recovery, and with a checkpoint
+//! store that holds nothing but core documents, and compare the protocol
+//! message each answer carries with the one first sent.
 
 mod common;
 
@@ -228,13 +229,6 @@ fn a_reply_whose_document_write_failed_is_still_resent() {
     });
     net.run_until_quiet(QUIET);
     assert!(net.node(&p1).outcome_of(&run).unwrap().is_installed());
-    assert!(
-        net.node(&p1)
-            .detected()
-            .iter()
-            .any(|m| m.tag() == "unexpected-message"),
-        "the failed reply write is reported"
-    );
     let (m1, m2_body) = {
         let r = rec.lock().unwrap();
         (r.m1.clone().unwrap(), body(&r.m2))
@@ -256,4 +250,101 @@ fn a_reply_whose_document_write_failed_is_still_resent() {
     net.recover_at(t + TimeMs(50), p1.clone());
     net.run_until_quiet(QUIET);
     assert_eq!(answer(&mut net, 0, 1, &m1, 0xe1), vec![m2_body]);
+}
+
+/// An in-memory store that keeps the index and the core document of the
+/// `counter` object, and refuses every other put.
+struct CoreOnly(MemStore);
+
+impl EvidenceStore for CoreOnly {
+    fn append(&self, record: EvidenceRecord) -> Result<u64, StoreError> {
+        self.0.append(record)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn get(&self, seq: u64) -> Option<EvidenceRecord> {
+        self.0.get(seq)
+    }
+    fn records(&self) -> Vec<EvidenceRecord> {
+        self.0.records()
+    }
+}
+
+impl SnapshotStore for CoreOnly {
+    fn put_snapshot(&self, key: &str, bytes: Vec<u8>) -> Result<(), StoreError> {
+        match key {
+            "objects" | "pending-connects" | "obj-counter" => self.0.put_snapshot(key, bytes),
+            _ => Err(StoreError::Io(std::io::Error::other("refused"))),
+        }
+    }
+    fn get_snapshot(&self, key: &str) -> Option<Vec<u8>> {
+        self.0.get_snapshot(key)
+    }
+}
+
+#[test]
+fn core_documents_alone_carry_re_replies_across_a_crash() {
+    let keys = [
+        KeyPair::generate_from_seed(1000),
+        KeyPair::generate_from_seed(1001),
+    ];
+    let mut ring = KeyRing::new();
+    for (i, k) in keys.iter().enumerate() {
+        ring.register(party(i), k.public_key());
+    }
+    let mut net = SimNet::new(73);
+    for (i, k) in keys.into_iter().enumerate() {
+        net.add_node(
+            Coordinator::builder(party(i), k)
+                .ring(ring.clone())
+                .config(CoordinatorConfig::default())
+                .store(Arc::new(CoreOnly(MemStore::new())))
+                .seed(i as u64 + 1)
+                .build(),
+        );
+    }
+    let oid = ObjectId::new("counter");
+    let o = oid.clone();
+    net.invoke(&party(0), move |c, _| {
+        c.register_object(o, Box::new(counter_factory)).unwrap();
+    });
+    let o = oid.clone();
+    net.invoke(&party(1), move |c, ctx| {
+        c.request_connect(o, Box::new(counter_factory), party(0), ctx)
+            .unwrap();
+    });
+    net.run_until_quiet(QUIET);
+    assert!(net.node(&party(1)).is_member(&oid));
+
+    let rec = Arc::new(Mutex::new(Recorded::default()));
+    net.set_intruder(recorder(rec.clone()));
+    let o = oid.clone();
+    let run = net.invoke(&party(0), move |c, ctx| {
+        c.propose_overwrite(&o, enc(5), ctx).unwrap()
+    });
+    net.run_until_quiet(QUIET);
+    assert!(net.node(&party(1)).outcome_of(&run).unwrap().is_installed());
+    let (m1, m2, m2_body, m3_body) = {
+        let r = rec.lock().unwrap();
+        (
+            r.m1.clone().unwrap(),
+            r.m2.clone().unwrap(),
+            body(&r.m2),
+            body(&r.m3),
+        )
+    };
+
+    // The proposer and the recipient crash after the round and come back
+    // from their core documents and their logs.
+    let t = net.now();
+    for who in [0, 1] {
+        net.crash_at(t + TimeMs(1), party(who));
+        net.recover_at(t + TimeMs(50), party(who));
+    }
+    net.run_until_quiet(QUIET);
+    // The recipient answers a duplicate m1 with its response, and the
+    // proposer a duplicate m2 with its decide.
+    assert_eq!(answer(&mut net, 0, 1, &m1, 0xf0), vec![m2_body]);
+    assert_eq!(answer(&mut net, 1, 0, &m2, 0xf1), vec![m3_body]);
 }

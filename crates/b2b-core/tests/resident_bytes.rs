@@ -58,14 +58,15 @@ const GROUPS: usize = 64;
 const ROLES: [&str; 4] = ["customer", "supplier", "approver", "dispatcher"];
 /// Items in the customer's seed bulk: one batched round.
 const CATALOGUE: usize = 8;
-/// Live heap bytes one group may hold: within 10 % of the 77 726 bytes
-/// measured on x86-64 Linux (96 626 before each reply was held once, cold
-/// engine state moved out of line and emptied tables gave back their
-/// capacity; 153 630 before replica entries were boxed, the verification
-/// cache made a fixed-size table and evidence kept as frames; see
-/// `DESIGN.md` §15), so a regression in what a resident engine keeps
-/// fails here before it reaches a fleet.
-const BUDGET_PER_GROUP: usize = 85_500;
+/// Live heap bytes one group may hold: within 10 % of the 70 985 bytes
+/// measured on x86-64 Linux (77 064 before a re-reply was read back from
+/// the evidence log instead of a reply document; 96 626 before each reply
+/// was held once, cold engine state moved out of line and emptied tables
+/// gave back their capacity; 153 630 before replica entries were boxed,
+/// the verification cache made a fixed-size table and evidence kept as
+/// frames; see `DESIGN.md` §15), so a regression in what a resident
+/// engine keeps fails here before it reaches a fleet.
+const BUDGET_PER_GROUP: usize = 78_000;
 
 /// One group's simulated network: four engines, each with its own
 /// in-memory store, the order object agreed among all four, and the seed

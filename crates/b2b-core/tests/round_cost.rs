@@ -63,10 +63,12 @@ const ROUNDS: u32 = 64;
 
 /// What a round may cost, per group size. Frames and bare acks are exact.
 /// Allocations and bytes are within 10 % of the figures measured on
-/// x86-64 Linux in a debug build — 133 and 50 812 for two parties, 333
-/// and 147 034 for four since each reply is encoded once, straight into
-/// its checkpoint document, and no longer held in RAM (139 / 53 249 and
-/// 343 / 153 432 before, see `DESIGN.md` §15; 127 / 53 160 and 319 /
+/// x86-64 Linux in a debug build — 123 and 42 945 for two parties, 311
+/// and 122 483 for four since a re-reply is the party's own evidence
+/// record and no reply document is written (133 / 50 812 and 333 /
+/// 147 034 while each reply was encoded once, straight into its
+/// checkpoint document; 139 / 53 249 and 343 / 153 432 before that, see
+/// `DESIGN.md` §15; 127 / 53 160 and 319 /
 /// 153 141 before a bulk update cost its delta; 321 / 67 942 and 839 /
 /// 196 409 before acks rode on data frames and names, signatures and
 /// evidence stopped being copied, see `DESIGN.md` §16).
@@ -81,15 +83,15 @@ struct Budget {
 const BUDGETS: [Budget; 2] = [
     Budget {
         parties: 2,
-        allocations: 139,
-        bytes: 58_400,
+        allocations: 135,
+        bytes: 47_200,
         frames: 4,
         bare_acks: 1,
     },
     Budget {
         parties: 4,
-        allocations: 350,
-        bytes: 168_400,
+        allocations: 342,
+        bytes: 134_700,
         frames: 12,
         bare_acks: 3,
     },

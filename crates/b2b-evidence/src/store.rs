@@ -63,6 +63,11 @@ pub trait EvidenceStore: Send + Sync {
     }
 
     /// Returns the record with sequence number `seq`, if present.
+    ///
+    /// Besides audits, the coordinator calls this for a re-reply: a
+    /// completed run's reply to a duplicate message is the party's own
+    /// record that carries it, read back by its sequence number, so an
+    /// implementation must not scan the log to answer.
     fn get(&self, seq: u64) -> Option<EvidenceRecord>;
 
     /// Returns a snapshot of all records in sequence order.

@@ -63,12 +63,14 @@ const PARTIES: usize = 4;
 const CATALOGUE: usize = 8;
 /// Orders whose seed bulks one long-poll waits for.
 const CHUNK: usize = 8;
-/// Live heap bytes one served order may hold: within 5 % of the 65 087
-/// bytes measured on x86-64 Linux (83 923 before each reply was held once,
-/// cold engine state moved out of line and emptied tables gave back their
-/// capacity; see `DESIGN.md` §15), so a regression in what a quiet served
-/// group keeps fails here before it reaches a fleet.
-const BUDGET_PER_ORDER: usize = 68_300;
+/// Live heap bytes one served order may hold: within 5 % of the 58 474
+/// bytes measured on x86-64 Linux (64 553 before a re-reply was read back
+/// from the evidence log instead of a reply document; 83 923 before each
+/// reply was held once, cold engine state moved out of line and emptied
+/// tables gave back their capacity; see `DESIGN.md` §15), so a regression
+/// in what a quiet served group keeps fails here before it reaches a
+/// fleet.
+const BUDGET_PER_ORDER: usize = 61_300;
 
 /// Starts a four-party server with `orders` orders, creates and seeds them
 /// all over HTTP, and waits until every engine is quiet.
